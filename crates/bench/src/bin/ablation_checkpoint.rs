@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dlaas_bench::harness::{experiment_platform, print_table, BENCH_KEY};
+use dlaas_bench::harness::{experiment_platform, print_table, reported_iteration, BENCH_KEY};
 use dlaas_core::{paths, JobId, JobStatus, TrainingManifest};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_sim::{Sim, SimDuration};
@@ -59,7 +59,7 @@ fn run_one(seed: u64, interval: u64) -> Outcome {
     );
     // Crash the learner half-way through the expected training time.
     sim.run_for(SimDuration::from_mins(40));
-    let progress_at_crash = platform.job_info(&job).map(|i| i.iteration).unwrap_or(0);
+    let progress_at_crash = reported_iteration(&platform, &job).unwrap_or(0);
     let ckpt_iter: u64 = platform
         .objstore()
         .read_text("bench-results", &paths::obj_ckpt_meta(&job))

@@ -15,7 +15,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dlaas_bench::harness::{experiment_platform, print_table, BENCH_KEY};
+use dlaas_bench::harness::{experiment_platform, print_table, reported_iteration, BENCH_KEY};
 use dlaas_core::{JobId, JobStatus, TrainingManifest};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_sim::{Sim, SimDuration};
@@ -65,7 +65,7 @@ fn run_one(seed: u64, crash_nodes: u32) -> Outcome {
     let outage = SimDuration::from_secs(60);
 
     // Sample status freshness every 5s through the outage + recovery:
-    // staleness = how long the mongo-recorded iteration has been stuck.
+    // staleness = how long the iteration etcd holds has been stuck.
     let mut max_staleness = 0.0_f64;
     let mut last_iter = 0u64;
     let mut last_change = sim.now();
@@ -80,7 +80,7 @@ fn run_one(seed: u64, crash_nodes: u32) -> Outcome {
                 }
             }
         }
-        let iter = platform.job_info(&job).map(|i| i.iteration).unwrap_or(0);
+        let iter = reported_iteration(&platform, &job).unwrap_or(0);
         if iter != last_iter {
             last_iter = iter;
             last_change = sim.now();

@@ -11,8 +11,9 @@
 //!
 //! Defaults: seed 2018, N=10000 platform jobs, 10000 churn actors,
 //! 2,000,000 churn events, out `BENCH_engine.json`, tolerance 0.10.
-//! With `--check`, exits non-zero if any workload's events/wall-sec falls
-//! more than the tolerance below the committed baseline.
+//! With `--check`, exits non-zero if a workload is more than the
+//! tolerance worse than the committed baseline — `kernel_churn` in
+//! events/wall-sec, `platform_soak_*` in wall seconds.
 
 use dlaas_bench::engine::{self, EngineRun};
 use dlaas_bench::harness::print_table;

@@ -14,9 +14,10 @@
 //! Both report host wall time via the feature-gated
 //! [`dlaas_obs::wallclock::WallTimer`], so `BENCH_engine.json` is a
 //! *wall-derived* artifact: it is NOT byte-stable across runs and must
-//! never enter a byte-comparison gate. CI instead compares the
-//! events-per-wall-second rates against a committed baseline with a
-//! relative tolerance ([`check_against_baseline`]).
+//! never enter a byte-comparison gate. CI instead compares it against a
+//! committed baseline with a relative tolerance
+//! ([`check_against_baseline`]): `kernel_churn` by its events per
+//! wall-second, `platform_soak` by its wall seconds.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -44,7 +45,7 @@ pub struct EngineRun {
     pub events: u64,
     /// Simulated seconds covered by the measured region.
     pub sim_secs: f64,
-    /// Host wall seconds for the measured region (reporting only).
+    /// Host wall seconds for the measured region.
     pub wall_secs: f64,
 }
 
@@ -214,11 +215,23 @@ pub fn render_json(seed: u64, runs: &[EngineRun]) -> String {
     out
 }
 
+/// `true` for workloads gated on host wall seconds instead of events per
+/// wall-second. `kernel_churn` runs a fixed number of events, so its
+/// rate is its speed. A platform soak runs a fixed *experiment* and the
+/// events are the program's own doing: an event diet that deletes
+/// hundreds of thousands of ~100 ns no-op events makes the soak faster
+/// while its events per wall-second fall.
+fn gated_on_wall_secs(workload: &str) -> bool {
+    workload.starts_with("platform_soak")
+}
+
 /// Compares a fresh `BENCH_engine.json` against a committed baseline.
 ///
 /// For every workload in the baseline, the current run must contain the
-/// same workload name with `events_per_wall_sec` no more than
-/// `tolerance` (fractional, e.g. `0.10`) below the baseline rate.
+/// same workload name and be no more than `tolerance` (fractional, e.g.
+/// `0.10`) worse than the baseline: `platform_soak_*` in `wall_secs`
+/// (lower is better, see [`gated_on_wall_secs`]), everything else in
+/// `events_per_wall_sec` (higher is better).
 /// Returns per-workload report lines on success, or the list of
 /// violations on failure. Malformed JSON on either side is a violation —
 /// the gate must not pass by failing to parse.
@@ -227,7 +240,8 @@ pub fn check_against_baseline(
     baseline_json: &str,
     tolerance: f64,
 ) -> Result<Vec<String>, Vec<String>> {
-    fn rates(json: &str, which: &str) -> Result<Vec<(String, f64)>, String> {
+    /// `(name, gated value)` per workload.
+    fn gated(json: &str, which: &str) -> Result<Vec<(String, f64)>, String> {
         let v = Value::parse_json(json).map_err(|e| format!("{which}: unparseable JSON: {e:?}"))?;
         let workloads = v
             .path("workloads")
@@ -239,20 +253,25 @@ pub fn check_against_baseline(
                 .path("name")
                 .and_then(Value::as_str)
                 .ok_or_else(|| format!("{which}: workload missing \"name\""))?;
-            let rate = w
-                .path("events_per_wall_sec")
+            let field = if gated_on_wall_secs(name) {
+                "wall_secs"
+            } else {
+                "events_per_wall_sec"
+            };
+            let value = w
+                .path(field)
                 .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{which}: {name} missing \"events_per_wall_sec\""))?;
-            out.push((name.to_string(), rate));
+                .ok_or_else(|| format!("{which}: {name} missing \"{field}\""))?;
+            out.push((name.to_string(), value));
         }
         Ok(out)
     }
 
-    let base = match rates(baseline_json, "baseline") {
+    let base = match gated(baseline_json, "baseline") {
         Ok(b) => b,
         Err(e) => return Err(vec![e]),
     };
-    let cur = match rates(current_json, "current") {
+    let cur = match gated(current_json, "current") {
         Ok(c) => c,
         Err(e) => return Err(vec![e]),
     };
@@ -262,18 +281,31 @@ pub fn check_against_baseline(
 
     let mut report = Vec::new();
     let mut violations = Vec::new();
-    for (name, base_rate) in &base {
-        let Some((_, cur_rate)) = cur.iter().find(|(n, _)| n == name) else {
+    for (name, base_value) in &base {
+        let Some((_, cur_value)) = cur.iter().find(|(n, _)| n == name) else {
             violations.push(format!(
                 "{name}: present in baseline, missing from current run"
             ));
             continue;
         };
-        let floor = base_rate * (1.0 - tolerance);
-        let line = format!(
-            "{name}: {cur_rate:.1} ev/wall-s vs baseline {base_rate:.1} (floor {floor:.1})"
-        );
-        if *cur_rate < floor {
+        let (line, regressed) = if gated_on_wall_secs(name) {
+            let ceiling = base_value * (1.0 + tolerance);
+            (
+                format!(
+                    "{name}: {cur_value:.1} wall-s vs baseline {base_value:.1} (ceiling {ceiling:.1})"
+                ),
+                *cur_value > ceiling,
+            )
+        } else {
+            let floor = base_value * (1.0 - tolerance);
+            (
+                format!(
+                    "{name}: {cur_value:.1} ev/wall-s vs baseline {base_value:.1} (floor {floor:.1})"
+                ),
+                *cur_value < floor,
+            )
+        };
+        if regressed {
             violations.push(format!("REGRESSION {line}"));
         } else {
             report.push(format!("ok {line}"));
@@ -327,6 +359,31 @@ mod tests {
         let cur = fake_json(&[("kernel_churn", 800.0)]);
         let violations = check_against_baseline(&cur, &base, 0.10).expect_err("regressed");
         assert!(violations[0].starts_with("REGRESSION kernel_churn"));
+    }
+
+    #[test]
+    fn platform_soak_is_gated_on_wall_seconds_not_event_rate() {
+        let soak = |events: u64, wall_secs: f64| {
+            render_json(
+                1,
+                &[EngineRun {
+                    name: "platform_soak_n100".into(),
+                    events,
+                    sim_secs: 1.0,
+                    wall_secs,
+                }],
+            )
+        };
+        let base = soak(1_000_000, 10.0);
+        // An event diet: a third of the events gone, the soak 20% faster,
+        // events per wall-second down 17% — an improvement, not a drop.
+        let report = check_against_baseline(&soak(666_000, 8.0), &base, 0.10).expect("faster");
+        assert!(report[0].starts_with("ok platform_soak_n100: 8.0 wall-s"));
+        // Same events, 20% slower.
+        let violations = check_against_baseline(&soak(1_000_000, 12.0), &base, 0.10).unwrap_err();
+        assert!(violations[0].starts_with("REGRESSION platform_soak_n100"));
+        // More events at the same rate is slower too.
+        assert!(check_against_baseline(&soak(1_200_000, 12.0), &base, 0.10).is_err());
     }
 
     #[test]

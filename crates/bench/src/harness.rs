@@ -5,7 +5,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dlaas_core::{
-    DlaasPlatform, GpuNodeSpec, JobId, JobStatus, PlatformConfig, Tenant, TrainingManifest,
+    paths, DlaasPlatform, GpuNodeSpec, JobId, JobStatus, LearnerPhase, PlatformConfig, Tenant,
+    TrainingManifest,
 };
 use dlaas_gpu::{DlModel, ExecEnv, Framework, GpuKind, Interconnect, TrainingConfig};
 use dlaas_sim::{Sim, SimDuration};
@@ -43,6 +44,25 @@ pub fn experiment_platform(sim: &mut Sim, kind: GpuKind, gpus_per_node: u32) -> 
     p.seed_dataset("bench-data", "d/", 2_000_000_000);
     p.create_bucket("bench-results");
     p
+}
+
+/// The training iteration learner 0 of `job` last reported through the
+/// status path (NFS → controller → etcd), as the freshest live etcd
+/// replica has it. The job document mirrors the figure only on phase
+/// changes and on the Guardian's backstop, so experiments that stage a
+/// fault at a given iteration, or measure status freshness, read it here.
+pub fn reported_iteration(platform: &DlaasPlatform, job: &JobId) -> Option<u64> {
+    let etcd = platform.etcd();
+    let key = paths::etcd_learner(job, 0);
+    etcd.raft()
+        .nodes()
+        .iter()
+        .filter(|node| node.is_alive())
+        .filter_map(|node| {
+            let status = etcd.kv_snapshot(node.id()).get(&key)?.value.clone();
+            status.parse::<LearnerPhase>().ok()?.iteration()
+        })
+        .max()
 }
 
 /// Standard manifest for throughput experiments (no checkpoints, so the

@@ -33,8 +33,9 @@ pub struct CoreConfig {
     /// Latency of each Guardian deployment step (K8s API round trip +
     /// admission).
     pub guardian_step_latency: SimDuration,
-    /// Guardian's monitoring poll period (etcd watch is the fast path;
-    /// polling is the dependability backstop).
+    /// Guardian's backstop period: the etcd watch drives monitoring; this
+    /// often it re-registers the watch, re-lists the job's keys, mirrors
+    /// progress and checks for an external kill.
     pub guardian_poll: SimDuration,
     /// Controller's NFS poll period.
     pub controller_poll: SimDuration,
@@ -84,7 +85,7 @@ impl Default for CoreConfig {
             guardian_backoff_limit: 8,
             learner_max_failures: 5,
             guardian_step_latency: SimDuration::from_millis(180),
-            guardian_poll: SimDuration::from_millis(2_000),
+            guardian_poll: SimDuration::from_secs(30),
             controller_poll: SimDuration::from_millis(1_000),
             log_flush: SimDuration::from_millis(2_000),
             lcm_scan: SimDuration::from_secs(20),

@@ -35,7 +35,7 @@ use crate::job::{JobId, JobStatus, LearnerPhase};
 use crate::lcm::teardown_job;
 use crate::manifest::TrainingManifest;
 use crate::mongo::{MetaClient, JOBS};
-use crate::paths;
+use crate::paths::{self, JobKey};
 
 /// Image for a framework's learner container.
 fn framework_image(f: Framework) -> ImageRef {
@@ -47,15 +47,13 @@ struct MonitorState {
     learners: BTreeMap<u32, LearnerPhase>,
     store: Option<String>,
     throughput: Option<f64>,
-    progress: u64,
     restarts: u64,
     moved_processing: bool,
     moved_storing: bool,
     finished: bool,
-    last_progress_written: u64,
-    last_restarts_written: u64,
-    last_learners_written: String,
-    poll_round: u64,
+    /// Learner phases and restart count as last mirrored into the job
+    /// document (dedup of the progress mirror).
+    mirrored: (BTreeMap<u32, LearnerPhase>, u64),
 }
 
 struct Guardian {
@@ -481,26 +479,32 @@ impl Guardian {
         });
     }
 
-    /// Monitoring: etcd watch for fast reaction + periodic poll as the
-    /// backstop (and for kill detection via the metadata store).
+    /// Monitoring is driven by an etcd watch on the job's whole prefix;
+    /// a slow backstop poll (`guardian_poll`) covers what a watch can
+    /// miss — notifications lost with a partitioned or restarted etcd
+    /// node — and carries kill detection via the metadata store.
     fn start_monitoring(self: Rc<Self>, sim: &mut Sim) {
-        let prefix = paths::etcd_learners_prefix(&self.job);
         let me = self.clone();
-        // dlaas-lint: allow(resource-leak): the watch is scoped to this incarnation's private etcd client, and the guardian's cleanup hook closes that client on exit/kill, cancelling every watch registered on it
-        self.etcd.watch_prefix(sim, prefix, move |sim, ev| {
-            if !me.alive() {
-                return;
-            }
-            if let dlaas_etcd::KvEvent::Put { key, value, .. } = ev {
-                if let Some(ord) = key.rsplit('/').next().and_then(|s| s.parse::<u32>().ok()) {
-                    if let Ok(phase) = value.parse::<LearnerPhase>() {
-                        me.mon.borrow_mut().learners.insert(ord, phase);
-                    }
+        self.etcd
+            // dlaas-lint: allow(resource-leak): the watch is scoped to this incarnation's private etcd client, and the guardian's cleanup hook closes that client on exit/kill, cancelling every watch registered on it
+            .watch_prefix(sim, paths::etcd_job_prefix(&self.job), move |sim, ev| {
+                if !me.alive() {
+                    return;
                 }
-            }
-            let me2 = me.clone();
-            sim.defer(move |sim| me2.aggregate(sim));
-        });
+                let dlaas_etcd::KvEvent::Put { key, value, .. } = ev else {
+                    return;
+                };
+                // Every replica notifies, so most events are repeats; and
+                // an iteration count alone moves no aggregation rule.
+                if me.absorb(key, value) {
+                    me.push_progress(sim);
+                    let me2 = me.clone();
+                    sim.defer(move |sim| me2.aggregate(sim));
+                }
+            });
+        // List right after registering, never before: whatever was
+        // written before the watch took hold is in the listing.
+        self.refresh(sim);
 
         let me = self.clone();
         let alive = self.ctx.alive_flag();
@@ -508,27 +512,51 @@ impl Guardian {
             if !alive.get() || me.mon.borrow().finished {
                 return false;
             }
-            me.poll(sim);
+            // etcd watch registries are volatile on the servers;
+            // re-register so notifications resume after a node restart.
+            me.etcd.rewatch(sim);
+            me.refresh(sim);
+            me.check_killed(sim);
             true
         });
         self.ctx.record(sim, "monitoring started");
     }
 
-    /// One poll round: refresh the job's etcd snapshot and check for
-    /// user-initiated termination.
-    fn poll(self: &Rc<Self>, sim: &mut Sim) {
-        // etcd watch registries are volatile on the servers; re-register
-        // periodically so notifications resume promptly after an etcd
-        // node restart (polling already guarantees eventual progress).
-        {
-            let mut mon = self.mon.borrow_mut();
-            mon.poll_round += 1;
-            let due = mon.poll_round.is_multiple_of(15);
-            drop(mon);
-            if due {
-                self.etcd.rewatch(sim);
+    /// Folds one key of the job's etcd prefix into the monitor state —
+    /// the one path watch events and the backstop listing share. Returns
+    /// `true` when something the aggregation rules or the user-visible
+    /// mirror react to changed: a learner's phase (not merely its
+    /// iteration), the store handshake, or the restart count.
+    fn absorb(&self, key: &str, value: &str) -> bool {
+        let mut mon = self.mon.borrow_mut();
+        match paths::parse_etcd_job_key(&self.job, key) {
+            Some(JobKey::Learner(ord)) => {
+                let Ok(phase) = value.parse::<LearnerPhase>() else {
+                    return false;
+                };
+                let old = mon.learners.insert(ord, phase);
+                old.map(|o| std::mem::discriminant(&o)) != Some(std::mem::discriminant(&phase))
             }
+            Some(JobKey::Store) => {
+                let changed = mon.store.as_deref() != Some(value);
+                mon.store = Some(value.to_owned());
+                changed
+            }
+            Some(JobKey::Restarts) => {
+                let restarts = value.parse().unwrap_or(mon.restarts);
+                std::mem::replace(&mut mon.restarts, restarts) != restarts
+            }
+            Some(JobKey::Throughput) => {
+                mon.throughput = value.parse().ok();
+                false
+            }
+            Some(JobKey::Data) | None => false,
         }
+    }
+
+    /// One listing of the job's etcd prefix: absorb every key, mirror
+    /// progress, re-run the aggregation rules.
+    fn refresh(self: &Rc<Self>, sim: &mut Sim) {
         let me = self.clone();
         let prefix = paths::etcd_job_prefix(&self.job);
         self.etcd.get_prefix(sim, prefix, move |sim, r| {
@@ -536,33 +564,18 @@ impl Guardian {
                 return;
             }
             let Ok(pairs) = r else { return };
-            {
-                let mut mon = me.mon.borrow_mut();
-                for (key, value) in &pairs {
-                    if let Some(ord) = key
-                        .strip_prefix(&paths::etcd_learners_prefix(&me.job))
-                        .and_then(|s| s.parse::<u32>().ok())
-                    {
-                        if let Ok(phase) = value.parse::<LearnerPhase>() {
-                            mon.learners.insert(ord, phase);
-                        }
-                    } else if *key == paths::etcd_store(&me.job) {
-                        mon.store = Some(value.clone());
-                    } else if *key == paths::etcd_progress(&me.job) {
-                        mon.progress = value.parse().unwrap_or(mon.progress);
-                    } else if *key == paths::etcd_restarts(&me.job) {
-                        mon.restarts = value.parse().unwrap_or(mon.restarts);
-                    } else if *key == paths::etcd_throughput(&me.job) {
-                        mon.throughput = value.parse().ok();
-                    }
-                }
+            for (key, value) in &pairs {
+                me.absorb(key, value);
             }
             me.push_progress(sim);
             me.aggregate(sim);
         });
+    }
 
-        // Kill detection: the LCM marks the job KILLED and tears down; a
-        // monitoring Guardian must notice and exit.
+    /// Kill detection: the LCM marks the job KILLED, tears down and
+    /// deletes this Guardian's K8s Job; should that delete be lost, a
+    /// monitoring Guardian still notices here and exits.
+    fn check_killed(self: &Rc<Self>, sim: &mut Sim) {
         let me = self.clone();
         let filter = Filter::eq("_id", self.job.as_str());
         self.meta
@@ -586,38 +599,50 @@ impl Guardian {
             });
     }
 
-    /// Mirrors progress/restart counters into the metadata store so users
-    /// can see them through the API.
-    fn push_progress(self: &Rc<Self>, sim: &mut Sim) {
-        let (progress, restarts, learners_doc, dirty) = {
-            let mut mon = self.mon.borrow_mut();
-            // Mirror the per-learner phases so users can inspect each
-            // learner through the API while the job runs.
-            let mut learners_doc = std::collections::BTreeMap::new();
-            for (ord, phase) in &mon.learners {
-                learners_doc.insert(ord.to_string(), Value::from(phase.to_string()));
-            }
-            let learners_repr = format!("{learners_doc:?}");
-            let dirty = mon.progress != mon.last_progress_written
-                || mon.restarts != mon.last_restarts_written
-                || learners_repr != mon.last_learners_written;
-            mon.last_progress_written = mon.progress;
-            mon.last_restarts_written = mon.restarts;
-            mon.last_learners_written = learners_repr;
-            (mon.progress, mon.restarts, learners_doc, dirty)
-        };
-        if !dirty {
-            return;
+    /// The job-document fields mirroring training progress, when they
+    /// differ from what was last written (and marks them written).
+    /// Progress is the furthest any learner got; the controller reports
+    /// it inside each learner's status.
+    fn progress_update(&self) -> Option<Update> {
+        let mut mon = self.mon.borrow_mut();
+        if mon.mirrored.0 == mon.learners && mon.mirrored.1 == mon.restarts {
+            return None;
         }
-        let filter = Filter::eq("_id", self.job.as_str());
-        let update = Update::Many(vec![
+        mon.mirrored = (mon.learners.clone(), mon.restarts);
+        let iterations = self.manifest.borrow().as_ref().map_or(0, |m| m.iterations);
+        let progress = mon
+            .learners
+            .values()
+            .filter_map(|p| match p {
+                LearnerPhase::Completed => Some(iterations),
+                p => p.iteration(),
+            })
+            .max()
+            .unwrap_or(0);
+        // Per-learner phases too, so users can inspect each learner
+        // through the API while the job runs.
+        let learners_doc = mon
+            .learners
+            .iter()
+            .map(|(ord, phase)| (ord.to_string(), Value::from(phase.to_string())))
+            .collect();
+        Some(Update::Many(vec![
             Update::set("iteration", progress as i64),
-            Update::set("learner_restarts", restarts as i64),
+            Update::set("learner_restarts", mon.restarts as i64),
             Update::set("learners", Value::Obj(learners_doc)),
-        ]);
-        self.meta
-            .clone()
-            .update_one(sim, JOBS, filter, update, |_sim, _r| {});
+        ]))
+    }
+
+    /// Mirrors progress/restart counters into the metadata store so users
+    /// can see them through the API: on every phase change, on the
+    /// backstop, and (folded into the final update) at completion.
+    fn push_progress(self: &Rc<Self>, sim: &mut Sim) {
+        if let Some(update) = self.progress_update() {
+            let filter = Filter::eq("_id", self.job.as_str());
+            self.meta
+                .clone()
+                .update_one(sim, JOBS, filter, update, |_sim, _r| {});
+        }
     }
 
     /// The aggregation rules of §III-f: per-learner statuses in etcd are
@@ -724,10 +749,12 @@ impl Guardian {
                     .inc(crate::metrics::GUARDIAN_JOBS_COMPLETED, &[]);
                 let me = self.clone();
                 let filter = Filter::eq("_id", self.job.as_str());
-                let update = Update::set(
+                let mut update = vec![Update::set(
                     "images_per_sec",
                     throughput.map(Value::from).unwrap_or(Value::Null),
-                );
+                )];
+                update.extend(self.progress_update());
+                let update = Update::Many(update);
                 self.meta
                     .clone()
                     .update_one(sim, JOBS, filter, update, move |sim, _r| {

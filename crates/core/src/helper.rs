@@ -84,7 +84,6 @@ struct ControllerState {
     /// Last status string written to etcd per learner (dedup).
     written: BTreeMap<u32, String>,
     data_announced: bool,
-    progress_written: u64,
     restarts_written: u64,
     throughput_written: bool,
     store_go_written: bool,
@@ -141,7 +140,6 @@ fn controller_tick(
         });
     }
 
-    let mut progress: u64 = 0;
     let mut restarts_total: u64 = 0;
     let mut all_completed = true;
 
@@ -172,14 +170,7 @@ fn controller_tick(
             phase = Some(LearnerPhase::Failed);
         }
         let phase = phase.unwrap_or(LearnerPhase::Downloading);
-        if let Some(iter) = phase.iteration() {
-            progress = progress.max(iter);
-        }
-        if phase.is_completed() {
-            progress = progress.max(manifest.iterations);
-        } else {
-            all_completed = false;
-        }
+        all_completed &= phase.is_completed();
 
         // Record in etcd (deduplicated — puts are idempotent anyway). On
         // failure the dedup entry is dropped so the next tick retries.
@@ -196,27 +187,19 @@ fn controller_tick(
         }
     }
 
-    // Aggregate progress / restart counters.
-    {
-        let mut st = state.borrow_mut();
-        if progress != st.progress_written {
-            st.progress_written = progress;
-            etcd.put(
-                sim,
-                paths::etcd_progress(job),
-                progress.to_string(),
-                |_s, _r| {},
-            );
-        }
-        if restarts_total != st.restarts_written {
-            st.restarts_written = restarts_total;
-            etcd.put(
-                sim,
-                paths::etcd_restarts(job),
-                restarts_total.to_string(),
-                |_s, _r| {},
-            );
-        }
+    // Aggregate restart counter (training progress needs no key of its
+    // own: it is the maximum over the learner statuses written above).
+    // The total only grows from 0, so a failed put re-arms by forgetting
+    // it was ever written.
+    if restarts_total != state.borrow().restarts_written {
+        state.borrow_mut().restarts_written = restarts_total;
+        let state2 = state.clone();
+        let total = restarts_total.to_string();
+        etcd.put(sim, paths::etcd_restarts(job), total, move |_s, r| {
+            if r.is_err() {
+                state2.borrow_mut().restarts_written = 0;
+            }
+        });
     }
 
     // Once every learner reports its measured throughput, publish the sum.
@@ -235,12 +218,13 @@ fn controller_tick(
         }
         if have_all {
             state.borrow_mut().throughput_written = true;
-            etcd.put(
-                sim,
-                paths::etcd_throughput(job),
-                format!("{sum}"),
-                |_s, _r| {},
-            );
+            let state2 = state.clone();
+            let sum = format!("{sum}");
+            etcd.put(sim, paths::etcd_throughput(job), sum, move |_s, r| {
+                if r.is_err() {
+                    state2.borrow_mut().throughput_written = false;
+                }
+            });
         }
     }
 
@@ -261,7 +245,10 @@ fn controller_tick(
         }
         return;
     }
-    if !state.borrow().store_go_written {
+    // The Guardian writes "go" only after it saw every learner COMPLETED
+    // — statuses this controller reported — so before that the key can
+    // only be absent and is not worth a linearizable read per tick.
+    if all_completed && !state.borrow().store_go_written {
         let mount2 = mount.clone();
         let state2 = state.clone();
         etcd.get(sim, paths::etcd_store(job), move |_sim, r| {
@@ -354,9 +341,51 @@ fn download_data(
 // log-collector
 // ----------------------------------------------------------------------
 
+/// One learner's log as the collector has it: the text read off NFS so
+/// far and how much of it the object store has acknowledged.
+#[derive(Default)]
+struct LogTail {
+    /// Lines `0..read` of the NFS log, newline-joined — the object body.
+    text: String,
+    read: usize,
+    /// Lines covered by the last successful put.
+    stored: usize,
+    /// A put is in flight; the next flush ships whatever it missed.
+    busy: bool,
+}
+
+impl LogTail {
+    /// Appends the lines learner `ord` logged since the last flush and,
+    /// when the store lacks some and no put is in flight, claims the put:
+    /// returns the line count it will cover and the object body.
+    fn refill(&mut self, mount: &Mount, ord: u32) -> Option<(usize, String)> {
+        let path = paths::nfs_learner_log(ord);
+        if mount.line_count(&path) > self.read {
+            // An NFS outage leaves the tail for the next flush.
+            for line in mount.read_lines_from(&path, self.read).unwrap_or_default() {
+                if self.read > 0 {
+                    self.text.push('\n');
+                }
+                self.text.push_str(&line);
+                self.read += 1;
+            }
+        }
+        if self.read == self.stored || self.busy {
+            return None;
+        }
+        self.busy = true;
+        Some((self.read, self.text.clone()))
+    }
+}
+
 /// Behavior factory for the log-collector container: tails learner logs
 /// on NFS and mirrors them to the object store, "irrespective of the
 /// stage [the job] is in, even if it crashes/fails" (§II).
+///
+/// Each flush reads only the lines past its cursor and re-puts the whole
+/// object from its own buffer (object stores have no append). The cursor
+/// is volatile: a restarted collector reads the log from line 0 once and
+/// reproduces the complete object.
 pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let job = JobId::new(ctx.arg.clone());
     let flush = h.config.log_flush;
@@ -364,33 +393,36 @@ pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
     let ctx2 = ctx.clone();
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
         ctx2.record(sim, "log collector online");
-        // lines already uploaded per learner (in-memory: a restart simply
-        // re-uploads from scratch, which is idempotent).
-        let uploaded: Rc<RefCell<BTreeMap<u32, usize>>> = Rc::new(RefCell::new(BTreeMap::new()));
+        let tails: Vec<Rc<RefCell<LogTail>>> = (0..manifest.learners)
+            .map(|_| Rc::new(RefCell::new(LogTail::default())))
+            .collect();
         let alive = ctx2.alive_flag();
         let nic = ctx2.nic.clone();
         dlaas_sim::every(sim, flush, move |sim, _n| {
             if !alive.get() {
                 return false;
             }
-            for ord in 0..manifest.learners {
-                let path = paths::nfs_learner_log(ord);
-                let have = mount.line_count(&path);
-                let done = uploaded.borrow().get(&ord).copied().unwrap_or(0);
-                if have > done {
-                    let Ok(lines) = mount.read_lines_from(&path, 0) else {
-                        continue;
-                    };
-                    uploaded.borrow_mut().insert(ord, have);
-                    objstore.put(
-                        sim,
-                        manifest.results_bucket.clone(),
-                        paths::obj_log(&job, ord),
-                        ObjectBody::Text(lines.join("\n")),
-                        Some(&nic),
-                        |_sim, _r| {},
-                    );
-                }
+            for (ord, tail) in (0..).zip(&tails) {
+                let Some((shipped, body)) = tail.borrow_mut().refill(&mount, ord) else {
+                    continue;
+                };
+                // The cursor only advances once the store has the bytes:
+                // a put lost to an outage is retried by the next flush.
+                let tail2 = tail.clone();
+                objstore.put(
+                    sim,
+                    manifest.results_bucket.clone(),
+                    paths::obj_log(&job, ord),
+                    ObjectBody::Text(body),
+                    Some(&nic),
+                    move |_sim, r| {
+                        let mut t = tail2.borrow_mut();
+                        t.busy = false;
+                        if r.is_ok() {
+                            t.stored = shipped;
+                        }
+                    },
+                );
             }
             true
         });

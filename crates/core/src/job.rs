@@ -127,7 +127,7 @@ impl FromStr for JobStatus {
 }
 
 /// Per-learner phase, as recorded by the controller in etcd (§III-f).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LearnerPhase {
     /// Waiting for / fetching training data.
     Downloading,

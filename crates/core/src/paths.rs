@@ -47,19 +47,9 @@ pub fn etcd_job_prefix(job: &JobId) -> String {
     format!("jobs/{job}/")
 }
 
-/// etcd prefix for per-learner statuses.
-pub fn etcd_learners_prefix(job: &JobId) -> String {
-    format!("jobs/{job}/learners/")
-}
-
 /// etcd key for one learner's status.
 pub fn etcd_learner(job: &JobId, ordinal: u32) -> String {
     format!("jobs/{job}/learners/{ordinal}")
-}
-
-/// etcd key for aggregate training progress.
-pub fn etcd_progress(job: &JobId) -> String {
-    format!("jobs/{job}/progress")
 }
 
 /// etcd key for cumulative learner restarts.
@@ -81,6 +71,40 @@ pub fn etcd_data(job: &JobId) -> String {
 /// the learners' final reports).
 pub fn etcd_throughput(job: &JobId) -> String {
     format!("jobs/{job}/throughput")
+}
+
+/// What a key under [`etcd_job_prefix`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobKey {
+    /// [`etcd_learner`] of this ordinal.
+    Learner(u32),
+    /// [`etcd_restarts`].
+    Restarts,
+    /// [`etcd_store`].
+    Store,
+    /// [`etcd_data`].
+    Data,
+    /// [`etcd_throughput`].
+    Throughput,
+}
+
+/// Classifies an etcd key of `job` (the inverse of the `etcd_*`
+/// constructors above); `None` for anything else.
+pub fn parse_etcd_job_key(job: &JobId, key: &str) -> Option<JobKey> {
+    let rest = key
+        .strip_prefix("jobs/")?
+        .strip_prefix(job.as_str())?
+        .strip_prefix('/')?;
+    if let Some(ordinal) = rest.strip_prefix("learners/") {
+        return ordinal.parse().ok().map(JobKey::Learner);
+    }
+    match rest {
+        "restarts" => Some(JobKey::Restarts),
+        "store" => Some(JobKey::Store),
+        "data" => Some(JobKey::Data),
+        "throughput" => Some(JobKey::Throughput),
+        _ => None,
+    }
 }
 
 /// etcd prefix under which the LCM replicas' shard-ownership keys live.
@@ -181,7 +205,7 @@ mod tests {
             network_policy(&j),
             etcd_job_prefix(&j),
             etcd_learner(&j, 0),
-            etcd_progress(&j),
+            etcd_restarts(&j),
             etcd_store(&j),
             obj_log(&j, 1),
             obj_ckpt_meta(&j),
@@ -192,11 +216,18 @@ mod tests {
     }
 
     #[test]
-    fn learner_keys_are_under_the_learners_prefix() {
+    fn job_keys_parse_back() {
         let j = JobId::new("x");
-        assert!(etcd_learner(&j, 3).starts_with(&etcd_learners_prefix(&j)));
-        assert!(etcd_learners_prefix(&j).starts_with(&etcd_job_prefix(&j)));
-        assert!(etcd_progress(&j).starts_with(&etcd_job_prefix(&j)));
+        let key = |k: &str| parse_etcd_job_key(&j, k);
+        assert_eq!(key(&etcd_learner(&j, 3)), Some(JobKey::Learner(3)));
+        assert_eq!(key(&etcd_restarts(&j)), Some(JobKey::Restarts));
+        assert_eq!(key(&etcd_store(&j)), Some(JobKey::Store));
+        assert_eq!(key(&etcd_data(&j)), Some(JobKey::Data));
+        assert_eq!(key(&etcd_throughput(&j)), Some(JobKey::Throughput));
+        assert!(etcd_learner(&j, 3).starts_with(&etcd_job_prefix(&j)));
+        assert_eq!(key(&etcd_job_prefix(&j)), None);
+        assert_eq!(key(&etcd_store(&JobId::new("xy"))), None);
+        assert_eq!(key("jobs/x/learners/abc"), None);
     }
 
     #[test]

@@ -50,6 +50,7 @@
 
 mod cluster;
 mod node;
+mod timer;
 mod types;
 
 pub use cluster::{ApplyFactory, RaftCluster};

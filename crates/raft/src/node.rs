@@ -13,8 +13,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use dlaas_net::{Addr, Net};
-use dlaas_sim::{Sim, SimRng};
+use dlaas_sim::{Sim, SimRng, SimTime};
 
+use crate::timer::DeadlineTimer;
 use crate::types::{
     LogEntry, LogIndex, NodeId, PersistentState, RaftConfig, RaftMsg, Role, Snapshot, Term,
 };
@@ -90,7 +91,10 @@ struct NodeState<C> {
     votes: BTreeSet<NodeId>,
     next_index: BTreeMap<NodeId, LogIndex>,
     match_index: BTreeMap<NodeId, LogIndex>,
-    timer_gen: u64,
+    /// When each peer was last sent an AppendEntries/InstallSnapshot;
+    /// the heartbeat tick skips peers that heard from us since the
+    /// previous tick.
+    last_sent: BTreeMap<NodeId, SimTime>,
     hb_gen: u64,
     hb_seq: u64,
     pending_reads: Vec<PendingRead>,
@@ -118,6 +122,7 @@ pub struct Raft<C: 'static> {
     inner: Rc<RefCell<NodeState<C>>>,
     net: Net<RaftMsg<C>>,
     addr: Addr,
+    election: DeadlineTimer,
 }
 
 impl<C> Clone for Raft<C> {
@@ -126,6 +131,7 @@ impl<C> Clone for Raft<C> {
             inner: self.inner.clone(),
             net: self.net.clone(),
             addr: self.addr.clone(),
+            election: self.election.clone(),
         }
     }
 }
@@ -205,7 +211,7 @@ impl<C: Clone + 'static> Raft<C> {
                 votes: BTreeSet::new(),
                 next_index: BTreeMap::new(),
                 match_index: BTreeMap::new(),
-                timer_gen: 0,
+                last_sent: BTreeMap::new(),
                 hb_gen: 0,
                 hb_seq: 0,
                 pending_reads: Vec::new(),
@@ -217,6 +223,7 @@ impl<C: Clone + 'static> Raft<C> {
             })),
             net,
             addr: raft_addr(id),
+            election: DeadlineTimer::default(),
         };
         node.restore_from_disk_snapshot(sim);
         node.register_handler();
@@ -376,11 +383,11 @@ impl<C: Clone + 'static> Raft<C> {
             return;
         }
         s.alive = false;
-        s.timer_gen += 1;
         s.hb_gen += 1;
         // Fail pending reads (their clients will time out / retry).
         let reads: Vec<_> = s.pending_reads.drain(..).collect();
         drop(s);
+        self.election.cancel(sim);
         self.net.set_up(&self.addr, false);
         for r in reads {
             (r.done)(sim, false);
@@ -407,6 +414,7 @@ impl<C: Clone + 'static> Raft<C> {
             s.votes.clear();
             s.next_index.clear();
             s.match_index.clear();
+            s.last_sent.clear();
             s.pending_reads.clear();
             s.apply = apply;
         }
@@ -422,18 +430,17 @@ impl<C: Clone + 'static> Raft<C> {
     // ------------------------------------------------------------------
 
     fn reset_election_timer(&self, sim: &mut Sim) {
-        let (gen, delay) = {
+        let delay = {
             let mut s = self.inner.borrow_mut();
-            s.timer_gen += 1;
             let lo = s.config.election_timeout_min;
             let hi = s.config.election_timeout_max;
-            (s.timer_gen, s.rng.duration_between(lo, hi))
+            s.rng.duration_between(lo, hi)
         };
         let me = self.clone();
-        sim.schedule_in(delay, move |sim| {
+        self.election.set(sim, sim.now() + delay, move |sim| {
             let fire = {
                 let s = me.inner.borrow();
-                s.alive && s.timer_gen == gen && s.role != Role::Leader
+                s.alive && s.role != Role::Leader
             };
             if fire {
                 me.start_election(sim);
@@ -450,7 +457,7 @@ impl<C: Clone + 'static> Raft<C> {
                 s.alive && s.hb_gen == gen && s.role == Role::Leader
             };
             if fire {
-                me.broadcast_append(sim);
+                me.send_heartbeats(sim);
                 me.schedule_heartbeat(sim, gen);
             }
         });
@@ -585,6 +592,31 @@ impl<C: Clone + 'static> Raft<C> {
         }
     }
 
+    /// The heartbeat tick. Any AppendEntries resets its receiver's
+    /// election timer, so a peer that was sent one since the previous
+    /// tick needs no heartbeat on top: under load the log traffic is the
+    /// heartbeat. A follower still hears from a healthy leader at least
+    /// every two intervals, which [`RaftConfig::validate`] keeps within
+    /// the shortest election timeout.
+    fn send_heartbeats(&self, sim: &mut Sim) {
+        let now = sim.now();
+        let peers: Vec<NodeId> = {
+            let mut s = self.inner.borrow_mut();
+            s.hb_seq += 1;
+            let interval = s.config.heartbeat_interval;
+            s.others()
+                .filter(|p| {
+                    s.last_sent
+                        .get(p)
+                        .is_none_or(|t| now.saturating_duration_since(*t) >= interval)
+                })
+                .collect()
+        };
+        for p in peers {
+            self.send_append_to(sim, p);
+        }
+    }
+
     fn send_append_to(&self, sim: &mut Sim, peer: NodeId) {
         let msg = {
             let s = self.inner.borrow();
@@ -628,6 +660,23 @@ impl<C: Clone + 'static> Raft<C> {
                 }
             }
         };
+        {
+            let mut s = self.inner.borrow_mut();
+            s.last_sent.insert(peer, sim.now());
+            // Pipelining: assume the entries arrive, so the next proposal
+            // ships only what is new instead of everything un-acked. A
+            // lost or overtaken message makes a later append fail its
+            // consistency check, and the follower's hint backs us up.
+            if let RaftMsg::AppendEntries {
+                prev_log_index,
+                entries,
+                ..
+            } = &msg
+            {
+                let through = prev_log_index + entries.len() as LogIndex;
+                s.next_index.insert(peer, through + 1);
+            }
+        }
         self.net.send(sim, self.addr.clone(), raft_addr(peer), msg);
     }
 
@@ -1118,15 +1167,17 @@ impl<C: Clone + 'static> Raft<C> {
                 if match_index > *m {
                     *m = match_index;
                 }
-                s.next_index.insert(from, match_index + 1);
+                // Never backwards: entries beyond the ack may be in flight.
+                let next = s.next_index.entry(from).or_insert(1);
+                *next = (*next).max(match_index + 1);
+                let unsent = *next <= s.disk.borrow().last_index();
                 // Record the heartbeat ack for pending ReadIndex reads.
                 for r in &mut s.pending_reads {
                     if hb_seq >= r.min_seq {
                         r.acks.insert(from);
                     }
                 }
-                let last = s.disk.borrow().last_index();
-                match_index < last
+                unsent
             };
             self.maybe_advance_commit(sim);
             self.check_reads(sim);
@@ -1136,9 +1187,14 @@ impl<C: Clone + 'static> Raft<C> {
         } else {
             {
                 let mut s = self.inner.borrow_mut();
+                let acked = s.match_index.get(&from).copied().unwrap_or(0);
                 let next = s.next_index.entry(from).or_insert(1);
-                // Back up using the follower's hint, never below 1.
-                *next = (match_index + 1).min((*next).saturating_sub(1)).max(1);
+                // Back up using the follower's hint, never below what it
+                // already acknowledged this term (a stale rejection can
+                // trail the ack of a retransmission).
+                *next = (match_index + 1)
+                    .min((*next).saturating_sub(1))
+                    .max(acked + 1);
             }
             self.send_append_to(sim, from);
         }

@@ -1,0 +1,226 @@
+//! A resettable one-shot timer that costs no kernel event per reset.
+//!
+//! A follower moves its election deadline on every AppendEntries — 20
+//! times a second per follower on an idle cluster. Scheduling a fresh
+//! kernel event each time and letting the superseded one fire as a no-op
+//! made stale election timers a fifth of all events of a quiescent
+//! platform. This timer keeps the deadline as data and at most one armed
+//! event: an event that fires before the deadline re-arms itself at it,
+//! and only a deadline moving *before* the armed event (a shorter random
+//! timeout was drawn) replaces the event.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use dlaas_sim::{EventId, Sim, SimTime};
+
+#[derive(Default)]
+struct State {
+    deadline: SimTime,
+    /// Instant and id of the one pending kernel event.
+    armed: Option<(SimTime, EventId)>,
+}
+
+/// Handle to one timer. Cloning shares it.
+#[derive(Clone, Default)]
+pub(crate) struct DeadlineTimer {
+    state: Rc<RefCell<State>>,
+}
+
+impl DeadlineTimer {
+    /// Moves the deadline to `deadline`: `on_due` runs at exactly that
+    /// instant unless the timer is set again or cancelled first. When an
+    /// event armed for an earlier deadline is still pending, it carries
+    /// its own callback on to the new deadline and `on_due` is dropped —
+    /// every callback of one timer must therefore do the same thing.
+    pub(crate) fn set(
+        &self,
+        sim: &mut Sim,
+        deadline: SimTime,
+        on_due: impl FnOnce(&mut Sim) + 'static,
+    ) {
+        let mut st = self.state.borrow_mut();
+        st.deadline = deadline;
+        match st.armed {
+            Some((at, _)) if at <= deadline => return,
+            Some((_, too_late)) => {
+                sim.cancel(too_late);
+            }
+            None => {}
+        }
+        drop(st);
+        arm(self.state.clone(), sim, on_due);
+    }
+
+    /// Disarms the timer; a pending callback never runs.
+    pub(crate) fn cancel(&self, sim: &mut Sim) {
+        if let Some((_, id)) = self.state.borrow_mut().armed.take() {
+            sim.cancel(id);
+        }
+    }
+}
+
+/// Schedules the timer's one event at its current deadline.
+fn arm(state: Rc<RefCell<State>>, sim: &mut Sim, on_due: impl FnOnce(&mut Sim) + 'static) {
+    let at = state.borrow().deadline;
+    let st = state.clone();
+    let id = sim.schedule_at(at, move |sim| {
+        let deadline = {
+            let mut s = st.borrow_mut();
+            s.armed = None;
+            s.deadline
+        };
+        if sim.now() < deadline {
+            arm(st, sim, on_due);
+        } else {
+            on_due(sim);
+        }
+    });
+    state.borrow_mut().armed = Some((at, id));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlaas_sim::SimDuration;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    /// What the model check drives: the real timer and its reference.
+    trait Timer: Clone + Default + 'static {
+        fn set(&self, sim: &mut Sim, deadline: SimTime, on_due: Box<dyn FnOnce(&mut Sim)>);
+        fn cancel(&self, sim: &mut Sim);
+    }
+
+    impl Timer for DeadlineTimer {
+        fn set(&self, sim: &mut Sim, deadline: SimTime, on_due: Box<dyn FnOnce(&mut Sim)>) {
+            DeadlineTimer::set(self, sim, deadline, on_due);
+        }
+
+        fn cancel(&self, sim: &mut Sim) {
+            DeadlineTimer::cancel(self, sim);
+        }
+    }
+
+    /// The timer this one replaced, as the reference: every `set`
+    /// schedules an event, a generation counter voids the superseded ones.
+    #[derive(Clone, Default)]
+    struct EagerTimer {
+        gen: Rc<Cell<u64>>,
+    }
+
+    impl Timer for EagerTimer {
+        fn set(&self, sim: &mut Sim, deadline: SimTime, on_due: Box<dyn FnOnce(&mut Sim)>) {
+            self.gen.set(self.gen.get() + 1);
+            let (gen, mine) = (self.gen.clone(), self.gen.get());
+            sim.schedule_at(deadline, move |sim| {
+                if gen.get() == mine {
+                    on_due(sim);
+                }
+            });
+        }
+
+        fn cancel(&self, _sim: &mut Sim) {
+            self.gen.set(self.gen.get() + 1);
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A heartbeat, vote grant, step-down or restart: the node draws a
+        /// fresh timeout of this many ms.
+        Reset(u64),
+        /// The node crashes.
+        Crash,
+        /// The next timeout finds the node leader (no re-arm) or not (it
+        /// starts an election and draws a fresh timeout).
+        Leader(bool),
+        /// Time passes (µs, so that resets land between the ms grid too).
+        Advance(u64),
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            prop_oneof![
+                6 => (150..300u64).prop_map(Op::Reset),
+                1 => Just(Op::Crash),
+                1 => any::<bool>().prop_map(Op::Leader),
+                6 => (1..120_000u64).prop_map(Op::Advance),
+            ],
+            1..200,
+        )
+    }
+
+    /// What a node does when its election timer is due: nothing as
+    /// leader; otherwise it starts an election (recorded in `fired`) and
+    /// re-arms for a fresh one.
+    fn on_due<T: Timer>(
+        timer: T,
+        leader: Rc<Cell<bool>>,
+        fired: Rc<RefCell<Vec<u64>>>,
+    ) -> Box<dyn FnOnce(&mut Sim)> {
+        Box::new(move |sim| {
+            if leader.get() {
+                return;
+            }
+            fired.borrow_mut().push(sim.now().as_micros());
+            let again = on_due(timer.clone(), leader, fired);
+            timer.set(sim, sim.now() + SimDuration::from_millis(200), again);
+        })
+    }
+
+    /// Runs `ops` against one timer implementation and returns the
+    /// instants (µs) at which an election would have started.
+    fn elections<T: Timer>(ops: &[Op]) -> Vec<u64> {
+        let mut sim = Sim::new(1);
+        let timer = T::default();
+        let leader = Rc::new(Cell::new(false));
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        for op in ops {
+            match op {
+                Op::Reset(ms) => {
+                    let at = sim.now() + SimDuration::from_millis(*ms);
+                    let due = on_due(timer.clone(), leader.clone(), fired.clone());
+                    timer.set(&mut sim, at, due);
+                }
+                Op::Crash => timer.cancel(&mut sim),
+                Op::Leader(l) => leader.set(*l),
+                Op::Advance(us) => {
+                    sim.run_for(SimDuration::from_micros(*us));
+                }
+            }
+        }
+        sim.run_for(SimDuration::from_secs(1));
+        let fired = fired.borrow().clone();
+        fired
+    }
+
+    proptest! {
+        // Under any interleaving of heartbeats, crashes, restarts and
+        // leadership changes, the deadline timer starts elections at
+        // exactly the instants the event-per-reset timer did.
+        #[test]
+        fn fires_exactly_when_the_eager_timer_would(ops in ops()) {
+            prop_assert_eq!(elections::<EagerTimer>(&ops), elections::<DeadlineTimer>(&ops));
+        }
+    }
+
+    #[test]
+    fn a_reset_costs_no_event_unless_the_deadline_moves_earlier() {
+        let mut sim = Sim::new(1);
+        let timer = DeadlineTimer::default();
+        let fired = Rc::new(Cell::new(0u32));
+        for _ in 0..100 {
+            let f = fired.clone();
+            let at = sim.now() + SimDuration::from_millis(200);
+            timer.set(&mut sim, at, move |_| f.set(f.get() + 1));
+            sim.run_for(SimDuration::from_millis(50));
+        }
+        // 5 s of heartbeats: the armed event hops from its instant to the
+        // then-current deadline (150 ms on) instead of one event per reset.
+        assert_eq!(sim.events_executed(), 33);
+        assert_eq!(fired.get(), 0);
+        sim.run_for(SimDuration::from_millis(200));
+        assert_eq!(fired.get(), 1);
+    }
+}

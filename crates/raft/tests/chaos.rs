@@ -237,6 +237,37 @@ proptest! {
         h.run_ops(&ops);
         h.quiesce_and_check_convergence();
     }
+
+    // Heartbeat suppression: a peer that was just sent log traffic is
+    // skipped by the heartbeat tick. Under a healthy, loss-free leader no
+    // interleaving of proposals, reads and idle gaps may starve a
+    // follower into an election.
+    #[test]
+    fn no_follower_times_out_under_a_healthy_leader(
+        seed in 0..u64::MAX,
+        load in proptest::collection::vec((0..3u8, 1..180_000u64), 20..200),
+    ) {
+        let mut h = Harness::new(seed, 3);
+        h.advance(2_000);
+        let leader = h.cluster.leader_id().expect("leader after 2 s");
+        let elections = |h: &Harness| -> u64 {
+            h.cluster.nodes().iter().map(dlaas_raft::Raft::elections_started).sum()
+        };
+        let before = elections(&h);
+        for (kind, gap_us) in load {
+            let node = h.cluster.node(leader);
+            match kind {
+                0 => drop(node.propose(&mut h.sim, gap_us)),
+                1 => drop(node.read_index(&mut h.sim, |_sim, ok| assert!(ok))),
+                _ => {}
+            }
+            h.sim.run_for(SimDuration::from_micros(gap_us));
+        }
+        h.advance(1_000);
+        prop_assert_eq!(elections(&h), before, "a follower timed out");
+        prop_assert_eq!(h.cluster.leader_id(), Some(leader));
+        h.check_state_machine_safety();
+    }
 }
 
 #[test]

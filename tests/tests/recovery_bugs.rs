@@ -3,6 +3,7 @@
 //! reproduces the exact fault timing that exposed the bug and fails
 //! against the pre-fix behaviour.
 
+use dlaas_bench::harness::reported_iteration;
 use dlaas_core::{check_invariants, paths, DlaasPlatform, InvariantMonitor, JobStatus};
 use dlaas_docstore::Value;
 use dlaas_faults::{nfs_outage_window, partition_window, when, FaultAction};
@@ -80,8 +81,10 @@ fn guardian_crash_during_storing_never_clobbers_store_done() {
     let job = submit_blocking(&mut sim, &client, manifest("storing-crash", 60));
 
     // Run until the helper has written `store = done` to etcd but the
-    // Guardian (polling every guardian_poll) has not yet marked the
-    // job COMPLETED.
+    // Guardian has not yet marked the job COMPLETED. The Guardian hears
+    // of the key through its watch, so that window is only the few
+    // milliseconds its two metadata-store writes take: step finely once
+    // the job is STORING.
     let store_key = paths::etcd_store(&job);
     let store_value = |platform: &dlaas_core::DlaasPlatform| -> Option<String> {
         let leader = platform.etcd().leader_id()?;
@@ -91,7 +94,14 @@ fn guardian_crash_during_storing_never_clobbers_store_done() {
             .find(|(k, _)| *k == store_key)
             .map(|(_, v)| v.clone())
     };
-    let deadline = sim.now() + SimDuration::from_mins(30);
+    let mid = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Storing,
+        SimDuration::from_mins(30),
+    );
+    assert_eq!(mid, Some(JobStatus::Storing), "{job} never reached STORING");
+    let deadline = sim.now() + SimDuration::from_mins(5);
     loop {
         assert!(sim.now() < deadline, "{job} never reached store = done");
         if store_value(&platform).as_deref() == Some("done") {
@@ -103,7 +113,7 @@ fn guardian_crash_during_storing_never_clobbers_store_done() {
                 .is_some_and(dlaas_core::JobStatus::is_terminal),
             "job went terminal before the crash could be staged"
         );
-        sim.run_for(SimDuration::from_millis(100));
+        sim.run_for(SimDuration::from_micros(200));
     }
     assert_eq!(
         platform.job_status(&job),
@@ -195,17 +205,25 @@ fn learner_completion_markers_survive_nfs_outage() {
     let job = submit_blocking(&mut sim, &client, manifest("nfs-finish", iters));
 
     // Take NFS down just before the learner's last iteration so the
-    // completion markers are written into the outage. The mirrored
-    // iteration lags etcd by about guardian_poll, hence the margin.
+    // completion markers are written into the outage. The reported
+    // iteration lags the learner by a report period, hence the margin.
     let p2 = platform.clone();
     let j2 = job.clone();
     let p3 = platform.clone();
+    let j3 = job.clone();
     when(
         &mut sim,
         SimDuration::from_millis(200),
         "NFS outage at learner finish",
-        move |_sim| p2.job_info(&j2).is_some_and(|i| i.iteration + 8 >= iters),
-        move |sim| nfs_outage_window(sim, p3.nfs(), SimDuration::from_secs(30)),
+        move |_sim| reported_iteration(&p2, &j2).is_some_and(|i| i + 8 >= iters),
+        move |sim| {
+            assert_eq!(
+                p3.job_status(&j3),
+                Some(JobStatus::Processing),
+                "the outage must start while the learner still trains"
+            );
+            nfs_outage_window(sim, p3.nfs(), SimDuration::from_secs(30));
+        },
     );
 
     let end = platform.wait_for_status(
@@ -414,4 +432,171 @@ fn learner_nfs_write_failures_are_counted_not_swallowed() {
         SimDuration::from_hours(4),
     );
     assert_eq!(end, Some(JobStatus::Completed), "{job} did not recover");
+}
+
+/// Takes etcd below quorum for `outage`, starting the first time `pred`
+/// holds: the leader and one follower go down, so the survivor can
+/// neither accept a write (a deposed-by-nobody leader would queue it and
+/// commit it after the outage) nor win an election.
+fn etcd_quorum_outage_when(
+    sim: &mut dlaas_sim::Sim,
+    platform: &DlaasPlatform,
+    outage: SimDuration,
+    pred: impl FnMut(&dlaas_sim::Sim) -> bool + 'static,
+) {
+    let etcd = platform.etcd().clone();
+    when(
+        sim,
+        SimDuration::from_millis(200),
+        "etcd quorum outage",
+        pred,
+        move |sim| {
+            let leader = etcd.leader_id().expect("etcd has a leader");
+            let down = [leader, (leader + 1) % 3];
+            for id in down {
+                etcd.crash(sim, id);
+            }
+            sim.schedule_in(outage, move |sim| {
+                for id in down {
+                    etcd.restart(sim, id);
+                }
+            });
+        },
+    );
+}
+
+/// Reliable log streaming: the collector used to advance its cursor
+/// before the upload and ignore the result, so a flush that hit an
+/// object-store outage was never retried. Every flush re-sent the whole
+/// file, which healed all but the last one: an outage across the
+/// learner's final lines lost them for good. The cursor now advances on
+/// a successful put only, so the stored log equals the NFS log once the
+/// outage lifts.
+#[test]
+fn log_tail_survives_an_object_store_outage_across_the_last_flush() {
+    let (mut sim, platform) = boot(308);
+    let client = platform.client("itest", KEY);
+    let iters = 120;
+    let job = submit_blocking(&mut sim, &client, manifest("log-tail", iters));
+
+    // The store goes away shortly before the learner's last lines and
+    // comes back while the job waits in STORING (the result upload
+    // needs the store too, so the job cannot finish inside the outage).
+    let (p2, j2, p3) = (platform.clone(), job.clone(), platform.clone());
+    when(
+        &mut sim,
+        SimDuration::from_millis(200),
+        "object-store outage at learner finish",
+        move |_sim| reported_iteration(&p2, &j2).is_some_and(|i| i + 8 >= iters),
+        move |sim| {
+            p3.objstore().set_unavailable(true);
+            let p4 = p3.clone();
+            sim.schedule_in(SimDuration::from_secs(30), move |_sim| {
+                p4.objstore().set_unavailable(false);
+            });
+        },
+    );
+
+    // Teardown deletes the volume: keep the last view of the NFS log.
+    let mut nfs_log = Vec::new();
+    let deadline = sim.now() + SimDuration::from_hours(1);
+    while platform.job_status(&job) != Some(JobStatus::Completed) {
+        assert!(sim.now() < deadline, "{job} did not complete");
+        let lines = platform
+            .nfs()
+            .find_volume(&paths::volume(&job))
+            .and_then(|vol| platform.nfs().mount(&vol).ok())
+            .and_then(|m| m.read_lines_from(&paths::nfs_learner_log(0), 0).ok());
+        if let Some(lines) = lines {
+            nfs_log = lines;
+        }
+        sim.run_for(SimDuration::from_millis(100));
+    }
+    assert!(
+        nfs_log
+            .last()
+            .is_some_and(|l| l.starts_with("training complete")),
+        "the learner's last line was written into the outage"
+    );
+    let stored = platform
+        .objstore()
+        .read_text("itest-results", &paths::obj_log(&job, 0))
+        .expect("log uploaded");
+    assert_eq!(
+        stored.lines().count(),
+        nfs_log.len(),
+        "stored log lost its tail to the outage"
+    );
+    assert_eq!(stored, nfs_log.join("\n"));
+}
+
+/// Reliable status: the controller used to latch `throughput_written`
+/// before its etcd put and drop the error, so an etcd outage longer than
+/// the client's retry budget left the job's `images_per_sec` null
+/// forever. The latch now re-arms on a failed put, like the learner
+/// statuses next to it always did.
+#[test]
+fn controller_republishes_throughput_after_an_etcd_outage() {
+    let (mut sim, platform) = boot(309);
+    let client = platform.client("itest", KEY);
+    let iters = 120;
+    let job = submit_blocking(&mut sim, &client, manifest("tput-outage", iters));
+
+    // Quorum is lost just before the learner finishes and stays lost for
+    // longer than one put's whole retry budget (20 attempts, ~12 s).
+    let (p2, j2) = (platform.clone(), job.clone());
+    etcd_quorum_outage_when(&mut sim, &platform, SimDuration::from_secs(40), move |_| {
+        reported_iteration(&p2, &j2).is_some_and(|i| i + 8 >= iters)
+    });
+
+    let end = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Completed,
+        SimDuration::from_hours(1),
+    );
+    assert_eq!(end, Some(JobStatus::Completed), "{job} did not recover");
+    let info = platform.job_info(&job).expect("job document");
+    assert!(
+        info.images_per_sec.is_some_and(|t| t > 0.0),
+        "measured throughput lost to the etcd outage: {:?}",
+        info.images_per_sec
+    );
+}
+
+/// Same latch, restart counter: a learner restart the controller could
+/// not report during an etcd outage used to stay unreported until the
+/// next restart, if any ("users expect to be notified when DL jobs are
+/// restarted", §II).
+#[test]
+fn controller_republishes_restart_count_after_an_etcd_outage() {
+    let (mut sim, platform) = boot(310);
+    let client = platform.client("itest", KEY);
+    let job = submit_blocking(&mut sim, &client, manifest("restarts-outage", 200));
+    let mid = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Processing,
+        SimDuration::from_mins(30),
+    );
+    assert_eq!(mid, Some(JobStatus::Processing), "{job} never started");
+
+    etcd_quorum_outage_when(&mut sim, &platform, SimDuration::from_secs(60), |_| true);
+    sim.run_for(SimDuration::from_secs(1));
+    platform
+        .kube()
+        .crash_pod(&mut sim, &paths::learner_pod(&job, 0));
+
+    let end = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Completed,
+        SimDuration::from_hours(2),
+    );
+    assert_eq!(end, Some(JobStatus::Completed), "{job} did not recover");
+    let info = platform.job_info(&job).expect("job document");
+    assert_eq!(
+        info.learner_restarts, 1,
+        "the restart during the outage was never reported"
+    );
 }

@@ -1,0 +1,111 @@
+//! What a job that is only training costs the platform.
+//!
+//! A running job's steady-state cost must be proportional to what
+//! changed, not to its age or to the poll periods it lived through: the
+//! Guardian and the controller react to watches and report deltas, the
+//! log collector ships the tail, Raft sends no heartbeat where an append
+//! just went. This suite pins that as budgets per running job-second on
+//! one single-learner job over ten simulated minutes of PROCESSING on
+//! the default configuration. Every counter is deterministic; a budget
+//! breach names the layer that started polling (or re-reading) again.
+//!
+//! The figures include the idle platform's own floor (Raft heartbeats,
+//! LCM leases and sweeps, kube probes), which is why they are budgets
+//! with headroom, not exact values.
+
+use dlaas_core::{metrics, paths, DlaasPlatform, JobStatus};
+use dlaas_integration::{boot, manifest, submit_blocking, KEY};
+use dlaas_sim::{Sim, SimDuration};
+
+const WINDOW: SimDuration = SimDuration::from_mins(10);
+
+/// Cumulative work counters of the layers a running job touches: kernel
+/// events, linearizable etcd reads, etcd proposals, docstore operations
+/// and Raft messages.
+fn work(sim: &Sim, platform: &DlaasPlatform) -> [u64; 5] {
+    let m = platform.metrics();
+    [
+        sim.events_executed(),
+        m.counter_total("etcd_reads_total"),
+        m.counter_total("etcd_proposals_total"),
+        m.histogram_merged(metrics::MONGO_DOCS_EXAMINED)
+            .map_or(0, |h| h.count()),
+        platform.etcd().raft().net().stats().sent,
+    ]
+}
+
+#[test]
+fn a_training_job_costs_what_changed_not_what_it_polled() {
+    let (mut sim, platform) = boot(1301);
+    let client = platform.client("itest", KEY);
+    // ~0.7 iterations a second: 2000 keep the learner training well
+    // past the window.
+    let job = submit_blocking(&mut sim, &client, manifest("running-cost", 2_000));
+    let started = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Processing,
+        SimDuration::from_mins(30),
+    );
+    assert_eq!(started, Some(JobStatus::Processing), "{job} never started");
+    // Let the deploy path's tail (data staging, first reports) drain.
+    sim.run_for(SimDuration::from_secs(30));
+
+    let before = work(&sim, &platform);
+    sim.run_for(WINDOW);
+    let after = work(&sim, &platform);
+    assert_eq!(
+        platform.job_status(&job),
+        Some(JobStatus::Processing),
+        "the job must train through the whole window"
+    );
+
+    let [events, etcd_reads, etcd_proposals, docstore_ops, raft_msgs] =
+        std::array::from_fn(|i| (after[i] - before[i]) as f64 / WINDOW.as_secs_f64());
+    // Budgets per running job-second, platform floor included (idle
+    // heartbeats alone are 80 raft messages a second, the LCM replicas'
+    // lease keepalives 0.67 proposals). Measured 126.6 / 0.13 / 1.17 /
+    // 0.27 / 80.2; with per-job poll loops 189.4 / 1.60 / 1.67 / 1.20 /
+    // 96.4.
+    assert!(events <= 150.0, "{events:.1} kernel events per job-second");
+    assert!(
+        etcd_reads <= 0.5,
+        "{etcd_reads:.2} linearizable etcd reads per job-second: something polls etcd again"
+    );
+    assert!(
+        etcd_proposals <= 1.4,
+        "{etcd_proposals:.2} etcd proposals per job-second: more than one status write per report"
+    );
+    assert!(
+        docstore_ops <= 0.5,
+        "{docstore_ops:.2} docstore ops per job-second: something polls the metadata store again"
+    );
+    assert!(
+        raft_msgs <= 88.0,
+        "{raft_msgs:.1} raft messages per job-second"
+    );
+
+    // The log collector ships the tail: over the job's life so far it
+    // read each log line off NFS about once. (A collector that re-reads
+    // the file per flush reads it ~150 times over in this window.) The
+    // controller's once-a-second status re-read shares the counter and
+    // is budgeted at one 64-byte status line per tick.
+    let mount = platform
+        .nfs()
+        .find_volume(&paths::volume(&job))
+        .and_then(|vol| platform.nfs().mount(&vol).ok())
+        .expect("job volume");
+    let read_so_far = platform.nfs().stats().bytes_read;
+    let log_bytes: u64 = mount
+        .read_lines_from(&paths::nfs_learner_log(0), 0)
+        .expect("learner log")
+        .iter()
+        .map(|l| l.len() as u64 + 1)
+        .sum();
+    let status_ticks =
+        sim.now().as_micros() / platform.handles().config.controller_poll.as_micros();
+    assert!(
+        read_so_far <= 2 * log_bytes + 64 * status_ticks,
+        "{read_so_far} bytes read off NFS for a {log_bytes}-byte log: the collector re-reads it"
+    );
+}
