@@ -10,9 +10,8 @@
 //!   key order, fixed-precision floats): outcome counts, work-counter
 //!   per-job costs, queue/admission figures and per-tenant turnaround
 //!   quantiles. Byte-identical for a given seed at any `--threads`.
-//! * `BENCH_traffic.wall.json` — the wall-clock sidecar
-//!   (events-per-wall-second per run) for the machine-speed baseline
-//!   gate; never byte-compared.
+//! * `BENCH_traffic.wall.json` — the wall-clock sidecar (wall seconds
+//!   per run) for the machine-speed baseline gate; never byte-compared.
 //!
 //! The process exits non-zero if any trial is abnormal or malformed
 //! (lost submissions, unfinished jobs, invariant violations), if the
@@ -524,9 +523,9 @@ fn main() {
     }
 
     if let Some(path) = write_baseline {
-        let rates: Vec<(String, f64)> = runs
+        let wall_secs: Vec<(String, f64)> = runs
             .iter()
-            .map(|r| (format!("n{}", r.n), r.events_per_wall_sec()))
+            .map(|r| (format!("n{}", r.n), r.wall_secs))
             .collect();
         let p99s: Vec<(String, String, f64)> = runs
             .iter()
@@ -536,7 +535,7 @@ fn main() {
                     .map(|t| (format!("n{}", r.n), t.tenant.clone(), t.p99))
             })
             .collect();
-        let baseline = traffic::render_baseline(&rates, &p99s);
+        let baseline = traffic::render_baseline(&wall_secs, &p99s);
         std::fs::write(&path, baseline).expect("write baseline");
         println!("wrote baseline {path}");
     }

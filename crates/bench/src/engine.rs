@@ -216,22 +216,23 @@ pub fn render_json(seed: u64, runs: &[EngineRun]) -> String {
 }
 
 /// `true` for workloads gated on host wall seconds instead of events per
-/// wall-second. `kernel_churn` runs a fixed number of events, so its
-/// rate is its speed. A platform soak runs a fixed *experiment* and the
-/// events are the program's own doing: an event diet that deletes
-/// hundreds of thousands of ~100 ns no-op events makes the soak faster
-/// while its events per wall-second fall.
+/// wall-second: every workload but `kernel_churn`, which runs a fixed
+/// number of events, so its rate is its speed. A platform run (the
+/// engine's `platform_soak_*`, the traffic soak's `n*`) performs a fixed
+/// *experiment* and the events are the program's own doing: an event
+/// diet that deletes hundreds of thousands of ~100 ns no-op events makes
+/// the run faster while its events per wall-second fall.
 fn gated_on_wall_secs(workload: &str) -> bool {
-    workload.starts_with("platform_soak")
+    workload != "kernel_churn"
 }
 
 /// Compares a fresh `BENCH_engine.json` against a committed baseline.
 ///
 /// For every workload in the baseline, the current run must contain the
 /// same workload name and be no more than `tolerance` (fractional, e.g.
-/// `0.10`) worse than the baseline: `platform_soak_*` in `wall_secs`
-/// (lower is better, see [`gated_on_wall_secs`]), everything else in
-/// `events_per_wall_sec` (higher is better).
+/// `0.10`) worse than the baseline: `kernel_churn` in
+/// `events_per_wall_sec` (higher is better), every platform run in
+/// `wall_secs` (lower is better, see [`gated_on_wall_secs`]).
 /// Returns per-workload report lines on success, or the list of
 /// violations on failure. Malformed JSON on either side is a violation —
 /// the gate must not pass by failing to parse.

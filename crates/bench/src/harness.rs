@@ -46,23 +46,21 @@ pub fn experiment_platform(sim: &mut Sim, kind: GpuKind, gpus_per_node: u32) -> 
     p
 }
 
-/// The training iteration learner 0 of `job` last reported through the
-/// status path (NFS → controller → etcd), as the freshest live etcd
-/// replica has it. The job document mirrors the figure only on phase
-/// changes and on the Guardian's backstop, so experiments that stage a
-/// fault at a given iteration, or measure status freshness, read it here.
+/// The training iteration learner 0 of `job` last reported — read where
+/// the controller itself reads it, the learner's status file on the
+/// job's NFS volume. etcd carries the figure at the Guardian's mirror
+/// cadence and the job document trails that, so an experiment that
+/// stages a fault at a given iteration reads the ground truth here.
 pub fn reported_iteration(platform: &DlaasPlatform, job: &JobId) -> Option<u64> {
-    let etcd = platform.etcd();
-    let key = paths::etcd_learner(job, 0);
-    etcd.raft()
-        .nodes()
-        .iter()
-        .filter(|node| node.is_alive())
-        .filter_map(|node| {
-            let status = etcd.kv_snapshot(node.id()).get(&key)?.value.clone();
-            status.parse::<LearnerPhase>().ok()?.iteration()
-        })
-        .max()
+    let nfs = platform.nfs();
+    let volume = nfs.find_volume(&paths::volume(job))?;
+    nfs.mount(&volume)
+        .ok()?
+        .read_file(&paths::nfs_learner_status(0))
+        .ok()?
+        .parse::<LearnerPhase>()
+        .ok()?
+        .iteration()
 }
 
 /// Standard manifest for throughput experiments (no checkpoints, so the

@@ -262,9 +262,11 @@ pub struct TenantSummary {
 ///
 /// The baseline carries two kinds of entries:
 ///
-/// * `workloads` — `events_per_wall_sec` per run, from the wall sidecar
-///   (`BENCH_traffic.wall.json`); the current rate must not fall more
-///   than `tolerance` below the baseline (machine-speed gate);
+/// * `workloads` — `wall_secs` per run, from the wall sidecar
+///   (`BENCH_traffic.wall.json`); the current run must not take more
+///   than `tolerance` longer than the baseline (machine-speed gate, on
+///   wall seconds like the engine's platform soak: removing events must
+///   not read as a slowdown);
 /// * `tenant_p99` — per-tenant p99 turnaround per run, from the
 ///   byte-stable `BENCH_traffic.json`; deterministic for a given seed,
 ///   so a drift past `tolerance` means platform behavior changed
@@ -351,24 +353,20 @@ pub fn check_against_baseline(
 }
 
 /// Renders the committed baseline from a fresh pair of artifacts:
-/// `(run name, events_per_wall_sec)` plus per-run tenant summaries.
+/// `(run name, wall_secs)` plus per-run tenant summaries.
 pub fn render_baseline(
-    wall_rates: &[(String, f64)],
+    wall_secs: &[(String, f64)],
     tenant_p99s: &[(String, String, f64)],
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"traffic_soak-baseline\",\n  \"workloads\": [\n");
-    for (i, (name, rate)) in wall_rates.iter().enumerate() {
+    for (i, (name, secs)) in wall_secs.iter().enumerate() {
         write!(
             out,
-            "    {{\"name\": \"{name}\", \"events_per_wall_sec\": {rate:.1}}}"
+            "    {{\"name\": \"{name}\", \"wall_secs\": {secs:.6}}}"
         )
         .unwrap();
-        out.push_str(if i + 1 < wall_rates.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
+        out.push_str(if i + 1 < wall_secs.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n  \"tenant_p99\": [\n");
     for (i, (run, tenant, p99)) in tenant_p99s.iter().enumerate() {
@@ -510,16 +508,18 @@ mod tests {
     }
 
     #[test]
-    fn baseline_check_gates_wall_rate_and_p99() {
+    fn baseline_check_gates_wall_seconds_and_p99() {
         let baseline = render_baseline(
-            &[("n1000".into(), 1000.0)],
+            &[("n1000".into(), 10.0)],
             &[("n1000".into(), "whale-0".into(), 120.0)],
         );
-        let wall = "{\"workloads\": [{\"name\": \"n1000\", \"events_per_wall_sec\": 950.0}]}";
+        // Fewer events per wall-second than any baseline rate would have
+        // allowed, and faster: an event diet, not a regression.
+        let wall = "{\"workloads\": [{\"name\": \"n1000\", \"wall_secs\": 9.0, \"events_per_wall_sec\": 1.0}]}";
         let traffic = "{\"runs\": [{\"run\": \"n1000\", \"tenants\": [{\"tenant\": \"whale-0\", \"p99\": 125.0}]}]}";
         check_against_baseline(wall, traffic, &baseline, 0.10).expect("within tolerance");
 
-        let slow = "{\"workloads\": [{\"name\": \"n1000\", \"events_per_wall_sec\": 500.0}]}";
+        let slow = "{\"workloads\": [{\"name\": \"n1000\", \"wall_secs\": 12.0}]}";
         let v = check_against_baseline(slow, traffic, &baseline, 0.10).expect_err("regressed");
         assert!(v.iter().any(|l| l.contains("REGRESSION")));
 

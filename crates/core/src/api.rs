@@ -13,7 +13,7 @@
 
 use std::rc::Rc;
 
-use dlaas_docstore::{Filter, Value};
+use dlaas_docstore::{Doc, Filter, Value};
 use dlaas_kube::{pod_addr, Cleanup, ProcessCtx};
 use dlaas_sim::{Sim, SimDuration};
 
@@ -51,8 +51,8 @@ pub fn api_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
         if !ctx2.is_alive() {
             return; // crashed but not yet unregistered: drop the request
         }
-        meter(sim, &meta2, &req);
-        handle(sim, &h2, &meta2, &ctx2, req, responder);
+        meter(sim, &meta2, req);
+        handle(sim, &h2, &meta2, &ctx2, req.clone(), responder);
     });
 
     let rpc = h.rpc.clone();
@@ -215,7 +215,7 @@ fn with_owned_job(
     api_key: String,
     job: JobId,
     responder: Resp,
-    then: impl FnOnce(&mut Sim, Handles, Value, Resp) + 'static,
+    then: impl FnOnce(&mut Sim, Handles, Doc, Resp) + 'static,
     h: Handles,
 ) {
     let meta2 = meta.clone();
@@ -359,7 +359,7 @@ fn submit(
                     Ok(d) => d,
                     Err(e) => return responder.err(sim, e.to_string()),
                 };
-                let in_use: u32 = docs.iter().map(doc_gpus).sum();
+                let in_use: u32 = docs.iter().map(|d| doc_gpus(d)).sum();
                 if in_use + manifest.total_gpus() > tenant.max_gpus {
                     // Over quota: accept the job into the weighted fair
                     // queue instead of rejecting. The LCM's admission

@@ -494,10 +494,15 @@ impl Guardian {
                 let dlaas_etcd::KvEvent::Put { key, value, .. } = ev else {
                     return;
                 };
-                // Every replica notifies, so most events are repeats; and
-                // an iteration count alone moves no aggregation rule.
-                if me.absorb(key, value) {
-                    me.push_progress(sim);
+                // Every replica notifies, so most events are repeats
+                // (absorbed to no effect, mirrored to no write). The
+                // controller publishes a phase change at once and an
+                // iteration alone once per `guardian_poll`: both are
+                // mirrored as they arrive, only the former can move an
+                // aggregation rule.
+                let moved = me.absorb(key, value);
+                me.push_progress(sim);
+                if moved {
                     let me2 = me.clone();
                     sim.defer(move |sim| me2.aggregate(sim));
                 }
@@ -535,7 +540,7 @@ impl Guardian {
                     return false;
                 };
                 let old = mon.learners.insert(ord, phase);
-                old.map(|o| std::mem::discriminant(&o)) != Some(std::mem::discriminant(&phase))
+                !old.is_some_and(|o| o.same_kind(&phase))
             }
             Some(JobKey::Store) => {
                 let changed = mon.store.as_deref() != Some(value);
@@ -634,8 +639,9 @@ impl Guardian {
     }
 
     /// Mirrors progress/restart counters into the metadata store so users
-    /// can see them through the API: on every phase change, on the
-    /// backstop, and (folded into the final update) at completion.
+    /// can see them through the API: whenever the controller publishes
+    /// (a phase change at once, an iteration every `guardian_poll`), on
+    /// the backstop, and (folded into the final update) at completion.
     fn push_progress(self: &Rc<Self>, sim: &mut Sim) {
         if let Some(update) = self.progress_update() {
             let filter = Filter::eq("_id", self.job.as_str());

@@ -13,14 +13,13 @@
 //! lives on the NFS volume (markers, counters, exit files) or in etcd, so
 //! a restarted helper picks up exactly where its predecessor died.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dlaas_kube::{Cleanup, ProcessCtx};
 use dlaas_objstore::ObjectBody;
 use dlaas_sharedfs::Mount;
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::{Sim, SimDuration, SimTime};
 
 use crate::handles::Handles;
 use crate::job::{JobId, LearnerPhase};
@@ -79,10 +78,82 @@ fn try_bootstrap(
 // controller
 // ----------------------------------------------------------------------
 
+/// Publishes one learner's status key in etcd (§III-f, "reliable status").
+///
+/// *What* is published is what a consumer acts on. A change of phase
+/// kind goes out at once — the Guardian's aggregation rules and the job
+/// status turn on it. A change of iteration alone has one reader, the
+/// Guardian's progress mirror, whose cadence is `guardian_poll`; it is
+/// put once that long has passed since the last acknowledged put, not
+/// on every learner report — a consensus round, three applies and three
+/// watch deliveries for a value nobody reads in between.
+///
+/// *How*: one put in flight per key, and when it is acknowledged the
+/// latest offer is weighed again. Unserialised puts could be reordered
+/// by the client's retries across an etcd leader loss — an older
+/// `PROCESSING iter=N` committing after `COMPLETED`, which nothing
+/// would ever rewrite.
+struct StatusPublisher {
+    etcd: dlaas_etcd::EtcdClient,
+    key: String,
+    coalesce: SimDuration,
+    alive: Rc<Cell<bool>>,
+    state: RefCell<PublishState>,
+}
+
+#[derive(Default)]
+struct PublishState {
+    /// The phase the controller last read off NFS.
+    latest: Option<LearnerPhase>,
+    /// The last put etcd acknowledged, and when it was sent.
+    published: Option<(LearnerPhase, SimTime)>,
+    busy: bool,
+}
+
+impl StatusPublisher {
+    /// Records the learner's current phase and publishes it if due.
+    fn offer(self: &Rc<Self>, sim: &mut Sim, phase: LearnerPhase) {
+        self.state.borrow_mut().latest = Some(phase);
+        self.flush(sim);
+    }
+
+    fn flush(self: &Rc<Self>, sim: &mut Sim) {
+        let phase = {
+            let mut st = self.state.borrow_mut();
+            let Some(latest) = st.latest else { return };
+            let due = st.published.is_none_or(|(was, at)| {
+                !was.same_kind(&latest)
+                    || (was != latest && sim.now().saturating_duration_since(at) >= self.coalesce)
+            });
+            if st.busy || !due {
+                return;
+            }
+            st.busy = true;
+            latest
+        };
+        let me = self.clone();
+        let sent = sim.now();
+        self.etcd
+            .put(sim, self.key.clone(), phase.to_string(), move |sim, r| {
+                {
+                    let mut st = me.state.borrow_mut();
+                    st.busy = false;
+                    if r.is_ok() {
+                        st.published = Some((phase, sent));
+                    }
+                }
+                // Whatever was offered meanwhile goes out now; after a
+                // failure (the client's retry budget is spent) the next
+                // tick's offer retries instead.
+                if r.is_ok() && me.alive.get() {
+                    me.flush(sim);
+                }
+            });
+    }
+}
+
 #[derive(Default)]
 struct ControllerState {
-    /// Last status string written to etcd per learner (dedup).
-    written: BTreeMap<u32, String>,
     data_announced: bool,
     restarts_written: u64,
     throughput_written: bool,
@@ -101,15 +172,36 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
     let max_failures = h.config.learner_max_failures;
     let ctx2 = ctx.clone();
     let etcd_for_cleanup = etcd.clone();
+    let coalesce = h.config.guardian_poll;
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
         ctx2.record(sim, "controller online; polling learner files");
         let state = Rc::new(RefCell::new(ControllerState::default()));
         let alive = ctx2.alive_flag();
+        let learners: Vec<Rc<StatusPublisher>> = (0..manifest.learners)
+            .map(|ord| {
+                Rc::new(StatusPublisher {
+                    etcd: etcd.clone(),
+                    key: paths::etcd_learner(&job, ord),
+                    coalesce,
+                    alive: alive.clone(),
+                    state: RefCell::default(),
+                })
+            })
+            .collect();
         dlaas_sim::every(sim, poll, move |sim, _n| {
             if !alive.get() {
                 return false;
             }
-            controller_tick(sim, &etcd, &mount, &manifest, &job, &state, max_failures);
+            controller_tick(
+                sim,
+                &etcd,
+                &mount,
+                &manifest,
+                &job,
+                &state,
+                &learners,
+                max_failures,
+            );
             true
         });
     });
@@ -126,6 +218,7 @@ fn controller_tick(
     manifest: &TrainingManifest,
     job: &JobId,
     state: &Rc<RefCell<ControllerState>>,
+    learners: &[Rc<StatusPublisher>],
     max_failures: u32,
 ) {
     // Data-loaded marker → etcd. The flag only stays set when the put
@@ -143,7 +236,7 @@ fn controller_tick(
     let mut restarts_total: u64 = 0;
     let mut all_completed = true;
 
-    for ord in 0..manifest.learners {
+    for (ord, publisher) in (0..).zip(learners) {
         // Restart counter (maintained by the learner on NFS, so it
         // survives both learner and controller crashes).
         let starts: u64 = mount
@@ -172,19 +265,7 @@ fn controller_tick(
         let phase = phase.unwrap_or(LearnerPhase::Downloading);
         all_completed &= phase.is_completed();
 
-        // Record in etcd (deduplicated — puts are idempotent anyway). On
-        // failure the dedup entry is dropped so the next tick retries.
-        let s = phase.to_string();
-        let stale = state.borrow().written.get(&ord) != Some(&s);
-        if stale {
-            state.borrow_mut().written.insert(ord, s.clone());
-            let state2 = state.clone();
-            etcd.put(sim, paths::etcd_learner(job, ord), s, move |_s, r| {
-                if r.is_err() {
-                    state2.borrow_mut().written.remove(&ord);
-                }
-            });
-        }
+        publisher.offer(sim, phase);
     }
 
     // Aggregate restart counter (training progress needs no key of its
@@ -448,7 +529,7 @@ pub fn store_results_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
             return;
         }
         let alive = ctx2.alive_flag();
-        let busy = Rc::new(std::cell::Cell::new(false));
+        let busy = Rc::new(Cell::new(false));
         let nic = ctx2.nic.clone();
         dlaas_sim::every(sim, SimDuration::from_millis(1000), move |sim, _n| {
             if !alive.get() {

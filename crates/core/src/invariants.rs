@@ -173,13 +173,10 @@ pub fn check_with(
 ) -> InvariantReport {
     let now = sim.now();
     let mut violations = Vec::new();
-    // One non-linearizable etcd snapshot for all leak checks; during a
-    // leaderless window (mid-election) the etcd leak check is skipped —
-    // the next pass will see a leader again.
-    let etcd_kv = platform
-        .etcd()
-        .leader_id()
-        .map(|id| platform.etcd().kv_snapshot(id));
+    // The leak checks read the etcd leader's replica in place
+    // (non-linearizable); during a leaderless window (mid-election) the
+    // etcd leak check is skipped — the next pass will see a leader again.
+    let etcd_leader = platform.etcd().leader_id();
     let max_attempts = platform.handles().config.deploy_max_attempts;
 
     let docs = platform.job_documents();
@@ -189,7 +186,7 @@ pub fn check_with(
     let tenants: BTreeMap<String, Tenant> = platform
         .tenant_documents()
         .iter()
-        .filter_map(Tenant::from_document)
+        .filter_map(|d| Tenant::from_document(d))
         .map(|t| (t.id.clone(), t))
         .collect();
     let mut held: BTreeMap<&str, u32> = BTreeMap::new();
@@ -246,7 +243,7 @@ pub fn check_with(
                 // 4. No leaks, once GC has had a fair chance.
                 let since = terminal_since(doc).unwrap_or(now);
                 if now.saturating_duration_since(since) > bounds.gc_grace {
-                    check_leaks(platform, etcd_kv.as_ref(), &job, &mut violations);
+                    check_leaks(platform, etcd_leader, &job, &mut violations);
                 }
             }
             Some(JobStatus::Queued) => {
@@ -424,7 +421,7 @@ fn terminal_since(doc: &Value) -> Option<SimTime> {
 /// 4. Leak checks for one terminal job past its GC grace.
 fn check_leaks(
     platform: &DlaasPlatform,
-    etcd_kv: Option<&dlaas_etcd::KvState>,
+    etcd_leader: Option<dlaas_raft::NodeId>,
     job: &JobId,
     out: &mut Vec<InvariantViolation>,
 ) {
@@ -453,8 +450,9 @@ fn check_leaks(
             detail: format!("network policy {netpol} still present"),
         });
     }
-    if let Some(kv) = etcd_kv {
-        let keys = kv.get_prefix(&paths::etcd_job_prefix(job));
+    if let Some(leader) = etcd_leader {
+        let prefix = paths::etcd_job_prefix(job);
+        let keys = platform.etcd().with_kv(leader, |kv| kv.get_prefix(&prefix));
         if !keys.is_empty() {
             let names: Vec<&String> = keys.iter().map(|(k, _)| k).collect();
             out.push(InvariantViolation {

@@ -153,6 +153,14 @@ impl LearnerPhase {
         matches!(self, LearnerPhase::Failed)
     }
 
+    /// `true` when both are the same phase, whatever iteration either
+    /// carries — the distinction every consumer of learner status acts
+    /// on (aggregation rules, job status); the iteration inside
+    /// `Processing` is progress telemetry.
+    pub fn same_kind(&self, other: &LearnerPhase) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other)
+    }
+
     /// The reported iteration, when training.
     pub fn iteration(&self) -> Option<u64> {
         match self {

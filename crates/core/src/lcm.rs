@@ -91,13 +91,13 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
         }
         match req {
             CoreRequest::DeployJob { job } => {
-                ensure_guardian(sim, &h2, &job);
+                ensure_guardian(sim, &h2, job);
                 responder.ok(sim, CoreResponse::Ok);
             }
             CoreRequest::StopJob { job } => {
                 let h3 = h2.clone();
                 let job2 = job.clone();
-                meta2.advance_status(sim, &job, JobStatus::Killed, move |sim, r| match r {
+                meta2.advance_status(sim, job, JobStatus::Killed, move |sim, r| match r {
                     Ok(_) => {
                         teardown_job(sim, &h3, &job2, true);
                         responder.ok(sim, CoreResponse::Ok);

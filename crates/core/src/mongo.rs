@@ -5,7 +5,11 @@
 //! externally visible status never moves backwards and never leaves a
 //! terminal state — even when two Guardian incarnations race.
 
-use dlaas_docstore::{mongo_addr, Filter, MongoRequest, MongoResponse, MongoRpc, Update, Value};
+use std::rc::Rc;
+
+use dlaas_docstore::{
+    mongo_addr, Doc, Filter, MongoRequest, MongoResponse, MongoRpc, Update, Value,
+};
 use dlaas_net::{Addr, RpcError};
 use dlaas_sim::{Sim, SimDuration};
 
@@ -47,6 +51,7 @@ impl std::error::Error for MetaError {}
 pub struct MetaClient {
     rpc: MongoRpc,
     from: Addr,
+    to: Addr,
 }
 
 impl std::fmt::Debug for MetaClient {
@@ -63,13 +68,16 @@ impl MetaClient {
         MetaClient {
             rpc,
             from: Addr::new(format!("mongoc/{}", from.into())),
+            to: mongo_addr(),
         }
     }
 
+    /// One request allocation for all attempts: each attempt's frame and
+    /// the retry continuation share it.
     fn request(
         &self,
         sim: &mut Sim,
-        req: MongoRequest,
+        req: impl Into<Rc<MongoRequest>>,
         attempts: u32,
         done: impl FnOnce(&mut Sim, Result<MongoResponse, MetaError>) + 'static,
     ) {
@@ -77,11 +85,12 @@ impl MetaClient {
             done(sim, Err(MetaError::Unavailable));
             return;
         }
+        let req: Rc<MongoRequest> = req.into();
         let me = self.clone();
         self.rpc.call(
             sim,
             self.from.clone(),
-            mongo_addr(),
+            self.to.clone(),
             req.clone(),
             TIMEOUT,
             move |sim, result| match result {
@@ -131,7 +140,7 @@ impl MetaClient {
         sim: &mut Sim,
         coll: &str,
         filter: Filter,
-        done: impl FnOnce(&mut Sim, Result<Option<Value>, MetaError>) + 'static,
+        done: impl FnOnce(&mut Sim, Result<Option<Doc>, MetaError>) + 'static,
     ) {
         self.request(
             sim,
@@ -160,7 +169,7 @@ impl MetaClient {
         sim: &mut Sim,
         coll: &str,
         filter: Filter,
-        done: impl FnOnce(&mut Sim, Result<Vec<Value>, MetaError>) + 'static,
+        done: impl FnOnce(&mut Sim, Result<Vec<Doc>, MetaError>) + 'static,
     ) {
         self.request(
             sim,
@@ -192,7 +201,7 @@ impl MetaClient {
         sim: &mut Sim,
         coll: &str,
         since: u64,
-        done: impl FnOnce(&mut Sim, Result<(Vec<Value>, Vec<String>, u64), MetaError>) + 'static,
+        done: impl FnOnce(&mut Sim, Result<(Vec<Doc>, Vec<String>, u64), MetaError>) + 'static,
     ) {
         self.request(
             sim,

@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dlaas_docstore::{Filter, MongoRpc, MongoServer, MongoTimings, StoreError, Value};
+use dlaas_docstore::{Doc, Filter, MongoRpc, MongoServer, MongoTimings, StoreError, Value};
 use dlaas_etcd::EtcdCluster;
 use dlaas_gpu::GpuKind;
 use dlaas_kube::{
@@ -347,7 +347,7 @@ impl DlaasPlatform {
 
     /// Every job document currently in the store (invariant checking and
     /// test harnesses; bypasses the API).
-    pub fn job_documents(&self) -> Vec<Value> {
+    pub fn job_documents(&self) -> Vec<Doc> {
         self.mongo
             .borrow()
             .store()
@@ -357,7 +357,7 @@ impl DlaasPlatform {
 
     /// Every tenant document currently in the store (the invariant
     /// checker's fairness rule needs quotas and weights).
-    pub fn tenant_documents(&self) -> Vec<Value> {
+    pub fn tenant_documents(&self) -> Vec<Doc> {
         self.mongo
             .borrow()
             .store()
@@ -375,7 +375,7 @@ impl DlaasPlatform {
     }
 
     /// Reads a job's document straight from the store (bypasses the API).
-    pub fn job_document(&self, job: &JobId) -> Option<Value> {
+    pub fn job_document(&self, job: &JobId) -> Option<Doc> {
         self.mongo
             .borrow()
             .store()

@@ -42,5 +42,5 @@ mod value;
 
 pub use query::{Filter, Update};
 pub use server::{mongo_addr, MongoRequest, MongoResponse, MongoRpc, MongoServer, MongoTimings};
-pub use store::{DocStore, Journal, JournalOp, StoreError};
+pub use store::{Doc, DocStore, Journal, JournalOp, StoreError};
 pub use value::Value;

@@ -13,7 +13,7 @@ use dlaas_net::{Addr, Responder, RpcLayer};
 use dlaas_sim::{Sim, SimDuration};
 
 use crate::query::{Filter, Update};
-use crate::store::{DocStore, Journal};
+use crate::store::{Doc, DocStore, Journal};
 use crate::value::Value;
 
 /// Requests understood by the document-store server.
@@ -106,9 +106,9 @@ pub enum MongoResponse {
         id: String,
     },
     /// Zero-or-one document.
-    Doc(Option<Value>),
+    Doc(Option<Doc>),
     /// All matching documents.
-    Docs(Vec<Value>),
+    Docs(Vec<Doc>),
     /// Number of documents updated.
     Updated(usize),
     /// Number of documents deleted.
@@ -118,7 +118,7 @@ pub enum MongoResponse {
     /// Change feed above the requested watermark.
     Changed {
         /// Documents that changed and still exist, in change order.
-        docs: Vec<Value>,
+        docs: Vec<Doc>,
         /// Ids whose latest change was a removal.
         gone: Vec<String>,
         /// Current high-water sequence number (the next `since`).
@@ -253,7 +253,7 @@ impl MongoServer {
     fn handle(
         self: &Rc<Self>,
         sim: &mut Sim,
-        req: MongoRequest,
+        req: &MongoRequest,
         responder: Responder<MongoRequest, MongoResponse>,
     ) {
         let is_write = matches!(
@@ -274,7 +274,7 @@ impl MongoServer {
             self.timings.read
         };
         // Work-count label for query-bearing ops (None: no candidate scan).
-        let op_label = match &req {
+        let op_label = match req {
             MongoRequest::InsertOne { .. } | MongoRequest::CreateIndex { .. } => None,
             MongoRequest::FindOne { .. } => Some("find_one"),
             MongoRequest::Find { .. } => Some("find"),
@@ -286,6 +286,9 @@ impl MongoServer {
             MongoRequest::FindChanged { .. } => Some("find_changed"),
         };
         let me = self.clone();
+        // The op runs after the modelled disk delay, by when the caller
+        // may have dropped its request: keep a copy.
+        let req = req.clone();
         sim.schedule_in(delay, move |sim| {
             if !*me.up.borrow() {
                 return; // crashed while the op was "on disk path"

@@ -34,6 +34,18 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// A stored document as readers see it: an immutable snapshot shared by
+/// reference count.
+///
+/// The store never mutates a document in place — an update builds the
+/// successor value and swaps the handle — so a `Doc` obtained from any
+/// query keeps showing the document as it was when the query ran, however
+/// the collection changes afterwards (snapshot isolation), and handing
+/// one out copies nothing. The journal holds the same handles: a document
+/// version exists once in memory no matter how many readers, query
+/// results and journal records refer to it.
+pub type Doc = Rc<Value>;
+
 /// One durable journal record (the "disk" write-ahead log).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalOp {
@@ -44,7 +56,7 @@ pub enum JournalOp {
         /// Document id.
         id: String,
         /// Full document.
-        doc: Value,
+        doc: Doc,
     },
     /// Document replaced (after-image).
     Replace {
@@ -53,7 +65,7 @@ pub enum JournalOp {
         /// Document id.
         id: String,
         /// Full document after the update.
-        doc: Value,
+        doc: Doc,
     },
     /// Document removed.
     Remove {
@@ -107,7 +119,7 @@ impl Journal {
 
 #[derive(Debug, Default)]
 struct Collection {
-    docs: BTreeMap<String, Value>,
+    docs: BTreeMap<String, Doc>,
     /// path → (value → ids); consulted for `Eq`-pinned filters.
     indexes: BTreeMap<String, BTreeMap<String, BTreeSet<String>>>,
     /// Monotonic per-collection change counter, bumped once per journaled
@@ -261,12 +273,10 @@ impl DocStore {
             match op {
                 JournalOp::Insert { coll, id, doc } | JournalOp::Replace { coll, id, doc } => {
                     let c = store.collections.entry(coll.clone()).or_default();
-                    if let Some(old) = c.docs.get(id).cloned() {
+                    if let Some(old) = c.docs.insert(id.clone(), doc.clone()) {
                         c.remove_from_indexes(id, &old);
                     }
-                    c.docs.insert(id.clone(), doc.clone());
-                    let doc = doc.clone();
-                    c.add_to_indexes(id, &doc);
+                    c.add_to_indexes(id, doc);
                     c.note_change(id);
                     // Track auto-id high-water mark.
                     if let Some(n) = id.strip_prefix("auto-").and_then(|s| s.parse::<u64>().ok()) {
@@ -349,6 +359,7 @@ impl DocStore {
         if c.docs.contains_key(&id) {
             return Err(StoreError::DuplicateId(id));
         }
+        let doc = Rc::new(doc);
         // Journal first: the write is durable before it is acknowledged.
         self.journal.append(JournalOp::Insert {
             coll: coll.to_owned(),
@@ -357,14 +368,14 @@ impl DocStore {
         });
         // dlaas-lint: allow(panic-reachable): the entry was created by the get-or-create at the top of insert, and the journal append between the two does not touch collections
         let c = self.collections.get_mut(coll).expect("just created");
-        c.docs.insert(id.clone(), doc.clone());
         c.add_to_indexes(&id, &doc);
+        c.docs.insert(id.clone(), doc);
         c.note_change(&id);
         Ok(id)
     }
 
     /// All documents matching `filter`, in id order.
-    pub fn find(&self, coll: &str, filter: &Filter) -> Vec<Value> {
+    pub fn find(&self, coll: &str, filter: &Filter) -> Vec<Doc> {
         let Some(c) = self.collections.get(coll) else {
             self.last_examined.set(0);
             return Vec::new();
@@ -389,7 +400,7 @@ impl DocStore {
         sort_path: &str,
         descending: bool,
         limit: usize,
-    ) -> Vec<Value> {
+    ) -> Vec<Doc> {
         let mut docs = self.find(coll, filter);
         docs.sort_by(|a, b| {
             let ord = match (a.path(sort_path), b.path(sort_path)) {
@@ -410,7 +421,7 @@ impl DocStore {
     }
 
     /// First matching document in id order, if any.
-    pub fn find_one(&self, coll: &str, filter: &Filter) -> Option<Value> {
+    pub fn find_one(&self, coll: &str, filter: &Filter) -> Option<Doc> {
         let Some(c) = self.collections.get(coll) else {
             self.last_examined.set(0);
             return None;
@@ -462,12 +473,15 @@ impl DocStore {
         let mut n = 0;
         for id in ids {
             // dlaas-lint: allow(panic-reachable): `ids` was filtered to present docs from this same collection borrow a few lines up; nothing between the scan and this loop mutates c.docs
-            let old = c.docs.get(&id).expect("listed above").clone();
-            let mut new = old.clone();
+            let slot = c.docs.get_mut(&id).expect("listed above");
+            // The one copy an update makes: the successor is built beside
+            // the stored value, which readers and the journal still hold.
+            let mut new = Value::clone(slot);
             update.apply(&mut new);
-            if new != old {
+            if new != **slot {
+                let new = Rc::new(new);
+                let old = std::mem::replace(slot, new.clone());
                 c.remove_from_indexes(&id, &old);
-                c.docs.insert(id.clone(), new.clone());
                 c.add_to_indexes(&id, &new);
                 c.note_change(&id);
                 self.journal.append(JournalOp::Replace {
@@ -535,7 +549,7 @@ impl DocStore {
     /// watermark — not the collection size. `since == 0` returns every
     /// live document plus every removal tombstone: a watcher that lost
     /// its watermark (e.g. an LCM restart) falls back to a full rescan.
-    pub fn changed_since(&self, coll: &str, since: u64) -> (Vec<Value>, Vec<String>, u64) {
+    pub fn changed_since(&self, coll: &str, since: u64) -> (Vec<Doc>, Vec<String>, u64) {
         let Some(c) = self.collections.get(coll) else {
             self.last_examined.set(0);
             return (Vec::new(), Vec::new(), 0);
@@ -911,6 +925,109 @@ mod tests {
         assert_eq!(docs, pre_docs);
         assert_eq!(gone, pre_gone);
         assert_eq!(hw, pre_hw);
+    }
+
+    #[test]
+    fn query_results_are_snapshots() {
+        // A handle a reader holds shows the document as of the query,
+        // whatever happens to the collection afterwards.
+        let mut db = DocStore::new();
+        db.create_index("jobs", "status");
+        db.insert("jobs", job("a", "PENDING", 1)).unwrap();
+        db.insert("jobs", job("b", "PENDING", 2)).unwrap();
+
+        let one = db.find_one("jobs", &Filter::eq("_id", "a")).unwrap();
+        let all = db.find("jobs", &Filter::True);
+        let (changed, _, hw) = db.changed_since("jobs", 0);
+        let before = (
+            format!("{one:?}"),
+            format!("{all:?}"),
+            format!("{changed:?}"),
+        );
+
+        db.update_one(
+            "jobs",
+            &Filter::eq("_id", "a"),
+            &Update::Many(vec![
+                Update::set("status", "PROCESSING"),
+                Update::inc("learners", 5),
+            ]),
+        );
+        db.update_many("jobs", &Filter::True, &Update::set("tenant", "t"));
+        db.delete_one("jobs", &Filter::eq("_id", "b"));
+        db.delete_many("jobs", &Filter::True);
+
+        assert_eq!(one.path("status").unwrap().as_str(), Some("PENDING"));
+        assert_eq!(one.path("learners").unwrap().as_i64(), Some(1));
+        assert!(one.path("tenant").is_none());
+        assert_eq!(all.len(), 2);
+        let after = (
+            format!("{one:?}"),
+            format!("{all:?}"),
+            format!("{changed:?}"),
+        );
+        assert_eq!(before, after, "a held result changed under its reader");
+
+        // The store itself moved on.
+        assert!(db.find("jobs", &Filter::True).is_empty());
+        let (docs, gone, _) = db.changed_since("jobs", hw);
+        assert!(docs.is_empty());
+        assert_eq!(gone, vec!["b".to_owned(), "a".to_owned()]);
+    }
+
+    #[test]
+    fn recovery_reproduces_every_document_version_exactly() {
+        let mut db = DocStore::new();
+        db.create_index("jobs", "status");
+        for i in 0..6 {
+            db.insert("jobs", job(&format!("j{i}"), "PENDING", i))
+                .unwrap();
+        }
+        let held = db.find_one("jobs", &Filter::eq("_id", "j1")).unwrap();
+        db.update_many(
+            "jobs",
+            &Filter::lt("learners", 4),
+            &Update::push("history", obj! {"status" => "DEPLOYING", "t_us" => 7}),
+        );
+        db.update_one(
+            "jobs",
+            &Filter::eq("_id", "j1"),
+            &Update::set("status", "PROCESSING"),
+        );
+        db.delete_one("jobs", &Filter::eq("_id", "j5"));
+
+        // Crash: the store is gone, the journal (and a reader's handle)
+        // survive.
+        let journal = db.journal().clone();
+        let live = db.find("jobs", &Filter::True);
+        let feed = db.changed_since("jobs", 0);
+        drop(db);
+        let recovered = DocStore::recover(journal);
+        assert_eq!(recovered.find("jobs", &Filter::True), live);
+        assert_eq!(recovered.changed_since("jobs", 0), feed);
+        assert_eq!(
+            recovered
+                .find("jobs", &Filter::eq("status", "PROCESSING"))
+                .len(),
+            1,
+            "indexes are rebuilt from the recovered documents"
+        );
+        assert_eq!(held.path("status").unwrap().as_str(), Some("PENDING"));
+        assert!(held.path("history").is_none());
+
+        // The recovered store shares its documents with the journal; an
+        // update after recovery must leave those after-images alone.
+        let mut recovered = recovered;
+        recovered.update_one(
+            "jobs",
+            &Filter::eq("_id", "j1"),
+            &Update::set("status", "COMPLETED"),
+        );
+        let again = DocStore::recover(recovered.journal().clone());
+        assert_eq!(
+            again.find("jobs", &Filter::True),
+            recovered.find("jobs", &Filter::True)
+        );
     }
 
     #[test]

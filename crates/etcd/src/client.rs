@@ -46,7 +46,8 @@ pub struct EtcdClient {
     addr: Addr,
     rpc: EtcdRpc,
     watch_net: WatchNet,
-    cluster_size: u32,
+    /// The servers' addresses by node id, built once per client.
+    servers: Rc<[Addr]>,
     state: Rc<RefCell<ClientState>>,
 }
 
@@ -67,7 +68,7 @@ impl EtcdClient {
             addr: Addr::new(format!("etcdc/{addr}")),
             rpc,
             watch_net: watch_net.clone(),
-            cluster_size,
+            servers: (0..cluster_size).map(etcd_addr).collect(),
             state: Rc::new(RefCell::new(ClientState {
                 leader_hint: None,
                 rr_cursor: 0,
@@ -96,20 +97,27 @@ impl EtcdClient {
         &self.addr
     }
 
+    fn cluster_size(&self) -> u32 {
+        self.servers.len() as u32
+    }
+
     fn pick_server(&self) -> NodeId {
         let mut s = self.state.borrow_mut();
         if let Some(l) = s.leader_hint {
             return l;
         }
-        let id = s.rr_cursor % self.cluster_size;
+        let id = s.rr_cursor % self.cluster_size();
         s.rr_cursor += 1;
         id
     }
 
+    /// Sends `req` to the presumed leader, retrying elsewhere on
+    /// redirects and timeouts. The request is allocated once: each
+    /// attempt's frame and the retry continuation share it.
     fn request(
         &self,
         sim: &mut Sim,
-        req: EtcdRequest,
+        req: impl Into<Rc<EtcdRequest>>,
         attempts_left: u32,
         done: impl FnOnce(&mut Sim, Result<EtcdResponse, EtcdError>) + 'static,
     ) {
@@ -117,12 +125,13 @@ impl EtcdClient {
             done(sim, Err(EtcdError::Unavailable));
             return;
         }
+        let req: Rc<EtcdRequest> = req.into();
         let target = self.pick_server();
         let me = self.clone();
         self.rpc.call(
             sim,
             self.addr.clone(),
-            etcd_addr(target),
+            self.servers[target as usize].clone(),
             req.clone(),
             RPC_TIMEOUT,
             move |sim, result| match result {
@@ -388,7 +397,7 @@ impl EtcdClient {
     }
 
     fn register_watch_everywhere(&self, sim: &mut Sim, watch_id: u64, prefix: String) {
-        for server in 0..self.cluster_size {
+        for server in 0..self.cluster_size() {
             let req = EtcdRequest::WatchCreate {
                 prefix: prefix.clone(),
                 watcher: self.addr.clone(),
@@ -399,7 +408,7 @@ impl EtcdClient {
             self.rpc.call(
                 sim,
                 self.addr.clone(),
-                etcd_addr(server),
+                self.servers[server as usize].clone(),
                 req,
                 RPC_TIMEOUT,
                 |_sim, _result| {},
@@ -455,7 +464,7 @@ impl EtcdClient {
         self.rpc.call(
             sim,
             self.addr.clone(),
-            etcd_addr(server),
+            self.servers[server as usize].clone(),
             req,
             RPC_TIMEOUT,
             move |_sim, result| {
@@ -493,14 +502,14 @@ impl EtcdClient {
             let mut s = self.state.borrow_mut();
             s.watches.remove(&watch_id);
             s.watch_meta.remove(&watch_id);
-            for server in 0..self.cluster_size {
+            for server in 0..self.cluster_size() {
                 s.pending_cancels
                     .entry(server)
                     .or_default()
                     .insert(watch_id);
             }
         }
-        for server in 0..self.cluster_size {
+        for server in 0..self.cluster_size() {
             self.send_cancel(sim, server, watch_id);
         }
     }

@@ -189,6 +189,13 @@ impl EtcdCluster {
         self.raft.expect_leader(sim, limit)
     }
 
+    /// Runs `read` against node `id`'s KV replica in place
+    /// (non-linearizable) — what a periodic reader such as the invariant
+    /// monitor uses, so a pass costs its lookups, not a copy of the store.
+    pub fn with_kv<R>(&self, id: NodeId, read: impl FnOnce(&KvState) -> R) -> R {
+        self.servers[id as usize].with_kv(read)
+    }
+
     /// Non-linearizable snapshot of node `id`'s KV replica (tests only).
     pub fn kv_snapshot(&self, id: NodeId) -> KvState {
         self.servers[id as usize].kv_snapshot()

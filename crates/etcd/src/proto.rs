@@ -1,5 +1,7 @@
 //! Client-facing etcd protocol types.
 
+use std::rc::Rc;
+
 use dlaas_net::Addr;
 use dlaas_raft::NodeId;
 
@@ -142,8 +144,9 @@ pub enum EtcdResponse {
 pub struct WatchNotify {
     /// The id the client chose at registration.
     pub watch_id: u64,
-    /// Changes, in application order.
-    pub events: Vec<KvEvent>,
+    /// Changes, in application order. Each event is one allocation
+    /// shared by every registration (on this replica) it matched.
+    pub events: Vec<Rc<KvEvent>>,
 }
 
 /// Client-visible failure of an etcd operation.

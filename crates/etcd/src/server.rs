@@ -13,7 +13,7 @@ use dlaas_net::{Addr, Net, Responder, RpcLayer};
 use dlaas_raft::{NodeId, Raft};
 use dlaas_sim::{Sim, SimDuration};
 
-use crate::kv::{KvCommand, KvOp, KvState};
+use crate::kv::{KvCommand, KvEvent, KvOp, KvState};
 use crate::proto::{etcd_addr, EtcdRequest, EtcdResponse, WatchNotify};
 
 /// How often each server checks (when leader) for leases whose deadline
@@ -245,19 +245,27 @@ impl EtcdServer {
         Box::new(move |sim, _idx, cmd| {
             let (outcome, notifications, examined, responder) = {
                 let mut c = core.borrow_mut();
-                let outcome = c.kv.apply(cmd);
+                let mut outcome = c.kv.apply(cmd);
                 // Group matched events per registration so each watcher
                 // still receives one notification per committed command,
-                // in deterministic (watcher, id) order.
-                let mut per_reg: BTreeMap<(Addr, u64), Vec<crate::kv::KvEvent>> = BTreeMap::new();
+                // in deterministic (watcher, id) order. An event nobody
+                // watches costs the index walk and nothing else; one that
+                // is watched is allocated once and shared by every
+                // registration it matches.
+                let mut per_reg: BTreeMap<(Addr, u64), Vec<Rc<KvEvent>>> = BTreeMap::new();
                 let mut examined = 0;
-                for e in &outcome.events {
-                    examined += c.watches.for_matching(e.key(), |watcher, id| {
-                        per_reg
-                            .entry((watcher.clone(), id))
-                            .or_default()
-                            .push(e.clone());
-                    });
+                for e in std::mem::take(&mut outcome.events) {
+                    let mut matched = Vec::new();
+                    examined += c
+                        .watches
+                        .for_matching(e.key(), |watcher, id| matched.push((watcher.clone(), id)));
+                    if matched.is_empty() {
+                        continue;
+                    }
+                    let e = Rc::new(e);
+                    for reg in matched {
+                        per_reg.entry(reg).or_default().push(e.clone());
+                    }
                 }
                 let notifications: Vec<_> = per_reg
                     .into_iter()
@@ -404,24 +412,40 @@ impl EtcdServer {
         &self.core
     }
 
-    /// Direct read-only access to this replica's KV state (test/debug aid;
-    /// not linearizable).
+    /// Runs `read` against this replica's KV state in place (not
+    /// linearizable). `read` must not re-enter this server.
+    pub fn with_kv<R>(&self, read: impl FnOnce(&KvState) -> R) -> R {
+        read(&self.core.borrow().kv)
+    }
+
+    /// A copy of this replica's whole KV state (test/debug aid; not
+    /// linearizable). Periodic readers use [`EtcdServer::with_kv`].
     pub fn kv_snapshot(&self) -> KvState {
-        self.core.borrow().kv.clone()
+        self.with_kv(KvState::clone)
     }
 
     fn handle(
         self: &Rc<Self>,
         sim: &mut Sim,
-        req: EtcdRequest,
+        req: &EtcdRequest,
         responder: Responder<EtcdRequest, EtcdResponse>,
     ) {
+        // The request stays with its caller (who may retry it); what the
+        // replicated command keeps is copied here, once.
         match req {
             EtcdRequest::Put { key, value, lease } => {
-                self.propose(sim, KvOp::Put { key, value, lease }, responder);
+                let op = KvOp::Put {
+                    key: key.clone(),
+                    value: value.clone(),
+                    lease: *lease,
+                };
+                self.propose(sim, op, responder);
             }
-            EtcdRequest::Delete { key } => self.propose(sim, KvOp::Delete { key }, responder),
+            EtcdRequest::Delete { key } => {
+                self.propose(sim, KvOp::Delete { key: key.clone() }, responder);
+            }
             EtcdRequest::DeletePrefix { prefix } => {
+                let prefix = prefix.clone();
                 self.propose(sim, KvOp::DeletePrefix { prefix }, responder);
             }
             EtcdRequest::Cas {
@@ -430,28 +454,25 @@ impl EtcdServer {
                 value,
                 lease,
             } => {
-                self.propose(
-                    sim,
-                    KvOp::Cas {
-                        key,
-                        expect,
-                        value,
-                        lease,
-                    },
-                    responder,
-                );
+                let op = KvOp::Cas {
+                    key: key.clone(),
+                    expect: expect.clone(),
+                    value: value.clone(),
+                    lease: *lease,
+                };
+                self.propose(sim, op, responder);
             }
-            EtcdRequest::LeaseGrant { ttl_us } => {
+            &EtcdRequest::LeaseGrant { ttl_us } => {
                 // The proposer stamps the grant with its own sim clock;
                 // the replicated deadline is identical on every node.
                 let now_us = sim.now().as_micros();
                 self.propose(sim, KvOp::LeaseGrant { ttl_us, now_us }, responder);
             }
-            EtcdRequest::LeaseKeepAlive { id } => {
+            &EtcdRequest::LeaseKeepAlive { id } => {
                 let now_us = sim.now().as_micros();
                 self.propose(sim, KvOp::LeaseKeepAlive { id, now_us }, responder);
             }
-            EtcdRequest::LeaseRevoke { id } => {
+            &EtcdRequest::LeaseRevoke { id } => {
                 self.propose(
                     sim,
                     KvOp::LeaseRevoke {
@@ -462,12 +483,14 @@ impl EtcdServer {
                 );
             }
             EtcdRequest::Get { key } => {
+                let key = key.clone();
                 self.linearizable_read(sim, responder, move |kv| EtcdResponse::Value {
                     value: kv.get(&key).map(|v| v.value.clone()),
                     revision: kv.revision(),
                 });
             }
             EtcdRequest::GetPrefix { prefix } => {
+                let prefix = prefix.clone();
                 self.linearizable_read(sim, responder, move |kv| EtcdResponse::Values {
                     pairs: kv.get_prefix(&prefix),
                     revision: kv.revision(),
@@ -481,11 +504,11 @@ impl EtcdServer {
                 self.core
                     .borrow_mut()
                     .watches
-                    .register(watch_id, prefix, watcher);
+                    .register(*watch_id, prefix.clone(), watcher.clone());
                 responder.ok(sim, EtcdResponse::WatchAck);
             }
             EtcdRequest::WatchCancel { watch_id, watcher } => {
-                self.core.borrow_mut().watches.cancel(watch_id, &watcher);
+                self.core.borrow_mut().watches.cancel(*watch_id, watcher);
                 responder.ok(sim, EtcdResponse::WatchAck);
             }
         }

@@ -1,12 +1,19 @@
 //! Network addresses.
 
 use std::fmt;
+use std::rc::Rc;
 
 /// The address of a network endpoint.
 ///
 /// Addresses are opaque strings by convention structured as
 /// `"<node>/<process>"` (e.g. `"node-2/etcd-0"`, `"node-0/api-1"`), but the
 /// network layer itself attaches no meaning to the structure.
+///
+/// An address is an immutable shared string: every message carries two,
+/// so `clone` is a reference-count bump, not an allocation. Components
+/// build their own and their peers' addresses once and clone them per
+/// message. The simulation is single-threaded, hence `Rc`; a campaign
+/// result that leaves its trial's thread carries `as_str().to_owned()`.
 ///
 /// # Examples
 ///
@@ -18,12 +25,12 @@ use std::fmt;
 /// assert_eq!(a, Addr::from("node-1/api-0"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Addr(String);
+pub struct Addr(Rc<str>);
 
 impl Addr {
     /// Creates an address from any string-like value.
-    pub fn new(s: impl Into<String>) -> Self {
-        Addr(s.into())
+    pub fn new(s: impl AsRef<str>) -> Self {
+        Addr(Rc::from(s.as_ref()))
     }
 
     /// The address as a string slice.
@@ -40,13 +47,13 @@ impl fmt::Display for Addr {
 
 impl From<&str> for Addr {
     fn from(s: &str) -> Self {
-        Addr(s.to_owned())
+        Addr::new(s)
     }
 }
 
 impl From<String> for Addr {
     fn from(s: String) -> Self {
-        Addr(s)
+        Addr(Rc::from(s))
     }
 }
 

@@ -66,8 +66,13 @@ struct State<M> {
 
 impl<M> State<M> {
     /// `true` when traffic `from → to` is currently blocked by a partition.
+    ///
+    /// Runs on every send and every deliver, and outside a partition
+    /// fault both sets are empty: that path touches nothing else.
     fn partitioned(&self, from: &Addr, to: &Addr) -> bool {
-        if self.blocked_pairs.contains(&(from.clone(), to.clone())) {
+        if !self.blocked_pairs.is_empty()
+            && self.blocked_pairs.contains(&(from.clone(), to.clone()))
+        {
             return true;
         }
         if self.groups.is_empty() {

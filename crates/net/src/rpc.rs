@@ -45,8 +45,9 @@ pub enum RpcFrame<Req, Resp> {
     Request {
         /// Correlation id, unique per layer.
         id: u64,
-        /// The request payload.
-        req: Req,
+        /// The request payload: one allocation shared by the caller
+        /// (which keeps it to retry) and every attempt's frame.
+        req: Rc<Req>,
     },
     /// A response to the request with the same id.
     Response {
@@ -107,7 +108,7 @@ struct Pending<Resp> {
     timeout_ev: EventId,
 }
 
-type ServerFn<Req, Resp> = Rc<dyn Fn(&mut Sim, Req, Responder<Req, Resp>)>;
+type ServerFn<Req, Resp> = Rc<dyn Fn(&mut Sim, &Req, Responder<Req, Resp>)>;
 
 struct LayerState<Req: 'static, Resp: 'static> {
     pending: BTreeMap<u64, Pending<Resp>>,
@@ -133,7 +134,7 @@ struct LayerState<Req: 'static, Resp: 'static> {
 /// let rpc: RpcLayer<u32, u32> = RpcLayer::new(&mut sim, LatencyModel::local());
 ///
 /// rpc.serve(Addr::new("doubler"), |sim, req, responder| {
-///     responder.ok(sim, req * 2);
+///     responder.ok(sim, *req * 2);
 /// });
 ///
 /// let got = Rc::new(Cell::new(0));
@@ -190,13 +191,14 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
         &self.net
     }
 
-    /// Registers a server handler at `addr`. The handler receives each
-    /// request with a [`Responder`] it must eventually consume. The
-    /// address can simultaneously act as an RPC client.
+    /// Registers a server handler at `addr`. The handler borrows each
+    /// request (a retrying caller still holds it; the handler copies
+    /// what it keeps) and receives a [`Responder`] it must eventually
+    /// consume. The address can simultaneously act as an RPC client.
     pub fn serve(
         &self,
         addr: Addr,
-        handler: impl Fn(&mut Sim, Req, Responder<Req, Resp>) + 'static,
+        handler: impl Fn(&mut Sim, &Req, Responder<Req, Resp>) + 'static,
     ) {
         self.state
             .borrow_mut()
@@ -244,7 +246,7 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
                                 server: my_addr.clone(),
                                 client: env.from,
                             };
-                            handler(sim, req, responder);
+                            handler(sim, &req, responder);
                         }
                         // No server here: drop; the caller times out.
                     }
@@ -267,13 +269,14 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
 
     /// Issues a request from `from` to the fixed endpoint `to` with a
     /// deadline. Exactly one of the outcomes is delivered to `on_reply`:
-    /// the response, a remote error, or [`RpcError::Timeout`].
+    /// the response, a remote error, or [`RpcError::Timeout`]. A caller
+    /// that may retry passes an `Rc<Req>` and keeps a share of it.
     pub fn call(
         &self,
         sim: &mut Sim,
         from: Addr,
         to: Addr,
-        req: Req,
+        req: impl Into<Rc<Req>>,
         timeout: SimDuration,
         on_reply: impl FnOnce(&mut Sim, Result<Resp, RpcError>) + 'static,
     ) {
@@ -295,6 +298,7 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
                 timeout_ev,
             },
         );
+        let req = req.into();
         self.net.send(sim, from, to, RpcFrame::Request { id, req });
     }
 
@@ -309,14 +313,13 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
         from: Addr,
         service: String,
         resolve: Resolver,
-        req: Req,
+        req: impl Into<Rc<Req>>,
         timeout: SimDuration,
         retries: u32,
         backoff: SimDuration,
         on_reply: impl FnOnce(&mut Sim, Result<Resp, RpcError>) + 'static,
-    ) where
-        Req: Clone,
-    {
+    ) {
+        let req: Rc<Req> = req.into();
         let target = resolve(sim);
         match target {
             None => {
@@ -341,12 +344,11 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
             }
             Some(addr) => {
                 let layer = self.clone();
-                let req_clone = req.clone();
                 self.call(
                     sim,
                     from.clone(),
                     addr,
-                    req,
+                    req.clone(),
                     timeout,
                     move |sim, result| match result {
                         Err(RpcError::Timeout) if retries > 0 => {
@@ -356,7 +358,7 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
                                     from,
                                     service,
                                     resolve,
-                                    req_clone,
+                                    req,
                                     timeout,
                                     retries - 1,
                                     backoff,
@@ -467,7 +469,7 @@ mod tests {
     fn request_response_roundtrip() {
         let mut sim = Sim::new(1);
         let rpc = layer(&mut sim);
-        rpc.serve(Addr::new("echo"), |sim, req: String, r| {
+        rpc.serve(Addr::new("echo"), |sim, req: &String, r| {
             r.ok(sim, format!("echo:{req}"));
         });
         let got: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));
@@ -476,7 +478,7 @@ mod tests {
             &mut sim,
             Addr::new("c"),
             Addr::new("echo"),
-            "hi".into(),
+            "hi".to_string(),
             SimDuration::from_secs(1),
             move |_, r| *g.borrow_mut() = Some(r.unwrap()),
         );
@@ -495,7 +497,7 @@ mod tests {
             &mut sim,
             Addr::new("c"),
             Addr::new("s"),
-            "x".into(),
+            "x".to_string(),
             SimDuration::from_secs(1),
             move |_, r| *g.borrow_mut() = Some(r),
         );
@@ -513,7 +515,7 @@ mod tests {
             &mut sim,
             Addr::new("c"),
             Addr::new("nobody"),
-            "x".into(),
+            "x".to_string(),
             SimDuration::from_millis(100),
             move |_, r| *g.borrow_mut() = Some(r),
         );
@@ -527,7 +529,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let rpc = layer(&mut sim);
         // Server replies after 200ms (deferred), client deadline is 50ms.
-        rpc.serve(Addr::new("slow"), |sim, _req: String, r| {
+        rpc.serve(Addr::new("slow"), |sim, _req: &String, r| {
             sim.schedule_in(SimDuration::from_millis(200), move |sim| {
                 r.ok(sim, "late".into());
             });
@@ -540,7 +542,7 @@ mod tests {
             &mut sim,
             Addr::new("c"),
             Addr::new("slow"),
-            "x".into(),
+            "x".to_string(),
             SimDuration::from_millis(50),
             move |_, r| {
                 c.set(c.get() + 1);
@@ -556,7 +558,8 @@ mod tests {
     fn deferred_reply_within_deadline_succeeds() {
         let mut sim = Sim::new(1);
         let rpc = layer(&mut sim);
-        rpc.serve(Addr::new("async"), |sim, req: String, r| {
+        rpc.serve(Addr::new("async"), |sim, req: &String, r| {
+            let req = req.clone();
             sim.schedule_in(SimDuration::from_millis(10), move |sim| {
                 r.ok(sim, format!("done:{req}"));
             });
@@ -567,7 +570,7 @@ mod tests {
             &mut sim,
             Addr::new("c"),
             Addr::new("async"),
-            "job".into(),
+            "job".to_string(),
             SimDuration::from_secs(1),
             move |_, r| *g.borrow_mut() = Some(r.unwrap()),
         );
@@ -584,7 +587,7 @@ mod tests {
         let rr2 = rr.clone();
         let rpc2 = rpc.clone();
         sim.schedule_in(SimDuration::from_millis(50), move |_| {
-            rpc2.serve(Addr::new("api-0"), |sim, _req: String, r| {
+            rpc2.serve(Addr::new("api-0"), |sim, _req: &String, r| {
                 r.ok(sim, "served".into());
             });
             rr2.add(Addr::new("api-0"));
@@ -597,7 +600,7 @@ mod tests {
             Addr::new("c"),
             "api".into(),
             Rc::new(move |_| rr3.next()),
-            "x".into(),
+            "x".to_string(),
             SimDuration::from_millis(100),
             5,
             SimDuration::from_millis(20),
@@ -618,7 +621,7 @@ mod tests {
             Addr::new("c"),
             "ghost".into(),
             Rc::new(|_| None),
-            "x".into(),
+            "x".to_string(),
             SimDuration::from_millis(100),
             2,
             SimDuration::from_millis(10),
@@ -638,11 +641,11 @@ mod tests {
         // LCM while serving users).
         let mut sim = Sim::new(1);
         let rpc = layer(&mut sim);
-        rpc.serve(Addr::new("lcm"), |sim, _req: String, r| {
+        rpc.serve(Addr::new("lcm"), |sim, _req: &String, r| {
             r.ok(sim, "lcm-ok".into());
         });
         let middle = rpc.clone();
-        rpc.serve(Addr::new("api"), move |sim, req: String, r| {
+        rpc.serve(Addr::new("api"), move |sim, req: &String, r| {
             if req == "ping" {
                 r.ok(sim, "pong".into());
             } else {
@@ -651,7 +654,7 @@ mod tests {
                     sim,
                     Addr::new("api"),
                     Addr::new("lcm"),
-                    "deploy".into(),
+                    "deploy".to_string(),
                     SimDuration::from_secs(1),
                     move |sim, result| {
                         r.ok(sim, format!("forwarded:{}", result.unwrap()));
@@ -666,7 +669,7 @@ mod tests {
             &mut sim,
             Addr::new("c"),
             Addr::new("api"),
-            "submit".into(),
+            "submit".to_string(),
             SimDuration::from_secs(1),
             move |_, r| *f.borrow_mut() = Some(r),
         );
@@ -680,7 +683,7 @@ mod tests {
             &mut sim,
             Addr::new("c"),
             Addr::new("api"),
-            "ping".into(),
+            "ping".to_string(),
             SimDuration::from_secs(1),
             move |_, r| *s.borrow_mut() = Some(r),
         );
@@ -692,7 +695,7 @@ mod tests {
     fn stop_serving_then_reserve_restores_service() {
         let mut sim = Sim::new(2);
         let rpc = layer(&mut sim);
-        rpc.serve(Addr::new("s"), |sim, _req: String, r| {
+        rpc.serve(Addr::new("s"), |sim, _req: &String, r| {
             r.ok(sim, "v1".into());
         });
         rpc.stop_serving(&Addr::new("s"));
@@ -702,14 +705,14 @@ mod tests {
             &mut sim,
             Addr::new("c"),
             Addr::new("s"),
-            "x".into(),
+            "x".to_string(),
             SimDuration::from_millis(50),
             move |_, r| *d.borrow_mut() = Some(r),
         );
         sim.run_until_idle();
         assert_eq!(*dead.borrow(), Some(Err(RpcError::Timeout)));
 
-        rpc.serve(Addr::new("s"), |sim, _req: String, r| {
+        rpc.serve(Addr::new("s"), |sim, _req: &String, r| {
             r.ok(sim, "v2".into());
         });
         let live = Rc::new(RefCell::new(None));
@@ -718,7 +721,7 @@ mod tests {
             &mut sim,
             Addr::new("c"),
             Addr::new("s"),
-            "x".into(),
+            "x".to_string(),
             SimDuration::from_secs(1),
             move |_, r| *l.borrow_mut() = Some(r),
         );

@@ -81,7 +81,7 @@ struct NodeState<C> {
     cluster_size: u32,
     config: RaftConfig,
     disk: Rc<RefCell<PersistentState<C>>>,
-    noop: C,
+    noop: Rc<C>,
     // Volatile state (lost on crash).
     alive: bool,
     role: Role,
@@ -122,6 +122,9 @@ pub struct Raft<C: 'static> {
     inner: Rc<RefCell<NodeState<C>>>,
     net: Net<RaftMsg<C>>,
     addr: Addr,
+    /// Every node's address by id (this node's included), built once so
+    /// a message costs two reference-count bumps, not two `format!`s.
+    peers: Rc<[Addr]>,
     election: DeadlineTimer,
 }
 
@@ -131,6 +134,7 @@ impl<C> Clone for Raft<C> {
             inner: self.inner.clone(),
             net: self.net.clone(),
             addr: self.addr.clone(),
+            peers: self.peers.clone(),
             election: self.election.clone(),
         }
     }
@@ -202,7 +206,7 @@ impl<C: Clone + 'static> Raft<C> {
                 cluster_size,
                 config,
                 disk,
-                noop,
+                noop: Rc::new(noop),
                 alive: true,
                 role: Role::Follower,
                 leader_hint: None,
@@ -223,6 +227,7 @@ impl<C: Clone + 'static> Raft<C> {
             })),
             net,
             addr: raft_addr(id),
+            peers: (0..cluster_size).map(raft_addr).collect(),
             election: DeadlineTimer::default(),
         };
         node.restore_from_disk_snapshot(sim);
@@ -249,6 +254,10 @@ impl<C: Clone + 'static> Raft<C> {
         if let Some(hooks) = &mut s.hooks {
             (hooks.restore)(sim, snap.last_index, &snap.data);
         }
+    }
+
+    fn peer(&self, id: NodeId) -> Addr {
+        self.peers[id as usize].clone()
     }
 
     fn register_handler(&self) {
@@ -325,7 +334,7 @@ impl<C: Clone + 'static> Raft<C> {
                 });
             }
             let term = s.disk.borrow().current_term;
-            s.disk.borrow_mut().log.push(LogEntry { term, cmd });
+            s.disk.borrow_mut().log.push(LogEntry::new(term, cmd));
             let last = s.disk.borrow().last_index();
             let me = s.id;
             s.match_index.insert(me, last);
@@ -493,7 +502,7 @@ impl<C: Clone + 'static> Raft<C> {
             self.net.send(
                 sim,
                 self.addr.clone(),
-                raft_addr(p),
+                self.peer(p),
                 RaftMsg::RequestVote {
                     term,
                     candidate: id,
@@ -535,8 +544,8 @@ impl<C: Clone + 'static> Raft<C> {
             s.hb_gen += 1;
             let term = s.disk.borrow().current_term;
             // Commit an entry of the new term promptly (no-op barrier).
-            let noop = s.noop.clone();
-            s.disk.borrow_mut().log.push(LogEntry { term, cmd: noop });
+            let cmd = s.noop.clone();
+            s.disk.borrow_mut().log.push(LogEntry { term, cmd });
             let new_last = s.disk.borrow().last_index();
             s.match_index.insert(me, new_last);
             (s.id, term, s.hb_gen)
@@ -677,7 +686,7 @@ impl<C: Clone + 'static> Raft<C> {
                 s.next_index.insert(peer, through + 1);
             }
         }
-        self.net.send(sim, self.addr.clone(), raft_addr(peer), msg);
+        self.net.send(sim, self.addr.clone(), self.peer(peer), msg);
     }
 
     fn maybe_advance_commit(&self, sim: &mut Sim) {
@@ -723,6 +732,8 @@ impl<C: Clone + 'static> Raft<C> {
                 } else {
                     s.last_applied += 1;
                     let idx = s.last_applied;
+                    // A handle, not a copy: the callback below borrows
+                    // the command while the node itself is unborrowed.
                     let cmd = s
                         .disk
                         .borrow()
@@ -873,7 +884,7 @@ impl<C: Clone + 'static> Raft<C> {
             self.net.send(
                 sim,
                 self.addr.clone(),
-                raft_addr(leader),
+                self.peer(leader),
                 RaftMsg::InstallSnapshotResp {
                     term: current,
                     from,
@@ -923,7 +934,7 @@ impl<C: Clone + 'static> Raft<C> {
         self.net.send(
             sim,
             self.addr.clone(),
-            raft_addr(leader),
+            self.peer(leader),
             RaftMsg::InstallSnapshotResp {
                 term: my_term,
                 from,
@@ -1005,7 +1016,7 @@ impl<C: Clone + 'static> Raft<C> {
         self.net.send(
             sim,
             self.addr.clone(),
-            raft_addr(candidate),
+            self.peer(candidate),
             RaftMsg::RequestVoteResp {
                 term: my_term,
                 from,
@@ -1047,7 +1058,7 @@ impl<C: Clone + 'static> Raft<C> {
             self.net.send(
                 sim,
                 self.addr.clone(),
-                raft_addr(leader),
+                self.peer(leader),
                 RaftMsg::AppendEntriesResp {
                     term: current,
                     from,
@@ -1090,7 +1101,8 @@ impl<C: Clone + 'static> Raft<C> {
                         // Append, truncating any conflicting suffix. Entries
                         // at or below the snapshot boundary are already
                         // committed here and are skipped.
-                        for (i, entry) in entries.iter().enumerate() {
+                        let through = prev_log_index + entries.len() as LogIndex;
+                        for (i, entry) in entries.into_iter().enumerate() {
                             let idx = prev_log_index + 1 + i as LogIndex;
                             if idx <= disk.snapshot_last_index() {
                                 continue;
@@ -1099,12 +1111,12 @@ impl<C: Clone + 'static> Raft<C> {
                                 Some(t) if t == entry.term => { /* already have it */ }
                                 Some(_) => {
                                     disk.truncate_to(idx - 1);
-                                    disk.log.push(entry.clone());
+                                    disk.log.push(entry);
                                 }
-                                None => disk.log.push(entry.clone()),
+                                None => disk.log.push(entry),
                             }
                         }
-                        (true, prev_log_index + entries.len() as LogIndex)
+                        (true, through)
                     }
                 }
             }
@@ -1132,7 +1144,7 @@ impl<C: Clone + 'static> Raft<C> {
         self.net.send(
             sim,
             self.addr.clone(),
-            raft_addr(leader),
+            self.peer(leader),
             RaftMsg::AppendEntriesResp {
                 term: my_term,
                 from,

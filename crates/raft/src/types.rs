@@ -1,5 +1,7 @@
 //! Raft wire types, configuration and persistent state.
 
+use std::rc::Rc;
+
 use dlaas_sim::SimDuration;
 
 /// Identifier of a Raft node within its cluster (0-based).
@@ -12,12 +14,37 @@ pub type Term = u64;
 pub type LogIndex = u64;
 
 /// One replicated log entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The command is allocated once, when the leader accepts the proposal,
+/// and shared from then on: the leader's log, every `AppendEntries` that
+/// ships it and every follower's log hold handles to the same immutable
+/// value, so replication copies a pointer per hop, never the command.
+#[derive(Debug, PartialEq, Eq)]
 pub struct LogEntry<C> {
     /// Term in which the entry was created by a leader.
     pub term: Term,
     /// The replicated command.
-    pub cmd: C,
+    pub cmd: Rc<C>,
+}
+
+impl<C> LogEntry<C> {
+    /// An entry of `term` owning `cmd`.
+    pub fn new(term: Term, cmd: C) -> Self {
+        LogEntry {
+            term,
+            cmd: Rc::new(cmd),
+        }
+    }
+}
+
+// Not derived: a handle clones without `C: Clone`.
+impl<C> Clone for LogEntry<C> {
+    fn clone(&self) -> Self {
+        LogEntry {
+            term: self.term,
+            cmd: self.cmd.clone(),
+        }
+    }
 }
 
 /// A compacted prefix of the log: the state machine's serialized state
@@ -371,13 +398,13 @@ mod tests {
         assert_eq!(p.term_at(1), None);
         assert_eq!(p.first_index(), 1);
 
-        p.log.push(LogEntry { term: 1, cmd: "a" });
-        p.log.push(LogEntry { term: 2, cmd: "b" });
+        p.log.push(LogEntry::new(1, "a"));
+        p.log.push(LogEntry::new(2, "b"));
         assert_eq!(p.last_index(), 2);
         assert_eq!(p.last_term(), 2);
         assert_eq!(p.term_at(1), Some(1));
         assert_eq!(p.term_at(2), Some(2));
-        assert_eq!(p.entry_at(2).unwrap().cmd, "b");
+        assert_eq!(*p.entry_at(2).unwrap().cmd, "b");
         assert_eq!(p.entry_at(0), None);
         assert_eq!(p.entry_at(3), None);
     }
@@ -386,10 +413,7 @@ mod tests {
     fn compaction_preserves_global_indexing() {
         let mut p: PersistentState<u32> = PersistentState::default();
         for i in 1..=10u32 {
-            p.log.push(LogEntry {
-                term: (i as u64).div_ceil(2),
-                cmd: i,
-            });
+            p.log.push(LogEntry::new((i as u64).div_ceil(2), i));
         }
         assert!(p.compact(6, vec![1, 2, 3]));
         assert_eq!(p.snapshot_last_index(), 6);
@@ -403,7 +427,7 @@ mod tests {
         assert_eq!(p.term_at(7), Some(4));
         assert_eq!(p.term_at(11), None);
         assert_eq!(p.entry_at(6), None);
-        assert_eq!(p.entry_at(7).unwrap().cmd, 7);
+        assert_eq!(*p.entry_at(7).unwrap().cmd, 7);
         // Invalid compactions are rejected.
         assert!(!p.compact(6, vec![]), "not past snapshot");
         assert!(!p.compact(99, vec![]), "past the end");
@@ -418,7 +442,7 @@ mod tests {
     fn install_snapshot_follower_side() {
         let mut p: PersistentState<u32> = PersistentState::default();
         for i in 1..=4u32 {
-            p.log.push(LogEntry { term: 1, cmd: i });
+            p.log.push(LogEntry::new(1, i));
         }
         // Snapshot covering past our whole log: everything is replaced.
         p.install_snapshot(Snapshot {
@@ -430,15 +454,15 @@ mod tests {
         assert!(p.log.is_empty());
 
         // A matching suffix survives a snapshot that lands mid-log.
-        p.log.push(LogEntry { term: 2, cmd: 7 });
-        p.log.push(LogEntry { term: 2, cmd: 8 });
+        p.log.push(LogEntry::new(2, 7));
+        p.log.push(LogEntry::new(2, 8));
         p.install_snapshot(Snapshot {
             last_index: 7,
             last_term: 2,
             data: vec![],
         });
         assert_eq!(p.first_index(), 8);
-        assert_eq!(p.entry_at(8).unwrap().cmd, 8);
+        assert_eq!(*p.entry_at(8).unwrap().cmd, 8);
 
         // Stale snapshots are ignored.
         p.install_snapshot(Snapshot {

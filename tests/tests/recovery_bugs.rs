@@ -600,3 +600,66 @@ fn controller_republishes_restart_count_after_an_etcd_outage() {
         "the restart during the outage was never reported"
     );
 }
+
+/// Reliable status: the controller used to fire one etcd put per changed
+/// status string with nothing ordering them, and the client retries each
+/// for up to 12 s. Across an etcd outage a retried older
+/// `PROCESSING iter=N` could commit *after* the next tick's `COMPLETED`;
+/// the controller's dedup entry already said `COMPLETED`, nothing ever
+/// rewrote the key, and the job sat in PROCESSING with its learner long
+/// gone — unless its Guardian happened to catch the transient
+/// `COMPLETED` on its watch, which a restarting Guardian (it lists the
+/// prefix) does not. A learner's key now has one put in flight, and the
+/// latest value goes out when that put is acknowledged.
+///
+/// The window: quorum is lost a few reports before the learner's last,
+/// so a late `PROCESSING` put and the `COMPLETED` put both retry through
+/// the outage. Which of them reaches the new leader first depends on
+/// where in their retry cycles the cluster comes back, so the outage
+/// length is swept across a retry period (600 ms), on a few seeds (the
+/// seed picks the leader the client's round-robin retries walk past).
+#[test]
+fn retried_learner_status_never_lands_after_completed() {
+    for seed in 311..313 {
+        for outage_ms in (4_600..5_700).step_by(100) {
+            let (mut sim, platform) = boot(seed);
+            let client = platform.client("itest", KEY);
+            let iters = 40;
+            let job = submit_blocking(&mut sim, &client, manifest("status-order", iters));
+            let (p2, j2) = (platform.clone(), job.clone());
+            etcd_quorum_outage_when(
+                &mut sim,
+                &platform,
+                SimDuration::from_millis(outage_ms),
+                move |_| reported_iteration(&p2, &j2).is_some_and(|i| i + 4 >= iters),
+            );
+            // Once etcd has said COMPLETED for the learner it must never
+            // say anything else again (until GC deletes the key).
+            let key = paths::etcd_learner(&job, 0);
+            let mut completed_at = None;
+            let deadline = sim.now() + SimDuration::from_mins(20);
+            while platform.job_status(&job) != Some(JobStatus::Completed) {
+                assert!(
+                    sim.now() < deadline,
+                    "seed {seed}, {outage_ms} ms: {job} stuck"
+                );
+                sim.run_for(SimDuration::from_millis(20));
+                let Some(phase) = platform.etcd().leader_id().and_then(|l| {
+                    let kv = platform.etcd().kv_snapshot(l);
+                    kv.get(&key).map(|v| v.value.clone())
+                }) else {
+                    continue;
+                };
+                if phase == "COMPLETED" {
+                    completed_at.get_or_insert(sim.now());
+                } else if let Some(at) = completed_at {
+                    panic!(
+                        "seed {seed}, {outage_ms} ms outage: learner status went from \
+                         COMPLETED (at {at:?}) back to {phase:?} (at {:?})",
+                        sim.now()
+                    );
+                }
+            }
+        }
+    }
+}
