@@ -1,30 +1,27 @@
 //! Engine throughput bench: emits `BENCH_engine.json` with kernel events
-//! per wall-second for a pure-kernel churn workload and the full-platform
-//! `scale_soak`-shaped N-job soak. See `dlaas_bench::engine` for the
-//! workload definitions and the artifact's (wall-derived, not
-//! byte-stable) nature.
+//! per wall-second for the pure-kernel churn workload. See
+//! `dlaas_bench::engine` for the workload definition and the artifact's
+//! (wall-derived, not byte-stable) nature; the full platform is measured
+//! by `soak uniform`.
 //!
 //! Usage:
 //!   cargo run --release -p dlaas-bench --bin engine_bench -- \
-//!     [--seed S] [--n N] [--actors A] [--events E] [--out PATH] \
-//!     [--skip-platform] [--check BASELINE.json] [--tolerance F]
+//!     [--seed S] [--actors A] [--events E] [--out PATH] \
+//!     [--check BASELINE.json] [--tolerance F]
 //!
-//! Defaults: seed 2018, N=10000 platform jobs, 10000 churn actors,
-//! 2,000,000 churn events, out `BENCH_engine.json`, tolerance 0.10.
-//! With `--check`, exits non-zero if a workload is more than the
-//! tolerance worse than the committed baseline — `kernel_churn` in
-//! events/wall-sec, `platform_soak_*` in wall seconds.
+//! Defaults: seed 2018, 10000 churn actors, 2,000,000 churn events, out
+//! `BENCH_engine.json`, tolerance 0.10. With `--check`, exits non-zero if
+//! the workload's events/wall-sec is more than the tolerance below the
+//! committed baseline.
 
 use dlaas_bench::engine::{self, EngineRun};
 use dlaas_bench::harness::print_table;
 
 struct Args {
     seed: u64,
-    n: u64,
     actors: u64,
     events: u64,
     out: String,
-    skip_platform: bool,
     check: Option<String>,
     tolerance: f64,
 }
@@ -32,11 +29,9 @@ struct Args {
 fn parse_args() -> Args {
     let mut parsed = Args {
         seed: 2018,
-        n: 10_000,
         actors: 10_000,
         events: 2_000_000,
         out: "BENCH_engine.json".into(),
-        skip_platform: false,
         check: None,
         tolerance: 0.10,
     };
@@ -48,11 +43,9 @@ fn parse_args() -> Args {
         };
         match arg.as_str() {
             "--seed" => parsed.seed = next("--seed").parse().expect("--seed u64"),
-            "--n" => parsed.n = next("--n").parse().expect("--n u64"),
             "--actors" => parsed.actors = next("--actors").parse().expect("--actors u64"),
             "--events" => parsed.events = next("--events").parse().expect("--events u64"),
             "--out" => parsed.out = next("--out"),
-            "--skip-platform" => parsed.skip_platform = true,
             "--check" => parsed.check = Some(next("--check")),
             "--tolerance" => {
                 parsed.tolerance = next("--tolerance").parse().expect("--tolerance f64");
@@ -66,22 +59,11 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     eprintln!(
-        "engine bench: kernel_churn ({} actors, {} events){} (seed {})…",
-        args.actors,
-        args.events,
-        if args.skip_platform {
-            String::new()
-        } else {
-            format!(" + platform_soak N={}", args.n)
-        },
-        args.seed
+        "engine bench: kernel_churn ({} actors, {} events) (seed {})…",
+        args.actors, args.events, args.seed
     );
 
-    let mut runs: Vec<EngineRun> = Vec::new();
-    runs.push(engine::kernel_churn(args.seed, args.actors, args.events));
-    if !args.skip_platform {
-        runs.push(engine::platform_soak(args.seed, args.n));
-    }
+    let runs: Vec<EngineRun> = vec![engine::kernel_churn(args.seed, args.actors, args.events)];
 
     let rows: Vec<Vec<String>> = runs
         .iter()

@@ -1,19 +1,15 @@
 //! The fault-matrix campaign: every fault kind × every Guardian
 //! deployment step × N seeds, each trial judged by the platform
-//! invariant checker; optionally a randomized soak with continuous
-//! checking.
+//! invariant checker. (The randomized soak with continuous checking is
+//! `soak chaos`.)
 //!
 //! Usage:
 //!   cargo run --release -p dlaas-bench --bin fault_matrix [--seeds N] [--base-seed S]
 //!       [--threads T] [--sim-budget-secs B] [--out FILE] [--fault LABEL]
 //!   cargo run --release -p dlaas-bench --bin fault_matrix -- --trial FAULT/POINT --seed S
-//!   cargo run --release -p dlaas-bench --bin fault_matrix -- --soak HOURS [--seeds N] [--seed S]
-//!       [--lcm-replicas M]
 //!
 //! `--fault LABEL` restricts the matrix to one fault kind (the CI
-//! `ha-smoke` job sweeps `lcm_owner_crash` alone on every push);
-//! `--lcm-replicas M` boots each soak with M LCM replicas (the nightly
-//! HA soak runs M=3 so shard takeover happens under chaos).
+//! `ha-smoke` job sweeps `lcm_owner_crash` alone on every push).
 //!
 //! Trials shard across `--threads` workers (each in its own `Sim`);
 //! reports and the `--out` artifact are byte-identical for any thread
@@ -21,20 +17,15 @@
 //! complete, the fault never fired, or an invariant was violated
 //! afterwards) **or** any trial was recorded abnormal — `TIMEOUT` past
 //! the per-trial sim budget, or a panic converted into a failure record.
-//! The budget defaults per mode (2h for a matrix cell, chaos horizon +
-//! drain + 1h slack for a soak); `--sim-budget-secs B` overrides it and
-//! `--sim-budget-secs 0` uncaps entirely.
+//! The budget defaults to 2h per cell; `--sim-budget-secs B` overrides it
+//! and `--sim-budget-secs 0` uncaps entirely.
 //! Abnormal records print the exact single-threaded repro command, which
 //! is what `--trial FAULT/POINT --seed S` replays.
-//!
-//! With `--soak HOURS` a randomized chaos soak runs instead (or `--seeds
-//! N` of them in parallel), with the invariant monitor checking every
-//! simulated minute.
 
 use dlaas_bench::harness::print_table;
 use dlaas_bench::matrix::{
-    render_matrix_json, run_cell, soak_parallel_with, soak_with, sweep_parallel_for, CellOutcome,
-    FaultKind, InjectionPoint, MatrixCampaign, MATRIX_RECOVERY_SECONDS,
+    render_matrix_json, run_cell, sweep_parallel_for, CellOutcome, FaultKind, InjectionPoint,
+    MatrixCampaign, MATRIX_RECOVERY_SECONDS,
 };
 use dlaas_sim::SimDuration;
 
@@ -44,18 +35,13 @@ use dlaas_sim::SimDuration;
 const MATRIX_BUDGET: SimDuration = SimDuration::from_hours(2);
 
 fn main() {
-    let mut seeds: Option<u64> = None;
+    let mut seeds: u64 = 5;
     let mut base_seed: u64 = 2018;
-    let mut soak_hours: Option<u64> = None;
     let mut threads: usize = 1;
-    // None = not given on the command line; the dispatch below sizes a
-    // default per mode (matrix cells and soaks have very different
-    // healthy sim lengths). `Some(None)` = explicitly uncapped.
-    let mut sim_budget: Option<Option<SimDuration>> = None;
+    let mut sim_budget = Some(MATRIX_BUDGET);
     let mut trial: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut fault: Option<FaultKind> = None;
-    let mut lcm_replicas: Option<u32> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -66,28 +52,14 @@ fn main() {
                     panic!("--fault expects one of {kinds:?}, got {label:?}")
                 }));
             }
-            "--lcm-replicas" => {
-                lcm_replicas = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--lcm-replicas M"),
-                );
-            }
             "--seeds" => {
-                seeds = Some(args.next().and_then(|s| s.parse().ok()).expect("--seeds N"));
+                seeds = args.next().and_then(|s| s.parse().ok()).expect("--seeds N");
             }
             "--base-seed" | "--seed" => {
                 base_seed = args
                     .next()
                     .and_then(|s| s.parse().ok())
                     .expect("--base-seed S");
-            }
-            "--soak" => {
-                soak_hours = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--soak HOURS"),
-                );
             }
             "--threads" => {
                 threads = args
@@ -100,9 +72,8 @@ fn main() {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .expect("--sim-budget-secs B");
-                // 0 = uncapped; otherwise an explicit cap overrides the
-                // mode-sized default.
-                sim_budget = Some((secs > 0).then(|| SimDuration::from_secs(secs)));
+                // 0 = uncapped.
+                sim_budget = (secs > 0).then(|| SimDuration::from_secs(secs));
             }
             "--trial" => {
                 trial = Some(args.next().expect("--trial FAULT/POINT"));
@@ -116,28 +87,14 @@ fn main() {
 
     if let Some(spec) = trial {
         run_single(base_seed, &spec);
-    } else if let Some(hours) = soak_hours {
-        // A soak legitimately runs its chaos horizon plus the 4h drain,
-        // so the runaway cap must scale with the horizon (the fixed
-        // matrix-cell budget used to be applied here and flagged every
-        // multi-seed soak as a TIMEOUT).
-        let budget = sim_budget.unwrap_or(Some(SimDuration::from_hours(hours + 5)));
-        run_soak(
-            base_seed,
-            seeds.unwrap_or(1),
-            hours,
-            lcm_replicas,
-            threads,
-            budget,
-        );
     } else {
         let kinds = fault.map_or_else(|| FaultKind::all().to_vec(), |k| vec![k]);
         run_matrix(
             &kinds,
             base_seed,
-            seeds.unwrap_or(5),
+            seeds,
             threads,
-            sim_budget.unwrap_or(Some(MATRIX_BUDGET)),
+            sim_budget,
             out_path.as_deref(),
         );
     }
@@ -174,19 +131,6 @@ fn parse_trial(spec: &str) -> (FaultKind, InjectionPoint) {
             .collect();
         panic!("--trial expects FAULT/POINT with FAULT in {kinds:?} and POINT in {points:?}")
     })
-}
-
-/// Prints every abnormal (timeout/panic) record with its repro command
-/// and returns whether any exist.
-fn report_abnormal(records: &[String]) -> bool {
-    if records.is_empty() {
-        return false;
-    }
-    eprintln!("\n{} abnormal trials:", records.len());
-    for r in records {
-        eprintln!("  {r}");
-    }
-    true
 }
 
 fn run_matrix(
@@ -255,8 +199,16 @@ fn run_matrix(
     );
 }
 
+/// Prints every abnormal (timeout/panic) record with its repro command
+/// and every failing cell; returns whether there were none.
 fn exit_matrix_clean(campaign: &MatrixCampaign) -> bool {
-    let abnormal = report_abnormal(&campaign.report.failure_records());
+    let abnormal = campaign.report.failure_records();
+    if !abnormal.is_empty() {
+        eprintln!("\n{} abnormal trials:", abnormal.len());
+        for r in &abnormal {
+            eprintln!("  {r}");
+        }
+    }
     let failures = campaign.run.failures();
     if !failures.is_empty() {
         eprintln!("\n{} failing cells:", failures.len());
@@ -267,119 +219,5 @@ fn exit_matrix_clean(campaign: &MatrixCampaign) -> bool {
             }
         }
     }
-    !abnormal && failures.is_empty()
-}
-
-fn run_soak(
-    seed: u64,
-    seeds: u64,
-    hours: u64,
-    lcm_replicas: Option<u32>,
-    threads: usize,
-    sim_budget: Option<SimDuration>,
-) {
-    if seeds > 1 {
-        run_soak_campaign(seed, seeds, hours, lcm_replicas, threads, sim_budget);
-        return;
-    }
-    eprintln!("randomized soak: {hours} simulated hours (seed {seed})…");
-    let out = soak_with(seed, hours, lcm_replicas);
-    print_table(
-        "Chaos soak with continuous invariant checking",
-        &["metric", "value"],
-        &[
-            vec!["jobs submitted".into(), out.submitted.to_string()],
-            vec!["completed".into(), out.completed.to_string()],
-            vec!["failed/killed".into(), out.failed.to_string()],
-            vec!["unfinished".into(), out.unfinished.to_string()],
-            vec![
-                "violations (during)".into(),
-                out.violations_during.to_string(),
-            ],
-            vec![
-                "violations (final)".into(),
-                out.final_violations.len().to_string(),
-            ],
-            vec![
-                "guardian rollbacks".into(),
-                out.metrics
-                    .counter_total(dlaas_core::metrics::GUARDIAN_ROLLBACKS)
-                    .to_string(),
-            ],
-            vec![
-                "kube pod restarts".into(),
-                out.metrics
-                    .counter_total("kube_pod_restarts_total")
-                    .to_string(),
-            ],
-        ],
-    );
-    if !out.clean() {
-        for v in &out.final_violations {
-            eprintln!("  VIOLATION {v}");
-        }
-        eprintln!("soak finished dirty");
-        std::process::exit(1);
-    }
-    println!("\nsoak finished with every platform invariant intact.");
-}
-
-fn run_soak_campaign(
-    base_seed: u64,
-    seeds: u64,
-    hours: u64,
-    lcm_replicas: Option<u32>,
-    threads: usize,
-    sim_budget: Option<SimDuration>,
-) {
-    eprintln!(
-        "soak campaign: {seeds} soaks x {hours} simulated hours \
-         (base seed {base_seed}, {threads} thread(s))…"
-    );
-    let report = soak_parallel_with(base_seed, seeds, hours, lcm_replicas, threads, sim_budget);
-    let rows: Vec<Vec<String>> = report
-        .results()
-        .map(|s| {
-            vec![
-                s.seed.to_string(),
-                s.submitted.to_string(),
-                format!("{}/{}/{}", s.completed, s.failed, s.unfinished),
-                s.violations_during.to_string(),
-                s.final_violations.len().to_string(),
-                s.pod_restarts.to_string(),
-                if s.clean() { "clean" } else { "DIRTY" }.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Chaos soak campaign",
-        &[
-            "seed",
-            "submitted",
-            "done/failed/unfinished",
-            "viol (during)",
-            "viol (final)",
-            "pod restarts",
-            "verdict",
-        ],
-        &rows,
-    );
-    eprintln!("{}", report.wall_summary("chaos_soak"));
-
-    let abnormal = report_abnormal(&report.failure_records());
-    let dirty: Vec<String> = report
-        .results()
-        .filter(|s| !s.clean())
-        .map(dlaas_bench::matrix::SoakSummary::describe)
-        .collect();
-    if !dirty.is_empty() {
-        eprintln!("\n{} dirty soaks:", dirty.len());
-        for d in &dirty {
-            eprintln!("  DIRTY {d}");
-        }
-    }
-    if abnormal || !dirty.is_empty() {
-        std::process::exit(1);
-    }
-    println!("\nall {seeds} soaks finished with every platform invariant intact.");
+    abnormal.is_empty() && failures.is_empty()
 }

@@ -1,39 +1,25 @@
 //! Engine throughput bench: raw discrete-event kernel speed in events
 //! per wall-second, the quantity every ROADMAP scale item is gated on.
 //!
-//! Two workloads:
+//! One workload, `kernel_churn` — the kernel alone: a population of
+//! self-rescheduling actors whose delays span the near-future (bucket
+//! ring) and far-future (overflow tier) ranges, plus a defer and a
+//! schedule-then-cancel per firing so tombstone handling is on the
+//! measured path. (The full control plane is measured by the `uniform`
+//! preset of [`crate::soak`], gated on its wall seconds.)
 //!
-//! * `kernel_churn` — the kernel alone: a population of self-rescheduling
-//!   actors whose delays span the near-future (bucket ring) and far-future
-//!   (overflow tier) ranges, plus a defer and a schedule-then-cancel per
-//!   firing so tombstone handling is on the measured path.
-//! * `platform_soak` — the full control plane: the `scale_soak` N-job
-//!   workload (boot, N submissions over a 20-minute window, 4h horizon),
-//!   counting every kernel event the platform executes.
-//!
-//! Both report host wall time via the feature-gated
+//! It reports host wall time via the feature-gated
 //! [`dlaas_obs::wallclock::WallTimer`], so `BENCH_engine.json` is a
 //! *wall-derived* artifact: it is NOT byte-stable across runs and must
 //! never enter a byte-comparison gate. CI instead compares it against a
 //! committed baseline with a relative tolerance
-//! ([`check_against_baseline`]): `kernel_churn` by its events per
-//! wall-second, `platform_soak` by its wall seconds.
+//! ([`check_against_baseline`]).
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
-use dlaas_core::{DlaasPlatform, GpuNodeSpec, JobStatus, PlatformConfig, Tenant, TrainingManifest};
 use dlaas_docstore::Value;
-use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_obs::wallclock::WallTimer;
 use dlaas_sim::{Sim, SimDuration, SimTime};
-
-use crate::harness::BENCH_KEY;
-
-/// Fixed sim horizon for the platform workload — matches `scale_soak` so
-/// the measured event mix is the one the acceptance criterion names.
-pub const PLATFORM_HORIZON: SimDuration = SimDuration::from_hours(4);
 
 /// One measured workload: how many kernel events ran and how long the
 /// host took to run them.
@@ -98,92 +84,6 @@ pub fn kernel_churn(seed: u64, actors: u64, target_events: u64) -> EngineRun {
     }
 }
 
-fn soak_manifest(name: &str) -> TrainingManifest {
-    TrainingManifest::builder(name)
-        .framework(Framework::TensorFlow)
-        .model(DlModel::Resnet50)
-        .gpus(GpuKind::K80, 1)
-        .learners(1)
-        .data("scale-data", "d/", 200_000_000)
-        .results("scale-results")
-        .iterations(100)
-        .build()
-        .unwrap()
-}
-
-/// Full-platform soak shaped exactly like `scale_soak`: boot, N jobs
-/// submitted over a 20-minute window, then the fixed 4h horizon. The
-/// measured region spans the entire run (boot included) and the event
-/// count is the kernel's own `events_executed`, so this is the
-/// end-to-end events/wall-sec number the acceptance criterion names.
-///
-/// # Panics
-///
-/// Panics if submissions were lost or jobs are still unfinished at the
-/// horizon — a throughput number over a malformed run is meaningless.
-pub fn platform_soak(seed: u64, n: u64) -> EngineRun {
-    let wall = WallTimer::start();
-    let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
-    let cfg = PlatformConfig {
-        core_nodes: 4,
-        gpu_nodes: vec![GpuNodeSpec {
-            kind: GpuKind::K80,
-            count: (n.div_ceil(4)).max(2) as u32,
-            gpus_each: 4,
-        }],
-        ..PlatformConfig::default()
-    };
-    let platform = DlaasPlatform::new(&mut sim, cfg);
-    platform.run_until_ready(&mut sim, SimDuration::from_secs(60));
-    platform
-        .add_tenant(&Tenant::new("bench", BENCH_KEY, 0))
-        .expect("bootstrap tenant insert");
-    platform.seed_dataset("scale-data", "d/", 200_000_000);
-    platform.create_bucket("scale-results");
-    let client = platform.client("scale", BENCH_KEY);
-
-    let window = SimDuration::from_mins(20);
-    let jobs = Rc::new(RefCell::new(Vec::with_capacity(n as usize)));
-    for i in 0..n {
-        let at = SimDuration::from_micros(window.as_micros() * i / n);
-        let client = client.clone();
-        let jobs = jobs.clone();
-        sim.schedule_in(at, move |sim| {
-            client.submit(sim, soak_manifest(&format!("scale-{i}")), move |_sim, r| {
-                if let Ok(job) = r {
-                    jobs.borrow_mut().push(job);
-                }
-            });
-        });
-    }
-    sim.run_for(PLATFORM_HORIZON);
-    let wall_secs = wall.elapsed_secs();
-
-    let mut unfinished = 0u64;
-    for job in jobs.borrow().iter() {
-        match platform.job_info(job).map(|i| i.status) {
-            Some(JobStatus::Completed | JobStatus::Failed | JobStatus::Killed) => {}
-            _ => unfinished += 1,
-        }
-    }
-    let submitted = jobs.borrow().len() as u64;
-    assert!(
-        submitted == n && unfinished == 0,
-        "platform_soak malformed: submitted={submitted}/{n}, unfinished={unfinished}"
-    );
-
-    EngineRun {
-        name: format!("platform_soak_n{n}"),
-        events: sim.events_executed(),
-        sim_secs: sim
-            .now()
-            .saturating_duration_since(SimTime::ZERO)
-            .as_secs_f64(),
-        wall_secs,
-    }
-}
-
 /// Hand-rolled JSON with fixed key order. Unlike the other BENCH
 /// artifacts this one embeds wall-clock readings, so it is byte-stable
 /// only in structure — compare it with [`check_against_baseline`], never
@@ -215,25 +115,13 @@ pub fn render_json(seed: u64, runs: &[EngineRun]) -> String {
     out
 }
 
-/// `true` for workloads gated on host wall seconds instead of events per
-/// wall-second: every workload but `kernel_churn`, which runs a fixed
-/// number of events, so its rate is its speed. A platform run (the
-/// engine's `platform_soak_*`, the traffic soak's `n*`) performs a fixed
-/// *experiment* and the events are the program's own doing: an event
-/// diet that deletes hundreds of thousands of ~100 ns no-op events makes
-/// the run faster while its events per wall-second fall.
-fn gated_on_wall_secs(workload: &str) -> bool {
-    workload != "kernel_churn"
-}
-
 /// Compares a fresh `BENCH_engine.json` against a committed baseline.
 ///
 /// For every workload in the baseline, the current run must contain the
-/// same workload name and be no more than `tolerance` (fractional, e.g.
-/// `0.10`) worse than the baseline: `kernel_churn` in
-/// `events_per_wall_sec` (higher is better), every platform run in
-/// `wall_secs` (lower is better, see [`gated_on_wall_secs`]).
-/// Returns per-workload report lines on success, or the list of
+/// same workload name and its `events_per_wall_sec` must be no more than
+/// `tolerance` (fractional, e.g. `0.10`) below the baseline's — a
+/// workload here runs a fixed number of events, so its rate is its
+/// speed. Returns per-workload report lines on success, or the list of
 /// violations on failure. Malformed JSON on either side is a violation —
 /// the gate must not pass by failing to parse.
 pub fn check_against_baseline(
@@ -241,8 +129,8 @@ pub fn check_against_baseline(
     baseline_json: &str,
     tolerance: f64,
 ) -> Result<Vec<String>, Vec<String>> {
-    /// `(name, gated value)` per workload.
-    fn gated(json: &str, which: &str) -> Result<Vec<(String, f64)>, String> {
+    /// `(name, events per wall-second)` per workload.
+    fn rates(json: &str, which: &str) -> Result<Vec<(String, f64)>, String> {
         let v = Value::parse_json(json).map_err(|e| format!("{which}: unparseable JSON: {e:?}"))?;
         let workloads = v
             .path("workloads")
@@ -254,25 +142,20 @@ pub fn check_against_baseline(
                 .path("name")
                 .and_then(Value::as_str)
                 .ok_or_else(|| format!("{which}: workload missing \"name\""))?;
-            let field = if gated_on_wall_secs(name) {
-                "wall_secs"
-            } else {
-                "events_per_wall_sec"
-            };
-            let value = w
-                .path(field)
+            let rate = w
+                .path("events_per_wall_sec")
                 .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{which}: {name} missing \"{field}\""))?;
-            out.push((name.to_string(), value));
+                .ok_or_else(|| format!("{which}: {name} missing \"events_per_wall_sec\""))?;
+            out.push((name.to_string(), rate));
         }
         Ok(out)
     }
 
-    let base = match gated(baseline_json, "baseline") {
+    let base = match rates(baseline_json, "baseline") {
         Ok(b) => b,
         Err(e) => return Err(vec![e]),
     };
-    let cur = match gated(current_json, "current") {
+    let cur = match rates(current_json, "current") {
         Ok(c) => c,
         Err(e) => return Err(vec![e]),
     };
@@ -282,31 +165,18 @@ pub fn check_against_baseline(
 
     let mut report = Vec::new();
     let mut violations = Vec::new();
-    for (name, base_value) in &base {
-        let Some((_, cur_value)) = cur.iter().find(|(n, _)| n == name) else {
+    for (name, base_rate) in &base {
+        let Some((_, cur_rate)) = cur.iter().find(|(n, _)| n == name) else {
             violations.push(format!(
                 "{name}: present in baseline, missing from current run"
             ));
             continue;
         };
-        let (line, regressed) = if gated_on_wall_secs(name) {
-            let ceiling = base_value * (1.0 + tolerance);
-            (
-                format!(
-                    "{name}: {cur_value:.1} wall-s vs baseline {base_value:.1} (ceiling {ceiling:.1})"
-                ),
-                *cur_value > ceiling,
-            )
-        } else {
-            let floor = base_value * (1.0 - tolerance);
-            (
-                format!(
-                    "{name}: {cur_value:.1} ev/wall-s vs baseline {base_value:.1} (floor {floor:.1})"
-                ),
-                *cur_value < floor,
-            )
-        };
-        if regressed {
+        let floor = base_rate * (1.0 - tolerance);
+        let line = format!(
+            "{name}: {cur_rate:.1} ev/wall-s vs baseline {base_rate:.1} (floor {floor:.1})"
+        );
+        if *cur_rate < floor {
             violations.push(format!("REGRESSION {line}"));
         } else {
             report.push(format!("ok {line}"));
@@ -363,33 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn platform_soak_is_gated_on_wall_seconds_not_event_rate() {
-        let soak = |events: u64, wall_secs: f64| {
-            render_json(
-                1,
-                &[EngineRun {
-                    name: "platform_soak_n100".into(),
-                    events,
-                    sim_secs: 1.0,
-                    wall_secs,
-                }],
-            )
-        };
-        let base = soak(1_000_000, 10.0);
-        // An event diet: a third of the events gone, the soak 20% faster,
-        // events per wall-second down 17% — an improvement, not a drop.
-        let report = check_against_baseline(&soak(666_000, 8.0), &base, 0.10).expect("faster");
-        assert!(report[0].starts_with("ok platform_soak_n100: 8.0 wall-s"));
-        // Same events, 20% slower.
-        let violations = check_against_baseline(&soak(1_000_000, 12.0), &base, 0.10).unwrap_err();
-        assert!(violations[0].starts_with("REGRESSION platform_soak_n100"));
-        // More events at the same rate is slower too.
-        assert!(check_against_baseline(&soak(1_200_000, 12.0), &base, 0.10).is_err());
-    }
-
-    #[test]
     fn baseline_check_fails_on_missing_workload_or_bad_json() {
-        let base = fake_json(&[("kernel_churn", 1000.0), ("platform_soak_n100", 50.0)]);
+        let base = fake_json(&[("kernel_churn", 1000.0), ("kernel_churn_far", 50.0)]);
         let cur = fake_json(&[("kernel_churn", 1000.0)]);
         assert!(check_against_baseline(&cur, &base, 0.10).is_err());
         assert!(check_against_baseline("not json", &base, 0.10).is_err());

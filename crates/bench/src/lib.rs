@@ -13,7 +13,7 @@ pub mod fig4;
 pub mod harness;
 pub mod matrix;
 pub mod runner;
+pub mod soak;
 pub mod traffic;
-pub mod workload;
 
 pub use harness::{measure_dlaas_throughput, JobRun};

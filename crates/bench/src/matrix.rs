@@ -13,15 +13,14 @@
 //! retries, no leaked resources).
 //!
 //! [`run_cell`] runs one (fault, step, seed) trial; [`sweep`] runs the
-//! full matrix and aggregates recovery times into a histogram;
-//! [`soak`] runs a randomized long-duration campaign with the
-//! [`InvariantMonitor`] checking continuously.
+//! full matrix and aggregates recovery times into a histogram. (The
+//! randomized long-duration campaign is the `chaos` preset of
+//! [`crate::soak`], which rotates through [`SUBSTRATE_FAULTS`].)
 //!
-//! Campaigns parallelise over seeds: [`sweep_parallel`] and
-//! [`soak_parallel`] shard their trials across the
-//! [`CampaignRunner`](crate::runner::CampaignRunner) and merge the
-//! records by trial id, so every aggregate here — tables, the
-//! [`render_matrix_json`] artifact, the replayed
+//! Campaigns parallelise over seeds: [`sweep_parallel`] shards its
+//! trials across the [`CampaignRunner`](crate::runner::CampaignRunner)
+//! and merges the records by trial id, so every aggregate here — tables,
+//! the [`render_matrix_json`] artifact, the replayed
 //! [`MATRIX_RECOVERY_SECONDS`] histogram — is byte-identical for any
 //! thread count.
 
@@ -29,11 +28,8 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
-use dlaas_core::{
-    check_invariants, paths, DlaasPlatform, GpuNodeSpec, InvariantMonitor, JobId, JobStatus,
-    PlatformConfig, Tenant,
-};
-use dlaas_faults::{nfs_outage_window, partition_window, when, ChaosMonkey};
+use dlaas_core::{check_invariants, paths, DlaasPlatform, JobId, JobStatus};
+use dlaas_faults::{nfs_outage_window, partition_window, when};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_kube::{labels, PodPhase};
 use dlaas_raft::raft_addr;
@@ -41,7 +37,6 @@ use dlaas_sim::{Sim, SimDuration, SimTime};
 
 use crate::harness::{experiment_platform, throughput_manifest, BENCH_KEY};
 use crate::runner::{CampaignReport, CampaignRunner, Trial, TrialRun};
-use crate::workload::{WorkloadConfig, WorkloadGenerator};
 
 /// Histogram of fault-to-terminal times, labelled by fault kind and
 /// injection point.
@@ -116,31 +111,10 @@ impl FaultKind {
             FaultKind::GuardianCrash => {
                 platform.kube().crash_pod(sim, &paths::guardian_job(job));
             }
-            FaultKind::EtcdLeaderCrash => {
-                if let Some(leader) = platform.etcd().leader_id() {
-                    let cluster = platform.etcd().clone();
-                    cluster.crash(sim, leader);
-                    sim.schedule_in(outage(), move |sim| cluster.restart(sim, leader));
-                }
-            }
-            FaultKind::MongoCrash => {
-                platform.crash_mongo(sim, Some(outage()));
-            }
-            FaultKind::NfsOutage => {
-                nfs_outage_window(sim, platform.nfs(), outage());
-            }
-            FaultKind::Partition => {
-                // Both sides of the split must be listed: a group
-                // partition leaves unlisted addresses unaffected.
-                if let Some(leader) = platform.etcd().leader_id() {
-                    partition_window(
-                        sim,
-                        platform.etcd().raft().net(),
-                        vec![vec![raft_addr(leader)], peer_group(platform, leader)],
-                        outage(),
-                    );
-                }
-            }
+            FaultKind::EtcdLeaderCrash => crash_etcd_leader(sim, platform),
+            FaultKind::MongoCrash => crash_mongo(sim, platform),
+            FaultKind::NfsOutage => nfs_outage(sim, platform),
+            FaultKind::Partition => partition_etcd_leader(sim, platform),
             FaultKind::LcmOwnerCrash => {
                 // Read the shard's owner key off the etcd leader to find
                 // which replica sweeps this job, then kill exactly that
@@ -165,14 +139,50 @@ impl FaultKind {
     }
 }
 
-/// The raft addresses of every etcd node except `leader` — the other
-/// side of a leader-isolation partition.
-fn peer_group(platform: &DlaasPlatform, leader: u32) -> Vec<dlaas_net::Addr> {
-    (0..platform.etcd().len() as u32)
-        .filter(|&i| i != leader)
-        .map(raft_addr)
-        .collect()
+/// Crashes the current etcd leader node and restarts it after the outage
+/// window — a rolling node failure, not a quorum loss.
+fn crash_etcd_leader(sim: &mut Sim, platform: &DlaasPlatform) {
+    if let Some(leader) = platform.etcd().leader_id() {
+        let cluster = platform.etcd().clone();
+        cluster.crash(sim, leader);
+        sim.schedule_in(outage(), move |sim| cluster.restart(sim, leader));
+    }
 }
+
+fn crash_mongo(sim: &mut Sim, platform: &DlaasPlatform) {
+    platform.crash_mongo(sim, Some(outage()));
+}
+
+fn nfs_outage(sim: &mut Sim, platform: &DlaasPlatform) {
+    nfs_outage_window(sim, platform.nfs(), outage());
+}
+
+/// Partitions the etcd leader away from its peers for the outage window.
+/// Both sides of the split must be listed: a group partition leaves
+/// unlisted addresses unaffected.
+fn partition_etcd_leader(sim: &mut Sim, platform: &DlaasPlatform) {
+    if let Some(leader) = platform.etcd().leader_id() {
+        let peers = (0..platform.etcd().len() as u32)
+            .filter(|&i| i != leader)
+            .map(raft_addr)
+            .collect();
+        partition_window(
+            sim,
+            platform.etcd().raft().net(),
+            vec![vec![raft_addr(leader)], peers],
+            outage(),
+        );
+    }
+}
+
+/// The faults that target a substrate rather than one job, in the order
+/// the chaos soak rotates through them.
+pub const SUBSTRATE_FAULTS: [fn(&mut Sim, &DlaasPlatform); 4] = [
+    crash_etcd_leader,
+    crash_mongo,
+    nfs_outage,
+    partition_etcd_leader,
+];
 
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -455,15 +465,11 @@ pub fn matrix_repro(kind: FaultKind, point: InjectionPoint, seed: u64) -> String
     )
 }
 
-/// The canonical trial enumeration of a matrix campaign: fault kind ×
-/// injection point × seed, in that nesting order. Trial ids (positions
-/// in this list) key the deterministic sorted merge.
-pub fn matrix_trials(base_seed: u64, seeds: u64) -> Vec<Trial<MatrixSpec>> {
-    matrix_trials_for(&FaultKind::all(), base_seed, seeds)
-}
-
-/// Like [`matrix_trials`], restricted to the given fault kinds (the
-/// `--fault LABEL` smoke subset CI runs on every push).
+/// The canonical trial enumeration of a matrix campaign over the given
+/// fault kinds (all of them, or the `--fault LABEL` smoke subset CI runs
+/// on every push): fault kind × injection point × seed, in that nesting
+/// order. Trial ids (positions in this list) key the deterministic
+/// sorted merge.
 pub fn matrix_trials_for(
     kinds: &[FaultKind],
     base_seed: u64,
@@ -628,279 +634,6 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
-}
-
-/// Results of one randomized soak (see [`soak`]).
-#[derive(Debug)]
-pub struct SoakOutcome {
-    /// Jobs acknowledged by the platform.
-    pub submitted: usize,
-    /// Jobs that completed.
-    pub completed: usize,
-    /// Jobs that ended FAILED or KILLED.
-    pub failed: usize,
-    /// Jobs still non-terminal after the drain (must be zero).
-    pub unfinished: usize,
-    /// Distinct (job, invariant) violations the continuous monitor saw.
-    pub violations_during: usize,
-    /// Violations of the final post-drain check, rendered.
-    pub final_violations: Vec<String>,
-    /// The platform's metrics registry at the end of the run.
-    pub metrics: dlaas_sim::Registry,
-}
-
-impl SoakOutcome {
-    /// `true` when the soak ended with every invariant intact and no job
-    /// in limbo.
-    pub fn clean(&self) -> bool {
-        self.unfinished == 0 && self.violations_during == 0 && self.final_violations.is_empty()
-    }
-}
-
-/// A randomized soak with continuous invariant checking: a Poisson
-/// workload, a pod-level chaos monkey, and a rotating substrate fault
-/// (etcd leader crash, mongo crash, NFS outage, partition) every few
-/// minutes, with the [`InvariantMonitor`] re-checking every minute.
-/// After `hours` the faults stop, the platform drains, and a final
-/// strict check runs.
-pub fn soak(seed: u64, hours: u64) -> SoakOutcome {
-    soak_inner(seed, hours, None).0
-}
-
-/// Like [`soak`], with an explicit LCM replica count (the nightly HA
-/// soak runs M=3 so shard takeover happens under chaos, not just in
-/// targeted cells).
-pub fn soak_with(seed: u64, hours: u64, lcm_replicas: Option<u32>) -> SoakOutcome {
-    soak_inner(seed, hours, lcm_replicas).0
-}
-
-fn soak_inner(seed: u64, hours: u64, lcm_replicas: Option<u32>) -> (SoakOutcome, SimTime) {
-    let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
-    let mut cfg = PlatformConfig {
-        core_nodes: 4,
-        gpu_nodes: vec![GpuNodeSpec {
-            kind: GpuKind::K80,
-            count: 8,
-            gpus_each: 4,
-        }],
-        ..PlatformConfig::default()
-    };
-    if let Some(m) = lcm_replicas {
-        cfg.core.lcm_replicas = m;
-    }
-    let platform = DlaasPlatform::new(&mut sim, cfg);
-    platform.run_until_ready(&mut sim, SimDuration::from_secs(60));
-    platform
-        .add_tenant(&Tenant::new("bench", BENCH_KEY, 0))
-        .expect("bootstrap tenant insert");
-    platform.seed_dataset("wl-data", "d/", 1_000_000_000);
-    platform.create_bucket("wl-results");
-
-    let gen = WorkloadGenerator::start(
-        &mut sim,
-        platform.client("operator", BENCH_KEY),
-        WorkloadConfig::default(),
-    );
-    let monkey = ChaosMonkey::unleash(
-        &mut sim,
-        platform.kube(),
-        labels! {},
-        SimDuration::from_secs(90),
-        0.3,
-    );
-    // Liveness bound sized for chaos: a late crash of a non-checkpointing
-    // job legitimately restarts training from scratch (§III-g), so time
-    // to terminal is queueing plus several full trainings.
-    let bounds = dlaas_core::InvariantBounds {
-        terminal_within: SimDuration::from_hours(4),
-        ..dlaas_core::InvariantBounds::from_config(&platform.handles().config)
-    };
-    let monitor =
-        InvariantMonitor::install_with(&mut sim, &platform, SimDuration::from_secs(60), bounds);
-
-    // Rotate through the substrate faults, one every few minutes.
-    let p2 = platform.clone();
-    let rotation = dlaas_sim::every(&mut sim, SimDuration::from_mins(7), move |sim, n| {
-        match n % 4 {
-            0 => {
-                if let Some(leader) = p2.etcd().leader_id() {
-                    let cluster = p2.etcd().clone();
-                    cluster.crash(sim, leader);
-                    sim.schedule_in(outage(), move |sim| cluster.restart(sim, leader));
-                }
-            }
-            1 => p2.crash_mongo(sim, Some(outage())),
-            2 => nfs_outage_window(sim, p2.nfs(), outage()),
-            _ => {
-                if let Some(leader) = p2.etcd().leader_id() {
-                    partition_window(
-                        sim,
-                        p2.etcd().raft().net(),
-                        vec![vec![raft_addr(leader)], peer_group(&p2, leader)],
-                        outage(),
-                    );
-                }
-            }
-        }
-        true
-    });
-
-    sim.run_for(SimDuration::from_hours(hours));
-    gen.stop();
-    monkey.stop();
-    rotation.cancel();
-    // Drain: every in-flight job finishes and GC passes the grace period.
-    sim.run_for(SimDuration::from_hours(4));
-
-    let (submitted, completed, failed, unfinished) = {
-        let report = gen.report();
-        let report = report.borrow();
-        let (done, failed, other) = report.outcomes(&platform);
-        (report.submitted.len(), done, failed, other)
-    };
-    let final_report = check_invariants(&sim, &platform);
-    let violations_during = monitor.violations_seen();
-    monitor.cancel();
-
-    let outcome = SoakOutcome {
-        submitted,
-        completed,
-        failed,
-        unfinished,
-        violations_during,
-        final_violations: final_report
-            .violations
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect(),
-        metrics: sim.metrics().clone(),
-    };
-    (outcome, sim.now())
-}
-
-/// The `Send` digest of one soak trial: everything the campaign tables
-/// and artifacts need, extracted on the worker thread because the full
-/// [`SoakOutcome`] carries a (non-`Send`) registry handle.
-#[derive(Debug, Clone)]
-pub struct SoakSummary {
-    /// The soak's seed.
-    pub seed: u64,
-    /// Chaos hours before the drain.
-    pub hours: u64,
-    /// Jobs acknowledged by the platform.
-    pub submitted: usize,
-    /// Jobs that completed.
-    pub completed: usize,
-    /// Jobs that ended FAILED or KILLED.
-    pub failed: usize,
-    /// Jobs still non-terminal after the drain (must be zero).
-    pub unfinished: usize,
-    /// Distinct (job, invariant) violations the continuous monitor saw.
-    pub violations_during: usize,
-    /// Violations of the final post-drain check, rendered.
-    pub final_violations: Vec<String>,
-    /// Pod restarts observed platform-wide during the soak.
-    pub pod_restarts: u64,
-}
-
-impl SoakSummary {
-    /// Mirrors [`SoakOutcome::clean`].
-    pub fn clean(&self) -> bool {
-        self.unfinished == 0 && self.violations_during == 0 && self.final_violations.is_empty()
-    }
-
-    /// One summary line for tables and failure messages.
-    pub fn describe(&self) -> String {
-        format!(
-            "soak seed {} ({}h): submitted={} completed={} failed={} unfinished={} \
-             violations_during={} final_violations={} pod_restarts={}",
-            self.seed,
-            self.hours,
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.unfinished,
-            self.violations_during,
-            self.final_violations.len(),
-            self.pod_restarts
-        )
-    }
-}
-
-/// The exact command that reruns one soak trial alone, single-threaded.
-pub fn soak_repro(seed: u64, hours: u64, lcm_replicas: Option<u32>) -> String {
-    let replicas = lcm_replicas.map_or(String::new(), |m| format!(" --lcm-replicas {m}"));
-    format!(
-        "cargo run --release -p dlaas-bench --bin fault_matrix -- \
-         --soak {hours} --seed {seed}{replicas}"
-    )
-}
-
-/// Runs one soak and digests it into a `Send` summary plus the simulated
-/// time consumed.
-pub fn soak_summary_timed(
-    seed: u64,
-    hours: u64,
-    lcm_replicas: Option<u32>,
-) -> TrialRun<SoakSummary> {
-    let (out, end) = soak_inner(seed, hours, lcm_replicas);
-    let pod_restarts = out.metrics.counter_total("kube_pod_restarts_total");
-    TrialRun {
-        result: SoakSummary {
-            seed,
-            hours,
-            submitted: out.submitted,
-            completed: out.completed,
-            failed: out.failed,
-            unfinished: out.unfinished,
-            violations_during: out.violations_during,
-            final_violations: out.final_violations,
-            pod_restarts,
-        },
-        sim_elapsed: end.saturating_duration_since(SimTime::ZERO),
-    }
-}
-
-/// Runs a campaign of independent soaks (seeds `base_seed..base_seed +
-/// seeds`, each `hours` of chaos) on `threads` workers, merged by trial
-/// id.
-pub fn soak_parallel(
-    base_seed: u64,
-    seeds: u64,
-    hours: u64,
-    threads: usize,
-    sim_budget: Option<SimDuration>,
-) -> CampaignReport<SoakSummary> {
-    soak_parallel_with(base_seed, seeds, hours, None, threads, sim_budget)
-}
-
-/// Like [`soak_parallel`], with an explicit LCM replica count per soak.
-pub fn soak_parallel_with(
-    base_seed: u64,
-    seeds: u64,
-    hours: u64,
-    lcm_replicas: Option<u32>,
-    threads: usize,
-    sim_budget: Option<SimDuration>,
-) -> CampaignReport<SoakSummary> {
-    let trials: Vec<Trial<(u64, u64)>> = (0..seeds)
-        .map(|i| {
-            let seed = base_seed + i;
-            Trial {
-                label: format!("soak/{seed}"),
-                repro: soak_repro(seed, hours, lcm_replicas),
-                spec: (seed, hours),
-            }
-        })
-        .collect();
-    let mut runner = CampaignRunner::new("chaos_soak", threads);
-    if let Some(b) = sim_budget {
-        runner = runner.with_sim_budget(b);
-    }
-    runner.run(trials, move |&(seed, hours), _ctx| {
-        soak_summary_timed(seed, hours, lcm_replicas)
-    })
 }
 
 #[cfg(test)]

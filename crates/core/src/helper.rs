@@ -78,52 +78,89 @@ fn try_bootstrap(
 // controller
 // ----------------------------------------------------------------------
 
-/// Publishes one learner's status key in etcd (§III-f, "reliable status").
+/// Publishes one etcd key the controller owns (§III-f, "reliable
+/// status"): a learner's status, the job's restart total, and the
+/// write-once `data`, `throughput` and `store` markers.
 ///
-/// *What* is published is what a consumer acts on. A change of phase
-/// kind goes out at once — the Guardian's aggregation rules and the job
-/// status turn on it. A change of iteration alone has one reader, the
-/// Guardian's progress mirror, whose cadence is `guardian_poll`; it is
-/// put once that long has passed since the last acknowledged put, not
-/// on every learner report — a consensus round, three applies and three
-/// watch deliveries for a value nobody reads in between.
+/// *What* is published is what a consumer acts on. For a learner's
+/// status a change of phase kind goes out at once — the Guardian's
+/// aggregation rules and the job status turn on it. A change of
+/// iteration alone has one reader, the Guardian's progress mirror, whose
+/// cadence is `guardian_poll`; it is put once that long has passed since
+/// the last acknowledged put, not on every learner report — a consensus
+/// round, three applies and three watch deliveries for a value nobody
+/// reads in between. Every change of any other value goes out at once.
 ///
 /// *How*: one put in flight per key, and when it is acknowledged the
 /// latest offer is weighed again. Unserialised puts could be reordered
 /// by the client's retries across an etcd leader loss — an older
-/// `PROCESSING iter=N` committing after `COMPLETED`, which nothing
-/// would ever rewrite.
-struct StatusPublisher {
+/// `PROCESSING iter=N` committing after `COMPLETED`, an older restart
+/// total after a newer one — which nothing would ever rewrite. A put
+/// that fails (the client's retry budget is spent) leaves the value
+/// owed, and the next tick's offer sends it again.
+struct Publisher<V> {
     etcd: dlaas_etcd::EtcdClient,
     key: String,
+    /// Whether going from the published value to the offered one must
+    /// not wait out `coalesce`.
+    urgent: fn(&V, &V) -> bool,
     coalesce: SimDuration,
     alive: Rc<Cell<bool>>,
-    state: RefCell<PublishState>,
+    state: RefCell<PublishState<V>>,
 }
 
-#[derive(Default)]
-struct PublishState {
-    /// The phase the controller last read off NFS.
-    latest: Option<LearnerPhase>,
+struct PublishState<V> {
+    /// The value the controller last read off NFS.
+    latest: Option<V>,
     /// The last put etcd acknowledged, and when it was sent.
-    published: Option<(LearnerPhase, SimTime)>,
+    published: Option<(V, SimTime)>,
     busy: bool,
 }
 
-impl StatusPublisher {
-    /// Records the learner's current phase and publishes it if due.
-    fn offer(self: &Rc<Self>, sim: &mut Sim, phase: LearnerPhase) {
-        self.state.borrow_mut().latest = Some(phase);
+impl<V: Clone + PartialEq + ToString + 'static> Publisher<V> {
+    fn new(
+        etcd: &dlaas_etcd::EtcdClient,
+        key: String,
+        urgent: fn(&V, &V) -> bool,
+        coalesce: SimDuration,
+        alive: &Rc<Cell<bool>>,
+    ) -> Rc<Self> {
+        Rc::new(Publisher {
+            etcd: etcd.clone(),
+            key,
+            urgent,
+            coalesce,
+            alive: alive.clone(),
+            state: RefCell::new(PublishState {
+                latest: None,
+                published: None,
+                busy: false,
+            }),
+        })
+    }
+
+    /// Whether nothing was acknowledged yet and nothing is in flight.
+    fn owed(&self) -> bool {
+        let st = self.state.borrow();
+        !st.busy && st.published.is_none()
+    }
+
+    /// Records the current value and publishes it if due.
+    fn offer(self: &Rc<Self>, sim: &mut Sim, value: V) {
+        self.state.borrow_mut().latest = Some(value);
         self.flush(sim);
     }
 
     fn flush(self: &Rc<Self>, sim: &mut Sim) {
-        let phase = {
+        let value = {
             let mut st = self.state.borrow_mut();
-            let Some(latest) = st.latest else { return };
-            let due = st.published.is_none_or(|(was, at)| {
-                !was.same_kind(&latest)
-                    || (was != latest && sim.now().saturating_duration_since(at) >= self.coalesce)
+            let Some(latest) = st.latest.clone() else {
+                return;
+            };
+            let due = st.published.as_ref().is_none_or(|(was, at)| {
+                *was != latest
+                    && ((self.urgent)(was, &latest)
+                        || sim.now().saturating_duration_since(*at) >= self.coalesce)
             });
             if st.busy || !due {
                 return;
@@ -134,17 +171,16 @@ impl StatusPublisher {
         let me = self.clone();
         let sent = sim.now();
         self.etcd
-            .put(sim, self.key.clone(), phase.to_string(), move |sim, r| {
+            .put(sim, self.key.clone(), value.to_string(), move |sim, r| {
                 {
                     let mut st = me.state.borrow_mut();
                     st.busy = false;
                     if r.is_ok() {
-                        st.published = Some((phase, sent));
+                        st.published = Some((value, sent));
                     }
                 }
                 // Whatever was offered meanwhile goes out now; after a
-                // failure (the client's retry budget is spent) the next
-                // tick's offer retries instead.
+                // failure the next tick's offer retries instead.
                 if r.is_ok() && me.alive.get() {
                     me.flush(sim);
                 }
@@ -152,13 +188,15 @@ impl StatusPublisher {
     }
 }
 
-#[derive(Default)]
+/// What one controller incarnation remembers: a publisher per etcd key
+/// it owns, and whether it relayed the Guardian's store-results "go".
 struct ControllerState {
-    data_announced: bool,
-    restarts_written: u64,
-    throughput_written: bool,
-    store_go_written: bool,
-    store_done_written: bool,
+    data: Rc<Publisher<&'static str>>,
+    learners: Vec<Rc<Publisher<LearnerPhase>>>,
+    restarts: Rc<Publisher<u64>>,
+    throughput: Rc<Publisher<f64>>,
+    store: Rc<Publisher<&'static str>>,
+    store_go_relayed: Rc<Cell<bool>>,
 }
 
 /// Behavior factory for the controller container (arg = job id).
@@ -175,33 +213,39 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
     let coalesce = h.config.guardian_poll;
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
         ctx2.record(sim, "controller online; polling learner files");
-        let state = Rc::new(RefCell::new(ControllerState::default()));
         let alive = ctx2.alive_flag();
-        let learners: Vec<Rc<StatusPublisher>> = (0..manifest.learners)
-            .map(|ord| {
-                Rc::new(StatusPublisher {
-                    etcd: etcd.clone(),
-                    key: paths::etcd_learner(&job, ord),
-                    coalesce,
-                    alive: alive.clone(),
-                    state: RefCell::default(),
+        fn at_once<V>(_was: &V, _now: &V) -> bool {
+            true
+        }
+        let state = ControllerState {
+            data: Publisher::new(&etcd, paths::etcd_data(&job), at_once, coalesce, &alive),
+            learners: (0..manifest.learners)
+                .map(|ord| {
+                    Publisher::new(
+                        &etcd,
+                        paths::etcd_learner(&job, ord),
+                        |was: &LearnerPhase, now| !was.same_kind(now),
+                        coalesce,
+                        &alive,
+                    )
                 })
-            })
-            .collect();
+                .collect(),
+            restarts: Publisher::new(&etcd, paths::etcd_restarts(&job), at_once, coalesce, &alive),
+            throughput: Publisher::new(
+                &etcd,
+                paths::etcd_throughput(&job),
+                at_once,
+                coalesce,
+                &alive,
+            ),
+            store: Publisher::new(&etcd, paths::etcd_store(&job), at_once, coalesce, &alive),
+            store_go_relayed: Rc::default(),
+        };
         dlaas_sim::every(sim, poll, move |sim, _n| {
             if !alive.get() {
                 return false;
             }
-            controller_tick(
-                sim,
-                &etcd,
-                &mount,
-                &manifest,
-                &job,
-                &state,
-                &learners,
-                max_failures,
-            );
+            controller_tick(sim, &etcd, &mount, &manifest, &job, &state, max_failures);
             true
         });
     });
@@ -210,33 +254,24 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
     Box::new(move |sim| etcd_for_cleanup.close(sim))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn controller_tick(
     sim: &mut Sim,
     etcd: &dlaas_etcd::EtcdClient,
     mount: &Mount,
     manifest: &TrainingManifest,
     job: &JobId,
-    state: &Rc<RefCell<ControllerState>>,
-    learners: &[Rc<StatusPublisher>],
+    state: &ControllerState,
     max_failures: u32,
 ) {
-    // Data-loaded marker → etcd. The flag only stays set when the put
-    // succeeded; an etcd outage re-arms it for the next tick.
-    if mount.exists(paths::NFS_DATA_LOADED) && !state.borrow().data_announced {
-        state.borrow_mut().data_announced = true;
-        let state2 = state.clone();
-        etcd.put(sim, paths::etcd_data(job), "loaded", move |_s, r| {
-            if r.is_err() {
-                state2.borrow_mut().data_announced = false;
-            }
-        });
+    // Data-loaded marker → etcd.
+    if mount.exists(paths::NFS_DATA_LOADED) {
+        state.data.offer(sim, "loaded");
     }
 
     let mut restarts_total: u64 = 0;
     let mut all_completed = true;
 
-    for (ord, publisher) in (0..).zip(learners) {
+    for (ord, publisher) in (0..).zip(&state.learners) {
         // Restart counter (maintained by the learner on NFS, so it
         // survives both learner and controller crashes).
         let starts: u64 = mount
@@ -270,21 +305,13 @@ fn controller_tick(
 
     // Aggregate restart counter (training progress needs no key of its
     // own: it is the maximum over the learner statuses written above).
-    // The total only grows from 0, so a failed put re-arms by forgetting
-    // it was ever written.
-    if restarts_total != state.borrow().restarts_written {
-        state.borrow_mut().restarts_written = restarts_total;
-        let state2 = state.clone();
-        let total = restarts_total.to_string();
-        etcd.put(sim, paths::etcd_restarts(job), total, move |_s, r| {
-            if r.is_err() {
-                state2.borrow_mut().restarts_written = 0;
-            }
-        });
+    // An absent key reads as zero.
+    if restarts_total > 0 {
+        state.restarts.offer(sim, restarts_total);
     }
 
     // Once every learner reports its measured throughput, publish the sum.
-    if all_completed && !state.borrow().throughput_written {
+    if all_completed && state.throughput.owed() {
         let mut sum = 0.0;
         let mut have_all = true;
         for ord in 0..manifest.learners {
@@ -298,14 +325,7 @@ fn controller_tick(
             }
         }
         if have_all {
-            state.borrow_mut().throughput_written = true;
-            let state2 = state.clone();
-            let sum = format!("{sum}");
-            etcd.put(sim, paths::etcd_throughput(job), sum, move |_s, r| {
-                if r.is_err() {
-                    state2.borrow_mut().throughput_written = false;
-                }
-            });
+            state.throughput.offer(sim, sum);
         }
     }
 
@@ -313,34 +333,25 @@ fn controller_tick(
     // it to NFS for the store-results container, and relay its completion
     // marker back to etcd.
     if mount.exists(paths::NFS_STORE_DONE) {
-        if !state.borrow().store_done_written {
-            state.borrow_mut().store_done_written = true;
-            let state2 = state.clone();
-            etcd.put(sim, paths::etcd_store(job), "done", move |_s, r| {
-                if r.is_err() {
-                    // Re-arm: without the "done" relay the Guardian never
-                    // completes the job.
-                    state2.borrow_mut().store_done_written = false;
-                }
-            });
-        }
+        // Without the "done" relay the Guardian never completes the job.
+        state.store.offer(sim, "done");
         return;
     }
     // The Guardian writes "go" only after it saw every learner COMPLETED
     // — statuses this controller reported — so before that the key can
     // only be absent and is not worth a linearizable read per tick.
-    if all_completed && !state.borrow().store_go_written {
+    if all_completed && !state.store_go_relayed.get() {
         let mount2 = mount.clone();
-        let state2 = state.clone();
+        let relayed = state.store_go_relayed.clone();
         etcd.get(sim, paths::etcd_store(job), move |_sim, r| {
             if let Ok(Some(v)) = r {
                 // Only latch the flag once the NFS write landed; during an
                 // NFS outage window the next tick retries the relay.
                 if v == "go"
-                    && !state2.borrow().store_go_written
+                    && !relayed.get()
                     && mount2.write_file(paths::NFS_STORE_GO, "go").is_ok()
                 {
-                    state2.borrow_mut().store_go_written = true;
+                    relayed.set(true);
                 }
             }
         });

@@ -9,8 +9,9 @@
 //! lexer, a loss-tolerant item/block parser, and a workspace call
 //! graph, no external dependencies — that enforces that discipline:
 //!
-//! - **determinism**: no wall clocks, OS threads, hashed-collection
-//!   iteration, or seed-detached RNG streams in simulation crates;
+//! - **determinism**: no wall clocks, OS threads or seed-detached RNG
+//!   streams in simulation crates (hashed collections are clippy's:
+//!   `disallowed-types` in `clippy.toml`);
 //! - **dependability**: no `unwrap`/`panic!` on `dlaas-core`
 //!   control-plane paths, `#![forbid(unsafe_code)]` in every crate,
 //!   every paired resource released on every path (`pairs`), no
@@ -62,4 +63,4 @@ pub use parser::{
     parse_file, ArgValue, Block, BranchKind, Call, ExitKind, FnInfo, Node, ParsedFile,
 };
 pub use report::{render_json, render_rules, render_text};
-pub use rules::{rule, Family, Finding, RuleInfo, DETERMINISM_CRATES, RULES};
+pub use rules::{rule, Family, Finding, RuleInfo, RULES};

@@ -55,8 +55,6 @@ impl Kind {
 const APIS: &[(&str, Kind, bool)] = &[
     ("inc", Kind::Counter, true),
     ("inc_by", Kind::Counter, true),
-    ("inc_id", Kind::Counter, false),
-    ("inc_by_id", Kind::Counter, false),
     ("counter_handle", Kind::Counter, false),
     ("counter_value", Kind::Counter, false),
     ("counter_total", Kind::Counter, false),
@@ -65,7 +63,6 @@ const APIS: &[(&str, Kind, bool)] = &[
     ("gauge_handle", Kind::Gauge, false),
     ("gauge_value", Kind::Gauge, false),
     ("observe", Kind::Histogram, true),
-    ("observe_id", Kind::Histogram, false),
     ("observe_duration_us", Kind::Histogram, true),
     ("histogram_handle", Kind::Histogram, false),
     ("set_buckets", Kind::Histogram, false),

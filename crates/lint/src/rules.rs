@@ -4,8 +4,8 @@
 //! (Boag et al., DSN 2018 — bounded, *modelled* failure modes):
 //!
 //! - **determinism** — anything that could make two same-seed runs
-//!   diverge: wall clocks, OS threads, hashed-iteration order, RNG
-//!   streams not derived from the run seed.
+//!   diverge: wall clocks, OS threads, RNG streams not derived from the
+//!   run seed. (Hashed-iteration order is clippy's `disallowed-types`.)
 //! - **dependability** — platform processes must never crash outside the
 //!   modelled fault vocabulary: no `unwrap`/`panic!` on control-plane
 //!   paths, no `unsafe` anywhere.
@@ -62,11 +62,6 @@ pub struct RuleInfo {
     pub rationale: &'static str,
 }
 
-/// Crates whose non-test code must not use hashed collections: their
-/// iteration order feeds the event schedule, RPC emission order, or
-/// query results, so hash order becomes visible platform behavior.
-pub const DETERMINISM_CRATES: &[&str] = &["sim", "net", "raft", "etcd", "kube", "core", "docstore"];
-
 /// All rules, in the order they are documented.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
@@ -91,14 +86,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no std::process in library code",
         rationale: "spawning or exiting real processes escapes the simulation; only CLI \
                     binaries may use process exit codes",
-    },
-    RuleInfo {
-        id: "hash-collections",
-        family: Family::Determinism,
-        summary: "no HashMap / HashSet in determinism-critical crates",
-        rationale: "hashed iteration order is randomized per process; iterating one feeds \
-                    nondeterministic order into RPC emission, watch re-registration, or query \
-                    results — use BTreeMap/BTreeSet or a sorted drain",
     },
     RuleInfo {
         id: "unseeded-rng",
@@ -255,7 +242,6 @@ pub fn check_tokens(meta: &FileMeta, tokens: &[Token], in_test: &[bool]) -> Vec<
     let sig: Vec<usize> = (0..tokens.len())
         .filter(|&i| !tokens[i].is_comment())
         .collect();
-    let determinism_crate = DETERMINISM_CRATES.contains(&meta.krate.as_str());
     let lib_like = matches!(meta.class, FileClass::Lib);
     let runner_exempt = bench_runner_module(meta);
 
@@ -334,15 +320,6 @@ pub fn check_tokens(meta: &FileMeta, tokens: &[Token], in_test: &[bool]) -> Vec<
                         .into(),
                 );
             }
-            "HashMap" | "HashSet" if determinism_crate && lib_like => push(
-                "hash-collections",
-                format!(
-                    "`{}` has randomized iteration order; use `BTree{}` (or drain through a \
-                     sorted Vec) in determinism-critical crates",
-                    tok.text,
-                    if tok.text == "HashMap" { "Map" } else { "Set" },
-                ),
-            ),
             "SimRng"
                 if meta.krate != "sim"
                     && punct_at(k + 1) == Some(":")

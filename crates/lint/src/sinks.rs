@@ -30,10 +30,7 @@ pub const SINK_CRATES: &[&str] = &["core", "etcd", "docstore", "kube"];
 const HANDLERS: &[&str] = &[
     "inc",
     "inc_by",
-    "inc_id",
-    "inc_by_id",
     "observe",
-    "observe_id",
     "observe_duration_us",
     "set_gauge",
     "add_gauge",

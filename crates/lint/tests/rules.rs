@@ -106,26 +106,6 @@ fn process_escape_exempt_in_binaries() {
 }
 
 #[test]
-fn hash_collections_rule() {
-    let r = lint_fixture("hash_collections.rs", "crates/etcd/src/demo.rs");
-    assert_eq!(
-        rules_and_lines(&r),
-        vec![("hash-collections", 3), ("hash-collections", 6)]
-    );
-    assert_eq!(
-        suppressed_rules_and_lines(&r),
-        vec![("hash-collections", 11)]
-    );
-}
-
-#[test]
-fn hash_collections_scoped_to_determinism_crates() {
-    // `gpu` is a pure model crate: its maps never feed the event order.
-    let r = lint_fixture("hash_collections.rs", "crates/gpu/src/demo.rs");
-    assert_eq!(rules_and_lines(&r), vec![]);
-}
-
-#[test]
 fn unseeded_rng_rule() {
     let r = lint_fixture("unseeded_rng.rs", "crates/bench/src/demo.rs");
     assert_eq!(rules_and_lines(&r), vec![("unseeded-rng", 4)]);

@@ -78,9 +78,11 @@ mod tests {
 
     #[test]
     fn usable_as_map_key() {
-        // This test exists to prove Addr's Hash impl works; the hashed
-        // map never iterates, so determinism is not at stake.
-        #[allow(clippy::disallowed_types)]
+        #[expect(
+            clippy::disallowed_types,
+            reason = "proves Addr's Hash impl works; the hashed map never iterates, \
+                      so determinism is not at stake"
+        )]
         let mut m = std::collections::HashMap::new();
         m.insert(Addr::new("a"), 1);
         assert_eq!(m.get(&Addr::new("a")), Some(&1));

@@ -46,15 +46,6 @@ use std::rc::Rc;
 /// A label set in canonical (sorted, owned) form.
 pub type Labels = Vec<(String, String)>;
 
-/// An interned label set (see [`Registry::label_id`]): a copyable index
-/// that stands in for a canonical [`Labels`] value, so hot paths can
-/// record against pre-interned labels without re-canonicalizing (and
-/// re-allocating) `&[(&str, &str)]` slices on every operation.
-///
-/// Ids are only meaningful against the registry that issued them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LabelId(u32);
-
 fn canon(labels: &[(&str, &str)]) -> Labels {
     let mut v: Labels = labels
         .iter()
@@ -108,13 +99,9 @@ struct Family {
 #[derive(Debug, Default)]
 struct Inner {
     families: BTreeMap<String, Family>,
-    /// Interned label sets, indexed by [`LabelId`].
-    label_sets: Vec<Labels>,
-    label_ids: BTreeMap<Labels, u32>,
 }
 
-/// Free function (not an `Inner` method) so callers can split-borrow
-/// `families` away from the intern tables.
+/// The family `name`, created on first use; its kind must not change.
 fn family<'a>(
     families: &'a mut BTreeMap<String, Family>,
     name: &str,
@@ -206,21 +193,6 @@ impl Registry {
         family(&mut inner.families, name, MetricKind::Histogram).buckets = bounds.into();
     }
 
-    /// Interns a label set, returning a copyable [`LabelId`] that can be
-    /// passed to [`Registry::inc_by_id`] / [`Registry::observe_id`].
-    /// Interning the same canonical labels twice yields the same id.
-    pub fn label_id(&self, labels: &[(&str, &str)]) -> LabelId {
-        let mut inner = self.inner.borrow_mut();
-        let key = canon(labels);
-        if let Some(&id) = inner.label_ids.get(&key) {
-            return LabelId(id);
-        }
-        let id = u32::try_from(inner.label_sets.len()).expect("label-set intern table overflow");
-        inner.label_sets.push(key.clone());
-        inner.label_ids.insert(key, id);
-        LabelId(id)
-    }
-
     /// Increments a counter by 1.
     pub fn inc(&self, name: &str, labels: &[(&str, &str)]) {
         self.inc_by(name, labels, 1);
@@ -232,31 +204,6 @@ impl Registry {
         let fam = family(&mut inner.families, name, MetricKind::Counter);
         let c = counter_cell(fam, canon(labels));
         c.set(c.get() + n);
-    }
-
-    /// Increments a counter by 1 against pre-interned labels.
-    pub fn inc_id(&self, name: &str, id: LabelId) {
-        self.inc_by_id(name, id, 1);
-    }
-
-    /// Increments a counter by `n` against pre-interned labels: no
-    /// canonicalization and, once the series exists, no allocation.
-    pub fn inc_by_id(&self, name: &str, id: LabelId, n: u64) {
-        let mut inner = self.inner.borrow_mut();
-        let Inner {
-            families,
-            label_sets,
-            ..
-        } = &mut *inner;
-        let labels = &label_sets[id.0 as usize];
-        let fam = family(families, name, MetricKind::Counter);
-        match fam.series.get(labels) {
-            Some(Series::Counter(c)) => c.set(c.get() + n),
-            Some(_) => unreachable!("family kind checked"),
-            None => {
-                counter_cell(fam, labels.clone()).set(n);
-            }
-        }
     }
 
     /// Sets a gauge to `v`.
@@ -279,26 +226,6 @@ impl Registry {
         let mut inner = self.inner.borrow_mut();
         let fam = family(&mut inner.families, name, MetricKind::Histogram);
         histogram_cell(fam, canon(labels)).borrow_mut().observe(v);
-    }
-
-    /// Records one observation against pre-interned labels: no
-    /// canonicalization and, once the series exists, no allocation.
-    pub fn observe_id(&self, name: &str, id: LabelId, v: f64) {
-        let mut inner = self.inner.borrow_mut();
-        let Inner {
-            families,
-            label_sets,
-            ..
-        } = &mut *inner;
-        let labels = &label_sets[id.0 as usize];
-        let fam = family(families, name, MetricKind::Histogram);
-        match fam.series.get(labels) {
-            Some(Series::Histogram(h)) => h.borrow_mut().observe(v),
-            Some(_) => unreachable!("family kind checked"),
-            None => {
-                histogram_cell(fam, labels.clone()).borrow_mut().observe(v);
-            }
-        }
     }
 
     /// Records a duration given in integer microseconds (the simulation's
@@ -814,47 +741,15 @@ mod tests {
     }
 
     #[test]
-    fn interned_ids_are_stable_and_record_into_the_same_series() {
-        let reg = Registry::new();
-        let id = reg.label_id(&[("b", "2"), ("a", "1")]);
-        let same = reg.label_id(&[("a", "1"), ("b", "2")]);
-        assert_eq!(id, same, "canonical-equal label sets intern identically");
-        let other = reg.label_id(&[("a", "9")]);
-        assert_ne!(id, other);
-
-        reg.inc_id("m_total", id);
-        reg.inc_by_id("m_total", id, 4);
-        reg.inc("m_total", &[("a", "1"), ("b", "2")]);
-        assert_eq!(reg.counter_value("m_total", &[("a", "1"), ("b", "2")]), 6);
-
-        reg.observe_id("h_seconds", id, 0.5);
-        reg.observe("h_seconds", &[("b", "2"), ("a", "1")], 1.5);
-        let h = reg
-            .histogram("h_seconds", &[("a", "1"), ("b", "2")])
-            .unwrap();
-        assert_eq!(h.count(), 2);
-        assert!((h.sum() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn exposition_is_byte_identical_across_record_apis() {
-        // The interning/handle fast paths must be invisible in the
-        // exposition: the same logical recording through any API renders
-        // the same bytes.
+        // The handle fast path must be invisible in the exposition: the
+        // same logical recording through either API renders the same
+        // bytes.
         let via_strings = || {
             let reg = Registry::new();
             reg.inc_by("req_total", &[("op", "find")], 3);
             reg.observe("lat_seconds", &[("op", "find")], 0.02);
             reg.observe("lat_seconds", &[("op", "find")], 0.7);
-            reg.set_gauge("depth", &[], 2.0);
-            reg.expose()
-        };
-        let via_ids = || {
-            let reg = Registry::new();
-            let id = reg.label_id(&[("op", "find")]);
-            reg.inc_by_id("req_total", id, 3);
-            reg.observe_id("lat_seconds", id, 0.02);
-            reg.observe_id("lat_seconds", id, 0.7);
             reg.set_gauge("depth", &[], 2.0);
             reg.expose()
         };
@@ -868,7 +763,6 @@ mod tests {
             reg.gauge_handle("depth", &[]).set(2.0);
             reg.expose()
         };
-        assert_eq!(via_strings(), via_ids());
         assert_eq!(via_strings(), via_handles());
     }
 

@@ -49,6 +49,6 @@ pub use trace::{Trace, TraceEvent};
 // Re-exported so downstream crates can instrument through `sim.metrics()`
 // without adding their own dependency on the metrics crate.
 pub use dlaas_obs::{
-    default_buckets, CounterHandle, GaugeHandle, Histogram, HistogramHandle, LabelId, MetricKind,
-    Registry, Snapshot, SnapshotDiff, Stopwatch,
+    default_buckets, CounterHandle, GaugeHandle, Histogram, HistogramHandle, MetricKind, Registry,
+    Snapshot, SnapshotDiff, Stopwatch,
 };

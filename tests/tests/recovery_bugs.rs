@@ -663,3 +663,87 @@ fn retried_learner_status_never_lands_after_completed() {
         }
     }
 }
+
+/// Reliable status, restart counter: the controller used to fire a fresh
+/// etcd put of the job's aggregate restart total whenever it changed,
+/// with nothing ordering the puts. Across an etcd outage the client's
+/// retry of the older total could commit *after* the newer one; the
+/// controller already believed the newer one written, nothing ever
+/// rewrote the key, and the job document under-reported restarts for the
+/// rest of the job. The total now goes through the same one-in-flight,
+/// latest-value-wins publisher as a learner's status.
+///
+/// The window: quorum is lost as the first of two crashed learners comes
+/// back and the second comes back a few seconds later, so a put of "1"
+/// and the put of "2" both retry through the outage. Which of them
+/// reaches the new leader last depends on where in their retry cycles
+/// the cluster comes back, so the outage length is swept.
+#[test]
+fn retried_restart_total_never_lands_after_a_newer_one() {
+    /// The restart total the learners recorded on the job's NFS volume.
+    fn nfs_restart_total(platform: &DlaasPlatform, job: &dlaas_core::JobId) -> Option<u64> {
+        let nfs = platform.nfs();
+        let mount = nfs.mount(&nfs.find_volume(&paths::volume(job))?).ok()?;
+        Some(
+            (0..2)
+                .map(|ord| {
+                    mount
+                        .read_file(&paths::nfs_learner_restarts(ord))
+                        .ok()
+                        .and_then(|s| s.parse::<u64>().ok())
+                        .map_or(0, |starts| starts.saturating_sub(1))
+                })
+                .sum(),
+        )
+    }
+
+    for outage_ms in (3_300..5_100).step_by(100) {
+        let (mut sim, platform) = boot(314);
+        let client = platform.client("itest", KEY);
+        let mut m = manifest("restart-order", 300);
+        m.learners = 2;
+        let job = submit_blocking(&mut sim, &client, m);
+        let mid = platform.wait_for_status(
+            &mut sim,
+            &job,
+            JobStatus::Processing,
+            SimDuration::from_mins(30),
+        );
+        assert_eq!(mid, Some(JobStatus::Processing), "{job} never started");
+        // A crash counts as a restart only once the learner has started:
+        // by learner 0's tenth iteration both have long been training.
+        let (p2, j2) = (platform.clone(), job.clone());
+        assert!(
+            sim.run_until_pred(move |_| { reported_iteration(&p2, &j2).is_some_and(|i| i >= 10) })
+        );
+
+        let (p2, j2) = (platform.clone(), job.clone());
+        etcd_quorum_outage_when(
+            &mut sim,
+            &platform,
+            SimDuration::from_millis(outage_ms),
+            move |_| nfs_restart_total(&p2, &j2) == Some(1),
+        );
+        platform
+            .kube()
+            .crash_pod(&mut sim, &paths::learner_pod(&job, 0));
+        sim.run_for(SimDuration::from_secs(5));
+        platform
+            .kube()
+            .crash_pod(&mut sim, &paths::learner_pod(&job, 1));
+
+        let mut recorded = 0;
+        let deadline = sim.now() + SimDuration::from_hours(2);
+        while platform.job_status(&job) != Some(JobStatus::Completed) {
+            assert!(sim.now() < deadline, "{outage_ms} ms: {job} stuck");
+            sim.run_for(SimDuration::from_millis(200));
+            recorded = nfs_restart_total(&platform, &job).unwrap_or(recorded);
+        }
+        assert_eq!(recorded, 2, "{outage_ms} ms: both learners restart once");
+        let info = platform.job_info(&job).expect("job document");
+        assert_eq!(
+            info.learner_restarts, recorded,
+            "{outage_ms} ms outage: the job document's restart count is not the recorded total"
+        );
+    }
+}

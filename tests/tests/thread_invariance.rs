@@ -4,7 +4,7 @@
 //! acceptance gate for the seed-parallel runner — parallelism may only
 //! change wall-clock, never bytes.
 
-use dlaas_bench::matrix;
+use dlaas_bench::{matrix, soak};
 
 /// Everything byte-comparable a matrix campaign produces: the rendered
 /// JSON artifact, the aggregated metrics exposition, and every outcome's
@@ -38,24 +38,42 @@ fn fault_matrix_is_byte_identical_at_any_thread_count() {
     );
 }
 
+/// Every soak preset at smoke size: the byte-stable artifact and the
+/// per-trial records are the same bytes on one worker, on eight, and on a
+/// second same-seed run.
 #[test]
-fn chaos_soak_summaries_are_byte_identical_at_any_thread_count() {
-    let fingerprint = |threads: usize| {
-        let report = matrix::soak_parallel(710, 2, 1, threads, None);
-        let mut out = String::new();
-        for r in &report.records {
-            out.push_str(&r.describe());
-            out.push('\n');
-        }
-        for s in report.results() {
-            out.push_str(&s.describe());
-            out.push('\n');
-        }
-        out
-    };
-    assert_eq!(
-        fingerprint(1),
-        fingerprint(8),
-        "chaos-soak campaign diverged between --threads 1 and --threads 8"
-    );
+fn soak_artifacts_are_byte_identical_at_any_thread_count_and_across_runs() {
+    for (preset, sizes) in [
+        ("uniform", "20,40"),
+        ("traffic", "100,200"),
+        ("chaos", "8,16"),
+    ] {
+        let fingerprint = |threads: &str| {
+            let args = [preset, "--threads", threads, "710", sizes];
+            let cli = soak::parse_cli(args.map(str::to_owned)).expect("valid command line");
+            let report = soak::campaign(&cli);
+            let runs: Vec<&soak::SoakRun> = report.results().collect();
+            assert_eq!(runs.len(), 2, "{preset}: a trial went abnormal");
+            for r in &runs {
+                assert_eq!(r.malformed(), None, "{preset}");
+            }
+            let mut out = soak::render_json(cli.preset, cli.seed, &runs);
+            for r in &report.records {
+                out.push_str(&r.describe());
+                out.push('\n');
+            }
+            out
+        };
+        let one = fingerprint("1");
+        assert_eq!(
+            one,
+            fingerprint("8"),
+            "{preset} soak diverged between --threads 1 and --threads 8"
+        );
+        assert_eq!(
+            one,
+            fingerprint("1"),
+            "{preset} soak diverged between two same-seed runs"
+        );
+    }
 }
