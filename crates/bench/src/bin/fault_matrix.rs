@@ -25,8 +25,9 @@
 use dlaas_bench::harness::print_table;
 use dlaas_bench::matrix::{
     render_matrix_json, run_cell, sweep_parallel_for, CellOutcome, FaultKind, InjectionPoint,
-    MatrixCampaign, MATRIX_RECOVERY_SECONDS,
+    MatrixCampaign,
 };
+use dlaas_bench::metrics::MATRIX_RECOVERY_SECONDS;
 use dlaas_sim::SimDuration;
 
 /// Default per-trial sim budget for matrix cells: a healthy cell tops out

@@ -7,6 +7,7 @@
 
 use dlaas_bench::fig4;
 use dlaas_bench::harness::print_table;
+use dlaas_bench::metrics;
 
 fn main() {
     let mut threads: usize = 1;
@@ -39,7 +40,7 @@ fn main() {
     let q = |component: &fig4::Component, q: f64| {
         run.metrics
             .quantile(
-                fig4::RECOVERY_SECONDS,
+                metrics::RECOVERY_SECONDS,
                 &[("component", component.label())],
                 q,
             )

@@ -27,6 +27,7 @@ use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
 use crate::harness::{experiment_platform, BENCH_KEY};
+use crate::metrics::RECOVERY_SECONDS;
 use crate::runner::{CampaignRunner, Trial, TrialRun};
 
 /// The components of Fig. 4.
@@ -94,9 +95,6 @@ impl Component {
         }
     }
 }
-
-/// Histogram of measured recovery times, labelled by component.
-pub const RECOVERY_SECONDS: &str = "bench_recovery_seconds";
 
 impl std::fmt::Display for Component {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -193,11 +191,10 @@ pub fn measure_once(rig: &mut Fig4Rig, component: Component) -> Option<SimDurati
         SimDuration::from_secs(120),
     );
     if let Some(d) = r {
-        rig.sim.metrics().observe_duration_us(
-            RECOVERY_SECONDS,
-            &[("component", component.label())],
-            d.as_micros(),
-        );
+        rig.sim
+            .metrics()
+            .histogram_series(RECOVERY_SECONDS, [component.label()])
+            .observe_duration_us(d.as_micros());
     }
     // Let the platform settle before the next fault.
     rig.sim.run_for(SimDuration::from_secs(30));
@@ -285,11 +282,9 @@ pub fn run_parallel(seed: u64, trials: u32, threads: usize) -> Fig4Run {
     // (component-major) order.
     for r in &results {
         for d in r.stats.samples() {
-            metrics.observe_duration_us(
-                RECOVERY_SECONDS,
-                &[("component", r.component.label())],
-                d.as_micros(),
-            );
+            metrics
+                .histogram_series(RECOVERY_SECONDS, [r.component.label()])
+                .observe_duration_us(d.as_micros());
         }
     }
     Fig4Run { results, metrics }

@@ -172,7 +172,10 @@ pub fn bare_metal_images_per_sec(
     let base = dlaas_gpu::images_per_sec(&cfg, &env);
     // An independent measurement has independent noise.
     let label = format!("baremetal/{model}/{framework}/{gpu}/{gpus}");
-    // dlaas-lint: allow(unseeded-rng): bare-metal baseline stream is derived from the explicit run seed passed by the caller, outside any Sim instance; still fully reproducible.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bare-metal baseline runs outside any Sim: its stream is seeded from the run seed the caller passes, so it is as reproducible as a fork"
+    )]
     let mut rng = dlaas_sim::SimRng::new(seed).fork(&label);
     if jitter > 0.0 {
         base * rng.range_f64(1.0 - jitter, 1.0 + jitter)
@@ -187,8 +190,11 @@ pub fn pct_diff(baseline: f64, measured: f64) -> f64 {
 }
 
 /// Prints a table row list with a header (fixed-width, paper style).
+#[expect(
+    clippy::print_stdout,
+    reason = "the table renderer shared by the CLI bins: stdout is its API, and it never runs inside the simulation"
+)]
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    // dlaas-lint: allow(debug-print): bench table renderer shared by the CLI bins; stdout is its API and it never runs inside the simulation.
     println!("\n=== {title} ===");
     let widths: Vec<usize> = header
         .iter()
@@ -213,15 +219,12 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
         .iter()
         .map(std::string::ToString::to_string)
         .collect();
-    // dlaas-lint: allow(debug-print): bench table renderer shared by the CLI bins; stdout is its API and it never runs inside the simulation.
     println!("{}", fmt_row(&header_cells));
-    // dlaas-lint: allow(debug-print): bench table renderer shared by the CLI bins; stdout is its API and it never runs inside the simulation.
     println!(
         "{}",
         "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
     );
     for r in rows {
-        // dlaas-lint: allow(debug-print): bench table renderer shared by the CLI bins; stdout is its API and it never runs inside the simulation.
         println!("{}", fmt_row(r));
     }
 }

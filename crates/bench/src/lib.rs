@@ -5,6 +5,14 @@
 //! paper-vs-measured numbers.
 
 #![forbid(unsafe_code)]
+// Library code stays quiet and inside the simulation (DESIGN.md §7):
+// only binaries, examples and tests print or exit.
+#![warn(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::exit
+)]
 
 pub mod engine;
 pub mod fig2;
@@ -12,6 +20,7 @@ pub mod fig3;
 pub mod fig4;
 pub mod harness;
 pub mod matrix;
+pub mod metrics;
 pub mod runner;
 pub mod soak;
 pub mod traffic;

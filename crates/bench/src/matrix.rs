@@ -36,11 +36,8 @@ use dlaas_raft::raft_addr;
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
 use crate::harness::{experiment_platform, throughput_manifest, BENCH_KEY};
+use crate::metrics::MATRIX_RECOVERY_SECONDS;
 use crate::runner::{CampaignReport, CampaignRunner, Trial, TrialRun};
-
-/// Histogram of fault-to-terminal times, labelled by fault kind and
-/// injection point.
-pub const MATRIX_RECOVERY_SECONDS: &str = "bench_matrix_recovery_seconds";
 
 /// How long substrate outages (NFS, MongoDB, etcd node, partition) last.
 ///
@@ -392,11 +389,9 @@ fn run_cell_inner(seed: u64, kind: FaultKind, point: InjectionPoint) -> (CellOut
         _ => None,
     };
     if let Some(d) = recovery {
-        sim.metrics().observe_duration_us(
-            MATRIX_RECOVERY_SECONDS,
-            &[("fault", kind.label()), ("point", point.label())],
-            d.as_micros(),
-        );
+        sim.metrics()
+            .histogram_series(MATRIX_RECOVERY_SECONDS, [kind.label(), point.label()])
+            .observe_duration_us(d.as_micros());
     }
 
     // Settle well past the GC grace (3 LCM scan periods) so the leak
@@ -555,11 +550,12 @@ pub fn sweep_parallel_for(
     let mut outcomes = Vec::new();
     for out in report.results() {
         if let Some(d) = out.recovery {
-            metrics.observe_duration_us(
-                MATRIX_RECOVERY_SECONDS,
-                &[("fault", out.kind.label()), ("point", out.point.label())],
-                d.as_micros(),
-            );
+            metrics
+                .histogram_series(
+                    MATRIX_RECOVERY_SECONDS,
+                    [out.kind.label(), out.point.label()],
+                )
+                .observe_duration_us(d.as_micros());
         }
         outcomes.push(out.clone());
     }

@@ -43,10 +43,7 @@ use std::sync::Mutex;
 use dlaas_obs::wallclock::WallTimer;
 use dlaas_sim::{Registry, SimDuration};
 
-/// Histogram of per-trial host wall-clock, labelled by campaign. Lives in
-/// the runner's *reporting* registry — never in a trial's `Sim` registry —
-/// so deterministic artifacts stay wall-free.
-pub const TRIAL_WALL_SECONDS: &str = "bench_trial_wall_seconds";
+use crate::metrics::TRIAL_WALL_SECONDS;
 
 /// One trial of a campaign: a stable label, the exact single-threaded
 /// repro command, and the campaign-specific spec the trial function
@@ -280,12 +277,10 @@ impl CampaignRunner {
         let budget = self.sim_budget;
         let run_trial = &run_trial;
 
-        // The one sanctioned use of OS threads in the workspace: the
-        // dlaas-lint `thread-spawn` rule exempts exactly this module, and
-        // the clippy disallowed-methods gate is opted out alongside it.
-        // Every spawned thread lives strictly inside this scope; no
-        // parallelism survives past the merge below.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one sanctioned use of OS threads in the workspace: each worker runs whole single-threaded Sims, every thread lives strictly inside this scope, and the sorted merge below discards completion order"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -329,19 +324,9 @@ impl CampaignRunner {
         records.sort_by_key(|r| r.trial);
 
         let wall_metrics = Registry::new();
-        wall_metrics.set_buckets(
-            TRIAL_WALL_SECONDS,
-            &[
-                0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
-                600.0, 1800.0,
-            ],
-        );
+        let wall = wall_metrics.histogram_series(TRIAL_WALL_SECONDS, [self.campaign.as_str()]);
         for r in &records {
-            wall_metrics.observe(
-                TRIAL_WALL_SECONDS,
-                &[("campaign", self.campaign.as_str())],
-                r.wall_secs,
-            );
+            wall.observe(r.wall_secs);
         }
 
         CampaignReport {

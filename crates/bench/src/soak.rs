@@ -463,16 +463,16 @@ pub fn run(seed: u64, preset: &Preset, n: u64, lcm_replicas: Option<u32>) -> Tri
         .collect();
     let series = [
         (
-            "etcd_watch_fanout_examined",
-            m.histogram_merged("etcd_watch_fanout_examined"),
+            metrics::ETCD_WATCH_FANOUT_EXAMINED.name(),
+            m.histogram_merged(metrics::ETCD_WATCH_FANOUT_EXAMINED),
         ),
         (
-            "kube_kick_pending_examined",
-            m.histogram_merged("kube_kick_pending_examined"),
+            metrics::KUBE_KICK_EXAMINED.name(),
+            m.histogram_merged(metrics::KUBE_KICK_EXAMINED),
         ),
         (
             "lcm_sweep_docs_examined",
-            m.histogram("mongo_docs_examined", &[("op", "find_changed")]),
+            m.histogram(metrics::MONGO_DOCS_EXAMINED, &[("op", "find_changed")]),
         ),
     ]
     .into_iter()
@@ -505,7 +505,7 @@ pub fn run(seed: u64, preset: &Preset, n: u64, lcm_replicas: Option<u32>) -> Tri
             admission_wait_p95_us: wait.as_ref().and_then(|h| h.quantile(0.95)).unwrap_or(0.0),
             invariant_violations,
             final_violations,
-            pod_restarts: m.counter_total("kube_pod_restarts_total"),
+            pod_restarts: m.counter_total(dlaas_kube::metrics::POD_RESTARTS),
             events: sim.events_executed(),
             sim_secs: sim_elapsed.as_secs_f64(),
             tenants,
@@ -986,6 +986,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unit test draws arrivals from a directly seeded stream, with no Sim around"
+    )]
     fn uniform_and_chaos_arrivals_have_their_shape() {
         let u = uniform_arrivals(&mut SimRng::new(5), 200);
         assert_eq!(u.len(), 200);

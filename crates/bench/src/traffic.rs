@@ -193,6 +193,10 @@ pub fn generate(rng: &mut SimRng, n: u64) -> Vec<Arrival> {
 mod tests {
     use super::*;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unit tests draw arrivals from a directly seeded stream, with no Sim around"
+    )]
     fn rng(seed: u64) -> SimRng {
         SimRng::new(seed)
     }

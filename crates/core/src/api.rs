@@ -80,7 +80,8 @@ fn meter(sim: &mut Sim, meta: &Rc<MetaClient>, req: &CoreRequest) {
         CoreRequest::DeployJob { .. } | CoreRequest::StopJob { .. } => return,
     };
     sim.metrics()
-        .inc(crate::metrics::API_REQUESTS, &[("kind", kind)]);
+        .counter_series(crate::metrics::API_REQUESTS, [kind])
+        .inc();
     let filter = Filter::eq("_id", key.as_str());
     let update = dlaas_docstore::Update::inc(kind, 1);
     let meta2 = meta.clone();
@@ -230,7 +231,9 @@ fn with_owned_job(
                     None => return responder.err(sim, "corrupt tenant document"),
                 },
                 Ok(None) => {
-                    sim.metrics().inc(crate::metrics::API_AUTH_FAILURES, &[]);
+                    sim.metrics()
+                        .counter_series(crate::metrics::API_AUTH_FAILURES, [])
+                        .inc();
                     return responder.err(sim, "unauthorized");
                 }
                 Err(e) => return responder.err(sim, e.to_string()),
@@ -261,7 +264,9 @@ fn list_jobs(sim: &mut Sim, meta: &Rc<MetaClient>, api_key: String, responder: R
                     None => return responder.err(sim, "corrupt tenant document"),
                 },
                 Ok(None) => {
-                    sim.metrics().inc(crate::metrics::API_AUTH_FAILURES, &[]);
+                    sim.metrics()
+                        .counter_series(crate::metrics::API_AUTH_FAILURES, [])
+                        .inc();
                     return responder.err(sim, "unauthorized");
                 }
                 Err(e) => return responder.err(sim, e.to_string()),
@@ -286,7 +291,6 @@ fn list_jobs(sim: &mut Sim, meta: &Rc<MetaClient>, api_key: String, responder: R
     );
 }
 
-#[allow(clippy::too_many_arguments)]
 fn submit(
     sim: &mut Sim,
     h: &Handles,
@@ -297,10 +301,9 @@ fn submit(
     responder: Resp,
 ) {
     if let Err(e) = manifest.validate() {
-        sim.metrics().inc(
-            crate::metrics::API_SUBMISSIONS,
-            &[("outcome", "rejected_invalid")],
-        );
+        sim.metrics()
+            .counter_series(crate::metrics::API_SUBMISSIONS, ["rejected_invalid"])
+            .inc();
         responder.err(sim, e.to_string());
         return;
     }
@@ -319,7 +322,9 @@ fn submit(
                     None => return responder.err(sim, "corrupt tenant document"),
                 },
                 Ok(None) => {
-                    sim.metrics().inc(crate::metrics::API_AUTH_FAILURES, &[]);
+                    sim.metrics()
+                        .counter_series(crate::metrics::API_AUTH_FAILURES, [])
+                        .inc();
                     return responder.err(sim, "unauthorized");
                 }
                 Err(e) => return responder.err(sim, e.to_string()),
@@ -335,10 +340,9 @@ fn submit(
             // never be admitted — queueing it would head-of-line block
             // the tenant's fair queue forever. Reject it outright.
             if manifest.total_gpus() > tenant.max_gpus {
-                sim.metrics().inc(
-                    crate::metrics::API_SUBMISSIONS,
-                    &[("outcome", "rejected_quota")],
-                );
+                sim.metrics()
+                    .counter_series(crate::metrics::API_SUBMISSIONS, ["rejected_quota"])
+                    .inc();
                 return responder.err(
                     sim,
                     format!(
@@ -412,12 +416,14 @@ fn record_queued(
             Ok(id) => JobId::new(id),
             Err(e) => {
                 sim.metrics()
-                    .inc(crate::metrics::API_SUBMISSIONS, &[("outcome", "error")]);
+                    .counter_series(crate::metrics::API_SUBMISSIONS, ["error"])
+                    .inc();
                 return responder.err(sim, e.to_string());
             }
         };
         sim.metrics()
-            .inc(crate::metrics::API_SUBMISSIONS, &[("outcome", "queued")]);
+            .counter_series(crate::metrics::API_SUBMISSIONS, ["queued"])
+            .inc();
         sim.record("api", format!("job {id} over quota; queued"));
         responder.ok(sim, CoreResponse::Submitted { job: id });
     });
@@ -448,19 +454,19 @@ fn record_and_deploy(
             Ok(id) => JobId::new(id),
             Err(e) => {
                 sim.metrics()
-                    .inc(crate::metrics::API_SUBMISSIONS, &[("outcome", "error")]);
+                    .counter_series(crate::metrics::API_SUBMISSIONS, ["error"])
+                    .inc();
                 return responder.err(sim, e.to_string());
             }
         };
         sim.metrics()
-            .inc(crate::metrics::API_SUBMISSIONS, &[("outcome", "accepted")]);
+            .counter_series(crate::metrics::API_SUBMISSIONS, ["accepted"])
+            .inc();
         // In-quota jobs are admitted at submission: a zero admission wait,
         // so the per-tenant wait histogram covers every accepted job.
-        sim.metrics().observe(
-            crate::metrics::TENANT_ADMISSION_WAIT,
-            &[("tenant", &tenant_id)],
-            0.0,
-        );
+        sim.metrics()
+            .histogram_series(crate::metrics::TENANT_ADMISSION_WAIT, [&tenant_id])
+            .observe(0.0);
         sim.record("api", format!("job {id} recorded; acknowledging"));
         responder.ok(sim, CoreResponse::Submitted { job: id.clone() });
 

@@ -227,7 +227,9 @@ impl Guardian {
                         sim,
                         format!("deploy attempt {attempts} exceeds limit {max}; giving up"),
                     );
-                    sim.metrics().inc(crate::metrics::GUARDIAN_GAVE_UP, &[]);
+                    sim.metrics()
+                        .counter_series(crate::metrics::GUARDIAN_GAVE_UP, [])
+                        .inc();
                     me.fail_job(sim, "deployment retries exhausted");
                     return;
                 }
@@ -259,11 +261,14 @@ impl Guardian {
                         me2.ctx
                             .record(sim, format!("starting deployment attempt {attempts}"));
                         sim.metrics()
-                            .inc(crate::metrics::GUARDIAN_DEPLOY_ATTEMPTS, &[]);
+                            .counter_series(crate::metrics::GUARDIAN_DEPLOY_ATTEMPTS, [])
+                            .inc();
                         // The first attempt has nothing to roll back; only
                         // retries after a mid-deploy crash count.
                         if attempts > 1 {
-                            sim.metrics().inc(crate::metrics::GUARDIAN_ROLLBACKS, &[]);
+                            sim.metrics()
+                                .counter_series(crate::metrics::GUARDIAN_ROLLBACKS, [])
+                                .inc();
                         }
                         me2.rollback_then_deploy(sim);
                     },
@@ -292,17 +297,17 @@ impl Guardian {
             .now()
             .as_micros()
             .saturating_sub(self.submitted_us.get());
-        sim.metrics().observe(
-            crate::metrics::TENANT_JOB_TURNAROUND,
-            &[("tenant", &tenant)],
-            elapsed_us as f64 / 1e6,
-        );
+        sim.metrics()
+            .histogram_series(crate::metrics::TENANT_JOB_TURNAROUND, [&tenant])
+            .observe(elapsed_us as f64 / 1e6);
     }
 
     /// Marks the job FAILED, tears everything down and exits cleanly (so
     /// the K8s Job stops retrying us).
     fn fail_job(self: &Rc<Self>, sim: &mut Sim, reason: &str) {
-        sim.metrics().inc(crate::metrics::GUARDIAN_JOBS_FAILED, &[]);
+        sim.metrics()
+            .counter_series(crate::metrics::GUARDIAN_JOBS_FAILED, [])
+            .inc();
         let me = self.clone();
         let reason = reason.to_owned();
         self.meta
@@ -715,11 +720,9 @@ impl Guardian {
                 self.ctx.record(sim, "all set: job is PROCESSING");
                 if let Some(started_us) = self.deploy_started_us.take() {
                     let elapsed = sim.now().as_micros().saturating_sub(started_us);
-                    sim.metrics().observe_duration_us(
-                        crate::metrics::GUARDIAN_DEPLOY_SECONDS,
-                        &[],
-                        elapsed,
-                    );
+                    sim.metrics()
+                        .histogram_series(crate::metrics::GUARDIAN_DEPLOY_SECONDS, [])
+                        .observe_duration_us(elapsed);
                 }
                 self.meta.clone().advance_status(
                     sim,
@@ -752,7 +755,8 @@ impl Guardian {
             Act::Complete(throughput) => {
                 self.ctx.record(sim, "results stored; completing job");
                 sim.metrics()
-                    .inc(crate::metrics::GUARDIAN_JOBS_COMPLETED, &[]);
+                    .counter_series(crate::metrics::GUARDIAN_JOBS_COMPLETED, [])
+                    .inc();
                 let me = self.clone();
                 let filter = Filter::eq("_id", self.job.as_str());
                 let mut update = vec![Update::set(

@@ -42,7 +42,6 @@ fn with_jobspec(
     try_bootstrap(h, sim, ctx, job, ready, 0);
 }
 
-#[allow(clippy::only_used_in_recursion)]
 fn try_bootstrap(
     h: Handles,
     sim: &mut Sim,
@@ -377,19 +376,17 @@ pub fn load_data_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup
             sim,
             format!("staging {} bytes of training data", manifest.data_bytes),
         );
-        download_data(h2, sim, ctx2, mount, manifest, 0);
+        download_data(h2, sim, ctx2, mount, manifest);
     });
     Box::new(|_sim| {})
 }
 
-#[allow(clippy::only_used_in_recursion)]
 fn download_data(
     h: Handles,
     sim: &mut Sim,
     ctx: ProcessCtx,
     mount: Mount,
     manifest: TrainingManifest,
-    attempt: u32,
 ) {
     if !ctx.is_alive() {
         return;
@@ -410,7 +407,9 @@ fn download_data(
             // failed marker write (NFS outage) like a failed fetch.
             match r {
                 Ok(_) if mount.write_file(paths::NFS_DATA_LOADED, "loaded").is_ok() => {
-                    sim.metrics().inc(crate::metrics::DATA_STAGED, &[]);
+                    sim.metrics()
+                        .counter_series(crate::metrics::DATA_STAGED, [])
+                        .inc();
                     ctx2.record(sim, "training data staged");
                     ctx2.exit(sim, 0);
                 }
@@ -421,7 +420,7 @@ fn download_data(
                     };
                     ctx2.record(sim, format!("{why}; retrying"));
                     sim.schedule_in(SimDuration::from_secs(5), move |sim| {
-                        download_data(h, sim, ctx2, mount, manifest, attempt + 1);
+                        download_data(h, sim, ctx2, mount, manifest);
                     });
                 }
             }
@@ -569,7 +568,9 @@ pub fn store_results_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
                     // timer alive and retry (the upload is idempotent).
                     match r {
                         Ok(()) if mount2.write_file(paths::NFS_STORE_DONE, "done").is_ok() => {
-                            sim.metrics().inc(crate::metrics::RESULTS_STORED, &[]);
+                            sim.metrics()
+                                .counter_series(crate::metrics::RESULTS_STORED, [])
+                                .inc();
                             ctx3.record(sim, "results uploaded");
                             ctx3.exit(sim, 0);
                         }

@@ -515,10 +515,9 @@ impl InvariantMonitor {
                 let key = (v.job.as_str().to_owned(), v.invariant);
                 if seen2.borrow_mut().insert(key) {
                     sim.record("invariants", format!("VIOLATION {v}"));
-                    sim.metrics().inc(
-                        crate::metrics::INVARIANT_VIOLATIONS,
-                        &[("invariant", v.invariant)],
-                    );
+                    sim.metrics()
+                        .counter_series(crate::metrics::INVARIANT_VIOLATIONS, [v.invariant])
+                        .inc();
                 }
             }
             starved_prev = starved_now;

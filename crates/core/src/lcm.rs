@@ -314,10 +314,9 @@ fn keepalive_tick(sim: &mut Sim, rep: &Rc<Replica>) {
                 // The server no longer knows the lease: it expired and
                 // the owner keys are gone (or going). Stand down and
                 // start over with a fresh lease.
-                sim.metrics().inc(
-                    crate::metrics::LCM_LEASE_KEEPALIVE_FAILURES,
-                    &[("reason", "expired")],
-                );
+                sim.metrics()
+                    .counter_series(crate::metrics::LCM_LEASE_KEEPALIVE_FAILURES, ["expired"])
+                    .inc();
                 if rep2.own.borrow().lease == Some(id) {
                     drop_ownership(sim, &rep2, "expired");
                     ensure_lease(sim, &rep2);
@@ -327,10 +326,12 @@ fn keepalive_tick(sim: &mut Sim, rep: &Rc<Replica>) {
                 // etcd unreachable: keep the current fence. If refreshes
                 // keep failing, the fence lapses and the next tick
                 // stands down.
-                sim.metrics().inc(
-                    crate::metrics::LCM_LEASE_KEEPALIVE_FAILURES,
-                    &[("reason", "unreachable")],
-                );
+                sim.metrics()
+                    .counter_series(
+                        crate::metrics::LCM_LEASE_KEEPALIVE_FAILURES,
+                        ["unreachable"],
+                    )
+                    .inc();
             }
         }
     });
@@ -382,7 +383,8 @@ fn drop_ownership(sim: &mut Sim, rep: &Rc<Replica>, reason: &'static str) {
     }
     for _ in &dropped {
         sim.metrics()
-            .inc(crate::metrics::LCM_SHARD_LOSSES, &[("reason", reason)]);
+            .counter_series(crate::metrics::LCM_SHARD_LOSSES, [reason])
+            .inc();
     }
 }
 
@@ -423,10 +425,9 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
                     "lcm",
                     format!("{} acquired shard {shard} ({trigger})", rep2.pod),
                 );
-                sim.metrics().inc(
-                    crate::metrics::LCM_SHARD_ACQUISITIONS,
-                    &[("trigger", trigger)],
-                );
+                sim.metrics()
+                    .counter_series(crate::metrics::LCM_SHARD_ACQUISITIONS, [trigger])
+                    .inc();
             }
         },
     );
@@ -472,7 +473,8 @@ fn reconcile(sim: &mut Sim, rep: &Rc<Replica>) {
                         rep2.own.borrow_mut().owned.remove(&shard);
                         rep2.h.shard_tracker.release(sim, shard, &rep2.pod);
                         sim.metrics()
-                            .inc(crate::metrics::LCM_SHARD_LOSSES, &[("reason", "displaced")]);
+                            .counter_series(crate::metrics::LCM_SHARD_LOSSES, ["displaced"])
+                            .inc();
                     }
                     // Held by someone else — or by a previous incarnation
                     // of this very pod (same value, but not in `owned`):
@@ -493,7 +495,8 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
     }
     sim.record("lcm", format!("creating guardian for {job}"));
     sim.metrics()
-        .inc(crate::metrics::LCM_GUARDIANS_CREATED, &[]);
+        .counter_series(crate::metrics::LCM_GUARDIANS_CREATED, [])
+        .inc();
     let pod = PodSpec::new(
         "unused",
         ContainerSpec::new(
@@ -520,7 +523,9 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
 /// Results and logs in the object store are deliberately kept.
 pub(crate) fn teardown_job(sim: &mut Sim, h: &Handles, job: &JobId, delete_guardian: bool) {
     sim.record("lcm", format!("tearing down resources of {job}"));
-    sim.metrics().inc(crate::metrics::LCM_TEARDOWNS, &[]);
+    sim.metrics()
+        .counter_series(crate::metrics::LCM_TEARDOWNS, [])
+        .inc();
     h.kube.delete_statefulset(sim, &paths::learner_set(job));
     h.kube
         .delete_deployment(sim, &paths::helper_deployment(job));
@@ -640,10 +645,9 @@ fn ingest(sim: &mut Sim, st: &mut ScanState, doc: &Value) {
                 // corruption: keep the job off the admission queue like
                 // the other malformed-record paths.
                 _ => {
-                    sim.metrics().inc(
-                        crate::metrics::LCM_MALFORMED_RECORDS,
-                        &[("field", "queued")],
-                    );
+                    sim.metrics()
+                        .counter_series(crate::metrics::LCM_MALFORMED_RECORDS, ["queued"])
+                        .inc();
                 }
             }
         }
@@ -668,7 +672,8 @@ fn ingest(sim: &mut Sim, st: &mut ScanState, doc: &Value) {
                 }
                 Err(_) => {
                     sim.metrics()
-                        .inc(crate::metrics::LCM_MALFORMED_RECORDS, &[("field", field)]);
+                        .counter_series(crate::metrics::LCM_MALFORMED_RECORDS, [field])
+                        .inc();
                 }
             }
         }
@@ -788,19 +793,15 @@ fn admit(
         }
         for tenant in &st.gauged {
             if !depths.contains_key(tenant) {
-                sim.metrics().set_gauge(
-                    crate::metrics::TENANT_QUEUE_DEPTH,
-                    &[("tenant", tenant)],
-                    0.0,
-                );
+                sim.metrics()
+                    .gauge_series(crate::metrics::TENANT_QUEUE_DEPTH, [tenant])
+                    .set(0.0);
             }
         }
         for (tenant, depth) in &depths {
-            sim.metrics().set_gauge(
-                crate::metrics::TENANT_QUEUE_DEPTH,
-                &[("tenant", tenant)],
-                *depth,
-            );
+            sim.metrics()
+                .gauge_series(crate::metrics::TENANT_QUEUE_DEPTH, [tenant])
+                .set(*depth);
         }
         st.gauged = depths.keys().cloned().collect();
 
@@ -841,11 +842,9 @@ fn admit(
                 return;
             }
             let waited = sim.now().as_micros().saturating_sub(since_us);
-            sim.metrics().observe(
-                crate::metrics::TENANT_ADMISSION_WAIT,
-                &[("tenant", &tenant)],
-                waited as f64,
-            );
+            sim.metrics()
+                .histogram_series(crate::metrics::TENANT_ADMISSION_WAIT, [&tenant])
+                .observe(waited as f64);
             sim.record(
                 "lcm",
                 format!("arbiter admitted {job} (tenant {tenant}, waited {waited}us)"),
@@ -891,7 +890,9 @@ fn sweep(
         if age >= redeploy_after && h.kube.job_status(&paths::guardian_job(&job)).is_none() {
             note_sweep(sim, rep, &job);
             sim.record("lcm", format!("scan: re-deploying stranded job {job}"));
-            sim.metrics().inc(crate::metrics::LCM_SCAN_REDEPLOYS, &[]);
+            sim.metrics()
+                .counter_series(crate::metrics::LCM_SCAN_REDEPLOYS, [])
+                .inc();
             ensure_guardian(sim, h, &job);
         }
     }
@@ -932,10 +933,9 @@ fn sweep(
         } else {
             "deploy_timeout"
         };
-        sim.metrics().inc(
-            crate::metrics::LCM_SCAN_FAILURES,
-            &[("reason", reason_label)],
-        );
+        sim.metrics()
+            .counter_series(crate::metrics::LCM_SCAN_FAILURES, [reason_label])
+            .inc();
         // Drop the job from the live watchlists now so a slow status
         // write cannot double-fail it next tick; the terminal status
         // change re-enters it through the feed as a GC candidate.
@@ -970,7 +970,9 @@ fn sweep(
         if has_pods || has_volume {
             note_sweep(sim, rep, &job);
             sim.record("lcm", format!("scan: GC leftovers of terminal job {job}"));
-            sim.metrics().inc(crate::metrics::LCM_SCAN_GC, &[]);
+            sim.metrics()
+                .counter_series(crate::metrics::LCM_SCAN_GC, [])
+                .inc();
             teardown_job(sim, h, &job, true);
         } else {
             let h6 = h.clone();
@@ -983,7 +985,9 @@ fn sweep(
                     Ok(pairs) if !pairs.is_empty() => {
                         note_sweep(sim, &rep3, &job);
                         sim.record("lcm", format!("scan: GC etcd keys of {job}"));
-                        sim.metrics().inc(crate::metrics::LCM_SCAN_GC, &[]);
+                        sim.metrics()
+                            .counter_series(crate::metrics::LCM_SCAN_GC, [])
+                            .inc();
                         h6.etcd_gc.delete_prefix(sim, prefix2, |_sim, _r| {});
                         // Keep watching: next tick re-probes until clean.
                     }

@@ -127,7 +127,9 @@ fn start(
         mount.write_file(&paths::nfs_learner_status(ordinal), "DOWNLOADING"),
     );
     if starts > 1 {
-        sim.metrics().inc(crate::metrics::LEARNER_RESTARTS, &[]);
+        sim.metrics()
+            .counter_series(crate::metrics::LEARNER_RESTARTS, [])
+            .inc();
         best_effort(
             sim,
             mount.append_line(
@@ -194,7 +196,8 @@ fn start(
 fn best_effort<T, E>(sim: &mut Sim, r: Result<T, E>) {
     if r.is_err() {
         sim.metrics()
-            .inc(crate::metrics::LEARNER_NFS_WRITE_FAILURES, &[]);
+            .counter_series(crate::metrics::LEARNER_NFS_WRITE_FAILURES, [])
+            .inc();
     }
 }
 
@@ -259,7 +262,9 @@ impl Learner {
     fn restore_checkpoint(self: Rc<Self>, sim: &mut Sim) {
         if let Some(peer_iter) = self.peer_iteration() {
             if peer_iter > 0 {
-                sim.metrics().inc(crate::metrics::LEARNER_PS_REJOINS, &[]);
+                sim.metrics()
+                    .counter_series(crate::metrics::LEARNER_PS_REJOINS, [])
+                    .inc();
                 self.log(
                     sim,
                     format!("rejoined via parameter server at iter {peer_iter}"),
@@ -304,7 +309,9 @@ impl Learner {
                         if !me2.ctx.is_alive() {
                             return;
                         }
-                        sim.metrics().inc(crate::metrics::CHECKPOINT_RESTORES, &[]);
+                        sim.metrics()
+                            .counter_series(crate::metrics::CHECKPOINT_RESTORES, [])
+                            .inc();
                         me2.log(sim, format!("resumed from checkpoint at iter {iter}"));
                         me2.begin_training(sim, iter);
                     },
@@ -422,12 +429,12 @@ impl Learner {
                             return;
                         }
                         let stall = sim.now().saturating_duration_since(stall_from);
-                        sim.metrics().inc(crate::metrics::CHECKPOINT_WRITES, &[]);
-                        sim.metrics().observe_duration_us(
-                            crate::metrics::CHECKPOINT_STALL_SECONDS,
-                            &[],
-                            stall.as_micros(),
-                        );
+                        sim.metrics()
+                            .counter_series(crate::metrics::CHECKPOINT_WRITES, [])
+                            .inc();
+                        sim.metrics()
+                            .histogram_series(crate::metrics::CHECKPOINT_STALL_SECONDS, [])
+                            .observe_duration_us(stall.as_micros());
                         me2.state.borrow_mut().checkpoint_stall += stall;
                         me2.tick(sim);
                     },

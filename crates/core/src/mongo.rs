@@ -326,7 +326,8 @@ impl MetaClient {
         self.update_one(sim, JOBS, filter, update, move |sim, r| {
             if matches!(r, Ok(true)) {
                 sim.metrics()
-                    .inc(crate::metrics::JOB_TRANSITIONS, &[("to", &to_str)]);
+                    .counter_series(crate::metrics::JOB_TRANSITIONS, [&to_str])
+                    .inc();
             }
             done(sim, r);
         });
@@ -370,7 +371,8 @@ impl MetaClient {
         self.update_one(sim, JOBS, filter, update, move |sim, r| {
             if matches!(r, Ok(true)) {
                 sim.metrics()
-                    .inc(crate::metrics::JOB_TRANSITIONS, &[("to", &to_str)]);
+                    .counter_series(crate::metrics::JOB_TRANSITIONS, [&to_str])
+                    .inc();
             }
             done(sim, r);
         });

@@ -108,9 +108,11 @@ impl DlaasPlatform {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(sim: &mut Sim, cfg: PlatformConfig) -> Self {
-        // dlaas-lint: allow(panic-in-core): boot-time assertion on harness-supplied config, documented under `# Panics`; a malformed PlatformConfig is a programming error in the experiment setup, never reachable from runtime platform data.
+        #[expect(
+            clippy::expect_used,
+            reason = "boot-time assertion on harness-supplied config, documented under `# Panics`; a malformed PlatformConfig is a programming error in the experiment setup, never reachable from runtime platform data"
+        )]
         cfg.core.validate().expect("invalid core config");
-        crate::metrics::register(sim.metrics());
 
         let registry = BehaviorRegistry::new();
         let kube = Kube::new(sim, cfg.kube.clone(), registry.clone());
@@ -284,7 +286,10 @@ impl DlaasPlatform {
                     let next = (sim.now() + SimDuration::from_millis(100)).min(deadline);
                     sim.run_until(next);
                 }
-                // dlaas-lint: allow(panic-in-core): test/bench readiness helper with documented `# Panics`; runs in the experiment harness before any workload, not on a platform control-plane path.
+                #[expect(
+                    clippy::panic,
+                    reason = "test/bench readiness helper with documented `# Panics`; runs in the experiment harness before any workload, not on a platform control-plane path"
+                )]
                 _ => panic!("platform not ready within {limit}"),
             }
         }

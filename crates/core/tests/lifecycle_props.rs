@@ -77,7 +77,6 @@ proptest! {
     #![proptest_config(ProptestConfig {
         cases: 10,
         max_shrink_iters: 20,
-        .. ProptestConfig::default()
     })]
 
     #[test]

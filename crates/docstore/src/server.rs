@@ -12,6 +12,7 @@ use std::rc::Rc;
 use dlaas_net::{Addr, Responder, RpcLayer};
 use dlaas_sim::{Sim, SimDuration};
 
+use crate::metrics;
 use crate::query::{Filter, Update};
 use crate::store::{Doc, DocStore, Journal};
 use crate::value::Value;
@@ -347,10 +348,7 @@ impl MongoServer {
                 me.examined
                     .borrow_mut()
                     .entry(op)
-                    .or_insert_with(|| {
-                        sim.metrics()
-                            .histogram_handle("mongo_docs_examined", &[("op", op)])
-                    })
+                    .or_insert_with(|| sim.metrics().histogram_series(metrics::DOCS_EXAMINED, [op]))
                     .observe(examined as f64);
             }
             responder.ok(sim, resp);

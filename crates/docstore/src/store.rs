@@ -366,7 +366,10 @@ impl DocStore {
             id: id.clone(),
             doc: doc.clone(),
         });
-        // dlaas-lint: allow(panic-reachable): the entry was created by the get-or-create at the top of insert, and the journal append between the two does not touch collections
+        #[expect(
+            clippy::expect_used,
+            reason = "the entry was created by the get-or-create at the top of insert, and the journal append between the two does not touch collections"
+        )]
         let c = self.collections.get_mut(coll).expect("just created");
         c.add_to_indexes(&id, &doc);
         c.docs.insert(id.clone(), doc);
@@ -472,7 +475,10 @@ impl DocStore {
             .collect();
         let mut n = 0;
         for id in ids {
-            // dlaas-lint: allow(panic-reachable): `ids` was filtered to present docs from this same collection borrow a few lines up; nothing between the scan and this loop mutates c.docs
+            #[expect(
+                clippy::expect_used,
+                reason = "`ids` was filtered to present docs from this same collection borrow a few lines up; nothing between the scan and this loop mutates c.docs"
+            )]
             let slot = c.docs.get_mut(&id).expect("listed above");
             // The one copy an update makes: the successor is built beside
             // the stored value, which readers and the journal still hold.
@@ -522,7 +528,10 @@ impl DocStore {
             .collect();
         let mut n = 0;
         for id in ids {
-            // dlaas-lint: allow(panic-reachable): `ids` was filtered to present docs from this same collection borrow a few lines up, and each id is removed exactly once
+            #[expect(
+                clippy::expect_used,
+                reason = "`ids` was filtered to present docs from this same collection borrow a few lines up, and each id is removed exactly once"
+            )]
             let old = c.docs.remove(&id).expect("listed above");
             c.remove_from_indexes(&id, &old);
             c.note_change(&id);

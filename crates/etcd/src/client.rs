@@ -192,7 +192,7 @@ impl EtcdClient {
             lease,
         };
         self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
-            done(sim, r.map(expect_revision));
+            done(sim, r.and_then(revision_of));
         });
     }
 
@@ -207,10 +207,9 @@ impl EtcdClient {
         self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
             done(
                 sim,
-                r.map(|resp| match resp {
-                    EtcdResponse::Value { value, .. } => value,
-                    // dlaas-lint: allow(panic-reachable): response-pairing invariant — the server answers each request variant with its matching response variant; a mismatch is a protocol bug in this closed codebase, not a runtime fault, and retrying a wrong-typed response would mask it
-                    other => panic!("unexpected response to Get: {other:?}"),
+                r.and_then(|resp| match resp {
+                    EtcdResponse::Value { value, .. } => Ok(value),
+                    other => Err(unexpected("Get", &other)),
                 }),
             );
         });
@@ -229,10 +228,9 @@ impl EtcdClient {
         self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
             done(
                 sim,
-                r.map(|resp| match resp {
-                    EtcdResponse::Values { pairs, .. } => pairs,
-                    // dlaas-lint: allow(panic-reachable): response-pairing invariant — the server answers each request variant with its matching response variant; a mismatch is a protocol bug in this closed codebase, not a runtime fault, and retrying a wrong-typed response would mask it
-                    other => panic!("unexpected response to GetPrefix: {other:?}"),
+                r.and_then(|resp| match resp {
+                    EtcdResponse::Values { pairs, .. } => Ok(pairs),
+                    other => Err(unexpected("GetPrefix", &other)),
                 }),
             );
         });
@@ -247,7 +245,7 @@ impl EtcdClient {
     ) {
         let req = EtcdRequest::Delete { key: key.into() };
         self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
-            done(sim, r.map(expect_revision));
+            done(sim, r.and_then(revision_of));
         });
     }
 
@@ -262,7 +260,7 @@ impl EtcdClient {
             prefix: prefix.into(),
         };
         self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
-            done(sim, r.map(expect_revision));
+            done(sim, r.and_then(revision_of));
         });
     }
 
@@ -300,10 +298,9 @@ impl EtcdClient {
         self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
             done(
                 sim,
-                r.map(|resp| match resp {
-                    EtcdResponse::CasResult { succeeded, .. } => succeeded,
-                    // dlaas-lint: allow(panic-reachable): response-pairing invariant — the server answers each request variant with its matching response variant; a mismatch is a protocol bug in this closed codebase, not a runtime fault, and retrying a wrong-typed response would mask it
-                    other => panic!("unexpected response to Cas: {other:?}"),
+                r.and_then(|resp| match resp {
+                    EtcdResponse::CasResult { succeeded, .. } => Ok(succeeded),
+                    other => Err(unexpected("Cas", &other)),
                 }),
             );
         });
@@ -325,10 +322,9 @@ impl EtcdClient {
         self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
             done(
                 sim,
-                r.map(|resp| match resp {
-                    EtcdResponse::LeaseGranted { id, .. } => id,
-                    // dlaas-lint: allow(panic-reachable): response-pairing invariant — the server answers each request variant with its matching response variant; a mismatch is a protocol bug in this closed codebase, not a runtime fault, and retrying a wrong-typed response would mask it
-                    other => panic!("unexpected response to LeaseGrant: {other:?}"),
+                r.and_then(|resp| match resp {
+                    EtcdResponse::LeaseGranted { id, .. } => Ok(id),
+                    other => Err(unexpected("LeaseGrant", &other)),
                 }),
             );
         });
@@ -347,10 +343,9 @@ impl EtcdClient {
         self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
             done(
                 sim,
-                r.map(|resp| match resp {
-                    EtcdResponse::LeaseKept { alive, .. } => alive,
-                    // dlaas-lint: allow(panic-reachable): response-pairing invariant — the server answers each request variant with its matching response variant; a mismatch is a protocol bug in this closed codebase, not a runtime fault, and retrying a wrong-typed response would mask it
-                    other => panic!("unexpected response to LeaseKeepAlive: {other:?}"),
+                r.and_then(|resp| match resp {
+                    EtcdResponse::LeaseKept { alive, .. } => Ok(alive),
+                    other => Err(unexpected("LeaseKeepAlive", &other)),
                 }),
             );
         });
@@ -366,7 +361,7 @@ impl EtcdClient {
     ) {
         let req = EtcdRequest::LeaseRevoke { id };
         self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
-            done(sim, r.map(expect_revision));
+            done(sim, r.and_then(revision_of));
         });
     }
 
@@ -515,9 +510,15 @@ impl EtcdClient {
     }
 }
 
-fn expect_revision(resp: EtcdResponse) -> Revision {
+/// A reply of the wrong shape fails the one operation it answers (every
+/// caller handles `Err`); it must not take the calling process down.
+fn unexpected(request: &str, resp: &EtcdResponse) -> EtcdError {
+    EtcdError::Failed(format!("unexpected response to {request}: {resp:?}"))
+}
+
+fn revision_of(resp: EtcdResponse) -> Result<Revision, EtcdError> {
     match resp {
-        EtcdResponse::Ok { revision } => revision,
-        other => panic!("unexpected response to mutation: {other:?}"),
+        EtcdResponse::Ok { revision } => Ok(revision),
+        other => Err(unexpected("mutation", &other)),
     }
 }

@@ -14,6 +14,7 @@ use dlaas_raft::{NodeId, Raft};
 use dlaas_sim::{Sim, SimDuration};
 
 use crate::kv::{KvCommand, KvEvent, KvOp, KvState};
+use crate::metrics;
 use crate::proto::{etcd_addr, EtcdRequest, EtcdResponse, WatchNotify};
 
 /// How often each server checks (when leader) for leases whose deadline
@@ -221,7 +222,10 @@ impl EtcdServer {
         dlaas_raft::SnapshotHooks {
             take: Box::new(move || take_core.borrow().kv.to_snapshot_bytes()),
             restore: Box::new(move |_sim, _idx, data| {
-                // dlaas-lint: allow(panic-reachable): the bytes were produced by to_snapshot_bytes on the same closed system; snapshot corruption is outside the modelled fault vocabulary, so failing fast beats silently restoring an empty store
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the bytes were produced by to_snapshot_bytes on the same closed system; snapshot corruption is outside the modelled fault vocabulary, so failing fast beats silently restoring an empty store"
+                )]
                 let kv = KvState::from_snapshot_bytes(data).expect("snapshot deserializes");
                 core.borrow_mut().kv = kv;
             }),
@@ -279,14 +283,12 @@ impl EtcdServer {
             fanout_examined
                 .get_or_insert_with(|| {
                     sim.metrics()
-                        .histogram_handle("etcd_watch_fanout_examined", &[])
+                        .histogram_series(metrics::WATCH_FANOUT_EXAMINED, [])
                 })
                 .observe(examined as f64);
             for (watcher, notify) in notifications {
                 watch_events
-                    .get_or_insert_with(|| {
-                        sim.metrics().counter_handle("etcd_watch_events_total", &[])
-                    })
+                    .get_or_insert_with(|| sim.metrics().counter_series(metrics::WATCH_EVENTS, []))
                     .add(notify.events.len() as u64);
                 watch_net.send(sim, self_addr.clone(), watcher, notify);
             }
@@ -377,10 +379,7 @@ impl EtcdServer {
         self.counters
             .borrow_mut()
             .lease_expirations
-            .get_or_insert_with(|| {
-                sim.metrics()
-                    .counter_handle("etcd_lease_expirations_total", &[])
-            })
+            .get_or_insert_with(|| sim.metrics().counter_series(metrics::LEASE_EXPIRATIONS, []))
             .add(expired.len() as u64);
         for id in expired {
             let req_id = {
@@ -388,7 +387,10 @@ impl EtcdServer {
                 c.next_req_id += 1;
                 c.next_req_id
             };
-            // dlaas-lint: allow(discarded-result): losing leadership between the role check and the proposal just drops this revoke; the lease is still expired, so the new leader's next sweep tick re-proposes it
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "losing leadership between the role check and the proposal just drops this revoke; the lease is still expired, so the new leader's next sweep tick re-proposes it"
+            )]
             let _ = self.raft.propose(
                 sim,
                 KvCommand {
@@ -535,13 +537,16 @@ impl EtcdServer {
         self.counters
             .borrow_mut()
             .reads
-            .get_or_insert_with(|| sim.metrics().counter_handle("etcd_reads_total", &[]))
+            .get_or_insert_with(|| sim.metrics().counter_series(metrics::READS, []))
             .inc();
         let core = self.core.clone();
         let incarnation = core.borrow().incarnation;
         // The Err arm is unreachable after the role check above within one
         // event; if a step-down races in, the read fails via `ok = false`.
-        // dlaas-lint: allow(discarded-result): read_index only errs when called on a non-leader, checked two lines up in the same event; the real failure mode (losing leadership mid-read) is delivered through the `ok` flag and answered with NotLeader
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "read_index only errs when called on a non-leader, checked two lines up in the same event; the real failure mode (losing leadership mid-read) is delivered through the `ok` flag and answered with NotLeader"
+        )]
         let _ = self.raft.read_index(sim, move |sim, ok| {
             let resp = {
                 let c = core.borrow();
@@ -582,10 +587,7 @@ impl EtcdServer {
                 "lease_keepalive",
                 "lease_revoke",
             ]
-            .map(|op_label| {
-                sim.metrics()
-                    .counter_handle("etcd_proposals_total", &[("op", op_label)])
-            })
+            .map(|op_label| sim.metrics().counter_series(metrics::PROPOSALS, [op_label]))
         })[op_ix]
             .inc();
         let req_id = {

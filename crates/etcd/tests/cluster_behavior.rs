@@ -4,8 +4,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dlaas_etcd::{EtcdCluster, EtcdError, KvEvent};
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_etcd::{
+    etcd_addr, metrics, EtcdClient, EtcdCluster, EtcdError, EtcdResponse, EtcdRpc, KvEvent,
+    WatchNet,
+};
+use dlaas_net::LatencyModel;
+use dlaas_sim::{count_buckets, Sim, SimDuration};
 
 fn boot(seed: u64) -> (Sim, EtcdCluster) {
     let mut sim = Sim::new(seed);
@@ -546,6 +550,61 @@ fn lost_watch_cancel_is_redelivered_after_partition_heals() {
         0,
         "the client must never surface events for a cancelled watch"
     );
+}
+
+/// Regression: the client used to `panic!` on a reply of the wrong shape
+/// (the handler for `put`/`delete`/`lease_revoke` replies, passed by
+/// name, had never been reviewed), so one mismatched reply took down the
+/// control-plane process that issued the call.
+#[test]
+fn mismatched_reply_fails_the_operation_not_the_process() {
+    let mut sim = Sim::new(41);
+    let rpc = EtcdRpc::new(&mut sim, LatencyModel::local());
+    let watch_net = WatchNet::new(&mut sim, LatencyModel::local());
+    // A single "server" that answers everything as if it were a `Get`.
+    rpc.serve(etcd_addr(0), |sim, _req, responder| {
+        let get_shaped = EtcdResponse::Value {
+            value: None,
+            revision: 7,
+        };
+        responder.ok(sim, get_shaped);
+    });
+    let client = EtcdClient::new("t".into(), rpc, watch_net, 1);
+
+    let (put_res, put_cb) = slot();
+    client.put(&mut sim, "a", "1", put_cb);
+    let (cas_res, cas_cb) = slot();
+    client.cas(&mut sim, "a", None, Some("1".into()), cas_cb);
+    sim.run_for(SimDuration::from_secs(1));
+    for failed in [
+        put_res.borrow().clone().map(|r| r.map(|_| ())),
+        cas_res.borrow().clone().map(|r| r.map(|_| ())),
+    ] {
+        match failed {
+            Some(Err(EtcdError::Failed(why))) => {
+                assert!(why.contains("unexpected response"), "{why}");
+            }
+            other => panic!("expected a failed operation, got {other:?}"),
+        }
+    }
+}
+
+/// A standalone etcd (no platform boot around it) records its fan-out
+/// work counts into count buckets, not the default latency buckets: the
+/// layout is part of the declaration, not something a caller applies.
+#[test]
+fn standalone_server_records_fanout_in_count_buckets() {
+    let (mut sim, etcd) = boot(42);
+    etcd.client("t").put(&mut sim, "a", "1", |_, r| {
+        r.unwrap();
+    });
+    sim.run_for(SimDuration::from_secs(1));
+    let fanout = sim
+        .metrics()
+        .histogram(metrics::WATCH_FANOUT_EXAMINED, &[])
+        .expect("a committed command records its fan-out");
+    assert!(fanout.count() > 0);
+    assert_eq!(fanout.bounds(), count_buckets());
 }
 
 #[test]

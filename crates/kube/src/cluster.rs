@@ -21,6 +21,7 @@ use std::rc::Rc;
 use dlaas_net::{Addr, SharedLink};
 use dlaas_sim::{Sim, SimDuration, SimRng, SimTime};
 
+use crate::metrics;
 use crate::process::{BehaviorRegistry, Cleanup, ProcessCtx};
 use crate::types::{
     selector_matches, KubeConfig, KubeEvent, Labels, NodeSpec, PodPhase, PodSpec, Resources,
@@ -285,9 +286,7 @@ impl Kube {
         match cached {
             Some(h) => h.inc(),
             None => {
-                let h = sim
-                    .metrics()
-                    .counter_handle("kube_events_total", &[("reason", reason)]);
+                let h = sim.metrics().counter_series(metrics::EVENTS, [reason]);
                 h.inc();
                 self.state
                     .borrow_mut()
@@ -463,7 +462,7 @@ impl Kube {
             s.sched_latency
                 .get_or_insert_with(|| {
                     sim.metrics()
-                        .histogram_handle("kube_scheduling_latency_seconds", &[])
+                        .histogram_series(metrics::SCHEDULING_LATENCY_SECONDS, [])
                 })
                 .observe_duration_us(wait.as_micros());
             s.sync_pending(&name);
@@ -491,14 +490,20 @@ impl Kube {
             if pod.uid != uid || pod.phase != PodPhase::Pending {
                 return;
             }
-            // dlaas-lint: allow(panic-reachable): begin_start is only scheduled by try_schedule after binding, and the uid+phase guard above rejects any later incarnation — an unbound Pending pod here is a scheduler bug worth crashing on
+            #[expect(
+                clippy::expect_used,
+                reason = "begin_start is only scheduled by try_schedule after binding, and the uid+phase guard above rejects any later incarnation — an unbound Pending pod here is a scheduler bug worth crashing on"
+            )]
             let node_name = pod.node.clone().expect("start requires binding");
             let spec = pod.spec.clone();
             // Image pulls: containers pull in parallel; pay the largest
             // missing image, then mark all cached.
             let mut pull_bytes: u64 = 0;
             {
-                // dlaas-lint: allow(panic-reachable): pod.node was written by try_schedule from a live entry of s.nodes, and nodes are never removed from the map (drain/cordon flip flags instead)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pod.node was written by try_schedule from a live entry of s.nodes, and nodes are never removed from the map (drain/cordon flip flags instead)"
+                )]
                 let node = s.nodes.get_mut(&node_name).expect("bound node");
                 for c in &spec.containers {
                     if !node.images.contains(&c.image.name) {
@@ -558,14 +563,23 @@ impl Kube {
             if pod.uid != uid || pod.phase != PodPhase::Starting {
                 return;
             }
-            // dlaas-lint: allow(panic-reachable): Starting phase (checked above) is only entered by begin_start after the binding invariant held; losing the binding mid-start is outside the modelled faults
+            #[expect(
+                clippy::expect_used,
+                reason = "Starting phase (checked above) is only entered by begin_start after the binding invariant held; losing the binding mid-start is outside the modelled faults"
+            )]
             let node_name = pod.node.clone().expect("started pod has node");
-            // dlaas-lint: allow(panic-reachable): same invariant as begin_start — node names bound to pods always exist in s.nodes (nodes are flagged, never removed)
+            #[expect(
+                clippy::expect_used,
+                reason = "same invariant as begin_start — node names bound to pods always exist in s.nodes (nodes are flagged, never removed)"
+            )]
             let nic = s.nodes.get(&node_name).expect("node").nic.clone();
             let containers = pod.spec.containers.clone();
             let readiness = s.config.readiness_delay;
             let readiness = s.jittered(readiness);
-            // dlaas-lint: allow(panic-reachable): re-fetch of the entry matched at the top of this borrow block; `jittered` above needs `&mut s`, forcing the re-lookup, and no path between the two touches s.pods
+            #[expect(
+                clippy::expect_used,
+                reason = "re-fetch of the entry matched at the top of this borrow block; `jittered` above needs `&mut s`, forcing the re-lookup, and no path between the two touches s.pods"
+            )]
             let pod = s.pods.get_mut(&name).expect("checked");
             pod.phase = PodPhase::Running;
             pod.started_at = Some(sim.now());
@@ -776,7 +790,7 @@ impl Kube {
             // borrowed simultaneously: one pod lookup, no re-fetch.
             let s = &mut *guard;
             s.restart_counter
-                .get_or_insert_with(|| sim.metrics().counter_handle("kube_pod_restarts_total", &[]))
+                .get_or_insert_with(|| sim.metrics().counter_series(metrics::POD_RESTARTS, []))
                 .inc();
             let Some(pod) = s.pods.get_mut(&name) else {
                 return;
@@ -835,14 +849,13 @@ impl Kube {
     /// owns it, the controller recreates it through the full scheduling
     /// path. Returns `false` if the pod does not exist.
     pub fn delete_pod(&self, sim: &mut Sim, name: &str) -> bool {
-        if self.pod_phase(name).is_none() {
-            return false;
-        }
         self.stop_processes(sim, name);
         self.release_node(name);
         let owner = {
             let mut s = self.state.borrow_mut();
-            let pod = s.pods.remove(name).expect("checked");
+            let Some(pod) = s.pods.remove(name) else {
+                return false;
+            };
             s.sync_pending(name);
             pod.owner
         };
@@ -1002,7 +1015,7 @@ impl Kube {
             .kick_examined
             .get_or_insert_with(|| {
                 sim.metrics()
-                    .histogram_handle("kube_kick_pending_examined", &[])
+                    .histogram_series(metrics::KICK_PENDING_EXAMINED, [])
             })
             .observe(pending.len() as f64);
         for name in pending {

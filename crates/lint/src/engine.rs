@@ -12,26 +12,22 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{lex, Token, TokenKind};
-use crate::metrics_contract::{check_metrics, render_manifest};
 use crate::pairs::check_pairs;
-use crate::parser::{parse_file, ParsedFile};
-use crate::reach::check_reachability;
-use crate::rules::{check_crate_root, check_tokens, rule, Finding};
+use crate::parser::parse_file;
+use crate::rules::{check_crate_root, rule, Finding};
 use crate::scopes::mark_test_regions;
 use crate::sinks::check_sinks;
 
 /// How a file is classified, which decides rule applicability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
-    /// Library code in `crates/*/src` — full rule set.
+    /// Library code in `crates/*/src` — the flow rules apply here.
     Lib,
-    /// Binary targets (`src/bin/*`, `src/main.rs`) — CLI surface; exempt
-    /// from `process-escape` and `debug-print`.
+    /// Binary targets (`src/bin/*`, `src/main.rs`) — CLI surface.
     Bin,
-    /// `examples/` — exempt from hygiene rules, still determinism-checked.
+    /// `examples/`.
     Example,
-    /// Test code (`crates/*/tests`, `crates/*/benches`, `tests/`) —
-    /// exempt from token rules.
+    /// Test code (`crates/*/tests`, `tests/`).
     Test,
     /// `third_party/` vendored stubs — only the crate-root unsafe check.
     Vendored,
@@ -78,8 +74,7 @@ impl Report {
     fn sort(&mut self) {
         self.findings
             .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-        // Overlapping token patterns (e.g. `std::thread::spawn`) can fire
-        // the same rule twice on one line; report it once.
+        // Two acquires on one line report once.
         self.findings
             .dedup_by(|a, b| (&a.file, a.line, a.rule) == (&b.file, b.line, b.rule));
         self.suppressed.sort_by(|a, b| {
@@ -112,7 +107,7 @@ const DIRECTIVE_TAG: &str = "dlaas-lint:";
 /// Parses suppression directives out of the token stream. A trailing
 /// comment suppresses its own line; a comment on its own line suppresses
 /// the next code line (directives stack across consecutive lines).
-fn parse_directives(tokens: &[Token]) -> (Vec<Directive>, Vec<Finding>, Vec<u32>) {
+fn parse_directives(tokens: &[Token]) -> (Vec<Directive>, Vec<Finding>) {
     let mut directives = Vec::new();
     let mut malformed: Vec<(u32, String)> = Vec::new();
     for (i, tok) in tokens.iter().enumerate() {
@@ -162,9 +157,7 @@ fn parse_directives(tokens: &[Token]) -> (Vec<Directive>, Vec<Finding>, Vec<u32>
         });
     }
     let mut meta_findings = Vec::new();
-    let mut directive_lines: Vec<u32> = Vec::new();
     for d in &directives {
-        directive_lines.push(d.at_line);
         if rule(&d.rule).is_none() {
             meta_findings.push((
                 d.at_line,
@@ -196,7 +189,7 @@ fn parse_directives(tokens: &[Token]) -> (Vec<Directive>, Vec<Finding>, Vec<u32>
             message,
         })
         .collect();
-    (directives, findings, directive_lines)
+    (directives, findings)
 }
 
 /// One file's per-file analysis, before suppression filtering.
@@ -209,45 +202,38 @@ struct Analysis {
     directives: Vec<Directive>,
 }
 
-/// Runs every per-file analysis: token rules, crate-root check, and the
-/// flow-aware families that only need one function at a time
-/// (paired-resource, error-sink). Returns the parsed file too, for the
-/// workspace-level passes.
-fn analyze(meta: &FileMeta, source: &str) -> (Analysis, ParsedFile) {
+/// Runs every rule over one file: the crate-root check and the
+/// flow-aware families (paired-resource, error-sink), which need one
+/// function at a time.
+fn analyze(meta: &FileMeta, source: &str) -> Analysis {
     let tokens = lex(source);
     let in_test = mark_test_regions(&tokens);
 
-    let mut raw = check_tokens(meta, &tokens, &in_test);
+    let mut raw = Vec::new();
     if is_crate_root(&meta.path) {
-        if let Some(f) = check_crate_root(meta, &tokens) {
-            raw.push(f);
-        }
+        raw.extend(check_crate_root(meta, &tokens));
     }
-
     let parsed = parse_file(&tokens, &in_test);
     raw.extend(check_pairs(meta, &parsed));
     raw.extend(check_sinks(meta, &parsed));
 
-    let (directives, mut meta_findings, _) = parse_directives(&tokens);
+    let (directives, mut meta_findings) = parse_directives(&tokens);
     for f in &mut meta_findings {
         f.file = meta.path.clone();
     }
-    (
-        Analysis {
-            meta: meta.clone(),
-            raw,
-            meta_findings,
-            directives,
-        },
-        parsed,
-    )
+    Analysis {
+        meta: meta.clone(),
+        raw,
+        meta_findings,
+        directives,
+    }
 }
 
-/// Applies one file's suppression directives to its findings (per-file
-/// `raw` plus any workspace-level `extra`), accumulating into `report`.
-/// With `check_stale`, a well-formed directive that suppressed nothing
-/// becomes a `suppression-stale` finding.
-fn finish_file(a: Analysis, extra: Vec<Finding>, check_stale: bool, report: &mut Report) {
+/// Applies one file's suppression directives to its findings,
+/// accumulating into `report`. With `check_stale`, a well-formed
+/// directive that suppressed nothing becomes a `suppression-stale`
+/// finding.
+fn finish_file(a: Analysis, check_stale: bool, report: &mut Report) {
     let Analysis {
         meta,
         raw,
@@ -262,7 +248,7 @@ fn finish_file(a: Analysis, extra: Vec<Finding>, check_stale: bool, report: &mut
         }
     }
     let mut used: BTreeSet<(String, u32)> = BTreeSet::new();
-    for f in raw.into_iter().chain(extra) {
+    for f in raw {
         match allow.get(&(f.rule, f.line)) {
             Some(justification) => {
                 used.insert((f.rule.to_string(), f.line));
@@ -297,16 +283,14 @@ fn finish_file(a: Analysis, extra: Vec<Finding>, check_stale: bool, report: &mut
 
 /// Lints one source text under an explicit classification. Public so the
 /// fixture tests can exercise rules without a real workspace layout.
-/// Runs every per-file rule; the workspace-level passes
-/// (metric-contract, panic-reachability, stale-suppression) need the
-/// whole tree — see [`lint_files`] / [`lint_workspace`].
+/// Skips the stale-suppression audit, which presumes the whole file is
+/// present — see [`lint_files`] / [`lint_workspace`].
 pub fn lint_source(meta: &FileMeta, source: &str) -> Report {
-    let (analysis, _) = analyze(meta, source);
     let mut report = Report {
         files_scanned: 1,
         ..Report::default()
     };
-    finish_file(analysis, Vec::new(), false, &mut report);
+    finish_file(analyze(meta, source), false, &mut report);
     report.sort();
     report
 }
@@ -333,7 +317,7 @@ pub fn classify(rel: &str) -> Option<FileMeta> {
             Some(meta(krate, FileClass::Bin))
         }
         ["crates", krate, "src", ..] => Some(meta(krate, FileClass::Lib)),
-        ["crates", krate, "tests" | "benches", ..] => Some(meta(krate, FileClass::Test)),
+        ["crates", krate, "tests", ..] => Some(meta(krate, FileClass::Test)),
         ["examples", ..] => Some(meta("examples", FileClass::Example)),
         ["tests", ..] => Some(meta("tests", FileClass::Test)),
         ["third_party", krate, ..] => Some(meta(krate, FileClass::Vendored)),
@@ -362,30 +346,15 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Lints a set of already-classified sources as one workspace: every
-/// per-file rule, plus the cross-file passes (metric-contract,
-/// panic-reachability) and stale-suppression detection. Public so tests
-/// can exercise workspace-level rules on in-memory trees.
+/// rule plus stale-suppression detection. Public so tests can exercise
+/// it on in-memory trees.
 pub fn lint_files(files: &[(FileMeta, String)]) -> Report {
-    let mut analyses = Vec::new();
-    let mut parsed_files: Vec<(FileMeta, ParsedFile)> = Vec::new();
-    for (meta, source) in files {
-        let (analysis, parsed) = analyze(meta, source);
-        analyses.push(analysis);
-        parsed_files.push((meta.clone(), parsed));
-    }
-    let mut workspace_findings = check_metrics(&parsed_files);
-    workspace_findings.extend(check_reachability(&parsed_files));
-    let mut by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for f in workspace_findings {
-        by_file.entry(f.file.clone()).or_default().push(f);
-    }
     let mut report = Report {
-        files_scanned: analyses.len(),
+        files_scanned: files.len(),
         ..Report::default()
     };
-    for analysis in analyses {
-        let extra = by_file.remove(&analysis.meta.path).unwrap_or_default();
-        finish_file(analysis, extra, true, &mut report);
+    for (meta, source) in files {
+        finish_file(analyze(meta, source), true, &mut report);
     }
     report.sort();
     report
@@ -420,24 +389,4 @@ fn read_workspace(root: &Path) -> io::Result<Vec<(FileMeta, String)>> {
 /// Propagates I/O errors from the directory walk or file reads.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     Ok(lint_files(&read_workspace(root)?))
-}
-
-/// Renders the generated metric manifest for the workspace at `root` —
-/// the statically-harvested inventory of every metric name, kind, and
-/// label set (see `metrics_contract`).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the directory walk or file reads.
-pub fn metric_manifest(root: &Path) -> io::Result<String> {
-    let files = read_workspace(root)?;
-    let parsed: Vec<(FileMeta, ParsedFile)> = files
-        .iter()
-        .map(|(meta, source)| {
-            let tokens = lex(source);
-            let in_test = mark_test_regions(&tokens);
-            (meta.clone(), parse_file(&tokens, &in_test))
-        })
-        .collect();
-    Ok(render_manifest(&parsed))
 }

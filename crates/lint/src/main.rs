@@ -5,15 +5,13 @@
 //! cargo run -p dlaas-lint -- --workspace --json     # machine-readable, stable JSON
 //! cargo run -p dlaas-lint -- --root <path>          # lint an explicit tree
 //! cargo run -p dlaas-lint -- --list-rules           # print the rule registry
-//! cargo run -p dlaas-lint -- --workspace --metric-manifest metrics-manifest.json
-//!                                                   # write the harvested metric inventory
 //! ```
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 
-use dlaas_lint::{lint_workspace, metric_manifest, render_json, render_rules, render_text};
+use dlaas_lint::{lint_workspace, render_json, render_rules, render_text};
 
 fn find_workspace_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
@@ -34,7 +32,7 @@ fn find_workspace_root() -> Option<PathBuf> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dlaas-lint (--workspace | --root <path>) [--json] [--metric-manifest <path>]\n       dlaas-lint --list-rules"
+        "usage: dlaas-lint (--workspace | --root <path>) [--json]\n       dlaas-lint --list-rules"
     );
     std::process::exit(2);
 }
@@ -43,7 +41,6 @@ fn main() {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
     let mut list_rules = false;
-    let mut manifest_out: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -60,10 +57,6 @@ fn main() {
             },
             "--json" => json = true,
             "--list-rules" => list_rules = true,
-            "--metric-manifest" => match args.next() {
-                Some(p) => manifest_out = Some(PathBuf::from(p)),
-                None => usage(),
-            },
             _ => usage(),
         }
     }
@@ -72,20 +65,6 @@ fn main() {
         return;
     }
     let Some(root) = root else { usage() };
-    if let Some(out) = manifest_out {
-        match metric_manifest(&root) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(&out, text) {
-                    eprintln!("dlaas-lint: writing {}: {e}", out.display());
-                    std::process::exit(2);
-                }
-            }
-            Err(e) => {
-                eprintln!("dlaas-lint: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
     match lint_workspace(&root) {
         Ok(report) => {
             if json {

@@ -120,9 +120,7 @@ fn binding_escapes(name: &str, body: &Block) -> bool {
     let mut escapes = false;
     visit(body, &mut |n| {
         if let Node::Call(c) = n {
-            if c.first_arg == Some(crate::parser::ArgValue::Path(name.to_string()))
-                || (c.second_arg == Some(crate::parser::ArgValue::Path(name.to_string())))
-            {
+            if c.first_arg.as_deref() == Some(name) || c.second_arg.as_deref() == Some(name) {
                 escapes = true;
             }
         }
@@ -146,12 +144,9 @@ fn released_on_all_paths(
         Node::Call(c) if is_release(spec, c) => true,
         // A cleanup closure that performs the release discharges the
         // obligation at its registration point.
-        Node::Closure { body, .. } if contains_release(spec, body) => true,
-        Node::Exit {
-            kind: ExitKind::Return | ExitKind::Question,
-            ..
-        } => false,
-        Node::Branch { arms, .. } => arms.iter().all(|a| {
+        Node::Closure(body) if contains_release(spec, body) => true,
+        Node::Exit(ExitKind::Return | ExitKind::Question) => false,
+        Node::Branch(arms) => arms.iter().all(|a| {
             released_on_all_paths(spec, &a.body.nodes, 0, &|| {
                 released_on_all_paths(spec, nodes, k + 1, rest)
             })
@@ -176,7 +171,7 @@ fn check_from_acquire(
             Node::Call(c) if c.line == line && spec_matches(spec, c) => {
                 return Some(released_on_all_paths(spec, nodes, k + 1, rest));
             }
-            Node::Branch { arms, .. } => {
+            Node::Branch(arms) => {
                 for a in arms {
                     if let Some(ok) = check_from_acquire(spec, &a.body.nodes, line, &|| {
                         released_on_all_paths(spec, nodes, k + 1, rest)
@@ -185,7 +180,7 @@ fn check_from_acquire(
                     }
                 }
             }
-            Node::Loop { body, .. } | Node::Closure { body, .. } => {
+            Node::Loop(body) | Node::Closure(body) => {
                 // Within a loop/closure, require a release before the
                 // end of that body (re-acquisition next iteration would
                 // otherwise stack leaks).

@@ -1,12 +1,11 @@
 //! A lightweight item/block-level parser over the token stream.
 //!
-//! `dlaas-lint` v1 saw only tokens; the flow-aware rule families
-//! (paired-resource, error-sink, metric-contract, panic-reachability)
-//! need *structure*: which function a call lives in, which branch arms
-//! exist, whether a call's result is dropped, what a `match` arm's
-//! pattern names. This module recovers exactly that much structure and
-//! no more — a per-function CFG-ish block tree plus the item inventory
-//! (functions, impl types, string constants) — from the lexed tokens.
+//! The flow-aware rule families (paired-resource, error-sink) need
+//! *structure*: which function a call lives in, which branch arms exist,
+//! whether a call's result is dropped, what a `match` arm's pattern
+//! names. This module recovers exactly that much structure and no more —
+//! the file's functions, each with a CFG-ish block tree — from the lexed
+//! tokens.
 //!
 //! The parser is deliberately loss-tolerant: it never fails, it only
 //! degrades. Unrecognized constructs parse as opaque statements whose
@@ -20,14 +19,12 @@
 
 use crate::lexer::{Token, TokenKind};
 
-/// One parsed source file: its functions and string constants.
+/// One parsed source file: its functions.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     /// Every `fn` item found, in source order (methods included;
     /// closures are inlined into their parent's body tree).
     pub fns: Vec<FnInfo>,
-    /// `const NAME: &str = "value"` items — the metric-name vocabulary.
-    pub consts: Vec<(String, String)>,
 }
 
 /// One function item with its recovered body tree.
@@ -35,12 +32,6 @@ pub struct ParsedFile {
 pub struct FnInfo {
     /// Bare function name.
     pub name: String,
-    /// Enclosing `impl`/`trait` type name, when inside one.
-    pub self_ty: Option<String>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Declared with any `pub` visibility.
-    pub is_pub: bool,
     /// Inside a `#[cfg(test)]` / `#[test]` region.
     pub in_test: bool,
     /// The recovered body tree (empty for bodyless trait decls).
@@ -65,71 +56,26 @@ pub enum ExitKind {
     LoopExit,
 }
 
-/// What introduced a [`Node::Branch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchKind {
-    /// `if` / `else if` / `else` chain.
-    If,
-    /// `match` expression.
-    Match,
-    /// Synthetic single-arm wrapper for a hoisted condition sequence
-    /// (all paths traverse its one arm).
-    Seq,
-}
-
 /// One node of the flow tree.
 #[derive(Debug)]
 pub enum Node {
     /// A function/method/macro call.
     Call(Call),
     /// A control-flow exit.
-    Exit {
-        /// Line of the exit token.
-        line: u32,
-        /// Exit flavor.
-        kind: ExitKind,
-    },
-    /// `if`/`match` with one block per arm.
-    Branch {
-        /// Line of the introducing keyword.
-        line: u32,
-        /// Construct kind.
-        kind: BranchKind,
-        /// Arms in source order. For `if` without `else`, a synthetic
-        /// empty fall-through arm is appended so "condition false" still
-        /// counts as a path that skips the body.
-        arms: Vec<Arm>,
-    },
+    Exit(ExitKind),
+    /// `if`/`match` with one block per arm, in source order. For `if`
+    /// without `else`, a synthetic empty fall-through arm is appended so
+    /// "condition false" still counts as a path that skips the body. A
+    /// single-arm branch is the synthetic wrapper for a hoisted condition
+    /// sequence: all paths traverse its one arm.
+    Branch(Vec<Arm>),
     /// `loop`/`while`/`for` body (treated as may-run-zero-times).
-    Loop {
-        /// Line of the loop keyword.
-        line: u32,
-        /// Loop body.
-        body: Block,
-    },
-    /// A closure body: *deferred* code — not on the enclosing
-    /// function's execution path, but still scanned by file-level and
-    /// call-graph analyses.
-    Closure {
-        /// Line the closure starts on.
-        line: u32,
-        /// Closure body.
-        body: Block,
-    },
+    Loop(Block),
+    /// A closure body: *deferred* code — not on the enclosing function's
+    /// execution path, but still scanned by file-level analyses.
+    Closure(Block),
     /// A panic-capable site (`.unwrap()`, `panic!`, …).
-    Panic {
-        /// Line of the panicking token.
-        line: u32,
-        /// Which construct (`unwrap`, `expect`, `panic`, …).
-        what: String,
-    },
-    /// `let _ = …;` — an explicitly discarded value.
-    Discard {
-        /// Line of the `let`.
-        line: u32,
-        /// Whether the discarded expression contained a call.
-        has_call: bool,
-    },
+    Panic,
 }
 
 /// One arm of a [`Node::Branch`].
@@ -148,15 +94,6 @@ pub struct Arm {
     pub empty: bool,
 }
 
-/// A statically-known argument value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArgValue {
-    /// A string literal, quotes stripped.
-    Str(String),
-    /// An identifier path; value is the last segment.
-    Path(String),
-}
-
 /// A call site with just enough argument structure for the rules.
 #[derive(Debug)]
 pub struct Call {
@@ -165,8 +102,6 @@ pub struct Call {
     /// `recv.name(…)` → receiver ident (empty string for a computed
     /// receiver like `foo().name(…)`); `Type::name(…)` → `Type`.
     pub qualifier: Option<String>,
-    /// `true` for `recv.name(…)` method syntax.
-    pub is_method: bool,
     /// `true` for `name!(…)` macro syntax.
     pub is_macro: bool,
     /// 1-based line of the name token.
@@ -182,13 +117,10 @@ pub struct Call {
     pub consumed: bool,
     /// Number of top-level arguments.
     pub n_args: usize,
-    /// First argument when statically known.
-    pub first_arg: Option<ArgValue>,
-    /// Second argument when statically known (e.g. `MetricKind::Counter`).
-    pub second_arg: Option<ArgValue>,
-    /// Second argument's label keys when it is a `&[("k", v), …]` slice
-    /// literal (`None` entries for non-literal keys).
-    pub label_keys: Option<Vec<Option<String>>>,
+    /// First argument's last path segment, when it is a bare ident path.
+    pub first_arg: Option<String>,
+    /// Second argument's, likewise.
+    pub second_arg: Option<String>,
 }
 
 /// Names that panic when reached.
@@ -201,12 +133,12 @@ pub fn visit<'a>(block: &'a Block, f: &mut dyn FnMut(&'a Node)) {
     for n in &block.nodes {
         f(n);
         match n {
-            Node::Branch { arms, .. } => {
+            Node::Branch(arms) => {
                 for a in arms {
                     visit(&a.body, f);
                 }
             }
-            Node::Loop { body, .. } | Node::Closure { body, .. } => visit(body, f),
+            Node::Loop(body) | Node::Closure(body) => visit(body, f),
             _ => {}
         }
     }
@@ -231,7 +163,7 @@ pub fn parse_file(tokens: &[Token], in_test: &[bool]) -> ParsedFile {
         }
     }
     let mut out = ParsedFile::default();
-    items(&sig, 0, sig.toks.len(), None, &mut out);
+    items(&sig, &mut out);
     out
 }
 
@@ -241,12 +173,6 @@ fn text<'s>(sig: &'s Sig, i: usize) -> &'s str {
 
 fn is_ident(sig: &Sig, i: usize) -> bool {
     sig.toks.get(i).is_some_and(|t| t.kind == TokenKind::Ident)
-}
-
-fn is_str_lit(sig: &Sig, i: usize) -> bool {
-    sig.toks
-        .get(i)
-        .is_some_and(|t| t.kind == TokenKind::Literal && t.text.starts_with('"'))
 }
 
 fn line(sig: &Sig, i: usize) -> u32 {
@@ -275,10 +201,11 @@ fn matching(sig: &Sig, i: usize, end: usize) -> usize {
     end
 }
 
-/// Scans `[start, end)` for item declarations, recursing into `mod` and
-/// `impl`/`trait` bodies.
-fn items(sig: &Sig, start: usize, end: usize, self_ty: Option<&str>, out: &mut ParsedFile) {
-    let mut i = start;
+/// Scans the file for `fn` items, wherever they sit (`mod`, `impl` and
+/// `trait` bodies are walked through like any other tokens).
+fn items(sig: &Sig, out: &mut ParsedFile) {
+    let end = sig.toks.len();
+    let mut i = 0;
     while i < end {
         match text(sig, i) {
             // Attributes never contain items; skip them wholesale so
@@ -295,9 +222,6 @@ fn items(sig: &Sig, start: usize, end: usize, self_ty: Option<&str>, out: &mut P
                 }
             }
             "fn" if is_ident(sig, i + 1) => {
-                let name = text(sig, i + 1).to_string();
-                let fn_line = line(sig, i);
-                let is_pub = looks_pub(sig, i);
                 // Signature runs to the body `{` (or `;` for trait
                 // declarations) at paren/bracket depth 0.
                 let mut j = i + 2;
@@ -319,87 +243,15 @@ fn items(sig: &Sig, start: usize, end: usize, self_ty: Option<&str>, out: &mut P
                     j += 1;
                 }
                 out.fns.push(FnInfo {
-                    name,
-                    self_ty: self_ty.map(str::to_string),
-                    line: fn_line,
-                    is_pub,
+                    name: text(sig, i + 1).to_string(),
                     in_test: sig.in_test.get(i).copied().unwrap_or(false),
                     body,
                 });
                 i = j + 1;
             }
-            // `const NAME: &str = "lit";` — harvest the vocabulary.
-            // (`const fn` falls through to the `fn` arm next round.)
-            "const" | "static" if is_ident(sig, i + 1) && text(sig, i + 1) != "fn" => {
-                let name = text(sig, i + 1).to_string();
-                let mut j = i + 2;
-                let mut value = None;
-                while j < end && text(sig, j) != ";" {
-                    if is_str_lit(sig, j) {
-                        value = Some(text(sig, j).trim_matches('"').to_string());
-                    }
-                    j += 1;
-                }
-                if let Some(v) = value {
-                    out.consts.push((name, v));
-                }
-                i = j + 1;
-            }
-            "impl" | "trait" => {
-                // `impl<T> Type {`, `impl Trait for Type {`, `trait T {`.
-                let mut j = i + 1;
-                let mut ty: Option<String> = None;
-                let mut depth = 0i32;
-                while j < end {
-                    match text(sig, j) {
-                        "<" => depth += 1,
-                        ">" => depth = (depth - 1).max(0),
-                        "{" if depth == 0 => break,
-                        // The implemented type follows `for`.
-                        "for" if depth == 0 => ty = None,
-                        "where" if depth == 0 => {
-                            // Bounds follow; stop collecting type names.
-                            while j < end && text(sig, j) != "{" {
-                                j += 1;
-                            }
-                            continue;
-                        }
-                        t if depth == 0 && is_ident(sig, j) && ty.is_none() && t != "dyn" => {
-                            ty = Some(t.to_string());
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                let close = matching(sig, j, end);
-                items(sig, j + 1, close, ty.as_deref(), out);
-                i = close + 1;
-            }
-            "mod" if text(sig, i + 2) == "{" => {
-                let close = matching(sig, i + 2, end);
-                items(sig, i + 3, close, self_ty, out);
-                i = close + 1;
-            }
             _ => i += 1,
         }
     }
-}
-
-/// Whether the `fn` at `i` carries a visibility qualifier.
-fn looks_pub(sig: &Sig, i: usize) -> bool {
-    let mut k = i;
-    for _ in 0..8 {
-        if k == 0 {
-            return false;
-        }
-        k -= 1;
-        match text(sig, k) {
-            "pub" => return true,
-            "(" | ")" | "crate" | "super" | "in" | "async" | "unsafe" | "const" | "extern" => {}
-            _ => return false,
-        }
-    }
-    false
 }
 
 /// Token texts after which a `|` starts a closure, not bitwise-or.
@@ -424,7 +276,6 @@ fn call_disposition(sig: &Sig, close: usize, end: usize) -> (bool, bool) {
 }
 
 /// Parses the statements of `[start, end)` into a flow tree.
-#[allow(clippy::too_many_lines)]
 fn block(sig: &Sig, start: usize, end: usize) -> Block {
     let mut nodes = Vec::new();
     let mut i = start;
@@ -472,29 +323,7 @@ fn block(sig: &Sig, start: usize, end: usize) -> Block {
                     j += 1;
                 }
                 if text(sig, j) == "_" && text(sig, j + 1) == "=" {
-                    // `let _ = …;` — scan the initializer for calls.
-                    let mut k = j + 2;
-                    let mut depth = 0i32;
-                    let mut has_call = false;
-                    while k < end {
-                        match text(sig, k) {
-                            "(" => {
-                                if is_ident(sig, k.wrapping_sub(1)) {
-                                    has_call = true;
-                                }
-                                depth += 1;
-                            }
-                            "[" | "{" => depth += 1,
-                            ")" | "]" | "}" => depth -= 1,
-                            ";" if depth == 0 => break,
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    nodes.push(Node::Discard {
-                        line: line(sig, i),
-                        has_call,
-                    });
+                    // `let _ = …;` — the value is thrown away.
                     binding = Some("_".to_string());
                     i = j + 2;
                 } else if is_ident(sig, j)
@@ -509,24 +338,15 @@ fn block(sig: &Sig, start: usize, end: usize) -> Block {
             }
             "return" => {
                 in_return = true;
-                nodes.push(Node::Exit {
-                    line: line(sig, i),
-                    kind: ExitKind::Return,
-                });
+                nodes.push(Node::Exit(ExitKind::Return));
                 i += 1;
             }
             "break" | "continue" => {
-                nodes.push(Node::Exit {
-                    line: line(sig, i),
-                    kind: ExitKind::LoopExit,
-                });
+                nodes.push(Node::Exit(ExitKind::LoopExit));
                 i += 1;
             }
             "?" => {
-                nodes.push(Node::Exit {
-                    line: line(sig, i),
-                    kind: ExitKind::Question,
-                });
+                nodes.push(Node::Exit(ExitKind::Question));
                 i += 1;
             }
             "if" => {
@@ -544,7 +364,6 @@ fn block(sig: &Sig, start: usize, end: usize) -> Block {
                 in_return = false;
             }
             "loop" | "while" | "for" => {
-                let kw_line = line(sig, i);
                 let mut j = i + 1;
                 let mut depth = 0i32;
                 while j < end {
@@ -560,17 +379,13 @@ fn block(sig: &Sig, start: usize, end: usize) -> Block {
                 let head = block(sig, i + 1, j);
                 nodes.extend(head.nodes);
                 let close = matching(sig, j, end);
-                nodes.push(Node::Loop {
-                    line: kw_line,
-                    body: block(sig, j + 1, close),
-                });
+                nodes.push(Node::Loop(block(sig, j + 1, close)));
                 i = close + 1;
                 binding = None;
                 in_return = false;
             }
             "|" if closure_position(&prev_text) => {
                 // Closure: `|args| expr-or-block` / `|| …`.
-                let cl_line = line(sig, i);
                 let mut j = i + 1;
                 let mut depth = 0i32;
                 while j < end {
@@ -603,10 +418,7 @@ fn block(sig: &Sig, start: usize, end: usize) -> Block {
                     }
                     (block(sig, body_start, k), k)
                 };
-                nodes.push(Node::Closure {
-                    line: cl_line,
-                    body,
-                });
+                nodes.push(Node::Closure(body));
                 i = next;
             }
             "{" => {
@@ -617,21 +429,14 @@ fn block(sig: &Sig, start: usize, end: usize) -> Block {
                 i = close + 1;
             }
             _ if is_ident(sig, i) => {
-                let name = t.to_string();
                 if PANIC_MACROS.contains(&t) && text(sig, i + 1) == "!" {
-                    nodes.push(Node::Panic {
-                        line: line(sig, i),
-                        what: name,
-                    });
+                    nodes.push(Node::Panic);
                     i += 1;
                     prev_text = "!".to_string();
                     continue;
                 }
                 if PANIC_METHODS.contains(&t) && prev_text == "." && text(sig, i + 1) == "(" {
-                    nodes.push(Node::Panic {
-                        line: line(sig, i),
-                        what: name.clone(),
-                    });
+                    nodes.push(Node::Panic);
                 }
                 let bang_call = text(sig, i + 1) == "!" && text(sig, i + 2) == "(";
                 let plain_call = text(sig, i + 1) == "(";
@@ -641,12 +446,10 @@ fn block(sig: &Sig, start: usize, end: usize) -> Block {
                     let close = matching(sig, open, end);
                     let args = split_args(sig, open, close);
                     let (discarded, consumed) = call_disposition(sig, close, end);
-                    let first_arg = args.first().and_then(|&(a, b)| arg_value(sig, a, b));
-                    let second_arg = args.get(1).and_then(|&(a, b)| arg_value(sig, a, b));
-                    let label_keys = args.get(1).and_then(|&(a, b)| slice_keys(sig, a, b));
+                    let first_arg = args.first().and_then(|&(a, b)| arg_path(sig, a, b));
+                    let second_arg = args.get(1).and_then(|&(a, b)| arg_path(sig, a, b));
                     nodes.push(Node::Call(Call {
-                        is_method: qualifier.is_some() && text(sig, i.wrapping_sub(1)) == ".",
-                        name,
+                        name: t.to_string(),
                         qualifier,
                         is_macro: bang_call,
                         line: line(sig, i),
@@ -656,7 +459,6 @@ fn block(sig: &Sig, start: usize, end: usize) -> Block {
                         n_args: args.len(),
                         first_arg,
                         second_arg,
-                        label_keys,
                     }));
                     // Parse the argument region so nested calls and
                     // closures are seen.
@@ -715,11 +517,8 @@ fn split_args(sig: &Sig, open: usize, close: usize) -> Vec<(usize, usize)> {
     args
 }
 
-/// A span's value when it is a string literal or a bare ident path.
-fn arg_value(sig: &Sig, a: usize, b: usize) -> Option<ArgValue> {
-    if b - a == 1 && is_str_lit(sig, a) {
-        return Some(ArgValue::Str(text(sig, a).trim_matches('"').to_string()));
-    }
+/// A span's last path segment when it is a bare ident path.
+fn arg_path(sig: &Sig, a: usize, b: usize) -> Option<String> {
     let mut last = None;
     for k in a..b {
         match sig.toks.get(k).map(|t| t.kind) {
@@ -728,54 +527,23 @@ fn arg_value(sig: &Sig, a: usize, b: usize) -> Option<ArgValue> {
             _ => return None,
         }
     }
-    last.map(|l| ArgValue::Path(l.to_string()))
-}
-
-/// Label keys when the span is a `&[("k", v), …]` slice literal.
-fn slice_keys(sig: &Sig, a: usize, b: usize) -> Option<Vec<Option<String>>> {
-    if text(sig, a) != "&" || text(sig, a + 1) != "[" {
-        return None;
-    }
-    let close = matching(sig, a + 1, b);
-    let mut keys = Vec::new();
-    let mut k = a + 2;
-    let mut d = 0i32;
-    while k < close {
-        match text(sig, k) {
-            "(" if d == 0 => {
-                d += 1;
-                if is_str_lit(sig, k + 1) {
-                    keys.push(Some(text(sig, k + 1).trim_matches('"').to_string()));
-                } else {
-                    keys.push(None);
-                }
-            }
-            "(" | "[" | "{" => d += 1,
-            ")" | "]" | "}" => d -= 1,
-            _ => {}
-        }
-        k += 1;
-    }
-    Some(keys)
+    last.map(str::to_string)
 }
 
 /// Wraps hoisted pre-branch nodes and the branch itself into a single
 /// transparent node (a one-arm `Seq` branch: all paths traverse it).
-fn with_prelude(mut prelude: Vec<Node>, branch: Node, at: u32) -> Node {
+fn with_prelude(mut prelude: Vec<Node>, arms: Vec<Arm>, at: u32) -> Node {
+    let branch = Node::Branch(arms);
     if prelude.is_empty() {
         return branch;
     }
     prelude.push(branch);
-    Node::Branch {
+    Node::Branch(vec![Arm {
+        pattern: Vec::new(),
         line: at,
-        kind: BranchKind::Seq,
-        arms: vec![Arm {
-            pattern: Vec::new(),
-            line: at,
-            body: Block { nodes: prelude },
-            empty: false,
-        }],
-    }
+        body: Block { nodes: prelude },
+        empty: false,
+    }])
 }
 
 /// Parses an `if` chain starting at `i`; returns the node and the index
@@ -838,12 +606,7 @@ fn parse_if(sig: &Sig, i: usize, end: usize) -> (Node, usize) {
             empty: true,
         });
     }
-    let branch = Node::Branch {
-        line: if_line,
-        kind: BranchKind::If,
-        arms,
-    };
-    (with_prelude(cond_nodes, branch, if_line), j + 1)
+    (with_prelude(cond_nodes, arms, if_line), j + 1)
 }
 
 /// Parses a `match` starting at `i`; returns the node and the index
@@ -923,12 +686,7 @@ fn parse_match(sig: &Sig, i: usize, end: usize) -> (Node, usize) {
             j += 1;
         }
     }
-    let branch = Node::Branch {
-        line: m_line,
-        kind: BranchKind::Match,
-        arms,
-    };
-    (with_prelude(scrutinee, branch, m_line), close + 1)
+    (with_prelude(scrutinee, arms, m_line), close + 1)
 }
 
 #[cfg(test)]
@@ -947,25 +705,26 @@ mod tests {
         for n in &b.nodes {
             match n {
                 Node::Call(c) => out.push(c.name.clone()),
-                Node::Branch { arms, .. } => {
+                Node::Branch(arms) => {
                     for a in arms {
                         all_calls(&a.body, out);
                     }
                 }
-                Node::Loop { body, .. } | Node::Closure { body, .. } => all_calls(body, out),
+                Node::Loop(body) | Node::Closure(body) => all_calls(body, out),
                 _ => {}
             }
         }
     }
 
-    fn find_branch(b: &Block, kind: BranchKind) -> Option<&Vec<Arm>> {
+    /// The first real `if`/`match` (more than the one synthetic arm).
+    fn find_branch(b: &Block) -> Option<&Vec<Arm>> {
         for n in &b.nodes {
-            if let Node::Branch { arms, kind: k, .. } = n {
-                if *k == kind {
+            if let Node::Branch(arms) = n {
+                if arms.len() > 1 {
                     return Some(arms);
                 }
                 for a in arms {
-                    if let Some(found) = find_branch(&a.body, kind) {
+                    if let Some(found) = find_branch(&a.body) {
                         return Some(found);
                     }
                 }
@@ -975,27 +734,13 @@ mod tests {
     }
 
     #[test]
-    fn finds_fns_and_impl_types() {
-        let p = parse("impl Foo { pub fn a(&self) {} }\nfn b() {}\ntrait T { fn c(&self); }");
-        let names: Vec<_> = p
-            .fns
-            .iter()
-            .map(|f| (f.name.clone(), f.self_ty.clone(), f.is_pub))
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                ("a".into(), Some("Foo".into()), true),
-                ("b".into(), None, false),
-                ("c".into(), Some("T".into()), false),
-            ]
+    fn finds_fns_inside_impl_trait_and_mod_blocks() {
+        let p = parse(
+            "impl<T: Fn()> Foo<T> { pub fn a(&self) {} }\nfn b() {}\ntrait T { fn c(&self); }\n\
+             mod m { impl Display for Widget { fn fmt(&self) {} } }\nstruct S { f: fn(u32) }",
         );
-    }
-
-    #[test]
-    fn impl_trait_for_type_picks_the_type() {
-        let p = parse("impl Display for Widget { fn fmt(&self) {} }");
-        assert_eq!(p.fns[0].self_ty.as_deref(), Some("Widget"));
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["a", "b", "c", "fmt"]);
     }
 
     #[test]
@@ -1003,15 +748,13 @@ mod tests {
         let p = parse("pub const fn zero() -> u32 { 0 }\nconst N: &str = \"x\";");
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "zero");
-        assert!(p.fns[0].is_pub);
-        assert_eq!(p.consts, vec![("N".to_string(), "x".to_string())]);
     }
 
     #[test]
     fn match_arms_and_patterns() {
         let p =
             parse("fn f(r: Result<u32, E>) { match r { Ok(v) => { use_it(v); } Err(e) => {} } }");
-        let arms = find_branch(&p.fns[0].body, BranchKind::Match).expect("match");
+        let arms = find_branch(&p.fns[0].body).expect("match");
         assert_eq!(arms.len(), 2);
         assert!(arms[0].pattern.contains(&"Ok".to_string()));
         assert!(arms[1].pattern.contains(&"Err".to_string()));
@@ -1024,7 +767,7 @@ mod tests {
             "fn f(r: Result<u32, E>) { match r { Ok(v) if v > 0 => big(v), Ok(_) => small(), \
              Err(_) => bad(), } }",
         );
-        let arms = find_branch(&p.fns[0].body, BranchKind::Match).expect("match");
+        let arms = find_branch(&p.fns[0].body).expect("match");
         assert_eq!(arms.len(), 3);
     }
 
@@ -1053,13 +796,13 @@ mod tests {
         fn exits(b: &Block, out: &mut Vec<ExitKind>) {
             for n in &b.nodes {
                 match n {
-                    Node::Exit { kind, .. } => out.push(*kind),
-                    Node::Branch { arms, .. } => {
+                    Node::Exit(kind) => out.push(*kind),
+                    Node::Branch(arms) => {
                         for a in arms {
                             exits(&a.body, out);
                         }
                     }
-                    Node::Loop { body, .. } | Node::Closure { body, .. } => exits(body, out),
+                    Node::Loop(body) | Node::Closure(body) => exits(body, out),
                     _ => {}
                 }
             }
@@ -1073,7 +816,7 @@ mod tests {
     #[test]
     fn if_without_else_gets_fallthrough_arm() {
         let p = parse("fn f(c: bool) { if c { a(); } }");
-        let arms = find_branch(&p.fns[0].body, BranchKind::If).expect("if");
+        let arms = find_branch(&p.fns[0].body).expect("if");
         assert_eq!(arms.len(), 2, "then + synthetic fall-through");
         assert_eq!(arms.iter().filter(|a| a.body.nodes.is_empty()).count(), 1);
     }
@@ -1125,34 +868,7 @@ mod tests {
 
     #[test]
     fn let_underscore_is_a_discard() {
-        let p = parse("fn f() { let _ = fallible(); let _ = x; }");
-        let discards: Vec<bool> = p.fns[0]
-            .body
-            .nodes
-            .iter()
-            .filter_map(|n| match n {
-                Node::Discard { has_call, .. } => Some(*has_call),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(discards, vec![true, false]);
-    }
-
-    #[test]
-    fn string_consts_are_harvested() {
-        let p = parse("pub const NAME: &str = \"dlaas_x_total\";\nconst OTHER: u32 = 3;");
-        assert_eq!(
-            p.consts,
-            vec![("NAME".to_string(), "dlaas_x_total".to_string())]
-        );
-    }
-
-    #[test]
-    fn metric_call_args_are_extracted() {
-        let p = parse(
-            "fn f(m: &R) { m.inc(\"x_total\", &[(\"op\", v)]); m.observe(NAME, &[]); \
-             m.describe(NAME, MetricKind::Counter, \"help\"); }",
-        );
+        let p = parse("fn f() { let _ = etcd.lease_grant(sim, ttl); keep(w, sim); }");
         let calls: Vec<&Call> = p.fns[0]
             .body
             .nodes
@@ -1162,30 +878,24 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(calls[0].first_arg, Some(ArgValue::Str("x_total".into())));
-        assert_eq!(calls[0].label_keys, Some(vec![Some("op".into())]));
-        assert_eq!(calls[1].first_arg, Some(ArgValue::Path("NAME".into())));
-        assert_eq!(calls[1].label_keys, Some(vec![]));
-        assert_eq!(calls[2].second_arg, Some(ArgValue::Path("Counter".into())));
-        assert_eq!(calls[2].n_args, 3);
+        assert_eq!(calls[0].name, "lease_grant");
+        assert_eq!(calls[0].bound_to.as_deref(), Some("_"));
+        assert_eq!(calls[0].second_arg.as_deref(), Some("ttl"));
+        assert_eq!(calls[1].bound_to, None);
+        assert_eq!(calls[1].first_arg.as_deref(), Some("w"));
+        assert_eq!(calls[1].n_args, 2);
     }
 
     #[test]
-    fn panic_sites_are_recorded_with_lines() {
+    fn panic_sites_are_recorded() {
         let p = parse("fn f(x: Option<u32>) {\n    let v = x.unwrap();\n    panic!(\"no\");\n}");
-        let sites: Vec<(String, u32)> = p.fns[0]
+        let sites = p.fns[0]
             .body
             .nodes
             .iter()
-            .filter_map(|n| match n {
-                Node::Panic { line, what } => Some((what.clone(), *line)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            sites,
-            vec![("unwrap".to_string(), 2), ("panic".to_string(), 3)]
-        );
+            .filter(|n| matches!(n, Node::Panic))
+            .count();
+        assert_eq!(sites, 2);
     }
 
     #[test]

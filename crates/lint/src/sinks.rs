@@ -2,15 +2,14 @@
 //!
 //! The paper's dependability argument assumes every substrate failure
 //! is either retried, propagated, or at minimum made visible to the
-//! observability plane. An error that is silently dropped —
-//! `let _ = fallible()`, `.ok();`, or an `Err` arm that does nothing —
-//! is a recovery path that cannot be audited: the fault matrix cannot
-//! attribute the resulting stuck job to anything.
+//! observability plane. A `Result` dropped on the floor (`let _ =`,
+//! `.ok();`) is clippy's to catch (`let_underscore_must_use`,
+//! `unused_result_ok` at the control-plane crate roots); what no
+//! off-the-shelf lint sees is an error that *was* matched and then
+//! quietly ignored.
 //!
-//! Two rules, scoped to the control-plane crates' library code:
+//! One rule, scoped to the control-plane crates' library code:
 //!
-//! - `discarded-result`: `let _ = <call>;` and statement-dropped
-//!   `.ok();` — the error vanished without a trace.
 //! - `swallowed-error`: a `match` arm with an `Err` pattern whose body
 //!   neither exits (`return`/`?`), re-wraps (`Err(…)`/`Ok(…)`), calls a
 //!   handler (retry scheduling, job failure, responder), nor bumps a
@@ -28,12 +27,12 @@ pub const SINK_CRATES: &[&str] = &["core", "etcd", "docstore", "kube"];
 /// scheduling, job/state degradation, responders, logging to the
 /// observability plane, or explicit re-wrapping.
 const HANDLERS: &[&str] = &[
+    "counter_series",
+    "gauge_series",
+    "histogram_series",
     "inc",
-    "inc_by",
     "observe",
     "observe_duration_us",
-    "set_gauge",
-    "add_gauge",
     "record",
     "schedule_in",
     "schedule_at",
@@ -54,81 +53,51 @@ pub fn check_sinks(meta: &FileMeta, parsed: &ParsedFile) -> Vec<Finding> {
         return Vec::new();
     }
     let mut out = Vec::new();
-    for f in &parsed.fns {
-        if f.in_test {
-            continue;
-        }
-        visit(&f.body, &mut |n| match n {
-            Node::Discard {
-                line,
-                has_call: true,
-            } => out.push(Finding {
-                file: meta.path.clone(),
-                line: *line,
-                rule: "discarded-result",
-                message: "`let _ =` discards a call result; if it is a Result, the error \
-                          vanishes without retry, propagation, or a metric — handle it or \
-                          justify the suppression"
-                    .into(),
-            }),
-            Node::Call(c) if c.name == "ok" && c.is_method && c.discarded && c.n_args == 0 => {
-                out.push(Finding {
-                    file: meta.path.clone(),
-                    line: c.line,
-                    rule: "discarded-result",
-                    message: "statement-dropped `.ok()` swallows the error branch; handle the \
-                              Err (retry, propagate, or bump a metric) or justify the \
-                              suppression"
-                        .into(),
-                });
-            }
-            Node::Branch { arms, .. } => {
-                for a in arms {
-                    if !a.pattern.iter().any(|p| p == "Err") {
-                        continue;
-                    }
-                    let mut has_call = false;
-                    let mut handled = false;
-                    visit(&a.body, &mut |bn| match bn {
-                        Node::Call(c) => {
-                            // Macro calls (`format!`, …) are value
-                            // construction, not work that could have
-                            // handled the error.
-                            if !c.is_macro {
-                                has_call = true;
-                            }
-                            if HANDLERS.contains(&c.name.as_str())
-                                // `responder.ok(sim, resp)` sends a
-                                // response — propagation to the caller.
-                                // (0-arg `.ok()` is Result::ok, which
-                                // `discarded-result` covers.)
-                                || (c.name == "ok" && c.n_args > 0)
-                            {
-                                handled = true;
-                            }
+    for f in parsed.fns.iter().filter(|f| !f.in_test) {
+        visit(&f.body, &mut |n| {
+            let Node::Branch(arms) = n else { return };
+            for a in arms {
+                if !a.pattern.iter().any(|p| p == "Err") {
+                    continue;
+                }
+                let mut has_call = false;
+                let mut handled = false;
+                visit(&a.body, &mut |bn| match bn {
+                    Node::Call(c) => {
+                        // Macro calls (`format!`, …) are value
+                        // construction, not work that could have
+                        // handled the error.
+                        if !c.is_macro {
+                            has_call = true;
                         }
-                        Node::Exit { .. } | Node::Panic { .. } => handled = true,
-                        _ => {}
-                    });
-                    // Explicitly-empty arm (`{}`/`()`): a silent swallow.
-                    // Call-bearing arm with no handler: the calls do work
-                    // but the error still vanishes. Call-free non-empty
-                    // arm: value mapping — the mapped value is the
-                    // handling.
-                    if a.empty || (has_call && !handled) {
-                        out.push(Finding {
-                            file: meta.path.clone(),
-                            line: a.line,
-                            rule: "swallowed-error",
-                            message: "`Err` arm neither propagates, retries, fails the job, \
-                                      nor bumps a metric — a silent recovery-error sink; \
-                                      handle it or justify the suppression"
-                                .into(),
-                        });
+                        if HANDLERS.contains(&c.name.as_str())
+                            // `responder.ok(sim, resp)` sends a response —
+                            // propagation to the caller (0-arg `.ok()` is
+                            // `Result::ok`).
+                            || (c.name == "ok" && c.n_args > 0)
+                        {
+                            handled = true;
+                        }
                     }
+                    Node::Exit(_) | Node::Panic => handled = true,
+                    _ => {}
+                });
+                // Explicitly-empty arm (`{}`/`()`): a silent swallow.
+                // Call-bearing arm with no handler: the calls do work but
+                // the error still vanishes. Call-free non-empty arm: value
+                // mapping — the mapped value is the handling.
+                if a.empty || (has_call && !handled) {
+                    out.push(Finding {
+                        file: meta.path.clone(),
+                        line: a.line,
+                        rule: "swallowed-error",
+                        message: "`Err` arm neither propagates, retries, fails the job, \
+                                  nor bumps a metric — a silent recovery-error sink; \
+                                  handle it or justify the suppression"
+                            .into(),
+                    });
                 }
             }
-            _ => {}
         });
     }
     out

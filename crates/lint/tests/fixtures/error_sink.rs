@@ -1,10 +1,5 @@
-// Error-sink fixture: discarded Results and silent Err arms (the
-// swallowed-recovery-error shape PR 4 fixed by hand).
-
-pub fn discards(sim: &mut Sim) {
-    let _ = mount.write_file("status", "RUNNING");
-    store.flush(sim).ok();
-}
+// Error-sink fixture: silent Err arms (the swallowed-recovery-error shape
+// PR 4 fixed by hand).
 
 pub fn swallows(sim: &mut Sim) {
     match probe(sim) {
@@ -23,8 +18,12 @@ pub fn handled_arms(sim: &mut Sim) -> u32 {
     match probe(sim) {
         Ok(v) => apply(v),
         Err(_) => {
-            sim.metrics().inc("dlaas_probe_failures_total", &[]);
+            sim.metrics().counter_series(PROBE_FAILURES, []).inc();
         }
+    }
+    match probe(sim) {
+        Ok(v) => apply(v),
+        Err(_) => failures.inc(),
     }
     match probe(sim) {
         Ok(v) => v,

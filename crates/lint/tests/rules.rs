@@ -23,8 +23,7 @@ fn lint_fixture(fixture: &str, as_path: &str) -> Report {
 }
 
 /// Lints a set of fixtures together through the workspace pipeline,
-/// which also runs the cross-file passes (metric contract, panic
-/// reachability, stale-suppression audit).
+/// which also runs the stale-suppression audit.
 fn lint_fixtures_together(pairs: &[(&str, &str)]) -> Report {
     let files: Vec<(FileMeta, String)> = pairs
         .iter()
@@ -50,112 +49,6 @@ fn suppressed_rules_and_lines(r: &Report) -> Vec<(&'static str, u32)> {
 }
 
 #[test]
-fn wall_clock_rule() {
-    let r = lint_fixture("wall_clock.rs", "crates/net/src/demo.rs");
-    assert_eq!(
-        rules_and_lines(&r),
-        vec![("wall-clock", 5), ("wall-clock", 9)]
-    );
-    assert_eq!(suppressed_rules_and_lines(&r), vec![("wall-clock", 14)]);
-    assert!(r.suppressed[0].justification.contains("fixture"));
-}
-
-#[test]
-fn thread_and_process_rules() {
-    let r = lint_fixture("thread_process.rs", "crates/gpu/src/demo.rs");
-    assert_eq!(
-        rules_and_lines(&r),
-        vec![("thread-spawn", 4), ("process-escape", 9)]
-    );
-    assert_eq!(suppressed_rules_and_lines(&r), vec![("process-escape", 14)]);
-}
-
-#[test]
-fn thread_spawn_exempt_in_bench_campaign_runner() {
-    // The one sanctioned home for OS threads: the seed-parallel campaign
-    // runner, which shards whole Sims and merges results by trial id.
-    let r = lint_fixture("parallel_runner.rs", "crates/bench/src/runner.rs");
-    assert_eq!(rules_and_lines(&r), vec![]);
-}
-
-#[test]
-fn thread_spawn_fires_everywhere_else_in_bench() {
-    let r = lint_fixture("parallel_runner.rs", "crates/bench/src/matrix.rs");
-    assert_eq!(
-        rules_and_lines(&r),
-        vec![("thread-spawn", 4), ("thread-spawn", 11)]
-    );
-}
-
-#[test]
-fn thread_spawn_exemption_does_not_cover_other_crates_runner_rs() {
-    // Only `crates/bench/src/runner.rs` is exempt; a runner.rs elsewhere
-    // still violates the single-threaded-sim contract.
-    let r = lint_fixture("parallel_runner.rs", "crates/sim/src/runner.rs");
-    assert_eq!(
-        rules_and_lines(&r),
-        vec![("thread-spawn", 4), ("thread-spawn", 11)]
-    );
-}
-
-#[test]
-fn process_escape_exempt_in_binaries() {
-    let r = lint_fixture("thread_process.rs", "crates/gpu/src/main.rs");
-    // The CLI surface may exit, but OS threads stay forbidden everywhere.
-    assert_eq!(rules_and_lines(&r), vec![("thread-spawn", 4)]);
-}
-
-#[test]
-fn unseeded_rng_rule() {
-    let r = lint_fixture("unseeded_rng.rs", "crates/bench/src/demo.rs");
-    assert_eq!(rules_and_lines(&r), vec![("unseeded-rng", 4)]);
-    assert_eq!(suppressed_rules_and_lines(&r), vec![("unseeded-rng", 10)]);
-}
-
-#[test]
-fn unseeded_rng_exempt_inside_sim() {
-    let r = lint_fixture("unseeded_rng.rs", "crates/sim/src/demo.rs");
-    assert_eq!(rules_and_lines(&r), vec![]);
-}
-
-#[test]
-fn panic_in_core_rule() {
-    let r = lint_fixture("panic_in_core.rs", "crates/core/src/demo.rs");
-    assert_eq!(
-        rules_and_lines(&r),
-        vec![
-            ("panic-in-core", 4),
-            ("panic-in-core", 8),
-            ("panic-in-core", 12),
-            ("panic-in-core", 16),
-        ]
-    );
-    assert_eq!(suppressed_rules_and_lines(&r), vec![("panic-in-core", 21)]);
-}
-
-#[test]
-fn panic_rule_scoped_to_core() {
-    let r = lint_fixture("panic_in_core.rs", "crates/net/src/demo.rs");
-    assert_eq!(rules_and_lines(&r), vec![]);
-}
-
-#[test]
-fn debug_print_rule() {
-    let r = lint_fixture("debug_print.rs", "crates/obs/src/demo.rs");
-    assert_eq!(
-        rules_and_lines(&r),
-        vec![("debug-print", 4), ("debug-print", 8)]
-    );
-    assert_eq!(suppressed_rules_and_lines(&r), vec![("debug-print", 13)]);
-}
-
-#[test]
-fn debug_print_exempt_in_binaries() {
-    let r = lint_fixture("debug_print.rs", "crates/obs/src/main.rs");
-    assert_eq!(rules_and_lines(&r), vec![]);
-}
-
-#[test]
 fn forbid_unsafe_rule() {
     let r = lint_fixture("missing_forbid_unsafe.rs", "crates/demo/src/lib.rs");
     assert_eq!(rules_and_lines(&r), vec![("forbid-unsafe", 1)]);
@@ -166,14 +59,14 @@ fn forbid_unsafe_rule() {
 
 #[test]
 fn bad_suppressions_are_findings_and_suppress_nothing() {
-    let r = lint_fixture("bad_suppressions.rs", "crates/net/src/demo.rs");
+    let r = lint_fixture("bad_suppressions.rs", "crates/core/src/demo.rs");
     assert_eq!(
         rules_and_lines(&r),
         vec![
-            ("suppression-unknown-rule", 5),
-            ("wall-clock", 6),
-            ("suppression-missing-justification", 10),
-            ("wall-clock", 11),
+            ("suppression-unknown-rule", 8),
+            ("swallowed-error", 9),
+            ("suppression-missing-justification", 16),
+            ("swallowed-error", 17),
         ]
     );
     assert_eq!(suppressed_rules_and_lines(&r), vec![]);
@@ -181,15 +74,17 @@ fn bad_suppressions_are_findings_and_suppress_nothing() {
 
 #[test]
 fn clean_file_stays_clean() {
-    let r = lint_fixture("clean.rs", "crates/net/src/demo.rs");
+    let r = lint_fixture("clean.rs", "crates/core/src/demo.rs");
     assert_eq!(rules_and_lines(&r), vec![]);
     assert_eq!(suppressed_rules_and_lines(&r), vec![]);
 }
 
 #[test]
-fn test_files_are_exempt_from_token_rules() {
-    let r = lint_fixture("panic_in_core.rs", "crates/core/tests/demo.rs");
-    assert_eq!(rules_and_lines(&r), vec![]);
+fn test_files_are_exempt_from_flow_rules() {
+    for fixture in ["error_sink.rs", "resource_leak.rs"] {
+        let r = lint_fixture(fixture, "crates/core/tests/demo.rs");
+        assert_eq!(rules_and_lines(&r), vec![], "{fixture}");
+    }
 }
 
 #[test]
@@ -240,16 +135,11 @@ fn error_sink_rules() {
     let r = lint_fixture("error_sink.rs", "crates/core/src/demo.rs");
     assert_eq!(
         rules_and_lines(&r),
-        vec![
-            ("discarded-result", 5),
-            ("discarded-result", 6),
-            ("swallowed-error", 12),
-            ("swallowed-error", 16),
-        ]
+        vec![("swallowed-error", 7), ("swallowed-error", 11)]
     );
     assert_eq!(
         suppressed_rules_and_lines(&r),
-        vec![("swallowed-error", 39)]
+        vec![("swallowed-error", 38)]
     );
 }
 
@@ -260,70 +150,17 @@ fn error_sink_scoped_to_control_plane_crates() {
 }
 
 #[test]
-fn metric_contract_rules() {
-    let r = lint_fixtures_together(&[
-        ("metric_sites_a.rs", "crates/core/src/metrics_demo.rs"),
-        ("metric_sites_b.rs", "crates/kube/src/demo.rs"),
-    ]);
-    let mut got = rules_and_lines(&r);
-    got.sort_unstable();
-    assert_eq!(
-        got,
-        vec![
-            ("metric-arity-mismatch", 5),
-            ("metric-kind-collision", 10),
-            ("metric-uninterned", 5),
-            ("metric-uninterned", 6),
-            ("metric-uninterned", 10),
-        ]
-    );
-    // Every finding lands in the hot drifting file, none in the declarer.
-    assert!(r.findings.iter().all(|f| f.file.contains("kube")));
-}
-
-#[test]
-fn metric_mutation_unflagged_in_cold_crates() {
-    // The same name-based `inc` is fine outside the hot crates.
-    let r = lint_fixtures_together(&[("metric_sites_a.rs", "crates/core/src/metrics_demo.rs")]);
-    assert_eq!(rules_and_lines(&r), vec![]);
-}
-
-#[test]
-fn panic_reachability_rule() {
-    let r = lint_fixtures_together(&[
-        ("reach_entry.rs", "crates/core/src/demo.rs"),
-        ("reach_substrate.rs", "crates/etcd/src/demo.rs"),
-    ]);
-    // Reached via submit_job → validate_manifest → decode_manifest_body;
-    // the orphan helper's panic is unreachable and stays silent.
-    assert_eq!(rules_and_lines(&r), vec![("panic-reachable", 10)]);
-    assert!(r.findings[0].message.contains("validate_manifest"));
-    assert_eq!(
-        suppressed_rules_and_lines(&r),
-        vec![("panic-reachable", 15)]
-    );
-}
-
-#[test]
-fn panic_unreachable_without_core_entry() {
-    // No core entry file in the set: nothing is reachable — and the
-    // now-pointless allow(panic-reachable) is itself reported as stale.
-    let r = lint_fixtures_together(&[("reach_substrate.rs", "crates/etcd/src/demo.rs")]);
-    assert_eq!(rules_and_lines(&r), vec![("suppression-stale", 14)]);
-}
-
-#[test]
 fn stale_suppressions_are_findings_in_workspace_mode() {
-    let r = lint_fixtures_together(&[("stale_suppression.rs", "crates/net/src/demo.rs")]);
-    assert_eq!(rules_and_lines(&r), vec![("suppression-stale", 11)]);
-    assert_eq!(suppressed_rules_and_lines(&r), vec![("wall-clock", 6)]);
+    let r = lint_fixtures_together(&[("stale_suppression.rs", "crates/core/src/demo.rs")]);
+    assert_eq!(rules_and_lines(&r), vec![("suppression-stale", 10)]);
+    assert_eq!(suppressed_rules_and_lines(&r), vec![("resource-leak", 6)]);
 }
 
 #[test]
 fn stale_suppressions_tolerated_in_single_file_mode() {
     // `lint_source` skips the stale audit: fixtures and editor
     // integrations lint fragments where the rest of the file is absent.
-    let r = lint_fixture("stale_suppression.rs", "crates/net/src/demo.rs");
+    let r = lint_fixture("stale_suppression.rs", "crates/core/src/demo.rs");
     assert_eq!(rules_and_lines(&r), vec![]);
 }
 
@@ -361,19 +198,6 @@ fn the_workspace_itself_is_clean() {
             s.finding.line
         );
     }
-}
-
-#[test]
-fn committed_metric_manifest_matches_the_workspace() {
-    let root = workspace_root();
-    let generated = dlaas_lint::metric_manifest(&root).expect("manifest renderable");
-    let committed = std::fs::read_to_string(root.join("metrics-manifest.json"))
-        .expect("metrics-manifest.json exists at the repo root");
-    assert_eq!(
-        generated, committed,
-        "metrics-manifest.json is stale — regenerate with \
-         `cargo run -p dlaas-lint -- --workspace --metric-manifest metrics-manifest.json`"
-    );
 }
 
 #[test]

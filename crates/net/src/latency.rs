@@ -76,6 +76,10 @@ impl Default for LatencyModel {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "unit tests sample the models from a directly seeded stream, with no Sim around"
+)]
 mod tests {
     use super::*;
 

@@ -29,6 +29,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Library code stays quiet and inside the simulation (DESIGN.md §7):
+// only binaries, examples and tests print or exit.
+#![warn(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::exit
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

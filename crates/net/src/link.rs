@@ -196,7 +196,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[expect(
+        clippy::assertions_on_constants,
+        reason = "pins the relative order of the speed constants the transfer model relies on"
+    )]
     fn speed_constants_ordered() {
         assert!(speeds::GBE_1 < speeds::GBE_10);
         assert!(speeds::NFS < speeds::GBE_1);

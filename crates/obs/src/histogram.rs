@@ -4,20 +4,21 @@ use std::rc::Rc;
 
 /// Default bucket upper bounds, in seconds: spans sub-millisecond RPCs up
 /// to multi-minute recovery times (paper Fig. 4 tops out around 5 min).
-pub fn default_buckets() -> Vec<f64> {
-    vec![
+pub const fn default_buckets() -> &'static [f64] {
+    &[
         0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 20.0, 30.0,
         60.0, 120.0, 180.0, 300.0, 600.0,
     ]
 }
 
 /// Bucket upper bounds for work-count histograms (items examined per
-/// operation, not seconds): powers of two from 1 up past 64k, sized for
+/// operation, not seconds): powers of two from 1 up to 64k, sized for
 /// hot-path fan-out/scan costs at the 10k-concurrent-job scale soak.
-/// Remember [`crate::Registry::set_buckets`] only affects series created
-/// afterwards — apply these at boot, before the first observation.
-pub fn count_buckets() -> Vec<f64> {
-    (0..=16).map(|i| f64::from(1u32 << i)).collect()
+pub const fn count_buckets() -> &'static [f64] {
+    &[
+        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0,
+        16384.0, 32768.0, 65536.0,
+    ]
 }
 
 /// A fixed-bucket histogram: per-bucket counts plus sum/count/min/max.
@@ -181,7 +182,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_answers_none() {
-        let h = Histogram::new(&default_buckets());
+        let h = Histogram::new(default_buckets());
         assert_eq!(h.count(), 0);
         assert!(h.quantile(0.5).is_none());
         assert!(h.mean().is_none());
@@ -191,7 +192,7 @@ mod tests {
 
     #[test]
     fn quantiles_bracket_the_data() {
-        let mut h = Histogram::new(&default_buckets());
+        let mut h = Histogram::new(default_buckets());
         // 100 observations uniform over (0, 10].
         for i in 1..=100 {
             h.observe(i as f64 / 10.0);
@@ -209,7 +210,7 @@ mod tests {
 
     #[test]
     fn quantile_of_single_observation_is_exactish() {
-        let mut h = Histogram::new(&default_buckets());
+        let mut h = Histogram::new(default_buckets());
         h.observe(42.0);
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(q), Some(42.0));

@@ -18,23 +18,56 @@
 //! # Examples
 //!
 //! ```
-//! use dlaas_obs::Registry;
+//! use dlaas_obs::{CounterDecl, HistogramDecl, Registry};
+//!
+//! const JOBS_SUBMITTED: &CounterDecl<1> =
+//!     &CounterDecl::new("jobs_submitted_total", ["tenant"], "jobs submitted, by tenant");
+//! const DEPLOY_SECONDS: &HistogramDecl<0> =
+//!     &HistogramDecl::new("deploy_seconds", [], "seconds to deploy a job");
 //!
 //! let reg = Registry::new();
-//! reg.inc("jobs_submitted_total", &[("tenant", "acme")]);
-//! reg.observe_duration_us("deploy_seconds", &[], 2_500_000); // 2.5 s
-//! assert_eq!(reg.counter_value("jobs_submitted_total", &[("tenant", "acme")]), 1);
+//! reg.counter_series(JOBS_SUBMITTED, ["acme"]).inc();
+//! reg.histogram_series(DEPLOY_SECONDS, []).observe_duration_us(2_500_000); // 2.5 s
+//! // A declaration reads as its name wherever a `&str` is expected.
+//! assert_eq!(reg.counter_value(JOBS_SUBMITTED, &[("tenant", "acme")]), 1);
 //! assert!(reg.expose().contains(r#"jobs_submitted_total{tenant="acme"} 1"#));
+//! ```
+//!
+//! The declaration's type is the contract: a wrong number of label
+//! values does not compile,
+//!
+//! ```compile_fail
+//! use dlaas_obs::{CounterDecl, Registry};
+//! const REQS: &CounterDecl<1> = &CounterDecl::new("reqs_total", ["kind"], "requests, by kind");
+//! Registry::new().counter_series(REQS, ["submit", "acme"]);
+//! ```
+//!
+//! and neither does using a counter as a gauge:
+//!
+//! ```compile_fail
+//! use dlaas_obs::{CounterDecl, Registry};
+//! const REQS: &CounterDecl<0> = &CounterDecl::new("reqs_total", [], "requests");
+//! Registry::new().gauge_series(REQS, []);
 //! ```
 
 #![forbid(unsafe_code)]
+// Library code stays quiet and inside the simulation (DESIGN.md §7):
+// only binaries, examples and tests print or exit.
+#![warn(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::exit
+)]
 #![warn(missing_docs)]
 
+mod decl;
 mod histogram;
 mod snapshot;
 #[cfg(feature = "wallclock")]
 pub mod wallclock;
 
+pub use decl::{CounterDecl, GaugeDecl, HistogramDecl, MetricDecl};
 pub use histogram::{count_buckets, default_buckets, Histogram};
 pub use snapshot::{Snapshot, SnapshotDiff};
 
@@ -55,6 +88,17 @@ fn canon(labels: &[(&str, &str)]) -> Labels {
     v
 }
 
+/// The canonical label set of a declared family's series.
+fn declared<const N: usize>(keys: &[&'static str; N], values: [&str; N]) -> Labels {
+    let mut v: Labels = keys
+        .iter()
+        .zip(values)
+        .map(|(k, v)| ((*k).to_owned(), v.to_owned()))
+        .collect();
+    v.sort();
+    v
+}
+
 /// What a metric family measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
@@ -67,7 +111,8 @@ pub enum MetricKind {
 }
 
 impl MetricKind {
-    fn as_str(self) -> &'static str {
+    /// Lowercase name, as on the `# TYPE` line.
+    pub fn as_str(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
@@ -89,28 +134,31 @@ enum Series {
 #[derive(Debug)]
 struct Family {
     kind: MetricKind,
-    help: String,
-    /// Bucket bounds new histogram series start from, shared (never
-    /// deep-copied) into each series.
+    help: &'static str,
+    /// Bucket bounds of every histogram series of the family, shared
+    /// (never deep-copied) into each; empty for counters and gauges.
     buckets: Rc<[f64]>,
     series: BTreeMap<Labels, Series>,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
-    families: BTreeMap<String, Family>,
+    families: BTreeMap<&'static str, Family>,
 }
 
-/// The family `name`, created on first use; its kind must not change.
+/// The family `name`, created on first use from its declaration; a name
+/// has one kind for the life of the registry.
 fn family<'a>(
-    families: &'a mut BTreeMap<String, Family>,
-    name: &str,
+    families: &'a mut BTreeMap<&'static str, Family>,
+    name: &'static str,
     kind: MetricKind,
+    help: &'static str,
+    buckets: &[f64],
 ) -> &'a mut Family {
-    let fam = families.entry(name.to_owned()).or_insert_with(|| Family {
+    let fam = families.entry(name).or_insert_with(|| Family {
         kind,
-        help: String::new(),
-        buckets: default_buckets().into(),
+        help,
+        buckets: buckets.into(),
         series: BTreeMap::new(),
     });
     assert!(
@@ -133,31 +181,6 @@ fn counter_cell(fam: &mut Family, key: Labels) -> Rc<Cell<u64>> {
     }
 }
 
-fn gauge_cell(fam: &mut Family, key: Labels) -> Rc<Cell<f64>> {
-    match fam
-        .series
-        .entry(key)
-        .or_insert_with(|| Series::Gauge(Rc::new(Cell::new(0.0))))
-    {
-        Series::Gauge(g) => g.clone(),
-        _ => unreachable!("family kind checked"),
-    }
-}
-
-fn histogram_cell(fam: &mut Family, key: Labels) -> Rc<RefCell<Histogram>> {
-    // Rc clone of the bounds, not a Vec copy — the old per-observation
-    // deep clone of the family's bucket bounds was a hot-path allocation.
-    let buckets = fam.buckets.clone();
-    match fam.series.entry(key).or_insert_with(|| {
-        Series::Histogram(Rc::new(RefCell::new(Histogram::with_shared_bounds(
-            buckets,
-        ))))
-    }) {
-        Series::Histogram(h) => h.clone(),
-        _ => unreachable!("family kind checked"),
-    }
-}
-
 /// A shared, clonable handle to a metrics registry.
 ///
 /// Cloning is cheap and every clone records into the same store, which is
@@ -174,93 +197,94 @@ impl Registry {
         Registry::default()
     }
 
-    /// Attaches help text to a family (creates it if needed). Optional —
-    /// families auto-register on first use — but exposition includes the
-    /// help line only when set.
-    pub fn describe(&self, name: &str, kind: MetricKind, help: &str) {
+    /// The series of counter family `decl` under `values` (one per
+    /// declared label key, in declaration order), created at 0 if
+    /// absent. Hot sites keep the handle; cold ones bump it and drop it.
+    pub fn counter_series<const N: usize>(
+        &self,
+        decl: &CounterDecl<N>,
+        values: [&str; N],
+    ) -> CounterHandle {
         let mut inner = self.inner.borrow_mut();
-        family(&mut inner.families, name, kind).help = help.to_owned();
-    }
-
-    /// Overrides the bucket bounds that *new* histogram series of `name`
-    /// start from. Bounds must be strictly increasing.
-    pub fn set_buckets(&self, name: &str, bounds: &[f64]) {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "bucket bounds must be strictly increasing"
+        let fam = family(
+            &mut inner.families,
+            decl.name,
+            MetricKind::Counter,
+            decl.help,
+            &[],
         );
+        CounterHandle {
+            cell: counter_cell(fam, declared(&decl.label_keys, values)),
+        }
+    }
+
+    /// The series of gauge family `decl` under `values` (created at 0 if
+    /// absent).
+    pub fn gauge_series<const N: usize>(
+        &self,
+        decl: &GaugeDecl<N>,
+        values: [&str; N],
+    ) -> GaugeHandle {
         let mut inner = self.inner.borrow_mut();
-        family(&mut inner.families, name, MetricKind::Histogram).buckets = bounds.into();
+        let fam = family(
+            &mut inner.families,
+            decl.name,
+            MetricKind::Gauge,
+            decl.help,
+            &[],
+        );
+        let cell = match fam
+            .series
+            .entry(declared(&decl.label_keys, values))
+            .or_insert_with(|| Series::Gauge(Rc::new(Cell::new(0.0))))
+        {
+            Series::Gauge(g) => g.clone(),
+            _ => unreachable!("family kind checked"),
+        };
+        GaugeHandle { cell }
     }
 
-    /// Increments a counter by 1.
-    pub fn inc(&self, name: &str, labels: &[(&str, &str)]) {
-        self.inc_by(name, labels, 1);
-    }
-
-    /// Increments a counter by `n`.
-    pub fn inc_by(&self, name: &str, labels: &[(&str, &str)], n: u64) {
+    /// The series of histogram family `decl` under `values` (created
+    /// empty if absent, over the declaration's buckets).
+    pub fn histogram_series<const N: usize>(
+        &self,
+        decl: &HistogramDecl<N>,
+        values: [&str; N],
+    ) -> HistogramHandle {
         let mut inner = self.inner.borrow_mut();
-        let fam = family(&mut inner.families, name, MetricKind::Counter);
-        let c = counter_cell(fam, canon(labels));
-        c.set(c.get() + n);
+        let fam = family(
+            &mut inner.families,
+            decl.name,
+            MetricKind::Histogram,
+            decl.help,
+            decl.buckets,
+        );
+        // Rc clone of the bounds, not a copy: a new series allocates
+        // only its own counts.
+        let buckets = fam.buckets.clone();
+        let cell = match fam
+            .series
+            .entry(declared(&decl.label_keys, values))
+            .or_insert_with(|| {
+                Series::Histogram(Rc::new(RefCell::new(Histogram::with_shared_bounds(
+                    buckets,
+                ))))
+            }) {
+            Series::Histogram(h) => h.clone(),
+            _ => unreachable!("family kind checked"),
+        };
+        HistogramHandle { cell }
     }
 
-    /// Sets a gauge to `v`.
-    pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], v: f64) {
+    /// A handle to one counter series of an *undeclared* family, by
+    /// name. Kept only because the frozen `benchmark/` package calls it;
+    /// the workspace bans it (`clippy.toml`, `disallowed-methods`) in
+    /// favour of [`Registry::counter_series`].
+    pub fn counter_handle(&self, name: &'static str, labels: &[(&str, &str)]) -> CounterHandle {
         let mut inner = self.inner.borrow_mut();
-        let fam = family(&mut inner.families, name, MetricKind::Gauge);
-        gauge_cell(fam, canon(labels)).set(v);
-    }
-
-    /// Adds `delta` (may be negative) to a gauge, starting from 0.
-    pub fn add_gauge(&self, name: &str, labels: &[(&str, &str)], delta: f64) {
-        let mut inner = self.inner.borrow_mut();
-        let fam = family(&mut inner.families, name, MetricKind::Gauge);
-        let g = gauge_cell(fam, canon(labels));
-        g.set(g.get() + delta);
-    }
-
-    /// Records one observation into a histogram.
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let mut inner = self.inner.borrow_mut();
-        let fam = family(&mut inner.families, name, MetricKind::Histogram);
-        histogram_cell(fam, canon(labels)).borrow_mut().observe(v);
-    }
-
-    /// Records a duration given in integer microseconds (the simulation's
-    /// native clock unit) into a histogram, in seconds.
-    pub fn observe_duration_us(&self, name: &str, labels: &[(&str, &str)], micros: u64) {
-        self.observe(name, labels, micros as f64 / 1_000_000.0);
-    }
-
-    /// A direct handle to one counter series. Creates the series (at 0)
-    /// if absent — take handles at the point of first use, not at boot,
-    /// if a series existing with no observations would be misleading.
-    pub fn counter_handle(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
-        let mut inner = self.inner.borrow_mut();
-        let fam = family(&mut inner.families, name, MetricKind::Counter);
+        let fam = family(&mut inner.families, name, MetricKind::Counter, "", &[]);
         CounterHandle {
             cell: counter_cell(fam, canon(labels)),
-        }
-    }
-
-    /// A direct handle to one gauge series (created at 0 if absent).
-    pub fn gauge_handle(&self, name: &str, labels: &[(&str, &str)]) -> GaugeHandle {
-        let mut inner = self.inner.borrow_mut();
-        let fam = family(&mut inner.families, name, MetricKind::Gauge);
-        GaugeHandle {
-            cell: gauge_cell(fam, canon(labels)),
-        }
-    }
-
-    /// A direct handle to one histogram series (created empty if absent,
-    /// with the family's bucket bounds at this moment).
-    pub fn histogram_handle(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
-        let mut inner = self.inner.borrow_mut();
-        let fam = family(&mut inner.families, name, MetricKind::Histogram);
-        HistogramHandle {
-            cell: histogram_cell(fam, canon(labels)),
         }
     }
 
@@ -338,11 +362,6 @@ impl Registry {
     /// Interpolated quantile of one histogram series.
     pub fn quantile(&self, name: &str, labels: &[(&str, &str)], q: f64) -> Option<f64> {
         self.histogram(name, labels).and_then(|h| h.quantile(q))
-    }
-
-    /// Names of all registered families, sorted.
-    pub fn family_names(&self) -> Vec<String> {
-        self.inner.borrow().families.keys().cloned().collect()
     }
 
     /// Renders the whole registry in Prometheus text exposition format.
@@ -434,7 +453,7 @@ impl Registry {
 }
 
 /// A direct handle to one counter series (see
-/// [`Registry::counter_handle`]). Increments write the shared cell
+/// [`Registry::counter_series`]). Increments write the shared cell
 /// in-place — no registry borrow, no family lookup, no label
 /// canonicalization — which is what lets per-event hot counters bump an
 /// index instead of paying the full record path.
@@ -460,7 +479,7 @@ impl CounterHandle {
     }
 }
 
-/// A direct handle to one gauge series (see [`Registry::gauge_handle`]).
+/// A direct handle to one gauge series (see [`Registry::gauge_series`]).
 #[derive(Debug, Clone)]
 pub struct GaugeHandle {
     cell: Rc<Cell<f64>>,
@@ -484,7 +503,7 @@ impl GaugeHandle {
 }
 
 /// A direct handle to one histogram series (see
-/// [`Registry::histogram_handle`]).
+/// [`Registry::histogram_series`]).
 #[derive(Debug, Clone)]
 pub struct HistogramHandle {
     cell: Rc<RefCell<Histogram>>,
@@ -541,111 +560,75 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Measures a span of simulated time against a registry histogram.
-///
-/// The stopwatch never reads a clock itself — both endpoints come from the
-/// caller, which keeps the crate free of ambient time.
-///
-/// # Examples
-///
-/// ```
-/// use dlaas_obs::{Registry, Stopwatch};
-///
-/// let reg = Registry::new();
-/// let sw = Stopwatch::start(1_000_000);
-/// sw.observe_into(&reg, "phase_seconds", &[("phase", "deploy")], 3_500_000);
-/// assert_eq!(reg.histogram("phase_seconds", &[("phase", "deploy")]).unwrap().count(), 1);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start_us: u64,
-}
-
-impl Stopwatch {
-    /// Starts at the given simulated time (microseconds).
-    pub fn start(now_us: u64) -> Self {
-        Stopwatch { start_us: now_us }
-    }
-
-    /// The start time in microseconds.
-    pub fn started_at_us(&self) -> u64 {
-        self.start_us
-    }
-
-    /// Elapsed simulated seconds at `now_us` (0 when time went backwards).
-    pub fn elapsed_secs(&self, now_us: u64) -> f64 {
-        now_us.saturating_sub(self.start_us) as f64 / 1_000_000.0
-    }
-
-    /// Records the elapsed span into `registry`'s histogram `name`.
-    pub fn observe_into(
-        &self,
-        registry: &Registry,
-        name: &str,
-        labels: &[(&str, &str)],
-        now_us: u64,
-    ) {
-        registry.observe_duration_us(name, labels, now_us.saturating_sub(self.start_us));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const REQ: &CounterDecl<1> = &CounterDecl::new("req_total", ["kind"], "requests, by kind");
+    const M: &CounterDecl<0> = &CounterDecl::new("m", [], "");
+    const PODS: &GaugeDecl<0> = &GaugeDecl::new("pods", [], "");
+    const LAT: &HistogramDecl<1> = &HistogramDecl::new("lat_seconds", ["op"], "");
+
     #[test]
     fn counters_accumulate_per_label_set() {
         let reg = Registry::new();
-        reg.inc("req_total", &[("kind", "submit")]);
-        reg.inc("req_total", &[("kind", "submit")]);
-        reg.inc_by("req_total", &[("kind", "kill")], 5);
-        assert_eq!(reg.counter_value("req_total", &[("kind", "submit")]), 2);
-        assert_eq!(reg.counter_value("req_total", &[("kind", "kill")]), 5);
-        assert_eq!(reg.counter_value("req_total", &[("kind", "other")]), 0);
-        assert_eq!(reg.counter_total("req_total"), 7);
+        reg.counter_series(REQ, ["submit"]).inc();
+        reg.counter_series(REQ, ["submit"]).inc();
+        reg.counter_series(REQ, ["kill"]).add(5);
+        assert_eq!(reg.counter_value(REQ, &[("kind", "submit")]), 2);
+        assert_eq!(reg.counter_value(REQ, &[("kind", "kill")]), 5);
+        assert_eq!(reg.counter_value(REQ, &[("kind", "other")]), 0);
+        assert_eq!(reg.counter_total(REQ), 7);
         assert_eq!(reg.counter_total("absent"), 0);
     }
 
     #[test]
     fn label_order_is_canonical() {
+        const BA: &CounterDecl<2> = &CounterDecl::new("m", ["b", "a"], "");
         let reg = Registry::new();
-        reg.inc("m", &[("b", "2"), ("a", "1")]);
-        reg.inc("m", &[("a", "1"), ("b", "2")]);
-        assert_eq!(reg.counter_value("m", &[("b", "2"), ("a", "1")]), 2);
+        reg.counter_series(BA, ["2", "1"]).inc();
+        assert_eq!(reg.counter_value(BA, &[("b", "2"), ("a", "1")]), 1);
+        assert_eq!(reg.counter_value(BA, &[("a", "1"), ("b", "2")]), 1);
         let expo = reg.expose();
-        assert!(expo.contains(r#"m{a="1",b="2"} 2"#), "{expo}");
+        assert!(expo.contains(r#"m{a="1",b="2"} 1"#), "{expo}");
     }
 
     #[test]
     fn gauges_set_and_add() {
+        const FRESH: &GaugeDecl<0> = &GaugeDecl::new("fresh", [], "");
         let reg = Registry::new();
-        reg.set_gauge("pods", &[], 3.0);
-        assert_eq!(reg.gauge_value("pods", &[]), Some(3.0));
-        reg.add_gauge("pods", &[], -1.0);
-        assert_eq!(reg.gauge_value("pods", &[]), Some(2.0));
-        reg.add_gauge("fresh", &[], 4.0);
-        assert_eq!(reg.gauge_value("fresh", &[]), Some(4.0));
+        reg.gauge_series(PODS, []).set(3.0);
+        assert_eq!(reg.gauge_value(PODS, &[]), Some(3.0));
+        reg.gauge_series(PODS, []).add(-1.0);
+        assert_eq!(reg.gauge_value(PODS, &[]), Some(2.0));
+        reg.gauge_series(FRESH, []).add(4.0);
+        assert_eq!(reg.gauge_value(FRESH, &[]), Some(4.0));
         assert_eq!(reg.gauge_value("absent", &[]), None);
     }
 
     #[test]
     #[should_panic(expected = "already registered")]
     fn kind_conflicts_panic() {
+        // Two declarations of one name (which `tests/tests/metrics.rs`
+        // rules out across the workspace) still cannot share a family.
+        const M_GAUGE: &GaugeDecl<0> = &GaugeDecl::new("m", [], "");
         let reg = Registry::new();
-        reg.inc("m", &[]);
-        reg.set_gauge("m", &[], 1.0);
+        reg.counter_series(M, []).inc();
+        reg.gauge_series(M_GAUGE, []).set(1.0);
     }
 
     #[test]
     fn exposition_is_sorted_and_stable() {
+        const ZZ: &CounterDecl<0> = &CounterDecl::new("zz_total", [], "last family");
+        const AA: &CounterDecl<1> = &CounterDecl::new("aa_total", ["x"], "");
+        const MID: &GaugeDecl<0> = &GaugeDecl::new("mid", [], "");
         let build = || {
             let reg = Registry::new();
-            reg.describe("zz_total", MetricKind::Counter, "last family");
-            reg.inc("zz_total", &[]);
-            reg.inc("aa_total", &[("x", "2")]);
-            reg.inc("aa_total", &[("x", "1")]);
-            reg.set_gauge("mid", &[], 1.5);
-            reg.observe("lat_seconds", &[], 0.02);
+            reg.counter_series(ZZ, []).inc();
+            reg.counter_series(AA, ["2"]).inc();
+            reg.counter_series(AA, ["1"]).inc();
+            reg.gauge_series(MID, []).set(1.5);
+            reg.histogram_series(LAT, ["find"]).observe(0.02);
             reg.expose()
         };
         let a = build();
@@ -657,125 +640,114 @@ mod tests {
         assert!(aa < mid && mid < zz, "families must be sorted");
         assert!(a.contains("# TYPE lat_seconds histogram"));
         assert!(a.contains("# HELP zz_total last family"));
-        assert!(a.contains(r#"lat_seconds_bucket{le="+Inf"} 1"#));
+        assert!(!a.contains("# HELP aa_total"), "empty help renders no line");
+        assert!(a.contains(r#"lat_seconds_bucket{op="find",le="+Inf"} 1"#));
     }
 
     #[test]
     fn exposition_escapes_label_values() {
+        const PATHS: &CounterDecl<1> = &CounterDecl::new("m", ["path"], "");
         let reg = Registry::new();
-        reg.inc("m", &[("path", "a\"b\\c")]);
+        reg.counter_series(PATHS, ["a\"b\\c"]).inc();
         assert!(reg.expose().contains(r#"m{path="a\"b\\c"} 1"#));
     }
 
     #[test]
     fn histogram_sum_count_via_registry() {
         let reg = Registry::new();
-        reg.observe_duration_us("d_seconds", &[], 1_500_000);
-        reg.observe_duration_us("d_seconds", &[], 500_000);
-        let h = reg.histogram("d_seconds", &[]).unwrap();
+        let h = reg.histogram_series(LAT, ["find"]);
+        h.observe_duration_us(1_500_000);
+        h.observe_duration_us(500_000);
         assert_eq!(h.count(), 2);
-        assert!((h.sum() - 2.0).abs() < 1e-9);
-        assert!(reg.quantile("d_seconds", &[], 0.5).is_some());
+        let read = reg.histogram(LAT, &[("op", "find")]).unwrap();
+        assert_eq!(read.count(), 2);
+        assert!((read.sum() - 2.0).abs() < 1e-9);
+        assert!(reg.quantile(LAT, &[("op", "find")], 0.5).is_some());
         assert!(reg.quantile("absent", &[], 0.5).is_none());
     }
 
     #[test]
     fn merged_histogram_spans_series() {
         let reg = Registry::new();
-        reg.observe("h", &[("c", "a")], 1.0);
-        reg.observe("h", &[("c", "b")], 3.0);
-        let m = reg.histogram_merged("h").unwrap();
+        reg.histogram_series(LAT, ["a"]).observe(1.0);
+        reg.histogram_series(LAT, ["b"]).observe(3.0);
+        let m = reg.histogram_merged(LAT).unwrap();
         assert_eq!(m.count(), 2);
         assert!((m.sum() - 4.0).abs() < 1e-9);
         assert!(reg.histogram_merged("absent").is_none());
     }
 
     #[test]
-    fn stopwatch_measures_sim_time() {
-        let reg = Registry::new();
-        let sw = Stopwatch::start(2_000_000);
-        assert_eq!(sw.started_at_us(), 2_000_000);
-        assert!((sw.elapsed_secs(3_500_000) - 1.5).abs() < 1e-9);
-        assert_eq!(sw.elapsed_secs(1_000_000), 0.0, "backwards time clamps");
-        sw.observe_into(&reg, "span_seconds", &[], 3_000_000);
-        let h = reg.histogram("span_seconds", &[]).unwrap();
-        assert!((h.sum() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn clones_share_the_store() {
         let reg = Registry::new();
         let clone = reg.clone();
-        clone.inc("m", &[]);
-        assert_eq!(reg.counter_value("m", &[]), 1);
+        clone.counter_series(M, []).inc();
+        assert_eq!(reg.counter_value(M, &[]), 1);
     }
 
     #[test]
     fn handles_update_the_same_series_as_the_string_api() {
+        // The one by-name mutator left (the frozen benchmark calls it)
+        // lands in the same series as the declaration.
         let reg = Registry::new();
-        let c = reg.counter_handle("hits_total", &[("svc", "etcd")]);
-        c.inc();
-        c.add(2);
-        reg.inc("hits_total", &[("svc", "etcd")]);
-        assert_eq!(c.value(), 4);
-        assert_eq!(reg.counter_value("hits_total", &[("svc", "etcd")]), 4);
-
-        let g = reg.gauge_handle("depth", &[]);
-        g.set(3.0);
-        g.add(-1.0);
-        reg.add_gauge("depth", &[], 0.5);
-        assert_eq!(reg.gauge_value("depth", &[]), Some(2.5));
-        assert_eq!(g.value(), 2.5);
-
-        let h = reg.histogram_handle("lat_seconds", &[("op", "find")]);
-        h.observe(0.02);
-        h.observe_duration_us(30_000);
-        reg.observe("lat_seconds", &[("op", "find")], 0.04);
-        assert_eq!(h.count(), 3);
-        assert_eq!(
-            reg.histogram("lat_seconds", &[("op", "find")])
-                .unwrap()
-                .count(),
-            3
-        );
-    }
-
-    #[test]
-    fn exposition_is_byte_identical_across_record_apis() {
-        // The handle fast path must be invisible in the exposition: the
-        // same logical recording through either API renders the same
-        // bytes.
-        let via_strings = || {
-            let reg = Registry::new();
-            reg.inc_by("req_total", &[("op", "find")], 3);
-            reg.observe("lat_seconds", &[("op", "find")], 0.02);
-            reg.observe("lat_seconds", &[("op", "find")], 0.7);
-            reg.set_gauge("depth", &[], 2.0);
-            reg.expose()
-        };
-        let via_handles = || {
-            let reg = Registry::new();
-            let c = reg.counter_handle("req_total", &[("op", "find")]);
-            c.add(3);
-            let h = reg.histogram_handle("lat_seconds", &[("op", "find")]);
-            h.observe(0.02);
-            h.observe(0.7);
-            reg.gauge_handle("depth", &[]).set(2.0);
-            reg.expose()
-        };
-        assert_eq!(via_strings(), via_handles());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the by-name handle is what this test exercises"
+        )]
+        let by_name = reg.counter_handle("req_total", &[("kind", "submit")]);
+        by_name.inc();
+        by_name.add(2);
+        reg.counter_series(REQ, ["submit"]).inc();
+        assert_eq!(by_name.value(), 4);
+        assert_eq!(reg.counter_value(REQ, &[("kind", "submit")]), 4);
     }
 
     #[test]
     fn histogram_handle_respects_family_buckets() {
+        const W: &HistogramDecl<1> =
+            &HistogramDecl::new("w", ["side"], "").with_buckets(&[1.0, 2.0]);
         let reg = Registry::new();
-        reg.set_buckets("w", &[1.0, 2.0]);
-        let h = reg.histogram_handle("w", &[]);
-        h.observe(1.5);
+        reg.histogram_series(W, ["l"]).observe(1.5);
+        reg.histogram_series(W, ["r"]).observe(0.5);
+        for side in ["l", "r"] {
+            assert_eq!(
+                reg.histogram(W, &[("side", side)]).unwrap().bounds(),
+                &[1.0, 2.0],
+                "every series carries the declaration's bounds"
+            );
+        }
+    }
+
+    #[test]
+    fn a_family_has_one_bucket_layout() {
+        // Regression: with `set_buckets` a family could change layout
+        // between two series (observe, re-bucket, observe under a second
+        // label) and `histogram_merged` then panicked on differing
+        // bounds. The layout is part of the declaration now, so there is
+        // no later moment to change it at.
+        const WORK: &HistogramDecl<1> =
+            &HistogramDecl::new("work_examined", ["op"], "").with_buckets(count_buckets());
+        let reg = Registry::new();
+        reg.histogram_series(WORK, ["find"]).observe(3.0);
+        reg.histogram_series(WORK, ["update"]).observe(700.0);
+        let merged = reg.histogram_merged(WORK).expect("two series");
+        assert_eq!(merged.count(), 2);
+        assert_eq!(merged.bounds(), count_buckets());
+    }
+
+    #[test]
+    fn declarations_list_their_kind_and_keys() {
         assert_eq!(
-            reg.histogram("w", &[]).unwrap().bounds(),
-            &[1.0, 2.0],
-            "handle-created series must share the family's bounds"
+            REQ.erased(),
+            MetricDecl {
+                name: "req_total",
+                kind: MetricKind::Counter,
+                label_keys: &["kind"],
+                help: "requests, by kind",
+            }
         );
+        assert_eq!(PODS.erased().kind, MetricKind::Gauge);
+        assert_eq!(LAT.erased().kind, MetricKind::Histogram);
+        assert_eq!(format!("{LAT}"), "lat_seconds");
     }
 }

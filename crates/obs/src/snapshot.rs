@@ -12,13 +12,15 @@ use std::collections::BTreeMap;
 /// # Examples
 ///
 /// ```
-/// use dlaas_obs::Registry;
+/// use dlaas_obs::{CounterDecl, Registry};
 ///
+/// const A: &CounterDecl<0> = &CounterDecl::new("a_total", [], "");
+/// const B: &CounterDecl<0> = &CounterDecl::new("b_total", [], "");
 /// let reg = Registry::new();
-/// reg.inc("a_total", &[]);
+/// reg.counter_series(A, []).inc();
 /// let before = reg.snapshot();
-/// reg.inc("a_total", &[]);
-/// reg.inc("b_total", &[]);
+/// reg.counter_series(A, []).inc();
+/// reg.counter_series(B, []).inc();
 /// let delta = reg.snapshot().diff(&before);
 /// assert_eq!(delta.get("a_total"), Some(1.0));
 /// assert_eq!(delta.get("b_total"), Some(1.0));
@@ -104,18 +106,21 @@ impl SnapshotDiff {
 
 #[cfg(test)]
 mod tests {
-    use crate::Registry;
+    use crate::{CounterDecl, GaugeDecl, HistogramDecl, Registry};
 
     #[test]
     fn diff_reports_only_changes() {
+        const A: &CounterDecl<1> = &CounterDecl::new("a", ["k"], "");
+        const G: &GaugeDecl<0> = &GaugeDecl::new("g", [], "");
+        const H: &HistogramDecl<0> = &HistogramDecl::new("h", [], "");
         let reg = Registry::new();
-        reg.inc("a", &[("k", "1")]);
-        reg.set_gauge("g", &[], 2.0);
-        reg.observe("h", &[], 0.5);
+        reg.counter_series(A, ["1"]).inc();
+        reg.gauge_series(G, []).set(2.0);
+        reg.histogram_series(H, []).observe(0.5);
         let before = reg.snapshot();
 
-        reg.inc("a", &[("k", "1")]);
-        reg.observe("h", &[], 1.5);
+        reg.counter_series(A, ["1"]).inc();
+        reg.histogram_series(H, []).observe(1.5);
         let after = reg.snapshot();
 
         let d = after.diff(&before);
@@ -131,7 +136,7 @@ mod tests {
     fn snapshot_accessors() {
         let reg = Registry::new();
         assert!(reg.snapshot().is_empty());
-        reg.inc("a", &[]);
+        reg.counter_series(&CounterDecl::new("a", [], ""), []).inc();
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap.get("a"), Some(1.0));

@@ -15,12 +15,16 @@
 //!   speedup tables), and callers must keep them out of byte-compared
 //!   output, which the thread-count invariance tests enforce.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned home of the host clock: a feature-gated stopwatch for measuring real campaign speedup outside any Sim, whose readings are reporting-only"
+)]
+
 /// A started host stopwatch. Readings are wall seconds and are only as
 /// stable as the host scheduler — never fold them into anything that
 /// must be byte-identical across runs.
 #[derive(Debug, Clone, Copy)]
 pub struct WallTimer {
-    // dlaas-lint: allow(wall-clock): feature-gated host stopwatch for measuring real campaign speedup outside any Sim; readings are reporting-only and excluded from deterministic artifacts by the thread-invariance tests.
     start: std::time::Instant,
 }
 
@@ -29,10 +33,6 @@ impl WallTimer {
     #[must_use]
     pub fn start() -> Self {
         WallTimer {
-            // The clippy disallowed-methods gate mirrors the dlaas-lint
-            // wall-clock rule; this is the one reviewed exception.
-            #[allow(clippy::disallowed_methods)]
-            // dlaas-lint: allow(wall-clock): the single sanctioned host-clock read; see module docs.
             start: std::time::Instant::now(),
         }
     }

@@ -169,7 +169,10 @@ impl<C: Clone + 'static> Raft<C> {
     /// # Panics
     ///
     /// Panics if `config` fails [`RaftConfig::validate`].
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a node is wired to its cluster, disk, network and state machine at once"
+    )]
     pub fn new(
         sim: &mut Sim,
         id: NodeId,
@@ -185,7 +188,10 @@ impl<C: Clone + 'static> Raft<C> {
 
     /// Like [`Raft::new`], with state-machine snapshot hooks enabling log
     /// compaction (see [`RaftConfig::compact_threshold`]).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a node is wired to its cluster, disk, network and state machine at once"
+    )]
     pub fn with_snapshots(
         sim: &mut Sim,
         id: NodeId,
@@ -1040,7 +1046,10 @@ impl<C: Clone + 'static> Raft<C> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the arguments are the fields of the AppendEntries message, destructured by the dispatcher"
+    )]
     fn on_append(
         &self,
         sim: &mut Sim,

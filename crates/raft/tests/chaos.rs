@@ -219,7 +219,6 @@ proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
         max_shrink_iters: 200,
-        .. ProptestConfig::default()
     })]
 
     #[test]

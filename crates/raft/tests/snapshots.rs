@@ -195,7 +195,7 @@ fn chaos_with_compaction_preserves_convergence() {
         sim.trace_mut().set_enabled(false);
         let (cluster, counters) = build(&mut sim, 3, 15);
         cluster.expect_leader(&mut sim, SimDuration::from_secs(5));
-        let mut rng = dlaas_sim::SimRng::new(seed ^ 0xfeed);
+        let mut rng = sim.rng().fork("chaos-schedule");
         for round in 0..30u64 {
             if let Some(l) = cluster.leader_id() {
                 let _ = cluster.node(l).propose(&mut sim, round + 1);

@@ -34,6 +34,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Library code stays quiet and inside the simulation (DESIGN.md §7):
+// only binaries, examples and tests print or exit.
+#![warn(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::exit
+)]
 #![warn(missing_docs)]
 
 use std::cell::RefCell;

@@ -27,7 +27,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
-use dlaas_obs::{Registry, Stopwatch};
+use dlaas_obs::Registry;
 
 use crate::{SimDuration, SimRng, SimTime, Trace};
 
@@ -353,6 +353,10 @@ impl Sim {
             seq: 0,
             next_id: 0,
             live: LiveSet::new(),
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the root stream of the world, seeded from the run seed; everything else forks from it"
+            )]
             rng: SimRng::new(seed),
             trace: Trace::new(),
             metrics: Registry::new(),
@@ -378,7 +382,7 @@ impl Sim {
         &self.trace
     }
 
-    /// Mutable access to the trace log (to enable echo, clear, ...).
+    /// Mutable access to the trace log (to disable, bound, clear, ...).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
     }
@@ -394,18 +398,6 @@ impl Sim {
     /// one or call through `sim.metrics()` at each site.
     pub fn metrics(&self) -> &Registry {
         &self.metrics
-    }
-
-    /// Starts a [`Stopwatch`] at the current simulated time. Finish it with
-    /// [`Sim::observe_since`] (or [`Stopwatch::observe_into`]).
-    pub fn stopwatch(&self) -> Stopwatch {
-        Stopwatch::start(self.now.as_micros())
-    }
-
-    /// Records the simulated time elapsed since `sw` into the histogram
-    /// `name` of the world's registry.
-    pub fn observe_since(&self, sw: Stopwatch, name: &str, labels: &[(&str, &str)]) {
-        sw.observe_into(&self.metrics, name, labels, self.now.as_micros());
     }
 
     /// Number of events executed so far.

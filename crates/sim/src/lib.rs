@@ -33,6 +33,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Library code stays quiet and inside the simulation (DESIGN.md §7):
+// only binaries, examples and tests print or exit.
+#![warn(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro,
+    clippy::exit
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -49,6 +57,7 @@ pub use trace::{Trace, TraceEvent};
 // Re-exported so downstream crates can instrument through `sim.metrics()`
 // without adding their own dependency on the metrics crate.
 pub use dlaas_obs::{
-    default_buckets, CounterHandle, GaugeHandle, Histogram, HistogramHandle, MetricKind, Registry,
-    Snapshot, SnapshotDiff, Stopwatch,
+    count_buckets, declare_metrics, default_buckets, CounterDecl, CounterHandle, GaugeDecl,
+    GaugeHandle, Histogram, HistogramDecl, HistogramHandle, MetricDecl, MetricKind, Registry,
+    Snapshot, SnapshotDiff,
 };

@@ -72,6 +72,10 @@ impl SimRng {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this is the derivation every other stream must come through: the child seed is a pure function of the parent seed and the label"
+        )]
         SimRng::new(h)
     }
 
@@ -170,6 +174,10 @@ impl SimRng {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the generator's own unit tests seed it directly"
+)]
 mod tests {
     use super::*;
 

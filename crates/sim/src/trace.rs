@@ -31,18 +31,16 @@ impl fmt::Display for TraceEvent {
 pub struct Trace {
     events: Vec<TraceEvent>,
     enabled: bool,
-    echo: bool,
     capacity: Option<usize>,
     dropped: u64,
 }
 
 impl Trace {
-    /// Creates an enabled, non-echoing, unbounded trace buffer.
+    /// Creates an enabled, unbounded trace buffer.
     pub fn new() -> Self {
         Trace {
             events: Vec::new(),
             enabled: true,
-            echo: false,
             capacity: None,
             dropped: 0,
         }
@@ -83,12 +81,6 @@ impl Trace {
         }
     }
 
-    /// When `true`, records are also printed to stdout as they are emitted
-    /// (useful when debugging a failing scenario).
-    pub fn set_echo(&mut self, echo: bool) {
-        self.echo = echo;
-    }
-
     /// Appends a record (no-op when disabled).
     pub fn record(
         &mut self,
@@ -99,16 +91,11 @@ impl Trace {
         if !self.enabled {
             return;
         }
-        let ev = TraceEvent {
+        self.events.push(TraceEvent {
             time,
             component: component.into(),
             message: message.into(),
-        };
-        if self.echo {
-            // dlaas-lint: allow(debug-print): opt-in echo mode streams trace events to the operator's terminal for interactive debugging; off by default and side-effect-free for the simulation state.
-            println!("{ev}");
-        }
-        self.events.push(ev);
+        });
         self.enforce_capacity();
     }
 

@@ -60,7 +60,8 @@ fn main() {
     sim.run_for(SimDuration::from_mins(20));
     println!(
         "pod restarts so far: {} (trace window holds {} records, {} evicted)",
-        sim.metrics().counter_total("kube_pod_restarts_total"),
+        sim.metrics()
+            .counter_total(dlaas_kube::metrics::POD_RESTARTS),
         sim.trace().len(),
         sim.trace().dropped(),
     );
@@ -96,7 +97,7 @@ fn main() {
     };
     println!(
         "kube pod restarts:    {}",
-        m.counter_total("kube_pod_restarts_total")
+        m.counter_total(dlaas_kube::metrics::POD_RESTARTS)
     );
     println!(
         "learner restarts:     {}",

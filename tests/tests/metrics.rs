@@ -1,13 +1,17 @@
 //! The dlaas-obs metrics subsystem observed end to end: a full job
-//! lifecycle must leave the expected trail in the platform registry, and
-//! the exposition must be byte-identical across same-seed runs —
-//! metrics are part of the deterministic replay surface.
+//! lifecycle must leave the expected trail in the platform registry, the
+//! exposition must be byte-identical across same-seed runs — metrics are
+//! part of the deterministic replay surface — and everything exposed
+//! must come from exactly one declaration.
 
+use std::collections::BTreeMap;
+
+use dlaas_bench::matrix::{sweep_parallel_for, FaultKind};
 use dlaas_core::{metrics, JobStatus};
 use dlaas_faults::ChaosMonkey;
 use dlaas_integration::{boot, manifest, submit_blocking};
 use dlaas_kube::labels;
-use dlaas_sim::SimDuration;
+use dlaas_sim::{MetricDecl, SimDuration};
 
 /// Runs one checkpointed job to completion and returns the platform.
 fn lifecycle(seed: u64) -> (dlaas_sim::Sim, dlaas_core::DlaasPlatform) {
@@ -86,17 +90,16 @@ fn job_lifecycle_leaves_a_metrics_trail() {
     );
 
     // Infrastructure layers report through the same registry (all three
-    // mutate through interned handles now; a broken handle would zero
-    // these out).
-    assert!(m.counter_total("etcd_proposals_total") > 0);
-    assert!(m.counter_total("etcd_reads_total") > 0);
-    assert!(m.counter_total("kube_events_total") > 0);
+    // keep their hot handles cached; a broken cache would zero these out).
+    assert!(m.counter_total(dlaas_etcd::metrics::PROPOSALS) > 0);
+    assert!(m.counter_total(dlaas_etcd::metrics::READS) > 0);
+    assert!(m.counter_total(dlaas_kube::metrics::EVENTS) > 0);
     assert!(
-        m.counter_value("kube_events_total", &[("reason", "Scheduled")]) >= 1,
+        m.counter_value(dlaas_kube::metrics::EVENTS, &[("reason", "Scheduled")]) >= 1,
         "per-reason event series survive the handle cache"
     );
     let sched = m
-        .histogram_merged("kube_scheduling_latency_seconds")
+        .histogram_merged(dlaas_kube::metrics::SCHEDULING_LATENCY_SECONDS)
         .expect("scheduling latency populated");
     assert!(sched.count() > 0);
 }
@@ -154,4 +157,90 @@ fn same_seed_runs_expose_byte_identical_metrics() {
         chaos_exposition(4301),
         "different seeds must diverge somewhere in the registry"
     );
+}
+
+/// The declaration lists of every crate that records metrics.
+fn declaration_lists() -> [(&'static str, &'static [MetricDecl]); 5] {
+    [
+        ("dlaas-etcd", dlaas_etcd::metrics::ALL),
+        ("dlaas-kube", dlaas_kube::metrics::ALL),
+        ("dlaas-docstore", dlaas_docstore::metrics::ALL),
+        ("dlaas-core", dlaas_core::metrics::ALL),
+        ("dlaas-bench", dlaas_bench::metrics::ALL),
+    ]
+}
+
+/// `family → kind` off an exposition's `# TYPE` lines.
+fn exposed_families(text: &str) -> BTreeMap<String, String> {
+    text.lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split_once(' '))
+        .map(|(name, kind)| (name.to_owned(), kind.to_owned()))
+        .collect()
+}
+
+#[test]
+fn no_metric_name_is_declared_twice() {
+    let mut owner: BTreeMap<&str, &str> = BTreeMap::new();
+    for (krate, list) in declaration_lists() {
+        assert!(!list.is_empty(), "{krate} declares nothing");
+        for decl in list {
+            if let Some(first) = owner.insert(decl.name, krate) {
+                panic!(
+                    "`{}` is declared by {first} and again by {krate}",
+                    decl.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_exposed_family_is_declared_with_its_kind() {
+    // One job through its whole lifecycle with every fault of the matrix
+    // injected along the way, then the harness's own registries from a
+    // slice of the fault-matrix campaign.
+    let (mut sim, platform) = boot(4400);
+    let client = platform.client("metrics", dlaas_integration::KEY);
+    let mut m = manifest("declared-metrics", 600);
+    m.checkpoint_every = 100;
+    let job = submit_blocking(&mut sim, &client, m);
+    platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Processing,
+        SimDuration::from_hours(1),
+    );
+    for fault in FaultKind::all() {
+        fault.inject(&mut sim, &platform, &job);
+        sim.run_for(SimDuration::from_secs(45));
+    }
+    platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Completed,
+        SimDuration::from_hours(12),
+    );
+    sim.run_for(SimDuration::from_mins(5));
+    let mut exposed = exposed_families(&platform.expose_metrics());
+    let campaign = sweep_parallel_for(&[FaultKind::GuardianCrash], 4401, 1, 1, None);
+    exposed.extend(exposed_families(&campaign.run.metrics.expose()));
+    exposed.extend(exposed_families(&campaign.report.wall_metrics.expose()));
+
+    let declared: BTreeMap<&str, &str> = declaration_lists()
+        .into_iter()
+        .flat_map(|(_, list)| list)
+        .map(|d| (d.name, d.kind.as_str()))
+        .collect();
+    assert!(
+        exposed.len() >= 25,
+        "suspiciously few families exposed: {exposed:?}"
+    );
+    for (name, kind) in &exposed {
+        assert_eq!(
+            declared.get(name.as_str()),
+            Some(&kind.as_str()),
+            "`{name}` is exposed as a {kind} but not declared as one"
+        );
+    }
 }
