@@ -12,7 +12,7 @@
 //!
 //! Freshness is sampled on what the status path *publishes*: the learner
 //! status key in etcd. The controller puts a phase change at once and an
-//! iteration alone once per `guardian_poll` (30 s), so with every replica
+//! iteration alone once per `GUARDIAN_POLL` (30 s), so with every replica
 //! up the iteration etcd holds is legitimately up to that old; the sweep
 //! shows what an outage adds on top.
 //!

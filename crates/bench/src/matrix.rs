@@ -28,7 +28,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
-use dlaas_core::{check_invariants, paths, DlaasPlatform, JobId, JobStatus};
+use dlaas_core::{check_invariants, config, paths, DlaasPlatform, JobId, JobStatus};
 use dlaas_faults::{nfs_outage_window, partition_window, when};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_kube::{labels, PodPhase};
@@ -117,7 +117,7 @@ impl FaultKind {
                 // which replica sweeps this job, then kill exactly that
                 // pod. Falls back to replica 0 when the key is not there
                 // yet (shard unclaimed at injection time).
-                let shards = platform.handles().config.lcm_shards;
+                let shards = config::LCM_SHARDS;
                 let key = paths::lcm_shard_owner(paths::job_shard(job, shards));
                 let owner = platform
                     .etcd()
@@ -396,7 +396,7 @@ fn run_cell_inner(seed: u64, kind: FaultKind, point: InjectionPoint) -> (CellOut
 
     // Settle well past the GC grace (3 LCM scan periods) so the leak
     // invariants apply with full force.
-    sim.run_for(platform.handles().config.lcm_scan * 6);
+    sim.run_for(config::LCM_SCAN * 6);
     let report = check_invariants(&sim, &platform);
 
     let outcome = CellOutcome {

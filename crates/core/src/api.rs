@@ -17,6 +17,7 @@ use dlaas_docstore::{Doc, Filter, Value};
 use dlaas_kube::{pod_addr, Cleanup, ProcessCtx};
 use dlaas_sim::{Sim, SimDuration};
 
+use crate::config;
 use crate::handles::{Handles, LCM_SERVICE};
 use crate::job::{JobId, JobStatus};
 use crate::manifest::TrainingManifest;
@@ -145,7 +146,7 @@ fn handle(
                         LCM_SERVICE.into(),
                         resolver,
                         CoreRequest::StopJob { job },
-                        h.config.rpc_timeout,
+                        config::RPC_TIMEOUT,
                         8,
                         SimDuration::from_millis(400),
                         move |sim, r| match r {
@@ -477,7 +478,7 @@ fn record_and_deploy(
             LCM_SERVICE.into(),
             resolver,
             CoreRequest::DeployJob { job: id },
-            h.config.rpc_timeout,
+            config::RPC_TIMEOUT,
             10,
             SimDuration::from_millis(400),
             |_sim, _r| {},

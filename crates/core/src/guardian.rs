@@ -30,6 +30,7 @@ use dlaas_kube::{
 };
 use dlaas_sim::{Sim, SimDuration};
 
+use crate::config;
 use crate::handles::Handles;
 use crate::job::{JobId, JobStatus, LearnerPhase};
 use crate::lcm::teardown_job;
@@ -117,7 +118,7 @@ impl Guardian {
     }
 
     fn step_latency(&self) -> SimDuration {
-        self.h.config.guardian_step_latency
+        config::GUARDIAN_STEP_LATENCY
     }
 
     fn alive(&self) -> bool {
@@ -390,7 +391,7 @@ impl Guardian {
     /// log-collector, store-results sharing one pod).
     fn step_create_helper(self: Rc<Self>, sim: &mut Sim) {
         let job = self.job.as_str();
-        let cold = self.h.config.helper_cold_start;
+        let cold = config::HELPER_COLD_START;
         let image = ImageRef::microservice("dlaas/helper");
         let container = |name: &str, behavior: &str| {
             ContainerSpec::new(name, image.clone(), behavior)
@@ -485,7 +486,7 @@ impl Guardian {
     }
 
     /// Monitoring is driven by an etcd watch on the job's whole prefix;
-    /// a slow backstop poll (`guardian_poll`) covers what a watch can
+    /// a slow backstop poll (`GUARDIAN_POLL`) covers what a watch can
     /// miss — notifications lost with a partitioned or restarted etcd
     /// node — and carries kill detection via the metadata store.
     fn start_monitoring(self: Rc<Self>, sim: &mut Sim) {
@@ -502,7 +503,7 @@ impl Guardian {
                 // Every replica notifies, so most events are repeats
                 // (absorbed to no effect, mirrored to no write). The
                 // controller publishes a phase change at once and an
-                // iteration alone once per `guardian_poll`: both are
+                // iteration alone once per `GUARDIAN_POLL`: both are
                 // mirrored as they arrive, only the former can move an
                 // aggregation rule.
                 let moved = me.absorb(key, value);
@@ -518,7 +519,7 @@ impl Guardian {
 
         let me = self.clone();
         let alive = self.ctx.alive_flag();
-        dlaas_sim::every(sim, self.h.config.guardian_poll, move |sim, _n| {
+        dlaas_sim::every(sim, config::GUARDIAN_POLL, move |sim, _n| {
             if !alive.get() || me.mon.borrow().finished {
                 return false;
             }
@@ -645,7 +646,7 @@ impl Guardian {
 
     /// Mirrors progress/restart counters into the metadata store so users
     /// can see them through the API: whenever the controller publishes
-    /// (a phase change at once, an iteration every `guardian_poll`), on
+    /// (a phase change at once, an iteration every `GUARDIAN_POLL`), on
     /// the backstop, and (folded into the final update) at completion.
     fn push_progress(self: &Rc<Self>, sim: &mut Sim) {
         if let Some(update) = self.progress_update() {

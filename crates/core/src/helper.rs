@@ -21,6 +21,7 @@ use dlaas_objstore::ObjectBody;
 use dlaas_sharedfs::Mount;
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
+use crate::config;
 use crate::handles::Handles;
 use crate::job::{JobId, LearnerPhase};
 use crate::manifest::TrainingManifest;
@@ -85,7 +86,7 @@ fn try_bootstrap(
 /// status a change of phase kind goes out at once — the Guardian's
 /// aggregation rules and the job status turn on it. A change of
 /// iteration alone has one reader, the Guardian's progress mirror, whose
-/// cadence is `guardian_poll`; it is put once that long has passed since
+/// cadence is `GUARDIAN_POLL`; it is put once that long has passed since
 /// the last acknowledged put, not on every learner report — a consensus
 /// round, three applies and three watch deliveries for a value nobody
 /// reads in between. Every change of any other value goes out at once.
@@ -205,11 +206,11 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
         "{}/{}#{}",
         ctx.pod, ctx.container, ctx.incarnation
     ));
-    let poll = h.config.controller_poll;
-    let max_failures = h.config.learner_max_failures;
+    let poll = config::CONTROLLER_POLL;
+    let max_failures = config::LEARNER_MAX_FAILURES;
     let ctx2 = ctx.clone();
     let etcd_for_cleanup = etcd.clone();
-    let coalesce = h.config.guardian_poll;
+    let coalesce = config::GUARDIAN_POLL;
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
         ctx2.record(sim, "controller online; polling learner files");
         let alive = ctx2.alive_flag();
@@ -479,7 +480,7 @@ impl LogTail {
 /// reproduces the complete object.
 pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let job = JobId::new(ctx.arg.clone());
-    let flush = h.config.log_flush;
+    let flush = config::LOG_FLUSH;
     let objstore = h.objstore.clone();
     let ctx2 = ctx.clone();
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {

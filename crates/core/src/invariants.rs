@@ -53,7 +53,7 @@ use dlaas_docstore::Value;
 use dlaas_kube::labels;
 use dlaas_sim::{Sim, SimDuration, SimTime, TimerHandle};
 
-use crate::config::CoreConfig;
+use crate::config::{self, CoreConfig};
 use crate::job::{JobId, JobStatus};
 use crate::paths;
 use crate::platform::DlaasPlatform;
@@ -75,14 +75,15 @@ pub struct InvariantBounds {
 }
 
 impl InvariantBounds {
-    /// Bounds derived from the platform configuration: leak checks allow
-    /// three LCM scan periods of GC lag; liveness allows the full deploy
-    /// timeout plus an hour of training.
-    pub fn from_config(cfg: &CoreConfig) -> Self {
+    /// The platform's bounds: leak checks allow three LCM scan periods of
+    /// GC lag; liveness allows the full deploy timeout plus an hour of
+    /// training. (They relate constants of [`crate::config`] only; the
+    /// argument is what callers, the frozen benchmark among them, pass.)
+    pub fn from_config(_cfg: &CoreConfig) -> Self {
         InvariantBounds {
-            terminal_within: cfg.deploy_timeout + SimDuration::from_hours(1),
-            gc_grace: cfg.lcm_scan * 3,
-            admission_within: cfg.admission_starvation_bound,
+            terminal_within: config::DEPLOY_TIMEOUT + SimDuration::from_hours(1),
+            gc_grace: config::LCM_SCAN * 3,
+            admission_within: config::ADMISSION_STARVATION_BOUND,
         }
     }
 }
@@ -325,7 +326,6 @@ pub fn check_with(
 ///    (expiry latency + watch/reconcile takeover).
 fn check_shards(sim: &Sim, platform: &DlaasPlatform, out: &mut Vec<InvariantViolation>) {
     let tracker = platform.shard_tracker();
-    let cfg = &platform.handles().config;
     let lcm_alive = !platform
         .kube()
         .pods_matching(&labels! {"app" => "lcm"})
@@ -343,7 +343,7 @@ fn check_shards(sim: &Sim, platform: &DlaasPlatform, out: &mut Vec<InvariantViol
         });
     }
     if lcm_alive {
-        let bound = cfg.lcm_lease_ttl + cfg.lcm_scan * 2;
+        let bound = config::LCM_LEASE_TTL + config::LCM_SCAN * 2;
         for (shard, waited) in tracker.orphaned(sim.now(), bound) {
             out.push(InvariantViolation {
                 job: JobId::new(format!("shard-{shard}")),

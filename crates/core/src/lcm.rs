@@ -29,7 +29,7 @@
 //! (the watchlists are cheap), but *sweeps* only the jobs whose id hashes
 //! into a shard it owns ([`paths::job_shard`]). Ownership is arbitrated
 //! through etcd: each replica holds a lease
-//! ([`crate::config::CoreConfig::lcm_lease_ttl`]) and CAS-acquires
+//! ([`crate::config::LCM_LEASE_TTL`]) and CAS-acquires
 //! absent [`paths::lcm_shard_owner`] keys with that lease attached. When
 //! a replica dies, its lease expires, etcd deletes its owner keys, and
 //! the survivors race ordinary delete watch events (plus a periodic
@@ -62,6 +62,7 @@ use dlaas_kube::{
 };
 use dlaas_sim::{Sim, SimTime};
 
+use crate::config;
 use crate::fairness::{admission_plan, QueuedJob, TenantShare};
 use crate::handles::Handles;
 use crate::job::{JobId, JobStatus};
@@ -145,7 +146,7 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
         });
     ensure_lease(sim, &rep);
     let rep_ka = rep.clone();
-    let ka_timer = dlaas_sim::every(sim, h.config.lcm_lease_keepalive, move |sim, _n| {
+    let ka_timer = dlaas_sim::every(sim, config::LCM_LEASE_KEEPALIVE, move |sim, _n| {
         if !rep_ka.alive.get() {
             return false;
         }
@@ -156,7 +157,7 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     // The background scan. The watchlist cache dies with this
     // incarnation; a successor starts at watermark 0 and rebuilds it
     // from the full change feed.
-    let scan_period = h.config.lcm_scan;
+    let scan_period = config::LCM_SCAN;
     let h3 = h.clone();
     let meta3 = meta.clone();
     let alive = ctx.alive_flag();
@@ -231,7 +232,7 @@ fn owns_job(rep: &Replica, now: SimTime, job: &JobId) -> bool {
             .own
             .borrow()
             .owned
-            .contains(&paths::job_shard(job, rep.h.config.lcm_shards))
+            .contains(&paths::job_shard(job, config::LCM_SHARDS))
 }
 
 /// Grants a fresh lease if none is held and no grant is in flight. On
@@ -246,7 +247,7 @@ fn ensure_lease(sim: &mut Sim, rep: &Rc<Replica>) {
         o.granting = true;
     }
     let sent = sim.now();
-    let ttl = rep.h.config.lcm_lease_ttl;
+    let ttl = config::LCM_LEASE_TTL;
     let rep2 = rep.clone();
     // dlaas-lint: allow(resource-leak): the lease IS the liveness signal — releasing it client-side on a fence lapse is impossible by construction (etcd was unreachable), so server-side expiry is the designed release path; the pod cleanup closes the client
     rep.etcdc.lease_grant(sim, ttl, move |sim, r| {
@@ -288,7 +289,7 @@ fn keepalive_tick(sim: &mut Sim, rep: &Rc<Replica>) {
         return;
     }
     let sent = sim.now();
-    let ttl = rep.h.config.lcm_lease_ttl;
+    let ttl = config::LCM_LEASE_TTL;
     let rep2 = rep.clone();
     rep.etcdc.lease_keepalive(sim, id, move |sim, r| {
         if !rep2.alive.get() {
@@ -392,7 +393,7 @@ fn drop_ownership(sim: &mut Sim, rep: &Rc<Replica>, reason: &'static str) {
 /// one shard's owner key. Losing is normal — someone else won, or etcd
 /// is down — and the reconcile backstop retries.
 fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static str) {
-    if shard >= rep.h.config.lcm_shards || rep.own.borrow().owned.contains(&shard) {
+    if shard >= config::LCM_SHARDS || rep.own.borrow().owned.contains(&shard) {
         return;
     }
     if !lease_valid(rep, sim.now()) {
@@ -453,7 +454,7 @@ fn reconcile(sim: &mut Sim, rep: &Rc<Replica>) {
                 return;
             };
             let listed: BTreeMap<String, String> = pairs.into_iter().collect();
-            for shard in 0..rep2.h.config.lcm_shards {
+            for shard in 0..config::LCM_SHARDS {
                 let key = paths::lcm_shard_owner(shard);
                 let owned = rep2.own.borrow().owned.contains(&shard);
                 match listed.get(&key) {
@@ -505,7 +506,7 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
             "guardian",
         )
         .with_arg(job.as_str())
-        .with_cold_start(h.config.guardian_cold_start),
+        .with_cold_start(config::GUARDIAN_COLD_START),
     )
     .with_labels(labels! {
         "role" => "core",
@@ -514,7 +515,7 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
     })
     .with_resources(Resources::new(250, 256, 0), None);
     h.kube
-        .create_job(sim, &name, h.config.guardian_backoff_limit, pod);
+        .create_job(sim, &name, config::GUARDIAN_BACKOFF_LIMIT, pod);
 }
 
 /// Deletes every cluster resource belonging to `job`: the learner
@@ -857,7 +858,7 @@ fn admit(
 /// Records a sweep drive against `job` in the ownership ledger right
 /// before acting on it — the probe the at-most-one-owner invariant sees.
 fn note_sweep(sim: &Sim, rep: &Replica, job: &JobId) {
-    let shard = paths::job_shard(job, rep.h.config.lcm_shards);
+    let shard = paths::job_shard(job, config::LCM_SHARDS);
     rep.h
         .shard_tracker
         .note_sweep(sim, shard, job.as_str(), &rep.pod);
@@ -875,7 +876,7 @@ fn sweep(
     rep: &Rc<Replica>,
 ) {
     // 1. Re-deploy PENDING jobs that have sat too long without a Guardian.
-    let redeploy_after = h.config.pending_redeploy_after;
+    let redeploy_after = config::PENDING_REDEPLOY_AFTER;
     let pending: Vec<(JobId, SimTime)> = state
         .borrow()
         .pending
@@ -901,7 +902,7 @@ fn sweep(
     //    jobs stuck in DEPLOYING past the deploy timeout (undeployable:
     //    e.g. they request hardware the cluster does not have). Both
     //    checks read local Kubernetes/watchlist state only.
-    let deploy_timeout = h.config.deploy_timeout;
+    let deploy_timeout = config::DEPLOY_TIMEOUT;
     let mut to_fail: Vec<(JobId, bool)> = Vec::new();
     {
         let st = state.borrow();

@@ -23,6 +23,7 @@ use dlaas_objstore::ObjectBody;
 use dlaas_sharedfs::Mount;
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
+use crate::config;
 use crate::handles::Handles;
 use crate::job::JobId;
 use crate::manifest::TrainingManifest;
@@ -350,7 +351,7 @@ impl Learner {
         if !self.ctx.is_alive() {
             return;
         }
-        let report = self.h.config.learner_report;
+        let report = config::LEARNER_REPORT;
         let me = self.clone();
         sim.schedule_in(report, move |sim| {
             if !me.ctx.is_alive() {

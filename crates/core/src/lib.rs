@@ -75,7 +75,7 @@
 
 mod api;
 mod client;
-mod config;
+pub mod config;
 pub mod fairness;
 mod guardian;
 mod handles;

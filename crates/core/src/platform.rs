@@ -19,7 +19,7 @@ use dlaas_sim::{Sim, SimDuration};
 
 use crate::api::api_behavior;
 use crate::client::DlaasClient;
-use crate::config::CoreConfig;
+use crate::config::{self, CoreConfig};
 use crate::guardian::guardian_behavior;
 use crate::handles::{Handles, API_SERVICE, LCM_SERVICE};
 use crate::helper::{
@@ -155,7 +155,7 @@ impl DlaasPlatform {
             nfs,
             kube: kube.clone(),
             etcd_gc,
-            shard_tracker: crate::ownership::ShardTracker::new(cfg.core.lcm_shards),
+            shard_tracker: crate::ownership::ShardTracker::new(config::LCM_SHARDS),
             config: Rc::new(cfg.core.clone()),
         };
 
@@ -179,17 +179,17 @@ impl DlaasPlatform {
         let api_pod = PodSpec::new(
             "unused",
             ContainerSpec::new("api", ImageRef::microservice("dlaas/api"), "api")
-                .with_cold_start(cfg.core.api_cold_start),
+                .with_cold_start(config::API_COLD_START),
         )
         .with_labels(labels! {"role" => "core", "app" => "api"})
         .with_resources(Resources::new(1000, 2048, 0), None);
-        kube.create_deployment(sim, "dlaas-api", cfg.core.api_replicas, api_pod);
+        kube.create_deployment(sim, "dlaas-api", config::API_REPLICAS, api_pod);
         kube.create_service(sim, API_SERVICE, labels! {"app" => "api"});
 
         let lcm_pod = PodSpec::new(
             "unused",
             ContainerSpec::new("lcm", ImageRef::microservice("dlaas/lcm"), "lcm")
-                .with_cold_start(cfg.core.lcm_cold_start),
+                .with_cold_start(config::LCM_COLD_START),
         )
         .with_labels(labels! {"role" => "core", "app" => "lcm"})
         .with_resources(Resources::new(1000, 2048, 0), None);

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run -p dlaas-examples --bin chaos_recovery`
 
-use dlaas_core::{DlaasPlatform, JobStatus, Tenant, TrainingManifest};
+use dlaas_core::{config, DlaasPlatform, JobStatus, Tenant, TrainingManifest};
 use dlaas_examples::{banner, submit_blocking};
 use dlaas_faults::ChaosMonkey;
 use dlaas_gpu::{DlModel, Framework, GpuKind};
@@ -128,7 +128,7 @@ fn main() {
     // Let the LCM's garbage collection settle, then assert the §III
     // invariants over the whole run: terminal jobs, monotone histories,
     // bounded attempts and no leaked pods/volumes/netpols/etcd keys.
-    sim.run_for(platform.handles().config.lcm_scan * 6);
+    sim.run_for(config::LCM_SCAN * 6);
     let report = dlaas_core::check_invariants(&sim, &platform);
     println!(
         "checked {} jobs: {} violations",

@@ -19,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dlaas_core::{check_invariants, DlaasPlatform, JobStatus, JOBS};
+use dlaas_core::{check_invariants, config, DlaasPlatform, JobStatus, JOBS};
 use dlaas_docstore::obj;
 use dlaas_integration::{boot, manifest, submit_blocking, KEY};
 use dlaas_sim::{Sim, SimDuration};
@@ -156,7 +156,7 @@ fn an_invariant_pass_does_not_copy_the_documents_it_checks() {
         let (mut sim, platform) = boot(1503);
         seed_terminal_jobs(&mut sim, &platform, JOBS_CHECKED, padding);
         // Past the GC grace period, so every job takes the leak checks.
-        sim.run_for(platform.handles().config.lcm_scan * 4);
+        sim.run_for(config::LCM_SCAN * 4);
         let (_, bytes, report) = counted(|| check_invariants(&sim, &platform));
         assert_eq!(report.jobs_checked, JOBS_CHECKED);
         report.assert_clean();

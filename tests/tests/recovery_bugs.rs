@@ -4,7 +4,7 @@
 //! against the pre-fix behaviour.
 
 use dlaas_bench::harness::reported_iteration;
-use dlaas_core::{check_invariants, paths, DlaasPlatform, InvariantMonitor, JobStatus};
+use dlaas_core::{check_invariants, config, paths, DlaasPlatform, InvariantMonitor, JobStatus};
 use dlaas_docstore::Value;
 use dlaas_faults::{nfs_outage_window, partition_window, when, FaultAction};
 use dlaas_integration::{boot, manifest, submit_blocking, KEY};
@@ -146,7 +146,7 @@ fn guardian_crash_during_storing_never_clobbers_store_done() {
         sim.run_for(SimDuration::from_millis(50));
     }
     assert_eq!(platform.job_status(&job), Some(JobStatus::Completed));
-    sim.run_for(platform.handles().config.lcm_scan * 6);
+    sim.run_for(config::LCM_SCAN * 6);
     check_invariants(&sim, &platform).assert_clean();
 }
 
@@ -170,7 +170,7 @@ fn lcm_teardown_does_not_leak_etcd_watch_endpoints() {
         SimDuration::from_mins(30),
     );
     assert_eq!(end, Some(JobStatus::Completed));
-    sim.run_for(platform.handles().config.lcm_scan * 6);
+    sim.run_for(config::LCM_SCAN * 6);
     let baseline = platform.etcd().watch_net().endpoint_count();
 
     for i in 0..3 {
@@ -183,7 +183,7 @@ fn lcm_teardown_does_not_leak_etcd_watch_endpoints() {
         );
         assert_eq!(end, Some(JobStatus::Completed));
     }
-    sim.run_for(platform.handles().config.lcm_scan * 6);
+    sim.run_for(config::LCM_SCAN * 6);
     assert_eq!(
         platform.etcd().watch_net().endpoint_count(),
         baseline,
@@ -237,7 +237,7 @@ fn learner_completion_markers_survive_nfs_outage() {
         Some(JobStatus::Completed),
         "{job} stranded: completion markers lost to the NFS outage"
     );
-    sim.run_for(platform.handles().config.lcm_scan * 6);
+    sim.run_for(config::LCM_SCAN * 6);
     check_invariants(&sim, &platform).assert_clean();
 }
 
@@ -259,9 +259,9 @@ fn partitioned_lcm_replica_fences_itself_before_lease_expiry() {
     let client = platform.client("itest", KEY);
     let job = submit_blocking(&mut sim, &client, manifest("fence", 900));
 
-    let ttl = platform.handles().config.lcm_lease_ttl;
-    let scan = platform.handles().config.lcm_scan;
-    let shard = paths::job_shard(&job, platform.handles().config.lcm_shards);
+    let ttl = config::LCM_LEASE_TTL;
+    let scan = config::LCM_SCAN;
+    let shard = paths::job_shard(&job, config::LCM_SHARDS);
 
     // Let the job get in flight; by then every shard has an owner.
     let mid = platform.wait_for_status(
@@ -346,7 +346,7 @@ fn crashed_shard_owner_is_replaced_within_the_takeover_bound() {
     let monitor = InvariantMonitor::install(&mut sim, &platform, SimDuration::from_secs(5));
 
     let job = submit_blocking(&mut sim, &client, manifest("owner-crash", 400));
-    let shard = paths::job_shard(&job, platform.handles().config.lcm_shards);
+    let shard = paths::job_shard(&job, config::LCM_SHARDS);
 
     // Kill the owning replica the moment the deployment starts.
     let p2 = platform.clone();
@@ -379,7 +379,7 @@ fn crashed_shard_owner_is_replaced_within_the_takeover_bound() {
         Some(JobStatus::Completed),
         "{job} lost to the owner crash"
     );
-    sim.run_for(platform.handles().config.lcm_scan * 6);
+    sim.run_for(config::LCM_SCAN * 6);
     assert_eq!(
         monitor.violations_seen(),
         0,

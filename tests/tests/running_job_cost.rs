@@ -14,7 +14,7 @@
 //! LCM leases and sweeps, kube probes), which is why they are budgets
 //! with headroom, not exact values.
 
-use dlaas_core::{metrics, paths, DlaasPlatform, JobStatus};
+use dlaas_core::{config, metrics, paths, DlaasPlatform, JobStatus};
 use dlaas_integration::{boot, manifest, submit_blocking, KEY};
 use dlaas_sim::{Sim, SimDuration};
 
@@ -104,8 +104,7 @@ fn a_training_job_costs_what_changed_not_what_it_polled() {
         .iter()
         .map(|l| l.len() as u64 + 1)
         .sum();
-    let status_ticks =
-        sim.now().as_micros() / platform.handles().config.controller_poll.as_micros();
+    let status_ticks = sim.now().as_micros() / config::CONTROLLER_POLL.as_micros();
     assert!(
         read_so_far <= 2 * log_bytes + 64 * status_ticks,
         "{read_so_far} bytes read off NFS for a {log_bytes}-byte log: the collector re-reads it"

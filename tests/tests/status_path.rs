@@ -2,7 +2,7 @@
 //! etcd, when, and how far the user-visible job document may trail.
 //!
 //! The controller puts a learner's *phase* change at once and an
-//! iteration-only change once per `guardian_poll` (the cadence of its one
+//! iteration-only change once per `GUARDIAN_POLL` (the cadence of its one
 //! reader, the Guardian's progress mirror); the Guardian mirrors what is
 //! published as it arrives. Status is therefore never coalesced, and
 //! `JobInfo::iteration` trails the learner by at most one publish window
@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use dlaas_bench::harness::reported_iteration;
-use dlaas_core::{paths, DlaasPlatform, JobId, JobStatus, LearnerPhase};
+use dlaas_core::{config, paths, DlaasPlatform, JobId, JobStatus, LearnerPhase};
 use dlaas_integration::{boot, manifest, submit_blocking, KEY};
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
@@ -45,12 +45,11 @@ fn start_training(sim: &mut Sim, platform: &DlaasPlatform, name: &str, iters: u6
 #[test]
 fn iterations_are_coalesced_phase_changes_are_not() {
     let (mut sim, platform) = boot(1401);
-    let cfg = platform.handles().config.clone();
     let job = start_training(&mut sim, &platform, "publish-rule", 110);
 
     // While the learner trains, the published value changes no more often
     // than the coalescing window allows; the learner itself reports an
-    // iteration every `learner_report`.
+    // iteration every `LEARNER_REPORT`.
     let step = SimDuration::from_millis(20);
     let mut last = published(&platform, &job);
     let mut last_change = sim.now();
@@ -64,9 +63,9 @@ fn iterations_are_coalesced_phase_changes_are_not() {
                     iteration_publishes += 1;
                     let gap = sim.now().saturating_duration_since(last_change);
                     assert!(
-                        gap + step >= cfg.guardian_poll,
+                        gap + step >= config::GUARDIAN_POLL,
                         "iteration re-published after {gap}, inside the {} window",
-                        cfg.guardian_poll
+                        config::GUARDIAN_POLL
                     );
                 }
             }
@@ -90,10 +89,10 @@ fn iterations_are_coalesced_phase_changes_are_not() {
     );
 
     // The learner finished inside a coalescing window (the last publish
-    // is younger than `guardian_poll`): COMPLETED is a phase change and
+    // is younger than `GUARDIAN_POLL`): COMPLETED is a phase change and
     // must be in etcd within one controller tick all the same.
-    assert!(exited_at.saturating_duration_since(last_change) < cfg.guardian_poll);
-    let deadline = exited_at + cfg.controller_poll + SimDuration::from_millis(50);
+    assert!(exited_at.saturating_duration_since(last_change) < config::GUARDIAN_POLL);
+    let deadline = exited_at + config::CONTROLLER_POLL + SimDuration::from_millis(50);
     while published(&platform, &job) != Some(LearnerPhase::Completed) {
         assert!(
             sim.now() < deadline,
@@ -135,8 +134,7 @@ fn a_failed_publish_is_retried_on_the_next_tick() {
 
     // A put re-issued by the very next tick lands within a tick plus one
     // client retry cycle of the leader's return.
-    let deadline =
-        sim.now() + platform.handles().config.controller_poll + SimDuration::from_secs(1);
+    let deadline = sim.now() + config::CONTROLLER_POLL + SimDuration::from_secs(1);
     while published(&platform, &job) != Some(LearnerPhase::Completed) {
         assert!(
             sim.now() < deadline,
@@ -157,13 +155,12 @@ fn a_failed_publish_is_retried_on_the_next_tick() {
 #[test]
 fn job_document_iteration_trails_the_learner_by_a_bounded_time() {
     let (mut sim, platform) = boot(1403);
-    let cfg = platform.handles().config.clone();
     let job = start_training(&mut sim, &platform, "staleness", 200);
 
     // `JobInfo::iteration` at time t is at least what the learner had
     // reported by t − bound. The slack covers the sampling grid and the
     // two store round-trips of the mirror.
-    let bound = cfg.guardian_poll + cfg.learner_report + cfg.controller_poll;
+    let bound = config::GUARDIAN_POLL + config::LEARNER_REPORT + config::CONTROLLER_POLL;
     let slack = SimDuration::from_millis(600);
     let step = SimDuration::from_millis(500);
     let mut reported: VecDeque<(SimTime, u64)> = VecDeque::new();
