@@ -21,6 +21,7 @@ use crate::config;
 use crate::handles::{Handles, LCM_SERVICE};
 use crate::job::{JobId, JobStatus};
 use crate::manifest::TrainingManifest;
+use crate::metrics;
 use crate::mongo::{MetaClient, JOBS, TENANTS};
 use crate::paths;
 use crate::proto::{CoreRequest, CoreResponse};
@@ -81,7 +82,7 @@ fn meter(sim: &mut Sim, meta: &Rc<MetaClient>, req: &CoreRequest) {
         CoreRequest::DeployJob { .. } | CoreRequest::StopJob { .. } => return,
     };
     sim.metrics()
-        .counter_series(crate::metrics::API_REQUESTS, [kind])
+        .counter_series(metrics::API_REQUESTS, [kind])
         .inc();
     let filter = Filter::eq("_id", key.as_str());
     let update = dlaas_docstore::Update::inc(kind, 1);
@@ -233,7 +234,7 @@ fn with_owned_job(
                 },
                 Ok(None) => {
                     sim.metrics()
-                        .counter_series(crate::metrics::API_AUTH_FAILURES, [])
+                        .counter_series(metrics::API_AUTH_FAILURES, [])
                         .inc();
                     return responder.err(sim, "unauthorized");
                 }
@@ -266,7 +267,7 @@ fn list_jobs(sim: &mut Sim, meta: &Rc<MetaClient>, api_key: String, responder: R
                 },
                 Ok(None) => {
                     sim.metrics()
-                        .counter_series(crate::metrics::API_AUTH_FAILURES, [])
+                        .counter_series(metrics::API_AUTH_FAILURES, [])
                         .inc();
                     return responder.err(sim, "unauthorized");
                 }
@@ -303,7 +304,7 @@ fn submit(
 ) {
     if let Err(e) = manifest.validate() {
         sim.metrics()
-            .counter_series(crate::metrics::API_SUBMISSIONS, ["rejected_invalid"])
+            .counter_series(metrics::API_SUBMISSIONS, ["rejected_invalid"])
             .inc();
         responder.err(sim, e.to_string());
         return;
@@ -324,7 +325,7 @@ fn submit(
                 },
                 Ok(None) => {
                     sim.metrics()
-                        .counter_series(crate::metrics::API_AUTH_FAILURES, [])
+                        .counter_series(metrics::API_AUTH_FAILURES, [])
                         .inc();
                     return responder.err(sim, "unauthorized");
                 }
@@ -342,7 +343,7 @@ fn submit(
             // the tenant's fair queue forever. Reject it outright.
             if manifest.total_gpus() > tenant.max_gpus {
                 sim.metrics()
-                    .counter_series(crate::metrics::API_SUBMISSIONS, ["rejected_quota"])
+                    .counter_series(metrics::API_SUBMISSIONS, ["rejected_quota"])
                     .inc();
                 return responder.err(
                     sim,
@@ -417,13 +418,13 @@ fn record_queued(
             Ok(id) => JobId::new(id),
             Err(e) => {
                 sim.metrics()
-                    .counter_series(crate::metrics::API_SUBMISSIONS, ["error"])
+                    .counter_series(metrics::API_SUBMISSIONS, ["error"])
                     .inc();
                 return responder.err(sim, e.to_string());
             }
         };
         sim.metrics()
-            .counter_series(crate::metrics::API_SUBMISSIONS, ["queued"])
+            .counter_series(metrics::API_SUBMISSIONS, ["queued"])
             .inc();
         sim.record("api", format!("job {id} over quota; queued"));
         responder.ok(sim, CoreResponse::Submitted { job: id });
@@ -455,18 +456,18 @@ fn record_and_deploy(
             Ok(id) => JobId::new(id),
             Err(e) => {
                 sim.metrics()
-                    .counter_series(crate::metrics::API_SUBMISSIONS, ["error"])
+                    .counter_series(metrics::API_SUBMISSIONS, ["error"])
                     .inc();
                 return responder.err(sim, e.to_string());
             }
         };
         sim.metrics()
-            .counter_series(crate::metrics::API_SUBMISSIONS, ["accepted"])
+            .counter_series(metrics::API_SUBMISSIONS, ["accepted"])
             .inc();
         // In-quota jobs are admitted at submission: a zero admission wait,
         // so the per-tenant wait histogram covers every accepted job.
         sim.metrics()
-            .histogram_series(crate::metrics::TENANT_ADMISSION_WAIT, [&tenant_id])
+            .histogram_series(metrics::TENANT_ADMISSION_WAIT, [&tenant_id])
             .observe(0.0);
         sim.record("api", format!("job {id} recorded; acknowledging"));
         responder.ok(sim, CoreResponse::Submitted { job: id.clone() });

@@ -35,6 +35,7 @@ use crate::handles::Handles;
 use crate::job::{JobId, JobStatus, LearnerPhase};
 use crate::lcm::teardown_job;
 use crate::manifest::TrainingManifest;
+use crate::metrics;
 use crate::mongo::{MetaClient, JOBS};
 use crate::paths::{self, JobKey};
 
@@ -229,7 +230,7 @@ impl Guardian {
                         format!("deploy attempt {attempts} exceeds limit {max}; giving up"),
                     );
                     sim.metrics()
-                        .counter_series(crate::metrics::GUARDIAN_GAVE_UP, [])
+                        .counter_series(metrics::GUARDIAN_GAVE_UP, [])
                         .inc();
                     me.fail_job(sim, "deployment retries exhausted");
                     return;
@@ -262,13 +263,13 @@ impl Guardian {
                         me2.ctx
                             .record(sim, format!("starting deployment attempt {attempts}"));
                         sim.metrics()
-                            .counter_series(crate::metrics::GUARDIAN_DEPLOY_ATTEMPTS, [])
+                            .counter_series(metrics::GUARDIAN_DEPLOY_ATTEMPTS, [])
                             .inc();
                         // The first attempt has nothing to roll back; only
                         // retries after a mid-deploy crash count.
                         if attempts > 1 {
                             sim.metrics()
-                                .counter_series(crate::metrics::GUARDIAN_ROLLBACKS, [])
+                                .counter_series(metrics::GUARDIAN_ROLLBACKS, [])
                                 .inc();
                         }
                         me2.rollback_then_deploy(sim);
@@ -299,7 +300,7 @@ impl Guardian {
             .as_micros()
             .saturating_sub(self.submitted_us.get());
         sim.metrics()
-            .histogram_series(crate::metrics::TENANT_JOB_TURNAROUND, [&tenant])
+            .histogram_series(metrics::TENANT_JOB_TURNAROUND, [&tenant])
             .observe(elapsed_us as f64 / 1e6);
     }
 
@@ -307,7 +308,7 @@ impl Guardian {
     /// the K8s Job stops retrying us).
     fn fail_job(self: &Rc<Self>, sim: &mut Sim, reason: &str) {
         sim.metrics()
-            .counter_series(crate::metrics::GUARDIAN_JOBS_FAILED, [])
+            .counter_series(metrics::GUARDIAN_JOBS_FAILED, [])
             .inc();
         let me = self.clone();
         let reason = reason.to_owned();
@@ -722,7 +723,7 @@ impl Guardian {
                 if let Some(started_us) = self.deploy_started_us.take() {
                     let elapsed = sim.now().as_micros().saturating_sub(started_us);
                     sim.metrics()
-                        .histogram_series(crate::metrics::GUARDIAN_DEPLOY_SECONDS, [])
+                        .histogram_series(metrics::GUARDIAN_DEPLOY_SECONDS, [])
                         .observe_duration_us(elapsed);
                 }
                 self.meta.clone().advance_status(
@@ -756,7 +757,7 @@ impl Guardian {
             Act::Complete(throughput) => {
                 self.ctx.record(sim, "results stored; completing job");
                 sim.metrics()
-                    .counter_series(crate::metrics::GUARDIAN_JOBS_COMPLETED, [])
+                    .counter_series(metrics::GUARDIAN_JOBS_COMPLETED, [])
                     .inc();
                 let me = self.clone();
                 let filter = Filter::eq("_id", self.job.as_str());

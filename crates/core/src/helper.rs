@@ -25,6 +25,7 @@ use crate::config;
 use crate::handles::Handles;
 use crate::job::{JobId, LearnerPhase};
 use crate::manifest::TrainingManifest;
+use crate::metrics;
 use crate::paths;
 
 /// Shared bootstrap: mount the job volume and read the jobspec, retrying
@@ -408,9 +409,7 @@ fn download_data(
             // failed marker write (NFS outage) like a failed fetch.
             match r {
                 Ok(_) if mount.write_file(paths::NFS_DATA_LOADED, "loaded").is_ok() => {
-                    sim.metrics()
-                        .counter_series(crate::metrics::DATA_STAGED, [])
-                        .inc();
+                    sim.metrics().counter_series(metrics::DATA_STAGED, []).inc();
                     ctx2.record(sim, "training data staged");
                     ctx2.exit(sim, 0);
                 }
@@ -570,7 +569,7 @@ pub fn store_results_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
                     match r {
                         Ok(()) if mount2.write_file(paths::NFS_STORE_DONE, "done").is_ok() => {
                             sim.metrics()
-                                .counter_series(crate::metrics::RESULTS_STORED, [])
+                                .counter_series(metrics::RESULTS_STORED, [])
                                 .inc();
                             ctx3.record(sim, "results uploaded");
                             ctx3.exit(sim, 0);

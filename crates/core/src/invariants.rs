@@ -40,7 +40,7 @@
 //! [`check_all`] evaluates every invariant against the current state of a
 //! [`DlaasPlatform`]; [`InvariantMonitor`] re-checks periodically inside
 //! a running simulation and surfaces *new* violations through the trace
-//! and the [`crate::metrics::INVARIANT_VIOLATIONS`] counter. The fault
+//! and the [`metrics::INVARIANT_VIOLATIONS`] counter. The fault
 //! matrix (dlaas-bench `fault_matrix`) runs the checker after every
 //! fault-injection trial.
 
@@ -55,6 +55,7 @@ use dlaas_sim::{Sim, SimDuration, SimTime, TimerHandle};
 
 use crate::config::{self, CoreConfig};
 use crate::job::{JobId, JobStatus};
+use crate::metrics;
 use crate::paths;
 use crate::platform::DlaasPlatform;
 use crate::tenant::Tenant;
@@ -466,7 +467,7 @@ fn check_leaks(
 
 /// Periodic in-simulation checker: re-runs [`check_all`] every `period`,
 /// records each *new* violation on the trace topic `invariants` and
-/// counts it in [`crate::metrics::INVARIANT_VIOLATIONS`] (labelled by
+/// counts it in [`metrics::INVARIANT_VIOLATIONS`] (labelled by
 /// invariant name). Violations are deduplicated by (job, invariant) so a
 /// persistent leak is reported once, not once per period.
 pub struct InvariantMonitor {
@@ -516,7 +517,7 @@ impl InvariantMonitor {
                 if seen2.borrow_mut().insert(key) {
                     sim.record("invariants", format!("VIOLATION {v}"));
                     sim.metrics()
-                        .counter_series(crate::metrics::INVARIANT_VIOLATIONS, [v.invariant])
+                        .counter_series(metrics::INVARIANT_VIOLATIONS, [v.invariant])
                         .inc();
                 }
             }

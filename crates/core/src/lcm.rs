@@ -66,6 +66,7 @@ use crate::config;
 use crate::fairness::{admission_plan, QueuedJob, TenantShare};
 use crate::handles::Handles;
 use crate::job::{JobId, JobStatus};
+use crate::metrics;
 use crate::mongo::{MetaClient, JOBS, TENANTS};
 use crate::paths;
 use crate::proto::{CoreRequest, CoreResponse};
@@ -316,7 +317,7 @@ fn keepalive_tick(sim: &mut Sim, rep: &Rc<Replica>) {
                 // the owner keys are gone (or going). Stand down and
                 // start over with a fresh lease.
                 sim.metrics()
-                    .counter_series(crate::metrics::LCM_LEASE_KEEPALIVE_FAILURES, ["expired"])
+                    .counter_series(metrics::LCM_LEASE_KEEPALIVE_FAILURES, ["expired"])
                     .inc();
                 if rep2.own.borrow().lease == Some(id) {
                     drop_ownership(sim, &rep2, "expired");
@@ -328,10 +329,7 @@ fn keepalive_tick(sim: &mut Sim, rep: &Rc<Replica>) {
                 // keep failing, the fence lapses and the next tick
                 // stands down.
                 sim.metrics()
-                    .counter_series(
-                        crate::metrics::LCM_LEASE_KEEPALIVE_FAILURES,
-                        ["unreachable"],
-                    )
+                    .counter_series(metrics::LCM_LEASE_KEEPALIVE_FAILURES, ["unreachable"])
                     .inc();
             }
         }
@@ -384,7 +382,7 @@ fn drop_ownership(sim: &mut Sim, rep: &Rc<Replica>, reason: &'static str) {
     }
     for _ in &dropped {
         sim.metrics()
-            .counter_series(crate::metrics::LCM_SHARD_LOSSES, [reason])
+            .counter_series(metrics::LCM_SHARD_LOSSES, [reason])
             .inc();
     }
 }
@@ -427,7 +425,7 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
                     format!("{} acquired shard {shard} ({trigger})", rep2.pod),
                 );
                 sim.metrics()
-                    .counter_series(crate::metrics::LCM_SHARD_ACQUISITIONS, [trigger])
+                    .counter_series(metrics::LCM_SHARD_ACQUISITIONS, [trigger])
                     .inc();
             }
         },
@@ -474,7 +472,7 @@ fn reconcile(sim: &mut Sim, rep: &Rc<Replica>) {
                         rep2.own.borrow_mut().owned.remove(&shard);
                         rep2.h.shard_tracker.release(sim, shard, &rep2.pod);
                         sim.metrics()
-                            .counter_series(crate::metrics::LCM_SHARD_LOSSES, ["displaced"])
+                            .counter_series(metrics::LCM_SHARD_LOSSES, ["displaced"])
                             .inc();
                     }
                     // Held by someone else — or by a previous incarnation
@@ -496,7 +494,7 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
     }
     sim.record("lcm", format!("creating guardian for {job}"));
     sim.metrics()
-        .counter_series(crate::metrics::LCM_GUARDIANS_CREATED, [])
+        .counter_series(metrics::LCM_GUARDIANS_CREATED, [])
         .inc();
     let pod = PodSpec::new(
         "unused",
@@ -525,7 +523,7 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
 pub(crate) fn teardown_job(sim: &mut Sim, h: &Handles, job: &JobId, delete_guardian: bool) {
     sim.record("lcm", format!("tearing down resources of {job}"));
     sim.metrics()
-        .counter_series(crate::metrics::LCM_TEARDOWNS, [])
+        .counter_series(metrics::LCM_TEARDOWNS, [])
         .inc();
     h.kube.delete_statefulset(sim, &paths::learner_set(job));
     h.kube
@@ -647,7 +645,7 @@ fn ingest(sim: &mut Sim, st: &mut ScanState, doc: &Value) {
                 // the other malformed-record paths.
                 _ => {
                     sim.metrics()
-                        .counter_series(crate::metrics::LCM_MALFORMED_RECORDS, ["queued"])
+                        .counter_series(metrics::LCM_MALFORMED_RECORDS, ["queued"])
                         .inc();
                 }
             }
@@ -673,7 +671,7 @@ fn ingest(sim: &mut Sim, st: &mut ScanState, doc: &Value) {
                 }
                 Err(_) => {
                     sim.metrics()
-                        .counter_series(crate::metrics::LCM_MALFORMED_RECORDS, [field])
+                        .counter_series(metrics::LCM_MALFORMED_RECORDS, [field])
                         .inc();
                 }
             }
@@ -795,13 +793,13 @@ fn admit(
         for tenant in &st.gauged {
             if !depths.contains_key(tenant) {
                 sim.metrics()
-                    .gauge_series(crate::metrics::TENANT_QUEUE_DEPTH, [tenant])
+                    .gauge_series(metrics::TENANT_QUEUE_DEPTH, [tenant])
                     .set(0.0);
             }
         }
         for (tenant, depth) in &depths {
             sim.metrics()
-                .gauge_series(crate::metrics::TENANT_QUEUE_DEPTH, [tenant])
+                .gauge_series(metrics::TENANT_QUEUE_DEPTH, [tenant])
                 .set(*depth);
         }
         st.gauged = depths.keys().cloned().collect();
@@ -844,7 +842,7 @@ fn admit(
             }
             let waited = sim.now().as_micros().saturating_sub(since_us);
             sim.metrics()
-                .histogram_series(crate::metrics::TENANT_ADMISSION_WAIT, [&tenant])
+                .histogram_series(metrics::TENANT_ADMISSION_WAIT, [&tenant])
                 .observe(waited as f64);
             sim.record(
                 "lcm",
@@ -892,7 +890,7 @@ fn sweep(
             note_sweep(sim, rep, &job);
             sim.record("lcm", format!("scan: re-deploying stranded job {job}"));
             sim.metrics()
-                .counter_series(crate::metrics::LCM_SCAN_REDEPLOYS, [])
+                .counter_series(metrics::LCM_SCAN_REDEPLOYS, [])
                 .inc();
             ensure_guardian(sim, h, &job);
         }
@@ -935,7 +933,7 @@ fn sweep(
             "deploy_timeout"
         };
         sim.metrics()
-            .counter_series(crate::metrics::LCM_SCAN_FAILURES, [reason_label])
+            .counter_series(metrics::LCM_SCAN_FAILURES, [reason_label])
             .inc();
         // Drop the job from the live watchlists now so a slow status
         // write cannot double-fail it next tick; the terminal status
@@ -971,9 +969,7 @@ fn sweep(
         if has_pods || has_volume {
             note_sweep(sim, rep, &job);
             sim.record("lcm", format!("scan: GC leftovers of terminal job {job}"));
-            sim.metrics()
-                .counter_series(crate::metrics::LCM_SCAN_GC, [])
-                .inc();
+            sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
             teardown_job(sim, h, &job, true);
         } else {
             let h6 = h.clone();
@@ -986,9 +982,7 @@ fn sweep(
                     Ok(pairs) if !pairs.is_empty() => {
                         note_sweep(sim, &rep3, &job);
                         sim.record("lcm", format!("scan: GC etcd keys of {job}"));
-                        sim.metrics()
-                            .counter_series(crate::metrics::LCM_SCAN_GC, [])
-                            .inc();
+                        sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
                         h6.etcd_gc.delete_prefix(sim, prefix2, |_sim, _r| {});
                         // Keep watching: next tick re-probes until clean.
                     }

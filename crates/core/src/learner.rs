@@ -27,6 +27,7 @@ use crate::config;
 use crate::handles::Handles;
 use crate::job::JobId;
 use crate::manifest::TrainingManifest;
+use crate::metrics;
 use crate::paths;
 
 struct LearnerState {
@@ -129,7 +130,7 @@ fn start(
     );
     if starts > 1 {
         sim.metrics()
-            .counter_series(crate::metrics::LEARNER_RESTARTS, [])
+            .counter_series(metrics::LEARNER_RESTARTS, [])
             .inc();
         best_effort(
             sim,
@@ -197,7 +198,7 @@ fn start(
 fn best_effort<T, E>(sim: &mut Sim, r: Result<T, E>) {
     if r.is_err() {
         sim.metrics()
-            .counter_series(crate::metrics::LEARNER_NFS_WRITE_FAILURES, [])
+            .counter_series(metrics::LEARNER_NFS_WRITE_FAILURES, [])
             .inc();
     }
 }
@@ -264,7 +265,7 @@ impl Learner {
         if let Some(peer_iter) = self.peer_iteration() {
             if peer_iter > 0 {
                 sim.metrics()
-                    .counter_series(crate::metrics::LEARNER_PS_REJOINS, [])
+                    .counter_series(metrics::LEARNER_PS_REJOINS, [])
                     .inc();
                 self.log(
                     sim,
@@ -311,7 +312,7 @@ impl Learner {
                             return;
                         }
                         sim.metrics()
-                            .counter_series(crate::metrics::CHECKPOINT_RESTORES, [])
+                            .counter_series(metrics::CHECKPOINT_RESTORES, [])
                             .inc();
                         me2.log(sim, format!("resumed from checkpoint at iter {iter}"));
                         me2.begin_training(sim, iter);
@@ -431,10 +432,10 @@ impl Learner {
                         }
                         let stall = sim.now().saturating_duration_since(stall_from);
                         sim.metrics()
-                            .counter_series(crate::metrics::CHECKPOINT_WRITES, [])
+                            .counter_series(metrics::CHECKPOINT_WRITES, [])
                             .inc();
                         sim.metrics()
-                            .histogram_series(crate::metrics::CHECKPOINT_STALL_SECONDS, [])
+                            .histogram_series(metrics::CHECKPOINT_STALL_SECONDS, [])
                             .observe_duration_us(stall.as_micros());
                         me2.state.borrow_mut().checkpoint_stall += stall;
                         me2.tick(sim);

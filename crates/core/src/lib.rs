@@ -49,11 +49,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// No unmodelled crash, no silently dropped error (DESIGN.md §7): the
-// control plane runs this crate in-process, so a panic here is a platform
-// process dying outside the fault vocabulary, and a discarded `Result` is
-// a recovery error nobody can attribute. Reviewed exceptions are
-// `#[expect(…, reason = "…")]` at their sites.
+// No unmodelled crash, no silently dropped error (DESIGN.md §7): a panic
+// here is a platform process dying outside the fault vocabulary, a
+// discarded `Result` a recovery error nobody can attribute.
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -63,8 +61,7 @@
     clippy::let_underscore_must_use,
     clippy::unused_result_ok
 )]
-// Library code stays quiet and inside the simulation (DESIGN.md §7):
-// only binaries, examples and tests print or exit.
+// Library code stays quiet and inside the simulation (DESIGN.md §7).
 #![warn(
     clippy::print_stdout,
     clippy::print_stderr,

@@ -15,6 +15,7 @@ use dlaas_sim::{Sim, SimDuration};
 
 use crate::job::{JobId, JobStatus};
 use crate::manifest::TrainingManifest;
+use crate::metrics;
 use crate::proto::JobInfo;
 
 const ATTEMPTS: u32 = 15;
@@ -326,7 +327,7 @@ impl MetaClient {
         self.update_one(sim, JOBS, filter, update, move |sim, r| {
             if matches!(r, Ok(true)) {
                 sim.metrics()
-                    .counter_series(crate::metrics::JOB_TRANSITIONS, [&to_str])
+                    .counter_series(metrics::JOB_TRANSITIONS, [&to_str])
                     .inc();
             }
             done(sim, r);
@@ -371,7 +372,7 @@ impl MetaClient {
         self.update_one(sim, JOBS, filter, update, move |sim, r| {
             if matches!(r, Ok(true)) {
                 sim.metrics()
-                    .counter_series(crate::metrics::JOB_TRANSITIONS, [&to_str])
+                    .counter_series(metrics::JOB_TRANSITIONS, [&to_str])
                     .inc();
             }
             done(sim, r);

@@ -563,11 +563,8 @@ fn mismatched_reply_fails_the_operation_not_the_process() {
     let watch_net = WatchNet::new(&mut sim, LatencyModel::local());
     // A single "server" that answers everything as if it were a `Get`.
     rpc.serve(etcd_addr(0), |sim, _req, responder| {
-        let get_shaped = EtcdResponse::Value {
-            value: None,
-            revision: 7,
-        };
-        responder.ok(sim, get_shaped);
+        let value = None;
+        responder.ok(sim, EtcdResponse::Value { value, revision: 7 });
     });
     let client = EtcdClient::new("t".into(), rpc, watch_net, 1);
 
@@ -576,16 +573,13 @@ fn mismatched_reply_fails_the_operation_not_the_process() {
     let (cas_res, cas_cb) = slot();
     client.cas(&mut sim, "a", None, Some("1".into()), cas_cb);
     sim.run_for(SimDuration::from_secs(1));
-    for failed in [
-        put_res.borrow().clone().map(|r| r.map(|_| ())),
-        cas_res.borrow().clone().map(|r| r.map(|_| ())),
-    ] {
-        match failed {
-            Some(Err(EtcdError::Failed(why))) => {
-                assert!(why.contains("unexpected response"), "{why}");
-            }
-            other => panic!("expected a failed operation, got {other:?}"),
-        }
+    let put_err = put_res.borrow().clone().expect("put answered").unwrap_err();
+    let cas_err = cas_res.borrow().clone().expect("cas answered").unwrap_err();
+    for err in [put_err, cas_err] {
+        assert!(
+            matches!(&err, EtcdError::Failed(why) if why.contains("unexpected response")),
+            "{err:?}"
+        );
     }
 }
 

@@ -18,31 +18,19 @@ use crate::rules::{check_crate_root, rule, Finding};
 use crate::scopes::mark_test_regions;
 use crate::sinks::check_sinks;
 
-/// How a file is classified, which decides rule applicability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileClass {
-    /// Library code in `crates/*/src` — the flow rules apply here.
-    Lib,
-    /// Binary targets (`src/bin/*`, `src/main.rs`) — CLI surface.
-    Bin,
-    /// `examples/`.
-    Example,
-    /// Test code (`crates/*/tests`, `tests/`).
-    Test,
-    /// `third_party/` vendored stubs — only the crate-root unsafe check.
-    Vendored,
-}
+/// The crates whose library code the flow rules police: the control plane
+/// and the substrates it runs in-process.
+const CONTROL_PLANE: &[&str] = &["core", "etcd", "docstore", "kube"];
 
 /// Classification of one scanned file.
 #[derive(Debug, Clone)]
 pub struct FileMeta {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// Crate directory name (`core`, `net`, …; `examples`/`tests` for the
-    /// top-level members).
-    pub krate: String,
-    /// Rule-applicability class.
-    pub class: FileClass,
+    /// Library code of a control-plane crate — where the paired-resource
+    /// and error-sink rules apply. (Binaries, examples, tests and
+    /// `third_party/` only get the crate-root check.)
+    pub control_plane_lib: bool,
 }
 
 /// A finding that was suppressed by an `allow` directive.
@@ -192,20 +180,11 @@ fn parse_directives(tokens: &[Token]) -> (Vec<Directive>, Vec<Finding>) {
     (directives, findings)
 }
 
-/// One file's per-file analysis, before suppression filtering.
-struct Analysis {
-    meta: FileMeta,
-    /// Per-file rule findings, not yet suppression-filtered.
-    raw: Vec<Finding>,
-    /// Findings about the directives themselves (never suppressible).
-    meta_findings: Vec<Finding>,
-    directives: Vec<Directive>,
-}
-
-/// Runs every rule over one file: the crate-root check and the
-/// flow-aware families (paired-resource, error-sink), which need one
-/// function at a time.
-fn analyze(meta: &FileMeta, source: &str) -> Analysis {
+/// Lints one file into `report`: the crate-root check and the flow-aware
+/// families (paired-resource, error-sink), filtered through the file's
+/// suppression directives. With `check_stale`, a well-formed directive
+/// that suppressed nothing becomes a `suppression-stale` finding.
+fn lint_file(meta: &FileMeta, source: &str, check_stale: bool, report: &mut Report) {
     let tokens = lex(source);
     let in_test = mark_test_regions(&tokens);
 
@@ -221,25 +200,6 @@ fn analyze(meta: &FileMeta, source: &str) -> Analysis {
     for f in &mut meta_findings {
         f.file = meta.path.clone();
     }
-    Analysis {
-        meta: meta.clone(),
-        raw,
-        meta_findings,
-        directives,
-    }
-}
-
-/// Applies one file's suppression directives to its findings,
-/// accumulating into `report`. With `check_stale`, a well-formed
-/// directive that suppressed nothing becomes a `suppression-stale`
-/// finding.
-fn finish_file(a: Analysis, check_stale: bool, report: &mut Report) {
-    let Analysis {
-        meta,
-        raw,
-        meta_findings,
-        directives,
-    } = a;
     // Suppression table: (rule, target line) -> justification.
     let mut allow: BTreeMap<(&str, u32), &str> = BTreeMap::new();
     for d in &directives {
@@ -290,7 +250,7 @@ pub fn lint_source(meta: &FileMeta, source: &str) -> Report {
         files_scanned: 1,
         ..Report::default()
     };
-    finish_file(analyze(meta, source), false, &mut report);
+    lint_file(meta, source, false, &mut report);
     report.sort();
     report
 }
@@ -306,23 +266,16 @@ fn is_crate_root(rel: &str) -> bool {
 /// scanned layout.
 pub fn classify(rel: &str) -> Option<FileMeta> {
     let segments: Vec<&str> = rel.split('/').collect();
-    let meta = |krate: &str, class| FileMeta {
-        path: rel.to_string(),
-        krate: krate.to_string(),
-        class,
+    let control_plane_lib = match segments.as_slice() {
+        ["crates", _, "src", "bin", ..] | ["crates", _, "src", .., "main.rs"] => false,
+        ["crates", krate, "src", ..] => CONTROL_PLANE.contains(krate),
+        ["crates", _, "tests", ..] | ["examples" | "tests" | "third_party", ..] => false,
+        _ => return None,
     };
-    match segments.as_slice() {
-        ["crates", krate, "src", "bin", ..] => Some(meta(krate, FileClass::Bin)),
-        ["crates", krate, "src", .., file] if *file == "main.rs" => {
-            Some(meta(krate, FileClass::Bin))
-        }
-        ["crates", krate, "src", ..] => Some(meta(krate, FileClass::Lib)),
-        ["crates", krate, "tests", ..] => Some(meta(krate, FileClass::Test)),
-        ["examples", ..] => Some(meta("examples", FileClass::Example)),
-        ["tests", ..] => Some(meta("tests", FileClass::Test)),
-        ["third_party", krate, ..] => Some(meta(krate, FileClass::Vendored)),
-        _ => None,
-    }
+    Some(FileMeta {
+        path: rel.to_string(),
+        control_plane_lib,
+    })
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -354,7 +307,7 @@ pub fn lint_files(files: &[(FileMeta, String)]) -> Report {
         ..Report::default()
     };
     for (meta, source) in files {
-        finish_file(analyze(meta, source), true, &mut report);
+        lint_file(meta, source, true, &mut report);
     }
     report.sort();
     report

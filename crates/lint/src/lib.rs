@@ -53,8 +53,6 @@ mod rules;
 mod scopes;
 mod sinks;
 
-pub use engine::{
-    classify, lint_files, lint_source, lint_workspace, FileClass, FileMeta, Report, Suppressed,
-};
+pub use engine::{classify, lint_files, lint_source, lint_workspace, FileMeta, Report, Suppressed};
 pub use report::{render_json, render_rules, render_text};
-pub use rules::{rule, Family, Finding, RuleInfo, RULES};
+pub use rules::Finding;

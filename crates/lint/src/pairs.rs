@@ -26,7 +26,7 @@
 //! - A **discarded** acquire (`…;` / `let _ =`) is always a finding:
 //!   the handle needed to release is already gone.
 
-use crate::engine::{FileClass, FileMeta};
+use crate::engine::FileMeta;
 use crate::parser::{visit, Block, Call, ExitKind, FnInfo, Node, ParsedFile};
 use crate::rules::Finding;
 
@@ -43,9 +43,6 @@ pub struct PairSpec {
     /// Calls accepted as releasing the resource.
     pub releases: &'static [&'static str],
 }
-
-/// Crates whose lib code is subject to paired-resource analysis.
-pub const PAIR_CRATES: &[&str] = &["core", "etcd", "docstore", "kube"];
 
 /// The pairs table. `lease_grant` went live with the replicated LCM
 /// (`crates/core/src/lcm.rs` holds one lease per replica; its one
@@ -294,7 +291,7 @@ fn check_fn(
 
 /// Runs paired-resource analysis over one parsed file.
 pub fn check_pairs(meta: &FileMeta, parsed: &ParsedFile) -> Vec<Finding> {
-    if meta.class != FileClass::Lib || !PAIR_CRATES.contains(&meta.krate.as_str()) {
+    if !meta.control_plane_lib {
         return Vec::new();
     }
     let file_has_release = |spec: &PairSpec| {

@@ -32,12 +32,7 @@ pub fn render_text(report: &Report) -> String {
 pub fn render_rules() -> String {
     let mut out = String::new();
     for r in RULES {
-        out.push_str(&format!(
-            "{:<34} [{}] {}\n",
-            r.id,
-            r.family.name(),
-            r.summary
-        ));
+        out.push_str(&format!("{:<34} [{}] {}\n", r.id, r.family, r.summary));
     }
     out
 }

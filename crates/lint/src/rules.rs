@@ -15,91 +15,49 @@
 use crate::engine::FileMeta;
 use crate::lexer::{Token, TokenKind};
 
-/// Rule family, for grouping in reports and docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Family {
-    /// No crashes outside the modelled fault vocabulary.
-    Dependability,
-    /// Every acquire meets its release (flow-aware, per-function).
-    Resource,
-    /// Recovery errors are propagated, retried, or made observable.
-    ErrorSink,
-    /// Suppressions stay honest.
-    Hygiene,
-}
-
-impl Family {
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Family::Dependability => "dependability",
-            Family::Resource => "paired-resource",
-            Family::ErrorSink => "error-sink",
-            Family::Hygiene => "hygiene",
-        }
-    }
-}
-
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
     /// Stable id, used in findings and `allow(...)` suppressions.
     pub id: &'static str,
-    /// Family the rule belongs to.
-    pub family: Family,
+    /// Family the rule belongs to (see the module docs).
+    pub family: &'static str,
     /// One-line summary.
     pub summary: &'static str,
-    /// Why violating it is a dependability bug.
-    pub rationale: &'static str,
 }
 
 /// All rules, in the order they are documented.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "forbid-unsafe",
-        family: Family::Dependability,
+        family: "dependability",
         summary: "every workspace crate must declare #![forbid(unsafe_code)]",
-        rationale: "the workspace has zero unsafe today; forbidding it at the crate root makes \
-                    memory-safety regressions a compile error rather than a review hazard",
     },
     RuleInfo {
         id: "resource-leak",
-        family: Family::Resource,
+        family: "paired-resource",
         summary: "every paired acquire (etcd watch/client/lease, docstore journal) must meet \
                   its release on all paths",
-        rationale: "the PR 2 client leak and PR 4 watch leaks were exactly this shape: an \
-                    acquire whose release is skipped on an early-return path or never wired \
-                    into the owner's teardown — the leak survives until a soak finds it",
     },
     RuleInfo {
         id: "swallowed-error",
-        family: Family::ErrorSink,
+        family: "error-sink",
         summary: "an `Err` match arm must propagate, retry, fail the job, or bump a metric",
-        rationale: "an Err arm that does none of those is a silent error sink on a recovery \
-                    path; the paper's dependability argument assumes every substrate failure \
-                    is visible to the observability plane",
     },
     RuleInfo {
         id: "suppression-missing-justification",
-        family: Family::Hygiene,
+        family: "hygiene",
         summary: "every dlaas-lint allow(...) must carry a written justification",
-        rationale: "a suppression is a reviewed exception to the determinism/dependability \
-                    contract; without a recorded reason it cannot be re-audited",
     },
     RuleInfo {
         id: "suppression-unknown-rule",
-        family: Family::Hygiene,
+        family: "hygiene",
         summary: "allow(...) must name an existing rule",
-        rationale: "a typo in the rule id silently disables nothing and leaves the finding \
-                    unexplained",
     },
     RuleInfo {
         id: "suppression-stale",
-        family: Family::Hygiene,
+        family: "hygiene",
         summary: "an allow(...) whose rule no longer fires on its line must be removed",
-        rationale: "a stale suppression is a landmine: the next genuine violation on that \
-                    line is silently excused by a justification written for code that no \
-                    longer exists",
     },
 ];
 

@@ -16,12 +16,9 @@
 //!   metric. Pure value-mapping arms (`Err(_) => 0`) are fine — the
 //!   mapped value *is* the handling.
 
-use crate::engine::{FileClass, FileMeta};
+use crate::engine::FileMeta;
 use crate::parser::{visit, Node, ParsedFile};
 use crate::rules::Finding;
-
-/// Crates whose lib code is subject to error-sink analysis.
-pub const SINK_CRATES: &[&str] = &["core", "etcd", "docstore", "kube"];
 
 /// Call names accepted as *handling* an error: metric mutation, retry
 /// scheduling, job/state degradation, responders, logging to the
@@ -49,7 +46,7 @@ const HANDLERS: &[&str] = &[
 
 /// Runs error-sink analysis over one parsed file.
 pub fn check_sinks(meta: &FileMeta, parsed: &ParsedFile) -> Vec<Finding> {
-    if meta.class != FileClass::Lib || !SINK_CRATES.contains(&meta.krate.as_str()) {
+    if !meta.control_plane_lib {
         return Vec::new();
     }
     let mut out = Vec::new();

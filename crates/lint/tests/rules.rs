@@ -211,8 +211,22 @@ fn json_output_is_stable_across_runs() {
 
 #[test]
 fn fixture_meta_classification() {
-    let m: FileMeta = classify("crates/core/src/demo.rs").unwrap();
-    assert_eq!(m.krate, "core");
+    assert!(
+        classify("crates/core/src/demo.rs")
+            .unwrap()
+            .control_plane_lib
+    );
+    for elsewhere in [
+        "crates/core/src/bin/tool.rs",
+        "crates/core/tests/demo.rs",
+        "crates/net/src/demo.rs",
+        "tests/tests/demo.rs",
+    ] {
+        assert!(
+            !classify(elsewhere).unwrap().control_plane_lib,
+            "{elsewhere}"
+        );
+    }
     assert!(classify("README.md").is_none());
     assert!(classify("src/weird.rs").is_none());
 }

@@ -41,8 +41,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// Library code stays quiet and inside the simulation (DESIGN.md §7):
-// only binaries, examples and tests print or exit.
+// Library code stays quiet and inside the simulation (DESIGN.md §7).
 #![warn(
     clippy::print_stdout,
     clippy::print_stderr,

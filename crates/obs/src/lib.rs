@@ -51,8 +51,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// Library code stays quiet and inside the simulation (DESIGN.md §7):
-// only binaries, examples and tests print or exit.
+// Library code stays quiet and inside the simulation (DESIGN.md §7).
 #![warn(
     clippy::print_stdout,
     clippy::print_stderr,
@@ -90,13 +89,7 @@ fn canon(labels: &[(&str, &str)]) -> Labels {
 
 /// The canonical label set of a declared family's series.
 fn declared<const N: usize>(keys: &[&'static str; N], values: [&str; N]) -> Labels {
-    let mut v: Labels = keys
-        .iter()
-        .zip(values)
-        .map(|(k, v)| ((*k).to_owned(), v.to_owned()))
-        .collect();
-    v.sort();
-    v
+    canon(&std::array::from_fn::<_, N, _>(|i| (keys[i], values[i])))
 }
 
 /// What a metric family measures.
@@ -124,7 +117,7 @@ impl MetricKind {
 /// Series values live behind shared cells so a [`CounterHandle`] /
 /// [`GaugeHandle`] / [`HistogramHandle`] can update them directly,
 /// bypassing the family and label-set lookups entirely.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Series {
     Counter(Rc<Cell<u64>>),
     Gauge(Rc<Cell<f64>>),
@@ -146,41 +139,6 @@ struct Inner {
     families: BTreeMap<&'static str, Family>,
 }
 
-/// The family `name`, created on first use from its declaration; a name
-/// has one kind for the life of the registry.
-fn family<'a>(
-    families: &'a mut BTreeMap<&'static str, Family>,
-    name: &'static str,
-    kind: MetricKind,
-    help: &'static str,
-    buckets: &[f64],
-) -> &'a mut Family {
-    let fam = families.entry(name).or_insert_with(|| Family {
-        kind,
-        help,
-        buckets: buckets.into(),
-        series: BTreeMap::new(),
-    });
-    assert!(
-        fam.kind == kind,
-        "metric '{name}' already registered as {} (used as {})",
-        fam.kind.as_str(),
-        kind.as_str()
-    );
-    fam
-}
-
-fn counter_cell(fam: &mut Family, key: Labels) -> Rc<Cell<u64>> {
-    match fam
-        .series
-        .entry(key)
-        .or_insert_with(|| Series::Counter(Rc::new(Cell::new(0))))
-    {
-        Series::Counter(c) => c.clone(),
-        _ => unreachable!("family kind checked"),
-    }
-}
-
 /// A shared, clonable handle to a metrics registry.
 ///
 /// Cloning is cheap and every clone records into the same store, which is
@@ -197,6 +155,47 @@ impl Registry {
         Registry::default()
     }
 
+    /// The series of family `name` under `key` (a clone of its shared
+    /// cell), creating the family from its declaration and the series at
+    /// zero on first use. A name has one kind for the life of the registry.
+    fn series(
+        &self,
+        name: &'static str,
+        kind: MetricKind,
+        help: &'static str,
+        buckets: &[f64],
+        key: Labels,
+    ) -> Series {
+        let mut inner = self.inner.borrow_mut();
+        let fam = inner.families.entry(name).or_insert_with(|| Family {
+            kind,
+            help,
+            buckets: buckets.into(),
+            series: BTreeMap::new(),
+        });
+        assert!(
+            fam.kind == kind,
+            "metric '{name}' already registered as {} (used as {})",
+            fam.kind.as_str(),
+            kind.as_str()
+        );
+        let Family {
+            buckets, series, ..
+        } = fam;
+        series
+            .entry(key)
+            .or_insert_with(|| match kind {
+                MetricKind::Counter => Series::Counter(Rc::new(Cell::new(0))),
+                MetricKind::Gauge => Series::Gauge(Rc::new(Cell::new(0.0))),
+                // Rc clone of the bounds, not a copy: a new series
+                // allocates only its own counts.
+                MetricKind::Histogram => Series::Histogram(Rc::new(RefCell::new(
+                    Histogram::with_shared_bounds(buckets.clone()),
+                ))),
+            })
+            .clone()
+    }
+
     /// The series of counter family `decl` under `values` (one per
     /// declared label key, in declaration order), created at 0 if
     /// absent. Hot sites keep the handle; cold ones bump it and drop it.
@@ -205,16 +204,10 @@ impl Registry {
         decl: &CounterDecl<N>,
         values: [&str; N],
     ) -> CounterHandle {
-        let mut inner = self.inner.borrow_mut();
-        let fam = family(
-            &mut inner.families,
-            decl.name,
-            MetricKind::Counter,
-            decl.help,
-            &[],
-        );
-        CounterHandle {
-            cell: counter_cell(fam, declared(&decl.label_keys, values)),
+        let key = declared(&decl.label_keys, values);
+        match self.series(decl.name, MetricKind::Counter, decl.help, &[], key) {
+            Series::Counter(cell) => CounterHandle { cell },
+            _ => unreachable!("family kind checked"),
         }
     }
 
@@ -225,23 +218,11 @@ impl Registry {
         decl: &GaugeDecl<N>,
         values: [&str; N],
     ) -> GaugeHandle {
-        let mut inner = self.inner.borrow_mut();
-        let fam = family(
-            &mut inner.families,
-            decl.name,
-            MetricKind::Gauge,
-            decl.help,
-            &[],
-        );
-        let cell = match fam
-            .series
-            .entry(declared(&decl.label_keys, values))
-            .or_insert_with(|| Series::Gauge(Rc::new(Cell::new(0.0))))
-        {
-            Series::Gauge(g) => g.clone(),
+        let key = declared(&decl.label_keys, values);
+        match self.series(decl.name, MetricKind::Gauge, decl.help, &[], key) {
+            Series::Gauge(cell) => GaugeHandle { cell },
             _ => unreachable!("family kind checked"),
-        };
-        GaugeHandle { cell }
+        }
     }
 
     /// The series of histogram family `decl` under `values` (created
@@ -251,29 +232,17 @@ impl Registry {
         decl: &HistogramDecl<N>,
         values: [&str; N],
     ) -> HistogramHandle {
-        let mut inner = self.inner.borrow_mut();
-        let fam = family(
-            &mut inner.families,
+        let key = declared(&decl.label_keys, values);
+        match self.series(
             decl.name,
             MetricKind::Histogram,
             decl.help,
             decl.buckets,
-        );
-        // Rc clone of the bounds, not a copy: a new series allocates
-        // only its own counts.
-        let buckets = fam.buckets.clone();
-        let cell = match fam
-            .series
-            .entry(declared(&decl.label_keys, values))
-            .or_insert_with(|| {
-                Series::Histogram(Rc::new(RefCell::new(Histogram::with_shared_bounds(
-                    buckets,
-                ))))
-            }) {
-            Series::Histogram(h) => h.clone(),
+            key,
+        ) {
+            Series::Histogram(cell) => HistogramHandle { cell },
             _ => unreachable!("family kind checked"),
-        };
-        HistogramHandle { cell }
+        }
     }
 
     /// A handle to one counter series of an *undeclared* family, by
@@ -281,10 +250,9 @@ impl Registry {
     /// the workspace bans it (`clippy.toml`, `disallowed-methods`) in
     /// favour of [`Registry::counter_series`].
     pub fn counter_handle(&self, name: &'static str, labels: &[(&str, &str)]) -> CounterHandle {
-        let mut inner = self.inner.borrow_mut();
-        let fam = family(&mut inner.families, name, MetricKind::Counter, "", &[]);
-        CounterHandle {
-            cell: counter_cell(fam, canon(labels)),
+        match self.series(name, MetricKind::Counter, "", &[], canon(labels)) {
+            Series::Counter(cell) => CounterHandle { cell },
+            _ => unreachable!("family kind checked"),
         }
     }
 
