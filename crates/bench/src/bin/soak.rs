@@ -21,8 +21,11 @@
 //!
 //! Usage:
 //!   soak <uniform|traffic|chaos> [--threads T] [--check BASELINE [--tolerance 0.10]]
-//!        [--lcm-replicas M] [--sim-budget-secs B]
+//!        [--lcm-replicas M] [--sim-budget-secs B] [--profile]
 //!        [seed] [N1,N2,...] [out.json]
+//! `--profile` adds, per run, the kernel's events by scheduling call
+//! site (deterministic, on stdout) and the host time spent inside each
+//! site's closures (wall-clock, on stderr).
 //! Defaults: 1 thread, seed 2018, `BENCH_soak.json`, and per preset N ∈
 //! {100, 1000, 10000} / {10000, 100000} / {120}.
 
@@ -78,6 +81,14 @@ fn main() {
         ],
         &rows,
     );
+
+    if cli.profile {
+        for run in &runs {
+            let (counts, times) = soak::render_profile(run);
+            println!("\n{counts}");
+            eprintln!("{times}");
+        }
+    }
 
     let json = soak::render_json(cli.preset, cli.seed, &runs);
     std::fs::write(&cli.out, &json).expect("write soak artifact");

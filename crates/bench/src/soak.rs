@@ -41,7 +41,7 @@ use dlaas_faults::ChaosMonkey;
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_kube::labels;
 use dlaas_obs::wallclock::WallTimer;
-use dlaas_sim::{Sim, SimDuration, SimRng, SimTime};
+use dlaas_sim::{Sim, SimDuration, SimRng, SimTime, SiteCost};
 
 use crate::harness::BENCH_KEY;
 use crate::matrix::SUBSTRATE_FAULTS;
@@ -304,6 +304,9 @@ pub struct SoakRun {
     /// Host seconds for the whole trial (sidecar only — never in the
     /// byte-compared artifact).
     pub wall_secs: f64,
+    /// `--profile`: what each scheduling call site cost, by
+    /// [`short_site`] name (otherwise empty).
+    pub sites: Vec<(String, SiteCost)>,
 }
 
 impl SoakRun {
@@ -337,10 +340,19 @@ impl SoakRun {
 
 /// Runs one soak trial: boot, tenants, dataset and bucket, the preset's
 /// arrivals (and faults) over its window, the drain, then the record.
-pub fn run(seed: u64, preset: &Preset, n: u64, lcm_replicas: Option<u32>) -> TrialRun<SoakRun> {
+pub fn run(
+    seed: u64,
+    preset: &Preset,
+    n: u64,
+    lcm_replicas: Option<u32>,
+    profile: bool,
+) -> TrialRun<SoakRun> {
     let wall = WallTimer::start();
     let mut sim = Sim::new(seed);
     sim.trace_mut().set_enabled(false);
+    if profile {
+        sim.profile_sites();
+    }
 
     let capacity = (preset.capacity_gpus)(n);
     let mut cfg = PlatformConfig {
@@ -511,9 +523,88 @@ pub fn run(seed: u64, preset: &Preset, n: u64, lcm_replicas: Option<u32>) -> Tri
             tenants,
             series,
             wall_secs: wall.elapsed_secs(),
+            sites: site_costs(&sim),
         },
         sim_elapsed,
     }
+}
+
+/// The kernel's per-site costs under [`short_site`] names (sites whose
+/// names shorten alike are summed), in name order.
+fn site_costs(sim: &Sim) -> Vec<(String, SiteCost)> {
+    let mut by_name: std::collections::BTreeMap<String, SiteCost> = Default::default();
+    for (site, cost) in sim.site_costs() {
+        let sum = by_name.entry(short_site(site)).or_default();
+        sum.events += cost.events;
+        sum.host_secs += cost.host_secs;
+    }
+    by_name.into_iter().collect()
+}
+
+/// A closure's type name cut down to what tells call sites apart: every
+/// `::{{closure}}` dropped and every path reduced to its last two
+/// segments, so `dlaas_sim::kernel::tick<dlaas_core::helper::
+/// log_collector_behavior::{{closure}}::{{closure}}>::{{closure}}` reads
+/// `kernel::tick<helper::log_collector_behavior>`.
+pub fn short_site(type_name: &str) -> String {
+    let mut out = String::new();
+    let mut path = String::new();
+    let flush = |path: &mut String, out: &mut String| {
+        let segments: Vec<&str> = path
+            .split("::")
+            .filter(|s| !s.is_empty() && *s != "{{closure}}")
+            .collect();
+        // `Net<..>::send`: a path that continues a generic type.
+        if path.starts_with("::") && !segments.is_empty() {
+            out.push_str("::");
+        }
+        out.push_str(&segments[segments.len().saturating_sub(2)..].join("::"));
+        path.clear();
+    };
+    for c in type_name.chars() {
+        if c.is_alphanumeric() || matches!(c, '_' | ':' | '{' | '}') {
+            path.push(c);
+        } else {
+            flush(&mut path, &mut out);
+            out.push(c);
+        }
+    }
+    flush(&mut path, &mut out);
+    out
+}
+
+/// The `--profile` tables of one run: events per site (deterministic —
+/// fit for stdout) and host time per site (wall-clock — stderr only),
+/// each sorted by its own column, largest first.
+pub fn render_profile(run: &SoakRun) -> (String, String) {
+    let events: u64 = run.sites.iter().map(|(_, c)| c.events).sum();
+    let host: f64 = run.sites.iter().map(|(_, c)| c.host_secs).sum();
+    let mut by_events: Vec<_> = run.sites.iter().collect();
+    by_events.sort_by(|a, b| b.1.events.cmp(&a.1.events).then_with(|| a.0.cmp(&b.0)));
+    let mut counts = format!("{}: {events} events by scheduling call site\n", run.label);
+    for (site, cost) in by_events {
+        counts.push_str(&format!(
+            "  {:>10} {:>5.1} %  {site}\n",
+            cost.events,
+            100.0 * cost.events as f64 / events.max(1) as f64,
+        ));
+    }
+    let mut by_host: Vec<_> = run.sites.iter().collect();
+    by_host.sort_by(|a, b| b.1.host_secs.total_cmp(&a.1.host_secs));
+    let mut times = format!(
+        "{}: {:.1} ms of host time inside event closures, by scheduling call site\n",
+        run.label,
+        host * 1e3
+    );
+    for (site, cost) in by_host {
+        times.push_str(&format!(
+            "  {:>9.2} ms {:>5.1} % {:>8.0} ns/event  {site}\n",
+            cost.host_secs * 1e3,
+            100.0 * cost.host_secs / host.max(f64::MIN_POSITIVE),
+            cost.host_secs * 1e9 / cost.events.max(1) as f64,
+        ));
+    }
+    (counts, times)
 }
 
 // ----------------------------------------------------------------------
@@ -523,7 +614,7 @@ pub fn run(seed: u64, preset: &Preset, n: u64, lcm_replicas: Option<u32>) -> Tri
 /// The usage line, printed with every command-line error.
 pub const USAGE: &str = "usage: soak <uniform|traffic|chaos> [--threads T] \
     [--check BASELINE [--tolerance X]] [--lcm-replicas M] \
-    [--sim-budget-secs B] [seed] [N1,N2,...] [out.json]";
+    [--sim-budget-secs B] [--profile] [seed] [N1,N2,...] [out.json]";
 
 /// A parsed `soak` command line.
 #[derive(Debug)]
@@ -540,6 +631,8 @@ pub struct Cli {
     pub lcm_replicas: Option<u32>,
     /// Per-trial sim-time budget; `None` uncaps.
     pub sim_budget: Option<SimDuration>,
+    /// Attribute events and host time to scheduling call sites.
+    pub profile: bool,
     /// The simulation seed of every trial.
     pub seed: u64,
     /// Job counts, one trial each.
@@ -573,6 +666,7 @@ pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> 
         tolerance: 0.10,
         lcm_replicas: None,
         sim_budget: None,
+        profile: false,
         seed: 2018,
         sizes: preset.default_sizes.to_vec(),
         out: "BENCH_soak.json".into(),
@@ -586,6 +680,7 @@ pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> 
             "--tolerance" => cli.tolerance = value(&arg, &mut args)?,
             "--lcm-replicas" => cli.lcm_replicas = Some(value(&arg, &mut args)?),
             "--sim-budget-secs" => budget_secs = Some(value(&arg, &mut args)?),
+            "--profile" => cli.profile = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             _ => positional.push(arg),
         }
@@ -622,7 +717,8 @@ pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> 
 
 /// Runs one trial per size on the seed-parallel runner.
 pub fn campaign(cli: &Cli) -> CampaignReport<SoakRun> {
-    let (preset, seed, lcm_replicas) = (cli.preset, cli.seed, cli.lcm_replicas);
+    let (preset, seed, lcm_replicas, profile) =
+        (cli.preset, cli.seed, cli.lcm_replicas, cli.profile);
     let replicas = lcm_replicas.map_or(String::new(), |m| format!(" --lcm-replicas {m}"));
     let trials = cli
         .sizes
@@ -640,7 +736,9 @@ pub fn campaign(cli: &Cli) -> CampaignReport<SoakRun> {
     if let Some(b) = cli.sim_budget {
         runner = runner.with_sim_budget(b);
     }
-    runner.run(trials, |&n, _ctx| run(seed, preset, n, lcm_replicas))
+    runner.run(trials, |&n, _ctx| {
+        run(seed, preset, n, lcm_replicas, profile)
+    })
 }
 
 /// The flat-curve criterion: per-job cost at the largest N must stay
@@ -870,6 +968,8 @@ mod tests {
         assert_eq!(c.sizes, vec![30, 60]);
         assert_eq!(c.out, "out.json");
         assert_eq!(c.sim_budget, None, "0 uncaps");
+        assert!(!c.profile);
+        assert!(cli(&["chaos", "--profile", "7"]).expect("valid").profile);
         // The default budget follows the largest size's window.
         let c = cli(&["chaos", "7", "30,60"]).expect("valid");
         assert_eq!(c.sim_budget, Some(SimDuration::from_hours(2 + 4 + 1)));
@@ -960,6 +1060,46 @@ mod tests {
         let chaos = sidecar(&fake_run("chaos/n120", 1, 1.0, 1.0));
         let v = check_against_baseline(&chaos, &baseline, 0.10).unwrap_err();
         assert!(v[0].contains("no chaos/* run"), "{v:?}");
+    }
+
+    #[test]
+    fn site_names_shorten_to_what_tells_them_apart() {
+        assert_eq!(
+            short_site(
+                "dlaas_sim::kernel::tick<dlaas_core::helper::log_collector_behavior::{{closure}}::{{closure}}>::{{closure}}"
+            ),
+            "kernel::tick<helper::log_collector_behavior>"
+        );
+        assert_eq!(
+            short_site(
+                "dlaas_net::network::Net<dlaas_net::rpc::RpcFrame<dlaas_docstore::server::MongoRequest, dlaas_docstore::server::MongoResponse>>::send::{{closure}}"
+            ),
+            "network::Net<rpc::RpcFrame<server::MongoRequest, server::MongoResponse>>::send"
+        );
+        assert_eq!(
+            short_site("dlaas_core::learner::Learner::tick::{{closure}}"),
+            "Learner::tick"
+        );
+    }
+
+    #[test]
+    fn profile_tables_sort_by_their_own_column() {
+        let cost = |events, host_secs| SiteCost { events, host_secs };
+        let run = SoakRun {
+            label: "uniform/n10".into(),
+            sites: vec![
+                ("a::cheap_and_frequent".into(), cost(900, 0.001)),
+                ("b::dear_and_rare".into(), cost(100, 0.003)),
+            ],
+            ..SoakRun::default()
+        };
+        let (counts, times) = render_profile(&run);
+        let order = |table: &str| table.find("a::cheap").unwrap() < table.find("b::dear").unwrap();
+        assert!(order(&counts) && !order(&times), "{counts}{times}");
+        assert!(counts.starts_with("uniform/n10: 1000 events"));
+        assert!(counts.contains("900  90.0 %  a::cheap_and_frequent"));
+        assert!(!counts.contains("ms"), "no wall-clock figure on stdout");
+        assert!(times.contains("3.00 ms  75.0 %    30000 ns/event  b::dear_and_rare"));
     }
 
     #[test]

@@ -190,10 +190,8 @@ fn handle(
                                 let lines: Vec<String> = obj
                                     .body
                                     .as_text()
-                                    .unwrap_or("")
-                                    .lines()
-                                    .map(str::to_owned)
-                                    .collect();
+                                    .map(|text| text.lines().map(str::to_owned).collect())
+                                    .unwrap_or_default();
                                 responder.ok(sim, CoreResponse::Logs(lines));
                             }
                             Err(_) => responder.err(sim, "no logs collected yet"),

@@ -17,8 +17,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dlaas_kube::{Cleanup, ProcessCtx};
-use dlaas_objstore::ObjectBody;
-use dlaas_sharedfs::Mount;
+use dlaas_objstore::{ObjectBody, TextBuf};
+use dlaas_sharedfs::{Mount, NfsError};
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
 use crate::config;
@@ -189,15 +189,94 @@ impl<V: Clone + PartialEq + ToString + 'static> Publisher<V> {
     }
 }
 
-/// What one controller incarnation remembers: a publisher per etcd key
-/// it owns, and whether it relayed the Guardian's store-results "go".
+/// What one complete read of the job volume showed the controller.
+struct Observed {
+    data_loaded: bool,
+    /// Every learner's phase, by ordinal.
+    phases: Vec<LearnerPhase>,
+    restarts_total: u64,
+    /// The learners' measured throughputs summed, once every learner
+    /// completed and reported its own.
+    throughput: Option<f64>,
+    store_done: bool,
+}
+
+impl Observed {
+    /// What a volume holding none of the files reads as.
+    fn absent(learners: usize) -> Self {
+        Observed {
+            data_loaded: false,
+            phases: vec![LearnerPhase::Downloading; learners],
+            restarts_total: 0,
+            throughput: None,
+            store_done: false,
+        }
+    }
+
+    fn all_completed(&self) -> bool {
+        self.phases.iter().all(LearnerPhase::is_completed)
+    }
+}
+
+/// The controller's view of the volume: the last observation and, when
+/// that was a complete read, the write generation it saw.
+struct Seen {
+    generation: Option<u64>,
+    observed: Observed,
+}
+
+/// What one controller incarnation remembers: its view of the volume, a
+/// publisher per etcd key it owns, and whether it relayed the Guardian's
+/// store-results "go".
 struct ControllerState {
+    files: Vec<paths::LearnerFiles>,
+    seen: RefCell<Seen>,
     data: Rc<Publisher<&'static str>>,
     learners: Vec<Rc<Publisher<LearnerPhase>>>,
     restarts: Rc<Publisher<u64>>,
     throughput: Rc<Publisher<f64>>,
     store: Rc<Publisher<&'static str>>,
     store_go_relayed: Rc<Cell<bool>>,
+}
+
+impl ControllerState {
+    /// A new incarnation's memory: nothing published, nothing read. It
+    /// remembers no generation, so its first tick reads the volume
+    /// whatever its predecessor saw.
+    fn new(
+        etcd: &dlaas_etcd::EtcdClient,
+        job: &JobId,
+        learners: u32,
+        alive: &Rc<Cell<bool>>,
+    ) -> Self {
+        fn at_once<V>(_was: &V, _now: &V) -> bool {
+            true
+        }
+        let coalesce = config::GUARDIAN_POLL;
+        ControllerState {
+            files: (0..learners).map(paths::LearnerFiles::new).collect(),
+            seen: RefCell::new(Seen {
+                generation: None,
+                observed: Observed::absent(learners as usize),
+            }),
+            data: Publisher::new(etcd, paths::etcd_data(job), at_once, coalesce, alive),
+            learners: (0..learners)
+                .map(|ord| {
+                    Publisher::new(
+                        etcd,
+                        paths::etcd_learner(job, ord),
+                        |was: &LearnerPhase, now| !was.same_kind(now),
+                        coalesce,
+                        alive,
+                    )
+                })
+                .collect(),
+            restarts: Publisher::new(etcd, paths::etcd_restarts(job), at_once, coalesce, alive),
+            throughput: Publisher::new(etcd, paths::etcd_throughput(job), at_once, coalesce, alive),
+            store: Publisher::new(etcd, paths::etcd_store(job), at_once, coalesce, alive),
+            store_go_relayed: Rc::default(),
+        }
+    }
 }
 
 /// Behavior factory for the controller container (arg = job id).
@@ -207,46 +286,17 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
         "{}/{}#{}",
         ctx.pod, ctx.container, ctx.incarnation
     ));
-    let poll = config::CONTROLLER_POLL;
-    let max_failures = config::LEARNER_MAX_FAILURES;
     let ctx2 = ctx.clone();
     let etcd_for_cleanup = etcd.clone();
-    let coalesce = config::GUARDIAN_POLL;
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
         ctx2.record(sim, "controller online; polling learner files");
         let alive = ctx2.alive_flag();
-        fn at_once<V>(_was: &V, _now: &V) -> bool {
-            true
-        }
-        let state = ControllerState {
-            data: Publisher::new(&etcd, paths::etcd_data(&job), at_once, coalesce, &alive),
-            learners: (0..manifest.learners)
-                .map(|ord| {
-                    Publisher::new(
-                        &etcd,
-                        paths::etcd_learner(&job, ord),
-                        |was: &LearnerPhase, now| !was.same_kind(now),
-                        coalesce,
-                        &alive,
-                    )
-                })
-                .collect(),
-            restarts: Publisher::new(&etcd, paths::etcd_restarts(&job), at_once, coalesce, &alive),
-            throughput: Publisher::new(
-                &etcd,
-                paths::etcd_throughput(&job),
-                at_once,
-                coalesce,
-                &alive,
-            ),
-            store: Publisher::new(&etcd, paths::etcd_store(&job), at_once, coalesce, &alive),
-            store_go_relayed: Rc::default(),
-        };
-        dlaas_sim::every(sim, poll, move |sim, _n| {
+        let state = ControllerState::new(&etcd, &job, manifest.learners, &alive);
+        dlaas_sim::every(sim, config::CONTROLLER_POLL, move |sim, _n| {
             if !alive.get() {
                 return false;
             }
-            controller_tick(sim, &etcd, &mount, &manifest, &job, &state, max_failures);
+            controller_tick(sim, &etcd, &mount, &job, &state);
             true
         });
     });
@@ -255,77 +305,120 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
     Box::new(move |sim| etcd_for_cleanup.close(sim))
 }
 
+/// One poll of the job volume (§III-e: the controller *polls* NFS).
+///
+/// The poll happens every tick; the reading behind it only when the
+/// volume's write generation moved since the last complete read — with
+/// it unchanged, every file would read as it did. Either way the tick
+/// then [`publish`]es the observation it holds, so everything a tick
+/// does that is not an NFS read (weighing each publisher again: an owed
+/// put, an iteration publish falling due; the `store=go` relay's etcd
+/// read) happens on every tick, at the same instant and in the same
+/// order, whether or not the volume was read.
 fn controller_tick(
     sim: &mut Sim,
     etcd: &dlaas_etcd::EtcdClient,
     mount: &Mount,
-    manifest: &TrainingManifest,
     job: &JobId,
     state: &ControllerState,
-    max_failures: u32,
 ) {
-    // Data-loaded marker → etcd.
-    if mount.exists(paths::NFS_DATA_LOADED) {
-        state.data.offer(sim, "loaded");
+    let mut seen = state.seen.borrow_mut();
+    let Seen {
+        generation,
+        observed,
+    } = &mut *seen;
+    let read = mount.generation().and_then(|now| {
+        if *generation != Some(now) {
+            read_volume(mount, &state.files, observed)?;
+        }
+        Ok(now)
+    });
+    match read {
+        Ok(now) => *generation = Some(now),
+        // A volume that cannot be reached (outage window, torn down)
+        // reads as one with nothing on it, and gates nothing.
+        // dlaas-lint: allow(swallowed-error): the poll is the retry — the next tick asks for the generation again, and remembering none makes it read the whole volume once it can
+        Err(_) => {
+            *generation = None;
+            *observed = Observed::absent(state.files.len());
+        }
     }
+    publish(sim, etcd, mount, job, state, observed);
+}
 
-    let mut restarts_total: u64 = 0;
-    let mut all_completed = true;
-
-    for (ord, publisher) in (0..).zip(&state.learners) {
+/// Reads everything the controller relays off the volume into `out`.
+fn read_volume(
+    mount: &Mount,
+    files: &[paths::LearnerFiles],
+    out: &mut Observed,
+) -> Result<(), NfsError> {
+    let max_failures = u64::from(config::LEARNER_MAX_FAILURES);
+    out.data_loaded = mount.exists(paths::NFS_DATA_LOADED);
+    out.restarts_total = 0;
+    out.phases.clear();
+    for f in files {
         // Restart counter (maintained by the learner on NFS, so it
         // survives both learner and controller crashes).
         let starts: u64 = mount
-            .read_file(&paths::nfs_learner_restarts(ord))
-            .ok()
-            .and_then(|s| s.parse().ok())
+            .read(&f.restarts, |s| s.parse().ok())?
+            .flatten()
             .unwrap_or(0);
-        restarts_total += starts.saturating_sub(1);
+        out.restarts_total += starts.saturating_sub(1);
 
         // Determine the learner's phase from its files.
-        let mut phase: Option<LearnerPhase> = mount
-            .read_file(&paths::nfs_learner_status(ord))
-            .ok()
-            .and_then(|s| s.parse().ok());
-        if let Ok(exit) = mount.read_file(&paths::nfs_learner_exit(ord)) {
-            if exit == "0" {
-                phase = Some(LearnerPhase::Completed);
-            }
+        let mut phase: Option<LearnerPhase> = mount.read(&f.status, |s| s.parse().ok())?.flatten();
+        if mount.read(&f.exit, |exit| exit == "0")? == Some(true) {
+            phase = Some(LearnerPhase::Completed);
         }
         // The restart budget: every start beyond the first is a recovery
         // from some failure (orderly or crash). Exhausting the budget is a
         // permanent failure the Guardian turns into a FAILED job.
-        if starts > max_failures as u64 && !matches!(phase, Some(LearnerPhase::Completed)) {
+        if starts > max_failures && !matches!(phase, Some(LearnerPhase::Completed)) {
             phase = Some(LearnerPhase::Failed);
         }
-        let phase = phase.unwrap_or(LearnerPhase::Downloading);
-        all_completed &= phase.is_completed();
-
-        publisher.offer(sim, phase);
+        out.phases.push(phase.unwrap_or(LearnerPhase::Downloading));
     }
 
+    // Once every learner reports its measured throughput: the sum.
+    out.throughput = None;
+    if out.all_completed() {
+        let mut sum = Some(0.0);
+        for f in files {
+            let reported = mount.read(&f.throughput, |s| s.parse::<f64>().ok())?;
+            sum = sum.zip(reported.flatten()).map(|(sum, v)| sum + v);
+        }
+        out.throughput = sum;
+    }
+    out.store_done = mount.exists(paths::NFS_STORE_DONE);
+    Ok(())
+}
+
+/// Offers every etcd key the controller owns the value `seen` implies,
+/// and relays the Guardian's store-results "go" the other way.
+fn publish(
+    sim: &mut Sim,
+    etcd: &dlaas_etcd::EtcdClient,
+    mount: &Mount,
+    job: &JobId,
+    state: &ControllerState,
+    seen: &Observed,
+) {
+    // Data-loaded marker → etcd.
+    if seen.data_loaded {
+        state.data.offer(sim, "loaded");
+    }
+    for (publisher, phase) in state.learners.iter().zip(&seen.phases) {
+        publisher.offer(sim, *phase);
+    }
     // Aggregate restart counter (training progress needs no key of its
     // own: it is the maximum over the learner statuses written above).
     // An absent key reads as zero.
-    if restarts_total > 0 {
-        state.restarts.offer(sim, restarts_total);
+    if seen.restarts_total > 0 {
+        state.restarts.offer(sim, seen.restarts_total);
     }
-
-    // Once every learner reports its measured throughput, publish the sum.
-    if all_completed && state.throughput.owed() {
-        let mut sum = 0.0;
-        let mut have_all = true;
-        for ord in 0..manifest.learners {
-            match mount
-                .read_file(&paths::nfs_learner_throughput(ord))
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-            {
-                Some(v) => sum += v,
-                None => have_all = false,
-            }
-        }
-        if have_all {
+    let all_completed = seen.all_completed();
+    if let Some(sum) = seen.throughput {
+        if state.throughput.owed() {
             state.throughput.offer(sim, sum);
         }
     }
@@ -333,7 +426,7 @@ fn controller_tick(
     // Store-results coordination: Guardian writes "go" in etcd; we relay
     // it to NFS for the store-results container, and relay its completion
     // marker back to etcd.
-    if mount.exists(paths::NFS_STORE_DONE) {
+    if seen.store_done {
         // Without the "done" relay the Guardian never completes the job.
         state.store.offer(sim, "done");
         return;
@@ -434,10 +527,14 @@ fn download_data(
 
 /// One learner's log as the collector has it: the text read off NFS so
 /// far and how much of it the object store has acknowledged.
-#[derive(Default)]
 struct LogTail {
-    /// Lines `0..read` of the NFS log, newline-joined — the object body.
-    text: String,
+    /// The learner's log on NFS.
+    path: String,
+    /// The object it is mirrored to.
+    key: String,
+    /// Lines `0..read` of the NFS log, newline-joined. The object body is
+    /// a view of it, so a flush copies the new lines and nothing else.
+    text: TextBuf,
     read: usize,
     /// Lines covered by the last successful put.
     stored: usize,
@@ -446,26 +543,40 @@ struct LogTail {
 }
 
 impl LogTail {
-    /// Appends the lines learner `ord` logged since the last flush and,
+    fn new(job: &JobId, ord: u32) -> Self {
+        LogTail {
+            path: paths::nfs_learner_log(ord),
+            key: paths::obj_log(job, ord),
+            text: TextBuf::new(),
+            read: 0,
+            stored: 0,
+            busy: false,
+        }
+    }
+
+    /// Appends the lines the learner logged since the last flush and,
     /// when the store lacks some and no put is in flight, claims the put:
     /// returns the line count it will cover and the object body.
-    fn refill(&mut self, mount: &Mount, ord: u32) -> Option<(usize, String)> {
-        let path = paths::nfs_learner_log(ord);
-        if mount.line_count(&path) > self.read {
-            // An NFS outage leaves the tail for the next flush.
-            for line in mount.read_lines_from(&path, self.read).unwrap_or_default() {
-                if self.read > 0 {
-                    self.text.push('\n');
+    fn refill(&mut self, mount: &Mount) -> Option<(usize, ObjectBody)> {
+        if mount.line_count(&self.path) > self.read {
+            let (text, mut read) = (&self.text, self.read);
+            let tailed = mount.for_each_line_from(&self.path, read, |line| {
+                if read > 0 {
+                    text.push_str("\n");
                 }
-                self.text.push_str(&line);
-                self.read += 1;
+                text.push_str(line);
+                read += 1;
+            });
+            // An NFS outage leaves the tail for the next flush.
+            if tailed.is_ok() {
+                self.read = read;
             }
         }
         if self.read == self.stored || self.busy {
             return None;
         }
         self.busy = true;
-        Some((self.read, self.text.clone()))
+        Some((self.read, self.text.body()))
     }
 }
 
@@ -474,9 +585,10 @@ impl LogTail {
 /// stage [the job] is in, even if it crashes/fails" (§II).
 ///
 /// Each flush reads only the lines past its cursor and re-puts the whole
-/// object from its own buffer (object stores have no append). The cursor
-/// is volatile: a restarted collector reads the log from line 0 once and
-/// reproduces the complete object.
+/// object from its own buffer (object stores have no append: the put is
+/// charged the whole body, though only the new lines were copied). The
+/// cursor is volatile: a restarted collector reads the log from line 0
+/// once and reproduces the complete object.
 pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let job = JobId::new(ctx.arg.clone());
     let flush = config::LOG_FLUSH;
@@ -485,7 +597,7 @@ pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
         ctx2.record(sim, "log collector online");
         let tails: Vec<Rc<RefCell<LogTail>>> = (0..manifest.learners)
-            .map(|_| Rc::new(RefCell::new(LogTail::default())))
+            .map(|ord| Rc::new(RefCell::new(LogTail::new(&job, ord))))
             .collect();
         let alive = ctx2.alive_flag();
         let nic = ctx2.nic.clone();
@@ -493,9 +605,13 @@ pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
             if !alive.get() {
                 return false;
             }
-            for (ord, tail) in (0..).zip(&tails) {
-                let Some((shipped, body)) = tail.borrow_mut().refill(&mount, ord) else {
-                    continue;
+            for tail in &tails {
+                let (shipped, body, key) = {
+                    let mut t = tail.borrow_mut();
+                    let Some((shipped, body)) = t.refill(&mount) else {
+                        continue;
+                    };
+                    (shipped, body, t.key.clone())
                 };
                 // The cursor only advances once the store has the bytes:
                 // a put lost to an outage is retried by the next flush.
@@ -503,8 +619,8 @@ pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
                 objstore.put(
                     sim,
                     manifest.results_bucket.clone(),
-                    paths::obj_log(&job, ord),
-                    ObjectBody::Text(body),
+                    key,
+                    body,
                     Some(&nic),
                     move |_sim, r| {
                         let mut t = tail2.borrow_mut();
@@ -589,4 +705,254 @@ pub fn store_results_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
         });
     });
     Box::new(|_sim| {})
+}
+
+#[cfg(test)]
+mod tests {
+    //! The controller's generation gate, one tick at a time: a rig of a
+    //! real etcd cluster and NFS server around a hand-driven controller.
+
+    use super::*;
+    use dlaas_etcd::EtcdCluster;
+    use dlaas_sharedfs::NfsServer;
+
+    struct Rig {
+        sim: Sim,
+        etcd: Rc<EtcdCluster>,
+        client: dlaas_etcd::EtcdClient,
+        nfs: NfsServer,
+        /// The learner's side of the volume.
+        learner: Mount,
+        /// The controller's side.
+        mount: Mount,
+        job: JobId,
+        state: ControllerState,
+    }
+
+    fn rig(seed: u64) -> Rig {
+        let mut sim = Sim::new(seed);
+        let etcd = Rc::new(EtcdCluster::new_3way(&mut sim));
+        etcd.expect_leader(&mut sim, SimDuration::from_secs(5));
+        let client = etcd.client("controller#0");
+        let nfs = NfsServer::new();
+        let job = JobId::new("auto-1");
+        let vol = nfs.create_volume(paths::volume(&job));
+        let state = ControllerState::new(&client, &job, 1, &Rc::new(Cell::new(true)));
+        Rig {
+            learner: nfs.mount(&vol).expect("volume exists"),
+            mount: nfs.mount(&vol).expect("volume exists"),
+            sim,
+            etcd,
+            client,
+            nfs,
+            job,
+            state,
+        }
+    }
+
+    impl Rig {
+        /// One controller tick, then a controller period of simulated time.
+        fn tick(&mut self) {
+            controller_tick(
+                &mut self.sim,
+                &self.client,
+                &self.mount,
+                &self.job,
+                &self.state,
+            );
+            self.sim.run_for(config::CONTROLLER_POLL);
+        }
+
+        /// A new controller incarnation over the same volume and etcd.
+        fn restart_controller(&mut self) {
+            self.client = self.etcd.client("controller#1");
+            let alive = Rc::new(Cell::new(true));
+            self.state = ControllerState::new(&self.client, &self.job, 1, &alive);
+        }
+
+        fn learner_reports(&self, status: &str) {
+            let files = &self.state.files[0];
+            self.learner
+                .write_file(&files.status, status)
+                .expect("volume up");
+        }
+
+        fn in_etcd(&self, key: &str) -> Option<String> {
+            let leader = self.etcd.leader_id()?;
+            self.etcd
+                .with_kv(leader, |kv| kv.get(key).map(|v| v.value.clone()))
+        }
+
+        fn published(&self) -> Option<String> {
+            self.in_etcd(&paths::etcd_learner(&self.job, 0))
+        }
+
+        fn reads(&self) -> u64 {
+            self.nfs.stats().reads
+        }
+
+        fn proposals(&self) -> u64 {
+            self.sim.metrics().counter_total("etcd_proposals_total")
+        }
+    }
+
+    #[test]
+    fn an_unchanged_volume_is_polled_not_read() {
+        let mut r = rig(1);
+        r.learner
+            .write_file(&r.state.files[0].restarts, "1")
+            .unwrap();
+        r.learner_reports("PROCESSING iter=3");
+        r.tick();
+        assert_eq!(r.reads(), 2, "restart counter and status (no exit file)");
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=3"));
+
+        let proposals = r.proposals();
+        for _ in 0..5 {
+            r.tick();
+        }
+        assert_eq!(r.reads(), 2, "nothing was written: nothing to read again");
+        assert_eq!(r.proposals(), proposals, "and nothing to publish again");
+
+        // Any write moves the generation — a log line the controller
+        // never reads included — and the next tick reads.
+        r.learner
+            .append_line(&r.state.files[0].log, "iter=4 loss=2.1")
+            .unwrap();
+        r.tick();
+        assert_eq!(r.reads(), 4);
+        r.tick();
+        assert_eq!(r.reads(), 4);
+    }
+
+    #[test]
+    fn an_owed_put_goes_out_on_a_tick_that_reads_nothing() {
+        let mut r = rig(2);
+        r.learner_reports("PROCESSING iter=1");
+        r.tick();
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=1"));
+
+        // The phase changes while etcd has no quorum, for longer than one
+        // put's whole retry budget: the COMPLETED put fails, and the
+        // volume never changes again.
+        let leader = r.etcd.leader_id().expect("leader");
+        let down = [leader, (leader + 1) % 3];
+        for id in down {
+            r.etcd.crash(&mut r.sim, id);
+        }
+        r.learner_reports("COMPLETED");
+        for _ in 0..40 {
+            r.tick();
+        }
+        let reads = r.reads();
+        for id in down {
+            r.etcd.restart(&mut r.sim, id);
+        }
+        r.etcd.expect_leader(&mut r.sim, SimDuration::from_secs(5));
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=1"));
+        r.tick();
+        r.tick();
+        assert_eq!(r.published().as_deref(), Some("COMPLETED"));
+        assert_eq!(r.reads(), reads, "the retry needed no re-read");
+    }
+
+    #[test]
+    fn a_coalesced_iteration_falls_due_on_a_tick_that_reads_nothing() {
+        let mut r = rig(3);
+        r.learner_reports("PROCESSING iter=1");
+        let sent = r.sim.now();
+        r.tick();
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=1"));
+        // One more report, inside the coalescing window; then silence
+        // (a learner stalled in a checkpoint upload, say).
+        r.learner_reports("PROCESSING iter=2");
+        r.tick();
+        let reads = r.reads();
+        while r.sim.now() < sent + config::GUARDIAN_POLL {
+            assert_eq!(r.published().as_deref(), Some("PROCESSING iter=1"));
+            r.tick();
+        }
+        // The tick at `sent + GUARDIAN_POLL` itself.
+        r.tick();
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=2"));
+        assert_eq!(r.reads(), reads, "the volume was never read again");
+    }
+
+    #[test]
+    fn the_store_go_relay_waits_on_etcd_not_on_nfs() {
+        let mut r = rig(4);
+        let files = r.state.files[0].clone();
+        r.learner.write_file(&files.throughput, "41.5").unwrap();
+        r.learner_reports("COMPLETED");
+        r.learner.write_file(&files.exit, "0").unwrap();
+        r.tick();
+        assert_eq!(r.published().as_deref(), Some("COMPLETED"));
+        assert_eq!(
+            r.in_etcd(&paths::etcd_throughput(&r.job)).as_deref(),
+            Some("41.5")
+        );
+        for _ in 0..3 {
+            r.tick();
+        }
+        assert!(!r.mount.exists(paths::NFS_STORE_GO));
+
+        // The Guardian's "go" arrives in etcd; nothing on NFS changes.
+        let reads = r.reads();
+        let guardian = r.etcd.client("guardian");
+        guardian.put(&mut r.sim, paths::etcd_store(&r.job), "go", |_, r| {
+            r.expect("quorum is up");
+        });
+        r.tick();
+        r.tick();
+        assert!(r.mount.exists(paths::NFS_STORE_GO), "go relayed to NFS");
+        assert_eq!(r.reads(), reads, "by ticks that read nothing");
+
+        // store-results answers on NFS; that is a write, so it is seen.
+        r.learner.write_file(paths::NFS_STORE_DONE, "done").unwrap();
+        r.tick();
+        assert_eq!(
+            r.in_etcd(&paths::etcd_store(&r.job)).as_deref(),
+            Some("done")
+        );
+    }
+
+    #[test]
+    fn a_restarted_controller_remembers_no_generation() {
+        let mut r = rig(5);
+        r.learner_reports("PROCESSING iter=7");
+        r.tick();
+        r.tick();
+        let reads = r.reads();
+        r.restart_controller();
+        r.tick();
+        assert!(r.reads() > reads, "a new incarnation reads the volume");
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=7"));
+    }
+
+    #[test]
+    fn an_unreadable_generation_gates_nothing_and_reads_nothing() {
+        let mut r = rig(6);
+        r.learner_reports("PROCESSING iter=7");
+        r.tick();
+        let reads = r.reads();
+
+        r.nfs.set_available(false);
+        for _ in 0..3 {
+            r.tick();
+        }
+        assert_eq!(r.reads(), reads, "an unreachable volume is not read");
+        r.nfs.set_available(true);
+        // Nothing was written meanwhile, yet what the controller knew
+        // before the outage proves nothing about the volume now.
+        r.tick();
+        assert!(r.reads() > reads, "the first tick after the outage reads");
+        let reads = r.reads();
+        r.tick();
+        assert_eq!(r.reads(), reads, "and the gate is back");
+
+        // A volume torn down under a live controller is unreadable too.
+        r.nfs.delete_volume_named(&paths::volume(&r.job));
+        r.tick();
+        assert_eq!(r.reads(), reads);
+    }
 }

@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
-use dlaas_docstore::Value;
+use dlaas_docstore::{Doc, Value};
 use dlaas_kube::labels;
 use dlaas_sim::{Sim, SimDuration, SimTime, TimerHandle};
 
@@ -167,157 +167,350 @@ pub fn check_all(sim: &Sim, platform: &DlaasPlatform) -> InvariantReport {
     check_with(sim, platform, &bounds)
 }
 
-/// Checks every invariant with explicit [`InvariantBounds`].
+/// Checks every invariant with explicit [`InvariantBounds`]: one pass of
+/// an [`InvariantChecker`] that remembers nothing.
 pub fn check_with(
     sim: &Sim,
     platform: &DlaasPlatform,
     bounds: &InvariantBounds,
 ) -> InvariantReport {
-    let now = sim.now();
-    let mut violations = Vec::new();
-    // The leak checks read the etcd leader's replica in place
-    // (non-linearizable); during a leaderless window (mid-election) the
-    // etcd leak check is skipped — the next pass will see a leader again.
-    let etcd_leader = platform.etcd().leader_id();
-    let max_attempts = platform.handles().config.deploy_max_attempts;
+    InvariantChecker::default().check(sim, platform, bounds)
+}
 
-    let docs = platform.job_documents();
+/// What the checker keeps of one job document between passes: the
+/// fields the time-dependent rules (terminal bound, GC grace, starvation)
+/// weigh against the clock on every pass, and the verdict of the rules
+/// that depend on the document alone (history, attempts).
+struct JobSummary {
+    /// The document the summary was read from. The store never edits a
+    /// document in place — an update builds a successor and swaps the
+    /// `Rc` — so handing back the *same* allocation means the same
+    /// contents; and because the summary holds this reference the
+    /// allocation cannot be freed and its address reused by another
+    /// document, which is what makes `Rc::ptr_eq` a sound test for
+    /// "unchanged". The rarely needed fields (tenant, GPU demand) are
+    /// read from here when a rule asks for them.
+    doc: Doc,
+    /// The pass that last found the id in the store.
+    pass: u64,
+    status: Option<JobStatus>,
+    admitted_us: Option<i64>,
+    submitted_us: Option<i64>,
+    attempts: i64,
+    terminal_since: Option<SimTime>,
+    /// What rule 2 (history monotonicity) found, in history order.
+    history: Vec<String>,
+}
 
-    // Tenant quotas plus per-tenant GPUs held by admitted (non-QUEUED,
-    // non-terminal) jobs, for the starvation rule (6).
-    let tenants: BTreeMap<String, Tenant> = platform
-        .tenant_documents()
-        .iter()
-        .filter_map(|d| Tenant::from_document(d))
-        .map(|t| (t.id.clone(), t))
-        .collect();
-    let mut held: BTreeMap<&str, u32> = BTreeMap::new();
-    // Most recent admission per tenant (any doc with an `admitted_us`
-    // stamp, terminal included): evidence the arbiter is making
-    // progress for that tenant.
-    let mut last_admitted: BTreeMap<&str, u64> = BTreeMap::new();
-    for doc in &docs {
-        let Some(t) = doc.path("tenant").and_then(Value::as_str) else {
-            continue;
-        };
-        let admitted = doc
-            .path("status")
-            .and_then(Value::as_str)
-            .and_then(|s| s.parse::<JobStatus>().ok())
-            .is_some_and(|s| !s.is_terminal() && s != JobStatus::Queued);
-        if admitted {
-            *held.entry(t).or_insert(0) += crate::api::doc_gpus(doc);
-        }
-        if let Some(at) = doc
-            .path("admitted_us")
-            .and_then(Value::as_i64)
-            .and_then(|us| u64::try_from(us).ok())
-        {
-            let e = last_admitted.entry(t).or_insert(0);
-            *e = (*e).max(at);
+impl JobSummary {
+    fn of(doc: &Doc, pass: u64) -> Self {
+        let micros = |path| doc.path(path).and_then(Value::as_i64);
+        JobSummary {
+            doc: doc.clone(),
+            pass,
+            status: doc
+                .path("status")
+                .and_then(Value::as_str)
+                .and_then(|s| s.parse().ok()),
+            admitted_us: micros("admitted_us"),
+            submitted_us: micros("submitted_us"),
+            attempts: micros("attempts").unwrap_or(0),
+            terminal_since: terminal_since(doc),
+            history: check_history(doc),
         }
     }
 
-    for doc in &docs {
-        let Some(id) = doc.path("_id").and_then(Value::as_str) else {
-            continue;
-        };
-        let job = JobId::new(id);
-        let status: Option<JobStatus> = doc
-            .path("status")
-            .and_then(Value::as_str)
-            .and_then(|s| s.parse().ok());
+    /// `true` once the job has been terminal for longer than the GC
+    /// grace: from here on nothing of it may remain (rule 4).
+    fn past_gc_grace(&self, now: SimTime, bounds: &InvariantBounds) -> bool {
+        self.status.is_some_and(JobStatus::is_terminal)
+            && self
+                .terminal_since
+                .is_some_and(|since| now.saturating_duration_since(since) > bounds.gc_grace)
+    }
 
-        check_history(doc, &job, &mut violations);
+    fn tenant(&self) -> Option<&str> {
+        self.doc.path("tenant").and_then(Value::as_str)
+    }
+}
 
-        // 3. Bounded retries.
-        let attempts = doc.path("attempts").and_then(Value::as_i64).unwrap_or(0);
-        if attempts > max_attempts as i64 {
-            violations.push(InvariantViolation {
-                job: job.clone(),
-                invariant: "attempts-bound",
-                detail: format!("attempts={attempts} exceeds deploy_max_attempts={max_attempts}"),
-            });
-        }
+/// What is left of one job that should have been collected.
+#[derive(Default)]
+struct Leaked {
+    pods: Vec<String>,
+    volume: bool,
+    netpol: bool,
+    etcd_keys: Vec<String>,
+}
 
-        match status {
-            Some(s) if s.is_terminal() => {
-                // 4. No leaks, once GC has had a fair chance.
-                let since = terminal_since(doc).unwrap_or(now);
-                if now.saturating_duration_since(since) > bounds.gc_grace {
-                    check_leaks(platform, etcd_leader, &job, &mut violations);
-                }
+/// Tenant quotas, the GPUs each tenant's admitted (non-QUEUED,
+/// non-terminal) jobs hold, and each tenant's most recent admission (any
+/// job with an `admitted_us` stamp, terminal included: evidence the
+/// arbiter is making progress for that tenant) — what the starvation
+/// rule (6) weighs a long wait against.
+struct TenantLoad<'a> {
+    tenants: BTreeMap<String, Tenant>,
+    held: BTreeMap<&'a str, u32>,
+    last_admitted: BTreeMap<&'a str, u64>,
+}
+
+/// The invariant checker. It keeps, per job id, a summary of the
+/// document it last saw, and re-derives a summary only when the store
+/// hands back a different document: a pass costs what changed since the
+/// previous one plus a glance at every job, not a parse of every
+/// document ever stored. A checker that has seen nothing yet —
+/// [`check_with`] — is the same code with an empty memory, so what a
+/// pass reports never depends on what the checker remembers.
+#[derive(Default)]
+pub struct InvariantChecker {
+    jobs: BTreeMap<String, JobSummary>,
+    pass: u64,
+}
+
+impl fmt::Debug for InvariantChecker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InvariantChecker")
+            .field("jobs", &self.jobs.len())
+            .field("pass", &self.pass)
+            .finish()
+    }
+}
+
+impl InvariantChecker {
+    /// Evaluates every invariant against the platform's current state.
+    pub fn check(
+        &mut self,
+        sim: &Sim,
+        platform: &DlaasPlatform,
+        bounds: &InvariantBounds,
+    ) -> InvariantReport {
+        let now = sim.now();
+        let jobs_checked = self.refresh(platform);
+        let leaks = self.leaks(now, platform, bounds);
+        let max_attempts = platform.handles().config.deploy_max_attempts;
+        let mut load: Option<TenantLoad> = None;
+        let mut violations = Vec::new();
+
+        for (id, job) in &self.jobs {
+            let mut violated = |invariant, detail| {
+                violations.push(InvariantViolation {
+                    job: JobId::new(id.as_str()),
+                    invariant,
+                    detail,
+                });
+            };
+            for detail in &job.history {
+                violated("history-monotone", detail.clone());
             }
-            Some(JobStatus::Queued) => {
-                // 6. No starvation: the fair queue must admit this job
-                //    while its tenant has headroom for it.
-                let since = doc
-                    .path("submitted_us")
-                    .and_then(Value::as_i64)
-                    .map(|us| SimTime::from_micros(us as u64))
-                    .unwrap_or(now);
-                let waited = now.saturating_duration_since(since);
-                if waited > bounds.admission_within {
-                    let tenant = doc.path("tenant").and_then(Value::as_str).unwrap_or("");
-                    let gpus = crate::api::doc_gpus(doc);
-                    let headroom = tenants.get(tenant).is_some_and(|t| {
-                        t.max_gpus == 0
-                            || held.get(tenant).copied().unwrap_or(0) + gpus <= t.max_gpus
-                    });
-                    // A busy tenant's queue legitimately backs up for a
-                    // long time — that is backlog, not starvation. The
-                    // arbiter is broken only if the tenant ALSO made no
-                    // admission for a full bound (no `admitted_us`
-                    // stamp fresher than the bound).
-                    let stalled = now.saturating_duration_since(SimTime::from_micros(
-                        last_admitted.get(tenant).copied().unwrap_or(0),
-                    )) > bounds.admission_within;
-                    if headroom && stalled {
-                        violations.push(InvariantViolation {
-                            job: job.clone(),
-                            invariant: "tenant-starved",
-                            detail: format!(
-                                "QUEUED for {waited} despite quota headroom and no admission in {} (tenant {tenant}, {gpus} gpus)",
-                                bounds.admission_within
-                            ),
+
+            // 3. Bounded retries.
+            if job.attempts > max_attempts as i64 {
+                violated(
+                    "attempts-bound",
+                    format!(
+                        "attempts={} exceeds deploy_max_attempts={max_attempts}",
+                        job.attempts
+                    ),
+                );
+            }
+
+            match job.status {
+                Some(s) if s.is_terminal() => {
+                    // 4. No leaks, once GC has had a fair chance.
+                    let Some(left) = leaks.get(id.as_str()) else {
+                        continue;
+                    };
+                    if !left.pods.is_empty() {
+                        violated("leak-pods", format!("pods still present: {:?}", left.pods));
+                    }
+                    if left.volume {
+                        let volume = paths::volume(&JobId::new(id.as_str()));
+                        violated("leak-volume", format!("volume {volume} still present"));
+                    }
+                    if left.netpol {
+                        let netpol = paths::network_policy(&JobId::new(id.as_str()));
+                        violated(
+                            "leak-netpol",
+                            format!("network policy {netpol} still present"),
+                        );
+                    }
+                    if !left.etcd_keys.is_empty() {
+                        violated(
+                            "leak-etcd",
+                            format!("etcd keys still present: {:?}", left.etcd_keys),
+                        );
+                    }
+                }
+                Some(JobStatus::Queued) => {
+                    // 6. No starvation: the fair queue must admit this job
+                    //    while its tenant has headroom for it.
+                    let since = job
+                        .submitted_us
+                        .map(|us| SimTime::from_micros(us as u64))
+                        .unwrap_or(now);
+                    let waited = now.saturating_duration_since(since);
+                    if waited > bounds.admission_within {
+                        let load = load.get_or_insert_with(|| self.tenant_load(platform));
+                        let tenant = job.tenant().unwrap_or("");
+                        let gpus = crate::api::doc_gpus(&job.doc);
+                        let headroom = load.tenants.get(tenant).is_some_and(|t| {
+                            t.max_gpus == 0
+                                || load.held.get(tenant).copied().unwrap_or(0) + gpus <= t.max_gpus
                         });
+                        // A busy tenant's queue legitimately backs up for a
+                        // long time — that is backlog, not starvation. The
+                        // arbiter is broken only if the tenant ALSO made no
+                        // admission for a full bound (no `admitted_us`
+                        // stamp fresher than the bound).
+                        let stalled = now.saturating_duration_since(SimTime::from_micros(
+                            load.last_admitted.get(tenant).copied().unwrap_or(0),
+                        )) > bounds.admission_within;
+                        if headroom && stalled {
+                            violated(
+                                "tenant-starved",
+                                format!(
+                                    "QUEUED for {waited} despite quota headroom and no admission in {} (tenant {tenant}, {gpus} gpus)",
+                                    bounds.admission_within
+                                ),
+                            );
+                        }
+                    }
+                }
+                status => {
+                    // 1. Liveness, clocked from admission so time spent in
+                    //    the fair queue does not count against the bound
+                    //    (fallback: submission, for docs predating the
+                    //    queue).
+                    let started = job
+                        .admitted_us
+                        .or(job.submitted_us)
+                        .map(|us| SimTime::from_micros(us as u64))
+                        .unwrap_or(now);
+                    let age = now.saturating_duration_since(started);
+                    if age > bounds.terminal_within {
+                        violated(
+                            "terminal-bound",
+                            format!(
+                                "still {} after {:.0?}",
+                                status.map(|s| s.to_string()).unwrap_or("?".into()),
+                                age
+                            ),
+                        );
                     }
                 }
             }
-            _ => {
-                // 1. Liveness, clocked from admission so time spent in
-                //    the fair queue does not count against the bound
-                //    (fallback: submission, for docs predating the
-                //    queue).
-                let started = doc
-                    .path("admitted_us")
-                    .and_then(Value::as_i64)
-                    .or_else(|| doc.path("submitted_us").and_then(Value::as_i64))
-                    .map(|us| SimTime::from_micros(us as u64))
-                    .unwrap_or(now);
-                let age = now.saturating_duration_since(started);
-                if age > bounds.terminal_within {
-                    violations.push(InvariantViolation {
-                        job: job.clone(),
-                        invariant: "terminal-bound",
-                        detail: format!(
-                            "still {} after {:.0?}",
-                            status.map(|s| s.to_string()).unwrap_or("?".into()),
-                            age
-                        ),
-                    });
-                }
-            }
+        }
+
+        // 5. At-most-one-owner over the LCM shard space.
+        check_shards(sim, platform, &mut violations);
+
+        InvariantReport {
+            checked_at: now,
+            jobs_checked,
+            violations,
         }
     }
 
-    // 5. At-most-one-owner over the LCM shard space.
-    check_shards(sim, platform, &mut violations);
+    /// Brings the summaries up to date with the store: a summary is
+    /// re-derived only where the store holds a different document than
+    /// last pass. Returns the number of job documents in the store.
+    fn refresh(&mut self, platform: &DlaasPlatform) -> usize {
+        self.pass += 1;
+        let (jobs, pass) = (&mut self.jobs, self.pass);
+        let mut stored = 0;
+        platform.for_each_job_document(|id, doc| {
+            stored += 1;
+            match jobs.get_mut(id) {
+                Some(known) if Rc::ptr_eq(&known.doc, doc) => known.pass = pass,
+                Some(known) => *known = JobSummary::of(doc, pass),
+                None => {
+                    jobs.insert(id.to_owned(), JobSummary::of(doc, pass));
+                }
+            }
+        });
+        if jobs.len() != stored {
+            jobs.retain(|_, job| job.pass == pass);
+        }
+        stored
+    }
 
-    InvariantReport {
-        checked_at: now,
-        jobs_checked: docs.len(),
-        violations,
+    /// 4. What remains of jobs past their GC grace, by job id: found by
+    ///    walking the resources that exist (pods carrying a `job` label,
+    ///    job volumes, job network policies, keys under `jobs/`) once
+    ///    each, not by searching all of them once per finished job.
+    fn leaks(
+        &self,
+        now: SimTime,
+        platform: &DlaasPlatform,
+        bounds: &InvariantBounds,
+    ) -> BTreeMap<String, Leaked> {
+        let mut found: BTreeMap<String, Leaked> = BTreeMap::new();
+        let past_grace = |job: &&str| {
+            self.jobs
+                .get(*job)
+                .is_some_and(|j| j.past_gc_grace(now, bounds))
+        };
+        platform.kube().for_each_pod_labelled("job", |pod, job| {
+            if past_grace(&job) {
+                let left = found.entry(job.to_owned()).or_default();
+                left.pods.push(pod.to_owned());
+            }
+        });
+        platform.nfs().for_each_volume(|name| {
+            if let Some(job) = paths::volume_job(name).filter(past_grace) {
+                found.entry(job.to_owned()).or_default().volume = true;
+            }
+        });
+        platform.kube().for_each_network_policy(|name| {
+            if let Some(job) = paths::network_policy_job(name).filter(past_grace) {
+                found.entry(job.to_owned()).or_default().netpol = true;
+            }
+        });
+        // The etcd leader's replica is read in place (non-linearizable);
+        // during a leaderless window (mid-election) the etcd leak check
+        // is skipped — the next pass will see a leader again.
+        if let Some(leader) = platform.etcd().leader_id() {
+            platform.etcd().with_kv(leader, |kv| {
+                for key in kv.keys_with_prefix(paths::ETCD_JOBS_PREFIX) {
+                    if let Some(job) = paths::etcd_key_job(key).filter(past_grace) {
+                        let left = found.entry(job.to_owned()).or_default();
+                        left.etcd_keys.push(key.to_owned());
+                    }
+                }
+            });
+        }
+        found
+    }
+
+    /// Gathers what the starvation rule needs (only passes that find a
+    /// job QUEUED past the admission bound pay for it).
+    fn tenant_load(&self, platform: &DlaasPlatform) -> TenantLoad<'_> {
+        let mut load = TenantLoad {
+            tenants: platform
+                .tenant_documents()
+                .iter()
+                .filter_map(|d| Tenant::from_document(d))
+                .map(|t| (t.id.clone(), t))
+                .collect(),
+            held: BTreeMap::new(),
+            last_admitted: BTreeMap::new(),
+        };
+        for job in self.jobs.values() {
+            let Some(t) = job.tenant() else {
+                continue;
+            };
+            if job
+                .status
+                .is_some_and(|s| !s.is_terminal() && s != JobStatus::Queued)
+            {
+                *load.held.entry(t).or_insert(0) += crate::api::doc_gpus(&job.doc);
+            }
+            if let Some(at) = job.admitted_us.and_then(|us| u64::try_from(us).ok()) {
+                let e = load.last_admitted.entry(t).or_insert(0);
+                *e = (*e).max(at);
+            }
+        }
+        load
     }
 }
 
@@ -355,10 +548,12 @@ fn check_shards(sim: &Sim, platform: &DlaasPlatform, out: &mut Vec<InvariantViol
     }
 }
 
-/// 2. Status-history monotonicity.
-fn check_history(doc: &Value, job: &JobId, out: &mut Vec<InvariantViolation>) {
+/// 2. Status-history monotonicity: what is wrong with the document's
+///    history, in history order.
+fn check_history(doc: &Value) -> Vec<String> {
+    let mut out = Vec::new();
     let Some(history) = doc.path("history").and_then(Value::as_arr) else {
-        return;
+        return out;
     };
     let mut prev: Option<(JobStatus, i64)> = None;
     for (i, entry) in history.iter().enumerate() {
@@ -368,38 +563,29 @@ fn check_history(doc: &Value, job: &JobId, out: &mut Vec<InvariantViolation>) {
             .and_then(|s| s.parse().ok());
         let t_us = entry.path("t_us").and_then(Value::as_i64).unwrap_or(0);
         let Some(status) = status else {
-            out.push(InvariantViolation {
-                job: job.clone(),
-                invariant: "history-monotone",
-                detail: format!("unparseable history entry #{i}: {entry:?}"),
-            });
-            return;
+            out.push(format!("unparseable history entry #{i}: {entry:?}"));
+            return out;
         };
         if let Some((prev_status, prev_t)) = prev {
             if status.rank() < prev_status.rank() {
-                out.push(InvariantViolation {
-                    job: job.clone(),
-                    invariant: "history-monotone",
-                    detail: format!("status went backwards: {prev_status} -> {status} (#{i})"),
-                });
+                out.push(format!(
+                    "status went backwards: {prev_status} -> {status} (#{i})"
+                ));
             }
             if prev_status.is_terminal() {
-                out.push(InvariantViolation {
-                    job: job.clone(),
-                    invariant: "history-monotone",
-                    detail: format!("entry after terminal {prev_status}: {status} (#{i})"),
-                });
+                out.push(format!(
+                    "entry after terminal {prev_status}: {status} (#{i})"
+                ));
             }
             if t_us < prev_t {
-                out.push(InvariantViolation {
-                    job: job.clone(),
-                    invariant: "history-monotone",
-                    detail: format!("timestamps went backwards at #{i}: {prev_t} -> {t_us}"),
-                });
+                out.push(format!(
+                    "timestamps went backwards at #{i}: {prev_t} -> {t_us}"
+                ));
             }
         }
         prev = Some((status, t_us));
     }
+    out
 }
 
 /// When the job entered its terminal state, per the status history.
@@ -419,53 +605,8 @@ fn terminal_since(doc: &Value) -> Option<SimTime> {
         .map(|us| SimTime::from_micros(us as u64))
 }
 
-/// 4. Leak checks for one terminal job past its GC grace.
-fn check_leaks(
-    platform: &DlaasPlatform,
-    etcd_leader: Option<dlaas_raft::NodeId>,
-    job: &JobId,
-    out: &mut Vec<InvariantViolation>,
-) {
-    let pods = platform
-        .kube()
-        .pods_matching(&labels! {"job" => job.as_str()});
-    if !pods.is_empty() {
-        out.push(InvariantViolation {
-            job: job.clone(),
-            invariant: "leak-pods",
-            detail: format!("pods still present: {pods:?}"),
-        });
-    }
-    if platform.nfs().find_volume(&paths::volume(job)).is_some() {
-        out.push(InvariantViolation {
-            job: job.clone(),
-            invariant: "leak-volume",
-            detail: format!("volume {} still present", paths::volume(job)),
-        });
-    }
-    let netpol = paths::network_policy(job);
-    if platform.kube().network_policy_names().contains(&netpol) {
-        out.push(InvariantViolation {
-            job: job.clone(),
-            invariant: "leak-netpol",
-            detail: format!("network policy {netpol} still present"),
-        });
-    }
-    if let Some(leader) = etcd_leader {
-        let prefix = paths::etcd_job_prefix(job);
-        let keys = platform.etcd().with_kv(leader, |kv| kv.get_prefix(&prefix));
-        if !keys.is_empty() {
-            let names: Vec<&String> = keys.iter().map(|(k, _)| k).collect();
-            out.push(InvariantViolation {
-                job: job.clone(),
-                invariant: "leak-etcd",
-                detail: format!("etcd keys still present: {names:?}"),
-            });
-        }
-    }
-}
-
-/// Periodic in-simulation checker: re-runs [`check_all`] every `period`,
+/// Periodic in-simulation checker: runs an [`InvariantChecker`] pass
+/// (what [`check_all`] runs once) every `period`,
 /// records each *new* violation on the trace topic `invariants` and
 /// counts it in [`metrics::INVARIANT_VIOLATIONS`] (labelled by
 /// invariant name). Violations are deduplicated by (job, invariant) so a
@@ -503,8 +644,9 @@ impl InvariantMonitor {
         // consecutive passes, so a snapshot that races the admission
         // arbiter (headroom freed moments ago) cannot false-positive.
         let mut starved_prev: BTreeSet<String> = BTreeSet::new();
+        let mut checker = InvariantChecker::default();
         let timer = dlaas_sim::every(sim, period, move |sim, _n| {
-            let report = check_with(sim, &platform, &bounds);
+            let report = checker.check(sim, &platform, &bounds);
             let mut starved_now = BTreeSet::new();
             for v in &report.violations {
                 if v.invariant == "tenant-starved" {
@@ -560,34 +702,30 @@ mod tests {
             ("STORING", 30),
             ("COMPLETED", 40),
         ]);
-        let mut out = Vec::new();
-        check_history(&doc, &JobId::new("j"), &mut out);
+        let out = check_history(&doc);
         assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
     fn backwards_status_is_flagged() {
         let doc = doc_with_history(vec![("PROCESSING", 10), ("DEPLOYING", 20)]);
-        let mut out = Vec::new();
-        check_history(&doc, &JobId::new("j"), &mut out);
+        let out = check_history(&doc);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].invariant, "history-monotone");
+        assert!(out[0].contains("PROCESSING -> DEPLOYING"), "{out:?}");
     }
 
     #[test]
     fn entry_after_terminal_is_flagged() {
         let doc = doc_with_history(vec![("FAILED", 10), ("PROCESSING", 20)]);
-        let mut out = Vec::new();
-        check_history(&doc, &JobId::new("j"), &mut out);
-        assert!(out.iter().any(|v| v.detail.contains("after terminal")));
+        let out = check_history(&doc);
+        assert!(out.iter().any(|v| v.contains("after terminal")));
     }
 
     #[test]
     fn backwards_timestamps_are_flagged() {
         let doc = doc_with_history(vec![("PENDING", 20), ("DEPLOYING", 10)]);
-        let mut out = Vec::new();
-        check_history(&doc, &JobId::new("j"), &mut out);
-        assert!(out.iter().any(|v| v.detail.contains("timestamps")));
+        let out = check_history(&doc);
+        assert!(out.iter().any(|v| v.contains("timestamps")));
     }
 
     #[test]

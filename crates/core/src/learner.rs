@@ -46,6 +46,8 @@ struct Learner {
     ctx: ProcessCtx,
     job: JobId,
     ordinal: u32,
+    /// This learner's files on the volume, formatted once per incarnation.
+    files: paths::LearnerFiles,
     mount: Mount,
     manifest: TrainingManifest,
     /// Global-step time at this job's measured rate.
@@ -110,24 +112,20 @@ fn start(
     mount: Mount,
     manifest: TrainingManifest,
 ) {
+    let files = paths::LearnerFiles::new(ordinal);
     // Bump the on-volume start counter (survives crashes; the controller
     // derives the restart count users are notified about from it).
     let starts: u64 = mount
-        .read_file(&paths::nfs_learner_restarts(ordinal))
+        .read(&files.restarts, |s| s.parse().ok())
         .ok()
-        .and_then(|s| s.parse().ok())
+        .flatten()
+        .flatten()
         .unwrap_or(0)
         + 1;
-    best_effort(
-        sim,
-        mount.write_file(&paths::nfs_learner_restarts(ordinal), starts.to_string()),
-    );
+    best_effort(sim, mount.write_file(&files.restarts, starts.to_string()));
     // Clear any stale exit marker from a previous incarnation.
-    mount.remove(&paths::nfs_learner_exit(ordinal));
-    best_effort(
-        sim,
-        mount.write_file(&paths::nfs_learner_status(ordinal), "DOWNLOADING"),
-    );
+    mount.remove(&files.exit);
+    best_effort(sim, mount.write_file(&files.status, "DOWNLOADING"));
     if starts > 1 {
         sim.metrics()
             .counter_series(metrics::LEARNER_RESTARTS, [])
@@ -135,7 +133,7 @@ fn start(
         best_effort(
             sim,
             mount.append_line(
-                &paths::nfs_learner_log(ordinal),
+                &files.log,
                 format!(
                     "[restart #{:?}] learner restarted by kubernetes",
                     starts - 1
@@ -176,6 +174,7 @@ fn start(
         ctx,
         job,
         ordinal,
+        files,
         mount,
         manifest,
         step_secs,
@@ -205,19 +204,11 @@ fn best_effort<T, E>(sim: &mut Sim, r: Result<T, E>) {
 
 impl Learner {
     fn log(&self, sim: &mut Sim, line: impl Into<String>) {
-        best_effort(
-            sim,
-            self.mount
-                .append_line(&paths::nfs_learner_log(self.ordinal), line),
-        );
+        best_effort(sim, self.mount.append_line(&self.files.log, line));
     }
 
     fn set_status(&self, sim: &mut Sim, s: impl Into<String>) {
-        best_effort(
-            sim,
-            self.mount
-                .write_file(&paths::nfs_learner_status(self.ordinal), s),
-        );
+        best_effort(sim, self.mount.write_file(&self.files.status, s));
     }
 
     /// Poll for the load-data marker (the input pipeline cannot start
@@ -248,10 +239,11 @@ impl Learner {
             .filter(|ord| *ord != self.ordinal)
             .filter_map(|ord| {
                 self.mount
-                    .read_file(&paths::nfs_learner_status(ord))
+                    .read(&paths::nfs_learner_status(ord), |s| {
+                        s.parse::<crate::job::LearnerPhase>().ok()
+                    })
                     .ok()?
-                    .parse::<crate::job::LearnerPhase>()
-                    .ok()?
+                    .flatten()?
                     .iteration()
             })
             .max()
@@ -424,7 +416,7 @@ impl Learner {
                     sim,
                     bucket2,
                     paths::obj_ckpt_meta(&me.job),
-                    ObjectBody::Text(iter.to_string()),
+                    iter.to_string().into(),
                     None,
                     move |sim, _r| {
                         if !me2.ctx.is_alive() {
@@ -478,18 +470,9 @@ impl Learner {
         }
         let written = self
             .mount
-            .write_file(
-                &paths::nfs_learner_throughput(self.ordinal),
-                format!("{throughput}"),
-            )
-            .and_then(|_| {
-                self.mount
-                    .write_file(&paths::nfs_learner_status(self.ordinal), "COMPLETED")
-            })
-            .and_then(|_| {
-                self.mount
-                    .write_file(&paths::nfs_learner_exit(self.ordinal), "0")
-            });
+            .write_file(&self.files.throughput, format!("{throughput}"))
+            .and_then(|_| self.mount.write_file(&self.files.status, "COMPLETED"))
+            .and_then(|_| self.mount.write_file(&self.files.exit, "0"));
         match written {
             Ok(_) => {
                 self.ctx

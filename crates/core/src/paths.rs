@@ -73,6 +73,26 @@ pub fn etcd_throughput(job: &JobId) -> String {
     format!("jobs/{job}/throughput")
 }
 
+/// The job whose [`volume`] is named `name`, if it is one.
+pub fn volume_job(name: &str) -> Option<&str> {
+    name.strip_prefix("vol-")
+}
+
+/// The job whose [`network_policy`] is named `name`, if it is one.
+pub fn network_policy_job(name: &str) -> Option<&str> {
+    name.strip_prefix("netpol-")
+}
+
+/// etcd prefix under which every job's [`etcd_job_prefix`] lives.
+pub const ETCD_JOBS_PREFIX: &str = "jobs/";
+
+/// The job under whose [`etcd_job_prefix`] `key` lives, if any (job ids
+/// hold no `/`).
+pub fn etcd_key_job(key: &str) -> Option<&str> {
+    let (job, _) = key.strip_prefix(ETCD_JOBS_PREFIX)?.split_once('/')?;
+    Some(job)
+}
+
 /// What a key under [`etcd_job_prefix`] holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKey {
@@ -163,6 +183,37 @@ pub fn nfs_learner_throughput(ordinal: u32) -> String {
     format!("learner-{ordinal}/images-per-sec")
 }
 
+/// One learner's files on the job volume, formatted once: what a process
+/// that touches them every tick (the learner itself, the controller, the
+/// log collector) keeps for its lifetime instead of calling the
+/// `nfs_learner_*` functions per access.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LearnerFiles {
+    /// [`nfs_learner_status`].
+    pub status: String,
+    /// [`nfs_learner_exit`].
+    pub exit: String,
+    /// [`nfs_learner_restarts`].
+    pub restarts: String,
+    /// [`nfs_learner_log`].
+    pub log: String,
+    /// [`nfs_learner_throughput`].
+    pub throughput: String,
+}
+
+impl LearnerFiles {
+    /// The files of learner `ordinal`.
+    pub fn new(ordinal: u32) -> Self {
+        LearnerFiles {
+            status: nfs_learner_status(ordinal),
+            exit: nfs_learner_exit(ordinal),
+            restarts: nfs_learner_restarts(ordinal),
+            log: nfs_learner_log(ordinal),
+            throughput: nfs_learner_throughput(ordinal),
+        }
+    }
+}
+
 /// Object store: uploaded log for a learner (in the results bucket).
 pub fn obj_log(job: &JobId, ordinal: u32) -> String {
     format!("logs/{job}/learner-{ordinal}.log")
@@ -228,6 +279,30 @@ mod tests {
         assert_eq!(key(&etcd_job_prefix(&j)), None);
         assert_eq!(key(&etcd_store(&JobId::new("xy"))), None);
         assert_eq!(key("jobs/x/learners/abc"), None);
+    }
+
+    #[test]
+    fn resource_names_lead_back_to_their_job() {
+        let j = JobId::new("auto-17");
+        assert_eq!(volume_job(&volume(&j)), Some("auto-17"));
+        assert_eq!(network_policy_job(&network_policy(&j)), Some("auto-17"));
+        assert_eq!(etcd_key_job(&etcd_learner(&j, 2)), Some("auto-17"));
+        assert_eq!(etcd_key_job(&etcd_store(&j)), Some("auto-17"));
+        assert!(etcd_job_prefix(&j).starts_with(ETCD_JOBS_PREFIX));
+        assert_eq!(volume_job("scratch"), None);
+        assert_eq!(network_policy_job(&volume(&j)), None);
+        assert_eq!(etcd_key_job(&lcm_shard_owner(1)), None);
+        assert_eq!(
+            etcd_key_job("jobs/auto-17"),
+            None,
+            "not under the job's prefix"
+        );
+        let files = LearnerFiles::new(3);
+        assert_eq!(files.status, nfs_learner_status(3));
+        assert_eq!(files.exit, nfs_learner_exit(3));
+        assert_eq!(files.restarts, nfs_learner_restarts(3));
+        assert_eq!(files.log, nfs_learner_log(3));
+        assert_eq!(files.throughput, nfs_learner_throughput(3));
     }
 
     #[test]

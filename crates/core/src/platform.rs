@@ -360,6 +360,13 @@ impl DlaasPlatform {
             .find(JOBS, &Filter::True)
     }
 
+    /// Lends every job document currently in the store to `visit` with
+    /// its id, in id order, without collecting them — the invariant
+    /// checker's walk.
+    pub fn for_each_job_document(&self, visit: impl FnMut(&str, &Doc)) {
+        self.mongo.borrow().store().borrow().for_each(JOBS, visit);
+    }
+
     /// Every tenant document currently in the store (the invariant
     /// checker's fairness rule needs quotas and weights).
     pub fn tenant_documents(&self) -> Vec<Doc> {

@@ -287,16 +287,15 @@ impl MongoServer {
             MongoRequest::FindChanged { .. } => Some("find_changed"),
         };
         let me = self.clone();
-        // The op runs after the modelled disk delay, by when the caller
-        // may have dropped its request: keep a copy.
-        let req = req.clone();
+        // The op runs after the modelled disk delay, by when the borrow
+        // of the request has ended: the responder lends it again.
         sim.schedule_in(delay, move |sim| {
             if !*me.up.borrow() {
                 return; // crashed while the op was "on disk path"
             }
             let mut store = me.store.borrow_mut();
-            let resp = match req {
-                MongoRequest::InsertOne { coll, doc } => match store.insert(&coll, doc) {
+            let resp = match responder.request() {
+                MongoRequest::InsertOne { coll, doc } => match store.insert(coll, doc.clone()) {
                     Ok(id) => MongoResponse::Inserted { id },
                     Err(e) => {
                         drop(store);
@@ -305,32 +304,32 @@ impl MongoServer {
                     }
                 },
                 MongoRequest::FindOne { coll, filter } => {
-                    MongoResponse::Doc(store.find_one(&coll, &filter))
+                    MongoResponse::Doc(store.find_one(coll, filter))
                 }
                 MongoRequest::Find { coll, filter } => {
-                    MongoResponse::Docs(store.find(&coll, &filter))
+                    MongoResponse::Docs(store.find(coll, filter))
                 }
                 MongoRequest::UpdateOne {
                     coll,
                     filter,
                     update,
-                } => MongoResponse::Updated(store.update_one(&coll, &filter, &update) as usize),
+                } => MongoResponse::Updated(store.update_one(coll, filter, update) as usize),
                 MongoRequest::UpdateMany {
                     coll,
                     filter,
                     update,
-                } => MongoResponse::Updated(store.update_many(&coll, &filter, &update)),
+                } => MongoResponse::Updated(store.update_many(coll, filter, update)),
                 MongoRequest::DeleteOne { coll, filter } => {
-                    MongoResponse::Deleted(store.delete_one(&coll, &filter) as usize)
+                    MongoResponse::Deleted(store.delete_one(coll, filter) as usize)
                 }
                 MongoRequest::DeleteMany { coll, filter } => {
-                    MongoResponse::Deleted(store.delete_many(&coll, &filter))
+                    MongoResponse::Deleted(store.delete_many(coll, filter))
                 }
                 MongoRequest::Count { coll, filter } => {
-                    MongoResponse::Count(store.count(&coll, &filter))
+                    MongoResponse::Count(store.count(coll, filter))
                 }
                 MongoRequest::FindChanged { coll, since } => {
-                    let (docs, gone, high_water) = store.changed_since(&coll, since);
+                    let (docs, gone, high_water) = store.changed_since(coll, *since);
                     MongoResponse::Changed {
                         docs,
                         gone,
@@ -338,7 +337,7 @@ impl MongoServer {
                     }
                 }
                 MongoRequest::CreateIndex { coll, path } => {
-                    store.create_index(&coll, &path);
+                    store.create_index(coll, path);
                     MongoResponse::Ok
                 }
             };

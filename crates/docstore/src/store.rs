@@ -173,27 +173,29 @@ impl Collection {
         }
     }
 
-    /// Ids of candidate documents for `filter`, using the primary key or
-    /// an index when the filter pins one, otherwise all ids.
-    fn candidates(&self, filter: &Filter) -> Vec<String> {
+    /// Ids of candidate documents for `filter` when the primary key or an
+    /// index narrows it; `None` when every document is a candidate (the
+    /// caller then walks `docs` itself — no copy of every id).
+    fn candidates(&self, filter: &Filter) -> Option<Vec<String>> {
         // `_id` is the primary key: an exact pin needs no scan.
         if let Some(v) = filter.pinned_eq("_id") {
-            return match v.as_str() {
+            return Some(match v.as_str() {
                 Some(id) if self.docs.contains_key(id) => vec![id.to_owned()],
                 _ => Vec::new(),
-            };
+            });
         }
         for path in self.indexes.keys() {
             if let Some(v) = filter.pinned_eq(path) {
                 let idx = &self.indexes[path];
-                return idx
-                    .get(&Self::index_key(v))
-                    .map(|set| {
-                        let mut v: Vec<_> = set.iter().cloned().collect();
-                        v.sort();
-                        v
-                    })
-                    .unwrap_or_default();
+                return Some(
+                    idx.get(&Self::index_key(v))
+                        .map(|set| {
+                            let mut v: Vec<_> = set.iter().cloned().collect();
+                            v.sort();
+                            v
+                        })
+                        .unwrap_or_default(),
+                );
             }
         }
         // `In`-pinned filters union the posting lists of every listed
@@ -207,10 +209,44 @@ impl Collection {
                         ids.extend(set.iter().cloned());
                     }
                 }
-                return ids.into_iter().collect();
+                return Some(ids.into_iter().collect());
             }
         }
-        self.docs.keys().cloned().collect()
+        None
+    }
+
+    /// The candidate documents for `filter`, in id order, and how many
+    /// there are (the query's work count).
+    fn candidate_docs(&self, filter: &Filter) -> (u64, impl Iterator<Item = &Doc>) {
+        let ids = self.candidates(filter);
+        let examined = ids.as_ref().map_or(self.docs.len(), Vec::len) as u64;
+        let all = ids.is_none().then(|| self.docs.values());
+        let listed = ids
+            .into_iter()
+            .flatten()
+            .filter_map(|id| self.docs.get(&id));
+        (examined, all.into_iter().flatten().chain(listed))
+    }
+
+    /// Ids of the documents matching `filter`, in id order, and the
+    /// candidate count (for the mutations, which edit `docs` by id).
+    fn matching_ids(&self, filter: &Filter) -> (u64, Vec<String>) {
+        match self.candidates(filter) {
+            Some(ids) => (
+                ids.len() as u64,
+                ids.into_iter()
+                    .filter(|id| self.docs.get(id).is_some_and(|d| filter.matches(d)))
+                    .collect(),
+            ),
+            None => (
+                self.docs.len() as u64,
+                self.docs
+                    .iter()
+                    .filter(|(_, d)| filter.matches(d))
+                    .map(|(id, _)| id.clone())
+                    .collect(),
+            ),
+        }
     }
 }
 
@@ -383,14 +419,20 @@ impl DocStore {
             self.last_examined.set(0);
             return Vec::new();
         };
-        let cands = c.candidates(filter);
-        self.last_examined.set(cands.len() as u64);
-        cands
-            .into_iter()
-            .filter_map(|id| c.docs.get(&id))
-            .filter(|d| filter.matches(d))
-            .cloned()
-            .collect()
+        let (examined, cands) = c.candidate_docs(filter);
+        self.last_examined.set(examined);
+        cands.filter(|d| filter.matches(d)).cloned().collect()
+    }
+
+    /// Lends every `(id, document)` of `coll` to `visit`, in id order,
+    /// without collecting them (a periodic checker's walk over a
+    /// collection whose documents it mostly already knows).
+    pub fn for_each(&self, coll: &str, mut visit: impl FnMut(&str, &Doc)) {
+        let docs = self.collections.get(coll).map(|c| &c.docs);
+        self.last_examined.set(docs.map_or(0, BTreeMap::len) as u64);
+        for (id, doc) in docs.into_iter().flatten() {
+            visit(id, doc);
+        }
     }
 
     /// Like [`DocStore::find`], with sorting and a result cap. Documents
@@ -429,13 +471,9 @@ impl DocStore {
             self.last_examined.set(0);
             return None;
         };
-        let cands = c.candidates(filter);
-        self.last_examined.set(cands.len() as u64);
-        cands
-            .into_iter()
-            .filter_map(|id| c.docs.get(&id))
-            .find(|d| filter.matches(d))
-            .cloned()
+        let (examined, mut cands) = c.candidate_docs(filter);
+        self.last_examined.set(examined);
+        cands.find(|d| filter.matches(d)).cloned()
     }
 
     /// Candidate documents examined by the most recent `find*`, `count`,
@@ -467,12 +505,8 @@ impl DocStore {
             self.last_examined.set(0);
             return 0;
         };
-        let cands = c.candidates(filter);
-        self.last_examined.set(cands.len() as u64);
-        let ids: Vec<String> = cands
-            .into_iter()
-            .filter(|id| c.docs.get(id).is_some_and(|d| filter.matches(d)))
-            .collect();
+        let (examined, ids) = c.matching_ids(filter);
+        self.last_examined.set(examined);
         let mut n = 0;
         for id in ids {
             #[expect(
@@ -520,12 +554,8 @@ impl DocStore {
             self.last_examined.set(0);
             return 0;
         };
-        let cands = c.candidates(filter);
-        self.last_examined.set(cands.len() as u64);
-        let ids: Vec<String> = cands
-            .into_iter()
-            .filter(|id| c.docs.get(id).is_some_and(|d| filter.matches(d)))
-            .collect();
+        let (examined, ids) = c.matching_ids(filter);
+        self.last_examined.set(examined);
         let mut n = 0;
         for id in ids {
             #[expect(

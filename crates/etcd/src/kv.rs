@@ -241,6 +241,19 @@ impl KvState {
             .collect()
     }
 
+    /// The keys starting with `prefix`, in key order, borrowed — what a
+    /// reader that only asks *which* keys exist iterates instead of
+    /// copying keys and values out with [`KvState::get_prefix`].
+    pub fn keys_with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> {
+        self.map
+            .range::<str, _>((
+                std::ops::Bound::Included(prefix),
+                std::ops::Bound::Unbounded,
+            ))
+            .map(|(k, _)| k.as_str())
+            .take_while(move |k| k.starts_with(prefix))
+    }
+
     /// The lease record for `id`, if still live.
     pub fn lease(&self, id: LeaseId) -> Option<&LeaseRecord> {
         self.leases.get(&id)

@@ -355,6 +355,17 @@ impl Kube {
             .collect()
     }
 
+    /// Lends `(pod name, label value)` of every pod carrying the label
+    /// `key` to `visit`, in pod-name order — a periodic checker's view of
+    /// which pods exist for whom, without a copy of either.
+    pub fn for_each_pod_labelled(&self, key: &str, mut visit: impl FnMut(&str, &str)) {
+        for (name, pod) in &self.state.borrow().pods {
+            if let Some(value) = pod.spec.labels.get(key) {
+                visit(name, value);
+            }
+        }
+    }
+
     /// Labels of a pod.
     pub fn pod_labels(&self, name: &str) -> Option<Labels> {
         self.state
@@ -1307,6 +1318,14 @@ impl Kube {
         names.sort();
         names.dedup();
         names
+    }
+
+    /// Lends the name of every network policy to `visit`, in creation
+    /// order (a name installed twice is visited twice).
+    pub fn for_each_network_policy(&self, mut visit: impl FnMut(&str)) {
+        for policy in &self.state.borrow().policies {
+            visit(&policy.name);
+        }
     }
 
     /// Removes policies by name. Returns how many were removed.

@@ -65,6 +65,8 @@ pub struct Responder<Req: 'static, Resp: 'static> {
     id: u64,
     server: Addr,
     client: Addr,
+    /// The request being answered — the caller's own allocation.
+    req: Rc<Req>,
 }
 
 impl<Req, Resp> fmt::Debug for Responder<Req, Resp> {
@@ -77,6 +79,13 @@ impl<Req, Resp> fmt::Debug for Responder<Req, Resp> {
 }
 
 impl<Req: 'static, Resp: 'static> Responder<Req, Resp> {
+    /// The request this responder answers. A handler that replies after
+    /// further asynchronous work reads the request from here when it
+    /// resumes, instead of copying out of the borrow it was handed.
+    pub fn request(&self) -> &Req {
+        &self.req
+    }
+
     /// Sends a successful response.
     pub fn ok(self, sim: &mut Sim, resp: Resp) {
         self.finish(sim, Ok(resp));
@@ -192,9 +201,10 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
     }
 
     /// Registers a server handler at `addr`. The handler borrows each
-    /// request (a retrying caller still holds it; the handler copies
-    /// what it keeps) and receives a [`Responder`] it must eventually
-    /// consume. The address can simultaneously act as an RPC client.
+    /// request (a retrying caller still holds it) and receives a
+    /// [`Responder`] it must eventually consume; a handler that answers
+    /// later finds the request again in [`Responder::request`]. The
+    /// address can simultaneously act as an RPC client.
     pub fn serve(
         &self,
         addr: Addr,
@@ -245,6 +255,7 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
                                 id,
                                 server: my_addr.clone(),
                                 client: env.from,
+                                req: req.clone(),
                             };
                             handler(sim, &req, responder);
                         }

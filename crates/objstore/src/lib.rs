@@ -7,7 +7,9 @@
 //! **bind time** (credential/endpoint setup, part of the learner's slow
 //! restart in Fig. 4).
 //!
-//! * [`ObjectStore`] — buckets of objects with synthetic or textual bodies,
+//! * [`ObjectStore`] — buckets of objects with synthetic or textual bodies
+//!   (a textual body is a view of an append-only [`TextBuf`], so a growing
+//!   object is re-put without being re-copied),
 //! * asynchronous [`ObjectStore::put`] / [`ObjectStore::get`] whose
 //!   completion time is modelled on shared [`SharedLink`]s,
 //! * synchronous metadata ops (list, head, delete).
@@ -50,7 +52,7 @@
 )]
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -58,30 +60,132 @@ use std::rc::Rc;
 use dlaas_net::SharedLink;
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
+/// An append-only text buffer whose contents can be stored without being
+/// copied: [`TextBuf::body`] hands out an [`ObjectBody`] that *views* the
+/// text appended so far. Later appends extend the buffer in place; every
+/// view taken earlier still reads exactly its own prefix, because nothing
+/// can shrink or rewrite the buffer. This is how a writer that re-puts a
+/// growing object (the log collector — object stores have no append)
+/// pays for the new lines only, while the store charges the whole body.
+///
+/// # Examples
+///
+/// ```
+/// use dlaas_objstore::TextBuf;
+///
+/// let log = TextBuf::new();
+/// log.push_str("line 1");
+/// let first = log.body();
+/// log.push_str("\nline 2");
+/// assert_eq!(first.as_text().as_deref(), Some("line 1"));
+/// assert_eq!(log.body().size(), 13);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct TextBuf(Rc<RefCell<String>>);
+
+impl TextBuf {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Bytes appended so far.
+    pub fn len(&self) -> usize {
+        self.0.borrow().len()
+    }
+
+    /// `true` while nothing was appended.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Appends `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called while a [`ObjectBody::as_text`] borrow of a view
+    /// of this buffer is alive.
+    pub fn push_str(&self, s: &str) {
+        self.0.borrow_mut().push_str(s);
+    }
+
+    /// A body viewing everything appended so far (no copy).
+    pub fn body(&self) -> ObjectBody {
+        ObjectBody::Text(TextView {
+            buf: self.0.clone(),
+            len: self.len(),
+        })
+    }
+}
+
+/// A prefix of a [`TextBuf`]: the buffer and how much of it this view
+/// covers. Equality and `Debug` go by the text viewed.
+#[derive(Clone)]
+pub struct TextView {
+    buf: Rc<RefCell<String>>,
+    len: usize,
+}
+
+impl TextView {
+    fn text(&self) -> Ref<'_, str> {
+        Ref::map(self.buf.borrow(), |s| &s[..self.len])
+    }
+}
+
+impl PartialEq for TextView {
+    fn eq(&self, other: &Self) -> bool {
+        *self.text() == *other.text()
+    }
+}
+
+impl Eq for TextView {}
+
+impl fmt::Debug for TextView {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.text(), f)
+    }
+}
+
 /// Body of a stored object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObjectBody {
     /// A body we only track by size (training data, checkpoints).
     Synthetic(u64),
-    /// A body with real contents (logs, status files, small manifests).
-    Text(String),
+    /// A body with real contents (logs, status files, small manifests):
+    /// a view of a [`TextBuf`], or of a buffer of its own when built
+    /// [`From`] a string.
+    Text(TextView),
 }
 
 impl ObjectBody {
-    /// Size in bytes.
+    /// Size in bytes — what a transfer of this body is charged, however
+    /// little of it had to be copied to build it.
     pub fn size(&self) -> u64 {
         match self {
             ObjectBody::Synthetic(n) => *n,
-            ObjectBody::Text(s) => s.len() as u64,
+            ObjectBody::Text(v) => v.len as u64,
         }
     }
 
-    /// The text content, if this is a textual body.
-    pub fn as_text(&self) -> Option<&str> {
+    /// The text content, if this is a textual body. The borrow must end
+    /// before the [`TextBuf`] behind the body is appended to again.
+    pub fn as_text(&self) -> Option<Ref<'_, str>> {
         match self {
-            ObjectBody::Text(s) => Some(s),
+            ObjectBody::Text(v) => Some(v.text()),
             ObjectBody::Synthetic(_) => None,
         }
+    }
+}
+
+impl From<String> for ObjectBody {
+    fn from(text: String) -> Self {
+        TextBuf(Rc::new(RefCell::new(text))).body()
+    }
+}
+
+impl From<&str> for ObjectBody {
+    fn from(text: &str) -> Self {
+        text.to_owned().into()
     }
 }
 
@@ -324,7 +428,7 @@ impl ObjectStore {
             .get(key)?
             .body
             .as_text()
-            .map(str::to_owned)
+            .map(|text| text.to_owned())
     }
 
     /// Metadata-only lookup (no transfer): size and mtime.
@@ -391,7 +495,7 @@ mod tests {
             &mut sim,
             "logs",
             "job-1/learner-0.log",
-            ObjectBody::Text("line1\nline2\n".into()),
+            "line1\nline2\n".into(),
             None,
             |_, r| r.unwrap(),
         );
@@ -400,9 +504,60 @@ mod tests {
         store.get(&mut sim, "logs", "job-1/learner-0.log", None, cb);
         sim.run_until_idle();
         let obj = got.borrow().clone().unwrap().unwrap();
-        assert_eq!(obj.body.as_text(), Some("line1\nline2\n"));
+        assert_eq!(obj.body.as_text().as_deref(), Some("line1\nline2\n"));
         assert_eq!(store.stats().puts, 1);
         assert_eq!(store.stats().gets, 1);
+    }
+
+    #[test]
+    fn a_view_keeps_its_prefix_while_the_buffer_grows() {
+        let mut sim = Sim::new(1);
+        let store = ObjectStore::new(1e9);
+        store.create_bucket("logs");
+        let log = TextBuf::new();
+        log.push_str("iter=1");
+        let first = log.body();
+        store.put(&mut sim, "logs", "l", first.clone(), None, |_, r| {
+            r.unwrap();
+        });
+        // The writer appends while the put is in flight and after it.
+        log.push_str("\niter=2");
+        sim.run_until_idle();
+        log.push_str("\niter=3");
+        assert_eq!(first.as_text().as_deref(), Some("iter=1"));
+        assert_eq!(store.read_text("logs", "l").as_deref(), Some("iter=1"));
+        assert_eq!(first, ObjectBody::from("iter=1"));
+        assert_ne!(first, log.body());
+        assert_eq!(format!("{first:?}"), "Text(\"iter=1\")");
+        assert_eq!(log.len(), 20);
+    }
+
+    #[test]
+    fn a_view_is_charged_the_whole_body() {
+        // Object stores have no append: re-putting a grown log transfers
+        // all of it, however little the writer had to copy.
+        let mut sim = Sim::new(1);
+        let store = ObjectStore::new(1_000.0); // 1 KB/s
+        store.create_bucket("logs");
+        let log = TextBuf::new();
+        log.push_str(&"x".repeat(1_000));
+        store.put(&mut sim, "logs", "l", log.body(), None, |_, r| r.unwrap());
+        sim.run_until_idle();
+        let first_done = sim.now().as_secs_f64();
+        assert!((0.9..1.2).contains(&first_done), "{first_done}s");
+        log.push_str(&"y".repeat(1_000));
+        let body = log.body();
+        assert_eq!(body.size(), 2_000);
+        store.put(&mut sim, "logs", "l", body, None, |_, r| r.unwrap());
+        sim.run_until_idle();
+        let second = sim.now().as_secs_f64() - first_done;
+        assert!(
+            (1.9..2.2).contains(&second),
+            "2 KB at 1 KB/s took {second}s"
+        );
+        assert_eq!(store.stats().puts, 2);
+        assert_eq!(store.stats().bytes_in, 3_000);
+        assert_eq!(store.head("logs", "l").unwrap().0, 2_000);
     }
 
     #[test]

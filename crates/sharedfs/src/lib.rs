@@ -30,6 +30,14 @@
 //! let helper = nfs.mount(&vol)?;
 //! assert_eq!(helper.read_file("learner-0/exit-status")?, "0");
 //! assert_eq!(helper.read_lines_from("learner-0/train.log", 0)?.len(), 1);
+//!
+//! // A poller need not re-read what cannot have changed: every write
+//! // through any mount moves the volume's generation, nothing else does.
+//! let seen = helper.generation()?;
+//! assert_eq!(helper.read("learner-0/exit-status", |s| s == "0")?, Some(true));
+//! assert_eq!(helper.generation()?, seen);
+//! learner.append_line("learner-0/train.log", "iter 200 loss 2.1")?;
+//! assert_ne!(helper.generation()?, seen);
 //! # Ok::<(), dlaas_sharedfs::NfsError>(())
 //! ```
 
@@ -105,12 +113,28 @@ pub struct NfsStats {
 #[derive(Debug, Default)]
 struct Volume {
     files: BTreeMap<String, Vec<String>>,
+    /// Reading of the server's write clock at this volume's latest
+    /// change (see [`Mount::generation`]).
+    generation: u64,
+}
+
+impl Volume {
+    /// Notes a change: ticks the server's write clock and takes the new
+    /// reading as this volume's generation.
+    fn touch(&mut self, write_clock: &mut u64) {
+        *write_clock += 1;
+        self.generation = *write_clock;
+    }
 }
 
 #[derive(Debug, Default)]
 struct ServerState {
     volumes: BTreeMap<String, Volume>,
     stats: NfsStats,
+    /// Ticks once per change to any volume. One clock for the whole
+    /// server, so a volume deleted and provisioned again under its old
+    /// name can never repeat a generation a reader remembers.
+    write_clock: u64,
     /// An outage window: data-plane operations (mount, file I/O) fail with
     /// [`NfsError::Unavailable`] while set. Control-plane operations
     /// (create/delete/find volumes) still work — they go through the K8s
@@ -134,11 +158,17 @@ impl NfsServer {
     /// persistent volume claim.
     pub fn create_volume(&self, name: impl Into<String>) -> VolumeId {
         let name = name.into();
-        self.state
-            .borrow_mut()
-            .volumes
-            .entry(name.clone())
-            .or_default();
+        let mut s = self.state.borrow_mut();
+        let ServerState {
+            volumes,
+            write_clock,
+            ..
+        } = &mut *s;
+        volumes.entry(name.clone()).or_insert_with(|| {
+            let mut vol = Volume::default();
+            vol.touch(write_clock);
+            vol
+        });
         VolumeId(name)
     }
 
@@ -171,6 +201,14 @@ impl NfsServer {
     /// Names of all volumes (diagnostics).
     pub fn volume_names(&self) -> Vec<String> {
         self.state.borrow().volumes.keys().cloned().collect()
+    }
+
+    /// Visits the name of every volume, in order, without copying any
+    /// (a periodic checker's view of what is provisioned).
+    pub fn for_each_volume(&self, mut visit: impl FnMut(&str)) {
+        for name in self.state.borrow().volumes.keys() {
+            visit(name);
+        }
     }
 
     /// Mounts a volume, returning a handle for file operations.
@@ -223,19 +261,43 @@ impl Mount {
         &self.volume
     }
 
+    /// Runs `f` on the mounted volume with the server's I/O counters and
+    /// its write clock (for [`Volume::touch`]).
     fn with_volume<T>(
         &self,
-        f: impl FnOnce(&mut Volume, &mut NfsStats) -> Result<T, NfsError>,
+        f: impl FnOnce(&mut Volume, &mut NfsStats, &mut u64) -> Result<T, NfsError>,
     ) -> Result<T, NfsError> {
         let mut s = self.server.state.borrow_mut();
         if s.unavailable {
             return Err(NfsError::Unavailable);
         }
-        let ServerState { volumes, stats, .. } = &mut *s;
+        let ServerState {
+            volumes,
+            stats,
+            write_clock,
+            ..
+        } = &mut *s;
         let vol = volumes
             .get_mut(&self.volume.0)
             .ok_or_else(|| NfsError::NoSuchVolume(self.volume.0.clone()))?;
-        f(vol, stats)
+        f(vol, stats, write_clock)
+    }
+
+    /// The volume's write generation: a number that changes with every
+    /// successful [`append_line`](Mount::append_line),
+    /// [`write_file`](Mount::write_file) or effective
+    /// [`remove`](Mount::remove) through *any* mount of the volume, and
+    /// with nothing else. A poller that remembers the generation of its
+    /// last complete read knows, when it is unchanged, that re-reading
+    /// would show the same bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`NfsError::Unavailable`] during an outage window and
+    /// [`NfsError::NoSuchVolume`] on a stale mount: an unreadable
+    /// generation says nothing about the volume either way.
+    pub fn generation(&self) -> Result<u64, NfsError> {
+        self.with_volume(|vol, _, _| Ok(vol.generation))
     }
 
     /// Appends one line to a file, creating it if needed.
@@ -245,10 +307,16 @@ impl Mount {
     /// [`NfsError::NoSuchVolume`] on a stale mount.
     pub fn append_line(&self, path: &str, line: impl Into<String>) -> Result<(), NfsError> {
         let line = line.into();
-        self.with_volume(|vol, stats| {
+        self.with_volume(|vol, stats, clock| {
             stats.writes += 1;
             stats.bytes_written += line.len() as u64 + 1;
-            vol.files.entry(path.to_owned()).or_default().push(line);
+            vol.touch(clock);
+            match vol.files.get_mut(path) {
+                Some(lines) => lines.push(line),
+                None => {
+                    vol.files.insert(path.to_owned(), vec![line]);
+                }
+            }
             Ok(())
         })
     }
@@ -261,11 +329,40 @@ impl Mount {
     /// [`NfsError::NoSuchVolume`] on a stale mount.
     pub fn write_file(&self, path: &str, contents: impl Into<String>) -> Result<(), NfsError> {
         let contents = contents.into();
-        self.with_volume(|vol, stats| {
+        self.with_volume(|vol, stats, clock| {
             stats.writes += 1;
             stats.bytes_written += contents.len() as u64;
-            vol.files.insert(path.to_owned(), vec![contents]);
+            vol.touch(clock);
+            match vol.files.get_mut(path) {
+                Some(lines) => {
+                    lines.clear();
+                    lines.push(contents);
+                }
+                None => {
+                    vol.files.insert(path.to_owned(), vec![contents]);
+                }
+            }
             Ok(())
+        })
+    }
+
+    /// Lends a single-string file's contents (its first line) to `read`,
+    /// or returns `Ok(None)` when the file is absent — an absent file is
+    /// an answer, an unreachable volume is not.
+    ///
+    /// # Errors
+    ///
+    /// [`NfsError::Unavailable`] during an outage window;
+    /// [`NfsError::NoSuchVolume`] on a stale mount.
+    pub fn read<T>(&self, path: &str, read: impl FnOnce(&str) -> T) -> Result<Option<T>, NfsError> {
+        self.with_volume(|vol, stats, _| {
+            let Some(f) = vol.files.get(path) else {
+                return Ok(None);
+            };
+            stats.reads += 1;
+            let contents = f.first().map_or("", String::as_str);
+            stats.bytes_read += contents.len() as u64;
+            Ok(Some(read(contents)))
         })
     }
 
@@ -276,15 +373,36 @@ impl Mount {
     /// [`NfsError::NoSuchFile`] if absent; [`NfsError::NoSuchVolume`] on a
     /// stale mount.
     pub fn read_file(&self, path: &str) -> Result<String, NfsError> {
-        self.with_volume(|vol, stats| {
+        self.read(path, str::to_owned)?
+            .ok_or_else(|| NfsError::NoSuchFile(path.to_owned()))
+    }
+
+    /// Lends each line from `offset` on to `visit`, in order (log
+    /// tailing without a copy of the tail). Returns how many lines there
+    /// were — zero when the file exists but has nothing new.
+    ///
+    /// # Errors
+    ///
+    /// [`NfsError::NoSuchFile`] if absent; [`NfsError::NoSuchVolume`] on a
+    /// stale mount.
+    pub fn for_each_line_from(
+        &self,
+        path: &str,
+        offset: usize,
+        mut visit: impl FnMut(&str),
+    ) -> Result<usize, NfsError> {
+        self.with_volume(|vol, stats, _| {
             let f = vol
                 .files
                 .get(path)
                 .ok_or_else(|| NfsError::NoSuchFile(path.to_owned()))?;
             stats.reads += 1;
-            let contents = f.first().cloned().unwrap_or_default();
-            stats.bytes_read += contents.len() as u64;
-            Ok(contents)
+            let tail = f.get(offset..).unwrap_or_default();
+            for line in tail {
+                stats.bytes_read += line.len() as u64 + 1;
+                visit(line);
+            }
+            Ok(tail.len())
         })
     }
 
@@ -296,39 +414,38 @@ impl Mount {
     /// [`NfsError::NoSuchFile`] if absent; [`NfsError::NoSuchVolume`] on a
     /// stale mount.
     pub fn read_lines_from(&self, path: &str, offset: usize) -> Result<Vec<String>, NfsError> {
-        self.with_volume(|vol, stats| {
-            let f = vol
-                .files
-                .get(path)
-                .ok_or_else(|| NfsError::NoSuchFile(path.to_owned()))?;
-            stats.reads += 1;
-            let lines: Vec<String> = f.iter().skip(offset).cloned().collect();
-            stats.bytes_read += lines.iter().map(|l| l.len() as u64 + 1).sum::<u64>();
-            Ok(lines)
-        })
+        let mut lines = Vec::new();
+        self.for_each_line_from(path, offset, |line| lines.push(line.to_owned()))?;
+        Ok(lines)
     }
 
     /// Number of lines currently in a file (0 if absent).
     pub fn line_count(&self, path: &str) -> usize {
-        self.with_volume(|vol, _| Ok(vol.files.get(path).map_or(0, std::vec::Vec::len)))
+        self.with_volume(|vol, _, _| Ok(vol.files.get(path).map_or(0, std::vec::Vec::len)))
             .unwrap_or(0)
     }
 
     /// `true` if the file exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.with_volume(|vol, _| Ok(vol.files.contains_key(path)))
+        self.with_volume(|vol, _, _| Ok(vol.files.contains_key(path)))
             .unwrap_or(false)
     }
 
     /// Removes a file. Returns `true` if it existed.
     pub fn remove(&self, path: &str) -> bool {
-        self.with_volume(|vol, _| Ok(vol.files.remove(path).is_some()))
-            .unwrap_or(false)
+        self.with_volume(|vol, _, clock| {
+            let existed = vol.files.remove(path).is_some();
+            if existed {
+                vol.touch(clock);
+            }
+            Ok(existed)
+        })
+        .unwrap_or(false)
     }
 
     /// Paths under `prefix`, in order (directory listing).
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.with_volume(|vol, _| {
+        self.with_volume(|vol, _, _| {
             Ok(vol
                 .files
                 .range(prefix.to_owned()..)
@@ -475,6 +592,106 @@ mod tests {
         nfs.set_available(true);
         assert!(nfs.is_available());
         assert_eq!(m.read_file("f").unwrap(), "before");
+    }
+
+    #[test]
+    fn generation_moves_with_every_change_through_any_mount() {
+        let nfs = NfsServer::new();
+        let vol = nfs.create_volume("job");
+        let learner = nfs.mount(&vol).unwrap();
+        let controller = nfs.mount(&vol).unwrap();
+        let mut seen = controller.generation().unwrap();
+        let mut moved = |what: &str| {
+            let now = controller.generation().unwrap();
+            assert!(now > seen, "{what} must move the generation");
+            seen = now;
+        };
+        learner.append_line("log", "a").unwrap();
+        moved("append_line");
+        learner.write_file("status", "PROCESSING").unwrap();
+        moved("write_file creating a file");
+        learner.write_file("status", "PROCESSING").unwrap();
+        moved("write_file of the same bytes");
+        controller.write_file("go", "go").unwrap();
+        moved("a write through the reader's own mount");
+        assert!(learner.remove("status"));
+        moved("remove");
+        assert_eq!(learner.generation(), Ok(seen), "one volume, one counter");
+    }
+
+    #[test]
+    fn generation_ignores_reads_misses_and_other_volumes() {
+        let nfs = NfsServer::new();
+        let vol = nfs.create_volume("job");
+        let m = nfs.mount(&vol).unwrap();
+        m.append_line("log", "a").unwrap();
+        m.write_file("status", "x").unwrap();
+        let before = m.generation().unwrap();
+        assert_eq!(m.read("status", str::len), Ok(Some(1)));
+        assert_eq!(m.read("ghost", str::len), Ok(None));
+        assert_eq!(m.read_file("status").unwrap(), "x");
+        assert_eq!(m.for_each_line_from("log", 0, |_| {}), Ok(1));
+        assert_eq!(m.read_lines_from("log", 1).unwrap(), Vec::<String>::new());
+        assert_eq!(m.line_count("log"), 1);
+        assert!(m.exists("log"));
+        assert_eq!(m.list("").len(), 2);
+        assert!(!m.remove("ghost"), "removing nothing changes nothing");
+        let other = nfs.create_volume("other");
+        nfs.mount(&other).unwrap().write_file("f", "x").unwrap();
+        nfs.create_volume("job"); // idempotent: not a change
+        assert_eq!(m.generation(), Ok(before));
+    }
+
+    #[test]
+    fn generation_is_unreadable_when_the_volume_is() {
+        let nfs = NfsServer::new();
+        let vol = nfs.create_volume("job");
+        let m = nfs.mount(&vol).unwrap();
+        m.write_file("f", "x").unwrap();
+        let before = m.generation().unwrap();
+
+        nfs.set_available(false);
+        assert_eq!(m.generation(), Err(NfsError::Unavailable));
+        assert_eq!(m.read("f", str::len), Err(NfsError::Unavailable));
+        assert_eq!(m.write_file("f", "y"), Err(NfsError::Unavailable));
+        nfs.set_available(true);
+        assert_eq!(m.generation(), Ok(before), "a refused write is no change");
+
+        // A volume provisioned again under its old name is another
+        // volume: a reader of the first must not take it for unchanged.
+        nfs.delete_volume(&vol);
+        assert_eq!(m.generation(), Err(NfsError::NoSuchVolume("job".into())));
+        nfs.create_volume("job");
+        assert!(m.generation().unwrap() > before);
+    }
+
+    #[test]
+    fn lending_reads_count_like_copying_ones() {
+        let nfs = NfsServer::new();
+        let vol = nfs.create_volume("v");
+        let m = nfs.mount(&vol).unwrap();
+        m.append_line("log", "12345").unwrap();
+        m.append_line("log", "678").unwrap();
+        m.write_file("exit", "0").unwrap();
+        let mut seen = Vec::new();
+        let n = m
+            .for_each_line_from("log", 1, |l| seen.push(l.to_owned()))
+            .unwrap();
+        assert_eq!((n, seen), (1, vec!["678".to_owned()]));
+        assert_eq!(m.for_each_line_from("log", 9, |_| {}), Ok(0));
+        assert_eq!(m.read("exit", |s| s == "0"), Ok(Some(true)));
+        assert_eq!(m.read("nope", |s| s == "0"), Ok(None));
+        assert_eq!(
+            m.for_each_line_from("nope", 0, |_| {}),
+            Err(NfsError::NoSuchFile("nope".into()))
+        );
+        let st = nfs.stats();
+        // Two tail reads (4 bytes, then none) and one file read (1 byte);
+        // a miss is not a read.
+        assert_eq!((st.reads, st.bytes_read), (3, 5));
+        let mut names = Vec::new();
+        nfs.for_each_volume(|v| names.push(v.to_owned()));
+        assert_eq!(names, nfs.volume_names());
     }
 
     #[test]

@@ -35,7 +35,35 @@ use crate::{SimDuration, SimRng, SimTime, Trace};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
-type EventFn = Box<dyn FnOnce(&mut Sim)>;
+/// A scheduled closure and, under the `site-profile` feature, the call
+/// site that scheduled it: the closure's type name, which the compiler
+/// already knows at every `schedule_*` / `every` / `defer` call.
+struct EventFn {
+    run: Box<dyn FnOnce(&mut Sim)>,
+    #[cfg(feature = "site-profile")]
+    site: &'static str,
+}
+
+impl EventFn {
+    fn new<F: FnOnce(&mut Sim) + 'static>(f: F) -> Self {
+        EventFn {
+            run: Box::new(f),
+            #[cfg(feature = "site-profile")]
+            site: std::any::type_name::<F>(),
+        }
+    }
+}
+
+/// What one scheduling call site cost so far (`site-profile` feature).
+#[cfg(feature = "site-profile")]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SiteCost {
+    /// Events executed. Deterministic for a given seed.
+    pub events: u64,
+    /// Host seconds spent inside their closures. Wall-clock: report it,
+    /// never fold it into anything byte-compared.
+    pub host_secs: f64,
+}
 
 struct Scheduled {
     at: SimTime,
@@ -332,6 +360,9 @@ pub struct Sim {
     trace: Trace,
     metrics: Registry,
     executed: u64,
+    /// Per-site costs, once [`Sim::profile_sites`] switched them on.
+    #[cfg(feature = "site-profile")]
+    sites: Option<BTreeMap<&'static str, SiteCost>>,
 }
 
 impl std::fmt::Debug for Sim {
@@ -361,6 +392,49 @@ impl Sim {
             trace: Trace::new(),
             metrics: Registry::new(),
             executed: 0,
+            #[cfg(feature = "site-profile")]
+            sites: None,
+        }
+    }
+
+    /// Starts attributing every executed event, and the host time its
+    /// closure takes, to the call site that scheduled it — the type name
+    /// of the closure handed to `schedule_at` / `schedule_in` / `defer`
+    /// (for [`every`], the timer's closure inside `kernel::tick<..>`).
+    /// Nothing simulated changes; events cost a stopwatch read more.
+    #[cfg(feature = "site-profile")]
+    pub fn profile_sites(&mut self) {
+        self.sites.get_or_insert_with(BTreeMap::new);
+    }
+
+    /// Cost per call site since [`Sim::profile_sites`], by site name
+    /// (empty if profiling was never switched on).
+    #[cfg(feature = "site-profile")]
+    pub fn site_costs(&self) -> Vec<(&'static str, SiteCost)> {
+        self.sites
+            .iter()
+            .flatten()
+            .map(|(site, cost)| (*site, *cost))
+            .collect()
+    }
+
+    #[cfg(not(feature = "site-profile"))]
+    fn fire(&mut self, ev: EventFn) {
+        (ev.run)(self);
+    }
+
+    #[cfg(feature = "site-profile")]
+    fn fire(&mut self, ev: EventFn) {
+        if self.sites.is_none() {
+            return (ev.run)(self);
+        }
+        let stopwatch = dlaas_obs::wallclock::WallTimer::start();
+        (ev.run)(self);
+        let host_secs = stopwatch.elapsed_secs();
+        if let Some(sites) = &mut self.sites {
+            let cost = sites.entry(ev.site).or_default();
+            cost.events += 1;
+            cost.host_secs += host_secs;
         }
     }
 
@@ -434,7 +508,7 @@ impl Sim {
                 at,
                 seq: self.seq,
                 id,
-                run: Box::new(f),
+                run: EventFn::new(f),
             },
         );
         id
@@ -475,7 +549,7 @@ impl Sim {
             debug_assert!(ev.at >= self.now);
             self.now = ev.at;
             self.executed += 1;
-            (ev.run)(self);
+            self.fire(ev.run);
             return true;
         }
         false
@@ -882,6 +956,39 @@ mod tests {
         assert_eq!(sim.peek_time(), Some(SimTime::from_secs(3600)));
         sim.cancel(far);
         assert_eq!(sim.peek_time(), Some(SimTime::from_secs(3 * 3600)));
+    }
+
+    #[cfg(feature = "site-profile")]
+    #[test]
+    fn site_profile_attributes_events_to_the_closure_that_scheduled_them() {
+        fn ping(sim: &mut Sim, left: u32) {
+            if left > 0 {
+                sim.schedule_in(SimDuration::from_secs(1), move |sim| ping(sim, left - 1));
+            }
+        }
+        let mut sim = Sim::new(1);
+        sim.defer(|_| {});
+        sim.run_until_idle();
+        assert!(sim.site_costs().is_empty(), "off until switched on");
+
+        sim.profile_sites();
+        ping(&mut sim, 3);
+        every(&mut sim, SimDuration::from_secs(1), |_, n| n < 5);
+        sim.defer(|_| {});
+        sim.run_until_idle();
+        let costs = sim.site_costs();
+        let events_of = |what: &str| -> Vec<u64> {
+            costs
+                .iter()
+                .filter(|(site, _)| site.contains(what))
+                .map(|(_, c)| c.events)
+                .collect()
+        };
+        assert_eq!(events_of("ping"), [3]);
+        assert_eq!(events_of("kernel::tick<"), [5], "a timer is one site");
+        let total: u64 = costs.iter().map(|(_, c)| c.events).sum();
+        assert_eq!(total, 9, "every executed event is attributed: {costs:?}");
+        assert!(costs.iter().all(|(_, c)| c.host_secs >= 0.0));
     }
 
     #[test]

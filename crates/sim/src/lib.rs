@@ -48,6 +48,8 @@ mod rng;
 mod time;
 mod trace;
 
+#[cfg(feature = "site-profile")]
+pub use kernel::SiteCost;
 pub use kernel::{every, EventId, Sim, TimerHandle};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -11,7 +11,11 @@
 //! * bytes per running job-second (the status path, the mirror, the log
 //!   collector),
 //! * bytes one invariant pass allocates over a few hundred terminal jobs,
-//!   which must not depend on how large the job documents are.
+//!   which must not depend on how large the job documents are — nor, for
+//!   a checker that saw them before, on how many there are,
+//! * what single periodic events allocate: a log flush (nothing that
+//!   grows with the log) and a controller tick that finds the volume
+//!   unchanged (nothing but its timer's next tick).
 //!
 //! Every figure is deterministic. Budgets are 1.25 × the measured value;
 //! a breach names what started copying again.
@@ -19,10 +23,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dlaas_core::{check_invariants, config, DlaasPlatform, JobStatus, JOBS};
+use dlaas_core::{
+    check_invariants, config, DlaasPlatform, InvariantBounds, InvariantMonitor, JobId, JobStatus,
+    JOBS,
+};
 use dlaas_docstore::obj;
 use dlaas_integration::{boot, manifest, submit_blocking, KEY};
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::{Sim, SimDuration, SimTime};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -65,6 +72,35 @@ fn counted<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
     let before = (ALLOCS.get(), BYTES.get());
     let r = f();
     (ALLOCS.get() - before.0, BYTES.get() - before.1, r)
+}
+
+/// What one kernel event did: allocations, bytes allocated, NFS reads.
+struct StepCost {
+    allocs: u64,
+    bytes: u64,
+    nfs_reads: u64,
+}
+
+/// Runs the next event alone under the counters.
+fn step(sim: &mut Sim, platform: &DlaasPlatform) -> StepCost {
+    let reads = platform.nfs().stats().reads;
+    let (allocs, bytes, ran) = counted(|| sim.step());
+    assert!(ran, "the simulation ran dry");
+    StepCost {
+        allocs,
+        bytes,
+        nfs_reads: platform.nfs().stats().reads - reads,
+    }
+}
+
+/// Starts a single-learner job and returns once it is training.
+fn start_training(sim: &mut Sim, platform: &DlaasPlatform, name: &str, iters: u64) -> JobId {
+    let client = platform.client("itest", KEY);
+    let job = submit_blocking(sim, &client, manifest(name, iters));
+    let started =
+        platform.wait_for_status(sim, &job, JobStatus::Processing, SimDuration::from_mins(30));
+    assert_eq!(started, Some(JobStatus::Processing), "{job} never started");
+    job
 }
 
 #[test]
@@ -110,13 +146,108 @@ fn a_training_job_allocates_in_proportion_to_what_it_reports() {
     });
     assert_eq!(platform.job_status(&job), Some(JobStatus::Processing));
     let per_second = bytes as f64 / window.as_secs_f64();
-    // Idle floor included. Measured 18 957 bytes per job-second, most of
-    // it the log collector re-sending the whole log object each flush;
-    // with a status put per learner report and per-message copies 27 468.
+    // Idle floor included. Measured 15 031 bytes per job-second; with the
+    // log collector copying the whole log object each flush 18 957, with
+    // a status put per learner report and per-message copies 27 468.
     assert!(
-        per_second <= 23_700.0,
+        per_second <= 18_790.0,
         "{per_second:.0} bytes allocated per running job-second"
     );
+}
+
+#[test]
+fn a_log_flush_allocates_for_its_new_lines_not_for_the_log() {
+    let (mut sim, platform) = boot(1504);
+    // ~0.7 iterations and half a log line a second: training outlasts
+    // the 1 000 lines this test waits for.
+    let job = start_training(&mut sim, &platform, "flush-cost", 5_000);
+
+    // While a single learner trains, the one event that performs exactly
+    // one NFS read is a collector flush that found new lines (the
+    // controller's reading tick performs two). The median of five
+    // flushes: the text buffer's occasional doubling is not the point.
+    let flush_bytes = |sim: &mut Sim| {
+        let mut costs: Vec<u64> = Vec::new();
+        while costs.len() < 5 {
+            let cost = step(sim, &platform);
+            if cost.nfs_reads == 1 {
+                costs.push(cost.bytes);
+            }
+        }
+        costs.sort_unstable();
+        costs[2]
+    };
+    sim.run_for(SimDuration::from_secs(20));
+    let early = flush_bytes(&mut sim);
+    sim.run_for(SimDuration::from_secs(2_000));
+    let late = flush_bytes(&mut sim);
+    assert_eq!(platform.job_status(&job), Some(JobStatus::Processing));
+    let lines = platform
+        .objstore()
+        .read_text("itest-results", &dlaas_core::paths::obj_log(&job, 0))
+        .expect("log object")
+        .lines()
+        .count();
+    assert!(lines >= 1_000, "only {lines} lines shipped");
+    // Measured 278 bytes either way (bucket, key, the put's closure and
+    // the object record); a flush that copies the body allocated 1 147
+    // bytes with ten lines shipped and 46.6 kB with a thousand.
+    assert!(
+        late <= early + early / 4,
+        "a flush allocated {early} bytes early on and {late} bytes {lines} lines in: \
+         it copies the log"
+    );
+    assert!(late <= 348, "{late} bytes per log flush");
+}
+
+#[test]
+fn a_controller_tick_on_an_unchanged_volume_reads_and_allocates_nothing() {
+    let (mut sim, platform) = boot(1505);
+    let job = start_training(&mut sim, &platform, "tick-cost", 2_000);
+    sim.run_for(SimDuration::from_secs(30));
+
+    // The learner writes every two seconds, the controller polls every
+    // second: of any two consecutive ticks one finds the volume as the
+    // other left it. A tick that does read is the one event performing
+    // two NFS reads (restart counter and status); the pair wanted is
+    // such a tick and its successor with no write in between.
+    let next_tick: SimTime = loop {
+        if step(&mut sim, &platform).nfs_reads != 2 {
+            continue;
+        }
+        let next_tick = sim.now() + config::CONTROLLER_POLL;
+        let writes = platform.nfs().stats().writes;
+        sim.run_until(next_tick - SimDuration::from_micros(1));
+        if platform.nfs().stats().writes == writes {
+            break next_tick;
+        }
+    };
+    // The helper pod's containers start together, so the controller's
+    // tick shares its instant with store-results' poll and, every other
+    // second, with the collector's flush (the one NFS read allowed
+    // here). Each of the others re-arms its timer and does nothing else.
+    let mut quiet_ticks = 0;
+    while sim.peek_time() == Some(next_tick) {
+        let cost = step(&mut sim, &platform);
+        if cost.nfs_reads == 1 {
+            continue;
+        }
+        assert_eq!(
+            cost.nfs_reads, 0,
+            "NFS reads by a controller tick on an unchanged volume"
+        );
+        // Measured 1 allocation, 320 bytes: the timer's next tick, which
+        // owns the controller's state. A tick that re-reads makes 8.
+        assert!(
+            cost.allocs <= 1 && cost.bytes <= 512,
+            "a tick on an unchanged volume made {} allocations, {} bytes",
+            cost.allocs,
+            cost.bytes
+        );
+        quiet_ticks += 1;
+    }
+    assert!(quiet_ticks >= 2, "the controller ticks at {next_tick:?}");
+    assert_eq!(platform.job_status(&job), Some(JobStatus::Processing));
 }
 
 /// Inserts `n` long-terminal job documents, each padded with `padding`
@@ -169,9 +300,44 @@ fn an_invariant_pass_does_not_copy_the_documents_it_checks() {
         "a pass over {JOBS_CHECKED} jobs allocated {small} bytes with 64-byte manifests \
          and {large} with 16 KiB ones: it copies the documents"
     );
-    // Measured 690 bytes per job (ids, label selectors and key prefixes
-    // of the leak checks); a pass that clones each document and the etcd
-    // store allocated 4.9 KiB per job on the small ones.
+    // Measured 252 bytes per job: the summary a checker that has seen
+    // nothing yet builds of each document. Four resource scans per
+    // finished job (ids, label selectors, key prefixes) made it 690; a
+    // pass that clones each document and the etcd store 4.9 KiB.
     let per_job = small as f64 / JOBS_CHECKED as f64;
-    assert!(per_job <= 863.0, "{per_job:.0} bytes per job checked");
+    assert!(per_job <= 315.0, "{per_job:.0} bytes per job checked");
+}
+
+#[test]
+fn a_warm_invariant_pass_costs_the_same_for_50_and_500_finished_jobs() {
+    let period = SimDuration::from_secs(60);
+    let pass_cost = |jobs: usize| {
+        let (mut sim, platform) = boot(1506);
+        seed_terminal_jobs(&mut sim, &platform, jobs, 64);
+        // Past the GC grace period, so every job takes the leak checks.
+        sim.run_for(config::LCM_SCAN * 4);
+        let bounds = InvariantBounds::from_config(&platform.handles().config);
+        let installed = sim.now();
+        let monitor = InvariantMonitor::install_with(&mut sim, &platform, period, bounds);
+        // The first pass meets every document; the third is measured.
+        let third = installed + period * 3;
+        sim.run_until(third - SimDuration::from_micros(1));
+        let (mut allocs, mut bytes) = (0, 0);
+        while sim.peek_time() == Some(third) {
+            let cost = step(&mut sim, &platform);
+            allocs += cost.allocs;
+            bytes += cost.bytes;
+        }
+        assert_eq!(monitor.violations_seen(), 0);
+        (allocs, bytes)
+    };
+    let (allocs_50, bytes_50) = pass_cost(50);
+    let (allocs_500, bytes_500) = pass_cost(500);
+    // Measured 11 allocations and 1 300 bytes at both sizes; a pass that
+    // re-derives everything made 620 / 36.9 kB and 6 020 / 343 kB.
+    assert!(
+        allocs_500 <= allocs_50 + 4 && bytes_500 <= bytes_50 + 512,
+        "a pass over 50 finished jobs made {allocs_50} allocations ({bytes_50} bytes), \
+         over 500 {allocs_500} ({bytes_500} bytes): it re-derives what did not change"
+    );
 }

@@ -21,9 +21,9 @@ use dlaas_sim::{Sim, SimDuration};
 const WINDOW: SimDuration = SimDuration::from_mins(10);
 
 /// Cumulative work counters of the layers a running job touches: kernel
-/// events, linearizable etcd reads, etcd proposals, docstore operations
-/// and Raft messages.
-fn work(sim: &Sim, platform: &DlaasPlatform) -> [u64; 5] {
+/// events, linearizable etcd reads, etcd proposals, docstore operations,
+/// Raft messages and NFS reads.
+fn work(sim: &Sim, platform: &DlaasPlatform) -> [u64; 6] {
     let m = platform.metrics();
     [
         sim.events_executed(),
@@ -32,6 +32,7 @@ fn work(sim: &Sim, platform: &DlaasPlatform) -> [u64; 5] {
         m.histogram_merged(metrics::MONGO_DOCS_EXAMINED)
             .map_or(0, |h| h.count()),
         platform.etcd().raft().net().stats().sent,
+        platform.nfs().stats().reads,
     ]
 }
 
@@ -61,7 +62,7 @@ fn a_training_job_costs_what_changed_not_what_it_polled() {
         "the job must train through the whole window"
     );
 
-    let [events, etcd_reads, etcd_proposals, docstore_ops, raft_msgs] =
+    let [events, etcd_reads, etcd_proposals, docstore_ops, raft_msgs, nfs_reads] =
         std::array::from_fn(|i| (after[i] - before[i]) as f64 / WINDOW.as_secs_f64());
     // Budgets per running job-second, platform floor included (idle
     // heartbeats alone are 80 raft messages a second, the LCM replicas'
@@ -85,6 +86,14 @@ fn a_training_job_costs_what_changed_not_what_it_polled() {
     assert!(
         raft_msgs <= 88.0,
         "{raft_msgs:.1} raft messages per job-second"
+    );
+    // The learner writes every two seconds: per second half a tail read
+    // by the collector and, from the controller, the two files it reads
+    // on the one tick in two that finds the volume changed. Measured
+    // 1.50; a controller that re-reads on every poll makes it 2.50.
+    assert!(
+        nfs_reads <= 1.6,
+        "{nfs_reads:.2} NFS reads per job-second: a poll re-reads files nobody wrote"
     );
 
     // The log collector ships the tail: over the job's life so far it
