@@ -218,11 +218,13 @@ impl Observed {
     }
 }
 
-/// The controller's view of the volume: the last observation and, when
-/// that was a complete read, the write generation it saw.
+/// The controller's view of the volume: what its last complete read
+/// showed, and the write generation that read saw — forgotten whenever
+/// the volume could not be reached since.
+#[derive(Default)]
 struct Seen {
     generation: Option<u64>,
-    observed: Observed,
+    observed: Option<Observed>,
 }
 
 /// What one controller incarnation remembers: its view of the volume, a
@@ -255,10 +257,7 @@ impl ControllerState {
         let coalesce = config::GUARDIAN_POLL;
         ControllerState {
             files: (0..learners).map(paths::LearnerFiles::new).collect(),
-            seen: RefCell::new(Seen {
-                generation: None,
-                observed: Observed::absent(learners as usize),
-            }),
+            seen: RefCell::default(),
             data: Publisher::new(etcd, paths::etcd_data(job), at_once, coalesce, alive),
             learners: (0..learners)
                 .map(|ord| {
@@ -309,8 +308,9 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
 ///
 /// The poll happens every tick; the reading behind it only when the
 /// volume's write generation moved since the last complete read — with
-/// it unchanged, every file would read as it did. Either way the tick
-/// then [`publish`]es the observation it holds, so everything a tick
+/// it unchanged, every file would read as it did; with it unreadable,
+/// nothing can be learnt. Either way the tick then [`publish`]es the
+/// observation it holds, if it ever made one, so everything a tick
 /// does that is not an NFS read (weighing each publisher again: an owed
 /// put, an iteration publish falling due; the `store=go` relay's etcd
 /// read) happens on every tick, at the same instant and in the same
@@ -329,21 +329,18 @@ fn controller_tick(
     } = &mut *seen;
     let read = mount.generation().and_then(|now| {
         if *generation != Some(now) {
-            read_volume(mount, &state.files, observed)?;
+            let out = observed.get_or_insert_with(|| Observed::absent(state.files.len()));
+            read_volume(mount, &state.files, out)?;
         }
         Ok(now)
     });
-    match read {
-        Ok(now) => *generation = Some(now),
-        // A volume that cannot be reached (outage window, torn down)
-        // reads as one with nothing on it, and gates nothing.
-        // dlaas-lint: allow(swallowed-error): the poll is the retry — the next tick asks for the generation again, and remembering none makes it read the whole volume once it can
-        Err(_) => {
-            *generation = None;
-            *observed = Observed::absent(state.files.len());
-        }
+    // A volume that cannot be reached (outage window, torn down) is not
+    // an empty one: the tick learns nothing and keeps what it knew — and,
+    // remembering no generation, reads everything once it can again.
+    *generation = read.ok();
+    if let Some(observed) = observed {
+        publish(sim, etcd, mount, job, state, observed);
     }
-    publish(sim, etcd, mount, job, state, observed);
 }
 
 /// Reads everything the controller relays off the volume into `out`.
@@ -930,6 +927,25 @@ mod tests {
     }
 
     #[test]
+    fn a_controller_born_into_an_outage_says_nothing_until_it_has_read() {
+        let mut r = rig(7);
+        r.learner_reports("PROCESSING iter=7");
+        r.tick();
+        r.nfs.set_available(false);
+        r.restart_controller();
+        let proposals = r.proposals();
+        for _ in 0..3 {
+            r.tick();
+        }
+        assert_eq!(r.proposals(), proposals, "it has seen nothing to publish");
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=7"));
+        r.nfs.set_available(true);
+        r.learner_reports("PROCESSING iter=9");
+        r.tick();
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=9"));
+    }
+
+    #[test]
     fn an_unreadable_generation_gates_nothing_and_reads_nothing() {
         let mut r = rig(6);
         r.learner_reports("PROCESSING iter=7");
@@ -939,6 +955,7 @@ mod tests {
         r.nfs.set_available(false);
         for _ in 0..3 {
             r.tick();
+            assert_eq!(r.published().as_deref(), Some("PROCESSING iter=7"));
         }
         assert_eq!(r.reads(), reads, "an unreachable volume is not read");
         r.nfs.set_available(true);
@@ -954,5 +971,6 @@ mod tests {
         r.nfs.delete_volume_named(&paths::volume(&r.job));
         r.tick();
         assert_eq!(r.reads(), reads);
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=7"));
     }
 }

@@ -747,3 +747,80 @@ fn retried_restart_total_never_lands_after_a_newer_one() {
         );
     }
 }
+
+/// Reliable status must not invent a phase (§III-f): the controller used
+/// to read *every* NFS error as "file absent", so for the whole of an
+/// NFS outage it took a training learner's status, exit and restart
+/// files for missing and published the default — `DOWNLOADING` — which
+/// is a change of phase kind, hence an urgent put and a watch fan-out,
+/// and `PROCESSING` again afterwards. Anyone who asked meanwhile was
+/// told a job twenty seconds into training was still fetching its data.
+/// An unreachable volume is not an empty one: the tick learns nothing
+/// and publishes nothing new.
+#[test]
+fn unreachable_volume_is_not_reported_as_downloading() {
+    let (mut sim, platform) = boot(314);
+    let client = platform.client("itest", KEY);
+    let job = submit_blocking(&mut sim, &client, manifest("nfs-blip", 400));
+    let started = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Processing,
+        SimDuration::from_mins(30),
+    );
+    assert_eq!(started, Some(JobStatus::Processing), "{job} never started");
+    sim.run_for(SimDuration::from_secs(20));
+
+    let published = |platform: &DlaasPlatform| {
+        let leader = platform.etcd().leader_id().expect("etcd has a leader");
+        platform.etcd().with_kv(leader, |kv| {
+            kv.get(&paths::etcd_learner(&job, 0))
+                .map(|v| v.value.clone())
+        })
+    };
+    let proposals = |platform: &DlaasPlatform| {
+        platform
+            .metrics()
+            .counter_value(dlaas_etcd::metrics::PROPOSALS, &[("op", "put")])
+    };
+    let training = |status: &Option<String>| {
+        status
+            .as_deref()
+            .is_some_and(|s| s.starts_with("PROCESSING"))
+    };
+    assert!(
+        training(&published(&platform)),
+        "{:?}",
+        published(&platform)
+    );
+
+    // Six seconds of outage, and as long again after it, sampled well
+    // inside the controller's poll period.
+    nfs_outage_window(&mut sim, platform.nfs(), SimDuration::from_secs(6));
+    let before = proposals(&platform);
+    for _ in 0..120 {
+        sim.run_for(SimDuration::from_millis(100));
+        let status = published(&platform);
+        assert!(
+            training(&status),
+            "{:?} into the window etcd says learner 0 is {status:?}",
+            sim.now()
+        );
+    }
+    // One coalesced iteration publish may fall due in twelve seconds;
+    // the two urgent puts of an invented phase and its retraction do not.
+    let puts = proposals(&platform) - before;
+    assert!(puts <= 1, "{puts} etcd puts across the NFS outage");
+
+    let end = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Completed,
+        SimDuration::from_hours(1),
+    );
+    assert_eq!(end, Some(JobStatus::Completed));
+    let info = platform.job_info(&job).expect("job document");
+    assert_eq!(info.learner_restarts, 0, "an outage is not a restart");
+    sim.run_for(config::LCM_SCAN * 6);
+    check_invariants(&sim, &platform).assert_clean();
+}
