@@ -188,12 +188,15 @@ struct JobSummary {
     /// contents; and because the summary holds this reference the
     /// allocation cannot be freed and its address reused by another
     /// document, which is what makes `Rc::ptr_eq` a sound test for
-    /// "unchanged". The rarely needed fields (tenant, GPU demand) are
-    /// read from here when a rule asks for them.
+    /// "unchanged".
     doc: Doc,
     /// The pass that last found the id in the store.
     pass: u64,
+    /// The document's tenant, as an index into a pass's [`TenantLoad`]
+    /// (see [`InvariantChecker::tenants`]).
+    tenant: Option<usize>,
     status: Option<JobStatus>,
+    gpus: u32,
     admitted_us: Option<i64>,
     submitted_us: Option<i64>,
     attempts: i64,
@@ -203,11 +206,21 @@ struct JobSummary {
 }
 
 impl JobSummary {
-    fn of(doc: &Doc, pass: u64) -> Self {
+    fn of(doc: &Doc, pass: u64, tenants: &mut BTreeMap<String, usize>) -> Self {
         let micros = |path| doc.path(path).and_then(Value::as_i64);
+        let tenant = doc.path("tenant").and_then(Value::as_str);
         JobSummary {
             doc: doc.clone(),
             pass,
+            tenant: tenant.map(|t| match tenants.get(t) {
+                Some(index) => *index,
+                None => {
+                    let index = tenants.len();
+                    tenants.insert(t.to_owned(), index);
+                    index
+                }
+            }),
+            gpus: crate::api::doc_gpus(doc),
             status: doc
                 .path("status")
                 .and_then(Value::as_str)
@@ -228,10 +241,6 @@ impl JobSummary {
                 .terminal_since
                 .is_some_and(|since| now.saturating_duration_since(since) > bounds.gc_grace)
     }
-
-    fn tenant(&self) -> Option<&str> {
-        self.doc.path("tenant").and_then(Value::as_str)
-    }
 }
 
 /// What is left of one job that should have been collected.
@@ -243,15 +252,20 @@ struct Leaked {
     etcd_keys: Vec<String>,
 }
 
-/// Tenant quotas, the GPUs each tenant's admitted (non-QUEUED,
-/// non-terminal) jobs hold, and each tenant's most recent admission (any
-/// job with an `admitted_us` stamp, terminal included: evidence the
-/// arbiter is making progress for that tenant) — what the starvation
-/// rule (6) weighs a long wait against.
-struct TenantLoad<'a> {
-    tenants: BTreeMap<String, Tenant>,
-    held: BTreeMap<&'a str, u32>,
-    last_admitted: BTreeMap<&'a str, u64>,
+/// What the starvation rule (6) weighs a long wait against, per tenant
+/// the job documents name: the tenant's quota, the GPUs its admitted
+/// (non-QUEUED, non-terminal) jobs hold, and its most recent admission
+/// (any job with an `admitted_us` stamp, terminal included: evidence the
+/// arbiter is making progress for that tenant).
+type TenantLoad = Vec<TenantState>;
+
+#[derive(Clone, Default)]
+struct TenantState {
+    /// `max_gpus` of the tenant's record (0 = unlimited); `None` when no
+    /// such tenant is registered.
+    max_gpus: Option<u32>,
+    held: u32,
+    last_admitted_us: u64,
 }
 
 /// The invariant checker. It keeps, per job id, a summary of the
@@ -264,6 +278,10 @@ struct TenantLoad<'a> {
 #[derive(Default)]
 pub struct InvariantChecker {
     jobs: BTreeMap<String, JobSummary>,
+    /// Every tenant id a job document has named, numbered in order of
+    /// first sight: summaries and [`TenantLoad`] go by the number, so the
+    /// per-pass walk over all jobs compares no strings.
+    tenants: BTreeMap<String, usize>,
     pass: u64,
 }
 
@@ -351,26 +369,28 @@ impl InvariantChecker {
                     let waited = now.saturating_duration_since(since);
                     if waited > bounds.admission_within {
                         let load = load.get_or_insert_with(|| self.tenant_load(platform));
-                        let tenant = job.tenant().unwrap_or("");
-                        let gpus = crate::api::doc_gpus(&job.doc);
-                        let headroom = load.tenants.get(tenant).is_some_and(|t| {
-                            t.max_gpus == 0
-                                || load.held.get(tenant).copied().unwrap_or(0) + gpus <= t.max_gpus
+                        let tenant = job.tenant.map(|index| &load[index]);
+                        let headroom = tenant.is_some_and(|t| {
+                            t.max_gpus
+                                .is_some_and(|max| max == 0 || t.held + job.gpus <= max)
                         });
                         // A busy tenant's queue legitimately backs up for a
                         // long time — that is backlog, not starvation. The
                         // arbiter is broken only if the tenant ALSO made no
                         // admission for a full bound (no `admitted_us`
                         // stamp fresher than the bound).
-                        let stalled = now.saturating_duration_since(SimTime::from_micros(
-                            load.last_admitted.get(tenant).copied().unwrap_or(0),
-                        )) > bounds.admission_within;
+                        let last_admitted =
+                            SimTime::from_micros(tenant.map_or(0, |t| t.last_admitted_us));
+                        let stalled =
+                            now.saturating_duration_since(last_admitted) > bounds.admission_within;
                         if headroom && stalled {
                             violated(
                                 "tenant-starved",
                                 format!(
-                                    "QUEUED for {waited} despite quota headroom and no admission in {} (tenant {tenant}, {gpus} gpus)",
-                                    bounds.admission_within
+                                    "QUEUED for {waited} despite quota headroom and no admission in {} (tenant {}, {} gpus)",
+                                    bounds.admission_within,
+                                    job.doc.path("tenant").and_then(Value::as_str).unwrap_or(""),
+                                    job.gpus
                                 ),
                             );
                         }
@@ -414,22 +434,33 @@ impl InvariantChecker {
     /// Brings the summaries up to date with the store: a summary is
     /// re-derived only where the store holds a different document than
     /// last pass. Returns the number of job documents in the store.
+    ///
+    /// The store and the summaries are both in id order, so the two are
+    /// walked side by side: a document the store still holds costs one
+    /// pointer comparison, with no lookup and no look at its id.
     fn refresh(&mut self, platform: &DlaasPlatform) -> usize {
         self.pass += 1;
-        let (jobs, pass) = (&mut self.jobs, self.pass);
+        let (pass, tenants) = (self.pass, &mut self.tenants);
+        let mut known = self.jobs.iter_mut().peekable();
+        let mut unknown: Vec<(String, JobSummary)> = Vec::new();
         let mut stored = 0;
         platform.for_each_job_document(|id, doc| {
             stored += 1;
-            match jobs.get_mut(id) {
-                Some(known) if Rc::ptr_eq(&known.doc, doc) => known.pass = pass,
-                Some(known) => *known = JobSummary::of(doc, pass),
-                None => {
-                    jobs.insert(id.to_owned(), JobSummary::of(doc, pass));
-                }
+            // Summaries of ids the store has dropped are passed over
+            // (and, their stamp now stale, retired below).
+            while known
+                .next_if(|(k, job)| !Rc::ptr_eq(&job.doc, doc) && k.as_str() < id)
+                .is_some()
+            {}
+            match known.next_if(|(k, job)| Rc::ptr_eq(&job.doc, doc) || k.as_str() == id) {
+                Some((_, job)) if Rc::ptr_eq(&job.doc, doc) => job.pass = pass,
+                Some((_, job)) => *job = JobSummary::of(doc, pass, tenants),
+                None => unknown.push((id.to_owned(), JobSummary::of(doc, pass, tenants))),
             }
         });
-        if jobs.len() != stored {
-            jobs.retain(|_, job| job.pass == pass);
+        self.jobs.extend(unknown);
+        if self.jobs.len() != stored {
+            self.jobs.retain(|_, job| job.pass == pass);
         }
         stored
     }
@@ -484,30 +515,29 @@ impl InvariantChecker {
 
     /// Gathers what the starvation rule needs (only passes that find a
     /// job QUEUED past the admission bound pay for it).
-    fn tenant_load(&self, platform: &DlaasPlatform) -> TenantLoad<'_> {
-        let mut load = TenantLoad {
-            tenants: platform
-                .tenant_documents()
-                .iter()
-                .filter_map(|d| Tenant::from_document(d))
-                .map(|t| (t.id.clone(), t))
-                .collect(),
-            held: BTreeMap::new(),
-            last_admitted: BTreeMap::new(),
-        };
+    fn tenant_load(&self, platform: &DlaasPlatform) -> TenantLoad {
+        let mut load = vec![TenantState::default(); self.tenants.len()];
+        for tenant in platform
+            .tenant_documents()
+            .iter()
+            .filter_map(|d| Tenant::from_document(d))
+        {
+            if let Some(&index) = self.tenants.get(&tenant.id) {
+                load[index].max_gpus = Some(tenant.max_gpus);
+            }
+        }
         for job in self.jobs.values() {
-            let Some(t) = job.tenant() else {
+            let Some(tenant) = job.tenant.map(|index| &mut load[index]) else {
                 continue;
             };
             if job
                 .status
                 .is_some_and(|s| !s.is_terminal() && s != JobStatus::Queued)
             {
-                *load.held.entry(t).or_insert(0) += crate::api::doc_gpus(&job.doc);
+                tenant.held += job.gpus;
             }
             if let Some(at) = job.admitted_us.and_then(|us| u64::try_from(us).ok()) {
-                let e = load.last_admitted.entry(t).or_insert(0);
-                *e = (*e).max(at);
+                tenant.last_admitted_us = tenant.last_admitted_us.max(at);
             }
         }
         load

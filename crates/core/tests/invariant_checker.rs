@@ -12,7 +12,7 @@
 
 use dlaas_core::invariants::{check_with, InvariantChecker};
 use dlaas_core::{check_invariants, paths, DlaasPlatform, InvariantBounds, JobId, Tenant, JOBS};
-use dlaas_docstore::{obj, Filter, Update, Value};
+use dlaas_docstore::{mongo_addr, obj, Filter, MongoRequest, Update, Value};
 use dlaas_kube::{labels, ContainerSpec, ImageRef, NetworkPolicy, PodSpec, Resources};
 use dlaas_sim::{Sim, SimDuration};
 use proptest::prelude::*;
@@ -57,6 +57,26 @@ fn update_job(sim: &mut Sim, platform: &DlaasPlatform, id: &str, update: Update)
     meta.update_one(sim, JOBS, Filter::eq("_id", id), update, |_sim, r| {
         r.expect("update accepted");
     });
+    settle(sim);
+}
+
+/// Deletes a job document (nothing in the platform does; a checker that
+/// remembers must still forget).
+fn delete_job(sim: &mut Sim, platform: &DlaasPlatform, id: &str) {
+    let request = MongoRequest::DeleteOne {
+        coll: JOBS.into(),
+        filter: Filter::eq("_id", id),
+    };
+    platform.handles().mongo.call(
+        sim,
+        dlaas_net::Addr::new("invariant-test"),
+        mongo_addr(),
+        request,
+        SimDuration::from_secs(1),
+        |_sim, r| {
+            r.expect("delete served");
+        },
+    );
     settle(sim);
 }
 
@@ -339,6 +359,10 @@ enum Op {
         job: u8,
         secs_ago: Option<u16>,
     },
+    /// Delete the job's document.
+    Forget {
+        job: u8,
+    },
     Pod {
         job: u8,
         ordinal: u8,
@@ -370,6 +394,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ),
         2 => (job(), any::<bool>(), 0..900u16)
             .prop_map(|(job, some, s)| Op::Admit { job, secs_ago: some.then_some(s) }),
+        1 => job().prop_map(|job| Op::Forget { job }),
         3 => (job(), 0..2u8, any::<bool>()).prop_map(|(job, ordinal, exists)| Op::Pod { job, ordinal, exists }),
         2 => (job(), any::<bool>()).prop_map(|(job, exists)| Op::Volume { job, exists }),
         2 => (job(), any::<bool>()).prop_map(|(job, exists)| Op::Policy { job, exists }),
@@ -410,6 +435,7 @@ fn apply(sim: &mut Sim, platform: &DlaasPlatform, op: Op) {
             };
             update_job(sim, platform, &name(job), update);
         }
+        Op::Forget { job } => delete_job(sim, platform, &name(job)),
         Op::Pod {
             job,
             ordinal,

@@ -300,12 +300,13 @@ fn an_invariant_pass_does_not_copy_the_documents_it_checks() {
         "a pass over {JOBS_CHECKED} jobs allocated {small} bytes with 64-byte manifests \
          and {large} with 16 KiB ones: it copies the documents"
     );
-    // Measured 252 bytes per job: the summary a checker that has seen
-    // nothing yet builds of each document. Four resource scans per
-    // finished job (ids, label selectors, key prefixes) made it 690; a
-    // pass that clones each document and the etcd store 4.9 KiB.
+    // Measured 436 bytes per job: the summary a checker that has seen
+    // nothing yet builds of each document, and the list it gathers the
+    // newcomers in. Four resource scans per finished job (ids, label
+    // selectors, key prefixes) made it 690; a pass that clones each
+    // document and the etcd store 4.9 KiB.
     let per_job = small as f64 / JOBS_CHECKED as f64;
-    assert!(per_job <= 315.0, "{per_job:.0} bytes per job checked");
+    assert!(per_job <= 545.0, "{per_job:.0} bytes per job checked");
 }
 
 #[test]
@@ -333,7 +334,7 @@ fn a_warm_invariant_pass_costs_the_same_for_50_and_500_finished_jobs() {
     };
     let (allocs_50, bytes_50) = pass_cost(50);
     let (allocs_500, bytes_500) = pass_cost(500);
-    // Measured 11 allocations and 1 300 bytes at both sizes; a pass that
+    // Measured 11 allocations and 1 324 bytes at both sizes; a pass that
     // re-derives everything made 620 / 36.9 kB and 6 020 / 343 kB.
     assert!(
         allocs_500 <= allocs_50 + 4 && bytes_500 <= bytes_50 + 512,
