@@ -190,6 +190,7 @@ impl<V: Clone + PartialEq + ToString + 'static> Publisher<V> {
 }
 
 /// What one complete read of the job volume showed the controller.
+#[derive(Default)]
 struct Observed {
     data_loaded: bool,
     /// Every learner's phase, by ordinal.
@@ -202,17 +203,6 @@ struct Observed {
 }
 
 impl Observed {
-    /// What a volume holding none of the files reads as.
-    fn absent(learners: usize) -> Self {
-        Observed {
-            data_loaded: false,
-            phases: vec![LearnerPhase::Downloading; learners],
-            restarts_total: 0,
-            throughput: None,
-            store_done: false,
-        }
-    }
-
     fn all_completed(&self) -> bool {
         self.phases.iter().all(LearnerPhase::is_completed)
     }
@@ -227,10 +217,12 @@ struct Seen {
     observed: Option<Observed>,
 }
 
-/// What one controller incarnation remembers: its view of the volume, a
-/// publisher per etcd key it owns, and whether it relayed the Guardian's
-/// store-results "go".
-struct ControllerState {
+/// One controller incarnation: its etcd client and mount, its view of
+/// the volume, a publisher per etcd key it owns, and whether it relayed
+/// the Guardian's store-results "go".
+struct Controller {
+    etcd: dlaas_etcd::EtcdClient,
+    mount: Mount,
     files: Vec<paths::LearnerFiles>,
     seen: RefCell<Seen>,
     data: Rc<Publisher<&'static str>>,
@@ -241,12 +233,13 @@ struct ControllerState {
     store_go_relayed: Rc<Cell<bool>>,
 }
 
-impl ControllerState {
-    /// A new incarnation's memory: nothing published, nothing read. It
-    /// remembers no generation, so its first tick reads the volume
-    /// whatever its predecessor saw.
+impl Controller {
+    /// A new incarnation: nothing published, nothing read. It remembers
+    /// no generation, so its first tick reads the volume whatever its
+    /// predecessor saw.
     fn new(
-        etcd: &dlaas_etcd::EtcdClient,
+        etcd: dlaas_etcd::EtcdClient,
+        mount: Mount,
         job: &JobId,
         learners: u32,
         alive: &Rc<Cell<bool>>,
@@ -255,14 +248,14 @@ impl ControllerState {
             true
         }
         let coalesce = config::GUARDIAN_POLL;
-        ControllerState {
+        Controller {
             files: (0..learners).map(paths::LearnerFiles::new).collect(),
             seen: RefCell::default(),
-            data: Publisher::new(etcd, paths::etcd_data(job), at_once, coalesce, alive),
+            data: Publisher::new(&etcd, paths::etcd_data(job), at_once, coalesce, alive),
             learners: (0..learners)
                 .map(|ord| {
                     Publisher::new(
-                        etcd,
+                        &etcd,
                         paths::etcd_learner(job, ord),
                         |was: &LearnerPhase, now| !was.same_kind(now),
                         coalesce,
@@ -270,10 +263,106 @@ impl ControllerState {
                     )
                 })
                 .collect(),
-            restarts: Publisher::new(etcd, paths::etcd_restarts(job), at_once, coalesce, alive),
-            throughput: Publisher::new(etcd, paths::etcd_throughput(job), at_once, coalesce, alive),
-            store: Publisher::new(etcd, paths::etcd_store(job), at_once, coalesce, alive),
+            restarts: Publisher::new(&etcd, paths::etcd_restarts(job), at_once, coalesce, alive),
+            throughput: Publisher::new(
+                &etcd,
+                paths::etcd_throughput(job),
+                at_once,
+                coalesce,
+                alive,
+            ),
+            store: Publisher::new(&etcd, paths::etcd_store(job), at_once, coalesce, alive),
             store_go_relayed: Rc::default(),
+            etcd,
+            mount,
+        }
+    }
+
+    /// One poll of the job volume (§III-e: the controller *polls* NFS).
+    ///
+    /// The poll happens every tick; the reading behind it only when the
+    /// volume's write generation moved since the last complete read —
+    /// with it unchanged, every file would read as it did; with it
+    /// unreadable, nothing can be learnt. Either way the tick then
+    /// [`Controller::publish`]es the observation it holds, if it ever
+    /// made one, so everything a tick does that is not an NFS read
+    /// (weighing each publisher again: an owed put, an iteration publish
+    /// falling due; the `store=go` relay's etcd read) happens on every
+    /// tick, at the same instant and in the same order, whether or not
+    /// the volume was read.
+    fn tick(&self, sim: &mut Sim) {
+        let mut seen = self.seen.borrow_mut();
+        let Seen {
+            generation,
+            observed,
+        } = &mut *seen;
+        let read = self.mount.generation().and_then(|now| {
+            if *generation != Some(now) {
+                read_volume(&self.mount, &self.files, observed.get_or_insert_default())?;
+            }
+            Ok(now)
+        });
+        // A volume that cannot be reached (outage window, torn down) is
+        // not an empty one: the tick learns nothing and keeps what it
+        // knew — and, remembering no generation, reads everything once it
+        // can again.
+        *generation = read.ok();
+        if let Some(observed) = observed {
+            self.publish(sim, observed);
+        }
+    }
+
+    /// Offers every etcd key the controller owns the value `seen`
+    /// implies, and relays the Guardian's store-results "go" the other
+    /// way.
+    fn publish(&self, sim: &mut Sim, seen: &Observed) {
+        // Data-loaded marker → etcd.
+        if seen.data_loaded {
+            self.data.offer(sim, "loaded");
+        }
+        for (publisher, phase) in self.learners.iter().zip(&seen.phases) {
+            publisher.offer(sim, *phase);
+        }
+        // Aggregate restart counter (training progress needs no key of
+        // its own: it is the maximum over the learner statuses written
+        // above). An absent key reads as zero.
+        if seen.restarts_total > 0 {
+            self.restarts.offer(sim, seen.restarts_total);
+        }
+        if let Some(sum) = seen.throughput {
+            if self.throughput.owed() {
+                self.throughput.offer(sim, sum);
+            }
+        }
+
+        // Store-results coordination: Guardian writes "go" in etcd; we
+        // relay it to NFS for the store-results container, and relay its
+        // completion marker back to etcd.
+        if seen.store_done {
+            // Without the "done" relay the Guardian never completes the job.
+            self.store.offer(sim, "done");
+            return;
+        }
+        // The Guardian writes "go" only after it saw every learner
+        // COMPLETED — statuses this controller reported — so before that
+        // the key can only be absent and is not worth a linearizable read
+        // per tick.
+        if seen.all_completed() && !self.store_go_relayed.get() {
+            let mount = self.mount.clone();
+            let relayed = self.store_go_relayed.clone();
+            self.etcd.get(sim, self.store.key.clone(), move |_sim, r| {
+                if let Ok(Some(v)) = r {
+                    // Only latch the flag once the NFS write landed;
+                    // during an NFS outage window the next tick
+                    // retries the relay.
+                    if v == "go"
+                        && !relayed.get()
+                        && mount.write_file(paths::NFS_STORE_GO, "go").is_ok()
+                    {
+                        relayed.set(true);
+                    }
+                }
+            });
         }
     }
 }
@@ -290,57 +379,18 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
         ctx2.record(sim, "controller online; polling learner files");
         let alive = ctx2.alive_flag();
-        let state = ControllerState::new(&etcd, &job, manifest.learners, &alive);
+        let controller = Controller::new(etcd, mount, &job, manifest.learners, &alive);
         dlaas_sim::every(sim, config::CONTROLLER_POLL, move |sim, _n| {
             if !alive.get() {
                 return false;
             }
-            controller_tick(sim, &etcd, &mount, &job, &state);
+            controller.tick(sim);
             true
         });
     });
     // Per-incarnation etcd client: close on exit or its watch-net
     // endpoint leaks per controller restart.
     Box::new(move |sim| etcd_for_cleanup.close(sim))
-}
-
-/// One poll of the job volume (§III-e: the controller *polls* NFS).
-///
-/// The poll happens every tick; the reading behind it only when the
-/// volume's write generation moved since the last complete read — with
-/// it unchanged, every file would read as it did; with it unreadable,
-/// nothing can be learnt. Either way the tick then [`publish`]es the
-/// observation it holds, if it ever made one, so everything a tick
-/// does that is not an NFS read (weighing each publisher again: an owed
-/// put, an iteration publish falling due; the `store=go` relay's etcd
-/// read) happens on every tick, at the same instant and in the same
-/// order, whether or not the volume was read.
-fn controller_tick(
-    sim: &mut Sim,
-    etcd: &dlaas_etcd::EtcdClient,
-    mount: &Mount,
-    job: &JobId,
-    state: &ControllerState,
-) {
-    let mut seen = state.seen.borrow_mut();
-    let Seen {
-        generation,
-        observed,
-    } = &mut *seen;
-    let read = mount.generation().and_then(|now| {
-        if *generation != Some(now) {
-            let out = observed.get_or_insert_with(|| Observed::absent(state.files.len()));
-            read_volume(mount, &state.files, out)?;
-        }
-        Ok(now)
-    });
-    // A volume that cannot be reached (outage window, torn down) is not
-    // an empty one: the tick learns nothing and keeps what it knew — and,
-    // remembering no generation, reads everything once it can again.
-    *generation = read.ok();
-    if let Some(observed) = observed {
-        publish(sim, etcd, mount, job, state, observed);
-    }
 }
 
 /// Reads everything the controller relays off the volume into `out`.
@@ -388,65 +438,6 @@ fn read_volume(
     }
     out.store_done = mount.exists(paths::NFS_STORE_DONE);
     Ok(())
-}
-
-/// Offers every etcd key the controller owns the value `seen` implies,
-/// and relays the Guardian's store-results "go" the other way.
-fn publish(
-    sim: &mut Sim,
-    etcd: &dlaas_etcd::EtcdClient,
-    mount: &Mount,
-    job: &JobId,
-    state: &ControllerState,
-    seen: &Observed,
-) {
-    // Data-loaded marker → etcd.
-    if seen.data_loaded {
-        state.data.offer(sim, "loaded");
-    }
-    for (publisher, phase) in state.learners.iter().zip(&seen.phases) {
-        publisher.offer(sim, *phase);
-    }
-    // Aggregate restart counter (training progress needs no key of its
-    // own: it is the maximum over the learner statuses written above).
-    // An absent key reads as zero.
-    if seen.restarts_total > 0 {
-        state.restarts.offer(sim, seen.restarts_total);
-    }
-    let all_completed = seen.all_completed();
-    if let Some(sum) = seen.throughput {
-        if state.throughput.owed() {
-            state.throughput.offer(sim, sum);
-        }
-    }
-
-    // Store-results coordination: Guardian writes "go" in etcd; we relay
-    // it to NFS for the store-results container, and relay its completion
-    // marker back to etcd.
-    if seen.store_done {
-        // Without the "done" relay the Guardian never completes the job.
-        state.store.offer(sim, "done");
-        return;
-    }
-    // The Guardian writes "go" only after it saw every learner COMPLETED
-    // — statuses this controller reported — so before that the key can
-    // only be absent and is not worth a linearizable read per tick.
-    if all_completed && !state.store_go_relayed.get() {
-        let mount2 = mount.clone();
-        let relayed = state.store_go_relayed.clone();
-        etcd.get(sim, paths::etcd_store(job), move |_sim, r| {
-            if let Ok(Some(v)) = r {
-                // Only latch the flag once the NFS write landed; during an
-                // NFS outage window the next tick retries the relay.
-                if v == "go"
-                    && !relayed.get()
-                    && mount2.write_file(paths::NFS_STORE_GO, "go").is_ok()
-                {
-                    relayed.set(true);
-                }
-            }
-        });
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -716,59 +707,53 @@ mod tests {
     struct Rig {
         sim: Sim,
         etcd: Rc<EtcdCluster>,
-        client: dlaas_etcd::EtcdClient,
         nfs: NfsServer,
         /// The learner's side of the volume.
         learner: Mount,
-        /// The controller's side.
-        mount: Mount,
         job: JobId,
-        state: ControllerState,
+        controller: Controller,
     }
 
     fn rig(seed: u64) -> Rig {
         let mut sim = Sim::new(seed);
         let etcd = Rc::new(EtcdCluster::new_3way(&mut sim));
         etcd.expect_leader(&mut sim, SimDuration::from_secs(5));
-        let client = etcd.client("controller#0");
         let nfs = NfsServer::new();
         let job = JobId::new("auto-1");
         let vol = nfs.create_volume(paths::volume(&job));
-        let state = ControllerState::new(&client, &job, 1, &Rc::new(Cell::new(true)));
+        let learner = nfs.mount(&vol).expect("volume exists");
+        let controller = incarnation(&etcd, &learner, &job, 0);
         Rig {
-            learner: nfs.mount(&vol).expect("volume exists"),
-            mount: nfs.mount(&vol).expect("volume exists"),
             sim,
             etcd,
-            client,
             nfs,
+            learner,
             job,
-            state,
+            controller,
         }
+    }
+
+    /// Controller incarnation `n` of `job`, over a mount of its own.
+    fn incarnation(etcd: &EtcdCluster, volume: &Mount, job: &JobId, n: u32) -> Controller {
+        let client = etcd.client(format!("controller#{n}"));
+        let alive = Rc::new(Cell::new(true));
+        Controller::new(client, volume.clone(), job, 1, &alive)
     }
 
     impl Rig {
         /// One controller tick, then a controller period of simulated time.
         fn tick(&mut self) {
-            controller_tick(
-                &mut self.sim,
-                &self.client,
-                &self.mount,
-                &self.job,
-                &self.state,
-            );
+            self.controller.tick(&mut self.sim);
             self.sim.run_for(config::CONTROLLER_POLL);
         }
 
         /// A new controller incarnation over the same volume and etcd.
         fn restart_controller(&mut self) {
-            self.client = self.etcd.client("controller#1");
-            let alive = Rc::new(Cell::new(true));
-            self.state = ControllerState::new(&self.client, &self.job, 1, &alive);
+            self.controller = incarnation(&self.etcd, &self.learner, &self.job, 1);
         }
 
         fn learner_reports(&self, status: &str) {
-            let files = &self.state.files[0];
+            let files = &self.controller.files[0];
             self.learner
                 .write_file(&files.status, status)
                 .expect("volume up");
@@ -797,7 +782,7 @@ mod tests {
     fn an_unchanged_volume_is_polled_not_read() {
         let mut r = rig(1);
         r.learner
-            .write_file(&r.state.files[0].restarts, "1")
+            .write_file(&r.controller.files[0].restarts, "1")
             .unwrap();
         r.learner_reports("PROCESSING iter=3");
         r.tick();
@@ -814,7 +799,7 @@ mod tests {
         // Any write moves the generation — a log line the controller
         // never reads included — and the next tick reads.
         r.learner
-            .append_line(&r.state.files[0].log, "iter=4 loss=2.1")
+            .append_line(&r.controller.files[0].log, "iter=4 loss=2.1")
             .unwrap();
         r.tick();
         assert_eq!(r.reads(), 4);
@@ -878,7 +863,7 @@ mod tests {
     #[test]
     fn the_store_go_relay_waits_on_etcd_not_on_nfs() {
         let mut r = rig(4);
-        let files = r.state.files[0].clone();
+        let files = r.controller.files[0].clone();
         r.learner.write_file(&files.throughput, "41.5").unwrap();
         r.learner_reports("COMPLETED");
         r.learner.write_file(&files.exit, "0").unwrap();
@@ -891,7 +876,7 @@ mod tests {
         for _ in 0..3 {
             r.tick();
         }
-        assert!(!r.mount.exists(paths::NFS_STORE_GO));
+        assert!(!r.learner.exists(paths::NFS_STORE_GO));
 
         // The Guardian's "go" arrives in etcd; nothing on NFS changes.
         let reads = r.reads();
@@ -901,7 +886,7 @@ mod tests {
         });
         r.tick();
         r.tick();
-        assert!(r.mount.exists(paths::NFS_STORE_GO), "go relayed to NFS");
+        assert!(r.learner.exists(paths::NFS_STORE_GO), "go relayed to NFS");
         assert_eq!(r.reads(), reads, "by ticks that read nothing");
 
         // store-results answers on NFS; that is a write, so it is seen.

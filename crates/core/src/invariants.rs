@@ -285,15 +285,6 @@ pub struct InvariantChecker {
     pass: u64,
 }
 
-impl fmt::Debug for InvariantChecker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("InvariantChecker")
-            .field("jobs", &self.jobs.len())
-            .field("pass", &self.pass)
-            .finish()
-    }
-}
-
 impl InvariantChecker {
     /// Evaluates every invariant against the platform's current state.
     pub fn check(

@@ -44,7 +44,7 @@ pub fn network_policy(job: &JobId) -> String {
 
 /// etcd prefix for everything about a job.
 pub fn etcd_job_prefix(job: &JobId) -> String {
-    format!("jobs/{job}/")
+    format!("{ETCD_JOBS_PREFIX}{job}/")
 }
 
 /// etcd key for one learner's status.

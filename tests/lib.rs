@@ -6,9 +6,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dlaas_core::{DlaasClient, DlaasPlatform, JobId, Tenant, TrainingManifest};
+use dlaas_core::{DlaasClient, DlaasPlatform, JobId, JobStatus, Tenant, TrainingManifest};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
-use dlaas_sim::Sim;
+use dlaas_sim::{Sim, SimDuration};
 
 /// The standard test tenant's API key.
 pub const KEY: &str = "itest-key";
@@ -50,4 +50,15 @@ pub fn submit_blocking(sim: &mut Sim, client: &DlaasClient, m: TrainingManifest)
     sim.run_until_pred(|_| got.borrow().is_some());
     let r = got.borrow().clone().expect("callback fired");
     r.expect("submission accepted")
+}
+
+/// Submits a single-learner job as the standard tenant and returns once
+/// it is training.
+pub fn start_training(sim: &mut Sim, platform: &DlaasPlatform, name: &str, iters: u64) -> JobId {
+    let client = platform.client("itest", KEY);
+    let job = submit_blocking(sim, &client, manifest(name, iters));
+    let started =
+        platform.wait_for_status(sim, &job, JobStatus::Processing, SimDuration::from_mins(30));
+    assert_eq!(started, Some(JobStatus::Processing), "{job} never started");
+    job
 }

@@ -24,11 +24,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dlaas_core::{
-    check_invariants, config, DlaasPlatform, InvariantBounds, InvariantMonitor, JobId, JobStatus,
-    JOBS,
+    check_invariants, config, DlaasPlatform, InvariantBounds, InvariantMonitor, JobStatus, JOBS,
 };
 use dlaas_docstore::obj;
-use dlaas_integration::{boot, manifest, submit_blocking, KEY};
+use dlaas_integration::{boot, start_training};
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
 thread_local! {
@@ -93,16 +92,6 @@ fn step(sim: &mut Sim, platform: &DlaasPlatform) -> StepCost {
     }
 }
 
-/// Starts a single-learner job and returns once it is training.
-fn start_training(sim: &mut Sim, platform: &DlaasPlatform, name: &str, iters: u64) -> JobId {
-    let client = platform.client("itest", KEY);
-    let job = submit_blocking(sim, &client, manifest(name, iters));
-    let started =
-        platform.wait_for_status(sim, &job, JobStatus::Processing, SimDuration::from_mins(30));
-    assert_eq!(started, Some(JobStatus::Processing), "{job} never started");
-    job
-}
-
 #[test]
 fn an_idle_platform_allocates_little_per_event() {
     let (mut sim, platform) = boot(1501);
@@ -129,15 +118,7 @@ fn an_idle_platform_allocates_little_per_event() {
 #[test]
 fn a_training_job_allocates_in_proportion_to_what_it_reports() {
     let (mut sim, platform) = boot(1502);
-    let client = platform.client("itest", KEY);
-    let job = submit_blocking(&mut sim, &client, manifest("alloc-cost", 2_000));
-    let started = platform.wait_for_status(
-        &mut sim,
-        &job,
-        JobStatus::Processing,
-        SimDuration::from_mins(30),
-    );
-    assert_eq!(started, Some(JobStatus::Processing), "{job} never started");
+    let job = start_training(&mut sim, &platform, "alloc-cost", 2_000);
     sim.run_for(SimDuration::from_secs(30));
 
     let window = SimDuration::from_mins(10);

@@ -7,7 +7,7 @@ use dlaas_bench::harness::reported_iteration;
 use dlaas_core::{check_invariants, config, paths, DlaasPlatform, InvariantMonitor, JobStatus};
 use dlaas_docstore::Value;
 use dlaas_faults::{nfs_outage_window, partition_window, when, FaultAction};
-use dlaas_integration::{boot, manifest, submit_blocking, KEY};
+use dlaas_integration::{boot, manifest, start_training, submit_blocking, KEY};
 use dlaas_net::Addr;
 use dlaas_sim::SimDuration;
 
@@ -760,15 +760,7 @@ fn retried_restart_total_never_lands_after_a_newer_one() {
 #[test]
 fn unreachable_volume_is_not_reported_as_downloading() {
     let (mut sim, platform) = boot(314);
-    let client = platform.client("itest", KEY);
-    let job = submit_blocking(&mut sim, &client, manifest("nfs-blip", 400));
-    let started = platform.wait_for_status(
-        &mut sim,
-        &job,
-        JobStatus::Processing,
-        SimDuration::from_mins(30),
-    );
-    assert_eq!(started, Some(JobStatus::Processing), "{job} never started");
+    let job = start_training(&mut sim, &platform, "nfs-blip", 400);
     sim.run_for(SimDuration::from_secs(20));
 
     let published = |platform: &DlaasPlatform| {

@@ -15,7 +15,7 @@
 //! with headroom, not exact values.
 
 use dlaas_core::{config, metrics, paths, DlaasPlatform, JobStatus};
-use dlaas_integration::{boot, manifest, submit_blocking, KEY};
+use dlaas_integration::{boot, start_training};
 use dlaas_sim::{Sim, SimDuration};
 
 const WINDOW: SimDuration = SimDuration::from_mins(10);
@@ -39,17 +39,9 @@ fn work(sim: &Sim, platform: &DlaasPlatform) -> [u64; 6] {
 #[test]
 fn a_training_job_costs_what_changed_not_what_it_polled() {
     let (mut sim, platform) = boot(1301);
-    let client = platform.client("itest", KEY);
     // ~0.7 iterations a second: 2000 keep the learner training well
     // past the window.
-    let job = submit_blocking(&mut sim, &client, manifest("running-cost", 2_000));
-    let started = platform.wait_for_status(
-        &mut sim,
-        &job,
-        JobStatus::Processing,
-        SimDuration::from_mins(30),
-    );
-    assert_eq!(started, Some(JobStatus::Processing), "{job} never started");
+    let job = start_training(&mut sim, &platform, "running-cost", 2_000);
     // Let the deploy path's tail (data staging, first reports) drain.
     sim.run_for(SimDuration::from_secs(30));
 

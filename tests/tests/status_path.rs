@@ -12,8 +12,8 @@ use std::collections::VecDeque;
 
 use dlaas_bench::harness::reported_iteration;
 use dlaas_core::{config, paths, DlaasPlatform, JobId, JobStatus, LearnerPhase};
-use dlaas_integration::{boot, manifest, submit_blocking, KEY};
-use dlaas_sim::{Sim, SimDuration, SimTime};
+use dlaas_integration::{boot, start_training};
+use dlaas_sim::{SimDuration, SimTime};
 
 /// Learner 0's status as the etcd leader's replica holds it.
 fn published(platform: &DlaasPlatform, job: &JobId) -> Option<LearnerPhase> {
@@ -31,15 +31,6 @@ fn learner_exited(platform: &DlaasPlatform, job: &JobId) -> bool {
         .find_volume(&paths::volume(job))
         .and_then(|vol| platform.nfs().mount(&vol).ok())
         .is_some_and(|m| m.read_file(&paths::nfs_learner_exit(0)).as_deref() == Ok("0"))
-}
-
-fn start_training(sim: &mut Sim, platform: &DlaasPlatform, name: &str, iters: u64) -> JobId {
-    let client = platform.client("itest", KEY);
-    let job = submit_blocking(sim, &client, manifest(name, iters));
-    let started =
-        platform.wait_for_status(sim, &job, JobStatus::Processing, SimDuration::from_mins(30));
-    assert_eq!(started, Some(JobStatus::Processing), "{job} never started");
-    job
 }
 
 #[test]
