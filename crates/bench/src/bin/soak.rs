@@ -10,8 +10,8 @@
 //!   per-job costs, queue/admission figures and per-tenant turnaround
 //!   quantiles. Byte-identical for a given seed at any `--threads`.
 //! * `BENCH_soak.wall.json` — the gate sidecar (wall seconds and
-//!   per-tenant p99 per run), in the committed baseline's line format;
-//!   never byte-compared.
+//!   per-tenant p99 per run, in the committed baseline's line format,
+//!   and the process's peak resident memory); never byte-compared.
 //!
 //! The process exits 2 on a command line it cannot parse, and 1 if any
 //! trial is abnormal or malformed (lost submissions, unfinished jobs,
@@ -92,7 +92,7 @@ fn main() {
 
     let json = soak::render_json(cli.preset, cli.seed, &runs);
     std::fs::write(&cli.out, &json).expect("write soak artifact");
-    let wall_json = soak::render_wall_json(cli.seed, &runs);
+    let wall_json = soak::render_wall_json(cli.seed, &runs, soak::peak_rss_kib());
     std::fs::write(&wall_path, &wall_json).expect("write wall sidecar");
     println!("\nwrote {} and {wall_path}", cli.out);
     // Wall-clock to stderr and the sidecar only — never into the

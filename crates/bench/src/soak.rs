@@ -829,10 +829,11 @@ pub fn render_json(preset: &Preset, seed: u64, runs: &[&SoakRun]) -> String {
 
 /// The gate sidecar, never byte-compared: per run the host seconds (the
 /// one wall-clock figure) next to the per-tenant p99s, i.e. everything
-/// [`check_against_baseline`] reads. A baseline entry is a line of this
+/// [`check_against_baseline`] reads, and the process's peak resident
+/// memory ([`peak_rss_kib`]). A baseline entry is a line of this
 /// file: to refresh `BENCH_soak.baseline.json`, replace the preset's
 /// lines in it with the `runs` lines of a sidecar from an idle machine.
-pub fn render_wall_json(seed: u64, runs: &[&SoakRun]) -> String {
+pub fn render_wall_json(seed: u64, runs: &[&SoakRun], peak_rss_kib: Option<u64>) -> String {
     let runs = runs.iter().map(|r| {
         let rate = if r.wall_secs > 0.0 {
             r.events as f64 / r.wall_secs
@@ -850,10 +851,22 @@ pub fn render_wall_json(seed: u64, runs: &[&SoakRun]) -> String {
             p99s.collect::<Vec<_>>().join(", ")
         )
     });
+    let peak_rss = peak_rss_kib.map_or_else(|| "null".to_owned(), |kib| kib.to_string());
     format!(
-        "{{\n  \"bench\": \"soak-wall\",\n  \"seed\": {seed},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"soak-wall\",\n  \"seed\": {seed},\n  \"peak_rss_kib\": {peak_rss},\n  \"runs\": [\n{}\n  ]\n}}\n",
         json_lines(runs)
     )
+}
+
+/// The most memory this process has had resident, in KiB (`VmHWM` of
+/// `/proc/self/status`); `None` where the kernel does not say. A figure
+/// of the whole process — of one run when the command line names one
+/// size — and, like wall seconds, one for the sidecar only: `soak-smoke`
+/// derives what a finished job leaves behind from two runs' figures.
+pub fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.split_whitespace().next()?.parse().ok()
 }
 
 /// Compares a fresh gate sidecar against the committed baseline.
@@ -1014,7 +1027,7 @@ mod tests {
     }
 
     fn sidecar(run: &SoakRun) -> String {
-        render_wall_json(1, &[run])
+        render_wall_json(1, &[run], None)
     }
 
     #[test]
@@ -1042,7 +1055,11 @@ mod tests {
         let run = fake_run("traffic/n1000", 1_000_000, 10.0, 120.0);
         // A committed baseline holds several presets; only the current
         // one's runs are compared.
-        let baseline = render_wall_json(1, &[&run, &fake_run("uniform/n10000", 1, 140.0, 300.0)]);
+        let baseline = render_wall_json(
+            1,
+            &[&run, &fake_run("uniform/n10000", 1, 140.0, 300.0)],
+            Some(1),
+        );
         check_against_baseline(&sidecar(&run), &baseline, 0.10).expect("same run");
 
         let other = sidecar(&fake_run("traffic/n200", 1, 1.0, 1.0));
@@ -1060,6 +1077,25 @@ mod tests {
         let chaos = sidecar(&fake_run("chaos/n120", 1, 1.0, 1.0));
         let v = check_against_baseline(&chaos, &baseline, 0.10).unwrap_err();
         assert!(v[0].contains("no chaos/* run"), "{v:?}");
+    }
+
+    #[test]
+    fn the_sidecar_carries_the_process_peak_rss() {
+        let run = fake_run("uniform/n500", 1, 1.0, 1.0);
+        let rss = |json: &str| {
+            Value::parse_json(json)
+                .expect("json")
+                .path("peak_rss_kib")
+                .cloned()
+        };
+        // What the soak-smoke residue gate reads with `sed`.
+        let with = render_wall_json(1, &[&run], Some(65_536));
+        assert!(with.contains("\n  \"peak_rss_kib\": 65536,\n"), "{with}");
+        assert_eq!(rss(&sidecar(&run)), Some(Value::Null));
+        // On Linux the kernel reports it, and a test binary is not tiny.
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(peak_rss_kib().is_some_and(|kib| kib > 1_024));
+        }
     }
 
     #[test]

@@ -44,6 +44,12 @@ pub const DEPLOY_TIMEOUT: SimDuration = SimDuration::from_mins(30);
 pub const ADMISSION_STARVATION_BOUND: SimDuration = SimDuration::from_mins(5);
 /// Learner progress-report period.
 pub const LEARNER_REPORT: SimDuration = SimDuration::from_millis(2_000);
+/// How often, and how far apart, a starting learner tries to read its
+/// checkpoint from an object store that does not answer before it exits
+/// non-zero (and Kubernetes restarts it).
+pub const LEARNER_RESTORE_ATTEMPTS: u32 = 30;
+/// See [`LEARNER_RESTORE_ATTEMPTS`].
+pub const LEARNER_RESTORE_RETRY: SimDuration = SimDuration::from_millis(1_000);
 /// RPC deadline for service-to-service calls.
 pub const RPC_TIMEOUT: SimDuration = SimDuration::from_millis(800);
 /// Cold start of the API process (Go binary + config + registrations).

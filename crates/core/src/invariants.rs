@@ -182,13 +182,13 @@ pub fn check_with(
 /// weigh against the clock on every pass, and the verdict of the rules
 /// that depend on the document alone (history, attempts).
 struct JobSummary {
-    /// The document the summary was read from. The store never edits a
-    /// document in place — an update builds a successor and swaps the
-    /// `Rc` — so handing back the *same* allocation means the same
-    /// contents; and because the summary holds this reference the
-    /// allocation cannot be freed and its address reused by another
-    /// document, which is what makes `Rc::ptr_eq` a sound test for
-    /// "unchanged".
+    /// The document the summary was read from. Holding it is what makes
+    /// `Rc::ptr_eq` a sound test for "unchanged": the store edits a
+    /// document where it is only while nobody else holds it, so while the
+    /// summary does, an update builds a successor and swaps the `Rc` —
+    /// the *same* allocation handed back means the same contents — and
+    /// the allocation cannot be freed and its address reused by another
+    /// document.
     doc: Doc,
     /// The pass that last found the id in the store.
     pass: u64,

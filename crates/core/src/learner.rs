@@ -19,7 +19,7 @@ use std::rc::Rc;
 use dlaas_gpu::{checkpoint_bytes, images_per_sec, ExecEnv, Interconnect, TrainingConfig};
 use dlaas_kube::{Cleanup, ProcessCtx};
 use dlaas_net::speeds;
-use dlaas_objstore::ObjectBody;
+use dlaas_objstore::{ObjStoreError, ObjectBody};
 use dlaas_sharedfs::Mount;
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
@@ -218,7 +218,7 @@ impl Learner {
             return;
         }
         if self.mount.exists(paths::NFS_DATA_LOADED) {
-            self.restore_checkpoint(sim);
+            self.restore_checkpoint(sim, 0);
             return;
         }
         let me = self.clone();
@@ -253,7 +253,14 @@ impl Learner {
     /// exists; resume from its iteration. Distributed frameworks with a
     /// parameter server can instead rejoin at the peers' current
     /// iteration, which is always at least as fresh as any checkpoint.
-    fn restore_checkpoint(self: Rc<Self>, sim: &mut Sim) {
+    ///
+    /// Only *not found* means there is no checkpoint. An object store that
+    /// cannot be reached is not an empty one: the restore is tried again
+    /// ([`config::LEARNER_RESTORE_ATTEMPTS`] times,
+    /// [`config::LEARNER_RESTORE_RETRY`] apart) and then the
+    /// learner exits non-zero for Kubernetes to restart it — it never
+    /// trains from iteration 0 over checkpoints it could not read.
+    fn restore_checkpoint(self: Rc<Self>, sim: &mut Sim, attempt: u32) {
         if let Some(peer_iter) = self.peer_iteration() {
             if peer_iter > 0 {
                 sim.metrics()
@@ -284,7 +291,9 @@ impl Learner {
                 }
                 let iter: u64 = match r {
                     Ok(obj) => obj.body.as_text().and_then(|s| s.parse().ok()).unwrap_or(0),
-                    Err(_) => 0, // no checkpoint yet
+                    // No checkpoint yet.
+                    Err(ObjStoreError::NoSuchKey(_) | ObjStoreError::NoSuchBucket(_)) => 0,
+                    Err(e) => return me.retry_restore(sim, attempt, &e),
                 };
                 if iter == 0 {
                     me.begin_training(sim, 0);
@@ -299,9 +308,12 @@ impl Learner {
                     bucket,
                     paths::obj_ckpt_data(&me.job),
                     Some(&nic),
-                    move |sim, _r| {
+                    move |sim, r| {
                         if !me2.ctx.is_alive() {
                             return;
+                        }
+                        if let Err(e) = r {
+                            return me2.retry_restore(sim, attempt, &e);
                         }
                         sim.metrics()
                             .counter_series(metrics::CHECKPOINT_RESTORES, [])
@@ -312,6 +324,21 @@ impl Learner {
                 );
             },
         );
+    }
+
+    /// The checkpoint could not be read: try the restore again shortly,
+    /// or give up this incarnation once the retries are spent.
+    fn retry_restore(self: Rc<Self>, sim: &mut Sim, attempt: u32, why: &ObjStoreError) {
+        if attempt + 1 >= config::LEARNER_RESTORE_ATTEMPTS {
+            self.log(sim, format!("checkpoint restore failed ({why}); exiting"));
+            self.ctx.exit(sim, 1);
+            return;
+        }
+        sim.schedule_in(config::LEARNER_RESTORE_RETRY, move |sim| {
+            if self.ctx.is_alive() {
+                self.restore_checkpoint(sim, attempt + 1);
+            }
+        });
     }
 
     fn begin_training(self: Rc<Self>, sim: &mut Sim, start_iter: u64) {

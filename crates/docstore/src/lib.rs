@@ -6,12 +6,16 @@
 //! lost."* (paper §III-c). This crate reproduces the pieces of MongoDB
 //! that guarantee relies on:
 //!
-//! * [`Value`] / [`obj!`] — JSON/BSON-like documents,
-//! * [`Filter`] / [`Update`] — queries and mutations over dotted paths,
+//! * [`Value`] / [`obj!`] — JSON/BSON-like documents; an object
+//!   ([`Obj`]) is a key-sorted vector of pairs that holds no spare room,
+//! * [`Filter`] / [`Update`] — queries and mutations over dotted paths;
+//!   [`Update::apply`] says whether it changed the document,
 //! * [`DocStore`] — collections with secondary indexes (equality *and*
 //!   `In` filters route through them, preserving scan order) and a
-//!   write-ahead [`Journal`]; [`DocStore::recover`] rebuilds state after
-//!   a crash,
+//!   write-ahead [`Journal`] of redo records ([`JournalOp`]);
+//!   [`DocStore::recover`] rebuilds state after a crash by redoing them.
+//!   Documents are handed out as shared snapshots ([`Doc`]); an update
+//!   edits the stored copy in place unless someone still holds it,
 //! * [`MongoServer`] — the store as an RPC service with modelled
 //!   journal-write/read latencies and crash/recover.
 //!
@@ -63,4 +67,4 @@ mod value;
 pub use query::{Filter, Update};
 pub use server::{mongo_addr, MongoRequest, MongoResponse, MongoRpc, MongoServer, MongoTimings};
 pub use store::{Doc, DocStore, Journal, JournalOp, StoreError};
-pub use value::Value;
+pub use value::{Obj, Value};

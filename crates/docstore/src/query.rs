@@ -163,47 +163,90 @@ impl Update {
         Update::Push(path.into(), v.into())
     }
 
-    /// Applies the mutation to `doc`. Silently skips paths blocked by
-    /// scalar intermediates (matching MongoDB's lenient update semantics).
-    pub fn apply(&self, doc: &mut Value) {
+    /// Applies the mutation to `doc` and reports whether the document now
+    /// differs from what it was (`before != after`, without the copy and
+    /// the comparison). Silently skips paths blocked by scalar
+    /// intermediates (matching MongoDB's lenient update semantics).
+    pub fn apply(&self, doc: &mut Value) -> bool {
+        let mut changed = false;
         match self {
             Update::Set(p, v) => {
-                if let Some(slot) = doc.path_mut_or_create(p) {
-                    *slot = v.clone();
+                if let Some(slot) = doc.leaf_slot(p, &mut changed) {
+                    if changed || slot != v {
+                        *slot = v.clone();
+                        changed = true;
+                    }
                 }
             }
             Update::Unset(p) => {
                 let (parent, leaf) = match p.rsplit_once('.') {
-                    Some((a, b)) => (Some(a), b),
-                    None => (None, p.as_str()),
+                    Some((parent, leaf)) => (doc.descend(parent, &mut changed), leaf),
+                    None => (Some(doc), p.as_str()),
                 };
-                let target = match parent {
-                    Some(pp) => doc.path_mut_or_create(pp),
-                    None => Some(doc),
-                };
-                if let Some(Value::Obj(m)) = target {
-                    m.remove(leaf);
+                if let Some(Value::Obj(m)) = parent {
+                    changed |= m.remove(leaf).is_some();
                 }
             }
             Update::Inc(p, by) => {
-                if let Some(slot) = doc.path_mut_or_create(p) {
-                    let cur = slot.as_i64().unwrap_or(0);
-                    *slot = Value::I64(cur + by);
+                if let Some(slot) = doc.leaf_slot(p, &mut changed) {
+                    let new = Value::I64(slot.as_i64().unwrap_or(0) + by);
+                    if changed || *slot != new {
+                        *slot = new;
+                        changed = true;
+                    }
                 }
             }
             Update::Push(p, v) => {
-                if let Some(slot) = doc.path_mut_or_create(p) {
+                if let Some(slot) = doc.leaf_slot(p, &mut changed) {
                     match slot {
                         Value::Arr(a) => a.push(v.clone()),
                         _ => *slot = Value::Arr(vec![v.clone()]),
                     }
+                    changed = true;
                 }
             }
+            // Parts that write apart from one another cannot undo each
+            // other's changes; of parts that may, only the outcome tells.
             Update::Many(us) => {
-                for u in us {
-                    u.apply(doc);
+                let apart = (1..us.len()).all(|i| us[..i].iter().all(|u| !us[i].overlaps(u)));
+                if apart {
+                    for u in us {
+                        changed |= u.apply(doc);
+                    }
+                } else {
+                    let before = doc.clone();
+                    for u in us {
+                        u.apply(doc);
+                    }
+                    changed = *doc != before;
                 }
             }
+        }
+        changed
+    }
+
+    /// `true` if the two updates may write to the same place.
+    fn overlaps(&self, other: &Update) -> bool {
+        match self {
+            Update::Set(p, _) | Update::Unset(p) | Update::Inc(p, _) | Update::Push(p, _) => {
+                other.reaches(p)
+            }
+            Update::Many(us) => us.iter().any(|u| u.overlaps(other)),
+        }
+    }
+
+    /// `true` if applying the update can change what a document holds at
+    /// `path`: one of its paths is `path`, lies under it or leads to it.
+    pub(crate) fn reaches(&self, path: &str) -> bool {
+        fn leads_to(a: &str, b: &str) -> bool {
+            b.strip_prefix(a)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
+        }
+        match self {
+            Update::Set(p, _) | Update::Unset(p) | Update::Inc(p, _) | Update::Push(p, _) => {
+                leads_to(p, path) || leads_to(path, p)
+            }
+            Update::Many(us) => us.iter().any(|u| u.reaches(path)),
         }
     }
 }

@@ -37,47 +37,54 @@ impl std::error::Error for StoreError {}
 /// A stored document as readers see it: an immutable snapshot shared by
 /// reference count.
 ///
-/// The store never mutates a document in place — an update builds the
-/// successor value and swaps the handle — so a `Doc` obtained from any
+/// The store never edits a document *someone else can see*: an update
+/// edits the collection's copy in place only while the collection holds
+/// the one reference to it, and otherwise builds the successor beside it
+/// and swaps the handle (`Rc::make_mut`). So a `Doc` obtained from any
 /// query keeps showing the document as it was when the query ran, however
-/// the collection changes afterwards (snapshot isolation), and handing
-/// one out copies nothing. The journal holds the same handles: a document
-/// version exists once in memory no matter how many readers, query
-/// results and journal records refer to it.
+/// the collection changes afterwards (snapshot isolation), handing one
+/// out copies nothing, and an update costs a copy of the document only
+/// while a reader still holds the version it replaces.
 pub type Doc = Rc<Value>;
 
-/// One durable journal record (the "disk" write-ahead log).
+/// One durable journal record (the "disk" write-ahead log): a redo log
+/// entry. Replaying the records in order through the code path that wrote
+/// them rebuilds the store; none of them is an after-image, so what the
+/// journal keeps of an update is the update, not another version of the
+/// document. Collection names and document ids are shared with the
+/// collection's own maps.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalOp {
     /// Document inserted into a collection.
     Insert {
         /// Collection name.
-        coll: String,
+        coll: Rc<str>,
         /// Document id.
-        id: String,
-        /// Full document.
+        id: Rc<str>,
+        /// Full document, as inserted.
         doc: Doc,
     },
-    /// Document replaced (after-image).
-    Replace {
+    /// Document changed by an update (a no-op update journals nothing).
+    Update {
         /// Collection name.
-        coll: String,
+        coll: Rc<str>,
         /// Document id.
-        id: String,
-        /// Full document after the update.
-        doc: Doc,
+        id: Rc<str>,
+        /// The mutation, one copy per `update_*` call however many
+        /// documents it changed.
+        update: Rc<Update>,
     },
     /// Document removed.
     Remove {
         /// Collection name.
-        coll: String,
+        coll: Rc<str>,
         /// Document id.
-        id: String,
+        id: Rc<str>,
     },
     /// Secondary index created.
     Index {
         /// Collection name.
-        coll: String,
+        coll: Rc<str>,
         /// Indexed dotted path.
         path: String,
     },
@@ -110,106 +117,180 @@ impl Journal {
     pub fn is_empty(&self) -> bool {
         self.ops.borrow().is_empty()
     }
+}
 
-    /// Snapshot of all records (test/debug aid).
-    pub fn snapshot(&self) -> Vec<JournalOp> {
-        self.ops.borrow().clone()
+/// value → ids of the documents holding it at the indexed path.
+type Index = BTreeMap<String, BTreeSet<Rc<str>>>;
+
+fn index_key(v: &Value) -> String {
+    v.to_string()
+}
+
+fn unindex(idx: &mut Index, key: &str, id: &str) {
+    if let Some(set) = idx.get_mut(key) {
+        set.remove(id);
+        if set.is_empty() {
+            idx.remove(key);
+        }
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Collection {
-    docs: BTreeMap<String, Doc>,
-    /// path → (value → ids); consulted for `Eq`-pinned filters.
-    indexes: BTreeMap<String, BTreeMap<String, BTreeSet<String>>>,
+    /// The collection's name, as every journal record of it carries it.
+    name: Rc<str>,
+    /// id → document. The key is the one allocation of the id: index
+    /// postings, the change feed and journal records share it.
+    docs: BTreeMap<Rc<str>, Doc>,
+    /// path → index; consulted for `Eq`- and `In`-pinned filters.
+    indexes: BTreeMap<String, Index>,
     /// Monotonic per-collection change counter, bumped once per journaled
     /// mutation (insert, effective update, delete). Journal replay bumps
     /// through the same path, so sequence numbers — and therefore any
     /// watcher's watermark — survive crash recovery unchanged.
     change_seq: u64,
     /// id → sequence number of its latest change.
-    changed_at: BTreeMap<String, u64>,
+    changed_at: BTreeMap<Rc<str>, u64>,
     /// sequence number → id; at most one entry per id (re-touching a
     /// document moves it to the tail), so a watcher reading the range
     /// above its watermark sees each changed document exactly once.
-    by_seq: BTreeMap<u64, String>,
+    by_seq: BTreeMap<u64, Rc<str>>,
 }
 
-impl Collection {
-    fn index_key(v: &Value) -> String {
-        v.to_string()
-    }
+/// The collection called `coll`, created empty if there is none yet.
+fn collection<'a>(
+    collections: &'a mut BTreeMap<Rc<str>, Collection>,
+    coll: &str,
+) -> &'a mut Collection {
+    let name = collections
+        .get_key_value(coll)
+        .map_or_else(|| Rc::from(coll), |(name, _)| name.clone());
+    collections
+        .entry(name)
+        .or_insert_with_key(|name| Collection {
+            name: name.clone(),
+            docs: BTreeMap::new(),
+            indexes: BTreeMap::new(),
+            change_seq: 0,
+            changed_at: BTreeMap::new(),
+            by_seq: BTreeMap::new(),
+        })
+}
 
-    /// Records that `id` changed (was inserted, replaced, or removed),
+// `put`, `edit`, `remove` and `build_index` are the mutations, as the live
+// store and journal replay both perform them: documents, indexes and the
+// change feed move together, so a recovered store is state-equal by
+// construction.
+impl Collection {
+    /// Records that `id` changed (was inserted, updated, or removed),
     /// moving it to the tail of the change feed.
-    fn note_change(&mut self, id: &str) {
+    fn note_change(&mut self, id: Rc<str>) {
         self.change_seq += 1;
-        if let Some(old) = self.changed_at.insert(id.to_owned(), self.change_seq) {
+        if let Some(old) = self.changed_at.insert(id.clone(), self.change_seq) {
             self.by_seq.remove(&old);
         }
-        self.by_seq.insert(self.change_seq, id.to_owned());
+        self.by_seq.insert(self.change_seq, id);
     }
 
-    fn add_to_indexes(&mut self, id: &str, doc: &Value) {
+    /// Adds a document under a fresh id.
+    fn put(&mut self, id: Rc<str>, doc: Doc) {
         for (path, idx) in &mut self.indexes {
             if let Some(v) = doc.path(path) {
-                idx.entry(Self::index_key(v))
-                    .or_default()
-                    .insert(id.to_owned());
+                idx.entry(index_key(v)).or_default().insert(id.clone());
             }
         }
+        self.docs.insert(id.clone(), doc);
+        self.note_change(id);
     }
 
-    fn remove_from_indexes(&mut self, id: &str, doc: &Value) {
-        for (path, idx) in &mut self.indexes {
-            if let Some(v) = doc.path(path) {
-                if let Some(set) = idx.get_mut(&Self::index_key(v)) {
-                    set.remove(id);
-                    if set.is_empty() {
-                        idx.remove(&Self::index_key(v));
-                    }
+    /// Applies `update` to document `id`; `true` if that changed it.
+    ///
+    /// Copy-on-write: the document is edited where it is unless a reader
+    /// (a query result, an RPC response in flight, a journal insert
+    /// record, the invariant checker's summary) still holds this version,
+    /// in which case the edit goes to a copy and the reader keeps the
+    /// original. Index upkeep runs only for an index whose path the
+    /// update can reach, and only if the value there moved.
+    fn edit(&mut self, id: &Rc<str>, update: &Update) -> bool {
+        let Some(slot) = self.docs.get_mut(id) else {
+            return false;
+        };
+        let reached: Vec<_> = self
+            .indexes
+            .iter_mut()
+            .filter(|(path, _)| update.reaches(path))
+            .map(|(path, idx)| (path, idx, slot.path(path).map(index_key)))
+            .collect();
+        let doc = Rc::make_mut(slot);
+        if !update.apply(doc) {
+            return false;
+        }
+        for (path, idx, old) in reached {
+            let new = doc.path(path).map(index_key);
+            if new != old {
+                if let Some(old) = old {
+                    unindex(idx, &old, id);
+                }
+                if let Some(new) = new {
+                    idx.entry(new).or_default().insert(id.clone());
                 }
             }
         }
+        self.note_change(id.clone());
+        true
+    }
+
+    /// Indexes `path` over the documents held now.
+    fn build_index(&mut self, path: &str) {
+        let mut idx = Index::new();
+        for (id, doc) in &self.docs {
+            if let Some(v) = doc.path(path) {
+                idx.entry(index_key(v)).or_default().insert(id.clone());
+            }
+        }
+        self.indexes.insert(path.to_owned(), idx);
+    }
+
+    /// Removes document `id`; `false` if there is none.
+    fn remove(&mut self, id: &str) -> bool {
+        let Some((id, old)) = self.docs.remove_entry(id) else {
+            return false;
+        };
+        for (path, idx) in &mut self.indexes {
+            if let Some(v) = old.path(path) {
+                unindex(idx, &index_key(v), &id);
+            }
+        }
+        self.note_change(id);
+        true
     }
 
     /// Ids of candidate documents for `filter` when the primary key or an
-    /// index narrows it; `None` when every document is a candidate (the
-    /// caller then walks `docs` itself — no copy of every id).
-    fn candidates(&self, filter: &Filter) -> Option<Vec<String>> {
+    /// index narrows it, in id order; `None` when every document is a
+    /// candidate (the caller then walks `docs` itself — no list of every
+    /// id).
+    fn candidates(&self, filter: &Filter) -> Option<Vec<Rc<str>>> {
         // `_id` is the primary key: an exact pin needs no scan.
         if let Some(v) = filter.pinned_eq("_id") {
-            return Some(match v.as_str() {
-                Some(id) if self.docs.contains_key(id) => vec![id.to_owned()],
-                _ => Vec::new(),
-            });
+            let id = v.as_str().and_then(|id| self.docs.get_key_value(id));
+            return Some(id.map(|(id, _)| id.clone()).into_iter().collect());
         }
-        for path in self.indexes.keys() {
+        for (path, idx) in &self.indexes {
             if let Some(v) = filter.pinned_eq(path) {
-                let idx = &self.indexes[path];
-                return Some(
-                    idx.get(&Self::index_key(v))
-                        .map(|set| {
-                            let mut v: Vec<_> = set.iter().cloned().collect();
-                            v.sort();
-                            v
-                        })
-                        .unwrap_or_default(),
-                );
+                let set = idx.get(&index_key(v));
+                return Some(set.into_iter().flatten().cloned().collect());
             }
         }
         // `In`-pinned filters union the posting lists of every listed
         // value; the BTreeSet keeps candidate order identical to a scan.
-        for path in self.indexes.keys() {
+        for (path, idx) in &self.indexes {
             if let Some(vs) = filter.pinned_in(path) {
-                let idx = &self.indexes[path];
-                let mut ids: BTreeSet<String> = BTreeSet::new();
-                for v in vs {
-                    if let Some(set) = idx.get(&Self::index_key(v)) {
-                        ids.extend(set.iter().cloned());
-                    }
-                }
-                return Some(ids.into_iter().collect());
+                let ids: BTreeSet<&Rc<str>> = vs
+                    .iter()
+                    .filter_map(|v| idx.get(&index_key(v)))
+                    .flatten()
+                    .collect();
+                return Some(ids.into_iter().cloned().collect());
             }
         }
         None
@@ -230,7 +311,7 @@ impl Collection {
 
     /// Ids of the documents matching `filter`, in id order, and the
     /// candidate count (for the mutations, which edit `docs` by id).
-    fn matching_ids(&self, filter: &Filter) -> (u64, Vec<String>) {
+    fn matching_ids(&self, filter: &Filter) -> (u64, Vec<Rc<str>>) {
         match self.candidates(filter) {
             Some(ids) => (
                 ids.len() as u64,
@@ -270,7 +351,7 @@ impl Collection {
 /// ```
 #[derive(Debug)]
 pub struct DocStore {
-    collections: BTreeMap<String, Collection>,
+    collections: BTreeMap<Rc<str>, Collection>,
     journal: Journal,
     next_auto_id: u64,
     /// Candidate documents examined by the most recent query-bearing
@@ -295,40 +376,32 @@ impl DocStore {
         }
     }
 
-    /// Rebuilds a store from an existing journal (crash recovery). The
-    /// result is state-equal to the store that wrote the journal.
+    /// Rebuilds a store from an existing journal (crash recovery) by
+    /// redoing every record through the code that wrote it. The result is
+    /// state-equal to the store that wrote the journal: documents, index
+    /// results, change sequence numbers and the auto-id high-water mark.
     pub fn recover(journal: Journal) -> Self {
-        let mut store = DocStore {
-            collections: BTreeMap::new(),
-            journal: Journal::new(), // temporarily empty to avoid re-journaling
-            next_auto_id: 0,
-            last_examined: std::cell::Cell::new(0),
-        };
-        let ops = journal.snapshot();
-        for op in &ops {
+        let mut store = DocStore::new();
+        for op in journal.ops.borrow().iter() {
             match op {
-                JournalOp::Insert { coll, id, doc } | JournalOp::Replace { coll, id, doc } => {
-                    let c = store.collections.entry(coll.clone()).or_default();
-                    if let Some(old) = c.docs.insert(id.clone(), doc.clone()) {
-                        c.remove_from_indexes(id, &old);
-                    }
-                    c.add_to_indexes(id, doc);
-                    c.note_change(id);
-                    // Track auto-id high-water mark.
+                JournalOp::Insert { coll, id, doc } => {
+                    collection(&mut store.collections, coll).put(id.clone(), doc.clone());
                     if let Some(n) = id.strip_prefix("auto-").and_then(|s| s.parse::<u64>().ok()) {
                         store.next_auto_id = store.next_auto_id.max(n + 1);
                     }
                 }
+                JournalOp::Update { coll, id, update } => {
+                    if let Some(c) = store.collections.get_mut(coll) {
+                        c.edit(id, update);
+                    }
+                }
                 JournalOp::Remove { coll, id } => {
                     if let Some(c) = store.collections.get_mut(coll) {
-                        if let Some(old) = c.docs.remove(id) {
-                            c.remove_from_indexes(id, &old);
-                            c.note_change(id);
-                        }
+                        c.remove(id);
                     }
                 }
                 JournalOp::Index { coll, path } => {
-                    store.build_index(coll, path);
+                    collection(&mut store.collections, coll).build_index(path);
                 }
             }
         }
@@ -350,24 +423,12 @@ impl DocStore {
         {
             return;
         }
-        self.build_index(coll, path);
+        let c = collection(&mut self.collections, coll);
+        c.build_index(path);
         self.journal.append(JournalOp::Index {
-            coll: coll.to_owned(),
+            coll: c.name.clone(),
             path: path.to_owned(),
         });
-    }
-
-    fn build_index(&mut self, coll: &str, path: &str) {
-        let c = self.collections.entry(coll.to_owned()).or_default();
-        let mut idx: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for (id, doc) in &c.docs {
-            if let Some(v) = doc.path(path) {
-                idx.entry(Collection::index_key(v))
-                    .or_default()
-                    .insert(id.clone());
-            }
-        }
-        c.indexes.insert(path.to_owned(), idx);
     }
 
     /// Inserts a document, journaling before returning (write concern:
@@ -391,25 +452,19 @@ impl DocStore {
                 id
             }
         };
-        let c = self.collections.entry(coll.to_owned()).or_default();
-        if c.docs.contains_key(&id) {
+        let c = collection(&mut self.collections, coll);
+        if c.docs.contains_key(id.as_str()) {
             return Err(StoreError::DuplicateId(id));
         }
         let doc = Rc::new(doc);
+        let shared: Rc<str> = id.as_str().into();
         // Journal first: the write is durable before it is acknowledged.
         self.journal.append(JournalOp::Insert {
-            coll: coll.to_owned(),
-            id: id.clone(),
+            coll: c.name.clone(),
+            id: shared.clone(),
             doc: doc.clone(),
         });
-        #[expect(
-            clippy::expect_used,
-            reason = "the entry was created by the get-or-create at the top of insert, and the journal append between the two does not touch collections"
-        )]
-        let c = self.collections.get_mut(coll).expect("just created");
-        c.add_to_indexes(&id, &doc);
-        c.docs.insert(id.clone(), doc);
-        c.note_change(&id);
+        c.put(shared, doc);
         Ok(id)
     }
 
@@ -507,27 +562,17 @@ impl DocStore {
         };
         let (examined, ids) = c.matching_ids(filter);
         self.last_examined.set(examined);
+        // The journal's copy of the update, made once if it changes
+        // anything and shared by every document it changes.
+        let mut record: Option<Rc<Update>> = None;
         let mut n = 0;
         for id in ids {
-            #[expect(
-                clippy::expect_used,
-                reason = "`ids` was filtered to present docs from this same collection borrow a few lines up; nothing between the scan and this loop mutates c.docs"
-            )]
-            let slot = c.docs.get_mut(&id).expect("listed above");
-            // The one copy an update makes: the successor is built beside
-            // the stored value, which readers and the journal still hold.
-            let mut new = Value::clone(slot);
-            update.apply(&mut new);
-            if new != **slot {
-                let new = Rc::new(new);
-                let old = std::mem::replace(slot, new.clone());
-                c.remove_from_indexes(&id, &old);
-                c.add_to_indexes(&id, &new);
-                c.note_change(&id);
-                self.journal.append(JournalOp::Replace {
-                    coll: coll.to_owned(),
-                    id: id.clone(),
-                    doc: new,
+            if c.edit(&id, update) {
+                let update = record.get_or_insert_with(|| Rc::new(update.clone()));
+                self.journal.append(JournalOp::Update {
+                    coll: c.name.clone(),
+                    id,
+                    update: update.clone(),
                 });
             }
             n += 1;
@@ -558,16 +603,10 @@ impl DocStore {
         self.last_examined.set(examined);
         let mut n = 0;
         for id in ids {
-            #[expect(
-                clippy::expect_used,
-                reason = "`ids` was filtered to present docs from this same collection borrow a few lines up, and each id is removed exactly once"
-            )]
-            let old = c.docs.remove(&id).expect("listed above");
-            c.remove_from_indexes(&id, &old);
-            c.note_change(&id);
+            c.remove(&id);
             self.journal.append(JournalOp::Remove {
-                coll: coll.to_owned(),
-                id: id.clone(),
+                coll: c.name.clone(),
+                id,
             });
             n += 1;
             if one {
@@ -604,7 +643,7 @@ impl DocStore {
             examined += 1;
             match c.docs.get(id) {
                 Some(d) => docs.push(d.clone()),
-                None => gone.push(id.clone()),
+                None => gone.push(String::from(&**id)),
             }
         }
         self.last_examined.set(examined);
@@ -613,9 +652,10 @@ impl DocStore {
 
     /// Names of all collections that have ever held a document.
     pub fn collection_names(&self) -> Vec<String> {
-        let mut v: Vec<_> = self.collections.keys().cloned().collect();
-        v.sort();
-        v
+        self.collections
+            .keys()
+            .map(|c| String::from(&**c))
+            .collect()
     }
 }
 
@@ -1015,6 +1055,133 @@ mod tests {
     }
 
     #[test]
+    fn a_held_handle_never_changes_whatever_the_store_does_next() {
+        // Fails on a store that edits a document a reader can see.
+        let mut db = DocStore::new();
+        db.create_index("jobs", "status");
+        db.insert("jobs", job("a", "PENDING", 1)).unwrap();
+        let by_id = Filter::eq("_id", "a");
+        let mut held: Vec<(Doc, String)> = Vec::new();
+        let mut hold = |db: &DocStore| {
+            let doc = db.find_one("jobs", &by_id).unwrap();
+            held.push((doc.clone(), doc.to_json()));
+            for (doc, was) in &held {
+                assert_eq!(&doc.to_json(), was, "a held version changed");
+            }
+        };
+
+        // The first update finds the handle shared (with the reader and
+        // the journal's insert record), the second finds it the store's
+        // alone, the third shared with a reader again.
+        hold(&db);
+        db.update_one("jobs", &by_id, &Update::set("status", "DEPLOYING"));
+        db.update_one(
+            "jobs",
+            &by_id,
+            &Update::push("history", obj! {"status" => "DEPLOYING", "t_us" => 7}),
+        );
+        hold(&db);
+        db.update_one("jobs", &by_id, &Update::inc("learners", 1));
+        hold(&db);
+
+        // Crash and recovery: the readers' versions outlive the store,
+        // and redoing the journal edits none of them either.
+        let journal = db.journal().clone();
+        drop(db);
+        let mut db = DocStore::recover(journal);
+        hold(&db);
+        db.update_one("jobs", &by_id, &Update::set("status", "PROCESSING"));
+        db.update_many("jobs", &Filter::True, &Update::Unset("history".into()));
+        hold(&db);
+        db.delete_one("jobs", &by_id);
+        let versions: Vec<&str> = held
+            .iter()
+            .map(|(doc, _)| doc.path("status").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(
+            versions,
+            [
+                "PENDING",
+                "DEPLOYING",
+                "DEPLOYING",
+                "DEPLOYING",
+                "PROCESSING"
+            ]
+        );
+        assert_eq!(held[4].0.path("learners").unwrap().as_i64(), Some(2));
+        assert!(held[4].0.path("history").is_none());
+    }
+
+    #[test]
+    fn an_update_copies_the_document_only_while_someone_else_holds_it() {
+        let mut db = DocStore::new();
+        db.insert("jobs", job("a", "PENDING", 1)).unwrap();
+        let by_id = Filter::eq("_id", "a");
+        let address = |db: &DocStore| Rc::as_ptr(&db.find_one("jobs", &by_id).unwrap());
+
+        // The journal's insert record holds the inserted version, so the
+        // first update is to a copy.
+        let inserted = address(&db);
+        db.update_one("jobs", &by_id, &Update::set("status", "DEPLOYING"));
+        let unique = address(&db);
+        assert_ne!(unique, inserted);
+
+        // Nobody but the collection holds it now: edited where it is.
+        // (Checked after each update: a copy is made while its original
+        // is still allocated, so it cannot land on the same address, but
+        // the copy after that could.)
+        for update in [
+            Update::set("status", "PROCESSING"),
+            Update::inc("learners", 1),
+        ] {
+            db.update_one("jobs", &by_id, &update);
+            assert_eq!(address(&db), unique, "an unshared document was copied");
+        }
+
+        // A reader holds it: the edit goes to a new allocation and the
+        // reader keeps the old one. This is what keeps the invariant
+        // checker's `Rc::ptr_eq` memo sound under in-place editing: its
+        // summary *holds* the handle it compares against, so a document
+        // it has seen can only ever change by moving to another
+        // allocation — and the held one cannot be freed and its address
+        // reused. A memo of the bare address would be wrong.
+        let reader = db.find_one("jobs", &by_id).unwrap();
+        db.update_one("jobs", &by_id, &Update::set("status", "COMPLETED"));
+        let now = db.find_one("jobs", &by_id).unwrap();
+        assert!(!Rc::ptr_eq(&reader, &now), "a shared document was edited");
+        assert_eq!(reader.path("status").unwrap().as_str(), Some("PROCESSING"));
+        assert_eq!(now.path("status").unwrap().as_str(), Some("COMPLETED"));
+
+        // A no-op leaves no trace: no journal record, no sequence number.
+        let (journaled, (_, _, seq)) = (db.journal().len(), db.changed_since("jobs", 0));
+        db.update_one("jobs", &by_id, &Update::set("status", "COMPLETED"));
+        db.update_one("jobs", &by_id, &Update::inc("learners", 0));
+        assert_eq!(db.journal().len(), journaled);
+        assert_eq!(db.changed_since("jobs", 0).2, seq);
+    }
+
+    #[test]
+    fn the_journal_keeps_updates_not_versions() {
+        let mut db = DocStore::new();
+        db.insert("jobs", job("a", "PENDING", 1)).unwrap();
+        db.insert("jobs", job("b", "PENDING", 2)).unwrap();
+        let update = Update::push("history", obj! {"status" => "DEPLOYING", "t_us" => 7});
+        db.update_many("jobs", &Filter::True, &update);
+        let ops = db.journal().ops.borrow();
+        let redo: Vec<_> = ops
+            .iter()
+            .filter_map(|op| match op {
+                JournalOp::Update { id, update, .. } => Some((&**id, update)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(redo.len(), 2);
+        assert_eq!((redo[0].0, redo[1].0), ("a", "b"));
+        assert_eq!(**redo[0].1, update);
+        assert!(Rc::ptr_eq(redo[0].1, redo[1].1), "one copy per update call");
+    }
+
+    #[test]
     fn recovery_reproduces_every_document_version_exactly() {
         let mut db = DocStore::new();
         db.create_index("jobs", "status");
@@ -1054,8 +1221,9 @@ mod tests {
         assert_eq!(held.path("status").unwrap().as_str(), Some("PENDING"));
         assert!(held.path("history").is_none());
 
-        // The recovered store shares its documents with the journal; an
-        // update after recovery must leave those after-images alone.
+        // The recovered store shares never-updated documents with the
+        // journal's insert records; an update after recovery must leave
+        // those alone.
         let mut recovered = recovered;
         recovered.update_one(
             "jobs",

@@ -1,6 +1,5 @@
 //! Dynamically-typed document values (a BSON/JSON-like model).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A dynamically typed value stored in a document.
@@ -35,7 +34,116 @@ pub enum Value {
     /// Ordered array.
     Arr(Vec<Value>),
     /// String-keyed map with deterministic (sorted) iteration order.
-    Obj(BTreeMap<String, Value>),
+    Obj(Obj),
+}
+
+/// The fields of a [`Value::Obj`]: `(key, value)` pairs in a vector kept
+/// sorted by key and sized to what it holds.
+///
+/// Documents are small (a job document has some twenty fields, a history
+/// entry two) and there are many of them, so what an empty-ish container
+/// costs is what a finished job costs: a `BTreeMap` allocates a 632-byte
+/// leaf node for its first entry, this allocates the pairs and nothing
+/// else. Lookup is a binary search; iteration is in key order, as a
+/// `BTreeMap`'s is.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Obj(Vec<(String, Value)>);
+
+impl Obj {
+    /// An object with no fields (allocates nothing).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `true` when the object has no fields.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Where field `key` is, or where it would go to keep the order, and
+    /// whether it is there.
+    fn position(&self, key: &str) -> (usize, bool) {
+        let i = self.0.partition_point(|(k, _)| k.as_str() < key);
+        (i, self.0.get(i).is_some_and(|(k, _)| k == key))
+    }
+
+    /// The value of field `key`, if present.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        let (i, present) = self.position(key);
+        present.then(|| &self.0[i].1)
+    }
+
+    /// Sets field `key`, returning the value it replaces, if any.
+    pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
+        let (i, present) = self.position(&key);
+        if present {
+            return Some(std::mem::replace(&mut self.0[i].1, value));
+        }
+        self.0.reserve_exact(1);
+        self.0.insert(i, (key, value));
+        None
+    }
+
+    /// The value of field `key`, which is added as [`Value::Null`] first
+    /// if absent — `true` then.
+    fn get_or_insert_null(&mut self, key: &str) -> (&mut Value, bool) {
+        let (i, present) = self.position(key);
+        if !present {
+            self.0.reserve_exact(1);
+            self.0.insert(i, (key.to_owned(), Value::Null));
+        }
+        (&mut self.0[i].1, !present)
+    }
+
+    /// Removes field `key`, returning its value if it was present.
+    pub fn remove(&mut self, key: &str) -> Option<Value> {
+        let (i, present) = self.position(key);
+        if !present {
+            return None;
+        }
+        let (_, value) = self.0.remove(i);
+        self.0.shrink_to_fit();
+        Some(value)
+    }
+
+    /// The fields in key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&String, &Value)> {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
+}
+
+/// Collects `(key, value)` pairs; of two pairs with one key the later
+/// wins, as with repeated [`Obj::insert`]s.
+impl FromIterator<(String, Value)> for Obj {
+    fn from_iter<I: IntoIterator<Item = (String, Value)>>(pairs: I) -> Self {
+        let mut pairs: Vec<_> = pairs.into_iter().collect();
+        // Stable, so equal keys stay in arrival order: of each run the
+        // dedup keeps the first slot and moves the later value into it.
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+        pairs.shrink_to_fit();
+        Obj(pairs)
+    }
+}
+
+impl IntoIterator for Obj {
+    type Item = (String, Value);
+    type IntoIter = std::vec::IntoIter<(String, Value)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
 }
 
 impl Value {
@@ -85,8 +193,8 @@ impl Value {
         }
     }
 
-    /// The map, if this is an `Obj`.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
+    /// The fields, if this is an `Obj`.
+    pub fn as_obj(&self) -> Option<&Obj> {
         match self {
             Value::Obj(m) => Some(m),
             _ => None,
@@ -105,21 +213,42 @@ impl Value {
     /// Mutable navigation of a dotted path, creating intermediate objects.
     /// Returns `None` when a non-object intermediate blocks the path.
     pub fn path_mut_or_create(&mut self, path: &str) -> Option<&mut Value> {
+        self.descend(path, &mut false)
+    }
+
+    /// [`Value::path_mut_or_create`], setting `changed` if the walk added
+    /// a field or turned a null into an object. A blocked path changes
+    /// nothing: what the walk creates is an object and cannot block it.
+    pub(crate) fn descend(&mut self, path: &str, changed: &mut bool) -> Option<&mut Value> {
         let mut cur = self;
         for seg in path.split('.') {
-            match cur {
-                Value::Obj(m) => {
-                    cur = m.entry(seg.to_owned()).or_insert(Value::Null);
-                    if cur.is_null() {
-                        *cur = Value::Obj(BTreeMap::new());
-                        // Re-created as object; but if this is the final
-                        // segment the caller will overwrite it anyway.
-                    }
-                }
-                _ => return None,
+            let Value::Obj(m) = cur else {
+                return None;
+            };
+            let (next, _) = m.get_or_insert_null(seg);
+            if next.is_null() {
+                *next = Value::Obj(Obj::new());
+                *changed = true;
             }
+            cur = next;
         }
         Some(cur)
+    }
+
+    /// The slot an update of `path` writes: the path's last field, added
+    /// as null if absent (`changed` is set then, and by whatever the
+    /// walk to its parent created). `None` when the path is blocked.
+    pub(crate) fn leaf_slot(&mut self, path: &str, changed: &mut bool) -> Option<&mut Value> {
+        let (parent, leaf) = match path.rsplit_once('.') {
+            Some((parent, leaf)) => (self.descend(parent, changed)?, leaf),
+            None => (self, path),
+        };
+        let Value::Obj(m) = parent else {
+            return None;
+        };
+        let (slot, inserted) = m.get_or_insert_null(leaf);
+        *changed |= inserted;
+        Some(slot)
     }
 
     /// Total ordering used by comparisons and indexes. Numeric types
@@ -356,11 +485,11 @@ impl<'a> JsonParser<'a> {
 
     fn object(&mut self) -> Result<Value, JsonError> {
         self.eat(b'{')?;
-        let mut map = BTreeMap::new();
+        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(map));
+            return Ok(Value::Obj(Obj::new()));
         }
         loop {
             self.skip_ws();
@@ -369,13 +498,13 @@ impl<'a> JsonParser<'a> {
             self.eat(b':')?;
             self.skip_ws();
             let val = self.value()?;
-            map.insert(key, val);
+            pairs.push((key, val));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Obj(map));
+                    return Ok(Value::Obj(pairs.into_iter().collect()));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -537,12 +666,12 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 /// ```
 #[macro_export]
 macro_rules! obj {
-    () => { $crate::Value::Obj(std::collections::BTreeMap::new()) };
-    ( $( $k:expr => $v:expr ),+ $(,)? ) => {{
-        let mut m = std::collections::BTreeMap::new();
-        $( m.insert(String::from($k), $crate::Value::from($v)); )+
-        $crate::Value::Obj(m)
-    }};
+    () => { $crate::Value::Obj($crate::Obj::new()) };
+    ( $( $k:expr => $v:expr ),+ $(,)? ) => {
+        $crate::Value::Obj(<$crate::Obj as ::core::iter::FromIterator<_>>::from_iter([
+            $( (String::from($k), $crate::Value::from($v)) ),+
+        ]))
+    };
 }
 
 #[cfg(test)]
@@ -560,6 +689,30 @@ mod tests {
         assert_eq!(Value::from(vec![1i64, 2]).as_arr().unwrap().len(), 2);
         assert_eq!(Value::from(Option::<i64>::None), Value::Null);
         assert!(obj! {}.as_obj().unwrap().is_empty());
+    }
+
+    #[test]
+    fn obj_is_sorted_exactly_sized_and_the_later_pair_wins() {
+        let v = obj! { "b" => 1, "c" => 2, "a" => 3, "b" => 4 };
+        let Value::Obj(mut o) = v else {
+            panic!("obj! builds an object")
+        };
+        let keys = |o: &Obj| o.iter().map(|(k, _)| k.as_str()).collect::<String>();
+        assert_eq!(keys(&o), "abc");
+        assert_eq!(o.get("b"), Some(&Value::I64(4)));
+        assert_eq!(o.insert("ab".into(), Value::Null), None);
+        assert_eq!(o.insert("a".into(), 5.into()), Some(Value::I64(3)));
+        assert_eq!(o.remove("c"), Some(Value::I64(2)));
+        assert_eq!(o.remove("c"), None);
+        assert_eq!(keys(&o), "aabb");
+        assert_eq!((o.get("c"), o.get("ab")), (None, Some(&Value::Null)));
+        // Built, grown or shrunk, it holds no spare room: a document's
+        // footprint is its contents.
+        assert_eq!(o.0.capacity(), o.len());
+        assert_eq!(o.clone().0.capacity(), 3);
+        // The JSON reader builds objects the same way.
+        let parsed = Value::parse_json(r#"{"z":1,"a":2,"z":3}"#).unwrap();
+        assert_eq!(parsed, obj! { "a" => 2, "z" => 3 });
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   `kubectl delete pod` exercises — the paper's crash experiment.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -27,6 +27,11 @@ use crate::types::{
     selector_matches, KubeConfig, KubeEvent, Labels, NodeSpec, PodPhase, PodSpec, Resources,
     RestartPolicy,
 };
+
+/// How many events [`Kube::events`] keeps. The stream is a ring, as a
+/// capped `dlaas_sim::Trace` is (and as a real cluster's events expire):
+/// a job leaves some thirty events behind and a soak runs a million jobs.
+pub const EVENT_RING: usize = 4096;
 
 /// Who owns (and therefore replaces) a pod.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,7 +143,8 @@ struct ClusterState {
     statefulsets: BTreeMap<String, StatefulSetState>,
     services: BTreeMap<String, ServiceState>,
     policies: Vec<NetworkPolicy>,
-    events: Vec<KubeEvent>,
+    /// The newest [`EVENT_RING`] events, oldest first.
+    events: VecDeque<KubeEvent>,
     next_uid: u64,
     /// Handle to the `kube_kick_pending_examined` histogram, resolved on
     /// the first kick (not at boot, so the series set matches
@@ -220,7 +226,7 @@ impl Kube {
                 statefulsets: BTreeMap::new(),
                 services: BTreeMap::new(),
                 policies: Vec::new(),
-                events: Vec::new(),
+                events: VecDeque::new(),
                 next_uid: 0,
                 kick_examined: None,
                 event_counters: BTreeMap::new(),
@@ -294,7 +300,11 @@ impl Kube {
                     .insert(reason.to_owned(), h);
             }
         }
-        self.state.borrow_mut().events.push(KubeEvent {
+        let events = &mut self.state.borrow_mut().events;
+        if events.len() == EVENT_RING {
+            events.pop_front();
+        }
+        events.push_back(KubeEvent {
             time: sim.now(),
             object,
             reason: reason.to_owned(),
@@ -302,9 +312,10 @@ impl Kube {
         });
     }
 
-    /// The event stream so far.
+    /// The event stream: the newest [`EVENT_RING`] events, oldest first
+    /// (`kube_events_total` counts all of them).
     pub fn events(&self) -> Vec<KubeEvent> {
-        self.state.borrow().events.clone()
+        self.state.borrow().events.iter().cloned().collect()
     }
 
     /// Current phase of a pod, if it exists.

@@ -74,7 +74,7 @@ pub mod metrics;
 mod process;
 mod types;
 
-pub use cluster::{pod_addr, JobStatus, Kube, NetworkPolicy, Owner, ServiceResolver};
+pub use cluster::{pod_addr, JobStatus, Kube, NetworkPolicy, Owner, ServiceResolver, EVENT_RING};
 pub use process::{BehaviorFactory, BehaviorRegistry, Cleanup, ProcessCtx};
 pub use types::{
     selector_matches, ContainerSpec, ImageRef, KubeConfig, KubeEvent, Labels, NodeSpec, PodPhase,

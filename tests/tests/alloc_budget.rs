@@ -15,7 +15,10 @@
 //!   a checker that saw them before, on how many there are,
 //! * what single periodic events allocate: a log flush (nothing that
 //!   grows with the log) and a controller tick that finds the volume
-//!   unchanged (nothing but its timer's next tick).
+//!   unchanged (nothing but its timer's next tick),
+//! * what a *finished* job leaves allocated for good — its document, its
+//!   journal records, its logs, its share of every log and ring — which
+//!   is what a soak's memory grows by, and must not itself grow.
 //!
 //! Every figure is deterministic. Budgets are 1.25 × the measured value;
 //! a breach names what started copying again.
@@ -27,12 +30,15 @@ use dlaas_core::{
     check_invariants, config, DlaasPlatform, InvariantBounds, InvariantMonitor, JobStatus, JOBS,
 };
 use dlaas_docstore::obj;
-use dlaas_integration::{boot, start_training};
+use dlaas_integration::{boot, manifest, start_training, submit_blocking, KEY};
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated and not yet freed (by this thread: the simulation
+    /// allocates and frees on the thread that runs it).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -45,11 +51,13 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         let _ = BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
+        let _ = LIVE.try_with(|n| n.set(n.get() + layout.size() as i64));
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as i64));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -58,6 +66,7 @@ unsafe impl GlobalAlloc for Counting {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         let grown = new_size.saturating_sub(layout.size()) as u64;
         let _ = BYTES.try_with(|n| n.set(n.get() + grown));
+        let _ = LIVE.try_with(|n| n.set(n.get() + new_size as i64 - layout.size() as i64));
         // SAFETY: same block, same layout, as handed to us.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -322,4 +331,66 @@ fn a_warm_invariant_pass_costs_the_same_for_50_and_500_finished_jobs() {
         "a pass over 50 finished jobs made {allocs_50} allocations ({bytes_50} bytes), \
          over 500 {allocs_500} ({bytes_500} bytes): it re-derives what did not change"
     );
+}
+
+#[test]
+fn a_finished_job_leaves_a_bounded_residue_that_does_not_grow() {
+    const WAVE: usize = 100;
+    let (mut sim, platform) = boot(1507);
+    let client = platform.client("itest", KEY);
+    // Live bytes once `WAVE` more short jobs have run to completion and
+    // been garbage-collected: nothing of them is left but what is kept
+    // for good. Eight at a time, which is what the cluster's K80s run at
+    // once: a hundred pods pending together would measure the kernel's
+    // event ring stretching to hold their scheduler kicks.
+    let mut finished = 0;
+    let mut live_after_wave = |sim: &mut Sim| {
+        let deadline = sim.now() + SimDuration::from_hours(6);
+        for round in (0..WAVE).step_by(8) {
+            let jobs: Vec<_> = (round..WAVE.min(round + 8))
+                .map(|i| format!("r{}", finished + i))
+                .map(|name| submit_blocking(sim, &client, manifest(&name, 12)))
+                .collect();
+            while jobs
+                .iter()
+                .any(|j| platform.job_status(j) != Some(JobStatus::Completed))
+            {
+                assert!(sim.now() < deadline, "{} did not finish", jobs[0]);
+                sim.run_for(SimDuration::from_secs(10));
+            }
+        }
+        finished += WAVE;
+        sim.run_for(config::LCM_SCAN * 6);
+        LIVE.get()
+    };
+    let after_100 = live_after_wave(&mut sim);
+    let after_200 = live_after_wave(&mut sim);
+    let after_300 = live_after_wave(&mut sim);
+    check_invariants(&sim, &platform).assert_clean();
+
+    let second = (after_200 - after_100) as f64 / WAVE as f64;
+    let third = (after_300 - after_200) as f64 / WAVE as f64;
+    let per_job = (second + third) / 2.0;
+    // Measured 10 863 bytes per finished job (11 520 among jobs 100..200,
+    // 10 205 among 200..300: the journal, the Raft logs and the like are
+    // vectors that double, so a hundred jobs' share of them wanders by a
+    // kB). With a journal that keeps an after-image of every update,
+    // `BTreeMap` objects and an unbounded kube event list it was 60 008.
+    assert!(
+        per_job <= 13_579.0,
+        "{per_job:.0} bytes retained per finished job"
+    );
+    assert!(
+        third <= 1.10 * second,
+        "a finished job retained {second:.0} bytes among jobs 100..200 and {third:.0} among \
+         200..300: the residue grows"
+    );
+
+    // The event stream is a ring: all three hundred jobs' events were
+    // counted, the newest `EVENT_RING` are kept.
+    let counted = platform
+        .metrics()
+        .counter_total(dlaas_kube::metrics::EVENTS);
+    assert!(counted > dlaas_kube::EVENT_RING as u64, "{counted} events");
+    assert_eq!(platform.kube().events().len(), dlaas_kube::EVENT_RING);
 }

@@ -816,3 +816,89 @@ fn unreachable_volume_is_not_reported_as_downloading() {
     sim.run_for(config::LCM_SCAN * 6);
     check_invariants(&sim, &platform).assert_clean();
 }
+
+/// Bounded work lost (§III-g): a restarted learner asks the object store
+/// for the newest checkpoint, and used to take *any* error on that read —
+/// `Unavailable` included — for "no checkpoint yet": a learner that came
+/// back during an object-store outage restarted training from iteration
+/// 0 and threw away every acknowledged checkpoint (a failed weights
+/// download was ignored the same way). An unreachable store is not an
+/// empty one: only not-found means there is nothing to restore; anything
+/// else is retried, and a learner that runs out of retries exits non-zero
+/// for Kubernetes to restart it.
+#[test]
+fn restarted_learner_waits_out_an_object_store_outage_for_its_checkpoint() {
+    let (mut sim, platform) = boot(315);
+    let client = platform.client("itest", KEY);
+    let mut m = manifest("ckpt-outage", 600);
+    m.checkpoint_every = 100;
+    let job = submit_blocking(&mut sim, &client, m);
+
+    // Train until a checkpoint's meta object is in the store, i.e. its
+    // put was acknowledged.
+    let acked = |platform: &DlaasPlatform| {
+        platform
+            .objstore()
+            .read_text("itest-results", &paths::obj_ckpt_meta(&job))
+            .and_then(|s| s.parse::<u64>().ok())
+    };
+    let deadline = sim.now() + SimDuration::from_hours(1);
+    while acked(&platform).is_none() {
+        assert!(sim.now() < deadline, "{job} never checkpointed");
+        sim.run_for(SimDuration::from_secs(1));
+    }
+    let checkpoint = acked(&platform).expect("just seen");
+    assert!(checkpoint >= 100);
+
+    // The store goes away, the learner is killed, and the store stays
+    // away well past the learner's restart and its retry budget.
+    platform.objstore().set_unavailable(true);
+    platform
+        .kube()
+        .crash_pod(&mut sim, &paths::learner_pod(&job, 0));
+    for _ in 0..90 {
+        sim.run_for(SimDuration::from_secs(1));
+        let iteration = reported_iteration(&platform, &job);
+        assert!(
+            iteration.is_none_or(|i| i >= checkpoint),
+            "inside the outage the learner trains at iteration {iteration:?}, \
+             below its checkpoint at {checkpoint}"
+        );
+    }
+    platform.objstore().set_unavailable(false);
+
+    let end = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Completed,
+        SimDuration::from_hours(2),
+    );
+    assert_eq!(end, Some(JobStatus::Completed));
+    let log = platform
+        .objstore()
+        .read_text("itest-results", &paths::obj_log(&job, 0))
+        .expect("log uploaded");
+    let starts: Vec<&str> = log
+        .lines()
+        .filter(|l| l.starts_with("training started at iter "))
+        .collect();
+    assert_eq!(
+        starts.iter().filter(|l| l.contains("iter 0:")).count(),
+        1,
+        "training started over: {starts:?}"
+    );
+    assert!(
+        log.lines()
+            .any(|l| *l == format!("resumed from checkpoint at iter {checkpoint}")),
+        "the acknowledged checkpoint at {checkpoint} was never restored"
+    );
+    assert!(
+        platform
+            .job_info(&job)
+            .expect("job document")
+            .learner_restarts
+            >= 1
+    );
+    sim.run_for(config::LCM_SCAN * 6);
+    check_invariants(&sim, &platform).assert_clean();
+}
