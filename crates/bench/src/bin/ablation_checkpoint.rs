@@ -28,7 +28,6 @@ struct Outcome {
 
 fn run_one(seed: u64, interval: u64) -> Outcome {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
     let manifest = TrainingManifest::builder(format!("ckpt-{interval}"))
         .framework(Framework::TensorFlow)

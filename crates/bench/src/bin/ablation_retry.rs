@@ -33,7 +33,6 @@ struct Outcome {
 
 fn run_one(seed: u64, limit: u32, crashes: u32) -> Outcome {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let cfg = PlatformConfig {
         core: CoreConfig {
             deploy_max_attempts: limit,

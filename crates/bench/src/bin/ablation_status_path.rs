@@ -51,7 +51,6 @@ fn published_iteration(platform: &DlaasPlatform, job: &JobId) -> Option<u64> {
 
 fn run_one(seed: u64, crash_nodes: u32) -> Outcome {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
     let manifest = TrainingManifest::builder(format!("etcd-ablation-{crash_nodes}"))
         .framework(Framework::TensorFlow)

@@ -66,7 +66,6 @@ pub fn kernel_churn(seed: u64, actors: u64, target_events: u64) -> EngineRun {
     }
 
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     for i in 0..actors {
         sim.schedule_in(SimDuration::from_micros(i), fire);
     }

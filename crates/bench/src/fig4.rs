@@ -132,7 +132,6 @@ pub struct Fig4Rig {
 /// Boots the platform and parks a long training job in PROCESSING.
 pub fn rig(seed: u64) -> Fig4Rig {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let platform = experiment_platform(&mut sim, GpuKind::K80, 4);
     let manifest = TrainingManifest::builder("fig4-host")
         .framework(Framework::TensorFlow)
@@ -296,7 +295,6 @@ pub fn run_parallel(seed: u64, trials: u32, threads: usize) -> Fig4Run {
 /// container running.
 pub fn guardian_creation_time(seed: u64) -> SimDuration {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
     let manifest = TrainingManifest::builder("quick")
         .framework(Framework::Caffe)

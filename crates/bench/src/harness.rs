@@ -99,7 +99,6 @@ pub fn measure_dlaas_throughput_with(
     core: dlaas_core::CoreConfig,
 ) -> JobRun {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let platform = {
         let cfg = PlatformConfig {
             core,

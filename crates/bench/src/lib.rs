@@ -4,7 +4,6 @@
 //! corresponding table. See `EXPERIMENTS.md` at the repository root for
 //! paper-vs-measured numbers.
 
-#![forbid(unsafe_code)]
 // Library code stays quiet and inside the simulation (DESIGN.md §7).
 #![warn(
     clippy::print_stdout,

@@ -344,7 +344,6 @@ pub fn run_cell(seed: u64, kind: FaultKind, point: InjectionPoint) -> CellOutcom
 
 fn run_cell_inner(seed: u64, kind: FaultKind, point: InjectionPoint) -> (CellOutcome, SimTime) {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
     let manifest = throughput_manifest(
         DlModel::Resnet50,

@@ -15,9 +15,9 @@
 //!
 //! 1. **Parallelism stays outside the simulation.** A worker thread runs
 //!    one whole trial at a time; no `Sim` is ever touched by two threads.
-//!    The `dlaas-lint` `thread-spawn` rule forbids `std::thread` in every
-//!    other non-test module of the workspace, so parallelism cannot leak
-//!    into the deterministic core.
+//!    `clippy.toml`'s `disallowed-methods` bans `std::thread::{spawn,
+//!    scope}` everywhere else in the workspace (the one `#[expect]` is in
+//!    this file), so parallelism cannot leak into the deterministic core.
 //! 2. **Deterministic sorted merge.** Workers complete in host-scheduler
 //!    order, but records are merged by sorting on the trial id (the
 //!    trial's position in the campaign's canonical enumeration). Every

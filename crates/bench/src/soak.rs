@@ -349,7 +349,6 @@ pub fn run(
 ) -> TrialRun<SoakRun> {
     let wall = WallTimer::start();
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     if profile {
         sim.profile_sites();
     }

@@ -80,7 +80,8 @@ struct Guardian {
 pub fn guardian_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let job = JobId::new(ctx.arg.clone());
     let meta = h.meta(&ctx.pod);
-    let etcd = h.etcd_client(&format!("{}#{}", ctx.pod, ctx.incarnation));
+    // A fresh client per incarnation, closed with it (`Handles::etcd_client`).
+    let etcd = h.etcd_client(&ctx, &format!("{}#{}", ctx.pod, ctx.incarnation));
     let g = Rc::new(Guardian {
         h,
         ctx,
@@ -94,11 +95,8 @@ pub fn guardian_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup 
         submitted_us: Cell::new(0),
     });
     g.ctx.record(sim, "guardian up; loading job record");
-    let etcd_for_cleanup = g.etcd.clone();
-    g.clone().boot(sim);
-    // Each incarnation creates a fresh etcd client; close it on exit or
-    // the watch-net endpoint (and server-side watches) leak per restart.
-    Box::new(move |sim| etcd_for_cleanup.close(sim))
+    g.boot(sim);
+    Box::new(|_sim| {})
 }
 
 impl Guardian {
@@ -493,7 +491,6 @@ impl Guardian {
     fn start_monitoring(self: Rc<Self>, sim: &mut Sim) {
         let me = self.clone();
         self.etcd
-            // dlaas-lint: allow(resource-leak): the watch is scoped to this incarnation's private etcd client, and the guardian's cleanup hook closes that client on exit/kill, cancelling every watch registered on it
             .watch_prefix(sim, paths::etcd_job_prefix(&self.job), move |sim, ev| {
                 if !me.alive() {
                     return;

@@ -3,9 +3,10 @@
 use std::rc::Rc;
 
 use dlaas_docstore::MongoRpc;
-use dlaas_etcd::{EtcdClient, EtcdCluster};
-use dlaas_kube::Kube;
+use dlaas_etcd::{EtcdClient, EtcdCluster, EtcdRpc, KvCommand, WatchNet};
+use dlaas_kube::{Kube, ProcessCtx};
 use dlaas_objstore::ObjectStore;
+use dlaas_raft::RaftCluster;
 use dlaas_sharedfs::NfsServer;
 
 use crate::config::CoreConfig;
@@ -18,6 +19,42 @@ pub const API_SERVICE: &str = "dlaas-api";
 /// Name of the Kubernetes service fronting the LCM pods.
 pub const LCM_SERVICE: &str = "dlaas-lcm";
 
+/// The etcd cluster as a component sees it: its networks and Raft group,
+/// for counters and probes — and no way to a client. A client registers a
+/// watch endpoint that somebody has to unregister, so the one way to get
+/// one is [`Handles::etcd_client`], which makes the asking process that
+/// somebody.
+///
+/// ```compile_fail
+/// use dlaas_core::Handles;
+/// fn unowned(h: &Handles) -> dlaas_etcd::EtcdClient {
+///     h.etcd.client("guardian") // no such method: no process would own it
+/// }
+/// ```
+#[derive(Clone)]
+pub struct EtcdView(Rc<EtcdCluster>);
+
+impl EtcdView {
+    pub(crate) fn new(cluster: Rc<EtcdCluster>) -> Self {
+        EtcdView(cluster)
+    }
+
+    /// The RPC layer clients use to reach the cluster.
+    pub fn rpc(&self) -> &EtcdRpc {
+        self.0.rpc()
+    }
+
+    /// The watch-notification channel.
+    pub fn watch_net(&self) -> &WatchNet {
+        self.0.watch_net()
+    }
+
+    /// The underlying Raft cluster.
+    pub fn raft(&self) -> &RaftCluster<KvCommand> {
+        self.0.raft()
+    }
+}
+
 /// Everything a platform component needs to reach the substrates.
 /// Cloning shares the underlying handles.
 #[derive(Clone)]
@@ -26,8 +63,8 @@ pub struct Handles {
     pub rpc: CoreRpc,
     /// Metadata-store RPC.
     pub mongo: MongoRpc,
-    /// The replicated etcd cluster.
-    pub etcd: Rc<EtcdCluster>,
+    /// The replicated etcd cluster, without `client` (see [`EtcdView`]).
+    pub etcd: EtcdView,
     /// The cloud object store.
     pub objstore: ObjectStore,
     /// The shared NFS service.
@@ -59,8 +96,23 @@ impl Handles {
         MetaClient::new(self.mongo.clone(), who)
     }
 
-    /// An etcd client identified as `who`.
-    pub fn etcd_client(&self, who: &str) -> EtcdClient {
-        self.etcd.client(who)
+    /// An etcd client identified as `who`, owned by the process `ctx`:
+    /// when that incarnation stops, however it stops, the kubelet closes
+    /// the client — cancelling every watch registered on it and freeing
+    /// its watch-net endpoint for a successor of the same name. (A lease
+    /// granted through it is released by its TTL, by design: a crashed
+    /// holder could not have revoked it.)
+    ///
+    /// ```
+    /// use dlaas_core::Handles;
+    /// fn owned(h: &Handles, ctx: &dlaas_kube::ProcessCtx) -> dlaas_etcd::EtcdClient {
+    ///     h.etcd_client(ctx, "guardian")
+    /// }
+    /// ```
+    pub fn etcd_client(&self, ctx: &ProcessCtx, who: &str) -> EtcdClient {
+        let client = self.etcd.0.client(who);
+        let owned = client.clone();
+        ctx.on_teardown(move |sim| owned.close(sim));
+        client
     }
 }

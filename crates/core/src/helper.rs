@@ -370,12 +370,12 @@ impl Controller {
 /// Behavior factory for the controller container (arg = job id).
 pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let job = JobId::new(ctx.arg.clone());
-    let etcd = h.etcd_client(&format!(
-        "{}/{}#{}",
-        ctx.pod, ctx.container, ctx.incarnation
-    ));
+    // A fresh client per incarnation, closed with it (`Handles::etcd_client`).
+    let etcd = h.etcd_client(
+        &ctx,
+        &format!("{}/{}#{}", ctx.pod, ctx.container, ctx.incarnation),
+    );
     let ctx2 = ctx.clone();
-    let etcd_for_cleanup = etcd.clone();
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
         ctx2.record(sim, "controller online; polling learner files");
         let alive = ctx2.alive_flag();
@@ -388,9 +388,7 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
             true
         });
     });
-    // Per-incarnation etcd client: close on exit or its watch-net
-    // endpoint leaks per controller restart.
-    Box::new(move |sim| etcd_for_cleanup.close(sim))
+    Box::new(|_sim| {})
 }
 
 /// Reads everything the controller relays off the volume into `out`.

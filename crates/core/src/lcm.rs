@@ -117,7 +117,7 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     // shard until the next unrelated event.
     let rep = Rc::new(Replica {
         h: h.clone(),
-        etcdc: h.etcd_client(&ctx.pod),
+        etcdc: h.etcd_client(&ctx, &ctx.pod),
         pod: ctx.pod.clone(),
         alive: ctx.alive_flag(),
         own: RefCell::new(Ownership {
@@ -129,7 +129,6 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     });
     let rep_watch = rep.clone();
     rep.etcdc
-        // dlaas-lint: allow(resource-leak): the watch lives exactly as long as the replica — the pod cleanup closure below closes the per-incarnation etcd client, which cancels every watch registered on it
         .watch_prefix(sim, paths::LCM_SHARDS_PREFIX, move |sim, ev| {
             if !rep_watch.alive.get() {
                 return;
@@ -183,10 +182,10 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
         // expiry-driven takeover is the recovery path under test.
         rep.h.shard_tracker.release_all(sim, &rep.pod);
         rep.own.borrow_mut().owned.clear();
-        // Close the per-incarnation client so a restarted pod of the
-        // same name can register its own watch endpoint.
-        rep.etcdc.close(sim);
         rpc.stop_serving(&addr);
+        // The per-incarnation etcd client (and the shard watch on it) is
+        // closed by the kubelet right after this, so a restarted pod of
+        // the same name can register its own watch endpoint.
     })
 }
 
@@ -250,7 +249,9 @@ fn ensure_lease(sim: &mut Sim, rep: &Rc<Replica>) {
     let sent = sim.now();
     let ttl = config::LCM_LEASE_TTL;
     let rep2 = rep.clone();
-    // dlaas-lint: allow(resource-leak): the lease IS the liveness signal — releasing it client-side on a fence lapse is impossible by construction (etcd was unreachable), so server-side expiry is the designed release path; the pod cleanup closes the client
+    // Never revoked: the lease IS the liveness signal. Releasing it
+    // client-side on a fence lapse is impossible by construction (etcd was
+    // unreachable), so server-side expiry is the designed release path.
     rep.etcdc.lease_grant(sim, ttl, move |sim, r| {
         rep2.own.borrow_mut().granting = false;
         if !rep2.alive.get() {
@@ -990,8 +991,10 @@ fn sweep(
                         // Confirmed clean: stop watching this job.
                         state3.borrow_mut().terminal_gc.remove(&job);
                     }
-                    // etcd unreachable: keep watching and retry next tick.
-                    // dlaas-lint: allow(swallowed-error): the job stays in terminal_gc, so the next LCM sweep tick re-probes this prefix — the retry IS the handling, and a metric here would double-count etcd's own error counters
+                    // etcd unreachable: the job stays in terminal_gc, so the
+                    // next sweep tick re-probes this prefix — the retry IS
+                    // the handling (a metric here would double-count etcd's
+                    // own error counters).
                     Err(_) => {}
                 }
             });

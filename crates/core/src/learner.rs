@@ -418,8 +418,12 @@ impl Learner {
         });
     }
 
-    /// Upload a checkpoint (meta + weights); training resumes when the
-    /// upload completes — the stall is the price of the §III-g trade-off.
+    /// Upload a checkpoint (weights, then the meta that names them);
+    /// training resumes when the upload completes — the stall is the price
+    /// of the §III-g trade-off. The meta is written, and the checkpoint
+    /// counted, only once the weights put was acknowledged: a put that
+    /// fails skips this checkpoint (the previous one stays the restore
+    /// point) and training goes on to the next boundary.
     fn checkpoint(self: Rc<Self>, sim: &mut Sim, iter: u64) {
         let bucket = self.manifest.results_bucket.clone();
         let bytes = checkpoint_bytes(self.manifest.model);
@@ -434,9 +438,12 @@ impl Learner {
             paths::obj_ckpt_data(&self.job),
             ObjectBody::Synthetic(bytes),
             Some(&nic),
-            move |sim, _r| {
+            move |sim, r| {
                 if !me.ctx.is_alive() {
                     return;
+                }
+                if let Err(e) = r {
+                    return me.checkpoint_done(sim, iter, stall_from, Err(e));
                 }
                 let me2 = me.clone();
                 me.h.objstore.clone().put(
@@ -445,23 +452,40 @@ impl Learner {
                     paths::obj_ckpt_meta(&me.job),
                     iter.to_string().into(),
                     None,
-                    move |sim, _r| {
-                        if !me2.ctx.is_alive() {
-                            return;
+                    move |sim, r| {
+                        if me2.ctx.is_alive() {
+                            me2.checkpoint_done(sim, iter, stall_from, r);
                         }
-                        let stall = sim.now().saturating_duration_since(stall_from);
-                        sim.metrics()
-                            .counter_series(metrics::CHECKPOINT_WRITES, [])
-                            .inc();
-                        sim.metrics()
-                            .histogram_series(metrics::CHECKPOINT_STALL_SECONDS, [])
-                            .observe_duration_us(stall.as_micros());
-                        me2.state.borrow_mut().checkpoint_stall += stall;
-                        me2.tick(sim);
                     },
                 );
             },
         );
+    }
+
+    /// Both puts of a checkpoint were acknowledged, or one failed: account
+    /// for the stall either way, count the checkpoint only if it is in the
+    /// store, and train on.
+    fn checkpoint_done(
+        self: Rc<Self>,
+        sim: &mut Sim,
+        iter: u64,
+        stall_from: SimTime,
+        stored: Result<(), ObjStoreError>,
+    ) {
+        let stall = sim.now().saturating_duration_since(stall_from);
+        self.state.borrow_mut().checkpoint_stall += stall;
+        match stored {
+            Ok(()) => {
+                sim.metrics()
+                    .counter_series(metrics::CHECKPOINT_WRITES, [])
+                    .inc();
+                sim.metrics()
+                    .histogram_series(metrics::CHECKPOINT_STALL_SECONDS, [])
+                    .observe_duration_us(stall.as_micros());
+            }
+            Err(e) => self.log(sim, format!("checkpoint at iter {iter} not stored ({e})")),
+        }
+        self.tick(sim);
     }
 
     fn finish(self: &Rc<Self>, sim: &mut Sim) {

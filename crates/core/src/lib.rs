@@ -48,7 +48,6 @@
 //! # Ok::<(), dlaas_core::ManifestError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 // No unmodelled crash, no silently dropped error (DESIGN.md §7): a panic
 // here is a platform process dying outside the fault vocabulary, a
 // discarded `Result` a recovery error nobody can attribute.
@@ -92,7 +91,7 @@ mod tenant;
 
 pub use client::{ClientError, DlaasClient};
 pub use config::CoreConfig;
-pub use handles::{Handles, API_SERVICE, LCM_SERVICE};
+pub use handles::{EtcdView, Handles, API_SERVICE, LCM_SERVICE};
 pub use invariants::{
     check_all as check_invariants, InvariantBounds, InvariantMonitor, InvariantReport,
     InvariantViolation,

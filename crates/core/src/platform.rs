@@ -21,7 +21,7 @@ use crate::api::api_behavior;
 use crate::client::DlaasClient;
 use crate::config::{self, CoreConfig};
 use crate::guardian::guardian_behavior;
-use crate::handles::{Handles, API_SERVICE, LCM_SERVICE};
+use crate::handles::{EtcdView, Handles, API_SERVICE, LCM_SERVICE};
 use crate::helper::{
     controller_behavior, load_data_behavior, log_collector_behavior, store_results_behavior,
 };
@@ -86,6 +86,9 @@ impl Default for PlatformConfig {
 #[derive(Clone)]
 pub struct DlaasPlatform {
     handles: Handles,
+    /// The etcd cluster itself, for the harness (faults, snapshots);
+    /// components get [`EtcdView`] and owned clients instead.
+    etcd: Rc<EtcdCluster>,
     /// The live MongoDB server; a shared slot so scheduled recovery events
     /// can swap a recovered server in.
     mongo: Rc<RefCell<Rc<MongoServer>>>,
@@ -145,12 +148,14 @@ impl DlaasPlatform {
         let objstore = ObjectStore::new(cfg.objstore_bytes_per_sec);
         let nfs = NfsServer::new();
 
-        // dlaas-lint: allow(resource-leak): process-lifetime singleton — the lcm-gc client lives in Handles for the whole simulation and is shared by every LCM incarnation's GC sweep
+        // The one client built without a process to own it: `lcm-gc` lives
+        // in `Handles` for the whole simulation and is shared by every LCM
+        // incarnation's GC sweep (it registers no watch).
         let etcd_gc = etcd.client("lcm-gc");
         let handles = Handles {
             rpc,
             mongo: mongo_rpc.clone(),
-            etcd,
+            etcd: EtcdView::new(etcd.clone()),
             objstore,
             nfs,
             kube: kube.clone(),
@@ -198,6 +203,7 @@ impl DlaasPlatform {
 
         DlaasPlatform {
             handles,
+            etcd,
             mongo: Rc::new(RefCell::new(mongo)),
             mongo_rpc,
             metrics: sim.metrics().clone(),
@@ -233,7 +239,7 @@ impl DlaasPlatform {
 
     /// The etcd cluster.
     pub fn etcd(&self) -> &Rc<EtcdCluster> {
-        &self.handles.etcd
+        &self.etcd
     }
 
     /// The shard-ownership ledger the LCM replicas report into.
@@ -264,7 +270,7 @@ impl DlaasPlatform {
                 .kube
                 .resolve_service(sim, LCM_SERVICE)
                 .is_some()
-            && self.handles.etcd.leader_id().is_some()
+            && self.etcd.leader_id().is_some()
     }
 
     /// Runs the simulation until [`DlaasPlatform::ready`] or the limit.

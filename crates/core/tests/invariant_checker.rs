@@ -22,7 +22,6 @@ use proptest::prelude::*;
 /// GPUs, `open` any number.
 fn boot(seed: u64) -> (Sim, DlaasPlatform) {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let platform = DlaasPlatform::bootstrapped(&mut sim);
     platform.scale_lcm(&mut sim, 0);
     platform

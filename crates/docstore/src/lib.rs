@@ -36,7 +36,6 @@
 //! # Ok::<(), dlaas_docstore::StoreError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 // No unmodelled crash, no silently dropped error (DESIGN.md §7): a panic
 // here is a platform process dying outside the fault vocabulary, a
 // discarded `Result` a recovery error nobody can attribute.

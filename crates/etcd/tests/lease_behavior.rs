@@ -11,7 +11,6 @@ use dlaas_sim::{Sim, SimDuration};
 
 fn boot(seed: u64) -> (Sim, EtcdCluster) {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let etcd = EtcdCluster::new_3way(&mut sim);
     etcd.expect_leader(&mut sim, SimDuration::from_secs(10));
     sim.run_for(SimDuration::from_secs(1));

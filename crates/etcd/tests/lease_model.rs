@@ -247,7 +247,6 @@ fn failover_lifecycle(seed: u64) -> Vec<Vec<u8>> {
     use dlaas_sim::{Sim, SimDuration};
 
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let etcd = EtcdCluster::new_3way(&mut sim);
     etcd.expect_leader(&mut sim, SimDuration::from_secs(10));
     sim.run_for(SimDuration::from_secs(1));

@@ -44,7 +44,6 @@
 //! assert!(recovery < SimDuration::from_secs(10));
 //! ```
 
-#![forbid(unsafe_code)]
 // Library code stays quiet and inside the simulation (DESIGN.md §7).
 #![warn(
     clippy::print_stdout,
@@ -387,7 +386,6 @@ mod tests {
 
     fn boot(seed: u64) -> (Sim, Kube) {
         let mut sim = Sim::new(seed);
-        sim.trace_mut().set_enabled(false);
         let registry = BehaviorRegistry::new();
         registry.register_noop("pause");
         let kube = Kube::new(&mut sim, KubeConfig::default(), registry);
@@ -477,7 +475,6 @@ mod tests {
         // succeeds if the crash was applied first, so insertion order is
         // directly observable through the node coming back up.
         let mut sim = Sim::new(11);
-        sim.trace_mut().set_enabled(false);
         let registry = BehaviorRegistry::new();
         registry.register_noop("pause");
         let kube = Kube::new(&mut sim, KubeConfig::default(), registry);
@@ -566,7 +563,6 @@ mod tests {
         use std::cell::Cell;
         use std::rc::Rc;
         let mut sim = Sim::new(15);
-        sim.trace_mut().set_enabled(false);
         let net: Net<&'static str> = Net::new(
             &mut sim,
             dlaas_net::LatencyModel::Fixed(SimDuration::from_millis(1)),
@@ -593,7 +589,6 @@ mod tests {
     #[test]
     fn latency_window_restores_previous_model() {
         let mut sim = Sim::new(16);
-        sim.trace_mut().set_enabled(false);
         let base = dlaas_net::LatencyModel::Fixed(SimDuration::from_millis(1));
         let net: Net<&'static str> = Net::new(&mut sim, base.clone());
         latency_window(
@@ -613,7 +608,6 @@ mod tests {
     #[test]
     fn nfs_outage_window_restores_availability() {
         let mut sim = Sim::new(17);
-        sim.trace_mut().set_enabled(false);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("v");
         let mount = nfs.mount(&vol).unwrap();

@@ -22,7 +22,6 @@
 //! assert!(dlaas > bare * 0.9);         // …but not much (Fig. 2's point)
 //! ```
 
-#![forbid(unsafe_code)]
 // Library code stays quiet and inside the simulation (DESIGN.md §7).
 #![warn(
     clippy::print_stdout,

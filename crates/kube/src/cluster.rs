@@ -73,8 +73,9 @@ struct Pod {
     node: Option<String>,
     restarts: u32,
     owner: Option<Owner>,
-    ctxs: Vec<ProcessCtx>,
-    cleanups: Vec<Cleanup>,
+    /// Each running container's handle and the cleanup its behaviour
+    /// returned.
+    procs: Vec<(ProcessCtx, Cleanup)>,
     exited_ok: BTreeSet<String>,
     ready_at: Option<SimTime>,
     started_at: Option<SimTime>,
@@ -420,8 +421,7 @@ impl Kube {
                     node: None,
                     restarts: 0,
                     owner,
-                    ctxs: Vec::new(),
-                    cleanups: Vec::new(),
+                    procs: Vec::new(),
                     exited_ok: BTreeSet::new(),
                     ready_at: None,
                     started_at: None,
@@ -643,32 +643,32 @@ impl Kube {
             let mut s = self.state.borrow_mut();
             if let Some(pod) = s.pods.get_mut(&name) {
                 if pod.uid == uid {
-                    pod.ctxs.push(ctx);
-                    pod.cleanups.push(cleanup);
+                    pod.procs.push((ctx, cleanup));
                 }
             }
         }
     }
 
-    /// Kills every process of the pod and runs cleanups. Returns true if
-    /// there was anything to stop.
+    /// Kills every process of the pod, then runs each one's cleanup
+    /// followed by the releases it registered with
+    /// [`ProcessCtx::on_teardown`]. Every stop — voluntary exit, `kill`,
+    /// eviction, deletion — comes through here, and taking `procs` makes
+    /// it once. Returns true if there was anything to stop.
     fn stop_processes(&self, sim: &mut Sim, name: &str) -> bool {
-        let (ctxs, cleanups) = {
+        let procs = {
             let mut s = self.state.borrow_mut();
             let Some(pod) = s.pods.get_mut(name) else {
                 return false;
             };
-            (
-                std::mem::take(&mut pod.ctxs),
-                std::mem::take(&mut pod.cleanups),
-            )
+            std::mem::take(&mut pod.procs)
         };
-        let had = !ctxs.is_empty() || !cleanups.is_empty();
-        for ctx in &ctxs {
+        for (ctx, _) in &procs {
             ctx.kill();
         }
-        for cleanup in cleanups {
+        let had = !procs.is_empty();
+        for (ctx, cleanup) in procs {
             cleanup(sim);
+            ctx.run_teardown(sim);
         }
         had
     }

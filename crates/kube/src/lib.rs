@@ -47,7 +47,6 @@
 //! assert_eq!(kube.pod_phase("web-0"), Some(PodPhase::Running));
 //! ```
 
-#![forbid(unsafe_code)]
 // No unmodelled crash, no silently dropped error (DESIGN.md §7): a panic
 // here is a platform process dying outside the fault vocabulary, a
 // discarded `Result` a recovery error nobody can attribute.

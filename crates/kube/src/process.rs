@@ -9,6 +9,12 @@
 //! crash flips the process's liveness flag and runs its cleanup, so every
 //! bit of volatile state dies with it. A restarted container gets a fresh
 //! instance from the factory with a new incarnation id.
+//!
+//! What a process *acquires* from a substrate (an etcd client's watch
+//! endpoint, say) is released the same way whatever the behaviour does:
+//! the acquiring call registers the release with
+//! [`ProcessCtx::on_teardown`] and the kubelet runs it, once, right after
+//! the behaviour's cleanup — so no component has to remember to.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -38,6 +44,9 @@ pub struct ProcessCtx {
     pub nic: SharedLink,
     /// Exit hook into the cluster (set by the kubelet).
     exit: Rc<RefCell<Option<ExitHook>>>,
+    /// Releases registered by [`ProcessCtx::on_teardown`], taken by the
+    /// kubelet when it runs them.
+    teardown: Rc<RefCell<Vec<Cleanup>>>,
 }
 
 type ExitHook = Box<dyn FnOnce(&mut Sim, i32)>;
@@ -73,6 +82,7 @@ impl ProcessCtx {
             alive: Rc::new(Cell::new(true)),
             nic,
             exit: Rc::new(RefCell::new(Some(Box::new(exit)))),
+            teardown: Rc::default(),
         }
     }
 
@@ -103,6 +113,27 @@ impl ProcessCtx {
         if let Some(hook) = hook {
             self.alive.set(false);
             hook(sim, code);
+        }
+    }
+
+    /// Registers `release` to run when this process stops — voluntary
+    /// exit, kill or pod deletion — right after the behaviour's own
+    /// [`Cleanup`], in registration order, exactly once. This is how a
+    /// resource handed to a process (see `dlaas_core::Handles::etcd_client`)
+    /// is owned by it: the release cannot be forgotten and cannot outlive
+    /// the incarnation. Register while the process runs (behaviours do
+    /// from their factory): on one already torn down there is no later
+    /// moment, and `release` never runs.
+    pub fn on_teardown(&self, release: impl FnOnce(&mut Sim) + 'static) {
+        self.teardown.borrow_mut().push(Box::new(release));
+    }
+
+    /// Runs the registered releases (kubelet only; a second call finds
+    /// none).
+    pub(crate) fn run_teardown(&self, sim: &mut Sim) {
+        let hooks = std::mem::take(&mut *self.teardown.borrow_mut());
+        for release in hooks {
+            release(sim);
         }
     }
 

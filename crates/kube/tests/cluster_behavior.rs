@@ -13,7 +13,6 @@ use dlaas_sim::{Sim, SimDuration, SimTime};
 
 fn boot(seed: u64) -> (Sim, Kube, BehaviorRegistry) {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let registry = BehaviorRegistry::new();
     registry.register_noop("pause");
     let kube = Kube::new(&mut sim, KubeConfig::default(), registry.clone());
@@ -476,6 +475,87 @@ fn cleanup_runs_on_crash() {
     assert!(!cleaned.get());
     kube.crash_pod(&mut sim, "s0");
     assert!(cleaned.get(), "cleanup must run at crash time");
+}
+
+/// A two-container pod whose processes log their cleanup and the two
+/// releases each registered with `on_teardown`; with `arg` = "exit" both
+/// exit non-zero after one second.
+fn owner_pod(
+    registry: &BehaviorRegistry,
+    name: &str,
+    arg: &str,
+) -> (PodSpec, Rc<RefCell<Vec<String>>>) {
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let l = log.clone();
+    registry.register("owner", move |sim, ctx| {
+        let note = |what: &'static str| {
+            let (l, who) = (l.clone(), ctx.container.clone());
+            move |_: &mut Sim| l.borrow_mut().push(format!("{who}:{what}"))
+        };
+        ctx.on_teardown(note("release-1"));
+        ctx.on_teardown(note("release-2"));
+        if ctx.arg == "exit" {
+            let c = ctx.clone();
+            sim.schedule_in(SimDuration::from_secs(1), move |sim| c.exit(sim, 3));
+        }
+        Box::new(note("cleanup"))
+    });
+    let container =
+        |c: &str| ContainerSpec::new(c, ImageRef::microservice("o"), "owner").with_arg(arg);
+    let spec = PodSpec::new(name, container("a"))
+        .with_container(container("b"))
+        .with_restart_policy(RestartPolicy::Never);
+    (spec, log)
+}
+
+#[test]
+fn teardown_hooks_run_once_in_order_after_cleanup_however_the_process_stops() {
+    type Stop = fn(&mut Sim, &Kube);
+    let stops: [(&str, Stop); 3] = [
+        ("exit", |sim, _| {
+            sim.run_for(SimDuration::from_secs(2));
+        }),
+        ("kill", |sim, kube| assert!(kube.crash_pod(sim, "own"))),
+        ("delete", |sim, kube| assert!(kube.delete_pod(sim, "own"))),
+    ];
+    for (how, stop) in stops {
+        let (mut sim, kube, registry) = boot(31);
+        let (spec, log) = owner_pod(&registry, "own", how);
+        kube.create_pod(&mut sim, spec);
+        sim.run_until_pred(|_| kube.pod_phase("own") == Some(PodPhase::Running));
+        assert!(log.borrow().is_empty(), "{how}: nothing runs while alive");
+        stop(&mut sim, &kube);
+        let expected = [
+            "a:cleanup",
+            "a:release-1",
+            "a:release-2",
+            "b:cleanup",
+            "b:release-1",
+            "b:release-2",
+        ];
+        assert_eq!(*log.borrow(), expected, "{how}");
+        // Stopping what is already stopped finds nothing left to run.
+        kube.crash_pod(&mut sim, "own");
+        kube.delete_pod(&mut sim, "own");
+        sim.run_for(SimDuration::from_secs(30));
+        assert_eq!(*log.borrow(), expected, "{how}: each ran exactly once");
+    }
+}
+
+#[test]
+fn teardown_hooks_of_a_pod_that_never_started_never_run() {
+    let (mut sim, kube, registry) = boot(32);
+    let (spec, log) = owner_pod(&registry, "parked", "");
+    // Asks for more than any node has: stays Pending, no factory runs.
+    kube.create_pod(
+        &mut sim,
+        spec.with_resources(Resources::new(1_000_000, 1, 0), None),
+    );
+    sim.run_for(SimDuration::from_secs(10));
+    assert_eq!(kube.pod_phase("parked"), Some(PodPhase::Pending));
+    assert!(kube.delete_pod(&mut sim, "parked"));
+    sim.run_for(SimDuration::from_secs(10));
+    assert!(log.borrow().is_empty());
 }
 
 #[test]

@@ -28,7 +28,6 @@
 //! assert_eq!(net.stats().delivered, 1);
 //! ```
 
-#![forbid(unsafe_code)]
 // Library code stays quiet and inside the simulation (DESIGN.md §7).
 #![warn(
     clippy::print_stdout,

@@ -42,7 +42,6 @@
 //! assert!(sim.now() >= dlaas_sim::SimTime::from_millis(900));
 //! ```
 
-#![forbid(unsafe_code)]
 // Library code stays quiet and inside the simulation (DESIGN.md §7).
 #![warn(
     clippy::print_stdout,

@@ -50,7 +50,6 @@
 //! Registry::new().gauge_series(REQS, []);
 //! ```
 
-#![forbid(unsafe_code)]
 // Library code stays quiet and inside the simulation (DESIGN.md §7).
 #![warn(
     clippy::print_stdout,

@@ -45,7 +45,6 @@
 //! assert!(cluster.node(leader).commit_index() >= 1);
 //! ```
 
-#![forbid(unsafe_code)]
 // Library code stays quiet and inside the simulation (DESIGN.md §7).
 #![warn(
     clippy::print_stdout,

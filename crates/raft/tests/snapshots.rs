@@ -77,7 +77,6 @@ fn sum_of(counters: &Counters, id: NodeId) -> u64 {
 #[test]
 fn leader_compacts_past_threshold() {
     let mut sim = Sim::new(1);
-    sim.trace_mut().set_enabled(false);
     let (cluster, _counters) = build(&mut sim, 3, 50);
     let l = cluster.expect_leader(&mut sim, SimDuration::from_secs(5));
     for c in 1..=200u64 {
@@ -103,7 +102,6 @@ fn leader_compacts_past_threshold() {
 #[test]
 fn state_survives_compaction_and_equals_uncompacted_sum() {
     let mut sim = Sim::new(2);
-    sim.trace_mut().set_enabled(false);
     let (cluster, counters) = build(&mut sim, 3, 30);
     let l = cluster.expect_leader(&mut sim, SimDuration::from_secs(5));
     let mut expect = 0u64;
@@ -124,7 +122,6 @@ fn state_survives_compaction_and_equals_uncompacted_sum() {
 #[test]
 fn restarted_node_restores_from_snapshot_then_replays_tail() {
     let mut sim = Sim::new(3);
-    sim.trace_mut().set_enabled(false);
     let (cluster, counters) = build(&mut sim, 3, 25);
     let l = cluster.expect_leader(&mut sim, SimDuration::from_secs(5));
     let victim = (0..3).find(|i| *i != l).unwrap();
@@ -153,7 +150,6 @@ fn restarted_node_restores_from_snapshot_then_replays_tail() {
 #[test]
 fn lagging_follower_catches_up_via_install_snapshot() {
     let mut sim = Sim::new(4);
-    sim.trace_mut().set_enabled(false);
     let (cluster, counters) = build(&mut sim, 3, 20);
     let l = cluster.expect_leader(&mut sim, SimDuration::from_secs(5));
     let victim = (0..3).find(|i| *i != l).unwrap();
@@ -192,7 +188,6 @@ fn chaos_with_compaction_preserves_convergence() {
     // interleaved with proposals; everything must converge.
     for seed in [11u64, 22, 33] {
         let mut sim = Sim::new(seed);
-        sim.trace_mut().set_enabled(false);
         let (cluster, counters) = build(&mut sim, 3, 15);
         cluster.expect_leader(&mut sim, SimDuration::from_secs(5));
         let mut rng = sim.rng().fork("chaos-schedule");

@@ -378,6 +378,10 @@ impl std::fmt::Debug for Sim {
 impl Sim {
     /// Creates a world at time zero with the given RNG seed.
     pub fn new(seed: u64) -> Self {
+        // The string trace is off unless asked for
+        // (`sim.trace_mut().set_enabled(true)`): campaigns never read it.
+        let mut trace = Trace::new();
+        trace.set_enabled(false);
         Sim {
             now: SimTime::ZERO,
             queue: CalendarQueue::new(),
@@ -389,7 +393,7 @@ impl Sim {
                 reason = "the root stream of the world, seeded from the run seed; everything else forks from it"
             )]
             rng: SimRng::new(seed),
-            trace: Trace::new(),
+            trace,
             metrics: Registry::new(),
             executed: 0,
             #[cfg(feature = "site-profile")]
@@ -456,12 +460,13 @@ impl Sim {
         &self.trace
     }
 
-    /// Mutable access to the trace log (to disable, bound, clear, ...).
+    /// Mutable access to the trace log (to enable, bound, clear, ...).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
     }
 
-    /// Emits a trace record at the current time.
+    /// Emits a trace record at the current time (dropped unless the trace
+    /// was enabled).
     pub fn record(&mut self, component: impl Into<String>, message: impl Into<String>) {
         let now = self.now;
         self.trace.record(now, component, message);
@@ -994,6 +999,7 @@ mod tests {
     #[test]
     fn trace_records_through_sim() {
         let mut sim = Sim::new(1);
+        sim.trace_mut().set_enabled(true);
         sim.schedule_in(SimDuration::from_secs(2), |sim| {
             sim.record("test", "hello");
         });

@@ -18,6 +18,7 @@
 //! use std::{cell::Cell, rc::Rc};
 //!
 //! let mut sim = Sim::new(7);
+//! sim.trace_mut().set_enabled(true); // off unless asked for
 //! let done = Rc::new(Cell::new(0));
 //!
 //! // A tiny "service" that processes a request 10ms after receiving it.
@@ -32,7 +33,6 @@
 //! assert!(sim.trace().first_containing("processed").is_some());
 //! ```
 
-#![forbid(unsafe_code)]
 // Library code stays quiet and inside the simulation (DESIGN.md §7).
 #![warn(
     clippy::print_stdout,

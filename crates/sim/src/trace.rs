@@ -2,7 +2,8 @@
 //!
 //! Components emit `(time, component, message)` records through
 //! [`crate::Sim::trace`]. Tests assert on traces; experiment harnesses dump
-//! them for debugging. Tracing is cheap and can be disabled wholesale.
+//! them for debugging. A [`crate::Sim`] starts with its trace disabled:
+//! whoever wants to read one enables it first.
 
 use std::fmt;
 

@@ -15,8 +15,10 @@ use dlaas_sim::{Sim, SimDuration};
 fn main() {
     banner("booting the platform");
     let mut sim = Sim::new(1337);
-    // Keep only a sliding window of trace records: the story at the end
-    // is told from dlaas-obs metrics, not from raw trace lines.
+    // Turn the trace on, keeping only a sliding window of records: the
+    // story at the end is told from dlaas-obs metrics, not from raw trace
+    // lines.
+    sim.trace_mut().set_enabled(true);
     sim.trace_mut().set_capacity(Some(512));
     let platform = DlaasPlatform::bootstrapped(&mut sim);
     platform

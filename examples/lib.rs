@@ -1,7 +1,5 @@
 //! Shared helpers for the DLaaS examples.
 
-#![forbid(unsafe_code)]
-
 use std::cell::RefCell;
 use std::rc::Rc;
 

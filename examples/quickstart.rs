@@ -12,7 +12,6 @@ use dlaas_sim::{Sim, SimDuration};
 fn main() {
     banner("booting the platform (simulated cluster, etcd, MongoDB, NFS, COS)");
     let mut sim = Sim::new(42);
-    sim.trace_mut().set_enabled(false);
     let platform = DlaasPlatform::bootstrapped(&mut sim);
     println!(
         "ready at t={} (API + LCM serving, etcd leader elected)",

@@ -1,8 +1,6 @@
 //! Shared helpers for the cross-crate integration tests (the tests
 //! themselves live in `tests/tests/`).
 
-#![forbid(unsafe_code)]
-
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -14,10 +12,9 @@ use dlaas_sim::{Sim, SimDuration};
 pub const KEY: &str = "itest-key";
 
 /// Boots a default platform with a seeded tenant, dataset and results
-/// bucket, tracing disabled.
+/// bucket.
 pub fn boot(seed: u64) -> (Sim, DlaasPlatform) {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let platform = DlaasPlatform::bootstrapped(&mut sim);
     platform
         .add_tenant(&Tenant::new("itest", KEY, 0))

@@ -23,6 +23,11 @@
 //! Every figure is deterministic. Budgets are 1.25 × the measured value;
 //! a breach names what started copying again.
 
+#![expect(
+    unsafe_code,
+    reason = "the workspace's one unsafe item: a counting `GlobalAlloc` that forwards every call to `System` unchanged (SAFETY comments at the impl) — there is no safe way to observe allocations"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -150,11 +150,26 @@ fn guardian_crash_during_storing_never_clobbers_store_done() {
     check_invariants(&sim, &platform).assert_clean();
 }
 
+/// Watch registrations held by the etcd servers, all of them.
+fn server_watches(platform: &DlaasPlatform) -> usize {
+    let etcd = platform.etcd();
+    (0..etcd.len() as u32)
+        .map(|id| etcd.core(id).borrow().watch_registrations().len())
+        .sum()
+}
+
 /// Bug 3: every LCM teardown used to open a fresh etcd client for the
 /// key sweep and never close it, so each garbage-collected job leaked
 /// a watch-net endpoint. Teardown now reuses the shared `lcm-gc`
 /// handle: endpoint count after N more jobs equals the settled
 /// baseline.
+///
+/// The same count is what process-owned teardown (DESIGN.md §5) is held
+/// to: every other client is built by `Handles::etcd_client` for one
+/// incarnation of a Guardian, a controller or an LCM replica and closed
+/// by the kubelet when that incarnation stops. Crash-restarting each of
+/// them mid-job, three times, leaves neither an endpoint on the watch
+/// network nor a registration on a server behind.
 #[test]
 fn lcm_teardown_does_not_leak_etcd_watch_endpoints() {
     let (mut sim, platform) = boot(303);
@@ -171,7 +186,8 @@ fn lcm_teardown_does_not_leak_etcd_watch_endpoints() {
     );
     assert_eq!(end, Some(JobStatus::Completed));
     sim.run_for(config::LCM_SCAN * 6);
-    let baseline = platform.etcd().watch_net().endpoint_count();
+    let baseline = platform.etcd().watch_net().endpoint_addrs();
+    let baseline_watches = server_watches(&platform);
 
     for i in 0..3 {
         let job = submit_blocking(&mut sim, &client, manifest(&format!("gc-{i}"), 40));
@@ -185,9 +201,42 @@ fn lcm_teardown_does_not_leak_etcd_watch_endpoints() {
     }
     sim.run_for(config::LCM_SCAN * 6);
     assert_eq!(
-        platform.etcd().watch_net().endpoint_count(),
+        platform.etcd().watch_net().endpoint_addrs(),
         baseline,
         "etcd watch endpoints grew across garbage-collected jobs"
+    );
+
+    let job = start_training(&mut sim, &platform, "gc-crashes", 1_500);
+    for round in 0..3 {
+        for pod in [
+            paths::guardian_job(&job),
+            paths::helper_pod(&job),
+            "dlaas-lcm-0".to_owned(),
+        ] {
+            assert!(
+                platform.kube().crash_pod(&mut sim, &pod),
+                "round {round}: {pod} was not running"
+            );
+            sim.run_for(SimDuration::from_secs(40));
+        }
+    }
+    let end = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Completed,
+        SimDuration::from_hours(2),
+    );
+    assert_eq!(end, Some(JobStatus::Completed));
+    sim.run_for(config::LCM_SCAN * 6);
+    assert_eq!(
+        platform.etcd().watch_net().endpoint_addrs(),
+        baseline,
+        "a crashed incarnation's etcd client was left registered"
+    );
+    assert_eq!(
+        server_watches(&platform),
+        baseline_watches,
+        "a crashed incarnation's watches were left on the etcd servers"
     );
     check_invariants(&sim, &platform).assert_clean();
 }
@@ -898,6 +947,88 @@ fn restarted_learner_waits_out_an_object_store_outage_for_its_checkpoint() {
             .expect("job document")
             .learner_restarts
             >= 1
+    );
+    sim.run_for(config::LCM_SCAN * 6);
+    check_invariants(&sim, &platform).assert_clean();
+}
+
+/// Bounded work lost (§III-g), the write side: `Learner::checkpoint`
+/// ignored the result of both puts, so a checkpoint the object store
+/// refused was counted in `dlaas_checkpoint_writes_total` — the platform
+/// claimed restore points it did not have. A checkpoint exists once the
+/// store acknowledged it: a refused one is skipped, training goes on to
+/// the next boundary, and a learner that then crashes resumes from the
+/// last checkpoint that was *acknowledged*.
+#[test]
+fn checkpoint_the_object_store_refused_is_neither_counted_nor_restored() {
+    let (mut sim, platform) = boot(316);
+    let client = platform.client("itest", KEY);
+    let mut m = manifest("ckpt-refused", 600);
+    m.checkpoint_every = 100;
+    let job = submit_blocking(&mut sim, &client, m);
+
+    // The checkpoints the store acknowledged: every value the meta object
+    // ever held (watched once a second; checkpoints are minutes apart).
+    let mut acked: Vec<u64> = Vec::new();
+    let mut step = |sim: &mut dlaas_sim::Sim, platform: &DlaasPlatform| {
+        sim.run_for(SimDuration::from_secs(1));
+        let meta = platform
+            .objstore()
+            .read_text("itest-results", &paths::obj_ckpt_meta(&job))
+            .and_then(|s| s.parse::<u64>().ok());
+        if let Some(iter) = meta {
+            if acked.last() != Some(&iter) {
+                acked.push(iter);
+            }
+        }
+        meta
+    };
+    let deadline = sim.now() + SimDuration::from_hours(1);
+    let first = loop {
+        assert!(sim.now() < deadline, "{job} never checkpointed");
+        if let Some(iter) = step(&mut sim, &platform) {
+            break iter;
+        }
+    };
+
+    // The store is away across the next checkpoint (due at iteration
+    // 200): the learner trains through it, and on towards 300.
+    platform.objstore().set_unavailable(true);
+    while reported_iteration(&platform, &job).is_none_or(|i| i < 230) {
+        assert!(
+            sim.now() < deadline,
+            "{job} stopped training at a refused checkpoint"
+        );
+        assert_eq!(step(&mut sim, &platform), Some(first));
+    }
+    platform.objstore().set_unavailable(false);
+    platform
+        .kube()
+        .crash_pod(&mut sim, &paths::learner_pod(&job, 0));
+
+    while platform.job_info(&job).map(|i| i.status) != Some(JobStatus::Completed) {
+        assert!(
+            sim.now() < deadline + SimDuration::from_hours(2),
+            "{job} did not finish"
+        );
+        step(&mut sim, &platform);
+    }
+    let log = platform
+        .objstore()
+        .read_text("itest-results", &paths::obj_log(&job, 0))
+        .expect("log uploaded");
+    assert!(
+        log.lines()
+            .any(|l| *l == format!("resumed from checkpoint at iter {first}")),
+        "the learner did not resume from its last acknowledged checkpoint, {first}:\n{log}"
+    );
+    assert!(acked.len() >= 4, "acknowledged checkpoints: {acked:?}");
+    assert_eq!(
+        platform
+            .metrics()
+            .counter_total(dlaas_core::metrics::CHECKPOINT_WRITES),
+        acked.len() as u64,
+        "checkpoints counted vs acknowledged by the store"
     );
     sim.run_for(config::LCM_SCAN * 6);
     check_invariants(&sim, &platform).assert_clean();
