@@ -43,7 +43,7 @@ fn active_statuses() -> Vec<Value> {
 /// Behavior factory for the API service container.
 pub fn api_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let addr = pod_addr(&ctx.pod);
-    let meta = Rc::new(h.meta(&ctx.pod));
+    let meta = Rc::new(h.meta(&ctx, &ctx.pod));
     ctx.record(sim, "API service instance up");
 
     let h2 = h.clone();

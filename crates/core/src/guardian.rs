@@ -19,7 +19,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use dlaas_docstore::{Filter, Update, Value};
 use dlaas_etcd::EtcdClient;
@@ -38,25 +38,59 @@ use crate::manifest::TrainingManifest;
 use crate::metrics;
 use crate::mongo::{MetaClient, JOBS};
 use crate::paths::{self, JobKey};
+use crate::publisher::{at_once, Ack, Publisher, Sink};
 
 /// Image for a framework's learner container.
 fn framework_image(f: Framework) -> ImageRef {
     ImageRef::new(format!("dlaas/{f}").to_lowercase(), f.image_bytes())
 }
 
+/// The job-document fields mirroring training progress, so users can see
+/// them through the API while the job runs.
+#[derive(Clone, Default, PartialEq)]
+struct Mirror {
+    learners: BTreeMap<u32, LearnerPhase>,
+    restarts: u64,
+}
+
+/// What the monitor has absorbed of the job's etcd prefix.
 #[derive(Default)]
 struct MonitorState {
-    learners: BTreeMap<u32, LearnerPhase>,
+    progress: Mirror,
     store: Option<String>,
     throughput: Option<f64>,
-    restarts: u64,
-    moved_processing: bool,
-    moved_storing: bool,
-    finished: bool,
-    /// Learner phases and restart count as last mirrored into the job
-    /// document (dedup of the progress mirror).
-    mirrored: (BTreeMap<u32, LearnerPhase>, u64),
 }
+
+/// The job status the learners' statuses call for — COMPLETED with the
+/// measured throughput, if the learners reported one.
+type Target = (JobStatus, Option<f64>);
+
+/// The aggregation rules of §III-f: per-learner statuses in etcd are
+/// folded into the single job status in MongoDB. A pure rule, read again
+/// whenever the state may have moved: what makes a transition happen once
+/// is the status publisher (and the store's rank filter), not a flag here.
+fn target(mon: &MonitorState, expected_learners: usize) -> Option<Target> {
+    let phases = || mon.progress.learners.values();
+    if phases().any(LearnerPhase::is_failed) {
+        Some((JobStatus::Failed, None))
+    } else if mon.store.as_deref() == Some("done") {
+        Some((JobStatus::Completed, mon.throughput))
+    } else if mon.progress.learners.len() == expected_learners
+        && phases().all(LearnerPhase::is_completed)
+    {
+        Some((JobStatus::Storing, None))
+    } else if phases().any(|p| matches!(p, LearnerPhase::Processing { .. })) {
+        Some((JobStatus::Processing, None))
+    } else {
+        None
+    }
+}
+
+/// The Guardian's monitor as the sink of its two publishers: the job
+/// status (a conditional transition) and the progress mirror
+/// (unconditional fields) are different requests, each serialised with
+/// its own kind only.
+struct JobDocument(Weak<Guardian>);
 
 struct Guardian {
     h: Handles,
@@ -66,6 +100,8 @@ struct Guardian {
     etcd: EtcdClient,
     manifest: RefCell<Option<TrainingManifest>>,
     mon: RefCell<MonitorState>,
+    status: Rc<Publisher<Target, JobDocument>>,
+    mirror: Rc<Publisher<Mirror, JobDocument>>,
     /// Sim-time (µs) the current deployment attempt started, for the
     /// deploy-to-PROCESSING histogram. `None` while only monitoring.
     deploy_started_us: Cell<Option<u64>>,
@@ -79,10 +115,11 @@ struct Guardian {
 /// Behavior factory for the Guardian container (arg = job id).
 pub fn guardian_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let job = JobId::new(ctx.arg.clone());
-    let meta = h.meta(&ctx.pod);
+    let meta = h.meta(&ctx, &ctx.pod);
     // A fresh client per incarnation, closed with it (`Handles::etcd_client`).
     let etcd = h.etcd_client(&ctx, &format!("{}#{}", ctx.pod, ctx.incarnation));
-    let g = Rc::new(Guardian {
+    let alive = ctx.alive_flag();
+    let g = Rc::new_cyclic(|me| Guardian {
         h,
         ctx,
         job,
@@ -90,10 +127,14 @@ pub fn guardian_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup 
         etcd,
         manifest: RefCell::new(None),
         mon: RefCell::new(MonitorState::default()),
+        status: Publisher::new(JobDocument(me.clone()), at_once, SimDuration::ZERO, &alive),
+        mirror: Publisher::new(JobDocument(me.clone()), at_once, SimDuration::ZERO, &alive),
         deploy_started_us: Cell::new(None),
         tenant: RefCell::new(None),
         submitted_us: Cell::new(0),
     });
+    // A job document is born holding the empty mirror.
+    g.mirror.seed(Mirror::default(), sim.now());
     g.ctx.record(sim, "guardian up; loading job record");
     g.boot(sim);
     Box::new(|_sim| {})
@@ -116,8 +157,15 @@ impl Guardian {
         m
     }
 
-    fn step_latency(&self) -> SimDuration {
-        config::GUARDIAN_STEP_LATENCY
+    /// Runs deployment step `next` one step latency from now, unless the
+    /// process has died meanwhile.
+    fn then(self: &Rc<Self>, sim: &mut Sim, next: fn(Rc<Self>, &mut Sim)) {
+        let me = self.clone();
+        sim.schedule_in(config::GUARDIAN_STEP_LATENCY, move |sim| {
+            if me.alive() {
+                next(me, sim);
+            }
+        });
     }
 
     fn alive(&self) -> bool {
@@ -128,152 +176,125 @@ impl Guardian {
     fn boot(self: Rc<Self>, sim: &mut Sim) {
         let me = self.clone();
         let filter = Filter::eq("_id", self.job.as_str());
-        self.meta
-            .clone()
-            .find_one(sim, JOBS, filter, move |sim, r| {
-                if !me.alive() {
+        self.meta.find_one(sim, JOBS, filter, move |sim, r| {
+            if !me.alive() {
+                return;
+            }
+            let doc = match r {
+                Ok(Some(d)) => d,
+                Ok(None) => {
+                    // No such job: nothing to guard. Exit non-zero so the
+                    // K8s Job eventually gives up.
+                    me.ctx.record(sim, "job record missing; aborting");
+                    me.ctx.exit(sim, 1);
                     return;
                 }
-                let doc = match r {
-                    Ok(Some(d)) => d,
-                    Ok(None) => {
-                        // No such job: nothing to guard. Exit non-zero so the
-                        // K8s Job eventually gives up.
-                        me.ctx.record(sim, "job record missing; aborting");
-                        me.ctx.exit(sim, 1);
-                        return;
-                    }
-                    Err(e) => {
-                        me.ctx
-                            .record(sim, format!("metadata store unavailable: {e}"));
-                        me.ctx.exit(sim, 1);
-                        return;
-                    }
-                };
-                let status: JobStatus = doc
-                    .path("status")
-                    .and_then(Value::as_str)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(JobStatus::Failed);
-                *me.tenant.borrow_mut() = doc
-                    .path("tenant")
-                    .and_then(Value::as_str)
-                    .map(str::to_owned);
-                me.submitted_us.set(
-                    doc.path("submitted_us")
-                        .and_then(Value::as_i64)
-                        .and_then(|us| u64::try_from(us).ok())
-                        .unwrap_or(0),
-                );
-                let manifest = doc
-                    .path("manifest")
-                    .and_then(Value::as_str)
-                    .and_then(|s| TrainingManifest::from_json(s).ok());
-                let Some(manifest) = manifest else {
-                    me.ctx.record(sim, "corrupt manifest; failing job");
-                    me.fail_job(sim, "corrupt manifest");
-                    return;
-                };
-                *me.manifest.borrow_mut() = Some(manifest);
-
-                if status.is_terminal() {
-                    // We restarted after the job ended: just make sure nothing
-                    // is left behind.
+                Err(e) => {
                     me.ctx
-                        .record(sim, "job already terminal; cleaning leftovers");
-                    teardown_job(sim, &me.h, &me.job, false);
-                    me.ctx.exit(sim, 0);
+                        .record(sim, format!("metadata store unavailable: {e}"));
+                    me.ctx.exit(sim, 1);
                     return;
                 }
+            };
+            let status = JobStatus::of(&doc).unwrap_or(JobStatus::Failed);
+            *me.tenant.borrow_mut() = doc
+                .path("tenant")
+                .and_then(Value::as_str)
+                .map(str::to_owned);
+            me.submitted_us.set(
+                doc.path("submitted_us")
+                    .and_then(Value::as_i64)
+                    .and_then(|us| u64::try_from(us).ok())
+                    .unwrap_or(0),
+            );
+            let manifest = doc
+                .path("manifest")
+                .and_then(Value::as_str)
+                .and_then(|s| TrainingManifest::from_json(s).ok());
+            let Some(manifest) = manifest else {
+                me.ctx.record(sim, "corrupt manifest; failing job");
+                me.fail_job(sim, "corrupt manifest");
+                return;
+            };
+            *me.manifest.borrow_mut() = Some(manifest);
 
-                let deployed = me.resources_present();
-                if matches!(status, JobStatus::Processing | JobStatus::Storing) && deployed {
-                    // Crash during monitoring: resume monitoring only. The
-                    // one-shot flags must be seeded from the persisted
-                    // status, or this incarnation re-issues the PROCESSING/
-                    // STORING transitions — harmless no-ops in Mongo, but
-                    // the STORING path also puts store=go, which would
-                    // clobber a store=done written while we were down and
-                    // leave the job stuck in STORING forever.
-                    {
-                        let mut mon = me.mon.borrow_mut();
-                        mon.moved_processing = status.rank() >= JobStatus::Processing.rank();
-                        mon.moved_storing = status == JobStatus::Storing;
-                    }
-                    if status == JobStatus::Storing {
-                        // The predecessor may have died between the STORING
-                        // write and its store=go put. An expect-absent CAS
-                        // fills that gap without ever overwriting a "go"
-                        // (idempotent) or a "done" (the lost-completion
-                        // hazard above).
-                        me.etcd.cas(
-                            sim,
-                            paths::etcd_store(&me.job),
-                            None,
-                            Some("go".into()),
-                            |_sim, _r| {},
-                        );
-                    }
-                    me.ctx.record(sim, "resuming monitoring of deployed job");
-                    me.start_monitoring(sim);
-                    return;
-                }
+            if status.is_terminal() {
+                // We restarted after the job ended: just make sure nothing
+                // is left behind.
+                me.ctx
+                    .record(sim, "job already terminal; cleaning leftovers");
+                teardown_job(sim, &me.h, &me.job, false);
+                me.ctx.exit(sim, 0);
+                return;
+            }
 
-                // Fresh deployment (or retry after a mid-deploy crash).
-                let attempts = doc.path("attempts").and_then(Value::as_i64).unwrap_or(0) as u32 + 1;
-                let max = me.h.config.deploy_max_attempts;
-                if attempts > max {
-                    me.ctx.record(
-                        sim,
-                        format!("deploy attempt {attempts} exceeds limit {max}; giving up"),
-                    );
-                    sim.metrics()
-                        .counter_series(metrics::GUARDIAN_GAVE_UP, [])
-                        .inc();
-                    me.fail_job(sim, "deployment retries exhausted");
-                    return;
-                }
-                let me2 = me.clone();
-                let filter = Filter::eq("_id", me.job.as_str());
-                me.meta.clone().update_one(
+            let deployed = me.resources_present();
+            if matches!(status, JobStatus::Processing | JobStatus::Storing) && deployed {
+                // Crash during monitoring: resume monitoring only. The
+                // store holds PROCESSING at least, so publishing starts
+                // from there: a STORING it already holds is offered
+                // again (to no effect) for the `store=go` that follows
+                // its acknowledgement — the predecessor may have died
+                // between the two.
+                me.status.seed((JobStatus::Processing, None), sim.now());
+                me.ctx.record(sim, "resuming monitoring of deployed job");
+                me.start_monitoring(sim);
+                return;
+            }
+
+            // Fresh deployment (or retry after a mid-deploy crash).
+            let attempts = doc.path("attempts").and_then(Value::as_i64).unwrap_or(0) as u32 + 1;
+            let max = me.h.config.deploy_max_attempts;
+            if attempts > max {
+                me.ctx.record(
                     sim,
-                    JOBS,
-                    filter,
-                    Update::inc("attempts", 1),
-                    move |sim, r| {
-                        if !me2.alive() {
-                            return;
-                        }
-                        if !matches!(r, Ok(true)) {
-                            // The attempt was not durably recorded. Deploying
-                            // anyway would let a crash-loop retry without ever
-                            // advancing the counter — the paper's bounded
-                            // retry guarantee ("for a configurable number of
-                            // times", §III-d) rests on this write. Abort and
-                            // let K8s restart us against a healthy store.
-                            me2.ctx.record(
-                                sim,
-                                "failed to record deploy attempt; aborting incarnation",
-                            );
-                            me2.ctx.exit(sim, 1);
-                            return;
-                        }
-                        me2.ctx
-                            .record(sim, format!("starting deployment attempt {attempts}"));
-                        sim.metrics()
-                            .counter_series(metrics::GUARDIAN_DEPLOY_ATTEMPTS, [])
-                            .inc();
-                        // The first attempt has nothing to roll back; only
-                        // retries after a mid-deploy crash count.
-                        if attempts > 1 {
-                            sim.metrics()
-                                .counter_series(metrics::GUARDIAN_ROLLBACKS, [])
-                                .inc();
-                        }
-                        me2.rollback_then_deploy(sim);
-                    },
+                    format!("deploy attempt {attempts} exceeds limit {max}; giving up"),
                 );
-            });
+                sim.metrics()
+                    .counter_series(metrics::GUARDIAN_GAVE_UP, [])
+                    .inc();
+                me.fail_job(sim, "deployment retries exhausted");
+                return;
+            }
+            let me2 = me.clone();
+            let filter = Filter::eq("_id", me.job.as_str());
+            me.meta.update_one(
+                sim,
+                JOBS,
+                filter,
+                Update::inc("attempts", 1),
+                move |sim, r| {
+                    if !me2.alive() {
+                        return;
+                    }
+                    if !matches!(r, Ok(true)) {
+                        // The attempt was not durably recorded. Deploying
+                        // anyway would let a crash-loop retry without ever
+                        // advancing the counter — the paper's bounded
+                        // retry guarantee ("for a configurable number of
+                        // times", §III-d) rests on this write. Abort and
+                        // let K8s restart us against a healthy store.
+                        me2.ctx
+                            .record(sim, "failed to record deploy attempt; aborting incarnation");
+                        me2.ctx.exit(sim, 1);
+                        return;
+                    }
+                    me2.ctx
+                        .record(sim, format!("starting deployment attempt {attempts}"));
+                    sim.metrics()
+                        .counter_series(metrics::GUARDIAN_DEPLOY_ATTEMPTS, [])
+                        .inc();
+                    // The first attempt has nothing to roll back; only
+                    // retries after a mid-deploy crash count.
+                    if attempts > 1 {
+                        sim.metrics()
+                            .counter_series(metrics::GUARDIAN_ROLLBACKS, [])
+                            .inc();
+                    }
+                    me2.rollback_then_deploy(sim);
+                },
+            );
+        });
     }
 
     /// `true` when the job's learner pods exist in the cluster.
@@ -285,43 +306,54 @@ impl Guardian {
             .is_empty()
     }
 
-    /// Records the per-tenant turnaround histogram: submission → terminal
-    /// status, queue wait included. Called only on an *applied* terminal
-    /// transition (`advance_status` returned true), so racing guardian
-    /// incarnations observe each job exactly once.
-    fn observe_turnaround(&self, sim: &mut Sim) {
-        let Some(tenant) = self.tenant.borrow().clone() else {
-            return;
+    /// The store acknowledged the job's terminal status: count it, tear
+    /// everything down and exit cleanly (so the K8s Job stops retrying
+    /// us). The per-tenant turnaround histogram — submission → terminal
+    /// status, queue wait included — is observed only when this write
+    /// *applied* the transition, so racing guardian incarnations observe
+    /// each job exactly once.
+    fn ended(&self, sim: &mut Sim, status: JobStatus, applied: bool) {
+        let counter = if status == JobStatus::Completed {
+            metrics::GUARDIAN_JOBS_COMPLETED
+        } else {
+            metrics::GUARDIAN_JOBS_FAILED
         };
-        let elapsed_us = sim
-            .now()
-            .as_micros()
-            .saturating_sub(self.submitted_us.get());
-        sim.metrics()
-            .histogram_series(metrics::TENANT_JOB_TURNAROUND, [&tenant])
-            .observe(elapsed_us as f64 / 1e6);
+        sim.metrics().counter_series(counter, []).inc();
+        if let Some(tenant) = self.tenant.borrow().as_ref().filter(|_| applied) {
+            let elapsed_us = sim
+                .now()
+                .as_micros()
+                .saturating_sub(self.submitted_us.get());
+            sim.metrics()
+                .histogram_series(metrics::TENANT_JOB_TURNAROUND, [tenant])
+                .observe(elapsed_us as f64 / 1e6);
+        }
+        teardown_job(sim, &self.h, &self.job, false);
+        self.ctx.exit(sim, 0);
     }
 
-    /// Marks the job FAILED, tears everything down and exits cleanly (so
-    /// the K8s Job stops retrying us).
-    fn fail_job(self: &Rc<Self>, sim: &mut Sim, reason: &str) {
-        sim.metrics()
-            .counter_series(metrics::GUARDIAN_JOBS_FAILED, [])
-            .inc();
+    /// Fails a job that cannot be deployed (no monitor runs yet, so
+    /// nothing would offer the write again): one shot, and if the store
+    /// refuses it the incarnation aborts — K8s restarts it to try again,
+    /// and past the backoff limit the LCM scan fails the job.
+    fn fail_job(self: &Rc<Self>, sim: &mut Sim, reason: &'static str) {
         let me = self.clone();
-        let reason = reason.to_owned();
         self.meta
-            .clone()
             .advance_status(sim, &self.job, JobStatus::Failed, move |sim, r| {
-                if matches!(r, Ok(true)) {
-                    me.observe_turnaround(sim);
+                if !me.alive() {
+                    return;
                 }
-                sim.record(
-                    format!("guardian/{}", me.job),
-                    format!("job failed: {reason}"),
-                );
-                teardown_job(sim, &me.h, &me.job, false);
-                me.ctx.exit(sim, 0);
+                match r {
+                    Ok(applied) => {
+                        me.ctx.record(sim, format!("job failed: {reason}"));
+                        me.ended(sim, JobStatus::Failed, applied);
+                    }
+                    Err(e) => {
+                        me.ctx
+                            .record(sim, format!("FAILED not recorded ({e}); aborting"));
+                        me.ctx.exit(sim, 1);
+                    }
+                }
             });
     }
 
@@ -330,29 +362,18 @@ impl Guardian {
     fn rollback_then_deploy(self: Rc<Self>, sim: &mut Sim) {
         self.deploy_started_us.set(Some(sim.now().as_micros()));
         teardown_job(sim, &self.h, &self.job, false);
-        let me = self.clone();
-        sim.schedule_in(self.step_latency(), move |sim| {
-            if me.alive() {
-                me.step_mark_deploying(sim);
-            }
-        });
+        self.then(sim, Self::step_mark_deploying);
     }
 
     /// Step 2: record DEPLOYING (with timestamp) in the metadata store.
     fn step_mark_deploying(self: Rc<Self>, sim: &mut Sim) {
         let me = self.clone();
         self.meta
-            .clone()
             .advance_status(sim, &self.job, JobStatus::Deploying, move |sim, _r| {
                 if !me.alive() {
                     return;
                 }
-                let me2 = me.clone();
-                sim.schedule_in(me.step_latency(), move |sim| {
-                    if me2.alive() {
-                        me2.step_provision_volume(sim);
-                    }
-                });
+                me.then(sim, Self::step_provision_volume);
             });
     }
 
@@ -378,12 +399,7 @@ impl Guardian {
             return;
         }
         self.ctx.record(sim, "volume provisioned, jobspec staged");
-        let me = self.clone();
-        sim.schedule_in(self.step_latency(), move |sim| {
-            if me.alive() {
-                me.step_create_helper(sim);
-            }
-        });
+        self.then(sim, Self::step_create_helper);
     }
 
     /// Step 4: create the helper Deployment (controller, load-data,
@@ -408,12 +424,7 @@ impl Guardian {
             .kube
             .create_deployment(sim, &paths::helper_deployment(&self.job), 1, pod);
         self.ctx.record(sim, "helper pod created");
-        let me = self.clone();
-        sim.schedule_in(self.step_latency(), move |sim| {
-            if me.alive() {
-                me.step_create_learners(sim);
-            }
-        });
+        self.then(sim, Self::step_create_learners);
     }
 
     /// Step 5: create the learner StatefulSet.
@@ -442,12 +453,7 @@ impl Guardian {
             .kube
             .create_statefulset(sim, &paths::learner_set(&self.job), manifest.learners, pod);
         self.ctx.record(sim, "learner statefulset created");
-        let me = self.clone();
-        sim.schedule_in(self.step_latency(), move |sim| {
-            if me.alive() {
-                me.step_apply_policies(sim);
-            }
-        });
+        self.then(sim, Self::step_apply_policies);
     }
 
     /// Step 6: isolate the learners (multi-tenancy, §II): no traffic to
@@ -476,18 +482,14 @@ impl Guardian {
         });
         self.ctx
             .record(sim, "network policies applied; deployment complete");
-        let me = self.clone();
-        sim.schedule_in(self.step_latency(), move |sim| {
-            if me.alive() {
-                me.start_monitoring(sim);
-            }
-        });
+        self.then(sim, Self::start_monitoring);
     }
 
     /// Monitoring is driven by an etcd watch on the job's whole prefix;
     /// a slow backstop poll (`GUARDIAN_POLL`) covers what a watch can
     /// miss — notifications lost with a partitioned or restarted etcd
-    /// node — and carries kill detection via the metadata store.
+    /// node — offers again whatever write the store has refused, and
+    /// carries kill detection via the metadata store.
     fn start_monitoring(self: Rc<Self>, sim: &mut Sim) {
         let me = self.clone();
         self.etcd
@@ -499,10 +501,10 @@ impl Guardian {
                     return;
                 };
                 // Every replica notifies, so most events are repeats
-                // (absorbed to no effect, mirrored to no write). The
+                // (absorbed to no effect, offered to no write). The
                 // controller publishes a phase change at once and an
                 // iteration alone once per `GUARDIAN_POLL`: both are
-                // mirrored as they arrive, only the former can move an
+                // offered as they arrive, only the former can move an
                 // aggregation rule.
                 let moved = me.absorb(key, value);
                 me.push_progress(sim);
@@ -516,9 +518,8 @@ impl Guardian {
         self.refresh(sim);
 
         let me = self.clone();
-        let alive = self.ctx.alive_flag();
         dlaas_sim::every(sim, config::GUARDIAN_POLL, move |sim, _n| {
-            if !alive.get() || me.mon.borrow().finished {
+            if !me.alive() {
                 return false;
             }
             // etcd watch registries are volatile on the servers;
@@ -533,9 +534,9 @@ impl Guardian {
 
     /// Folds one key of the job's etcd prefix into the monitor state —
     /// the one path watch events and the backstop listing share. Returns
-    /// `true` when something the aggregation rules or the user-visible
-    /// mirror react to changed: a learner's phase (not merely its
-    /// iteration), the store handshake, or the restart count.
+    /// `true` when something the aggregation rules react to changed: a
+    /// learner's phase (not merely its iteration), the store handshake,
+    /// or the restart count.
     fn absorb(&self, key: &str, value: &str) -> bool {
         let mut mon = self.mon.borrow_mut();
         match paths::parse_etcd_job_key(&self.job, key) {
@@ -543,7 +544,7 @@ impl Guardian {
                 let Ok(phase) = value.parse::<LearnerPhase>() else {
                     return false;
                 };
-                let old = mon.learners.insert(ord, phase);
+                let old = mon.progress.learners.insert(ord, phase);
                 !old.is_some_and(|o| o.same_kind(&phase))
             }
             Some(JobKey::Store) => {
@@ -552,8 +553,8 @@ impl Guardian {
                 changed
             }
             Some(JobKey::Restarts) => {
-                let restarts = value.parse().unwrap_or(mon.restarts);
-                std::mem::replace(&mut mon.restarts, restarts) != restarts
+                let restarts = value.parse().unwrap_or(mon.progress.restarts);
+                std::mem::replace(&mut mon.progress.restarts, restarts) != restarts
             }
             Some(JobKey::Throughput) => {
                 mon.throughput = value.parse().ok();
@@ -587,40 +588,86 @@ impl Guardian {
     fn check_killed(self: &Rc<Self>, sim: &mut Sim) {
         let me = self.clone();
         let filter = Filter::eq("_id", self.job.as_str());
-        self.meta
-            .clone()
-            .find_one(sim, JOBS, filter, move |sim, r| {
-                if !me.alive() || me.mon.borrow().finished {
-                    return;
+        self.meta.find_one(sim, JOBS, filter, move |sim, r| {
+            if !me.alive() {
+                return;
+            }
+            if let Ok(Some(doc)) = r {
+                if JobStatus::of(&doc).is_some_and(JobStatus::is_terminal) {
+                    me.ctx
+                        .record(sim, "job reached terminal state externally; exiting");
+                    me.ctx.exit(sim, 0);
                 }
-                if let Ok(Some(doc)) = r {
-                    let status: Option<JobStatus> = doc
-                        .path("status")
-                        .and_then(Value::as_str)
-                        .and_then(|s| s.parse().ok());
-                    if status.is_some_and(super::job::JobStatus::is_terminal) {
-                        me.mon.borrow_mut().finished = true;
-                        me.ctx
-                            .record(sim, "job reached terminal state externally; exiting");
-                        me.ctx.exit(sim, 0);
-                    }
-                }
-            });
+            }
+        });
     }
 
-    /// The job-document fields mirroring training progress, when they
-    /// differ from what was last written (and marks them written).
-    /// Progress is the furthest any learner got; the controller reports
-    /// it inside each learner's status.
-    fn progress_update(&self) -> Option<Update> {
-        let mut mon = self.mon.borrow_mut();
-        if mon.mirrored.0 == mon.learners && mon.mirrored.1 == mon.restarts {
-            return None;
+    /// Offers the progress mirror what the monitor holds: whenever the
+    /// controller publishes (a phase change at once, an iteration every
+    /// `GUARDIAN_POLL`) and on the backstop.
+    fn push_progress(self: &Rc<Self>, sim: &mut Sim) {
+        let progress = self.mon.borrow().progress.clone();
+        self.mirror.offer(sim, progress);
+    }
+
+    /// Offers the job status what the aggregation rules call for.
+    fn aggregate(self: &Rc<Self>, sim: &mut Sim) {
+        let learners = self.manifest.borrow().as_ref().map_or(0, |m| m.learners);
+        let target = target(&self.mon.borrow(), learners as usize);
+        if let Some(target) = target.filter(|_| self.alive()) {
+            self.status.offer(sim, target);
         }
-        mon.mirrored = (mon.learners.clone(), mon.restarts);
-        let iterations = self.manifest.borrow().as_ref().map_or(0, |m| m.iterations);
-        let progress = mon
-            .learners
+    }
+
+    /// Sends `ack`'s status transition. Everything that follows from the
+    /// job *being* in that status hangs off the acknowledgement; a refused
+    /// write stays owed and the backstop offers it again.
+    fn advance(self: &Rc<Self>, sim: &mut Sim, ack: Ack<Target, JobDocument>) {
+        let me = self.clone();
+        let to = ack.value.0;
+        self.meta.advance_status(sim, &self.job, to, move |sim, r| {
+            if !me.alive() {
+                return;
+            }
+            let Ok(applied) = r else {
+                me.ctx.record(sim, format!("{to} not recorded; still owed"));
+                return ack.settle(sim, false);
+            };
+            me.ctx.record(sim, format!("job is {to}"));
+            match to {
+                JobStatus::Processing => {
+                    if let Some(started_us) = me.deploy_started_us.take() {
+                        let elapsed = ack.sent.as_micros().saturating_sub(started_us);
+                        sim.metrics()
+                            .histogram_series(metrics::GUARDIAN_DEPLOY_SECONDS, [])
+                            .observe_duration_us(elapsed);
+                    }
+                }
+                // Expect-absent CAS: never clobber an existing
+                // "go"/"done" written by a predecessor incarnation.
+                JobStatus::Storing => me.etcd.cas(
+                    sim,
+                    paths::etcd_store(&me.job),
+                    None,
+                    Some("go".into()),
+                    |_sim, _r| {},
+                ),
+                _ => me.ended(sim, to, applied),
+            }
+            ack.settle(sim, true);
+        });
+    }
+}
+
+impl Sink<Mirror> for JobDocument {
+    /// Progress is the furthest any learner got (the controller reports
+    /// it inside each learner's status); per-learner phases too, so users
+    /// can inspect each learner through the API while the job runs.
+    fn send(&self, sim: &mut Sim, ack: Ack<Mirror, Self>) {
+        let Some(g) = self.0.upgrade() else { return };
+        let Mirror { learners, restarts } = &ack.value;
+        let iterations = g.manifest.borrow().as_ref().map_or(0, |m| m.iterations);
+        let progress = learners
             .values()
             .filter_map(|p| match p {
                 LearnerPhase::Completed => Some(iterations),
@@ -628,160 +675,56 @@ impl Guardian {
             })
             .max()
             .unwrap_or(0);
-        // Per-learner phases too, so users can inspect each learner
-        // through the API while the job runs.
-        let learners_doc = mon
-            .learners
+        let learners_doc = learners
             .iter()
             .map(|(ord, phase)| (ord.to_string(), Value::from(phase.to_string())))
             .collect();
-        Some(Update::Many(vec![
+        let update = Update::Many(vec![
             Update::set("iteration", progress as i64),
-            Update::set("learner_restarts", mon.restarts as i64),
+            Update::set("learner_restarts", *restarts as i64),
             Update::set("learners", Value::Obj(learners_doc)),
-        ]))
-    }
-
-    /// Mirrors progress/restart counters into the metadata store so users
-    /// can see them through the API: whenever the controller publishes
-    /// (a phase change at once, an iteration every `GUARDIAN_POLL`), on
-    /// the backstop, and (folded into the final update) at completion.
-    fn push_progress(self: &Rc<Self>, sim: &mut Sim) {
-        if let Some(update) = self.progress_update() {
-            let filter = Filter::eq("_id", self.job.as_str());
-            self.meta
-                .clone()
-                .update_one(sim, JOBS, filter, update, |_sim, _r| {});
-        }
-    }
-
-    /// The aggregation rules of §III-f: per-learner statuses in etcd are
-    /// folded into the single job status in MongoDB.
-    fn aggregate(self: &Rc<Self>, sim: &mut Sim) {
-        let manifest_learners = self
-            .manifest
-            .borrow()
-            .as_ref()
-            .map(|m| m.learners)
-            .unwrap_or(0);
-        enum Act {
-            None,
-            Fail,
-            Processing,
-            Storing,
-            Complete(Option<f64>),
-        }
-        let act = {
-            let mut mon = self.mon.borrow_mut();
-            if mon.finished {
-                Act::None
-            } else if mon
-                .learners
-                .values()
-                .any(super::job::LearnerPhase::is_failed)
-            {
-                mon.finished = true;
-                Act::Fail
-            } else if mon.store.as_deref() == Some("done") {
-                mon.finished = true;
-                Act::Complete(mon.throughput)
-            } else if mon.learners.len() == manifest_learners as usize
-                && mon
-                    .learners
-                    .values()
-                    .all(super::job::LearnerPhase::is_completed)
-            {
-                if mon.moved_storing {
-                    Act::None
-                } else {
-                    mon.moved_storing = true;
-                    Act::Storing
-                }
-            } else if mon
-                .learners
-                .values()
-                .any(|p| matches!(p, LearnerPhase::Processing { .. }))
-                && !mon.moved_processing
-            {
-                mon.moved_processing = true;
-                Act::Processing
-            } else {
-                Act::None
+        ]);
+        let filter = Filter::eq("_id", g.job.as_str());
+        let meta = g.meta.clone();
+        meta.update_one(sim, JOBS, filter, update, move |sim, r| {
+            let stored = r.is_ok();
+            ack.settle(sim, stored);
+            // COMPLETED waits for the mirror it must be read over.
+            if stored && g.alive() {
+                g.status.flush(sim);
             }
+        });
+    }
+}
+
+impl Sink<Target> for JobDocument {
+    fn send(&self, sim: &mut Sim, ack: Ack<Target, Self>) {
+        let Some(g) = self.0.upgrade() else { return };
+        let (JobStatus::Completed, throughput) = ack.value else {
+            return g.advance(sim, ack);
         };
-        match act {
-            Act::None => {}
-            Act::Fail => {
-                self.ctx.record(sim, "a learner failed permanently");
-                self.fail_job(sim, "learner failure budget exhausted");
-            }
-            Act::Processing => {
-                self.ctx.record(sim, "all set: job is PROCESSING");
-                if let Some(started_us) = self.deploy_started_us.take() {
-                    let elapsed = sim.now().as_micros().saturating_sub(started_us);
-                    sim.metrics()
-                        .histogram_series(metrics::GUARDIAN_DEPLOY_SECONDS, [])
-                        .observe_duration_us(elapsed);
-                }
-                self.meta.clone().advance_status(
-                    sim,
-                    &self.job,
-                    JobStatus::Processing,
-                    |_sim, _r| {},
-                );
-            }
-            Act::Storing => {
-                self.ctx
-                    .record(sim, "learners done; starting result storage");
-                let me = self.clone();
-                self.meta.clone().advance_status(
-                    sim,
-                    &self.job,
-                    JobStatus::Storing,
-                    move |sim, _r| {
-                        // Expect-absent CAS: never clobber an existing
-                        // "go"/"done" written by a predecessor incarnation.
-                        me.etcd.cas(
-                            sim,
-                            paths::etcd_store(&me.job),
-                            None,
-                            Some("go".into()),
-                            |_sim, _r| {},
-                        );
-                    },
-                );
-            }
-            Act::Complete(throughput) => {
-                self.ctx.record(sim, "results stored; completing job");
-                sim.metrics()
-                    .counter_series(metrics::GUARDIAN_JOBS_COMPLETED, [])
-                    .inc();
-                let me = self.clone();
-                let filter = Filter::eq("_id", self.job.as_str());
-                let mut update = vec![Update::set(
-                    "images_per_sec",
-                    throughput.map(Value::from).unwrap_or(Value::Null),
-                )];
-                update.extend(self.progress_update());
-                let update = Update::Many(update);
-                self.meta
-                    .clone()
-                    .update_one(sim, JOBS, filter, update, move |sim, _r| {
-                        let me2 = me.clone();
-                        me.meta.clone().advance_status(
-                            sim,
-                            &me.job,
-                            JobStatus::Completed,
-                            move |sim, r| {
-                                if matches!(r, Ok(true)) {
-                                    me2.observe_turnaround(sim);
-                                }
-                                teardown_job(sim, &me2.h, &me2.job, false);
-                                me2.ctx.exit(sim, 0);
-                            },
-                        );
-                    });
-            }
+        // A reader that sees COMPLETED sees the final progress and the
+        // throughput: the transition goes out only over an acknowledged
+        // mirror (whose acknowledgement flushes this again), and after
+        // its own patch.
+        if !g.mirror.settled() {
+            g.mirror.flush(sim);
+            return ack.settle(sim, false);
         }
+        let filter = Filter::eq("_id", g.job.as_str());
+        let update = Update::set(
+            "images_per_sec",
+            throughput.map(Value::from).unwrap_or(Value::Null),
+        );
+        let meta = g.meta.clone();
+        meta.update_one(sim, JOBS, filter, update, move |sim, r| {
+            if !g.alive() {
+                return;
+            }
+            match r {
+                Ok(_) => g.advance(sim, ack),
+                Err(_) => ack.settle(sim, false),
+            }
+        });
     }
 }

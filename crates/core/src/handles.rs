@@ -91,9 +91,14 @@ impl std::fmt::Debug for Handles {
 }
 
 impl Handles {
-    /// A metadata client identified as `who`.
-    pub fn meta(&self, who: &str) -> MetaClient {
-        MetaClient::new(self.mongo.clone(), who)
+    /// A metadata client identified as `who`, owned by the process `ctx`
+    /// like [`Handles::etcd_client`]: when that incarnation stops it sends
+    /// nothing more and the kubelet unregisters its RPC endpoint.
+    pub fn meta(&self, ctx: &ProcessCtx, who: &str) -> MetaClient {
+        let client = MetaClient::new(self.mongo.clone(), who).while_alive(ctx.alive_flag());
+        let owned = client.clone();
+        ctx.on_teardown(move |_sim| owned.close());
+        client
     }
 
     /// An etcd client identified as `who`, owned by the process `ctx`:

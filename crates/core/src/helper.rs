@@ -19,7 +19,7 @@ use std::rc::Rc;
 use dlaas_kube::{Cleanup, ProcessCtx};
 use dlaas_objstore::{ObjectBody, TextBuf};
 use dlaas_sharedfs::{Mount, NfsError};
-use dlaas_sim::{Sim, SimDuration, SimTime};
+use dlaas_sim::{Sim, SimDuration};
 
 use crate::config;
 use crate::handles::Handles;
@@ -27,6 +27,7 @@ use crate::job::{JobId, LearnerPhase};
 use crate::manifest::TrainingManifest;
 use crate::metrics;
 use crate::paths;
+use crate::publisher::{at_once, Ack, Publisher, Sink};
 
 /// Shared bootstrap: mount the job volume and read the jobspec, retrying
 /// until the Guardian has provisioned both. Calls `ready` once available;
@@ -79,115 +80,32 @@ fn try_bootstrap(
 // controller
 // ----------------------------------------------------------------------
 
-/// Publishes one etcd key the controller owns (§III-f, "reliable
-/// status"): a learner's status, the job's restart total, and the
-/// write-once `data`, `throughput` and `store` markers.
+/// One etcd key the controller owns (§III-f, "reliable status") — a
+/// learner's status, the job's restart total, the write-once `data`,
+/// `throughput` and `store` markers — as the sink of a [`Publisher`]
+/// (DESIGN.md §5 has the contract and the reordering it prevents).
 ///
-/// *What* is published is what a consumer acts on. For a learner's
-/// status a change of phase kind goes out at once — the Guardian's
-/// aggregation rules and the job status turn on it. A change of
-/// iteration alone has one reader, the Guardian's progress mirror, whose
-/// cadence is `GUARDIAN_POLL`; it is put once that long has passed since
-/// the last acknowledged put, not on every learner report — a consensus
-/// round, three applies and three watch deliveries for a value nobody
-/// reads in between. Every change of any other value goes out at once.
-///
-/// *How*: one put in flight per key, and when it is acknowledged the
-/// latest offer is weighed again. Unserialised puts could be reordered
-/// by the client's retries across an etcd leader loss — an older
-/// `PROCESSING iter=N` committing after `COMPLETED`, an older restart
-/// total after a newer one — which nothing would ever rewrite. A put
-/// that fails (the client's retry budget is spent) leaves the value
-/// owed, and the next tick's offer sends it again.
-struct Publisher<V> {
+/// *What* is published is what a consumer acts on. A learner's change of
+/// phase kind goes out at once — the Guardian's aggregation rules turn on
+/// it. A change of iteration alone has one reader, the Guardian's
+/// progress mirror, whose cadence is `GUARDIAN_POLL`: it is put once that
+/// long has passed since the last acknowledged put, not on every learner
+/// report. Every change of any other value goes out at once.
+struct EtcdKey {
     etcd: dlaas_etcd::EtcdClient,
     key: String,
-    /// Whether going from the published value to the offered one must
-    /// not wait out `coalesce`.
-    urgent: fn(&V, &V) -> bool,
-    coalesce: SimDuration,
-    alive: Rc<Cell<bool>>,
-    state: RefCell<PublishState<V>>,
 }
 
-struct PublishState<V> {
-    /// The value the controller last read off NFS.
-    latest: Option<V>,
-    /// The last put etcd acknowledged, and when it was sent.
-    published: Option<(V, SimTime)>,
-    busy: bool,
-}
-
-impl<V: Clone + PartialEq + ToString + 'static> Publisher<V> {
-    fn new(
-        etcd: &dlaas_etcd::EtcdClient,
-        key: String,
-        urgent: fn(&V, &V) -> bool,
-        coalesce: SimDuration,
-        alive: &Rc<Cell<bool>>,
-    ) -> Rc<Self> {
-        Rc::new(Publisher {
-            etcd: etcd.clone(),
-            key,
-            urgent,
-            coalesce,
-            alive: alive.clone(),
-            state: RefCell::new(PublishState {
-                latest: None,
-                published: None,
-                busy: false,
-            }),
-        })
-    }
-
-    /// Whether nothing was acknowledged yet and nothing is in flight.
-    fn owed(&self) -> bool {
-        let st = self.state.borrow();
-        !st.busy && st.published.is_none()
-    }
-
-    /// Records the current value and publishes it if due.
-    fn offer(self: &Rc<Self>, sim: &mut Sim, value: V) {
-        self.state.borrow_mut().latest = Some(value);
-        self.flush(sim);
-    }
-
-    fn flush(self: &Rc<Self>, sim: &mut Sim) {
-        let value = {
-            let mut st = self.state.borrow_mut();
-            let Some(latest) = st.latest.clone() else {
-                return;
-            };
-            let due = st.published.as_ref().is_none_or(|(was, at)| {
-                *was != latest
-                    && ((self.urgent)(was, &latest)
-                        || sim.now().saturating_duration_since(*at) >= self.coalesce)
-            });
-            if st.busy || !due {
-                return;
-            }
-            st.busy = true;
-            latest
-        };
-        let me = self.clone();
-        let sent = sim.now();
-        self.etcd
-            .put(sim, self.key.clone(), value.to_string(), move |sim, r| {
-                {
-                    let mut st = me.state.borrow_mut();
-                    st.busy = false;
-                    if r.is_ok() {
-                        st.published = Some((value, sent));
-                    }
-                }
-                // Whatever was offered meanwhile goes out now; after a
-                // failure the next tick's offer retries instead.
-                if r.is_ok() && me.alive.get() {
-                    me.flush(sim);
-                }
-            });
+impl<V: Clone + PartialEq + ToString + 'static> Sink<V> for EtcdKey {
+    fn send(&self, sim: &mut Sim, ack: Ack<V, Self>) {
+        let value = ack.value.to_string();
+        self.etcd.put(sim, self.key.clone(), value, move |sim, r| {
+            ack.settle(sim, r.is_ok());
+        });
     }
 }
+
+type KeyPublisher<V> = Rc<Publisher<V, EtcdKey>>;
 
 /// What one complete read of the job volume showed the controller.
 #[derive(Default)]
@@ -225,11 +143,11 @@ struct Controller {
     mount: Mount,
     files: Vec<paths::LearnerFiles>,
     seen: RefCell<Seen>,
-    data: Rc<Publisher<&'static str>>,
-    learners: Vec<Rc<Publisher<LearnerPhase>>>,
-    restarts: Rc<Publisher<u64>>,
-    throughput: Rc<Publisher<f64>>,
-    store: Rc<Publisher<&'static str>>,
+    data: KeyPublisher<&'static str>,
+    learners: Vec<KeyPublisher<LearnerPhase>>,
+    restarts: KeyPublisher<u64>,
+    throughput: KeyPublisher<f64>,
+    store: KeyPublisher<&'static str>,
     store_go_relayed: Rc<Cell<bool>>,
 }
 
@@ -244,34 +162,28 @@ impl Controller {
         learners: u32,
         alive: &Rc<Cell<bool>>,
     ) -> Self {
-        fn at_once<V>(_was: &V, _now: &V) -> bool {
-            true
+        fn key<V: Clone + PartialEq + ToString + 'static>(
+            etcd: &dlaas_etcd::EtcdClient,
+            key: String,
+            urgent: fn(&V, &V) -> bool,
+            alive: &Rc<Cell<bool>>,
+        ) -> KeyPublisher<V> {
+            let etcd = etcd.clone();
+            Publisher::new(EtcdKey { etcd, key }, urgent, config::GUARDIAN_POLL, alive)
         }
-        let coalesce = config::GUARDIAN_POLL;
         Controller {
             files: (0..learners).map(paths::LearnerFiles::new).collect(),
             seen: RefCell::default(),
-            data: Publisher::new(&etcd, paths::etcd_data(job), at_once, coalesce, alive),
+            data: key(&etcd, paths::etcd_data(job), at_once, alive),
             learners: (0..learners)
                 .map(|ord| {
-                    Publisher::new(
-                        &etcd,
-                        paths::etcd_learner(job, ord),
-                        |was: &LearnerPhase, now| !was.same_kind(now),
-                        coalesce,
-                        alive,
-                    )
+                    let urgent = |was: &LearnerPhase, now: &LearnerPhase| !was.same_kind(now);
+                    key(&etcd, paths::etcd_learner(job, ord), urgent, alive)
                 })
                 .collect(),
-            restarts: Publisher::new(&etcd, paths::etcd_restarts(job), at_once, coalesce, alive),
-            throughput: Publisher::new(
-                &etcd,
-                paths::etcd_throughput(job),
-                at_once,
-                coalesce,
-                alive,
-            ),
-            store: Publisher::new(&etcd, paths::etcd_store(job), at_once, coalesce, alive),
+            restarts: key(&etcd, paths::etcd_restarts(job), at_once, alive),
+            throughput: key(&etcd, paths::etcd_throughput(job), at_once, alive),
+            store: key(&etcd, paths::etcd_store(job), at_once, alive),
             store_go_relayed: Rc::default(),
             etcd,
             mount,
@@ -330,9 +242,7 @@ impl Controller {
             self.restarts.offer(sim, seen.restarts_total);
         }
         if let Some(sum) = seen.throughput {
-            if self.throughput.owed() {
-                self.throughput.offer(sim, sum);
-            }
+            self.throughput.offer(sim, sum);
         }
 
         // Store-results coordination: Guardian writes "go" in etcd; we
@@ -350,7 +260,8 @@ impl Controller {
         if seen.all_completed() && !self.store_go_relayed.get() {
             let mount = self.mount.clone();
             let relayed = self.store_go_relayed.clone();
-            self.etcd.get(sim, self.store.key.clone(), move |_sim, r| {
+            let key = self.store.sink.key.clone();
+            self.etcd.get(sim, key, move |_sim, r| {
                 if let Ok(Some(v)) = r {
                     // Only latch the flag once the NFS write landed;
                     // during an NFS outage window the next tick
@@ -511,58 +422,60 @@ fn download_data(
 // log-collector
 // ----------------------------------------------------------------------
 
-/// One learner's log as the collector has it: the text read off NFS so
-/// far and how much of it the object store has acknowledged.
+/// One learner's log as the collector has it, and the sink of the
+/// publisher that ships it: the value published is the number of lines
+/// read, the write a put of all of them — so the cursor only advances once
+/// the store has the bytes, and a put lost to an outage is owed again on
+/// the next flush.
 struct LogTail {
+    objstore: dlaas_objstore::ObjectStore,
+    nic: dlaas_net::SharedLink,
+    bucket: String,
+    /// The object the log is shipped to.
+    key: String,
     /// The learner's log on NFS.
     path: String,
-    /// The object it is mirrored to.
-    key: String,
     /// Lines `0..read` of the NFS log, newline-joined. The object body is
     /// a view of it, so a flush copies the new lines and nothing else.
     text: TextBuf,
-    read: usize,
-    /// Lines covered by the last successful put.
-    stored: usize,
-    /// A put is in flight; the next flush ships whatever it missed.
-    busy: bool,
+    read: Cell<usize>,
+}
+
+impl Sink<usize> for LogTail {
+    fn send(&self, sim: &mut Sim, ack: Ack<usize, Self>) {
+        let (bucket, key) = (self.bucket.clone(), self.key.clone());
+        self.objstore.put(
+            sim,
+            bucket,
+            key,
+            self.text.body(),
+            Some(&self.nic),
+            |sim, r| {
+                ack.settle(sim, r.is_ok());
+            },
+        );
+    }
 }
 
 impl LogTail {
-    fn new(job: &JobId, ord: u32) -> Self {
-        LogTail {
-            path: paths::nfs_learner_log(ord),
-            key: paths::obj_log(job, ord),
-            text: TextBuf::new(),
-            read: 0,
-            stored: 0,
-            busy: false,
-        }
-    }
-
-    /// Appends the lines the learner logged since the last flush and,
-    /// when the store lacks some and no put is in flight, claims the put:
-    /// returns the line count it will cover and the object body.
-    fn refill(&mut self, mount: &Mount) -> Option<(usize, ObjectBody)> {
-        if mount.line_count(&self.path) > self.read {
-            let (text, mut read) = (&self.text, self.read);
+    /// Appends the lines the learner logged since the last flush; returns
+    /// how many lines the buffer now holds.
+    fn refill(&self, mount: &Mount) -> usize {
+        let mut read = self.read.get();
+        if mount.line_count(&self.path) > read {
             let tailed = mount.for_each_line_from(&self.path, read, |line| {
                 if read > 0 {
-                    text.push_str("\n");
+                    self.text.push_str("\n");
                 }
-                text.push_str(line);
+                self.text.push_str(line);
                 read += 1;
             });
             // An NFS outage leaves the tail for the next flush.
             if tailed.is_ok() {
-                self.read = read;
+                self.read.set(read);
             }
         }
-        if self.read == self.stored || self.busy {
-            return None;
-        }
-        self.busy = true;
-        Some((self.read, self.text.body()))
+        self.read.get()
     }
 }
 
@@ -577,45 +490,37 @@ impl LogTail {
 /// once and reproduces the complete object.
 pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let job = JobId::new(ctx.arg.clone());
-    let flush = config::LOG_FLUSH;
     let objstore = h.objstore.clone();
     let ctx2 = ctx.clone();
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
         ctx2.record(sim, "log collector online");
-        let tails: Vec<Rc<RefCell<LogTail>>> = (0..manifest.learners)
-            .map(|ord| Rc::new(RefCell::new(LogTail::new(&job, ord))))
-            .collect();
         let alive = ctx2.alive_flag();
-        let nic = ctx2.nic.clone();
-        dlaas_sim::every(sim, flush, move |sim, _n| {
+        let tails: Vec<_> = (0..manifest.learners)
+            .map(|ord| {
+                let tail = LogTail {
+                    objstore: objstore.clone(),
+                    nic: ctx2.nic.clone(),
+                    bucket: manifest.results_bucket.clone(),
+                    key: paths::obj_log(&job, ord),
+                    path: paths::nfs_learner_log(ord),
+                    text: TextBuf::new(),
+                    read: Cell::new(0),
+                };
+                Publisher::new(tail, at_once, SimDuration::ZERO, &alive)
+            })
+            .collect();
+        dlaas_sim::every(sim, config::LOG_FLUSH, move |sim, _n| {
             if !alive.get() {
                 return false;
             }
             for tail in &tails {
-                let (shipped, body, key) = {
-                    let mut t = tail.borrow_mut();
-                    let Some((shipped, body)) = t.refill(&mount) else {
-                        continue;
-                    };
-                    (shipped, body, t.key.clone())
-                };
-                // The cursor only advances once the store has the bytes:
-                // a put lost to an outage is retried by the next flush.
-                let tail2 = tail.clone();
-                objstore.put(
-                    sim,
-                    manifest.results_bucket.clone(),
-                    key,
-                    body,
-                    Some(&nic),
-                    move |_sim, r| {
-                        let mut t = tail2.borrow_mut();
-                        t.busy = false;
-                        if r.is_ok() {
-                            t.stored = shipped;
-                        }
-                    },
-                );
+                let read = tail.sink.refill(&mount);
+                // An empty log has no object; and a put re-sends the whole
+                // body, so lines read while one is in flight wait for the
+                // next flush rather than follow it back to back.
+                if read > 0 && tail.idle() {
+                    tail.offer(sim, read);
+                }
             }
             true
         });
@@ -641,6 +546,8 @@ pub fn store_results_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
             return;
         }
         let alive = ctx2.alive_flag();
+        // A one-shot upload, not a value that changes (`Publisher`'s
+        // shape): `busy` only keeps a slow upload from starting twice.
         let busy = Rc::new(Cell::new(false));
         let nic = ctx2.nic.clone();
         dlaas_sim::every(sim, SimDuration::from_millis(1000), move |sim, _n| {

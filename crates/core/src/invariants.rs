@@ -36,6 +36,9 @@
 //!    without takeover). The periodic [`InvariantMonitor`] additionally
 //!    requires a starvation candidate to persist across two consecutive
 //!    passes before recording it.
+//! 7. **No open job under a finished Guardian** — a Guardian K8s Job
+//!    never reads `Complete` while its job document is non-terminal (a
+//!    terminal write that was sent is not yet one that was stored).
 //!
 //! [`check_all`] evaluates every invariant against the current state of a
 //! [`DlaasPlatform`]; [`InvariantMonitor`] re-checks periodically inside
@@ -50,7 +53,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use dlaas_docstore::{Doc, Value};
-use dlaas_kube::labels;
+use dlaas_kube::{labels, JobStatus as KubeJobStatus};
 use dlaas_sim::{Sim, SimDuration, SimTime, TimerHandle};
 
 use crate::config::{self, CoreConfig};
@@ -97,7 +100,7 @@ pub struct InvariantViolation {
     /// Stable short name of the invariant (`terminal-bound`,
     /// `history-monotone`, `attempts-bound`, `leak-pods`, `leak-volume`,
     /// `leak-netpol`, `leak-etcd`, `shard-single-owner`,
-    /// `shard-orphaned`, `tenant-starved`).
+    /// `shard-orphaned`, `tenant-starved`, `guardian-done-job-open`).
     pub invariant: &'static str,
     /// Human-readable description of the observed state.
     pub detail: String,
@@ -221,10 +224,7 @@ impl JobSummary {
                 }
             }),
             gpus: crate::api::doc_gpus(doc),
-            status: doc
-                .path("status")
-                .and_then(Value::as_str)
-                .and_then(|s| s.parse().ok()),
+            status: JobStatus::of(doc),
             admitted_us: micros("admitted_us"),
             submitted_us: micros("submitted_us"),
             attempts: micros("attempts").unwrap_or(0),
@@ -388,6 +388,18 @@ impl InvariantChecker {
                     }
                 }
                 status => {
+                    // 7. A Guardian exits 0 only over a terminal document:
+                    //    a Complete K8s Job is never restarted.
+                    let guardian = paths::guardian_job(&JobId::new(id.as_str()));
+                    if platform.kube().job_status(&guardian) == Some(KubeJobStatus::Complete) {
+                        violated(
+                            "guardian-done-job-open",
+                            format!(
+                                "guardian job Complete while the document says {}",
+                                status.map_or("?".into(), |s| s.to_string())
+                            ),
+                        );
+                    }
                     // 1. Liveness, clocked from admission so time spent in
                     //    the fair queue does not count against the bound
                     //    (fallback: submission, for docs predating the
@@ -578,10 +590,7 @@ fn check_history(doc: &Value) -> Vec<String> {
     };
     let mut prev: Option<(JobStatus, i64)> = None;
     for (i, entry) in history.iter().enumerate() {
-        let status: Option<JobStatus> = entry
-            .path("status")
-            .and_then(Value::as_str)
-            .and_then(|s| s.parse().ok());
+        let status = JobStatus::of(entry);
         let t_us = entry.path("t_us").and_then(Value::as_i64).unwrap_or(0);
         let Some(status) = status else {
             out.push(format!("unparseable history entry #{i}: {entry:?}"));
@@ -615,12 +624,7 @@ fn terminal_since(doc: &Value) -> Option<SimTime> {
     history
         .iter()
         .rev()
-        .find(|e| {
-            e.path("status")
-                .and_then(Value::as_str)
-                .and_then(|s| s.parse::<JobStatus>().ok())
-                .is_some_and(super::job::JobStatus::is_terminal)
-        })
+        .find(|e| JobStatus::of(e).is_some_and(JobStatus::is_terminal))
         .and_then(|e| e.path("t_us"))
         .and_then(Value::as_i64)
         .map(|us| SimTime::from_micros(us as u64))

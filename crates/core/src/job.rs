@@ -56,6 +56,11 @@ pub enum JobStatus {
 }
 
 impl JobStatus {
+    /// The status a job document — or one entry of its history — records.
+    pub(crate) fn of(doc: &dlaas_docstore::Value) -> Option<Self> {
+        doc.path("status")?.as_str()?.parse().ok()
+    }
+
     /// Position in the lifecycle; equal ranks are both terminal.
     pub fn rank(self) -> u8 {
         match self {

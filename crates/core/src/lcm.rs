@@ -81,7 +81,7 @@ const ARBITER_SHARD: u32 = 0;
 /// Behavior factory for the LCM container.
 pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let addr = pod_addr(&ctx.pod);
-    let meta = h.meta(&ctx.pod);
+    let meta = h.meta(&ctx, &ctx.pod);
     ctx.record(sim, "LCM instance up");
 
     let h2 = h.clone();
@@ -571,6 +571,8 @@ struct ScanState {
     deploying: BTreeMap<JobId, SimTime>,
     /// All non-terminal admitted jobs (Guardian gave-up watch).
     active: BTreeSet<JobId>,
+    /// Jobs the sweep is failing whose FAILED write is in flight.
+    failing: BTreeSet<JobId>,
     /// Terminal jobs not yet confirmed free of cluster leftovers.
     terminal_gc: BTreeSet<JobId>,
     /// QUEUED jobs awaiting fair-queue admission.
@@ -586,6 +588,18 @@ struct ScanState {
     /// Tenants whose queue-depth gauge this replica last set (so a
     /// drained tenant's gauge drops back to 0 instead of going stale).
     gauged: BTreeSet<String>,
+}
+
+impl ScanState {
+    /// Takes `job` off every watchlist.
+    fn forget(&mut self, job: &JobId) {
+        self.pending.remove(job);
+        self.deploying.remove(job);
+        self.active.remove(job);
+        self.terminal_gc.remove(job);
+        self.queued.remove(job);
+        self.usage.remove(job);
+    }
 }
 
 /// The arbiter's view of one QUEUED job.
@@ -613,17 +627,8 @@ fn ingest(sim: &mut Sim, st: &mut ScanState, doc: &Value) {
         return;
     };
     let job = JobId::new(id);
-    st.pending.remove(&job);
-    st.deploying.remove(&job);
-    st.active.remove(&job);
-    st.terminal_gc.remove(&job);
-    st.queued.remove(&job);
-    st.usage.remove(&job);
-    let status: Option<JobStatus> = doc
-        .path("status")
-        .and_then(Value::as_str)
-        .and_then(|s| s.parse().ok());
-    match status {
+    st.forget(&job);
+    match JobStatus::of(doc) {
         Some(JobStatus::Queued) => {
             let tenant = doc.path("tenant").and_then(Value::as_str);
             let since = doc
@@ -721,12 +726,7 @@ fn scan(
                 ingest(sim, &mut st, doc);
             }
             for job in gone.iter().map(JobId::new) {
-                st.pending.remove(&job);
-                st.deploying.remove(&job);
-                st.active.remove(&job);
-                st.terminal_gc.remove(&job);
-                st.queued.remove(&job);
-                st.usage.remove(&job);
+                st.forget(&job);
             }
         }
         // Pull the tenants feed too (quota/weight edits are rare, so
@@ -921,34 +921,39 @@ fn sweep(
         }
     }
     for (job, guardian_gave_up) in to_fail {
+        // One FAILED write per job in flight: a slow one must not be
+        // doubled by the next tick.
+        if !state.borrow_mut().failing.insert(job.clone()) {
+            continue;
+        }
+        // (A deploy timeout usually means unschedulable resources.)
         let reason = if guardian_gave_up {
-            "guardian gave up"
-        } else {
-            "deploy timeout (resources unschedulable?)"
-        };
-        note_sweep(sim, rep, &job);
-        sim.record("lcm", format!("scan: failing {job}: {reason}"));
-        let reason_label = if guardian_gave_up {
             "guardian_gave_up"
         } else {
             "deploy_timeout"
         };
-        sim.metrics()
-            .counter_series(metrics::LCM_SCAN_FAILURES, [reason_label])
-            .inc();
-        // Drop the job from the live watchlists now so a slow status
-        // write cannot double-fail it next tick; the terminal status
-        // change re-enters it through the feed as a GC candidate.
-        {
-            let mut st = state.borrow_mut();
-            st.pending.remove(&job);
-            st.deploying.remove(&job);
-            st.active.remove(&job);
-        }
+        note_sweep(sim, rep, &job);
+        sim.record("lcm", format!("scan: failing {job}: {reason}"));
         let h4 = h.clone();
-        let job2 = job.clone();
-        meta.advance_status(sim, &job, JobStatus::Failed, move |sim, _r| {
-            teardown_job(sim, &h4, &job2, true);
+        let state2 = state.clone();
+        meta.advance_status(sim, &job.clone(), JobStatus::Failed, move |sim, r| {
+            let mut st = state2.borrow_mut();
+            st.failing.remove(&job);
+            // Refused: the document is not FAILED, so the job stays on
+            // the watchlists with its resources and the next tick fails
+            // it again.
+            if r.is_err() {
+                return;
+            }
+            // The job is over: off the watchlists now (the terminal status
+            // change re-enters it through the feed as a GC candidate), and
+            // only now torn down.
+            st.forget(&job);
+            drop(st);
+            sim.metrics()
+                .counter_series(metrics::LCM_SCAN_FAILURES, [reason])
+                .inc();
+            teardown_job(sim, &h4, &job, true);
         });
     }
 

@@ -87,6 +87,7 @@ pub mod ownership;
 pub mod paths;
 mod platform;
 mod proto;
+pub mod publisher;
 mod tenant;
 
 pub use client::{ClientError, DlaasClient};

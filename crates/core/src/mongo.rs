@@ -5,6 +5,7 @@
 //! externally visible status never moves backwards and never leaves a
 //! terminal state — even when two Guardian incarnations race.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use dlaas_docstore::{
@@ -48,29 +49,37 @@ impl std::fmt::Display for MetaError {
 impl std::error::Error for MetaError {}
 
 /// Retrying handle to the metadata store.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct MetaClient {
     rpc: MongoRpc,
     from: Addr,
     to: Addr,
-}
-
-impl std::fmt::Debug for MetaClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetaClient")
-            .field("from", &self.from)
-            .finish()
-    }
+    /// `false` once the process the client was handed to has stopped: it
+    /// sends nothing more, retries included.
+    alive: Rc<Cell<bool>>,
 }
 
 impl MetaClient {
-    /// Creates a client identified as `from` on the wire.
+    /// Creates a client identified as `from` on the wire, owned by nobody
+    /// (a harness's; a component gets its own from `Handles::meta`).
     pub fn new(rpc: MongoRpc, from: impl Into<String>) -> Self {
         MetaClient {
             rpc,
             from: Addr::new(format!("mongoc/{}", from.into())),
             to: mongo_addr(),
+            alive: Rc::new(Cell::new(true)),
         }
+    }
+
+    /// The same client, sending only while `alive` holds.
+    pub(crate) fn while_alive(self, alive: Rc<Cell<bool>>) -> Self {
+        MetaClient { alive, ..self }
+    }
+
+    /// Unregisters the client's RPC endpoint (process teardown): answers
+    /// still on their way are dropped with it.
+    pub(crate) fn close(&self) {
+        self.rpc.stop_serving(&self.from);
     }
 
     /// One request allocation for all attempts: each attempt's frame and
@@ -82,6 +91,9 @@ impl MetaClient {
         attempts: u32,
         done: impl FnOnce(&mut Sim, Result<MongoResponse, MetaError>) + 'static,
     ) {
+        if !self.alive.get() {
+            return;
+        }
         if attempts == 0 {
             done(sim, Err(MetaError::Unavailable));
             return;
@@ -106,6 +118,27 @@ impl MetaClient {
         );
     }
 
+    /// Sends `req` under the full retry budget and hands `done` what
+    /// `pick` takes out of the reply; a reply it declines is a rejection
+    /// naming `what`.
+    fn ask<T: 'static>(
+        &self,
+        sim: &mut Sim,
+        what: &'static str,
+        req: MongoRequest,
+        done: impl FnOnce(&mut Sim, Result<T, MetaError>) + 'static,
+        pick: fn(MongoResponse) -> Result<T, MongoResponse>,
+    ) {
+        self.request(sim, req, ATTEMPTS, move |sim, r| {
+            let picked = r.and_then(|resp| {
+                pick(resp).map_err(|other| {
+                    MetaError::Rejected(format!("unexpected {what} response: {other:?}"))
+                })
+            });
+            done(sim, picked);
+        });
+    }
+
     /// Inserts a document.
     pub fn insert(
         &self,
@@ -114,25 +147,12 @@ impl MetaClient {
         doc: Value,
         done: impl FnOnce(&mut Sim, Result<String, MetaError>) + 'static,
     ) {
-        self.request(
-            sim,
-            MongoRequest::InsertOne {
-                coll: coll.into(),
-                doc,
-            },
-            ATTEMPTS,
-            |sim, r| {
-                done(
-                    sim,
-                    r.and_then(|resp| match resp {
-                        MongoResponse::Inserted { id } => Ok(id),
-                        other => Err(MetaError::Rejected(format!(
-                            "unexpected insert response: {other:?}"
-                        ))),
-                    }),
-                );
-            },
-        );
+        let coll = coll.into();
+        let req = MongoRequest::InsertOne { coll, doc };
+        self.ask(sim, "insert", req, done, |resp| match resp {
+            MongoResponse::Inserted { id } => Ok(id),
+            other => Err(other),
+        });
     }
 
     /// Finds one document.
@@ -143,25 +163,12 @@ impl MetaClient {
         filter: Filter,
         done: impl FnOnce(&mut Sim, Result<Option<Doc>, MetaError>) + 'static,
     ) {
-        self.request(
-            sim,
-            MongoRequest::FindOne {
-                coll: coll.into(),
-                filter,
-            },
-            ATTEMPTS,
-            |sim, r| {
-                done(
-                    sim,
-                    r.and_then(|resp| match resp {
-                        MongoResponse::Doc(d) => Ok(d),
-                        other => Err(MetaError::Rejected(format!(
-                            "unexpected find response: {other:?}"
-                        ))),
-                    }),
-                );
-            },
-        );
+        let coll = coll.into();
+        let req = MongoRequest::FindOne { coll, filter };
+        self.ask(sim, "find", req, done, |resp| match resp {
+            MongoResponse::Doc(d) => Ok(d),
+            other => Err(other),
+        });
     }
 
     /// Finds all matching documents.
@@ -172,25 +179,12 @@ impl MetaClient {
         filter: Filter,
         done: impl FnOnce(&mut Sim, Result<Vec<Doc>, MetaError>) + 'static,
     ) {
-        self.request(
-            sim,
-            MongoRequest::Find {
-                coll: coll.into(),
-                filter,
-            },
-            ATTEMPTS,
-            |sim, r| {
-                done(
-                    sim,
-                    r.and_then(|resp| match resp {
-                        MongoResponse::Docs(d) => Ok(d),
-                        other => Err(MetaError::Rejected(format!(
-                            "unexpected find response: {other:?}"
-                        ))),
-                    }),
-                );
-            },
-        );
+        let coll = coll.into();
+        let req = MongoRequest::Find { coll, filter };
+        self.ask(sim, "find", req, done, |resp| match resp {
+            MongoResponse::Docs(d) => Ok(d),
+            other => Err(other),
+        });
     }
 
     /// Fetches the collection's change feed above `since`: documents that
@@ -204,29 +198,16 @@ impl MetaClient {
         since: u64,
         done: impl FnOnce(&mut Sim, Result<(Vec<Doc>, Vec<String>, u64), MetaError>) + 'static,
     ) {
-        self.request(
-            sim,
-            MongoRequest::FindChanged {
-                coll: coll.into(),
-                since,
-            },
-            ATTEMPTS,
-            |sim, r| {
-                done(
-                    sim,
-                    r.and_then(|resp| match resp {
-                        MongoResponse::Changed {
-                            docs,
-                            gone,
-                            high_water,
-                        } => Ok((docs, gone, high_water)),
-                        other => Err(MetaError::Rejected(format!(
-                            "unexpected find_changed response: {other:?}"
-                        ))),
-                    }),
-                );
-            },
-        );
+        let coll = coll.into();
+        let req = MongoRequest::FindChanged { coll, since };
+        self.ask(sim, "find_changed", req, done, |resp| match resp {
+            MongoResponse::Changed {
+                docs,
+                gone,
+                high_water,
+            } => Ok((docs, gone, high_water)),
+            other => Err(other),
+        });
     }
 
     /// Updates the first matching document; reports whether one matched.
@@ -238,26 +219,15 @@ impl MetaClient {
         update: Update,
         done: impl FnOnce(&mut Sim, Result<bool, MetaError>) + 'static,
     ) {
-        self.request(
-            sim,
-            MongoRequest::UpdateOne {
-                coll: coll.into(),
-                filter,
-                update,
-            },
-            ATTEMPTS,
-            |sim, r| {
-                done(
-                    sim,
-                    r.and_then(|resp| match resp {
-                        MongoResponse::Updated(n) => Ok(n > 0),
-                        other => Err(MetaError::Rejected(format!(
-                            "unexpected update response: {other:?}"
-                        ))),
-                    }),
-                );
-            },
-        );
+        let req = MongoRequest::UpdateOne {
+            coll: coll.into(),
+            filter,
+            update,
+        };
+        self.ask(sim, "update", req, done, |resp| match resp {
+            MongoResponse::Updated(n) => Ok(n > 0),
+            other => Err(other),
+        });
     }
 
     // ------------------------------------------------------------------

@@ -77,7 +77,7 @@ pub struct JobInfo {
     pub learner_restarts: u64,
     /// Measured training throughput, when the job has completed.
     pub images_per_sec: Option<f64>,
-    /// Last known per-learner phases `(ordinal, phase string)`, mirrored
+    /// Last known per-learner phases `(ordinal, phase string)`, copied
     /// from etcd by the Guardian while the job runs.
     pub learners: Vec<(u32, String)>,
 }

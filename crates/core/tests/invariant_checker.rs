@@ -2,8 +2,8 @@
 //!
 //! * every rule is still there — each seeded defect (a leak of each
 //!   kind, a broken history, a blown retry budget, a job stuck before
-//!   terminal, a starved queue) is reported with the same invariant name
-//!   and detail as ever;
+//!   terminal, a starved queue, an open job under a finished Guardian)
+//!   is reported with the same invariant name and detail as ever;
 //! * what a pass reports never depends on what the checker remembers — a
 //!   model test drives random job-document updates, resource creation
 //!   and deletion and clock advances, and after every step a checker
@@ -11,7 +11,9 @@
 //!   nothing does.
 
 use dlaas_core::invariants::{check_with, InvariantChecker};
-use dlaas_core::{check_invariants, paths, DlaasPlatform, InvariantBounds, JobId, Tenant, JOBS};
+use dlaas_core::{
+    check_invariants, paths, DlaasPlatform, InvariantBounds, JobId, MetaClient, Tenant, JOBS,
+};
 use dlaas_docstore::{mongo_addr, obj, Filter, MongoRequest, Update, Value};
 use dlaas_kube::{labels, ContainerSpec, ImageRef, NetworkPolicy, PodSpec, Resources};
 use dlaas_sim::{Sim, SimDuration};
@@ -44,7 +46,7 @@ fn settle(sim: &mut Sim) {
 }
 
 fn insert_job(sim: &mut Sim, platform: &DlaasPlatform, doc: Value) {
-    let meta = platform.handles().meta("invariant-test");
+    let meta = MetaClient::new(platform.handles().mongo.clone(), "invariant-test");
     meta.insert(sim, JOBS, doc, |_sim, r| {
         r.expect("insert accepted");
     });
@@ -52,7 +54,7 @@ fn insert_job(sim: &mut Sim, platform: &DlaasPlatform, doc: Value) {
 }
 
 fn update_job(sim: &mut Sim, platform: &DlaasPlatform, id: &str, update: Update) {
-    let meta = platform.handles().meta("invariant-test");
+    let meta = MetaClient::new(platform.handles().mongo.clone(), "invariant-test");
     meta.update_one(sim, JOBS, Filter::eq("_id", id), update, |_sim, r| {
         r.expect("update accepted");
     });
@@ -100,6 +102,23 @@ fn leak_pod(sim: &mut Sim, platform: &DlaasPlatform, name: &str, job: &str) {
         .with_labels(labels! {"job" => job})
         .with_resources(Resources::new(10_000_000, 1, 0), None);
     platform.kube().create_pod(sim, spec);
+}
+
+/// A Guardian K8s Job for `job`, as the LCM creates it. Over the
+/// manifest-less documents of this file the Guardian can only fail the
+/// job (or find it terminal already) and exit 0: the Job reads Complete
+/// within seconds.
+fn guardian_job(sim: &mut Sim, platform: &DlaasPlatform, job: &str) {
+    let container = ContainerSpec::new(
+        "guardian",
+        ImageRef::microservice("dlaas/guardian"),
+        "guardian",
+    )
+    .with_arg(job);
+    let spec = PodSpec::new("unused", container).with_resources(Resources::new(250, 256, 0), None);
+    let name = paths::guardian_job(&JobId::new(job));
+    platform.kube().create_job(sim, &name, 1, spec);
+    sim.run_for(SimDuration::from_secs(5));
 }
 
 fn leak_policy(platform: &DlaasPlatform, job: &str) {
@@ -329,6 +348,56 @@ fn document_rules_and_time_bounds_are_all_still_checked() {
     assert!(!starved(&sim), "the tenant was admitted moments ago");
 }
 
+#[test]
+fn a_guardian_job_complete_over_an_open_document_is_reported() {
+    let (mut sim, platform) = boot(2004);
+    let recent = ago(&sim, 30);
+    insert_job(
+        &mut sim,
+        &platform,
+        job_doc("closed", "open", "COMPLETED", recent),
+    );
+    insert_job(
+        &mut sim,
+        &platform,
+        job_doc("open", "open", "COMPLETED", recent),
+    );
+    guardian_job(&mut sim, &platform, "closed");
+    guardian_job(&mut sim, &platform, "open");
+    for job in ["closed", "open"] {
+        assert_eq!(
+            platform
+                .kube()
+                .job_status(&paths::guardian_job(&JobId::new(job))),
+            Some(dlaas_kube::JobStatus::Complete)
+        );
+    }
+    check_invariants(&sim, &platform).assert_clean();
+
+    // The defect: the Guardian is gone for good and the document is not
+    // terminal (a COMPLETED write that was sent, never stored).
+    update_job(
+        &mut sim,
+        &platform,
+        "open",
+        Update::Many(vec![
+            Update::set("status", "STORING"),
+            Update::set(
+                "history",
+                vec![obj! {"status" => "STORING", "t_us" => recent}],
+            ),
+        ]),
+    );
+    assert_eq!(
+        found(&check_invariants(&sim, &platform)),
+        [(
+            "open".to_owned(),
+            "guardian-done-job-open",
+            "guardian job Complete while the document says STORING".to_owned()
+        )]
+    );
+}
+
 const STATUSES: [&str; 8] = [
     "QUEUED",
     "PENDING",
@@ -380,6 +449,11 @@ enum Op {
         key: u8,
         exists: bool,
     },
+    /// Create the job's Guardian K8s Job (it ends Complete) or delete it.
+    Guardian {
+        job: u8,
+        exists: bool,
+    },
     Advance {
         secs: u16,
     },
@@ -398,6 +472,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (job(), any::<bool>()).prop_map(|(job, exists)| Op::Volume { job, exists }),
         2 => (job(), any::<bool>()).prop_map(|(job, exists)| Op::Policy { job, exists }),
         3 => (job(), 0..3u8, any::<bool>()).prop_map(|(job, key, exists)| Op::EtcdKey { job, key, exists }),
+        1 => (job(), any::<bool>()).prop_map(|(job, exists)| Op::Guardian { job, exists }),
         4 => (1..600u16).prop_map(|secs| Op::Advance { secs }),
     ]
 }
@@ -474,6 +549,14 @@ fn apply(sim: &mut Sim, platform: &DlaasPlatform, op: Op) {
                 put_key(sim, platform, key);
             } else {
                 delete_key(sim, platform, key);
+            }
+        }
+        Op::Guardian { job, exists } => {
+            if exists {
+                guardian_job(sim, platform, &name(job));
+            } else {
+                let guardian = paths::guardian_job(&JobId::new(name(job)));
+                platform.kube().delete_job(sim, &guardian);
             }
         }
         Op::Advance { secs } => {

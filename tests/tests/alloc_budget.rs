@@ -32,7 +32,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dlaas_core::{
-    check_invariants, config, DlaasPlatform, InvariantBounds, InvariantMonitor, JobStatus, JOBS,
+    check_invariants, config, DlaasPlatform, InvariantBounds, InvariantMonitor, JobStatus,
+    MetaClient, JOBS,
 };
 use dlaas_docstore::obj;
 use dlaas_integration::{boot, manifest, start_training, submit_blocking, KEY};
@@ -248,7 +249,7 @@ fn a_controller_tick_on_an_unchanged_volume_reads_and_allocates_nothing() {
 /// Inserts `n` long-terminal job documents, each padded with `padding`
 /// bytes, through the metadata client.
 fn seed_terminal_jobs(sim: &mut Sim, platform: &DlaasPlatform, n: usize, padding: usize) {
-    let meta = platform.handles().meta("alloc-budget");
+    let meta = MetaClient::new(platform.handles().mongo.clone(), "alloc-budget");
     for i in 0..n {
         let doc = obj! {
             "_id" => format!("done-{i:04}"),

@@ -27,10 +27,7 @@ const CRATES: [&str; 4] = ["core", "docstore", "etcd", "kube"];
 #[rustfmt::skip]
 const ALLOWED: &[(&str, &str, &str)] = &[
     ("crates/core/src/api.rs", "record_and_deploy", "retried by the next tick: the LCM sweep re-deploys a PENDING job"),
-    ("crates/core/src/guardian.rs", "boot", "CAS-guarded: expect-absent store=go, issued again by every boot"),
-    ("crates/core/src/guardian.rs", "push_progress", "bug (ROADMAP item 1): mirror marked written before the ack"),
-    ("crates/core/src/guardian.rs", "aggregate", "bug (ROADMAP item 1): PROCESSING marked moved before the ack"),
-    ("crates/core/src/guardian.rs", "aggregate", "CAS-guarded: expect-absent store=go, issued again by every boot"),
+    ("crates/core/src/guardian.rs", "advance", "CAS-guarded: expect-absent store=go, issued again after every acknowledged STORING"),
     ("crates/core/src/lcm.rs", "teardown_job", "retried by the next tick: the sweep probes until no key is left"),
     ("crates/core/src/lcm.rs", "sweep", "retried by the next tick: the job stays in `terminal_gc`"),
     ("crates/core/src/lcm.rs", "sweep", "retried by the next tick: etcd unreachable, the job stays in `terminal_gc`"),

@@ -4,10 +4,13 @@
 //! against the pre-fix behaviour.
 
 use dlaas_bench::harness::reported_iteration;
-use dlaas_core::{check_invariants, config, paths, DlaasPlatform, InvariantMonitor, JobStatus};
+use dlaas_core::{
+    check_invariants, config, paths, DlaasPlatform, InvariantMonitor, JobStatus, LearnerPhase,
+};
 use dlaas_docstore::Value;
 use dlaas_faults::{nfs_outage_window, partition_window, when, FaultAction};
 use dlaas_integration::{boot, manifest, start_training, submit_blocking, KEY};
+use dlaas_kube::labels;
 use dlaas_net::Addr;
 use dlaas_sim::SimDuration;
 
@@ -169,25 +172,38 @@ fn server_watches(platform: &DlaasPlatform) -> usize {
 /// incarnation of a Guardian, a controller or an LCM replica and closed
 /// by the kubelet when that incarnation stops. Crash-restarting each of
 /// them mid-job, three times, leaves neither an endpoint on the watch
-/// network nor a registration on a server behind.
+/// network nor a registration on a server behind. `Handles::meta` hands
+/// out metadata clients the same way, so the Mongo RPC layer's
+/// `mongoc/<pod>` endpoints — a Guardian's, an API pod's, an LCM
+/// replica's — return to their baseline too.
 #[test]
 fn lcm_teardown_does_not_leak_etcd_watch_endpoints() {
     let (mut sim, platform) = boot(303);
     let client = platform.client("itest", KEY);
 
-    // Warm-up job so every long-lived client is registered before the
-    // baseline is taken.
-    let warm = submit_blocking(&mut sim, &client, manifest("gc-warm", 40));
-    let end = platform.wait_for_status(
-        &mut sim,
-        &warm,
-        JobStatus::Completed,
-        SimDuration::from_mins(30),
-    );
-    assert_eq!(end, Some(JobStatus::Completed));
+    // Warm-up jobs so every long-lived client is registered before the
+    // baseline is taken (two: one submission through each API pod).
+    for name in ["gc-warm-0", "gc-warm-1"] {
+        let warm = submit_blocking(&mut sim, &client, manifest(name, 40));
+        let end = platform.wait_for_status(
+            &mut sim,
+            &warm,
+            JobStatus::Completed,
+            SimDuration::from_mins(30),
+        );
+        assert_eq!(end, Some(JobStatus::Completed));
+    }
     sim.run_for(config::LCM_SCAN * 6);
     let baseline = platform.etcd().watch_net().endpoint_addrs();
     let baseline_watches = server_watches(&platform);
+    // A metadata client registers with its first request: what is held to
+    // the baseline is that nothing outside it stays registered.
+    let baseline_mongo = platform.handles().mongo.net().endpoint_addrs();
+    let mongo_leaks = |p: &DlaasPlatform| -> Vec<Addr> {
+        let mut now = p.handles().mongo.net().endpoint_addrs();
+        now.retain(|addr| !baseline_mongo.contains(addr));
+        now
+    };
 
     for i in 0..3 {
         let job = submit_blocking(&mut sim, &client, manifest(&format!("gc-{i}"), 40));
@@ -205,13 +221,20 @@ fn lcm_teardown_does_not_leak_etcd_watch_endpoints() {
         baseline,
         "etcd watch endpoints grew across garbage-collected jobs"
     );
+    assert_eq!(
+        mongo_leaks(&platform),
+        [],
+        "a finished Guardian's metadata client was left registered"
+    );
 
     let job = start_training(&mut sim, &platform, "gc-crashes", 1_500);
+    let api_pod = platform.kube().pods_matching(&labels! {"app" => "api"})[0].clone();
     for round in 0..3 {
         for pod in [
             paths::guardian_job(&job),
             paths::helper_pod(&job),
             "dlaas-lcm-0".to_owned(),
+            api_pod.clone(),
         ] {
             assert!(
                 platform.kube().crash_pod(&mut sim, &pod),
@@ -237,6 +260,11 @@ fn lcm_teardown_does_not_leak_etcd_watch_endpoints() {
         server_watches(&platform),
         baseline_watches,
         "a crashed incarnation's watches were left on the etcd servers"
+    );
+    assert_eq!(
+        mongo_leaks(&platform),
+        [],
+        "a crashed incarnation's metadata client was left registered"
     );
     check_invariants(&sim, &platform).assert_clean();
 }
@@ -1031,5 +1059,230 @@ fn checkpoint_the_object_store_refused_is_neither_counted_nor_restored() {
         "checkpoints counted vs acknowledged by the store"
     );
     sim.run_for(config::LCM_SCAN * 6);
+    check_invariants(&sim, &platform).assert_clean();
+}
+
+/// What learner 0 itself last said of its phase: its status file on the
+/// job volume (etcd and the job document trail it).
+fn learner_says(platform: &DlaasPlatform, job: &dlaas_core::JobId) -> Option<LearnerPhase> {
+    let nfs = platform.nfs();
+    let mount = nfs.mount(&nfs.find_volume(&paths::volume(job))?).ok()?;
+    mount
+        .read_file(&paths::nfs_learner_status(0))
+        .ok()?
+        .parse()
+        .ok()
+}
+
+/// Reliable status, the last hop (§III-f; the four sites PR 22's sweep
+/// classed **bug**): the Guardian and the LCM scan used to take a job
+/// status for written once the request was *sent*. `MetaClient` gives up
+/// after ~10 s, so a metadata-store write stall longer than that at one
+/// transition lost the write for good. These four tests hold a write
+/// stall (`set_mongo_write_failures`: reads serve, mutations time out)
+/// across one transition each.
+///
+/// (i) PROCESSING: the Guardian latched `moved_processing` at send time;
+/// the document stayed DEPLOYING while the learner trained, and at
+/// `DEPLOY_TIMEOUT` the LCM scan failed the healthy job as a stuck
+/// deployment. The write is now owed until acknowledged, and the
+/// `GUARDIAN_POLL` backstop offers it again.
+#[test]
+fn a_refused_processing_write_stays_owed_and_the_job_is_not_failed_as_undeployable() {
+    let (mut sim, platform) = boot(317);
+    let client = platform.client("itest", KEY);
+    // ~0.7 iterations a second: training outlasts `DEPLOY_TIMEOUT`.
+    let job = submit_blocking(&mut sim, &client, manifest("processing-owed", 2_000));
+
+    // From DEPLOYING on the Guardian writes nothing until its learner
+    // trains: the stall begins there and ends 30 s into training.
+    let mid = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Deploying,
+        SimDuration::from_mins(5),
+    );
+    assert_eq!(mid, Some(JobStatus::Deploying));
+    platform.set_mongo_write_failures(&mut sim, true);
+    let (p2, j2) = (platform.clone(), job.clone());
+    assert!(sim.run_until_pred(move |_| {
+        matches!(
+            learner_says(&p2, &j2),
+            Some(LearnerPhase::Processing { .. })
+        )
+    }));
+    sim.run_for(SimDuration::from_secs(30));
+    assert_eq!(
+        platform.job_status(&job),
+        Some(JobStatus::Deploying),
+        "the stall must outlast the PROCESSING write's retry budget"
+    );
+    platform.set_mongo_write_failures(&mut sim, false);
+
+    sim.run_for(config::GUARDIAN_POLL);
+    assert_eq!(
+        platform.job_status(&job),
+        Some(JobStatus::Processing),
+        "one backstop period after the stall the document still does not say PROCESSING"
+    );
+    let end = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Completed,
+        SimDuration::from_hours(3),
+    );
+    assert_eq!(
+        end,
+        Some(JobStatus::Completed),
+        "a healthy job was failed at the deploy timeout"
+    );
+    sim.run_for(config::LCM_SCAN * 6);
+    check_invariants(&sim, &platform).assert_clean();
+}
+
+/// (ii) The progress mirror: `progress_update` marked the mirror written
+/// before the store acknowledged it, so a lost write was not retried
+/// until the values changed again — and the learners' last change, to
+/// COMPLETED, is followed by no other: the COMPLETED document kept the
+/// iteration and learner phases of some earlier report. The mirror is now
+/// owed until acknowledged, and COMPLETED is written only over an
+/// acknowledged mirror.
+#[test]
+fn a_completed_document_carries_the_final_progress_whatever_write_was_refused() {
+    let (mut sim, platform) = boot(318);
+    let client = platform.client("itest", KEY);
+    let iters = 120;
+    let job = submit_blocking(&mut sim, &client, manifest("mirror-owed", iters));
+
+    // The stall covers the learner's finish and the whole retry budget of
+    // the mirror write that follows it, and lifts while the job stores
+    // its results.
+    let (p2, j2, p3) = (platform.clone(), job.clone(), platform.clone());
+    when(
+        &mut sim,
+        SimDuration::from_millis(200),
+        "write stall across the learner's finish",
+        move |_sim| reported_iteration(&p2, &j2).is_some_and(|i| i + 4 >= iters),
+        move |sim| {
+            p3.set_mongo_write_failures(sim, true);
+            let p4 = p3.clone();
+            sim.schedule_in(SimDuration::from_secs(25), move |sim| {
+                p4.set_mongo_write_failures(sim, false);
+            });
+        },
+    );
+
+    let end = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Completed,
+        SimDuration::from_hours(1),
+    );
+    assert_eq!(end, Some(JobStatus::Completed), "{job} did not complete");
+    let info = platform.job_info(&job).expect("job document");
+    assert_eq!(
+        info.iteration, iters,
+        "the COMPLETED document reports an earlier iteration"
+    );
+    assert_eq!(
+        info.learners,
+        [(0, "COMPLETED".to_owned())],
+        "the COMPLETED document reports an earlier learner phase"
+    );
+    assert_eq!(info.learner_restarts, 0);
+    assert!(info.images_per_sec.is_some_and(|t| t > 0.0));
+    sim.run_for(config::LCM_SCAN * 6);
+    check_invariants(&sim, &platform).assert_clean();
+}
+
+/// (iii) The LCM scan's FAILED: a job whose Guardian exhausted its K8s
+/// backoff was dropped from the watchlists and torn down — Guardian Job
+/// included — whether or not the FAILED write landed. If it did not, the
+/// document stayed non-terminal with nothing left to drive it until an
+/// LCM restart re-read the feed. Watchlist removal and teardown now
+/// follow the acknowledgement; a refused write is retried by the next
+/// scan.
+#[test]
+fn a_refused_failed_write_is_retried_by_the_next_scan_before_anything_is_torn_down() {
+    let (mut sim, platform) = boot(319);
+    let client = platform.client("itest", KEY);
+    let job = submit_blocking(&mut sim, &client, manifest("failed-owed", 120));
+
+    // No Guardian boot can record its attempt: each aborts, and K8s gives
+    // up on the Job after `GUARDIAN_BACKOFF_LIMIT` restarts.
+    platform.set_mongo_write_failures(&mut sim, true);
+    let guardian = paths::guardian_job(&job);
+    let deadline = sim.now() + SimDuration::from_mins(40);
+    while platform.kube().job_status(&guardian) != Some(dlaas_kube::JobStatus::Failed) {
+        assert!(sim.now() < deadline, "the Guardian Job never failed");
+        sim.run_for(SimDuration::from_secs(1));
+    }
+    // The scan notices within a period; its FAILED write then spends its
+    // whole retry budget inside the stall.
+    sim.run_for(config::LCM_SCAN + SimDuration::from_secs(15));
+    assert_eq!(platform.job_status(&job), Some(JobStatus::Pending));
+    platform.set_mongo_write_failures(&mut sim, false);
+
+    sim.run_for(config::LCM_SCAN * 2);
+    assert_eq!(
+        platform.job_status(&job),
+        Some(JobStatus::Failed),
+        "two scans after the stall the job the LCM gave up on is still open"
+    );
+    sim.run_for(config::LCM_SCAN * 6);
+    assert_eq!(platform.kube().job_status(&guardian), None);
+    check_invariants(&sim, &platform).assert_clean();
+}
+
+/// (iv) COMPLETED: the Guardian checked the write's result only for the
+/// turnaround histogram — teardown and `exit(0)` followed regardless, so
+/// a lost write stranded the job in STORING under a Guardian K8s Job that
+/// read `Complete` and was never restarted; nothing fired until
+/// `terminal-bound`, hours later. Teardown and exit now follow the
+/// acknowledgement, the backstop offers the write again, and the
+/// `guardian-done-job-open` rule watches the pair.
+#[test]
+fn a_refused_completed_write_keeps_the_guardian_until_the_document_is_terminal() {
+    let (mut sim, platform) = boot(320);
+    let client = platform.client("itest", KEY);
+    let monitor = InvariantMonitor::install(&mut sim, &platform, SimDuration::from_secs(5));
+    let job = submit_blocking(&mut sim, &client, manifest("completed-owed", 60));
+    let mid = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Storing,
+        SimDuration::from_mins(30),
+    );
+    assert_eq!(mid, Some(JobStatus::Storing), "{job} never reached STORING");
+
+    platform.set_mongo_write_failures(&mut sim, true);
+    let lifts = sim.now() + SimDuration::from_secs(120);
+    let deadline = sim.now() + SimDuration::from_mins(30);
+    let guardian = paths::guardian_job(&job);
+    let terminal = |platform: &DlaasPlatform| {
+        platform
+            .job_status(&job)
+            .is_some_and(JobStatus::is_terminal)
+    };
+    while !terminal(&platform) {
+        assert!(sim.now() < deadline, "{job} stranded in STORING");
+        if sim.now() >= lifts {
+            platform.set_mongo_write_failures(&mut sim, false);
+        }
+        assert_ne!(
+            platform.kube().job_status(&guardian),
+            Some(dlaas_kube::JobStatus::Complete),
+            "at {:?} the Guardian has exited 0 over a STORING document",
+            sim.now()
+        );
+        sim.run_for(SimDuration::from_millis(100));
+    }
+    assert!(sim.now() >= lifts, "the job completed inside the stall");
+    assert_eq!(platform.job_status(&job), Some(JobStatus::Completed));
+    let info = platform.job_info(&job).expect("job document");
+    assert!(info.images_per_sec.is_some_and(|t| t > 0.0));
+    sim.run_for(config::LCM_SCAN * 6);
+    assert_eq!(monitor.violations_seen(), 0);
+    monitor.cancel();
     check_invariants(&sim, &platform).assert_clean();
 }
