@@ -104,6 +104,7 @@ impl FaultKind {
 
     /// Applies the fault to a live platform.
     pub fn inject(&self, sim: &mut Sim, platform: &DlaasPlatform, job: &JobId) {
+        sim.mark("fault", job.as_str(), self.label(), 0);
         match self {
             FaultKind::GuardianCrash => {
                 platform.kube().crash_pod(sim, &paths::guardian_job(job));
@@ -311,6 +312,8 @@ pub struct CellOutcome {
     pub recovery: Option<SimDuration>,
     /// Invariant violations found after the settle, rendered.
     pub violations: Vec<String>,
+    /// The job's timeline, rendered.
+    pub timeline: String,
 }
 
 impl CellOutcome {
@@ -320,9 +323,10 @@ impl CellOutcome {
         self.fault_fired && self.status == Some(JobStatus::Completed) && self.violations.is_empty()
     }
 
-    /// One summary line for tables and failure messages.
+    /// One summary line for tables and failure messages; a cell that did
+    /// not pass adds what happened to its job.
     pub fn describe(&self) -> String {
-        format!(
+        let mut line = format!(
             "{} at {} (seed {}): status={:?} fired={} violations={}",
             self.kind,
             self.point,
@@ -330,7 +334,12 @@ impl CellOutcome {
             self.status,
             self.fault_fired,
             self.violations.len()
-        )
+        );
+        if !self.passed() {
+            line.push('\n');
+            line.push_str(self.timeline.trim_end());
+        }
+        line
     }
 }
 
@@ -344,6 +353,8 @@ pub fn run_cell(seed: u64, kind: FaultKind, point: InjectionPoint) -> CellOutcom
 
 fn run_cell_inner(seed: u64, kind: FaultKind, point: InjectionPoint) -> (CellOutcome, SimTime) {
     let mut sim = Sim::new(seed);
+    // A cell that fails prints what happened to its job.
+    sim.trace_mut().set_enabled(true);
     let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
     let manifest = throughput_manifest(
         DlModel::Resnet50,
@@ -369,7 +380,7 @@ fn run_cell_inner(seed: u64, kind: FaultKind, point: InjectionPoint) -> (CellOut
     when(
         &mut sim,
         SimDuration::from_millis(200),
-        format!("{kind} at {point}"),
+        kind.label(),
         pred,
         move |sim| {
             f2.set(Some(sim.now()));
@@ -410,6 +421,7 @@ fn run_cell_inner(seed: u64, kind: FaultKind, point: InjectionPoint) -> (CellOut
             .iter()
             .map(std::string::ToString::to_string)
             .collect(),
+        timeline: sim.trace().of(job.as_str()).to_string(),
     };
     (outcome, sim.now())
 }

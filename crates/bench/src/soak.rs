@@ -291,6 +291,9 @@ pub struct SoakRun {
     pub invariant_violations: u64,
     /// What the final sweep found, rendered.
     pub final_violations: Vec<String>,
+    /// The timelines of the jobs the final sweep flagged (empty on a
+    /// clean run, and on a preset without a monitor: its trace is off).
+    pub timelines: String,
     /// Pod restarts platform-wide.
     pub pod_restarts: u64,
     /// Kernel events executed, boot included.
@@ -322,7 +325,7 @@ impl SoakRun {
         (self.submitted != self.n || self.unfinished > 0 || self.invariant_violations > 0).then(
             || {
                 format!(
-                    "MALFORMED {}: submitted={}/{} unfinished={} violations={}{}",
+                    "MALFORMED {}: submitted={}/{} unfinished={} violations={}{}{}{}",
                     self.label,
                     self.submitted,
                     self.n,
@@ -331,7 +334,9 @@ impl SoakRun {
                     self.final_violations
                         .iter()
                         .map(|v| format!("\n    {v}"))
-                        .collect::<String>()
+                        .collect::<String>(),
+                    if self.timelines.is_empty() { "" } else { "\n" },
+                    self.timelines.trim_end()
                 )
             },
         )
@@ -352,6 +357,9 @@ pub fn run(
     if profile {
         sim.profile_sites();
     }
+    // Whoever watches the invariants wants to know what happened to a
+    // job that broke one.
+    sim.trace_mut().set_enabled(preset.monitor.is_some());
 
     let capacity = (preset.capacity_gpus)(n);
     let mut cfg = PlatformConfig {
@@ -450,11 +458,13 @@ pub fn run(
     // Close the run with one full sweep, then fold in everything the
     // periodic monitor saw that the final state no longer shows.
     let mut final_violations = Vec::new();
+    let mut timelines = String::new();
     let invariant_violations = monitor.map_or(0, |monitor| {
         monitor.cancel();
-        let last = check_invariants(&sim, &platform).violations;
-        final_violations.extend(last.iter().map(ToString::to_string));
-        monitor.violations_seen().max(last.len()) as u64
+        let last = check_invariants(&sim, &platform);
+        final_violations.extend(last.violations.iter().map(ToString::to_string));
+        timelines = last.timelines;
+        monitor.violations_seen().max(last.violations.len()) as u64
     });
 
     let m = platform.metrics();
@@ -516,6 +526,7 @@ pub fn run(
             admission_wait_p95_us: wait.as_ref().and_then(|h| h.quantile(0.95)).unwrap_or(0.0),
             invariant_violations,
             final_violations,
+            timelines,
             pod_restarts: m.counter_total(dlaas_kube::metrics::POD_RESTARTS),
             events: sim.events_executed(),
             sim_secs: sim_elapsed.as_secs_f64(),

@@ -44,7 +44,7 @@ fn active_statuses() -> Vec<Value> {
 pub fn api_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let addr = pod_addr(&ctx.pod);
     let meta = Rc::new(h.meta(&ctx, &ctx.pod));
-    ctx.record(sim, "API service instance up");
+    sim.mark("api", ctx.pod.as_str(), "up", 0);
 
     let h2 = h.clone();
     let meta2 = meta.clone();
@@ -424,7 +424,7 @@ fn record_queued(
         sim.metrics()
             .counter_series(metrics::API_SUBMISSIONS, ["queued"])
             .inc();
-        sim.record("api", format!("job {id} over quota; queued"));
+        sim.mark("api", id.as_str(), "queued", 0);
         responder.ok(sim, CoreResponse::Submitted { job: id });
     });
 }
@@ -467,7 +467,7 @@ fn record_and_deploy(
         sim.metrics()
             .histogram_series(metrics::TENANT_ADMISSION_WAIT, [&tenant_id])
             .observe(0.0);
-        sim.record("api", format!("job {id} recorded; acknowledging"));
+        sim.mark("api", id.as_str(), "recorded", 0);
         responder.ok(sim, CoreResponse::Submitted { job: id.clone() });
 
         let resolver = h.kube.service_resolver(LCM_SERVICE);

@@ -135,12 +135,17 @@ pub fn guardian_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup 
     });
     // A job document is born holding the empty mirror.
     g.mirror.seed(Mirror::default(), sim.now());
-    g.ctx.record(sim, "guardian up; loading job record");
+    g.mark(sim, "up", 0);
     g.boot(sim);
     Box::new(|_sim| {})
 }
 
 impl Guardian {
+    /// One mark on the job's timeline.
+    fn mark(&self, sim: &mut Sim, what: &'static str, arg: u64) {
+        sim.mark("guardian", self.job.as_str(), what, arg);
+    }
+
     /// The manifest loaded at boot. A `None` here means the in-memory
     /// state was lost in a way the deploy steps cannot recover from
     /// (deploy steps only run after a successful boot load); instead of
@@ -150,8 +155,7 @@ impl Guardian {
     fn manifest_or_abort(self: &Rc<Self>, sim: &mut Sim) -> Option<TrainingManifest> {
         let m = self.manifest.borrow().clone();
         if m.is_none() {
-            self.ctx
-                .record(sim, "manifest missing mid-deploy; aborting incarnation");
+            self.mark(sim, "manifest-missing", 0);
             self.ctx.exit(sim, 1);
         }
         m
@@ -185,13 +189,12 @@ impl Guardian {
                 Ok(None) => {
                     // No such job: nothing to guard. Exit non-zero so the
                     // K8s Job eventually gives up.
-                    me.ctx.record(sim, "job record missing; aborting");
+                    me.mark(sim, "job-record-missing", 0);
                     me.ctx.exit(sim, 1);
                     return;
                 }
-                Err(e) => {
-                    me.ctx
-                        .record(sim, format!("metadata store unavailable: {e}"));
+                Err(_) => {
+                    me.mark(sim, "metadata-unavailable", 0);
                     me.ctx.exit(sim, 1);
                     return;
                 }
@@ -212,8 +215,8 @@ impl Guardian {
                 .and_then(Value::as_str)
                 .and_then(|s| TrainingManifest::from_json(s).ok());
             let Some(manifest) = manifest else {
-                me.ctx.record(sim, "corrupt manifest; failing job");
-                me.fail_job(sim, "corrupt manifest");
+                me.mark(sim, "corrupt-manifest", 0);
+                me.fail_job(sim);
                 return;
             };
             *me.manifest.borrow_mut() = Some(manifest);
@@ -221,8 +224,7 @@ impl Guardian {
             if status.is_terminal() {
                 // We restarted after the job ended: just make sure nothing
                 // is left behind.
-                me.ctx
-                    .record(sim, "job already terminal; cleaning leftovers");
+                me.mark(sim, "already-terminal", 0);
                 teardown_job(sim, &me.h, &me.job, false);
                 me.ctx.exit(sim, 0);
                 return;
@@ -237,7 +239,7 @@ impl Guardian {
                 // its acknowledgement — the predecessor may have died
                 // between the two.
                 me.status.seed((JobStatus::Processing, None), sim.now());
-                me.ctx.record(sim, "resuming monitoring of deployed job");
+                me.mark(sim, "resume-monitoring", 0);
                 me.start_monitoring(sim);
                 return;
             }
@@ -246,14 +248,11 @@ impl Guardian {
             let attempts = doc.path("attempts").and_then(Value::as_i64).unwrap_or(0) as u32 + 1;
             let max = me.h.config.deploy_max_attempts;
             if attempts > max {
-                me.ctx.record(
-                    sim,
-                    format!("deploy attempt {attempts} exceeds limit {max}; giving up"),
-                );
+                me.mark(sim, "attempts-exhausted", attempts.into());
                 sim.metrics()
                     .counter_series(metrics::GUARDIAN_GAVE_UP, [])
                     .inc();
-                me.fail_job(sim, "deployment retries exhausted");
+                me.fail_job(sim);
                 return;
             }
             let me2 = me.clone();
@@ -274,13 +273,11 @@ impl Guardian {
                         // retry guarantee ("for a configurable number of
                         // times", §III-d) rests on this write. Abort and
                         // let K8s restart us against a healthy store.
-                        me2.ctx
-                            .record(sim, "failed to record deploy attempt; aborting incarnation");
+                        me2.mark(sim, "attempt-not-recorded", attempts.into());
                         me2.ctx.exit(sim, 1);
                         return;
                     }
-                    me2.ctx
-                        .record(sim, format!("starting deployment attempt {attempts}"));
+                    me2.mark(sim, "deploy-attempt", attempts.into());
                     sim.metrics()
                         .counter_series(metrics::GUARDIAN_DEPLOY_ATTEMPTS, [])
                         .inc();
@@ -336,7 +333,7 @@ impl Guardian {
     /// nothing would offer the write again): one shot, and if the store
     /// refuses it the incarnation aborts — K8s restarts it to try again,
     /// and past the backoff limit the LCM scan fails the job.
-    fn fail_job(self: &Rc<Self>, sim: &mut Sim, reason: &'static str) {
+    fn fail_job(self: &Rc<Self>, sim: &mut Sim) {
         let me = self.clone();
         self.meta
             .advance_status(sim, &self.job, JobStatus::Failed, move |sim, r| {
@@ -345,12 +342,11 @@ impl Guardian {
                 }
                 match r {
                     Ok(applied) => {
-                        me.ctx.record(sim, format!("job failed: {reason}"));
+                        me.mark(sim, JobStatus::Failed.name(), 0);
                         me.ended(sim, JobStatus::Failed, applied);
                     }
-                    Err(e) => {
-                        me.ctx
-                            .record(sim, format!("FAILED not recorded ({e}); aborting"));
+                    Err(_) => {
+                        me.mark(sim, "failed-not-recorded", 0);
                         me.ctx.exit(sim, 1);
                     }
                 }
@@ -389,16 +385,15 @@ impl Guardian {
             .nfs
             .mount(&vol)
             .and_then(|mount| mount.write_file(paths::NFS_JOBSPEC, manifest.to_json()));
-        if let Err(e) = staged {
+        if staged.is_err() {
             // NFS outage window: abort this incarnation instead of
             // panicking. K8s restarts us and the retry is bounded by
             // deploy_max_attempts like every other mid-deploy failure.
-            self.ctx
-                .record(sim, format!("volume provisioning failed ({e}); aborting"));
+            self.mark(sim, "volume-provision-failed", 0);
             self.ctx.exit(sim, 1);
             return;
         }
-        self.ctx.record(sim, "volume provisioned, jobspec staged");
+        self.mark(sim, "volume-provisioned", 0);
         self.then(sim, Self::step_create_helper);
     }
 
@@ -423,7 +418,7 @@ impl Guardian {
         self.h
             .kube
             .create_deployment(sim, &paths::helper_deployment(&self.job), 1, pod);
-        self.ctx.record(sim, "helper pod created");
+        self.mark(sim, "helper-created", 0);
         self.then(sim, Self::step_create_learners);
     }
 
@@ -452,7 +447,7 @@ impl Guardian {
         self.h
             .kube
             .create_statefulset(sim, &paths::learner_set(&self.job), manifest.learners, pod);
-        self.ctx.record(sim, "learner statefulset created");
+        self.mark(sim, "learners-created", 0);
         self.then(sim, Self::step_apply_policies);
     }
 
@@ -480,8 +475,7 @@ impl Guardian {
             to_services: vec![],
             exempt_same: Some("job".into()),
         });
-        self.ctx
-            .record(sim, "network policies applied; deployment complete");
+        self.mark(sim, "deployed", 0);
         self.then(sim, Self::start_monitoring);
     }
 
@@ -529,7 +523,7 @@ impl Guardian {
             me.check_killed(sim);
             true
         });
-        self.ctx.record(sim, "monitoring started");
+        self.mark(sim, "monitoring", 0);
     }
 
     /// Folds one key of the job's etcd prefix into the monitor state —
@@ -594,8 +588,7 @@ impl Guardian {
             }
             if let Ok(Some(doc)) = r {
                 if JobStatus::of(&doc).is_some_and(JobStatus::is_terminal) {
-                    me.ctx
-                        .record(sim, "job reached terminal state externally; exiting");
+                    me.mark(sim, "terminal-externally", 0);
                     me.ctx.exit(sim, 0);
                 }
             }
@@ -630,10 +623,10 @@ impl Guardian {
                 return;
             }
             let Ok(applied) = r else {
-                me.ctx.record(sim, format!("{to} not recorded; still owed"));
+                me.mark(sim, "status-owed", to.rank().into());
                 return ack.settle(sim, false);
             };
-            me.ctx.record(sim, format!("job is {to}"));
+            me.mark(sim, to.name(), 0);
             match to {
                 JobStatus::Processing => {
                     if let Some(started_us) = me.deploy_started_us.take() {

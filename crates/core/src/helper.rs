@@ -29,51 +29,61 @@ use crate::metrics;
 use crate::paths;
 use crate::publisher::{at_once, Ack, Publisher, Sink};
 
-/// Shared bootstrap: mount the job volume and read the jobspec, retrying
-/// until the Guardian has provisioned both. Calls `ready` once available;
-/// gives up silently when the process dies or the volume disappears for
-/// good (job torn down).
+/// How many 500 ms waits for the jobspec a helper container and a
+/// learner make before they exit 1 and Kubernetes restarts them. (Both
+/// figures are as old as the components; either one moves a campaign
+/// artifact.)
+const HELPER_JOBSPEC_WAITS: u32 = 601;
+pub(crate) const LEARNER_JOBSPEC_WAITS: u32 = 241;
+
+/// A helper container's bootstrap (its `arg` is the job id).
 fn with_jobspec(
     h: &Handles,
     sim: &mut Sim,
     ctx: &ProcessCtx,
+    who: &'static str,
     ready: impl FnOnce(&mut Sim, Mount, TrainingManifest) + 'static,
 ) {
-    let h = h.clone();
-    let ctx = ctx.clone();
-    let job = JobId::new(ctx.arg.clone());
-    try_bootstrap(h, sim, ctx, job, ready, 0);
+    let (h, ctx, job) = (h.clone(), ctx.clone(), JobId::new(ctx.arg.clone()));
+    wait_for_jobspec(h, sim, ctx, job, who, HELPER_JOBSPEC_WAITS, ready);
 }
 
-fn try_bootstrap(
+/// The bootstrap every container of a job shares: mount the job volume
+/// and read the jobspec, retrying until the Guardian has provisioned
+/// both — a restarted container may race a Guardian rollback. Calls
+/// `ready` once available; exits 1 after `waits` waits, so the kubelet
+/// starts a fresh incarnation; stops silently when the process dies.
+pub(crate) fn wait_for_jobspec(
     h: Handles,
     sim: &mut Sim,
     ctx: ProcessCtx,
     job: JobId,
+    who: &'static str,
+    waits: u32,
     ready: impl FnOnce(&mut Sim, Mount, TrainingManifest) + 'static,
-    attempt: u32,
 ) {
     if !ctx.is_alive() {
         return;
     }
-    let volume = h.nfs.find_volume(&paths::volume(&job));
-    if let Some(vol) = volume {
-        if let Ok(mount) = h.nfs.mount(&vol) {
-            if let Ok(spec) = mount.read_file(paths::NFS_JOBSPEC) {
-                if let Ok(manifest) = TrainingManifest::from_json(&spec) {
-                    ready(sim, mount, manifest);
-                    return;
-                }
-            }
+    let spec = (|| {
+        let vol = h.nfs.find_volume(&paths::volume(&job))?;
+        let mount = h.nfs.mount(&vol).ok()?;
+        let spec = mount.read_file(paths::NFS_JOBSPEC).ok()?;
+        let manifest = TrainingManifest::from_json(&spec).ok()?;
+        Some((mount, manifest))
+    })();
+    match spec {
+        Some((mount, manifest)) => ready(sim, mount, manifest),
+        None if waits == 0 => {
+            sim.mark(who, job.as_str(), "jobspec-never-appeared", 0);
+            ctx.exit(sim, 1);
+        }
+        None => {
+            sim.schedule_in(SimDuration::from_millis(500), move |sim| {
+                wait_for_jobspec(h, sim, ctx, job, who, waits - 1, ready);
+            });
         }
     }
-    if attempt > 600 {
-        ctx.record(sim, "giving up waiting for job volume");
-        return;
-    }
-    sim.schedule_in(SimDuration::from_millis(500), move |sim| {
-        try_bootstrap(h, sim, ctx, job, ready, attempt + 1);
-    });
 }
 
 // ----------------------------------------------------------------------
@@ -287,8 +297,9 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
         &format!("{}/{}#{}", ctx.pod, ctx.container, ctx.incarnation),
     );
     let ctx2 = ctx.clone();
-    with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
-        ctx2.record(sim, "controller online; polling learner files");
+    let who = "controller";
+    with_jobspec(&h, sim, &ctx, who, move |sim, mount, manifest| {
+        sim.mark(who, job.as_str(), "online", 0);
         let alive = ctx2.alive_flag();
         let controller = Controller::new(etcd, mount, &job, manifest.learners, &alive);
         dlaas_sim::every(sim, config::CONTROLLER_POLL, move |sim, _n| {
@@ -358,16 +369,14 @@ fn read_volume(
 pub fn load_data_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let ctx2 = ctx.clone();
     let h2 = h.clone();
-    with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
+    let who = "load-data";
+    with_jobspec(&h, sim, &ctx, who, move |sim, mount, manifest| {
         if mount.exists(paths::NFS_DATA_LOADED) {
-            ctx2.record(sim, "data already staged (previous incarnation)");
+            sim.mark(who, ctx2.arg.as_str(), "already-staged", 0);
             ctx2.exit(sim, 0);
             return;
         }
-        ctx2.record(
-            sim,
-            format!("staging {} bytes of training data", manifest.data_bytes),
-        );
+        sim.mark(who, ctx2.arg.as_str(), "staging", manifest.data_bytes);
         download_data(h2, sim, ctx2, mount, manifest);
     });
     Box::new(|_sim| {})
@@ -400,15 +409,15 @@ fn download_data(
             match r {
                 Ok(_) if mount.write_file(paths::NFS_DATA_LOADED, "loaded").is_ok() => {
                     sim.metrics().counter_series(metrics::DATA_STAGED, []).inc();
-                    ctx2.record(sim, "training data staged");
+                    sim.mark("load-data", ctx2.arg.as_str(), "staged", 0);
                     ctx2.exit(sim, 0);
                 }
                 r => {
                     let why = match r {
-                        Ok(_) => "loaded marker write failed".to_owned(),
-                        Err(e) => format!("data fetch failed ({e})"),
+                        Ok(_) => "marker-write-failed",
+                        Err(_) => "fetch-failed",
                     };
-                    ctx2.record(sim, format!("{why}; retrying"));
+                    sim.mark("load-data", ctx2.arg.as_str(), why, 0);
                     sim.schedule_in(SimDuration::from_secs(5), move |sim| {
                         download_data(h, sim, ctx2, mount, manifest);
                     });
@@ -492,8 +501,9 @@ pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
     let job = JobId::new(ctx.arg.clone());
     let objstore = h.objstore.clone();
     let ctx2 = ctx.clone();
-    with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
-        ctx2.record(sim, "log collector online");
+    let who = "log-collector";
+    with_jobspec(&h, sim, &ctx, who, move |sim, mount, manifest| {
+        sim.mark(who, ctx2.arg.as_str(), "online", 0);
         let alive = ctx2.alive_flag();
         let tails: Vec<_> = (0..manifest.learners)
             .map(|ord| {
@@ -539,9 +549,10 @@ pub fn store_results_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
     let job = JobId::new(ctx.arg.clone());
     let objstore = h.objstore.clone();
     let ctx2 = ctx.clone();
-    with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
+    let who = "store-results";
+    with_jobspec(&h, sim, &ctx, who, move |sim, mount, manifest| {
         if mount.exists(paths::NFS_STORE_DONE) {
-            ctx2.record(sim, "results already stored");
+            sim.mark(who, job.as_str(), "already-stored", 0);
             ctx2.exit(sim, 0);
             return;
         }
@@ -580,15 +591,15 @@ pub fn store_results_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
                             sim.metrics()
                                 .counter_series(metrics::RESULTS_STORED, [])
                                 .inc();
-                            ctx3.record(sim, "results uploaded");
+                            sim.mark(who, ctx3.arg.as_str(), "uploaded", 0);
                             ctx3.exit(sim, 0);
                         }
                         r => {
                             let why = match r {
-                                Ok(()) => "done marker write failed".to_owned(),
-                                Err(e) => format!("result upload failed: {e}"),
+                                Ok(()) => "marker-write-failed",
+                                Err(_) => "upload-failed",
                             };
-                            ctx3.record(sim, format!("{why}; will retry"));
+                            sim.mark(who, ctx3.arg.as_str(), why, 0);
                             busy2.set(false); // timer retries on a later tick
                         }
                     }

@@ -42,10 +42,10 @@
 //!
 //! [`check_all`] evaluates every invariant against the current state of a
 //! [`DlaasPlatform`]; [`InvariantMonitor`] re-checks periodically inside
-//! a running simulation and surfaces *new* violations through the trace
-//! and the [`metrics::INVARIANT_VIOLATIONS`] counter. The fault
-//! matrix (dlaas-bench `fault_matrix`) runs the checker after every
-//! fault-injection trial.
+//! a running simulation and surfaces *new* violations as a mark on the
+//! job's timeline and in the [`metrics::INVARIANT_VIOLATIONS`] counter.
+//! The fault matrix (dlaas-bench `fault_matrix`) runs the checker after
+//! every fault-injection trial.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -121,6 +121,9 @@ pub struct InvariantReport {
     pub jobs_checked: usize,
     /// Every violation found, in job order.
     pub violations: Vec<InvariantViolation>,
+    /// The timeline of every job with a violation, rendered — empty when
+    /// the report is clean or the simulation's trace is off.
+    pub timelines: String,
 }
 
 impl InvariantReport {
@@ -133,14 +136,8 @@ impl InvariantReport {
     pub fn assert_clean(&self) {
         assert!(
             self.is_clean(),
-            "platform invariants violated at t={:?} ({} jobs checked):\n{}",
-            self.checked_at,
-            self.jobs_checked,
-            self.violations
-                .iter()
-                .map(|v| format!("  - {v}"))
-                .collect::<Vec<_>>()
-                .join("\n")
+            "platform invariants violated at t={:?}: {self}",
+            self.checked_at
         );
     }
 }
@@ -159,7 +156,7 @@ impl fmt::Display for InvariantReport {
             for v in &self.violations {
                 writeln!(f, "  - {v}")?;
             }
-            Ok(())
+            f.write_str(&self.timelines)
         }
     }
 }
@@ -427,10 +424,21 @@ impl InvariantChecker {
         // 5. At-most-one-owner over the LCM shard space.
         check_shards(sim, platform, &mut violations);
 
+        let mut timelines = String::new();
+        let mut jobs: Vec<&JobId> = violations.iter().map(|v| &v.job).collect();
+        jobs.dedup();
+        for job in jobs {
+            let timeline = sim.trace().of(job.as_str());
+            if timeline.marks().next().is_some() {
+                timelines.push_str(&format!("timeline of {job}:\n{timeline}"));
+            }
+        }
+
         InvariantReport {
             checked_at: now,
             jobs_checked,
             violations,
+            timelines,
         }
     }
 
@@ -632,7 +640,7 @@ fn terminal_since(doc: &Value) -> Option<SimTime> {
 
 /// Periodic in-simulation checker: runs an [`InvariantChecker`] pass
 /// (what [`check_all`] runs once) every `period`,
-/// records each *new* violation on the trace topic `invariants` and
+/// marks each *new* violation on the job's timeline (`invariants`) and
 /// counts it in [`metrics::INVARIANT_VIOLATIONS`] (labelled by
 /// invariant name). Violations are deduplicated by (job, invariant) so a
 /// persistent leak is reported once, not once per period.
@@ -682,7 +690,7 @@ impl InvariantMonitor {
                 }
                 let key = (v.job.as_str().to_owned(), v.invariant);
                 if seen2.borrow_mut().insert(key) {
-                    sim.record("invariants", format!("VIOLATION {v}"));
+                    sim.mark("invariants", v.job.as_str(), v.invariant, 0);
                     sim.metrics()
                         .counter_series(metrics::INVARIANT_VIOLATIONS, [v.invariant])
                         .inc();
@@ -769,6 +777,7 @@ mod tests {
             checked_at: SimTime::from_micros(5),
             jobs_checked: 2,
             violations: vec![],
+            timelines: String::new(),
         };
         assert!(clean.is_clean());
         clean.assert_clean();
@@ -782,9 +791,11 @@ mod tests {
                 invariant: "leak-pods",
                 detail: "pod x".into(),
             }],
+            timelines: "timeline of j:\n[0.000s] api j: recorded\n".into(),
         };
         assert!(!dirty.is_clean());
         assert!(dirty.to_string().contains("leak-pods"));
+        assert!(dirty.to_string().ends_with("api j: recorded\n"));
         let caught = std::panic::catch_unwind(|| dirty.assert_clean());
         assert!(caught.is_err());
     }

@@ -85,9 +85,10 @@ impl JobStatus {
     }
 }
 
-impl fmt::Display for JobStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl JobStatus {
+    /// The status as documents, clients and timeline marks spell it.
+    pub fn name(self) -> &'static str {
+        match self {
             JobStatus::Queued => "QUEUED",
             JobStatus::Pending => "PENDING",
             JobStatus::Deploying => "DEPLOYING",
@@ -96,8 +97,13 @@ impl fmt::Display for JobStatus {
             JobStatus::Completed => "COMPLETED",
             JobStatus::Failed => "FAILED",
             JobStatus::Killed => "KILLED",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for JobStatus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -82,7 +82,7 @@ const ARBITER_SHARD: u32 = 0;
 pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let addr = pod_addr(&ctx.pod);
     let meta = h.meta(&ctx, &ctx.pod);
-    ctx.record(sim, "LCM instance up");
+    sim.mark("lcm", ctx.pod.as_str(), "up", 0);
 
     let h2 = h.clone();
     let ctx2 = ctx.clone();
@@ -267,7 +267,7 @@ fn ensure_lease(sim: &mut Sim, rep: &Rc<Replica>) {
                 o.lease = Some(id);
                 o.fence = sent + ttl;
             }
-            sim.record("lcm", format!("{} holds lease {id}", rep2.pod));
+            sim.mark("lcm", rep2.pod.as_str(), "lease-granted", id);
             arm_fence(sim, &rep2);
             reconcile(sim, &rep2);
         }
@@ -366,22 +366,13 @@ fn arm_fence(sim: &mut Sim, rep: &Rc<Replica>) {
 /// metrics. Called from the fence/expiry paths only — the CAS'd owner
 /// keys are left to die with the lease.
 fn drop_ownership(sim: &mut Sim, rep: &Rc<Replica>, reason: &'static str) {
-    let dropped = {
+    let (lease, dropped) = {
         let mut o = rep.own.borrow_mut();
-        o.lease = None;
-        std::mem::take(&mut o.owned)
+        (o.lease.take(), std::mem::take(&mut o.owned))
     };
     rep.h.shard_tracker.release_all(sim, &rep.pod);
-    if !dropped.is_empty() {
-        sim.record(
-            "lcm",
-            format!(
-                "{} lost its lease ({reason}); released shards {dropped:?}",
-                rep.pod
-            ),
-        );
-    }
-    for _ in &dropped {
+    for &shard in &dropped {
+        sim.mark("lcm", shard, "lost-with-lease", lease.unwrap_or(0));
         sim.metrics()
             .counter_series(metrics::LCM_SHARD_LOSSES, [reason])
             .inc();
@@ -421,10 +412,7 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
             };
             if claimed {
                 rep2.h.shard_tracker.claim(sim, shard, &rep2.pod);
-                sim.record(
-                    "lcm",
-                    format!("{} acquired shard {shard} ({trigger})", rep2.pod),
-                );
+                sim.mark("lcm", shard, "acquired-under-lease", lease);
                 sim.metrics()
                     .counter_series(metrics::LCM_SHARD_ACQUISITIONS, [trigger])
                     .inc();
@@ -493,7 +481,7 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
     if h.kube.job_status(&name).is_some() {
         return;
     }
-    sim.record("lcm", format!("creating guardian for {job}"));
+    sim.mark("lcm", job.as_str(), "guardian-created", 0);
     sim.metrics()
         .counter_series(metrics::LCM_GUARDIANS_CREATED, [])
         .inc();
@@ -522,7 +510,7 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
 /// and the job's etcd keys; optionally the Guardian K8s Job itself.
 /// Results and logs in the object store are deliberately kept.
 pub(crate) fn teardown_job(sim: &mut Sim, h: &Handles, job: &JobId, delete_guardian: bool) {
-    sim.record("lcm", format!("tearing down resources of {job}"));
+    sim.mark("lcm", job.as_str(), "teardown", 0);
     sim.metrics()
         .counter_series(metrics::LCM_TEARDOWNS, [])
         .inc();
@@ -845,10 +833,7 @@ fn admit(
             sim.metrics()
                 .histogram_series(metrics::TENANT_ADMISSION_WAIT, [&tenant])
                 .observe(waited as f64);
-            sim.record(
-                "lcm",
-                format!("arbiter admitted {job} (tenant {tenant}, waited {waited}us)"),
-            );
+            sim.mark("lcm", job.as_str(), "admitted-after-us", waited);
             ensure_guardian(sim, &h2, &job);
         });
     }
@@ -889,7 +874,7 @@ fn sweep(
         let age = sim.now().saturating_duration_since(submitted);
         if age >= redeploy_after && h.kube.job_status(&paths::guardian_job(&job)).is_none() {
             note_sweep(sim, rep, &job);
-            sim.record("lcm", format!("scan: re-deploying stranded job {job}"));
+            sim.mark("lcm", job.as_str(), "redeploy-stranded", 0);
             sim.metrics()
                 .counter_series(metrics::LCM_SCAN_REDEPLOYS, [])
                 .inc();
@@ -933,7 +918,7 @@ fn sweep(
             "deploy_timeout"
         };
         note_sweep(sim, rep, &job);
-        sim.record("lcm", format!("scan: failing {job}: {reason}"));
+        sim.mark("lcm", job.as_str(), reason, 0);
         let h4 = h.clone();
         let state2 = state.clone();
         meta.advance_status(sim, &job.clone(), JobStatus::Failed, move |sim, r| {
@@ -974,7 +959,7 @@ fn sweep(
         let has_volume = h.nfs.find_volume(&paths::volume(&job)).is_some();
         if has_pods || has_volume {
             note_sweep(sim, rep, &job);
-            sim.record("lcm", format!("scan: GC leftovers of terminal job {job}"));
+            sim.mark("lcm", job.as_str(), "gc-leftovers", 0);
             sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
             teardown_job(sim, h, &job, true);
         } else {
@@ -987,7 +972,7 @@ fn sweep(
                 match r {
                     Ok(pairs) if !pairs.is_empty() => {
                         note_sweep(sim, &rep3, &job);
-                        sim.record("lcm", format!("scan: GC etcd keys of {job}"));
+                        sim.mark("lcm", job.as_str(), "gc-etcd-keys", 0);
                         sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
                         h6.etcd_gc.delete_prefix(sim, prefix2, |_sim, _r| {});
                         // Keep watching: next tick re-probes until clean.

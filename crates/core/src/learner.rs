@@ -25,6 +25,7 @@ use dlaas_sim::{Sim, SimDuration, SimTime};
 
 use crate::config;
 use crate::handles::Handles;
+use crate::helper::{wait_for_jobspec, LEARNER_JOBSPEC_WAITS};
 use crate::job::JobId;
 use crate::manifest::TrainingManifest;
 use crate::metrics;
@@ -67,40 +68,12 @@ pub fn learner_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
         .next()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
-    let ctx2 = ctx.clone();
-    let h2 = h.clone();
-    bootstrap(h2, sim, ctx2, job, ordinal, 0);
+    let (h2, ctx2, job2) = (h.clone(), ctx.clone(), job.clone());
+    let (who, waits) = ("learner", LEARNER_JOBSPEC_WAITS);
+    wait_for_jobspec(h, sim, ctx, job, who, waits, move |sim, mount, manifest| {
+        start(h2, sim, ctx2, job2, ordinal, mount, manifest);
+    });
     Box::new(|_sim| {})
-}
-
-/// Mount the volume and read the jobspec (both provisioned by the
-/// Guardian strictly before the StatefulSet, but a restarted learner may
-/// race a Guardian rollback — hence the retry).
-fn bootstrap(h: Handles, sim: &mut Sim, ctx: ProcessCtx, job: JobId, ordinal: u32, attempt: u32) {
-    if !ctx.is_alive() {
-        return;
-    }
-    let ready = (|| {
-        let vol = h.nfs.find_volume(&paths::volume(&job))?;
-        let mount = h.nfs.mount(&vol).ok()?;
-        let spec = mount.read_file(paths::NFS_JOBSPEC).ok()?;
-        let manifest = TrainingManifest::from_json(&spec).ok()?;
-        Some((mount, manifest))
-    })();
-    match ready {
-        None if attempt > 240 => {
-            ctx.record(sim, "job volume never appeared; exiting");
-            ctx.exit(sim, 1);
-        }
-        None => {
-            sim.schedule_in(SimDuration::from_millis(500), move |sim| {
-                bootstrap(h, sim, ctx, job, ordinal, attempt + 1);
-            });
-        }
-        Some((mount, manifest)) => {
-            start(h, sim, ctx, job, ordinal, mount, manifest);
-        }
-    }
 }
 
 fn start(
@@ -141,7 +114,7 @@ fn start(
             ),
         );
     }
-    ctx.record(sim, format!("learner {ordinal} start #{starts}"));
+    sim.mark("learner", job.as_str(), "start", starts);
 
     // The measured training rate for this job: the performance model plus
     // a per-job run-to-run jitter (identical across restarts — it is a
@@ -526,15 +499,11 @@ impl Learner {
             .and_then(|_| self.mount.write_file(&self.files.exit, "0"));
         match written {
             Ok(_) => {
-                self.ctx
-                    .record(sim, format!("learner {} done", self.ordinal));
+                sim.mark("learner", self.job.as_str(), "done", self.ordinal.into());
                 self.ctx.exit(sim, 0);
             }
-            Err(e) => {
-                self.ctx.record(
-                    sim,
-                    format!("completion markers not durable ({e}); retrying"),
-                );
+            Err(_) => {
+                sim.mark("learner", self.job.as_str(), "markers-not-durable", 0);
                 let me = self.clone();
                 sim.schedule_in(SimDuration::from_secs(2), move |sim| {
                     me.finish_markers(sim, throughput);

@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dlaas_docstore::{Doc, Filter, MongoRpc, MongoServer, MongoTimings, StoreError, Value};
+use dlaas_docstore::{Doc, Filter, MongoRpc, MongoServer, MongoTimings, StoreError};
 use dlaas_etcd::EtcdCluster;
 use dlaas_gpu::GpuKind;
 use dlaas_kube::{
@@ -383,15 +383,6 @@ impl DlaasPlatform {
             .find(TENANTS, &Filter::True)
     }
 
-    /// Ids of every accepted (durably recorded) job.
-    pub fn all_job_ids(&self) -> Vec<JobId> {
-        self.job_documents()
-            .iter()
-            .filter_map(|d| d.path("_id").and_then(Value::as_str))
-            .map(JobId::new)
-            .collect()
-    }
-
     /// Reads a job's document straight from the store (bypasses the API).
     pub fn job_document(&self, job: &JobId) -> Option<Doc> {
         self.mongo
@@ -471,7 +462,7 @@ impl DlaasPlatform {
     /// the given delay (mimicking the K8s restart of the MongoDB pod).
     pub fn crash_mongo(&self, sim: &mut Sim, auto_restart: Option<SimDuration>) {
         self.mongo.borrow().crash();
-        sim.record("platform", "mongodb crashed");
+        sim.mark("platform", "mongo", "crashed", 0);
         if let Some(d) = auto_restart {
             let journal = self.mongo.borrow().journal();
             let rpc = self.mongo_rpc.clone();
@@ -479,7 +470,7 @@ impl DlaasPlatform {
             sim.schedule_in(d, move |sim| {
                 let server = MongoServer::recover(rpc, journal, MongoTimings::default());
                 *slot.borrow_mut() = server;
-                sim.record("platform", "mongodb recovered from journal");
+                sim.mark("platform", "mongo", "recovered", 0);
             });
         }
     }
@@ -490,14 +481,12 @@ impl DlaasPlatform {
     /// the paths that must notice an *unacknowledged* write.
     pub fn set_mongo_write_failures(&self, sim: &mut Sim, fail: bool) {
         self.mongo.borrow().set_fail_writes(fail);
-        sim.record(
-            "platform",
-            if fail {
-                "mongodb write stall begins"
-            } else {
-                "mongodb write stall ends"
-            },
-        );
+        let what = if fail {
+            "write-stall-begins"
+        } else {
+            "write-stall-ends"
+        };
+        sim.mark("platform", "mongo", what, 0);
     }
 
     /// Restarts the metadata store immediately from its journal.
@@ -505,6 +494,6 @@ impl DlaasPlatform {
         let journal = self.mongo.borrow().journal();
         let server = MongoServer::recover(self.mongo_rpc.clone(), journal, MongoTimings::default());
         *self.mongo.borrow_mut() = server;
-        sim.record("platform", "mongodb recovered from journal");
+        sim.mark("platform", "mongo", "recovered", 0);
     }
 }

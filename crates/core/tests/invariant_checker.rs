@@ -157,6 +157,8 @@ fn found(report: &dlaas_core::InvariantReport) -> Vec<(String, &'static str, Str
 #[test]
 fn each_kind_of_leak_is_reported_once_the_grace_has_passed() {
     let (mut sim, platform) = boot(2001);
+    // With the trace on a dirty report tells the flagged job's story.
+    sim.trace_mut().set_enabled(true);
     let now = ago(&sim, 0);
     insert_job(
         &mut sim,
@@ -189,7 +191,9 @@ fn each_kind_of_leak_is_reported_once_the_grace_has_passed() {
     platform.nfs().create_volume("scratch");
 
     // Inside the grace period GC may still be on its way.
-    check_invariants(&sim, &platform).assert_clean();
+    let early = check_invariants(&sim, &platform);
+    early.assert_clean();
+    assert_eq!(early.timelines, "", "a clean report appends nothing");
     let bounds = InvariantBounds::from_config(&platform.handles().config);
     sim.run_for(bounds.gc_grace + SimDuration::from_secs(1));
 
@@ -222,11 +226,21 @@ fn each_kind_of_leak_is_reported_once_the_grace_has_passed() {
         ]
     );
 
+    let printed = report.to_string();
+    let story = printed.split_once("timeline of gone:\n").expect(&printed).1;
+    assert_eq!(story.matches("kube gone: Created").count(), 2, "{story}");
+    assert!(
+        !story.contains("live") && !story.contains("nobody"),
+        "{story}"
+    );
+
     // Collected piece by piece, the findings go piece by piece.
     platform.kube().delete_pod(&mut sim, "learner-gone-0");
     platform.nfs().delete_volume_named("vol-gone");
     delete_key(&mut sim, &platform, paths::etcd_store(&JobId::new("gone")));
-    let invariants: Vec<_> = found(&check_invariants(&sim, &platform))
+    let report = check_invariants(&sim, &platform);
+    assert!(report.timelines.contains("kube gone: Deleted"), "{report}");
+    let invariants: Vec<_> = found(&report)
         .into_iter()
         .map(|(_, invariant, detail)| (invariant, detail))
         .collect();

@@ -228,11 +228,6 @@ impl MongoServer {
         *self.fail_writes.borrow_mut() = fail;
     }
 
-    /// `true` while the write-stall mode is active.
-    pub fn failing_writes(&self) -> bool {
-        *self.fail_writes.borrow()
-    }
-
     /// Crash: stop serving and drop in-memory state. The journal survives.
     pub fn crash(&self) {
         *self.up.borrow_mut() = false;
@@ -501,7 +496,6 @@ mod tests {
         sim.run_until_idle();
 
         server.set_fail_writes(true);
-        assert!(server.failing_writes());
         let write = call(
             &mut sim,
             &rpc,

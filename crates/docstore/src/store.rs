@@ -490,36 +490,6 @@ impl DocStore {
         }
     }
 
-    /// Like [`DocStore::find`], with sorting and a result cap. Documents
-    /// missing the sort path order before all present values (like
-    /// MongoDB's null-first ascending order); ties fall back to id order.
-    pub fn find_sorted(
-        &self,
-        coll: &str,
-        filter: &Filter,
-        sort_path: &str,
-        descending: bool,
-        limit: usize,
-    ) -> Vec<Doc> {
-        let mut docs = self.find(coll, filter);
-        docs.sort_by(|a, b| {
-            let ord = match (a.path(sort_path), b.path(sort_path)) {
-                (None, None) => std::cmp::Ordering::Equal,
-                (None, Some(_)) => std::cmp::Ordering::Less,
-                (Some(_), None) => std::cmp::Ordering::Greater,
-                (Some(x), Some(y)) => x.cmp_order(y),
-            };
-            let ord = if descending { ord.reverse() } else { ord };
-            ord.then_with(|| {
-                let ia = a.path("_id").and_then(Value::as_str).unwrap_or("");
-                let ib = b.path("_id").and_then(Value::as_str).unwrap_or("");
-                ia.cmp(ib)
-            })
-        });
-        docs.truncate(limit);
-        docs
-    }
-
     /// First matching document in id order, if any.
     pub fn find_one(&self, coll: &str, filter: &Filter) -> Option<Doc> {
         let Some(c) = self.collections.get(coll) else {
@@ -648,14 +618,6 @@ impl DocStore {
         }
         self.last_examined.set(examined);
         (docs, gone, c.change_seq)
-    }
-
-    /// Names of all collections that have ever held a document.
-    pub fn collection_names(&self) -> Vec<String> {
-        self.collections
-            .keys()
-            .map(|c| String::from(&**c))
-            .collect()
     }
 }
 
@@ -893,38 +855,6 @@ mod tests {
         let recovered = DocStore::recover(db.journal().clone());
         assert_eq!(recovered.journal().len(), journal_len);
         assert_eq!(recovered.find("jobs", &Filter::eq("status", "X")).len(), 1);
-    }
-
-    #[test]
-    fn find_sorted_orders_limits_and_handles_missing_fields() {
-        let mut db = DocStore::new();
-        db.insert("jobs", obj! {"_id" => "a", "n" => 3}).unwrap();
-        db.insert("jobs", obj! {"_id" => "b", "n" => 1}).unwrap();
-        db.insert("jobs", obj! {"_id" => "c", "n" => 2}).unwrap();
-        db.insert("jobs", obj! {"_id" => "d"}).unwrap(); // no "n"
-
-        let asc = db.find_sorted("jobs", &Filter::True, "n", false, 10);
-        let ids: Vec<&str> = asc
-            .iter()
-            .map(|d| d.path("_id").unwrap().as_str().unwrap())
-            .collect();
-        assert_eq!(ids, vec!["d", "b", "c", "a"], "nulls first ascending");
-
-        let desc = db.find_sorted("jobs", &Filter::True, "n", true, 2);
-        let ids: Vec<&str> = desc
-            .iter()
-            .map(|d| d.path("_id").unwrap().as_str().unwrap())
-            .collect();
-        assert_eq!(ids, vec!["a", "c"], "descending + limit");
-
-        // Ties fall back to id order deterministically.
-        db.insert("jobs", obj! {"_id" => "e", "n" => 2}).unwrap();
-        let tied = db.find_sorted("jobs", &Filter::gt("n", 1), "n", false, 10);
-        let ids: Vec<&str> = tied
-            .iter()
-            .map(|d| d.path("_id").unwrap().as_str().unwrap())
-            .collect();
-        assert_eq!(ids, vec!["c", "e", "a"]);
     }
 
     #[test]
@@ -1235,13 +1165,5 @@ mod tests {
             again.find("jobs", &Filter::True),
             recovered.find("jobs", &Filter::True)
         );
-    }
-
-    #[test]
-    fn collection_names_sorted() {
-        let mut db = DocStore::new();
-        db.insert("zeta", obj! {"a" => 1}).unwrap();
-        db.insert("alpha", obj! {"a" => 1}).unwrap();
-        assert_eq!(db.collection_names(), vec!["alpha", "zeta"]);
     }
 }

@@ -53,8 +53,6 @@
 )]
 #![warn(missing_docs)]
 
-use std::fmt;
-
 use dlaas_kube::{Kube, Labels, PodPhase};
 use dlaas_net::{Addr, LatencyModel, Net};
 use dlaas_sharedfs::NfsServer;
@@ -92,19 +90,6 @@ impl FaultAction {
             FaultAction::RestartNode(n) => kube.restart_node(sim, n),
             FaultAction::CrashLcm(i) => kube.crash_pod(sim, &format!("dlaas-lcm-{i}")),
             FaultAction::RestartLcm(i) => kube.delete_pod(sim, &format!("dlaas-lcm-{i}")),
-        }
-    }
-}
-
-impl fmt::Display for FaultAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultAction::CrashPod(p) => write!(f, "crash pod {p}"),
-            FaultAction::DeletePod(p) => write!(f, "delete pod {p}"),
-            FaultAction::CrashNode(n) => write!(f, "crash node {n}"),
-            FaultAction::RestartNode(n) => write!(f, "restart node {n}"),
-            FaultAction::CrashLcm(i) => write!(f, "crash LCM replica {i}"),
-            FaultAction::RestartLcm(i) => write!(f, "restart LCM replica {i}"),
         }
     }
 }
@@ -147,11 +132,12 @@ impl FaultPlan {
     /// Arms every fault on the simulation against `kube`. Faults whose
     /// time is already past fire immediately.
     pub fn arm(self, sim: &mut Sim, kube: &Kube) {
-        for (t, action) in self.entries {
+        for (nth, (t, action)) in (1..).zip(self.entries) {
             let kube = kube.clone();
             let at = t.max(sim.now());
             sim.schedule_at(at, move |sim| {
-                sim.record("faults", format!("injecting: {action}"));
+                // What it does to whom is the cluster's next mark.
+                sim.mark("faults", "plan", "inject", nth);
                 action.apply(sim, &kube);
             });
         }
@@ -169,18 +155,17 @@ impl FaultPlan {
 pub fn when(
     sim: &mut Sim,
     period: SimDuration,
-    label: impl Into<String>,
+    label: &'static str,
     mut pred: impl FnMut(&Sim) -> bool + 'static,
     action: impl FnOnce(&mut Sim) + 'static,
 ) -> TimerHandle {
-    let label = label.into();
     let mut action = Some(action);
     dlaas_sim::every(sim, period, move |sim, _n| {
         if !pred(sim) {
             return true;
         }
         if let Some(act) = action.take() {
-            sim.record("faults", format!("trigger fired: {label}"));
+            sim.mark("faults", label, "trigger-fired", 0);
             act(sim);
         }
         false
@@ -196,14 +181,11 @@ pub fn partition_window<M: 'static>(
     groups: Vec<Vec<Addr>>,
     duration: SimDuration,
 ) {
-    sim.record(
-        "faults",
-        format!("partition start: {} groups for {duration:?}", groups.len()),
-    );
+    sim.mark("faults", "net", "partition", duration.as_micros());
     net.partition(groups);
     let net = net.clone();
     sim.schedule_in(duration, move |sim| {
-        sim.record("faults", "partition healed");
+        sim.mark("faults", "net", "partition-healed", 0);
         net.heal();
     });
 }
@@ -217,11 +199,11 @@ pub fn latency_window<M: 'static>(
     duration: SimDuration,
 ) {
     let restore = net.latency();
-    sim.record("faults", format!("latency degradation for {duration:?}"));
+    sim.mark("faults", "net", "latency-degraded", duration.as_micros());
     net.set_latency(model);
     let net = net.clone();
     sim.schedule_in(duration, move |sim| {
-        sim.record("faults", "latency restored");
+        sim.mark("faults", "net", "latency-restored", 0);
         net.set_latency(restore);
     });
 }
@@ -230,11 +212,11 @@ pub fn latency_window<M: 'static>(
 /// Mounted handles survive the outage; only operations during the window
 /// fail (see `dlaas_sharedfs::NfsError::Unavailable`).
 pub fn nfs_outage_window(sim: &mut Sim, nfs: &NfsServer, duration: SimDuration) {
-    sim.record("faults", format!("NFS outage for {duration:?}"));
+    sim.mark("faults", "nfs", "outage", duration.as_micros());
     nfs.set_available(false);
     let nfs = nfs.clone();
     sim.schedule_in(duration, move |sim| {
-        sim.record("faults", "NFS restored");
+        sim.mark("faults", "nfs", "restored", 0);
         nfs.set_available(true);
     });
 }
@@ -363,7 +345,7 @@ impl ChaosMonkey {
                 .filter(|p| kube.pod_phase(p) == Some(PodPhase::Running))
                 .collect();
             if let Some(victim) = rng.choose(&candidates).cloned() {
-                sim.record("chaos-monkey", format!("crashing {victim}"));
+                sim.mark("chaos-monkey", victim.as_str(), "crash", 0);
                 kube.crash_pod(sim, &victim);
             }
             true
@@ -466,7 +448,6 @@ mod tests {
         sim.run_for(SimDuration::from_secs(60));
         assert!(kube.pod_ready(&sim, "dlaas-lcm-0"));
         assert!(kube.pod_ready(&sim, "dlaas-lcm-1"));
-        assert_eq!(FaultAction::CrashLcm(1).to_string(), "crash LCM replica 1");
     }
 
     #[test]

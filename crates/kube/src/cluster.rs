@@ -28,8 +28,8 @@ use crate::types::{
     RestartPolicy,
 };
 
-/// How many events [`Kube::events`] keeps. The stream is a ring, as a
-/// capped `dlaas_sim::Trace` is (and as a real cluster's events expire):
+/// How many events [`Kube::events`] keeps. The stream is a ring, as
+/// `dlaas_sim::Trace` is (and as a real cluster's events expire):
 /// a job leaves some thirty events behind and a soak runs a million jobs.
 pub const EVENT_RING: usize = 4096;
 
@@ -278,17 +278,20 @@ impl Kube {
         self.state.borrow().nodes.get(name).map(|n| n.allocated)
     }
 
-    /// The node's NIC link (shared by everything on the node).
-    pub fn node_nic(&self, name: &str) -> Option<SharedLink> {
-        self.state.borrow().nodes.get(name).map(|n| n.nic.clone())
-    }
-
     // ------------------------------------------------------------------
     // Events & introspection
     // ------------------------------------------------------------------
 
-    fn event(&self, sim: &mut Sim, object: String, reason: &str, message: String) {
-        sim.record(format!("kube/{object}"), format!("{reason}: {message}"));
+    fn event(&self, sim: &mut Sim, object: String, reason: &'static str, message: String) {
+        {
+            // A pod's events go on the timeline of the job it is labelled
+            // with, where it has one, and carry the pod's uid.
+            let s = self.state.borrow();
+            let pod = object.strip_prefix("pod/").and_then(|pod| s.pods.get(pod));
+            let job = pod.and_then(|pod| pod.spec.labels.get("job"));
+            let uid = pod.map_or(0, |pod| pod.uid);
+            sim.mark("kube", job.unwrap_or(&object).as_str(), reason, uid);
+        }
         let cached = self.state.borrow().event_counters.get(reason).cloned();
         match cached {
             Some(h) => h.inc(),
@@ -871,17 +874,19 @@ impl Kube {
     /// owns it, the controller recreates it through the full scheduling
     /// path. Returns `false` if the pod does not exist.
     pub fn delete_pod(&self, sim: &mut Sim, name: &str) -> bool {
+        if self.pod_phase(name).is_none() {
+            return false;
+        }
         self.stop_processes(sim, name);
         self.release_node(name);
+        // While the pod is still there to say whose it was.
+        self.event(sim, format!("pod/{name}"), "Deleted", "".into());
         let owner = {
             let mut s = self.state.borrow_mut();
-            let Some(pod) = s.pods.remove(name) else {
-                return false;
-            };
+            let removed = s.pods.remove(name);
             s.sync_pending(name);
-            pod.owner
+            removed.and_then(|pod| pod.owner)
         };
-        self.event(sim, format!("pod/{name}"), "Deleted", "".into());
         if let Some(owner) = owner {
             let me = self.clone();
             sim.defer(move |sim| me.reconcile_owner(sim, owner));
@@ -926,16 +931,16 @@ impl Kube {
         let me = self.clone();
         sim.schedule_in(detect, move |sim| {
             for v in victims {
+                if me.pod_phase(&v).is_none() {
+                    continue;
+                }
+                me.event(sim, format!("pod/{v}"), "NodeLost", "evicted".into());
                 let owner = {
                     let mut s = me.state.borrow_mut();
                     let removed = s.pods.remove(&v);
                     s.sync_pending(&v);
-                    match removed {
-                        Some(pod) => pod.owner,
-                        None => continue,
-                    }
+                    removed.and_then(|pod| pod.owner)
                 };
-                me.event(sim, format!("pod/{v}"), "NodeLost", "evicted".into());
                 if let Some(owner) = owner {
                     me.reconcile_owner(sim, owner);
                 }
@@ -1150,17 +1155,17 @@ impl Kube {
         }
         self.stop_processes(sim, name);
         self.release_node(name);
-        {
-            let mut s = self.state.borrow_mut();
-            s.pods.remove(name);
-            s.sync_pending(name);
-        }
         self.event(
             sim,
             format!("pod/{name}"),
             "Deleted",
             "owner removed".into(),
         );
+        {
+            let mut s = self.state.borrow_mut();
+            s.pods.remove(name);
+            s.sync_pending(name);
+        }
         self.kick_pending(sim);
     }
 

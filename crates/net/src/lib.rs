@@ -21,7 +21,7 @@
 //! let mut sim = Sim::new(0);
 //! let net: Net<&'static str> = Net::new(&mut sim, LatencyModel::datacenter());
 //! net.register(Addr::new("api"), |sim, env| {
-//!     sim.record("api", format!("got {} from {}", env.msg, env.from));
+//!     sim.mark("api", env.from.as_str(), env.msg, 0);
 //! });
 //! net.send(&mut sim, Addr::new("client"), Addr::new("api"), "submit");
 //! sim.run_until_idle();

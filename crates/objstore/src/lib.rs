@@ -465,12 +465,6 @@ impl ObjectStore {
             .get_mut(bucket)
             .is_some_and(|b| b.remove(key).is_some())
     }
-
-    /// Pure transfer duration for `bytes` at the store's service rate,
-    /// ignoring contention (capacity-planning aid).
-    pub fn nominal_transfer(&self, bytes: u64) -> SimDuration {
-        self.service_link.nominal_duration(bytes) + self.base_latency
-    }
 }
 
 #[cfg(test)]

@@ -408,7 +408,7 @@ impl<C: Clone + 'static> Raft<C> {
             (r.done)(sim, false);
         }
         let id = self.id();
-        sim.record(format!("raft-{id}"), "crashed");
+        sim.mark("raft", id, "crashed", 0);
     }
 
     /// Restarts a crashed node with a fresh replicated-state-machine apply
@@ -437,7 +437,7 @@ impl<C: Clone + 'static> Raft<C> {
         self.net.set_up(&self.addr, true);
         self.reset_election_timer(sim);
         let id = self.id();
-        sim.record(format!("raft-{id}"), "restarted");
+        sim.mark("raft", id, "restarted", 0);
     }
 
     // ------------------------------------------------------------------
@@ -500,10 +500,7 @@ impl<C: Clone + 'static> Raft<C> {
             s.leader_hint = None;
             (s.id, term, li, lt, s.others().collect::<Vec<_>>())
         };
-        sim.record(
-            format!("raft-{id}"),
-            format!("starting election for term {term}"),
-        );
+        sim.mark("raft", id, "election", term);
         for p in peers {
             self.net.send(
                 sim,
@@ -556,10 +553,7 @@ impl<C: Clone + 'static> Raft<C> {
             s.match_index.insert(me, new_last);
             (s.id, term, s.hb_gen)
         };
-        sim.record(
-            format!("raft-{id}"),
-            format!("became leader of term {term}"),
-        );
+        sim.mark("raft", id, "leader", term);
         self.broadcast_append(sim);
         self.maybe_advance_commit(sim);
         self.schedule_heartbeat(sim, gen);
@@ -797,10 +791,7 @@ impl<C: Clone + 'static> Raft<C> {
         };
         if compacted {
             let id = self.id();
-            sim.record(
-                format!("raft-{id}"),
-                format!("compacted log through {upto}"),
-            );
+            sim.mark("raft", id, "compacted", upto);
         }
     }
 
@@ -927,10 +918,7 @@ impl<C: Clone + 'static> Raft<C> {
             }
             self.inner.borrow_mut().hooks = hooks;
             let id = self.id();
-            sim.record(
-                format!("raft-{id}"),
-                format!("installed snapshot through index {acked}"),
-            );
+            sim.mark("raft", id, "snapshot-installed", acked);
             // Catch up anything committed above the snapshot next round.
             self.apply_committed(sim);
         }

@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use dlaas_obs::Registry;
 
-use crate::{SimDuration, SimRng, SimTime, Trace};
+use crate::{SimDuration, SimRng, SimTime, Subject, Trace};
 
 /// Identifier of a scheduled event, usable to cancel it before it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -378,10 +378,6 @@ impl std::fmt::Debug for Sim {
 impl Sim {
     /// Creates a world at time zero with the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        // The string trace is off unless asked for
-        // (`sim.trace_mut().set_enabled(true)`): campaigns never read it.
-        let mut trace = Trace::new();
-        trace.set_enabled(false);
         Sim {
             now: SimTime::ZERO,
             queue: CalendarQueue::new(),
@@ -393,7 +389,8 @@ impl Sim {
                 reason = "the root stream of the world, seeded from the run seed; everything else forks from it"
             )]
             rng: SimRng::new(seed),
-            trace,
+            // Off until a reader asks (`sim.trace_mut().set_enabled(true)`).
+            trace: Trace::default(),
             metrics: Registry::new(),
             executed: 0,
             #[cfg(feature = "site-profile")]
@@ -455,21 +452,31 @@ impl Sim {
         &mut self.rng
     }
 
-    /// The trace log.
+    /// The timeline of marks.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Mutable access to the trace log (to enable, bound, clear, ...).
+    /// Mutable access to the timeline (to enable it).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
     }
 
-    /// Emits a trace record at the current time (dropped unless the trace
-    /// was enabled).
-    pub fn record(&mut self, component: impl Into<String>, message: impl Into<String>) {
-        let now = self.now;
-        self.trace.record(now, component, message);
+    /// Marks, at the current time, that `who` saw `what` happen to
+    /// `subject` (dropped unless the trace was enabled). `arg` is the one
+    /// number that goes with `what` — attempt, term, bytes — or 0. The
+    /// types admit nothing that had to be formatted or allocated first.
+    #[inline]
+    pub fn mark<'a>(
+        &mut self,
+        who: &'static str,
+        subject: impl Into<Subject<'a>>,
+        what: &'static str,
+        arg: u64,
+    ) {
+        if self.trace.enabled {
+            self.trace.push(self.now, who, subject.into(), what, arg);
+        }
     }
 
     /// The world's metrics registry. The returned handle is cheap to clone
@@ -822,19 +829,15 @@ mod tests {
 
     #[test]
     fn determinism_same_seed_same_trace() {
-        fn run(seed: u64) -> Vec<u64> {
+        fn run(seed: u64) -> String {
             let mut sim = Sim::new(seed);
-            let out = Rc::new(RefCell::new(Vec::new()));
-            for _ in 0..50 {
+            sim.trace_mut().set_enabled(true);
+            for n in 0..50u64 {
                 let delay = SimDuration::from_micros(sim.rng().range_u64(1, 1_000_000));
-                let out = out.clone();
-                sim.schedule_in(delay, move |sim| {
-                    out.borrow_mut().push(sim.now().as_micros());
-                });
+                sim.schedule_in(delay, move |sim| sim.mark("test", "timer", "fired", n));
             }
             sim.run_until_idle();
-            let v = out.borrow().clone();
-            v
+            sim.trace().of("timer").to_string()
         }
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
@@ -1001,11 +1004,12 @@ mod tests {
         let mut sim = Sim::new(1);
         sim.trace_mut().set_enabled(true);
         sim.schedule_in(SimDuration::from_secs(2), |sim| {
-            sim.record("test", "hello");
+            sim.mark("test", 7, "hello", 3);
         });
         sim.run_until_idle();
-        let ev = sim.trace().first_containing("hello").unwrap();
-        assert_eq!(ev.time, SimTime::from_secs(2));
-        assert_eq!(ev.component, "test");
+        let timeline = sim.trace().of(7);
+        let mark = timeline.marks().next().unwrap();
+        assert_eq!(mark.time, SimTime::from_secs(2));
+        assert_eq!((mark.who, mark.what, mark.arg), ("test", "hello", 3));
     }
 }

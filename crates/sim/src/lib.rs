@@ -9,7 +9,8 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond simulated time,
 //! * [`Sim`] — the event loop: schedule closures at future instants,
 //! * [`SimRng`] — seeded, forkable randomness (one seed ⇒ one execution),
-//! * [`Trace`] — a structured log that tests and harnesses assert on.
+//! * [`Trace`] — the timeline of typed marks ([`Sim::mark`]) that explains
+//!   what happened to a job; off until a reader switches it on.
 //!
 //! # Examples
 //!
@@ -24,13 +25,16 @@
 //! // A tiny "service" that processes a request 10ms after receiving it.
 //! let d = done.clone();
 //! sim.schedule_in(SimDuration::from_millis(10), move |sim| {
-//!     sim.record("service", "request processed");
+//!     sim.mark("service", "req-1", "processed", 0);
 //!     d.set(d.get() + 1);
 //! });
 //!
 //! sim.run_until_idle();
 //! assert_eq!(done.get(), 1);
-//! assert!(sim.trace().first_containing("processed").is_some());
+//! assert_eq!(
+//!     sim.trace().of("req-1").to_string(),
+//!     "[0.010s] service req-1: processed\n"
+//! );
 //! ```
 
 // Library code stays quiet and inside the simulation (DESIGN.md §7).
@@ -53,7 +57,7 @@ pub use kernel::SiteCost;
 pub use kernel::{every, EventId, Sim, TimerHandle};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Mark, Subject, Timeline, Trace, TRACE_RING};
 
 // Re-exported so downstream crates can instrument through `sim.metrics()`
 // without adding their own dependency on the metrics crate.

@@ -15,11 +15,9 @@ use dlaas_sim::{Sim, SimDuration};
 fn main() {
     banner("booting the platform");
     let mut sim = Sim::new(1337);
-    // Turn the trace on, keeping only a sliding window of records: the
-    // story at the end is told from dlaas-obs metrics, not from raw trace
-    // lines.
+    // Turn the timeline on: the totals at the end come from dlaas-obs
+    // metrics, the story of the hardest-hit job from its marks.
     sim.trace_mut().set_enabled(true);
-    sim.trace_mut().set_capacity(Some(512));
     let platform = DlaasPlatform::bootstrapped(&mut sim);
     platform
         .add_tenant(&Tenant::new("acme", "acme-key", 64))
@@ -61,15 +59,14 @@ fn main() {
     banner("letting the monkey rampage for 20 simulated minutes");
     sim.run_for(SimDuration::from_mins(20));
     println!(
-        "pod restarts so far: {} (trace window holds {} records, {} evicted)",
+        "pod restarts so far: {}",
         sim.metrics()
             .counter_total(dlaas_kube::metrics::POD_RESTARTS),
-        sim.trace().len(),
-        sim.trace().dropped(),
     );
 
     banner("calling the monkey off and waiting for every job to finish");
     monkey.stop();
+    let mut hardest_hit = (0, &jobs[0]);
     for job in &jobs {
         let end = platform.wait_for_status(
             &mut sim,
@@ -88,7 +85,13 @@ fn main() {
             Some(JobStatus::Completed),
             "an acknowledged job was lost"
         );
+        if info.learner_restarts > hardest_hit.0 {
+            hardest_hit = (info.learner_restarts, job);
+        }
     }
+
+    banner("what happened to the job with the most learner restarts");
+    print!("{}", sim.trace().of(hardest_hit.1.as_str()));
 
     banner("end-of-run metrics (dlaas-obs)");
     let m = platform.metrics();

@@ -75,6 +75,43 @@ fn different_seeds_diverge() {
     assert_ne!(run_fingerprint(902, true), run_fingerprint(903, true));
 }
 
+/// What a failed campaign cell or a violated invariant prints — one
+/// job's rendered timeline — repeats byte for byte, under chaos too.
+#[test]
+fn same_seed_same_job_timeline() {
+    let timeline = |seed: u64| {
+        let (mut sim, platform) = boot(seed);
+        sim.trace_mut().set_enabled(true);
+        let client = platform.client("det", dlaas_integration::KEY);
+        let monkey = ChaosMonkey::unleash(
+            &mut sim,
+            platform.kube(),
+            labels! {},
+            SimDuration::from_secs(40),
+            0.5,
+        );
+        let mut m = manifest("det-timeline", 300);
+        m.checkpoint_every = 100;
+        let job = submit_blocking(&mut sim, &client, m);
+        let end = platform.wait_for_status(
+            &mut sim,
+            &job,
+            JobStatus::Completed,
+            SimDuration::from_hours(12),
+        );
+        monkey.stop();
+        assert_eq!(end, Some(JobStatus::Completed));
+        // The document turns COMPLETED before its writer hears so.
+        sim.run_for(SimDuration::from_secs(1));
+        sim.trace().of(job.as_str()).to_string()
+    };
+    let (a, b) = (timeline(904), timeline(904));
+    assert_eq!(a, b, "same-seed timelines must be byte-identical");
+    assert!(a.contains("api auto-0: recorded\n"), "{a}");
+    assert!(a.contains("guardian auto-0: COMPLETED\n"), "{a}");
+    assert_ne!(a, timeline(905));
+}
+
 /// The acceptance gate for the BTreeMap migration: a full fault-matrix
 /// campaign aggregates metrics from dozens of platform boots, so any
 /// surviving hashed-iteration order (RPC emission, watch re-registration,

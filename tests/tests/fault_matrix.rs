@@ -39,3 +39,32 @@ fn matrix_subset_passes_invariant_checker_on_two_seeds() {
         failures.join("\n")
     );
 }
+
+/// What a failed cell would print is the story of its job: here, of a
+/// Guardian crashed the moment the helper pod exists, in the order it
+/// happened.
+#[test]
+fn a_cell_carries_its_jobs_timeline_in_order() {
+    let outcome = run_cell(7, FaultKind::GuardianCrash, InjectionPoint::CreateHelper);
+    assert!(outcome.passed(), "{}", outcome.describe());
+    assert!(
+        !outcome.describe().contains('\n'),
+        "a clean cell is one line"
+    );
+    let mut rest = outcome.timeline.as_str();
+    for step in [
+        "api auto-0: recorded\n",
+        "guardian auto-0: up\n",
+        "guardian auto-0: deploy-attempt 1\n",
+        "fault auto-0: guardian_crash\n",
+        "guardian auto-0: up\n",
+        "guardian auto-0: deploy-attempt 2\n",
+        "learner auto-0: start 1\n",
+        "guardian auto-0: COMPLETED\n",
+    ] {
+        let at = rest
+            .find(step)
+            .unwrap_or_else(|| panic!("no {step:?} left in:\n{rest}\nof:\n{}", outcome.timeline));
+        rest = &rest[at + step.len()..];
+    }
+}

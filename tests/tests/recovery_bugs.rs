@@ -1286,3 +1286,46 @@ fn a_refused_completed_write_keeps_the_guardian_until_the_document_is_terminal()
     monitor.cancel();
     check_invariants(&sim, &platform).assert_clean();
 }
+
+/// Bug 9: a helper container that ran out of jobspec waits (601 × 500 ms)
+/// used to log the fact and return — all four containers of the helper
+/// pod stayed `Running` and did nothing for good, so no data was staged,
+/// no status relayed, and the LCM's `deploy_timeout` failed a job whose
+/// cluster had been healthy for 25 minutes. A learner in the same spot
+/// exits 1 and is restarted; the helpers now do the same. An NFS outage
+/// that starts as the helper pod is created and outlasts the wait budget
+/// (300.5 s) is the timing that exposed it.
+#[test]
+fn helpers_that_outwait_an_nfs_outage_restart_instead_of_idling() {
+    let (mut sim, platform) = boot(777);
+    // A failure below prints what happened to the job.
+    sim.trace_mut().set_enabled(true);
+    let client = platform.client("itest", KEY);
+    let job = submit_blocking(&mut sim, &client, manifest("helper-waits", 120));
+
+    let kube = platform.kube().clone();
+    let helper = labels! {"job" => job.as_str(), "role" => "helper"};
+    let nfs = platform.nfs().clone();
+    when(
+        &mut sim,
+        SimDuration::from_millis(200),
+        "NFS outage at helper creation",
+        move |_sim| !kube.pods_matching(&helper).is_empty(),
+        move |sim| nfs_outage_window(sim, &nfs, SimDuration::from_secs(310)),
+    );
+
+    let end = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Completed,
+        SimDuration::from_hours(1),
+    );
+    assert_eq!(
+        end,
+        Some(JobStatus::Completed),
+        "{job} was failed over helpers that gave up waiting:\n{}",
+        sim.trace().of(job.as_str())
+    );
+    sim.run_for(config::LCM_SCAN * 6);
+    check_invariants(&sim, &platform).assert_clean();
+}
