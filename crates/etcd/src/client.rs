@@ -14,7 +14,9 @@ use crate::server::{EtcdRpc, WatchNet};
 
 /// Per-attempt RPC deadline.
 const RPC_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-/// Delay between retries (leader elections take ~hundreds of ms).
+/// Delay between retries. A leader election takes 1–2 s (the election
+/// timeout, [`dlaas_raft::RaftConfig::default`]), well inside the
+/// ~12 s the `MAX_ATTEMPTS` budget spans.
 const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(100);
 /// Total attempts before reporting `Unavailable`.
 const MAX_ATTEMPTS: u32 = 20;

@@ -112,8 +112,9 @@ impl EtcdCluster {
         }
     }
 
-    /// The paper's deployment: 3-way replication with etcd-like timings
-    /// and log compaction every 500 applied entries.
+    /// The paper's deployment: 3-way replication on etcd's own timing
+    /// ([`RaftConfig::default`]: 100 ms heartbeats, 1–2 s election
+    /// timeout) and log compaction every 500 applied entries.
     pub fn new_3way(sim: &mut Sim) -> Self {
         Self::new(
             sim,

@@ -157,12 +157,17 @@ pub struct RaftConfig {
 }
 
 impl Default for RaftConfig {
-    /// etcd-like defaults: 150–300 ms election timeout, 50 ms heartbeats.
+    /// etcd's defaults (its tuning guide, "Time parameters"): a 100 ms
+    /// heartbeat and a 1 s election timeout, randomized up to 2 s as etcd
+    /// randomizes its own. The Raft paper's 50 ms / 150–300 ms example
+    /// costs twice the keep-alive and elects needlessly once peer latency
+    /// degrades to a few hundred ms; `ablation_detection` (EXPERIMENTS.md)
+    /// is the sweep this was chosen from.
     fn default() -> Self {
         RaftConfig {
-            election_timeout_min: SimDuration::from_millis(150),
-            election_timeout_max: SimDuration::from_millis(300),
-            heartbeat_interval: SimDuration::from_millis(50),
+            election_timeout_min: SimDuration::from_millis(1_000),
+            election_timeout_max: SimDuration::from_millis(2_000),
+            heartbeat_interval: SimDuration::from_millis(100),
             max_batch: 64,
             compact_threshold: 0,
         }

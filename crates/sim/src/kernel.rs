@@ -101,6 +101,11 @@ const SLOT_WIDTH_LOG2: u32 = 10;
 const N_SLOTS_LOG2: u32 = 12;
 const N_SLOTS: usize = 1 << N_SLOTS_LOG2;
 const OCCUPANCY_WORDS: usize = N_SLOTS / 64;
+/// Heap capacity a drained slot may keep for its next burst. A slot that
+/// grew past it for a burst gives the memory back when it empties, so the
+/// ring holds at most `N_SLOTS × SLOT_KEEP` idle entries, not the largest
+/// burst every slot ever saw.
+const SLOT_KEEP: usize = 64;
 
 const fn epoch_of(at_us: u64) -> u64 {
     at_us >> SLOT_WIDTH_LOG2
@@ -223,9 +228,13 @@ impl CalendarQueue {
         self.migrate(now_us);
         if self.ring_len > 0 {
             let slot = self.first_occupied_from(slot_of(epoch_of(now_us)));
-            let ev = self.slots[slot].pop().expect("occupied slot");
-            if self.slots[slot].is_empty() {
+            let heap = &mut self.slots[slot];
+            let ev = heap.pop().expect("occupied slot");
+            if heap.is_empty() {
                 self.occupied[slot / 64] &= !(1 << (slot % 64));
+                if heap.capacity() > SLOT_KEEP {
+                    *heap = BinaryHeap::new();
+                }
             }
             self.ring_len -= 1;
             return Some(ev);
@@ -964,6 +973,23 @@ mod tests {
         assert_eq!(sim.peek_time(), Some(SimTime::from_secs(3600)));
         sim.cancel(far);
         assert_eq!(sim.peek_time(), Some(SimTime::from_secs(3 * 3600)));
+    }
+
+    #[test]
+    fn a_drained_burst_slot_gives_its_capacity_back() {
+        let mut sim = Sim::new(1);
+        let at = SimTime::from_micros(5_000);
+        let slot = slot_of(epoch_of(at.as_micros()));
+        for _ in 0..10_000 {
+            sim.schedule_at(at, |_| {});
+        }
+        assert!(sim.queue.slots[slot].capacity() >= 10_000);
+        assert_eq!(sim.run_until_idle(), 10_000);
+        assert!(
+            sim.queue.slots[slot].capacity() <= SLOT_KEEP,
+            "a drained slot kept {} entries of capacity",
+            sim.queue.slots[slot].capacity()
+        );
     }
 
     #[cfg(feature = "site-profile")]

@@ -3,11 +3,16 @@
 //! reproduces the exact fault timing that exposed the bug and fails
 //! against the pre-fix behaviour.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
 use dlaas_bench::harness::reported_iteration;
 use dlaas_core::{
     check_invariants, config, paths, DlaasPlatform, InvariantMonitor, JobStatus, LearnerPhase,
 };
 use dlaas_docstore::Value;
+use dlaas_etcd::KvEvent;
 use dlaas_faults::{nfs_outage_window, partition_window, when, FaultAction};
 use dlaas_integration::{boot, manifest, start_training, submit_blocking, KEY};
 use dlaas_kube::labels;
@@ -542,6 +547,32 @@ fn etcd_quorum_outage_when(
     );
 }
 
+/// Every value etcd commits under `key` from now on, by revision: what a
+/// watcher of the key sees, transient values included. (Sampling the
+/// leader's store, or reading the end state, misses a stale write that a
+/// newer one overwrites milliseconds later.) The outage's survivor keeps
+/// the registration, so nothing committed through it is missed.
+fn committed_values(
+    sim: &mut dlaas_sim::Sim,
+    platform: &DlaasPlatform,
+    key: String,
+) -> Rc<RefCell<BTreeMap<u64, String>>> {
+    let seen: Rc<RefCell<BTreeMap<u64, String>>> = Rc::default();
+    let s = seen.clone();
+    platform
+        .etcd()
+        .client("history")
+        .watch_prefix(sim, key, move |_sim, ev| {
+            if let KvEvent::Put {
+                value, revision, ..
+            } = ev
+            {
+                s.borrow_mut().insert(*revision, value.clone());
+            }
+        });
+    seen
+}
+
 /// Reliable log streaming: the collector used to advance its cursor
 /// before the upload and ignore the result, so a flush that hit an
 /// object-store outage was never retried. Every flush re-sent the whole
@@ -689,54 +720,53 @@ fn controller_republishes_restart_count_after_an_etcd_outage() {
 /// prefix) does not. A learner's key now has one put in flight, and the
 /// latest value goes out when that put is acknowledged.
 ///
-/// The window: quorum is lost a few reports before the learner's last,
-/// so a late `PROCESSING` put and the `COMPLETED` put both retry through
-/// the outage. Which of them reaches the new leader first depends on
-/// where in their retry cycles the cluster comes back, so the outage
-/// length is swept across a retry period (600 ms), on a few seeds (the
-/// seed picks the leader the client's round-robin retries walk past).
+/// The window: an iteration-only change goes out once per
+/// `GUARDIAN_POLL` (30 s) after the first `PROCESSING`, at about
+/// iteration 24 of 28. Quorum is lost at iteration 22, so that put goes
+/// out into the outage and retries through it, and `COMPLETED` follows
+/// some 5 s later. Which of them reaches the new leader first depends on
+/// where in their retry cycles the cluster comes back — after 1–2 s of
+/// re-election (etcd's timing, `RaftConfig::default`) — so the outage
+/// length is swept across 2 s, on two seeds (the seed picks the leader
+/// the client's round-robin retries walk past). A `Publisher` without its
+/// one-in-flight guard commits a stale value after `COMPLETED` at every
+/// length in the sweep on both seeds.
 #[test]
 fn retried_learner_status_never_lands_after_completed() {
     for seed in 311..313 {
-        for outage_ms in (4_600..5_700).step_by(100) {
+        for outage_ms in (8_000..10_000).step_by(200) {
             let (mut sim, platform) = boot(seed);
             let client = platform.client("itest", KEY);
-            let iters = 40;
+            let iters = 28;
             let job = submit_blocking(&mut sim, &client, manifest("status-order", iters));
+            let history = committed_values(&mut sim, &platform, paths::etcd_learner(&job, 0));
             let (p2, j2) = (platform.clone(), job.clone());
             etcd_quorum_outage_when(
                 &mut sim,
                 &platform,
                 SimDuration::from_millis(outage_ms),
-                move |_| reported_iteration(&p2, &j2).is_some_and(|i| i + 4 >= iters),
+                move |_| reported_iteration(&p2, &j2).is_some_and(|i| i + 6 >= iters),
             );
-            // Once etcd has said COMPLETED for the learner it must never
-            // say anything else again (until GC deletes the key).
-            let key = paths::etcd_learner(&job, 0);
-            let mut completed_at = None;
             let deadline = sim.now() + SimDuration::from_mins(20);
             while platform.job_status(&job) != Some(JobStatus::Completed) {
                 assert!(
                     sim.now() < deadline,
                     "seed {seed}, {outage_ms} ms: {job} stuck"
                 );
-                sim.run_for(SimDuration::from_millis(20));
-                let Some(phase) = platform.etcd().leader_id().and_then(|l| {
-                    let kv = platform.etcd().kv_snapshot(l);
-                    kv.get(&key).map(|v| v.value.clone())
-                }) else {
-                    continue;
-                };
-                if phase == "COMPLETED" {
-                    completed_at.get_or_insert(sim.now());
-                } else if let Some(at) = completed_at {
-                    panic!(
-                        "seed {seed}, {outage_ms} ms outage: learner status went from \
-                         COMPLETED (at {at:?}) back to {phase:?} (at {:?})",
-                        sim.now()
-                    );
-                }
+                sim.run_for(SimDuration::from_secs(1));
             }
+            // Once etcd has said COMPLETED for the learner it must never
+            // say anything else again (until GC deletes the key).
+            let history = history.borrow();
+            let after_completed = history
+                .iter()
+                .skip_while(|(_, v)| *v != "COMPLETED")
+                .find(|(_, v)| *v != "COMPLETED");
+            assert_eq!(
+                after_completed, None,
+                "seed {seed}, {outage_ms} ms outage: learner status went from COMPLETED \
+                 back to another value; committed: {history:?}"
+            );
         }
     }
 }
@@ -754,7 +784,12 @@ fn retried_learner_status_never_lands_after_completed() {
 /// back and the second comes back a few seconds later, so a put of "1"
 /// and the put of "2" both retry through the outage. Which of them
 /// reaches the new leader last depends on where in their retry cycles
-/// the cluster comes back, so the outage length is swept.
+/// the cluster comes back, so the outage length is swept. The job
+/// document is only the end state: a stale "1" that lands after "2" and
+/// is overwritten again milliseconds later leaves it right, so the
+/// committed history of the key is checked too. A `Publisher` without its
+/// one-in-flight guard commits "1" after "2" at every length in the
+/// sweep (etcd's 1–2 s re-election included, `RaftConfig::default`).
 #[test]
 fn retried_restart_total_never_lands_after_a_newer_one() {
     /// The restart total the learners recorded on the job's NFS volume.
@@ -794,6 +829,7 @@ fn retried_restart_total_never_lands_after_a_newer_one() {
             sim.run_until_pred(move |_| { reported_iteration(&p2, &j2).is_some_and(|i| i >= 10) })
         );
 
+        let history = committed_values(&mut sim, &platform, paths::etcd_restarts(&job));
         let (p2, j2) = (platform.clone(), job.clone());
         etcd_quorum_outage_when(
             &mut sim,
@@ -821,6 +857,12 @@ fn retried_restart_total_never_lands_after_a_newer_one() {
         assert_eq!(
             info.learner_restarts, recorded,
             "{outage_ms} ms outage: the job document's restart count is not the recorded total"
+        );
+        let history = history.borrow();
+        assert!(
+            history.values().is_sorted_by_key(|v| v.parse::<u64>().ok()),
+            "{outage_ms} ms outage: an older restart total landed after a newer one; \
+             committed: {history:?}"
         );
     }
 }
