@@ -384,7 +384,7 @@ impl Guardian {
             .h
             .nfs
             .mount(&vol)
-            .and_then(|mount| mount.write_file(paths::NFS_JOBSPEC, manifest.to_json()));
+            .and_then(|mount| mount.write_file(sim, paths::NFS_JOBSPEC, manifest.to_json()));
         if staged.is_err() {
             // NFS outage window: abort this incarnation instead of
             // panicking. K8s restarts us and the retry is bounded by

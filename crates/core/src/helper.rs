@@ -19,7 +19,7 @@ use std::rc::Rc;
 use dlaas_kube::{Cleanup, ProcessCtx};
 use dlaas_objstore::{ObjectBody, TextBuf};
 use dlaas_sharedfs::{Mount, NfsError};
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::{DeadlineTimer, Grid, Sim, SimDuration, SimTime};
 
 use crate::config;
 use crate::handles::Handles;
@@ -35,6 +35,9 @@ use crate::publisher::{at_once, Ack, Publisher, Sink};
 /// artifact.)
 const HELPER_JOBSPEC_WAITS: u32 = 601;
 pub(crate) const LEARNER_JOBSPEC_WAITS: u32 = 241;
+
+/// How often store-results polls the volume for the controller's "go".
+const STORE_RESULTS_POLL: SimDuration = SimDuration::from_millis(1_000);
 
 /// A helper container's bootstrap (its `arg` is the job id).
 fn with_jobspec(
@@ -83,6 +86,23 @@ pub(crate) fn wait_for_jobspec(
                 wait_for_jobspec(h, sim, ctx, job, who, waits - 1, ready);
             });
         }
+    }
+}
+
+/// Waits for the next write to `path` of `mount` (to any path when
+/// `None`), then runs `poll` at the first instant of `grid` after it: the
+/// instant a poller on that grid would first have seen the write. A volume
+/// that cannot take the wait (outage window, torn down) is polled instead:
+/// `poll` runs at the grid's next instant.
+pub(crate) fn poll_on_write(
+    sim: &mut Sim,
+    mount: &Mount,
+    path: Option<&str>,
+    grid: Grid,
+    poll: impl FnOnce(&mut Sim) + Clone + 'static,
+) {
+    if mount.park(path, grid, poll.clone()).is_err() {
+        sim.schedule_at(grid.after(sim.now()), poll);
     }
 }
 
@@ -146,8 +166,8 @@ struct Seen {
 }
 
 /// One controller incarnation: its etcd client and mount, its view of
-/// the volume, a publisher per etcd key it owns, and whether it relayed
-/// the Guardian's store-results "go".
+/// the volume, a publisher per etcd key it owns, whether it relayed the
+/// Guardian's store-results "go", and how it waits between ticks.
 struct Controller {
     etcd: dlaas_etcd::EtcdClient,
     mount: Mount,
@@ -159,19 +179,31 @@ struct Controller {
     throughput: KeyPublisher<f64>,
     store: KeyPublisher<&'static str>,
     store_go_relayed: Rc<Cell<bool>>,
+    alive: Rc<Cell<bool>>,
+    /// The instants it ticks at: every `CONTROLLER_POLL` from its start.
+    grid: Grid,
+    /// The instant of its latest tick: it ticks once per grid instant.
+    last_tick: Cell<Option<SimTime>>,
+    /// Parked: no tick is scheduled, a write or a due publish wakes it.
+    parked: Cell<bool>,
+    /// Its wait on the volume is registered and has not run yet.
+    on_volume: Cell<bool>,
+    /// Wakes a parked controller when a coalesced publish falls due.
+    due_wake: DeadlineTimer,
 }
 
 impl Controller {
-    /// A new incarnation: nothing published, nothing read. It remembers
-    /// no generation, so its first tick reads the volume whatever its
-    /// predecessor saw.
+    /// A new incarnation ticking on `grid`: nothing published, nothing
+    /// read. It remembers no generation, so its first tick reads the
+    /// volume whatever its predecessor saw.
     fn new(
         etcd: dlaas_etcd::EtcdClient,
         mount: Mount,
         job: &JobId,
         learners: u32,
         alive: &Rc<Cell<bool>>,
-    ) -> Self {
+        grid: Grid,
+    ) -> Rc<Self> {
         fn key<V: Clone + PartialEq + ToString + 'static>(
             etcd: &dlaas_etcd::EtcdClient,
             key: String,
@@ -181,7 +213,7 @@ impl Controller {
             let etcd = etcd.clone();
             Publisher::new(EtcdKey { etcd, key }, urgent, config::GUARDIAN_POLL, alive)
         }
-        Controller {
+        Rc::new(Controller {
             files: (0..learners).map(paths::LearnerFiles::new).collect(),
             seen: RefCell::default(),
             data: key(&etcd, paths::etcd_data(job), at_once, alive),
@@ -195,8 +227,102 @@ impl Controller {
             throughput: key(&etcd, paths::etcd_throughput(job), at_once, alive),
             store: key(&etcd, paths::etcd_store(job), at_once, alive),
             store_go_relayed: Rc::default(),
+            alive: alive.clone(),
+            grid,
+            last_tick: Cell::new(None),
+            parked: Cell::new(false),
+            on_volume: Cell::new(false),
+            due_wake: DeadlineTimer::default(),
             etcd,
             mount,
+        })
+    }
+
+    /// One tick of the incarnation's life — at most one per grid
+    /// instant — then the wait for the next.
+    fn run(self: Rc<Self>, sim: &mut Sim) {
+        let now = Some(sim.now());
+        if self.alive.get() && self.last_tick.get() != now {
+            self.last_tick.set(now);
+            self.tick(sim);
+            self.wait(sim);
+        }
+    }
+
+    /// After a tick: the next one on the grid, unless nothing but a write
+    /// to the volume (or a coalesced publish falling due) can give one
+    /// anything to do — then the controller parks until either happens,
+    /// and wakes on the grid instant its tick would have acted at.
+    ///
+    /// A tick that found the volume unchanged read nothing and offered
+    /// every publisher what it already had; it did something only when
+    /// the volume was unreachable (and the next tick must read it), a put
+    /// was in flight or owed (and is offered again), a coalesced publish
+    /// was due, or the `store=go` relay polled etcd. All other such ticks
+    /// are the ones parking skips.
+    fn wait(self: &Rc<Self>, sim: &mut Sim) {
+        let now = sim.now();
+        let (readable, relaying) = {
+            let seen = self.seen.borrow();
+            let relaying = seen.observed.as_ref().is_some_and(|o| {
+                !o.store_done && o.all_completed() && !self.store_go_relayed.get()
+            });
+            (seen.generation.is_some(), relaying)
+        };
+        let needed = [
+            needs(&self.data),
+            needs(&self.restarts),
+            needs(&self.throughput),
+            needs(&self.store),
+        ]
+        .into_iter()
+        .chain(self.learners.iter().map(|p| needs(p)))
+        .flatten()
+        .min();
+        if !readable || relaying || needed.is_some_and(|t| t <= now) {
+            self.parked.set(false);
+            let me = self.clone();
+            sim.schedule_at(self.grid.after(now), move |sim| me.run(sim));
+            return;
+        }
+        self.parked.set(true);
+        if !self.on_volume.replace(true) {
+            let me = self.clone();
+            poll_on_write(sim, &self.mount, None, self.grid, move |sim| {
+                me.woken(sim);
+            });
+        }
+        // One armed wake-up per due instant: a park that keeps the instant
+        // keeps the event (a cancelled one would sit in the kernel's queue
+        // until its instant).
+        match needed {
+            Some(due) => {
+                let me = self.clone();
+                let at = self.grid.at_or_after(due);
+                self.due_wake.set(sim, at, move |sim| me.unpark(sim));
+            }
+            None => self.due_wake.cancel(sim),
+        }
+    }
+
+    /// Its wait on the volume ran: a write landed, or the volume could not
+    /// take the wait. If its tick at this instant already ran and parked
+    /// it again counting on this spent wait, it waits again.
+    fn woken(self: Rc<Self>, sim: &mut Sim) {
+        self.on_volume.set(false);
+        if self.parked.get() && self.last_tick.get() == Some(sim.now()) {
+            self.wait(sim);
+        } else {
+            self.unpark(sim);
+        }
+    }
+
+    /// A wake-up: a parked controller ticks. One that is not parked has a
+    /// tick scheduled, which reads what changed.
+    fn unpark(self: Rc<Self>, sim: &mut Sim) {
+        if self.parked.get() && self.last_tick.get() != Some(sim.now()) {
+            self.parked.set(false);
+            self.run(sim);
         }
     }
 
@@ -271,20 +397,31 @@ impl Controller {
             let mount = self.mount.clone();
             let relayed = self.store_go_relayed.clone();
             let key = self.store.sink.key.clone();
-            self.etcd.get(sim, key, move |_sim, r| {
+            self.etcd.get(sim, key, move |sim, r| {
                 if let Ok(Some(v)) = r {
                     // Only latch the flag once the NFS write landed;
                     // during an NFS outage window the next tick
                     // retries the relay.
                     if v == "go"
                         && !relayed.get()
-                        && mount.write_file(paths::NFS_STORE_GO, "go").is_ok()
+                        && mount.write_file(sim, paths::NFS_STORE_GO, "go").is_ok()
                     {
                         relayed.set(true);
                     }
                 }
             });
         }
+    }
+}
+
+/// When a publisher next needs an offer from the controller's tick: at
+/// once while a write is in flight (if refused, its value stays owed), else
+/// when its latest value falls due; `None` once the store has it.
+fn needs<V: Clone + PartialEq + ToString + 'static>(p: &Publisher<V, EtcdKey>) -> Option<SimTime> {
+    if p.idle() {
+        p.due()
+    } else {
+        Some(SimTime::ZERO)
     }
 }
 
@@ -301,14 +438,9 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
     with_jobspec(&h, sim, &ctx, who, move |sim, mount, manifest| {
         sim.mark(who, job.as_str(), "online", 0);
         let alive = ctx2.alive_flag();
-        let controller = Controller::new(etcd, mount, &job, manifest.learners, &alive);
-        dlaas_sim::every(sim, config::CONTROLLER_POLL, move |sim, _n| {
-            if !alive.get() {
-                return false;
-            }
-            controller.tick(sim);
-            true
-        });
+        let grid = Grid::new(sim.now(), config::CONTROLLER_POLL);
+        let controller = Controller::new(etcd, mount, &job, manifest.learners, &alive, grid);
+        sim.schedule_at(grid.after(sim.now()), move |sim| controller.run(sim));
     });
     Box::new(|_sim| {})
 }
@@ -407,7 +539,11 @@ fn download_data(
             // the controller would never announce data-loaded. Treat a
             // failed marker write (NFS outage) like a failed fetch.
             match r {
-                Ok(_) if mount.write_file(paths::NFS_DATA_LOADED, "loaded").is_ok() => {
+                Ok(_)
+                    if mount
+                        .write_file(sim, paths::NFS_DATA_LOADED, "loaded")
+                        .is_ok() =>
+                {
                     sim.metrics().counter_series(metrics::DATA_STAGED, []).inc();
                     sim.mark("load-data", ctx2.arg.as_str(), "staged", 0);
                     ctx2.exit(sim, 0);
@@ -542,71 +678,105 @@ pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
 // store-results
 // ----------------------------------------------------------------------
 
+/// One store-results incarnation: it polls the volume for the
+/// controller's "go" on its grid, parked on the marker while it is absent.
+struct StoreResults {
+    objstore: dlaas_objstore::ObjectStore,
+    ctx: ProcessCtx,
+    job: JobId,
+    mount: Mount,
+    manifest: TrainingManifest,
+    grid: Grid,
+}
+
+impl StoreResults {
+    /// One poll: upload the model once "go" is on the volume, or wait for
+    /// it to be written.
+    fn poll(self: Rc<Self>, sim: &mut Sim) {
+        if !self.ctx.is_alive() {
+            return;
+        }
+        if !self.mount.exists(paths::NFS_STORE_GO) {
+            let me = self.clone();
+            poll_on_write(
+                sim,
+                &self.mount,
+                Some(paths::NFS_STORE_GO),
+                self.grid,
+                move |sim| {
+                    me.poll(sim);
+                },
+            );
+            return;
+        }
+        let bytes = dlaas_gpu::checkpoint_bytes(self.manifest.model);
+        let me = self.clone();
+        self.objstore.put(
+            sim,
+            self.manifest.results_bucket.clone(),
+            paths::obj_result_model(&self.job),
+            ObjectBody::Synthetic(bytes),
+            Some(&self.ctx.nic),
+            move |sim, r| {
+                if !me.ctx.is_alive() {
+                    return;
+                }
+                // Exiting 0 without the done marker would wedge the job
+                // in STORING forever; during an NFS outage poll again and
+                // retry (the upload is idempotent).
+                let who = "store-results";
+                match r {
+                    Ok(())
+                        if me
+                            .mount
+                            .write_file(sim, paths::NFS_STORE_DONE, "done")
+                            .is_ok() =>
+                    {
+                        sim.metrics()
+                            .counter_series(metrics::RESULTS_STORED, [])
+                            .inc();
+                        sim.mark(who, me.job.as_str(), "uploaded", 0);
+                        me.ctx.exit(sim, 0);
+                    }
+                    r => {
+                        let why = match r {
+                            Ok(()) => "marker-write-failed",
+                            Err(_) => "upload-failed",
+                        };
+                        sim.mark(who, me.job.as_str(), why, 0);
+                        let at = me.grid.after(sim.now());
+                        sim.schedule_at(at, move |sim| me.poll(sim));
+                    }
+                }
+            },
+        );
+    }
+}
+
 /// Behavior factory for the store-results container: when the controller
 /// signals (on behalf of the Guardian), uploads the trained model to the
 /// object store and marks completion on NFS.
 pub fn store_results_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
-    let job = JobId::new(ctx.arg.clone());
     let objstore = h.objstore.clone();
     let ctx2 = ctx.clone();
     let who = "store-results";
     with_jobspec(&h, sim, &ctx, who, move |sim, mount, manifest| {
+        let job = JobId::new(ctx2.arg.clone());
         if mount.exists(paths::NFS_STORE_DONE) {
             sim.mark(who, job.as_str(), "already-stored", 0);
             ctx2.exit(sim, 0);
             return;
         }
-        let alive = ctx2.alive_flag();
-        // A one-shot upload, not a value that changes (`Publisher`'s
-        // shape): `busy` only keeps a slow upload from starting twice.
-        let busy = Rc::new(Cell::new(false));
-        let nic = ctx2.nic.clone();
-        dlaas_sim::every(sim, SimDuration::from_millis(1000), move |sim, _n| {
-            if !alive.get() {
-                return false;
-            }
-            if busy.get() || !mount.exists(paths::NFS_STORE_GO) {
-                return true;
-            }
-            busy.set(true);
-            let bytes = dlaas_gpu::checkpoint_bytes(manifest.model);
-            let mount2 = mount.clone();
-            let ctx3 = ctx2.clone();
-            let busy2 = busy.clone();
-            objstore.put(
-                sim,
-                manifest.results_bucket.clone(),
-                paths::obj_result_model(&job),
-                ObjectBody::Synthetic(bytes),
-                Some(&nic),
-                move |sim, r| {
-                    if !ctx3.is_alive() {
-                        return;
-                    }
-                    // Exiting 0 without the done marker would wedge the job
-                    // in STORING forever; during an NFS outage keep the
-                    // timer alive and retry (the upload is idempotent).
-                    match r {
-                        Ok(()) if mount2.write_file(paths::NFS_STORE_DONE, "done").is_ok() => {
-                            sim.metrics()
-                                .counter_series(metrics::RESULTS_STORED, [])
-                                .inc();
-                            sim.mark(who, ctx3.arg.as_str(), "uploaded", 0);
-                            ctx3.exit(sim, 0);
-                        }
-                        r => {
-                            let why = match r {
-                                Ok(()) => "marker-write-failed",
-                                Err(_) => "upload-failed",
-                            };
-                            sim.mark(who, ctx3.arg.as_str(), why, 0);
-                            busy2.set(false); // timer retries on a later tick
-                        }
-                    }
-                },
-            );
-            true // keep ticking; exit (alive = false) is what stops us
+        let grid = Grid::new(sim.now(), STORE_RESULTS_POLL);
+        let store = Rc::new(StoreResults {
+            objstore,
+            ctx: ctx2,
+            job,
+            mount,
+            manifest,
+            grid,
         });
+        sim.schedule_at(grid.after(sim.now()), move |sim| store.poll(sim));
     });
     Box::new(|_sim| {})
 }
@@ -627,7 +797,7 @@ mod tests {
         /// The learner's side of the volume.
         learner: Mount,
         job: JobId,
-        controller: Controller,
+        controller: Rc<Controller>,
     }
 
     fn rig(seed: u64) -> Rig {
@@ -650,10 +820,11 @@ mod tests {
     }
 
     /// Controller incarnation `n` of `job`, over a mount of its own.
-    fn incarnation(etcd: &EtcdCluster, volume: &Mount, job: &JobId, n: u32) -> Controller {
+    fn incarnation(etcd: &EtcdCluster, volume: &Mount, job: &JobId, n: u32) -> Rc<Controller> {
         let client = etcd.client(format!("controller#{n}"));
         let alive = Rc::new(Cell::new(true));
-        Controller::new(client, volume.clone(), job, 1, &alive)
+        let grid = Grid::new(SimTime::ZERO, config::CONTROLLER_POLL);
+        Controller::new(client, volume.clone(), job, 1, &alive, grid)
     }
 
     impl Rig {
@@ -668,10 +839,13 @@ mod tests {
             self.controller = incarnation(&self.etcd, &self.learner, &self.job, 1);
         }
 
-        fn learner_reports(&self, status: &str) {
-            let files = &self.controller.files[0];
+        fn learner_reports(&mut self, status: &str) {
+            self.learner_writes(&self.controller.files[0].status.clone(), status);
+        }
+
+        fn learner_writes(&mut self, path: &str, contents: &str) {
             self.learner
-                .write_file(&files.status, status)
+                .write_file(&mut self.sim, path, contents)
                 .expect("volume up");
         }
 
@@ -697,9 +871,8 @@ mod tests {
     #[test]
     fn an_unchanged_volume_is_polled_not_read() {
         let mut r = rig(1);
-        r.learner
-            .write_file(&r.controller.files[0].restarts, "1")
-            .unwrap();
+        let restarts = r.controller.files[0].restarts.clone();
+        r.learner_writes(&restarts, "1");
         r.learner_reports("PROCESSING iter=3");
         r.tick();
         assert_eq!(r.reads(), 2, "restart counter and status (no exit file)");
@@ -715,7 +888,7 @@ mod tests {
         // Any write moves the generation — a log line the controller
         // never reads included — and the next tick reads.
         r.learner
-            .append_line(&r.controller.files[0].log, "iter=4 loss=2.1")
+            .append_line(&mut r.sim, &r.controller.files[0].log, "iter=4 loss=2.1")
             .unwrap();
         r.tick();
         assert_eq!(r.reads(), 4);
@@ -776,13 +949,48 @@ mod tests {
         assert_eq!(r.reads(), reads, "the volume was never read again");
     }
 
+    /// The controller on its own loop: parked between the learner's
+    /// writes, it ticks on the first poll instant after each one, and —
+    /// with the volume silent — on the first one at or after a coalesced
+    /// publish falls due.
+    #[test]
+    fn a_parked_controller_wakes_for_a_write_and_for_a_due_publish() {
+        let mut r = rig(8);
+        let grid = r.controller.grid;
+        let controller = r.controller.clone();
+        let first = grid.after(r.sim.now());
+        r.sim.schedule_at(first, move |sim| controller.run(sim));
+        r.sim.run_for(SimDuration::from_secs(3));
+        assert_eq!(r.published().as_deref(), Some("DOWNLOADING"));
+
+        let soon = SimDuration::from_millis(100);
+        r.learner_reports("PROCESSING iter=1");
+        let sent = grid.after(r.sim.now());
+        r.sim.run_until(sent - SimDuration::from_micros(1));
+        assert_eq!(r.published().as_deref(), Some("DOWNLOADING"));
+        r.sim.run_for(soon);
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=1"));
+
+        // A report inside the coalescing window is read and held back.
+        r.sim.run_for(SimDuration::from_secs(5));
+        r.learner_reports("PROCESSING iter=2");
+        r.sim.run_for(SimDuration::from_secs(2));
+        let reads = r.reads();
+        let due = grid.at_or_after(sent + config::GUARDIAN_POLL);
+        r.sim.run_until(due - SimDuration::from_micros(1));
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=1"));
+        r.sim.run_for(soon);
+        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=2"));
+        assert_eq!(r.reads(), reads, "the due wake-up read nothing");
+    }
+
     #[test]
     fn the_store_go_relay_waits_on_etcd_not_on_nfs() {
         let mut r = rig(4);
         let files = r.controller.files[0].clone();
-        r.learner.write_file(&files.throughput, "41.5").unwrap();
+        r.learner_writes(&files.throughput, "41.5");
         r.learner_reports("COMPLETED");
-        r.learner.write_file(&files.exit, "0").unwrap();
+        r.learner_writes(&files.exit, "0");
         r.tick();
         assert_eq!(r.published().as_deref(), Some("COMPLETED"));
         assert_eq!(
@@ -806,7 +1014,7 @@ mod tests {
         assert_eq!(r.reads(), reads, "by ticks that read nothing");
 
         // store-results answers on NFS; that is a write, so it is seen.
-        r.learner.write_file(paths::NFS_STORE_DONE, "done").unwrap();
+        r.learner_writes(paths::NFS_STORE_DONE, "done");
         r.tick();
         assert_eq!(
             r.in_etcd(&paths::etcd_store(&r.job)).as_deref(),

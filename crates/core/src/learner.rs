@@ -21,15 +21,18 @@ use dlaas_kube::{Cleanup, ProcessCtx};
 use dlaas_net::speeds;
 use dlaas_objstore::{ObjStoreError, ObjectBody};
 use dlaas_sharedfs::Mount;
-use dlaas_sim::{Sim, SimDuration, SimTime};
+use dlaas_sim::{Grid, Sim, SimDuration, SimTime};
 
 use crate::config;
 use crate::handles::Handles;
-use crate::helper::{wait_for_jobspec, LEARNER_JOBSPEC_WAITS};
+use crate::helper::{poll_on_write, wait_for_jobspec, LEARNER_JOBSPEC_WAITS};
 use crate::job::JobId;
 use crate::manifest::TrainingManifest;
 use crate::metrics;
 use crate::paths;
+
+/// How often a learner polls the volume for the load-data marker.
+const LEARNER_DATA_POLL: SimDuration = SimDuration::from_millis(1_000);
 
 struct LearnerState {
     /// Fractional global-step progress (integer part is the reported
@@ -55,6 +58,9 @@ struct Learner {
     step_secs: f64,
     /// Job-wide throughput (all learners), images/sec.
     rate_total: f64,
+    /// What every report line ends with (` lr=… images/sec=…`), formatted
+    /// once per incarnation.
+    report_suffix: String,
     state: RefCell<LearnerState>,
 }
 
@@ -95,24 +101,22 @@ fn start(
         .flatten()
         .unwrap_or(0)
         + 1;
-    best_effort(sim, mount.write_file(&files.restarts, starts.to_string()));
+    let written = mount.write_file(sim, &files.restarts, starts.to_string());
+    best_effort(sim, written);
     // Clear any stale exit marker from a previous incarnation.
-    mount.remove(&files.exit);
-    best_effort(sim, mount.write_file(&files.status, "DOWNLOADING"));
+    mount.remove(sim, &files.exit);
+    let written = mount.write_file(sim, &files.status, "DOWNLOADING");
+    best_effort(sim, written);
     if starts > 1 {
         sim.metrics()
             .counter_series(metrics::LEARNER_RESTARTS, [])
             .inc();
-        best_effort(
-            sim,
-            mount.append_line(
-                &files.log,
-                format!(
-                    "[restart #{:?}] learner restarted by kubernetes",
-                    starts - 1
-                ),
-            ),
+        let line = format!(
+            "[restart #{:?}] learner restarted by kubernetes",
+            starts - 1
         );
+        let written = mount.append_line(sim, &files.log, line);
+        best_effort(sim, written);
     }
     sim.mark("learner", job.as_str(), "start", starts);
 
@@ -141,6 +145,7 @@ fn start(
     };
     let rate_total = images_per_sec(&cfg, &env) * jitter;
     let step_secs = cfg.global_batch() as f64 / rate_total;
+    let report_suffix = format!(" lr={} images/sec={rate_total:.1}", manifest.learning_rate);
 
     let learner = Rc::new(Learner {
         h,
@@ -152,6 +157,7 @@ fn start(
         manifest,
         step_secs,
         rate_total,
+        report_suffix,
         state: RefCell::new(LearnerState {
             iter_f: 0.0,
             next_checkpoint: 0,
@@ -160,7 +166,8 @@ fn start(
             checkpoint_stall: SimDuration::ZERO,
         }),
     });
-    learner.wait_for_data(sim);
+    let grid = Grid::new(sim.now(), LEARNER_DATA_POLL);
+    learner.wait_for_data(sim, grid);
 }
 
 /// Notes the outcome of a best-effort NFS bookkeeping write. The learner
@@ -177,16 +184,19 @@ fn best_effort<T, E>(sim: &mut Sim, r: Result<T, E>) {
 
 impl Learner {
     fn log(&self, sim: &mut Sim, line: impl Into<String>) {
-        best_effort(sim, self.mount.append_line(&self.files.log, line));
+        let written = self.mount.append_line(sim, &self.files.log, line);
+        best_effort(sim, written);
     }
 
     fn set_status(&self, sim: &mut Sim, s: impl Into<String>) {
-        best_effort(sim, self.mount.write_file(&self.files.status, s));
+        let written = self.mount.write_file(sim, &self.files.status, s);
+        best_effort(sim, written);
     }
 
-    /// Poll for the load-data marker (the input pipeline cannot start
-    /// before the data is staged).
-    fn wait_for_data(self: Rc<Self>, sim: &mut Sim) {
+    /// Polls for the load-data marker on `grid` (the input pipeline cannot
+    /// start before the data is staged), parked on the marker while it is
+    /// absent.
+    fn wait_for_data(self: Rc<Self>, sim: &mut Sim, grid: Grid) {
         if !self.ctx.is_alive() {
             return;
         }
@@ -195,9 +205,15 @@ impl Learner {
             return;
         }
         let me = self.clone();
-        sim.schedule_in(SimDuration::from_millis(1000), move |sim| {
-            me.wait_for_data(sim);
-        });
+        poll_on_write(
+            sim,
+            &self.mount,
+            Some(paths::NFS_DATA_LOADED),
+            grid,
+            move |sim| {
+                me.wait_for_data(sim, grid);
+            },
+        );
     }
 
     /// Latest iteration any *peer* learner has reported on the shared
@@ -374,10 +390,7 @@ impl Learner {
             let loss = 7.0 / (1.0 + iter as f64 / 150.0).sqrt();
             me.log(
                 sim,
-                format!(
-                    "iter={iter} loss={loss:.4} lr={} images/sec={:.1}",
-                    me.manifest.learning_rate, me.rate_total,
-                ),
+                format!("iter={iter} loss={loss:.4}{}", me.report_suffix),
             );
             me.set_status(sim, format!("PROCESSING iter={iter}"));
 
@@ -494,9 +507,9 @@ impl Learner {
         }
         let written = self
             .mount
-            .write_file(&self.files.throughput, format!("{throughput}"))
-            .and_then(|_| self.mount.write_file(&self.files.status, "COMPLETED"))
-            .and_then(|_| self.mount.write_file(&self.files.exit, "0"));
+            .write_file(sim, &self.files.throughput, format!("{throughput}"))
+            .and_then(|_| self.mount.write_file(sim, &self.files.status, "COMPLETED"))
+            .and_then(|_| self.mount.write_file(sim, &self.files.exit, "0"));
         match written {
             Ok(_) => {
                 sim.mark("learner", self.job.as_str(), "done", self.ordinal.into());

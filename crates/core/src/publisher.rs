@@ -101,15 +101,30 @@ impl<V: Clone + PartialEq + 'static, S: Sink<V> + 'static> Publisher<V, S> {
 
     /// Whether the latest offer is acknowledged and nothing is in flight.
     pub fn settled(&self) -> bool {
-        let st = self.state.borrow();
-        let published = st.published.as_ref().map(|(value, _)| value);
-        !st.busy && (st.latest.is_none() || st.latest.as_ref() == published)
+        self.idle() && self.due().is_none()
     }
 
     /// Takes `value` for acknowledged as of `at`: the store was read and
     /// holds it (a predecessor's write).
     pub fn seed(&self, value: V, at: SimTime) {
         self.state.borrow_mut().published = Some((value, at));
+    }
+
+    /// The instant from which an offer of the latest value would send it,
+    /// or `None` when there is nothing to send (nothing offered, or the
+    /// store has it). An urgent change is due at once
+    /// ([`SimTime::ZERO`]), a coalesced one `coalesce` after the last
+    /// acknowledged write was sent. Whether a write is in flight does not
+    /// enter into it (see [`Publisher::idle`]).
+    pub(crate) fn due(&self) -> Option<SimTime> {
+        let st = self.state.borrow();
+        let latest = st.latest.as_ref()?;
+        match &st.published {
+            None => Some(SimTime::ZERO),
+            Some((was, _)) if was == latest => None,
+            Some((was, _)) if (self.urgent)(was, latest) => Some(SimTime::ZERO),
+            Some((_, at)) => Some(*at + self.coalesce),
+        }
     }
 
     /// Records the current value and publishes it if due.
@@ -120,19 +135,14 @@ impl<V: Clone + PartialEq + 'static, S: Sink<V> + 'static> Publisher<V, S> {
 
     /// Sends the latest offer if it is due and nothing is in flight.
     pub fn flush(self: &Rc<Self>, sim: &mut Sim) {
+        if !self.idle() || self.due().is_none_or(|due| due > sim.now()) {
+            return;
+        }
         let value = {
             let mut st = self.state.borrow_mut();
             let Some(latest) = st.latest.clone() else {
                 return;
             };
-            let due = st.published.as_ref().is_none_or(|(was, at)| {
-                *was != latest
-                    && ((self.urgent)(was, &latest)
-                        || sim.now().saturating_duration_since(*at) >= self.coalesce)
-            });
-            if st.busy || !due {
-                return;
-            }
             st.busy = true;
             latest
         };

@@ -10,7 +10,7 @@ use dlaas_sim::{Sim, SimDuration};
 use crate::client::EtcdClient;
 use crate::kv::{KvCommand, KvState};
 use crate::proto::etcd_addr;
-use crate::server::{EtcdRpc, EtcdServer, ServerCore, WatchNet};
+use crate::server::{EtcdRpc, EtcdServer, LeaseSweep, ServerCore, WatchNet};
 
 /// A complete etcd deployment: Raft cluster + servers + client factory.
 ///
@@ -54,8 +54,13 @@ impl EtcdCluster {
             .map(|_| Rc::new(RefCell::new(ServerCoreFactory::fresh(0))))
             .collect();
         let incarnations = Rc::new(RefCell::new(vec![0u64; n as usize]));
+        // Every node runs the lease-expiry sweep; only the current leader
+        // proposes, so expiry survives failover. A sweep outlives restarts
+        // of its node: the log replay re-arms it.
+        let sweeps: Vec<Rc<LeaseSweep>> = (0..n).map(|_| LeaseSweep::new(sim)).collect();
 
         let cores_for_factory = cores.clone();
+        let sweeps_for_factory = sweeps.clone();
         let watch_for_factory = watch_net.clone();
         let incarnations_for_factory = incarnations.clone();
         let factory: dlaas_raft::ApplyFactory<KvCommand> = Rc::new(move |id: NodeId| {
@@ -67,14 +72,19 @@ impl EtcdCluster {
                 incs[id as usize]
             };
             *core.borrow_mut() = ServerCoreFactory::fresh(inc);
-            EtcdServer::make_apply(core, watch_for_factory.clone(), etcd_addr(id))
+            let sweep = sweeps_for_factory[id as usize].clone();
+            EtcdServer::make_apply(core, watch_for_factory.clone(), etcd_addr(id), sweep)
         });
 
         // Snapshot hooks let Raft compact its log: the serialized KV store
         // *is* the snapshot (it is exactly the applied state).
         let cores_for_snapshots = cores.clone();
+        let sweeps_for_snapshots = sweeps.clone();
         let snapshot_factory: dlaas_raft::SnapshotFactory = Rc::new(move |id: NodeId| {
-            EtcdServer::make_snapshot_hooks(cores_for_snapshots[id as usize].clone())
+            EtcdServer::make_snapshot_hooks(
+                cores_for_snapshots[id as usize].clone(),
+                sweeps_for_snapshots[id as usize].clone(),
+            )
         });
 
         let raft = RaftCluster::with_snapshot_factory(
@@ -89,16 +99,13 @@ impl EtcdCluster {
 
         let servers: Vec<Rc<EtcdServer>> = (0..n)
             .map(|id| {
-                let server = EtcdServer::new(
+                EtcdServer::new(
                     id,
                     raft.node(id).clone(),
                     cores[id as usize].clone(),
                     rpc.clone(),
-                );
-                // Every node runs the lease-expiry sweep; only the
-                // current leader proposes, so expiry survives failover.
-                server.start_lease_sweeper(sim);
-                server
+                    &sweeps[id as usize],
+                )
             })
             .collect();
 

@@ -264,6 +264,12 @@ impl KvState {
         &self.leases
     }
 
+    /// The earliest deadline (µs) of any live lease — when the expiry
+    /// sweep next has something to do.
+    pub fn earliest_lease_deadline(&self) -> Option<u64> {
+        self.leases.values().map(|r| r.deadline_us).min()
+    }
+
     /// Ids of leases whose deadline is at or before `now_us`, in id
     /// order — the candidates for the leader's guarded revoke sweep.
     pub fn expired_leases(&self, now_us: u64) -> Vec<LeaseId> {

@@ -5,21 +5,21 @@
 //! store, watch registry, pending proposals) is rebuilt from the Raft log
 //! on restart — exactly the recovery model of real etcd.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use dlaas_net::{Addr, Net, Responder, RpcLayer};
 use dlaas_raft::{NodeId, Raft};
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::{DeadlineTimer, Grid, Sim, SimDuration, SimTime};
 
 use crate::kv::{KvCommand, KvEvent, KvOp, KvState};
 use crate::metrics;
 use crate::proto::{etcd_addr, EtcdRequest, EtcdResponse, WatchNotify};
 
-/// How often each server checks (when leader) for leases whose deadline
-/// has passed and proposes guarded revokes for them. Well below any
-/// practical TTL so expiry lag is bounded by the sweep, not the lease.
+/// The grid on which each server checks (when leader) for leases whose
+/// deadline has passed and proposes guarded revokes for them. Well below
+/// any practical TTL so expiry lag is bounded by the sweep, not the lease.
 pub const LEASE_SWEEP_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// RPC layer type used by etcd.
@@ -101,6 +101,52 @@ impl WatchIndex {
             }
         }
         examined
+    }
+}
+
+/// One server's lease-expiry sweep. It acts on the instants of a
+/// [`LEASE_SWEEP_PERIOD`] grid from the server's boot, but only on those
+/// that can find a lease expired: one armed event waits for the grid
+/// instant at or after the earliest lease deadline, and every grant,
+/// keepalive, revoke or snapshot the server applies re-arms it for the
+/// deadline it leaves. Only while an expired lease is still waiting for a
+/// revoke (no leader here, or the revoke not yet applied) does the sweep
+/// poll its grid.
+pub(crate) struct LeaseSweep {
+    grid: Grid,
+    timer: DeadlineTimer,
+    server: OnceCell<Weak<EtcdServer>>,
+}
+
+impl LeaseSweep {
+    /// The sweep of a server booted now.
+    pub(crate) fn new(sim: &Sim) -> Rc<Self> {
+        Rc::new(LeaseSweep {
+            grid: Grid::new(sim.now(), LEASE_SWEEP_PERIOD),
+            timer: DeadlineTimer::default(),
+            server: OnceCell::new(),
+        })
+    }
+
+    /// Arms the sweep for the earliest deadline in `kv`: on the first grid
+    /// instant at or after it, or — if it has passed — on the next one.
+    fn rearm(self: &Rc<Self>, sim: &mut Sim, kv: &KvState) {
+        let Some(deadline_us) = kv.earliest_lease_deadline() else {
+            self.timer.cancel(sim);
+            return;
+        };
+        let due = SimTime::from_micros(deadline_us).max(self.grid.after(sim.now()));
+        let me = self.clone();
+        self.timer
+            .set(sim, self.grid.at_or_after(due), move |sim| me.run(sim));
+    }
+
+    fn run(self: &Rc<Self>, sim: &mut Sim) {
+        let Some(server) = self.server.get().and_then(Weak::upgrade) else {
+            return;
+        };
+        server.sweep_expired_leases(sim);
+        self.rearm(sim, &server.core.borrow().kv);
     }
 }
 
@@ -195,12 +241,14 @@ impl std::fmt::Debug for EtcdServer {
 }
 
 impl EtcdServer {
-    /// Wires a server around an existing Raft node and starts serving.
-    pub fn new(
+    /// Wires a server around an existing Raft node, binds it to its lease
+    /// sweep (the one its apply callback re-arms) and starts serving.
+    pub(crate) fn new(
         id: NodeId,
         raft: Raft<KvCommand>,
         core: Rc<RefCell<ServerCore>>,
         rpc: EtcdRpc,
+        sweep: &LeaseSweep,
     ) -> Rc<Self> {
         let server = Rc::new(EtcdServer {
             id,
@@ -209,6 +257,8 @@ impl EtcdServer {
             rpc,
             counters: RefCell::new(RequestCounters::default()),
         });
+        let bound = sweep.server.set(Rc::downgrade(&server));
+        debug_assert!(bound.is_ok(), "a sweep serves one server");
         server.start_serving();
         server
     }
@@ -216,29 +266,36 @@ impl EtcdServer {
     /// Builds the Raft snapshot hooks for this server's core: `take`
     /// serializes the KV store (it is exactly the applied state), and
     /// `restore` replaces it wholesale — used both for leader-shipped
-    /// InstallSnapshot and for recovery from a compacted on-disk log.
-    pub fn make_snapshot_hooks(core: Rc<RefCell<ServerCore>>) -> dlaas_raft::SnapshotHooks {
+    /// InstallSnapshot and for recovery from a compacted on-disk log —
+    /// and re-arms the lease sweep for the leases it brought.
+    pub(crate) fn make_snapshot_hooks(
+        core: Rc<RefCell<ServerCore>>,
+        sweep: Rc<LeaseSweep>,
+    ) -> dlaas_raft::SnapshotHooks {
         let take_core = core.clone();
         dlaas_raft::SnapshotHooks {
             take: Box::new(move || take_core.borrow().kv.to_snapshot_bytes()),
-            restore: Box::new(move |_sim, _idx, data| {
+            restore: Box::new(move |sim, _idx, data| {
                 #[expect(
                     clippy::expect_used,
                     reason = "the bytes were produced by to_snapshot_bytes on the same closed system; snapshot corruption is outside the modelled fault vocabulary, so failing fast beats silently restoring an empty store"
                 )]
                 let kv = KvState::from_snapshot_bytes(data).expect("snapshot deserializes");
+                sweep.rearm(sim, &kv);
                 core.borrow_mut().kv = kv;
             }),
         }
     }
 
     /// Builds the Raft apply callback for this server's core: applies each
-    /// committed command to the KV store, fans out watch events, and
-    /// answers the pending client RPC when this server proposed the command.
-    pub fn make_apply(
+    /// committed command to the KV store, re-arms the lease sweep when a
+    /// lease command moved a deadline, fans out watch events, and answers
+    /// the pending client RPC when this server proposed the command.
+    pub(crate) fn make_apply(
         core: Rc<RefCell<ServerCore>>,
         watch_net: WatchNet,
         self_addr: Addr,
+        sweep: Rc<LeaseSweep>,
     ) -> dlaas_raft::ApplyFn<KvCommand> {
         // Per-event metric handles, resolved once on first use (not at
         // boot, so the series set matches recording-on-demand exactly)
@@ -250,6 +307,14 @@ impl EtcdServer {
             let (outcome, notifications, examined, responder) = {
                 let mut c = core.borrow_mut();
                 let mut outcome = c.kv.apply(cmd);
+                if matches!(
+                    cmd.op,
+                    KvOp::LeaseGrant { .. }
+                        | KvOp::LeaseKeepAlive { .. }
+                        | KvOp::LeaseRevoke { .. }
+                ) {
+                    sweep.rearm(sim, &c.kv);
+                }
                 // Group matched events per registration so each watcher
                 // still receives one notification per committed command,
                 // in deterministic (watcher, id) order. An event nobody
@@ -351,22 +416,11 @@ impl EtcdServer {
         self.start_serving();
     }
 
-    /// Starts this server's lease-expiry sweep. The timer runs on every
-    /// node but only the current Raft leader proposes revokes, so expiry
-    /// survives leader failover without coordination: whoever is leader
-    /// at the next tick picks the sweep up. Revokes are guarded by the
-    /// sweep's own clock stamp, so a keepalive that commits first wins.
-    pub fn start_lease_sweeper(self: &Rc<Self>, sim: &mut Sim) {
-        let me = Rc::downgrade(self);
-        dlaas_sim::every(sim, LEASE_SWEEP_PERIOD, move |sim, _n| {
-            let Some(server) = me.upgrade() else {
-                return false;
-            };
-            server.sweep_expired_leases(sim);
-            true
-        });
-    }
-
+    /// One sweep ([`LeaseSweep`]). It runs on every node but only the
+    /// current Raft leader proposes revokes, so expiry survives leader
+    /// failover without coordination: whoever is leader at the next grid
+    /// instant picks the sweep up. Revokes are guarded by the sweep's own
+    /// clock stamp, so a keepalive that commits first wins.
     fn sweep_expired_leases(&self, sim: &mut Sim) {
         if self.raft.role() != dlaas_raft::Role::Leader {
             return;
@@ -382,6 +436,7 @@ impl EtcdServer {
             .get_or_insert_with(|| sim.metrics().counter_series(metrics::LEASE_EXPIRATIONS, []))
             .add(expired.len() as u64);
         for id in expired {
+            sim.mark("etcd", self.id, "lease-expired", id);
             let req_id = {
                 let mut c = self.core.borrow_mut();
                 c.next_req_id += 1;
@@ -389,7 +444,7 @@ impl EtcdServer {
             };
             #[expect(
                 clippy::let_underscore_must_use,
-                reason = "losing leadership between the role check and the proposal just drops this revoke; the lease is still expired, so the new leader's next sweep tick re-proposes it"
+                reason = "losing leadership between the role check and the proposal just drops this revoke; the lease is still expired, so every server's sweep polls its grid and the new leader re-proposes it"
             )]
             let _ = self.raft.propose(
                 sim,

@@ -301,3 +301,147 @@ fn failover_expiry_is_byte_identical_per_seed() {
         assert!(!a.is_empty());
     }
 }
+
+/// What the world does to a 3-node cluster and one lease holder.
+#[derive(Debug, Clone)]
+enum ClusterOp {
+    /// The holder asks for a lease with this TTL (ms).
+    Grant(u64),
+    /// The holder refreshes one of its leases.
+    KeepAlive(u8),
+    /// The holder gives one of its leases back.
+    Revoke(u8),
+    /// The current leader crashes.
+    CrashLeader,
+    /// Every crashed node restarts.
+    RestartAll,
+    /// Time passes (µs: requests land between grid instants too).
+    Advance(u64),
+}
+
+fn cluster_op() -> impl Strategy<Value = ClusterOp> {
+    prop_oneof![
+        3 => (600..4_000u64).prop_map(ClusterOp::Grant),
+        4 => any::<u8>().prop_map(ClusterOp::KeepAlive),
+        1 => any::<u8>().prop_map(ClusterOp::Revoke),
+        1 => Just(ClusterOp::CrashLeader),
+        1 => Just(ClusterOp::RestartAll),
+        6 => (1..3_000_000u64).prop_map(ClusterOp::Advance),
+    ]
+}
+
+/// One sweep action: `(µs, server, lease)` — a server, as Raft leader,
+/// found the lease past its deadline and proposed its revoke.
+type Expiry = (u64, u32, LeaseId);
+
+/// Drives a cluster through `ops` and returns what its lease sweeps did
+/// (the servers' `lease-expired` marks) next to what the sweep they
+/// replaced would have done: every server, every `LEASE_SWEEP_PERIOD`
+/// from boot, revoking each expired lease while it is leader. The
+/// reference only reads, so the two agree from start to end exactly when
+/// every revoke is proposed at the instant the polling sweep proposed it.
+fn sweeps(ops: &[ClusterOp]) -> (Vec<Expiry>, Vec<Expiry>) {
+    use dlaas_etcd::{EtcdCluster, LEASE_SWEEP_PERIOD};
+    use dlaas_raft::Role;
+    use dlaas_sim::{Sim, SimDuration};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    let mut sim = Sim::new(7);
+    sim.trace_mut().set_enabled(true);
+    let etcd = Rc::new(EtcdCluster::new_3way(&mut sim));
+    let polled: Rc<RefCell<Vec<Expiry>>> = Rc::default();
+    let (cluster, seen) = (etcd.clone(), polled.clone());
+    dlaas_sim::every(&mut sim, LEASE_SWEEP_PERIOD, move |sim, _| {
+        let now_us = sim.now().as_micros();
+        for id in 0..cluster.len() as u32 {
+            if cluster.raft().node(id).role() == Role::Leader {
+                let expired = cluster.with_kv(id, |kv| kv.expired_leases(now_us));
+                seen.borrow_mut()
+                    .extend(expired.into_iter().map(|lease| (now_us, id, lease)));
+            }
+        }
+        true
+    });
+    etcd.expect_leader(&mut sim, SimDuration::from_secs(10));
+
+    let holder = etcd.client("holder");
+    let granted: Rc<RefCell<Vec<LeaseId>>> = Rc::default();
+    let mut crashed = Vec::new();
+    let pick = |ix: u8| {
+        let granted = granted.borrow();
+        (!granted.is_empty()).then(|| granted[ix as usize % granted.len()])
+    };
+    for op in ops {
+        match op {
+            ClusterOp::Grant(ms) => {
+                let granted = granted.clone();
+                let ttl = SimDuration::from_millis(*ms);
+                holder.lease_grant(&mut sim, ttl, move |_sim, r| {
+                    granted.borrow_mut().extend(r.ok());
+                });
+            }
+            ClusterOp::KeepAlive(ix) => {
+                if let Some(id) = pick(*ix) {
+                    holder.lease_keepalive(&mut sim, id, |_sim, _r| {});
+                }
+            }
+            ClusterOp::Revoke(ix) => {
+                if let Some(id) = pick(*ix) {
+                    holder.lease_revoke(&mut sim, id, |_sim, _r| {});
+                }
+            }
+            ClusterOp::CrashLeader => {
+                if let Some(leader) = etcd.leader_id() {
+                    if !crashed.contains(&leader) {
+                        etcd.crash(&mut sim, leader);
+                        crashed.push(leader);
+                    }
+                }
+            }
+            ClusterOp::RestartAll => {
+                for id in crashed.drain(..) {
+                    etcd.restart(&mut sim, id);
+                }
+            }
+            ClusterOp::Advance(us) => {
+                sim.run_for(SimDuration::from_micros(*us));
+            }
+        }
+    }
+    for id in crashed.drain(..) {
+        etcd.restart(&mut sim, id);
+    }
+    sim.run_for(SimDuration::from_secs(10));
+
+    let mut marked: Vec<Expiry> = (0..etcd.len() as u32)
+        .flat_map(|id| {
+            sim.trace()
+                .of(id)
+                .marks()
+                .filter(|m| m.what == "lease-expired")
+                .map(move |m| (m.time.as_micros(), id, m.arg))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    marked.sort_unstable();
+    let mut polled = polled.borrow().clone();
+    polled.sort_unstable();
+    (marked, polled)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    // The parked sweep — one event at the grid instant of the earliest
+    // deadline, re-armed by every lease command — revokes at exactly the
+    // instants the every-500-ms sweep did, under any interleaving of
+    // grants, keepalives, revokes, leader crashes and restarts.
+    #[test]
+    fn the_parked_sweep_revokes_when_the_polling_sweep_did(
+        ops in proptest::collection::vec(cluster_op(), 1..60),
+    ) {
+        let (parked, polled) = sweeps(&ops);
+        prop_assert_eq!(parked, polled);
+    }
+}

@@ -594,10 +594,10 @@ mod tests {
         let mount = nfs.mount(&vol).unwrap();
         nfs_outage_window(&mut sim, &nfs, SimDuration::from_secs(10));
         assert!(!nfs.is_available());
-        assert!(mount.write_file("f", "x").is_err());
+        assert!(mount.write_file(&mut sim, "f", "x").is_err());
         sim.run_for(SimDuration::from_secs(11));
         assert!(nfs.is_available());
-        assert!(mount.write_file("f", "x").is_ok());
+        assert!(mount.write_file(&mut sim, "f", "x").is_ok());
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl SharedLink {
         Transfer { start, end }
     }
 
-    /// Pure transfer time for `bytes` at this link's rate, ignoring queueing.
-    pub fn nominal_duration(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec())
-    }
-
     /// Total bytes ever reserved.
     pub fn total_bytes(&self) -> u64 {
         self.state.borrow().total_bytes
@@ -180,13 +175,6 @@ mod tests {
         link.reserve(SimTime::ZERO, 1000);
         let t = clone.reserve(SimTime::ZERO, 1000);
         assert_eq!(t.start, SimTime::from_secs(1));
-    }
-
-    #[test]
-    fn nominal_duration_ignores_queue() {
-        let link = SharedLink::new(2000.0);
-        link.reserve(SimTime::ZERO, 10_000);
-        assert_eq!(link.nominal_duration(1000), SimDuration::from_millis(500));
     }
 
     #[test]

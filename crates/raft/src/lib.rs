@@ -56,7 +56,6 @@
 
 mod cluster;
 mod node;
-mod timer;
 mod types;
 
 pub use cluster::{ApplyFactory, RaftCluster};

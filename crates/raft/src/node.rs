@@ -13,9 +13,8 @@ use std::fmt;
 use std::rc::Rc;
 
 use dlaas_net::{Addr, Net};
-use dlaas_sim::{Sim, SimRng, SimTime};
+use dlaas_sim::{DeadlineTimer, Sim, SimRng, SimTime};
 
-use crate::timer::DeadlineTimer;
 use crate::types::{
     LogEntry, LogIndex, NodeId, PersistentState, RaftConfig, RaftMsg, Role, Snapshot, Term,
 };

@@ -13,18 +13,30 @@
 //! and operation counters are kept so the platform-overhead experiment
 //! (Fig. 2) can account for helper/logging I/O.
 //!
+//! A [`Mount`] holds its volume, not the volume's name: once the volume
+//! is deleted the mount is stale for good ([`NfsError::NoSuchVolume`],
+//! NFS's ESTALE), even if a volume of the same name is provisioned again.
+//!
+//! The helpers *poll* the volume (§III-e). A poll that finds nothing can
+//! [`Mount::park`] instead of ticking: the next write to the volume (or to
+//! the one path it waits for) wakes it at the instant of its [`Grid`] its
+//! old poll would have acted at. Every mutator takes the `Sim` for that
+//! reason, so no write can skip waking the volume's waiters.
+//!
 //! # Examples
 //!
 //! ```
 //! use dlaas_sharedfs::NfsServer;
+//! use dlaas_sim::{Grid, Sim, SimDuration};
 //!
+//! let mut sim = Sim::new(1);
 //! let nfs = NfsServer::new();
 //! let vol = nfs.create_volume("job-1");
 //!
 //! // Learner side: write progress and an exit file.
 //! let learner = nfs.mount(&vol)?;
-//! learner.append_line("learner-0/train.log", "iter 100 loss 2.3")?;
-//! learner.write_file("learner-0/exit-status", "0")?;
+//! learner.append_line(&mut sim, "learner-0/train.log", "iter 100 loss 2.3")?;
+//! learner.write_file(&mut sim, "learner-0/exit-status", "0")?;
 //!
 //! // Helper/controller side: observe them.
 //! let helper = nfs.mount(&vol)?;
@@ -36,8 +48,17 @@
 //! let seen = helper.generation()?;
 //! assert_eq!(helper.read("learner-0/exit-status", |s| s == "0")?, Some(true));
 //! assert_eq!(helper.generation()?, seen);
-//! learner.append_line("learner-0/train.log", "iter 200 loss 2.1")?;
+//!
+//! // Nor poll for it: parked on the log, a once-a-second poller wakes on
+//! // the first grid instant after the next line is written.
+//! let grid = Grid::new(sim.now(), SimDuration::from_secs(1));
+//! helper.park(Some("learner-0/train.log"), grid, |sim| {
+//!     assert_eq!(sim.now().as_millis(), 3_000);
+//! })?;
+//! sim.run_for(SimDuration::from_millis(2_500));
+//! learner.append_line(&mut sim, "learner-0/train.log", "iter 200 loss 2.1")?;
 //! assert_ne!(helper.generation()?, seen);
+//! assert_eq!(sim.run_until_idle(), 1);
 //! # Ok::<(), dlaas_sharedfs::NfsError>(())
 //! ```
 
@@ -54,6 +75,8 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+
+use dlaas_sim::{Grid, Sim, SimTime};
 
 /// Identifier of a provisioned volume.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -75,7 +98,8 @@ impl fmt::Display for VolumeId {
 /// Errors from NFS operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NfsError {
-    /// The volume does not exist (was never created or was deleted).
+    /// The volume does not exist (was never created, or was deleted: a
+    /// mount of a deleted volume stays stale for good).
     NoSuchVolume(String),
     /// The file does not exist within the volume.
     NoSuchFile(String),
@@ -109,31 +133,40 @@ pub struct NfsStats {
     pub bytes_read: u64,
 }
 
-#[derive(Debug, Default)]
-struct Volume {
-    files: BTreeMap<String, Vec<String>>,
-    /// Reading of the server's write clock at this volume's latest
-    /// change (see [`Mount::generation`]).
-    generation: u64,
+/// A parked poller's wake-up, scheduled as the poller's own closure so
+/// that the kernel's site profile names the poller, not this crate.
+trait Wake {
+    fn schedule(self: Box<Self>, sim: &mut Sim, at: SimTime);
 }
 
-impl Volume {
-    /// Notes a change: ticks the server's write clock and takes the new
-    /// reading as this volume's generation.
-    fn touch(&mut self, write_clock: &mut u64) {
-        *write_clock += 1;
-        self.generation = *write_clock;
+impl<F: FnOnce(&mut Sim) + 'static> Wake for F {
+    fn schedule(self: Box<Self>, sim: &mut Sim, at: SimTime) {
+        sim.schedule_at(at, *self);
     }
 }
 
-#[derive(Debug, Default)]
+/// A poller parked on a volume (see [`Mount::park`]).
+struct Waiter {
+    /// The one path whose writes wake it; any path when `None`.
+    path: Option<String>,
+    grid: Grid,
+    wake: Box<dyn Wake>,
+}
+
+struct Volume {
+    name: String,
+    files: BTreeMap<String, Vec<String>>,
+    /// Ticks once per change (see [`Mount::generation`]).
+    generation: u64,
+    /// Deleted: emptied, and every mount of it stale for good.
+    deleted: bool,
+    waiters: Vec<Waiter>,
+}
+
+#[derive(Default)]
 struct ServerState {
-    volumes: BTreeMap<String, Volume>,
+    volumes: BTreeMap<String, Rc<RefCell<Volume>>>,
     stats: NfsStats,
-    /// Ticks once per change to any volume. One clock for the whole
-    /// server, so a volume deleted and provisioned again under its old
-    /// name can never repeat a generation a reader remembers.
-    write_clock: u64,
     /// An outage window: data-plane operations (mount, file I/O) fail with
     /// [`NfsError::Unavailable`] while set. Control-plane operations
     /// (create/delete/find volumes) still work — they go through the K8s
@@ -142,9 +175,20 @@ struct ServerState {
 }
 
 /// The NFS server. Cloning shares the server.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct NfsServer {
     state: Rc<RefCell<ServerState>>,
+}
+
+impl fmt::Debug for NfsServer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.state.borrow();
+        f.debug_struct("NfsServer")
+            .field("volumes", &s.volumes.len())
+            .field("stats", &s.stats)
+            .field("unavailable", &s.unavailable)
+            .finish()
+    }
 }
 
 impl NfsServer {
@@ -157,30 +201,44 @@ impl NfsServer {
     /// persistent volume claim.
     pub fn create_volume(&self, name: impl Into<String>) -> VolumeId {
         let name = name.into();
-        let mut s = self.state.borrow_mut();
-        let ServerState {
-            volumes,
-            write_clock,
-            ..
-        } = &mut *s;
-        volumes.entry(name.clone()).or_insert_with(|| {
-            let mut vol = Volume::default();
-            vol.touch(write_clock);
-            vol
-        });
+        self.state
+            .borrow_mut()
+            .volumes
+            .entry(name.clone())
+            .or_insert_with(|| {
+                Rc::new(RefCell::new(Volume {
+                    name: name.clone(),
+                    files: BTreeMap::new(),
+                    generation: 0,
+                    deleted: false,
+                    waiters: Vec::new(),
+                }))
+            });
         VolumeId(name)
     }
 
     /// Deletes a volume and everything in it (garbage collection after a
-    /// job completes or is rolled back). Returns `true` if it existed.
+    /// job completes or is rolled back): its files and parked pollers are
+    /// dropped and its mounts go stale. Returns `true` if it existed.
     pub fn delete_volume(&self, id: &VolumeId) -> bool {
-        self.state.borrow_mut().volumes.remove(&id.0).is_some()
+        self.delete_volume_named(&id.0)
     }
 
     /// Deletes a volume by name (for garbage collectors that only know the
     /// naming convention). Returns `true` if it existed.
     pub fn delete_volume_named(&self, name: &str) -> bool {
-        self.state.borrow_mut().volumes.remove(name).is_some()
+        let Some(vol) = self.state.borrow_mut().volumes.remove(name) else {
+            return false;
+        };
+        let dropped = {
+            let mut vol = vol.borrow_mut();
+            vol.deleted = true;
+            vol.files = BTreeMap::new();
+            std::mem::take(&mut vol.waiters)
+        };
+        // Outside the borrow: a waiter may own the last handle on a mount.
+        drop(dropped);
+        true
     }
 
     /// Looks up a volume id by name, if the volume exists.
@@ -209,23 +267,27 @@ impl NfsServer {
     ///
     /// # Errors
     ///
+    /// [`NfsError::Unavailable`] during an outage window;
     /// [`NfsError::NoSuchVolume`] if it does not exist.
     pub fn mount(&self, id: &VolumeId) -> Result<Mount, NfsError> {
-        if !self.is_available() {
+        let s = self.state.borrow();
+        if s.unavailable {
             return Err(NfsError::Unavailable);
         }
-        if !self.volume_exists(id) {
-            return Err(NfsError::NoSuchVolume(id.0.clone()));
-        }
+        let volume = s
+            .volumes
+            .get(&id.0)
+            .ok_or_else(|| NfsError::NoSuchVolume(id.0.clone()))?;
         Ok(Mount {
             server: self.clone(),
-            volume: id.clone(),
+            volume: volume.clone(),
         })
     }
 
     /// Starts or ends an outage window. While unavailable, mounting and
     /// every file operation (including through existing mounts) fail with
-    /// [`NfsError::Unavailable`]; volumes and files survive untouched.
+    /// [`NfsError::Unavailable`]; volumes, files and parked pollers
+    /// survive untouched.
     pub fn set_available(&self, available: bool) {
         self.state.borrow_mut().unavailable = !available;
     }
@@ -242,39 +304,63 @@ impl NfsServer {
 }
 
 /// A mounted volume. All operations fail with [`NfsError::NoSuchVolume`]
-/// if the volume has been deleted since mounting (stale mount).
-#[derive(Debug, Clone)]
+/// once the volume has been deleted (stale mount).
+#[derive(Clone)]
 pub struct Mount {
     server: NfsServer,
-    volume: VolumeId,
+    volume: Rc<RefCell<Volume>>,
+}
+
+impl fmt::Debug for Mount {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let vol = self.volume.borrow();
+        f.debug_struct("Mount")
+            .field("volume", &vol.name)
+            .field("stale", &vol.deleted)
+            .finish()
+    }
 }
 
 impl Mount {
-    /// The mounted volume's id.
-    pub fn volume(&self) -> &VolumeId {
-        &self.volume
-    }
-
-    /// Runs `f` on the mounted volume with the server's I/O counters and
-    /// its write clock (for [`Volume::touch`]).
+    /// Runs `f` on the mounted volume with the server's I/O counters.
     fn with_volume<T>(
         &self,
-        f: impl FnOnce(&mut Volume, &mut NfsStats, &mut u64) -> Result<T, NfsError>,
+        f: impl FnOnce(&mut Volume, &mut NfsStats) -> Result<T, NfsError>,
     ) -> Result<T, NfsError> {
         let mut s = self.server.state.borrow_mut();
         if s.unavailable {
             return Err(NfsError::Unavailable);
         }
-        let ServerState {
-            volumes,
-            stats,
-            write_clock,
-            ..
-        } = &mut *s;
-        let vol = volumes
-            .get_mut(&self.volume.0)
-            .ok_or_else(|| NfsError::NoSuchVolume(self.volume.0.clone()))?;
-        f(vol, stats, write_clock)
+        let mut vol = self.volume.borrow_mut();
+        if vol.deleted {
+            return Err(NfsError::NoSuchVolume(vol.name.clone()));
+        }
+        f(&mut vol, &mut s.stats)
+    }
+
+    /// Runs the mutation `f` of `path`; if it changed the volume (`f`
+    /// returns `true`), moves the generation and wakes every waiter on
+    /// the volume or on `path` at its grid's first instant after now.
+    fn change(
+        &self,
+        sim: &mut Sim,
+        path: &str,
+        f: impl FnOnce(&mut Volume, &mut NfsStats) -> bool,
+    ) -> Result<bool, NfsError> {
+        self.with_volume(|vol, stats| {
+            let changed = f(vol, stats);
+            if changed {
+                vol.generation += 1;
+                let now = sim.now();
+                let woken = vol
+                    .waiters
+                    .extract_if(.., |w| w.path.as_deref().is_none_or(|p| p == path));
+                for w in woken {
+                    w.wake.schedule(sim, w.grid.after(now));
+                }
+            }
+            Ok(changed)
+        })
     }
 
     /// The volume's write generation: a number that changes with every
@@ -291,28 +377,63 @@ impl Mount {
     /// [`NfsError::NoSuchVolume`] on a stale mount: an unreadable
     /// generation says nothing about the volume either way.
     pub fn generation(&self) -> Result<u64, NfsError> {
-        self.with_volume(|vol, _, _| Ok(vol.generation))
+        self.with_volume(|vol, _| Ok(vol.generation))
+    }
+
+    /// Parks a poller that found nothing: `wake` runs once, at the first
+    /// instant of `grid` after the next change to `path` of this volume
+    /// (to any path when `None`) — the instant the poller's next poll
+    /// would have seen that change. A volume deleted meanwhile drops it.
+    ///
+    /// # Errors
+    ///
+    /// [`NfsError::Unavailable`] during an outage window and
+    /// [`NfsError::NoSuchVolume`] on a stale mount. A wait on a volume
+    /// the poller cannot reach parks nothing and `wake` is dropped: the
+    /// poller must poll its grid until the volume answers, or it never
+    /// runs again.
+    #[must_use = "a refused wait parks nothing: the poller must poll its grid instead"]
+    pub fn park(
+        &self,
+        path: Option<&str>,
+        grid: Grid,
+        wake: impl FnOnce(&mut Sim) + 'static,
+    ) -> Result<(), NfsError> {
+        self.with_volume(|vol, _| {
+            vol.waiters.push(Waiter {
+                path: path.map(str::to_owned),
+                grid,
+                wake: Box::new(wake),
+            });
+            Ok(())
+        })
     }
 
     /// Appends one line to a file, creating it if needed.
     ///
     /// # Errors
     ///
+    /// [`NfsError::Unavailable`] during an outage window;
     /// [`NfsError::NoSuchVolume`] on a stale mount.
-    pub fn append_line(&self, path: &str, line: impl Into<String>) -> Result<(), NfsError> {
+    pub fn append_line(
+        &self,
+        sim: &mut Sim,
+        path: &str,
+        line: impl Into<String>,
+    ) -> Result<(), NfsError> {
         let line = line.into();
-        self.with_volume(|vol, stats, clock| {
+        self.change(sim, path, |vol, stats| {
             stats.writes += 1;
             stats.bytes_written += line.len() as u64 + 1;
-            vol.touch(clock);
             match vol.files.get_mut(path) {
                 Some(lines) => lines.push(line),
                 None => {
                     vol.files.insert(path.to_owned(), vec![line]);
                 }
             }
-            Ok(())
-        })
+            true
+        })?;
+        Ok(())
     }
 
     /// Replaces a file's contents with a single string (used for exit
@@ -320,13 +441,18 @@ impl Mount {
     ///
     /// # Errors
     ///
+    /// [`NfsError::Unavailable`] during an outage window;
     /// [`NfsError::NoSuchVolume`] on a stale mount.
-    pub fn write_file(&self, path: &str, contents: impl Into<String>) -> Result<(), NfsError> {
+    pub fn write_file(
+        &self,
+        sim: &mut Sim,
+        path: &str,
+        contents: impl Into<String>,
+    ) -> Result<(), NfsError> {
         let contents = contents.into();
-        self.with_volume(|vol, stats, clock| {
+        self.change(sim, path, |vol, stats| {
             stats.writes += 1;
             stats.bytes_written += contents.len() as u64;
-            vol.touch(clock);
             match vol.files.get_mut(path) {
                 Some(lines) => {
                     lines.clear();
@@ -336,8 +462,15 @@ impl Mount {
                     vol.files.insert(path.to_owned(), vec![contents]);
                 }
             }
-            Ok(())
-        })
+            true
+        })?;
+        Ok(())
+    }
+
+    /// Removes a file. Returns `true` if it existed.
+    pub fn remove(&self, sim: &mut Sim, path: &str) -> bool {
+        self.change(sim, path, |vol, _| vol.files.remove(path).is_some())
+            .unwrap_or(false)
     }
 
     /// Lends a single-string file's contents (its first line) to `read`,
@@ -349,7 +482,7 @@ impl Mount {
     /// [`NfsError::Unavailable`] during an outage window;
     /// [`NfsError::NoSuchVolume`] on a stale mount.
     pub fn read<T>(&self, path: &str, read: impl FnOnce(&str) -> T) -> Result<Option<T>, NfsError> {
-        self.with_volume(|vol, stats, _| {
+        self.with_volume(|vol, stats| {
             let Some(f) = vol.files.get(path) else {
                 return Ok(None);
             };
@@ -385,7 +518,7 @@ impl Mount {
         offset: usize,
         mut visit: impl FnMut(&str),
     ) -> Result<usize, NfsError> {
-        self.with_volume(|vol, stats, _| {
+        self.with_volume(|vol, stats| {
             let f = vol
                 .files
                 .get(path)
@@ -415,31 +548,19 @@ impl Mount {
 
     /// Number of lines currently in a file (0 if absent).
     pub fn line_count(&self, path: &str) -> usize {
-        self.with_volume(|vol, _, _| Ok(vol.files.get(path).map_or(0, std::vec::Vec::len)))
+        self.with_volume(|vol, _| Ok(vol.files.get(path).map_or(0, std::vec::Vec::len)))
             .unwrap_or(0)
     }
 
     /// `true` if the file exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.with_volume(|vol, _, _| Ok(vol.files.contains_key(path)))
+        self.with_volume(|vol, _| Ok(vol.files.contains_key(path)))
             .unwrap_or(false)
-    }
-
-    /// Removes a file. Returns `true` if it existed.
-    pub fn remove(&self, path: &str) -> bool {
-        self.with_volume(|vol, _, clock| {
-            let existed = vol.files.remove(path).is_some();
-            if existed {
-                vol.touch(clock);
-            }
-            Ok(existed)
-        })
-        .unwrap_or(false)
     }
 
     /// Paths under `prefix`, in order (directory listing).
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.with_volume(|vol, _, _| {
+        self.with_volume(|vol, _| {
             Ok(vol
                 .files
                 .range(prefix.to_owned()..)
@@ -454,16 +575,19 @@ impl Mount {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlaas_sim::SimDuration;
+    use std::cell::Cell;
 
     #[test]
     fn volume_lifecycle() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("job-1");
         assert!(nfs.volume_exists(&vol));
         assert_eq!(vol.as_str(), "job-1");
         // Idempotent create keeps contents.
         let m = nfs.mount(&vol).unwrap();
-        m.write_file("x", "1").unwrap();
+        m.write_file(&mut sim, "x", "1").unwrap();
         let vol2 = nfs.create_volume("job-1");
         assert!(nfs.mount(&vol2).unwrap().exists("x"));
 
@@ -475,27 +599,29 @@ mod tests {
 
     #[test]
     fn stale_mount_fails_cleanly() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("v");
         let m = nfs.mount(&vol).unwrap();
         nfs.delete_volume(&vol);
         assert_eq!(
-            m.append_line("f", "x"),
+            m.append_line(&mut sim, "f", "x"),
             Err(NfsError::NoSuchVolume("v".into()))
         );
         assert!(!m.exists("f"));
         assert!(m.list("").is_empty());
         assert_eq!(m.line_count("f"), 0);
-        assert!(!m.remove("f"));
+        assert!(!m.remove(&mut sim, "f"));
     }
 
     #[test]
     fn append_and_tail() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("v");
         let m = nfs.mount(&vol).unwrap();
         for i in 0..5 {
-            m.append_line("log", format!("line {i}")).unwrap();
+            m.append_line(&mut sim, "log", format!("line {i}")).unwrap();
         }
         assert_eq!(m.line_count("log"), 5);
         let tail = m.read_lines_from("log", 3).unwrap();
@@ -509,11 +635,12 @@ mod tests {
 
     #[test]
     fn write_file_replaces() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("v");
         let m = nfs.mount(&vol).unwrap();
-        m.write_file("exit", "1").unwrap();
-        m.write_file("exit", "0").unwrap();
+        m.write_file(&mut sim, "exit", "1").unwrap();
+        m.write_file(&mut sim, "exit", "0").unwrap();
         assert_eq!(m.read_file("exit").unwrap(), "0");
         assert_eq!(
             m.read_file("nope"),
@@ -524,11 +651,14 @@ mod tests {
     #[test]
     fn two_mounts_share_state() {
         // The learner/controller pattern: one writes, the other reads.
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("job");
         let learner = nfs.mount(&vol).unwrap();
         let controller = nfs.mount(&vol).unwrap();
-        learner.write_file("learner-0/exit-status", "137").unwrap();
+        learner
+            .write_file(&mut sim, "learner-0/exit-status", "137")
+            .unwrap();
         assert_eq!(
             controller.read_file("learner-0/exit-status").unwrap(),
             "137"
@@ -537,12 +667,13 @@ mod tests {
 
     #[test]
     fn listing_by_prefix() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("v");
         let m = nfs.mount(&vol).unwrap();
-        m.write_file("learner-0/exit", "0").unwrap();
-        m.write_file("learner-1/exit", "0").unwrap();
-        m.write_file("logs/a", "x").unwrap();
+        m.write_file(&mut sim, "learner-0/exit", "0").unwrap();
+        m.write_file(&mut sim, "learner-1/exit", "0").unwrap();
+        m.write_file(&mut sim, "logs/a", "x").unwrap();
         assert_eq!(m.list("learner-").len(), 2);
         assert_eq!(
             m.list(""),
@@ -552,29 +683,34 @@ mod tests {
 
     #[test]
     fn remove_file() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("v");
         let m = nfs.mount(&vol).unwrap();
-        m.write_file("f", "x").unwrap();
-        assert!(m.remove("f"));
-        assert!(!m.remove("f"));
+        m.write_file(&mut sim, "f", "x").unwrap();
+        assert!(m.remove(&mut sim, "f"));
+        assert!(!m.remove(&mut sim, "f"));
         assert!(!m.exists("f"));
     }
 
     #[test]
     fn outage_window_fails_data_plane_only() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("v");
         let m = nfs.mount(&vol).unwrap();
-        m.write_file("f", "before").unwrap();
+        m.write_file(&mut sim, "f", "before").unwrap();
 
         nfs.set_available(false);
         assert!(!nfs.is_available());
         // Data plane: mounts and file ops through existing mounts fail.
         assert!(matches!(nfs.mount(&vol), Err(NfsError::Unavailable)));
         assert_eq!(m.read_file("f"), Err(NfsError::Unavailable));
-        assert_eq!(m.write_file("f", "x"), Err(NfsError::Unavailable));
-        assert_eq!(m.append_line("g", "x"), Err(NfsError::Unavailable));
+        assert_eq!(m.write_file(&mut sim, "f", "x"), Err(NfsError::Unavailable));
+        assert_eq!(
+            m.append_line(&mut sim, "g", "x"),
+            Err(NfsError::Unavailable)
+        );
         assert!(!m.exists("f"));
         // Control plane: provisioning still works during the outage.
         assert!(nfs.find_volume("v").is_some());
@@ -590,6 +726,7 @@ mod tests {
 
     #[test]
     fn generation_moves_with_every_change_through_any_mount() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("job");
         let learner = nfs.mount(&vol).unwrap();
@@ -600,26 +737,31 @@ mod tests {
             assert!(now > seen, "{what} must move the generation");
             seen = now;
         };
-        learner.append_line("log", "a").unwrap();
+        learner.append_line(&mut sim, "log", "a").unwrap();
         moved("append_line");
-        learner.write_file("status", "PROCESSING").unwrap();
+        learner
+            .write_file(&mut sim, "status", "PROCESSING")
+            .unwrap();
         moved("write_file creating a file");
-        learner.write_file("status", "PROCESSING").unwrap();
+        learner
+            .write_file(&mut sim, "status", "PROCESSING")
+            .unwrap();
         moved("write_file of the same bytes");
-        controller.write_file("go", "go").unwrap();
+        controller.write_file(&mut sim, "go", "go").unwrap();
         moved("a write through the reader's own mount");
-        assert!(learner.remove("status"));
+        assert!(learner.remove(&mut sim, "status"));
         moved("remove");
         assert_eq!(learner.generation(), Ok(seen), "one volume, one counter");
     }
 
     #[test]
     fn generation_ignores_reads_misses_and_other_volumes() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("job");
         let m = nfs.mount(&vol).unwrap();
-        m.append_line("log", "a").unwrap();
-        m.write_file("status", "x").unwrap();
+        m.append_line(&mut sim, "log", "a").unwrap();
+        m.write_file(&mut sim, "status", "x").unwrap();
         let before = m.generation().unwrap();
         assert_eq!(m.read("status", str::len), Ok(Some(1)));
         assert_eq!(m.read("ghost", str::len), Ok(None));
@@ -629,44 +771,177 @@ mod tests {
         assert_eq!(m.line_count("log"), 1);
         assert!(m.exists("log"));
         assert_eq!(m.list("").len(), 2);
-        assert!(!m.remove("ghost"), "removing nothing changes nothing");
+        assert!(
+            !m.remove(&mut sim, "ghost"),
+            "removing nothing changes nothing"
+        );
         let other = nfs.create_volume("other");
-        nfs.mount(&other).unwrap().write_file("f", "x").unwrap();
+        nfs.mount(&other)
+            .unwrap()
+            .write_file(&mut sim, "f", "x")
+            .unwrap();
         nfs.create_volume("job"); // idempotent: not a change
         assert_eq!(m.generation(), Ok(before));
     }
 
     #[test]
     fn generation_is_unreadable_when_the_volume_is() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("job");
         let m = nfs.mount(&vol).unwrap();
-        m.write_file("f", "x").unwrap();
+        m.write_file(&mut sim, "f", "x").unwrap();
         let before = m.generation().unwrap();
 
         nfs.set_available(false);
         assert_eq!(m.generation(), Err(NfsError::Unavailable));
         assert_eq!(m.read("f", str::len), Err(NfsError::Unavailable));
-        assert_eq!(m.write_file("f", "y"), Err(NfsError::Unavailable));
+        assert_eq!(m.write_file(&mut sim, "f", "y"), Err(NfsError::Unavailable));
         nfs.set_available(true);
         assert_eq!(m.generation(), Ok(before), "a refused write is no change");
 
         // A volume provisioned again under its old name is another
-        // volume: a reader of the first must not take it for unchanged.
+        // volume: a mount of the first stays stale (ESTALE) for good.
         nfs.delete_volume(&vol);
-        assert_eq!(m.generation(), Err(NfsError::NoSuchVolume("job".into())));
-        nfs.create_volume("job");
-        assert!(m.generation().unwrap() > before);
+        let stale = Err(NfsError::NoSuchVolume("job".into()));
+        assert_eq!(m.generation(), stale);
+        let again = nfs.create_volume("job");
+        let fresh = nfs.mount(&again).unwrap();
+        fresh.write_file(&mut sim, "f", "z").unwrap();
+        assert_eq!(m.generation(), stale, "a stale mount sees no new volume");
+        assert_eq!(
+            m.read("f", str::len),
+            Err(NfsError::NoSuchVolume("job".into()))
+        );
+        assert_eq!(
+            m.write_file(&mut sim, "f", "w"),
+            Err(NfsError::NoSuchVolume("job".into()))
+        );
+        assert_eq!(fresh.read_file("f").unwrap(), "z");
+    }
+
+    /// Parks a poller on `path` of `m` (the whole volume when `None`) on a
+    /// one-second grid from `origin`; its wake-up instants (ms) go to `log`.
+    fn park_logged(
+        m: &Mount,
+        path: Option<&str>,
+        origin: SimTime,
+        log: &Rc<RefCell<Vec<u64>>>,
+    ) -> Result<(), NfsError> {
+        let log = log.clone();
+        let grid = Grid::new(origin, SimDuration::from_secs(1));
+        m.park(path, grid, move |sim| {
+            log.borrow_mut().push(sim.now().as_millis());
+        })
+    }
+
+    #[test]
+    fn a_write_wakes_its_waiters_on_their_next_grid_instant() {
+        let mut sim = Sim::new(1);
+        let nfs = NfsServer::new();
+        let m = nfs.mount(&nfs.create_volume("job")).unwrap();
+        let (go, any) = (Rc::default(), Rc::default());
+        park_logged(&m, Some("store-go"), SimTime::from_millis(300), &go).unwrap();
+        park_logged(&m, None, SimTime::ZERO, &any).unwrap();
+
+        sim.run_for(SimDuration::from_millis(2_000));
+        m.append_line(&mut sim, "log", "x").unwrap();
+        m.append_line(&mut sim, "log", "y").unwrap();
+        sim.run_for(SimDuration::from_millis(1_500));
+        assert_eq!(
+            *any.borrow(),
+            [3_000],
+            "one wake, on the grid after the write"
+        );
+        assert!(
+            go.borrow().is_empty(),
+            "a write elsewhere wakes no path waiter"
+        );
+
+        m.write_file(&mut sim, "store-go", "go").unwrap();
+        sim.run_until_idle();
+        assert_eq!(*go.borrow(), [4_300]);
+        assert_eq!(*any.borrow(), [3_000], "a woken waiter is not parked again");
+    }
+
+    #[test]
+    fn a_wait_is_refused_while_the_volume_is_unreachable() {
+        let mut sim = Sim::new(1);
+        let nfs = NfsServer::new();
+        let vol = nfs.create_volume("job");
+        let m = nfs.mount(&vol).unwrap();
+        let woke = Rc::default();
+        nfs.set_available(false);
+        assert_eq!(
+            park_logged(&m, Some("data-loaded"), SimTime::ZERO, &woke),
+            Err(NfsError::Unavailable)
+        );
+        nfs.set_available(true);
+        m.write_file(&mut sim, "data-loaded", "loaded").unwrap();
+        sim.run_until_idle();
+        assert!(woke.borrow().is_empty(), "a refused wait parks nothing");
+
+        // Parked before the outage, a waiter sits it out and wakes on the
+        // first write after it.
+        park_logged(&m, Some("data-loaded"), SimTime::ZERO, &woke).unwrap();
+        nfs.set_available(false);
+        assert!(m.write_file(&mut sim, "data-loaded", "x").is_err());
+        sim.run_for(SimDuration::from_secs(5));
+        nfs.set_available(true);
+        assert!(woke.borrow().is_empty(), "a refused write wakes nobody");
+        m.remove(&mut sim, "data-loaded");
+        sim.run_until_idle();
+        assert_eq!(*woke.borrow(), [6_000]);
+    }
+
+    #[test]
+    fn a_deleted_volume_drops_its_waiters_and_its_contents() {
+        let mut sim = Sim::new(1);
+        let nfs = NfsServer::new();
+        let vol = nfs.create_volume("job");
+        let m = nfs.mount(&vol).unwrap();
+        m.append_line(&mut sim, "log", "a line").unwrap();
+        let woke = Rc::default();
+        park_logged(&m, None, SimTime::ZERO, &woke).unwrap();
+        // The waiter's closure owns the only other handle on `woke`.
+        assert_eq!(Rc::strong_count(&woke), 2);
+
+        assert!(nfs.delete_volume(&vol));
+        assert_eq!(Rc::strong_count(&woke), 1, "the waiter was dropped");
+        assert!(m.volume.borrow().files.is_empty(), "the contents too");
+        assert_eq!(
+            park_logged(&m, None, SimTime::ZERO, &woke),
+            Err(NfsError::NoSuchVolume("job".into()))
+        );
+        let again = nfs.mount(&nfs.create_volume("job")).unwrap();
+        again.write_file(&mut sim, "f", "x").unwrap();
+        assert_eq!(sim.run_until_idle(), 0, "nobody parked on the new volume");
+        assert_eq!(again.line_count("log"), 0);
+    }
+
+    #[test]
+    fn remove_of_nothing_wakes_nobody() {
+        let mut sim = Sim::new(1);
+        let nfs = NfsServer::new();
+        let m = nfs.mount(&nfs.create_volume("job")).unwrap();
+        let fired = Rc::new(Cell::new(0));
+        let f = fired.clone();
+        let grid = Grid::new(SimTime::ZERO, SimDuration::from_secs(1));
+        m.park(None, grid, move |_| f.set(f.get() + 1)).unwrap();
+        assert!(!m.remove(&mut sim, "ghost"));
+        sim.run_until_idle();
+        assert_eq!(fired.get(), 0);
     }
 
     #[test]
     fn lending_reads_count_like_copying_ones() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("v");
         let m = nfs.mount(&vol).unwrap();
-        m.append_line("log", "12345").unwrap();
-        m.append_line("log", "678").unwrap();
-        m.write_file("exit", "0").unwrap();
+        m.append_line(&mut sim, "log", "12345").unwrap();
+        m.append_line(&mut sim, "log", "678").unwrap();
+        m.write_file(&mut sim, "exit", "0").unwrap();
         let mut seen = Vec::new();
         let n = m
             .for_each_line_from("log", 1, |l| seen.push(l.to_owned()))
@@ -690,11 +965,12 @@ mod tests {
 
     #[test]
     fn stats_account_bytes() {
+        let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("v");
         let m = nfs.mount(&vol).unwrap();
-        m.append_line("log", "12345").unwrap(); // 6 bytes with newline
-        m.write_file("exit", "0").unwrap(); // 1 byte
+        m.append_line(&mut sim, "log", "12345").unwrap(); // 6 bytes with newline
+        m.write_file(&mut sim, "exit", "0").unwrap(); // 1 byte
         let _ = m.read_file("exit").unwrap();
         let _ = m.read_lines_from("log", 0).unwrap();
         let st = nfs.stats();

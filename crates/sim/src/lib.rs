@@ -9,6 +9,9 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond simulated time,
 //! * [`Sim`] — the event loop: schedule closures at future instants,
 //! * [`SimRng`] — seeded, forkable randomness (one seed ⇒ one execution),
+//! * [`Grid`] / [`DeadlineTimer`] — the instants a poller acts at, and a
+//!   resettable one-shot, for components that wait on an event instead of
+//!   polling for it,
 //! * [`Trace`] — the timeline of typed marks ([`Sim::mark`]) that explains
 //!   what happened to a job; off until a reader switches it on.
 //!
@@ -50,6 +53,7 @@
 mod kernel;
 mod rng;
 mod time;
+mod timer;
 mod trace;
 
 #[cfg(feature = "site-profile")]
@@ -57,6 +61,7 @@ pub use kernel::SiteCost;
 pub use kernel::{every, EventId, Sim, TimerHandle};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
+pub use timer::{DeadlineTimer, Grid};
 pub use trace::{Mark, Subject, Timeline, Trace, TRACE_RING};
 
 // Re-exported so downstream crates can instrument through `sim.metrics()`

@@ -1,18 +1,58 @@
-//! A resettable one-shot timer that costs no kernel event per reset.
+//! Timers that cost no event while nothing is due.
 //!
-//! A follower moves its election deadline on every AppendEntries — 20
-//! times a second per follower on an idle cluster. Scheduling a fresh
-//! kernel event each time and letting the superseded one fire as a no-op
-//! made stale election timers a fifth of all events of a quiescent
-//! platform. This timer keeps the deadline as data and at most one armed
-//! event: an event that fires before the deadline re-arms itself at it,
-//! and only a deadline moving *before* the armed event (a shorter random
-//! timeout was drawn) replaces the event.
+//! Two pieces, shared by every component that used to poll:
+//!
+//! * [`Grid`] — the instants a periodic poller acts at. A poller that
+//!   *parks* on the event it waits for instead of ticking wakes at the
+//!   grid instant its old poll would have acted at, so parking removes
+//!   only the polls that could not see a change.
+//! * [`DeadlineTimer`] — a resettable one-shot. A Raft follower moves its
+//!   election deadline on every AppendEntries — 10 times a second per
+//!   follower on an idle cluster. Scheduling a fresh kernel event each
+//!   time and letting the superseded one fire as a no-op made stale
+//!   election timers a fifth of all events of a quiescent platform. This
+//!   timer keeps the deadline as data and at most one armed event: an
+//!   event that fires before the deadline re-arms itself at it, and only
+//!   a deadline moving *before* the armed event replaces the event.
 
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 
-use dlaas_sim::{EventId, Sim, SimTime};
+use crate::{EventId, Sim, SimDuration, SimTime};
+
+/// The instants `origin + k·period`, `k ≥ 0`: when a poller started at
+/// `origin` with that period polls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Grid {
+    origin: SimTime,
+    period: SimDuration,
+}
+
+impl Grid {
+    /// The grid of a poller started at `origin`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    pub fn new(origin: SimTime, period: SimDuration) -> Self {
+        assert!(!period.is_zero(), "grid period must be positive");
+        Grid { origin, period }
+    }
+
+    /// The first instant of the grid at or after `t`.
+    pub fn at_or_after(&self, t: SimTime) -> SimTime {
+        let since = t.saturating_duration_since(self.origin).as_micros();
+        let period = self.period.as_micros();
+        self.origin + SimDuration::from_micros(since.div_ceil(period) * period)
+    }
+
+    /// The first instant of the grid strictly after `t`: when a poller
+    /// whose poll at or before `t` found nothing polls next.
+    pub fn after(&self, t: SimTime) -> SimTime {
+        self.at_or_after(t + SimDuration::from_micros(1))
+    }
+}
 
 #[derive(Default)]
 struct State {
@@ -21,10 +61,20 @@ struct State {
     armed: Option<(SimTime, EventId)>,
 }
 
-/// Handle to one timer. Cloning shares it.
+/// Handle to one resettable one-shot timer. Cloning shares it.
 #[derive(Clone, Default)]
-pub(crate) struct DeadlineTimer {
+pub struct DeadlineTimer {
     state: Rc<RefCell<State>>,
+}
+
+impl fmt::Debug for DeadlineTimer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let st = self.state.borrow();
+        f.debug_struct("DeadlineTimer")
+            .field("deadline", &st.deadline)
+            .field("armed", &st.armed.map(|(at, _)| at))
+            .finish()
+    }
 }
 
 impl DeadlineTimer {
@@ -33,12 +83,11 @@ impl DeadlineTimer {
     /// event armed for an earlier deadline is still pending, it carries
     /// its own callback on to the new deadline and `on_due` is dropped —
     /// every callback of one timer must therefore do the same thing.
-    pub(crate) fn set(
-        &self,
-        sim: &mut Sim,
-        deadline: SimTime,
-        on_due: impl FnOnce(&mut Sim) + 'static,
-    ) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `deadline` is in the past.
+    pub fn set(&self, sim: &mut Sim, deadline: SimTime, on_due: impl FnOnce(&mut Sim) + 'static) {
         let mut st = self.state.borrow_mut();
         st.deadline = deadline;
         match st.armed {
@@ -53,7 +102,7 @@ impl DeadlineTimer {
     }
 
     /// Disarms the timer; a pending callback never runs.
-    pub(crate) fn cancel(&self, sim: &mut Sim) {
+    pub fn cancel(&self, sim: &mut Sim) {
         if let Some((_, id)) = self.state.borrow_mut().armed.take() {
             sim.cancel(id);
         }
@@ -82,9 +131,23 @@ fn arm(state: Rc<RefCell<State>>, sim: &mut Sim, on_due: impl FnOnce(&mut Sim) +
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlaas_sim::SimDuration;
     use proptest::prelude::*;
     use std::cell::Cell;
+
+    #[test]
+    fn a_grid_keeps_its_phase() {
+        let grid = Grid::new(SimTime::from_millis(300), SimDuration::from_secs(1));
+        let at = |ms| grid.at_or_after(SimTime::from_millis(ms)).as_millis();
+        let after = |ms| grid.after(SimTime::from_millis(ms)).as_millis();
+        assert_eq!(
+            [at(0), at(300), at(301), at(1_300)],
+            [300, 300, 1_300, 1_300]
+        );
+        assert_eq!(
+            [after(0), after(300), after(1_299), after(1_300)],
+            [300, 1_300, 1_300, 2_300]
+        );
+    }
 
     /// What the model check drives: the real timer and its reference.
     trait Timer: Clone + Default + 'static {

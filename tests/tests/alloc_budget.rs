@@ -14,8 +14,8 @@
 //!   which must not depend on how large the job documents are — nor, for
 //!   a checker that saw them before, on how many there are,
 //! * what single periodic events allocate: a log flush (nothing that
-//!   grows with the log) and a controller tick that finds the volume
-//!   unchanged (nothing but its timer's next tick),
+//!   grows with the log) — and which helper events fire at all between
+//!   two learner reports (none that finds nothing to do),
 //! * what a *finished* job leaves allocated for good — its document, its
 //!   journal records, its logs, its share of every log and ring — which
 //!   is what a soak's memory grows by, and must not itself grow,
@@ -40,7 +40,7 @@ use dlaas_core::{
 };
 use dlaas_docstore::obj;
 use dlaas_integration::{boot, manifest, start_training, submit_blocking, KEY};
-use dlaas_sim::{Sim, SimDuration, SimTime};
+use dlaas_sim::{Sim, SimDuration};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -225,53 +225,72 @@ fn a_log_flush_allocates_for_its_new_lines_not_for_the_log() {
     assert!(late <= 287, "{late} bytes per log flush");
 }
 
+/// The site that scheduled the event [`step`] is about to run, read off
+/// the kernel's site profile (which must be on), and what it cost.
+fn step_at_site(sim: &mut Sim, platform: &DlaasPlatform) -> (&'static str, StepCost) {
+    let before = sim.site_costs();
+    let cost = step(sim, platform);
+    let site = sim
+        .site_costs()
+        .into_iter()
+        .find(|(site, now)| {
+            let was = before.iter().find(|(s, _)| s == site);
+            was.is_none_or(|(_, was)| was.events < now.events)
+        })
+        .map(|(site, _)| site)
+        .expect("the event counted against its site");
+    (site, cost)
+}
+
+/// Whether `site` is a closure of the helper pod's own (its containers
+/// schedule their ticks, waits and flushes in `helper.rs`; a timer or
+/// repeating loop names the closure it runs).
+fn helper_container(site: &str) -> bool {
+    let site = ["dlaas_sim::kernel::tick<", "dlaas_sim::timer::arm<"]
+        .iter()
+        .find_map(|wrapper| site.strip_prefix(wrapper))
+        .unwrap_or(site);
+    site.starts_with("dlaas_core::helper::")
+}
+
 #[test]
-fn a_controller_tick_on_an_unchanged_volume_reads_and_allocates_nothing() {
+fn between_two_learner_reports_the_helper_pod_only_reads_them() {
     let (mut sim, platform) = boot(1505);
     let job = start_training(&mut sim, &platform, "tick-cost", 2_000);
     sim.run_for(SimDuration::from_secs(30));
+    sim.profile_sites();
 
-    // The learner writes every two seconds, the controller polls every
-    // second: of any two consecutive ticks one finds the volume as the
-    // other left it. A tick that does read is the one event performing
-    // two NFS reads (restart counter and status); the pair wanted is
-    // such a tick and its successor with no write in between.
-    let next_tick: SimTime = loop {
-        if step(&mut sim, &platform).nfs_reads != 2 {
-            continue;
+    // The helper events between consecutive learner reports (each a
+    // status write and a log line), over ten reports.
+    let mut intervals: Vec<Vec<(&'static str, u64)>> = Vec::new();
+    let mut current = None;
+    while intervals.len() < 10 {
+        let (site, cost) = step_at_site(&mut sim, &platform);
+        if site.starts_with("dlaas_core::learner::Learner::tick") {
+            intervals.extend(current.replace(Vec::new()));
+        } else if let Some(events) = current.as_mut().filter(|_| helper_container(site)) {
+            events.push((site, cost.nfs_reads));
         }
-        let next_tick = sim.now() + config::CONTROLLER_POLL;
-        let writes = platform.nfs().stats().writes;
-        sim.run_until(next_tick - SimDuration::from_micros(1));
-        if platform.nfs().stats().writes == writes {
-            break next_tick;
-        }
-    };
-    // The helper pod's containers start together, so the controller's
-    // tick shares its instant with store-results' poll and, every other
-    // second, with the collector's flush (the one NFS read allowed
-    // here). Each of the others re-arms its timer and does nothing else.
-    let mut quiet_ticks = 0;
-    while sim.peek_time() == Some(next_tick) {
-        let cost = step(&mut sim, &platform);
-        if cost.nfs_reads == 1 {
-            continue;
-        }
-        assert_eq!(
-            cost.nfs_reads, 0,
-            "NFS reads by a controller tick on an unchanged volume"
-        );
-        // Measured 1 allocation, 296 bytes: the timer's next tick, which
-        // owns the controller's state. A tick that re-reads makes 8.
-        assert!(
-            cost.allocs <= 1 && cost.bytes <= 370,
-            "a tick on an unchanged volume made {} allocations, {} bytes",
-            cost.allocs,
-            cost.bytes
-        );
-        quiet_ticks += 1;
     }
-    assert!(quiet_ticks >= 2, "the controller ticks at {next_tick:?}");
+    // The writes wake the controller once, on its next poll instant, and
+    // it reads the two files it relays (restart counter and status); the
+    // collector's flush ships the new line. Nothing else of the helper
+    // pod runs: no store-results poll for a "go" nobody wrote, no
+    // controller tick on an unchanged volume. (Polling, the helper ran
+    // five events per report, three of them reading nothing.)
+    for events in &intervals {
+        let (flushes, others): (Vec<_>, Vec<_>) = events
+            .iter()
+            .partition(|(site, _)| site.contains("log_collector_behavior"));
+        assert!(
+            flushes.len() <= 1 && flushes.iter().all(|(_, reads)| *reads <= 1),
+            "log flushes between two reports: {flushes:?}"
+        );
+        assert!(
+            matches!(others[..], [(site, 2)] if site.contains("Controller")),
+            "helper events between two learner reports other than the log flush: {others:?}"
+        );
+    }
     assert_eq!(platform.job_status(&job), Some(JobStatus::Processing));
 }
 

@@ -1371,3 +1371,51 @@ fn helpers_that_outwait_an_nfs_outage_restart_instead_of_idling() {
     sim.run_for(config::LCM_SCAN * 6);
     check_invariants(&sim, &platform).assert_clean();
 }
+
+/// A wait must never be lost. store-results no longer ticks: it parks on
+/// the `store-go` marker and the controller's relay write wakes it on its
+/// next poll instant. If that poll meets an NFS outage it finds no marker
+/// and the volume refuses a new wait, so the container must poll its grid
+/// until the volume answers — the write that would wake it has already
+/// happened. A poller that dropped the refused wait left the job in
+/// STORING for good. The outage starts at the relay write itself, so it
+/// covers store-results' first poll after it.
+#[test]
+fn store_results_polls_through_an_outage_over_its_first_poll_after_storing() {
+    let (mut sim, platform) = boot(321);
+    sim.trace_mut().set_enabled(true);
+    let client = platform.client("itest", KEY);
+    let job = submit_blocking(&mut sim, &client, manifest("store-go-outage", 60));
+
+    let relayed = |platform: &DlaasPlatform| {
+        let nfs = platform.nfs();
+        nfs.find_volume(&paths::volume(&job))
+            .and_then(|vol| nfs.mount(&vol).ok())
+            .is_some_and(|mount| mount.exists(paths::NFS_STORE_GO))
+    };
+    let deadline = sim.now() + SimDuration::from_mins(30);
+    while !relayed(&platform) {
+        assert!(
+            sim.now() < deadline,
+            "{job} never reached the store-go relay"
+        );
+        sim.step();
+    }
+    nfs_outage_window(&mut sim, platform.nfs(), SimDuration::from_secs(5));
+    assert_eq!(platform.job_status(&job), Some(JobStatus::Storing));
+
+    let end = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Completed,
+        SimDuration::from_mins(10),
+    );
+    assert_eq!(
+        end,
+        Some(JobStatus::Completed),
+        "{job} stranded in STORING: store-results lost its wait\n{}",
+        sim.trace().of(job.as_str())
+    );
+    sim.run_for(config::LCM_SCAN * 6);
+    check_invariants(&sim, &platform).assert_clean();
+}
