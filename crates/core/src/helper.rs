@@ -915,12 +915,20 @@ mod tests {
         for _ in 0..40 {
             r.tick();
         }
+        // No tick for longer than the last put's retry budget: the value
+        // is owed, and no put of it is in flight.
+        r.sim.run_for(SimDuration::from_secs(20));
         let reads = r.reads();
         for id in down {
             r.etcd.restart(&mut r.sim, id);
         }
         r.etcd.expect_leader(&mut r.sim, SimDuration::from_secs(5));
-        assert_eq!(r.published().as_deref(), Some("PROCESSING iter=1"));
+        r.sim.run_for(SimDuration::from_secs(5));
+        assert_eq!(
+            r.published().as_deref(),
+            Some("PROCESSING iter=1"),
+            "nothing but a tick sends what is owed"
+        );
         r.tick();
         r.tick();
         assert_eq!(r.published().as_deref(), Some("COMPLETED"));

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
-use dlaas_sim::{Sim, SimRng, SimTime};
+use dlaas_sim::{Sim, SimDuration, SimRng, SimTime};
 
 use crate::{Addr, LatencyModel};
 
@@ -62,6 +62,9 @@ struct State<M> {
     groups: Vec<BTreeSet<Addr>>,
     rng: SimRng,
     stats: NetStats,
+    /// While the handler of a timed request ([`Net::send_exchange`]) runs:
+    /// the replier, the requester and the latency drawn for the answer.
+    reply: Option<(Addr, Addr, SimDuration)>,
 }
 
 impl<M> State<M> {
@@ -136,8 +139,10 @@ impl<M> fmt::Debug for Net<M> {
 
 impl<M: 'static> Net<M> {
     /// Creates a network with the given default latency model and no loss.
+    /// Each network of a world draws its latencies from a stream of its
+    /// own ([`Sim::fork_rng`]).
     pub fn new(sim: &mut Sim, latency: LatencyModel) -> Self {
-        let rng = sim.rng().fork("net");
+        let rng = sim.fork_rng("net");
         Net {
             state: Rc::new(RefCell::new(State {
                 endpoints: BTreeMap::new(),
@@ -147,6 +152,7 @@ impl<M: 'static> Net<M> {
                 groups: Vec::new(),
                 rng,
                 stats: NetStats::default(),
+                reply: None,
             })),
         }
     }
@@ -203,6 +209,12 @@ impl<M: 'static> Net<M> {
         self.state.borrow().latency.clone()
     }
 
+    /// Draws one latency of the current model from the caller's stream
+    /// (see [`Net::send_exchange`]).
+    pub fn draw_latency(&self, rng: &mut SimRng) -> SimDuration {
+        self.state.borrow().latency.sample(rng)
+    }
+
     /// Number of registered endpoints (leak diagnostics).
     pub fn endpoint_count(&self) -> usize {
         self.state.borrow().endpoints.len()
@@ -256,38 +268,86 @@ impl<M: 'static> Net<M> {
     /// The message is dropped (with the appropriate counter bumped) if the
     /// pair is partitioned at send time, the loss model fires, or the
     /// receiver is down/unregistered at delivery time.
+    ///
+    /// Inside the handler of a request sent with [`Net::send_exchange`],
+    /// the first message back to the requester is its reply and travels
+    /// on the latency drawn for it then.
     pub fn send(&self, sim: &mut Sim, from: Addr, to: Addr, msg: M) {
-        let delay = {
-            let mut s = self.state.borrow_mut();
-            s.stats.sent += 1;
-            if s.partitioned(&from, &to) {
-                s.stats.dropped_partition += 1;
-                return;
-            }
-            let loss = s.loss;
-            if loss > 0.0 && s.rng.chance(loss) {
-                s.stats.dropped_loss += 1;
-                return;
-            }
-            let model = s.latency.clone();
-            model.sample(&mut s.rng)
+        let Some(delay) = self.admit(&from, &to, None) else {
+            return;
         };
         let net = self.clone();
         let sent_at = sim.now();
         sim.schedule_in(delay, move |sim| {
-            net.deliver(
-                sim,
-                Envelope {
-                    from,
-                    to,
-                    sent_at,
-                    msg,
-                },
-            );
+            let env = Envelope {
+                from,
+                to,
+                sent_at,
+                msg,
+            };
+            net.deliver(sim, env, None);
         });
     }
 
-    fn deliver(&self, sim: &mut Sim, env: Envelope<M>) {
+    /// Sends a request whose round trip is drawn up front, from the
+    /// caller's own stream ([`Net::draw_latency`]): it arrives `there`
+    /// after now, and the receiver's reply (see [`Net::send`]) takes
+    /// `back`. Drops and counters are those of [`Net::send`].
+    pub fn send_exchange(
+        &self,
+        sim: &mut Sim,
+        from: Addr,
+        to: Addr,
+        msg: M,
+        there: SimDuration,
+        back: SimDuration,
+    ) {
+        let Some(there) = self.admit(&from, &to, Some(there)) else {
+            return;
+        };
+        let net = self.clone();
+        let sent_at = sim.now();
+        sim.schedule_in(there, move |sim| {
+            let env = Envelope {
+                from,
+                to,
+                sent_at,
+                msg,
+            };
+            net.deliver(sim, env, Some(back));
+        });
+    }
+
+    /// Counts a message `from → to` sent and returns its latency, or
+    /// `None` when the pair is partitioned or the loss model fires. The
+    /// latency is `drawn` when the caller drew it, the one drawn for this
+    /// message when it is the reply to a timed request, and a sample of
+    /// the model from the network's stream otherwise.
+    fn admit(&self, from: &Addr, to: &Addr, drawn: Option<SimDuration>) -> Option<SimDuration> {
+        let mut s = self.state.borrow_mut();
+        let drawn = drawn.or_else(|| match &s.reply {
+            Some((replier, requester, _)) if replier == from && requester == to => {
+                s.reply.take().map(|(_, _, back)| back)
+            }
+            _ => None,
+        });
+        s.stats.sent += 1;
+        if s.partitioned(from, to) {
+            s.stats.dropped_partition += 1;
+            return None;
+        }
+        let loss = s.loss;
+        if loss > 0.0 && s.rng.chance(loss) {
+            s.stats.dropped_loss += 1;
+            return None;
+        }
+        Some(drawn.unwrap_or_else(|| {
+            let model = s.latency.clone();
+            model.sample(&mut s.rng)
+        }))
+    }
+
+    fn deliver(&self, sim: &mut Sim, env: Envelope<M>, back: Option<SimDuration>) {
         let handler = {
             let mut s = self.state.borrow_mut();
             // A partition installed while the message was in flight also
@@ -303,6 +363,9 @@ impl<M: 'static> Net<M> {
             match handler {
                 Some(h) => {
                     s.stats.delivered += 1;
+                    if let Some(back) = back {
+                        s.reply = Some((env.to.clone(), env.from.clone(), back));
+                    }
                     h
                 }
                 None => {
@@ -312,6 +375,9 @@ impl<M: 'static> Net<M> {
             }
         };
         handler(sim, env);
+        if back.is_some() {
+            self.state.borrow_mut().reply = None;
+        }
     }
 }
 
@@ -493,6 +559,57 @@ mod tests {
             LatencyModel::Fixed(d) => assert_eq!(d, SimDuration::from_millis(1)),
             other => panic!("unexpected model: {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_exchange_travels_on_its_drawn_latencies_both_ways() {
+        let mut sim = Sim::new(1);
+        let net = fixed_net(&mut sim, 1);
+        let replier = net.clone();
+        net.register(Addr::new("b"), move |sim, env| {
+            // The reply, then a second message that is no reply.
+            replier.send(sim, env.to.clone(), env.from.clone(), env.msg + 1);
+            replier.send(sim, env.to.clone(), env.from.clone(), env.msg + 2);
+        });
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let s = seen.clone();
+        net.register(Addr::new("a"), move |sim, env| {
+            s.borrow_mut().push((sim.now().as_millis(), env.msg));
+        });
+        let ms = SimDuration::from_millis;
+        net.send_exchange(&mut sim, Addr::new("a"), Addr::new("b"), 10, ms(5), ms(7));
+        sim.run_until_idle();
+        assert_eq!(*seen.borrow(), vec![(6, 12), (12, 11)]);
+        // A plain request's reply samples the model.
+        net.send(&mut sim, Addr::new("a"), Addr::new("b"), 20);
+        sim.run_until_idle();
+        assert_eq!(seen.borrow()[2..], [(14, 21), (14, 22)]);
+        assert_eq!(net.stats().sent, 6);
+    }
+
+    #[test]
+    fn two_networks_of_one_world_draw_independent_latencies() {
+        let mut sim = Sim::new(9);
+        let arrivals = |sim: &mut Sim| {
+            let net: Net<u32> = Net::new(sim, LatencyModel::datacenter());
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let s = seen.clone();
+            net.register(Addr::new("b"), move |sim, env| {
+                s.borrow_mut().push(sim.now() - env.sent_at);
+            });
+            for i in 0..20 {
+                net.send(sim, Addr::new("a"), Addr::new("b"), i);
+            }
+            sim.run_until_idle();
+            seen.take()
+        };
+        let first = arrivals(&mut sim);
+        let second = arrivals(&mut sim);
+        assert_eq!(first.len(), 20);
+        assert_ne!(
+            first, second,
+            "the k-th message of each network got the same delay"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use dlaas_net::{Addr, Net};
-use dlaas_sim::{DeadlineTimer, Sim, SimRng, SimTime};
+use dlaas_sim::{DeadlineTimer, Sim, SimDuration, SimRng, SimTime};
 
 use crate::types::{
     LogEntry, LogIndex, NodeId, PersistentState, RaftConfig, RaftMsg, Role, Snapshot, Term,
@@ -99,7 +99,17 @@ struct NodeState<C> {
     pending_reads: Vec<PendingRead>,
     apply: ApplyFn<C>,
     hooks: Option<SnapshotHooks>,
+    /// This term's (and role's) election timeout, drawn once per term or
+    /// role change, as etcd's `resetRandomizedElectionTimeout` does.
+    timeout: SimDuration,
+    /// When the current term or role began, or the leader was last heard
+    /// from (a granted vote counts): the election deadline is
+    /// `heard + timeout`.
+    heard: SimTime,
     rng: SimRng,
+    /// One latency stream per link to each peer (indexed by peer id):
+    /// the heartbeat tick draws both legs of its exchange from it.
+    links: Vec<SimRng>,
     // Counters for tests/benches.
     elections_started: u64,
     terms_led: u64,
@@ -204,7 +214,10 @@ impl<C: Clone + 'static> Raft<C> {
     ) -> Self {
         config.validate().expect("invalid raft config");
         assert!(id < cluster_size, "node id out of range");
-        let rng = sim.rng().fork(&format!("raft-{id}"));
+        let rng = sim.fork_rng(&format!("raft-{id}"));
+        let links = (0..cluster_size)
+            .map(|p| sim.fork_rng(&format!("raft-{id}/link-{p}")))
+            .collect();
         let node = Raft {
             inner: Rc::new(RefCell::new(NodeState {
                 id,
@@ -226,7 +239,10 @@ impl<C: Clone + 'static> Raft<C> {
                 pending_reads: Vec::new(),
                 apply,
                 hooks,
+                timeout: SimDuration::ZERO,
+                heard: SimTime::ZERO,
                 rng,
+                links,
                 elections_started: 0,
                 terms_led: 0,
             })),
@@ -443,15 +459,37 @@ impl<C: Clone + 'static> Raft<C> {
     // Timers
     // ------------------------------------------------------------------
 
+    /// A term or role change: draws the epoch's election timeout and
+    /// counts it from now.
     fn reset_election_timer(&self, sim: &mut Sim) {
-        let delay = {
+        let deadline = {
             let mut s = self.inner.borrow_mut();
             let lo = s.config.election_timeout_min;
             let hi = s.config.election_timeout_max;
-            s.rng.duration_between(lo, hi)
+            s.timeout = s.rng.duration_between(lo, hi);
+            s.heard = sim.now();
+            s.heard + s.timeout
         };
+        self.arm_election_timer(sim, deadline);
+    }
+
+    /// The leader was heard from (or a vote granted) within the term: the
+    /// deadline moves to now plus the term's timeout, never earlier, so
+    /// two contacts land on the same deadline in either order.
+    fn heard_from_leader(&self, sim: &mut Sim) {
+        let deadline = {
+            let mut s = self.inner.borrow_mut();
+            s.heard = sim.now();
+            s.heard + s.timeout
+        };
+        if !self.election.postpone(deadline) {
+            self.arm_election_timer(sim, deadline);
+        }
+    }
+
+    fn arm_election_timer(&self, sim: &mut Sim, deadline: SimTime) {
         let me = self.clone();
-        self.election.set(sim, sim.now() + delay, move |sim| {
+        self.election.set(sim, deadline, move |sim| {
             let fire = {
                 let s = me.inner.borrow();
                 s.alive && s.role != Role::Leader
@@ -621,20 +659,44 @@ impl<C: Clone + 'static> Raft<C> {
                 .collect()
         };
         for p in peers {
-            self.send_append_to(sim, p);
+            self.send_heartbeat_to(sim, p);
         }
     }
 
+    /// The tick's message to `peer`. Both legs of its exchange, there and
+    /// back, are drawn now from the link's own stream, so they do not
+    /// depend on what else the network carries meanwhile.
+    fn send_heartbeat_to(&self, sim: &mut Sim, peer: NodeId) {
+        let Some(msg) = self.prepare_append(sim, peer) else {
+            return;
+        };
+        let (there, back) = {
+            let mut s = self.inner.borrow_mut();
+            let link = &mut s.links[peer as usize];
+            (self.net.draw_latency(link), self.net.draw_latency(link))
+        };
+        self.net
+            .send_exchange(sim, self.addr.clone(), self.peer(peer), msg, there, back);
+    }
+
     fn send_append_to(&self, sim: &mut Sim, peer: NodeId) {
+        if let Some(msg) = self.prepare_append(sim, peer) {
+            self.net.send(sim, self.addr.clone(), self.peer(peer), msg);
+        }
+    }
+
+    /// What `peer` needs next — entries from its `next_index`, or the
+    /// snapshot when they were compacted away — recorded as sent.
+    fn prepare_append(&self, sim: &mut Sim, peer: NodeId) -> Option<RaftMsg<C>> {
         let msg = {
             let s = self.inner.borrow();
             if s.role != Role::Leader || !s.alive {
-                return;
+                return None;
             }
             let disk = s.disk.borrow();
             let next = *s.next_index.get(&peer).unwrap_or(&(disk.last_index() + 1));
             if next > disk.last_index() + 1 {
-                return; // nothing new for this peer
+                return None; // nothing new for this peer
             }
             let prev_index = next - 1;
             if next < disk.first_index() {
@@ -685,7 +747,7 @@ impl<C: Clone + 'static> Raft<C> {
                 s.next_index.insert(peer, through + 1);
             }
         }
-        self.net.send(sim, self.addr.clone(), self.peer(peer), msg);
+        Some(msg)
     }
 
     fn maybe_advance_commit(&self, sim: &mut Sim) {
@@ -893,7 +955,7 @@ impl<C: Clone + 'static> Raft<C> {
             self.step_down(sim, term, Some(leader));
         } else {
             self.inner.borrow_mut().leader_hint = Some(leader);
-            self.reset_election_timer(sim);
+            self.heard_from_leader(sim);
         }
 
         let acked = snapshot.last_index;
@@ -1003,7 +1065,7 @@ impl<C: Clone + 'static> Raft<C> {
         };
         if granted {
             self.inner.borrow().disk.borrow_mut().voted_for = Some(candidate);
-            self.reset_election_timer(sim);
+            self.heard_from_leader(sim);
         }
         let from = self.id();
         self.net.send(
@@ -1070,7 +1132,7 @@ impl<C: Clone + 'static> Raft<C> {
             self.step_down(sim, term, Some(leader));
         } else {
             self.inner.borrow_mut().leader_hint = Some(leader);
-            self.reset_election_timer(sim);
+            self.heard_from_leader(sim);
         }
 
         let (success, match_index) = {

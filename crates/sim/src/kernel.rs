@@ -366,6 +366,8 @@ pub struct Sim {
     next_id: u64,
     live: LiveSet,
     rng: SimRng,
+    /// How many streams [`Sim::fork_rng`] has handed out per label.
+    forks: BTreeMap<String, u32>,
     trace: Trace,
     metrics: Registry,
     executed: u64,
@@ -398,6 +400,7 @@ impl Sim {
                 reason = "the root stream of the world, seeded from the run seed; everything else forks from it"
             )]
             rng: SimRng::new(seed),
+            forks: BTreeMap::new(),
             // Off until a reader asks (`sim.trace_mut().set_enabled(true)`).
             trace: Trace::default(),
             metrics: Registry::new(),
@@ -459,6 +462,22 @@ impl Sim {
     /// construction instead of drawing from the root on every call.
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.rng
+    }
+
+    /// A stream of its own for one component of this world, keyed by
+    /// `label`. [`SimRng::fork`] depends only on the root seed and the
+    /// label, so two components built alike — two networks, two
+    /// clusters' nodes — would replay one sequence. Here the first fork
+    /// of a label is `rng().fork(label)` and the n-th (n ≥ 2) is keyed
+    /// `label#n`: each instance draws independently, and the streams
+    /// depend only on the order the world builds its components in.
+    pub fn fork_rng(&mut self, label: &str) -> SimRng {
+        let n = self.forks.entry(label.to_owned()).or_insert(0);
+        *n += 1;
+        match *n {
+            1 => self.rng.fork(label),
+            n => self.rng.fork(&format!("{label}#{n}")),
+        }
     }
 
     /// The timeline of marks.
@@ -850,6 +869,22 @@ mod tests {
         }
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
+    }
+
+    #[test]
+    fn a_repeated_fork_label_gets_a_stream_of_its_own() {
+        let mut sim = Sim::new(5);
+        let first = sim.fork_rng("net").next_u64();
+        let second = sim.fork_rng("net").next_u64();
+        assert_eq!(
+            first,
+            sim.rng().fork("net").next_u64(),
+            "first is the plain fork"
+        );
+        assert_ne!(first, second);
+        assert_eq!(second, sim.rng().fork("net#2").next_u64());
+        // Per world: a fresh world starts counting again.
+        assert_eq!(Sim::new(5).fork_rng("net").next_u64(), first);
     }
 
     #[test]

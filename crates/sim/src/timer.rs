@@ -6,14 +6,16 @@
 //!   *parks* on the event it waits for instead of ticking wakes at the
 //!   grid instant its old poll would have acted at, so parking removes
 //!   only the polls that could not see a change.
-//! * [`DeadlineTimer`] — a resettable one-shot. A Raft follower moves its
-//!   election deadline on every AppendEntries — 10 times a second per
-//!   follower on an idle cluster. Scheduling a fresh kernel event each
-//!   time and letting the superseded one fire as a no-op made stale
-//!   election timers a fifth of all events of a quiescent platform. This
-//!   timer keeps the deadline as data and at most one armed event: an
-//!   event that fires before the deadline re-arms itself at it, and only
-//!   a deadline moving *before* the armed event replaces the event.
+//! * [`DeadlineTimer`] — a resettable one-shot. A Raft follower's election
+//!   deadline moves later each time it hears from its leader, and is
+//!   drawn afresh on a term or role change. Scheduling a fresh kernel
+//!   event per move and letting the superseded one fire as a no-op made
+//!   stale election timers a fifth of all events of a quiescent platform.
+//!   This timer keeps the deadline as data and at most one armed event:
+//!   an event that fires before the deadline re-arms itself at it, only a
+//!   deadline moving *before* the armed event replaces the event, and
+//!   [`DeadlineTimer::postpone`] moves it later with no event at all — the
+//!   way a settled keep-alive (DESIGN.md §5) reaches a follower.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -106,6 +108,26 @@ impl DeadlineTimer {
         if let Some((_, id)) = self.state.borrow_mut().armed.take() {
             sim.cancel(id);
         }
+    }
+
+    /// The instant the pending callback runs at, `None` when nothing is
+    /// armed (cancelled, or already fired).
+    pub fn deadline(&self) -> Option<SimTime> {
+        let st = self.state.borrow();
+        st.armed.map(|_| st.deadline)
+    }
+
+    /// Moves an armed timer's deadline to `to` if that is later, and
+    /// never earlier. Costs no event: the armed one already lies at or
+    /// before the old deadline and re-arms itself when it fires. Returns
+    /// `false`, changing nothing, when no callback is armed.
+    pub fn postpone(&self, to: SimTime) -> bool {
+        let mut st = self.state.borrow_mut();
+        if st.armed.is_none() {
+            return false;
+        }
+        st.deadline = st.deadline.max(to);
+        true
     }
 }
 
@@ -285,5 +307,24 @@ mod tests {
         assert_eq!(fired.get(), 0);
         sim.run_for(SimDuration::from_millis(200));
         assert_eq!(fired.get(), 1);
+    }
+
+    #[test]
+    fn a_postponed_deadline_is_read_back_and_costs_no_event() {
+        let mut sim = Sim::new(1);
+        let timer = DeadlineTimer::default();
+        assert!(!timer.postpone(SimTime::from_secs(1)), "nothing armed");
+        let fired = Rc::new(Cell::new(None));
+        let f = fired.clone();
+        timer.set(&mut sim, SimTime::from_millis(100), move |sim| {
+            f.set(Some(sim.now()));
+        });
+        assert!(timer.postpone(SimTime::from_millis(300)));
+        assert!(timer.postpone(SimTime::from_millis(200)), "never earlier");
+        assert_eq!(timer.deadline(), Some(SimTime::from_millis(300)));
+        assert_eq!(sim.events_pending(), 1);
+        sim.run_until_idle();
+        assert_eq!(fired.get(), Some(SimTime::from_millis(300)));
+        assert_eq!(timer.deadline(), None, "fired");
     }
 }
