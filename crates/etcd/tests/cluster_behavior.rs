@@ -573,10 +573,13 @@ fn lost_watch_cancel_is_redelivered_after_partition_heals() {
     // — its watch registry (including our registration) stays live.
     let leader = etcd.leader_id().unwrap();
     let isolated = (0..3).find(|i| *i != leader).unwrap();
-    etcd.rpc().net().partition(vec![
-        vec![watcher.addr().clone()],
-        vec![dlaas_etcd::etcd_addr(isolated)],
-    ]);
+    etcd.rpc().net().partition(
+        &mut sim,
+        vec![
+            vec![watcher.addr().clone()],
+            vec![dlaas_etcd::etcd_addr(isolated)],
+        ],
+    );
 
     // The cancel reaches every server except the isolated one.
     watcher.unwatch(&mut sim, id);
@@ -608,7 +611,7 @@ fn lost_watch_cancel_is_redelivered_after_partition_heals() {
 
     // Heal; the next rewatch (the guardian runs one periodically) flushes
     // the un-acked cancel to the previously unreachable server.
-    etcd.rpc().net().heal();
+    etcd.rpc().net().heal(&mut sim);
     watcher.rewatch(&mut sim);
     sim.run_for(SimDuration::from_secs(2));
     assert_eq!(

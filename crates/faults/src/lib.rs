@@ -182,11 +182,11 @@ pub fn partition_window<M: 'static>(
     duration: SimDuration,
 ) {
     sim.mark("faults", "net", "partition", duration.as_micros());
-    net.partition(groups);
+    net.partition(sim, groups);
     let net = net.clone();
     sim.schedule_in(duration, move |sim| {
         sim.mark("faults", "net", "partition-healed", 0);
-        net.heal();
+        net.heal(sim);
     });
 }
 
@@ -200,11 +200,11 @@ pub fn latency_window<M: 'static>(
 ) {
     let restore = net.latency();
     sim.mark("faults", "net", "latency-degraded", duration.as_micros());
-    net.set_latency(model);
+    net.set_latency(sim, model);
     let net = net.clone();
     sim.schedule_in(duration, move |sim| {
         sim.mark("faults", "net", "latency-restored", 0);
-        net.set_latency(restore);
+        net.set_latency(sim, restore);
     });
 }
 

@@ -49,6 +49,9 @@ pub struct NetStats {
 
 type Handler<M> = Rc<dyn Fn(&mut Sim, Envelope<M>)>;
 
+/// What [`Net::on_rule_change`] installs.
+type Hook = Rc<dyn Fn(&mut Sim)>;
+
 struct Endpoint<M> {
     handler: Handler<M>,
     up: bool,
@@ -65,6 +68,7 @@ struct State<M> {
     /// While the handler of a timed request ([`Net::send_exchange`]) runs:
     /// the replier, the requester and the latency drawn for the answer.
     reply: Option<(Addr, Addr, SimDuration)>,
+    on_rule_change: Option<Hook>,
 }
 
 impl<M> State<M> {
@@ -153,6 +157,7 @@ impl<M: 'static> Net<M> {
                 rng,
                 stats: NetStats::default(),
                 reply: None,
+                on_rule_change: None,
             })),
         }
     }
@@ -177,10 +182,11 @@ impl<M: 'static> Net<M> {
     /// Marks an endpoint up or down without removing its handler. Messages
     /// to a down endpoint are dropped at delivery time (a crashed process
     /// does not receive traffic).
-    pub fn set_up(&self, addr: &Addr, up: bool) {
+    pub fn set_up(&self, sim: &mut Sim, addr: &Addr, up: bool) {
         if let Some(ep) = self.state.borrow_mut().endpoints.get_mut(addr) {
             ep.up = up;
         }
+        self.rules_changed(sim);
     }
 
     /// `true` if `addr` is registered and up.
@@ -193,15 +199,17 @@ impl<M: 'static> Net<M> {
     }
 
     /// Sets the probability in `[0, 1]` that any message is silently lost.
-    pub fn set_loss(&self, p: f64) {
+    pub fn set_loss(&self, sim: &mut Sim, p: f64) {
         self.state.borrow_mut().loss = p.clamp(0.0, 1.0);
+        self.rules_changed(sim);
     }
 
     /// Replaces the latency model for all messages sent from now on.
     /// Messages already in flight keep their sampled delay (fault windows
     /// degrade new traffic, they do not rewrite history).
-    pub fn set_latency(&self, model: LatencyModel) {
+    pub fn set_latency(&self, sim: &mut Sim, model: LatencyModel) {
         self.state.borrow_mut().latency = model;
+        self.rules_changed(sim);
     }
 
     /// The current latency model (so a fault window can restore it).
@@ -228,34 +236,68 @@ impl<M: 'static> Net<M> {
     }
 
     /// Blocks traffic in **both** directions between `a` and `b`.
-    pub fn block_pair(&self, a: Addr, b: Addr) {
-        let mut s = self.state.borrow_mut();
-        s.blocked_pairs.insert((a.clone(), b.clone()));
-        s.blocked_pairs.insert((b, a));
+    pub fn block_pair(&self, sim: &mut Sim, a: Addr, b: Addr) {
+        {
+            let mut s = self.state.borrow_mut();
+            s.blocked_pairs.insert((a.clone(), b.clone()));
+            s.blocked_pairs.insert((b, a));
+        }
+        self.rules_changed(sim);
     }
 
     /// Removes a pairwise block installed by [`Net::block_pair`].
-    pub fn unblock_pair(&self, a: &Addr, b: &Addr) {
-        let mut s = self.state.borrow_mut();
-        s.blocked_pairs.remove(&(a.clone(), b.clone()));
-        s.blocked_pairs.remove(&(b.clone(), a.clone()));
+    pub fn unblock_pair(&self, sim: &mut Sim, a: &Addr, b: &Addr) {
+        {
+            let mut s = self.state.borrow_mut();
+            s.blocked_pairs.remove(&(a.clone(), b.clone()));
+            s.blocked_pairs.remove(&(b.clone(), a.clone()));
+        }
+        self.rules_changed(sim);
     }
 
     /// Installs a group partition: traffic between addresses in different
     /// groups is blocked; addresses not mentioned are unaffected. Replaces
     /// any previous group partition.
-    pub fn partition(&self, groups: Vec<Vec<Addr>>) {
+    pub fn partition(&self, sim: &mut Sim, groups: Vec<Vec<Addr>>) {
         self.state.borrow_mut().groups = groups
             .into_iter()
             .map(|g| g.into_iter().collect())
             .collect();
+        self.rules_changed(sim);
     }
 
     /// Removes the group partition and all pairwise blocks.
-    pub fn heal(&self) {
-        let mut s = self.state.borrow_mut();
-        s.groups.clear();
-        s.blocked_pairs.clear();
+    pub fn heal(&self, sim: &mut Sim) {
+        {
+            let mut s = self.state.borrow_mut();
+            s.groups.clear();
+            s.blocked_pairs.clear();
+        }
+        self.rules_changed(sim);
+    }
+
+    /// `true` while nothing but a down endpoint can stop a message: no
+    /// partition, no blocked pair, no loss.
+    pub fn is_open(&self) -> bool {
+        let s = self.state.borrow();
+        s.groups.is_empty() && s.blocked_pairs.is_empty() && s.loss == 0.0
+    }
+
+    /// Installs the one callback every mutator of the network's rules —
+    /// [`Net::set_up`], [`Net::set_loss`], [`Net::set_latency`],
+    /// [`Net::block_pair`], [`Net::unblock_pair`], [`Net::partition`],
+    /// [`Net::heal`] — runs once the change is made. A component that
+    /// settled exchanges under the old rules puts them back on the wire
+    /// here ([`Net::resume_request`]).
+    pub fn on_rule_change(&self, hook: impl Fn(&mut Sim) + 'static) {
+        self.state.borrow_mut().on_rule_change = Some(Rc::new(hook));
+    }
+
+    fn rules_changed(&self, sim: &mut Sim) {
+        let hook = self.state.borrow().on_rule_change.clone();
+        if let Some(hook) = hook {
+            hook(sim);
+        }
     }
 
     /// Activity counters.
@@ -316,6 +358,47 @@ impl<M: 'static> Net<M> {
             };
             net.deliver(sim, env, Some(back));
         });
+    }
+
+    /// Counts an exchange its sender settled without the wire — a request
+    /// and its reply, each sent and delivered — as [`Net::send_exchange`]
+    /// would have by the time the reply landed. Sound only while the
+    /// network [`is_open`](Net::is_open) and both ends are up; a sender
+    /// whose exchange is still in flight when a rule changes
+    /// ([`Net::on_rule_change`]) puts it back on the wire.
+    pub fn count_settled_exchange(&self) {
+        let mut s = self.state.borrow_mut();
+        s.stats.sent += 2;
+        s.stats.delivered += 2;
+    }
+
+    /// Puts a settled exchange whose request has not arrived back on the
+    /// wire: `request` is delivered at `arrives`, and its receiver's reply
+    /// takes `back`, as under [`Net::send_exchange`]. The delivery and
+    /// the reply are counted again when they happen.
+    pub fn resume_request(
+        &self,
+        sim: &mut Sim,
+        request: Envelope<M>,
+        arrives: SimTime,
+        back: SimDuration,
+    ) {
+        {
+            let mut s = self.state.borrow_mut();
+            s.stats.sent -= 1;
+            s.stats.delivered -= 2;
+        }
+        let net = self.clone();
+        sim.schedule_at(arrives, move |sim| net.deliver(sim, request, Some(back)));
+    }
+
+    /// Puts the reply of a settled exchange, sent when its request
+    /// arrived, back on the wire: it is delivered at `arrives`, and
+    /// counted again then.
+    pub fn resume_reply(&self, sim: &mut Sim, reply: Envelope<M>, arrives: SimTime) {
+        self.state.borrow_mut().stats.delivered -= 1;
+        let net = self.clone();
+        sim.schedule_at(arrives, move |sim| net.deliver(sim, reply, None));
     }
 
     /// Counts a message `from → to` sent and returns its latency, or
@@ -424,13 +507,13 @@ mod tests {
         let mut sim = Sim::new(1);
         let net = fixed_net(&mut sim, 1);
         let seen = collector(&net, "b");
-        net.set_up(&Addr::new("b"), false);
+        net.set_up(&mut sim, &Addr::new("b"), false);
         assert!(!net.is_up(&Addr::new("b")));
         net.send(&mut sim, Addr::new("a"), Addr::new("b"), 1);
         sim.run_until_idle();
         assert!(seen.borrow().is_empty());
 
-        net.set_up(&Addr::new("b"), true);
+        net.set_up(&mut sim, &Addr::new("b"), true);
         net.send(&mut sim, Addr::new("a"), Addr::new("b"), 2);
         sim.run_until_idle();
         assert_eq!(*seen.borrow(), vec![2]);
@@ -444,8 +527,8 @@ mod tests {
         net.send(&mut sim, Addr::new("a"), Addr::new("b"), 7);
         // The endpoint goes down while the message is in flight.
         let net2 = net.clone();
-        sim.schedule_in(SimDuration::from_millis(5), move |_| {
-            net2.set_up(&Addr::new("b"), false);
+        sim.schedule_in(SimDuration::from_millis(5), move |sim| {
+            net2.set_up(sim, &Addr::new("b"), false);
         });
         sim.run_until_idle();
         assert!(seen.borrow().is_empty());
@@ -457,7 +540,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let net = fixed_net(&mut sim, 1);
         let seen = collector(&net, "b");
-        net.set_loss(1.0);
+        net.set_loss(&mut sim, 1.0);
         for i in 0..10 {
             net.send(&mut sim, Addr::new("a"), Addr::new("b"), i);
         }
@@ -471,7 +554,7 @@ mod tests {
         let mut sim = Sim::new(2);
         let net = fixed_net(&mut sim, 1);
         let seen = collector(&net, "b");
-        net.set_loss(0.5);
+        net.set_loss(&mut sim, 0.5);
         for i in 0..200 {
             net.send(&mut sim, Addr::new("a"), Addr::new("b"), i);
         }
@@ -486,14 +569,14 @@ mod tests {
         let net = fixed_net(&mut sim, 1);
         let sa = collector(&net, "a");
         let sb = collector(&net, "b");
-        net.block_pair(Addr::new("a"), Addr::new("b"));
+        net.block_pair(&mut sim, Addr::new("a"), Addr::new("b"));
         net.send(&mut sim, Addr::new("a"), Addr::new("b"), 1);
         net.send(&mut sim, Addr::new("b"), Addr::new("a"), 2);
         sim.run_until_idle();
         assert!(sa.borrow().is_empty() && sb.borrow().is_empty());
         assert_eq!(net.stats().dropped_partition, 2);
 
-        net.unblock_pair(&Addr::new("a"), &Addr::new("b"));
+        net.unblock_pair(&mut sim, &Addr::new("a"), &Addr::new("b"));
         net.send(&mut sim, Addr::new("a"), Addr::new("b"), 3);
         sim.run_until_idle();
         assert_eq!(*sb.borrow(), vec![3]);
@@ -506,10 +589,10 @@ mod tests {
         let sa = collector(&net, "a");
         let sb = collector(&net, "b");
         let sc = collector(&net, "c");
-        net.partition(vec![
-            vec![Addr::new("a"), Addr::new("b")],
-            vec![Addr::new("c")],
-        ]);
+        net.partition(
+            &mut sim,
+            vec![vec![Addr::new("a"), Addr::new("b")], vec![Addr::new("c")]],
+        );
         net.send(&mut sim, Addr::new("a"), Addr::new("b"), 1); // same group
         net.send(&mut sim, Addr::new("a"), Addr::new("c"), 2); // cross group
         net.send(&mut sim, Addr::new("c"), Addr::new("a"), 3); // cross group
@@ -520,7 +603,7 @@ mod tests {
         assert!(sc.borrow().is_empty());
         assert_eq!(*sa.borrow(), vec![4]);
 
-        net.heal();
+        net.heal(&mut sim);
         net.send(&mut sim, Addr::new("a"), Addr::new("c"), 5);
         sim.run_until_idle();
         assert_eq!(*sc.borrow(), vec![5]);
@@ -533,8 +616,8 @@ mod tests {
         let seen = collector(&net, "b");
         net.send(&mut sim, Addr::new("a"), Addr::new("b"), 1);
         let net2 = net.clone();
-        sim.schedule_in(SimDuration::from_millis(3), move |_| {
-            net2.partition(vec![vec![Addr::new("a")], vec![Addr::new("b")]]);
+        sim.schedule_in(SimDuration::from_millis(3), move |sim| {
+            net2.partition(sim, vec![vec![Addr::new("a")], vec![Addr::new("b")]]);
         });
         sim.run_until_idle();
         assert!(seen.borrow().is_empty());
@@ -546,7 +629,7 @@ mod tests {
         let net = fixed_net(&mut sim, 1);
         let seen = collector(&net, "b");
         net.send(&mut sim, Addr::new("a"), Addr::new("b"), 1); // 1 ms
-        net.set_latency(LatencyModel::Fixed(SimDuration::from_millis(50)));
+        net.set_latency(&mut sim, LatencyModel::Fixed(SimDuration::from_millis(50)));
         net.send(&mut sim, Addr::new("a"), Addr::new("b"), 2); // 50 ms
         sim.run_until(dlaas_sim::SimTime::from_millis(10));
         assert_eq!(*seen.borrow(), vec![1], "in-flight kept its old delay");
@@ -554,7 +637,7 @@ mod tests {
         assert_eq!(*seen.borrow(), vec![1, 2]);
         assert_eq!(sim.now(), dlaas_sim::SimTime::from_millis(50));
         // The old model can be read back and restored.
-        net.set_latency(LatencyModel::Fixed(SimDuration::from_millis(1)));
+        net.set_latency(&mut sim, LatencyModel::Fixed(SimDuration::from_millis(1)));
         match net.latency() {
             LatencyModel::Fixed(d) => assert_eq!(d, SimDuration::from_millis(1)),
             other => panic!("unexpected model: {other:?}"),
@@ -585,6 +668,79 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(seen.borrow()[2..], [(14, 21), (14, 22)]);
         assert_eq!(net.stats().sent, 6);
+    }
+
+    #[test]
+    fn a_settled_exchange_put_back_on_the_wire_is_a_sent_one() {
+        // One exchange — request there in 5 ms, reply back in 7 — sent;
+        // settled and resumed before the request arrived; settled and
+        // resumed before the reply landed.
+        let ms = SimDuration::from_millis;
+        let run = |resume_at: Option<u64>| {
+            let mut sim = Sim::new(1);
+            let net = fixed_net(&mut sim, 1);
+            let replier = net.clone();
+            net.register(Addr::new("b"), move |sim, env| {
+                replier.send(sim, env.to.clone(), env.from.clone(), env.msg + 1);
+            });
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let s = seen.clone();
+            net.register(Addr::new("a"), move |sim, env| {
+                s.borrow_mut().push((sim.now().as_millis(), env.msg));
+            });
+            let envelope = |from: &str, to: &str, sent_at: u64, msg: u32| Envelope {
+                from: Addr::new(from),
+                to: Addr::new(to),
+                sent_at: SimTime::from_millis(sent_at),
+                msg,
+            };
+            match resume_at {
+                None => {
+                    net.send_exchange(&mut sim, Addr::new("a"), Addr::new("b"), 10, ms(5), ms(7));
+                }
+                Some(at) => {
+                    net.count_settled_exchange();
+                    sim.run_until(SimTime::from_millis(at));
+                    if at < 5 {
+                        let request = envelope("a", "b", 0, 10);
+                        net.resume_request(&mut sim, request, SimTime::from_millis(5), ms(7));
+                    } else {
+                        let reply = envelope("b", "a", 5, 11);
+                        net.resume_reply(&mut sim, reply, SimTime::from_millis(12));
+                    }
+                }
+            }
+            sim.run_until_idle();
+            let seen = seen.take();
+            (seen, net.stats())
+        };
+        let sent = run(None);
+        assert_eq!(sent.0, vec![(12, 11)]);
+        assert_eq!((sent.1.sent, sent.1.delivered), (2, 2));
+        assert_eq!(run(Some(3)), sent);
+        assert_eq!(run(Some(8)), sent);
+    }
+
+    #[test]
+    fn every_rule_change_runs_the_hook() {
+        let mut sim = Sim::new(1);
+        let net = fixed_net(&mut sim, 1);
+        let _b = collector(&net, "b");
+        let runs = Rc::new(std::cell::Cell::new(0));
+        let r = runs.clone();
+        net.on_rule_change(move |_| r.set(r.get() + 1));
+        let (a, b) = (Addr::new("a"), Addr::new("b"));
+        net.set_up(&mut sim, &b, false);
+        net.set_loss(&mut sim, 0.1);
+        net.set_latency(&mut sim, LatencyModel::local());
+        net.block_pair(&mut sim, a.clone(), b.clone());
+        net.unblock_pair(&mut sim, &a, &b);
+        net.partition(&mut sim, vec![vec![a], vec![b]]);
+        assert!(!net.is_open());
+        net.heal(&mut sim);
+        net.set_loss(&mut sim, 0.0);
+        assert!(net.is_open());
+        assert_eq!(runs.get(), 8);
     }
 
     #[test]

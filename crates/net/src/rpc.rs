@@ -214,9 +214,8 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
             .borrow_mut()
             .servers
             .insert(addr.clone(), Rc::new(handler));
+        // A stopped endpoint was unregistered: this registers it again, up.
         self.ensure_endpoint(&addr);
-        // (Re-)registering also brings a previously-stopped endpoint up.
-        self.net.set_up(&addr, true);
     }
 
     /// Stops serving at `addr` (e.g. the process crashed). In-flight

@@ -66,7 +66,7 @@ proptest! {
         let count = Rc::new(RefCell::new(0u64));
         let c = count.clone();
         net.register(Addr::new("sink"), move |_s, _e| *c.borrow_mut() += 1);
-        net.set_loss(loss_pct as f64 / 100.0);
+        net.set_loss(&mut sim, loss_pct as f64 / 100.0);
         for i in 0..n {
             net.send(&mut sim, Addr::new("src"), Addr::new("sink"), i as u32);
         }
@@ -96,7 +96,7 @@ proptest! {
         if server_up {
             rpc.serve(Addr::new("srv"), |sim, req, r| r.ok(sim, req + 1));
         }
-        rpc.net().set_loss(loss_pct as f64 / 100.0);
+        rpc.net().set_loss(&mut sim, loss_pct as f64 / 100.0);
         let outcomes = Rc::new(RefCell::new(vec![0u32; calls]));
         for i in 0..calls {
             let o = outcomes.clone();

@@ -10,6 +10,7 @@ use std::rc::Rc;
 use dlaas_net::{LatencyModel, Net};
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
+use crate::keepalive::Keepalives;
 use crate::node::{ApplyFn, Raft, SnapshotFactory};
 use crate::types::{NodeId, PersistentState, RaftConfig, RaftMsg, Role};
 
@@ -23,6 +24,8 @@ pub struct RaftCluster<C: 'static> {
     disks: Vec<Rc<RefCell<PersistentState<C>>>>,
     net: Net<RaftMsg<C>>,
     apply_factory: ApplyFactory<C>,
+    /// Held for the nodes, which only keep a weak handle.
+    _keepalives: Rc<Keepalives<C>>,
 }
 
 impl<C> std::fmt::Debug for RaftCluster<C> {
@@ -81,11 +84,13 @@ impl<C: Clone + 'static> RaftCluster<C> {
             disks.push(disk);
             nodes.push(node);
         }
+        let keepalives = Keepalives::install(&nodes, &net);
         RaftCluster {
             nodes,
             disks,
             net,
             apply_factory,
+            _keepalives: keepalives,
         }
     }
 
@@ -319,10 +324,13 @@ mod tests {
         sim.run_for(SimDuration::from_secs(1));
         // Isolate the leader from both followers.
         let others: Vec<_> = (0..3u32).filter(|i| *i != l).collect();
-        cluster.net().partition(vec![
-            vec![crate::node::raft_addr(l)],
-            others.iter().map(|i| crate::node::raft_addr(*i)).collect(),
-        ]);
+        cluster.net().partition(
+            &mut sim,
+            vec![
+                vec![crate::node::raft_addr(l)],
+                others.iter().map(|i| crate::node::raft_addr(*i)).collect(),
+            ],
+        );
         // Propose on the isolated leader: must never commit.
         let r = cluster.node(l).propose(&mut sim, 99);
         assert!(r.is_ok(), "stale leader still accepts proposals");
@@ -341,7 +349,7 @@ mod tests {
         assert!(committed_user_cmds(&applied, l2).contains(&100));
 
         // Heal: the stale leader's uncommitted entry is overwritten.
-        cluster.net().heal();
+        cluster.net().heal(&mut sim);
         sim.run_for(SimDuration::from_secs(3));
         let cmds = committed_user_cmds(&applied, l);
         assert!(cmds.contains(&100), "healed node must learn new entries");
@@ -381,10 +389,13 @@ mod tests {
         let l = cluster.expect_leader(&mut sim, SimDuration::from_secs(5));
         sim.run_for(SimDuration::from_secs(1));
         let others: Vec<_> = (0..3u32).filter(|i| *i != l).collect();
-        cluster.net().partition(vec![
-            vec![crate::node::raft_addr(l)],
-            others.iter().map(|i| crate::node::raft_addr(*i)).collect(),
-        ]);
+        cluster.net().partition(
+            &mut sim,
+            vec![
+                vec![crate::node::raft_addr(l)],
+                others.iter().map(|i| crate::node::raft_addr(*i)).collect(),
+            ],
+        );
         let done = Rc::new(RefCell::new(None));
         let d = done.clone();
         cluster

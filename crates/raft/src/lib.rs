@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 mod cluster;
+mod keepalive;
 mod node;
 mod types;
 

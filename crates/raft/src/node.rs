@@ -10,11 +10,12 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use dlaas_net::{Addr, Net};
 use dlaas_sim::{DeadlineTimer, Sim, SimDuration, SimRng, SimTime};
 
+use crate::keepalive::Keepalives;
 use crate::types::{
     LogEntry, LogIndex, NodeId, PersistentState, RaftConfig, RaftMsg, Role, Snapshot, Term,
 };
@@ -75,7 +76,21 @@ struct PendingRead {
     done: ReadFn,
 }
 
-struct NodeState<C> {
+/// One node as the settle predicate of [`Keepalives`] reads it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Vitals {
+    pub(crate) alive: bool,
+    pub(crate) role: Role,
+    /// The term on the node's disk (a crashed node's too).
+    pub(crate) term: Term,
+    pub(crate) leader_hint: Option<NodeId>,
+    pub(crate) commit: LogIndex,
+    /// The election deadline the contacts that have happened imply.
+    pub(crate) deadline: SimTime,
+    pub(crate) timeout: SimDuration,
+}
+
+struct NodeState<C: 'static> {
     id: NodeId,
     cluster_size: u32,
     config: RaftConfig,
@@ -110,12 +125,14 @@ struct NodeState<C> {
     /// One latency stream per link to each peer (indexed by peer id):
     /// the heartbeat tick draws both legs of its exchange from it.
     links: Vec<SimRng>,
+    /// The cluster's settled keep-alives, when the node is part of one.
+    keepalives: Weak<Keepalives<C>>,
     // Counters for tests/benches.
     elections_started: u64,
     terms_led: u64,
 }
 
-impl<C> NodeState<C> {
+impl<C: 'static> NodeState<C> {
     fn quorum(&self) -> usize {
         (self.cluster_size as usize / 2) + 1
     }
@@ -243,6 +260,7 @@ impl<C: Clone + 'static> Raft<C> {
                 heard: SimTime::ZERO,
                 rng,
                 links,
+                keepalives: Weak::new(),
                 elections_started: 0,
                 terms_led: 0,
             })),
@@ -418,7 +436,7 @@ impl<C: Clone + 'static> Raft<C> {
         let reads: Vec<_> = s.pending_reads.drain(..).collect();
         drop(s);
         self.election.cancel(sim);
-        self.net.set_up(&self.addr, false);
+        self.net.set_up(sim, &self.addr, false);
         for r in reads {
             (r.done)(sim, false);
         }
@@ -449,7 +467,7 @@ impl<C: Clone + 'static> Raft<C> {
             s.apply = apply;
         }
         self.restore_from_disk_snapshot(sim);
-        self.net.set_up(&self.addr, true);
+        self.net.set_up(sim, &self.addr, true);
         self.reset_election_timer(sim);
         let id = self.id();
         sim.mark("raft", id, "restarted", 0);
@@ -638,8 +656,8 @@ impl<C: Clone + 'static> Raft<C> {
         }
     }
 
-    /// The heartbeat tick. Any AppendEntries resets its receiver's
-    /// election timer, so a peer that was sent one since the previous
+    /// The heartbeat tick. Any AppendEntries moves its receiver's
+    /// election deadline, so a peer that was sent one since the previous
     /// tick needs no heartbeat on top: under load the log traffic is the
     /// heartbeat. A follower still hears from a healthy leader at least
     /// every two intervals, which [`RaftConfig::validate`] keeps within
@@ -665,16 +683,24 @@ impl<C: Clone + 'static> Raft<C> {
 
     /// The tick's message to `peer`. Both legs of its exchange, there and
     /// back, are drawn now from the link's own stream, so they do not
-    /// depend on what else the network carries meanwhile.
+    /// depend on what else the network carries meanwhile. An exchange that
+    /// can only move the follower's deadline is settled instead of sent
+    /// ([`Keepalives::settle`]).
     fn send_heartbeat_to(&self, sim: &mut Sim, peer: NodeId) {
         let Some(msg) = self.prepare_append(sim, peer) else {
             return;
         };
-        let (there, back) = {
+        let (there, back, keepalives) = {
             let mut s = self.inner.borrow_mut();
             let link = &mut s.links[peer as usize];
-            (self.net.draw_latency(link), self.net.draw_latency(link))
+            let there = self.net.draw_latency(link);
+            let back = self.net.draw_latency(link);
+            (there, back, s.keepalives.upgrade())
         };
+        let me = self.id();
+        if keepalives.is_some_and(|k| k.settle(sim, me, peer, &msg, there, back)) {
+            return;
+        }
         self.net
             .send_exchange(sim, self.addr.clone(), self.peer(peer), msg, there, back);
     }
@@ -747,7 +773,77 @@ impl<C: Clone + 'static> Raft<C> {
                 s.next_index.insert(peer, through + 1);
             }
         }
+        // A capped batch or a snapshot leaves entries unsent, which the
+        // reply to a heartbeat in flight would send: that reply has to
+        // land for real.
+        let keepalives = {
+            let s = self.inner.borrow();
+            let next = s.next_index.get(&peer).copied().unwrap_or(0);
+            let unsent = next <= s.disk.borrow().last_index();
+            unsent.then(|| s.keepalives.upgrade()).flatten()
+        };
+        if let Some(k) = keepalives {
+            k.unsettle(sim, Some(peer));
+        }
         Some(msg)
+    }
+
+    /// What the settle predicate reads of this node.
+    pub(crate) fn vitals(&self) -> Vitals {
+        let s = self.inner.borrow();
+        let term = s.disk.borrow().current_term;
+        Vitals {
+            alive: s.alive,
+            role: s.role,
+            term,
+            leader_hint: s.leader_hint,
+            commit: s.commit_index,
+            deadline: s.heard + s.timeout,
+            timeout: s.timeout,
+        }
+    }
+
+    /// Whether this node leads and its link to `peer` carries nothing but
+    /// keep-alives: no ReadIndex read waits on a heartbeat round, and
+    /// `peer` acknowledged the whole log with nothing in flight to it.
+    pub(crate) fn idle_link_to(&self, peer: NodeId) -> bool {
+        let s = self.inner.borrow();
+        let last = s.disk.borrow().last_index();
+        s.alive
+            && s.role == Role::Leader
+            && s.pending_reads.is_empty()
+            && s.match_index.get(&peer) == Some(&last)
+            && s.next_index.get(&peer) == Some(&(last + 1))
+    }
+
+    /// Joins the cluster's settled keep-alives.
+    pub(crate) fn settle_keepalives_with(&self, keepalives: Weak<Keepalives<C>>) {
+        self.inner.borrow_mut().keepalives = keepalives;
+    }
+
+    /// A settled heartbeat will reach this follower at `at`: its election
+    /// deadline moves as on delivery, with no event.
+    pub(crate) fn postpone_election(&self, deadline: SimTime) {
+        let armed = self.election.postpone(deadline);
+        debug_assert!(armed, "a live follower's election timer is armed");
+    }
+
+    /// A settled heartbeat reached this follower at `at`.
+    pub(crate) fn heard_at(&self, at: SimTime) {
+        let mut s = self.inner.borrow_mut();
+        s.heard = s.heard.max(at);
+    }
+
+    /// A settled heartbeat that had not arrived went back on the wire: the
+    /// deadline returns to what the contacts that happened imply.
+    pub(crate) fn restore_election_deadline(&self, sim: &mut Sim) {
+        let (live, deadline) = {
+            let s = self.inner.borrow();
+            (s.alive && s.role != Role::Leader, s.heard + s.timeout)
+        };
+        if live {
+            self.arm_election_timer(sim, deadline);
+        }
     }
 
     fn maybe_advance_commit(&self, sim: &mut Sim) {

@@ -156,14 +156,18 @@ impl Harness {
                         .filter(|x| *x != id)
                         .map(raft_addr)
                         .collect();
-                    self.cluster.net().partition(vec![lonely, rest]);
+                    self.cluster
+                        .net()
+                        .partition(&mut self.sim, vec![lonely, rest]);
                 }
                 ChaosOp::Heal => {
-                    self.cluster.net().heal();
-                    self.cluster.net().set_loss(0.0);
+                    self.cluster.net().heal(&mut self.sim);
+                    self.cluster.net().set_loss(&mut self.sim, 0.0);
                 }
                 ChaosOp::SetLoss(pct) => {
-                    self.cluster.net().set_loss(*pct as f64 / 100.0);
+                    self.cluster
+                        .net()
+                        .set_loss(&mut self.sim, *pct as f64 / 100.0);
                 }
                 ChaosOp::Advance(ms) => self.advance(*ms as u64),
             }
@@ -172,8 +176,8 @@ impl Harness {
     }
 
     fn quiesce_and_check_convergence(&mut self) {
-        self.cluster.net().heal();
-        self.cluster.net().set_loss(0.0);
+        self.cluster.net().heal(&mut self.sim);
+        self.cluster.net().set_loss(&mut self.sim, 0.0);
         for id in 0..self.cluster.len() as NodeId {
             if !self.cluster.node(id).is_alive() {
                 self.cluster.restart(&mut self.sim, id);

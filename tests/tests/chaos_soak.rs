@@ -98,12 +98,15 @@ fn etcd_minority_partition_heals_transparently() {
 
     // Partition one etcd node away from its peers for a while.
     let etcd = platform.etcd().clone();
-    etcd.raft().net().partition(vec![
-        vec![dlaas_raft::raft_addr(0)],
-        vec![dlaas_raft::raft_addr(1), dlaas_raft::raft_addr(2)],
-    ]);
+    etcd.raft().net().partition(
+        &mut sim,
+        vec![
+            vec![dlaas_raft::raft_addr(0)],
+            vec![dlaas_raft::raft_addr(1), dlaas_raft::raft_addr(2)],
+        ],
+    );
     sim.run_for(SimDuration::from_mins(3));
-    etcd.raft().net().heal();
+    etcd.raft().net().heal(&mut sim);
 
     let end = platform.wait_for_status(
         &mut sim,
