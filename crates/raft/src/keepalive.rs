@@ -23,10 +23,9 @@
 //! What is applied early must not be changed by what happens before the
 //! reply lands. A change to the network's rules (partition, heal, block,
 //! loss, latency, an endpoint going down or up — which is how a node
-//! crash or restart shows) and an append to the follower that leaves
-//! entries unsent put every affected exchange back on the wire at its
-//! original instants, and take back what the tick applied
-//! ([`Keepalives::unsettle`]).
+//! crash or restart shows) and an append that leaves entries unsent put
+//! the exchanges in flight back on the wire at their original instants,
+//! and take back what the tick applied ([`Keepalives::unsettle`]).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -78,7 +77,7 @@ impl<C: Clone + 'static> Keepalives<C> {
         let weak = Rc::downgrade(&keepalives);
         net.on_rule_change(move |sim| {
             if let Some(keepalives) = weak.upgrade() {
-                keepalives.unsettle(sim, None);
+                keepalives.unsettle(sim);
             }
         });
         keepalives
@@ -158,23 +157,15 @@ impl<C: Clone + 'static> Keepalives<C> {
         true
     }
 
-    /// Puts the settled exchanges to `follower` (all of them when `None`)
-    /// back on the wire at their original instants: a heartbeat that has
-    /// not arrived is delivered when it would have been, and its
-    /// follower's deadline returns to what the contacts that happened
-    /// imply; a reply that has not landed is delivered when it would
-    /// have been.
-    pub(crate) fn unsettle(&self, sim: &mut Sim, follower: Option<NodeId>) {
+    /// Puts every settled exchange back on the wire at its original
+    /// instants: a heartbeat that has not arrived is delivered when it
+    /// would have been, and its follower's deadline returns to what the
+    /// contacts that happened imply; a reply that has not landed is
+    /// delivered when it would have been.
+    pub(crate) fn unsettle(&self, sim: &mut Sim) {
         let now = sim.now();
         self.retire(now);
-        let resumed: Vec<Exchange> = {
-            let mut flight = self.flight.borrow_mut();
-            let (resumed, kept) = flight
-                .drain(..)
-                .partition(|e| follower.is_none_or(|f| e.follower == f));
-            *flight = kept;
-            resumed
-        };
+        let resumed = std::mem::take(&mut *self.flight.borrow_mut());
         for e in &resumed {
             let leader = self.nodes[e.leader as usize].addr().clone();
             let follower = self.nodes[e.follower as usize].addr().clone();

@@ -783,7 +783,7 @@ impl<C: Clone + 'static> Raft<C> {
             unsent.then(|| s.keepalives.upgrade()).flatten()
         };
         if let Some(k) = keepalives {
-            k.unsettle(sim, Some(peer));
+            k.unsettle(sim);
         }
         Some(msg)
     }
@@ -821,8 +821,8 @@ impl<C: Clone + 'static> Raft<C> {
         self.inner.borrow_mut().keepalives = keepalives;
     }
 
-    /// A settled heartbeat will reach this follower at `at`: its election
-    /// deadline moves as on delivery, with no event.
+    /// A settled heartbeat moves this follower's election deadline to
+    /// `deadline`, as its delivery would, with no event.
     pub(crate) fn postpone_election(&self, deadline: SimTime) {
         let armed = self.election.postpone(deadline);
         debug_assert!(armed, "a live follower's election timer is armed");
