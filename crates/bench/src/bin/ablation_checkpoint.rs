@@ -8,13 +8,17 @@
 //!
 //! Usage: `cargo run -p dlaas-bench --bin ablation_checkpoint [seed]`
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dlaas_bench::harness::{experiment_platform, print_table, reported_iteration, BENCH_KEY};
-use dlaas_core::{paths, JobId, JobStatus, TrainingManifest};
+use dlaas_bench::cli;
+use dlaas_bench::harness::{
+    experiment_config, experiment_manifest, experiment_platform, print_table, reported_iteration,
+    submit_blocking,
+};
+use dlaas_bench::soak::RESULTS;
+use dlaas_core::{paths, JobStatus};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_sim::{Sim, SimDuration};
+
+const USAGE: &str = "usage: ablation_checkpoint [seed]";
 
 struct Outcome {
     interval: u64,
@@ -28,26 +32,16 @@ struct Outcome {
 
 fn run_one(seed: u64, interval: u64) -> Outcome {
     let mut sim = Sim::new(seed);
-    let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
-    let manifest = TrainingManifest::builder(format!("ckpt-{interval}"))
+    let (platform, client) = experiment_platform(&mut sim, experiment_config(GpuKind::K80, 1));
+    let manifest = experiment_manifest(format!("ckpt-{interval}"))
         .framework(Framework::TensorFlow)
         .model(DlModel::Resnet50)
         .gpus(GpuKind::K80, 1)
-        .data("bench-data", "d/", 2_000_000_000)
-        .results("bench-results")
         .iterations(4_000)
         .checkpoint_every(interval)
         .build()
         .expect("valid manifest");
-
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().unwrap();
+    let job = submit_blocking(&mut sim, &client, manifest);
     let t0 = sim.now();
 
     platform.wait_for_status(
@@ -61,7 +55,7 @@ fn run_one(seed: u64, interval: u64) -> Outcome {
     let progress_at_crash = reported_iteration(&platform, &job).unwrap_or(0);
     let ckpt_iter: u64 = platform
         .objstore()
-        .read_text("bench-results", &paths::obj_ckpt_meta(&job))
+        .read_text(RESULTS, &paths::obj_ckpt_meta(&job))
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
     platform
@@ -88,10 +82,7 @@ fn run_one(seed: u64, interval: u64) -> Outcome {
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
+    let seed: u64 = cli::parse_or_exit(USAGE, |a| Ok(a.positional("seed")?.unwrap_or(2018)));
     let intervals = [0u64, 100, 250, 500, 1000, 2000];
     eprintln!("sweeping checkpoint intervals with a learner crash mid-run (seed {seed})…");
     let rows: Vec<Vec<String>> = intervals

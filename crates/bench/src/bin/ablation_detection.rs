@@ -26,6 +26,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use dlaas_bench::cli;
 use dlaas_bench::harness::print_table;
 use dlaas_etcd::EtcdCluster;
 use dlaas_faults::latency_window;
@@ -159,14 +160,12 @@ fn p50(mut v: Vec<SimDuration>) -> SimDuration {
     v[v.len() / 2]
 }
 
+const USAGE: &str = "usage: ablation_detection [--smoke] [seed]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed: u64 = args
-        .iter()
-        .find(|a| *a != "--smoke")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
+    let (smoke, seed): (bool, u64) = cli::parse_or_exit(USAGE, |a| {
+        Ok((a.switch("--smoke"), a.positional("seed")?.unwrap_or(2018)))
+    });
     let (seeds, cells): (u64, Vec<(u64, u64)>) = if smoke {
         (1, vec![(50, 3), (100, 10)])
     } else {

@@ -5,18 +5,17 @@
 //!
 //! Usage: `cargo run --release -p dlaas-bench --bin ablation_overhead [seed]`
 
+use dlaas_bench::cli;
 use dlaas_bench::harness::{
-    bare_metal_images_per_sec, measure_dlaas_throughput_with, pct_diff, print_table,
-    throughput_manifest,
+    bare_metal_images_per_sec, measure_dlaas_throughput, pct_diff, print_table, throughput_manifest,
 };
 use dlaas_core::CoreConfig;
 use dlaas_gpu::{DlModel, ExecEnv, Framework, GpuKind};
 
+const USAGE: &str = "usage: ablation_overhead [seed]";
+
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
+    let seed: u64 = cli::parse_or_exit(USAGE, |a| Ok(a.positional("seed")?.unwrap_or(2018)));
     eprintln!("sweeping helper interference with jitter off (seed {seed})…");
 
     let bare = bare_metal_images_per_sec(
@@ -44,7 +43,7 @@ fn main() {
                 1,
                 300,
             );
-            let run = measure_dlaas_throughput_with(seed, manifest, cfg);
+            let run = measure_dlaas_throughput(seed, manifest, cfg);
             let dlaas = run.images_per_sec.expect("job completes");
             let measured = pct_diff(bare, dlaas);
             let predicted = (1.0 - dlaas_gpu::CONTAINER_FACTOR * (1.0 - steal)) * 100.0;

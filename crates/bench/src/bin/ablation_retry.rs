@@ -8,18 +8,16 @@
 //!
 //! Usage: `cargo run -p dlaas-bench --bin ablation_retry [seed]`
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dlaas_bench::harness::print_table;
-use dlaas_bench::harness::BENCH_KEY;
-use dlaas_core::{
-    paths, CoreConfig, DlaasPlatform, GpuNodeSpec, JobId, JobStatus, PlatformConfig, Tenant,
-    TrainingManifest,
+use dlaas_bench::cli;
+use dlaas_bench::harness::{
+    experiment_config, experiment_manifest, experiment_platform, print_table, submit_blocking,
 };
+use dlaas_core::{paths, CoreConfig, JobStatus, PlatformConfig};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_kube::PodPhase;
 use dlaas_sim::{Sim, SimDuration};
+
+const USAGE: &str = "usage: ablation_retry [seed]";
 
 struct Outcome {
     limit: u32,
@@ -38,38 +36,17 @@ fn run_one(seed: u64, limit: u32, crashes: u32) -> Outcome {
             deploy_max_attempts: limit,
             ..CoreConfig::default()
         },
-        gpu_nodes: vec![GpuNodeSpec {
-            kind: GpuKind::K80,
-            count: 2,
-            gpus_each: 1,
-        }],
-        ..PlatformConfig::default()
+        ..experiment_config(GpuKind::K80, 1)
     };
-    let platform = DlaasPlatform::new(&mut sim, cfg);
-    platform.run_until_ready(&mut sim, SimDuration::from_secs(60));
-    platform
-        .add_tenant(&Tenant::new("bench", BENCH_KEY, 0))
-        .expect("bootstrap tenant insert");
-    platform.seed_dataset("bench-data", "d/", 2_000_000_000);
-    platform.create_bucket("bench-results");
-
-    let manifest = TrainingManifest::builder(format!("retry-{limit}"))
+    let (platform, client) = experiment_platform(&mut sim, cfg);
+    let manifest = experiment_manifest(format!("retry-{limit}"))
         .framework(Framework::TensorFlow)
         .model(DlModel::Resnet50)
         .gpus(GpuKind::K80, 1)
-        .data("bench-data", "d/", 2_000_000_000)
-        .results("bench-results")
         .iterations(500)
         .build()
         .expect("valid manifest");
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().unwrap();
+    let job = submit_blocking(&mut sim, &client, manifest);
     let t0 = sim.now();
     let gpod = paths::guardian_job(&job);
 
@@ -116,10 +93,7 @@ fn run_one(seed: u64, limit: u32, crashes: u32) -> Outcome {
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
+    let seed: u64 = cli::parse_or_exit(USAGE, |a| Ok(a.positional("seed")?.unwrap_or(2018)));
     eprintln!(
         "injecting 2 guardian crashes during deploy; sweeping the retry limit (seed {seed})…"
     );

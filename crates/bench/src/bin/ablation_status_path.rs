@@ -18,13 +18,15 @@
 //!
 //! Usage: `cargo run -p dlaas-bench --bin ablation_status_path [seed]`
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dlaas_bench::harness::{experiment_platform, print_table, BENCH_KEY};
-use dlaas_core::{paths, DlaasPlatform, JobId, JobStatus, LearnerPhase, TrainingManifest};
+use dlaas_bench::cli;
+use dlaas_bench::harness::{
+    experiment_config, experiment_manifest, experiment_platform, print_table, submit_blocking,
+};
+use dlaas_core::{paths, DlaasPlatform, JobId, JobStatus, LearnerPhase};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_sim::{Sim, SimDuration};
+
+const USAGE: &str = "usage: ablation_status_path [seed]";
 
 struct Outcome {
     crashed: u32,
@@ -51,25 +53,15 @@ fn published_iteration(platform: &DlaasPlatform, job: &JobId) -> Option<u64> {
 
 fn run_one(seed: u64, crash_nodes: u32) -> Outcome {
     let mut sim = Sim::new(seed);
-    let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
-    let manifest = TrainingManifest::builder(format!("etcd-ablation-{crash_nodes}"))
+    let (platform, client) = experiment_platform(&mut sim, experiment_config(GpuKind::K80, 1));
+    let manifest = experiment_manifest(format!("etcd-ablation-{crash_nodes}"))
         .framework(Framework::TensorFlow)
         .model(DlModel::Resnet50)
         .gpus(GpuKind::K80, 1)
-        .data("bench-data", "d/", 2_000_000_000)
-        .results("bench-results")
         .iterations(3_000)
         .build()
         .expect("valid manifest");
-
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().unwrap();
+    let job = submit_blocking(&mut sim, &client, manifest);
     let t0 = sim.now();
     platform.wait_for_status(
         &mut sim,
@@ -129,10 +121,7 @@ fn run_one(seed: u64, crash_nodes: u32) -> Outcome {
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
+    let seed: u64 = cli::parse_or_exit(USAGE, |a| Ok(a.positional("seed")?.unwrap_or(2018)));
     eprintln!("crashing 0/1/2 etcd replicas for 60s mid-training (seed {seed})…");
     let rows: Vec<Vec<String>> = [0u32, 1, 2]
         .iter()

@@ -14,8 +14,12 @@
 //! the workload's events/wall-sec is more than the tolerance below the
 //! committed baseline.
 
+use dlaas_bench::cli;
 use dlaas_bench::engine::{self, EngineRun};
 use dlaas_bench::harness::print_table;
+
+const USAGE: &str = "usage: engine_bench [--seed S] [--actors A] [--events E] [--out PATH] \
+    [--check BASELINE.json] [--tolerance F]";
 
 struct Args {
     seed: u64,
@@ -26,38 +30,19 @@ struct Args {
     tolerance: f64,
 }
 
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        seed: 2018,
-        actors: 10_000,
-        events: 2_000_000,
-        out: "BENCH_engine.json".into(),
-        check: None,
-        tolerance: 0.10,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--seed" => parsed.seed = next("--seed").parse().expect("--seed u64"),
-            "--actors" => parsed.actors = next("--actors").parse().expect("--actors u64"),
-            "--events" => parsed.events = next("--events").parse().expect("--events u64"),
-            "--out" => parsed.out = next("--out"),
-            "--check" => parsed.check = Some(next("--check")),
-            "--tolerance" => {
-                parsed.tolerance = next("--tolerance").parse().expect("--tolerance f64");
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    parsed
-}
-
 fn main() {
-    let args = parse_args();
+    let args = cli::parse_or_exit(USAGE, |a| {
+        Ok(Args {
+            seed: a.value("--seed")?.unwrap_or(2018),
+            actors: a.value("--actors")?.unwrap_or(10_000),
+            events: a.value("--events")?.unwrap_or(2_000_000),
+            out: a
+                .value("--out")?
+                .unwrap_or_else(|| "BENCH_engine.json".into()),
+            check: a.value("--check")?,
+            tolerance: a.value("--tolerance")?.unwrap_or(0.10),
+        })
+    });
     eprintln!(
         "engine bench: kernel_churn ({} actors, {} events) (seed {})…",
         args.actors, args.events, args.seed

@@ -7,12 +7,14 @@
 //!
 //! Usage: `cargo run --release -p dlaas-bench --bin extended_predictions`
 
+use dlaas_bench::cli;
 use dlaas_bench::harness::print_table;
 use dlaas_gpu::{
     images_per_sec, DlModel, ExecEnv, Framework, GpuKind, Interconnect, TrainingConfig,
 };
 
 fn main() {
+    cli::parse_or_exit("usage: extended_predictions", |_| Ok(()));
     // 1. The Fig. 3 experiment projected onto V100s.
     let mut rows = Vec::new();
     for model in DlModel::all() {

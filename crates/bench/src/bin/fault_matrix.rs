@@ -1,7 +1,6 @@
 //! The fault-matrix campaign: every fault kind × every Guardian
-//! deployment step × N seeds, each trial judged by the platform
-//! invariant checker. (The randomized soak with continuous checking is
-//! `soak chaos`.)
+//! deployment step × N seeds, each trial a one-job `soak` run under the
+//! continuous invariant monitor. (The randomized soak is `soak chaos`.)
 //!
 //! Usage:
 //!   cargo run --release -p dlaas-bench --bin fault_matrix [--seeds N] [--base-seed S]
@@ -13,102 +12,81 @@
 //!
 //! Trials shard across `--threads` workers (each in its own `Sim`);
 //! reports and the `--out` artifact are byte-identical for any thread
-//! count. The process exits non-zero if any cell fails (job did not
-//! complete, the fault never fired, or an invariant was violated
-//! afterwards) **or** any trial was recorded abnormal — `TIMEOUT` past
-//! the per-trial sim budget, or a panic converted into a failure record.
-//! The budget defaults to 2h per cell; `--sim-budget-secs B` overrides it
-//! and `--sim-budget-secs 0` uncaps entirely.
-//! Abnormal records print the exact single-threaded repro command, which
-//! is what `--trial FAULT/POINT --seed S` replays.
+//! count. The process exits 2 on a command line it cannot parse, and 1
+//! if any cell fails (job did not complete, the fault never fired, or an
+//! invariant was violated) **or** any trial was recorded abnormal —
+//! `TIMEOUT` past the per-trial sim budget, or a panic converted into a
+//! failure record. The budget defaults to 2h per cell;
+//! `--sim-budget-secs B` overrides it and `--sim-budget-secs 0` uncaps
+//! entirely. Abnormal records print the exact single-threaded repro
+//! command, which is what `--trial FAULT/POINT --seed S` replays.
 
+use dlaas_bench::cli;
 use dlaas_bench::harness::print_table;
 use dlaas_bench::matrix::{
-    render_matrix_json, run_cell, sweep_parallel_for, CellOutcome, FaultKind, InjectionPoint,
-    MatrixCampaign,
+    render_matrix_json, run_cell, sweep, CellOutcome, FaultKind, InjectionPoint, MatrixCampaign,
 };
 use dlaas_bench::metrics::MATRIX_RECOVERY_SECONDS;
 use dlaas_sim::SimDuration;
 
-/// Default per-trial sim budget for matrix cells: a healthy cell tops out
-/// near 65 simulated minutes (60s boot + 1h status wait + GC settle), so
-/// 2h flags genuine runaways without ever clipping a passing trial.
+const USAGE: &str = "usage: fault_matrix [--seeds N] [--base-seed S] [--threads T] \
+    [--sim-budget-secs B] [--out FILE] [--fault LABEL] | --trial FAULT/POINT --seed S";
+
+/// Default per-trial sim budget for matrix cells: a cell runs 60s of boot
+/// and its one-hour-and-two-minute drain, so 2h flags genuine runaways
+/// without ever clipping a passing trial.
 const MATRIX_BUDGET: SimDuration = SimDuration::from_hours(2);
 
-fn main() {
-    let mut seeds: u64 = 5;
-    let mut base_seed: u64 = 2018;
-    let mut threads: usize = 1;
-    let mut sim_budget = Some(MATRIX_BUDGET);
-    let mut trial: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut fault: Option<FaultKind> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fault" => {
-                let label = args.next().expect("--fault LABEL");
-                fault = Some(FaultKind::from_label(&label).unwrap_or_else(|| {
-                    let kinds: Vec<_> = FaultKind::all().iter().map(FaultKind::label).collect();
-                    panic!("--fault expects one of {kinds:?}, got {label:?}")
-                }));
-            }
-            "--seeds" => {
-                seeds = args.next().and_then(|s| s.parse().ok()).expect("--seeds N");
-            }
-            "--base-seed" | "--seed" => {
-                base_seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--base-seed S");
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads T");
-            }
-            "--sim-budget-secs" => {
-                let secs: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--sim-budget-secs B");
-                // 0 = uncapped.
-                sim_budget = (secs > 0).then(|| SimDuration::from_secs(secs));
-            }
-            "--trial" => {
-                trial = Some(args.next().expect("--trial FAULT/POINT"));
-            }
-            "--out" => {
-                out_path = Some(args.next().expect("--out FILE"));
-            }
-            other => panic!("unknown argument: {other}"),
-        }
-    }
+struct Opts {
+    seeds: u64,
+    base_seed: u64,
+    threads: usize,
+    sim_budget: Option<SimDuration>,
+    trial: Option<(FaultKind, InjectionPoint)>,
+    out_path: Option<String>,
+    fault: Option<FaultKind>,
+}
 
-    if let Some(spec) = trial {
-        run_single(base_seed, &spec);
+fn main() {
+    let opts = cli::parse_or_exit(USAGE, |a| {
+        let trial = a.value::<String>("--trial")?.map(|spec| {
+            let (fault, point) = spec.split_once('/').ok_or("--trial expects FAULT/POINT")?;
+            Ok::<_, String>((fault.parse()?, point.parse()?))
+        });
+        let base_seed = a.value("--base-seed")?;
+        Ok(Opts {
+            seeds: a.value("--seeds")?.unwrap_or(5),
+            base_seed: a.value("--seed")?.or(base_seed).unwrap_or(2018),
+            threads: a.value("--threads")?.unwrap_or(1),
+            // 0 = uncapped.
+            sim_budget: match a.value("--sim-budget-secs")? {
+                Some(0) => None,
+                Some(secs) => Some(SimDuration::from_secs(secs)),
+                None => Some(MATRIX_BUDGET),
+            },
+            trial: trial.transpose()?,
+            out_path: a.value("--out")?,
+            fault: a.value("--fault")?,
+        })
+    });
+
+    if let Some((kind, point)) = opts.trial {
+        run_single(opts.base_seed, kind, point);
     } else {
-        let kinds = fault.map_or_else(|| FaultKind::all().to_vec(), |k| vec![k]);
-        run_matrix(
-            &kinds,
-            base_seed,
-            seeds,
-            threads,
-            sim_budget,
-            out_path.as_deref(),
-        );
+        let kinds = opts
+            .fault
+            .map_or_else(|| FaultKind::all().to_vec(), |k| vec![k]);
+        run_matrix(&kinds, &opts);
     }
 }
 
 /// Replays one matrix cell alone, single-threaded — the repro mode the
 /// campaign's failure records point at.
-fn run_single(seed: u64, spec: &str) {
-    let (kind, point) = parse_trial(spec);
+fn run_single(seed: u64, kind: FaultKind, point: InjectionPoint) {
     eprintln!("single trial: {kind} at {point} (seed {seed})…");
     let out = run_cell(seed, kind, point);
     println!("{}", out.describe());
-    for v in &out.violations {
+    for v in &out.final_violations {
         println!("  VIOLATION {v}");
     }
     if !out.passed() {
@@ -116,37 +94,13 @@ fn run_single(seed: u64, spec: &str) {
     }
 }
 
-fn parse_trial(spec: &str) -> (FaultKind, InjectionPoint) {
-    let parse = || {
-        let (fault, point) = spec.split_once('/')?;
-        Some((
-            FaultKind::from_label(fault)?,
-            InjectionPoint::from_label(point)?,
-        ))
-    };
-    parse().unwrap_or_else(|| {
-        let kinds: Vec<_> = FaultKind::all().iter().map(FaultKind::label).collect();
-        let points: Vec<_> = InjectionPoint::all()
-            .iter()
-            .map(InjectionPoint::label)
-            .collect();
-        panic!("--trial expects FAULT/POINT with FAULT in {kinds:?} and POINT in {points:?}")
-    })
-}
-
-fn run_matrix(
-    kinds: &[FaultKind],
-    base_seed: u64,
-    seeds: u64,
-    threads: usize,
-    sim_budget: Option<SimDuration>,
-    out_path: Option<&str>,
-) {
+fn run_matrix(kinds: &[FaultKind], opts: &Opts) {
+    let (base_seed, seeds, threads) = (opts.base_seed, opts.seeds, opts.threads);
     let cells = kinds.len() * InjectionPoint::all().len();
     eprintln!(
         "fault matrix: {cells} cells x {seeds} seeds (base seed {base_seed}, {threads} thread(s))…"
     );
-    let campaign = sweep_parallel_for(kinds, base_seed, seeds, threads, sim_budget);
+    let campaign = sweep(kinds, base_seed, seeds, threads, opts.sim_budget);
     let run = &campaign.run;
 
     // One row per (fault, point): pass count and recovery range from the
@@ -182,7 +136,7 @@ fn run_matrix(
         &rows,
     );
 
-    if let Some(path) = out_path {
+    if let Some(path) = &opts.out_path {
         let json = render_matrix_json(base_seed, seeds, &campaign);
         std::fs::write(path, &json).expect("write fault-matrix report");
         println!("\nwrote {path}");
@@ -215,7 +169,7 @@ fn exit_matrix_clean(campaign: &MatrixCampaign) -> bool {
         eprintln!("\n{} failing cells:", failures.len());
         for f in &failures {
             eprintln!("  FAIL {}", f.describe());
-            for v in &f.violations {
+            for v in &f.final_violations {
                 eprintln!("       {v}");
             }
         }

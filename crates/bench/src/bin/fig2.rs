@@ -7,33 +7,20 @@
 //! (repetition, cell) trials shard across `--threads` workers; the table
 //! is byte-identical at any thread count.
 
-use dlaas_bench::fig2;
 use dlaas_bench::harness::print_table;
+use dlaas_bench::{cli, fig2};
+
+const USAGE: &str = "usage: fig2 [seed] [iterations] [trials] [--threads T]";
 
 fn main() {
-    let mut threads: usize = 1;
-    let mut positional: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            threads = args
-                .next()
-                .and_then(|s| s.parse().ok())
-                .expect("--threads T");
-        } else {
-            positional.push(arg);
-        }
-    }
-    let mut positional = positional.into_iter();
-    let seed: u64 = positional
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
-    let iterations: u64 = positional
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(400);
-    let trials: u64 = positional.next().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let (threads, seed, iterations, trials) = cli::parse_or_exit(USAGE, |a| {
+        Ok((
+            a.value("--threads")?.unwrap_or(1),
+            a.positional("seed")?.unwrap_or(2018),
+            a.positional("iterations")?.unwrap_or(400),
+            a.positional("trials")?.unwrap_or(1),
+        ))
+    });
 
     eprintln!(
         "running {} full-stack training jobs (seed {seed}, {iterations} iters, {trials} trial(s), {threads} thread(s))…",

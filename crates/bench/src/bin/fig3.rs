@@ -1,15 +1,20 @@
 //! Regenerates Figure 3: DLaaS (PCIe P100) vs NVIDIA DGX-1 (NVLink).
 //!
-//! Usage: `cargo run -p dlaas-bench --bin fig3 [seed] [iterations]`
+//! Usage: `cargo run -p dlaas-bench --bin fig3 [seed] [iterations] [trials]`
 
-use dlaas_bench::fig3;
 use dlaas_bench::harness::print_table;
+use dlaas_bench::{cli, fig3};
+
+const USAGE: &str = "usage: fig3 [seed] [iterations] [trials]";
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2018);
-    let iterations: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(400);
-    let trials: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let (seed, iterations, trials): (u64, u64, u64) = cli::parse_or_exit(USAGE, |a| {
+        Ok((
+            a.positional("seed")?.unwrap_or(2018),
+            a.positional("iterations")?.unwrap_or(400),
+            a.positional("trials")?.unwrap_or(1),
+        ))
+    });
 
     eprintln!(
         "running {} full-stack training jobs (seed {seed}, {iterations} iters, {trials} trial(s))…",

@@ -5,30 +5,19 @@
 //! Each component's recoveries run as one trial of the campaign runner
 //! on its own fresh rig; the table is byte-identical at any thread count.
 
-use dlaas_bench::fig4;
 use dlaas_bench::harness::print_table;
-use dlaas_bench::metrics;
+use dlaas_bench::{cli, fig4, metrics};
+
+const USAGE: &str = "usage: fig4 [seed] [trials] [--threads T]";
 
 fn main() {
-    let mut threads: usize = 1;
-    let mut positional: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            threads = args
-                .next()
-                .and_then(|s| s.parse().ok())
-                .expect("--threads T");
-        } else {
-            positional.push(arg);
-        }
-    }
-    let mut positional = positional.into_iter();
-    let seed: u64 = positional
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
-    let trials: u32 = positional.next().and_then(|s| s.parse().ok()).unwrap_or(10);
+    let (threads, seed, trials) = cli::parse_or_exit(USAGE, |a| {
+        Ok((
+            a.value("--threads")?.unwrap_or(1),
+            a.positional("seed")?.unwrap_or(2018),
+            a.positional("trials")?.unwrap_or(10),
+        ))
+    });
 
     eprintln!(
         "crashing every component {trials}x on a live platform (seed {seed}, {threads} thread(s))…"

@@ -3,14 +3,14 @@
 //!
 //! Usage: `cargo run -p dlaas-bench --bin guardian_deploy [trials]`
 
+use dlaas_bench::cli;
 use dlaas_bench::fig4::guardian_creation_time;
 use dlaas_faults::RecoveryStats;
 
+const USAGE: &str = "usage: guardian_deploy [trials]";
+
 fn main() {
-    let trials: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
+    let trials: u64 = cli::parse_or_exit(USAGE, |a| Ok(a.positional("trials")?.unwrap_or(10)));
     let mut stats = RecoveryStats::new();
     for seed in 0..trials {
         stats.push(guardian_creation_time(1000 + seed));

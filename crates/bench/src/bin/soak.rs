@@ -29,14 +29,12 @@
 //! Defaults: 1 thread, seed 2018, `BENCH_soak.json`, and per preset N ∈
 //! {100, 1000, 10000} / {10000, 100000} / {120}.
 
+use dlaas_bench::cli::parse_or_exit;
 use dlaas_bench::harness::print_table;
 use dlaas_bench::soak::{self, SoakRun};
 
 fn main() {
-    let cli = soak::parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("soak: {e}\n{}", soak::USAGE);
-        std::process::exit(2);
-    });
+    let cli = parse_or_exit(soak::USAGE, soak::parse_cli);
     let wall_path = cli
         .out
         .strip_suffix(".json")

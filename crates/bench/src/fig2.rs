@@ -19,6 +19,7 @@
 //! interference and run-to-run noise, not by anything that scales with
 //! the job. That is what this experiment must reproduce.
 
+use dlaas_core::CoreConfig;
 use dlaas_gpu::{DlModel, ExecEnv, Framework, GpuKind};
 use dlaas_sim::SimDuration;
 
@@ -82,15 +83,9 @@ pub struct Fig2Result {
 /// Runs one cell: the DLaaS arm goes through the full platform; the
 /// bare-metal arm is an independent run on the same hardware model,
 /// streaming its data from the object store exactly as the paper's
-/// baseline did.
-pub fn run_cell(seed: u64, cell: &Fig2Cell, iterations: u64) -> Fig2Result {
-    run_cell_timed(seed, cell, iterations).result
-}
-
-/// Like [`run_cell`], also reporting the simulated time the DLaaS arm
-/// consumed (what the campaign runner's sim-time budget is checked
-/// against).
-pub fn run_cell_timed(seed: u64, cell: &Fig2Cell, iterations: u64) -> TrialRun<Fig2Result> {
+/// baseline did. Also reports the simulated time the DLaaS arm consumed
+/// (what the campaign runner's sim-time budget is checked against).
+pub fn run_cell(seed: u64, cell: &Fig2Cell, iterations: u64) -> TrialRun<Fig2Result> {
     let manifest = throughput_manifest(
         cell.model,
         cell.framework,
@@ -98,7 +93,7 @@ pub fn run_cell_timed(seed: u64, cell: &Fig2Cell, iterations: u64) -> TrialRun<F
         cell.gpus,
         iterations,
     );
-    let run = measure_dlaas_throughput(seed, manifest);
+    let run = measure_dlaas_throughput(seed, manifest, CoreConfig::default());
     let dlaas = run
         .images_per_sec
         .expect("fig2 job must complete and report throughput");
@@ -120,14 +115,6 @@ pub fn run_cell_timed(seed: u64, cell: &Fig2Cell, iterations: u64) -> TrialRun<F
         },
         sim_elapsed: SimDuration::from_secs_f64(run.wall_secs),
     }
-}
-
-/// Runs the whole table.
-pub fn run_all(seed: u64, iterations: u64) -> Vec<Fig2Result> {
-    cells()
-        .iter()
-        .map(|c| run_cell(seed, c, iterations))
-        .collect()
 }
 
 /// Runs `trials` independent repetitions of the whole table (trial `t`
@@ -155,7 +142,7 @@ pub fn run_parallel(
         }
     }
     CampaignRunner::new("fig2", threads).run(specs, |(trial_seed, cell), _ctx| {
-        run_cell_timed(*trial_seed, cell, iterations)
+        run_cell(*trial_seed, cell, iterations)
     })
 }
 
@@ -185,7 +172,7 @@ mod tests {
     fn overhead_is_small_for_every_cell() {
         // The headline claim of Fig. 2: platform overhead is minimal.
         for cell in cells().iter().take(2) {
-            let r = run_cell(42, cell, 200);
+            let r = run_cell(42, cell, 200).result;
             assert!(
                 r.measured_pct < 8.0,
                 "{:?}: overhead {:.2}% is not 'minimal'",

@@ -20,6 +20,7 @@
 //! paper's argument that commodity DLaaS hardware is cost-effective
 //! against a 2–3× more expensive DGX-1.
 
+use dlaas_core::CoreConfig;
 use dlaas_gpu::{DlModel, ExecEnv, Framework, GpuKind};
 
 use crate::harness::{
@@ -96,7 +97,7 @@ pub fn run_cell(seed: u64, cell: &Fig3Cell, iterations: u64) -> Fig3Result {
         cell.gpus,
         iterations,
     );
-    let run = measure_dlaas_throughput(seed, manifest);
+    let run = measure_dlaas_throughput(seed, manifest, CoreConfig::default());
     let dlaas = run
         .images_per_sec
         .expect("fig3 job must complete and report throughput");

@@ -18,15 +18,14 @@
 //! because it "binds to cloud object store and persistent NFS volumes"
 //! and restarts a heavyweight framework container.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dlaas_core::{paths, DlaasPlatform, JobId, JobStatus, TrainingManifest};
+use dlaas_core::{paths, DlaasPlatform, JobId, JobStatus};
 use dlaas_faults::{measure_recovery, RecoveryStats};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
-use crate::harness::{experiment_platform, BENCH_KEY};
+use crate::harness::{
+    experiment_config, experiment_manifest, experiment_platform, submit_blocking,
+};
 use crate::metrics::RECOVERY_SECONDS;
 use crate::runner::{CampaignRunner, Trial, TrialRun};
 
@@ -132,26 +131,17 @@ pub struct Fig4Rig {
 /// Boots the platform and parks a long training job in PROCESSING.
 pub fn rig(seed: u64) -> Fig4Rig {
     let mut sim = Sim::new(seed);
-    let platform = experiment_platform(&mut sim, GpuKind::K80, 4);
-    let manifest = TrainingManifest::builder("fig4-host")
+    let (platform, client) = experiment_platform(&mut sim, experiment_config(GpuKind::K80, 4));
+    let manifest = experiment_manifest("fig4-host")
         .framework(Framework::TensorFlow)
         .model(DlModel::Resnet50)
         .gpus(GpuKind::K80, 1)
         .learners(1)
-        .data("bench-data", "d/", 2_000_000_000)
-        .results("bench-results")
         .iterations(100_000_000)
         .checkpoint_every(10_000)
         .build()
         .expect("valid manifest");
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("submission accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().expect("submitted");
+    let job = submit_blocking(&mut sim, &client, manifest);
     let s = platform.wait_for_status(
         &mut sim,
         &job,
@@ -208,30 +198,6 @@ pub struct Fig4Run {
     pub results: Vec<Fig4Result>,
     /// The rig's metrics registry; recovery percentiles come from here.
     pub metrics: dlaas_sim::Registry,
-}
-
-/// Runs `trials` recoveries for every component on one rig.
-pub fn run_all(seed: u64, trials: u32) -> Fig4Run {
-    let mut rig = rig(seed);
-    let results = Component::all()
-        .iter()
-        .map(|c| {
-            let mut stats = RecoveryStats::new();
-            for _ in 0..trials {
-                if let Some(d) = measure_once(&mut rig, *c) {
-                    stats.push(d);
-                }
-            }
-            Fig4Result {
-                component: *c,
-                stats,
-            }
-        })
-        .collect();
-    Fig4Run {
-        results,
-        metrics: rig.sim.metrics().clone(),
-    }
 }
 
 /// Runs `trials` recoveries for one component on its own fresh rig,
@@ -295,24 +261,15 @@ pub fn run_parallel(seed: u64, trials: u32, threads: usize) -> Fig4Run {
 /// container running.
 pub fn guardian_creation_time(seed: u64) -> SimDuration {
     let mut sim = Sim::new(seed);
-    let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
-    let manifest = TrainingManifest::builder("quick")
+    let (platform, client) = experiment_platform(&mut sim, experiment_config(GpuKind::K80, 1));
+    let manifest = experiment_manifest("quick")
         .framework(Framework::Caffe)
         .model(DlModel::Vgg16)
         .gpus(GpuKind::K80, 1)
-        .data("bench-data", "d/", 2_000_000_000)
-        .results("bench-results")
         .iterations(100)
         .build()
         .expect("valid manifest");
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().expect("submitted");
+    let job = submit_blocking(&mut sim, &client, manifest);
     let from = sim.now();
     let kube = platform.kube().clone();
     let gpod = paths::guardian_job(&job);

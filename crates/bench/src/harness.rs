@@ -1,24 +1,28 @@
-//! Shared experiment machinery: boot a platform, run one training job
-//! through the whole stack, and report the measured throughput.
+//! Shared experiment machinery: boot a platform through the soak
+//! driver's boot step, submit a job, run one training job through the
+//! whole stack, and report the measured throughput.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use dlaas_core::{
-    paths, DlaasPlatform, GpuNodeSpec, JobId, JobStatus, LearnerPhase, PlatformConfig, Tenant,
-    TrainingManifest,
+    paths, CoreConfig, DlaasClient, DlaasPlatform, GpuNodeSpec, JobId, JobStatus, LearnerPhase,
+    PlatformConfig, Tenant, TrainingManifest, TrainingManifestBuilder,
 };
 use dlaas_gpu::{DlModel, ExecEnv, Framework, GpuKind, Interconnect, TrainingConfig};
 use dlaas_sim::{Sim, SimDuration};
 
+use crate::soak::{self, DATA, RESULTS};
+
 /// API key used by every experiment tenant.
 pub const BENCH_KEY: &str = "bench-key";
+
+/// Size of the dataset an experiment's jobs stage.
+pub(crate) const EXPERIMENT_DATASET_BYTES: u64 = 2_000_000_000;
 
 /// Outcome of running one job through the platform.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRun {
-    /// The job id.
-    pub job: JobId,
     /// Terminal status.
     pub status: JobStatus,
     /// Throughput measured by the learners (images/sec), when completed.
@@ -27,23 +31,55 @@ pub struct JobRun {
     pub wall_secs: f64,
 }
 
-/// Builds a platform sized for the experiment's GPU demand.
-pub fn experiment_platform(sim: &mut Sim, kind: GpuKind, gpus_per_node: u32) -> DlaasPlatform {
-    let cfg = PlatformConfig {
+/// The one experiment tenant, `bench`, without a quota (for `n` jobs).
+pub(crate) fn bench_tenants(_n: u64) -> Vec<Tenant> {
+    vec![Tenant::new("bench", BENCH_KEY, 0)]
+}
+
+/// The one-job experiments' cluster: the default core nodes and two GPU
+/// nodes of `kind` with `gpus_per_node` GPUs each (one at least).
+pub fn experiment_config(kind: GpuKind, gpus_per_node: u32) -> PlatformConfig {
+    PlatformConfig {
         gpu_nodes: vec![GpuNodeSpec {
             kind,
             count: 2,
             gpus_each: gpus_per_node.max(1),
         }],
         ..PlatformConfig::default()
-    };
-    let p = DlaasPlatform::new(sim, cfg);
-    p.run_until_ready(sim, SimDuration::from_secs(60));
-    p.add_tenant(&Tenant::new("bench", BENCH_KEY, 0))
-        .expect("bootstrap tenant insert");
-    p.seed_dataset("bench-data", "d/", 2_000_000_000);
-    p.create_bucket("bench-results");
-    p
+    }
+}
+
+/// Boots `cfg` through the soak driver's boot step with the bench tenant
+/// and an [`EXPERIMENT_DATASET_BYTES`] dataset; returns the platform and
+/// the tenant's client.
+pub fn experiment_platform(sim: &mut Sim, cfg: PlatformConfig) -> (DlaasPlatform, DlaasClient) {
+    let platform = soak::boot(sim, cfg, &bench_tenants(1), EXPERIMENT_DATASET_BYTES);
+    let client = platform.client("bench", BENCH_KEY);
+    (platform, client)
+}
+
+/// A manifest builder for a job on an [`experiment_platform`]: its data
+/// and results buckets are set.
+pub fn experiment_manifest(name: impl Into<String>) -> TrainingManifestBuilder {
+    TrainingManifest::builder(name)
+        .data(DATA, "d/", EXPERIMENT_DATASET_BYTES)
+        .results(RESULTS)
+}
+
+/// Submits `manifest` and runs the simulation until the platform
+/// acknowledges it.
+///
+/// # Panics
+///
+/// If the submission is refused, or the simulation runs dry first.
+pub fn submit_blocking(sim: &mut Sim, client: &DlaasClient, manifest: TrainingManifest) -> JobId {
+    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
+    let g = got.clone();
+    client.submit(sim, manifest, move |_s, r| {
+        *g.borrow_mut() = Some(r.expect("submission accepted"));
+    });
+    sim.run_until_pred(|_| got.borrow().is_some());
+    got.take().expect("acknowledged")
 }
 
 /// The training iteration learner 0 of `job` last reported — read where
@@ -72,60 +108,29 @@ pub fn throughput_manifest(
     gpus: u32,
     iterations: u64,
 ) -> TrainingManifest {
-    TrainingManifest::builder(format!("{model}-{framework}-x{gpus}"))
+    experiment_manifest(format!("{model}-{framework}-x{gpus}"))
         .framework(framework)
         .model(model)
         .gpus(gpu, gpus)
         .learners(1)
-        .data("bench-data", "d/", 2_000_000_000)
-        .results("bench-results")
         .iterations(iterations)
         .build()
         .expect("valid experiment manifest")
 }
 
-/// Submits `manifest` on a fresh platform and runs it to a terminal
-/// state, returning the measured numbers. `seed` controls all simulated
-/// noise (placement, jitter, timings).
-pub fn measure_dlaas_throughput(seed: u64, manifest: TrainingManifest) -> JobRun {
-    measure_dlaas_throughput_with(seed, manifest, dlaas_core::CoreConfig::default())
-}
-
-/// Like [`measure_dlaas_throughput`], with explicit control-plane config
-/// (used by sensitivity sweeps).
-pub fn measure_dlaas_throughput_with(
-    seed: u64,
-    manifest: TrainingManifest,
-    core: dlaas_core::CoreConfig,
-) -> JobRun {
+/// Submits `manifest` on a fresh platform with control-plane config
+/// `core` and runs it to a terminal state, returning the measured
+/// numbers. `seed` controls all simulated noise (placement, jitter,
+/// timings).
+pub fn measure_dlaas_throughput(seed: u64, manifest: TrainingManifest, core: CoreConfig) -> JobRun {
     let mut sim = Sim::new(seed);
-    let platform = {
-        let cfg = PlatformConfig {
-            core,
-            gpu_nodes: vec![GpuNodeSpec {
-                kind: manifest.gpu_kind,
-                count: 2,
-                gpus_each: (manifest.gpus_per_learner * manifest.learners).max(1),
-            }],
-            ..PlatformConfig::default()
-        };
-        let p = DlaasPlatform::new(&mut sim, cfg);
-        p.run_until_ready(&mut sim, SimDuration::from_secs(60));
-        p.add_tenant(&Tenant::new("bench", BENCH_KEY, 0))
-            .expect("bootstrap tenant insert");
-        p.seed_dataset("bench-data", "d/", 2_000_000_000);
-        p.create_bucket("bench-results");
-        p
+    let gpus = manifest.gpus_per_learner * manifest.learners;
+    let cfg = PlatformConfig {
+        core,
+        ..experiment_config(manifest.gpu_kind, gpus)
     };
-    let client = platform.client("bench", BENCH_KEY);
-
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("submission accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().expect("submitted");
+    let (platform, client) = experiment_platform(&mut sim, cfg);
+    let job = submit_blocking(&mut sim, &client, manifest);
     let submitted_at = sim.now();
 
     let status = platform
@@ -138,7 +143,6 @@ pub fn measure_dlaas_throughput_with(
         .unwrap_or(JobStatus::Failed);
     let info = platform.job_info(&job).expect("job recorded");
     JobRun {
-        job,
         status,
         images_per_sec: info.images_per_sec,
         wall_secs: (sim.now() - submitted_at).as_secs_f64(),
@@ -280,7 +284,7 @@ mod tests {
             1,
             300,
         );
-        let run = measure_dlaas_throughput(3, m);
+        let run = measure_dlaas_throughput(3, m, CoreConfig::default());
         assert_eq!(run.status, JobStatus::Completed);
         let thr = run.images_per_sec.expect("throughput measured");
         // Model says ~52 img/s minus platform overheads and jitter.

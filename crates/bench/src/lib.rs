@@ -12,6 +12,7 @@
     clippy::exit
 )]
 
+pub mod cli;
 pub mod engine;
 pub mod fig2;
 pub mod fig3;

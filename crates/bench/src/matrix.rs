@@ -7,37 +7,35 @@
 //! a trigger watches for the step's observable side effect and, the
 //! moment it appears, injects one fault — a Guardian crash, an etcd
 //! leader crash, a metadata-store crash, an NFS outage or a network
-//! partition of the etcd leader. The job must still complete, and after
-//! a GC settle the whole platform must satisfy every invariant of
+//! partition of the etcd leader. The job must still complete, and the
+//! whole platform must satisfy every invariant of
 //! [`dlaas_core::invariants`] (liveness, status monotonicity, bounded
-//! retries, no leaked resources).
+//! retries, no leaked resources) at every instant of the run.
 //!
-//! [`run_cell`] runs one (fault, step, seed) trial; [`sweep`] runs the
-//! full matrix and aggregates recovery times into a histogram. (The
-//! randomized long-duration campaign is the `chaos` preset of
-//! [`crate::soak`], which rotates through [`SUBSTRATE_FAULTS`].)
-//!
-//! Campaigns parallelise over seeds: [`sweep_parallel`] shards its
-//! trials across the [`CampaignRunner`](crate::runner::CampaignRunner)
-//! and merges the records by trial id, so every aggregate here — tables,
-//! the [`render_matrix_json`] artifact, the replayed
-//! [`MATRIX_RECOVERY_SECONDS`] histogram — is byte-identical for any
-//! thread count.
+//! A cell is a [`crate::soak`] run: the [`CELL`] preset with N = 1 and
+//! the plan [`Plan::At`]`(kind, point)`, so the invariant monitor watches
+//! it from submission to the final check. [`run_cell`] runs one
+//! (fault, step, seed) trial; [`sweep`] runs a matrix on the seed-parallel
+//! [`CampaignRunner`] and merges the records by trial id, so every
+//! aggregate here — tables, the [`render_matrix_json`] artifact, the
+//! replayed [`MATRIX_RECOVERY_SECONDS`] histogram — is byte-identical for
+//! any thread count. The same [`FaultKind`]s are the `chaos` preset's
+//! rotation.
 
-use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::rc::Rc;
+use std::str::FromStr;
 
-use dlaas_core::{check_invariants, config, paths, DlaasPlatform, JobId, JobStatus};
-use dlaas_faults::{nfs_outage_window, partition_window, when};
+use dlaas_core::{config, paths, DlaasPlatform, JobId, JobStatus};
+use dlaas_faults::{nfs_outage_window, partition_window};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_kube::{labels, PodPhase};
 use dlaas_raft::raft_addr;
-use dlaas_sim::{Sim, SimDuration, SimTime};
+use dlaas_sim::{Sim, SimDuration};
 
-use crate::harness::{experiment_platform, throughput_manifest, BENCH_KEY};
+use crate::harness::{bench_tenants, experiment_config, EXPERIMENT_DATASET_BYTES};
 use crate::metrics::MATRIX_RECOVERY_SECONDS;
 use crate::runner::{CampaignReport, CampaignRunner, Trial, TrialRun};
+use crate::soak::{self, Arrival, Plan, Preset};
 
 /// How long substrate outages (NFS, MongoDB, etcd node, partition) last.
 ///
@@ -52,7 +50,8 @@ fn outage() -> SimDuration {
     SimDuration::from_secs(6)
 }
 
-/// One injectable platform-level fault of the campaign.
+/// One injectable platform-level fault: the vocabulary of the matrix and
+/// of the chaos rotation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// `kubectl delete`-style crash of the job's Guardian pod.
@@ -97,90 +96,81 @@ impl FaultKind {
         }
     }
 
-    /// Parses a metric label back into the kind (`None` when unknown).
-    pub fn from_label(label: &str) -> Option<FaultKind> {
-        FaultKind::all().into_iter().find(|k| k.label() == label)
-    }
-
-    /// Applies the fault to a live platform.
-    pub fn inject(&self, sim: &mut Sim, platform: &DlaasPlatform, job: &JobId) {
-        sim.mark("fault", job.as_str(), self.label(), 0);
+    /// Applies the fault to a live platform. `job` is the job it
+    /// targets, if any: a Guardian crash without one injects nothing, an
+    /// LCM owner crash without one kills replica 0, and the substrate
+    /// faults do not read it.
+    pub fn inject(&self, sim: &mut Sim, platform: &DlaasPlatform, job: Option<&JobId>) {
+        sim.mark(
+            "fault",
+            job.map_or("platform", JobId::as_str),
+            self.label(),
+            0,
+        );
         match self {
             FaultKind::GuardianCrash => {
-                platform.kube().crash_pod(sim, &paths::guardian_job(job));
+                if let Some(job) = job {
+                    platform.kube().crash_pod(sim, &paths::guardian_job(job));
+                }
             }
-            FaultKind::EtcdLeaderCrash => crash_etcd_leader(sim, platform),
-            FaultKind::MongoCrash => crash_mongo(sim, platform),
-            FaultKind::NfsOutage => nfs_outage(sim, platform),
-            FaultKind::Partition => partition_etcd_leader(sim, platform),
+            FaultKind::EtcdLeaderCrash => {
+                if let Some(leader) = platform.etcd().leader_id() {
+                    let cluster = platform.etcd().clone();
+                    cluster.crash(sim, leader);
+                    sim.schedule_in(outage(), move |sim| cluster.restart(sim, leader));
+                }
+            }
+            FaultKind::MongoCrash => platform.crash_mongo(sim, Some(outage())),
+            FaultKind::NfsOutage => nfs_outage_window(sim, platform.nfs(), outage()),
+            FaultKind::Partition => {
+                // Both sides of the split must be listed: a group
+                // partition leaves unlisted addresses unaffected.
+                if let Some(leader) = platform.etcd().leader_id() {
+                    let peers = (0..platform.etcd().len() as u32)
+                        .filter(|&i| i != leader)
+                        .map(raft_addr)
+                        .collect();
+                    partition_window(
+                        sim,
+                        platform.etcd().raft().net(),
+                        vec![vec![raft_addr(leader)], peers],
+                        outage(),
+                    );
+                }
+            }
             FaultKind::LcmOwnerCrash => {
                 // Read the shard's owner key off the etcd leader to find
                 // which replica sweeps this job, then kill exactly that
                 // pod. Falls back to replica 0 when the key is not there
                 // yet (shard unclaimed at injection time).
-                let shards = config::LCM_SHARDS;
-                let key = paths::lcm_shard_owner(paths::job_shard(job, shards));
-                let owner = platform
-                    .etcd()
-                    .leader_id()
-                    .and_then(|l| {
-                        platform
-                            .etcd()
-                            .kv_snapshot(l)
-                            .get(&key)
-                            .map(|v| v.value.clone())
-                    })
-                    .unwrap_or_else(|| "dlaas-lcm-0".to_owned());
+                let owner = job.and_then(|job| {
+                    let key = paths::lcm_shard_owner(paths::job_shard(job, config::LCM_SHARDS));
+                    let leader = platform.etcd().leader_id()?;
+                    let owner = platform.etcd().kv_snapshot(leader).get(&key)?.value.clone();
+                    Some(owner)
+                });
+                let owner = owner.unwrap_or_else(|| "dlaas-lcm-0".to_owned());
                 platform.kube().crash_pod(sim, &owner);
             }
         }
     }
 }
 
-/// Crashes the current etcd leader node and restarts it after the outage
-/// window — a rolling node failure, not a quorum loss.
-fn crash_etcd_leader(sim: &mut Sim, platform: &DlaasPlatform) {
-    if let Some(leader) = platform.etcd().leader_id() {
-        let cluster = platform.etcd().clone();
-        cluster.crash(sim, leader);
-        sim.schedule_in(outage(), move |sim| cluster.restart(sim, leader));
+impl FromStr for FaultKind {
+    type Err = String;
+
+    /// Parses a metric label back into the kind.
+    fn from_str(label: &str) -> Result<Self, String> {
+        let kinds = FaultKind::all();
+        kinds
+            .into_iter()
+            .find(|k| k.label() == label)
+            .ok_or_else(|| {
+                let labels: Vec<_> = kinds.iter().map(FaultKind::label).collect();
+                format!("unknown fault {label:?} (one of {labels:?})")
+            })
     }
 }
-
-fn crash_mongo(sim: &mut Sim, platform: &DlaasPlatform) {
-    platform.crash_mongo(sim, Some(outage()));
-}
-
-fn nfs_outage(sim: &mut Sim, platform: &DlaasPlatform) {
-    nfs_outage_window(sim, platform.nfs(), outage());
-}
-
-/// Partitions the etcd leader away from its peers for the outage window.
-/// Both sides of the split must be listed: a group partition leaves
-/// unlisted addresses unaffected.
-fn partition_etcd_leader(sim: &mut Sim, platform: &DlaasPlatform) {
-    if let Some(leader) = platform.etcd().leader_id() {
-        let peers = (0..platform.etcd().len() as u32)
-            .filter(|&i| i != leader)
-            .map(raft_addr)
-            .collect();
-        partition_window(
-            sim,
-            platform.etcd().raft().net(),
-            vec![vec![raft_addr(leader)], peers],
-            outage(),
-        );
-    }
-}
-
-/// The faults that target a substrate rather than one job, in the order
-/// the chaos soak rotates through them.
-pub const SUBSTRATE_FAULTS: [fn(&mut Sim, &DlaasPlatform); 4] = [
-    crash_etcd_leader,
-    crash_mongo,
-    nfs_outage,
-    partition_etcd_leader,
-];
 
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -239,13 +229,6 @@ impl InjectionPoint {
         }
     }
 
-    /// Parses a metric label back into the point (`None` when unknown).
-    pub fn from_label(label: &str) -> Option<InjectionPoint> {
-        InjectionPoint::all()
-            .into_iter()
-            .find(|p| p.label() == label)
-    }
-
     /// The trigger predicate: `true` once the step's side effect is
     /// observable on the platform.
     pub fn predicate(&self, platform: &DlaasPlatform, job: &JobId) -> Box<dyn FnMut(&Sim) -> bool> {
@@ -281,6 +264,22 @@ impl InjectionPoint {
     }
 }
 
+impl FromStr for InjectionPoint {
+    type Err = String;
+
+    /// Parses a metric label back into the point.
+    fn from_str(label: &str) -> Result<Self, String> {
+        let points = InjectionPoint::all();
+        points
+            .into_iter()
+            .find(|p| p.label() == label)
+            .ok_or_else(|| {
+                let labels: Vec<_> = points.iter().map(InjectionPoint::label).collect();
+                format!("unknown injection point {label:?} (one of {labels:?})")
+            })
+    }
+}
+
 impl fmt::Display for InjectionPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -295,7 +294,39 @@ impl fmt::Display for InjectionPoint {
     }
 }
 
-/// Outcome of one (fault, step, seed) trial.
+/// A matrix cell as a soak preset: 300-iteration ResNet-50 jobs submitted
+/// at once onto two one-GPU K80 nodes, the invariant monitor checking
+/// every second, and a drain of the job's hour plus six LCM scan periods
+/// — well past the GC grace (three), so the leak invariants apply with
+/// full force. A cell runs it with N = 1 and its own [`Plan::At`].
+pub const CELL: Preset = Preset {
+    name: "cell",
+    default_sizes: &[1],
+    arrivals: |_, n| {
+        let job = Arrival {
+            at: SimDuration::ZERO,
+            tenant: 0,
+            framework: Framework::TensorFlow,
+            model: DlModel::Resnet50,
+            learners: 1,
+            iterations: 300,
+            checkpoint_every: 0,
+        };
+        vec![job; n as usize]
+    },
+    window: |_| SimDuration::ZERO,
+    drain: SimDuration::from_micros(
+        SimDuration::from_hours(1).as_micros() + config::LCM_SCAN.as_micros() * 6,
+    ),
+    platform: |_| experiment_config(GpuKind::K80, 1),
+    tenants: bench_tenants,
+    dataset_bytes: EXPERIMENT_DATASET_BYTES,
+    plan: Plan::None,
+    monitor: Some(|_| SimDuration::from_secs(1)),
+};
+
+/// Outcome of one (fault, step, seed) trial: the view of its
+/// [`soak::SoakRun`] the matrix reads.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
     /// The injected fault.
@@ -304,23 +335,26 @@ pub struct CellOutcome {
     pub point: InjectionPoint,
     /// The simulation seed.
     pub seed: u64,
-    /// The job's final status.
+    /// The job's status when the wait for it ended.
     pub status: Option<JobStatus>,
     /// Whether the trigger fired (the step was actually reached).
     pub fault_fired: bool,
     /// Injection-to-terminal time, when the job reached a terminal state.
     pub recovery: Option<SimDuration>,
-    /// Invariant violations found after the settle, rendered.
-    pub violations: Vec<String>,
+    /// Distinct invariant violations: the monitor's over the whole run
+    /// and the final sweep's.
+    pub violations: u64,
+    /// What the final sweep found, rendered.
+    pub final_violations: Vec<String>,
     /// The job's timeline, rendered.
     pub timeline: String,
 }
 
 impl CellOutcome {
     /// A cell passes when the fault really fired, the job still
-    /// completed, and no platform invariant was violated afterwards.
+    /// completed, and no platform invariant was ever violated.
     pub fn passed(&self) -> bool {
-        self.fault_fired && self.status == Some(JobStatus::Completed) && self.violations.is_empty()
+        self.fault_fired && self.status == Some(JobStatus::Completed) && self.violations == 0
     }
 
     /// One summary line for tables and failure messages; a cell that did
@@ -328,12 +362,7 @@ impl CellOutcome {
     pub fn describe(&self) -> String {
         let mut line = format!(
             "{} at {} (seed {}): status={:?} fired={} violations={}",
-            self.kind,
-            self.point,
-            self.seed,
-            self.status,
-            self.fault_fired,
-            self.violations.len()
+            self.kind, self.point, self.seed, self.status, self.fault_fired, self.violations
         );
         if !self.passed() {
             line.push('\n');
@@ -343,87 +372,36 @@ impl CellOutcome {
     }
 }
 
-/// Runs one cell of the matrix: boot a platform, submit one training
-/// job, inject `kind` the moment `point` becomes observable, run the job
-/// to a terminal state, let GC settle past the invariant grace period,
-/// then check every platform invariant.
+/// Runs one cell of the matrix: a [`CELL`] soak run of one job, with
+/// `kind` injected the moment `point` becomes observable.
 pub fn run_cell(seed: u64, kind: FaultKind, point: InjectionPoint) -> CellOutcome {
-    run_cell_inner(seed, kind, point).0
+    cell(seed, kind, point).result
 }
 
-fn run_cell_inner(seed: u64, kind: FaultKind, point: InjectionPoint) -> (CellOutcome, SimTime) {
-    let mut sim = Sim::new(seed);
-    // A cell that fails prints what happened to its job.
-    sim.trace_mut().set_enabled(true);
-    let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
-    let manifest = throughput_manifest(
-        DlModel::Resnet50,
-        Framework::TensorFlow,
-        GpuKind::K80,
-        1,
-        300,
-    );
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("submission accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().expect("submitted");
-
-    let fired: Rc<Cell<Option<SimTime>>> = Rc::new(Cell::new(None));
-    let f2 = fired.clone();
-    let pred = point.predicate(&platform, &job);
-    let p2 = platform.clone();
-    let job2 = job.clone();
-    when(
-        &mut sim,
-        SimDuration::from_millis(200),
-        kind.label(),
-        pred,
-        move |sim| {
-            f2.set(Some(sim.now()));
-            kind.inject(sim, &p2, &job2);
+fn cell(seed: u64, kind: FaultKind, point: InjectionPoint) -> TrialRun<CellOutcome> {
+    let preset = Preset {
+        plan: Plan::At(kind, point),
+        ..CELL
+    };
+    let TrialRun {
+        result: run,
+        sim_elapsed,
+    } = soak::run(seed, &preset, 1, None, false);
+    let target = run.target.unwrap_or_default();
+    TrialRun {
+        result: CellOutcome {
+            kind,
+            point,
+            seed,
+            status: target.status,
+            fault_fired: target.fired,
+            recovery: target.recovery,
+            violations: run.invariant_violations,
+            final_violations: run.final_violations,
+            timeline: target.timeline,
         },
-    );
-
-    let status = platform.wait_for_status(
-        &mut sim,
-        &job,
-        JobStatus::Completed,
-        SimDuration::from_hours(1),
-    );
-    let recovery = match (fired.get(), status) {
-        (Some(at), Some(s)) if s.is_terminal() => Some(sim.now().saturating_duration_since(at)),
-        _ => None,
-    };
-    if let Some(d) = recovery {
-        sim.metrics()
-            .histogram_series(MATRIX_RECOVERY_SECONDS, [kind.label(), point.label()])
-            .observe_duration_us(d.as_micros());
+        sim_elapsed,
     }
-
-    // Settle well past the GC grace (3 LCM scan periods) so the leak
-    // invariants apply with full force.
-    sim.run_for(config::LCM_SCAN * 6);
-    let report = check_invariants(&sim, &platform);
-
-    let outcome = CellOutcome {
-        kind,
-        point,
-        seed,
-        status,
-        fault_fired: fired.get().is_some(),
-        recovery,
-        violations: report
-            .violations
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect(),
-        timeline: sim.trace().of(job.as_str()).to_string(),
-    };
-    (outcome, sim.now())
 }
 
 /// A full matrix campaign: outcomes plus an aggregate registry holding
@@ -443,70 +421,6 @@ impl MatrixRun {
     }
 }
 
-/// Runs the full matrix: every fault kind × every deployment step ×
-/// `seeds` seeds starting at `base_seed`. Sequential (one thread, no
-/// budget) — the parallel entry point is [`sweep_parallel`].
-pub fn sweep(base_seed: u64, seeds: u64) -> MatrixRun {
-    sweep_parallel(base_seed, seeds, 1, None).run
-}
-
-/// The spec of one matrix trial — plain `Send + Clone` data a worker
-/// thread rebuilds the whole trial from.
-#[derive(Debug, Clone, Copy)]
-pub struct MatrixSpec {
-    /// The simulation seed.
-    pub seed: u64,
-    /// The fault to inject.
-    pub kind: FaultKind,
-    /// The deployment step to target.
-    pub point: InjectionPoint,
-}
-
-/// The exact command that reruns one matrix cell alone, single-threaded.
-pub fn matrix_repro(kind: FaultKind, point: InjectionPoint, seed: u64) -> String {
-    format!(
-        "cargo run --release -p dlaas-bench --bin fault_matrix -- --trial {}/{} --seed {seed}",
-        kind.label(),
-        point.label()
-    )
-}
-
-/// The canonical trial enumeration of a matrix campaign over the given
-/// fault kinds (all of them, or the `--fault LABEL` smoke subset CI runs
-/// on every push): fault kind × injection point × seed, in that nesting
-/// order. Trial ids (positions in this list) key the deterministic
-/// sorted merge.
-pub fn matrix_trials_for(
-    kinds: &[FaultKind],
-    base_seed: u64,
-    seeds: u64,
-) -> Vec<Trial<MatrixSpec>> {
-    let mut trials = Vec::new();
-    for &kind in kinds {
-        for point in InjectionPoint::all() {
-            for i in 0..seeds {
-                let seed = base_seed + i;
-                trials.push(Trial {
-                    label: format!("{}/{}/{seed}", kind.label(), point.label()),
-                    repro: matrix_repro(kind, point, seed),
-                    spec: MatrixSpec { seed, kind, point },
-                });
-            }
-        }
-    }
-    trials
-}
-
-/// Like [`run_cell`], also reporting the total simulated time the trial
-/// consumed (what the runner's sim-time budget is checked against).
-pub fn run_cell_timed(seed: u64, kind: FaultKind, point: InjectionPoint) -> TrialRun<CellOutcome> {
-    let (outcome, end) = run_cell_inner(seed, kind, point);
-    TrialRun {
-        result: outcome,
-        sim_elapsed: end.saturating_duration_since(SimTime::ZERO),
-    }
-}
-
 /// A matrix campaign executed through the runner: the aggregate
 /// [`MatrixRun`] (completed cells only) plus the full per-trial report
 /// with any `TIMEOUT`/panic records.
@@ -518,48 +432,48 @@ pub struct MatrixCampaign {
     pub report: CampaignReport<CellOutcome>,
 }
 
-impl MatrixCampaign {
-    /// `true` when every trial completed, passed, and stayed in budget.
-    pub fn clean(&self) -> bool {
-        self.report.abnormal().is_empty() && self.run.failures().is_empty()
-    }
-}
-
-/// Runs the full matrix campaign on `threads` workers. Records merge by
-/// trial id, and the recovery histogram is replayed from the merged
+/// Runs the matrix over the given fault kinds (all of them, or the
+/// `--fault LABEL` smoke subset CI runs on every push) × every injection
+/// point × `seeds` seeds from `base_seed`, on `threads` workers. Trial
+/// ids are positions in that nesting order, and each abnormal record
+/// carries the command that replays its cell alone. Records merge by
+/// trial id and the recovery histogram is replayed from the merged
 /// sequence on the calling thread, so every output — including the
-/// registry exposition — is byte-identical for any `threads`, including 1.
-pub fn sweep_parallel(
-    base_seed: u64,
-    seeds: u64,
-    threads: usize,
-    sim_budget: Option<SimDuration>,
-) -> MatrixCampaign {
-    sweep_parallel_for(&FaultKind::all(), base_seed, seeds, threads, sim_budget)
-}
-
-/// Like [`sweep_parallel`], restricted to the given fault kinds.
-pub fn sweep_parallel_for(
+/// registry exposition — is byte-identical for any `threads`.
+pub fn sweep(
     kinds: &[FaultKind],
     base_seed: u64,
     seeds: u64,
     threads: usize,
     sim_budget: Option<SimDuration>,
 ) -> MatrixCampaign {
+    let mut trials = Vec::new();
+    for &kind in kinds {
+        for point in InjectionPoint::all() {
+            for seed in base_seed..base_seed + seeds {
+                let cell = format!("{}/{}", kind.label(), point.label());
+                trials.push(Trial {
+                    label: format!("{cell}/{seed}"),
+                    repro: format!(
+                        "cargo run --release -p dlaas-bench --bin fault_matrix -- --trial {cell} --seed {seed}"
+                    ),
+                    spec: (seed, kind, point),
+                });
+            }
+        }
+    }
     let mut runner = CampaignRunner::new("fault_matrix", threads);
     if let Some(b) = sim_budget {
         runner = runner.with_sim_budget(b);
     }
-    let report = runner.run(matrix_trials_for(kinds, base_seed, seeds), |spec, _ctx| {
-        run_cell_timed(spec.seed, spec.kind, spec.point)
-    });
+    let report = runner.run(trials, |&(seed, kind, point), _ctx| cell(seed, kind, point));
 
     // Replay the merged records into a fresh registry. Histogram bucket
     // counts are commutative, but replaying in trial-id order makes the
     // determinism argument trivial: same sorted inputs, same exposition.
     let metrics = dlaas_sim::Registry::new();
-    let mut outcomes = Vec::new();
-    for out in report.results() {
+    let outcomes: Vec<CellOutcome> = report.results().cloned().collect();
+    for out in &outcomes {
         if let Some(d) = out.recovery {
             metrics
                 .histogram_series(
@@ -568,7 +482,6 @@ pub fn sweep_parallel_for(
                 )
                 .observe_duration_us(d.as_micros());
         }
-        outcomes.push(out.clone());
     }
     MatrixCampaign {
         run: MatrixRun { outcomes, metrics },
@@ -604,7 +517,7 @@ pub fn render_matrix_json(base_seed: u64, seeds: u64, campaign: &MatrixCampaign)
                 o.point.label(),
                 o.seed,
                 o.fault_fired,
-                o.violations.len(),
+                o.violations,
                 o.passed()
             )
         })
@@ -650,20 +563,35 @@ mod tests {
     #[test]
     fn guardian_crash_mid_deploy_still_completes() {
         let out = run_cell(11, FaultKind::GuardianCrash, InjectionPoint::CreateHelper);
-        assert!(out.passed(), "{}: {:?}", out.describe(), out.violations);
+        assert!(
+            out.passed(),
+            "{}: {:?}",
+            out.describe(),
+            out.final_violations
+        );
         assert!(out.recovery.is_some());
     }
 
     #[test]
     fn lcm_owner_crash_mid_deploy_still_completes() {
         let out = run_cell(13, FaultKind::LcmOwnerCrash, InjectionPoint::CreateLearners);
-        assert!(out.passed(), "{}: {:?}", out.describe(), out.violations);
+        assert!(
+            out.passed(),
+            "{}: {:?}",
+            out.describe(),
+            out.final_violations
+        );
     }
 
     #[test]
     fn nfs_outage_at_provision_volume_still_completes() {
         let out = run_cell(12, FaultKind::NfsOutage, InjectionPoint::ProvisionVolume);
-        assert!(out.passed(), "{}: {:?}", out.describe(), out.violations);
+        assert!(
+            out.passed(),
+            "{}: {:?}",
+            out.describe(),
+            out.final_violations
+        );
     }
 
     #[test]
@@ -678,5 +606,12 @@ mod tests {
             .map(super::InjectionPoint::label)
             .collect();
         assert_eq!(points.len(), InjectionPoint::all().len());
+        for kind in FaultKind::all() {
+            assert_eq!(kind.label().parse(), Ok(kind));
+        }
+        for point in InjectionPoint::all() {
+            assert_eq!(point.label().parse(), Ok(point));
+        }
+        assert!("guardian".parse::<FaultKind>().is_err());
     }
 }

@@ -243,11 +243,6 @@ impl CampaignRunner {
         self
     }
 
-    /// The campaign label.
-    pub fn campaign(&self) -> &str {
-        &self.campaign
-    }
-
     /// Worker thread count.
     pub fn threads(&self) -> usize {
         self.threads

@@ -1,11 +1,12 @@
-//! The soak driver: N jobs through the whole platform, under load and —
-//! for the `chaos` preset — under faults, with turnaround, queueing and
-//! control-plane cost read off the result.
+//! The scenario driver: N jobs through the whole platform, under load and
+//! under a fault [`Plan`], with turnaround, queueing, control-plane cost
+//! and the invariant verdict read off the result.
 //!
-//! One experiment, three [`Preset`]s. A preset is plain data: an arrival
-//! shape (a function producing the precomputed [`Arrival`] schedule), a
-//! capacity rule, a tenant table, whether faults and the
-//! [`InvariantMonitor`] run, and the submission window and drain.
+//! One experiment, one [`run`], several [`Preset`]s. A preset is plain
+//! data: an arrival shape (a function producing the precomputed
+//! [`Arrival`] schedule), the cluster, a tenant table, the fault plan,
+//! whether the [`InvariantMonitor`] runs, and the submission window and
+//! drain. Every run keeps the trace and ends with a full invariant sweep.
 //!
 //! * [`UNIFORM`] — N identical single-GPU jobs spread evenly over 20
 //!   minutes on ≥ N GPUs, 4 h horizon: concurrency, not queueing, grows
@@ -17,6 +18,8 @@
 //!   cluster while a pod monkey kills random pods and a substrate fault
 //!   (etcd leader crash, mongo crash, NFS outage, partition) lands every
 //!   seven minutes, with the invariant monitor checking every minute.
+//! * [`crate::matrix::CELL`] — one job and one fault armed at a
+//!   deployment step: a fault-matrix cell.
 //!
 //! [`run`] executes one (preset, seed, N) trial into one [`SoakRun`];
 //! [`campaign`] runs a list of sizes on the seed-parallel
@@ -29,7 +32,7 @@
 //! per-tenant p99 turnaround (deterministic, so a drift means platform
 //! behaviour changed).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dlaas_core::{
@@ -37,16 +40,23 @@ use dlaas_core::{
     JobId, JobStatus, PlatformConfig, Tenant, TrainingManifest,
 };
 use dlaas_docstore::Value;
-use dlaas_faults::ChaosMonkey;
+use dlaas_faults::{when, ChaosMonkey};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_kube::labels;
 use dlaas_obs::wallclock::WallTimer;
 use dlaas_sim::{Sim, SimDuration, SimRng, SimTime, SiteCost};
 
-use crate::harness::BENCH_KEY;
-use crate::matrix::SUBSTRATE_FAULTS;
+use crate::cli::Args;
+use crate::harness::bench_tenants;
+use crate::matrix::{FaultKind, InjectionPoint};
 use crate::runner::{CampaignReport, CampaignRunner, Trial, TrialRun};
 use crate::traffic;
+
+/// The bucket every driver-booted platform stages its dataset in (under
+/// `d/`), and the one its jobs write results to.
+pub const DATA: &str = "soak-data";
+/// See [`DATA`].
+pub const RESULTS: &str = "soak-results";
 
 /// One precomputed submission.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +77,22 @@ pub struct Arrival {
     pub checkpoint_every: u64,
 }
 
-/// One soak experiment, as data.
+/// The faults a run injects, as data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plan {
+    /// None.
+    None,
+    /// Through the submission window, a pod monkey and, every seven
+    /// minutes, the next of the substrate faults in turn.
+    Chaos,
+    /// One fault, injected the moment the first job the platform
+    /// acknowledges reaches the deployment step. That job is the run's
+    /// target ([`SoakRun::target`]): the drain waits for its terminal
+    /// status first.
+    At(FaultKind, InjectionPoint),
+}
+
+/// One scenario, as data.
 #[derive(Debug)]
 pub struct Preset {
     /// Name on the command line and in the artifacts.
@@ -82,17 +107,16 @@ pub struct Preset {
     pub window: fn(u64) -> SimDuration,
     /// How long in-flight jobs get to finish once submissions stop.
     pub drain: SimDuration,
-    /// K80s to provision for `n` jobs.
-    pub capacity_gpus: fn(u64) -> u32,
-    /// The tenant table for that many GPUs.
-    pub tenants: fn(u32) -> Vec<Tenant>,
+    /// The cluster for `n` jobs.
+    pub platform: fn(u64) -> PlatformConfig,
+    /// The tenant table for `n` jobs.
+    pub tenants: fn(u64) -> Vec<Tenant>,
     /// Size of the dataset every job stages.
     pub dataset_bytes: u64,
-    /// Whether the pod monkey and the substrate-fault rotation run
-    /// during the window.
-    pub faults: bool,
-    /// Period of the [`InvariantMonitor`] for `n` jobs (a final full
-    /// sweep closes the run), or `None` to run unchecked.
+    /// The faults injected.
+    pub plan: Plan,
+    /// Period of the [`InvariantMonitor`] for `n` jobs, or `None` to
+    /// leave the verdict to the final sweep alone.
     pub monitor: Option<fn(u64) -> SimDuration>,
 }
 
@@ -103,8 +127,18 @@ impl Preset {
     }
 }
 
-fn bench_tenant(_capacity: u32) -> Vec<Tenant> {
-    vec![Tenant::new("bench", BENCH_KEY, 0)]
+/// The soak presets' cluster: four core nodes and `gpus` K80s, four to a
+/// node, on two nodes at least.
+fn soak_cluster(gpus: u32) -> PlatformConfig {
+    PlatformConfig {
+        core_nodes: 4,
+        gpu_nodes: vec![GpuNodeSpec {
+            kind: GpuKind::K80,
+            count: gpus.div_ceil(4).max(2),
+            gpus_each: 4,
+        }],
+        ..PlatformConfig::default()
+    }
 }
 
 /// Capacity scales with N so concurrency — not parking — is what grows,
@@ -116,10 +150,10 @@ pub const UNIFORM: Preset = Preset {
     arrivals: uniform_arrivals,
     window: |_| UNIFORM_WINDOW,
     drain: SimDuration::from_mins(220),
-    capacity_gpus: |n| n as u32,
-    tenants: bench_tenant,
+    platform: |n| soak_cluster(n as u32),
+    tenants: bench_tenants,
     dataset_bytes: 200_000_000,
-    faults: false,
+    plan: Plan::None,
     monitor: None,
 };
 
@@ -146,10 +180,10 @@ pub const TRAFFIC: Preset = Preset {
     arrivals: traffic::generate,
     window: |_| traffic::WINDOW,
     drain: SimDuration::from_hours(1),
-    capacity_gpus: traffic::capacity_gpus,
-    tenants: traffic::tenants,
+    platform: |n| soak_cluster(traffic::capacity_gpus(n)),
+    tenants: |n| traffic::tenants(traffic::capacity_gpus(n)),
     dataset_bytes: 500_000_000,
-    faults: false,
+    plan: Plan::None,
     // The checker walks every job document, so at large N it must run
     // sparsely. Deterministic in N only — never in thread count.
     monitor: Some(|n| {
@@ -172,10 +206,10 @@ pub const CHAOS: Preset = Preset {
     window: chaos_window,
     // Every in-flight job finishes and GC passes the grace period.
     drain: SimDuration::from_hours(4),
-    capacity_gpus: |_| 32,
-    tenants: bench_tenant,
+    platform: |_| soak_cluster(32),
+    tenants: bench_tenants,
     dataset_bytes: 1_000_000_000,
-    faults: true,
+    plan: Plan::Chaos,
     monitor: Some(|_| SimDuration::from_secs(60)),
 };
 
@@ -189,6 +223,14 @@ const CHAOS_MIX: [(Framework, DlModel); 3] = [
 /// Running pod is crashed.
 const MONKEY_PERIOD: SimDuration = SimDuration::from_secs(90);
 const MONKEY_P: f64 = 0.3;
+/// The faults that target a substrate rather than one job, in the order
+/// [`Plan::Chaos`] rotates through them, one every [`FAULT_ROTATION`].
+const CHAOS_ROTATION: [FaultKind; 4] = [
+    FaultKind::EtcdLeaderCrash,
+    FaultKind::MongoCrash,
+    FaultKind::NfsOutage,
+    FaultKind::Partition,
+];
 const FAULT_ROTATION: SimDuration = SimDuration::from_mins(7);
 /// Liveness bound under faults: a late crash of a non-checkpointing job
 /// legitimately restarts training from scratch (§III-g), so time to
@@ -234,7 +276,7 @@ fn chaos_arrivals(rng: &mut SimRng, n: u64) -> Vec<Arrival> {
     out
 }
 
-/// Every preset, in command-line help order.
+/// Every preset the `soak` command line names, in help order.
 pub const PRESETS: [&Preset; 3] = [&UNIFORM, &TRAFFIC, &CHAOS];
 
 /// Per-tenant turnaround summary.
@@ -262,6 +304,19 @@ pub struct Series {
     pub sum: f64,
     /// Work items per job — must stay flat as N grows.
     pub per_job: f64,
+}
+
+/// What became of the job a [`Plan::At`] fault targets.
+#[derive(Debug, Clone, Default)]
+pub struct Target {
+    /// Its status when the wait for it ended.
+    pub status: Option<JobStatus>,
+    /// Whether the fault fired (the step was actually reached).
+    pub fired: bool,
+    /// Injection-to-terminal time, when it reached a terminal state.
+    pub recovery: Option<SimDuration>,
+    /// Its timeline at the end of the run, rendered.
+    pub timeline: String,
 }
 
 /// The record of one soak trial.
@@ -292,8 +347,10 @@ pub struct SoakRun {
     /// What the final sweep found, rendered.
     pub final_violations: Vec<String>,
     /// The timelines of the jobs the final sweep flagged (empty on a
-    /// clean run, and on a preset without a monitor: its trace is off).
+    /// clean run).
     pub timelines: String,
+    /// The job the plan targeted, under [`Plan::At`].
+    pub target: Option<Target>,
     /// Pod restarts platform-wide.
     pub pod_restarts: u64,
     /// Kernel events executed, boot included.
@@ -343,8 +400,31 @@ impl SoakRun {
     }
 }
 
-/// Runs one soak trial: boot, tenants, dataset and bucket, the preset's
-/// arrivals (and faults) over its window, the drain, then the record.
+/// The driver's boot step: a platform on `cfg`, ready, with `tenants`
+/// registered, `dataset_bytes` of data under `d/` in [`DATA`] and an
+/// empty [`RESULTS`] bucket.
+pub fn boot(
+    sim: &mut Sim,
+    cfg: PlatformConfig,
+    tenants: &[Tenant],
+    dataset_bytes: u64,
+) -> DlaasPlatform {
+    let platform = DlaasPlatform::new(sim, cfg);
+    platform.run_until_ready(sim, SimDuration::from_secs(60));
+    for t in tenants {
+        platform.add_tenant(t).expect("bootstrap tenant insert");
+    }
+    platform.seed_dataset(DATA, "d/", dataset_bytes);
+    platform.create_bucket(RESULTS);
+    platform
+}
+
+/// Arms a [`Plan::At`] fault on the job it targets.
+type Arm = Rc<dyn Fn(&mut Sim, &JobId)>;
+
+/// Runs one trial: boot, the preset's arrivals and plan over its window,
+/// the drain — inside which the plan's targeted job is waited for, so its
+/// terminal instant is read — then a full invariant sweep and the record.
 pub fn run(
     seed: u64,
     preset: &Preset,
@@ -357,42 +437,50 @@ pub fn run(
     if profile {
         sim.profile_sites();
     }
-    // Whoever watches the invariants wants to know what happened to a
-    // job that broke one.
-    sim.trace_mut().set_enabled(preset.monitor.is_some());
+    // Whoever reads a violation wants to know what happened to its job.
+    sim.trace_mut().set_enabled(true);
 
-    let capacity = (preset.capacity_gpus)(n);
-    let mut cfg = PlatformConfig {
-        core_nodes: 4,
-        gpu_nodes: vec![GpuNodeSpec {
-            kind: GpuKind::K80,
-            count: capacity.div_ceil(4).max(2),
-            gpus_each: 4,
-        }],
-        ..PlatformConfig::default()
-    };
+    let mut cfg = (preset.platform)(n);
     if let Some(m) = lcm_replicas {
         cfg.core.lcm_replicas = m;
     }
-    let platform = DlaasPlatform::new(&mut sim, cfg);
-    platform.run_until_ready(&mut sim, SimDuration::from_secs(60));
-
-    let tenants = (preset.tenants)(capacity);
-    let mut clients = Vec::with_capacity(tenants.len());
-    for t in &tenants {
-        platform.add_tenant(t).expect("bootstrap tenant insert");
-        clients.push(platform.client(&t.id, &t.api_key));
-    }
-    platform.seed_dataset("soak-data", "d/", preset.dataset_bytes);
-    platform.create_bucket("soak-results");
+    let tenants = (preset.tenants)(n);
+    let platform = boot(&mut sim, cfg, &tenants, preset.dataset_bytes);
+    let clients: Vec<_> = tenants
+        .iter()
+        .map(|t| platform.client(&t.id, &t.api_key))
+        .collect();
 
     let monitor = preset.monitor.map(|period| {
         let mut bounds = InvariantBounds::from_config(&platform.handles().config);
-        if preset.faults {
+        if preset.plan == Plan::Chaos {
             bounds.terminal_within = CHAOS_TERMINAL_WITHIN;
         }
         InvariantMonitor::install_with(&mut sim, &platform, period(n), bounds)
     });
+
+    // A `Plan::At` fault is armed in the first acknowledgement.
+    let fired_at: Rc<Cell<Option<SimTime>>> = Rc::default();
+    let arm: Option<Arm> = match preset.plan {
+        Plan::At(kind, point) => {
+            let (platform, fired_at) = (platform.clone(), fired_at.clone());
+            Some(Rc::new(move |sim: &mut Sim, job: &JobId| {
+                let (p, job, fired_at) = (platform.clone(), job.clone(), fired_at.clone());
+                let pred = point.predicate(&platform, &job);
+                when(
+                    sim,
+                    SimDuration::from_millis(200),
+                    kind.label(),
+                    pred,
+                    move |sim| {
+                        fired_at.set(Some(sim.now()));
+                        kind.inject(sim, &p, Some(&job));
+                    },
+                );
+            }))
+        }
+        Plan::None | Plan::Chaos => None,
+    };
 
     // The whole schedule comes from one rng fork before anything runs:
     // byte-identical at any thread count by construction. (The label
@@ -400,8 +488,7 @@ pub fn run(
     let arrivals = (preset.arrivals)(&mut sim.rng().fork("traffic-gen"), n);
     let jobs: Rc<RefCell<Vec<JobId>>> = Rc::new(RefCell::new(Vec::with_capacity(n as usize)));
     for (serial, a) in arrivals.into_iter().enumerate() {
-        let client = clients[a.tenant].clone();
-        let jobs = jobs.clone();
+        let (client, jobs, arm) = (clients[a.tenant].clone(), jobs.clone(), arm.clone());
         let (preset_name, bytes) = (preset.name, preset.dataset_bytes);
         sim.schedule_in(a.at, move |sim| {
             let manifest = TrainingManifest::builder(format!("{preset_name}-{serial}"))
@@ -409,22 +496,24 @@ pub fn run(
                 .model(a.model)
                 .gpus(GpuKind::K80, 1)
                 .learners(a.learners)
-                .data("soak-data", "d/", bytes)
-                .results("soak-results")
+                .data(DATA, "d/", bytes)
+                .results(RESULTS)
                 .iterations(a.iterations)
                 .checkpoint_every(a.checkpoint_every)
                 .build()
                 .expect("generated manifest is valid");
-            client.submit(sim, manifest, move |_sim, r| {
+            client.submit(sim, manifest, move |sim, r| {
                 // A refusal leaves the run short of `n` acknowledged jobs.
-                if let Ok(job) = r {
-                    jobs.borrow_mut().push(job);
+                let Ok(job) = r else { return };
+                if let Some(arm) = arm.filter(|_| jobs.borrow().is_empty()) {
+                    arm(sim, &job);
                 }
+                jobs.borrow_mut().push(job);
             });
         });
     }
 
-    let faults = preset.faults.then(|| {
+    let chaos = (preset.plan == Plan::Chaos).then(|| {
         let monkey = ChaosMonkey::unleash(
             &mut sim,
             platform.kube(),
@@ -434,17 +523,34 @@ pub fn run(
         );
         let p = platform.clone();
         let rotation = dlaas_sim::every(&mut sim, FAULT_ROTATION, move |sim, tick| {
-            SUBSTRATE_FAULTS[tick as usize % SUBSTRATE_FAULTS.len()](sim, &p);
+            CHAOS_ROTATION[tick as usize % CHAOS_ROTATION.len()].inject(sim, &p, None);
             true
         });
         (monkey, rotation)
     });
     sim.run_for((preset.window)(n));
-    if let Some((monkey, rotation)) = faults {
+    if let Some((monkey, rotation)) = chaos {
         monkey.stop();
         rotation.cancel();
     }
-    sim.run_for(preset.drain);
+
+    let drain_end = sim.now() + preset.drain;
+    let target = arm.map(|_| {
+        while jobs.borrow().is_empty() && sim.peek_time().is_some_and(|t| t <= drain_end) {
+            sim.step();
+        }
+        let job = jobs.borrow().first().cloned();
+        let status = job.as_ref().and_then(|job| {
+            let left = drain_end.saturating_duration_since(sim.now());
+            platform.wait_for_status(&mut sim, job, JobStatus::Completed, left)
+        });
+        let recovery = fired_at
+            .get()
+            .filter(|_| status.is_some_and(JobStatus::is_terminal))
+            .map(|at| sim.now().saturating_duration_since(at));
+        (job, status, recovery)
+    });
+    sim.run_until(drain_end);
 
     let (mut completed, mut failed, mut unfinished) = (0u64, 0u64, 0u64);
     for job in jobs.borrow().iter() {
@@ -457,14 +563,17 @@ pub fn run(
 
     // Close the run with one full sweep, then fold in everything the
     // periodic monitor saw that the final state no longer shows.
-    let mut final_violations = Vec::new();
-    let mut timelines = String::new();
-    let invariant_violations = monitor.map_or(0, |monitor| {
+    let seen = monitor.map_or(0, |monitor| {
         monitor.cancel();
-        let last = check_invariants(&sim, &platform);
-        final_violations.extend(last.violations.iter().map(ToString::to_string));
-        timelines = last.timelines;
-        monitor.violations_seen().max(last.violations.len()) as u64
+        monitor.violations_seen()
+    });
+    let last = check_invariants(&sim, &platform);
+    let invariant_violations = seen.max(last.violations.len()) as u64;
+    let target = target.map(|(job, status, recovery)| Target {
+        status,
+        fired: fired_at.get().is_some(),
+        recovery,
+        timeline: job.map_or_else(String::new, |job| sim.trace().of(job.as_str()).to_string()),
     });
 
     let m = platform.metrics();
@@ -525,8 +634,9 @@ pub fn run(
                 .unwrap_or(0.0),
             admission_wait_p95_us: wait.as_ref().and_then(|h| h.quantile(0.95)).unwrap_or(0.0),
             invariant_violations,
-            final_violations,
-            timelines,
+            final_violations: last.violations.iter().map(ToString::to_string).collect(),
+            timelines: last.timelines,
+            target,
             pod_restarts: m.counter_total(dlaas_kube::metrics::POD_RESTARTS),
             events: sim.events_executed(),
             sim_secs: sim_elapsed.as_secs_f64(),
@@ -651,78 +761,53 @@ pub struct Cli {
     pub out: String,
 }
 
-/// Parses the arguments after the program name. Anything it cannot make
-/// sense of is an error — a typo must not run (and pass a gate at) a
-/// default seed or size.
-pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
-    fn value<T: std::str::FromStr>(
-        flag: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<T, String> {
-        let v = args.next().ok_or(format!("{flag} needs a value"))?;
-        v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
-    }
-
-    let mut args = args.into_iter();
-    let name = args.next().ok_or("missing preset")?;
+/// Reads a `soak` command line (see [`Args::read`]).
+pub fn parse_cli(args: &mut Args) -> Result<Cli, String> {
+    let threads = args.value("--threads")?.unwrap_or(1);
+    let check = args.value("--check")?;
+    let tolerance = args.value("--tolerance")?.unwrap_or(0.10);
+    let lcm_replicas = args.value("--lcm-replicas")?;
+    let budget_secs: Option<u64> = args.value("--sim-budget-secs")?;
+    let profile = args.switch("--profile");
+    let name: String = args.positional("preset")?.ok_or("missing preset")?;
     let preset = *PRESETS
         .iter()
         .find(|p| p.name == name)
         .ok_or(format!("unknown preset {name:?}"))?;
-    let mut cli = Cli {
-        preset,
-        threads: 1,
-        check: None,
-        tolerance: 0.10,
-        lcm_replicas: None,
-        sim_budget: None,
-        profile: false,
-        seed: 2018,
-        sizes: preset.default_sizes.to_vec(),
-        out: "BENCH_soak.json".into(),
-    };
-    let mut budget_secs: Option<u64> = None;
-    let mut positional = Vec::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => cli.threads = value(&arg, &mut args)?,
-            "--check" => cli.check = Some(value(&arg, &mut args)?),
-            "--tolerance" => cli.tolerance = value(&arg, &mut args)?,
-            "--lcm-replicas" => cli.lcm_replicas = Some(value(&arg, &mut args)?),
-            "--sim-budget-secs" => budget_secs = Some(value(&arg, &mut args)?),
-            "--profile" => cli.profile = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            _ => positional.push(arg),
-        }
-    }
-    let mut positional = positional.into_iter();
-    if let Some(s) = positional.next() {
-        cli.seed = s.parse().map_err(|_| format!("seed: cannot parse {s:?}"))?;
-    }
-    if let Some(list) = positional.next() {
-        cli.sizes = list
+    let seed = args.positional("seed")?.unwrap_or(2018);
+    let sizes: Vec<u64> = match args.positional::<String>("sizes")? {
+        Some(list) => list
             .split(',')
             .map(|p| match p.parse() {
                 Ok(n) if n > 0 => Ok(n),
                 _ => Err(format!("sizes: cannot parse {p:?} in {list:?}")),
             })
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(out) = positional.next() {
-        cli.out = out;
-    }
-    if let Some(extra) = positional.next() {
-        return Err(format!("unexpected argument {extra:?}"));
-    }
+            .collect::<Result<_, _>>()?,
+        None => preset.default_sizes.to_vec(),
+    };
+    let out = args
+        .positional("out")?
+        .unwrap_or_else(|| "BENCH_soak.json".into());
     // Every trial simulates boot + window + drain; anything past an extra
     // hour of sim time is a runaway. `--sim-budget-secs 0` uncaps.
-    let largest = cli.sizes.iter().copied().max().unwrap_or(0);
-    cli.sim_budget = match budget_secs {
+    let largest = sizes.iter().copied().max().unwrap_or(0);
+    let sim_budget = match budget_secs {
         Some(0) => None,
         Some(secs) => Some(SimDuration::from_secs(secs)),
         None => Some((preset.window)(largest) + preset.drain + SimDuration::from_hours(1)),
     };
-    Ok(cli)
+    Ok(Cli {
+        preset,
+        threads,
+        check,
+        tolerance,
+        lcm_replicas,
+        sim_budget,
+        profile,
+        seed,
+        sizes,
+        out,
+    })
 }
 
 /// Runs one trial per size on the seed-parallel runner.
@@ -959,7 +1044,7 @@ mod tests {
     use super::*;
 
     fn cli(args: &[&str]) -> Result<Cli, String> {
-        parse_cli(args.iter().map(|s| (*s).to_owned()))
+        Args::new(args.iter().map(|s| (*s).to_owned())).read(parse_cli)
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! (using the kubectl tool of K8S) and measuring time taken for the
 //! component to restart". This crate is that experiment, scripted:
 //!
-//! * [`FaultAction`] / [`FaultPlan`] — deterministic schedules of pod and
-//!   node faults applied to a [`Kube`] cluster,
 //! * [`when`] — a one-shot trigger that fires a fault the moment a
 //!   predicate over the live state becomes true (step-targeted crashes),
 //! * [`partition_window`] / [`latency_window`] / [`nfs_outage_window`] —
@@ -15,6 +13,9 @@
 //! * [`ChaosMonkey`] — probabilistic recurring faults against pods
 //!   matching a label selector (for soak/property tests),
 //! * [`RecoveryStats`] — min/mean/max aggregation across trials.
+//!
+//! The platform-level faults built from these — the one vocabulary the
+//! fault matrix and the chaos soak share — are `dlaas_bench::matrix::FaultKind`.
 //!
 //! # Examples
 //!
@@ -56,93 +57,7 @@
 use dlaas_kube::{Kube, Labels, PodPhase};
 use dlaas_net::{Addr, LatencyModel, Net};
 use dlaas_sharedfs::NfsServer;
-use dlaas_sim::{Sim, SimDuration, SimRng, SimTime, TimerHandle};
-
-/// One injectable fault.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultAction {
-    /// Crash a pod's processes (kubelet restarts it in place).
-    CrashPod(String),
-    /// Delete a pod (`kubectl delete pod`; owner recreates it).
-    DeletePod(String),
-    /// Crash a node (owned pods are rescheduled elsewhere).
-    CrashNode(String),
-    /// Bring a crashed node back.
-    RestartNode(String),
-    /// Crash LCM replica `i` in place (kubelet restarts it as a fresh
-    /// incarnation; its etcd lease is orphaned until the TTL expires and
-    /// the survivors adopt its shards).
-    CrashLcm(u32),
-    /// Delete LCM replica `i`'s pod (`kubectl delete pod`; the
-    /// deployment recreates it). Same lease-expiry takeover path as
-    /// [`FaultAction::CrashLcm`], but with a scheduler round trip.
-    RestartLcm(u32),
-}
-
-impl FaultAction {
-    /// Applies the fault to the cluster. Returns `false` when the target
-    /// did not exist or was not in a crashable state.
-    pub fn apply(&self, sim: &mut Sim, kube: &Kube) -> bool {
-        match self {
-            FaultAction::CrashPod(p) => kube.crash_pod(sim, p),
-            FaultAction::DeletePod(p) => kube.delete_pod(sim, p),
-            FaultAction::CrashNode(n) => kube.crash_node(sim, n),
-            FaultAction::RestartNode(n) => kube.restart_node(sim, n),
-            FaultAction::CrashLcm(i) => kube.crash_pod(sim, &format!("dlaas-lcm-{i}")),
-            FaultAction::RestartLcm(i) => kube.delete_pod(sim, &format!("dlaas-lcm-{i}")),
-        }
-    }
-}
-
-/// A deterministic schedule of faults.
-///
-/// Plans are plain data — `Send` and cheap to `Clone` — on purpose: the
-/// seed-parallel campaign runner in `dlaas-bench` ships one cloned plan
-/// per trial spec to a worker thread, where it is armed against that
-/// trial's private `Sim`. A plan never captures a simulation handle, so
-/// carrying one across threads is safe by construction (and enforced by
-/// the `fault_specs_are_send_and_clone` test below).
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    entries: Vec<(SimTime, FaultAction)>,
-}
-
-impl FaultPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a fault at an absolute simulated time.
-    pub fn at(mut self, t: SimTime, action: FaultAction) -> Self {
-        self.entries.push((t, action));
-        self
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Arms every fault on the simulation against `kube`. Faults whose
-    /// time is already past fire immediately.
-    pub fn arm(self, sim: &mut Sim, kube: &Kube) {
-        for (nth, (t, action)) in (1..).zip(self.entries) {
-            let kube = kube.clone();
-            let at = t.max(sim.now());
-            sim.schedule_at(at, move |sim| {
-                // What it does to whom is the cluster's next mark.
-                sim.mark("faults", "plan", "inject", nth);
-                action.apply(sim, &kube);
-            });
-        }
-    }
-}
+use dlaas_sim::{Sim, SimDuration, SimRng, TimerHandle};
 
 /// Arms a one-shot trigger: polls `pred` every `period` and, the first
 /// time it returns `true`, fires `action` exactly once and stops polling.
@@ -365,6 +280,7 @@ mod tests {
     use dlaas_kube::{
         labels, BehaviorRegistry, ContainerSpec, ImageRef, KubeConfig, NodeSpec, PodSpec,
     };
+    use dlaas_sim::SimTime;
 
     fn boot(seed: u64) -> (Sim, Kube) {
         let mut sim = Sim::new(seed);
@@ -382,100 +298,6 @@ mod tests {
             ContainerSpec::new("m", ImageRef::microservice("svc"), "pause"),
         )
         .with_labels(labels! {"app" => "svc"})
-    }
-
-    #[test]
-    fn plan_arms_and_fires_in_order() {
-        let (mut sim, kube) = boot(1);
-        kube.create_deployment(&mut sim, "svc", 2, pod("svc"));
-        sim.run_for(SimDuration::from_secs(10));
-
-        let plan = FaultPlan::new()
-            .at(
-                SimTime::from_secs(15),
-                FaultAction::CrashPod("svc-0".into()),
-            )
-            .at(
-                SimTime::from_secs(20),
-                FaultAction::DeletePod("svc-1".into()),
-            );
-        assert_eq!(plan.len(), 2);
-        plan.arm(&mut sim, &kube);
-
-        sim.run_until(SimTime::from_secs(16));
-        assert_eq!(kube.pod_restarts("svc-0"), Some(1));
-        sim.run_for(SimDuration::from_secs(60));
-        // Both recovered by their respective mechanisms.
-        assert!(kube.pod_ready(&sim, "svc-0"));
-        assert!(kube.pod_ready(&sim, "svc-1"));
-    }
-
-    #[test]
-    fn past_faults_fire_immediately() {
-        let (mut sim, kube) = boot(2);
-        kube.create_deployment(&mut sim, "svc", 1, pod("svc"));
-        sim.run_for(SimDuration::from_secs(10));
-        FaultPlan::new()
-            .at(SimTime::ZERO, FaultAction::CrashPod("svc-0".into()))
-            .arm(&mut sim, &kube);
-        sim.run_for(SimDuration::from_secs(1));
-        assert_eq!(kube.pod_restarts("svc-0"), Some(1));
-    }
-
-    #[test]
-    fn apply_reports_missing_targets() {
-        let (mut sim, kube) = boot(3);
-        assert!(!FaultAction::CrashPod("ghost".into()).apply(&mut sim, &kube));
-        assert!(!FaultAction::DeletePod("ghost".into()).apply(&mut sim, &kube));
-        assert!(!FaultAction::CrashNode("ghost".into()).apply(&mut sim, &kube));
-        assert!(!FaultAction::RestartNode("ghost".into()).apply(&mut sim, &kube));
-        assert!(FaultAction::CrashNode("n1".into()).apply(&mut sim, &kube));
-        assert!(FaultAction::RestartNode("n1".into()).apply(&mut sim, &kube));
-        // No dlaas-lcm deployment in this toy cluster: LCM faults miss.
-        assert!(!FaultAction::CrashLcm(0).apply(&mut sim, &kube));
-        assert!(!FaultAction::RestartLcm(0).apply(&mut sim, &kube));
-    }
-
-    #[test]
-    fn lcm_faults_target_the_lcm_deployment_pods() {
-        let (mut sim, kube) = boot(7);
-        kube.create_deployment(&mut sim, "dlaas-lcm", 2, pod("lcm"));
-        sim.run_for(SimDuration::from_secs(10));
-        assert!(FaultAction::CrashLcm(1).apply(&mut sim, &kube));
-        sim.run_for(SimDuration::from_secs(1));
-        assert_eq!(kube.pod_restarts("dlaas-lcm-1"), Some(1));
-        assert!(FaultAction::RestartLcm(0).apply(&mut sim, &kube));
-        sim.run_for(SimDuration::from_secs(60));
-        assert!(kube.pod_ready(&sim, "dlaas-lcm-0"));
-        assert!(kube.pod_ready(&sim, "dlaas-lcm-1"));
-    }
-
-    #[test]
-    fn same_time_faults_fire_in_insertion_order() {
-        // CrashNode then RestartNode at the same instant: the restart only
-        // succeeds if the crash was applied first, so insertion order is
-        // directly observable through the node coming back up.
-        let mut sim = Sim::new(11);
-        let registry = BehaviorRegistry::new();
-        registry.register_noop("pause");
-        let kube = Kube::new(&mut sim, KubeConfig::default(), registry);
-        kube.add_node(NodeSpec::cpu("n1", 16000, 65536)); // single node
-        kube.create_deployment(&mut sim, "svc", 1, pod("svc"));
-        sim.run_for(SimDuration::from_secs(10));
-
-        let t = SimTime::from_secs(15);
-        FaultPlan::new()
-            .at(t, FaultAction::CrashNode("n1".into()))
-            .at(t, FaultAction::RestartNode("n1".into()))
-            .arm(&mut sim, &kube);
-        sim.run_for(SimDuration::from_secs(120));
-        // Had the restart fired first it would have been a no-op and the
-        // crash would have left the only node down — the pod could never
-        // be rescheduled.
-        assert!(
-            kube.pod_ready(&sim, "svc-0"),
-            "node must be back up: insertion order violated"
-        );
     }
 
     #[test]
@@ -639,23 +461,6 @@ mod tests {
             SimDuration::from_secs(30),
         );
         assert_eq!(r, None, "Never-restart pod cannot recover");
-    }
-
-    #[test]
-    fn fault_specs_are_send_and_clone() {
-        // The campaign runner moves trial specs (seed + fault plan) to
-        // worker threads and clones a fresh plan per trial. These bounds
-        // are part of the crate's contract; a field that captures a
-        // simulation handle (Rc, RefCell, …) would break the build here.
-        fn assert_spec<T: Send + Clone + 'static>() {}
-        assert_spec::<FaultPlan>();
-        assert_spec::<FaultAction>();
-        assert_spec::<RecoveryStats>();
-
-        let plan =
-            FaultPlan::new().at(SimTime::from_secs(1), FaultAction::CrashPod("svc-0".into()));
-        let cloned = plan.clone();
-        assert_eq!(cloned.len(), plan.len());
     }
 
     #[test]

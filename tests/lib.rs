@@ -1,12 +1,11 @@
 //! Shared helpers for the cross-crate integration tests (the tests
 //! themselves live in `tests/tests/`).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dlaas_core::{DlaasClient, DlaasPlatform, JobId, JobStatus, Tenant, TrainingManifest};
+use dlaas_core::{DlaasPlatform, JobId, JobStatus, Tenant, TrainingManifest};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_sim::{Sim, SimDuration};
+
+pub use dlaas_bench::harness::submit_blocking;
 
 /// The standard test tenant's API key.
 pub const KEY: &str = "itest-key";
@@ -36,17 +35,6 @@ pub fn manifest(name: &str, iters: u64) -> TrainingManifest {
         .iterations(iters)
         .build()
         .expect("valid manifest")
-}
-
-/// Submits and waits (in simulated time) for the ACK.
-pub fn submit_blocking(sim: &mut Sim, client: &DlaasClient, m: TrainingManifest) -> JobId {
-    let got: Rc<RefCell<Option<Result<JobId, dlaas_core::ClientError>>>> =
-        Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(sim, m, move |_s, r| *g.borrow_mut() = Some(r));
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let r = got.borrow().clone().expect("callback fired");
-    r.expect("submission accepted")
 }
 
 /// Submits a single-learner job as the standard tenant and returns once

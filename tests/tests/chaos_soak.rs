@@ -6,63 +6,20 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use dlaas_bench::soak;
 use dlaas_core::JobStatus;
-use dlaas_faults::ChaosMonkey;
 use dlaas_integration::{boot, manifest, submit_blocking};
-use dlaas_kube::labels;
 use dlaas_sim::SimDuration;
 
+/// The `chaos` preset at smoke size: a pod monkey and the substrate-fault
+/// rotation across the submission window, the invariant monitor (history
+/// monotonicity among its rules) throughout, and every job completed.
 #[test]
 fn jobs_survive_platform_wide_chaos_monkey() {
-    let (mut sim, platform) = boot(206);
-    let client = platform.client("soak", dlaas_integration::KEY);
-
-    let monkey = ChaosMonkey::unleash(
-        &mut sim,
-        platform.kube(),
-        labels! {}, // everything is fair game
-        SimDuration::from_secs(25),
-        0.6,
-    );
-
-    let mut jobs = Vec::new();
-    let mut last_rank: Vec<u8> = Vec::new();
-    for i in 0..3 {
-        let mut m = manifest(&format!("soak-{i}"), 700);
-        m.checkpoint_every = 200;
-        jobs.push(submit_blocking(&mut sim, &client, m));
-        last_rank.push(0);
-        sim.run_for(SimDuration::from_secs(30));
-    }
-
-    // Sample statuses during the rampage: monotone lifecycle, always.
-    for _ in 0..40 {
-        sim.run_for(SimDuration::from_secs(30));
-        for (i, job) in jobs.iter().enumerate() {
-            if let Some(s) = platform.job_status(job) {
-                assert!(
-                    s.rank() >= last_rank[i],
-                    "status of {job} went backwards under chaos"
-                );
-                last_rank[i] = s.rank();
-            }
-        }
-    }
-
-    monkey.stop();
-    for job in &jobs {
-        let end = platform.wait_for_status(
-            &mut sim,
-            job,
-            JobStatus::Completed,
-            SimDuration::from_hours(24),
-        );
-        assert_eq!(end, Some(JobStatus::Completed), "{job} lost under chaos");
-    }
-
-    // Convergence: core services healthy again.
-    sim.run_for(SimDuration::from_mins(10));
-    assert!(platform.ready(&sim));
+    let run = soak::run(206, &soak::CHAOS, 8, None, false).result;
+    assert_eq!(run.malformed(), None);
+    assert!(run.pod_restarts > 0, "the monkey never struck");
+    assert_eq!(run.completed, run.n, "a job was lost under chaos");
 }
 
 #[test]

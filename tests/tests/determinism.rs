@@ -2,6 +2,7 @@
 //! histories across the full stack — including under chaos — because
 //! every dependability experiment in this repository depends on replay.
 
+use dlaas_bench::matrix::{self, FaultKind};
 use dlaas_core::JobStatus;
 use dlaas_faults::ChaosMonkey;
 use dlaas_integration::{boot, manifest, submit_blocking};
@@ -119,7 +120,8 @@ fn same_seed_same_job_timeline() {
 #[test]
 fn same_seed_fault_matrix_exposes_identical_metrics() {
     let fingerprint = |seed: u64| {
-        let run = dlaas_bench::matrix::sweep(seed, 1);
+        let kinds = FaultKind::all();
+        let run = matrix::sweep(&kinds, seed, 1, 1, None).run;
         let mut out = run.metrics.expose();
         for o in &run.outcomes {
             out.push_str(&o.describe());

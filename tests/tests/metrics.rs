@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use dlaas_bench::matrix::{sweep_parallel_for, FaultKind};
+use dlaas_bench::matrix::{sweep, FaultKind};
 use dlaas_core::{metrics, JobStatus};
 use dlaas_faults::ChaosMonkey;
 use dlaas_integration::{boot, manifest, submit_blocking};
@@ -212,7 +212,7 @@ fn every_exposed_family_is_declared_with_its_kind() {
         SimDuration::from_hours(1),
     );
     for fault in FaultKind::all() {
-        fault.inject(&mut sim, &platform, &job);
+        fault.inject(&mut sim, &platform, Some(&job));
         sim.run_for(SimDuration::from_secs(45));
     }
     platform.wait_for_status(
@@ -223,7 +223,7 @@ fn every_exposed_family_is_declared_with_its_kind() {
     );
     sim.run_for(SimDuration::from_mins(5));
     let mut exposed = exposed_families(&platform.expose_metrics());
-    let campaign = sweep_parallel_for(&[FaultKind::GuardianCrash], 4401, 1, 1, None);
+    let campaign = sweep(&[FaultKind::GuardianCrash], 4401, 1, 1, None);
     exposed.extend(exposed_families(&campaign.run.metrics.expose()));
     exposed.extend(exposed_families(&campaign.report.wall_metrics.expose()));
 

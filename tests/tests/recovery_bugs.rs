@@ -13,7 +13,7 @@ use dlaas_core::{
 };
 use dlaas_docstore::Value;
 use dlaas_etcd::KvEvent;
-use dlaas_faults::{nfs_outage_window, partition_window, when, FaultAction};
+use dlaas_faults::{nfs_outage_window, partition_window, when};
 use dlaas_integration::{boot, manifest, start_training, submit_blocking, KEY};
 use dlaas_kube::labels;
 use dlaas_net::Addr;
@@ -441,12 +441,7 @@ fn crashed_shard_owner_is_replaced_within_the_takeover_bound() {
         move |_| p2.job_status(&j2) == Some(JobStatus::Deploying),
         move |sim| {
             let owner = shard_owner(&p3, shard).unwrap_or_else(|| "dlaas-lcm-0".into());
-            let idx: u32 = owner
-                .rsplit('-')
-                .next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0);
-            assert!(FaultAction::CrashLcm(idx).apply(sim, p3.kube()));
+            assert!(p3.kube().crash_pod(sim, &owner));
         },
     );
 

@@ -2,13 +2,26 @@
 //! cluster, exercising scheduler capacity accounting, quota bookkeeping
 //! and the platform's horizontal-scalability claims (§I goal 2).
 
+use dlaas_bench::soak::{self, DATA, RESULTS};
 use dlaas_core::{DlaasPlatform, GpuNodeSpec, JobStatus, PlatformConfig, Tenant, TrainingManifest};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_integration::{submit_blocking, KEY};
 use dlaas_sim::{Sim, SimDuration};
 
-fn big_platform(seed: u64) -> (Sim, DlaasPlatform) {
+/// Boots `cfg` through the soak driver's boot step, with the test tenant
+/// and a 1 GB dataset.
+fn boot(seed: u64, cfg: PlatformConfig) -> (Sim, DlaasPlatform) {
     let mut sim = Sim::new(seed);
+    let platform = soak::boot(
+        &mut sim,
+        cfg,
+        &[Tenant::new("itest", KEY, 0)],
+        1_000_000_000,
+    );
+    (sim, platform)
+}
+
+fn big_platform(seed: u64) -> (Sim, DlaasPlatform) {
     let cfg = PlatformConfig {
         core_nodes: 4,
         gpu_nodes: vec![GpuNodeSpec {
@@ -18,14 +31,7 @@ fn big_platform(seed: u64) -> (Sim, DlaasPlatform) {
         }],
         ..PlatformConfig::default()
     };
-    let platform = DlaasPlatform::new(&mut sim, cfg);
-    platform.run_until_ready(&mut sim, SimDuration::from_secs(60));
-    platform
-        .add_tenant(&Tenant::new("itest", KEY, 0))
-        .expect("bootstrap tenant insert");
-    platform.seed_dataset("itest-data", "d/", 1_000_000_000);
-    platform.create_bucket("itest-results");
-    (sim, platform)
+    boot(seed, cfg)
 }
 
 fn small_manifest(name: &str) -> TrainingManifest {
@@ -33,8 +39,8 @@ fn small_manifest(name: &str) -> TrainingManifest {
         .framework(Framework::TensorFlow)
         .model(DlModel::Resnet50)
         .gpus(GpuKind::K80, 1)
-        .data("itest-data", "d/", 1_000_000_000)
-        .results("itest-results")
+        .data(DATA, "d/", 1_000_000_000)
+        .results(RESULTS)
         .iterations(400)
         .build()
         .unwrap()
@@ -203,7 +209,6 @@ fn rolling_restart_of_api_tier_keeps_service_available() {
 
 #[test]
 fn mixed_gpu_cluster_routes_jobs_to_matching_nodes() {
-    let mut sim = Sim::new(103);
     let cfg = PlatformConfig {
         gpu_nodes: vec![
             GpuNodeSpec {
@@ -219,13 +224,7 @@ fn mixed_gpu_cluster_routes_jobs_to_matching_nodes() {
         ],
         ..PlatformConfig::default()
     };
-    let platform = DlaasPlatform::new(&mut sim, cfg);
-    platform.run_until_ready(&mut sim, SimDuration::from_secs(60));
-    platform
-        .add_tenant(&Tenant::new("itest", KEY, 0))
-        .expect("bootstrap tenant insert");
-    platform.seed_dataset("itest-data", "d/", 1_000_000_000);
-    platform.create_bucket("itest-results");
+    let (mut sim, platform) = boot(103, cfg);
     let client = platform.client("mixed", KEY);
 
     let mut k80 = small_manifest("on-k80");

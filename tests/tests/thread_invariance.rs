@@ -4,13 +4,15 @@
 //! acceptance gate for the seed-parallel runner — parallelism may only
 //! change wall-clock, never bytes.
 
-use dlaas_bench::{matrix, soak};
+use dlaas_bench::cli::Args;
+use dlaas_bench::matrix::{self, FaultKind};
+use dlaas_bench::soak;
 
 /// Everything byte-comparable a matrix campaign produces: the rendered
 /// JSON artifact, the aggregated metrics exposition, and every outcome's
 /// describe line, in order.
 fn matrix_fingerprint(base_seed: u64, seeds: u64, threads: usize) -> String {
-    let campaign = matrix::sweep_parallel(base_seed, seeds, threads, None);
+    let campaign = matrix::sweep(&FaultKind::all(), base_seed, seeds, threads, None);
     let mut out = matrix::render_matrix_json(base_seed, seeds, &campaign);
     out.push_str(&campaign.run.metrics.expose());
     for o in &campaign.run.outcomes {
@@ -50,7 +52,9 @@ fn soak_artifacts_are_byte_identical_at_any_thread_count_and_across_runs() {
     ] {
         let fingerprint = |threads: &str| {
             let args = [preset, "--threads", threads, "710", sizes];
-            let cli = soak::parse_cli(args.map(str::to_owned)).expect("valid command line");
+            let cli = Args::new(args.map(str::to_owned))
+                .read(soak::parse_cli)
+                .expect("valid command line");
             let report = soak::campaign(&cli);
             let runs: Vec<&soak::SoakRun> = report.results().collect();
             assert_eq!(runs.len(), 2, "{preset}: a trial went abnormal");
