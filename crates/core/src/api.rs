@@ -11,11 +11,12 @@
 //! service in front provides load balancing and fail-over. A replica that
 //! crashes loses nothing but in-flight requests (which clients retry).
 
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 use dlaas_docstore::{Doc, Filter, Value};
 use dlaas_kube::{pod_addr, Cleanup, ProcessCtx};
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::{CounterHandle, Sim, SimDuration};
 
 use crate::config;
 use crate::handles::{Handles, LCM_SERVICE};
@@ -49,11 +50,12 @@ pub fn api_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let h2 = h.clone();
     let meta2 = meta.clone();
     let ctx2 = ctx.clone();
+    let requests = RequestCounters::default();
     h.rpc.serve(addr.clone(), move |sim, req, responder| {
         if !ctx2.is_alive() {
             return; // crashed but not yet unregistered: drop the request
         }
-        meter(sim, &meta2, req);
+        meter(sim, &meta2, &requests, req);
         handle(sim, &h2, &meta2, &ctx2, req.clone(), responder);
     });
 
@@ -71,35 +73,36 @@ type Resp = dlaas_net::Responder<CoreRequest, CoreResponse>;
 /// visible too; the documents are created lazily on first use.
 pub const METERING: &str = "metering";
 
-fn meter(sim: &mut Sim, meta: &Rc<MetaClient>, req: &CoreRequest) {
-    let (key, kind) = match req {
-        CoreRequest::Submit { api_key, .. } => (api_key, "submit"),
-        CoreRequest::GetStatus { api_key, .. } => (api_key, "status"),
-        CoreRequest::ListJobs { api_key } => (api_key, "list"),
-        CoreRequest::Kill { api_key, .. } => (api_key, "kill"),
-        CoreRequest::GetLogs { api_key, .. } => (api_key, "logs"),
+/// Handles to the API request counter, one per request kind, each made
+/// on its kind's first request: metering a request bumps a handle.
+#[derive(Default)]
+struct RequestCounters([OnceCell<CounterHandle>; 5]);
+
+fn meter(sim: &mut Sim, meta: &Rc<MetaClient>, counters: &RequestCounters, req: &CoreRequest) {
+    let (key, kind, counter) = match req {
+        CoreRequest::Submit { api_key, .. } => (api_key, "submit", 0),
+        CoreRequest::GetStatus { api_key, .. } => (api_key, "status", 1),
+        CoreRequest::ListJobs { api_key } => (api_key, "list", 2),
+        CoreRequest::Kill { api_key, .. } => (api_key, "kill", 3),
+        CoreRequest::GetLogs { api_key, .. } => (api_key, "logs", 4),
         // Internal control-plane traffic is not user-metered.
         CoreRequest::DeployJob { .. } | CoreRequest::StopJob { .. } => return,
     };
-    sim.metrics()
-        .counter_series(metrics::API_REQUESTS, [kind])
+    counters.0[counter]
+        .get_or_init(|| sim.metrics().counter_series(metrics::API_REQUESTS, [kind]))
         .inc();
     let filter = Filter::eq("_id", key.as_str());
     let update = dlaas_docstore::Update::inc(kind, 1);
     let meta2 = meta.clone();
     let key = key.clone();
-    let kind = kind.to_owned();
-    meta.update_one(sim, METERING, filter, update.clone(), move |sim, r| {
+    meta.update_one(sim, METERING, filter, update, move |sim, r| {
         if let Ok(false) = r {
             // First request from this key: create the counter document.
-            let mut doc = dlaas_docstore::obj! { "_id" => key };
-            update.apply(&mut doc);
-            meta2.insert(sim, METERING, doc, move |_sim, _r| {
-                // A concurrent insert from another replica may have won
-                // the race; the duplicate-id rejection loses one count,
-                // which metering tolerates.
-                let _ = kind;
-            });
+            // A concurrent insert from another replica may have won the
+            // race; the duplicate-id rejection loses one count, which
+            // metering tolerates.
+            let doc = dlaas_docstore::obj! { "_id" => key, kind => 1 };
+            meta2.insert(sim, METERING, doc, |_sim, _r| {});
         }
     });
 }

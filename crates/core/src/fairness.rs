@@ -48,18 +48,20 @@ pub struct QueuedJob {
 
 /// Computes the ordered admission list for one arbiter round.
 ///
-/// `usage` maps tenant id → GPUs currently held by non-terminal,
-/// admitted jobs (QUEUED jobs do not count). Tenants absent from
-/// `tenants` (deleted mid-flight) are never admitted; their jobs stay
-/// queued until an operator re-creates the tenant or kills them.
+/// `held` lists `(tenant id, GPUs)` held by non-terminal, admitted jobs
+/// (QUEUED jobs do not count) — one pair per job or per tenant, they are
+/// summed. Tenants absent from `tenants` (deleted mid-flight) are never
+/// admitted; their jobs stay queued until an operator re-creates the
+/// tenant or kills them. Both lists are borrowed from the caller's view,
+/// so a round copies nothing of it.
 ///
 /// The function admits greedily until no tenant is eligible, charging
 /// each admission against the tenant's headroom as it goes, so the
 /// returned list is exactly what a sequential arbiter would admit.
-pub fn admission_plan(
+pub fn admission_plan<'a>(
     tenants: &BTreeMap<String, TenantShare>,
-    usage: &BTreeMap<String, u32>,
-    queued: &[QueuedJob],
+    held: impl IntoIterator<Item = (&'a str, u32)>,
+    queued: impl IntoIterator<Item = &'a QueuedJob>,
 ) -> Vec<JobId> {
     // Per-tenant FIFO queues, sorted (since_us, job id).
     let mut fifos: BTreeMap<&str, Vec<&QueuedJob>> = BTreeMap::new();
@@ -80,7 +82,10 @@ pub fn admission_plan(
         }
     }
 
-    let mut use_now: BTreeMap<&str, u32> = usage.iter().map(|(t, g)| (t.as_str(), *g)).collect();
+    let mut use_now: BTreeMap<&str, u32> = BTreeMap::new();
+    for (tenant, gpus) in held {
+        *use_now.entry(tenant).or_insert(0) += gpus;
+    }
     let mut next: BTreeMap<&str, usize> = fifos.keys().map(|t| (*t, 0)).collect();
     let mut plan = Vec::new();
 
@@ -160,13 +165,13 @@ mod tests {
     #[test]
     fn drains_fifo_within_a_tenant() {
         let tenants = BTreeMap::from([("a".to_owned(), share(4, 1))]);
-        let usage = BTreeMap::new();
+        let usage = [];
         let queued = [
             qj("j3", "a", 1, 30),
             qj("j1", "a", 1, 10),
             qj("j2", "a", 1, 20),
         ];
-        let plan = admission_plan(&tenants, &usage, &queued);
+        let plan = admission_plan(&tenants, usage, &queued);
         assert_eq!(ids(&plan), ["j1", "j2", "j3"]);
     }
 
@@ -179,7 +184,7 @@ mod tests {
             ("small".to_owned(), share(100, 1)),
             ("whale".to_owned(), share(100, 3)),
         ]);
-        let usage = BTreeMap::new();
+        let usage = [];
         let mut queued = Vec::new();
         for i in 0u64..6 {
             queued.push(qj(&format!("w{i}"), "whale", 1, i));
@@ -187,7 +192,7 @@ mod tests {
         for i in 0u64..2 {
             queued.push(qj(&format!("s{i}"), "small", 1, i));
         }
-        let plan = admission_plan(&tenants, &usage, &queued);
+        let plan = admission_plan(&tenants, usage, &queued);
         // Ratios replay: both 0 → tie → "small"; then whale until 3/3 ==
         // 1/1, tie → small again; etc.
         assert_eq!(ids(&plan), ["s0", "w0", "w1", "w2", "s1", "w3", "w4", "w5"]);
@@ -196,54 +201,54 @@ mod tests {
     #[test]
     fn quota_headroom_gates_admission() {
         let tenants = BTreeMap::from([("a".to_owned(), share(4, 1))]);
-        let usage = BTreeMap::from([("a".to_owned(), 3)]);
+        let usage = [("a", 3)];
         let queued = [qj("big", "a", 2, 10), qj("fits", "a", 1, 20)];
         // Head-of-line: the 2-GPU job doesn't fit (3+2 > 4) and the
         // tenant's later 1-GPU job must NOT jump it.
-        let plan = admission_plan(&tenants, &usage, &queued);
+        let plan = admission_plan(&tenants, usage, &queued);
         assert!(plan.is_empty());
     }
 
     #[test]
     fn admissions_charge_headroom_as_they_go() {
         let tenants = BTreeMap::from([("a".to_owned(), share(3, 1))]);
-        let usage = BTreeMap::new();
+        let usage = [];
         let queued = [
             qj("j1", "a", 2, 10),
             qj("j2", "a", 1, 20),
             qj("j3", "a", 1, 30),
         ];
         // 2 + 1 fills the quota; j3 waits for a future round.
-        let plan = admission_plan(&tenants, &usage, &queued);
+        let plan = admission_plan(&tenants, usage, &queued);
         assert_eq!(ids(&plan), ["j1", "j2"]);
     }
 
     #[test]
     fn quota_cut_strands_do_not_block_the_queue() {
         let tenants = BTreeMap::from([("t".to_owned(), share(4, 1))]);
-        let usage = BTreeMap::new();
+        let usage = [];
         // The head job demands 8 GPUs against a quota of 4 (stranded by
         // a quota cut): it must be skipped, not block the tenant.
         let queued = vec![qj("big", "t", 8, 0), qj("ok", "t", 2, 1)];
-        let plan = admission_plan(&tenants, &usage, &queued);
+        let plan = admission_plan(&tenants, usage, &queued);
         assert_eq!(ids(&plan), ["ok"]);
     }
 
     #[test]
     fn deleted_tenant_jobs_stay_queued() {
         let tenants = BTreeMap::from([("alive".to_owned(), share(8, 1))]);
-        let usage = BTreeMap::new();
+        let usage = [];
         let queued = [qj("ghost", "gone", 1, 1), qj("ok", "alive", 1, 2)];
-        assert_eq!(ids(&admission_plan(&tenants, &usage, &queued)), ["ok"]);
+        assert_eq!(ids(&admission_plan(&tenants, usage, &queued)), ["ok"]);
     }
 
     #[test]
     fn unlimited_tenant_admits_immediately() {
         // A quota edit to unlimited (0) releases anything still queued.
         let tenants = BTreeMap::from([("a".to_owned(), share(0, 1))]);
-        let usage = BTreeMap::from([("a".to_owned(), 1000)]);
+        let usage = [("a", 1000)];
         let queued = [qj("j1", "a", 64, 1)];
-        assert_eq!(ids(&admission_plan(&tenants, &usage, &queued)), ["j1"]);
+        assert_eq!(ids(&admission_plan(&tenants, usage, &queued)), ["j1"]);
     }
 
     #[test]
@@ -256,13 +261,13 @@ mod tests {
             ("small".to_owned(), share(8, 1)),
             ("whale".to_owned(), share(64, 4)),
         ]);
-        let usage = BTreeMap::new();
+        let usage = [];
         let mut queued = Vec::new();
         for i in 0..500u64 {
             queued.push(qj(&format!("w{i:03}"), "whale", 1, i));
         }
         queued.push(qj("s0", "small", 1, 1_000_000));
-        let plan = admission_plan(&tenants, &usage, &queued);
+        let plan = admission_plan(&tenants, usage, &queued);
         let pos = plan.iter().position(|j| j.as_str() == "s0");
         // It is admitted, and within the first few slots (usage ratio 0
         // beats the whale as soon as the whale holds ≥ 1 GPU).
@@ -279,7 +284,7 @@ mod tests {
             ("b".to_owned(), share(8, 1)),
             ("c".to_owned(), share(4, 1)),
         ]);
-        let usage = BTreeMap::from([("a".to_owned(), 2), ("b".to_owned(), 7)]);
+        let usage = [("a", 2), ("b", 7)];
         let mut queued = Vec::new();
         let mut g = Gen(2018);
         for i in 0..60u64 {
@@ -287,14 +292,14 @@ mod tests {
             let gpus = 1 + (g.next() % 4) as u32;
             queued.push(qj(&format!("j{i:02}"), tenant, gpus, g.next() % 1000));
         }
-        let baseline = admission_plan(&tenants, &usage, &queued);
+        let baseline = admission_plan(&tenants, usage, &queued);
         for seed in 0..8u64 {
             let mut shuffled = queued.clone();
             let mut g = Gen(seed);
             for i in (1..shuffled.len()).rev() {
                 shuffled.swap(i, (g.next() % (i as u64 + 1)) as usize);
             }
-            assert_eq!(admission_plan(&tenants, &usage, &shuffled), baseline);
+            assert_eq!(admission_plan(&tenants, usage, &shuffled), baseline);
         }
     }
 
@@ -309,7 +314,7 @@ mod tests {
             ("a".to_owned(), share(12, 3)),
             ("b".to_owned(), share(6, 1)),
         ]);
-        let mut usage: BTreeMap<String, u32> = BTreeMap::new();
+        let mut usage: Vec<(&str, u32)> = Vec::new();
         let mut g = Gen(7);
         let mut queued: Vec<QueuedJob> = (0..40u64)
             .map(|i| {
@@ -317,14 +322,16 @@ mod tests {
                 qj(&format!("j{i:02}"), tenant, 1 + (g.next() % 3) as u32, i)
             })
             .collect();
-        let full = admission_plan(&tenants, &usage, &queued);
+        let full = admission_plan(&tenants, usage.clone(), &queued);
         let mut replay = Vec::new();
         while replay.len() < full.len() {
-            let plan = admission_plan(&tenants, &usage, &queued);
+            let plan = admission_plan(&tenants, usage.clone(), &queued);
             let head = plan[0].clone();
             let i = queued.iter().position(|q| q.job == head).unwrap();
             let q = queued.remove(i);
-            *usage.entry(q.tenant).or_insert(0) += q.gpus;
+            // One pair per admitted job: the plan sums them per tenant.
+            let tenant = if q.tenant == "a" { "a" } else { "b" };
+            usage.push((tenant, q.gpus));
             replay.push(head);
         }
         assert_eq!(replay, full);
@@ -343,12 +350,12 @@ mod tests {
                 qj(&format!("j{i:02}"), tenant, 1, i)
             })
             .collect();
-        let usage = BTreeMap::new();
+        let usage = [];
         let both = BTreeMap::from([("a".to_owned(), share(8, 1)), ("b".to_owned(), share(8, 2))]);
         let mut only_a = both.clone();
         only_a.remove("b");
 
-        let without_b = admission_plan(&only_a, &usage, &queued);
+        let without_b = admission_plan(&only_a, usage, &queued);
         assert!(without_b
             .iter()
             .all(|j| { queued.iter().any(|q| q.job == *j && q.tenant == "a") }));
@@ -357,10 +364,10 @@ mod tests {
         let mut readded = only_a.clone();
         readded.insert("b".to_owned(), share(8, 4));
         assert_eq!(
-            admission_plan(&readded, &usage, &queued),
+            admission_plan(&readded, usage, &queued),
             admission_plan(
                 &BTreeMap::from([("a".to_owned(), share(8, 1)), ("b".to_owned(), share(8, 4)),]),
-                &usage,
+                usage,
                 &queued
             )
         );

@@ -10,7 +10,7 @@ use dlaas_raft::RaftCluster;
 use dlaas_sharedfs::NfsServer;
 
 use crate::config::CoreConfig;
-use crate::mongo::MetaClient;
+use crate::mongo::{MetaClient, Transitions};
 use crate::ownership::ShardTracker;
 use crate::proto::CoreRpc;
 
@@ -82,6 +82,9 @@ pub struct Handles {
     pub shard_tracker: ShardTracker,
     /// Platform configuration.
     pub config: Rc<CoreConfig>,
+    /// The job-transition counter handles every component's metadata
+    /// client bumps.
+    pub(crate) transitions: Transitions,
 }
 
 impl std::fmt::Debug for Handles {
@@ -95,7 +98,8 @@ impl Handles {
     /// like [`Handles::etcd_client`]: when that incarnation stops it sends
     /// nothing more and the kubelet unregisters its RPC endpoint.
     pub fn meta(&self, ctx: &ProcessCtx, who: &str) -> MetaClient {
-        let client = MetaClient::new(self.mongo.clone(), who).while_alive(ctx.alive_flag());
+        let client = MetaClient::new(self.mongo.clone(), who)
+            .owned(ctx.alive_flag(), self.transitions.clone());
         let owned = client.clone();
         ctx.on_teardown(move |_sim| owned.close());
         client

@@ -39,6 +39,11 @@
 //! 7. **No open job under a finished Guardian** — a Guardian K8s Job
 //!    never reads `Complete` while its job document is non-terminal (a
 //!    terminal write that was sent is not yet one that was stored).
+//! 8. **Well-formed stamps** — the stamps rules 1, 4 and 6 clock a job by
+//!    (`submitted_us`, `admitted_us`, and a terminal job's latest terminal
+//!    history entry's `t_us`) are never negative: a malformed stamp is
+//!    reported, not wrapped to a far-future instant that would exempt the
+//!    job from those rules.
 //!
 //! [`check_all`] evaluates every invariant against the current state of a
 //! [`DlaasPlatform`]; [`InvariantMonitor`] re-checks periodically inside
@@ -52,7 +57,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
-use dlaas_docstore::{Doc, Value};
+use dlaas_docstore::Value;
 use dlaas_kube::{labels, JobStatus as KubeJobStatus};
 use dlaas_sim::{Sim, SimDuration, SimTime, TimerHandle};
 
@@ -100,7 +105,8 @@ pub struct InvariantViolation {
     /// Stable short name of the invariant (`terminal-bound`,
     /// `history-monotone`, `attempts-bound`, `leak-pods`, `leak-volume`,
     /// `leak-netpol`, `leak-etcd`, `shard-single-owner`,
-    /// `shard-orphaned`, `tenant-starved`, `guardian-done-job-open`).
+    /// `shard-orphaned`, `tenant-starved`, `guardian-done-job-open`,
+    /// `stamp-valid`).
     pub invariant: &'static str,
     /// Human-readable description of the observed state.
     pub detail: String,
@@ -119,6 +125,10 @@ pub struct InvariantReport {
     pub checked_at: SimTime,
     /// Number of job records examined.
     pub jobs_checked: usize,
+    /// Job documents the pass read: those that changed since the
+    /// checker's previous pass — every one, for a checker that has seen
+    /// nothing yet.
+    pub docs_read: usize,
     /// Every violation found, in job order.
     pub violations: Vec<InvariantViolation>,
     /// The timeline of every job with a violation, rendered — empty when
@@ -177,41 +187,74 @@ pub fn check_with(
     InvariantChecker::default().check(sim, platform, bounds)
 }
 
-/// What the checker keeps of one job document between passes: the
-/// fields the time-dependent rules (terminal bound, GC grace, starvation)
-/// weigh against the clock on every pass, and the verdict of the rules
-/// that depend on the document alone (history, attempts).
+/// What the checker keeps of one job document between passes, re-derived
+/// whenever the document changes: the fields the time-dependent rules
+/// (terminal bound, GC grace, starvation, the Guardian's exit) weigh
+/// against the clock on every pass, and the verdict of the rules that
+/// depend on the document alone (history, attempts, stamps).
 struct JobSummary {
-    /// The document the summary was read from. Holding it is what makes
-    /// `Rc::ptr_eq` a sound test for "unchanged": the store edits a
-    /// document where it is only while nobody else holds it, so while the
-    /// summary does, an update builds a successor and swaps the `Rc` —
-    /// the *same* allocation handed back means the same contents — and
-    /// the allocation cannot be freed and its address reused by another
-    /// document.
-    doc: Doc,
-    /// The pass that last found the id in the store.
-    pass: u64,
     /// The document's tenant, as an index into a pass's [`TenantLoad`]
     /// (see [`InvariantChecker::tenants`]).
     tenant: Option<usize>,
     status: Option<JobStatus>,
     gpus: u32,
-    admitted_us: Option<i64>,
-    submitted_us: Option<i64>,
-    attempts: i64,
+    admitted: Option<SimTime>,
+    submitted: Option<SimTime>,
     terminal_since: Option<SimTime>,
-    /// What rule 2 (history monotonicity) found, in history order.
-    history: Vec<String>,
+    /// The job's Guardian K8s Job, which rule 7 looks up on every pass —
+    /// named while the job is admitted and not terminal, when it can be
+    /// open under a finished Guardian.
+    guardian: Option<String>,
+    /// What rules 2 (history monotonicity), 3 (bounded retries) and 8
+    /// (well-formed stamps) found, in that order: `(invariant, detail)`.
+    findings: Vec<(&'static str, String)>,
 }
 
 impl JobSummary {
-    fn of(doc: &Doc, pass: u64, tenants: &mut BTreeMap<String, usize>) -> Self {
+    /// The summary of job `id`'s document `doc` on a platform that allows
+    /// `max_attempts` deploy attempts; `guardian` is the name the job's
+    /// previous summary held, if any, kept rather than built again.
+    fn of(
+        id: &str,
+        doc: &Value,
+        tenants: &mut BTreeMap<String, usize>,
+        max_attempts: u32,
+        guardian: Option<String>,
+    ) -> Self {
         let micros = |path| doc.path(path).and_then(Value::as_i64);
+        let mut findings: Vec<_> = check_history(doc)
+            .into_iter()
+            .map(|detail| ("history-monotone", detail))
+            .collect();
+        // 3. Bounded retries.
+        let attempts = micros("attempts").unwrap_or(0);
+        if attempts > i64::from(max_attempts) {
+            findings.push((
+                "attempts-bound",
+                format!("attempts={attempts} exceeds deploy_max_attempts={max_attempts}"),
+            ));
+        }
+        let status = JobStatus::of(doc);
+        let terminal = status.is_some_and(JobStatus::is_terminal);
+        // 8. A stamp the rules clock a job by must be a time: a negative
+        //    one is malformed, reported here, and clocks nothing.
+        let mut stamp = |what: &str, us: Option<i64>| {
+            let us = us?;
+            let at = u64::try_from(us).ok().map(SimTime::from_micros);
+            if at.is_none() {
+                findings.push(("stamp-valid", format!("{what}={us} is negative")));
+            }
+            at
+        };
+        let submitted = stamp("submitted_us", micros("submitted_us"));
+        let admitted = stamp("admitted_us", micros("admitted_us"));
+        let terminal_since = if terminal {
+            stamp("terminal history t_us", terminal_stamp(doc))
+        } else {
+            None
+        };
         let tenant = doc.path("tenant").and_then(Value::as_str);
         JobSummary {
-            doc: doc.clone(),
-            pass,
             tenant: tenant.map(|t| match tenants.get(t) {
                 Some(index) => *index,
                 None => {
@@ -221,12 +264,13 @@ impl JobSummary {
                 }
             }),
             gpus: crate::api::doc_gpus(doc),
-            status: JobStatus::of(doc),
-            admitted_us: micros("admitted_us"),
-            submitted_us: micros("submitted_us"),
-            attempts: micros("attempts").unwrap_or(0),
-            terminal_since: terminal_since(doc),
-            history: check_history(doc),
+            status,
+            admitted,
+            submitted,
+            terminal_since,
+            guardian: (!terminal && status != Some(JobStatus::Queued))
+                .then(|| guardian.unwrap_or_else(|| paths::guardian_job(&JobId::new(id)))),
+            findings,
         }
     }
 
@@ -265,13 +309,15 @@ struct TenantState {
     last_admitted_us: u64,
 }
 
-/// The invariant checker. It keeps, per job id, a summary of the
-/// document it last saw, and re-derives a summary only when the store
-/// hands back a different document: a pass costs what changed since the
-/// previous one plus a glance at every job, not a parse of every
-/// document ever stored. A checker that has seen nothing yet —
-/// [`check_with`] — is the same code with an empty memory, so what a
-/// pass reports never depends on what the checker remembers.
+/// The invariant checker. It reads the jobs collection's change feed
+/// above a watermark, as the LCM does, and keeps per job id a summary of
+/// the document, not the document: a pass reads the documents that
+/// changed since the previous one and glances at every summary, never at
+/// a document that did not change — and it holds none, so the store
+/// edits every document in place. A checker that has seen nothing yet —
+/// [`check_with`] — is the same code with an empty memory (watermark 0:
+/// the whole feed), so what a pass reports never depends on what the
+/// checker remembers.
 #[derive(Default)]
 pub struct InvariantChecker {
     jobs: BTreeMap<String, JobSummary>,
@@ -279,7 +325,8 @@ pub struct InvariantChecker {
     /// first sight: summaries and [`TenantLoad`] go by the number, so the
     /// per-pass walk over all jobs compares no strings.
     tenants: BTreeMap<String, usize>,
-    pass: u64,
+    /// The jobs collection's change-feed position the summaries are at.
+    watermark: u64,
 }
 
 impl InvariantChecker {
@@ -291,9 +338,8 @@ impl InvariantChecker {
         bounds: &InvariantBounds,
     ) -> InvariantReport {
         let now = sim.now();
-        let jobs_checked = self.refresh(platform);
+        let docs_read = self.refresh(platform);
         let leaks = self.leaks(now, platform, bounds);
-        let max_attempts = platform.handles().config.deploy_max_attempts;
         let mut load: Option<TenantLoad> = None;
         let mut violations = Vec::new();
 
@@ -305,19 +351,8 @@ impl InvariantChecker {
                     detail,
                 });
             };
-            for detail in &job.history {
-                violated("history-monotone", detail.clone());
-            }
-
-            // 3. Bounded retries.
-            if job.attempts > max_attempts as i64 {
-                violated(
-                    "attempts-bound",
-                    format!(
-                        "attempts={} exceeds deploy_max_attempts={max_attempts}",
-                        job.attempts
-                    ),
-                );
+            for (invariant, detail) in &job.findings {
+                violated(invariant, detail.clone());
             }
 
             match job.status {
@@ -350,11 +385,7 @@ impl InvariantChecker {
                 Some(JobStatus::Queued) => {
                     // 6. No starvation: the fair queue must admit this job
                     //    while its tenant has headroom for it.
-                    let since = job
-                        .submitted_us
-                        .map(|us| SimTime::from_micros(us as u64))
-                        .unwrap_or(now);
-                    let waited = now.saturating_duration_since(since);
+                    let waited = now.saturating_duration_since(job.submitted.unwrap_or(now));
                     if waited > bounds.admission_within {
                         let load = load.get_or_insert_with(|| self.tenant_load(platform));
                         let tenant = job.tenant.map(|index| &load[index]);
@@ -372,12 +403,16 @@ impl InvariantChecker {
                         let stalled =
                             now.saturating_duration_since(last_admitted) > bounds.admission_within;
                         if headroom && stalled {
+                            let name = self
+                                .tenants
+                                .iter()
+                                .find(|(_, index)| Some(**index) == job.tenant)
+                                .map_or("", |(name, _)| name.as_str());
                             violated(
                                 "tenant-starved",
                                 format!(
-                                    "QUEUED for {waited} despite quota headroom and no admission in {} (tenant {}, {} gpus)",
+                                    "QUEUED for {waited} despite quota headroom and no admission in {} (tenant {name}, {} gpus)",
                                     bounds.admission_within,
-                                    job.doc.path("tenant").and_then(Value::as_str).unwrap_or(""),
                                     job.gpus
                                 ),
                             );
@@ -387,8 +422,8 @@ impl InvariantChecker {
                 status => {
                     // 7. A Guardian exits 0 only over a terminal document:
                     //    a Complete K8s Job is never restarted.
-                    let guardian = paths::guardian_job(&JobId::new(id.as_str()));
-                    if platform.kube().job_status(&guardian) == Some(KubeJobStatus::Complete) {
+                    let guardian = job.guardian.as_deref().unwrap_or_default();
+                    if platform.kube().job_status(guardian) == Some(KubeJobStatus::Complete) {
                         violated(
                             "guardian-done-job-open",
                             format!(
@@ -401,11 +436,7 @@ impl InvariantChecker {
                     //    the fair queue does not count against the bound
                     //    (fallback: submission, for docs predating the
                     //    queue).
-                    let started = job
-                        .admitted_us
-                        .or(job.submitted_us)
-                        .map(|us| SimTime::from_micros(us as u64))
-                        .unwrap_or(now);
+                    let started = job.admitted.or(job.submitted).unwrap_or(now);
                     let age = now.saturating_duration_since(started);
                     if age > bounds.terminal_within {
                         violated(
@@ -436,44 +467,40 @@ impl InvariantChecker {
 
         InvariantReport {
             checked_at: now,
-            jobs_checked,
+            jobs_checked: self.jobs.len(),
+            docs_read,
             violations,
             timelines,
         }
     }
 
-    /// Brings the summaries up to date with the store: a summary is
-    /// re-derived only where the store holds a different document than
-    /// last pass. Returns the number of job documents in the store.
-    ///
-    /// The store and the summaries are both in id order, so the two are
-    /// walked side by side: a document the store still holds costs one
-    /// pointer comparison, with no lookup and no look at its id.
+    /// Brings the summaries up to date with the store through its change
+    /// feed: each document that changed since the last pass is read once
+    /// and summarised again, each removed one forgotten, and nothing else
+    /// is looked at. Returns the number of documents read.
     fn refresh(&mut self, platform: &DlaasPlatform) -> usize {
-        self.pass += 1;
-        let (pass, tenants) = (self.pass, &mut self.tenants);
-        let mut known = self.jobs.iter_mut().peekable();
-        let mut unknown: Vec<(String, JobSummary)> = Vec::new();
-        let mut stored = 0;
-        platform.for_each_job_document(|id, doc| {
-            stored += 1;
-            // Summaries of ids the store has dropped are passed over
-            // (and, their stamp now stale, retired below).
-            while known
-                .next_if(|(k, job)| !Rc::ptr_eq(&job.doc, doc) && k.as_str() < id)
-                .is_some()
-            {}
-            match known.next_if(|(k, job)| Rc::ptr_eq(&job.doc, doc) || k.as_str() == id) {
-                Some((_, job)) if Rc::ptr_eq(&job.doc, doc) => job.pass = pass,
-                Some((_, job)) => *job = JobSummary::of(doc, pass, tenants),
-                None => unknown.push((id.to_owned(), JobSummary::of(doc, pass, tenants))),
+        let (jobs, tenants) = (&mut self.jobs, &mut self.tenants);
+        let max_attempts = platform.handles().config.deploy_max_attempts;
+        let mut read = 0;
+        self.watermark = platform.for_each_job_change(self.watermark, |id, doc| match doc {
+            Some(doc) => {
+                read += 1;
+                match jobs.get_mut(id) {
+                    Some(job) => {
+                        let guardian = job.guardian.take();
+                        *job = JobSummary::of(id, doc, tenants, max_attempts, guardian);
+                    }
+                    None => {
+                        let job = JobSummary::of(id, doc, tenants, max_attempts, None);
+                        jobs.insert(id.to_owned(), job);
+                    }
+                }
+            }
+            None => {
+                jobs.remove(id);
             }
         });
-        self.jobs.extend(unknown);
-        if self.jobs.len() != stored {
-            self.jobs.retain(|_, job| job.pass == pass);
-        }
-        stored
+        read
     }
 
     /// 4. What remains of jobs past their GC grace, by job id: found by
@@ -547,8 +574,8 @@ impl InvariantChecker {
             {
                 tenant.held += job.gpus;
             }
-            if let Some(at) = job.admitted_us.and_then(|us| u64::try_from(us).ok()) {
-                tenant.last_admitted_us = tenant.last_admitted_us.max(at);
+            if let Some(at) = job.admitted {
+                tenant.last_admitted_us = tenant.last_admitted_us.max(at.as_micros());
             }
         }
         load
@@ -626,8 +653,9 @@ fn check_history(doc: &Value) -> Vec<String> {
     out
 }
 
-/// When the job entered its terminal state, per the status history.
-fn terminal_since(doc: &Value) -> Option<SimTime> {
+/// The stamp (µs) of the job's latest terminal history entry: when it
+/// entered its terminal state.
+fn terminal_stamp(doc: &Value) -> Option<i64> {
     let history = doc.path("history")?.as_arr()?;
     history
         .iter()
@@ -635,7 +663,6 @@ fn terminal_since(doc: &Value) -> Option<SimTime> {
         .find(|e| JobStatus::of(e).is_some_and(JobStatus::is_terminal))
         .and_then(|e| e.path("t_us"))
         .and_then(Value::as_i64)
-        .map(|us| SimTime::from_micros(us as u64))
 }
 
 /// Periodic in-simulation checker: runs an [`InvariantChecker`] pass
@@ -716,7 +743,7 @@ impl InvariantMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlaas_docstore::obj;
+    use dlaas_docstore::{obj, Update};
 
     fn doc_with_history(entries: Vec<(&str, i64)>) -> Value {
         let history: Vec<Value> = entries
@@ -764,10 +791,48 @@ mod tests {
     #[test]
     fn terminal_since_reads_last_terminal_entry() {
         let doc = doc_with_history(vec![("PENDING", 1), ("KILLED", 99)]);
-        assert_eq!(terminal_since(&doc), Some(SimTime::from_micros(99)));
+        assert_eq!(terminal_stamp(&doc), Some(99));
         assert_eq!(
-            terminal_since(&doc_with_history(vec![("PENDING", 1)])),
+            terminal_stamp(&doc_with_history(vec![("PENDING", 1)])),
             None
+        );
+        // A summary clocks a terminal job by it, and an open one by none.
+        let mut doc = doc;
+        Update::set("status", "KILLED").apply(&mut doc);
+        let summary = JobSummary::of("j", &doc, &mut BTreeMap::new(), 3, None);
+        assert_eq!(summary.terminal_since, Some(SimTime::from_micros(99)));
+        assert!(summary.findings.is_empty() && summary.guardian.is_none());
+        Update::set("status", "PROCESSING").apply(&mut doc);
+        let summary = JobSummary::of("j", &doc, &mut BTreeMap::new(), 3, None);
+        assert_eq!(summary.terminal_since, None);
+        assert_eq!(summary.guardian.as_deref(), Some("guardian-j"));
+    }
+
+    #[test]
+    fn a_negative_stamp_is_a_finding_and_clocks_nothing() {
+        // Regression: `us as u64` made -1 a far-future instant, which
+        // exempted the job from every rule clocked by that stamp.
+        let doc = obj! {
+            "_id" => "j",
+            "status" => "KILLED",
+            "submitted_us" => -3,
+            "admitted_us" => 5,
+            "history" => vec![obj! {"status" => "KILLED", "t_us" => -1}],
+        };
+        let summary = JobSummary::of("j", &doc, &mut BTreeMap::new(), 3, None);
+        assert_eq!(
+            (summary.submitted, summary.admitted, summary.terminal_since),
+            (None, Some(SimTime::from_micros(5)), None)
+        );
+        assert_eq!(
+            summary.findings,
+            [
+                ("stamp-valid", "submitted_us=-3 is negative".to_owned()),
+                (
+                    "stamp-valid",
+                    "terminal history t_us=-1 is negative".to_owned()
+                ),
+            ]
         );
     }
 
@@ -776,6 +841,7 @@ mod tests {
         let clean = InvariantReport {
             checked_at: SimTime::from_micros(5),
             jobs_checked: 2,
+            docs_read: 2,
             violations: vec![],
             timelines: String::new(),
         };
@@ -786,6 +852,7 @@ mod tests {
         let dirty = InvariantReport {
             checked_at: SimTime::from_micros(5),
             jobs_checked: 2,
+            docs_read: 0,
             violations: vec![InvariantViolation {
                 job: JobId::new("j"),
                 invariant: "leak-pods",

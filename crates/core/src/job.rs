@@ -31,6 +31,14 @@ impl From<&str> for JobId {
     }
 }
 
+/// A map keyed by job is searched with the id a document or a feed
+/// holds, without building a `JobId` first (the order is the string's).
+impl std::borrow::Borrow<str> for JobId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 /// Externally visible job lifecycle (the statuses users poll; paper §II:
 /// "users expect periodic and accurate status updates (e.g., whether the
 /// job is DEPLOYING, PROCESSING)").

@@ -60,7 +60,7 @@ use dlaas_kube::{
     labels, pod_addr, Cleanup, ContainerSpec, ImageRef, JobStatus as KubeJobStatus, PodSpec,
     ProcessCtx, Resources,
 };
-use dlaas_sim::{Sim, SimTime};
+use dlaas_sim::{GaugeHandle, Sim, SimTime};
 
 use crate::config;
 use crate::fairness::{admission_plan, QueuedJob, TenantShare};
@@ -544,7 +544,7 @@ fn deploying_since(doc: &Value) -> Option<SimTime> {
         .map(SimTime::from_micros)
 }
 
-/// The scan's watchlists, keyed off the metadata store's change feed.
+/// The scan's watchlist, keyed off the metadata store's change feed.
 ///
 /// Everything here is a cache of the jobs collection: a fresh incarnation
 /// (watermark 0) rebuilds it from the full feed, so losing it in an LCM
@@ -553,87 +553,114 @@ fn deploying_since(doc: &Value) -> Option<SimTime> {
 struct ScanState {
     /// Change-feed sequence number the next scan resumes from.
     watermark: u64,
-    /// PENDING jobs and when they were admitted (redeploy backstop).
-    pending: BTreeMap<JobId, SimTime>,
-    /// DEPLOYING jobs and when they entered that state (deploy timeout).
-    deploying: BTreeMap<JobId, SimTime>,
-    /// All non-terminal admitted jobs (Guardian gave-up watch).
-    active: BTreeSet<JobId>,
+    /// Every job a sweep rule watches, and what for. A changed document
+    /// updates its job's entry where it is: a job costs an allocation
+    /// when the feed first shows it, not on every change.
+    jobs: BTreeMap<JobId, Watch>,
     /// Jobs the sweep is failing whose FAILED write is in flight.
     failing: BTreeSet<JobId>,
-    /// Terminal jobs not yet confirmed free of cluster leftovers.
-    terminal_gc: BTreeSet<JobId>,
-    /// QUEUED jobs awaiting fair-queue admission.
-    queued: BTreeMap<JobId, QueuedInfo>,
-    /// GPU demand of admitted, non-terminal jobs (tenant, gpus) — the
-    /// arbiter's usage view, folded to per-tenant sums each round.
-    usage: BTreeMap<JobId, (String, u32)>,
     /// Tenants-collection change-feed watermark.
     tenants_watermark: u64,
     /// The tenant registry (quotas + fair-share weights), fed by the
     /// tenants collection's change feed.
     tenants: BTreeMap<String, TenantShare>,
-    /// Tenants whose queue-depth gauge this replica last set (so a
-    /// drained tenant's gauge drops back to 0 instead of going stale).
-    gauged: BTreeSet<String>,
+    /// The queue-depth gauge of every tenant this replica has seen queue,
+    /// and whether its last round set it (so a drained tenant's gauge
+    /// drops back to 0 instead of going stale).
+    depth_gauges: BTreeMap<String, (GaugeHandle, bool)>,
 }
 
-impl ScanState {
-    /// Takes `job` off every watchlist.
-    fn forget(&mut self, job: &JobId) {
-        self.pending.remove(job);
-        self.deploying.remove(job);
-        self.active.remove(job);
-        self.terminal_gc.remove(job);
-        self.queued.remove(job);
-        self.usage.remove(job);
-    }
-}
-
-/// The arbiter's view of one QUEUED job.
+/// What the sweep watches one job for, by the status its document holds.
 #[derive(Debug)]
-struct QueuedInfo {
-    tenant: String,
-    gpus: u32,
-    since_us: u64,
+enum Watch {
+    /// QUEUED: awaiting fair-queue admission.
+    Queued(QueuedJob),
+    /// Admitted and not terminal: the Guardian gave-up watch.
+    Active(Active),
+    /// Terminal, not yet confirmed free of cluster leftovers.
+    TerminalGc,
 }
 
-/// Records an admitted non-terminal job's GPU demand in the arbiter's
-/// usage view (skipped when the document has no tenant — such a document
-/// is malformed, but quota math degrading to "uncounted" is the safe
-/// direction: the invariant checker still sees it).
-fn track_usage(st: &mut ScanState, job: &JobId, doc: &Value) {
-    if let Some(tenant) = doc.path("tenant").and_then(Value::as_str) {
-        st.usage
-            .insert(job.clone(), (tenant.to_owned(), crate::api::doc_gpus(doc)));
+/// An admitted, non-terminal job.
+#[derive(Debug)]
+struct Active {
+    /// Its Guardian K8s Job, named once: the gave-up watch looks it up on
+    /// every sweep.
+    guardian: String,
+    /// While PENDING: since when (admission), for the redeploy backstop.
+    pending_since: Option<SimTime>,
+    /// While DEPLOYING: since when, for the deploy timeout.
+    deploying_since: Option<SimTime>,
+    /// `(tenant, GPUs)` it holds — the arbiter's usage view (`None` when
+    /// the document names no tenant: malformed, and quota math degrading
+    /// to "uncounted" is the safe direction; the invariant checker still
+    /// sees it).
+    held: Option<(String, u32)>,
+}
+
+impl Watch {
+    fn queued(&self) -> Option<&QueuedJob> {
+        match self {
+            Watch::Queued(q) => Some(q),
+            _ => None,
+        }
+    }
+
+    fn active(&self) -> Option<&Active> {
+        match self {
+            Watch::Active(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// The GPUs an admitted job holds, by tenant.
+    fn held(&self) -> Option<(&str, u32)> {
+        let (tenant, gpus) = self.active()?.held.as_ref()?;
+        Some((tenant, *gpus))
     }
 }
 
-/// Folds one changed job document into the watchlists.
+/// Folds one changed job document into the watchlist: the job's entry is
+/// found once and rewritten where it is.
 fn ingest(sim: &mut Sim, st: &mut ScanState, doc: &Value) {
     let Some(id) = doc.path("_id").and_then(Value::as_str) else {
         return;
     };
-    let job = JobId::new(id);
-    st.forget(&job);
+    match st.jobs.get_mut(id) {
+        Some(slot) => {
+            let was = std::mem::replace(slot, Watch::TerminalGc);
+            match watch_of(sim, doc, id, Some(was)) {
+                Some(watch) => *slot = watch,
+                None => {
+                    st.jobs.remove(id);
+                }
+            }
+        }
+        None => {
+            if let Some(watch) = watch_of(sim, doc, id, None) {
+                st.jobs.insert(JobId::new(id), watch);
+            }
+        }
+    }
+}
+
+/// What the sweep watches job `id` for now that its document reads `doc`
+/// (`None`: nothing), reusing what `was` already holds.
+fn watch_of(sim: &mut Sim, doc: &Value, id: &str, was: Option<Watch>) -> Option<Watch> {
+    let tenant = doc.path("tenant").and_then(Value::as_str);
     match JobStatus::of(doc) {
         Some(JobStatus::Queued) => {
-            let tenant = doc.path("tenant").and_then(Value::as_str);
             let since = doc
                 .path("submitted_us")
                 .and_then(Value::as_i64)
                 .and_then(|us| u64::try_from(us).ok());
             match (tenant, since) {
-                (Some(tenant), Some(since_us)) => {
-                    st.queued.insert(
-                        job,
-                        QueuedInfo {
-                            tenant: tenant.to_owned(),
-                            gpus: crate::api::doc_gpus(doc),
-                            since_us,
-                        },
-                    );
-                }
+                (Some(tenant), Some(since_us)) => Some(Watch::Queued(QueuedJob {
+                    job: JobId::new(id),
+                    tenant: tenant.to_owned(),
+                    gpus: crate::api::doc_gpus(doc),
+                    since_us,
+                })),
                 // Missing tenant / negative timestamp is store
                 // corruption: keep the job off the admission queue like
                 // the other malformed-record paths.
@@ -641,52 +668,63 @@ fn ingest(sim: &mut Sim, st: &mut ScanState, doc: &Value) {
                     sim.metrics()
                         .counter_series(metrics::LCM_MALFORMED_RECORDS, ["queued"])
                         .inc();
+                    None
                 }
             }
         }
-        Some(JobStatus::Pending) => {
-            st.active.insert(job.clone());
-            track_usage(st, &job, doc);
-            // Age from `admitted_us` (fair-queue admission stamps it; for
-            // directly admitted jobs it equals `submitted_us`, which
-            // remains the fallback for pre-fairness documents). A
-            // negative stamp is store corruption: leave the job off the
-            // redeploy watchlist instead of wrapping it to a huge
-            // timestamp (which would pin the job's age at zero and
-            // strand it forever).
-            let field = if doc.path("admitted_us").is_some() {
-                "admitted_us"
-            } else {
-                "submitted_us"
+        Some(
+            status @ (JobStatus::Pending
+            | JobStatus::Deploying
+            | JobStatus::Processing
+            | JobStatus::Storing),
+        ) => {
+            let mut active = match was {
+                Some(Watch::Active(active)) => active,
+                _ => Active {
+                    guardian: paths::guardian_job(&JobId::new(id)),
+                    pending_since: None,
+                    deploying_since: None,
+                    held: None,
+                },
             };
-            match u64::try_from(doc.path(field).and_then(Value::as_i64).unwrap_or(0)) {
-                Ok(admitted) => {
-                    st.pending.insert(job, SimTime::from_micros(admitted));
-                }
-                Err(_) => {
-                    sim.metrics()
-                        .counter_series(metrics::LCM_MALFORMED_RECORDS, [field])
-                        .inc();
+            let gpus = crate::api::doc_gpus(doc);
+            active.held = match (active.held.take(), tenant) {
+                (Some((held, _)), Some(tenant)) if held == tenant => Some((held, gpus)),
+                (_, tenant) => tenant.map(|tenant| (tenant.to_owned(), gpus)),
+            };
+            active.pending_since = None;
+            if status == JobStatus::Pending {
+                // Age from `admitted_us` (fair-queue admission stamps it;
+                // for directly admitted jobs it equals `submitted_us`,
+                // which remains the fallback for pre-fairness documents).
+                // A negative stamp is store corruption: leave the job off
+                // the redeploy watch instead of wrapping it to a huge
+                // timestamp (which would pin the job's age at zero and
+                // strand it forever).
+                let (field, stamp) = match doc.path("admitted_us") {
+                    Some(stamp) => ("admitted_us", Some(stamp)),
+                    None => ("submitted_us", doc.path("submitted_us")),
+                };
+                match u64::try_from(stamp.and_then(Value::as_i64).unwrap_or(0)) {
+                    Ok(admitted) => active.pending_since = Some(SimTime::from_micros(admitted)),
+                    Err(_) => {
+                        sim.metrics()
+                            .counter_series(metrics::LCM_MALFORMED_RECORDS, [field])
+                            .inc();
+                    }
                 }
             }
-        }
-        Some(JobStatus::Deploying) => {
-            st.active.insert(job.clone());
-            track_usage(st, &job, doc);
-            if let Some(since) = deploying_since(doc) {
-                st.deploying.insert(job, since);
-            }
-        }
-        Some(JobStatus::Processing | JobStatus::Storing) => {
-            st.active.insert(job.clone());
-            track_usage(st, &job, doc);
+            active.deploying_since = (status == JobStatus::Deploying)
+                .then(|| deploying_since(doc))
+                .flatten();
+            Some(Watch::Active(active))
         }
         Some(JobStatus::Completed | JobStatus::Failed | JobStatus::Killed) => {
-            st.terminal_gc.insert(job);
+            Some(Watch::TerminalGc)
         }
         // Unparseable status: watch nothing; the document re-enters the
         // feed if it is ever repaired.
-        None => {}
+        None => None,
     }
 }
 
@@ -713,8 +751,8 @@ fn scan(
             for doc in &docs {
                 ingest(sim, &mut st, doc);
             }
-            for job in gone.iter().map(JobId::new) {
-                st.forget(&job);
+            for id in &gone {
+                st.jobs.remove(id.as_str());
             }
         }
         // Pull the tenants feed too (quota/weight edits are rare, so
@@ -753,7 +791,7 @@ fn scan(
 
 /// The fair-queue admission arbiter: runs only on the replica currently
 /// owning [`ARBITER_SHARD`], computes the pure [`admission_plan`] over
-/// the watchlists, and applies it with CAS-guarded QUEUED → PENDING
+/// the watchlist, and applies it with CAS-guarded QUEUED → PENDING
 /// updates. Admissions are deliberately NOT reported as sweep drives:
 /// the admitted job's shard may belong to another replica, and the
 /// ledger's at-most-one-owner check is about lifecycle sweeps — the
@@ -771,60 +809,58 @@ fn admit(
         return;
     }
 
-    // Queue-depth gauges (single writer: this arbiter). Tenants whose
-    // queue drained since the last round are reset to 0.
-    let (tenants, usage, queued) = {
+    // Queue-depth gauges (single writer: this arbiter), then the plan —
+    // both over the watchlist as it stands, copying nothing of it but
+    // the jobs the plan admits.
+    let plan: Vec<(JobId, String, u64)> = {
         let mut st = state.borrow_mut();
-        let mut depths: BTreeMap<String, f64> = BTreeMap::new();
-        for info in st.queued.values() {
-            *depths.entry(info.tenant.clone()).or_insert(0.0) += 1.0;
+        let st = &mut *st;
+        let mut depths: BTreeMap<&str, f64> = BTreeMap::new();
+        for q in st.jobs.values().filter_map(Watch::queued) {
+            *depths.entry(&q.tenant).or_insert(0.0) += 1.0;
         }
-        for tenant in &st.gauged {
-            if !depths.contains_key(tenant) {
-                sim.metrics()
-                    .gauge_series(metrics::TENANT_QUEUE_DEPTH, [tenant])
-                    .set(0.0);
+        for (tenant, (gauge, set)) in &mut st.depth_gauges {
+            if *set && !depths.contains_key(tenant.as_str()) {
+                gauge.set(0.0);
+                *set = false;
             }
         }
         for (tenant, depth) in &depths {
-            sim.metrics()
-                .gauge_series(metrics::TENANT_QUEUE_DEPTH, [tenant])
-                .set(*depth);
+            match st.depth_gauges.get_mut(*tenant) {
+                Some((gauge, set)) => {
+                    gauge.set(*depth);
+                    *set = true;
+                }
+                None => {
+                    let gauge = sim
+                        .metrics()
+                        .gauge_series(metrics::TENANT_QUEUE_DEPTH, [tenant]);
+                    gauge.set(*depth);
+                    st.depth_gauges.insert((*tenant).to_owned(), (gauge, true));
+                }
+            }
         }
-        st.gauged = depths.keys().cloned().collect();
-
-        let mut usage: BTreeMap<String, u32> = BTreeMap::new();
-        for (tenant, gpus) in st.usage.values() {
-            *usage.entry(tenant.clone()).or_insert(0) += gpus;
+        if depths.is_empty() {
+            return;
         }
-        let queued: Vec<QueuedJob> = st
-            .queued
-            .iter()
-            .map(|(job, i)| QueuedJob {
-                job: job.clone(),
-                tenant: i.tenant.clone(),
-                gpus: i.gpus,
-                since_us: i.since_us,
+        let held = st.jobs.values().filter_map(Watch::held);
+        let queued = st.jobs.values().filter_map(Watch::queued);
+        admission_plan(&st.tenants, held, queued)
+            .into_iter()
+            .filter_map(|job| {
+                let q = st.jobs.get(&job)?.queued()?;
+                let (tenant, since_us) = (q.tenant.clone(), q.since_us);
+                Some((job, tenant, since_us))
             })
-            .collect();
-        (st.tenants.clone(), usage, queued)
+            .collect()
     };
-    if queued.is_empty() {
-        return;
-    }
 
-    for job in admission_plan(&tenants, &usage, &queued) {
-        let Some(q) = queued.iter().find(|q| q.job == job) else {
-            continue;
-        };
-        let tenant = q.tenant.clone();
-        let since_us = q.since_us;
+    for (job, tenant, since_us) in plan {
         let h2 = h.clone();
-        let job = job.clone();
         // The local queued entry is left in place: on success the status
         // change re-enters through the jobs feed before the next round
-        // (moving the job to the pending/usage lists), and on a lost CAS
-        // race or store error the entry must survive for a retry anyway.
+        // (moving the job to the active view), and on a lost CAS race or
+        // store error the entry must survive for a retry anyway.
         meta.admit_job(sim, &job.clone(), move |sim, r| {
             if !matches!(r, Ok(true)) {
                 return;
@@ -848,10 +884,12 @@ fn note_sweep(sim: &Sim, rep: &Replica, job: &JobId) {
         .note_sweep(sim, shard, job.as_str(), &rep.pod);
 }
 
-/// Walks the watchlists (not the whole collection) and applies the three
+/// Walks the watchlist (not the whole collection) and applies the three
 /// self-healing rules — to owned shards only. Every replica ingests the
 /// full feed, but a job is swept exclusively by the current owner of its
-/// shard; each drive is reported to the ownership ledger first.
+/// shard; each drive is reported to the ownership ledger first. The
+/// checks read the watchlist in place; only the jobs a rule acts on are
+/// copied out, since acting calls into other components.
 fn sweep(
     sim: &mut Sim,
     h: &Handles,
@@ -859,27 +897,31 @@ fn sweep(
     state: &Rc<RefCell<ScanState>>,
     rep: &Rc<Replica>,
 ) {
+    let now = sim.now();
     // 1. Re-deploy PENDING jobs that have sat too long without a Guardian.
     let redeploy_after = config::PENDING_REDEPLOY_AFTER;
-    let pending: Vec<(JobId, SimTime)> = state
+    let stranded: Vec<JobId> = state
         .borrow()
-        .pending
+        .jobs
         .iter()
-        .map(|(j, t)| (j.clone(), *t))
+        .filter(|(job, watch)| {
+            watch.active().is_some_and(|a| {
+                a.pending_since.is_some_and(|since| {
+                    owns_job(rep, now, job)
+                        && now.saturating_duration_since(since) >= redeploy_after
+                        && h.kube.job_status(&a.guardian).is_none()
+                })
+            })
+        })
+        .map(|(job, _)| job.clone())
         .collect();
-    for (job, submitted) in pending {
-        if !owns_job(rep, sim.now(), &job) {
-            continue;
-        }
-        let age = sim.now().saturating_duration_since(submitted);
-        if age >= redeploy_after && h.kube.job_status(&paths::guardian_job(&job)).is_none() {
-            note_sweep(sim, rep, &job);
-            sim.mark("lcm", job.as_str(), "redeploy-stranded", 0);
-            sim.metrics()
-                .counter_series(metrics::LCM_SCAN_REDEPLOYS, [])
-                .inc();
-            ensure_guardian(sim, h, &job);
-        }
+    for job in stranded {
+        note_sweep(sim, rep, &job);
+        sim.mark("lcm", job.as_str(), "redeploy-stranded", 0);
+        sim.metrics()
+            .counter_series(metrics::LCM_SCAN_REDEPLOYS, [])
+            .inc();
+        ensure_guardian(sim, h, &job);
     }
 
     // 2. Fail jobs whose Guardian exhausted its K8s backoff limit, and
@@ -887,24 +929,22 @@ fn sweep(
     //    e.g. they request hardware the cluster does not have). Both
     //    checks read local Kubernetes/watchlist state only.
     let deploy_timeout = config::DEPLOY_TIMEOUT;
-    let mut to_fail: Vec<(JobId, bool)> = Vec::new();
-    {
-        let st = state.borrow();
-        for job in &st.active {
-            if !owns_job(rep, sim.now(), job) {
-                continue;
+    let to_fail: Vec<(JobId, bool)> = state
+        .borrow()
+        .jobs
+        .iter()
+        .filter_map(|(job, watch)| {
+            let a = watch.active()?;
+            if !owns_job(rep, now, job) {
+                return None;
             }
-            let guardian_gave_up =
-                h.kube.job_status(&paths::guardian_job(job)) == Some(KubeJobStatus::Failed);
-            let deploy_stuck = st
-                .deploying
-                .get(job)
-                .is_some_and(|since| sim.now().saturating_duration_since(*since) >= deploy_timeout);
-            if guardian_gave_up || deploy_stuck {
-                to_fail.push((job.clone(), guardian_gave_up));
-            }
-        }
-    }
+            let guardian_gave_up = h.kube.job_status(&a.guardian) == Some(KubeJobStatus::Failed);
+            let deploy_stuck = a
+                .deploying_since
+                .is_some_and(|since| now.saturating_duration_since(since) >= deploy_timeout);
+            (guardian_gave_up || deploy_stuck).then(|| (job.clone(), guardian_gave_up))
+        })
+        .collect();
     for (job, guardian_gave_up) in to_fail {
         // One FAILED write per job in flight: a slow one must not be
         // doubled by the next tick.
@@ -925,15 +965,15 @@ fn sweep(
             let mut st = state2.borrow_mut();
             st.failing.remove(&job);
             // Refused: the document is not FAILED, so the job stays on
-            // the watchlists with its resources and the next tick fails
+            // the watchlist with its resources and the next tick fails
             // it again.
             if r.is_err() {
                 return;
             }
-            // The job is over: off the watchlists now (the terminal status
+            // The job is over: off the watchlist now (the terminal status
             // change re-enters it through the feed as a GC candidate), and
             // only now torn down.
-            st.forget(&job);
+            st.jobs.remove(&job);
             drop(st);
             sim.metrics()
                 .counter_series(metrics::LCM_SCAN_FAILURES, [reason])
@@ -947,11 +987,14 @@ fn sweep(
     //    probe confirms no leaked keys (a teardown that ran during an
     //    etcd outage may have lost its delete_prefix; nothing else ever
     //    looks at those keys again).
-    let terminal: Vec<JobId> = state.borrow().terminal_gc.iter().cloned().collect();
+    let terminal: Vec<JobId> = state
+        .borrow()
+        .jobs
+        .iter()
+        .filter(|(job, watch)| matches!(watch, Watch::TerminalGc) && owns_job(rep, now, job))
+        .map(|(job, _)| job.clone())
+        .collect();
     for job in terminal {
-        if !owns_job(rep, sim.now(), &job) {
-            continue;
-        }
         let has_pods = !h
             .kube
             .pods_matching(&labels! {"job" => job.as_str()})
@@ -979,12 +1022,15 @@ fn sweep(
                     }
                     Ok(_) => {
                         // Confirmed clean: stop watching this job.
-                        state3.borrow_mut().terminal_gc.remove(&job);
+                        let mut st = state3.borrow_mut();
+                        if matches!(st.jobs.get(&job), Some(Watch::TerminalGc)) {
+                            st.jobs.remove(&job);
+                        }
                     }
-                    // etcd unreachable: the job stays in terminal_gc, so the
-                    // next sweep tick re-probes this prefix — the retry IS
-                    // the handling (a metric here would double-count etcd's
-                    // own error counters).
+                    // etcd unreachable: the job stays on the watchlist, so
+                    // the next sweep tick re-probes this prefix — the retry
+                    // IS the handling (a metric here would double-count
+                    // etcd's own error counters).
                     Err(_) => {}
                 }
             });
@@ -1041,6 +1087,11 @@ mod tests {
         assert_eq!(deploying_since(&doc), Some(SimTime::from_micros(40)));
     }
 
+    /// The active entry of job `id`, if it has one.
+    fn active<'a>(st: &'a ScanState, id: &str) -> Option<&'a Active> {
+        st.jobs.get(id)?.active()
+    }
+
     #[test]
     fn ingest_routes_jobs_to_the_right_watchlists() {
         let mut sim = Sim::new(0);
@@ -1070,21 +1121,19 @@ mod tests {
             &obj! {"_id" => "t", "status" => "COMPLETED"},
         );
 
+        let pending = active(&st, "p").unwrap();
+        assert_eq!(pending.pending_since, Some(SimTime::from_micros(42)));
+        assert_eq!(pending.guardian, paths::guardian_job(&JobId::new("p")));
         assert_eq!(
-            st.pending.get(&JobId::new("p")),
-            Some(&SimTime::from_micros(42))
+            active(&st, "d").unwrap().deploying_since,
+            Some(SimTime::from_micros(7))
         );
         assert_eq!(
-            st.deploying.get(&JobId::new("d")),
-            Some(&SimTime::from_micros(7))
-        );
-        assert_eq!(
-            st.active.len(),
+            st.jobs.values().filter(|w| w.active().is_some()).count(),
             3,
             "pending+deploying+processing are active"
         );
-        assert!(st.terminal_gc.contains(&JobId::new("t")));
-        assert!(!st.active.contains(&JobId::new("t")));
+        assert!(matches!(st.jobs.get("t"), Some(Watch::TerminalGc)));
 
         // A status transition moves the job between lists instead of
         // leaving a stale entry behind.
@@ -1093,9 +1142,11 @@ mod tests {
             &mut st,
             &obj! {"_id" => "p", "status" => "FAILED"},
         );
-        assert!(st.pending.is_empty());
-        assert!(!st.active.contains(&JobId::new("p")));
-        assert!(st.terminal_gc.contains(&JobId::new("p")));
+        assert!(active(&st, "p").is_none());
+        assert!(matches!(st.jobs.get("p"), Some(Watch::TerminalGc)));
+        // So does one the sweep stops watching.
+        ingest(&mut sim, &mut st, &obj! {"_id" => "r", "status" => "?"});
+        assert!(!st.jobs.contains_key("r"));
     }
 
     #[test]
@@ -1112,8 +1163,19 @@ mod tests {
             "submitted_us" => 42, "admitted_us" => 9000},
         );
         assert_eq!(
-            st.pending.get(&JobId::new("p")),
-            Some(&SimTime::from_micros(9000))
+            active(&st, "p").unwrap().pending_since,
+            Some(SimTime::from_micros(9000))
+        );
+        // Deploying, the job is no longer aged as PENDING.
+        ingest(
+            &mut sim,
+            &mut st,
+            &obj! {"_id" => "p", "status" => "DEPLOYING", "admitted_us" => 9000},
+        );
+        let deploying = active(&st, "p").unwrap();
+        assert_eq!(
+            (deploying.pending_since, deploying.deploying_since),
+            (None, None)
         );
     }
 
@@ -1127,29 +1189,31 @@ mod tests {
             &obj! {"_id" => "q", "status" => "QUEUED", "tenant" => "acme",
             "gpus" => 4, "submitted_us" => 100},
         );
-        let info = st.queued.get(&JobId::new("q")).unwrap();
+        let info = st.jobs.get("q").and_then(Watch::queued).unwrap();
         assert_eq!(
-            (info.tenant.as_str(), info.gpus, info.since_us),
-            ("acme", 4, 100)
+            (
+                info.job.as_str(),
+                info.tenant.as_str(),
+                info.gpus,
+                info.since_us
+            ),
+            ("q", "acme", 4, 100)
         );
+        assert!(active(&st, "q").is_none(), "queued is not active");
         assert!(
-            !st.active.contains(&JobId::new("q")),
-            "queued is not active"
+            st.jobs.values().all(|w| w.held().is_none()),
+            "queued jobs hold no quota"
         );
-        assert!(st.usage.is_empty(), "queued jobs hold no quota");
 
-        // Admission moves it to the pending + usage views.
+        // Admission moves it to the active view, holding its GPUs.
         ingest(
             &mut sim,
             &mut st,
             &obj! {"_id" => "q", "status" => "PENDING", "tenant" => "acme",
             "gpus" => 4, "submitted_us" => 100, "admitted_us" => 500},
         );
-        assert!(st.queued.is_empty());
-        assert_eq!(
-            st.usage.get(&JobId::new("q")),
-            Some(&("acme".to_owned(), 4))
-        );
+        assert!(st.jobs.values().all(|w| w.queued().is_none()));
+        assert_eq!(st.jobs.get("q").and_then(Watch::held), Some(("acme", 4)));
 
         // A queued document missing its tenant is malformed: skipped.
         ingest(
@@ -1157,7 +1221,7 @@ mod tests {
             &mut st,
             &obj! {"_id" => "bad", "status" => "QUEUED", "submitted_us" => 1},
         );
-        assert!(st.queued.is_empty());
+        assert!(!st.jobs.contains_key("bad"));
     }
 
     #[test]
@@ -1171,7 +1235,8 @@ mod tests {
         );
         // Still watched for a failed Guardian, but never age-computed
         // from a wrapped timestamp.
-        assert!(st.pending.is_empty());
-        assert!(st.active.contains(&JobId::new("bad")));
+        let bad = active(&st, "bad").unwrap();
+        assert_eq!(bad.pending_since, None);
+        assert_eq!(bad.held, None, "no tenant, no quota charged");
     }
 }

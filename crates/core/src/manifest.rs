@@ -156,46 +156,68 @@ impl TrainingManifest {
         .to_json()
     }
 
-    /// Parses a stored manifest.
+    /// Parses a stored manifest, in one pass over the text that keeps the
+    /// values it takes: every container of a job parses the job spec when
+    /// it starts.
     ///
     /// # Errors
     ///
     /// [`ManifestError`] when the JSON is malformed.
     pub fn from_json(s: &str) -> Result<Self, ManifestError> {
-        let v = Value::parse_json(s).map_err(|e| ManifestError(e.to_string()))?;
-        let missing = |field: &str| ManifestError(format!("missing or ill-typed field: {field}"));
-        let str_field = |field: &str| -> Result<String, ManifestError> {
-            Ok(v.path(field)
-                .and_then(Value::as_str)
-                .ok_or_else(|| missing(field))?
-                .to_owned())
-        };
-        let int_field = |field: &str| -> Result<i64, ManifestError> {
-            v.path(field)
-                .and_then(Value::as_i64)
+        const FIELDS: usize = 14;
+        let mut v: [Value; FIELDS] = Default::default();
+        Value::parse_json_fields(s, |key, value| {
+            let slot = match key {
+                "name" => 0,
+                "framework" => 1,
+                "model" => 2,
+                "gpu_kind" => 3,
+                "gpus_per_learner" => 4,
+                "learners" => 5,
+                "data_bucket" => 6,
+                "data_prefix" => 7,
+                "data_bytes" => 8,
+                "results_bucket" => 9,
+                "iterations" => 10,
+                "checkpoint_every" => 11,
+                "batch_per_gpu" => 12,
+                "learning_rate" => 13,
+                _ => return,
+            };
+            v[slot] = value;
+        })
+        .map_err(|e| ManifestError(e.to_string()))?;
+        fn missing(field: &str) -> ManifestError {
+            ManifestError(format!("missing or ill-typed field: {field}"))
+        }
+        fn parsed<T: std::str::FromStr>(v: &Value, field: &str) -> Result<T, ManifestError> {
+            v.as_str()
+                .and_then(|s| s.parse().ok())
                 .ok_or_else(|| missing(field))
+        }
+        let [name, framework, model, gpu_kind, gpus_per_learner, learners, data_bucket, data_prefix, data_bytes, results_bucket, iterations, checkpoint_every, batch_per_gpu, learning_rate] =
+            v;
+        let string = |v: Value, field: &str| match v {
+            Value::Str(s) => Ok(s),
+            _ => Err(missing(field)),
         };
+        let int = |v: &Value, field: &str| v.as_i64().ok_or_else(|| missing(field));
         Ok(TrainingManifest {
-            name: str_field("name")?,
-            framework: str_field("framework")?
-                .parse()
-                .map_err(|_| missing("framework"))?,
-            model: str_field("model")?.parse().map_err(|_| missing("model"))?,
-            gpu_kind: str_field("gpu_kind")?
-                .parse()
-                .map_err(|_| missing("gpu_kind"))?,
-            gpus_per_learner: int_field("gpus_per_learner")? as u32,
-            learners: int_field("learners")? as u32,
-            data_bucket: str_field("data_bucket")?,
-            data_prefix: str_field("data_prefix")?,
-            data_bytes: int_field("data_bytes")? as u64,
-            results_bucket: str_field("results_bucket")?,
-            iterations: int_field("iterations")? as u64,
-            checkpoint_every: int_field("checkpoint_every")? as u64,
-            batch_per_gpu: int_field("batch_per_gpu")? as u32,
-            learning_rate: v
-                .path("learning_rate")
-                .and_then(Value::as_f64)
+            name: string(name, "name")?,
+            framework: parsed(&framework, "framework")?,
+            model: parsed(&model, "model")?,
+            gpu_kind: parsed(&gpu_kind, "gpu_kind")?,
+            gpus_per_learner: int(&gpus_per_learner, "gpus_per_learner")? as u32,
+            learners: int(&learners, "learners")? as u32,
+            data_bucket: string(data_bucket, "data_bucket")?,
+            data_prefix: string(data_prefix, "data_prefix")?,
+            data_bytes: int(&data_bytes, "data_bytes")? as u64,
+            results_bucket: string(results_bucket, "results_bucket")?,
+            iterations: int(&iterations, "iterations")? as u64,
+            checkpoint_every: int(&checkpoint_every, "checkpoint_every")? as u64,
+            batch_per_gpu: int(&batch_per_gpu, "batch_per_gpu")? as u32,
+            learning_rate: learning_rate
+                .as_f64()
                 .ok_or_else(|| missing("learning_rate"))?,
         })
     }

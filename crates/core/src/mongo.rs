@@ -5,14 +5,14 @@
 //! externally visible status never moves backwards and never leaves a
 //! terminal state — even when two Guardian incarnations race.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dlaas_docstore::{
     mongo_addr, Doc, Filter, MongoRequest, MongoResponse, MongoRpc, Update, Value,
 };
 use dlaas_net::{Addr, RpcError};
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::{CounterHandle, Sim, SimDuration};
 
 use crate::job::{JobId, JobStatus};
 use crate::manifest::TrainingManifest;
@@ -48,6 +48,24 @@ impl std::fmt::Display for MetaError {
 
 impl std::error::Error for MetaError {}
 
+/// Handles to the job-transition counter, one per status, each made on
+/// the first transition to its status and shared by every client of a
+/// platform: an acknowledged status write bumps a handle instead of
+/// looking its series up.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Transitions(Rc<RefCell<[Option<CounterHandle>; 8]>>);
+
+impl Transitions {
+    fn count(&self, sim: &Sim, to: JobStatus) {
+        self.0.borrow_mut()[to as usize]
+            .get_or_insert_with(|| {
+                sim.metrics()
+                    .counter_series(metrics::JOB_TRANSITIONS, [to.name()])
+            })
+            .inc();
+    }
+}
+
 /// Retrying handle to the metadata store.
 #[derive(Debug, Clone)]
 pub struct MetaClient {
@@ -57,6 +75,7 @@ pub struct MetaClient {
     /// `false` once the process the client was handed to has stopped: it
     /// sends nothing more, retries included.
     alive: Rc<Cell<bool>>,
+    transitions: Transitions,
 }
 
 impl MetaClient {
@@ -68,12 +87,18 @@ impl MetaClient {
             from: Addr::new(format!("mongoc/{}", from.into())),
             to: mongo_addr(),
             alive: Rc::new(Cell::new(true)),
+            transitions: Transitions::default(),
         }
     }
 
-    /// The same client, sending only while `alive` holds.
-    pub(crate) fn while_alive(self, alive: Rc<Cell<bool>>) -> Self {
-        MetaClient { alive, ..self }
+    /// The same client, sending only while `alive` holds and counting
+    /// transitions through the platform's `transitions`.
+    pub(crate) fn owned(self, alive: Rc<Cell<bool>>, transitions: Transitions) -> Self {
+        MetaClient {
+            alive,
+            transitions,
+            ..self
+        }
     }
 
     /// Unregisters the client's RPC endpoint (process teardown): answers
@@ -282,26 +307,19 @@ impl MetaClient {
     ) {
         let filter = Filter::and(vec![
             Filter::eq("_id", job.as_str()),
-            Filter::eq("status", JobStatus::Queued.to_string()),
+            Filter::eq("status", JobStatus::Queued.name()),
         ]);
         let now_us = sim.now().as_micros();
-        let to_str = JobStatus::Pending.to_string();
+        let to = JobStatus::Pending;
         let update = Update::Many(vec![
-            Update::set("status", to_str.clone()),
+            Update::set("status", to.name()),
             Update::set("admitted_us", now_us),
             Update::push(
                 "history",
-                dlaas_docstore::obj! { "status" => to_str.clone(), "t_us" => now_us },
+                dlaas_docstore::obj! { "status" => to.name(), "t_us" => now_us },
             ),
         ]);
-        self.update_one(sim, JOBS, filter, update, move |sim, r| {
-            if matches!(r, Ok(true)) {
-                sim.metrics()
-                    .counter_series(metrics::JOB_TRANSITIONS, [&to_str])
-                    .inc();
-            }
-            done(sim, r);
-        });
+        self.transition(sim, filter, update, to, done);
     }
 
     /// Advances a job's status, enforcing forward-only transitions: the
@@ -322,9 +340,9 @@ impl MetaClient {
             JobStatus::Processing,
             JobStatus::Storing,
         ]
-        .iter()
+        .into_iter()
         .filter(|s| s.can_advance_to(to))
-        .map(|s| Value::from(s.to_string()))
+        .map(|s| Value::from(s.name()))
         .collect();
         let filter = Filter::and(vec![
             Filter::eq("_id", job.as_str()),
@@ -332,18 +350,29 @@ impl MetaClient {
         ]);
         let now_us = sim.now().as_micros();
         let update = Update::Many(vec![
-            Update::set("status", to.to_string()),
+            Update::set("status", to.name()),
             Update::push(
                 "history",
-                dlaas_docstore::obj! { "status" => to.to_string(), "t_us" => now_us },
+                dlaas_docstore::obj! { "status" => to.name(), "t_us" => now_us },
             ),
         ]);
-        let to_str = to.to_string();
+        self.transition(sim, filter, update, to, done);
+    }
+
+    /// Sends a status write and counts the transition to `to` once the
+    /// store says it applied.
+    fn transition(
+        &self,
+        sim: &mut Sim,
+        filter: Filter,
+        update: Update,
+        to: JobStatus,
+        done: impl FnOnce(&mut Sim, Result<bool, MetaError>) + 'static,
+    ) {
+        let transitions = self.transitions.clone();
         self.update_one(sim, JOBS, filter, update, move |sim, r| {
             if matches!(r, Ok(true)) {
-                sim.metrics()
-                    .counter_series(metrics::JOB_TRANSITIONS, [&to_str])
-                    .inc();
+                transitions.count(sim, to);
             }
             done(sim, r);
         });

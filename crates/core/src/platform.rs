@@ -162,6 +162,7 @@ impl DlaasPlatform {
             etcd_gc,
             shard_tracker: crate::ownership::ShardTracker::new(config::LCM_SHARDS),
             config: Rc::new(cfg.core.clone()),
+            transitions: Default::default(),
         };
 
         // Register every platform behavior.
@@ -366,11 +367,18 @@ impl DlaasPlatform {
             .find(JOBS, &Filter::True)
     }
 
-    /// Lends every job document currently in the store to `visit` with
-    /// its id, in id order, without collecting them — the invariant
-    /// checker's walk.
-    pub fn for_each_job_document(&self, visit: impl FnMut(&str, &Doc)) {
-        self.mongo.borrow().store().borrow().for_each(JOBS, visit);
+    /// Lends the jobs collection's change feed above the watermark `since`
+    /// to `visit`, in change order — `(id, Some(document))` for a job
+    /// document that exists, `(id, None)` for one removed since — and
+    /// returns the watermark to pass next time: the invariant checker's
+    /// read, the LCM's own mechanism without the network. `since == 0`
+    /// lends every document.
+    pub fn for_each_job_change(&self, since: u64, visit: impl FnMut(&str, Option<&Doc>)) -> u64 {
+        self.mongo
+            .borrow()
+            .store()
+            .borrow()
+            .for_each_change(JOBS, since, visit)
     }
 
     /// Every tenant document currently in the store (the invariant
@@ -418,7 +426,7 @@ impl DlaasPlatform {
         Some(
             obj.iter()
                 .filter(|(k, _)| *k != "_id")
-                .filter_map(|(k, v)| Some((k.clone(), v.as_i64()?)))
+                .filter_map(|(k, v)| Some((k.to_owned(), v.as_i64()?)))
                 .collect(),
         )
     }

@@ -412,6 +412,65 @@ fn a_guardian_job_complete_over_an_open_document_is_reported() {
     );
 }
 
+#[test]
+fn a_negative_stamp_is_reported_not_wrapped_to_a_far_future_instant() {
+    // Read as `us as u64`, a stamp of -1 is an instant in the far future:
+    // a job clocked by it has not waited, has not been terminal for long,
+    // and so slips past every rule that stamp clocks.
+    let (mut sim, platform) = boot(2005);
+    let bounds = InvariantBounds::from_config(&platform.handles().config);
+    sim.run_for(bounds.terminal_within + SimDuration::from_mins(10));
+    let long_ago = ago(&sim, bounds.terminal_within.as_micros() / 1_000_000 + 60);
+
+    // Running for longer than the liveness bound, admitted "at -1".
+    let mut stuck = job_doc("stuck", "open", "PROCESSING", long_ago);
+    Update::set("admitted_us", -1).apply(&mut stuck);
+    insert_job(&mut sim, &platform, stuck);
+    // Queued with headroom for longer than the admission bound,
+    // submitted "at -2".
+    let mut parked = job_doc("parked", "capped", "QUEUED", long_ago);
+    Update::Unset("admitted_us".into()).apply(&mut parked);
+    Update::set("submitted_us", -2).apply(&mut parked);
+    insert_job(&mut sim, &platform, parked);
+    // Finished long ago with its volume left behind, finished "at -3".
+    let mut done = job_doc("done", "open", "COMPLETED", -3);
+    Update::set("submitted_us", long_ago).apply(&mut done);
+    Update::set("admitted_us", long_ago).apply(&mut done);
+    insert_job(&mut sim, &platform, done);
+    platform
+        .nfs()
+        .create_volume(paths::volume(&JobId::new("done")));
+
+    let report = found(&check_invariants(&sim, &platform));
+    let named: Vec<_> = report
+        .iter()
+        .map(|(job, invariant, _)| (job.as_str(), *invariant))
+        .collect();
+    assert_eq!(
+        named,
+        [
+            ("done", "stamp-valid"),
+            ("parked", "stamp-valid"),
+            ("stuck", "stamp-valid"),
+            // Its submission stamp is well formed: the liveness rule
+            // clocks the job by that instead.
+            ("stuck", "terminal-bound"),
+        ]
+    );
+    let details: Vec<_> = report
+        .iter()
+        .map(|(_, _, detail)| detail.as_str())
+        .collect();
+    assert_eq!(
+        details[..3],
+        [
+            "terminal history t_us=-3 is negative",
+            "submitted_us=-2 is negative",
+            "admitted_us=-1 is negative",
+        ]
+    );
+}
+
 const STATUSES: [&str; 8] = [
     "QUEUED",
     "PENDING",

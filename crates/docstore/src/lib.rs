@@ -66,4 +66,4 @@ mod value;
 pub use query::{Filter, Update};
 pub use server::{mongo_addr, MongoRequest, MongoResponse, MongoRpc, MongoServer, MongoTimings};
 pub use store::{Doc, DocStore, Journal, JournalOp, StoreError};
-pub use value::{Obj, Value};
+pub use value::{IntoFields, Obj, Value};

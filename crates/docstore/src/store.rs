@@ -44,7 +44,9 @@ impl std::error::Error for StoreError {}
 /// query keeps showing the document as it was when the query ran, however
 /// the collection changes afterwards (snapshot isolation), handing one
 /// out copies nothing, and an update costs a copy of the document only
-/// while a reader still holds the version it replaces.
+/// while a reader still holds the version it replaces. The journal is not
+/// such a reader: its insert record keeps an image of its own, and the
+/// collection stores a copy of its own from the start.
 pub type Doc = Rc<Value>;
 
 /// One durable journal record (the "disk" write-ahead log): a redo log
@@ -61,7 +63,8 @@ pub enum JournalOp {
         coll: Rc<str>,
         /// Document id.
         id: Rc<str>,
-        /// Full document, as inserted.
+        /// Full document, as inserted: an image of its own, which the
+        /// collection's copy of the document never shares.
         doc: Doc,
     },
     /// Document changed by an update (a no-op update journals nothing).
@@ -122,8 +125,9 @@ impl Journal {
 /// value → ids of the documents holding it at the indexed path.
 type Index = BTreeMap<String, BTreeSet<Rc<str>>>;
 
+/// An indexed value's key: its JSON, written once.
 fn index_key(v: &Value) -> String {
-    v.to_string()
+    v.to_json()
 }
 
 fn unindex(idx: &mut Index, key: &str, id: &str) {
@@ -206,10 +210,9 @@ impl Collection {
     /// Applies `update` to document `id`; `true` if that changed it.
     ///
     /// Copy-on-write: the document is edited where it is unless a reader
-    /// (a query result, an RPC response in flight, a journal insert
-    /// record, the invariant checker's summary) still holds this version,
-    /// in which case the edit goes to a copy and the reader keeps the
-    /// original. Index upkeep runs only for an index whose path the
+    /// (a query result, an RPC response in flight) still holds this
+    /// version, in which case the edit goes to a copy and the reader keeps
+    /// the original. Index upkeep runs only for an index whose path the
     /// update can reach, and only if the value there moved.
     fn edit(&mut self, id: &Rc<str>, update: &Update) -> bool {
         let Some(slot) = self.docs.get_mut(id) else {
@@ -265,20 +268,25 @@ impl Collection {
         true
     }
 
-    /// Ids of candidate documents for `filter` when the primary key or an
-    /// index narrows it, in id order; `None` when every document is a
-    /// candidate (the caller then walks `docs` itself — no list of every
-    /// id).
-    fn candidates(&self, filter: &Filter) -> Option<Vec<Rc<str>>> {
+    /// The candidate documents for `filter` with their ids, in id order,
+    /// when the primary key or an index narrows it; `None` when every
+    /// document is a candidate (the caller then walks `docs` itself — no
+    /// list of every document). An `_id` pin costs one lookup.
+    fn candidates(&self, filter: &Filter) -> Option<Vec<(&Rc<str>, &Doc)>> {
+        let stored = |id: &str| self.docs.get_key_value(id);
         // `_id` is the primary key: an exact pin needs no scan.
         if let Some(v) = filter.pinned_eq("_id") {
-            let id = v.as_str().and_then(|id| self.docs.get_key_value(id));
-            return Some(id.map(|(id, _)| id.clone()).into_iter().collect());
+            return Some(v.as_str().and_then(stored).into_iter().collect());
         }
         for (path, idx) in &self.indexes {
             if let Some(v) = filter.pinned_eq(path) {
                 let set = idx.get(&index_key(v));
-                return Some(set.into_iter().flatten().cloned().collect());
+                return Some(
+                    set.into_iter()
+                        .flatten()
+                        .filter_map(|id| stored(id))
+                        .collect(),
+                );
             }
         }
         // `In`-pinned filters union the posting lists of every listed
@@ -290,7 +298,7 @@ impl Collection {
                     .filter_map(|v| idx.get(&index_key(v)))
                     .flatten()
                     .collect();
-                return Some(ids.into_iter().cloned().collect());
+                return Some(ids.into_iter().filter_map(|id| stored(id)).collect());
             }
         }
         None
@@ -299,13 +307,10 @@ impl Collection {
     /// The candidate documents for `filter`, in id order, and how many
     /// there are (the query's work count).
     fn candidate_docs(&self, filter: &Filter) -> (u64, impl Iterator<Item = &Doc>) {
-        let ids = self.candidates(filter);
-        let examined = ids.as_ref().map_or(self.docs.len(), Vec::len) as u64;
-        let all = ids.is_none().then(|| self.docs.values());
-        let listed = ids
-            .into_iter()
-            .flatten()
-            .filter_map(|id| self.docs.get(&id));
+        let listed = self.candidates(filter);
+        let examined = listed.as_ref().map_or(self.docs.len(), Vec::len) as u64;
+        let all = listed.is_none().then(|| self.docs.values());
+        let listed = listed.into_iter().flatten().map(|(_, doc)| doc);
         (examined, all.into_iter().flatten().chain(listed))
     }
 
@@ -313,10 +318,12 @@ impl Collection {
     /// candidate count (for the mutations, which edit `docs` by id).
     fn matching_ids(&self, filter: &Filter) -> (u64, Vec<Rc<str>>) {
         match self.candidates(filter) {
-            Some(ids) => (
-                ids.len() as u64,
-                ids.into_iter()
-                    .filter(|id| self.docs.get(id).is_some_and(|d| filter.matches(d)))
+            Some(listed) => (
+                listed.len() as u64,
+                listed
+                    .into_iter()
+                    .filter(|(_, doc)| filter.matches(doc))
+                    .map(|(id, _)| id.clone())
                     .collect(),
             ),
             None => (
@@ -385,7 +392,8 @@ impl DocStore {
         for op in journal.ops.borrow().iter() {
             match op {
                 JournalOp::Insert { coll, id, doc } => {
-                    collection(&mut store.collections, coll).put(id.clone(), doc.clone());
+                    let stored = Rc::new(Value::clone(doc));
+                    collection(&mut store.collections, coll).put(id.clone(), stored);
                     if let Some(n) = id.strip_prefix("auto-").and_then(|s| s.parse::<u64>().ok()) {
                         store.next_auto_id = store.next_auto_id.max(n + 1);
                     }
@@ -435,6 +443,11 @@ impl DocStore {
     /// journaled). Uses the document's `"_id"` string field or assigns
     /// `auto-N`. Returns the id.
     ///
+    /// The journal keeps `doc` as its insert image and the collection
+    /// stores a copy of it made here, which is therefore the collection's
+    /// alone: no later update of it copies the document unless a reader
+    /// holds it.
+    ///
     /// # Errors
     ///
     /// [`StoreError::NotAnObject`] if `doc` is not an object,
@@ -456,15 +469,15 @@ impl DocStore {
         if c.docs.contains_key(id.as_str()) {
             return Err(StoreError::DuplicateId(id));
         }
-        let doc = Rc::new(doc);
         let shared: Rc<str> = id.as_str().into();
+        let stored = Rc::new(doc.clone());
         // Journal first: the write is durable before it is acknowledged.
         self.journal.append(JournalOp::Insert {
             coll: c.name.clone(),
             id: shared.clone(),
-            doc: doc.clone(),
+            doc: Rc::new(doc),
         });
-        c.put(shared, doc);
+        c.put(shared, stored);
         Ok(id)
     }
 
@@ -477,17 +490,6 @@ impl DocStore {
         let (examined, cands) = c.candidate_docs(filter);
         self.last_examined.set(examined);
         cands.filter(|d| filter.matches(d)).cloned().collect()
-    }
-
-    /// Lends every `(id, document)` of `coll` to `visit`, in id order,
-    /// without collecting them (a periodic checker's walk over a
-    /// collection whose documents it mostly already knows).
-    pub fn for_each(&self, coll: &str, mut visit: impl FnMut(&str, &Doc)) {
-        let docs = self.collections.get(coll).map(|c| &c.docs);
-        self.last_examined.set(docs.map_or(0, BTreeMap::len) as u64);
-        for (id, doc) in docs.into_iter().flatten() {
-            visit(id, doc);
-        }
     }
 
     /// First matching document in id order, if any.
@@ -598,26 +600,40 @@ impl DocStore {
     /// live document plus every removal tombstone: a watcher that lost
     /// its watermark (e.g. an LCM restart) falls back to a full rescan.
     pub fn changed_since(&self, coll: &str, since: u64) -> (Vec<Doc>, Vec<String>, u64) {
+        let (mut docs, mut gone) = (Vec::new(), Vec::new());
+        let high_water = self.for_each_change(coll, since, |id, doc| match doc {
+            Some(d) => docs.push(d.clone()),
+            None => gone.push(id.to_owned()),
+        });
+        (docs, gone, high_water)
+    }
+
+    /// [`DocStore::changed_since`] lent to `visit` in change order rather
+    /// than collected: `(id, Some(document))` for a document that exists
+    /// now, `(id, None)` for one whose latest change removed it. Returns
+    /// the high-water sequence number (the next `since`). A reader that
+    /// keeps its own summary of the collection — the invariant checker —
+    /// reads each changed document once and copies none.
+    pub fn for_each_change(
+        &self,
+        coll: &str,
+        since: u64,
+        mut visit: impl FnMut(&str, Option<&Doc>),
+    ) -> u64 {
         let Some(c) = self.collections.get(coll) else {
             self.last_examined.set(0);
-            return (Vec::new(), Vec::new(), 0);
+            return 0;
         };
-        let mut docs = Vec::new();
-        let mut gone = Vec::new();
         let mut examined = 0u64;
-        for id in c
+        for (_, id) in c
             .by_seq
             .range((std::ops::Bound::Excluded(since), std::ops::Bound::Unbounded))
-            .map(|(_, id)| id)
         {
             examined += 1;
-            match c.docs.get(id) {
-                Some(d) => docs.push(d.clone()),
-                None => gone.push(String::from(&**id)),
-            }
+            visit(id, c.docs.get(id));
         }
         self.last_examined.set(examined);
-        (docs, gone, c.change_seq)
+        c.change_seq
     }
 }
 
@@ -1049,18 +1065,14 @@ mod tests {
         let by_id = Filter::eq("_id", "a");
         let address = |db: &DocStore| Rc::as_ptr(&db.find_one("jobs", &by_id).unwrap());
 
-        // The journal's insert record holds the inserted version, so the
-        // first update is to a copy.
-        let inserted = address(&db);
-        db.update_one("jobs", &by_id, &Update::set("status", "DEPLOYING"));
+        // The journal's insert record keeps an image of its own, so nobody
+        // but the collection holds the stored document, from the first
+        // update on: edited where it is. (Checked after each update: a
+        // copy is made while its original is still allocated, so it cannot
+        // land on the same address, but the copy after that could.)
         let unique = address(&db);
-        assert_ne!(unique, inserted);
-
-        // Nobody but the collection holds it now: edited where it is.
-        // (Checked after each update: a copy is made while its original
-        // is still allocated, so it cannot land on the same address, but
-        // the copy after that could.)
         for update in [
+            Update::set("status", "DEPLOYING"),
             Update::set("status", "PROCESSING"),
             Update::inc("learners", 1),
         ] {
@@ -1069,12 +1081,7 @@ mod tests {
         }
 
         // A reader holds it: the edit goes to a new allocation and the
-        // reader keeps the old one. This is what keeps the invariant
-        // checker's `Rc::ptr_eq` memo sound under in-place editing: its
-        // summary *holds* the handle it compares against, so a document
-        // it has seen can only ever change by moving to another
-        // allocation — and the held one cannot be freed and its address
-        // reused. A memo of the bare address would be wrong.
+        // reader keeps the old one.
         let reader = db.find_one("jobs", &by_id).unwrap();
         db.update_one("jobs", &by_id, &Update::set("status", "COMPLETED"));
         let now = db.find_one("jobs", &by_id).unwrap();
@@ -1151,9 +1158,8 @@ mod tests {
         assert_eq!(held.path("status").unwrap().as_str(), Some("PENDING"));
         assert!(held.path("history").is_none());
 
-        // The recovered store shares never-updated documents with the
-        // journal's insert records; an update after recovery must leave
-        // those alone.
+        // An update after recovery must leave the journal's insert images
+        // alone, or a second recovery would replay from edited images.
         let mut recovered = recovered;
         recovered.update_one(
             "jobs",

@@ -1,6 +1,6 @@
 //! Dynamically-typed document values (a BSON/JSON-like model).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A dynamically typed value stored in a document.
 ///
@@ -45,9 +45,46 @@ pub enum Value {
 /// costs is what a finished job costs: a `BTreeMap` allocates a 632-byte
 /// leaf node for its first entry, this allocates the pairs and nothing
 /// else. Lookup is a binary search; iteration is in key order, as a
-/// `BTreeMap`'s is.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Obj(Vec<(String, Value)>);
+/// `BTreeMap`'s is. Each field carries the first eight bytes of its key
+/// beside it, so the search compares numbers in the vector and reads a
+/// key's text only where two keys share those bytes, and once to confirm
+/// the field it lands on.
+#[derive(Clone, PartialEq, Default)]
+pub struct Obj(Vec<Field>);
+
+#[derive(Debug, Clone, PartialEq)]
+struct Field {
+    /// [`key_prefix`] of `key`.
+    prefix: u64,
+    key: Box<str>,
+    value: Value,
+}
+
+impl Field {
+    fn new(key: Box<str>, value: Value) -> Self {
+        Field {
+            prefix: key_prefix(&key),
+            key,
+            value,
+        }
+    }
+}
+
+/// The first eight bytes of `key`, zero-padded, as a big-endian number:
+/// two keys whose prefixes differ are ordered as their prefixes are.
+fn key_prefix(key: &str) -> u64 {
+    let mut bytes = [0; 8];
+    let head = &key.as_bytes()[..key.len().min(8)];
+    bytes[..head.len()].copy_from_slice(head);
+    u64::from_be_bytes(bytes)
+}
+
+impl fmt::Debug for Obj {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields: Vec<_> = self.iter().collect();
+        f.debug_tuple("Obj").field(&fields).finish()
+    }
+}
 
 impl Obj {
     /// An object with no fields (allocates nothing).
@@ -68,24 +105,31 @@ impl Obj {
     /// Where field `key` is, or where it would go to keep the order, and
     /// whether it is there.
     fn position(&self, key: &str) -> (usize, bool) {
-        let i = self.0.partition_point(|(k, _)| k.as_str() < key);
-        (i, self.0.get(i).is_some_and(|(k, _)| k == key))
+        let prefix = key_prefix(key);
+        let i = self
+            .0
+            .partition_point(|f| f.prefix < prefix || (f.prefix == prefix && &*f.key < key));
+        let present = self
+            .0
+            .get(i)
+            .is_some_and(|f| f.prefix == prefix && &*f.key == key);
+        (i, present)
     }
 
     /// The value of field `key`, if present.
     pub fn get(&self, key: &str) -> Option<&Value> {
         let (i, present) = self.position(key);
-        present.then(|| &self.0[i].1)
+        present.then(|| &self.0[i].value)
     }
 
     /// Sets field `key`, returning the value it replaces, if any.
     pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
         let (i, present) = self.position(&key);
         if present {
-            return Some(std::mem::replace(&mut self.0[i].1, value));
+            return Some(std::mem::replace(&mut self.0[i].value, value));
         }
         self.0.reserve_exact(1);
-        self.0.insert(i, (key, value));
+        self.0.insert(i, Field::new(key.into_boxed_str(), value));
         None
     }
 
@@ -95,9 +139,9 @@ impl Obj {
         let (i, present) = self.position(key);
         if !present {
             self.0.reserve_exact(1);
-            self.0.insert(i, (key.to_owned(), Value::Null));
+            self.0.insert(i, Field::new(key.into(), Value::Null));
         }
-        (&mut self.0[i].1, !present)
+        (&mut self.0[i].value, !present)
     }
 
     /// Removes field `key`, returning its value if it was present.
@@ -106,14 +150,14 @@ impl Obj {
         if !present {
             return None;
         }
-        let (_, value) = self.0.remove(i);
+        let field = self.0.remove(i);
         self.0.shrink_to_fit();
-        Some(value)
+        Some(field.value)
     }
 
     /// The fields in key order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&String, &Value)> {
-        self.0.iter().map(|(k, v)| (k, v))
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> {
+        self.0.iter().map(|f| (&*f.key, &f.value))
     }
 }
 
@@ -121,28 +165,43 @@ impl Obj {
 /// wins, as with repeated [`Obj::insert`]s.
 impl FromIterator<(String, Value)> for Obj {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(pairs: I) -> Self {
-        let mut pairs: Vec<_> = pairs.into_iter().collect();
+        let mut fields: Vec<_> = pairs
+            .into_iter()
+            .map(|(key, value)| Field::new(key.into_boxed_str(), value))
+            .collect();
         // Stable, so equal keys stay in arrival order: of each run the
         // dedup keeps the first slot and moves the later value into it.
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        pairs.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
+        fields.sort_by(|a, b| (a.prefix, &a.key).cmp(&(b.prefix, &b.key)));
+        fields.dedup_by(|later, kept| {
+            let same = later.key == kept.key;
             if same {
-                std::mem::swap(&mut later.1, &mut kept.1);
+                std::mem::swap(&mut later.value, &mut kept.value);
             }
             same
         });
-        pairs.shrink_to_fit();
-        Obj(pairs)
+        fields.shrink_to_fit();
+        Obj(fields)
     }
 }
 
 impl IntoIterator for Obj {
     type Item = (String, Value);
-    type IntoIter = std::vec::IntoIter<(String, Value)>;
+    type IntoIter = IntoFields;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
+        IntoFields(self.0.into_iter())
+    }
+}
+
+/// The fields of an [`Obj`] by value, in key order.
+#[derive(Debug)]
+pub struct IntoFields(std::vec::IntoIter<Field>);
+
+impl Iterator for IntoFields {
+    type Item = (String, Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|f| (f.key.into_string(), f.value))
     }
 }
 
@@ -317,14 +376,14 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::I64(i) => {
-                out.push_str(&i.to_string());
+                push_fmt(out, format_args!("{i}"));
             }
             Value::F64(f) => {
                 if f.is_finite() {
-                    let s = f.to_string();
-                    out.push_str(&s);
+                    let start = out.len();
+                    push_fmt(out, format_args!("{f}"));
                     // Keep floats distinguishable from integers on re-parse.
-                    if !s.contains(['.', 'e', 'E']) {
+                    if !out[start..].contains(['.', 'e', 'E']) {
                         out.push_str(".0");
                     }
                 } else {
@@ -359,16 +418,29 @@ impl Value {
 
     /// Parses a JSON document.
     pub fn parse_json(input: &str) -> Result<Value, JsonError> {
-        let bytes = input.as_bytes();
-        let mut p = JsonParser { bytes, pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(p.err("trailing data"));
-        }
-        Ok(v)
+        JsonParser::whole(input, JsonParser::value)
     }
+
+    /// Parses a JSON object, lending each `(key, value)` pair to `field`
+    /// in input order instead of building the object: a reader that takes
+    /// a few typed fields out of a document reads it in one pass, keeps
+    /// the values it takes and allocates no key. Anything but an object is
+    /// an error.
+    pub fn parse_json_fields(
+        input: &str,
+        mut field: impl FnMut(&str, Value),
+    ) -> Result<(), JsonError> {
+        JsonParser::whole(input, |p| p.fields(&mut field))
+    }
+}
+
+/// Appends formatted `args` to `out`, in place.
+fn push_fmt(out: &mut String, args: fmt::Arguments<'_>) {
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "formatting into a `String` cannot fail"
+    )]
+    let _ = out.write_fmt(args);
 }
 
 fn write_json_string(s: &str, out: &mut String) {
@@ -407,11 +479,31 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct JsonParser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> JsonParser<'a> {
+    /// Runs `parse` over all of `input`, whitespace around it allowed.
+    fn whole<T>(
+        input: &'a str,
+        parse: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        let mut p = JsonParser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let v = parse(&mut p)?;
+        p.skip_ws();
+        if p.pos != input.len() {
+            return Err(p.err("trailing data"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             message: msg.to_owned(),
@@ -484,27 +576,36 @@ impl<'a> JsonParser<'a> {
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
-        self.eat(b'{')?;
         let mut pairs = Vec::new();
+        self.fields(&mut |key, val| pairs.push((key.to_owned(), val)))?;
+        Ok(Value::Obj(pairs.into_iter().collect()))
+    }
+
+    /// An object's fields, each lent to `field` as it is read; every key
+    /// is read into one buffer.
+    fn fields(&mut self, field: &mut dyn FnMut(&str, Value)) -> Result<(), JsonError> {
+        self.eat(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(Obj::new()));
+            return Ok(());
         }
+        let mut key = String::new();
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            key.clear();
+            self.string_into(&mut key)?;
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
             let val = self.value()?;
-            pairs.push((key, val));
+            field(&key, val);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Obj(pairs.into_iter().collect()));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -512,16 +613,34 @@ impl<'a> JsonParser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
         let mut out = String::new();
+        self.string_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// A string literal, appended to `out` in one pass over its bytes:
+    /// each run of plain characters is copied whole, and only an escape is
+    /// looked at byte by byte. The input is a `&str`, so a run — which
+    /// ends only at an ASCII `"` or `\` — is valid UTF-8 without being
+    /// checked again.
+    fn string_into(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.eat(b'"')?;
         loop {
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
-                Some(b'\\') => {
+                // The run stopped at a backslash: one escape.
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -547,17 +666,6 @@ impl<'a> JsonParser<'a> {
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -697,7 +805,7 @@ mod tests {
         let Value::Obj(mut o) = v else {
             panic!("obj! builds an object")
         };
-        let keys = |o: &Obj| o.iter().map(|(k, _)| k.as_str()).collect::<String>();
+        let keys = |o: &Obj| o.iter().map(|(k, _)| k).collect::<String>();
         assert_eq!(keys(&o), "abc");
         assert_eq!(o.get("b"), Some(&Value::I64(4)));
         assert_eq!(o.insert("ab".into(), Value::Null), None);
@@ -793,6 +901,64 @@ mod tests {
         // Whole floats stay floats.
         assert_eq!(back.path("whole_float"), Some(&Value::F64(3.0)));
         assert_eq!(back.path("neg"), Some(&Value::I64(-42)));
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the bound is on host time: a quadratic scan is the regression"
+    )]
+    fn a_long_string_parses_in_time_linear_in_its_length() {
+        // About 2 MiB of escapes and multi-byte characters in one string
+        // literal. A scanner that looks at the rest of the input for each
+        // character takes hours over it; a linear one, milliseconds.
+        let piece = "plain ascii, \"quoted\", a\\b, tab\there, héllo → wörld ☃\n";
+        let text = piece.repeat(2 * 1024 * 1024 / piece.len());
+        let json = Value::from(text.as_str()).to_json();
+        assert!(json.len() > 2 * 1024 * 1024);
+        let timer = std::time::Instant::now();
+        let back = Value::parse_json(&json).unwrap();
+        let took = timer.elapsed();
+        assert_eq!(back.as_str(), Some(text.as_str()));
+        assert!(
+            took < std::time::Duration::from_secs(5),
+            "{took:?} to parse a {} byte string",
+            json.len()
+        );
+    }
+
+    #[test]
+    fn strings_round_trip_with_escapes_at_run_boundaries() {
+        // Escapes and multi-byte characters first, last, back to back and
+        // alone: every place a run of plain characters can start or end.
+        for s in [
+            "",
+            "\"",
+            "\\",
+            "é",
+            "\"é\\",
+            "é\"",
+            "\\é",
+            "☃☃",
+            "a\"",
+            "\"a",
+            "\\\\\"\"",
+            "\n\t\r\u{1}\u{1f}",
+            "x\u{1}y",
+            "→\n←",
+            "tail é",
+            "é head",
+        ] {
+            let v = obj! { s => s, "k" => vec![Value::from(s), Value::from(s)] };
+            let json = v.to_json();
+            assert_eq!(Value::parse_json(&json).unwrap(), v, "{s:?} as {json}");
+        }
+        assert_eq!(
+            Value::parse_json(r#""é\/\b\f""#).unwrap().as_str(),
+            Some("é/\u{8}\u{c}")
+        );
+        assert!(Value::parse_json("\"é\\").is_err());
+        assert!(Value::parse_json("\"é\\u00\"").is_err());
     }
 
     #[test]

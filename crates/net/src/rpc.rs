@@ -114,6 +114,9 @@ pub type Resolver = Rc<dyn Fn(&mut Sim) -> Option<Addr>>;
 
 struct Pending<Resp> {
     reply: ReplyFn<Resp>,
+    /// The type name of the caller's continuation, which the event that
+    /// runs it is charged to ([`Sim::charge_to`]).
+    site: &'static str,
     timeout_ev: EventId,
 }
 
@@ -272,6 +275,7 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
         let pending = self.state.borrow_mut().pending.remove(&id);
         if let Some(p) = pending {
             sim.cancel(p.timeout_ev);
+            sim.charge_to(p.site);
             (p.reply)(sim, result);
         }
         // else: response arrived after timeout — dropped, caller already failed.
@@ -281,14 +285,14 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
     /// deadline. Exactly one of the outcomes is delivered to `on_reply`:
     /// the response, a remote error, or [`RpcError::Timeout`]. A caller
     /// that may retry passes an `Rc<Req>` and keeps a share of it.
-    pub fn call(
+    pub fn call<F: FnOnce(&mut Sim, Result<Resp, RpcError>) + 'static>(
         &self,
         sim: &mut Sim,
         from: Addr,
         to: Addr,
         req: impl Into<Rc<Req>>,
         timeout: SimDuration,
-        on_reply: impl FnOnce(&mut Sim, Result<Resp, RpcError>) + 'static,
+        on_reply: F,
     ) {
         self.ensure_endpoint(&from);
         let id = {
@@ -305,6 +309,7 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
             id,
             Pending {
                 reply: Box::new(on_reply),
+                site: std::any::type_name::<F>(),
                 timeout_ev,
             },
         );

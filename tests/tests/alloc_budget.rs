@@ -21,7 +21,11 @@
 //!   is what a soak's memory grows by, and must not itself grow,
 //! * what a timeline mark allocates: nothing on a disabled trace, and
 //!   nothing on an enabled one whose ring is full and whose subject it
-//!   has seen.
+//!   has seen,
+//! * what the metadata path pays for what did not change: an update of a
+//!   document no reader holds copies none of it, a checker pass over
+//!   unchanged jobs reads no document, an LCM scan over an empty change
+//!   feed allocates nothing.
 //!
 //! Every figure is deterministic. Budgets are 1.25 × the measured value;
 //! a breach names what started copying again.
@@ -34,6 +38,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dlaas_core::invariants::InvariantChecker;
 use dlaas_core::{
     check_invariants, config, DlaasPlatform, InvariantBounds, InvariantMonitor, JobStatus,
     MetaClient, JOBS,
@@ -388,6 +393,119 @@ fn a_warm_invariant_pass_costs_the_same_for_50_and_500_finished_jobs() {
         allocs_500 <= allocs_50 + 4 && bytes_500 <= bytes_50 + 512,
         "a pass over 50 finished jobs made {allocs_50} allocations ({bytes_50} bytes), \
          over 500 {allocs_500} ({bytes_500} bytes): it re-derives what did not change"
+    );
+}
+
+#[test]
+fn a_checker_pass_over_an_unchanged_store_reads_no_document_at_any_size() {
+    let bounds =
+        |platform: &DlaasPlatform| InvariantBounds::from_config(&platform.handles().config);
+    let warm_pass = |jobs: usize| {
+        let (mut sim, platform) = boot(1509);
+        seed_terminal_jobs(&mut sim, &platform, jobs, 64);
+        sim.run_for(config::LCM_SCAN * 4);
+        let mut checker = InvariantChecker::default();
+        let first = checker.check(&sim, &platform, &bounds(&platform));
+        assert_eq!((first.jobs_checked, first.docs_read), (jobs, jobs));
+        // A minute on, the platform has written no job document.
+        sim.run_for(SimDuration::from_secs(60));
+        let (allocs, bytes, report) =
+            counted(|| checker.check(&sim, &platform, &bounds(&platform)));
+        report.assert_clean();
+        assert_eq!(report.jobs_checked, jobs);
+        assert_eq!(
+            report.docs_read, 0,
+            "a pass over {jobs} unchanged jobs read documents"
+        );
+        (allocs, bytes)
+    };
+    let (allocs_50, bytes_50) = warm_pass(50);
+    let (allocs_500, bytes_500) = warm_pass(500);
+    // Measured 6 allocations and 668 bytes at both sizes: the resource
+    // walks' scratch, nothing per job. A checker that walks every
+    // document compares 500 pointers to find that nothing changed.
+    assert_eq!(
+        (allocs_500, bytes_500),
+        (allocs_50, bytes_50),
+        "a pass over 500 unchanged jobs cost other than one over 50"
+    );
+    assert!(
+        allocs_50 <= 7 && bytes_50 <= 835,
+        "{allocs_50} allocations ({bytes_50} bytes) in a pass over nothing new"
+    );
+}
+
+#[test]
+fn an_update_by_id_of_a_document_no_reader_holds_copies_nothing() {
+    use dlaas_docstore::{DocStore, Filter, Update};
+    // The first status write a job document takes, as the Guardian sends
+    // it, into a store holding the document as the API inserted it (the
+    // journal keeps an image of its own).
+    let update_cost = |padding: usize| {
+        let mut db = DocStore::new();
+        db.create_index(JOBS, "status");
+        let doc = obj! {
+            "_id" => "job-1",
+            "tenant" => "itest",
+            "status" => "PENDING",
+            "history" => vec![obj! {"status" => "PENDING", "t_us" => 1}],
+            "manifest" => "x".repeat(padding),
+            "attempts" => 0,
+        };
+        db.insert(JOBS, doc).expect("fresh id");
+        let by_id = Filter::eq("_id", "job-1");
+        let deploying = Update::Many(vec![
+            Update::set("status", "DEPLOYING"),
+            Update::push("history", obj! {"status" => "DEPLOYING", "t_us" => 2}),
+        ]);
+        let (allocs, bytes, applied) = counted(|| db.update_one(JOBS, &by_id, &deploying));
+        assert!(applied);
+        (allocs, bytes)
+    };
+    let small = update_cost(64);
+    let large = update_cost(16 * 1024);
+    // Measured 22 allocations and 997 bytes at both sizes: the candidate
+    // list, the pushed entry, the index keys, the journal's copy of the
+    // update. Sharing the document with the journal's insert record made
+    // the first update copy all of it: 16 KiB more with a 16 KiB manifest.
+    assert_eq!(
+        large, small,
+        "an update of a 16 KiB document cost other than one of a small one: it copies the document"
+    );
+    assert!(
+        small.0 <= 27 && small.1 <= 1_246,
+        "{} allocations ({} bytes) for one update",
+        small.0,
+        small.1
+    );
+}
+
+#[test]
+fn an_lcm_scan_over_an_empty_change_feed_allocates_nothing() {
+    let (mut sim, platform) = boot(1510);
+    seed_terminal_jobs(&mut sim, &platform, 20, 64);
+    // Long enough for the sweep to confirm every finished job collected,
+    // so nothing is left on the watchlist and no document changes.
+    sim.run_for(config::LCM_SCAN * 6);
+    sim.profile_sites();
+    // The scan's second reply — the tenants feed — runs the sweep and the
+    // admission arbiter over what the (empty) jobs feed left. The reply
+    // event is charged to the continuation it runs.
+    let mut scans = Vec::new();
+    let deadline = sim.now() + config::LCM_SCAN * 4;
+    while scans.len() < 3 {
+        assert!(sim.now() < deadline, "no LCM scan ran");
+        let (site, cost) = step_at_site(&mut sim, &platform);
+        if site.contains("lcm::scan::{{closure}}::{{closure}}") {
+            scans.push((cost.allocs, cost.bytes));
+        }
+    }
+    // A sweep that copies its pending and terminal lists, or an arbiter
+    // that copies the tenant registry, allocates here every scan.
+    assert_eq!(
+        scans,
+        [(0, 0); 3],
+        "an LCM scan over an empty change feed allocated"
     );
 }
 

@@ -26,11 +26,12 @@ const CRATES: [&str; 4] = ["core", "docstore", "etcd", "kube"];
 /// "Errors dropped on purpose".
 #[rustfmt::skip]
 const ALLOWED: &[(&str, &str, &str)] = &[
+    ("crates/core/src/api.rs", "meter", "value-mapping: metering is approximate, a refused first insert lost the race to another replica's and costs one count"),
     ("crates/core/src/api.rs", "record_and_deploy", "retried by the next tick: the LCM sweep re-deploys a PENDING job"),
     ("crates/core/src/guardian.rs", "advance", "CAS-guarded: expect-absent store=go, issued again after every acknowledged STORING"),
     ("crates/core/src/lcm.rs", "teardown_job", "retried by the next tick: the sweep probes until no key is left"),
-    ("crates/core/src/lcm.rs", "sweep", "retried by the next tick: the job stays in `terminal_gc`"),
-    ("crates/core/src/lcm.rs", "sweep", "retried by the next tick: etcd unreachable, the job stays in `terminal_gc`"),
+    ("crates/core/src/lcm.rs", "sweep", "retried by the next tick: the job stays on the watchlist as `TerminalGc`"),
+    ("crates/core/src/lcm.rs", "sweep", "retried by the next tick: etcd unreachable, the job stays on the watchlist as `TerminalGc`"),
     ("crates/etcd/src/client.rs", "register_watch_everywhere", "retried by the next tick: any server notifies, `rewatch` re-sends"),
 ];
 
