@@ -89,19 +89,19 @@ pub(crate) fn wait_for_jobspec(
     }
 }
 
-/// Waits for the next write to `path` of `mount` (to any path when
-/// `None`), then runs `poll` at the first instant of `grid` after it: the
+/// Waits for the next write to `mount` that `wakes(path, contents, at)`
+/// accepts, then runs `poll` at the first instant of `grid` after it: the
 /// instant a poller on that grid would first have seen the write. A volume
 /// that cannot take the wait (outage window, torn down) is polled instead:
 /// `poll` runs at the grid's next instant.
 pub(crate) fn poll_on_write(
     sim: &mut Sim,
     mount: &Mount,
-    path: Option<&str>,
+    wakes: impl Fn(&str, &str, SimTime) -> bool + 'static,
     grid: Grid,
     poll: impl FnOnce(&mut Sim) + Clone + 'static,
 ) {
-    if mount.park(path, grid, poll.clone()).is_err() {
+    if mount.park(wakes, grid, poll.clone()).is_err() {
         sim.schedule_at(grid.after(sim.now()), poll);
     }
 }
@@ -165,6 +165,17 @@ struct Seen {
     observed: Option<Observed>,
 }
 
+/// A learner's status writes the controller let pass since its last
+/// complete read ([`Controller::wakes_for`]): what the latest said, the
+/// grid instant a poll would have read it at, and what a poll before
+/// that instant would have read.
+#[derive(Clone, Copy)]
+struct News {
+    phase: LearnerPhase,
+    polled: SimTime,
+    before: LearnerPhase,
+}
+
 /// One controller incarnation: its etcd client and mount, its view of
 /// the volume, a publisher per etcd key it owns, whether it relayed the
 /// Guardian's store-results "go", and how it waits between ticks.
@@ -173,6 +184,8 @@ struct Controller {
     mount: Mount,
     files: Vec<paths::LearnerFiles>,
     seen: RefCell<Seen>,
+    /// Per learner, the status writes let pass since the last read.
+    news: RefCell<Vec<Option<News>>>,
     data: KeyPublisher<&'static str>,
     learners: Vec<KeyPublisher<LearnerPhase>>,
     restarts: KeyPublisher<u64>,
@@ -216,6 +229,7 @@ impl Controller {
         Rc::new(Controller {
             files: (0..learners).map(paths::LearnerFiles::new).collect(),
             seen: RefCell::default(),
+            news: RefCell::new(vec![None; learners as usize]),
             data: key(&etcd, paths::etcd_data(job), at_once, alive),
             learners: (0..learners)
                 .map(|ord| {
@@ -287,8 +301,9 @@ impl Controller {
         }
         self.parked.set(true);
         if !self.on_volume.replace(true) {
-            let me = self.clone();
-            poll_on_write(sim, &self.mount, None, self.grid, move |sim| {
+            let (me, asks) = (self.clone(), self.clone());
+            let wakes = move |path: &str, contents: &str, at| asks.wakes_for(path, contents, at);
+            poll_on_write(sim, &self.mount, wakes, self.grid, move |sim| {
                 me.woken(sim);
             });
         }
@@ -303,6 +318,43 @@ impl Controller {
             }
             None => self.due_wake.cancel(sim),
         }
+    }
+
+    /// Whether a write of `contents` to `path` at `at` can change what a
+    /// parked controller publishes, or when. Two kinds cannot, and wake
+    /// nothing: a log line (the controller never reads one), and a status
+    /// write that keeps its learner's phase kind while that learner's
+    /// publisher already holds a coalesced value due. The put that falls
+    /// due reads the volume at its armed instant and sends whatever the
+    /// status says then, so the write changes neither its value nor its
+    /// instant. (A parked controller's publishers are all idle: nothing but
+    /// its own tick moves what they hold.) Should the volume be unreadable
+    /// at that instant, the put sends what a controller woken by every
+    /// write would hold: the write is kept as [`News`] for that case.
+    fn wakes_for(&self, path: &str, contents: &str, at: SimTime) -> bool {
+        let Some(ord) = self.files.iter().position(|f| f.status == path) else {
+            return !self.files.iter().any(|f| f.log == path);
+        };
+        let publisher = &self.learners[ord];
+        let (Some(held), Some(_)) = (publisher.latest(), publisher.due()) else {
+            return true;
+        };
+        let Some(phase) = contents.parse().ok().filter(|now| held.same_kind(now)) else {
+            return true;
+        };
+        let polled = self.grid.after(at);
+        let mut news = self.news.borrow_mut();
+        let before = match news[ord] {
+            Some(n) if n.polled == polled => n.before,
+            Some(n) => n.phase,
+            None => held,
+        };
+        news[ord] = Some(News {
+            phase,
+            polled,
+            before,
+        });
+        false
     }
 
     /// Its wait on the volume ran: a write landed, or the volume could not
@@ -353,8 +405,23 @@ impl Controller {
         // A volume that cannot be reached (outage window, torn down) is
         // not an empty one: the tick learns nothing and keeps what it
         // knew — and, remembering no generation, reads everything once it
-        // can again.
+        // can again. What it knew includes the status writes it let pass
+        // that a poll would have read before the volume became unreadable.
         *generation = read.ok();
+        let mut news = self.news.borrow_mut();
+        if let (None, Some(observed), Some(since)) = (
+            *generation,
+            observed.as_mut(),
+            self.mount.unreadable_since(),
+        ) {
+            for (phase, news) in observed.phases.iter_mut().zip(news.iter()) {
+                if let Some(n) = news {
+                    *phase = if n.polled <= since { n.phase } else { n.before };
+                }
+            }
+        }
+        news.fill(None);
+        drop(news);
         if let Some(observed) = observed {
             self.publish(sim, observed);
         }
@@ -588,11 +655,10 @@ struct LogTail {
 
 impl Sink<usize> for LogTail {
     fn send(&self, sim: &mut Sim, ack: Ack<usize, Self>) {
-        let (bucket, key) = (self.bucket.clone(), self.key.clone());
         self.objstore.put(
             sim,
-            bucket,
-            key,
+            &self.bucket,
+            &self.key,
             self.text.body(),
             Some(&self.nic),
             |sim, r| {
@@ -607,20 +673,19 @@ impl LogTail {
     /// how many lines the buffer now holds.
     fn refill(&self, mount: &Mount) -> usize {
         let mut read = self.read.get();
-        if mount.line_count(&self.path) > read {
-            let tailed = mount.for_each_line_from(&self.path, read, |line| {
-                if read > 0 {
-                    self.text.push_str("\n");
-                }
-                self.text.push_str(line);
-                read += 1;
-            });
-            // An NFS outage leaves the tail for the next flush.
-            if tailed.is_ok() {
-                self.read.set(read);
+        let tailed = mount.for_each_line_from(&self.path, read, |line| {
+            if read > 0 {
+                self.text.push_str("\n");
             }
+            self.text.push_str(line);
+            read += 1;
+        });
+        // An NFS outage (or a log not written yet) leaves the tail for
+        // the next flush.
+        if tailed.is_ok() {
+            self.read.set(read);
         }
-        self.read.get()
+        read
     }
 }
 
@@ -701,7 +766,7 @@ impl StoreResults {
             poll_on_write(
                 sim,
                 &self.mount,
-                Some(paths::NFS_STORE_GO),
+                |path, _, _| path == paths::NFS_STORE_GO,
                 self.grid,
                 move |sim| {
                     me.poll(sim);
@@ -713,8 +778,8 @@ impl StoreResults {
         let me = self.clone();
         self.objstore.put(
             sim,
-            self.manifest.results_bucket.clone(),
-            paths::obj_result_model(&self.job),
+            &self.manifest.results_bucket,
+            &paths::obj_result_model(&self.job),
             ObjectBody::Synthetic(bytes),
             Some(&self.ctx.nic),
             move |sim, r| {
@@ -1048,7 +1113,7 @@ mod tests {
         let mut r = rig(7);
         r.learner_reports("PROCESSING iter=7");
         r.tick();
-        r.nfs.set_available(false);
+        r.nfs.set_available(&r.sim, false);
         r.restart_controller();
         let proposals = r.proposals();
         for _ in 0..3 {
@@ -1056,7 +1121,7 @@ mod tests {
         }
         assert_eq!(r.proposals(), proposals, "it has seen nothing to publish");
         assert_eq!(r.published().as_deref(), Some("PROCESSING iter=7"));
-        r.nfs.set_available(true);
+        r.nfs.set_available(&r.sim, true);
         r.learner_reports("PROCESSING iter=9");
         r.tick();
         assert_eq!(r.published().as_deref(), Some("PROCESSING iter=9"));
@@ -1069,13 +1134,13 @@ mod tests {
         r.tick();
         let reads = r.reads();
 
-        r.nfs.set_available(false);
+        r.nfs.set_available(&r.sim, false);
         for _ in 0..3 {
             r.tick();
             assert_eq!(r.published().as_deref(), Some("PROCESSING iter=7"));
         }
         assert_eq!(r.reads(), reads, "an unreachable volume is not read");
-        r.nfs.set_available(true);
+        r.nfs.set_available(&r.sim, true);
         // Nothing was written meanwhile, yet what the controller knew
         // before the outage proves nothing about the volume now.
         r.tick();
@@ -1085,9 +1150,241 @@ mod tests {
         assert_eq!(r.reads(), reads, "and the gate is back");
 
         // A volume torn down under a live controller is unreadable too.
-        r.nfs.delete_volume_named(&paths::volume(&r.job));
+        r.nfs.delete_volume_named(&r.sim, &paths::volume(&r.job));
         r.tick();
         assert_eq!(r.reads(), reads);
         assert_eq!(r.published().as_deref(), Some("PROCESSING iter=7"));
+    }
+
+    /// The learner side of the controller model test, one step.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Learner `n % 2` reports one more iteration: its status, then a
+        /// log line.
+        Report(u8),
+        /// Learner `n % 2` changes phase kind: to DOWNLOADING, to COMPLETED
+        /// (with its throughput and exit marker), or to a status that
+        /// does not parse.
+        Kind(u8, u8),
+        /// Kubernetes restarts learner `n % 2`.
+        LearnerRestart(u8),
+        /// A new controller incarnation takes over.
+        ControllerRestart,
+        /// The volume is unreachable for this many milliseconds.
+        Outage(u16),
+    }
+
+    fn steps() -> impl proptest::strategy::Strategy<Value = Vec<(u16, Step)>> {
+        use proptest::prelude::*;
+        let step = prop_oneof![
+            12 => any::<u8>().prop_map(Step::Report),
+            2 => (any::<u8>(), 0..3u8).prop_map(|(n, k)| Step::Kind(n, k)),
+            1 => any::<u8>().prop_map(Step::LearnerRestart),
+            1 => Just(Step::ControllerRestart),
+            1 => (500..20_000u16).prop_map(Step::Outage),
+        ];
+        proptest::collection::vec((0..4_000u16, step), 1..60)
+    }
+
+    /// One world of the model test: the rig, the controller incarnation
+    /// in charge, each learner's iteration and start count, and whether
+    /// every write to the volume also wakes the controller.
+    struct Model {
+        r: Rig,
+        incarnations: u32,
+        alive: Rc<Cell<bool>>,
+        iters: [u64; 2],
+        starts: [u64; 2],
+        every_write: bool,
+    }
+
+    impl Model {
+        fn new(seed: u64, every_write: bool) -> Self {
+            let mut m = Model {
+                r: rig(seed),
+                incarnations: 0,
+                alive: Rc::new(Cell::new(false)),
+                iters: [0; 2],
+                starts: [0; 2],
+                every_write,
+            };
+            m.restart_controller();
+            m
+        }
+
+        /// A fresh incarnation on its own grid from now; the old one dies.
+        fn restart_controller(&mut self) {
+            self.alive.set(false);
+            self.alive = Rc::new(Cell::new(true));
+            self.incarnations += 1;
+            let client = self
+                .r
+                .etcd
+                .client(format!("controller#{}", self.incarnations));
+            let grid = Grid::new(self.r.sim.now(), config::CONTROLLER_POLL);
+            let learner = self.r.learner.clone();
+            let c = Controller::new(client, learner, &self.r.job, 2, &self.alive, grid);
+            if self.every_write {
+                wake_on_every_write(&mut self.r.sim, c.clone());
+            }
+            let first = grid.after(self.r.sim.now());
+            self.r.controller = c.clone();
+            self.r.sim.schedule_at(first, move |sim| c.run(sim));
+        }
+
+        fn write(&mut self, path: &str, contents: &str) {
+            let _refused = self.r.learner.write_file(&mut self.r.sim, path, contents);
+        }
+
+        fn apply(&mut self, step: &Step) {
+            let files = |n: &u8| paths::LearnerFiles::new(u32::from(*n % 2));
+            match step {
+                Step::Report(n) => {
+                    let (f, i) = (files(n), usize::from(*n % 2));
+                    self.iters[i] += 1;
+                    self.write(&f.status, &format!("PROCESSING iter={}", self.iters[i]));
+                    let line = format!("iter={} loss=1.0", self.iters[i]);
+                    let _refused = self.r.learner.append_line(&mut self.r.sim, &f.log, line);
+                }
+                Step::Kind(n, kind) => {
+                    let f = files(n);
+                    match kind {
+                        0 => self.write(&f.status, "DOWNLOADING"),
+                        1 => {
+                            self.write(&f.throughput, "41.5");
+                            self.write(&f.status, "COMPLETED");
+                            self.write(&f.exit, "0");
+                        }
+                        _ => self.write(&f.status, "garbled"),
+                    }
+                }
+                Step::LearnerRestart(n) => {
+                    let (f, i) = (files(n), usize::from(*n % 2));
+                    self.starts[i] += 1;
+                    self.write(&f.restarts, &self.starts[i].to_string());
+                    self.r.learner.remove(&mut self.r.sim, &f.exit);
+                    self.write(&f.status, "DOWNLOADING");
+                }
+                Step::ControllerRestart => self.restart_controller(),
+                Step::Outage(_) => self.r.nfs.set_available(&self.r.sim, false),
+            }
+            // Woken by every write, the reference knows only what it read:
+            // what its own wait let pass is forgotten.
+            if self.every_write {
+                self.r.controller.news.borrow_mut().fill(None);
+            }
+        }
+
+        /// What etcd holds of every key a controller publishes, and how
+        /// many proposals it took.
+        fn published(&self) -> (Vec<Option<String>>, u64) {
+            let job = &self.r.job;
+            let keys = [
+                paths::etcd_learner(job, 0),
+                paths::etcd_learner(job, 1),
+                paths::etcd_restarts(job),
+                paths::etcd_throughput(job),
+                paths::etcd_data(job),
+                paths::etcd_store(job),
+            ];
+            (
+                keys.iter().map(|k| self.r.in_etcd(k)).collect(),
+                self.r.proposals(),
+            )
+        }
+    }
+
+    /// The reference's extra waiter: every write to the volume wakes the
+    /// controller on its next grid instant, as before it chose its writes.
+    fn wake_on_every_write(sim: &mut Sim, c: Rc<Controller>) {
+        let (mount, grid, me) = (c.mount.clone(), c.grid, c.clone());
+        let again = move |sim: &mut Sim| {
+            if me.alive.get() {
+                me.clone().unpark(sim);
+                wake_on_every_write(sim, me);
+            }
+        };
+        poll_on_write(sim, &mount, |_, _, _| true, grid, again);
+    }
+
+    /// Runs `steps` against a controller that sleeps through the writes
+    /// it can ignore and one woken by every write, in lockstep; returns
+    /// the first instant at which etcd differs between the two.
+    fn diverges(steps: &[(u16, Step)]) -> Option<SimTime> {
+        let mut parked = Model::new(11, false);
+        let mut woken = Model::new(11, true);
+        let mut timeline = Vec::new();
+        let mut at = parked.r.sim.now();
+        for (gap_ms, step) in steps {
+            at += SimDuration::from_millis(u64::from(*gap_ms));
+            timeline.push((at, Some(step.clone())));
+            if let Step::Outage(ms) = step {
+                timeline.push((at + SimDuration::from_millis(u64::from(*ms)), None));
+            }
+        }
+        timeline.sort_by_key(|(t, _)| *t);
+        timeline.push((at + config::GUARDIAN_POLL * 2, None));
+        for (t, step) in timeline {
+            loop {
+                let next = [parked.r.sim.peek_time(), woken.r.sim.peek_time()]
+                    .into_iter()
+                    .flatten()
+                    .min()
+                    .map_or(t, |next| next.min(t));
+                parked.r.sim.run_until(next);
+                woken.r.sim.run_until(next);
+                if parked.published() != woken.published() {
+                    return Some(next);
+                }
+                if next == t {
+                    break;
+                }
+            }
+            for m in [&mut parked, &mut woken] {
+                match &step {
+                    Some(step) => m.apply(step),
+                    None => m.r.nfs.set_available(&m.r.sim, true),
+                }
+            }
+        }
+        None
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig { cases: 48, .. Default::default() })]
+
+        // Under random reports, kind changes, learner and controller
+        // restarts and NFS outages, a controller that sleeps through the
+        // writes it can ignore makes the same etcd puts at the same
+        // instants as one woken by every write: etcd holds the same
+        // values, after the same number of proposals, at every instant
+        // either world has an event.
+        #[test]
+        fn a_controller_that_ignores_news_publishes_what_one_woken_by_every_write_does(
+            steps in steps(),
+        ) {
+            proptest::prop_assert_eq!(diverges(&steps), None, "{:?}", steps);
+        }
+    }
+
+    /// The outage cases the random walk seldom reaches: a publish falling
+    /// due inside an outage sends the iteration a poll read before the
+    /// outage began — the report let pass in the last poll period before
+    /// it excluded (its poll fell inside the outage), one let pass in an
+    /// earlier period included.
+    #[test]
+    fn a_publish_due_in_an_outage_sends_what_a_poll_read_before_it() {
+        // Published at once (+3 s), then coalesced until +33 s.
+        let early = [(2_000, Step::Report(0)), (3_000, Step::Report(0))];
+        for outage_after in [200, 900, 1_200, 2_300] {
+            let mut steps = early.to_vec();
+            steps.push((26_500, Step::Report(0)));
+            steps.push((outage_after, Step::Outage(5_000)));
+            assert_eq!(
+                diverges(&steps),
+                None,
+                "an outage {outage_after} ms after the report"
+            );
+        }
     }
 }

@@ -521,7 +521,7 @@ pub(crate) fn teardown_job(sim: &mut Sim, h: &Handles, job: &JobId, delete_guard
     if delete_guardian {
         h.kube.delete_job(sim, &paths::guardian_job(job));
     }
-    h.nfs.delete_volume_named(&paths::volume(job));
+    h.nfs.delete_volume_named(sim, &paths::volume(job));
     // Shared GC handle: a fresh client per call would register one
     // watch-net endpoint per job and never unregister it (see Handles).
     h.etcd_gc

@@ -182,6 +182,86 @@ fn best_effort<T, E>(sim: &mut Sim, r: Result<T, E>) {
     }
 }
 
+/// The decimal digits of `n`, without the formatting machinery.
+struct Digits {
+    buf: [u8; 20],
+    start: usize,
+}
+
+impl Digits {
+    fn of(mut n: u64) -> Self {
+        let mut d = Digits {
+            buf: [b'0'; 20],
+            start: 20,
+        };
+        loop {
+            d.start -= 1;
+            d.buf[d.start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                return d;
+            }
+        }
+    }
+
+    #[expect(
+        clippy::expect_used,
+        reason = "the buffer holds ASCII digits only, which are UTF-8"
+    )]
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[self.start..]).expect("ASCII digits")
+    }
+}
+
+/// `loss` to four decimals as its whole part and its decimals, read off
+/// `round(loss·10⁴)`; `None` where that could round otherwise than
+/// `{loss:.4}` does — within 10⁻⁶ of a half, where the product's own
+/// rounding error could decide, or out of range.
+fn four_decimals(loss: f64) -> Option<(u64, u64)> {
+    let scaled = loss * 1e4;
+    if !(0.0..1e15).contains(&scaled) || (scaled.fract() - 0.5).abs() <= 1e-6 {
+        return None;
+    }
+    let n = scaled.round() as u64;
+    Some((n / 10_000, n % 10_000))
+}
+
+/// A report line, `iter={iter} loss={loss:.4}{suffix}`, byte for byte,
+/// in a string exactly its own length (the volume and the log collector
+/// keep every line for the life of the job).
+fn report_line(iter: u64, loss: f64, suffix: &str) -> String {
+    let iter = Digits::of(iter);
+    match four_decimals(loss) {
+        Some((whole, decimals)) => {
+            // 10⁴ + decimals: five digits, the last four zero-padded.
+            let (whole, decimals) = (Digits::of(whole), Digits::of(10_000 + decimals));
+            concat(&[
+                "iter=",
+                iter.as_str(),
+                " loss=",
+                whole.as_str(),
+                ".",
+                &decimals.as_str()[1..],
+                suffix,
+            ])
+        }
+        None => concat(&[
+            "iter=",
+            iter.as_str(),
+            " loss=",
+            &format!("{loss:.4}"),
+            suffix,
+        ]),
+    }
+}
+
+/// `pieces` joined, in a string exactly their length.
+fn concat(pieces: &[&str]) -> String {
+    let mut s = String::with_capacity(pieces.iter().map(|p| p.len()).sum());
+    pieces.iter().for_each(|p| s.push_str(p));
+    s
+}
+
 impl Learner {
     fn log(&self, sim: &mut Sim, line: impl Into<String>) {
         let written = self.mount.append_line(sim, &self.files.log, line);
@@ -208,7 +288,7 @@ impl Learner {
         poll_on_write(
             sim,
             &self.mount,
-            Some(paths::NFS_DATA_LOADED),
+            |path, _, _| path == paths::NFS_DATA_LOADED,
             grid,
             move |sim| {
                 me.wait_for_data(sim, grid);
@@ -388,11 +468,9 @@ impl Learner {
 
             // Synthetic training log: loss decays with iteration count.
             let loss = 7.0 / (1.0 + iter as f64 / 150.0).sqrt();
-            me.log(
-                sim,
-                format!("iter={iter} loss={loss:.4}{}", me.report_suffix),
-            );
-            me.set_status(sim, format!("PROCESSING iter={iter}"));
+            me.log(sim, report_line(iter, loss, &me.report_suffix));
+            let status = concat(&["PROCESSING iter=", Digits::of(iter).as_str()]);
+            me.set_status(sim, status);
 
             if finished {
                 me.finish(sim);
@@ -417,11 +495,10 @@ impl Learner {
         let stall_from = sim.now();
         let me = self.clone();
         let nic = self.ctx.nic.clone();
-        let bucket2 = bucket.clone();
         self.h.objstore.clone().put(
             sim,
-            bucket,
-            paths::obj_ckpt_data(&self.job),
+            &self.manifest.results_bucket,
+            &paths::obj_ckpt_data(&self.job),
             ObjectBody::Synthetic(bytes),
             Some(&nic),
             move |sim, r| {
@@ -434,8 +511,8 @@ impl Learner {
                 let me2 = me.clone();
                 me.h.objstore.clone().put(
                     sim,
-                    bucket2,
-                    paths::obj_ckpt_meta(&me.job),
+                    &bucket,
+                    &paths::obj_ckpt_meta(&me.job),
                     iter.to_string().into(),
                     None,
                     move |sim, r| {
@@ -522,6 +599,58 @@ impl Learner {
                     me.finish_markers(sim, throughput);
                 });
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    fn reference(iter: u64, loss: f64, suffix: &str) -> String {
+        format!("iter={iter} loss={loss:.4}{suffix}")
+    }
+
+    fn agrees(iter: u64, loss: f64) {
+        let suffix = " lr=0.01 images/sec=123.4";
+        let line = report_line(iter, loss, suffix);
+        assert_eq!(line, reference(iter, loss, suffix), "loss {loss:e}");
+        assert_eq!(
+            line.capacity(),
+            line.len(),
+            "a line is stored at its own length"
+        );
+    }
+
+    #[test]
+    fn a_report_line_is_the_formatted_one_byte_for_byte() {
+        // The loss curve the learner reports, over a long job.
+        for iter in 0..200_000 {
+            agrees(iter, 7.0 / (1.0 + iter as f64 / 150.0).sqrt());
+        }
+        let mut rng = Sim::new(33).rng().fork("losses");
+        for _ in 0..100_000 {
+            let loss = rng.range_f64(0.0, 10.0);
+            agrees(rng.range_u64(0, u64::MAX), loss);
+        }
+        // Ties and near-ties of the fifth decimal, where the scaled
+        // value's own rounding could decide: the fallback's ground.
+        for n in 0..100_000u64 {
+            let tie = (n as f64 + 0.5) / 1e4;
+            for loss in [tie, tie.next_up(), tie.next_down()] {
+                agrees(n, loss);
+            }
+        }
+        for loss in [
+            0.0,
+            1e-9,
+            0.99995,
+            9.99995,
+            1e12,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            agrees(7, loss);
         }
     }
 }

@@ -94,6 +94,11 @@ impl<V: Clone + PartialEq + 'static, S: Sink<V> + 'static> Publisher<V, S> {
         })
     }
 
+    /// The latest value offered, if any.
+    pub(crate) fn latest(&self) -> Option<V> {
+        self.state.borrow().latest.clone()
+    }
+
     /// Whether nothing is in flight.
     pub fn idle(&self) -> bool {
         !self.state.borrow().busy

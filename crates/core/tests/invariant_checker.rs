@@ -236,7 +236,7 @@ fn each_kind_of_leak_is_reported_once_the_grace_has_passed() {
 
     // Collected piece by piece, the findings go piece by piece.
     platform.kube().delete_pod(&mut sim, "learner-gone-0");
-    platform.nfs().delete_volume_named("vol-gone");
+    platform.nfs().delete_volume_named(&sim, "vol-gone");
     delete_key(&mut sim, &platform, paths::etcd_store(&JobId::new("gone")));
     let report = check_invariants(&sim, &platform);
     assert!(report.timelines.contains("kube gone: Deleted"), "{report}");
@@ -600,7 +600,7 @@ fn apply(sim: &mut Sim, platform: &DlaasPlatform, op: Op) {
             if exists {
                 platform.nfs().create_volume(volume);
             } else {
-                platform.nfs().delete_volume_named(&volume);
+                platform.nfs().delete_volume_named(sim, &volume);
             }
         }
         Op::Policy { job, exists } => {

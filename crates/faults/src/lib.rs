@@ -128,11 +128,11 @@ pub fn latency_window<M: 'static>(
 /// fail (see `dlaas_sharedfs::NfsError::Unavailable`).
 pub fn nfs_outage_window(sim: &mut Sim, nfs: &NfsServer, duration: SimDuration) {
     sim.mark("faults", "nfs", "outage", duration.as_micros());
-    nfs.set_available(false);
+    nfs.set_available(sim, false);
     let nfs = nfs.clone();
     sim.schedule_in(duration, move |sim| {
         sim.mark("faults", "nfs", "restored", 0);
-        nfs.set_available(true);
+        nfs.set_available(sim, true);
     });
 }
 

@@ -40,6 +40,20 @@ impl LatencyModel {
         LatencyModel::Uniform(SimDuration::from_micros(30), SimDuration::from_micros(80))
     }
 
+    /// A latency no sample exceeds.
+    pub fn bound(&self) -> SimDuration {
+        match *self {
+            LatencyModel::Fixed(d) => d,
+            LatencyModel::Uniform(lo, hi) => lo.max(hi),
+            LatencyModel::Spiky {
+                lo,
+                hi,
+                spike_factor,
+                ..
+            } => lo.max(hi).max(hi.mul_f64(spike_factor)),
+        }
+    }
+
     /// Draws one latency sample.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match *self {

@@ -223,6 +223,11 @@ impl<M: 'static> Net<M> {
         self.state.borrow().latency.sample(rng)
     }
 
+    /// A latency no message sent under the current model exceeds.
+    pub fn latency_bound(&self) -> SimDuration {
+        self.state.borrow().latency.bound()
+    }
+
     /// Number of registered endpoints (leak diagnostics).
     pub fn endpoint_count(&self) -> usize {
         self.state.borrow().endpoints.len()

@@ -237,7 +237,9 @@ pub struct ObjStoreStats {
 
 #[derive(Debug, Default)]
 struct StoreState {
-    buckets: BTreeMap<String, BTreeMap<String, Object>>,
+    /// Buckets and objects by name. A put in flight holds the names it
+    /// stores under: the store's own when the object exists already.
+    buckets: BTreeMap<Rc<str>, BTreeMap<Rc<str>, Object>>,
     stats: ObjStoreStats,
     /// Outage injection: while set, transfers fail with `Unavailable`.
     unavailable: bool,
@@ -265,6 +267,7 @@ impl ObjectStore {
 
     /// Creates a bucket (idempotent).
     pub fn create_bucket(&self, name: impl Into<String>) {
+        let name: String = name.into();
         self.state
             .borrow_mut()
             .buckets
@@ -306,46 +309,64 @@ impl ObjectStore {
         end + self.base_latency
     }
 
+    /// The names a put of `key` into `bucket` stores under: the store's
+    /// own when the object exists (a re-put allocates none), a new key
+    /// otherwise; `None` when there is no such bucket.
+    fn names(&self, bucket: &str, key: &str) -> Option<(Rc<str>, Rc<str>)> {
+        let s = self.state.borrow();
+        let (bucket, objects) = s.buckets.get_key_value(bucket)?;
+        let key = objects
+            .get_key_value(key)
+            .map_or_else(|| key.into(), |(key, _)| key.clone());
+        Some((bucket.clone(), key))
+    }
+
     /// Uploads an object. The callback fires when the last byte is stored;
     /// the object becomes visible at that instant (no partial writes, as
-    /// with real object stores).
+    /// with real object stores). A re-put replaces the body and the
+    /// modification time of the object in place.
     pub fn put(
         &self,
         sim: &mut Sim,
-        bucket: impl Into<String>,
-        key: impl Into<String>,
+        bucket: &str,
+        key: &str,
         body: ObjectBody,
         nic: Option<&SharedLink>,
         done: impl FnOnce(&mut Sim, Result<(), ObjStoreError>) + 'static,
     ) {
-        let bucket = bucket.into();
-        let key = key.into();
         if self.is_unavailable() {
             done(sim, Err(ObjStoreError::Unavailable));
             return;
         }
-        if !self.bucket_exists(&bucket) {
-            done(sim, Err(ObjStoreError::NoSuchBucket(bucket)));
+        let Some((bucket, key)) = self.names(bucket, key) else {
+            done(sim, Err(ObjStoreError::NoSuchBucket(bucket.to_owned())));
             return;
-        }
+        };
         let bytes = body.size();
         let end = self.transfer_end(sim.now(), bytes, nic);
         let me = self.clone();
         sim.schedule_at(end, move |sim| {
             {
                 let mut s = me.state.borrow_mut();
-                let Some(b) = s.buckets.get_mut(&bucket) else {
-                    done(sim, Err(ObjStoreError::NoSuchBucket(bucket)));
-                    return;
-                };
-                b.insert(
-                    key.clone(),
-                    Object {
-                        key,
-                        body,
-                        modified: sim.now(),
-                    },
-                );
+                let modified = sim.now();
+                let objects = s
+                    .buckets
+                    .get_mut(&bucket)
+                    .expect("buckets are never removed");
+                match objects.get_mut(&key) {
+                    Some(object) => {
+                        object.body = body;
+                        object.modified = modified;
+                    }
+                    None => {
+                        let object = Object {
+                            key: key.to_string(),
+                            body,
+                            modified,
+                        };
+                        objects.insert(key, object);
+                    }
+                }
                 s.stats.puts += 1;
                 s.stats.bytes_in += bytes;
             }
@@ -371,13 +392,13 @@ impl ObjectStore {
         }
         let obj = {
             let s = self.state.borrow();
-            match s.buckets.get(&bucket) {
+            match s.buckets.get(bucket.as_str()) {
                 None => {
                     drop(s);
                     done(sim, Err(ObjStoreError::NoSuchBucket(bucket)));
                     return;
                 }
-                Some(b) => match b.get(&key) {
+                Some(b) => match b.get(key.as_str()) {
                     None => {
                         drop(s);
                         done(sim, Err(ObjStoreError::NoSuchKey(key)));
@@ -405,10 +426,10 @@ impl ObjectStore {
     /// "already exists" in the cloud before an experiment starts).
     pub fn seed(&self, bucket: &str, key: impl Into<String>, body: ObjectBody) {
         self.create_bucket(bucket);
-        let key = key.into();
+        let key: String = key.into();
         let mut s = self.state.borrow_mut();
         s.buckets.get_mut(bucket).expect("just created").insert(
-            key.clone(),
+            key.as_str().into(),
             Object {
                 key,
                 body,
@@ -449,10 +470,13 @@ impl ObjectStore {
         s.buckets
             .get(bucket)
             .map(|b| {
-                b.range(prefix.to_owned()..)
-                    .take_while(|(k, _)| k.starts_with(prefix))
-                    .map(|(k, _)| k.clone())
-                    .collect()
+                b.range::<str, _>((
+                    std::ops::Bound::Included(prefix),
+                    std::ops::Bound::Unbounded,
+                ))
+                .take_while(|(k, _)| k.starts_with(prefix))
+                .map(|(k, _)| k.to_string())
+                .collect()
             })
             .unwrap_or_default()
     }
@@ -599,7 +623,7 @@ mod tests {
             store.put(
                 &mut sim,
                 "data",
-                format!("k{i}"),
+                &format!("k{i}"),
                 ObjectBody::Synthetic(1_000_000),
                 None,
                 |_, r| r.unwrap(),
@@ -643,7 +667,7 @@ mod tests {
             store.put(
                 &mut sim,
                 "ckpt",
-                format!("job-1/ckpt-{i}"),
+                &format!("job-1/ckpt-{i}"),
                 ObjectBody::Synthetic(10),
                 None,
                 |_, r| r.unwrap(),

@@ -26,8 +26,25 @@
 //! crash or restart shows) and an append that leaves entries unsent put
 //! the exchanges in flight back on the wire at their original instants,
 //! and take back what the tick applied ([`Keepalives::unsettle`]).
+//!
+//! The heartbeat tick itself runs in place ([`Sim::schedule_in_place`]):
+//! in the slot its event would have had, with no event, whenever it would
+//! send nothing — every follower it is due to reach settles, and a
+//! follower it is not due to reach gets nothing. A tick that must send
+//! declines, having done nothing, and runs as its event in its slot. A
+//! tick that settled every follower's heartbeat stays that way until
+//! something touches the group ([`Keepalives::touch`]): a proposal or a
+//! ReadIndex read, a message to any node, a crash or restart, a change
+//! of the network's rules, a change of term or role. Until then the next
+//! tick applies each exchange with [`Keepalives::apply`] unchecked; after
+//! a touch it first checks each with [`Keepalives::settles`], as the
+//! queued tick would. Of what the predicate reads only the followers'
+//! deadlines move with time alone, and they cannot fall behind while
+//! every follower's timeout exceeds a heartbeat interval plus the
+//! longest latency ([`Keepalives::stays_in_time`]); otherwise every tick
+//! is checked.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dlaas_net::{Envelope, Net};
@@ -35,6 +52,40 @@ use dlaas_sim::{Sim, SimDuration, SimTime};
 
 use crate::node::Raft;
 use crate::types::{LogIndex, NodeId, RaftMsg, Role, Term};
+
+/// A heartbeat: an AppendEntries that carries no entries, by its fields.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Heartbeat {
+    pub(crate) term: Term,
+    pub(crate) prev_log_index: LogIndex,
+    pub(crate) prev_log_term: Term,
+    pub(crate) leader_commit: LogIndex,
+    pub(crate) hb_seq: u64,
+}
+
+impl Heartbeat {
+    /// `msg`'s fields, if it is a heartbeat.
+    fn of<C>(msg: &RaftMsg<C>) -> Option<Self> {
+        match *msg {
+            RaftMsg::AppendEntries {
+                term,
+                prev_log_index,
+                prev_log_term,
+                ref entries,
+                leader_commit,
+                hb_seq,
+                ..
+            } if entries.is_empty() => Some(Heartbeat {
+                term,
+                prev_log_index,
+                prev_log_term,
+                leader_commit,
+                hb_seq,
+            }),
+            _ => None,
+        }
+    }
+}
 
 /// A settled heartbeat and its reply, until the reply would have landed.
 #[derive(Debug)]
@@ -47,12 +98,8 @@ struct Exchange {
     arrives: SimTime,
     returns: SimTime,
     back: SimDuration,
-    // The heartbeat's fields, to put it back on the wire.
-    term: Term,
-    prev_log_index: LogIndex,
-    prev_log_term: Term,
-    leader_commit: LogIndex,
-    hb_seq: u64,
+    /// To put it back on the wire.
+    heartbeat: Heartbeat,
 }
 
 /// The keep-alives of one cluster that were settled and whose replies
@@ -61,6 +108,9 @@ pub(crate) struct Keepalives<C: 'static> {
     nodes: Vec<Raft<C>>,
     net: Net<RaftMsg<C>>,
     flight: RefCell<Vec<Exchange>>,
+    /// Something touched the group since the last heartbeat tick that
+    /// settled every follower's heartbeat ([`Keepalives::touch`]).
+    touched: Cell<bool>,
 }
 
 impl<C: Clone + 'static> Keepalives<C> {
@@ -70,6 +120,7 @@ impl<C: Clone + 'static> Keepalives<C> {
             nodes: nodes.to_vec(),
             net: net.clone(),
             flight: RefCell::new(Vec::new()),
+            touched: Cell::new(true),
         });
         for node in nodes {
             node.settle_keepalives_with(Rc::downgrade(&keepalives));
@@ -83,40 +134,96 @@ impl<C: Clone + 'static> Keepalives<C> {
         keepalives
     }
 
+    /// Something touched the group: the next heartbeat tick checks every
+    /// exchange before it settles it.
+    pub(crate) fn touch(&self) {
+        self.touched.set(true);
+    }
+
+    /// Whether something touched the group since the last tick that
+    /// settled every follower's heartbeat.
+    pub(crate) fn touched(&self) -> bool {
+        self.touched.get()
+    }
+
+    /// A tick settled every follower's heartbeat and time alone cannot
+    /// unsettle the next ([`Keepalives::stays_in_time`]): until something
+    /// touches the group, each tick settles them all again unchecked.
+    pub(crate) fn untouched(&self) {
+        self.touched.set(false);
+    }
+
+    /// Whether, round after round, every heartbeat of `leader` lands
+    /// before its follower's deadline with nothing but time passing: the
+    /// part of [`Keepalives::settles`] time alone could break. A round
+    /// that settled every follower moved each deadline to its heartbeat's
+    /// arrival plus the follower's timeout; one `interval` later that
+    /// heartbeat has arrived (no latency exceeds `latency`, which is at
+    /// most `interval`), and the next lands within `latency` — in time
+    /// whenever every live follower's timeout exceeds `interval +
+    /// latency`. Timeouts change only with a term or a role, and the
+    /// latency model only with a rule change, both of which touch the
+    /// group.
+    pub(crate) fn stays_in_time(
+        &self,
+        leader: NodeId,
+        interval: SimDuration,
+        latency: SimDuration,
+    ) -> bool {
+        latency <= interval
+            && self.nodes.iter().enumerate().all(|(id, node)| {
+                id == leader as usize
+                    || !node.is_alive()
+                    || node.election_timeout() > interval + latency
+            })
+    }
+
     /// Settles the heartbeat tick's `msg` from `leader` to `follower`,
     /// whose round trip was drawn as `there` and `back`, if it can change
-    /// nothing but the follower's election deadline. Returns whether it
+    /// nothing but the follower's election deadline
+    /// ([`Keepalives::settles`], [`Keepalives::apply`]). Returns whether it
     /// did; if not, the caller sends it.
     pub(crate) fn settle(
         &self,
-        sim: &mut Sim,
+        now: SimTime,
         leader: NodeId,
         follower: NodeId,
         msg: &RaftMsg<C>,
         there: SimDuration,
         back: SimDuration,
     ) -> bool {
-        let &RaftMsg::AppendEntries {
-            term,
-            prev_log_index,
-            prev_log_term,
-            ref entries,
-            leader_commit,
-            hb_seq,
-            ..
-        } = msg
-        else {
+        let Some(heartbeat) = Heartbeat::of(msg) else {
             return false;
         };
-        if !entries.is_empty() || !self.net.is_open() {
+        if !self.settles(now, leader, follower, &heartbeat, now + there) {
             return false;
         }
-        let now = sim.now();
+        self.apply(now, leader, follower, heartbeat, there, back);
+        true
+    }
+
+    /// Whether `heartbeat`, sent from `leader` at `now` and arriving at
+    /// `arrives`, can change nothing but `follower`'s election deadline.
+    pub(crate) fn settles(
+        &self,
+        now: SimTime,
+        leader: NodeId,
+        follower: NodeId,
+        heartbeat: &Heartbeat,
+        arrives: SimTime,
+    ) -> bool {
+        if !self.net.is_open() {
+            return false;
+        }
         self.retire(now);
-        let arrives = now + there;
         // The leader: alive, no read waiting on a heartbeat round, and the
         // follower acknowledged the whole log with nothing in flight.
         if !self.nodes[leader as usize].idle_link_to(follower) {
+            return false;
+        }
+        // The follower: alive, and it already knows the commit index.
+        let receiver = self.nodes[follower as usize].vitals();
+        if !receiver.alive || receiver.commit < heartbeat.leader_commit {
             return false;
         }
         // Every node: no term above the leader's, not even on a crashed
@@ -124,7 +231,8 @@ impl<C: Clone + 'static> Keepalives<C> {
         // one but the leader: a follower of this term and this leader
         // whose deadline lies beyond the heartbeat's arrival, so no
         // election can start before the heartbeat lands.
-        let quiet = self.nodes.iter().enumerate().all(|(id, node)| {
+        let term = heartbeat.term;
+        self.nodes.iter().enumerate().all(|(id, node)| {
             let v = node.vitals();
             v.term <= term
                 && (id == leader as usize
@@ -133,13 +241,24 @@ impl<C: Clone + 'static> Keepalives<C> {
                         && v.term == term
                         && v.leader_hint == Some(leader)
                         && v.deadline > arrives))
-        });
-        // The follower: alive, and it already knows the commit index.
-        let receiver = self.nodes[follower as usize].vitals();
-        if !quiet || !receiver.alive || receiver.commit < leader_commit {
-            return false;
-        }
-        self.nodes[follower as usize].postpone_election(arrives + receiver.timeout);
+        })
+    }
+
+    /// Applies a settled exchange's one effect — the follower's deadline
+    /// moves to the heartbeat's arrival plus its timeout — counts it in
+    /// [`Net::stats`] and records it in flight until its reply lands.
+    pub(crate) fn apply(
+        &self,
+        now: SimTime,
+        leader: NodeId,
+        follower: NodeId,
+        heartbeat: Heartbeat,
+        there: SimDuration,
+        back: SimDuration,
+    ) {
+        let arrives = now + there;
+        let receiver = &self.nodes[follower as usize];
+        receiver.postpone_election(arrives + receiver.election_timeout());
         self.net.count_settled_exchange();
         self.flight.borrow_mut().push(Exchange {
             leader,
@@ -148,21 +267,18 @@ impl<C: Clone + 'static> Keepalives<C> {
             arrives,
             returns: arrives + back,
             back,
-            term,
-            prev_log_index,
-            prev_log_term,
-            leader_commit,
-            hb_seq,
+            heartbeat,
         });
-        true
     }
 
     /// Puts every settled exchange back on the wire at its original
     /// instants: a heartbeat that has not arrived is delivered when it
     /// would have been, and its follower's deadline returns to what the
     /// contacts that happened imply; a reply that has not landed is
-    /// delivered when it would have been.
+    /// delivered when it would have been. It touches the group
+    /// ([`Keepalives::touch`]).
     pub(crate) fn unsettle(&self, sim: &mut Sim) {
+        self.touch();
         let now = sim.now();
         self.retire(now);
         let resumed = std::mem::take(&mut *self.flight.borrow_mut());
@@ -170,18 +286,19 @@ impl<C: Clone + 'static> Keepalives<C> {
             let leader = self.nodes[e.leader as usize].addr().clone();
             let follower = self.nodes[e.follower as usize].addr().clone();
             if e.arrives > now {
+                let hb = e.heartbeat;
                 let heartbeat = Envelope {
                     from: leader,
                     to: follower,
                     sent_at: e.sent,
                     msg: RaftMsg::AppendEntries {
-                        term: e.term,
+                        term: hb.term,
                         leader: e.leader,
-                        prev_log_index: e.prev_log_index,
-                        prev_log_term: e.prev_log_term,
+                        prev_log_index: hb.prev_log_index,
+                        prev_log_term: hb.prev_log_term,
                         entries: Vec::new(),
-                        leader_commit: e.leader_commit,
-                        hb_seq: e.hb_seq,
+                        leader_commit: hb.leader_commit,
+                        hb_seq: hb.hb_seq,
                     },
                 };
                 self.net.resume_request(sim, heartbeat, e.arrives, e.back);
@@ -191,11 +308,11 @@ impl<C: Clone + 'static> Keepalives<C> {
                     to: leader,
                     sent_at: e.arrives,
                     msg: RaftMsg::AppendEntriesResp {
-                        term: e.term,
+                        term: e.heartbeat.term,
                         from: e.follower,
                         success: true,
-                        match_index: e.prev_log_index,
-                        hb_seq: e.hb_seq,
+                        match_index: e.heartbeat.prev_log_index,
+                        hb_seq: e.heartbeat.hb_seq,
                     },
                 };
                 self.net.resume_reply(sim, reply, e.returns);
@@ -209,7 +326,7 @@ impl<C: Clone + 'static> Keepalives<C> {
     /// Folds every heartbeat that has arrived by `now` into its
     /// follower's record of contacts, and forgets the exchanges whose
     /// reply has landed.
-    fn retire(&self, now: SimTime) {
+    pub(crate) fn retire(&self, now: SimTime) {
         self.flight.borrow_mut().retain(|e| {
             if e.arrives <= now {
                 self.nodes[e.follower as usize].heard_at(e.arrives);

@@ -15,7 +15,7 @@ use std::rc::{Rc, Weak};
 use dlaas_net::{Addr, Net};
 use dlaas_sim::{DeadlineTimer, Sim, SimDuration, SimRng, SimTime};
 
-use crate::keepalive::Keepalives;
+use crate::keepalive::{Heartbeat, Keepalives};
 use crate::types::{
     LogEntry, LogIndex, NodeId, PersistentState, RaftConfig, RaftMsg, Role, Snapshot, Term,
 };
@@ -87,7 +87,6 @@ pub(crate) struct Vitals {
     pub(crate) commit: LogIndex,
     /// The election deadline the contacts that have happened imply.
     pub(crate) deadline: SimTime,
-    pub(crate) timeout: SimDuration,
 }
 
 struct NodeState<C: 'static> {
@@ -365,6 +364,7 @@ impl<C: Clone + 'static> Raft<C> {
     /// [`NotLeader`] if this node is not the leader (the hint names the
     /// likely leader).
     pub fn propose(&self, sim: &mut Sim, cmd: C) -> Result<(Term, LogIndex), NotLeader> {
+        self.touch();
         {
             let mut s = self.inner.borrow_mut();
             if !s.alive || s.role != Role::Leader {
@@ -401,6 +401,7 @@ impl<C: Clone + 'static> Raft<C> {
         sim: &mut Sim,
         done: impl FnOnce(&mut Sim, bool) + 'static,
     ) -> Result<(), NotLeader> {
+        self.touch();
         {
             let mut s = self.inner.borrow_mut();
             if !s.alive || s.role != Role::Leader {
@@ -426,6 +427,7 @@ impl<C: Clone + 'static> Raft<C> {
     /// Crashes the node: volatile state will be discarded, traffic to it is
     /// dropped, timers become no-ops. Persistent state survives on `disk`.
     pub fn crash(&self, sim: &mut Sim) {
+        self.touch();
         let mut s = self.inner.borrow_mut();
         if !s.alive {
             return;
@@ -451,6 +453,7 @@ impl<C: Clone + 'static> Raft<C> {
     ///
     /// Panics if the node is still alive.
     pub fn restart(&self, sim: &mut Sim, apply: ApplyFn<C>) {
+        self.touch();
         {
             let mut s = self.inner.borrow_mut();
             assert!(!s.alive, "restart of a live node");
@@ -518,19 +521,52 @@ impl<C: Clone + 'static> Raft<C> {
         });
     }
 
+    /// Arms the heartbeat tick one interval from now: in place when the
+    /// node belongs to a group that settles keep-alives (the tick declines
+    /// to its event when it must send; see [`Raft::heartbeats_in_place`]),
+    /// an event otherwise.
     fn schedule_heartbeat(&self, sim: &mut Sim, gen: u64) {
         let interval = self.inner.borrow().config.heartbeat_interval;
         let me = self.clone();
-        sim.schedule_in(interval, move |sim| {
-            let fire = {
-                let s = me.inner.borrow();
-                s.alive && s.hb_gen == gen && s.role == Role::Leader
-            };
-            if fire {
+        let tick = move |sim: &mut Sim| {
+            if me.leads(gen) {
                 me.send_heartbeats(sim);
                 me.schedule_heartbeat(sim, gen);
             }
-        });
+        };
+        let at = sim.now() + interval;
+        match self.keepalives() {
+            Some(group) => {
+                // The tick as an event may have sent anything.
+                group.touch();
+                let me = self.clone();
+                let round = move |now| {
+                    me.heartbeats_in_place(&group, now, gen)
+                        .then(|| now + interval)
+                };
+                sim.schedule_in_place(at, round, tick);
+            }
+            None => {
+                sim.schedule_at(at, tick);
+            }
+        }
+    }
+
+    /// Whether this node still leads the term whose heartbeats are `gen`.
+    fn leads(&self, gen: u64) -> bool {
+        let s = self.inner.borrow();
+        s.alive && s.hb_gen == gen && s.role == Role::Leader
+    }
+
+    fn keepalives(&self) -> Option<Rc<Keepalives<C>>> {
+        self.inner.borrow().keepalives.upgrade()
+    }
+
+    /// Something may have changed what the next heartbeat tick settles.
+    fn touch(&self) {
+        if let Some(keepalives) = self.keepalives() {
+            keepalives.touch();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -538,6 +574,7 @@ impl<C: Clone + 'static> Raft<C> {
     // ------------------------------------------------------------------
 
     fn start_election(&self, sim: &mut Sim) {
+        self.touch();
         let (id, term, last_index, last_term, peers) = {
             let mut s = self.inner.borrow_mut();
             s.role = Role::Candidate;
@@ -586,6 +623,7 @@ impl<C: Clone + 'static> Raft<C> {
     }
 
     fn become_leader(&self, sim: &mut Sim) {
+        self.touch();
         let (id, term, gen) = {
             let mut s = self.inner.borrow_mut();
             s.role = Role::Leader;
@@ -615,6 +653,7 @@ impl<C: Clone + 'static> Raft<C> {
     }
 
     fn step_down(&self, sim: &mut Sim, new_term: Term, leader: Option<NodeId>) {
+        self.touch();
         let reads = {
             let mut s = self.inner.borrow_mut();
             {
@@ -663,46 +702,137 @@ impl<C: Clone + 'static> Raft<C> {
     /// every two intervals, which [`RaftConfig::validate`] keeps within
     /// the shortest election timeout.
     fn send_heartbeats(&self, sim: &mut Sim) {
-        let now = sim.now();
-        let peers: Vec<NodeId> = {
-            let mut s = self.inner.borrow_mut();
-            s.hb_seq += 1;
-            let interval = s.config.heartbeat_interval;
-            s.others()
-                .filter(|p| {
-                    s.last_sent
-                        .get(p)
-                        .is_none_or(|t| now.saturating_duration_since(*t) >= interval)
-                })
-                .collect()
-        };
-        for p in peers {
+        for p in self.heartbeat_peers(sim.now()) {
             self.send_heartbeat_to(sim, p);
         }
     }
 
-    /// The tick's message to `peer`. Both legs of its exchange, there and
-    /// back, are drawn now from the link's own stream, so they do not
-    /// depend on what else the network carries meanwhile. An exchange that
-    /// can only move the follower's deadline is settled instead of sent
+    /// The heartbeat tick at `now` run in place, with no event; returns
+    /// whether it ran. It runs when it would send nothing: the tick as an
+    /// event would reach every follower it is due to (a follower sent an
+    /// append within the interval is not) with a heartbeat that settles.
+    /// Untouched since a tick that settled them all, every follower is
+    /// due and settles again ([`Keepalives::untouched`]), and each
+    /// exchange is drawn and applied unchecked. Otherwise the round checks
+    /// each due follower first — its link carries nothing unsent and
+    /// [`Keepalives::settles`] holds at the arrival it is about to draw
+    /// (drawn on a copy of the link's stream) — and declines, having done
+    /// nothing, when one fails: the tick then runs as its event, in its
+    /// slot, and sends.
+    fn heartbeats_in_place(&self, group: &Keepalives<C>, now: SimTime, gen: u64) -> bool {
+        if !self.leads(gen) {
+            return false;
+        }
+        let (me, peers, interval) = {
+            let s = self.inner.borrow();
+            (s.id, s.cluster_size, s.config.heartbeat_interval)
+        };
+        let heartbeat = |s: &NodeState<C>| {
+            let disk = s.disk.borrow();
+            let last = disk.last_index();
+            let heartbeat = Heartbeat {
+                term: disk.current_term,
+                prev_log_index: last,
+                prev_log_term: disk.term_at(last).expect("the last entry is addressable"),
+                leader_commit: s.commit_index,
+                hb_seq: s.hb_seq + 1,
+            };
+            (heartbeat, last)
+        };
+        if !group.touched() {
+            group.retire(now);
+            let heartbeat = {
+                let mut s = self.inner.borrow_mut();
+                let (heartbeat, _) = heartbeat(&s);
+                s.hb_seq += 1;
+                heartbeat
+            };
+            for p in (0..peers).filter(|p| *p != me) {
+                let (there, back) = self.draw_exchange(p);
+                debug_assert!(
+                    group.settles(now, me, p, &heartbeat, now + there),
+                    "an untouched heartbeat settles: something touched the group unannounced"
+                );
+                group.apply(now, me, p, heartbeat, there, back);
+            }
+            return true;
+        }
+        // Checked as the tick would decide, then applied.
+        let (heartbeat, last) = heartbeat(&self.inner.borrow());
+        for p in (0..peers).filter(|p| *p != me && self.due(*p, now)) {
+            let (unsent, there) = {
+                let s = self.inner.borrow();
+                let unsent = s.next_index.get(&p) != Some(&(last + 1));
+                let mut link = s.links[p as usize].clone();
+                (unsent, self.net.draw_latency(&mut link))
+            };
+            if unsent || !group.settles(now, me, p, &heartbeat, now + there) {
+                return false;
+            }
+        }
+        self.inner.borrow_mut().hb_seq += 1;
+        let mut reached = 0;
+        for p in (0..peers).filter(|p| *p != me && self.due(*p, now)) {
+            self.inner.borrow_mut().last_sent.insert(p, now);
+            let (there, back) = self.draw_exchange(p);
+            group.apply(now, me, p, heartbeat, there, back);
+            reached += 1;
+        }
+        let latency = self.net.latency_bound();
+        if reached + 1 == peers && group.stays_in_time(me, interval, latency) {
+            group.untouched();
+        }
+        true
+    }
+
+    /// Whether a heartbeat tick at `now` is due to reach `peer`: it was not
+    /// sent an append within the last interval.
+    fn due(&self, peer: NodeId, now: SimTime) -> bool {
+        let s = self.inner.borrow();
+        let interval = s.config.heartbeat_interval;
+        s.last_sent
+            .get(&peer)
+            .is_none_or(|t| now.saturating_duration_since(*t) >= interval)
+    }
+
+    /// Starts a heartbeat round at `now`: the peers due one.
+    fn heartbeat_peers(&self, now: SimTime) -> Vec<NodeId> {
+        let (me, peers) = {
+            let mut s = self.inner.borrow_mut();
+            s.hb_seq += 1;
+            (s.id, s.cluster_size)
+        };
+        (0..peers)
+            .filter(|p| *p != me && self.due(*p, now))
+            .collect()
+    }
+
+    /// The tick's message to `peer`. An exchange that can only move the
+    /// follower's deadline is settled instead of sent
     /// ([`Keepalives::settle`]).
     fn send_heartbeat_to(&self, sim: &mut Sim, peer: NodeId) {
         let Some(msg) = self.prepare_append(sim, peer) else {
             return;
         };
-        let (there, back, keepalives) = {
-            let mut s = self.inner.borrow_mut();
-            let link = &mut s.links[peer as usize];
-            let there = self.net.draw_latency(link);
-            let back = self.net.draw_latency(link);
-            (there, back, s.keepalives.upgrade())
-        };
+        let (there, back) = self.draw_exchange(peer);
         let me = self.id();
-        if keepalives.is_some_and(|k| k.settle(sim, me, peer, &msg, there, back)) {
+        if self
+            .keepalives()
+            .is_some_and(|k| k.settle(sim.now(), me, peer, &msg, there, back))
+        {
             return;
         }
         self.net
             .send_exchange(sim, self.addr.clone(), self.peer(peer), msg, there, back);
+    }
+
+    /// Both legs of a heartbeat exchange with `peer`, there and back,
+    /// drawn now from the link's own stream, so they do not depend on what
+    /// else the network carries meanwhile.
+    fn draw_exchange(&self, peer: NodeId) -> (SimDuration, SimDuration) {
+        let mut s = self.inner.borrow_mut();
+        let link = &mut s.links[peer as usize];
+        (self.net.draw_latency(link), self.net.draw_latency(link))
     }
 
     fn send_append_to(&self, sim: &mut Sim, peer: NodeId) {
@@ -756,7 +886,7 @@ impl<C: Clone + 'static> Raft<C> {
                 }
             }
         };
-        {
+        let unsent = {
             let mut s = self.inner.borrow_mut();
             s.last_sent.insert(peer, sim.now());
             // Pipelining: assume the entries arrive, so the next proposal
@@ -772,18 +902,17 @@ impl<C: Clone + 'static> Raft<C> {
                 let through = prev_log_index + entries.len() as LogIndex;
                 s.next_index.insert(peer, through + 1);
             }
-        }
+            let next = s.next_index.get(&peer).copied().unwrap_or(0);
+            let last = s.disk.borrow().last_index();
+            next <= last
+        };
         // A capped batch or a snapshot leaves entries unsent, which the
         // reply to a heartbeat in flight would send: that reply has to
         // land for real.
-        let keepalives = {
-            let s = self.inner.borrow();
-            let next = s.next_index.get(&peer).copied().unwrap_or(0);
-            let unsent = next <= s.disk.borrow().last_index();
-            unsent.then(|| s.keepalives.upgrade()).flatten()
-        };
-        if let Some(k) = keepalives {
-            k.unsettle(sim);
+        if unsent {
+            if let Some(keepalives) = self.keepalives() {
+                keepalives.unsettle(sim);
+            }
         }
         Some(msg)
     }
@@ -799,7 +928,6 @@ impl<C: Clone + 'static> Raft<C> {
             leader_hint: s.leader_hint,
             commit: s.commit_index,
             deadline: s.heard + s.timeout,
-            timeout: s.timeout,
         }
     }
 
@@ -819,6 +947,11 @@ impl<C: Clone + 'static> Raft<C> {
     /// Joins the cluster's settled keep-alives.
     pub(crate) fn settle_keepalives_with(&self, keepalives: Weak<Keepalives<C>>) {
         self.inner.borrow_mut().keepalives = keepalives;
+    }
+
+    /// This term's (and role's) election timeout.
+    pub(crate) fn election_timeout(&self) -> SimDuration {
+        self.inner.borrow().timeout
     }
 
     /// A settled heartbeat moves this follower's election deadline to
@@ -976,6 +1109,7 @@ impl<C: Clone + 'static> Raft<C> {
     // ------------------------------------------------------------------
 
     fn handle(&self, sim: &mut Sim, msg: RaftMsg<C>) {
+        self.touch();
         if !self.inner.borrow().alive {
             return;
         }

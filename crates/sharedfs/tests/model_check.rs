@@ -51,7 +51,7 @@ proptest! {
                 Op::DeleteVolume(v) => {
                     let name = format!("v{v}");
                     let existed_model = model.remove(&name).is_some();
-                    let existed_real = nfs.delete_volume_named(&name);
+                    let existed_real = nfs.delete_volume_named(&sim, &name);
                     prop_assert_eq!(existed_real, existed_model);
                 }
                 Op::Append { vol, file, line } => {
@@ -138,7 +138,7 @@ proptest! {
         let fname = format!("f{file}");
         let mount = nfs.mount(&id).unwrap();
         mount.write_file(&mut sim, &fname, "x").unwrap();
-        nfs.delete_volume(&id);
+        nfs.delete_volume(&sim, &id);
         // Every op on the stale mount fails or reports absence — never
         // resurrects data, not even once the name is provisioned again.
         nfs.create_volume(format!("v{v}"));
@@ -223,7 +223,8 @@ fn poll_parked(sim: &mut Sim, mount: Mount, on: Option<&'static str>, grid: Grid
         let mount = mount.clone();
         move |sim: &mut Sim| poll_parked(sim, mount, on, grid, acts)
     };
-    if mount.park(on, grid, again.clone()).is_err() {
+    let wakes = move |path: &str, _: &str, _| on.is_none_or(|p| p == path);
+    if mount.park(wakes, grid, again.clone()).is_err() {
         sim.schedule_at(grid.after(sim.now()), again);
     }
 }
@@ -275,9 +276,9 @@ fn acts(ops: &[WorldOp], poller: Poller) -> Vec<u64> {
                     m.remove(&mut sim, path(*marker));
                 }
             }
-            WorldOp::Available(up) => nfs.set_available(*up),
+            WorldOp::Available(up) => nfs.set_available(&sim, *up),
             WorldOp::Recreate => {
-                nfs.delete_volume(&vol);
+                nfs.delete_volume(&sim, &vol);
                 nfs.create_volume("job");
             }
             WorldOp::Advance(us) => {
@@ -285,7 +286,7 @@ fn acts(ops: &[WorldOp], poller: Poller) -> Vec<u64> {
             }
         }
     }
-    nfs.set_available(true);
+    nfs.set_available(&sim, true);
     sim.run_for(POLL * 3);
     let acted = acts.borrow().clone();
     acted

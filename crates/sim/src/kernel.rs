@@ -17,6 +17,18 @@
 //! argument is laid out in DESIGN.md and enforced by the queue-vs-heap
 //! property test in `tests/kernel_props.rs`.
 //!
+//! # Rounds run in place
+//!
+//! A periodic event whose next round can neither schedule anything nor
+//! send anything — a Raft leader's heartbeat tick whose every exchange is
+//! settled — need not be an event at all. [`Sim::schedule_in_place`]
+//! reserves the slot its queued event would take (instant, tie-break
+//! sequence number, event id) and, when the clock reaches that slot, runs
+//! a callback that gets the instant and no `&mut Sim`, then reserves the
+//! next slot the same way; a round that cannot run that way declines, and
+//! the event it stands for runs in its slot. Every other event pops in
+//! exactly the order, with exactly the ids, it would have had.
+//!
 //! # Re-entrancy convention
 //!
 //! Components in this workspace live in `Rc<RefCell<...>>` cells and their
@@ -52,6 +64,21 @@ impl EventFn {
             site: std::any::type_name::<F>(),
         }
     }
+}
+
+/// A round run in place: `round(at)` does its work and returns the
+/// instant of the next round, or declines (`None`), having done nothing.
+type Round = Box<dyn FnMut(SimTime) -> Option<SimTime>>;
+
+/// The next round of a periodic event run in place, in the slot its
+/// queued event would have taken.
+struct InPlace {
+    at: SimTime,
+    seq: u64,
+    id: EventId,
+    round: Round,
+    /// The round as an event: what runs in a declined round's slot.
+    queued: EventFn,
 }
 
 /// What one scheduling call site cost so far (`site-profile` feature).
@@ -106,6 +133,9 @@ const OCCUPANCY_WORDS: usize = N_SLOTS / 64;
 /// ring holds at most `N_SLOTS × SLOT_KEEP` idle entries, not the largest
 /// burst every slot ever saw.
 const SLOT_KEEP: usize = 64;
+
+/// `Sim::in_place_next` while no round runs in place: after every event.
+const NONE_IN_PLACE: (u64, u64) = (u64::MAX, u64::MAX);
 
 const fn epoch_of(at_us: u64) -> u64 {
     at_us >> SLOT_WIDTH_LOG2
@@ -223,12 +253,17 @@ impl CalendarQueue {
     }
 
     /// Removes and returns the globally earliest event (by `(at, seq)`),
-    /// cancelled or not — the caller filters against its live set.
-    fn pop(&mut self, now_us: u64) -> Option<Scheduled> {
+    /// cancelled or not — the caller filters against its live set — if
+    /// it comes before `before` (`(at µs, seq)`).
+    fn pop(&mut self, now_us: u64, before: (u64, u64)) -> Option<Scheduled> {
         self.migrate(now_us);
         if self.ring_len > 0 {
             let slot = self.first_occupied_from(slot_of(epoch_of(now_us)));
             let heap = &mut self.slots[slot];
+            let head = heap.peek().expect("occupied slot");
+            if (head.at.as_micros(), head.seq) >= before {
+                return None;
+            }
             let ev = heap.pop().expect("occupied slot");
             if heap.is_empty() {
                 self.occupied[slot / 64] &= !(1 << (slot % 64));
@@ -238,6 +273,9 @@ impl CalendarQueue {
             }
             self.ring_len -= 1;
             return Some(ev);
+        }
+        if *self.overflow.first_key_value()?.0 >= before {
+            return None;
         }
         let ((at_us, seq), (id, run)) = self.overflow.pop_first()?;
         self.overflow_min_us = self
@@ -371,6 +409,11 @@ pub struct Sim {
     trace: Trace,
     metrics: Registry,
     executed: u64,
+    /// Periodic events whose next round runs in place.
+    in_place: Vec<InPlace>,
+    /// `(at µs, seq)` of the earliest of them; `(MAX, MAX)` when none.
+    in_place_next: (u64, u64),
+    rounds_in_place: u64,
     /// Per-site costs, once [`Sim::profile_sites`] switched them on.
     #[cfg(feature = "site-profile")]
     sites: Option<BTreeMap<&'static str, SiteCost>>,
@@ -385,6 +428,7 @@ impl std::fmt::Debug for Sim {
             .field("now", &self.now)
             .field("pending", &self.live.len())
             .field("executed", &self.executed)
+            .field("in_place", &self.in_place.len())
             .finish()
     }
 }
@@ -408,6 +452,9 @@ impl Sim {
             trace: Trace::default(),
             metrics: Registry::new(),
             executed: 0,
+            in_place: Vec::new(),
+            in_place_next: NONE_IN_PLACE,
+            rounds_in_place: 0,
             #[cfg(feature = "site-profile")]
             sites: None,
             #[cfg(feature = "site-profile")]
@@ -535,9 +582,15 @@ impl Sim {
         &self.metrics
     }
 
-    /// Number of events executed so far.
+    /// Number of events executed so far (rounds run in place are not
+    /// events: see [`Sim::rounds_in_place`]).
     pub fn events_executed(&self) -> u64 {
         self.executed
+    }
+
+    /// Number of rounds run in place so far ([`Sim::schedule_in_place`]).
+    pub fn rounds_in_place(&self) -> u64 {
+        self.rounds_in_place
     }
 
     /// Number of live events currently pending. Cancelled events stop
@@ -554,6 +607,22 @@ impl Sim {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) -> EventId {
+        let (seq, id) = self.reserve(at);
+        self.queue.push(
+            self.now.as_micros(),
+            Scheduled {
+                at,
+                seq,
+                id,
+                run: EventFn::new(f),
+            },
+        );
+        id
+    }
+
+    /// The slot of an event scheduled now for `at`: its tie-break
+    /// sequence number and its (live) id.
+    fn reserve(&mut self, at: SimTime) -> (u64, EventId) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
@@ -563,16 +632,74 @@ impl Sim {
         self.next_id += 1;
         self.seq += 1;
         self.live.insert(id.0);
-        self.queue.push(
-            self.now.as_micros(),
-            Scheduled {
-                at,
-                seq: self.seq,
-                id,
-                run: EventFn::new(f),
-            },
-        );
-        id
+        (self.seq, id)
+    }
+
+    /// Schedules a periodic event's next round, due at `at`, to run in
+    /// place: it takes the slot `schedule_at(at, queued)` would take — the
+    /// instant, the place among that instant's events, the event id — and
+    /// there the kernel calls `round(at)` instead of running an event. A
+    /// round that ran returns the instant of the next one, which takes the
+    /// next slot the same way; one that declines returns `None` having
+    /// done nothing, and `queued` runs in its slot as the event it stands
+    /// for. A round gets no `&mut Sim`: it runs only when it would have
+    /// scheduled nothing, and changes only state no other event is
+    /// scheduled by. Rounds run in place are not executed events; they are
+    /// counted by [`Sim::rounds_in_place`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub fn schedule_in_place(
+        &mut self,
+        at: SimTime,
+        round: impl FnMut(SimTime) -> Option<SimTime> + 'static,
+        queued: impl FnOnce(&mut Sim) + 'static,
+    ) {
+        let (seq, id) = self.reserve(at);
+        self.in_place.push(InPlace {
+            at,
+            seq,
+            id,
+            round: Box::new(round),
+            queued: EventFn::new(queued),
+        });
+        self.refresh_in_place();
+    }
+
+    fn refresh_in_place(&mut self) {
+        self.in_place_next = self
+            .in_place
+            .iter()
+            .map(|r| (r.at.as_micros(), r.seq))
+            .min()
+            .unwrap_or(NONE_IN_PLACE);
+    }
+
+    /// Runs the earliest round in place, or, if it declines, its queued
+    /// event in its slot.
+    fn run_in_place(&mut self) {
+        let i = (0..self.in_place.len())
+            .min_by_key(|&i| (self.in_place[i].at, self.in_place[i].seq))
+            .expect("a round is reserved");
+        let (at, id) = (self.in_place[i].at, self.in_place[i].id);
+        self.live.remove(id.0);
+        self.now = at;
+        match (self.in_place[i].round)(at) {
+            Some(next) => {
+                let (seq, id) = self.reserve(next);
+                let r = &mut self.in_place[i];
+                (r.at, r.seq, r.id) = (next, seq, id);
+                self.rounds_in_place += 1;
+                self.refresh_in_place();
+            }
+            None => {
+                let r = self.in_place.swap_remove(i);
+                self.refresh_in_place();
+                self.executed += 1;
+                self.fire(r.queued);
+            }
+        }
     }
 
     /// Schedules `f` to run after `delay`.
@@ -601,7 +728,14 @@ impl Sim {
     /// Runs the next pending event, advancing the clock to its instant.
     /// Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        while let Some(ev) = self.queue.pop(self.now.as_micros()) {
+        loop {
+            let Some(ev) = self.queue.pop(self.now.as_micros(), self.in_place_next) else {
+                if self.in_place.is_empty() {
+                    return false;
+                }
+                self.run_in_place();
+                return true;
+            };
             if !self.live.remove(ev.id.0) {
                 // Cancelled after scheduling; its queue entry is reclaimed
                 // here, on the instant it would have fired.
@@ -613,7 +747,6 @@ impl Sim {
             self.fire(ev.run);
             return true;
         }
-        false
     }
 
     /// Runs events until the queue is empty. Returns the number of events
@@ -624,9 +757,10 @@ impl Sim {
     /// Panics after 200 million events as a runaway-loop backstop.
     pub fn run_until_idle(&mut self) -> u64 {
         let start = self.executed;
+        let rounds = self.rounds_in_place;
         while self.step() {
             assert!(
-                self.executed - start < 200_000_000,
+                self.executed - start + self.rounds_in_place - rounds < 200_000_000,
                 "runaway simulation: >200M events without idling"
             );
         }
@@ -669,17 +803,19 @@ impl Sim {
         false
     }
 
-    /// Timestamp of the next non-cancelled pending event, if any.
+    /// Timestamp of the next non-cancelled pending event or round run in
+    /// place, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        let in_place = self.in_place.iter().map(|r| r.at).min();
         while let Some((at, id)) = self.queue.peek(self.now.as_micros()) {
             if !self.live.contains(id.0) {
                 // Cancelled entry at the head: discard it and look again.
-                self.queue.pop(self.now.as_micros());
+                self.queue.pop(self.now.as_micros(), NONE_IN_PLACE);
                 continue;
             }
-            return Some(at);
+            return Some(in_place.map_or(at, |r| r.min(at)));
         }
-        None
+        in_place
     }
 }
 

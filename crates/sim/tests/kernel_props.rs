@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dlaas_sim::{Sim, SimDuration, SimTime};
+use dlaas_sim::{EventId, Sim, SimDuration, SimTime};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -290,4 +290,172 @@ proptest! {
         let chunked = fired.borrow().clone();
         prop_assert_eq!(free, chunked);
     }
+}
+
+/// One background event of the in-place test: when it fires it logs its
+/// tag and, optionally, schedules a child.
+#[derive(Debug, Clone)]
+struct Background {
+    /// Milliseconds from now (coarse, so that many land on a round's
+    /// instant and the tie-break decides).
+    delay_ms: u8,
+    tag: u16,
+    child_ms: Option<u8>,
+    cancelled: bool,
+}
+
+fn background() -> impl Strategy<Value = Background> {
+    (0..120u8, any::<u16>(), 0..80u8, 0..8u8).prop_map(|(delay_ms, tag, child_ms, c)| Background {
+        delay_ms,
+        tag,
+        child_ms: (child_ms < 40).then_some(child_ms),
+        cancelled: c == 0,
+    })
+}
+
+/// What the log of either run holds: `(µs, what, id)` — a background
+/// event's tag and the id its child got, or a round of the periodic
+/// event (tag `None`).
+type Entry = (u64, Option<u16>, Option<EventId>);
+type Log = Rc<RefCell<Vec<Entry>>>;
+
+/// A periodic event every `period`, run either as queued events or in
+/// place; every `decline`-th round in place declines to its event.
+struct Periodic {
+    log: Log,
+    period: SimDuration,
+    in_place: bool,
+    decline: u64,
+    rounds: std::cell::Cell<u64>,
+}
+
+impl Periodic {
+    fn round(&self, now: SimTime) {
+        self.rounds.set(self.rounds.get() + 1);
+        self.log.borrow_mut().push((now.as_micros(), None, None));
+    }
+
+    fn arm(self: Rc<Self>, sim: &mut Sim, at: SimTime) {
+        let me = self.clone();
+        let queued = move |sim: &mut Sim| {
+            me.round(sim.now());
+            let next = sim.now() + me.period;
+            me.arm(sim, next);
+        };
+        if !self.in_place {
+            sim.schedule_at(at, queued);
+            return;
+        }
+        let me = self.clone();
+        let round = move |now| {
+            if me.rounds.get() % me.decline == me.decline - 1 {
+                return None;
+            }
+            me.round(now);
+            Some(now + me.period)
+        };
+        sim.schedule_in_place(at, round, queued);
+    }
+}
+
+/// Runs `events` around a periodic event for one simulated second;
+/// returns the log, and the kernel's count of events plus rounds.
+fn with_periodic(
+    events: &[Background],
+    period_ms: u64,
+    decline: u64,
+    in_place: bool,
+) -> (Vec<Entry>, u64) {
+    let mut sim = Sim::new(0);
+    let log = Log::default();
+    let periodic = Rc::new(Periodic {
+        log: log.clone(),
+        period: SimDuration::from_millis(period_ms),
+        in_place,
+        decline,
+        rounds: Default::default(),
+    });
+    let first = SimTime::from_millis(period_ms);
+    periodic.clone().arm(&mut sim, first);
+    for (i, e) in events.iter().enumerate() {
+        let (log, e2) = (log.clone(), e.clone());
+        let fire = move |sim: &mut Sim| {
+            let child = e2.child_ms.map(|ms| {
+                let log = log.clone();
+                let tag = e2.tag ^ 0xffff;
+                sim.schedule_in(SimDuration::from_millis(u64::from(ms)), move |sim| {
+                    log.borrow_mut()
+                        .push((sim.now().as_micros(), Some(tag), None));
+                })
+            });
+            log.borrow_mut()
+                .push((sim.now().as_micros(), Some(e2.tag), child));
+        };
+        let delay = SimDuration::from_millis(u64::from(e.delay_ms));
+        // Half the events are scheduled mid-run, from inside the world.
+        if i % 2 == 0 {
+            let id = sim.schedule_in(delay, fire);
+            if e.cancelled {
+                sim.cancel(id);
+            }
+        } else {
+            let cancelled = e.cancelled;
+            sim.schedule_in(SimDuration::from_millis(3), move |sim| {
+                let id = sim.schedule_in(delay, fire);
+                if cancelled {
+                    sim.cancel(id);
+                }
+            });
+        }
+    }
+    sim.run_until(SimTime::from_secs(1));
+    let v = log.borrow().clone();
+    (v, sim.events_executed() + sim.rounds_in_place())
+}
+
+proptest! {
+    // A periodic event whose rounds run in place and decline at random
+    // pops every other event in the same order, with the same ids, at the
+    // same instants, as the periodic event queued every round; its rounds
+    // land at the same instants in the same places among them.
+    #[test]
+    fn a_round_run_in_place_keeps_every_other_event_where_it_was(
+        events in proptest::collection::vec(background(), 0..80),
+        period_ms in 1..15u64,
+        decline in 2..9u64,
+    ) {
+        let (queued, all) = with_periodic(&events, period_ms, decline, false);
+        let (in_place, all_in_place) = with_periodic(&events, period_ms, decline, true);
+        prop_assert_eq!(queued, in_place);
+        prop_assert_eq!(all, all_in_place, "every round is an event or a round in place");
+    }
+}
+
+#[test]
+fn rounds_run_in_place_cost_no_event_and_keep_the_world_live() {
+    let mut sim = Sim::new(0);
+    let n = Rc::new(std::cell::Cell::new(0u32));
+    let (m, queued) = (n.clone(), n.clone());
+    // A hundred rounds in place, then one that declines to its event.
+    let round = move |now: SimTime| {
+        (m.get() < 100).then(|| {
+            m.set(m.get() + 1);
+            now + SimDuration::from_millis(100)
+        })
+    };
+    let event = move |_: &mut Sim| queued.set(queued.get() + 1_000);
+    sim.schedule_in_place(SimTime::from_millis(100), round, event);
+    assert_eq!(sim.events_pending(), 1, "a reserved slot is pending work");
+    assert_eq!(sim.peek_time(), Some(SimTime::from_millis(100)));
+    sim.run_until(SimTime::from_secs(10));
+    assert_eq!(
+        (n.get(), sim.events_executed(), sim.rounds_in_place()),
+        (100, 0, 100)
+    );
+    assert_eq!(
+        sim.run_until_idle(),
+        1,
+        "the declined round ran as its event"
+    );
+    assert_eq!((n.get(), sim.now()), (1_100, SimTime::from_millis(10_100)));
 }
