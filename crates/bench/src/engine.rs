@@ -2,11 +2,11 @@
 //! per wall-second, the quantity every ROADMAP scale item is gated on.
 //!
 //! One workload, `kernel_churn` — the kernel alone: a population of
-//! self-rescheduling actors whose delays span the near-future (bucket
-//! ring) and far-future (overflow tier) ranges, plus a defer and a
-//! schedule-then-cancel per firing so tombstone handling is on the
-//! measured path. (The full control plane is measured by the `uniform`
-//! preset of [`crate::soak`], gated on its wall seconds.)
+//! self-rescheduling actors whose delays span sub-millisecond and
+//! multi-second ranges, plus a defer and a schedule-then-cancel per
+//! firing so skipping cancelled entries is on the measured path. (The
+//! full control plane is measured by the `uniform` preset of
+//! [`crate::soak`], gated on its wall seconds.)
 //!
 //! It reports host wall time via the feature-gated
 //! [`dlaas_obs::wallclock::WallTimer`], so `BENCH_engine.json` is a
@@ -48,10 +48,10 @@ impl EngineRun {
 
 /// Pure-kernel churn: `actors` self-rescheduling closures run until
 /// `target_events` kernel events have executed. Every firing defers one
-/// no-op (same-instant path), schedules-then-cancels one event (tombstone
-/// path), and reschedules itself with a bimodal delay — 90% sub-millisecond
-/// (lands in the calendar ring) and 10% multi-second (lands in the
-/// overflow tier) — so all queue tiers are exercised in proportion.
+/// no-op (same-instant path), schedules-then-cancels one event (a dead
+/// entry the queue skips at its instant), and reschedules itself with a
+/// bimodal delay — 90% sub-millisecond and 10% multi-second — so about
+/// ten thousand entries stay pending, far more than the platform holds.
 pub fn kernel_churn(seed: u64, actors: u64, target_events: u64) -> EngineRun {
     fn fire(sim: &mut Sim) {
         sim.defer(|_| {});

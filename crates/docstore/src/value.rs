@@ -478,10 +478,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep arrays and objects may nest. The platform's documents nest a
+/// few levels; the parser recurses once per level, so a text nested
+/// deeper is refused rather than allowed to overflow the stack.
+const MAX_DEPTH: u32 = 128;
+
 struct JsonParser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: u32,
 }
 
 impl<'a> JsonParser<'a> {
@@ -494,6 +501,7 @@ impl<'a> JsonParser<'a> {
             input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = parse(&mut p)?;
@@ -545,11 +553,24 @@ impl<'a> JsonParser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -694,9 +715,13 @@ impl<'a> JsonParser<'a> {
                 return Ok(Value::I64(i));
             }
         }
+        // A number too large for an `f64` is refused, not read as an
+        // infinity: the writer never writes one (it writes `null`).
         text.parse::<f64>()
+            .ok()
+            .filter(|f| f.is_finite())
             .map(Value::F64)
-            .map_err(|_| self.err("bad number"))
+            .ok_or_else(|| self.err("bad number"))
     }
 }
 

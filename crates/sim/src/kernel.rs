@@ -7,27 +7,25 @@
 //!
 //! # Event queue
 //!
-//! The pending set lives in a calendar queue ([`CalendarQueue`]): a ring
-//! of time-bucketed slots covering a sliding window ahead of the clock,
-//! with a sorted overflow tier for events beyond the window. Pops come
-//! from tiny per-slot heaps instead of one global heap, so the hot path
-//! is near-O(1) regardless of how many events are outstanding. Ordering
-//! is exactly the old global-heap order — `(time, then scheduling seq)` —
-//! so every seed produces the byte-identical execution it always did; the
-//! argument is laid out in DESIGN.md and enforced by the queue-vs-heap
-//! property test in `tests/kernel_props.rs`.
+//! The pending set is one [`BinaryHeap`] ordered by `(instant, event id)`.
+//! Ids are issued in scheduling order, so ties at an instant break by
+//! scheduling order: the order the kernel has always popped in, enforced
+//! against a reference model by the property tests in
+//! `tests/kernel_props.rs`. A cancelled event stays in the heap until it
+//! reaches the head, where its dead id is skipped.
 //!
 //! # Rounds run in place
 //!
 //! A periodic event whose next round can neither schedule anything nor
 //! send anything — a Raft leader's heartbeat tick whose every exchange is
 //! settled — need not be an event at all. [`Sim::schedule_in_place`]
-//! reserves the slot its queued event would take (instant, tie-break
-//! sequence number, event id) and, when the clock reaches that slot, runs
-//! a callback that gets the instant and no `&mut Sim`, then reserves the
-//! next slot the same way; a round that cannot run that way declines, and
-//! the event it stands for runs in its slot. Every other event pops in
-//! exactly the order, with exactly the ids, it would have had.
+//! reserves the place its queued event would take (instant and event id)
+//! and, when the clock reaches it, runs a callback that gets the instant
+//! and no `&mut Sim`, then reserves the next place the same way; a round
+//! that cannot run that way declines, and the event it stands for runs in
+//! its place. A reserved round is a heap entry like any event, so every
+//! other event pops in exactly the order, with exactly the ids, it would
+//! have had.
 //!
 //! # Re-entrancy convention
 //!
@@ -47,39 +45,32 @@ use crate::{SimDuration, SimRng, SimTime, Subject, Trace};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
-/// A scheduled closure and, under the `site-profile` feature, the call
-/// site that scheduled it: the closure's type name, which the compiler
-/// already knows at every `schedule_*` / `every` / `defer` call.
-struct EventFn {
-    run: Box<dyn FnOnce(&mut Sim)>,
+/// A scheduled closure. Under the `site-profile` feature it also names
+/// the call site that scheduled it: the closure's type name, which the
+/// compiler already knows at every `schedule_*` / `every` / `defer` call.
+/// The name is read through the vtable, so it costs an entry no space.
+trait Event {
+    fn run(self: Box<Self>, sim: &mut Sim);
     #[cfg(feature = "site-profile")]
-    site: &'static str,
+    fn site(&self) -> &'static str;
 }
 
-impl EventFn {
-    fn new<F: FnOnce(&mut Sim) + 'static>(f: F) -> Self {
-        EventFn {
-            run: Box::new(f),
-            #[cfg(feature = "site-profile")]
-            site: std::any::type_name::<F>(),
-        }
+impl<F: FnOnce(&mut Sim) + 'static> Event for F {
+    fn run(self: Box<Self>, sim: &mut Sim) {
+        (*self)(sim);
+    }
+
+    #[cfg(feature = "site-profile")]
+    fn site(&self) -> &'static str {
+        std::any::type_name::<F>()
     }
 }
+
+type EventFn = Box<dyn Event>;
 
 /// A round run in place: `round(at)` does its work and returns the
 /// instant of the next round, or declines (`None`), having done nothing.
 type Round = Box<dyn FnMut(SimTime) -> Option<SimTime>>;
-
-/// The next round of a periodic event run in place, in the slot its
-/// queued event would have taken.
-struct InPlace {
-    at: SimTime,
-    seq: u64,
-    id: EventId,
-    round: Round,
-    /// The round as an event: what runs in a declined round's slot.
-    queued: EventFn,
-}
 
 /// What one scheduling call site cost so far (`site-profile` feature).
 #[cfg(feature = "site-profile")]
@@ -92,16 +83,28 @@ pub struct SiteCost {
     pub host_secs: f64,
 }
 
+/// What runs when an entry reaches the head of the queue.
+enum Run {
+    Event(EventFn),
+    /// A periodic event's next round run in place, and the round as an
+    /// event: what runs in a declined round's place. Boxed, because it is
+    /// rare and every entry is as large as the largest variant.
+    InPlace(Box<(Round, EventFn)>),
+}
+
+/// One pending entry: an event or a reserved round.
 struct Scheduled {
     at: SimTime,
-    seq: u64,
     id: EventId,
-    run: EventFn,
+    run: Run,
 }
+
+// Every pop moves entries of this size; keep them at four words.
+const _: () = assert!(std::mem::size_of::<Scheduled>() <= 32);
 
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.id == other.id
     }
 }
 impl Eq for Scheduled {}
@@ -112,195 +115,8 @@ impl PartialOrd for Scheduled {
 }
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest (then lowest seq) pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// Log2 of the calendar slot width: 1024 µs ≈ 1 ms per slot, sized to the
-/// platform's hot delays (sub-millisecond defers, RPC service times of
-/// 300–1500 µs land within a slot or two of the clock).
-const SLOT_WIDTH_LOG2: u32 = 10;
-/// Log2 of the slot count: 4096 slots × 1024 µs ≈ a 4.2 s window, wide
-/// enough that per-second timers (guardian polls, heartbeats) stay in the
-/// ring; only multi-second timers (LCM sweeps, deploy timeouts) take the
-/// overflow tier.
-const N_SLOTS_LOG2: u32 = 12;
-const N_SLOTS: usize = 1 << N_SLOTS_LOG2;
-const OCCUPANCY_WORDS: usize = N_SLOTS / 64;
-/// Heap capacity a drained slot may keep for its next burst. A slot that
-/// grew past it for a burst gives the memory back when it empties, so the
-/// ring holds at most `N_SLOTS × SLOT_KEEP` idle entries, not the largest
-/// burst every slot ever saw.
-const SLOT_KEEP: usize = 64;
-
-/// `Sim::in_place_next` while no round runs in place: after every event.
-const NONE_IN_PLACE: (u64, u64) = (u64::MAX, u64::MAX);
-
-const fn epoch_of(at_us: u64) -> u64 {
-    at_us >> SLOT_WIDTH_LOG2
-}
-
-const fn slot_of(epoch: u64) -> usize {
-    (epoch as usize) & (N_SLOTS - 1)
-}
-
-/// Calendar/bucket event queue: a ring of `N_SLOTS` time buckets, each a
-/// small [`BinaryHeap`] ordered by `(at, seq)`, plus a sorted overflow
-/// tier for events beyond the ring's window.
-///
-/// Invariant: every ring event's epoch (`at / slot_width`) lies in
-/// `[epoch(now), epoch(now) + N_SLOTS)`. Pushes respect it by routing
-/// far-future events to `overflow`; because the clock never goes
-/// backwards and events never fire early, the window only slides forward
-/// under events already inside it. Within the window, epoch → slot is a
-/// bijection, so scanning slots cyclically from `slot(epoch(now))` visits
-/// buckets in strictly increasing epoch order and the first occupied slot
-/// holds the global minimum. After [`CalendarQueue::migrate`], every
-/// overflow event's timestamp is at or beyond the window end and thus
-/// strictly after every ring event — the ring, when non-empty, always
-/// wins. Ties inside a bucket fall to the per-slot heap's `(at, seq)`
-/// order, which is the exact order the old global heap used.
-struct CalendarQueue {
-    slots: Vec<BinaryHeap<Scheduled>>,
-    /// One bit per slot: set iff the slot's heap is non-empty. Scanning
-    /// 64 slots per word keeps next-event search at worst a few dozen
-    /// word reads even when the window is sparse.
-    occupied: [u64; OCCUPANCY_WORDS],
-    /// Entries currently in the ring (live or cancelled-but-unpopped).
-    ring_len: usize,
-    /// Events beyond the window, keyed by `(at_us, seq)` so iteration
-    /// order is pop order.
-    overflow: BTreeMap<(u64, u64), (EventId, EventFn)>,
-    /// Cached earliest overflow timestamp (`u64::MAX` when empty), so the
-    /// per-pop migration check is one compare instead of a tree descent.
-    overflow_min_us: u64,
-}
-
-impl CalendarQueue {
-    fn new() -> Self {
-        CalendarQueue {
-            slots: (0..N_SLOTS).map(|_| BinaryHeap::new()).collect(),
-            occupied: [0; OCCUPANCY_WORDS],
-            ring_len: 0,
-            overflow: BTreeMap::new(),
-            overflow_min_us: u64::MAX,
-        }
-    }
-
-    fn push(&mut self, now_us: u64, ev: Scheduled) {
-        let epoch = epoch_of(ev.at.as_micros());
-        if epoch < epoch_of(now_us) + N_SLOTS as u64 {
-            self.push_ring(epoch, ev);
-        } else {
-            self.overflow_min_us = self.overflow_min_us.min(ev.at.as_micros());
-            self.overflow
-                .insert((ev.at.as_micros(), ev.seq), (ev.id, ev.run));
-        }
-    }
-
-    fn push_ring(&mut self, epoch: u64, ev: Scheduled) {
-        let slot = slot_of(epoch);
-        self.slots[slot].push(ev);
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-        self.ring_len += 1;
-    }
-
-    /// Moves overflow events whose epoch has entered the window into the
-    /// ring. Called before every peek/pop; each event migrates at most
-    /// once, so the cost is amortized O(log overflow) per event.
-    fn migrate(&mut self, now_us: u64) {
-        let window_end_us = (epoch_of(now_us) + N_SLOTS as u64) << SLOT_WIDTH_LOG2;
-        if self.overflow_min_us >= window_end_us {
-            return;
-        }
-        while let Some((&(at_us, _), _)) = self.overflow.first_key_value() {
-            if at_us >= window_end_us {
-                self.overflow_min_us = at_us;
-                return;
-            }
-            let ((at_us, seq), (id, run)) = self.overflow.pop_first().expect("peeked");
-            self.push_ring(
-                epoch_of(at_us),
-                Scheduled {
-                    at: SimTime::from_micros(at_us),
-                    seq,
-                    id,
-                    run,
-                },
-            );
-        }
-        self.overflow_min_us = u64::MAX;
-    }
-
-    /// Index of the first occupied slot at or (cyclically) after `start`.
-    /// Must only be called while the ring is non-empty.
-    fn first_occupied_from(&self, start: usize) -> usize {
-        let word = start / 64;
-        let masked = self.occupied[word] & (!0u64 << (start % 64));
-        if masked != 0 {
-            return word * 64 + masked.trailing_zeros() as usize;
-        }
-        // Wrap the whole ring; revisiting `word` last also covers the
-        // bits below `start` skipped above.
-        for i in 1..=OCCUPANCY_WORDS {
-            let w = (word + i) % OCCUPANCY_WORDS;
-            if self.occupied[w] != 0 {
-                return w * 64 + self.occupied[w].trailing_zeros() as usize;
-            }
-        }
-        unreachable!("first_occupied_from on an empty ring");
-    }
-
-    /// Removes and returns the globally earliest event (by `(at, seq)`),
-    /// cancelled or not — the caller filters against its live set — if
-    /// it comes before `before` (`(at µs, seq)`).
-    fn pop(&mut self, now_us: u64, before: (u64, u64)) -> Option<Scheduled> {
-        self.migrate(now_us);
-        if self.ring_len > 0 {
-            let slot = self.first_occupied_from(slot_of(epoch_of(now_us)));
-            let heap = &mut self.slots[slot];
-            let head = heap.peek().expect("occupied slot");
-            if (head.at.as_micros(), head.seq) >= before {
-                return None;
-            }
-            let ev = heap.pop().expect("occupied slot");
-            if heap.is_empty() {
-                self.occupied[slot / 64] &= !(1 << (slot % 64));
-                if heap.capacity() > SLOT_KEEP {
-                    *heap = BinaryHeap::new();
-                }
-            }
-            self.ring_len -= 1;
-            return Some(ev);
-        }
-        if *self.overflow.first_key_value()?.0 >= before {
-            return None;
-        }
-        let ((at_us, seq), (id, run)) = self.overflow.pop_first()?;
-        self.overflow_min_us = self
-            .overflow
-            .first_key_value()
-            .map_or(u64::MAX, |(&(at, _), _)| at);
-        Some(Scheduled {
-            at: SimTime::from_micros(at_us),
-            seq,
-            id,
-            run,
-        })
-    }
-
-    /// Timestamp and id of the earliest event without removing it.
-    fn peek(&mut self, now_us: u64) -> Option<(SimTime, EventId)> {
-        self.migrate(now_us);
-        if self.ring_len > 0 {
-            let slot = self.first_occupied_from(slot_of(epoch_of(now_us)));
-            let ev = self.slots[slot].peek().expect("occupied slot");
-            return Some((ev.at, ev.id));
-        }
-        self.overflow
-            .first_key_value()
-            .map(|(&(at_us, _), &(id, _))| (SimTime::from_micros(at_us), id))
+        // BinaryHeap is a max-heap; invert so earliest (then lowest id) pops first.
+        (other.at, other.id).cmp(&(self.at, self.id))
     }
 }
 
@@ -399,8 +215,7 @@ impl LiveSet {
 /// ```
 pub struct Sim {
     now: SimTime,
-    queue: CalendarQueue,
-    seq: u64,
+    queue: BinaryHeap<Scheduled>,
     next_id: u64,
     live: LiveSet,
     rng: SimRng,
@@ -409,10 +224,6 @@ pub struct Sim {
     trace: Trace,
     metrics: Registry,
     executed: u64,
-    /// Periodic events whose next round runs in place.
-    in_place: Vec<InPlace>,
-    /// `(at µs, seq)` of the earliest of them; `(MAX, MAX)` when none.
-    in_place_next: (u64, u64),
     rounds_in_place: u64,
     /// Per-site costs, once [`Sim::profile_sites`] switched them on.
     #[cfg(feature = "site-profile")]
@@ -428,7 +239,6 @@ impl std::fmt::Debug for Sim {
             .field("now", &self.now)
             .field("pending", &self.live.len())
             .field("executed", &self.executed)
-            .field("in_place", &self.in_place.len())
             .finish()
     }
 }
@@ -438,8 +248,7 @@ impl Sim {
     pub fn new(seed: u64) -> Self {
         Sim {
             now: SimTime::ZERO,
-            queue: CalendarQueue::new(),
-            seq: 0,
+            queue: BinaryHeap::new(),
             next_id: 0,
             live: LiveSet::new(),
             #[expect(
@@ -452,8 +261,6 @@ impl Sim {
             trace: Trace::default(),
             metrics: Registry::new(),
             executed: 0,
-            in_place: Vec::new(),
-            in_place_next: NONE_IN_PLACE,
             rounds_in_place: 0,
             #[cfg(feature = "site-profile")]
             sites: None,
@@ -500,18 +307,19 @@ impl Sim {
 
     #[cfg(not(feature = "site-profile"))]
     fn fire(&mut self, ev: EventFn) {
-        (ev.run)(self);
+        ev.run(self);
     }
 
     #[cfg(feature = "site-profile")]
     fn fire(&mut self, ev: EventFn) {
         if self.sites.is_none() {
-            return (ev.run)(self);
+            return ev.run(self);
         }
+        let scheduled_by = ev.site();
         let stopwatch = dlaas_obs::wallclock::WallTimer::start();
-        (ev.run)(self);
+        ev.run(self);
         let host_secs = stopwatch.elapsed_secs();
-        let site = self.charged.take().unwrap_or(ev.site);
+        let site = self.charged.take().unwrap_or(scheduled_by);
         if let Some(sites) = &mut self.sites {
             let cost = sites.entry(site).or_default();
             cost.events += 1;
@@ -607,22 +415,18 @@ impl Sim {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) -> EventId {
-        let (seq, id) = self.reserve(at);
-        self.queue.push(
-            self.now.as_micros(),
-            Scheduled {
-                at,
-                seq,
-                id,
-                run: EventFn::new(f),
-            },
-        );
+        let id = self.reserve(at);
+        self.queue.push(Scheduled {
+            at,
+            id,
+            run: Run::Event(Box::new(f)),
+        });
         id
     }
 
-    /// The slot of an event scheduled now for `at`: its tie-break
-    /// sequence number and its (live) id.
-    fn reserve(&mut self, at: SimTime) -> (u64, EventId) {
+    /// The (live) id of an event scheduled now for `at`: its place among
+    /// that instant's events.
+    fn reserve(&mut self, at: SimTime) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
@@ -630,18 +434,17 @@ impl Sim {
         );
         let id = EventId(self.next_id);
         self.next_id += 1;
-        self.seq += 1;
         self.live.insert(id.0);
-        (self.seq, id)
+        id
     }
 
     /// Schedules a periodic event's next round, due at `at`, to run in
-    /// place: it takes the slot `schedule_at(at, queued)` would take — the
+    /// place: it takes the place `schedule_at(at, queued)` would take — the
     /// instant, the place among that instant's events, the event id — and
     /// there the kernel calls `round(at)` instead of running an event. A
     /// round that ran returns the instant of the next one, which takes the
-    /// next slot the same way; one that declines returns `None` having
-    /// done nothing, and `queued` runs in its slot as the event it stands
+    /// next place the same way; one that declines returns `None` having
+    /// done nothing, and `queued` runs in its place as the event it stands
     /// for. A round gets no `&mut Sim`: it runs only when it would have
     /// scheduled nothing, and changes only state no other event is
     /// scheduled by. Rounds run in place are not executed events; they are
@@ -656,50 +459,12 @@ impl Sim {
         round: impl FnMut(SimTime) -> Option<SimTime> + 'static,
         queued: impl FnOnce(&mut Sim) + 'static,
     ) {
-        let (seq, id) = self.reserve(at);
-        self.in_place.push(InPlace {
+        let id = self.reserve(at);
+        self.queue.push(Scheduled {
             at,
-            seq,
             id,
-            round: Box::new(round),
-            queued: EventFn::new(queued),
+            run: Run::InPlace(Box::new((Box::new(round), Box::new(queued)))),
         });
-        self.refresh_in_place();
-    }
-
-    fn refresh_in_place(&mut self) {
-        self.in_place_next = self
-            .in_place
-            .iter()
-            .map(|r| (r.at.as_micros(), r.seq))
-            .min()
-            .unwrap_or(NONE_IN_PLACE);
-    }
-
-    /// Runs the earliest round in place, or, if it declines, its queued
-    /// event in its slot.
-    fn run_in_place(&mut self) {
-        let i = (0..self.in_place.len())
-            .min_by_key(|&i| (self.in_place[i].at, self.in_place[i].seq))
-            .expect("a round is reserved");
-        let (at, id) = (self.in_place[i].at, self.in_place[i].id);
-        self.live.remove(id.0);
-        self.now = at;
-        match (self.in_place[i].round)(at) {
-            Some(next) => {
-                let (seq, id) = self.reserve(next);
-                let r = &mut self.in_place[i];
-                (r.at, r.seq, r.id) = (next, seq, id);
-                self.rounds_in_place += 1;
-                self.refresh_in_place();
-            }
-            None => {
-                let r = self.in_place.swap_remove(i);
-                self.refresh_in_place();
-                self.executed += 1;
-                self.fire(r.queued);
-            }
-        }
     }
 
     /// Schedules `f` to run after `delay`.
@@ -725,28 +490,41 @@ impl Sim {
         self.live.remove(id.0)
     }
 
-    /// Runs the next pending event, advancing the clock to its instant.
-    /// Returns `false` when the queue is empty.
+    /// Runs the next pending event, or round in place, advancing the clock
+    /// to its instant. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        loop {
-            let Some(ev) = self.queue.pop(self.now.as_micros(), self.in_place_next) else {
-                if self.in_place.is_empty() {
-                    return false;
-                }
-                self.run_in_place();
-                return true;
-            };
-            if !self.live.remove(ev.id.0) {
+        while let Some(Scheduled { at, id, run }) = self.queue.pop() {
+            if !self.live.remove(id.0) {
                 // Cancelled after scheduling; its queue entry is reclaimed
                 // here, on the instant it would have fired.
                 continue;
             }
-            debug_assert!(ev.at >= self.now);
-            self.now = ev.at;
-            self.executed += 1;
-            self.fire(ev.run);
+            debug_assert!(at >= self.now);
+            self.now = at;
+            match run {
+                Run::Event(ev) => {
+                    self.executed += 1;
+                    self.fire(ev);
+                }
+                Run::InPlace(mut round) => match (round.0)(at) {
+                    Some(next) => {
+                        let id = self.reserve(next);
+                        self.rounds_in_place += 1;
+                        self.queue.push(Scheduled {
+                            at: next,
+                            id,
+                            run: Run::InPlace(round),
+                        });
+                    }
+                    None => {
+                        self.executed += 1;
+                        self.fire(round.1);
+                    }
+                },
+            }
             return true;
         }
+        false
     }
 
     /// Runs events until the queue is empty. Returns the number of events
@@ -806,16 +584,14 @@ impl Sim {
     /// Timestamp of the next non-cancelled pending event or round run in
     /// place, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let in_place = self.in_place.iter().map(|r| r.at).min();
-        while let Some((at, id)) = self.queue.peek(self.now.as_micros()) {
-            if !self.live.contains(id.0) {
-                // Cancelled entry at the head: discard it and look again.
-                self.queue.pop(self.now.as_micros(), NONE_IN_PLACE);
-                continue;
+        while let Some(head) = self.queue.peek() {
+            if self.live.contains(head.id.0) {
+                return Some(head.at);
             }
-            return Some(in_place.map_or(at, |r| r.min(at)));
+            // Cancelled entry at the head: discard it and look again.
+            self.queue.pop();
         }
-        in_place
+        None
     }
 }
 
@@ -1089,20 +865,19 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_pop_in_order_across_the_overflow_tier() {
-        // Delays spanning µs to hours cross the ring window (~4.2 s), so
-        // this exercises overflow routing and migration back into the ring.
+    fn far_future_events_pop_in_order() {
+        // Delays spanning µs to hours, with ties, pop in time order.
         let mut sim = Sim::new(1);
         let order = Rc::new(RefCell::new(Vec::new()));
         let delays_us = [
-            3_600_000_000u64, // 1 h — overflow
-            5,                // same-slot ties
-            10_000_000,       // 10 s — overflow
+            3_600_000_000u64, // 1 h
+            5,                // same-instant ties
+            10_000_000,       // 10 s
             5,
-            4_194_304, // exactly one window ahead
+            4_194_304,
             999,
-            7_200_000_000, // 2 h — overflow
-            2_000_000,     // 2 s — ring
+            7_200_000_000, // 2 h
+            2_000_000,     // 2 s
         ];
         for (i, us) in delays_us.iter().enumerate() {
             let order = order.clone();
@@ -1123,26 +898,7 @@ mod tests {
     }
 
     #[test]
-    fn events_sharing_a_slot_modulo_window_stay_ordered() {
-        // Two events whose epochs differ by exactly N_SLOTS map to the
-        // same slot index; the second must wait in overflow until the
-        // window reaches it, not jump the queue.
-        let window_us = (N_SLOTS as u64) << SLOT_WIDTH_LOG2;
-        let mut sim = Sim::new(1);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for (tag, at) in [("late", 1_000 + window_us), ("early", 1_000)] {
-            let order = order.clone();
-            sim.schedule_at(SimTime::from_micros(at), move |_| {
-                order.borrow_mut().push(tag);
-            });
-        }
-        sim.run_until_idle();
-        assert_eq!(*order.borrow(), vec!["early", "late"]);
-        assert_eq!(sim.now(), SimTime::from_micros(1_000 + window_us));
-    }
-
-    #[test]
-    fn cancelled_overflow_event_is_skipped_after_migration() {
+    fn a_cancelled_far_future_event_is_skipped() {
         let mut sim = Sim::new(1);
         let fired = Rc::new(std::cell::Cell::new(false));
         let f = fired.clone();
@@ -1155,7 +911,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled_heads_in_ring_and_overflow() {
+    fn peek_time_skips_cancelled_heads() {
         let mut sim = Sim::new(1);
         let near = sim.schedule_in(SimDuration::from_millis(1), |_| {});
         let far = sim.schedule_in(SimDuration::from_hours(1), |_| {});
@@ -1165,23 +921,6 @@ mod tests {
         assert_eq!(sim.peek_time(), Some(SimTime::from_secs(3600)));
         sim.cancel(far);
         assert_eq!(sim.peek_time(), Some(SimTime::from_secs(3 * 3600)));
-    }
-
-    #[test]
-    fn a_drained_burst_slot_gives_its_capacity_back() {
-        let mut sim = Sim::new(1);
-        let at = SimTime::from_micros(5_000);
-        let slot = slot_of(epoch_of(at.as_micros()));
-        for _ in 0..10_000 {
-            sim.schedule_at(at, |_| {});
-        }
-        assert!(sim.queue.slots[slot].capacity() >= 10_000);
-        assert_eq!(sim.run_until_idle(), 10_000);
-        assert!(
-            sim.queue.slots[slot].capacity() <= SLOT_KEEP,
-            "a drained slot kept {} entries of capacity",
-            sim.queue.slots[slot].capacity()
-        );
     }
 
     #[cfg(feature = "site-profile")]

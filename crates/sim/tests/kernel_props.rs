@@ -76,10 +76,10 @@ fn execute(ops: &[KernelOp]) -> Vec<(u64, u16)> {
     v
 }
 
-/// Ops for the calendar-queue-vs-reference-heap equivalence test:
-/// arbitrary interleavings of scheduling (near and far enough to span the
-/// ring window and the overflow tier), cancelling ids in any state
-/// (live, fired, or already cancelled), and partial runs.
+/// Ops for the queue-vs-reference-heap equivalence test: arbitrary
+/// interleavings of scheduling (sub-second and tens of seconds ahead),
+/// cancelling ids in any state (live, fired, or already cancelled), and
+/// partial runs.
 #[derive(Debug, Clone)]
 enum QueueOp {
     Schedule { delay_us: u64 },
@@ -90,9 +90,9 @@ enum QueueOp {
 
 fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
-        // Near delays stay inside the ~4.2 s calendar ring window...
+        // Near delays, which the run reaches within a few steps...
         3 => (0..2_000_000u64).prop_map(|delay_us| QueueOp::Schedule { delay_us }),
-        // ...far delays land in the overflow tier and migrate back later.
+        // ...and far ones, which stay pending across many steps.
         2 => (4_000_000..40_000_000u64).prop_map(|delay_us| QueueOp::Schedule { delay_us }),
         2 => any::<usize>().prop_map(|n| QueueOp::CancelNth { n }),
         2 => (0..5usize).prop_map(|k| QueueOp::RunSteps { k }),
@@ -100,11 +100,10 @@ fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
     ]
 }
 
-/// Reference model of the pre-calendar-queue kernel: one globally sorted
-/// set ordered by `(at, seq)`. Cancellation removes eagerly, which fires
-/// the exact same events in the exact same order as the old
-/// `BinaryHeap` + tombstone implementation (tombstones only deferred the
-/// removal to pop time) while also modelling the fixed `cancel` /
+/// Reference model of the kernel: one globally sorted set ordered by
+/// `(at, seq)`. Cancellation removes eagerly, which fires the exact same
+/// events in the exact same order as the kernel's lazy removal (a dead
+/// entry is only skipped at pop time) while also modelling the `cancel` /
 /// `events_pending` semantics: only queued events can be cancelled, and
 /// pending counts live events alone.
 #[derive(Default)]
@@ -163,11 +162,11 @@ impl RefModel {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
 
-    // The calendar queue is observationally identical to the old global
-    // heap: same pop order, same fired set, same cancel verdicts, same
+    // The event queue is observationally identical to the reference
+    // model: same pop order, same fired set, same cancel verdicts, same
     // live-pending counts, at every point of any interleaving.
     #[test]
-    fn calendar_queue_matches_reference_heap(
+    fn event_queue_matches_reference_heap(
         ops in proptest::collection::vec(queue_op_strategy(), 1..80),
     ) {
         let mut sim = Sim::new(0);
