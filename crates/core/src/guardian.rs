@@ -494,11 +494,11 @@ impl Guardian {
                 let dlaas_etcd::KvEvent::Put { key, value, .. } = ev else {
                     return;
                 };
-                // Every replica notifies, so most events are repeats
-                // (absorbed to no effect, offered to no write). The
-                // controller publishes a phase change at once and an
-                // iteration alone once per `GUARDIAN_POLL`: both are
-                // offered as they arrive, only the former can move an
+                // The etcd leader notifies; a new leader may repeat an
+                // older-term change (absorbed to no effect, offered to no
+                // write). The controller publishes a phase change at once
+                // and an iteration alone once per `GUARDIAN_POLL`: both
+                // are offered as they arrive, only the former can move an
                 // aggregation rule.
                 let moved = me.absorb(key, value);
                 me.push_progress(sim);
@@ -516,8 +516,9 @@ impl Guardian {
             if !me.alive() {
                 return false;
             }
-            // etcd watch registries are volatile on the servers;
-            // re-register so notifications resume after a node restart.
+            // etcd watch registries are volatile on the servers:
+            // re-register where a member restarted, so notifications
+            // resume if it leads.
             me.etcd.rewatch(sim);
             me.refresh(sim);
             me.check_killed(sim);

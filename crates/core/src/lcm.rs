@@ -197,9 +197,10 @@ struct Ownership {
     lease: Option<LeaseId>,
     /// Conservative local expiry: stamped from the **send** time of the
     /// grant/keepalive that established it, so it is always ≤ the
-    /// deadline the server holds (the server stamps at apply time, which
-    /// is later). Sweeping stops at the fence — strictly before the
-    /// server could delete this replica's owner keys.
+    /// deadline the server holds (the leader's lessor stamps a grant at
+    /// apply time and a renewal at receipt, both later). Sweeping stops
+    /// at the fence — strictly before the server could delete this
+    /// replica's owner keys.
     fence: SimTime,
     /// A grant RPC is in flight (avoid stacking retries).
     granting: bool,

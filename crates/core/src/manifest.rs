@@ -104,9 +104,11 @@ impl TrainingManifest {
         }
     }
 
-    /// Total GPUs requested by the job.
+    /// Total GPUs requested by the job. The builder and the reader refuse
+    /// a manifest whose product does not fit; one whose public fields were
+    /// edited past that saturates (and fails [`TrainingManifest::validate`]).
     pub fn total_gpus(&self) -> u32 {
-        self.gpus_per_learner * self.learners
+        self.gpus_per_learner.saturating_mul(self.learners)
     }
 
     /// Re-validates the manifest (public fields may have been edited after
@@ -162,7 +164,9 @@ impl TrainingManifest {
     ///
     /// # Errors
     ///
-    /// [`ManifestError`] when the JSON is malformed.
+    /// [`ManifestError`] when the JSON is malformed, a field is missing or
+    /// ill-typed, an integer does not fit its field (a negative count is
+    /// refused, not wrapped), or `gpus_per_learner × learners` overflows.
     pub fn from_json(s: &str) -> Result<Self, ManifestError> {
         const FIELDS: usize = 14;
         let mut v: [Value; FIELDS] = Default::default();
@@ -201,26 +205,41 @@ impl TrainingManifest {
             Value::Str(s) => Ok(s),
             _ => Err(missing(field)),
         };
-        let int = |v: &Value, field: &str| v.as_i64().ok_or_else(|| missing(field));
-        Ok(TrainingManifest {
+        fn int<T: TryFrom<i64>>(v: &Value, field: &str) -> Result<T, ManifestError> {
+            let n = v.as_i64().ok_or_else(|| missing(field))?;
+            T::try_from(n).map_err(|_| ManifestError(format!("{field} out of range: {n}")))
+        }
+        let manifest = TrainingManifest {
             name: string(name, "name")?,
             framework: parsed(&framework, "framework")?,
             model: parsed(&model, "model")?,
             gpu_kind: parsed(&gpu_kind, "gpu_kind")?,
-            gpus_per_learner: int(&gpus_per_learner, "gpus_per_learner")? as u32,
-            learners: int(&learners, "learners")? as u32,
+            gpus_per_learner: int(&gpus_per_learner, "gpus_per_learner")?,
+            learners: int(&learners, "learners")?,
             data_bucket: string(data_bucket, "data_bucket")?,
             data_prefix: string(data_prefix, "data_prefix")?,
-            data_bytes: int(&data_bytes, "data_bytes")? as u64,
+            data_bytes: int(&data_bytes, "data_bytes")?,
             results_bucket: string(results_bucket, "results_bucket")?,
-            iterations: int(&iterations, "iterations")? as u64,
-            checkpoint_every: int(&checkpoint_every, "checkpoint_every")? as u64,
-            batch_per_gpu: int(&batch_per_gpu, "batch_per_gpu")? as u32,
+            iterations: int(&iterations, "iterations")?,
+            checkpoint_every: int(&checkpoint_every, "checkpoint_every")?,
+            batch_per_gpu: int(&batch_per_gpu, "batch_per_gpu")?,
             learning_rate: learning_rate
                 .as_f64()
                 .ok_or_else(|| missing("learning_rate"))?,
-        })
+        };
+        total_gpus(manifest.gpus_per_learner, manifest.learners)?;
+        Ok(manifest)
     }
+}
+
+/// `gpus_per_learner × learners`, or the error of a manifest whose
+/// product does not fit a `u32`.
+fn total_gpus(gpus_per_learner: u32, learners: u32) -> Result<u32, ManifestError> {
+    gpus_per_learner.checked_mul(learners).ok_or_else(|| {
+        ManifestError(format!(
+            "gpus_per_learner × learners overflows: {gpus_per_learner} × {learners}"
+        ))
+    })
 }
 
 /// Builder for [`TrainingManifest`].
@@ -325,6 +344,17 @@ impl TrainingManifestBuilder {
         }
         if self.gpus_per_learner == 0 {
             return Err(ManifestError("gpus_per_learner must be at least 1".into()));
+        }
+        total_gpus(self.gpus_per_learner, self.learners)?;
+        // The store keeps integers as `i64`: what is written must read back.
+        for (field, n) in [
+            ("data_bytes", self.data_bytes),
+            ("iterations", self.iterations),
+            ("checkpoint_every", self.checkpoint_every),
+        ] {
+            if i64::try_from(n).is_err() {
+                return Err(ManifestError(format!("{field} out of range: {n}")));
+            }
         }
         if self.iterations == 0 {
             return Err(ManifestError("iterations must be positive".into()));

@@ -212,19 +212,23 @@ impl Strategy for Manifests {
             GpuKind::V100Sxm2,
         ];
         let nonempty = |rng: &mut TestRng| format!("x{}", tokens(rng, 5));
+        // Positive and within the store's `i64`.
         let positive = |rng: &mut TestRng| match rng.below(2) {
             0 => 1 + rng.below(1_000),
-            _ => rng.next_u64().max(1),
+            _ => (rng.next_u64() >> 1).max(1),
         };
+        // Any count per learner, and as many learners as the total fits.
+        let gpus_per_learner = positive(rng) as u32 | 1;
+        let learners = (positive(rng) as u32 | 1).min(u32::MAX / gpus_per_learner);
         TrainingManifest::builder(nonempty(rng))
             .framework(FRAMEWORKS[rng.below(4) as usize])
             .model(MODELS[rng.below(3) as usize])
-            .gpus(GPUS[rng.below(5) as usize], positive(rng) as u32 | 1)
-            .learners(positive(rng) as u32 | 1)
+            .gpus(GPUS[rng.below(5) as usize], gpus_per_learner)
+            .learners(learners)
             .data(nonempty(rng), tokens(rng, 5), positive(rng))
             .results(nonempty(rng))
             .iterations(positive(rng))
-            .checkpoint_every(rng.next_u64() >> rng.below(64))
+            .checkpoint_every(rng.next_u64() >> (1 + rng.below(63)))
             .batch_per_gpu(rng.next_u64() as u32 >> rng.below(32))
             .learning_rate(match f64::from_bits(rng.next_u64()) {
                 lr if lr.is_finite() && lr > 0.0 => lr,
@@ -381,4 +385,65 @@ fn inputs_that_once_failed_are_refused_or_read() {
         assert!(Value::parse_json(&deep).is_err());
         read_all(&deep);
     }
+}
+
+/// A stored manifest's integers are read for what they say or refused:
+/// a negative or too-large count does not wrap around into a huge one
+/// (`"learners": -1` used to read as 4 294 967 295), and a manifest whose
+/// `gpus_per_learner × learners` does not fit a `u32` is refused, by the
+/// reader and by the builder alike.
+#[test]
+fn a_manifest_integer_out_of_range_is_refused_not_wrapped() {
+    let manifest = TrainingManifest::builder("wrap")
+        .data("data", "p/", 1)
+        .results("results")
+        .build()
+        .expect("a valid manifest");
+    let with = |fields: &[(&str, Value)]| {
+        let mut doc = Value::parse_json(&manifest.to_json()).expect("a written manifest parses");
+        for (field, value) in fields {
+            *doc.path_mut_or_create(field).expect("an object") = value.clone();
+        }
+        TrainingManifest::from_json(&doc.to_json())
+    };
+    for (field, value) in [
+        ("learners", Value::from(-1i64)),
+        ("gpus_per_learner", Value::from(-1i64)),
+        ("learners", Value::from(u64::from(u32::MAX) + 1)),
+        ("batch_per_gpu", Value::from(u64::from(u32::MAX) + 1)),
+        ("data_bytes", Value::from(-1i64)),
+        ("iterations", Value::from(i64::MIN)),
+        ("checkpoint_every", Value::from(-5i64)),
+    ] {
+        let read = with(&[(field, value.clone())]);
+        assert!(read.is_err(), "{field} = {value:?} read as {read:?}");
+    }
+    let wide = [
+        ("gpus_per_learner", Value::from(65_536u32)),
+        ("learners", Value::from(65_536u32)),
+    ];
+    let read = with(&wide);
+    assert!(read.is_err(), "65 536 × 65 536 GPUs read as {read:?}");
+    let built = TrainingManifest::builder("wide")
+        .gpus(GpuKind::K80, 65_536)
+        .learners(65_536)
+        .data("data", "p/", 1)
+        .results("results")
+        .build();
+    assert!(built.is_err(), "65 536 × 65 536 GPUs built as {built:?}");
+    let huge = TrainingManifest::builder("huge")
+        .data("data", "p/", u64::MAX)
+        .results("results")
+        .build();
+    assert!(
+        huge.is_err(),
+        "data_bytes past the store's i64 built as {huge:?}"
+    );
+    let fits = with(&[
+        ("gpus_per_learner", Value::from(65_535u32)),
+        ("learners", Value::from(65_537u32)),
+    ])
+    .expect("u32::MAX GPUs fit");
+    assert_eq!(fits.total_gpus(), u32::MAX);
+    assert_eq!(with(&[]), Ok(manifest));
 }

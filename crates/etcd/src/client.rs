@@ -8,6 +8,7 @@ use dlaas_net::{Addr, RpcError};
 use dlaas_raft::NodeId;
 use dlaas_sim::{Sim, SimDuration};
 
+use crate::cluster::Incarnations;
 use crate::kv::{KvEvent, LeaseId, Revision};
 use crate::proto::{etcd_addr, EtcdError, EtcdRequest, EtcdResponse, WatchNotify};
 use crate::server::{EtcdRpc, WatchNet};
@@ -23,12 +24,26 @@ const MAX_ATTEMPTS: u32 = 20;
 
 type WatchCb = Rc<dyn Fn(&mut Sim, &KvEvent)>;
 
+/// One watch: its handler, its prefix, and its stream on each member —
+/// the member incarnation its registration was sent to (the one that
+/// acknowledged it, once the ack lands), `None` where a registration
+/// failed.
+struct Watch {
+    on_event: WatchCb,
+    prefix: String,
+    streams: Vec<Option<u64>>,
+}
+
 struct ClientState {
     leader_hint: Option<NodeId>,
     rr_cursor: u32,
-    watches: BTreeMap<u64, WatchCb>,
-    watch_meta: BTreeMap<u64, String>, // id -> prefix, for re-registration
+    watches: BTreeMap<u64, Watch>,
     next_watch_id: u64,
+    /// The member incarnations the streams were last checked against,
+    /// and whether a registration failed (or a watch was added) since:
+    /// while neither moved, a check has nothing to re-register.
+    checked: Vec<u64>,
+    broken: bool,
     /// Watch cancels a server has not acknowledged yet, per server. A
     /// `WatchCancel` lost to a partition or crash leaves a stale
     /// registration live on that server, which double-notifies once it
@@ -50,6 +65,8 @@ pub struct EtcdClient {
     watch_net: WatchNet,
     /// The servers' addresses by node id, built once per client.
     servers: Rc<[Addr]>,
+    /// Each member's incarnation: a restart breaks the streams there.
+    incarnations: Incarnations,
     state: Rc<RefCell<ClientState>>,
 }
 
@@ -64,19 +81,35 @@ impl std::fmt::Debug for EtcdClient {
 
 impl EtcdClient {
     /// Creates a client named `addr` against a cluster of `cluster_size`
-    /// servers reachable at [`etcd_addr`] addresses.
+    /// servers reachable at [`etcd_addr`] addresses, none of which it
+    /// sees restart ([`EtcdCluster::client`](crate::EtcdCluster::client)
+    /// hands out clients that do).
     pub fn new(addr: String, rpc: EtcdRpc, watch_net: WatchNet, cluster_size: u32) -> Self {
+        Self::attached(addr, rpc, watch_net, Incarnations::new(cluster_size))
+    }
+
+    /// A client named `addr` of the members whose restarts `incarnations`
+    /// counts.
+    pub(crate) fn attached(
+        addr: String,
+        rpc: EtcdRpc,
+        watch_net: WatchNet,
+        incarnations: Incarnations,
+    ) -> Self {
+        let members = incarnations.len() as u32;
         let client = EtcdClient {
             addr: Addr::new(format!("etcdc/{addr}")),
             rpc,
             watch_net: watch_net.clone(),
-            servers: (0..cluster_size).map(etcd_addr).collect(),
+            servers: (0..members).map(etcd_addr).collect(),
+            incarnations,
             state: Rc::new(RefCell::new(ClientState {
                 leader_hint: None,
                 rr_cursor: 0,
                 watches: BTreeMap::new(),
-                watch_meta: BTreeMap::new(),
                 next_watch_id: 0,
+                checked: Vec::new(),
+                broken: false,
                 pending_cancels: BTreeMap::new(),
             })),
         };
@@ -84,7 +117,11 @@ impl EtcdClient {
         let st = client.state.clone();
         watch_net.register(client.addr.clone(), move |sim, env| {
             let WatchNotify { watch_id, events } = env.msg;
-            let cb = st.borrow().watches.get(&watch_id).cloned();
+            let cb = st
+                .borrow()
+                .watches
+                .get(&watch_id)
+                .map(|w| w.on_event.clone());
             if let Some(cb) = cb {
                 for ev in &events {
                     cb(sim, ev);
@@ -143,8 +180,12 @@ impl EtcdClient {
                         s.leader_hint = hint.filter(|h| *h != target);
                     }
                     // Leadership moved: any cancel the old topology lost
-                    // gets another best-effort delivery now.
+                    // gets another best-effort delivery now, and a named
+                    // leader is the moment to mend broken streams.
                     me.flush_pending_cancels(sim);
+                    if hint.is_some() {
+                        me.resync(sim);
+                    }
                     let me2 = me.clone();
                     sim.schedule_in(RETRY_BACKOFF, move |sim| {
                         me2.request(sim, req, attempts_left - 1, done);
@@ -152,6 +193,7 @@ impl EtcdClient {
                 }
                 Ok(resp) => {
                     me.state.borrow_mut().leader_hint = Some(target);
+                    me.resync(sim);
                     done(sim, Ok(resp));
                 }
                 Err(RpcError::Timeout | RpcError::NoEndpoint(_)) => {
@@ -332,9 +374,11 @@ impl EtcdClient {
         });
     }
 
-    /// Refreshes a lease's deadline to now + TTL. The callback receives
-    /// `true` while the lease is live; `false` means it was revoked (the
-    /// holder must stop relying on anything the lease protected).
+    /// Renews a lease: the leader moves its deadline to the instant it
+    /// received the request plus the TTL, once a ReadIndex round confirms
+    /// its leadership. The callback receives `true` while the lease is
+    /// live; `false` means it is gone or past its deadline (the holder
+    /// must stop relying on anything the lease protected).
     pub fn lease_keepalive(
         &self,
         sim: &mut Sim,
@@ -367,10 +411,14 @@ impl EtcdClient {
         });
     }
 
-    /// Registers a prefix watch on every cluster node (so notifications
-    /// survive any single server crash) and dispatches events to
-    /// `on_event`. Delivery is at-least-once: with `n` servers alive each
-    /// event arrives up to `n` times, so handlers must be idempotent —
+    /// Registers a prefix watch on every cluster node and dispatches
+    /// events to `on_event`. The member that leads when it applies a
+    /// committed change notifies; the registrations on the others let a
+    /// new leader notify from its promotion on. A member's restart loses
+    /// its registrations: the client registers there again on its next
+    /// check ([`EtcdClient::rewatch`], or any reply that names the
+    /// leader). Delivery is at-least-once — a new leader may notify again
+    /// an older-term change it applies — so handlers must be idempotent;
     /// DLaaS status updates are (they are keyed puts).
     ///
     /// Returns the watch id, usable with [`EtcdClient::unwatch`].
@@ -380,53 +428,88 @@ impl EtcdClient {
         prefix: impl Into<String>,
         on_event: impl Fn(&mut Sim, &KvEvent) + 'static,
     ) -> u64 {
-        let prefix = prefix.into();
         let watch_id = {
             let mut s = self.state.borrow_mut();
             s.next_watch_id += 1;
             let id = s.next_watch_id;
-            s.watches.insert(id, Rc::new(on_event));
-            s.watch_meta.insert(id, prefix.clone());
+            let watch = Watch {
+                on_event: Rc::new(on_event),
+                prefix: prefix.into(),
+                streams: vec![None; self.servers.len()],
+            };
+            s.watches.insert(id, watch);
+            s.broken = true;
             id
         };
-        self.register_watch_everywhere(sim, watch_id, prefix);
+        self.resync(sim);
         watch_id
     }
 
-    fn register_watch_everywhere(&self, sim: &mut Sim, watch_id: u64, prefix: String) {
-        for server in 0..self.cluster_size() {
-            let req = EtcdRequest::WatchCreate {
-                prefix: prefix.clone(),
-                watcher: self.addr.clone(),
-                watch_id,
-            };
-            // Fire-and-forget with a long per-server retry budget; a down
-            // server gets the registration again via `rewatch`.
-            self.rpc.call(
-                sim,
-                self.addr.clone(),
-                self.servers[server as usize].clone(),
-                req,
-                RPC_TIMEOUT,
-                |_sim, _result| {},
-            );
+    /// Registers every watch again on each member where its stream broke:
+    /// the member restarted since it acknowledged the registration, or
+    /// the registration failed. Free while nothing moved.
+    fn resync(&self, sim: &mut Sim) {
+        let opens: Vec<(u64, NodeId, String)> = {
+            let mut s = self.state.borrow_mut();
+            let s = &mut *s;
+            if s.watches.is_empty() || (!s.broken && self.incarnations.same_as(&s.checked)) {
+                return;
+            }
+            s.broken = false;
+            self.incarnations.copy_into(&mut s.checked);
+            let mut opens = Vec::new();
+            for (id, watch) in &mut s.watches {
+                for (member, stream) in watch.streams.iter_mut().enumerate() {
+                    let incarnation = s.checked[member];
+                    if *stream != Some(incarnation) {
+                        *stream = Some(incarnation);
+                        opens.push((*id, member as NodeId, watch.prefix.clone()));
+                    }
+                }
+            }
+            opens
+        };
+        for (watch_id, member, prefix) in opens {
+            self.open_stream(sim, watch_id, member, prefix);
         }
     }
 
-    /// Re-registers all watches on all servers. Call after a known etcd
-    /// node restart (a restarted node loses its watch registry); cheap and
-    /// idempotent-safe to call periodically.
+    /// Sends one registration to one member. Its acknowledgement names
+    /// the incarnation that holds it; a failure marks the stream broken,
+    /// for the next check to open again.
+    fn open_stream(&self, sim: &mut Sim, watch_id: u64, member: NodeId, prefix: String) {
+        let req = EtcdRequest::WatchCreate {
+            prefix,
+            watcher: self.addr.clone(),
+            watch_id,
+        };
+        let st = self.state.clone();
+        self.rpc.call(
+            sim,
+            self.addr.clone(),
+            self.servers[member as usize].clone(),
+            req,
+            RPC_TIMEOUT,
+            move |_sim, result| {
+                let acked = match result {
+                    Ok(EtcdResponse::WatchAck { incarnation }) => Some(incarnation),
+                    _ => None,
+                };
+                let mut s = st.borrow_mut();
+                s.broken |= acked.is_none();
+                if let Some(watch) = s.watches.get_mut(&watch_id) {
+                    watch.streams[member as usize] = acked;
+                }
+            },
+        );
+    }
+
+    /// Re-registers the watches on every member where a restart (or a
+    /// failed registration) broke their stream, and re-sends the cancels
+    /// no member acknowledged yet. Cheap while nothing moved; the
+    /// Guardian calls it every poll.
     pub fn rewatch(&self, sim: &mut Sim) {
-        let metas: Vec<(u64, String)> = self
-            .state
-            .borrow()
-            .watch_meta
-            .iter()
-            .map(|(id, p)| (*id, p.clone()))
-            .collect();
-        for (id, prefix) in metas {
-            self.register_watch_everywhere(sim, id, prefix);
-        }
+        self.resync(sim);
         // The same servers that need re-registration may also hold stale
         // registrations whose cancel they never acked.
         self.flush_pending_cancels(sim);
@@ -465,7 +548,7 @@ impl EtcdClient {
             req,
             RPC_TIMEOUT,
             move |_sim, result| {
-                if matches!(result, Ok(EtcdResponse::WatchAck)) {
+                if matches!(result, Ok(EtcdResponse::WatchAck { .. })) {
                     let mut s = st.borrow_mut();
                     if let Some(ids) = s.pending_cancels.get_mut(&server) {
                         ids.remove(&watch_id);
@@ -484,7 +567,7 @@ impl EtcdClient {
     /// its endpoint registered forever (each incarnation of a component
     /// creates a fresh client, so the leak grows without bound).
     pub fn close(&self, sim: &mut Sim) {
-        let ids: Vec<u64> = self.state.borrow().watch_meta.keys().copied().collect();
+        let ids: Vec<u64> = self.state.borrow().watches.keys().copied().collect();
         for id in ids {
             self.unwatch(sim, id);
         }
@@ -498,7 +581,6 @@ impl EtcdClient {
         {
             let mut s = self.state.borrow_mut();
             s.watches.remove(&watch_id);
-            s.watch_meta.remove(&watch_id);
             for server in 0..self.cluster_size() {
                 s.pending_cancels
                     .entry(server)

@@ -21,7 +21,7 @@ pub struct EtcdCluster {
     raft: RaftCluster<KvCommand>,
     servers: Vec<Rc<EtcdServer>>,
     cores: Vec<Rc<RefCell<ServerCore>>>,
-    incarnations: Rc<RefCell<Vec<u64>>>,
+    incarnations: Incarnations,
     rpc: EtcdRpc,
     watch_net: WatchNet,
 }
@@ -53,10 +53,10 @@ impl EtcdCluster {
         let cores: Vec<Rc<RefCell<ServerCore>>> = (0..n)
             .map(|_| Rc::new(RefCell::new(ServerCoreFactory::fresh(0))))
             .collect();
-        let incarnations = Rc::new(RefCell::new(vec![0u64; n as usize]));
-        // Every node runs the lease-expiry sweep; only the current leader
-        // proposes, so expiry survives failover. A sweep outlives restarts
-        // of its node: the log replay re-arms it.
+        let incarnations = Incarnations::new(n);
+        // Each node has a lease-expiry sweep, which runs only while its
+        // node leads, so expiry survives failover. A sweep outlives
+        // restarts of its node: a promotion re-arms it.
         let sweeps: Vec<Rc<LeaseSweep>> = (0..n).map(|_| LeaseSweep::new(sim)).collect();
 
         let cores_for_factory = cores.clone();
@@ -66,25 +66,17 @@ impl EtcdCluster {
         let factory: dlaas_raft::ApplyFactory<KvCommand> = Rc::new(move |id: NodeId| {
             let core = cores_for_factory[id as usize].clone();
             // Reset the core: the state machine is rebuilt by log replay.
-            let inc = {
-                let mut incs = incarnations_for_factory.borrow_mut();
-                incs[id as usize] += 1;
-                incs[id as usize]
-            };
+            let inc = incarnations_for_factory.bump(id);
             *core.borrow_mut() = ServerCoreFactory::fresh(inc);
             let sweep = sweeps_for_factory[id as usize].clone();
-            EtcdServer::make_apply(core, watch_for_factory.clone(), etcd_addr(id), sweep)
+            EtcdServer::make_apply(id, core, watch_for_factory.clone(), sweep)
         });
 
         // Snapshot hooks let Raft compact its log: the serialized KV store
         // *is* the snapshot (it is exactly the applied state).
         let cores_for_snapshots = cores.clone();
-        let sweeps_for_snapshots = sweeps.clone();
         let snapshot_factory: dlaas_raft::SnapshotFactory = Rc::new(move |id: NodeId| {
-            EtcdServer::make_snapshot_hooks(
-                cores_for_snapshots[id as usize].clone(),
-                sweeps_for_snapshots[id as usize].clone(),
-            )
+            EtcdServer::make_snapshot_hooks(cores_for_snapshots[id as usize].clone())
         });
 
         let raft = RaftCluster::with_snapshot_factory(
@@ -104,7 +96,7 @@ impl EtcdCluster {
                     raft.node(id).clone(),
                     cores[id as usize].clone(),
                     rpc.clone(),
-                    &sweeps[id as usize],
+                    sweeps[id as usize].clone(),
                 )
             })
             .collect();
@@ -165,13 +157,14 @@ impl EtcdCluster {
         self.raft.leader_id()
     }
 
-    /// Creates a client handle named `addr` (e.g. `"guardian-7"`).
+    /// Creates a client handle named `addr` (e.g. `"guardian-7"`). It
+    /// sees each member's restarts, and re-registers its watches there.
     pub fn client(&self, addr: impl Into<String>) -> EtcdClient {
-        EtcdClient::new(
+        EtcdClient::attached(
             addr.into(),
             self.rpc.clone(),
             self.watch_net.clone(),
-            self.len() as u32,
+            self.incarnations.clone(),
         )
     }
 
@@ -211,12 +204,59 @@ impl EtcdCluster {
 
     /// Current incarnation of node `id` (bumps on restart; tests only).
     pub fn incarnation(&self, id: NodeId) -> u64 {
-        self.incarnations.borrow()[id as usize]
+        self.incarnations.of(id)
+    }
+
+    /// Node `id`'s lease deadlines, in lease id order: its lessor's while
+    /// it leads with one promoted, and none otherwise (tests only).
+    pub fn lease_deadlines(&self, id: NodeId) -> Vec<(crate::kv::LeaseId, dlaas_sim::SimTime)> {
+        self.servers[id as usize].lease_deadlines()
     }
 
     /// Direct access to core cells (used by failure-injection tooling).
     pub fn core(&self, id: NodeId) -> &Rc<RefCell<ServerCore>> {
         &self.cores[id as usize]
+    }
+}
+
+/// Each member's incarnation, bumped by every restart. A restart loses
+/// the member's watch registrations — the watch streams attached to it
+/// break — so a client re-registers where the incarnation moved. Cloning
+/// shares it.
+#[derive(Debug, Clone)]
+pub(crate) struct Incarnations(Rc<RefCell<Vec<u64>>>);
+
+impl Incarnations {
+    /// `n` members that never restarted.
+    pub(crate) fn new(n: u32) -> Self {
+        Incarnations(Rc::new(RefCell::new(vec![0; n as usize])))
+    }
+
+    /// Member `id`'s current incarnation.
+    pub(crate) fn of(&self, id: NodeId) -> u64 {
+        self.0.borrow()[id as usize]
+    }
+
+    /// The number of members.
+    pub(crate) fn len(&self) -> usize {
+        self.0.borrow().len()
+    }
+
+    /// Whether every member is still at the incarnation `seen` holds.
+    pub(crate) fn same_as(&self, seen: &[u64]) -> bool {
+        self.0.borrow().as_slice() == seen
+    }
+
+    /// Copies every member's incarnation into `seen`.
+    pub(crate) fn copy_into(&self, seen: &mut Vec<u64>) {
+        seen.clone_from(&self.0.borrow());
+    }
+
+    /// Member `id` restarted: its next incarnation.
+    fn bump(&self, id: NodeId) -> u64 {
+        let mut incarnations = self.0.borrow_mut();
+        incarnations[id as usize] += 1;
+        incarnations[id as usize]
     }
 }
 

@@ -14,9 +14,9 @@ pub type Revision = u64;
 /// every replica agrees on it (ids start at 1; 0 never names a lease).
 pub type LeaseId = u64;
 
-/// One granted lease. The deadline is stamped by the *proposing* server
-/// from its sim clock and replicated verbatim, so all replicas store an
-/// identical deadline regardless of when they apply the entry. Expiry is
+/// One granted lease. Its deadline is not replicated: as in etcd, only
+/// the member that leads keeps deadlines, in its lessor, and a new
+/// leader starts every lease afresh at its promotion. Expiry is
 /// revoke-driven: a lease stays live until a [`KvOp::LeaseRevoke`]
 /// commits, and log order — not wall inspection — is what fences a
 /// stale holder out (a CAS naming a revoked lease can never win).
@@ -24,8 +24,6 @@ pub type LeaseId = u64;
 pub struct LeaseRecord {
     /// Granted time-to-live, microseconds of sim time.
     pub ttl_us: u64,
-    /// Sim-time deadline after which the leader's sweep may revoke.
-    pub deadline_us: u64,
     /// Keys currently attached to this lease (deleted on revoke).
     pub keys: BTreeSet<String>,
 }
@@ -84,33 +82,17 @@ pub enum KvOp {
         /// owner whose lease expired from re-winning the owner key.
         lease: Option<LeaseId>,
     },
-    /// Grants a new lease. `now_us` is the proposer's sim clock at
-    /// proposal time; the deadline `now_us + ttl_us` is replicated so
-    /// every node stores the same expiry.
+    /// Grants a new lease; the leader that applies it starts its
+    /// deadline then.
     LeaseGrant {
         /// Time-to-live in sim microseconds.
         ttl_us: u64,
-        /// Proposer's sim clock at grant time.
-        now_us: u64,
-    },
-    /// Extends a lease's deadline to `now_us + ttl`. Fails (without
-    /// burning a revision) if the lease has been revoked.
-    LeaseKeepAlive {
-        /// The lease to refresh.
-        id: LeaseId,
-        /// Proposer's sim clock at keepalive time.
-        now_us: u64,
     },
     /// Revokes a lease and deletes every attached key (ordinary delete
     /// events, so watchers observe expiry as plain deletions).
     LeaseRevoke {
         /// The lease to revoke.
         id: LeaseId,
-        /// When set, the revoke is an expiry sweep: it only applies if
-        /// the stored deadline is `<=` this stamp. A keepalive that
-        /// raced ahead in the log pushes the deadline out and the
-        /// guarded revoke becomes a no-op — the holder wins.
-        if_expired_at_us: Option<u64>,
     },
 }
 
@@ -175,8 +157,7 @@ impl KvEvent {
 /// Result of applying a command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApplyOutcome {
-    /// `false` for a failed CAS, a put/CAS naming a revoked lease, or a
-    /// keepalive on a revoked lease.
+    /// `false` for a failed CAS or a put/CAS naming a revoked lease.
     pub succeeded: bool,
     /// Store revision after the command.
     pub revision: Revision,
@@ -264,22 +245,6 @@ impl KvState {
         &self.leases
     }
 
-    /// The earliest deadline (µs) of any live lease — when the expiry
-    /// sweep next has something to do.
-    pub fn earliest_lease_deadline(&self) -> Option<u64> {
-        self.leases.values().map(|r| r.deadline_us).min()
-    }
-
-    /// Ids of leases whose deadline is at or before `now_us`, in id
-    /// order — the candidates for the leader's guarded revoke sweep.
-    pub fn expired_leases(&self, now_us: u64) -> Vec<LeaseId> {
-        self.leases
-            .iter()
-            .filter(|(_, r)| r.deadline_us <= now_us)
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
     /// Applies a replicated command, returning the outcome and events.
     pub fn apply(&mut self, cmd: &KvCommand) -> ApplyOutcome {
         match &cmd.op {
@@ -331,14 +296,13 @@ impl KvState {
                 };
                 ApplyOutcome::new(true, self.revision, events)
             }
-            KvOp::LeaseGrant { ttl_us, now_us } => {
+            KvOp::LeaseGrant { ttl_us } => {
                 self.next_lease_id += 1;
                 let id = self.next_lease_id;
                 self.leases.insert(
                     id,
                     LeaseRecord {
                         ttl_us: *ttl_us,
-                        deadline_us: now_us.saturating_add(*ttl_us),
                         keys: BTreeSet::new(),
                     },
                 );
@@ -346,32 +310,11 @@ impl KvState {
                 out.lease = Some(id);
                 out
             }
-            KvOp::LeaseKeepAlive { id, now_us } => match self.leases.get_mut(id) {
-                Some(rec) => {
-                    // Deadlines only move forward: a late-delivered
-                    // keepalive never shortens a newer extension.
-                    rec.deadline_us = rec.deadline_us.max(now_us.saturating_add(rec.ttl_us));
-                    ApplyOutcome::new(true, self.revision, Vec::new())
-                }
-                None => ApplyOutcome::new(false, self.revision, Vec::new()),
-            },
-            KvOp::LeaseRevoke {
-                id,
-                if_expired_at_us,
-            } => {
+            KvOp::LeaseRevoke { id } => {
                 // Already gone: idempotent success.
                 let Some(rec) = self.leases.remove(id) else {
                     return ApplyOutcome::new(true, self.revision, Vec::new());
                 };
-                if let Some(stamp) = if_expired_at_us {
-                    if rec.deadline_us > *stamp {
-                        // A keepalive committed between the sweep's read
-                        // and this revoke: the holder won the race, so
-                        // reinstate the record untouched.
-                        self.leases.insert(*id, rec);
-                        return ApplyOutcome::new(true, self.revision, Vec::new());
-                    }
-                }
                 let mut events = Vec::new();
                 for k in &rec.keys {
                     events.extend(self.do_delete(k));
@@ -437,7 +380,7 @@ impl KvState {
         let mut out = Vec::new();
         out.extend_from_slice(
             format!(
-                "kv2 {} {} {} {}\n",
+                "kv3 {} {} {} {}\n",
                 self.revision,
                 self.map.len(),
                 self.leases.len(),
@@ -465,9 +408,7 @@ impl KvState {
         // Lease records; attached keys are rebuilt from the per-key
         // back-pointers above, so only the scalars are written.
         for (id, rec) in &self.leases {
-            out.extend_from_slice(
-                format!("{} {} {}\n", id, rec.ttl_us, rec.deadline_us).as_bytes(),
-            );
+            out.extend_from_slice(format!("{} {}\n", id, rec.ttl_us).as_bytes());
         }
         out
     }
@@ -485,7 +426,7 @@ impl KvState {
         let mut pos = 0;
         let header = take_line(data, &mut pos)?;
         let mut parts = header.split(' ');
-        if parts.next()? != "kv2" {
+        if parts.next()? != "kv3" {
             return None;
         }
         let revision: Revision = parts.next()?.parse().ok()?;
@@ -526,12 +467,10 @@ impl KvState {
             let mut m = line.split(' ');
             let id: LeaseId = m.next()?.parse().ok()?;
             let ttl_us: u64 = m.next()?.parse().ok()?;
-            let deadline_us: u64 = m.next()?.parse().ok()?;
             leases.insert(
                 id,
                 LeaseRecord {
                     ttl_us,
-                    deadline_us,
                     keys: BTreeSet::new(),
                 },
             );
@@ -766,54 +705,36 @@ mod tests {
         assert!(KvState::from_snapshot_bytes(&bytes[..bytes.len() - 2]).is_none());
     }
 
-    fn grant(req_id: u64, ttl_us: u64, now_us: u64) -> KvCommand {
+    fn grant(req_id: u64, ttl_us: u64) -> KvCommand {
         KvCommand {
             req_id,
-            op: KvOp::LeaseGrant { ttl_us, now_us },
+            op: KvOp::LeaseGrant { ttl_us },
+        }
+    }
+
+    fn revoke(req_id: u64, id: LeaseId) -> KvCommand {
+        KvCommand {
+            req_id,
+            op: KvOp::LeaseRevoke { id },
         }
     }
 
     #[test]
     fn lease_grant_allocates_sequential_ids() {
         let mut kv = KvState::new();
-        let a = kv.apply(&grant(1, 1_000, 0));
-        let b = kv.apply(&grant(2, 1_000, 10));
+        let a = kv.apply(&grant(1, 1_000));
+        let b = kv.apply(&grant(2, 2_000));
         assert_eq!(a.lease, Some(1));
         assert_eq!(b.lease, Some(2));
-        assert_eq!(kv.lease(1).unwrap().deadline_us, 1_000);
-        assert_eq!(kv.lease(2).unwrap().deadline_us, 1_010);
+        assert_eq!(kv.lease(1).unwrap().ttl_us, 1_000);
+        assert_eq!(kv.lease(2).unwrap().ttl_us, 2_000);
         assert_eq!(kv.revision(), 0, "lease ops burn no revision");
-    }
-
-    #[test]
-    fn keepalive_extends_and_never_shortens() {
-        let mut kv = KvState::new();
-        kv.apply(&grant(1, 1_000, 0));
-        let out = kv.apply(&KvCommand {
-            req_id: 2,
-            op: KvOp::LeaseKeepAlive { id: 1, now_us: 500 },
-        });
-        assert!(out.succeeded);
-        assert_eq!(kv.lease(1).unwrap().deadline_us, 1_500);
-
-        // A late-delivered (older-stamped) keepalive must not rewind.
-        kv.apply(&KvCommand {
-            req_id: 3,
-            op: KvOp::LeaseKeepAlive { id: 1, now_us: 100 },
-        });
-        assert_eq!(kv.lease(1).unwrap().deadline_us, 1_500);
-
-        let out = kv.apply(&KvCommand {
-            req_id: 4,
-            op: KvOp::LeaseKeepAlive { id: 7, now_us: 100 },
-        });
-        assert!(!out.succeeded, "keepalive on unknown lease fails");
     }
 
     #[test]
     fn revoke_deletes_attached_keys_as_ordinary_events() {
         let mut kv = KvState::new();
-        kv.apply(&grant(1, 1_000, 0));
+        kv.apply(&grant(1, 1_000));
         kv.apply(&KvCommand {
             req_id: 2,
             op: KvOp::Put {
@@ -833,13 +754,7 @@ mod tests {
         });
         assert_eq!(kv.lease(1).unwrap().keys.len(), 2);
 
-        let out = kv.apply(&KvCommand {
-            req_id: 4,
-            op: KvOp::LeaseRevoke {
-                id: 1,
-                if_expired_at_us: None,
-            },
-        });
+        let out = kv.apply(&revoke(4, 1));
         assert!(out.succeeded);
         let deleted: Vec<&str> = out.events.iter().map(KvEvent::key).collect();
         assert_eq!(deleted, vec!["lcm/shards/001", "lcm/shards/002"]);
@@ -847,63 +762,16 @@ mod tests {
         assert!(kv.lease(1).is_none());
 
         // Revoking again is idempotent.
-        let out = kv.apply(&KvCommand {
-            req_id: 5,
-            op: KvOp::LeaseRevoke {
-                id: 1,
-                if_expired_at_us: None,
-            },
-        });
+        let out = kv.apply(&revoke(5, 1));
         assert!(out.succeeded);
         assert!(out.events.is_empty());
     }
 
     #[test]
-    fn guarded_revoke_loses_to_a_keepalive_ahead_in_the_log() {
-        let mut kv = KvState::new();
-        kv.apply(&grant(1, 1_000, 0));
-        // Keepalive commits first (deadline now 2_000)…
-        kv.apply(&KvCommand {
-            req_id: 2,
-            op: KvOp::LeaseKeepAlive {
-                id: 1,
-                now_us: 1_000,
-            },
-        });
-        // …so the sweep's revoke stamped at 1_500 is a no-op.
-        let out = kv.apply(&KvCommand {
-            req_id: 3,
-            op: KvOp::LeaseRevoke {
-                id: 1,
-                if_expired_at_us: Some(1_500),
-            },
-        });
-        assert!(out.succeeded);
-        assert!(kv.lease(1).is_some(), "keepalive must win the race");
-
-        // Once genuinely expired, the guarded revoke applies.
-        let out = kv.apply(&KvCommand {
-            req_id: 4,
-            op: KvOp::LeaseRevoke {
-                id: 1,
-                if_expired_at_us: Some(2_000),
-            },
-        });
-        assert!(out.succeeded);
-        assert!(kv.lease(1).is_none());
-    }
-
-    #[test]
     fn writes_naming_a_revoked_lease_fail() {
         let mut kv = KvState::new();
-        kv.apply(&grant(1, 1_000, 0));
-        kv.apply(&KvCommand {
-            req_id: 2,
-            op: KvOp::LeaseRevoke {
-                id: 1,
-                if_expired_at_us: None,
-            },
-        });
+        kv.apply(&grant(1, 1_000));
+        kv.apply(&revoke(2, 1));
         let out = kv.apply(&KvCommand {
             req_id: 3,
             op: KvOp::Put {
@@ -931,8 +799,8 @@ mod tests {
     #[test]
     fn overwrite_moves_lease_attachment() {
         let mut kv = KvState::new();
-        kv.apply(&grant(1, 1_000, 0));
-        kv.apply(&grant(2, 1_000, 0));
+        kv.apply(&grant(1, 1_000));
+        kv.apply(&grant(2, 1_000));
         kv.apply(&KvCommand {
             req_id: 3,
             op: KvOp::Put {
@@ -956,32 +824,16 @@ mod tests {
         // Plain put detaches; the later revoke then spares the key.
         kv.apply(&put("k", "c"));
         assert!(kv.lease(2).unwrap().keys.is_empty());
-        let out = kv.apply(&KvCommand {
-            req_id: 5,
-            op: KvOp::LeaseRevoke {
-                id: 2,
-                if_expired_at_us: None,
-            },
-        });
+        let out = kv.apply(&revoke(5, 2));
         assert!(out.events.is_empty());
         assert_eq!(kv.get("k").unwrap().value, "c");
     }
 
     #[test]
-    fn expired_leases_reports_in_id_order() {
-        let mut kv = KvState::new();
-        kv.apply(&grant(1, 500, 0)); // deadline 500
-        kv.apply(&grant(2, 2_000, 0)); // deadline 2000
-        kv.apply(&grant(3, 100, 200)); // deadline 300
-        assert_eq!(kv.expired_leases(600), vec![1, 3]);
-        assert_eq!(kv.expired_leases(50), Vec::<LeaseId>::new());
-    }
-
-    #[test]
     fn snapshot_roundtrip_with_leases() {
         let mut kv = KvState::new();
-        kv.apply(&grant(1, 1_000, 7));
-        kv.apply(&grant(2, 9_999, 40));
+        kv.apply(&grant(1, 1_000));
+        kv.apply(&grant(2, 9_999));
         kv.apply(&KvCommand {
             req_id: 3,
             op: KvOp::Put {
@@ -990,20 +842,14 @@ mod tests {
                 lease: Some(2),
             },
         });
-        kv.apply(&KvCommand {
-            req_id: 4,
-            op: KvOp::LeaseRevoke {
-                id: 1,
-                if_expired_at_us: None,
-            },
-        });
+        kv.apply(&revoke(4, 1));
         let bytes = kv.to_snapshot_bytes();
         let back = KvState::from_snapshot_bytes(&bytes).expect("snapshot parses");
         assert_eq!(back, kv);
         // next_lease_id survives: a grant after restore continues at 3.
         let mut back = back;
-        let out = kv.apply(&grant(5, 1, 0));
-        let out2 = back.apply(&grant(5, 1, 0));
+        let out = kv.apply(&grant(5, 1));
+        let out2 = back.apply(&grant(5, 1));
         assert_eq!(out.lease, out2.lease);
         assert_eq!(out.lease, Some(3));
     }

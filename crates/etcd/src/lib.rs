@@ -11,11 +11,14 @@
 //! * [`KvState`] / [`KvCommand`] — the deterministic state machine
 //!   replicated through [`dlaas_raft`],
 //! * [`EtcdServer`] — per-node server: proposes writes, serves ReadIndex
-//!   reads, fans out watch events through a prefix-indexed registry
-//!   (idempotent registration, O(log n) cancel, per-commit dispatch that
-//!   examines only the event key's own prefixes),
+//!   reads, renews leases in the leader's lessor after a ReadIndex round,
+//!   and — on the member that leads — fans out watch events through a
+//!   prefix-indexed registry (idempotent registration, O(log n) cancel,
+//!   per-commit dispatch that examines only the event key's own
+//!   prefixes),
 //! * [`EtcdCluster`] — harness owning Raft + servers, with crash/restart,
-//! * [`EtcdClient`] — leader discovery, retries, watches.
+//! * [`EtcdClient`] — leader discovery, retries, watches that are
+//!   re-registered where a member's restart broke them.
 //!
 //! # Examples
 //!
@@ -64,6 +67,7 @@
 mod client;
 mod cluster;
 mod kv;
+mod lessor;
 pub mod metrics;
 mod proto;
 mod server;

@@ -18,6 +18,15 @@ dlaas_sim::declare_metrics! {
         [],
         "key events delivered to watchers",
     );
+    /// Lease renewals answered, by outcome: `renewed` (the leader's lessor
+    /// moved the deadline), `expired` (unknown, revoked or past its
+    /// deadline) or `not_leader`. A renewal is a ReadIndex round, not a
+    /// proposal.
+    pub const LEASE_RENEWALS: &CounterDecl<1> = &CounterDecl::new(
+        "etcd_lease_renewals_total",
+        ["outcome"],
+        "lease renewals answered, by outcome",
+    );
     /// Expired leases the leader's sweep proposed to revoke.
     pub const LEASE_EXPIRATIONS: &CounterDecl<0> = &CounterDecl::new(
         "etcd_lease_expirations_total",

@@ -51,14 +51,15 @@ pub enum EtcdRequest {
         /// lease has been revoked.
         lease: Option<LeaseId>,
     },
-    /// Grant a lease with the given sim-time TTL. The server stamps the
-    /// proposal with its own clock; the id comes back in
+    /// Grant a lease with the given sim-time TTL; the id comes back in
     /// [`EtcdResponse::LeaseGranted`].
     LeaseGrant {
         /// Time-to-live in sim microseconds.
         ttl_us: u64,
     },
-    /// Refresh a lease's deadline to now + TTL.
+    /// Renew a lease: once a ReadIndex round confirms its leadership, the
+    /// leader moves the lease's deadline to the instant it received this
+    /// request plus the TTL. No log entry.
     LeaseKeepAlive {
         /// The lease to refresh.
         id: LeaseId,
@@ -125,9 +126,9 @@ pub enum EtcdResponse {
     },
     /// Result of [`EtcdRequest::LeaseKeepAlive`].
     LeaseKept {
-        /// `false` when the lease no longer exists (revoked/expired).
+        /// `false` when the lease is unknown, revoked or past its deadline.
         alive: bool,
-        /// Store revision when the keepalive applied.
+        /// Store revision when the renewal was answered.
         revision: Revision,
     },
     /// This node is not the leader; retry at `hint` if known.
@@ -136,7 +137,11 @@ pub enum EtcdResponse {
         hint: Option<NodeId>,
     },
     /// Watch registered / cancelled.
-    WatchAck,
+    WatchAck {
+        /// The incarnation of the member that acknowledged: a registration
+        /// dies with it (the member's restart breaks the watch stream).
+        incarnation: u64,
+    },
 }
 
 /// One-way watch notification delivered on the watch channel.

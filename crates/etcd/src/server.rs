@@ -2,24 +2,32 @@
 //!
 //! Serves client requests over RPC, proposing mutations through its Raft
 //! node and serving reads via ReadIndex. The server's volatile core (KV
-//! store, watch registry, pending proposals) is rebuilt from the Raft log
-//! on restart — exactly the recovery model of real etcd.
+//! store, watch registry, pending proposals, and the lessor while it
+//! leads) is rebuilt from the Raft log on restart — exactly the recovery
+//! model of real etcd.
+//!
+//! Only the member that leads when it applies a committed command
+//! notifies watchers of it, as an etcd watch stream is served by the one
+//! member it is attached to. Registrations are kept on every member, so a
+//! new leader notifies from its promotion on; an older-term entry a new
+//! leader applies again is at worst a duplicate.
 
 use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::{Rc, Weak};
 
 use dlaas_net::{Addr, Net, Responder, RpcLayer};
-use dlaas_raft::{NodeId, Raft};
+use dlaas_raft::{LogIndex, NodeId, Raft};
 use dlaas_sim::{DeadlineTimer, Grid, Sim, SimDuration, SimTime};
 
-use crate::kv::{KvCommand, KvEvent, KvOp, KvState};
+use crate::kv::{KvCommand, KvEvent, KvOp, KvState, LeaseId};
+use crate::lessor::{Lessor, Renewal};
 use crate::metrics;
 use crate::proto::{etcd_addr, EtcdRequest, EtcdResponse, WatchNotify};
 
-/// The grid on which each server checks (when leader) for leases whose
-/// deadline has passed and proposes guarded revokes for them. Well below
-/// any practical TTL so expiry lag is bounded by the sweep, not the lease.
+/// The grid on which the leader checks for leases whose deadline has
+/// passed and proposes revokes for them. Well below any practical TTL so
+/// expiry lag is bounded by the sweep, not the lease.
 pub const LEASE_SWEEP_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// RPC layer type used by etcd.
@@ -87,6 +95,35 @@ impl WatchIndex {
         }
     }
 
+    /// The notifications `events` make: one per registration that some
+    /// of them match, carrying those events in order, in deterministic
+    /// `(watcher, id)` order. An event nobody watches costs the index walk
+    /// and nothing else; one that is watched is allocated once and shared
+    /// by every registration it matches. Also returns how many
+    /// registrations were visited (the fan-out work).
+    fn notifications(&self, events: Vec<KvEvent>) -> (Vec<(Addr, WatchNotify)>, u64) {
+        let mut per_reg: BTreeMap<(Addr, u64), Vec<Rc<KvEvent>>> = BTreeMap::new();
+        let mut examined = 0;
+        for e in events {
+            let mut matched = Vec::new();
+            examined += self.for_matching(e.key(), |watcher, id| {
+                matched.push((watcher.clone(), id));
+            });
+            if matched.is_empty() {
+                continue;
+            }
+            let e = Rc::new(e);
+            for reg in matched {
+                per_reg.entry(reg).or_default().push(e.clone());
+            }
+        }
+        let notifications = per_reg
+            .into_iter()
+            .map(|((watcher, watch_id), events)| (watcher, WatchNotify { watch_id, events }))
+            .collect();
+        (notifications, examined)
+    }
+
     /// Calls `f` for every registration matching `key`, in
     /// `(watcher, id)` order per prefix bucket (shortest prefix first).
     /// Returns how many registrations were visited (the fan-out work).
@@ -104,14 +141,14 @@ impl WatchIndex {
     }
 }
 
-/// One server's lease-expiry sweep. It acts on the instants of a
-/// [`LEASE_SWEEP_PERIOD`] grid from the server's boot, but only on those
+/// One member's lease-expiry sweep, which runs only while the member
+/// leads with a promoted lessor. It acts on the instants of a
+/// [`LEASE_SWEEP_PERIOD`] grid from the member's boot, but only on those
 /// that can find a lease expired: one armed event waits for the grid
-/// instant at or after the earliest lease deadline, and every grant,
-/// keepalive, revoke or snapshot the server applies re-arms it for the
-/// deadline it leaves. Only while an expired lease is still waiting for a
-/// revoke (no leader here, or the revoke not yet applied) does the sweep
-/// poll its grid.
+/// instant at or after the lessor's earliest deadline, and every
+/// promotion, grant, renewal or revoke re-arms it for the deadline it
+/// leaves. Only while an expired lease is still waiting for its revoke to
+/// apply does the sweep poll its grid. It outlives restarts of its member.
 pub(crate) struct LeaseSweep {
     grid: Grid,
     timer: DeadlineTimer,
@@ -128,31 +165,40 @@ impl LeaseSweep {
         })
     }
 
-    /// Arms the sweep for the earliest deadline in `kv`: on the first grid
+    /// Arms the sweep for the earliest deadline: on the first grid
     /// instant at or after it, or — if it has passed — on the next one.
-    fn rearm(self: &Rc<Self>, sim: &mut Sim, kv: &KvState) {
-        let Some(deadline_us) = kv.earliest_lease_deadline() else {
+    fn rearm(self: &Rc<Self>, sim: &mut Sim, earliest: Option<SimTime>) {
+        let Some(deadline) = earliest else {
             self.timer.cancel(sim);
             return;
         };
-        let due = SimTime::from_micros(deadline_us).max(self.grid.after(sim.now()));
+        let due = deadline.max(self.grid.after(sim.now()));
         let me = self.clone();
         self.timer
             .set(sim, self.grid.at_or_after(due), move |sim| me.run(sim));
     }
 
     fn run(self: &Rc<Self>, sim: &mut Sim) {
-        let Some(server) = self.server.get().and_then(Weak::upgrade) else {
-            return;
-        };
-        server.sweep_expired_leases(sim);
-        self.rearm(sim, &server.core.borrow().kv);
+        if let Some(server) = self.server.get().and_then(Weak::upgrade) {
+            server.sweep_expired_leases(sim);
+        }
+    }
+
+    /// The member's server, while its Raft node leads.
+    fn leader(&self) -> Option<Rc<EtcdServer>> {
+        self.server
+            .get()
+            .and_then(Weak::upgrade)
+            .filter(|server| server.raft.term_start().is_some())
     }
 }
 
 /// Volatile per-server state, dropped wholesale on crash.
 pub struct ServerCore {
     kv: KvState,
+    /// The lease deadlines, from this member's promotion as leader; stale
+    /// once it no longer leads that term.
+    lessor: Option<Lessor>,
     watches: WatchIndex,
     pending: BTreeMap<u64, Responder<EtcdRequest, EtcdResponse>>,
     next_req_id: u64,
@@ -196,6 +242,7 @@ impl ServerCore {
     fn new(incarnation: u64) -> Self {
         ServerCore {
             kv: KvState::new(),
+            lessor: None,
             watches: WatchIndex::default(),
             pending: BTreeMap::new(),
             // req_ids are namespaced by incarnation so a restarted server
@@ -215,11 +262,12 @@ impl ServerCore {
 struct RequestCounters {
     reads: Option<dlaas_sim::CounterHandle>,
     /// One handle per proposal op, in `KvOp` label order:
-    /// put, delete, delete_prefix, cas, noop, lease_grant,
-    /// lease_keepalive, lease_revoke.
-    proposals: Option<[dlaas_sim::CounterHandle; 8]>,
-    /// Guarded revokes proposed by the leader's expiry sweep.
+    /// put, delete, delete_prefix, cas, noop, lease_grant, lease_revoke.
+    proposals: Option<[dlaas_sim::CounterHandle; 7]>,
+    /// Revokes proposed by the leader's expiry sweep.
     lease_expirations: Option<dlaas_sim::CounterHandle>,
+    /// Renewals answered, by outcome: renewed, expired, not_leader.
+    renewals: Option<[dlaas_sim::CounterHandle; 3]>,
 }
 
 /// One etcd server bound to one Raft node.
@@ -227,6 +275,7 @@ pub struct EtcdServer {
     id: NodeId,
     raft: Raft<KvCommand>,
     core: Rc<RefCell<ServerCore>>,
+    sweep: Rc<LeaseSweep>,
     rpc: EtcdRpc,
     counters: RefCell<RequestCounters>,
 }
@@ -248,16 +297,17 @@ impl EtcdServer {
         raft: Raft<KvCommand>,
         core: Rc<RefCell<ServerCore>>,
         rpc: EtcdRpc,
-        sweep: &LeaseSweep,
+        sweep: Rc<LeaseSweep>,
     ) -> Rc<Self> {
         let server = Rc::new(EtcdServer {
             id,
             raft,
             core,
+            sweep,
             rpc,
             counters: RefCell::new(RequestCounters::default()),
         });
-        let bound = sweep.server.set(Rc::downgrade(&server));
+        let bound = server.sweep.server.set(Rc::downgrade(&server));
         debug_assert!(bound.is_ok(), "a sweep serves one server");
         server.start_serving();
         server
@@ -266,91 +316,78 @@ impl EtcdServer {
     /// Builds the Raft snapshot hooks for this server's core: `take`
     /// serializes the KV store (it is exactly the applied state), and
     /// `restore` replaces it wholesale — used both for leader-shipped
-    /// InstallSnapshot and for recovery from a compacted on-disk log —
-    /// and re-arms the lease sweep for the leases it brought.
-    pub(crate) fn make_snapshot_hooks(
-        core: Rc<RefCell<ServerCore>>,
-        sweep: Rc<LeaseSweep>,
-    ) -> dlaas_raft::SnapshotHooks {
+    /// InstallSnapshot and for recovery from a compacted on-disk log, on a
+    /// member that does not lead and so keeps no lease deadlines.
+    pub(crate) fn make_snapshot_hooks(core: Rc<RefCell<ServerCore>>) -> dlaas_raft::SnapshotHooks {
         let take_core = core.clone();
         dlaas_raft::SnapshotHooks {
             take: Box::new(move || take_core.borrow().kv.to_snapshot_bytes()),
-            restore: Box::new(move |sim, _idx, data| {
+            restore: Box::new(move |_sim, _idx, data| {
                 #[expect(
                     clippy::expect_used,
                     reason = "the bytes were produced by to_snapshot_bytes on the same closed system; snapshot corruption is outside the modelled fault vocabulary, so failing fast beats silently restoring an empty store"
                 )]
                 let kv = KvState::from_snapshot_bytes(data).expect("snapshot deserializes");
-                sweep.rearm(sim, &kv);
                 core.borrow_mut().kv = kv;
             }),
         }
     }
 
     /// Builds the Raft apply callback for this server's core: applies each
-    /// committed command to the KV store, re-arms the lease sweep when a
-    /// lease command moved a deadline, fans out watch events, and answers
-    /// the pending client RPC when this server proposed the command.
+    /// committed command to the KV store; while the member leads, keeps
+    /// its lessor (promoted when its term's no-op applies) and fans out
+    /// watch events; and answers the pending client RPC when this server
+    /// proposed the command.
     pub(crate) fn make_apply(
+        id: NodeId,
         core: Rc<RefCell<ServerCore>>,
         watch_net: WatchNet,
-        self_addr: Addr,
         sweep: Rc<LeaseSweep>,
     ) -> dlaas_raft::ApplyFn<KvCommand> {
+        let self_addr = etcd_addr(id);
         // Per-event metric handles, resolved once on first use (not at
         // boot, so the series set matches recording-on-demand exactly)
         // and then bumped directly — label canonicalization and family
         // lookup are off the apply hot path.
         let mut fanout_examined: Option<dlaas_sim::HistogramHandle> = None;
         let mut watch_events: Option<dlaas_sim::CounterHandle> = None;
-        Box::new(move |sim, _idx, cmd| {
+        Box::new(move |sim, idx, cmd| {
+            let leader = sweep.leader();
             let (outcome, notifications, examined, responder) = {
                 let mut c = core.borrow_mut();
+                if let KvOp::LeaseRevoke { id: lease } = cmd.op {
+                    if c.kv.lease(lease).is_some() {
+                        sim.mark("etcd", id, "lease-revoked", lease);
+                    }
+                }
                 let mut outcome = c.kv.apply(cmd);
-                if matches!(
-                    cmd.op,
-                    KvOp::LeaseGrant { .. }
-                        | KvOp::LeaseKeepAlive { .. }
-                        | KvOp::LeaseRevoke { .. }
-                ) {
-                    sweep.rearm(sim, &c.kv);
-                }
-                // Group matched events per registration so each watcher
-                // still receives one notification per committed command,
-                // in deterministic (watcher, id) order. An event nobody
-                // watches costs the index walk and nothing else; one that
-                // is watched is allocated once and shared by every
-                // registration it matches.
-                let mut per_reg: BTreeMap<(Addr, u64), Vec<Rc<KvEvent>>> = BTreeMap::new();
-                let mut examined = 0;
-                for e in std::mem::take(&mut outcome.events) {
-                    let mut matched = Vec::new();
-                    examined += c
-                        .watches
-                        .for_matching(e.key(), |watcher, id| matched.push((watcher.clone(), id)));
-                    if matched.is_empty() {
-                        continue;
-                    }
-                    let e = Rc::new(e);
-                    for reg in matched {
-                        per_reg.entry(reg).or_default().push(e.clone());
+                if let Some(leader) = &leader {
+                    let lessor_moved = leader.upkeep_lessor(sim, &mut c, idx, cmd, &outcome);
+                    if lessor_moved {
+                        let earliest = c.lessor.as_ref().and_then(Lessor::earliest);
+                        sweep.rearm(sim, earliest);
                     }
                 }
-                let notifications: Vec<_> = per_reg
-                    .into_iter()
-                    .map(|((watcher, watch_id), events)| {
-                        (watcher, WatchNotify { watch_id, events })
-                    })
-                    .collect();
+                // A follower notifies nobody.
+                let (notifications, examined) = match leader {
+                    Some(_) => {
+                        let (notifications, examined) =
+                            c.watches.notifications(std::mem::take(&mut outcome.events));
+                        (notifications, Some(examined))
+                    }
+                    None => (Vec::new(), None),
+                };
                 let responder = c.pending.remove(&cmd.req_id);
                 (outcome, notifications, examined, responder)
             };
-            fanout_examined
-                .get_or_insert_with(|| {
-                    sim.metrics()
-                        .histogram_series(metrics::WATCH_FANOUT_EXAMINED, [])
-                })
-                .observe(examined as f64);
+            if let Some(examined) = examined {
+                fanout_examined
+                    .get_or_insert_with(|| {
+                        sim.metrics()
+                            .histogram_series(metrics::WATCH_FANOUT_EXAMINED, [])
+                    })
+                    .observe(examined as f64);
+            }
             for (watcher, notify) in notifications {
                 watch_events
                     .get_or_insert_with(|| sim.metrics().counter_series(metrics::WATCH_EVENTS, []))
@@ -378,13 +415,6 @@ impl EtcdServer {
                         // state machine broke its own contract.
                         None => r.err(sim, "lease grant allocated no id"),
                     },
-                    KvOp::LeaseKeepAlive { .. } => r.ok(
-                        sim,
-                        EtcdResponse::LeaseKept {
-                            alive: outcome.succeeded,
-                            revision: outcome.revision,
-                        },
-                    ),
                     // A put naming a revoked lease is an application
                     // error, not a CAS-style soft failure.
                     KvOp::Put { .. } if !outcome.succeeded => {
@@ -416,25 +446,65 @@ impl EtcdServer {
         self.start_serving();
     }
 
-    /// One sweep ([`LeaseSweep`]). It runs on every node but only the
-    /// current Raft leader proposes revokes, so expiry survives leader
-    /// failover without coordination: whoever is leader at the next grid
-    /// instant picks the sweep up. Revokes are guarded by the sweep's own
-    /// clock stamp, so a keepalive that commits first wins.
+    /// Keeps this leader's lessor in step with the command applied at
+    /// `idx`: promotes it when the term's own no-op applies (every older
+    /// entry has applied by then), and tracks grants and revokes after
+    /// that. Returns whether a deadline moved.
+    fn upkeep_lessor(
+        &self,
+        sim: &mut Sim,
+        c: &mut ServerCore,
+        idx: LogIndex,
+        cmd: &KvCommand,
+        outcome: &crate::kv::ApplyOutcome,
+    ) -> bool {
+        let now = sim.now();
+        match cmd.op {
+            KvOp::Noop if self.raft.term_start() == Some(idx) => {
+                let term = self.raft.term();
+                sim.mark("etcd", self.id, "lessor-promoted", term);
+                c.lessor = Some(Lessor::promote(term, &c.kv, now));
+                true
+            }
+            KvOp::LeaseGrant { ttl_us } => match (outcome.lease, self.lessor(c)) {
+                (Some(id), Some(lessor)) => {
+                    lessor.granted(id, SimDuration::from_micros(ttl_us), now);
+                    true
+                }
+                _ => false,
+            },
+            KvOp::LeaseRevoke { id } => self.lessor(c).map(|lessor| lessor.revoked(id)).is_some(),
+            _ => false,
+        }
+    }
+
+    /// The lessor, while this member leads the term it was promoted in.
+    fn lessor<'c>(&self, c: &'c mut ServerCore) -> Option<&'c mut Lessor> {
+        self.raft.term_start()?;
+        let term = self.raft.term();
+        c.lessor.as_mut().filter(|lessor| lessor.term() == term)
+    }
+
+    /// One sweep ([`LeaseSweep`]): the leader proposes a revoke for every
+    /// lease past its deadline. A renewal that arrives after the deadline
+    /// is refused, so a revoke needs no guard. A revoke lost with the
+    /// leadership is proposed again by the next leader's sweep, one TTL
+    /// after its promotion.
     fn sweep_expired_leases(&self, sim: &mut Sim) {
-        if self.raft.role() != dlaas_raft::Role::Leader {
-            return;
+        let (expired, earliest) = {
+            let mut c = self.core.borrow_mut();
+            let Some(lessor) = self.lessor(&mut c) else {
+                return;
+            };
+            (lessor.expired(sim.now()), lessor.earliest())
+        };
+        if !expired.is_empty() {
+            self.counters
+                .borrow_mut()
+                .lease_expirations
+                .get_or_insert_with(|| sim.metrics().counter_series(metrics::LEASE_EXPIRATIONS, []))
+                .add(expired.len() as u64);
         }
-        let now_us = sim.now().as_micros();
-        let expired = self.core.borrow().kv.expired_leases(now_us);
-        if expired.is_empty() {
-            return;
-        }
-        self.counters
-            .borrow_mut()
-            .lease_expirations
-            .get_or_insert_with(|| sim.metrics().counter_series(metrics::LEASE_EXPIRATIONS, []))
-            .add(expired.len() as u64);
         for id in expired {
             sim.mark("etcd", self.id, "lease-expired", id);
             let req_id = {
@@ -444,19 +514,106 @@ impl EtcdServer {
             };
             #[expect(
                 clippy::let_underscore_must_use,
-                reason = "losing leadership between the role check and the proposal just drops this revoke; the lease is still expired, so every server's sweep polls its grid and the new leader re-proposes it"
+                reason = "losing leadership between the role check and the proposal just drops this revoke; the next leader promotes the lease afresh and its own sweep revokes it one TTL later"
             )]
             let _ = self.raft.propose(
                 sim,
                 KvCommand {
                     req_id,
-                    op: KvOp::LeaseRevoke {
-                        id,
-                        if_expired_at_us: Some(now_us),
-                    },
+                    op: KvOp::LeaseRevoke { id },
                 },
             );
         }
+        self.sweep.rearm(sim, earliest);
+    }
+
+    /// Renews lease `id` received now: once a ReadIndex round confirms
+    /// the leadership (and so that this leader's no-op, and every older
+    /// entry, has applied), the lessor moves its deadline to the receipt
+    /// instant plus its TTL. No log entry.
+    fn renew(
+        self: &Rc<Self>,
+        sim: &mut Sim,
+        id: LeaseId,
+        responder: Responder<EtcdRequest, EtcdResponse>,
+    ) {
+        if self.raft.role() != dlaas_raft::Role::Leader {
+            self.count_renewal(sim, None);
+            let hint = self.raft.leader_hint();
+            responder.ok(sim, EtcdResponse::NotLeader { hint });
+            return;
+        }
+        let receipt = sim.now();
+        let server = self.clone();
+        let incarnation = self.core.borrow().incarnation;
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "read_index only errs when called on a non-leader, checked above in the same event; losing leadership mid-round is delivered through the `ok` flag and answered with NotLeader"
+        )]
+        let _ = self.raft.read_index(sim, move |sim, ok| {
+            let renewal = if ok {
+                server.renew_confirmed(sim, id, receipt, incarnation)
+            } else {
+                None
+            };
+            server.count_renewal(sim, renewal);
+            let resp = match renewal {
+                Some(renewal) => EtcdResponse::LeaseKept {
+                    alive: renewal == Renewal::Renewed,
+                    revision: server.core.borrow().kv.revision(),
+                },
+                None => EtcdResponse::NotLeader { hint: None },
+            };
+            responder.ok(sim, resp);
+        });
+    }
+
+    /// The lessor's answer to a renewal received at `receipt`, now that
+    /// leadership is confirmed; `None` if this incarnation no longer leads
+    /// with a promoted lessor.
+    fn renew_confirmed(
+        &self,
+        sim: &mut Sim,
+        id: LeaseId,
+        receipt: SimTime,
+        incarnation: u64,
+    ) -> Option<Renewal> {
+        let (renewal, earliest) = {
+            let mut c = self.core.borrow_mut();
+            if c.incarnation != incarnation {
+                return None;
+            }
+            let lessor = self.lessor(&mut c)?;
+            (lessor.renew(id, receipt, sim.now()), lessor.earliest())
+        };
+        if renewal == Renewal::Renewed {
+            self.sweep.rearm(sim, earliest);
+        }
+        Some(renewal)
+    }
+
+    fn count_renewal(&self, sim: &mut Sim, renewal: Option<Renewal>) {
+        let ix = match renewal {
+            Some(Renewal::Renewed) => 0,
+            Some(Renewal::Expired) => 1,
+            None => 2,
+        };
+        self.counters.borrow_mut().renewals.get_or_insert_with(|| {
+            ["renewed", "expired", "not_leader"].map(|outcome| {
+                sim.metrics()
+                    .counter_series(metrics::LEASE_RENEWALS, [outcome])
+            })
+        })[ix]
+            .inc();
+    }
+
+    /// The leader's lease deadlines, in id order; empty unless this
+    /// member leads with a promoted lessor.
+    pub fn lease_deadlines(&self) -> Vec<(LeaseId, SimTime)> {
+        let mut c = self.core.borrow_mut();
+        self.lessor(&mut c)
+            .map(|lessor| lessor.deadlines().collect())
+            .unwrap_or_default()
     }
 
     /// This server's Raft handle.
@@ -520,24 +677,11 @@ impl EtcdServer {
                 self.propose(sim, op, responder);
             }
             &EtcdRequest::LeaseGrant { ttl_us } => {
-                // The proposer stamps the grant with its own sim clock;
-                // the replicated deadline is identical on every node.
-                let now_us = sim.now().as_micros();
-                self.propose(sim, KvOp::LeaseGrant { ttl_us, now_us }, responder);
+                self.propose(sim, KvOp::LeaseGrant { ttl_us }, responder);
             }
-            &EtcdRequest::LeaseKeepAlive { id } => {
-                let now_us = sim.now().as_micros();
-                self.propose(sim, KvOp::LeaseKeepAlive { id, now_us }, responder);
-            }
+            &EtcdRequest::LeaseKeepAlive { id } => self.renew(sim, id, responder),
             &EtcdRequest::LeaseRevoke { id } => {
-                self.propose(
-                    sim,
-                    KvOp::LeaseRevoke {
-                        id,
-                        if_expired_at_us: None,
-                    },
-                    responder,
-                );
+                self.propose(sim, KvOp::LeaseRevoke { id }, responder);
             }
             EtcdRequest::Get { key } => {
                 let key = key.clone();
@@ -558,15 +702,21 @@ impl EtcdServer {
                 watcher,
                 watch_id,
             } => {
-                self.core
-                    .borrow_mut()
-                    .watches
-                    .register(*watch_id, prefix.clone(), watcher.clone());
-                responder.ok(sim, EtcdResponse::WatchAck);
+                let incarnation = {
+                    let mut c = self.core.borrow_mut();
+                    c.watches
+                        .register(*watch_id, prefix.clone(), watcher.clone());
+                    c.incarnation
+                };
+                responder.ok(sim, EtcdResponse::WatchAck { incarnation });
             }
             EtcdRequest::WatchCancel { watch_id, watcher } => {
-                self.core.borrow_mut().watches.cancel(*watch_id, watcher);
-                responder.ok(sim, EtcdResponse::WatchAck);
+                let incarnation = {
+                    let mut c = self.core.borrow_mut();
+                    c.watches.cancel(*watch_id, watcher);
+                    c.incarnation
+                };
+                responder.ok(sim, EtcdResponse::WatchAck { incarnation });
             }
         }
     }
@@ -628,8 +778,7 @@ impl EtcdServer {
             KvOp::Cas { .. } => 3,
             KvOp::Noop => 4,
             KvOp::LeaseGrant { .. } => 5,
-            KvOp::LeaseKeepAlive { .. } => 6,
-            KvOp::LeaseRevoke { .. } => 7,
+            KvOp::LeaseRevoke { .. } => 6,
         };
         self.counters.borrow_mut().proposals.get_or_insert_with(|| {
             [
@@ -639,7 +788,6 @@ impl EtcdServer {
                 "cas",
                 "noop",
                 "lease_grant",
-                "lease_keepalive",
                 "lease_revoke",
             ]
             .map(|op_label| sim.metrics().counter_series(metrics::PROPOSALS, [op_label]))

@@ -505,7 +505,8 @@ fn log_compaction_bounds_the_raft_log_and_preserves_state() {
 /// Regression: a client RPC retry of `WatchCreate` after a timed-out ack
 /// re-sends the identical `(watcher, watch_id)` registration. The server
 /// used to push it unconditionally, so every subsequent event was
-/// delivered once per duplicate. Registration must be idempotent.
+/// delivered once per duplicate. Registration must be idempotent, and
+/// only the leader notifies: one delivery per event.
 #[test]
 fn watch_create_retry_does_not_double_register_or_double_deliver() {
     let (mut sim, etcd) = boot(47);
@@ -549,8 +550,8 @@ fn watch_create_retry_does_not_double_register_or_double_deliver() {
     sim.run_for(SimDuration::from_secs(2));
     assert_eq!(
         *count.borrow(),
-        3,
-        "one delivery per live server (at-least-once), not per duplicate registration"
+        1,
+        "one delivery from the leader, not one per server or per duplicate registration"
     );
 }
 
@@ -568,11 +569,11 @@ fn lost_watch_cancel_is_redelivered_after_partition_heals() {
     let id = watcher.watch_prefix(&mut sim, "k/", move |_s, _e| *c.borrow_mut() += 1);
     sim.run_for(SimDuration::from_secs(1));
 
-    // Cut the watcher's client traffic to one follower. Raft peer traffic
-    // uses its own network, so the isolated server keeps applying commits
-    // — its watch registry (including our registration) stays live.
-    let leader = etcd.leader_id().unwrap();
-    let isolated = (0..3).find(|i| *i != leader).unwrap();
+    // Cut the watcher's client traffic to the leader, the member that
+    // notifies. Raft peer traffic uses its own network, so the isolated
+    // server keeps leading and applying commits — its watch registry
+    // (including our registration) stays live.
+    let isolated = etcd.leader_id().unwrap();
     etcd.rpc().net().partition(
         &mut sim,
         vec![

@@ -126,8 +126,8 @@ fn lease_survives_leader_failover_and_still_expires() {
     assert!(matches!(*ok.borrow(), Some(Ok(_))));
 
     // Kill the leader: the lease record and its key attachment live in
-    // the replicated state machine, so the new leader keeps honouring
-    // the original deadline.
+    // the replicated state machine; the new leader starts the lease
+    // afresh when its no-op applies (its lessor's promotion).
     let old_leader = etcd.leader_id().expect("leader");
     etcd.crash(&mut sim, old_leader);
     let new_leader = etcd.expect_leader(&mut sim, SimDuration::from_secs(30));
@@ -137,7 +137,7 @@ fn lease_survives_leader_failover_and_still_expires() {
         "lease lost in failover"
     );
 
-    // The new leader's sweep enforces the original TTL.
+    // The new leader's sweep expires it one TTL after the promotion.
     sim.run_for(SimDuration::from_secs(25));
     assert!(etcd.kv_snapshot(new_leader).lease(id).is_none());
     assert!(etcd.kv_snapshot(new_leader).get("ha/owner").is_none());

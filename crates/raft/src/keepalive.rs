@@ -27,6 +27,12 @@
 //! the exchanges in flight back on the wire at their original instants,
 //! and take back what the tick applied ([`Keepalives::unsettle`]).
 //!
+//! A ReadIndex read's heartbeat round settles the same way
+//! ([`Keepalives::hold_read`]): when every exchange in it would settle,
+//! it is applied as the tick applies one, and one event at the instant
+//! the quorum-th reply would land acks the read. An unsettle voids that
+//! event and the round's replies travel with the rest.
+//!
 //! The heartbeat tick itself runs in place ([`Sim::schedule_in_place`]):
 //! in the slot its event would have had, with no event, whenever it would
 //! send nothing — every follower it is due to reach settles, and a
@@ -48,7 +54,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dlaas_net::{Envelope, Net};
-use dlaas_sim::{Sim, SimDuration, SimTime};
+use dlaas_sim::{EventId, Sim, SimDuration, SimTime};
 
 use crate::node::Raft;
 use crate::types::{LogIndex, NodeId, RaftMsg, Role, Term};
@@ -102,12 +108,28 @@ struct Exchange {
     heartbeat: Heartbeat,
 }
 
+/// A ReadIndex read's settled round, until its quorum-th reply lands.
+#[derive(Debug)]
+struct SettledRead {
+    leader: NodeId,
+    /// The round's heartbeat sequence number.
+    seq: u64,
+    /// When each follower's reply lands, earliest first.
+    replies: Vec<(SimTime, NodeId)>,
+    /// The event at the quorum-th reply that acks the read.
+    lands: SimTime,
+    event: EventId,
+}
+
 /// The keep-alives of one cluster that were settled and whose replies
 /// have not landed yet.
 pub(crate) struct Keepalives<C: 'static> {
     nodes: Vec<Raft<C>>,
     net: Net<RaftMsg<C>>,
     flight: RefCell<Vec<Exchange>>,
+    /// The settled round of a read, if one waits: at most one, since a
+    /// round settles only while no read waits at the leader.
+    read: RefCell<Option<SettledRead>>,
     /// Something touched the group since the last heartbeat tick that
     /// settled every follower's heartbeat ([`Keepalives::touch`]).
     touched: Cell<bool>,
@@ -120,6 +142,7 @@ impl<C: Clone + 'static> Keepalives<C> {
             nodes: nodes.to_vec(),
             net: net.clone(),
             flight: RefCell::new(Vec::new()),
+            read: RefCell::new(None),
             touched: Cell::new(true),
         });
         for node in nodes {
@@ -271,6 +294,45 @@ impl<C: Clone + 'static> Keepalives<C> {
         });
     }
 
+    /// Holds the settled round `seq` of a read at `leader`, whose replies
+    /// land at `replies` (earliest first): one event at the `needed`-th
+    /// acks the read, as those replies would.
+    pub(crate) fn hold_read(
+        self: &Rc<Self>,
+        sim: &mut Sim,
+        leader: NodeId,
+        seq: u64,
+        replies: Vec<(SimTime, NodeId)>,
+        needed: usize,
+    ) {
+        let lands = replies[needed - 1].0;
+        let me = Rc::downgrade(self);
+        let event = sim.schedule_at(lands, move |sim| {
+            if let Some(keepalives) = me.upgrade() {
+                keepalives.land_read(sim);
+            }
+        });
+        let held = self.read.borrow_mut().replace(SettledRead {
+            leader,
+            seq,
+            replies,
+            lands,
+            event,
+        });
+        debug_assert!(held.is_none(), "a round settles only while no read waits");
+    }
+
+    /// The held read's quorum-th reply landed: the replies that have
+    /// landed ack it.
+    fn land_read(&self, sim: &mut Sim) {
+        let Some(read) = self.read.borrow_mut().take() else {
+            return;
+        };
+        let now = sim.now();
+        let landed = read.replies.iter().filter(|(at, _)| *at <= now);
+        self.nodes[read.leader as usize].round_acked(sim, read.seq, landed.map(|(_, p)| *p), true);
+    }
+
     /// Puts every settled exchange back on the wire at its original
     /// instants: a heartbeat that has not arrived is delivered when it
     /// would have been, and its follower's deadline returns to what the
@@ -281,6 +343,19 @@ impl<C: Clone + 'static> Keepalives<C> {
         self.touch();
         let now = sim.now();
         self.retire(now);
+        // A held read's replies travel with the rest; those that landed
+        // already ack it now. Its event stays only if it is due now.
+        let voided = self.read.borrow_mut().take_if(|read| read.lands > now);
+        if let Some(read) = voided {
+            sim.cancel(read.event);
+            let landed = read.replies.iter().filter(|(at, _)| *at <= now);
+            self.nodes[read.leader as usize].round_acked(
+                sim,
+                read.seq,
+                landed.map(|(_, p)| *p),
+                false,
+            );
+        }
         let resumed = std::mem::take(&mut *self.flight.borrow_mut());
         for e in &resumed {
             let leader = self.nodes[e.leader as usize].addr().clone();

@@ -110,6 +110,9 @@ struct NodeState<C: 'static> {
     last_sent: BTreeMap<NodeId, SimTime>,
     hb_gen: u64,
     hb_seq: u64,
+    /// The index of the no-op this node appended when it last became
+    /// leader: a read waits until it has applied.
+    term_start: LogIndex,
     pending_reads: Vec<PendingRead>,
     apply: ApplyFn<C>,
     hooks: Option<SnapshotHooks>,
@@ -252,6 +255,7 @@ impl<C: Clone + 'static> Raft<C> {
                 last_sent: BTreeMap::new(),
                 hb_gen: 0,
                 hb_seq: 0,
+                term_start: 0,
                 pending_reads: Vec::new(),
                 apply,
                 hooks,
@@ -388,10 +392,27 @@ impl<C: Clone + 'static> Raft<C> {
         Ok(result)
     }
 
+    /// The index of the no-op this node appended at the start of its
+    /// term, while it leads: everything committed by an older term is
+    /// applied here once this entry is.
+    pub fn term_start(&self) -> Option<LogIndex> {
+        let s = self.inner.borrow();
+        (s.alive && s.role == Role::Leader).then_some(s.term_start)
+    }
+
     /// Begins a linearizable ReadIndex read. `done` fires with `true` once
     /// this node has (a) confirmed leadership for the current term with a
-    /// quorum and (b) applied everything committed as of the read's start;
-    /// it fires with `false` if leadership is lost first.
+    /// quorum and (b) applied everything committed as of the read's start,
+    /// its own term's no-op included (Raft §6.4: a new leader's commit
+    /// index may trail its predecessor's); it fires with `false` if
+    /// leadership is lost first.
+    ///
+    /// The round that confirms leadership is a heartbeat to every
+    /// follower. When every exchange in it would settle
+    /// ([`Keepalives::settles`]), the round is applied as the heartbeat
+    /// tick applies one, and one event at the instant the quorum-th reply
+    /// would land acks the read ([`Keepalives::hold_read`]); otherwise its
+    /// heartbeats travel as exchanges drawn from each link.
     ///
     /// # Errors
     ///
@@ -402,24 +423,35 @@ impl<C: Clone + 'static> Raft<C> {
         done: impl FnOnce(&mut Sim, bool) + 'static,
     ) -> Result<(), NotLeader> {
         self.touch();
-        {
-            let mut s = self.inner.borrow_mut();
+        let read = {
+            let s = self.inner.borrow();
             if !s.alive || s.role != Role::Leader {
                 return Err(NotLeader {
                     hint: s.leader_hint,
                 });
             }
             let me = s.id;
-            let read = PendingRead {
-                read_index: s.commit_index,
+            PendingRead {
+                read_index: s.commit_index.max(s.term_start),
                 min_seq: s.hb_seq + 1,
                 acks: BTreeSet::from([me]),
                 done: Box::new(done),
+            }
+        };
+        let settled = self
+            .keepalives()
+            .is_some_and(|group| self.settle_read_round(sim, &group));
+        self.inner.borrow_mut().pending_reads.push(read);
+        if !settled {
+            let peers: Vec<NodeId> = {
+                let mut s = self.inner.borrow_mut();
+                s.hb_seq += 1;
+                s.others().collect()
             };
-            s.pending_reads.push(read);
+            for p in peers {
+                self.send_heartbeat_to(sim, p);
+            }
         }
-        // Confirm leadership with an immediate heartbeat round.
-        self.broadcast_append(sim);
         self.check_reads(sim);
         Ok(())
     }
@@ -644,6 +676,7 @@ impl<C: Clone + 'static> Raft<C> {
             s.disk.borrow_mut().log.push(LogEntry { term, cmd });
             let new_last = s.disk.borrow().last_index();
             s.match_index.insert(me, new_last);
+            s.term_start = new_last;
             (s.id, term, s.hb_gen)
         };
         sim.mark("raft", id, "leader", term);
@@ -727,24 +760,11 @@ impl<C: Clone + 'static> Raft<C> {
             let s = self.inner.borrow();
             (s.id, s.cluster_size, s.config.heartbeat_interval)
         };
-        let heartbeat = |s: &NodeState<C>| {
-            let disk = s.disk.borrow();
-            let last = disk.last_index();
-            let heartbeat = Heartbeat {
-                term: disk.current_term,
-                prev_log_index: last,
-                prev_log_term: disk.term_at(last).expect("the last entry is addressable"),
-                leader_commit: s.commit_index,
-                hb_seq: s.hb_seq + 1,
-            };
-            (heartbeat, last)
-        };
         if !group.touched() {
             group.retire(now);
             let heartbeat = {
-                let mut s = self.inner.borrow_mut();
-                let (heartbeat, _) = heartbeat(&s);
-                s.hb_seq += 1;
+                let (heartbeat, _) = self.next_heartbeat();
+                self.inner.borrow_mut().hb_seq += 1;
                 heartbeat
             };
             for p in (0..peers).filter(|p| *p != me) {
@@ -758,8 +778,49 @@ impl<C: Clone + 'static> Raft<C> {
             return true;
         }
         // Checked as the tick would decide, then applied.
-        let (heartbeat, last) = heartbeat(&self.inner.borrow());
-        for p in (0..peers).filter(|p| *p != me && self.due(*p, now)) {
+        let due: Vec<NodeId> = (0..peers)
+            .filter(|p| *p != me && self.due(*p, now))
+            .collect();
+        let Some(round) = self.settled_round(group, now, &due) else {
+            return false;
+        };
+        let latency = self.net.latency_bound();
+        if round.len() + 1 == peers as usize && group.stays_in_time(me, interval, latency) {
+            group.untouched();
+        }
+        true
+    }
+
+    /// The heartbeat this leader sends next, and its last log index.
+    fn next_heartbeat(&self) -> (Heartbeat, LogIndex) {
+        let s = self.inner.borrow();
+        let disk = s.disk.borrow();
+        let last = disk.last_index();
+        let heartbeat = Heartbeat {
+            term: disk.current_term,
+            prev_log_index: last,
+            prev_log_term: disk.term_at(last).expect("the last entry is addressable"),
+            leader_commit: s.commit_index,
+            hb_seq: s.hb_seq + 1,
+        };
+        (heartbeat, last)
+    }
+
+    /// Applies a heartbeat round at `now` to each of `peers` without the
+    /// wire, if every exchange in it would settle: its link carries
+    /// nothing unsent and [`Keepalives::settles`] holds at the arrival it
+    /// is about to draw (drawn on a copy of the link's stream). Returns
+    /// each exchange's reply instant and follower, or `None`, having done
+    /// nothing, when one would not settle.
+    fn settled_round(
+        &self,
+        group: &Keepalives<C>,
+        now: SimTime,
+        peers: &[NodeId],
+    ) -> Option<Vec<(SimTime, NodeId)>> {
+        let me = self.id();
+        let (heartbeat, last) = self.next_heartbeat();
+        for &p in peers {
             let (unsent, there) = {
                 let s = self.inner.borrow();
                 let unsent = s.next_index.get(&p) != Some(&(last + 1));
@@ -767,22 +828,68 @@ impl<C: Clone + 'static> Raft<C> {
                 (unsent, self.net.draw_latency(&mut link))
             };
             if unsent || !group.settles(now, me, p, &heartbeat, now + there) {
-                return false;
+                return None;
             }
         }
         self.inner.borrow_mut().hb_seq += 1;
-        let mut reached = 0;
-        for p in (0..peers).filter(|p| *p != me && self.due(*p, now)) {
-            self.inner.borrow_mut().last_sent.insert(p, now);
-            let (there, back) = self.draw_exchange(p);
-            group.apply(now, me, p, heartbeat, there, back);
-            reached += 1;
+        let replies = peers
+            .iter()
+            .map(|&p| {
+                self.inner.borrow_mut().last_sent.insert(p, now);
+                let (there, back) = self.draw_exchange(p);
+                group.apply(now, me, p, heartbeat, there, back);
+                (now + there + back, p)
+            })
+            .collect();
+        Some(replies)
+    }
+
+    /// A ReadIndex read's round, settled: every follower is reached as by
+    /// the heartbeat tick ([`Raft::settled_round`]), and the read is acked
+    /// by one event at the instant the quorum-th reply would land. Only
+    /// when no other read waits (the settle predicate asks), so the round
+    /// is the only one the group holds.
+    fn settle_read_round(&self, sim: &mut Sim, group: &Rc<Keepalives<C>>) -> bool {
+        let (me, quorum, peers) = {
+            let s = self.inner.borrow();
+            (s.id, s.quorum(), s.others().collect::<Vec<_>>())
+        };
+        if peers.is_empty() {
+            return false;
         }
-        let latency = self.net.latency_bound();
-        if reached + 1 == peers && group.stays_in_time(me, interval, latency) {
-            group.untouched();
-        }
+        let Some(mut replies) = self.settled_round(group, sim.now(), &peers) else {
+            return false;
+        };
+        replies.sort_unstable();
+        let seq = self.inner.borrow().hb_seq;
+        group.hold_read(sim, me, seq, replies, quorum - 1);
         true
+    }
+
+    /// Replies to the heartbeats of round `seq` landed from `followers`,
+    /// as [`Raft::on_append_resp`] records them for the reads waiting on
+    /// them (a settled round changes nothing else at the leader); with
+    /// `check`, a read they complete is answered.
+    pub(crate) fn round_acked(
+        &self,
+        sim: &mut Sim,
+        seq: u64,
+        followers: impl Iterator<Item = NodeId>,
+        check: bool,
+    ) {
+        {
+            let mut s = self.inner.borrow_mut();
+            for from in followers {
+                for r in &mut s.pending_reads {
+                    if seq >= r.min_seq {
+                        r.acks.insert(from);
+                    }
+                }
+            }
+        }
+        if check {
+            self.check_reads(sim);
+        }
     }
 
     /// Whether a heartbeat tick at `now` is due to reach `peer`: it was not

@@ -401,3 +401,26 @@ fn an_idle_cluster_settles_its_keepalives() {
         "{settled} events per second settled, {sent} on the message path"
     );
 }
+
+/// A read on an idle cluster settles: until it is answered, its
+/// heartbeat round costs one event, the quorum-th reply acking the read,
+/// where the message path delivers at least a heartbeat and the reply
+/// that acks it — and the read is answered at the same instant either
+/// way.
+#[test]
+fn an_idle_read_settles_into_one_event() {
+    let [settled, sent] = [false, true].map(|inert| {
+        let mut run = Run::new(11, inert);
+        run.wait(SimDuration::from_secs(3));
+        let before = run.sim.events_executed();
+        run.read();
+        while run.reads.borrow().is_empty() {
+            assert!(run.sim.step(), "the read is answered");
+        }
+        (run.sim.events_executed() - before, run.reads.take())
+    });
+    assert_eq!(settled.1, sent.1, "the read's outcome and instant");
+    assert!(settled.1.iter().all(|(_, ok)| *ok), "the read succeeds");
+    assert_eq!(settled.0, 1, "events until a settled read is answered");
+    assert!(sent.0 >= 2, "{} events on the message path", sent.0);
+}

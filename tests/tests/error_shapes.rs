@@ -32,7 +32,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
     ("crates/core/src/lcm.rs", "teardown_job", "retried by the next tick: the sweep probes until no key is left"),
     ("crates/core/src/lcm.rs", "sweep", "retried by the next tick: the job stays on the watchlist as `TerminalGc`"),
     ("crates/core/src/lcm.rs", "sweep", "retried by the next tick: etcd unreachable, the job stays on the watchlist as `TerminalGc`"),
-    ("crates/etcd/src/client.rs", "register_watch_everywhere", "retried by the next tick: any server notifies, `rewatch` re-sends"),
 ];
 
 /// One occurrence of a scanned shape.
