@@ -107,6 +107,18 @@ fn keepalives_hold_expiry_off_indefinitely() {
     }
     let leader = etcd.leader_id().expect("leader");
     assert!(etcd.kv_snapshot(leader).lease(id).is_some());
+    // Each renewal was answered by the leader's lessor; none was proposed.
+    let renewed = [("outcome", "renewed")];
+    assert_eq!(
+        sim.metrics()
+            .counter_value("etcd_lease_renewals_total", &renewed),
+        15
+    );
+    assert_eq!(
+        sim.metrics()
+            .counter_value("etcd_proposals_total", &[("op", "lease_keepalive")]),
+        0
+    );
 }
 
 #[test]
