@@ -9,9 +9,11 @@
 //! * `BENCH_soak.json` — byte-stable: outcome counts, work-counter
 //!   per-job costs, queue/admission figures and per-tenant turnaround
 //!   quantiles. Byte-identical for a given seed at any `--threads`.
-//! * `BENCH_soak.wall.json` — the gate sidecar (wall seconds and
-//!   per-tenant p99 per run, in the committed baseline's line format,
-//!   and the process's peak resident memory); never byte-compared.
+//! * `BENCH_soak.wall.json` — the gate sidecar (wall seconds and each
+//!   tenant class's p99 per run, in the committed baseline's line
+//!   format, and the process's peak resident memory); never
+//!   byte-compared. Under `--check` the class p99s pool the command
+//!   line's run with runs at the other seeds the baseline names.
 //!
 //! The process exits 2 on a command line it cannot parse, and 1 if any
 //! trial is abnormal or malformed (lost submissions, unfinished jobs,
@@ -44,8 +46,14 @@ fn main() {
         "{} soak: N in {:?} (seed {}, {} thread(s))…",
         cli.preset.name, cli.sizes, cli.seed, cli.threads
     );
+    let baseline = cli
+        .check
+        .as_ref()
+        .map(|path| std::fs::read_to_string(path).expect("read baseline"));
     let report = soak::campaign(&cli);
     let runs: Vec<&SoakRun> = report.results().collect();
+    let pool = soak::pooled(&cli, baseline.as_deref().unwrap_or_default());
+    let pooled: Vec<&SoakRun> = pool.results().collect();
 
     let rows: Vec<Vec<String>> = runs
         .iter()
@@ -90,7 +98,7 @@ fn main() {
 
     let json = soak::render_json(cli.preset, cli.seed, &runs);
     std::fs::write(&cli.out, &json).expect("write soak artifact");
-    let wall_json = soak::render_wall_json(cli.seed, &runs, soak::peak_rss_kib());
+    let wall_json = soak::render_wall_json(&runs, &pooled, soak::peak_rss_kib());
     std::fs::write(&wall_path, &wall_json).expect("write wall sidecar");
     println!("\nwrote {} and {wall_path}", cli.out);
     // Wall-clock to stderr and the sidecar only — never into the
@@ -100,7 +108,8 @@ fn main() {
     // No trial may be dropped, malformed, or out of budget: CI must not
     // go green over a lost submission even when the aggregates look fine.
     let mut dirty = false;
-    let abnormal = report.failure_records();
+    let mut abnormal = report.failure_records();
+    abnormal.extend(pool.failure_records());
     if !abnormal.is_empty() {
         eprintln!("\n{} abnormal trials:", abnormal.len());
         for r in &abnormal {
@@ -108,7 +117,7 @@ fn main() {
         }
         dirty = true;
     }
-    for line in runs.iter().filter_map(|r| r.malformed()) {
+    for line in runs.iter().chain(&pooled).filter_map(|r| r.malformed()) {
         eprintln!("  {line}");
         dirty = true;
     }
@@ -119,9 +128,8 @@ fn main() {
     }
     dirty |= !flat;
 
-    if let Some(path) = &cli.check {
-        let baseline = std::fs::read_to_string(path).expect("read baseline");
-        match soak::check_against_baseline(&wall_json, &baseline, cli.tolerance) {
+    if let Some(baseline) = &baseline {
+        match soak::check_against_baseline(&wall_json, baseline, cli.tolerance) {
             Ok(lines) => {
                 for l in lines {
                     println!("{l}");

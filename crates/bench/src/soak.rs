@@ -29,8 +29,9 @@
 //! `--threads`), [`render_wall_json`] the gate sidecar, and
 //! [`check_against_baseline`] gates that against the committed
 //! `BENCH_soak.baseline.json`: wall seconds per run (machine speed) and
-//! per-tenant p99 turnaround (deterministic, so a drift means platform
-//! behaviour changed).
+//! each tenant class's tail turnaround and the median deploy, pooled
+//! over the baseline's seeds ([`pooled`]; deterministic, so a drift
+//! means platform behaviour changed).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -324,6 +325,8 @@ pub struct Target {
 pub struct SoakRun {
     /// [`Preset::label`] — the key in artifacts and the baseline.
     pub label: String,
+    /// The simulation seed.
+    pub seed: u64,
     /// Jobs scheduled for submission.
     pub n: u64,
     /// Jobs the platform acknowledged.
@@ -359,6 +362,14 @@ pub struct SoakRun {
     pub sim_secs: f64,
     /// Turnaround per tenant, in tenant-table order.
     pub tenants: Vec<TenantSummary>,
+    /// Every finished job's turnaround in simulated seconds (submission
+    /// to terminal status, from its history), per tenant class
+    /// ([`tenant_class`]) in order of first finish: what the baseline
+    /// gate pools.
+    pub classes: Vec<(String, Vec<f64>)>,
+    /// Every job's deploy in simulated seconds: from its first
+    /// `DEPLOYING` to its first `PROCESSING`, in its history.
+    pub deploys: Vec<f64>,
     /// Control-plane work counts.
     pub series: Vec<Series>,
     /// Host seconds for the whole trial (sidecar only — never in the
@@ -486,7 +497,8 @@ pub fn run(
     // byte-identical at any thread count by construction. (The label
     // predates the other presets; changing it reshuffles every seed.)
     let arrivals = (preset.arrivals)(&mut sim.rng().fork("traffic-gen"), n);
-    let jobs: Rc<RefCell<Vec<JobId>>> = Rc::new(RefCell::new(Vec::with_capacity(n as usize)));
+    let jobs: Rc<RefCell<Vec<(JobId, usize)>>> =
+        Rc::new(RefCell::new(Vec::with_capacity(n as usize)));
     for (serial, a) in arrivals.into_iter().enumerate() {
         let (client, jobs, arm) = (clients[a.tenant].clone(), jobs.clone(), arm.clone());
         let (preset_name, bytes) = (preset.name, preset.dataset_bytes);
@@ -508,7 +520,7 @@ pub fn run(
                 if let Some(arm) = arm.filter(|_| jobs.borrow().is_empty()) {
                     arm(sim, &job);
                 }
-                jobs.borrow_mut().push(job);
+                jobs.borrow_mut().push((job, a.tenant));
             });
         });
     }
@@ -539,7 +551,7 @@ pub fn run(
         while jobs.borrow().is_empty() && sim.peek_time().is_some_and(|t| t <= drain_end) {
             sim.step();
         }
-        let job = jobs.borrow().first().cloned();
+        let job = jobs.borrow().first().map(|(job, _)| job.clone());
         let status = job.as_ref().and_then(|job| {
             let left = drain_end.saturating_duration_since(sim.now());
             platform.wait_for_status(&mut sim, job, JobStatus::Completed, left)
@@ -553,11 +565,36 @@ pub fn run(
     sim.run_until(drain_end);
 
     let (mut completed, mut failed, mut unfinished) = (0u64, 0u64, 0u64);
-    for job in jobs.borrow().iter() {
-        match platform.job_status(job) {
+    let mut classes: Vec<(String, Vec<f64>)> = Vec::new();
+    let mut deploys = Vec::new();
+    for (job, tenant) in jobs.borrow().iter() {
+        let info = platform.job_info(job);
+        match info.as_ref().map(|i| i.status) {
             Some(JobStatus::Completed) => completed += 1,
             Some(JobStatus::Failed | JobStatus::Killed) => failed += 1,
             _ => unfinished += 1,
+        }
+        let history = info.map(|i| i.history).unwrap_or_default();
+        let first = |wanted| {
+            history
+                .iter()
+                .find(|(s, _)| *s == wanted)
+                .map(|(_, at)| *at)
+        };
+        if let (Some(began), Some(ran)) =
+            (first(JobStatus::Deploying), first(JobStatus::Processing))
+        {
+            deploys.push(ran.saturating_sub(began) as f64 / 1e6);
+        }
+        if let (Some(first), Some((status, ended))) = (history.first(), history.last()) {
+            if status.is_terminal() {
+                let class = tenant_class(&tenants[*tenant].id);
+                let secs = ended.saturating_sub(first.1) as f64 / 1e6;
+                match classes.iter_mut().find(|(c, _)| c == class) {
+                    Some((_, turnarounds)) => turnarounds.push(secs),
+                    None => classes.push((class.to_owned(), vec![secs])),
+                }
+            }
         }
     }
 
@@ -621,6 +658,7 @@ pub fn run(
     TrialRun {
         result: SoakRun {
             label: preset.label(n),
+            seed,
             n,
             submitted,
             completed,
@@ -638,6 +676,8 @@ pub fn run(
             timelines: last.timelines,
             target,
             pod_restarts: m.counter_total(dlaas_kube::metrics::POD_RESTARTS),
+            classes,
+            deploys,
             events: sim.events_executed(),
             sim_secs: sim_elapsed.as_secs_f64(),
             tenants,
@@ -812,26 +852,62 @@ pub fn parse_cli(args: &mut Args) -> Result<Cli, String> {
 
 /// Runs one trial per size on the seed-parallel runner.
 pub fn campaign(cli: &Cli) -> CampaignReport<SoakRun> {
-    let (preset, seed, lcm_replicas, profile) =
-        (cli.preset, cli.seed, cli.lcm_replicas, cli.profile);
-    let replicas = lcm_replicas.map_or(String::new(), |m| format!(" --lcm-replicas {m}"));
-    let trials = cli
-        .sizes
+    let trials = cli.sizes.iter().map(|&n| (cli.seed, n)).collect();
+    campaign_of(cli, trials, cli.profile)
+}
+
+/// The runs the baseline gate pools with [`campaign`]'s: each size of
+/// the command line whose baseline entry names seeds, at those seeds
+/// but the command line's own, unprofiled. The gate judges a tenant
+/// class's tail and the median deploy over all of them
+/// ([`render_wall_json`]), which one admission-order flip at one seed
+/// cannot move far.
+pub fn pooled(cli: &Cli, baseline_json: &str) -> CampaignReport<SoakRun> {
+    campaign_of(cli, pooled_trials(cli, baseline_json), false)
+}
+
+/// The `(seed, n)` of each run [`pooled`] makes.
+fn pooled_trials(cli: &Cli, baseline_json: &str) -> Vec<(u64, u64)> {
+    let doc = Value::parse_json(baseline_json).ok();
+    let entries = doc.as_ref().and_then(|d| d.path("runs")?.as_arr());
+    cli.sizes
         .iter()
-        .map(|&n| Trial {
+        .flat_map(|&n| {
+            let label = cli.preset.label(n);
+            let entry = entries
+                .into_iter()
+                .flatten()
+                .find(|e| e.path("run").and_then(Value::as_str) == Some(label.as_str()));
+            let seeds = entry.and_then(|e| e.path("seeds")?.as_arr());
+            seeds
+                .into_iter()
+                .flatten()
+                .filter_map(|s| s.as_f64().map(|s| s as u64))
+                .filter(|s| *s != cli.seed)
+                .map(move |s| (s, n))
+        })
+        .collect()
+}
+
+fn campaign_of(cli: &Cli, trials: Vec<(u64, u64)>, profile: bool) -> CampaignReport<SoakRun> {
+    let (preset, lcm_replicas) = (cli.preset, cli.lcm_replicas);
+    let replicas = lcm_replicas.map_or(String::new(), |m| format!(" --lcm-replicas {m}"));
+    let trials = trials
+        .into_iter()
+        .map(|(seed, n)| Trial {
             label: preset.label(n),
             repro: format!(
                 "cargo run --release -p dlaas-bench --bin soak -- {}{replicas} {seed} {n} soak-repro.json",
                 preset.name
             ),
-            spec: n,
+            spec: (seed, n),
         })
         .collect();
     let mut runner = CampaignRunner::new("soak", cli.threads);
     if let Some(b) = cli.sim_budget {
         runner = runner.with_sim_budget(b);
     }
-    runner.run(trials, |&n, _ctx| {
+    runner.run(trials, |&(seed, n), _ctx| {
         run(seed, preset, n, lcm_replicas, profile)
     })
 }
@@ -922,33 +998,87 @@ pub fn render_json(preset: &Preset, seed: u64, runs: &[&SoakRun]) -> String {
     )
 }
 
+/// The class a tenant belongs to for the baseline gate: its name up to
+/// the last `-` (`whale-0` → `whale`, `small-7` → `small`), or the whole
+/// name when it has none (`bench`).
+pub fn tenant_class(tenant: &str) -> &str {
+    tenant.rsplit_once('-').map_or(tenant, |(class, _)| class)
+}
+
+/// The share of a class's slowest jobs whose mean turnaround is the
+/// class's tail ([`tail_mean`]).
+pub const TAIL_SHARE: f64 = 0.05;
+
+/// The nearest-rank `q`-quantile of `samples` (0 when there are none).
+fn quantile(samples: &mut [f64], q: f64) -> f64 {
+    samples.sort_unstable_by(f64::total_cmp);
+    let rank = (q * samples.len() as f64).ceil() as usize;
+    samples.get(rank.max(1) - 1).copied().unwrap_or(0.0)
+}
+
+/// The mean of the largest `share` of `samples`, at least one (0 when
+/// there are none): a tail that one sample crossing a rank cannot move
+/// the way it moves a high quantile.
+fn tail_mean(samples: &mut [f64], share: f64) -> f64 {
+    samples.sort_unstable_by(f64::total_cmp);
+    let k = ((share * samples.len() as f64).ceil() as usize).max(1);
+    let tail = &samples[samples.len().saturating_sub(k)..];
+    if tail.is_empty() {
+        0.0
+    } else {
+        tail.iter().sum::<f64>() / tail.len() as f64
+    }
+}
+
 /// The gate sidecar, never byte-compared: per run the host seconds (the
-/// one wall-clock figure) next to the per-tenant p99s, i.e. everything
-/// [`check_against_baseline`] reads, and the process's peak resident
-/// memory ([`peak_rss_kib`]). A baseline entry is a line of this
-/// file: to refresh `BENCH_soak.baseline.json`, replace the preset's
-/// lines in it with the `runs` lines of a sidecar from an idle machine.
-pub fn render_wall_json(seed: u64, runs: &[&SoakRun], peak_rss_kib: Option<u64>) -> String {
+/// one wall-clock figure) next to each tenant class's tail turnaround
+/// (the mean of its slowest [`TAIL_SHARE`] of jobs) and the median
+/// deploy, both pooled over the run and every run of `pooled` with its
+/// label, and the seeds they ran at — everything
+/// [`check_against_baseline`] reads — and the process's peak resident
+/// memory ([`peak_rss_kib`]).
+/// A baseline entry is a line of this file: to refresh
+/// `BENCH_soak.baseline.json`, replace the preset's lines in it with the
+/// `runs` lines of a sidecar from an idle machine.
+pub fn render_wall_json(
+    runs: &[&SoakRun],
+    pooled: &[&SoakRun],
+    peak_rss_kib: Option<u64>,
+) -> String {
     let runs = runs.iter().map(|r| {
         let rate = if r.wall_secs > 0.0 {
             r.events as f64 / r.wall_secs
         } else {
             0.0
         };
-        let p99s = r
-            .tenants
-            .iter()
-            .map(|t| format!("\"{}\": {:.6}", t.tenant, t.p99));
+        let mut classes = r.classes.clone();
+        let mut deploys = r.deploys.clone();
+        let mut seed_list = r.seed.to_string();
+        for other in pooled.iter().filter(|p| p.label == r.label) {
+            seed_list += &format!(", {}", other.seed);
+            deploys.extend(&other.deploys);
+            for (class, turnarounds) in &other.classes {
+                match classes.iter_mut().find(|(c, _)| c == class) {
+                    Some((_, pool)) => pool.extend(turnarounds),
+                    None => classes.push((class.clone(), turnarounds.clone())),
+                }
+            }
+        }
+        let tails = classes.iter_mut().map(|(class, turnarounds)| {
+            let tail = tail_mean(turnarounds, TAIL_SHARE);
+            format!("\"{class}\": {tail:.6}")
+        });
         format!(
-            "    {{\"run\": \"{}\", \"wall_secs\": {:.6}, \"events_per_wall_sec\": {rate:.1}, \"tenant_p99\": {{{}}}}}",
+            "    {{\"run\": \"{}\", \"seeds\": [{seed_list}], \"wall_secs\": {:.6}, \"events_per_wall_sec\": {rate:.1}, \"deploy_p50\": {:.6}, \"class_tail\": {{{}}}}}",
             r.label,
             r.wall_secs,
-            p99s.collect::<Vec<_>>().join(", ")
+            quantile(&mut deploys, 0.5),
+            tails.collect::<Vec<_>>().join(", ")
         )
     });
     let peak_rss = peak_rss_kib.map_or_else(|| "null".to_owned(), |kib| kib.to_string());
     format!(
-        "{{\n  \"bench\": \"soak-wall\",\n  \"seed\": {seed},\n  \"peak_rss_kib\": {peak_rss},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"soak-wall\",\n  \"peak_rss_kib\": {peak_rss},\n  \"runs\": [\n{}\n  ]\n}}\n",
         json_lines(runs)
     )
 }
@@ -973,8 +1103,14 @@ pub fn peak_rss_kib() -> Option<u64> {
 ///   events per wall-second: a soak performs a fixed experiment and its
 ///   events are the program's own doing, so an event diet must not read
 ///   as a slowdown;
-/// * per-tenant p99 turnaround — the fairness gate: deterministic for a
-///   given seed, so a drift means platform behaviour changed.
+/// * each tenant class's tail turnaround and the median deploy, pooled
+///   over the baseline's seeds — the behaviour gate: deterministic for
+///   given seeds, so a drift means platform behaviour changed. A class
+///   pools enough jobs, and its tail enough of them, that one tenant's
+///   admission order at one seed does not move it (EXPERIMENTS.md "The
+///   traffic gate, restated"); the deploy median is what a slower
+///   Guardian moves, which no turnaround tail sees. Both are judged
+///   only against a baseline pooled over the same seeds.
 ///
 /// Returns report lines on success or the violations on failure; a side
 /// that fails to parse, or a baseline entry that names nothing in the
@@ -1001,6 +1137,7 @@ pub fn check_against_baseline(
 
     let mut report = Vec::new();
     let mut violations = Vec::new();
+    let mut unpooled = Vec::new();
     let mut gate = |what: String, current: Option<f64>, base: Option<f64>| match (current, base) {
         (Some(cur), Some(base)) => {
             let ceiling = base * (1.0 + tolerance);
@@ -1022,13 +1159,44 @@ pub fn check_against_baseline(
         let cur = current.iter().find(|c| name(c).as_deref() == Some(&run));
         let wall = |r: &Value| r.path("wall_secs")?.as_f64();
         gate(format!("{run} wall-s"), cur.and_then(wall), wall(base));
-        let p99s = |r: &Value| r.path("tenant_p99")?.as_obj().cloned();
-        let cur_p99s = cur.and_then(p99s).unwrap_or_default();
-        for (tenant, base_p99) in p99s(base).unwrap_or_default() {
-            let cur_p99 = cur_p99s.get(&tenant).and_then(Value::as_f64);
-            gate(format!("{run}/{tenant} p99 s"), cur_p99, base_p99.as_f64());
+        let seeds = |r: &Value| {
+            let mut seeds: Vec<u64> = r
+                .path("seeds")?
+                .as_arr()?
+                .iter()
+                .filter_map(|s| s.as_f64().map(|s| s as u64))
+                .collect();
+            seeds.sort_unstable();
+            Some(seeds)
+        };
+        if let Some(cur) = cur.filter(|c| seeds(c) != seeds(base)) {
+            unpooled.push(format!(
+                "{run}: pooled over seeds {:?}, the baseline over {:?}",
+                seeds(cur).unwrap_or_default(),
+                seeds(base).unwrap_or_default()
+            ));
+            continue;
+        }
+        let deploy = |r: &Value| r.path("deploy_p50")?.as_f64();
+        if base.path("deploy_p50").is_some() {
+            gate(
+                format!("{run} deploy p50 s"),
+                cur.and_then(deploy),
+                deploy(base),
+            );
+        }
+        let tails = |r: &Value| r.path("class_tail")?.as_obj().cloned();
+        let cur_tails = cur.and_then(tails).unwrap_or_default();
+        for (class, base_tail) in tails(base).unwrap_or_default() {
+            let cur_tail = cur_tails.get(&class).and_then(Value::as_f64);
+            gate(
+                format!("{run}/{class} tail s"),
+                cur_tail,
+                base_tail.as_f64(),
+            );
         }
     }
+    violations.append(&mut unpooled);
     if report.is_empty() && violations.is_empty() {
         violations.push(format!("baseline: no {preset}/* run to compare against"));
     }
@@ -1106,6 +1274,7 @@ mod tests {
     fn fake_run(label: &str, events: u64, wall_secs: f64, p99: f64) -> SoakRun {
         SoakRun {
             label: label.into(),
+            seed: 2018,
             n: 1_000,
             submitted: 1_000,
             completed: 1_000,
@@ -1116,13 +1285,15 @@ mod tests {
                 p99,
                 ..TenantSummary::default()
             }],
+            classes: vec![("whale".into(), vec![p99 / 2.0, p99])],
+            deploys: vec![10.0],
             wall_secs,
             ..SoakRun::default()
         }
     }
 
     fn sidecar(run: &SoakRun) -> String {
-        render_wall_json(1, &[run], None)
+        render_wall_json(&[run], &[], None)
     }
 
     #[test]
@@ -1131,7 +1302,7 @@ mod tests {
         let check = |run: &SoakRun| check_against_baseline(&sidecar(run), &baseline, 0.10);
 
         let report = check(&fake_run("traffic/n1000", 1_000_000, 10.5, 125.0)).expect("within");
-        assert_eq!(report.len(), 2);
+        assert_eq!(report.len(), 3);
         assert!(report[0].starts_with("ok traffic/n1000 wall-s: 10.5 vs baseline 10.0"));
 
         // An event diet: a third of the events gone, the soak 20% faster,
@@ -1141,8 +1312,54 @@ mod tests {
         let v = check(&fake_run("traffic/n1000", 1_000_000, 12.0, 120.0)).expect_err("slower");
         assert!(v[0].starts_with("REGRESSION traffic/n1000 wall-s: 12.0"));
 
+        let mut slow_deploys = fake_run("traffic/n1000", 1_000_000, 10.0, 120.0);
+        slow_deploys.deploys = vec![12.0];
+        let v = check(&slow_deploys).expect_err("a slower deploy");
+        assert!(v[0].starts_with("REGRESSION traffic/n1000 deploy p50 s: 12.0 vs baseline 10.0"));
+
         let v = check(&fake_run("traffic/n1000", 1_000_000, 10.0, 200.0)).expect_err("starved");
-        assert!(v[0].starts_with("REGRESSION traffic/n1000/whale-0 p99 s: 200.0"));
+        assert!(v[0].starts_with("REGRESSION traffic/n1000/whale tail s: 200.0"));
+    }
+
+    #[test]
+    fn a_class_tail_pools_its_tenants_over_the_baseline_seeds() {
+        assert_eq!(
+            ["whale-0", "small-12", "bench"].map(tenant_class),
+            ["whale", "small", "bench"]
+        );
+        // The class's turnarounds at every seed form one sample.
+        let at = |seed, p99| SoakRun {
+            seed,
+            ..fake_run("traffic/n1000", 1, 10.0, p99)
+        };
+        let (fast, slow, fast_too) = (at(2018, 1_000.0), at(7, 3_000.0), at(2019, 1_000.0));
+        let tail = |json: &str| {
+            Value::parse_json(json)
+                .expect("json")
+                .path("runs")
+                .and_then(Value::as_arr)
+                .and_then(|runs| runs[0].path("class_tail.whale")?.as_f64())
+                .expect("a pooled whale tail")
+        };
+        let pooled = render_wall_json(&[&fast], &[&slow, &fast_too], None);
+        assert!(pooled.contains("\"seeds\": [2018, 7, 2019]"), "{pooled}");
+        assert_eq!(tail(&pooled), 3_000.0);
+        assert_eq!(tail(&sidecar(&fast)), 1_000.0);
+        let mut hundred: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+        assert_eq!(quantile(&mut hundred, 0.5), 50.0);
+        assert_eq!(tail_mean(&mut hundred, TAIL_SHARE), 98.0);
+        assert_eq!(quantile(&mut [], 0.5), 0.0);
+        assert_eq!(tail_mean(&mut [], TAIL_SHARE), 0.0);
+
+        // The other seeds the baseline names, for the sizes it names them.
+        let c = cli(&["traffic", "--check", "b.json", "7", "1000,2000"]).expect("a command line");
+        assert_eq!(pooled_trials(&c, &pooled), [(2018, 1_000), (2019, 1_000)]);
+        assert!(pooled_trials(&c, "not json").is_empty());
+
+        // Pooled over other seeds than the baseline's is no comparison.
+        let v = check_against_baseline(&sidecar(&slow), &pooled, 0.10).unwrap_err();
+        assert!(v[0].contains("pooled over seeds [7]"), "{v:?}");
+        check_against_baseline(&pooled, &pooled, 0.10).expect("same pool");
     }
 
     #[test]
@@ -1151,8 +1368,8 @@ mod tests {
         // A committed baseline holds several presets; only the current
         // one's runs are compared.
         let baseline = render_wall_json(
-            1,
             &[&run, &fake_run("uniform/n10000", 1, 140.0, 300.0)],
+            &[],
             Some(1),
         );
         check_against_baseline(&sidecar(&run), &baseline, 0.10).expect("same run");
@@ -1161,9 +1378,9 @@ mod tests {
         let v = check_against_baseline(&other, &baseline, 0.10).unwrap_err();
         assert!(v[0].contains("missing from current run"), "{v:?}");
         let mut renamed = run.clone();
-        renamed.tenants[0].tenant = "whale-9".into();
+        renamed.classes[0].0 = "orca".into();
         let v = check_against_baseline(&sidecar(&renamed), &baseline, 0.10).unwrap_err();
-        assert_eq!(v, ["traffic/n1000/whale-0 p99 s: missing from current run"]);
+        assert_eq!(v, ["traffic/n1000/whale tail s: missing from current run"]);
 
         assert!(check_against_baseline("not json", &baseline, 0.10).is_err());
         assert!(check_against_baseline(&sidecar(&run), "not json", 0.10).is_err());
@@ -1184,7 +1401,7 @@ mod tests {
                 .cloned()
         };
         // What the soak-smoke residue gate reads with `sed`.
-        let with = render_wall_json(1, &[&run], Some(65_536));
+        let with = render_wall_json(&[&run], &[], Some(65_536));
         assert!(with.contains("\n  \"peak_rss_kib\": 65536,\n"), "{with}");
         assert_eq!(rss(&sidecar(&run)), Some(Value::Null));
         // On Linux the kernel reports it, and a test binary is not tiny.

@@ -464,10 +464,9 @@ impl DlaasPlatform {
     // Fault operations (the paper's kubectl experiments)
     // ------------------------------------------------------------------
 
-    /// Crashes the metadata store process. The journal (disk) survives;
-    /// [`DlaasPlatform::restart_mongo`] recovers from it. When
-    /// `auto_restart` is set, recovery is scheduled automatically after
-    /// the given delay (mimicking the K8s restart of the MongoDB pod).
+    /// Crashes the metadata store process. The journal (disk) survives.
+    /// When `auto_restart` is set, the store recovers from it after the
+    /// given delay (mimicking the K8s restart of the MongoDB pod).
     pub fn crash_mongo(&self, sim: &mut Sim, auto_restart: Option<SimDuration>) {
         self.mongo.borrow().crash();
         sim.mark("platform", "mongo", "crashed", 0);
@@ -495,13 +494,5 @@ impl DlaasPlatform {
             "write-stall-ends"
         };
         sim.mark("platform", "mongo", what, 0);
-    }
-
-    /// Restarts the metadata store immediately from its journal.
-    pub fn restart_mongo(&self, sim: &mut Sim) {
-        let journal = self.mongo.borrow().journal();
-        let server = MongoServer::recover(self.mongo_rpc.clone(), journal, MongoTimings::default());
-        *self.mongo.borrow_mut() = server;
-        sim.mark("platform", "mongo", "recovered", 0);
     }
 }

@@ -44,15 +44,6 @@ impl GpuKind {
         }
     }
 
-    /// Device memory in GiB.
-    pub fn mem_gib(self) -> u32 {
-        match self {
-            GpuKind::K80 => 12,
-            GpuKind::P100Pcie | GpuKind::P100Sxm2 => 16,
-            GpuKind::V100Pcie | GpuKind::V100Sxm2 => 16,
-        }
-    }
-
     /// `true` for the SXM2 (NVLink-attached, DGX) variants.
     pub fn is_nvlink(self) -> bool {
         matches!(self, GpuKind::P100Sxm2 | GpuKind::V100Sxm2)

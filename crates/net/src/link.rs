@@ -25,7 +25,6 @@ pub mod speeds {
 struct LinkState {
     bytes_per_sec: f64,
     busy_until: SimTime,
-    total_bytes: u64,
     transfers: u64,
 }
 
@@ -59,13 +58,6 @@ pub struct Transfer {
     pub end: SimTime,
 }
 
-impl Transfer {
-    /// Total time from request to completion.
-    pub fn duration_from(&self, requested_at: SimTime) -> SimDuration {
-        self.end.saturating_duration_since(requested_at)
-    }
-}
-
 impl SharedLink {
     /// Creates a link with the given rate.
     ///
@@ -81,7 +73,6 @@ impl SharedLink {
             state: Rc::new(RefCell::new(LinkState {
                 bytes_per_sec,
                 busy_until: SimTime::ZERO,
-                total_bytes: 0,
                 transfers: 0,
             })),
         }
@@ -101,24 +92,13 @@ impl SharedLink {
         let secs = bytes as f64 / s.bytes_per_sec;
         let end = start + SimDuration::from_secs_f64(secs);
         s.busy_until = end;
-        s.total_bytes += bytes;
         s.transfers += 1;
         Transfer { start, end }
-    }
-
-    /// Total bytes ever reserved.
-    pub fn total_bytes(&self) -> u64 {
-        self.state.borrow().total_bytes
     }
 
     /// Number of transfers ever reserved.
     pub fn transfers(&self) -> u64 {
         self.state.borrow().transfers
-    }
-
-    /// Instant at which the link becomes free given current reservations.
-    pub fn busy_until(&self) -> SimTime {
-        self.state.borrow().busy_until
     }
 }
 
@@ -132,10 +112,6 @@ mod tests {
         let t = link.reserve(SimTime::ZERO, 500);
         assert_eq!(t.start, SimTime::ZERO);
         assert_eq!(t.end, SimTime::from_millis(500));
-        assert_eq!(
-            t.duration_from(SimTime::ZERO),
-            SimDuration::from_millis(500)
-        );
     }
 
     #[test]
@@ -146,7 +122,6 @@ mod tests {
         assert_eq!(a.end, SimTime::from_secs(1));
         assert_eq!(b.start, SimTime::from_secs(1));
         assert_eq!(b.end, SimTime::from_secs(2));
-        assert_eq!(link.total_bytes(), 2000);
         assert_eq!(link.transfers(), 2);
     }
 

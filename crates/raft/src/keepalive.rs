@@ -3,54 +3,45 @@
 //! On an idle cluster nearly every Raft message is a heartbeat whose only
 //! effect is to move a follower's election deadline: the follower already
 //! has the log and the commit index, and its reply changes nothing at the
-//! leader. The heartbeat tick asks [`Keepalives::settle`] before it sends
-//! such an exchange. When the simulation's ground truth — every node's
-//! state, which only the cluster can see — shows that the exchange can do
-//! nothing else, the tick applies its one effect (the follower's deadline
-//! moves to the instant the heartbeat would arrive plus the term's
-//! timeout), counts the heartbeat and the reply in [`Net::stats`], and
-//! schedules no event. Every other exchange travels as messages: that
-//! path stays the definition, and `tests/keepalive.rs` runs every case
-//! both ways.
+//! leader. A heartbeat round — the leader's tick, or the round a
+//! ReadIndex read waits on — settles whole or travels whole. The round
+//! asks [`Keepalives::settles`] once, for all the followers it reaches.
+//! When the simulation's ground truth — every node's state, which only
+//! the cluster can see — shows that no exchange in it can do anything
+//! else, each exchange's one effect is applied at once (the follower's
+//! deadline moves to the instant the heartbeat arrives plus the term's
+//! timeout), counted in [`Net::stats`], and no event is scheduled.
+//! Otherwise every heartbeat of the round is sent: that path stays the
+//! definition, and `tests/keepalive.rs` runs every case both ways.
 //!
 //! Two parts of the timing model make the shortcut exact. A follower's
 //! timeout is drawn once per term, and a contact moves its deadline to
 //! `contact + timeout` and never earlier, so contacts commute and one
-//! applied early equals one applied on delivery. And the tick draws both
-//! latencies of an exchange from the link's own stream, so a settled
-//! exchange consumes the same random numbers as a sent one.
+//! applied early equals one applied on delivery. And a round draws both
+//! latencies of each exchange from the link's own stream, settled or
+//! sent, so both consume the same random numbers. The check asks that
+//! every deadline lie beyond `now` plus [`Net::latency_bound`], which no
+//! drawn arrival exceeds; a round that fails against the bound travels,
+//! which is exact too.
 //!
 //! What is applied early must not be changed by what happens before the
 //! reply lands. A change to the network's rules (partition, heal, block,
 //! loss, latency, an endpoint going down or up — which is how a node
 //! crash or restart shows) and an append that leaves entries unsent put
 //! the exchanges in flight back on the wire at their original instants,
-//! and take back what the tick applied ([`Keepalives::unsettle`]).
+//! and take back what the round applied ([`Keepalives::unsettle`]).
 //!
-//! A ReadIndex read's heartbeat round settles the same way
-//! ([`Keepalives::hold_read`]): when every exchange in it would settle,
-//! it is applied as the tick applies one, and one event at the instant
-//! the quorum-th reply would land acks the read. An unsettle voids that
-//! event and the round's replies travel with the rest.
+//! A settled read round is held ([`Keepalives::hold_read`]): one event at
+//! the instant the quorum-th reply would land acks the read. An unsettle
+//! voids that event and the round's replies travel with the rest.
 //!
-//! The heartbeat tick itself runs in place ([`Sim::schedule_in_place`]):
-//! in the slot its event would have had, with no event, whenever it would
-//! send nothing — every follower it is due to reach settles, and a
-//! follower it is not due to reach gets nothing. A tick that must send
-//! declines, having done nothing, and runs as its event in its slot. A
-//! tick that settled every follower's heartbeat stays that way until
-//! something touches the group ([`Keepalives::touch`]): a proposal or a
-//! ReadIndex read, a message to any node, a crash or restart, a change
-//! of the network's rules, a change of term or role. Until then the next
-//! tick applies each exchange with [`Keepalives::apply`] unchecked; after
-//! a touch it first checks each with [`Keepalives::settles`], as the
-//! queued tick would. Of what the predicate reads only the followers'
-//! deadlines move with time alone, and they cannot fall behind while
-//! every follower's timeout exceeds a heartbeat interval plus the
-//! longest latency ([`Keepalives::stays_in_time`]); otherwise every tick
-//! is checked.
+//! The heartbeat tick runs in place ([`Sim::schedule_in_place`]): in the
+//! slot its event would have had, with no event, whenever its round
+//! settles. A tick whose round does not settle declines, having done
+//! nothing, and runs as its event in its slot, sending every heartbeat
+//! that is due.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use dlaas_net::{Envelope, Net};
@@ -67,30 +58,6 @@ pub(crate) struct Heartbeat {
     pub(crate) prev_log_term: Term,
     pub(crate) leader_commit: LogIndex,
     pub(crate) hb_seq: u64,
-}
-
-impl Heartbeat {
-    /// `msg`'s fields, if it is a heartbeat.
-    fn of<C>(msg: &RaftMsg<C>) -> Option<Self> {
-        match *msg {
-            RaftMsg::AppendEntries {
-                term,
-                prev_log_index,
-                prev_log_term,
-                ref entries,
-                leader_commit,
-                hb_seq,
-                ..
-            } if entries.is_empty() => Some(Heartbeat {
-                term,
-                prev_log_index,
-                prev_log_term,
-                leader_commit,
-                hb_seq,
-            }),
-            _ => None,
-        }
-    }
 }
 
 /// A settled heartbeat and its reply, until the reply would have landed.
@@ -130,9 +97,6 @@ pub(crate) struct Keepalives<C: 'static> {
     /// The settled round of a read, if one waits: at most one, since a
     /// round settles only while no read waits at the leader.
     read: RefCell<Option<SettledRead>>,
-    /// Something touched the group since the last heartbeat tick that
-    /// settled every follower's heartbeat ([`Keepalives::touch`]).
-    touched: Cell<bool>,
 }
 
 impl<C: Clone + 'static> Keepalives<C> {
@@ -143,7 +107,6 @@ impl<C: Clone + 'static> Keepalives<C> {
             net: net.clone(),
             flight: RefCell::new(Vec::new()),
             read: RefCell::new(None),
-            touched: Cell::new(true),
         });
         for node in nodes {
             node.settle_keepalives_with(Rc::downgrade(&keepalives));
@@ -157,108 +120,36 @@ impl<C: Clone + 'static> Keepalives<C> {
         keepalives
     }
 
-    /// Something touched the group: the next heartbeat tick checks every
-    /// exchange before it settles it.
-    pub(crate) fn touch(&self) {
-        self.touched.set(true);
-    }
-
-    /// Whether something touched the group since the last tick that
-    /// settled every follower's heartbeat.
-    pub(crate) fn touched(&self) -> bool {
-        self.touched.get()
-    }
-
-    /// A tick settled every follower's heartbeat and time alone cannot
-    /// unsettle the next ([`Keepalives::stays_in_time`]): until something
-    /// touches the group, each tick settles them all again unchecked.
-    pub(crate) fn untouched(&self) {
-        self.touched.set(false);
-    }
-
-    /// Whether, round after round, every heartbeat of `leader` lands
-    /// before its follower's deadline with nothing but time passing: the
-    /// part of [`Keepalives::settles`] time alone could break. A round
-    /// that settled every follower moved each deadline to its heartbeat's
-    /// arrival plus the follower's timeout; one `interval` later that
-    /// heartbeat has arrived (no latency exceeds `latency`, which is at
-    /// most `interval`), and the next lands within `latency` — in time
-    /// whenever every live follower's timeout exceeds `interval +
-    /// latency`. Timeouts change only with a term or a role, and the
-    /// latency model only with a rule change, both of which touch the
-    /// group.
-    pub(crate) fn stays_in_time(
-        &self,
-        leader: NodeId,
-        interval: SimDuration,
-        latency: SimDuration,
-    ) -> bool {
-        latency <= interval
-            && self.nodes.iter().enumerate().all(|(id, node)| {
-                id == leader as usize
-                    || !node.is_alive()
-                    || node.election_timeout() > interval + latency
-            })
-    }
-
-    /// Settles the heartbeat tick's `msg` from `leader` to `follower`,
-    /// whose round trip was drawn as `there` and `back`, if it can change
-    /// nothing but the follower's election deadline
-    /// ([`Keepalives::settles`], [`Keepalives::apply`]). Returns whether it
-    /// did; if not, the caller sends it.
-    pub(crate) fn settle(
-        &self,
-        now: SimTime,
-        leader: NodeId,
-        follower: NodeId,
-        msg: &RaftMsg<C>,
-        there: SimDuration,
-        back: SimDuration,
-    ) -> bool {
-        let Some(heartbeat) = Heartbeat::of(msg) else {
-            return false;
-        };
-        if !self.settles(now, leader, follower, &heartbeat, now + there) {
-            return false;
-        }
-        self.apply(now, leader, follower, heartbeat, there, back);
-        true
-    }
-
-    /// Whether `heartbeat`, sent from `leader` at `now` and arriving at
-    /// `arrives`, can change nothing but `follower`'s election deadline.
+    /// Whether a round of `heartbeat`, sent from `leader` at `now` to each
+    /// of `followers`, can change nothing but their election deadlines.
     pub(crate) fn settles(
         &self,
         now: SimTime,
         leader: NodeId,
-        follower: NodeId,
+        followers: &[NodeId],
         heartbeat: &Heartbeat,
-        arrives: SimTime,
     ) -> bool {
         if !self.net.is_open() {
             return false;
         }
         self.retire(now);
-        // The leader: alive, no read waiting on a heartbeat round, and the
-        // follower acknowledged the whole log with nothing in flight.
-        if !self.nodes[leader as usize].idle_link_to(follower) {
-            return false;
-        }
-        // The follower: alive, and it already knows the commit index.
-        let receiver = self.nodes[follower as usize].vitals();
-        if !receiver.alive || receiver.commit < heartbeat.leader_commit {
-            return false;
-        }
         // Every node: no term above the leader's, not even on a crashed
-        // node's disk (its messages may still be in flight). Every live
-        // one but the leader: a follower of this term and this leader
-        // whose deadline lies beyond the heartbeat's arrival, so no
-        // election can start before the heartbeat lands.
+        // node's disk (its messages may still be in flight). Each node
+        // the round reaches: alive, already knowing the commit index, and
+        // the leader's link to it idle — no read waiting on a round, the
+        // whole log acknowledged with nothing in flight. Every live node
+        // but the leader: a follower of this term and this leader whose
+        // deadline lies beyond any heartbeat's arrival, so no election
+        // can start before the round lands.
+        let leads = &self.nodes[leader as usize];
         let term = heartbeat.term;
-        self.nodes.iter().enumerate().all(|(id, node)| {
+        let arrives = now + self.net.latency_bound();
+        (0..).zip(&self.nodes).all(|(id, node)| {
             let v = node.vitals();
             v.term <= term
-                && (id == leader as usize
+                && (!followers.contains(&id)
+                    || (v.alive && v.commit >= heartbeat.leader_commit && leads.idle_link_to(id)))
+                && (id == leader
                     || !v.alive
                     || (v.role == Role::Follower
                         && v.term == term
@@ -337,10 +228,8 @@ impl<C: Clone + 'static> Keepalives<C> {
     /// instants: a heartbeat that has not arrived is delivered when it
     /// would have been, and its follower's deadline returns to what the
     /// contacts that happened imply; a reply that has not landed is
-    /// delivered when it would have been. It touches the group
-    /// ([`Keepalives::touch`]).
+    /// delivered when it would have been.
     pub(crate) fn unsettle(&self, sim: &mut Sim) {
-        self.touch();
         let now = sim.now();
         self.retire(now);
         // A held read's replies travel with the rest; those that landed

@@ -131,7 +131,6 @@ struct NodeState<C: 'static> {
     keepalives: Weak<Keepalives<C>>,
     // Counters for tests/benches.
     elections_started: u64,
-    terms_led: u64,
 }
 
 impl<C: 'static> NodeState<C> {
@@ -265,7 +264,6 @@ impl<C: Clone + 'static> Raft<C> {
                 links,
                 keepalives: Weak::new(),
                 elections_started: 0,
-                terms_led: 0,
             })),
             net,
             addr: raft_addr(id),
@@ -354,11 +352,6 @@ impl<C: Clone + 'static> Raft<C> {
         self.inner.borrow().elections_started
     }
 
-    /// Number of terms this node has won (diagnostics).
-    pub fn terms_led(&self) -> u64 {
-        self.inner.borrow().terms_led
-    }
-
     /// Proposes a command. On the leader, appends it to the log, begins
     /// replication and returns its `(term, index)`; commitment is signalled
     /// later through the apply callback.
@@ -368,7 +361,6 @@ impl<C: Clone + 'static> Raft<C> {
     /// [`NotLeader`] if this node is not the leader (the hint names the
     /// likely leader).
     pub fn propose(&self, sim: &mut Sim, cmd: C) -> Result<(Term, LogIndex), NotLeader> {
-        self.touch();
         {
             let mut s = self.inner.borrow_mut();
             if !s.alive || s.role != Role::Leader {
@@ -408,11 +400,11 @@ impl<C: Clone + 'static> Raft<C> {
     /// leadership is lost first.
     ///
     /// The round that confirms leadership is a heartbeat to every
-    /// follower. When every exchange in it would settle
-    /// ([`Keepalives::settles`]), the round is applied as the heartbeat
-    /// tick applies one, and one event at the instant the quorum-th reply
-    /// would land acks the read ([`Keepalives::hold_read`]); otherwise its
-    /// heartbeats travel as exchanges drawn from each link.
+    /// follower. It settles whole, as the heartbeat tick's round does
+    /// ([`Raft::settled_round`]), and one event at the instant the
+    /// quorum-th reply would land acks the read
+    /// ([`Keepalives::hold_read`]); or it travels whole, as exchanges
+    /// drawn from each link.
     ///
     /// # Errors
     ///
@@ -422,7 +414,6 @@ impl<C: Clone + 'static> Raft<C> {
         sim: &mut Sim,
         done: impl FnOnce(&mut Sim, bool) + 'static,
     ) -> Result<(), NotLeader> {
-        self.touch();
         let read = {
             let s = self.inner.borrow();
             if !s.alive || s.role != Role::Leader {
@@ -459,7 +450,6 @@ impl<C: Clone + 'static> Raft<C> {
     /// Crashes the node: volatile state will be discarded, traffic to it is
     /// dropped, timers become no-ops. Persistent state survives on `disk`.
     pub fn crash(&self, sim: &mut Sim) {
-        self.touch();
         let mut s = self.inner.borrow_mut();
         if !s.alive {
             return;
@@ -485,7 +475,6 @@ impl<C: Clone + 'static> Raft<C> {
     ///
     /// Panics if the node is still alive.
     pub fn restart(&self, sim: &mut Sim, apply: ApplyFn<C>) {
-        self.touch();
         {
             let mut s = self.inner.borrow_mut();
             assert!(!s.alive, "restart of a live node");
@@ -569,8 +558,6 @@ impl<C: Clone + 'static> Raft<C> {
         let at = sim.now() + interval;
         match self.keepalives() {
             Some(group) => {
-                // The tick as an event may have sent anything.
-                group.touch();
                 let me = self.clone();
                 let round = move |now| {
                     me.heartbeats_in_place(&group, now, gen)
@@ -594,19 +581,11 @@ impl<C: Clone + 'static> Raft<C> {
         self.inner.borrow().keepalives.upgrade()
     }
 
-    /// Something may have changed what the next heartbeat tick settles.
-    fn touch(&self) {
-        if let Some(keepalives) = self.keepalives() {
-            keepalives.touch();
-        }
-    }
-
     // ------------------------------------------------------------------
     // Elections
     // ------------------------------------------------------------------
 
     fn start_election(&self, sim: &mut Sim) {
-        self.touch();
         let (id, term, last_index, last_term, peers) = {
             let mut s = self.inner.borrow_mut();
             s.role = Role::Candidate;
@@ -655,11 +634,9 @@ impl<C: Clone + 'static> Raft<C> {
     }
 
     fn become_leader(&self, sim: &mut Sim) {
-        self.touch();
         let (id, term, gen) = {
             let mut s = self.inner.borrow_mut();
             s.role = Role::Leader;
-            s.terms_led += 1;
             let me = s.id;
             s.leader_hint = Some(me);
             let last = s.disk.borrow().last_index();
@@ -686,7 +663,6 @@ impl<C: Clone + 'static> Raft<C> {
     }
 
     fn step_down(&self, sim: &mut Sim, new_term: Term, leader: Option<NodeId>) {
-        self.touch();
         let reads = {
             let mut s = self.inner.borrow_mut();
             {
@@ -735,83 +711,46 @@ impl<C: Clone + 'static> Raft<C> {
     /// every two intervals, which [`RaftConfig::validate`] keeps within
     /// the shortest election timeout.
     fn send_heartbeats(&self, sim: &mut Sim) {
-        for p in self.heartbeat_peers(sim.now()) {
+        let due = self.due_peers(sim.now());
+        self.inner.borrow_mut().hb_seq += 1;
+        for p in due {
             self.send_heartbeat_to(sim, p);
         }
     }
 
     /// The heartbeat tick at `now` run in place, with no event; returns
-    /// whether it ran. It runs when it would send nothing: the tick as an
-    /// event would reach every follower it is due to (a follower sent an
-    /// append within the interval is not) with a heartbeat that settles.
-    /// Untouched since a tick that settled them all, every follower is
-    /// due and settles again ([`Keepalives::untouched`]), and each
-    /// exchange is drawn and applied unchecked. Otherwise the round checks
-    /// each due follower first — its link carries nothing unsent and
-    /// [`Keepalives::settles`] holds at the arrival it is about to draw
-    /// (drawn on a copy of the link's stream) — and declines, having done
-    /// nothing, when one fails: the tick then runs as its event, in its
-    /// slot, and sends.
+    /// whether it ran. It runs when its round settles
+    /// ([`Raft::settled_round`]) and otherwise declines, having done
+    /// nothing: the tick then runs as its event, in its slot, and sends
+    /// every due heartbeat.
     fn heartbeats_in_place(&self, group: &Keepalives<C>, now: SimTime, gen: u64) -> bool {
         if !self.leads(gen) {
             return false;
         }
-        let (me, peers, interval) = {
-            let s = self.inner.borrow();
-            (s.id, s.cluster_size, s.config.heartbeat_interval)
-        };
-        if !group.touched() {
-            group.retire(now);
-            let heartbeat = {
-                let (heartbeat, _) = self.next_heartbeat();
-                self.inner.borrow_mut().hb_seq += 1;
-                heartbeat
-            };
-            for p in (0..peers).filter(|p| *p != me) {
-                let (there, back) = self.draw_exchange(p);
-                debug_assert!(
-                    group.settles(now, me, p, &heartbeat, now + there),
-                    "an untouched heartbeat settles: something touched the group unannounced"
-                );
-                group.apply(now, me, p, heartbeat, there, back);
-            }
-            return true;
-        }
-        // Checked as the tick would decide, then applied.
-        let due: Vec<NodeId> = (0..peers)
-            .filter(|p| *p != me && self.due(*p, now))
-            .collect();
-        let Some(round) = self.settled_round(group, now, &due) else {
-            return false;
-        };
-        let latency = self.net.latency_bound();
-        if round.len() + 1 == peers as usize && group.stays_in_time(me, interval, latency) {
-            group.untouched();
-        }
-        true
+        let due = self.due_peers(now);
+        self.settled_round(group, now, &due).is_some()
     }
 
-    /// The heartbeat this leader sends next, and its last log index.
-    fn next_heartbeat(&self) -> (Heartbeat, LogIndex) {
+    /// The heartbeat this leader sends next.
+    fn next_heartbeat(&self) -> Heartbeat {
         let s = self.inner.borrow();
         let disk = s.disk.borrow();
         let last = disk.last_index();
-        let heartbeat = Heartbeat {
+        Heartbeat {
             term: disk.current_term,
             prev_log_index: last,
             prev_log_term: disk.term_at(last).expect("the last entry is addressable"),
             leader_commit: s.commit_index,
             hb_seq: s.hb_seq + 1,
-        };
-        (heartbeat, last)
+        }
     }
 
-    /// Applies a heartbeat round at `now` to each of `peers` without the
-    /// wire, if every exchange in it would settle: its link carries
-    /// nothing unsent and [`Keepalives::settles`] holds at the arrival it
-    /// is about to draw (drawn on a copy of the link's stream). Returns
-    /// each exchange's reply instant and follower, or `None`, having done
-    /// nothing, when one would not settle.
+    /// A heartbeat round at `now` to each of `peers`, settled: the one
+    /// place a heartbeat is applied without the wire. The round settles
+    /// whole when [`Keepalives::settles`] holds for all of `peers` at
+    /// once, and each exchange is then drawn from its link and applied.
+    /// Returns each exchange's reply instant and follower, or `None`,
+    /// having done nothing, when the round must travel.
     fn settled_round(
         &self,
         group: &Keepalives<C>,
@@ -819,17 +758,9 @@ impl<C: Clone + 'static> Raft<C> {
         peers: &[NodeId],
     ) -> Option<Vec<(SimTime, NodeId)>> {
         let me = self.id();
-        let (heartbeat, last) = self.next_heartbeat();
-        for &p in peers {
-            let (unsent, there) = {
-                let s = self.inner.borrow();
-                let unsent = s.next_index.get(&p) != Some(&(last + 1));
-                let mut link = s.links[p as usize].clone();
-                (unsent, self.net.draw_latency(&mut link))
-            };
-            if unsent || !group.settles(now, me, p, &heartbeat, now + there) {
-                return None;
-            }
+        let heartbeat = self.next_heartbeat();
+        if !peers.is_empty() && !group.settles(now, me, peers, &heartbeat) {
+            return None;
         }
         self.inner.borrow_mut().hb_seq += 1;
         let replies = peers
@@ -902,11 +833,10 @@ impl<C: Clone + 'static> Raft<C> {
             .is_none_or(|t| now.saturating_duration_since(*t) >= interval)
     }
 
-    /// Starts a heartbeat round at `now`: the peers due one.
-    fn heartbeat_peers(&self, now: SimTime) -> Vec<NodeId> {
+    /// The peers a heartbeat round at `now` is due to reach.
+    fn due_peers(&self, now: SimTime) -> Vec<NodeId> {
         let (me, peers) = {
-            let mut s = self.inner.borrow_mut();
-            s.hb_seq += 1;
+            let s = self.inner.borrow();
             (s.id, s.cluster_size)
         };
         (0..peers)
@@ -914,21 +844,12 @@ impl<C: Clone + 'static> Raft<C> {
             .collect()
     }
 
-    /// The tick's message to `peer`. An exchange that can only move the
-    /// follower's deadline is settled instead of sent
-    /// ([`Keepalives::settle`]).
+    /// A heartbeat round's message to `peer`, sent.
     fn send_heartbeat_to(&self, sim: &mut Sim, peer: NodeId) {
         let Some(msg) = self.prepare_append(sim, peer) else {
             return;
         };
         let (there, back) = self.draw_exchange(peer);
-        let me = self.id();
-        if self
-            .keepalives()
-            .is_some_and(|k| k.settle(sim.now(), me, peer, &msg, there, back))
-        {
-            return;
-        }
         self.net
             .send_exchange(sim, self.addr.clone(), self.peer(peer), msg, there, back);
     }
@@ -1216,7 +1137,6 @@ impl<C: Clone + 'static> Raft<C> {
     // ------------------------------------------------------------------
 
     fn handle(&self, sim: &mut Sim, msg: RaftMsg<C>) {
-        self.touch();
         if !self.inner.borrow().alive {
             return;
         }

@@ -351,7 +351,7 @@ fn first_difference(a: &Record, b: &Record) -> String {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 128,
+        cases: 256,
         max_shrink_iters: 100,
     })]
 
@@ -423,4 +423,32 @@ fn an_idle_read_settles_into_one_event() {
     assert!(settled.1.iter().all(|(_, ok)| *ok), "the read succeeds");
     assert_eq!(settled.0, 1, "events until a settled read is answered");
     assert!(sent.0 >= 2, "{} events on the message path", sent.0);
+}
+
+/// A tick that finds one follower crashed settles nothing: its round
+/// travels whole, the live follower's heartbeat with it, so while the
+/// follower is down the run costs what the message path costs, and it
+/// matches the message path before, during and after.
+#[test]
+fn a_round_with_a_crashed_follower_travels_whole() {
+    let [settled, sent] = [false, true].map(|inert| {
+        let mut run = Run::new(5, inert);
+        run.wait(SimDuration::from_secs(3));
+        let leader = run.cluster.leader_id().expect("a leader after 3 s");
+        let follower = (0..NODES).find(|n| *n != leader).expect("a follower");
+        let toggle = Op::Toggle(u8::try_from(follower).expect("a small id"));
+        run.apply(&toggle);
+        let before = run.sim.events_executed();
+        run.wait(SimDuration::from_secs(2));
+        let down = run.sim.events_executed() - before;
+        run.apply(&toggle);
+        let (record, _) = run.play(&[Op::NextTick(300), Op::Read]);
+        (record, down)
+    });
+    assert!(
+        settled.0 == sent.0,
+        "settled and message-path runs part at {}",
+        first_difference(&settled.0, &sent.0)
+    );
+    assert_eq!(settled.1, sent.1, "events while a follower is down");
 }

@@ -260,11 +260,6 @@ impl NfsServer {
         }
     }
 
-    /// `true` if the volume exists.
-    pub fn volume_exists(&self, id: &VolumeId) -> bool {
-        self.state.borrow().volumes.contains_key(&id.0)
-    }
-
     /// Visits the name of every volume, in order, without copying any
     /// (a periodic checker's view of what is provisioned).
     pub fn for_each_volume(&self, mut visit: impl FnMut(&str)) {
@@ -622,7 +617,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("job-1");
-        assert!(nfs.volume_exists(&vol));
+        assert_eq!(nfs.find_volume("job-1"), Some(vol.clone()));
         assert_eq!(vol.as_str(), "job-1");
         // Idempotent create keeps contents.
         let m = nfs.mount(&vol).unwrap();
@@ -632,7 +627,7 @@ mod tests {
 
         assert!(nfs.delete_volume(&sim, &vol));
         assert!(!nfs.delete_volume(&sim, &vol));
-        assert!(!nfs.volume_exists(&vol));
+        assert_eq!(nfs.find_volume("job-1"), None);
         assert!(nfs.mount(&vol).is_err());
     }
 
@@ -754,7 +749,7 @@ mod tests {
         // Control plane: provisioning still works during the outage.
         assert!(nfs.find_volume("v").is_some());
         let v2 = nfs.create_volume("v2");
-        assert!(nfs.volume_exists(&v2));
+        assert_eq!(nfs.find_volume("v2"), Some(v2.clone()));
         assert!(nfs.delete_volume(&sim, &v2));
 
         // Data survives the window.

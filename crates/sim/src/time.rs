@@ -76,11 +76,6 @@ impl SimTime {
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Saturating instant addition.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl fmt::Display for SimTime {

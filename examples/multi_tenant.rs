@@ -1,7 +1,8 @@
 //! Multi-tenancy: three tenants share one cluster. Quotas bound each
-//! tenant's GPU footprint, API keys gate access to jobs, and network
-//! policies isolate learners (arbitrary customer code) from the platform
-//! and from each other (§II).
+//! tenant's GPU footprint (a submit over quota is queued, and admitted
+//! once the tenant's running jobs free their GPUs), API keys gate access
+//! to jobs, and network policies isolate learners (arbitrary customer
+//! code) from the platform and from each other (§II).
 //!
 //! Run with: `cargo run -p dlaas-examples --bin multi_tenant`
 
@@ -92,16 +93,18 @@ fn main() {
         )
     );
 
-    banner("quota enforcement: globex (2/2 GPUs in use) tries to submit more");
-    let denied: Rc<RefCell<Option<Result<_, ClientError>>>> = Rc::new(RefCell::new(None));
-    let d = denied.clone();
+    banner("quota enforcement: globex (2/2 GPUs in use) submits more");
+    let queued: Rc<RefCell<Option<Result<_, ClientError>>>> = Rc::new(RefCell::new(None));
+    let q = queued.clone();
     globex.submit(&mut sim, manifest("g2", "globex", 1, 100), move |_s, r| {
-        *d.borrow_mut() = Some(r);
+        *q.borrow_mut() = Some(r);
     });
     sim.run_for(SimDuration::from_secs(10));
-    let verdict = denied.borrow().clone().unwrap();
-    println!("second globex job: {verdict:?}");
-    assert!(matches!(verdict, Err(ClientError::Rejected(ref m)) if m.contains("quota")));
+    let verdict = queued.borrow().clone().expect("the submit is answered");
+    let j_globex2 = verdict.expect("an over-quota submit is accepted and queued");
+    let held = platform.job_status(&j_globex2);
+    println!("second globex job: {j_globex2}, {held:?} while g1 holds the quota");
+    assert_eq!(held, Some(JobStatus::Queued));
 
     banner("access control: acme cannot read globex's job");
     let stolen = Rc::new(RefCell::new(None));
@@ -114,8 +117,25 @@ fn main() {
     println!("acme reading globex job: {verdict:?}");
     assert!(matches!(verdict, Err(ClientError::Rejected(ref m)) if m.contains("not found")));
 
-    banner("all three jobs complete");
-    for job in [&j_acme, &j_globex, &j_initech] {
+    banner("g1 completes and frees globex's quota: g2 is admitted");
+    let g1 = platform.wait_for_status(
+        &mut sim,
+        &j_globex,
+        JobStatus::Completed,
+        SimDuration::from_hours(8),
+    );
+    assert_eq!(g1, Some(JobStatus::Completed));
+    let g2 = platform.wait_for_status(
+        &mut sim,
+        &j_globex2,
+        JobStatus::Processing,
+        SimDuration::from_mins(30),
+    );
+    println!("{j_globex2}: {g2:?}");
+    assert_eq!(g2, Some(JobStatus::Processing));
+
+    banner("all four jobs complete");
+    for job in [&j_acme, &j_globex, &j_initech, &j_globex2] {
         let end = platform.wait_for_status(
             &mut sim,
             job,
