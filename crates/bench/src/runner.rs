@@ -463,6 +463,40 @@ mod tests {
     }
 
     #[test]
+    fn a_trial_that_panics_inside_a_booted_world_is_recorded_and_others_run() {
+        use dlaas_core::DlaasPlatform;
+        use dlaas_sim::Sim;
+        // The panic unwinds through a live platform's world: its end hook
+        // is skipped (a second panic there would abort every worker), so
+        // the trial's record is a PANIC like any other.
+        let report = CampaignRunner::new("demo", 2).run(trials(3), |&v, _| {
+            let mut sim = Sim::new(v);
+            let platform = DlaasPlatform::bootstrapped(&mut sim);
+            if v == 1 {
+                sim.schedule_in(SimDuration::from_secs(1), |_| {
+                    panic!("injected crash inside a booted world")
+                });
+            }
+            sim.run_for(SimDuration::from_secs(5));
+            assert!(platform.ready(&sim));
+            TrialRun {
+                result: v,
+                sim_elapsed: sim.now() - dlaas_sim::SimTime::ZERO,
+            }
+        });
+        assert_eq!(report.records.len(), 3);
+        let abnormal = report.abnormal();
+        assert_eq!(abnormal.len(), 1);
+        assert_eq!(abnormal[0].trial, 1);
+        assert!(
+            abnormal[0].describe().contains("PANIC injected crash"),
+            "{}",
+            abnormal[0].describe()
+        );
+        assert_eq!(report.results().copied().collect::<Vec<u64>>(), vec![0, 2]);
+    }
+
+    #[test]
     fn wall_histogram_counts_every_trial() {
         let report = CampaignRunner::new("demo", 2).run(trials(5), |&v, _| ok_run(v));
         let h = report

@@ -202,6 +202,20 @@ impl DlaasPlatform {
         kube.create_deployment(sim, "dlaas-lcm", cfg.core.lcm_replicas, lcm_pod);
         kube.create_service(sim, LCM_SERVICE, labels! {"app" => "lcm"});
 
+        // The world's end: every process stops as it would on deletion
+        // (closing its etcd and metadata clients), then each substrate
+        // drops the handlers that close its `Rc` cycles.
+        let world = (handles.clone(), mongo_rpc.clone(), etcd.clone(), registry);
+        sim.at_end(move |sim| {
+            let (handles, mongo_rpc, etcd, registry) = world;
+            handles.kube.stop_every_process(sim);
+            handles.rpc.drop_handlers();
+            mongo_rpc.drop_handlers();
+            etcd.drop_handlers();
+            handles.nfs.drop_waiters();
+            registry.clear();
+        });
+
         DlaasPlatform {
             handles,
             etcd,

@@ -50,6 +50,9 @@ struct ClientState {
     /// rejoins — so un-acked cancels are retried on every failover signal
     /// and from `rewatch` until the server acks.
     pending_cancels: BTreeMap<NodeId, BTreeSet<u64>>,
+    /// Set by [`EtcdClient::close`]: the RPC endpoint goes whenever no
+    /// call from the client's address is pending.
+    closed: bool,
 }
 
 /// Handle used by DLaaS components to talk to etcd. Cloning shares the
@@ -111,6 +114,7 @@ impl EtcdClient {
                 checked: Vec::new(),
                 broken: false,
                 pending_cancels: BTreeMap::new(),
+                closed: false,
             })),
         };
         // Receive watch notifications at our address.
@@ -167,44 +171,63 @@ impl EtcdClient {
         let req: Rc<EtcdRequest> = req.into();
         let target = self.pick_server();
         let me = self.clone();
+        self.call(sim, target, req.clone(), move |sim, result| match result {
+            Ok(EtcdResponse::NotLeader { hint }) => {
+                {
+                    let mut s = me.state.borrow_mut();
+                    s.leader_hint = hint.filter(|h| *h != target);
+                }
+                // Leadership moved: any cancel the old topology lost
+                // gets another best-effort delivery now, and a named
+                // leader is the moment to mend broken streams.
+                me.flush_pending_cancels(sim);
+                if hint.is_some() {
+                    me.resync(sim);
+                }
+                let me2 = me.clone();
+                sim.schedule_in(RETRY_BACKOFF, move |sim| {
+                    me2.request(sim, req, attempts_left - 1, done);
+                });
+            }
+            Ok(resp) => {
+                me.state.borrow_mut().leader_hint = Some(target);
+                me.resync(sim);
+                done(sim, Ok(resp));
+            }
+            Err(RpcError::Timeout | RpcError::NoEndpoint(_)) => {
+                me.state.borrow_mut().leader_hint = None;
+                me.flush_pending_cancels(sim);
+                let me2 = me.clone();
+                sim.schedule_in(RETRY_BACKOFF, move |sim| {
+                    me2.request(sim, req, attempts_left - 1, done);
+                });
+            }
+            Err(RpcError::Remote(m)) => done(sim, Err(EtcdError::Failed(m))),
+        });
+    }
+
+    /// Sends one request to member `to`. Every call of the client goes
+    /// through here, so a closed client whose retry registered its
+    /// endpoint again leaves once more when the answer (or timeout) is in.
+    fn call(
+        &self,
+        sim: &mut Sim,
+        to: NodeId,
+        req: impl Into<Rc<EtcdRequest>>,
+        on_reply: impl FnOnce(&mut Sim, Result<EtcdResponse, RpcError>) + 'static,
+    ) {
+        let me = self.clone();
         self.rpc.call(
             sim,
             self.addr.clone(),
-            self.servers[target as usize].clone(),
-            req.clone(),
+            self.servers[to as usize].clone(),
+            req,
             RPC_TIMEOUT,
-            move |sim, result| match result {
-                Ok(EtcdResponse::NotLeader { hint }) => {
-                    {
-                        let mut s = me.state.borrow_mut();
-                        s.leader_hint = hint.filter(|h| *h != target);
-                    }
-                    // Leadership moved: any cancel the old topology lost
-                    // gets another best-effort delivery now, and a named
-                    // leader is the moment to mend broken streams.
-                    me.flush_pending_cancels(sim);
-                    if hint.is_some() {
-                        me.resync(sim);
-                    }
-                    let me2 = me.clone();
-                    sim.schedule_in(RETRY_BACKOFF, move |sim| {
-                        me2.request(sim, req, attempts_left - 1, done);
-                    });
+            move |sim, result| {
+                on_reply(sim, result);
+                if me.state.borrow().closed {
+                    me.rpc.leave_when_idle(&me.addr);
                 }
-                Ok(resp) => {
-                    me.state.borrow_mut().leader_hint = Some(target);
-                    me.resync(sim);
-                    done(sim, Ok(resp));
-                }
-                Err(RpcError::Timeout | RpcError::NoEndpoint(_)) => {
-                    me.state.borrow_mut().leader_hint = None;
-                    me.flush_pending_cancels(sim);
-                    let me2 = me.clone();
-                    sim.schedule_in(RETRY_BACKOFF, move |sim| {
-                        me2.request(sim, req, attempts_left - 1, done);
-                    });
-                }
-                Err(RpcError::Remote(m)) => done(sim, Err(EtcdError::Failed(m))),
             },
         );
     }
@@ -484,24 +507,17 @@ impl EtcdClient {
             watch_id,
         };
         let st = self.state.clone();
-        self.rpc.call(
-            sim,
-            self.addr.clone(),
-            self.servers[member as usize].clone(),
-            req,
-            RPC_TIMEOUT,
-            move |_sim, result| {
-                let acked = match result {
-                    Ok(EtcdResponse::WatchAck { incarnation }) => Some(incarnation),
-                    _ => None,
-                };
-                let mut s = st.borrow_mut();
-                s.broken |= acked.is_none();
-                if let Some(watch) = s.watches.get_mut(&watch_id) {
-                    watch.streams[member as usize] = acked;
-                }
-            },
-        );
+        self.call(sim, member, req, move |_sim, result| {
+            let acked = match result {
+                Ok(EtcdResponse::WatchAck { incarnation }) => Some(incarnation),
+                _ => None,
+            };
+            let mut s = st.borrow_mut();
+            s.broken |= acked.is_none();
+            if let Some(watch) = s.watches.get_mut(&watch_id) {
+                watch.streams[member as usize] = acked;
+            }
+        });
     }
 
     /// Re-registers the watches on every member where a restart (or a
@@ -541,37 +557,36 @@ impl EtcdClient {
             watcher: self.addr.clone(),
         };
         let st = self.state.clone();
-        self.rpc.call(
-            sim,
-            self.addr.clone(),
-            self.servers[server as usize].clone(),
-            req,
-            RPC_TIMEOUT,
-            move |_sim, result| {
-                if matches!(result, Ok(EtcdResponse::WatchAck { .. })) {
-                    let mut s = st.borrow_mut();
-                    if let Some(ids) = s.pending_cancels.get_mut(&server) {
-                        ids.remove(&watch_id);
-                        if ids.is_empty() {
-                            s.pending_cancels.remove(&server);
-                        }
+        self.call(sim, server, req, move |_sim, result| {
+            if matches!(result, Ok(EtcdResponse::WatchAck { .. })) {
+                let mut s = st.borrow_mut();
+                if let Some(ids) = s.pending_cancels.get_mut(&server) {
+                    ids.remove(&watch_id);
+                    if ids.is_empty() {
+                        s.pending_cancels.remove(&server);
                     }
                 }
-            },
-        );
+            }
+        });
     }
 
-    /// Shuts the client down: cancels every watch on every server and
-    /// unregisters the notification endpoint from the watch network.
-    /// Call from process cleanup — a client that is merely dropped leaves
-    /// its endpoint registered forever (each incarnation of a component
-    /// creates a fresh client, so the leak grows without bound).
+    /// Shuts the client down: cancels every watch on every server,
+    /// unregisters the notification endpoint from the watch network, and
+    /// leaves the RPC network once no call from its address is pending
+    /// ([`dlaas_net::RpcLayer::leave_when_idle`]), so no answer is dropped that
+    /// would have landed — neither this client's cancels nor the calls of
+    /// a successor that took the same address. Call from process cleanup — a client that
+    /// is merely dropped leaves its endpoints registered forever (each
+    /// incarnation of a component creates a fresh client, so the leak
+    /// grows without bound).
     pub fn close(&self, sim: &mut Sim) {
         let ids: Vec<u64> = self.state.borrow().watches.keys().copied().collect();
         for id in ids {
             self.unwatch(sim, id);
         }
         self.watch_net.unregister(&self.addr);
+        self.state.borrow_mut().closed = true;
+        self.rpc.leave_when_idle(&self.addr);
     }
 
     /// Cancels a watch locally and on all servers. Each server's cancel is

@@ -700,3 +700,58 @@ fn deterministic_across_reruns() {
     }
     assert_eq!(run(), run());
 }
+
+/// A closed client leaves the RPC network only once no call from its
+/// address is pending. An LCM replica's restarted incarnation calls from
+/// the address of the one that crashed (`etcdc/<pod>`): a reply to the
+/// new incarnation still in flight when the old one's last call is
+/// answered lands, instead of being dropped and waited out as a timeout.
+#[test]
+fn a_closed_client_leaves_without_dropping_a_successors_reply() {
+    let mut sim = Sim::new(43);
+    let fixed = LatencyModel::Fixed(SimDuration::from_millis(2));
+    let etcd = EtcdCluster::new(
+        &mut sim,
+        3,
+        dlaas_raft::RaftConfig::default(),
+        fixed.clone(),
+        fixed,
+    );
+    etcd.expect_leader(&mut sim, SimDuration::from_secs(10));
+    sim.run_for(SimDuration::from_secs(1));
+    etcd.client("w").put(&mut sim, "k", "v", |_, r| {
+        r.unwrap();
+    });
+    sim.run_for(SimDuration::from_secs(1));
+
+    // The old incarnation's read is in flight as it closes; its
+    // successor asks the same member a millisecond later, so is
+    // answered second — a redirect or the value, as the old one was.
+    let old = etcd.client("lcm");
+    let (first, first_cb) = slot();
+    old.get(&mut sim, "k", first_cb);
+    old.close(&mut sim);
+    sim.run_for(SimDuration::from_millis(1));
+    let new = etcd.client("lcm");
+    let asked = sim.now();
+    let answered = Rc::new(Cell::new(None));
+    let a = answered.clone();
+    new.get(&mut sim, "k", move |sim, r| {
+        assert_eq!(r, Ok(Some("v".into())));
+        a.set(Some(sim.now()));
+    });
+    sim.run_for(SimDuration::from_secs(2));
+    assert_eq!(*first.borrow(), Some(Ok(Some("v".into()))));
+    let took = answered.get().expect("the successor's read was answered") - asked;
+    // A redirect's backoff and one read round at most, not the 500 ms
+    // RPC timeout a dropped reply costs.
+    assert!(took < SimDuration::from_millis(400), "{took:?}");
+    assert_eq!(etcd.rpc().net().stats().dropped_down, 0);
+    // With nothing pending from the address, its endpoint is gone; the
+    // successor's next call registers it again.
+    assert!(!etcd.rpc().net().endpoint_addrs().contains(&"lcm".into()));
+    let (again, again_cb) = slot();
+    new.get(&mut sim, "k", again_cb);
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(*again.borrow(), Some(Ok(Some("v".into()))));
+}

@@ -676,6 +676,17 @@ impl Kube {
         had
     }
 
+    /// Stops every pod's processes through the one stop path, cleanups
+    /// and teardowns included, and leaves each pod where it was: what a
+    /// world's end runs (`Sim::at_end`), since a process's exit hook
+    /// holds this cluster, which holds the process.
+    pub fn stop_every_process(&self, sim: &mut Sim) {
+        let pods: Vec<String> = self.state.borrow().pods.keys().cloned().collect();
+        for name in pods {
+            self.stop_processes(sim, &name);
+        }
+    }
+
     fn release_node(&self, name: &str) {
         let mut s = self.state.borrow_mut();
         let Some(pod) = s.pods.get_mut(name) else {

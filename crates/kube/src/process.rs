@@ -184,6 +184,14 @@ impl BehaviorRegistry {
         self.register(name, |_sim, _ctx| Box::new(|_sim| {}));
     }
 
+    /// Drops every factory: what a world's end runs (`Sim::at_end`), since
+    /// a factory holds the handles of the platform that holds this
+    /// registry.
+    pub fn clear(&self) {
+        let dropped = std::mem::take(&mut *self.factories.borrow_mut());
+        drop(dropped);
+    }
+
     /// Looks up a factory.
     pub fn get(&self, name: &str) -> Option<BehaviorFactory> {
         self.factories.borrow().get(name).cloned()

@@ -298,6 +298,21 @@ impl<M: 'static> Net<M> {
         self.state.borrow_mut().on_rule_change = Some(Rc::new(hook));
     }
 
+    /// Drops every endpoint's handler and the rule hook: what a world's
+    /// end runs ([`Sim::at_end`]), since a handler holds the component it
+    /// delivers to and that component holds the network. Counters stay
+    /// readable; a message sent afterwards is dropped as to a down
+    /// endpoint.
+    pub fn drop_handlers(&self) {
+        let (endpoints, hook) = {
+            let mut s = self.state.borrow_mut();
+            (std::mem::take(&mut s.endpoints), s.on_rule_change.take())
+        };
+        // Outside the borrow: a handler may own the last handle on a
+        // component whose teardown reaches this network.
+        drop((endpoints, hook));
+    }
+
     fn rules_changed(&self, sim: &mut Sim) {
         let hook = self.state.borrow().on_rule_change.clone();
         if let Some(hook) = hook {

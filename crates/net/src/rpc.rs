@@ -114,6 +114,8 @@ pub type Resolver = Rc<dyn Fn(&mut Sim) -> Option<Addr>>;
 
 struct Pending<Resp> {
     reply: ReplyFn<Resp>,
+    /// The calling address, which [`RpcLayer::leave_when_idle`] waits on.
+    from: Addr,
     /// The type name of the caller's continuation, which the event that
     /// runs it is charged to ([`Sim::charge_to`]).
     site: &'static str,
@@ -131,6 +133,9 @@ struct LayerState<Req: 'static, Resp: 'static> {
     /// handler dispatches on the frame type.
     endpoints: std::collections::BTreeSet<Addr>,
     servers: BTreeMap<Addr, ServerFn<Req, Resp>>,
+    /// Addresses whose endpoint goes once no call from them is pending
+    /// ([`RpcLayer::leave_when_idle`]).
+    leaving: std::collections::BTreeSet<Addr>,
 }
 
 /// Typed request/response RPC over a [`Net`]. Cloning shares the layer.
@@ -194,6 +199,7 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
                 next_id: 0,
                 endpoints: Default::default(),
                 servers: BTreeMap::new(),
+                leaving: Default::default(),
             })),
         }
     }
@@ -230,8 +236,49 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
             let mut s = self.state.borrow_mut();
             s.servers.remove(addr);
             s.endpoints.remove(addr);
+            s.leaving.remove(addr);
         }
         self.net.unregister(addr);
+    }
+
+    /// Unregisters the calling address `addr` once no call from it is
+    /// pending: at once if none is, else when the last one is answered
+    /// or times out, so no reply that would have landed is dropped.
+    /// Pending calls are matched by address, not by caller, so a
+    /// successor calling from the same address keeps the endpoint until
+    /// its own calls settle too. A later call from `addr` registers it
+    /// again. An address that serves stays (see [`RpcLayer::stop_serving`]).
+    pub fn leave_when_idle(&self, addr: &Addr) {
+        {
+            let mut s = self.state.borrow_mut();
+            s.leaving.remove(addr);
+            if s.servers.contains_key(addr) {
+                return;
+            }
+            if s.pending.values().any(|p| p.from == *addr) {
+                s.leaving.insert(addr.clone());
+                return;
+            }
+            s.endpoints.remove(addr);
+        }
+        self.net.unregister(addr);
+    }
+
+    /// Drops every pending call's continuation, every server handler and
+    /// every endpoint on the network: what a world's end runs
+    /// ([`Sim::at_end`]). No continuation runs — not even as a timeout.
+    pub fn drop_handlers(&self) {
+        let dropped = {
+            let mut s = self.state.borrow_mut();
+            s.endpoints.clear();
+            s.leaving.clear();
+            (
+                std::mem::take(&mut s.pending),
+                std::mem::take(&mut s.servers),
+            )
+        };
+        drop(dropped);
+        self.net.drop_handlers();
     }
 
     /// Registers the per-address dispatch handler once: requests go to
@@ -277,6 +324,10 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
             sim.cancel(p.timeout_ev);
             sim.charge_to(p.site);
             (p.reply)(sim, result);
+            // After the reply, which may have called again from here.
+            if self.state.borrow().leaving.contains(&p.from) {
+                self.leave_when_idle(&p.from);
+            }
         }
         // else: response arrived after timeout — dropped, caller already failed.
     }
@@ -309,6 +360,7 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
             id,
             Pending {
                 reply: Box::new(on_reply),
+                from: from.clone(),
                 site: std::any::type_name::<F>(),
                 timeout_ev,
             },
@@ -570,6 +622,55 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(calls.get(), 1, "callback must fire exactly once");
         assert_eq!(*outcome.borrow(), Some(Err(RpcError::Timeout)));
+    }
+
+    /// A caller that leaves keeps its endpoint while a call from its
+    /// address is pending — its own or a successor's at the same address
+    /// — and loses it once none is.
+    #[test]
+    fn leaving_waits_for_every_call_from_the_address() {
+        let mut sim = Sim::new(1);
+        let rpc = layer(&mut sim);
+        // Answers after as many ms as the request names.
+        rpc.serve(Addr::new("s"), |sim, req: &String, r| {
+            let ms = req.parse().unwrap();
+            sim.schedule_in(SimDuration::from_millis(ms), move |sim| {
+                r.ok(sim, "ok".into());
+            });
+        });
+        let got = Rc::new(Cell::new(0));
+        let call = |sim: &mut Sim, ms: &str| {
+            let g = got.clone();
+            rpc.call(
+                sim,
+                Addr::new("c"),
+                Addr::new("s"),
+                ms.to_string(),
+                SimDuration::from_secs(1),
+                move |_, r| {
+                    assert_eq!(r, Ok("ok".to_string()));
+                    g.set(g.get() + 1);
+                },
+            );
+        };
+        let registered =
+            |rpc: &RpcLayer<String, String>| rpc.net().endpoint_addrs().contains(&Addr::new("c"));
+        call(&mut sim, "10");
+        rpc.leave_when_idle(&Addr::new("c"));
+        call(&mut sim, "50");
+        sim.run_for(SimDuration::from_millis(30));
+        assert_eq!(got.get(), 1);
+        assert!(registered(&rpc), "left with a call still pending");
+        sim.run_for(SimDuration::from_millis(30));
+        assert_eq!(got.get(), 2, "the second reply was dropped");
+        assert!(!registered(&rpc));
+        // Idle: it leaves at once, and calling registers it again.
+        call(&mut sim, "1");
+        sim.run_for(SimDuration::from_millis(10));
+        assert_eq!(got.get(), 3);
+        rpc.leave_when_idle(&Addr::new("c"));
+        assert!(!registered(&rpc));
+        assert_eq!(rpc.net().stats().dropped_down, 0);
     }
 
     #[test]

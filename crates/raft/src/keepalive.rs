@@ -48,7 +48,7 @@ use dlaas_net::{Envelope, Net};
 use dlaas_sim::{EventId, Sim, SimDuration, SimTime};
 
 use crate::node::Raft;
-use crate::types::{LogIndex, NodeId, RaftMsg, Role, Term};
+use crate::types::{LogIndex, NodeId, Peers, RaftMsg, Role, Term};
 
 /// A heartbeat: an AppendEntries that carries no entries, by its fields.
 #[derive(Debug, Clone, Copy)]
@@ -126,7 +126,7 @@ impl<C: Clone + 'static> Keepalives<C> {
         &self,
         now: SimTime,
         leader: NodeId,
-        followers: &[NodeId],
+        followers: Peers,
         heartbeat: &Heartbeat,
     ) -> bool {
         if !self.net.is_open() {
@@ -147,7 +147,7 @@ impl<C: Clone + 'static> Keepalives<C> {
         (0..).zip(&self.nodes).all(|(id, node)| {
             let v = node.vitals();
             v.term <= term
-                && (!followers.contains(&id)
+                && (!followers.contains(id)
                     || (v.alive && v.commit >= heartbeat.leader_commit && leads.idle_link_to(id)))
                 && (id == leader
                     || !v.alive

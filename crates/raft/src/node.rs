@@ -17,7 +17,7 @@ use dlaas_sim::{DeadlineTimer, Sim, SimDuration, SimRng, SimTime};
 
 use crate::keepalive::{Heartbeat, Keepalives};
 use crate::types::{
-    LogEntry, LogIndex, NodeId, PersistentState, RaftConfig, RaftMsg, Role, Snapshot, Term,
+    LogEntry, LogIndex, NodeId, Peers, PersistentState, RaftConfig, RaftMsg, Role, Snapshot, Term,
 };
 
 /// State-machine hooks for log compaction: `take` serializes the current
@@ -232,6 +232,7 @@ impl<C: Clone + 'static> Raft<C> {
     ) -> Self {
         config.validate().expect("invalid raft config");
         assert!(id < cluster_size, "node id out of range");
+        assert!(cluster_size <= Peers::MAX, "more than {} nodes", Peers::MAX);
         let rng = sim.fork_rng(&format!("raft-{id}"));
         let links = (0..cluster_size)
             .map(|p| sim.fork_rng(&format!("raft-{id}/link-{p}")))
@@ -713,7 +714,7 @@ impl<C: Clone + 'static> Raft<C> {
     fn send_heartbeats(&self, sim: &mut Sim) {
         let due = self.due_peers(sim.now());
         self.inner.borrow_mut().hb_seq += 1;
-        for p in due {
+        for p in due.iter() {
             self.send_heartbeat_to(sim, p);
         }
     }
@@ -728,7 +729,7 @@ impl<C: Clone + 'static> Raft<C> {
             return false;
         }
         let due = self.due_peers(now);
-        self.settled_round(group, now, &due).is_some()
+        self.settled_round(group, now, due, |_, _| {})
     }
 
     /// The heartbeat this leader sends next.
@@ -749,30 +750,29 @@ impl<C: Clone + 'static> Raft<C> {
     /// place a heartbeat is applied without the wire. The round settles
     /// whole when [`Keepalives::settles`] holds for all of `peers` at
     /// once, and each exchange is then drawn from its link and applied.
-    /// Returns each exchange's reply instant and follower, or `None`,
-    /// having done nothing, when the round must travel.
+    /// Hands `replied` each exchange's reply instant and follower and
+    /// returns `true`; or returns `false`, having done nothing, when the
+    /// round must travel.
     fn settled_round(
         &self,
         group: &Keepalives<C>,
         now: SimTime,
-        peers: &[NodeId],
-    ) -> Option<Vec<(SimTime, NodeId)>> {
+        peers: Peers,
+        mut replied: impl FnMut(SimTime, NodeId),
+    ) -> bool {
         let me = self.id();
         let heartbeat = self.next_heartbeat();
         if !peers.is_empty() && !group.settles(now, me, peers, &heartbeat) {
-            return None;
+            return false;
         }
         self.inner.borrow_mut().hb_seq += 1;
-        let replies = peers
-            .iter()
-            .map(|&p| {
-                self.inner.borrow_mut().last_sent.insert(p, now);
-                let (there, back) = self.draw_exchange(p);
-                group.apply(now, me, p, heartbeat, there, back);
-                (now + there + back, p)
-            })
-            .collect();
-        Some(replies)
+        for p in peers.iter() {
+            self.inner.borrow_mut().last_sent.insert(p, now);
+            let (there, back) = self.draw_exchange(p);
+            group.apply(now, me, p, heartbeat, there, back);
+            replied(now + there + back, p);
+        }
+        true
     }
 
     /// A ReadIndex read's round, settled: every follower is reached as by
@@ -783,14 +783,15 @@ impl<C: Clone + 'static> Raft<C> {
     fn settle_read_round(&self, sim: &mut Sim, group: &Rc<Keepalives<C>>) -> bool {
         let (me, quorum, peers) = {
             let s = self.inner.borrow();
-            (s.id, s.quorum(), s.others().collect::<Vec<_>>())
+            (s.id, s.quorum(), s.others().collect::<Peers>())
         };
         if peers.is_empty() {
             return false;
         }
-        let Some(mut replies) = self.settled_round(group, sim.now(), &peers) else {
+        let mut replies = Vec::new();
+        if !self.settled_round(group, sim.now(), peers, |at, p| replies.push((at, p))) {
             return false;
-        };
+        }
         replies.sort_unstable();
         let seq = self.inner.borrow().hb_seq;
         group.hold_read(sim, me, seq, replies, quorum - 1);
@@ -834,7 +835,7 @@ impl<C: Clone + 'static> Raft<C> {
     }
 
     /// The peers a heartbeat round at `now` is due to reach.
-    fn due_peers(&self, now: SimTime) -> Vec<NodeId> {
+    fn due_peers(&self, now: SimTime) -> Peers {
         let (me, peers) = {
             let s = self.inner.borrow();
             (s.id, s.cluster_size)

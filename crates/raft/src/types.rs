@@ -7,6 +7,43 @@ use dlaas_sim::SimDuration;
 /// Identifier of a Raft node within its cluster (0-based).
 pub type NodeId = u32;
 
+/// A set of a cluster's node ids, one bit each: the peers a heartbeat
+/// round reaches, built and read without allocating (a cluster has at
+/// most [`Peers::MAX`] nodes).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Peers(u64);
+
+impl Peers {
+    /// The largest cluster a set can describe.
+    pub(crate) const MAX: u32 = u64::BITS;
+
+    pub(crate) fn contains(self, id: NodeId) -> bool {
+        id < Self::MAX && self.0 & (1 << id) != 0
+    }
+
+    pub(crate) fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The ids in the set, lowest first.
+    pub(crate) fn iter(self) -> impl Iterator<Item = NodeId> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let id = rest.trailing_zeros();
+                rest &= rest - 1;
+                id
+            })
+        })
+    }
+}
+
+impl FromIterator<NodeId> for Peers {
+    fn from_iter<I: IntoIterator<Item = NodeId>>(ids: I) -> Self {
+        Peers(ids.into_iter().fold(0, |set, id| set | 1 << id))
+    }
+}
+
 /// A Raft term number.
 pub type Term = u64;
 

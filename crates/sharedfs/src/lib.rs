@@ -251,6 +251,18 @@ impl NfsServer {
         true
     }
 
+    /// Drops every volume's parked pollers, none of which wakes: what a
+    /// world's end runs (`Sim::at_end`), since a parked poller holds a
+    /// mount of the volume that holds it. Volumes and files stay readable.
+    pub fn drop_waiters(&self) {
+        let volumes: Vec<_> = self.state.borrow().volumes.values().cloned().collect();
+        for vol in volumes {
+            let dropped = std::mem::take(&mut vol.borrow_mut().waiters);
+            // Outside the borrow, as in `delete_volume_named`.
+            drop(dropped);
+        }
+    }
+
     /// Looks up a volume id by name, if the volume exists.
     pub fn find_volume(&self, name: &str) -> Option<VolumeId> {
         if self.state.borrow().volumes.contains_key(name) {

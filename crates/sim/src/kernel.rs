@@ -27,6 +27,15 @@
 //! other event pops in exactly the order, with exactly the ids, it would
 //! have had.
 //!
+//! # The end of a world
+//!
+//! Components hold one another in `Rc` cells — a network's handlers hold
+//! the servers they deliver to, and the servers hold the network — so a
+//! world's components would outlive it in cycles. [`Sim::at_end`]
+//! registers what breaks them: when the `Sim` is dropped it runs each
+//! registered hook, in registration order, before its queue and the
+//! closures in it are freed.
+//!
 //! # Re-entrancy convention
 //!
 //! Components in this workspace live in `Rc<RefCell<...>>` cells and their
@@ -225,6 +234,8 @@ pub struct Sim {
     metrics: Registry,
     executed: u64,
     rounds_in_place: u64,
+    /// What [`Sim::at_end`] registered, run when the world is dropped.
+    at_end: Vec<EventFn>,
     /// Per-site costs, once [`Sim::profile_sites`] switched them on.
     #[cfg(feature = "site-profile")]
     sites: Option<BTreeMap<&'static str, SiteCost>>,
@@ -240,6 +251,17 @@ impl std::fmt::Debug for Sim {
             .field("pending", &self.live.len())
             .field("executed", &self.executed)
             .finish()
+    }
+}
+
+impl Drop for Sim {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        for end in std::mem::take(&mut self.at_end) {
+            end.run(self);
+        }
     }
 }
 
@@ -262,6 +284,7 @@ impl Sim {
             metrics: Registry::new(),
             executed: 0,
             rounds_in_place: 0,
+            at_end: Vec::new(),
             #[cfg(feature = "site-profile")]
             sites: None,
             #[cfg(feature = "site-profile")]
@@ -407,6 +430,20 @@ impl Sim {
     /// work that will actually run.
     pub fn events_pending(&self) -> usize {
         self.live.len()
+    }
+
+    /// Registers `end` to run when this world is dropped, after every hook
+    /// registered before it. A hook gets the world as it was when dropped
+    /// (its clock and its pending events, none of which run again); what
+    /// it schedules, or registers with `at_end`, is freed unrun. It is how
+    /// a component breaks the `Rc` cycles that would otherwise outlive the
+    /// world.
+    ///
+    /// A world dropped while its thread panics runs no hook — a second
+    /// panic inside one would abort the process — so a world that
+    /// panicked leaks the cycles its hooks would have broken.
+    pub fn at_end(&mut self, end: impl FnOnce(&mut Sim) + 'static) {
+        self.at_end.push(Box::new(end));
     }
 
     /// Schedules `f` to run at absolute time `at`.
@@ -655,6 +692,40 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    #[test]
+    fn a_dropped_world_runs_its_end_hooks_in_order_and_frees_its_queue() {
+        let ran = Rc::new(RefCell::new(Vec::new()));
+        let pending = Rc::new(());
+        let mut sim = Sim::new(1);
+        let held = pending.clone();
+        sim.schedule_in(SimDuration::from_secs(1), move |_| drop(held));
+        let r = ran.clone();
+        sim.at_end(move |sim| {
+            r.borrow_mut().push(1);
+            // What a hook schedules or registers never runs.
+            sim.at_end(|_| unreachable!("a hook registered at the end ran"));
+            sim.defer(|_| unreachable!("an event scheduled at the end ran"));
+        });
+        let r = ran.clone();
+        sim.at_end(move |_| r.borrow_mut().push(2));
+        drop(sim);
+        assert_eq!(*ran.borrow(), [1, 2]);
+        assert_eq!(Rc::strong_count(&pending), 1, "the queue was not freed");
+    }
+
+    #[test]
+    fn a_world_dropped_while_its_thread_panics_runs_no_end_hook() {
+        let ran = Rc::new(RefCell::new(false));
+        let r = ran.clone();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut sim = Sim::new(1);
+            sim.at_end(move |_| *r.borrow_mut() = true);
+            panic!("a trial fails with its world alive");
+        }));
+        assert!(unwound.is_err());
+        assert!(!*ran.borrow());
+    }
 
     #[test]
     fn events_fire_in_time_order() {

@@ -17,7 +17,7 @@ use dlaas_faults::{nfs_outage_window, partition_window, when};
 use dlaas_integration::{boot, manifest, start_training, submit_blocking, KEY};
 use dlaas_kube::labels;
 use dlaas_net::Addr;
-use dlaas_sim::SimDuration;
+use dlaas_sim::{Sim, SimDuration};
 
 /// The pod currently holding `shard`'s owner key, read off the etcd
 /// leader's store.
@@ -1412,5 +1412,46 @@ fn store_results_polls_through_an_outage_over_its_first_poll_after_storing() {
         sim.trace().of(job.as_str())
     );
     sim.run_for(config::LCM_SCAN * 6);
+    check_invariants(&sim, &platform).assert_clean();
+}
+
+/// A closed etcd client leaves the etcd RPC network once its last call
+/// is answered. A finished job's Guardian and controller used to leave
+/// their clients' endpoints behind for good, two per job: this test's
+/// warm-up alone left 8 endpoints where 6 belong.
+#[test]
+fn finished_jobs_leave_the_etcd_rpc_network_as_booted() {
+    let (mut sim, platform) = boot(305);
+    let client = platform.client("itest", KEY);
+    let finish = |sim: &mut Sim, names: &[String]| {
+        let jobs: Vec<_> = names
+            .iter()
+            .map(|name| submit_blocking(sim, &client, manifest(name, 12)))
+            .collect();
+        let deadline = sim.now() + SimDuration::from_hours(1);
+        while jobs
+            .iter()
+            .any(|j| platform.job_status(j) != Some(JobStatus::Completed))
+        {
+            assert!(sim.now() < deadline, "{} did not finish", jobs[0]);
+            sim.run_for(SimDuration::from_secs(10));
+        }
+        sim.run_for(config::LCM_SCAN * 6);
+    };
+    // One job first, whose garbage collection registers the platform's
+    // one long-lived client (`lcm-gc`) beside the servers and the LCMs.
+    finish(&mut sim, &["rpc-warm".to_owned()]);
+    let booted = platform.etcd().rpc().net().endpoint_addrs();
+    assert_eq!(booted.len(), 6, "{booted:?}");
+    for wave in 0..3 {
+        let names: Vec<_> = (0..8).map(|i| format!("rpc-{wave}-{i}")).collect();
+        finish(&mut sim, &names);
+        assert_eq!(
+            platform.etcd().rpc().net().endpoint_addrs(),
+            booted,
+            "after {} finished jobs",
+            8 * (wave + 1)
+        );
+    }
     check_invariants(&sim, &platform).assert_clean();
 }
