@@ -61,7 +61,6 @@ fn timing(heartbeat_ms: u64, multiple: u64) -> RaftConfig {
         election_timeout_min: min,
         election_timeout_max: min * 2,
         compact_threshold: COMPACT_THRESHOLD,
-        ..RaftConfig::default()
     }
 }
 

@@ -6,49 +6,42 @@
 //!
 //! Usage:
 //!   cargo run --release -p dlaas-bench --bin engine_bench -- \
-//!     [--seed S] [--actors A] [--events E] [--out PATH] \
-//!     [--check BASELINE.json] [--tolerance F]
+//!     [--out PATH] [--check BASELINE.json]
 //!
-//! Defaults: seed 2018, 10000 churn actors, 2,000,000 churn events, out
-//! `BENCH_engine.json`, tolerance 0.10. With `--check`, exits non-zero if
-//! the workload's events/wall-sec is more than the tolerance below the
-//! committed baseline.
+//! Runs 2,000,000 churn events over 10,000 actors at seed 2018 (the
+//! committed baseline's workload) and writes `BENCH_engine.json` unless
+//! `--out` names another path. With `--check`, exits non-zero if the
+//! workload's events/wall-sec is more than `engine::TOLERANCE` (10 %)
+//! below the committed baseline.
 
 use dlaas_bench::cli;
 use dlaas_bench::engine::{self, EngineRun};
 use dlaas_bench::harness::print_table;
 
-const USAGE: &str = "usage: engine_bench [--seed S] [--actors A] [--events E] [--out PATH] \
-    [--check BASELINE.json] [--tolerance F]";
+const USAGE: &str = "usage: engine_bench [--out PATH] [--check BASELINE.json]";
+
+/// The workload the committed baseline measured.
+const SEED: u64 = 2018;
+const ACTORS: u64 = 10_000;
+const EVENTS: u64 = 2_000_000;
 
 struct Args {
-    seed: u64,
-    actors: u64,
-    events: u64,
     out: String,
     check: Option<String>,
-    tolerance: f64,
 }
 
 fn main() {
     let args = cli::parse_or_exit(USAGE, |a| {
         Ok(Args {
-            seed: a.value("--seed")?.unwrap_or(2018),
-            actors: a.value("--actors")?.unwrap_or(10_000),
-            events: a.value("--events")?.unwrap_or(2_000_000),
             out: a
                 .value("--out")?
                 .unwrap_or_else(|| "BENCH_engine.json".into()),
             check: a.value("--check")?,
-            tolerance: a.value("--tolerance")?.unwrap_or(0.10),
         })
     });
-    eprintln!(
-        "engine bench: kernel_churn ({} actors, {} events) (seed {})…",
-        args.actors, args.events, args.seed
-    );
+    eprintln!("engine bench: kernel_churn ({ACTORS} actors, {EVENTS} events) (seed {SEED})…");
 
-    let runs: Vec<EngineRun> = vec![engine::kernel_churn(args.seed, args.actors, args.events)];
+    let runs: Vec<EngineRun> = vec![engine::kernel_churn(SEED, ACTORS, EVENTS)];
 
     let rows: Vec<Vec<String>> = runs
         .iter()
@@ -68,14 +61,14 @@ fn main() {
         &rows,
     );
 
-    let json = engine::render_json(args.seed, &runs);
+    let json = engine::render_json(SEED, &runs);
     std::fs::write(&args.out, &json).expect("write BENCH_engine.json");
     println!("\nwrote {}", args.out);
 
     if let Some(baseline_path) = args.check {
         let baseline = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        match engine::check_against_baseline(&json, &baseline, args.tolerance) {
+        match engine::check_against_baseline(&json, &baseline) {
             Ok(report) => {
                 for line in report {
                     println!("{line}");
@@ -87,7 +80,7 @@ fn main() {
                 }
                 eprintln!(
                     "engine bench regression vs {baseline_path} (tolerance {:.0}%)",
-                    args.tolerance * 100.0
+                    engine::TOLERANCE * 100.0
                 );
                 std::process::exit(1);
             }

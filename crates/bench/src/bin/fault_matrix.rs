@@ -3,8 +3,8 @@
 //! continuous invariant monitor. (The randomized soak is `soak chaos`.)
 //!
 //! Usage:
-//!   cargo run --release -p dlaas-bench --bin fault_matrix [--seeds N] [--base-seed S]
-//!       [--threads T] [--sim-budget-secs B] [--out FILE] [--fault LABEL]
+//!   cargo run --release -p dlaas-bench --bin fault_matrix [--seeds N] [--seed S]
+//!       [--threads T] [--out FILE] [--fault LABEL]
 //!   cargo run --release -p dlaas-bench --bin fault_matrix -- --trial FAULT/POINT --seed S
 //!
 //! `--fault LABEL` restricts the matrix to one fault kind (the CI
@@ -15,11 +15,10 @@
 //! count. The process exits 2 on a command line it cannot parse, and 1
 //! if any cell fails (job did not complete, the fault never fired, or an
 //! invariant was violated) **or** any trial was recorded abnormal —
-//! `TIMEOUT` past the per-trial sim budget, or a panic converted into a
-//! failure record. The budget defaults to 2h per cell;
-//! `--sim-budget-secs B` overrides it and `--sim-budget-secs 0` uncaps
-//! entirely. Abnormal records print the exact single-threaded repro
-//! command, which is what `--trial FAULT/POINT --seed S` replays.
+//! `TIMEOUT` past the per-trial sim budget (2 h of simulated time), or a
+//! panic converted into a failure record. Abnormal records print the
+//! exact single-threaded repro command, which is what
+//! `--trial FAULT/POINT --seed S` replays.
 
 use dlaas_bench::cli;
 use dlaas_bench::harness::print_table;
@@ -27,21 +26,14 @@ use dlaas_bench::matrix::{
     render_matrix_json, run_cell, sweep, CellOutcome, FaultKind, InjectionPoint, MatrixCampaign,
 };
 use dlaas_bench::metrics::MATRIX_RECOVERY_SECONDS;
-use dlaas_sim::SimDuration;
 
-const USAGE: &str = "usage: fault_matrix [--seeds N] [--base-seed S] [--threads T] \
-    [--sim-budget-secs B] [--out FILE] [--fault LABEL] | --trial FAULT/POINT --seed S";
-
-/// Default per-trial sim budget for matrix cells: a cell runs 60s of boot
-/// and its one-hour-and-two-minute drain, so 2h flags genuine runaways
-/// without ever clipping a passing trial.
-const MATRIX_BUDGET: SimDuration = SimDuration::from_hours(2);
+const USAGE: &str = "usage: fault_matrix [--seeds N] [--seed S] [--threads T] \
+    [--out FILE] [--fault LABEL] | --trial FAULT/POINT --seed S";
 
 struct Opts {
     seeds: u64,
     base_seed: u64,
     threads: usize,
-    sim_budget: Option<SimDuration>,
     trial: Option<(FaultKind, InjectionPoint)>,
     out_path: Option<String>,
     fault: Option<FaultKind>,
@@ -53,17 +45,10 @@ fn main() {
             let (fault, point) = spec.split_once('/').ok_or("--trial expects FAULT/POINT")?;
             Ok::<_, String>((fault.parse()?, point.parse()?))
         });
-        let base_seed = a.value("--base-seed")?;
         Ok(Opts {
             seeds: a.value("--seeds")?.unwrap_or(5),
-            base_seed: a.value("--seed")?.or(base_seed).unwrap_or(2018),
+            base_seed: a.value("--seed")?.unwrap_or(2018),
             threads: a.value("--threads")?.unwrap_or(1),
-            // 0 = uncapped.
-            sim_budget: match a.value("--sim-budget-secs")? {
-                Some(0) => None,
-                Some(secs) => Some(SimDuration::from_secs(secs)),
-                None => Some(MATRIX_BUDGET),
-            },
             trial: trial.transpose()?,
             out_path: a.value("--out")?,
             fault: a.value("--fault")?,
@@ -100,7 +85,7 @@ fn run_matrix(kinds: &[FaultKind], opts: &Opts) {
     eprintln!(
         "fault matrix: {cells} cells x {seeds} seeds (base seed {base_seed}, {threads} thread(s))…"
     );
-    let campaign = sweep(kinds, base_seed, seeds, threads, opts.sim_budget);
+    let campaign = sweep(kinds, base_seed, seeds, threads);
     let run = &campaign.run;
 
     // One row per (fault, point): pass count and recovery range from the

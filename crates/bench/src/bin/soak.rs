@@ -18,13 +18,12 @@
 //! The process exits 2 on a command line it cannot parse, and 1 if any
 //! trial is abnormal or malformed (lost submissions, unfinished jobs,
 //! invariant violations), if a per-job cost at the largest N exceeds 2×
-//! the smallest N, or if `--check` finds a regression against the
-//! committed baseline.
+//! the smallest N, or if `--check` finds a figure more than 10 % worse
+//! than the committed baseline.
 //!
 //! Usage:
-//!   soak <uniform|traffic|chaos> [--threads T] [--check BASELINE [--tolerance 0.10]]
-//!        [--lcm-replicas M] [--sim-budget-secs B] [--profile]
-//!        [seed] [N1,N2,...] [out.json]
+//!   soak <uniform|traffic|chaos> [--threads T] [--check BASELINE]
+//!        [--lcm-replicas M] [--profile] [seed] [N1,N2,...] [out.json]
 //! `--profile` adds, per run, the kernel's events by scheduling call
 //! site (deterministic, on stdout) and the host time spent inside each
 //! site's closures (wall-clock, on stderr).
@@ -129,7 +128,7 @@ fn main() {
     dirty |= !flat;
 
     if let Some(baseline) = &baseline {
-        match soak::check_against_baseline(&wall_json, baseline, cli.tolerance) {
+        match soak::check_against_baseline(&wall_json, baseline) {
             Ok(lines) => {
                 for l in lines {
                     println!("{l}");

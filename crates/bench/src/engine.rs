@@ -13,7 +13,7 @@
 //! *wall-derived* artifact: it is NOT byte-stable across runs and must
 //! never enter a byte-comparison gate. CI instead compares it against a
 //! committed baseline with a relative tolerance
-//! ([`check_against_baseline`]).
+//! ([`check_against_baseline`], [`TOLERANCE`]).
 
 use std::fmt::Write as _;
 
@@ -114,11 +114,14 @@ pub fn render_json(seed: u64, runs: &[EngineRun]) -> String {
     out
 }
 
+/// How far below the baseline's rate a workload may run (fractional).
+pub const TOLERANCE: f64 = 0.10;
+
 /// Compares a fresh `BENCH_engine.json` against a committed baseline.
 ///
 /// For every workload in the baseline, the current run must contain the
 /// same workload name and its `events_per_wall_sec` must be no more than
-/// `tolerance` (fractional, e.g. `0.10`) below the baseline's — a
+/// [`TOLERANCE`] below the baseline's — a
 /// workload here runs a fixed number of events, so its rate is its
 /// speed. Returns per-workload report lines on success, or the list of
 /// violations on failure. Malformed JSON on either side is a violation —
@@ -126,7 +129,6 @@ pub fn render_json(seed: u64, runs: &[EngineRun]) -> String {
 pub fn check_against_baseline(
     current_json: &str,
     baseline_json: &str,
-    tolerance: f64,
 ) -> Result<Vec<String>, Vec<String>> {
     /// `(name, events per wall-second)` per workload.
     fn rates(json: &str, which: &str) -> Result<Vec<(String, f64)>, String> {
@@ -171,7 +173,7 @@ pub fn check_against_baseline(
             ));
             continue;
         };
-        let floor = base_rate * (1.0 - tolerance);
+        let floor = base_rate * (1.0 - TOLERANCE);
         let line = format!(
             "{name}: {cur_rate:.1} ev/wall-s vs baseline {base_rate:.1} (floor {floor:.1})"
         );
@@ -218,7 +220,7 @@ mod tests {
     fn baseline_check_passes_within_tolerance() {
         let base = fake_json(&[("kernel_churn", 1000.0)]);
         let cur = fake_json(&[("kernel_churn", 950.0)]);
-        let report = check_against_baseline(&cur, &base, 0.10).expect("within tolerance");
+        let report = check_against_baseline(&cur, &base).expect("within tolerance");
         assert_eq!(report.len(), 1);
         assert!(report[0].starts_with("ok kernel_churn"));
     }
@@ -227,7 +229,7 @@ mod tests {
     fn baseline_check_fails_on_regression() {
         let base = fake_json(&[("kernel_churn", 1000.0)]);
         let cur = fake_json(&[("kernel_churn", 800.0)]);
-        let violations = check_against_baseline(&cur, &base, 0.10).expect_err("regressed");
+        let violations = check_against_baseline(&cur, &base).expect_err("regressed");
         assert!(violations[0].starts_with("REGRESSION kernel_churn"));
     }
 
@@ -235,8 +237,8 @@ mod tests {
     fn baseline_check_fails_on_missing_workload_or_bad_json() {
         let base = fake_json(&[("kernel_churn", 1000.0), ("kernel_churn_far", 50.0)]);
         let cur = fake_json(&[("kernel_churn", 1000.0)]);
-        assert!(check_against_baseline(&cur, &base, 0.10).is_err());
-        assert!(check_against_baseline("not json", &base, 0.10).is_err());
-        assert!(check_against_baseline(&cur, "{}", 0.10).is_err());
+        assert!(check_against_baseline(&cur, &base).is_err());
+        assert!(check_against_baseline("not json", &base).is_err());
+        assert!(check_against_baseline(&cur, "{}").is_err());
     }
 }

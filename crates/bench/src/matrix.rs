@@ -432,6 +432,11 @@ pub struct MatrixCampaign {
     pub report: CampaignReport<CellOutcome>,
 }
 
+/// Per-trial sim budget of a matrix cell: a cell runs 60 s of boot and
+/// its one-hour-and-two-minute drain, so 2 h flags genuine runaways
+/// without ever clipping a passing trial.
+const MATRIX_BUDGET: SimDuration = SimDuration::from_hours(2);
+
 /// Runs the matrix over the given fault kinds (all of them, or the
 /// `--fault LABEL` smoke subset CI runs on every push) × every injection
 /// point × `seeds` seeds from `base_seed`, on `threads` workers. Trial
@@ -440,13 +445,7 @@ pub struct MatrixCampaign {
 /// trial id and the recovery histogram is replayed from the merged
 /// sequence on the calling thread, so every output — including the
 /// registry exposition — is byte-identical for any `threads`.
-pub fn sweep(
-    kinds: &[FaultKind],
-    base_seed: u64,
-    seeds: u64,
-    threads: usize,
-    sim_budget: Option<SimDuration>,
-) -> MatrixCampaign {
+pub fn sweep(kinds: &[FaultKind], base_seed: u64, seeds: u64, threads: usize) -> MatrixCampaign {
     let mut trials = Vec::new();
     for &kind in kinds {
         for point in InjectionPoint::all() {
@@ -462,10 +461,7 @@ pub fn sweep(
             }
         }
     }
-    let mut runner = CampaignRunner::new("fault_matrix", threads);
-    if let Some(b) = sim_budget {
-        runner = runner.with_sim_budget(b);
-    }
+    let runner = CampaignRunner::new("fault_matrix", threads).with_sim_budget(MATRIX_BUDGET);
     let report = runner.run(trials, |&(seed, kind, point), _ctx| cell(seed, kind, point));
 
     // Replay the merged records into a fresh registry. Histogram bucket

@@ -773,8 +773,7 @@ pub fn render_profile(run: &SoakRun) -> (String, String) {
 
 /// The usage line, printed with every command-line error.
 pub const USAGE: &str = "usage: soak <uniform|traffic|chaos> [--threads T] \
-    [--check BASELINE [--tolerance X]] [--lcm-replicas M] \
-    [--sim-budget-secs B] [--profile] [seed] [N1,N2,...] [out.json]";
+    [--check BASELINE] [--lcm-replicas M] [--profile] [seed] [N1,N2,...] [out.json]";
 
 /// A parsed `soak` command line.
 #[derive(Debug)]
@@ -785,12 +784,12 @@ pub struct Cli {
     pub threads: usize,
     /// Baseline to gate against.
     pub check: Option<String>,
-    /// Relative tolerance of the gate.
-    pub tolerance: f64,
     /// LCM replica count, when not the platform default.
     pub lcm_replicas: Option<u32>,
-    /// Per-trial sim-time budget; `None` uncaps.
-    pub sim_budget: Option<SimDuration>,
+    /// Per-trial sim-time budget: what a trial of the largest size
+    /// simulates (boot, window, drain) and an hour more, past which it is
+    /// a runaway.
+    pub sim_budget: SimDuration,
     /// Attribute events and host time to scheduling call sites.
     pub profile: bool,
     /// The simulation seed of every trial.
@@ -805,9 +804,7 @@ pub struct Cli {
 pub fn parse_cli(args: &mut Args) -> Result<Cli, String> {
     let threads = args.value("--threads")?.unwrap_or(1);
     let check = args.value("--check")?;
-    let tolerance = args.value("--tolerance")?.unwrap_or(0.10);
     let lcm_replicas = args.value("--lcm-replicas")?;
-    let budget_secs: Option<u64> = args.value("--sim-budget-secs")?;
     let profile = args.switch("--profile");
     let name: String = args.positional("preset")?.ok_or("missing preset")?;
     let preset = *PRESETS
@@ -828,19 +825,12 @@ pub fn parse_cli(args: &mut Args) -> Result<Cli, String> {
     let out = args
         .positional("out")?
         .unwrap_or_else(|| "BENCH_soak.json".into());
-    // Every trial simulates boot + window + drain; anything past an extra
-    // hour of sim time is a runaway. `--sim-budget-secs 0` uncaps.
     let largest = sizes.iter().copied().max().unwrap_or(0);
-    let sim_budget = match budget_secs {
-        Some(0) => None,
-        Some(secs) => Some(SimDuration::from_secs(secs)),
-        None => Some((preset.window)(largest) + preset.drain + SimDuration::from_hours(1)),
-    };
+    let sim_budget = (preset.window)(largest) + preset.drain + SimDuration::from_hours(1);
     Ok(Cli {
         preset,
         threads,
         check,
-        tolerance,
         lcm_replicas,
         sim_budget,
         profile,
@@ -903,10 +893,7 @@ fn campaign_of(cli: &Cli, trials: Vec<(u64, u64)>, profile: bool) -> CampaignRep
             spec: (seed, n),
         })
         .collect();
-    let mut runner = CampaignRunner::new("soak", cli.threads);
-    if let Some(b) = cli.sim_budget {
-        runner = runner.with_sim_budget(b);
-    }
+    let runner = CampaignRunner::new("soak", cli.threads).with_sim_budget(cli.sim_budget);
     runner.run(trials, |&(seed, n), _ctx| {
         run(seed, preset, n, lcm_replicas, profile)
     })
@@ -1094,10 +1081,13 @@ pub fn peak_rss_kib() -> Option<u64> {
     line.split_whitespace().next()?.parse().ok()
 }
 
+/// How much worse than the baseline a gated figure may be (fractional).
+const TOLERANCE: f64 = 0.10;
+
 /// Compares a fresh gate sidecar against the committed baseline.
 ///
 /// For every baseline run of the sidecar's preset, the current run must
-/// exist and be no more than `tolerance` (fractional, e.g. `0.10`) worse:
+/// exist and be no more than `TOLERANCE` (10 %) worse:
 ///
 /// * `wall_secs` — the machine-speed gate. It reads wall seconds, not
 ///   events per wall-second: a soak performs a fixed experiment and its
@@ -1118,7 +1108,6 @@ pub fn peak_rss_kib() -> Option<u64> {
 pub fn check_against_baseline(
     wall_json: &str,
     baseline_json: &str,
-    tolerance: f64,
 ) -> Result<Vec<String>, Vec<String>> {
     fn runs_of(json: &str, which: &str) -> Result<Vec<Value>, Vec<String>> {
         let doc = Value::parse_json(json)
@@ -1140,7 +1129,7 @@ pub fn check_against_baseline(
     let mut unpooled = Vec::new();
     let mut gate = |what: String, current: Option<f64>, base: Option<f64>| match (current, base) {
         (Some(cur), Some(base)) => {
-            let ceiling = base * (1.0 + tolerance);
+            let ceiling = base * (1.0 + TOLERANCE);
             let line = format!("{what}: {cur:.1} vs baseline {base:.1} (ceiling {ceiling:.1})");
             if cur > ceiling {
                 violations.push(format!("REGRESSION {line}"));
@@ -1219,10 +1208,10 @@ mod tests {
     fn cli_defaults_come_from_the_preset() {
         let c = cli(&["traffic"]).expect("preset alone is a full command line");
         assert_eq!(c.preset.name, "traffic");
-        assert_eq!((c.seed, c.threads, c.tolerance), (2018, 1, 0.10));
+        assert_eq!((c.seed, c.threads), (2018, 1));
         assert_eq!(c.sizes, TRAFFIC.default_sizes);
         assert_eq!(c.out, "BENCH_soak.json");
-        assert_eq!(c.sim_budget, Some(SimDuration::from_hours(4)));
+        assert_eq!(c.sim_budget, SimDuration::from_hours(4));
     }
 
     #[test]
@@ -1236,19 +1225,16 @@ mod tests {
             "--lcm-replicas",
             "3",
             "out.json",
-            "--sim-budget-secs",
-            "0",
         ])
         .expect("valid");
         assert_eq!((c.seed, c.threads, c.lcm_replicas), (7, 8, Some(3)));
         assert_eq!(c.sizes, vec![30, 60]);
         assert_eq!(c.out, "out.json");
-        assert_eq!(c.sim_budget, None, "0 uncaps");
         assert!(!c.profile);
         assert!(cli(&["chaos", "--profile", "7"]).expect("valid").profile);
         // The default budget follows the largest size's window.
         let c = cli(&["chaos", "7", "30,60"]).expect("valid");
-        assert_eq!(c.sim_budget, Some(SimDuration::from_hours(2 + 4 + 1)));
+        assert_eq!(c.sim_budget, SimDuration::from_hours(2 + 4 + 1));
     }
 
     #[test]
@@ -1264,7 +1250,8 @@ mod tests {
             &["traffic", "--soak", "3"],
             &["traffic", "--threads"],
             &["traffic", "--threads", "many"],
-            &["traffic", "--tolerance", "ten"],
+            &["traffic", "--tolerance", "0.10"],
+            &["traffic", "--sim-budget-secs", "0"],
             &["traffic", "2018", "1000", "out.json", "extra"],
         ] {
             assert!(cli(bad).is_err(), "{bad:?} must be rejected");
@@ -1299,7 +1286,7 @@ mod tests {
     #[test]
     fn baseline_gates_wall_seconds_and_p99() {
         let baseline = sidecar(&fake_run("traffic/n1000", 1_000_000, 10.0, 120.0));
-        let check = |run: &SoakRun| check_against_baseline(&sidecar(run), &baseline, 0.10);
+        let check = |run: &SoakRun| check_against_baseline(&sidecar(run), &baseline);
 
         let report = check(&fake_run("traffic/n1000", 1_000_000, 10.5, 125.0)).expect("within");
         assert_eq!(report.len(), 3);
@@ -1357,9 +1344,9 @@ mod tests {
         assert!(pooled_trials(&c, "not json").is_empty());
 
         // Pooled over other seeds than the baseline's is no comparison.
-        let v = check_against_baseline(&sidecar(&slow), &pooled, 0.10).unwrap_err();
+        let v = check_against_baseline(&sidecar(&slow), &pooled).unwrap_err();
         assert!(v[0].contains("pooled over seeds [7]"), "{v:?}");
-        check_against_baseline(&pooled, &pooled, 0.10).expect("same pool");
+        check_against_baseline(&pooled, &pooled).expect("same pool");
     }
 
     #[test]
@@ -1372,22 +1359,22 @@ mod tests {
             &[],
             Some(1),
         );
-        check_against_baseline(&sidecar(&run), &baseline, 0.10).expect("same run");
+        check_against_baseline(&sidecar(&run), &baseline).expect("same run");
 
         let other = sidecar(&fake_run("traffic/n200", 1, 1.0, 1.0));
-        let v = check_against_baseline(&other, &baseline, 0.10).unwrap_err();
+        let v = check_against_baseline(&other, &baseline).unwrap_err();
         assert!(v[0].contains("missing from current run"), "{v:?}");
         let mut renamed = run.clone();
         renamed.classes[0].0 = "orca".into();
-        let v = check_against_baseline(&sidecar(&renamed), &baseline, 0.10).unwrap_err();
+        let v = check_against_baseline(&sidecar(&renamed), &baseline).unwrap_err();
         assert_eq!(v, ["traffic/n1000/whale tail s: missing from current run"]);
 
-        assert!(check_against_baseline("not json", &baseline, 0.10).is_err());
-        assert!(check_against_baseline(&sidecar(&run), "not json", 0.10).is_err());
-        assert!(check_against_baseline(&sidecar(&run), "{}", 0.10).is_err());
+        assert!(check_against_baseline("not json", &baseline).is_err());
+        assert!(check_against_baseline(&sidecar(&run), "not json").is_err());
+        assert!(check_against_baseline(&sidecar(&run), "{}").is_err());
         // A baseline without a run of this preset gates nothing: a fail.
         let chaos = sidecar(&fake_run("chaos/n120", 1, 1.0, 1.0));
-        let v = check_against_baseline(&chaos, &baseline, 0.10).unwrap_err();
+        let v = check_against_baseline(&chaos, &baseline).unwrap_err();
         assert!(v[0].contains("no chaos/* run"), "{v:?}");
     }
 

@@ -1,6 +1,7 @@
 //! Every bench bin refuses a command line it cannot parse: exit code 2
 //! and its usage line on stderr, before any simulation runs. A garbage
-//! seed must never run the default seed.
+//! seed must never run the default seed, and a flag that was removed
+//! (its setting is a constant now) must not be ignored.
 
 use std::process::{Command, Output};
 
@@ -15,11 +16,19 @@ fn run(bin: &str, args: &[&str]) -> Output {
 
 #[test]
 fn every_bin_exits_2_on_a_command_line_it_cannot_parse() {
-    let cases: [(&str, &[&str]); 15] = [
+    let cases: [(&str, &[&str]); 23] = [
         (env!("CARGO_BIN_EXE_fault_matrix"), &["--seeds", "many"]),
         (
             env!("CARGO_BIN_EXE_fault_matrix"),
             &["--trial", "guardian_crash/nowhere"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_fault_matrix"),
+            &["--seeds", "0", "--base-seed", "7"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_fault_matrix"),
+            &["--seeds", "0", "--sim-budget-secs", "0"],
         ),
         (env!("CARGO_BIN_EXE_fig2"), &["seed"]),
         (env!("CARGO_BIN_EXE_fig2"), &["--thread", "2"]),
@@ -34,8 +43,20 @@ fn every_bin_exits_2_on_a_command_line_it_cannot_parse() {
             env!("CARGO_BIN_EXE_ablation_detection"),
             &["--smoke", "seed"],
         ),
-        (env!("CARGO_BIN_EXE_engine_bench"), &["--events", "lots"]),
+        (env!("CARGO_BIN_EXE_engine_bench"), &["--out"]),
+        (env!("CARGO_BIN_EXE_engine_bench"), &["--seed", "7"]),
+        (env!("CARGO_BIN_EXE_engine_bench"), &["--actors", "10"]),
+        (env!("CARGO_BIN_EXE_engine_bench"), &["--events", "1000"]),
+        (env!("CARGO_BIN_EXE_engine_bench"), &["--tolerance", "0.10"]),
         (env!("CARGO_BIN_EXE_soak"), &["uniform", "seed"]),
+        (
+            env!("CARGO_BIN_EXE_soak"),
+            &["uniform", "--tolerance", "0.10", "7", "10"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_soak"),
+            &["uniform", "--sim-budget-secs", "0", "7", "10"],
+        ),
         (env!("CARGO_BIN_EXE_extended_predictions"), &["v100"]),
     ];
     for (bin, args) in cases {

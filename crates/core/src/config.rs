@@ -50,6 +50,9 @@ pub const LEARNER_REPORT: SimDuration = SimDuration::from_millis(2_000);
 pub const LEARNER_RESTORE_ATTEMPTS: u32 = 30;
 /// See [`LEARNER_RESTORE_ATTEMPTS`].
 pub const LEARNER_RESTORE_RETRY: SimDuration = SimDuration::from_millis(1_000);
+/// Object-store aggregate service bandwidth, bytes/sec (all tenants
+/// share it).
+pub const OBJSTORE_BYTES_PER_SEC: f64 = 2e9;
 /// RPC deadline for service-to-service calls.
 pub const RPC_TIMEOUT: SimDuration = SimDuration::from_millis(800);
 /// Cold start of the API process (Go binary + config + registrations).

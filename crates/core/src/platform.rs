@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dlaas_docstore::{Doc, Filter, MongoRpc, MongoServer, MongoTimings, StoreError};
+use dlaas_docstore::{Doc, Filter, MongoRpc, MongoServer, StoreError};
 use dlaas_etcd::EtcdCluster;
 use dlaas_gpu::GpuKind;
 use dlaas_kube::{
@@ -48,21 +48,16 @@ pub struct GpuNodeSpec {
 pub struct PlatformConfig {
     /// Control-plane tunables.
     pub core: CoreConfig,
-    /// Kubernetes timing knobs.
-    pub kube: KubeConfig,
     /// CPU-only nodes hosting the core services.
     pub core_nodes: u32,
     /// GPU node classes.
     pub gpu_nodes: Vec<GpuNodeSpec>,
-    /// Object-store aggregate service bandwidth (bytes/sec).
-    pub objstore_bytes_per_sec: f64,
 }
 
 impl Default for PlatformConfig {
     fn default() -> Self {
         PlatformConfig {
             core: CoreConfig::default(),
-            kube: KubeConfig::default(),
             core_nodes: 3,
             gpu_nodes: vec![
                 GpuNodeSpec {
@@ -76,7 +71,6 @@ impl Default for PlatformConfig {
                     gpus_each: 2,
                 },
             ],
-            objstore_bytes_per_sec: 2e9,
         }
     }
 }
@@ -118,7 +112,7 @@ impl DlaasPlatform {
         cfg.core.validate().expect("invalid core config");
 
         let registry = BehaviorRegistry::new();
-        let kube = Kube::new(sim, cfg.kube.clone(), registry.clone());
+        let kube = Kube::new(sim, KubeConfig, registry.clone());
         for i in 0..cfg.core_nodes {
             kube.add_node(NodeSpec::cpu(format!("core-{i}"), 16_000, 65_536));
         }
@@ -145,7 +139,7 @@ impl DlaasPlatform {
             .borrow_mut()
             .create_index(crate::mongo::JOBS, "status");
         let etcd = Rc::new(EtcdCluster::new_3way(sim));
-        let objstore = ObjectStore::new(cfg.objstore_bytes_per_sec);
+        let objstore = ObjectStore::new(config::OBJSTORE_BYTES_PER_SEC);
         let nfs = NfsServer::new();
 
         // The one client built without a process to own it: `lcm-gc` lives
@@ -203,16 +197,14 @@ impl DlaasPlatform {
         kube.create_service(sim, LCM_SERVICE, labels! {"app" => "lcm"});
 
         // The world's end: every process stops as it would on deletion
-        // (closing its etcd and metadata clients), then each substrate
-        // drops the handlers that close its `Rc` cycles.
-        let world = (handles.clone(), mongo_rpc.clone(), etcd.clone(), registry);
+        // (closing its etcd and metadata clients), then the shared volume
+        // and the behavior registry drop what closes their `Rc` cycles.
+        // Registered after every network, so it runs before they drop
+        // their handlers (`Sim::at_end` runs the last registered first).
+        let ending = handles.clone();
         sim.at_end(move |sim| {
-            let (handles, mongo_rpc, etcd, registry) = world;
-            handles.kube.stop_every_process(sim);
-            handles.rpc.drop_handlers();
-            mongo_rpc.drop_handlers();
-            etcd.drop_handlers();
-            handles.nfs.drop_waiters();
+            ending.kube.stop_every_process(sim);
+            ending.nfs.drop_waiters();
             registry.clear();
         });
 
@@ -489,7 +481,7 @@ impl DlaasPlatform {
             let rpc = self.mongo_rpc.clone();
             let slot = self.mongo.clone();
             sim.schedule_in(d, move |sim| {
-                let server = MongoServer::recover(rpc, journal, MongoTimings::default());
+                let server = MongoServer::recover(rpc, journal);
                 *slot.borrow_mut() = server;
                 sim.mark("platform", "mongo", "recovered", 0);
             });

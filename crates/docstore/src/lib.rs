@@ -64,6 +64,6 @@ mod store;
 mod value;
 
 pub use query::{Filter, Update};
-pub use server::{mongo_addr, MongoRequest, MongoResponse, MongoRpc, MongoServer, MongoTimings};
+pub use server::{mongo_addr, MongoRequest, MongoResponse, MongoRpc, MongoServer};
 pub use store::{Doc, DocStore, Journal, JournalOp, StoreError};
 pub use value::{IntoFields, Obj, Value};

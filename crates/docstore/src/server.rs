@@ -50,31 +50,8 @@ pub enum MongoRequest {
         /// Mutation.
         update: Update,
     },
-    /// Update every matching document.
-    UpdateMany {
-        /// Target collection.
-        coll: String,
-        /// Predicate.
-        filter: Filter,
-        /// Mutation.
-        update: Update,
-    },
     /// Delete the first matching document.
     DeleteOne {
-        /// Target collection.
-        coll: String,
-        /// Predicate.
-        filter: Filter,
-    },
-    /// Delete every matching document.
-    DeleteMany {
-        /// Target collection.
-        coll: String,
-        /// Predicate.
-        filter: Filter,
-    },
-    /// Count matching documents.
-    Count {
         /// Target collection.
         coll: String,
         /// Predicate.
@@ -88,13 +65,6 @@ pub enum MongoRequest {
         coll: String,
         /// Sequence watermark; `0` means the full feed.
         since: u64,
-    },
-    /// Create a secondary index.
-    CreateIndex {
-        /// Target collection.
-        coll: String,
-        /// Dotted path to index.
-        path: String,
     },
 }
 
@@ -114,8 +84,6 @@ pub enum MongoResponse {
     Updated(usize),
     /// Number of documents deleted.
     Deleted(usize),
-    /// Count result.
-    Count(usize),
     /// Change feed above the requested watermark.
     Changed {
         /// Documents that changed and still exist, in change order.
@@ -125,8 +93,6 @@ pub enum MongoResponse {
         /// Current high-water sequence number (the next `since`).
         high_water: u64,
     },
-    /// Index created / generic success.
-    Ok,
 }
 
 /// RPC layer type used by the document store.
@@ -137,30 +103,16 @@ pub fn mongo_addr() -> Addr {
     Addr::new("mongodb")
 }
 
-/// Modelled service times (journaled write vs cached read).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MongoTimings {
-    /// Latency added to mutations (journal fsync).
-    pub write: SimDuration,
-    /// Latency added to queries.
-    pub read: SimDuration,
-}
-
-impl Default for MongoTimings {
-    fn default() -> Self {
-        MongoTimings {
-            write: SimDuration::from_micros(1_500),
-            read: SimDuration::from_micros(300),
-        }
-    }
-}
+/// Modelled service time of a mutation (journal fsync).
+const WRITE_LATENCY: SimDuration = SimDuration::from_micros(1_500);
+/// Modelled service time of a query (served from cache).
+const READ_LATENCY: SimDuration = SimDuration::from_micros(300);
 
 /// The MongoDB stand-in service.
 pub struct MongoServer {
     store: Rc<RefCell<DocStore>>,
     rpc: MongoRpc,
     addr: Addr,
-    timings: MongoTimings,
     up: Rc<RefCell<bool>>,
     /// Degraded mode: writes are dropped (clients time out) while reads
     /// keep working — a journal-device stall rather than a full crash.
@@ -183,16 +135,15 @@ impl std::fmt::Debug for MongoServer {
 impl MongoServer {
     /// Starts a fresh server (empty store, new journal) at [`mongo_addr`].
     pub fn new(rpc: MongoRpc) -> Rc<Self> {
-        Self::with_store(rpc, DocStore::new(), MongoTimings::default())
+        Self::with_store(rpc, DocStore::new())
     }
 
     /// Starts a server over an existing store (used for recovery).
-    pub fn with_store(rpc: MongoRpc, store: DocStore, timings: MongoTimings) -> Rc<Self> {
+    pub fn with_store(rpc: MongoRpc, store: DocStore) -> Rc<Self> {
         let server = Rc::new(MongoServer {
             store: Rc::new(RefCell::new(store)),
             rpc,
             addr: mongo_addr(),
-            timings,
             up: Rc::new(RefCell::new(true)),
             fail_writes: Rc::new(RefCell::new(false)),
             examined: RefCell::new(BTreeMap::new()),
@@ -237,8 +188,8 @@ impl MongoServer {
     }
 
     /// Builds a recovered server from a journal (call after [`MongoServer::crash`]).
-    pub fn recover(rpc: MongoRpc, journal: Journal, timings: MongoTimings) -> Rc<Self> {
-        Self::with_store(rpc, DocStore::recover(journal), timings)
+    pub fn recover(rpc: MongoRpc, journal: Journal) -> Rc<Self> {
+        Self::with_store(rpc, DocStore::recover(journal))
     }
 
     /// Direct handle to the store (test/debug aid; bypasses the network).
@@ -256,29 +207,23 @@ impl MongoServer {
             req,
             MongoRequest::InsertOne { .. }
                 | MongoRequest::UpdateOne { .. }
-                | MongoRequest::UpdateMany { .. }
                 | MongoRequest::DeleteOne { .. }
-                | MongoRequest::DeleteMany { .. }
-                | MongoRequest::CreateIndex { .. }
         );
         if is_write && *self.fail_writes.borrow() {
             return; // stalled journal: the client times out
         }
         let delay = if is_write {
-            self.timings.write
+            WRITE_LATENCY
         } else {
-            self.timings.read
+            READ_LATENCY
         };
         // Work-count label for query-bearing ops (None: no candidate scan).
         let op_label = match req {
-            MongoRequest::InsertOne { .. } | MongoRequest::CreateIndex { .. } => None,
+            MongoRequest::InsertOne { .. } => None,
             MongoRequest::FindOne { .. } => Some("find_one"),
             MongoRequest::Find { .. } => Some("find"),
             MongoRequest::UpdateOne { .. } => Some("update_one"),
-            MongoRequest::UpdateMany { .. } => Some("update_many"),
             MongoRequest::DeleteOne { .. } => Some("delete_one"),
-            MongoRequest::DeleteMany { .. } => Some("delete_many"),
-            MongoRequest::Count { .. } => Some("count"),
             MongoRequest::FindChanged { .. } => Some("find_changed"),
         };
         let me = self.clone();
@@ -309,19 +254,8 @@ impl MongoServer {
                     filter,
                     update,
                 } => MongoResponse::Updated(store.update_one(coll, filter, update) as usize),
-                MongoRequest::UpdateMany {
-                    coll,
-                    filter,
-                    update,
-                } => MongoResponse::Updated(store.update_many(coll, filter, update)),
                 MongoRequest::DeleteOne { coll, filter } => {
                     MongoResponse::Deleted(store.delete_one(coll, filter) as usize)
-                }
-                MongoRequest::DeleteMany { coll, filter } => {
-                    MongoResponse::Deleted(store.delete_many(coll, filter))
-                }
-                MongoRequest::Count { coll, filter } => {
-                    MongoResponse::Count(store.count(coll, filter))
                 }
                 MongoRequest::FindChanged { coll, since } => {
                     let (docs, gone, high_water) = store.changed_since(coll, *since);
@@ -330,10 +264,6 @@ impl MongoServer {
                         gone,
                         high_water,
                     }
-                }
-                MongoRequest::CreateIndex { coll, path } => {
-                    store.create_index(coll, path);
-                    MongoResponse::Ok
                 }
             };
             let examined = store.last_examined();
@@ -452,7 +382,7 @@ mod tests {
         let during = call(
             &mut sim,
             &rpc,
-            MongoRequest::Count {
+            MongoRequest::Find {
                 coll: "jobs".into(),
                 filter: Filter::True,
             },
@@ -465,7 +395,7 @@ mod tests {
         );
 
         let journal = server.journal();
-        let _recovered = MongoServer::recover(rpc.clone(), journal, MongoTimings::default());
+        let _recovered = MongoServer::recover(rpc.clone(), journal);
         let after = call(
             &mut sim,
             &rpc,
@@ -627,7 +557,7 @@ mod tests {
         call(
             &mut sim,
             &rpc,
-            MongoRequest::Count {
+            MongoRequest::Find {
                 coll: "c".into(),
                 filter: Filter::True,
             },

@@ -211,14 +211,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// The boolean, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The integer, if this is an `I64`.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
@@ -814,7 +806,7 @@ mod tests {
     #[test]
     fn accessors() {
         assert!(Value::Null.is_null());
-        assert_eq!(Value::from(true).as_bool(), Some(true));
+        assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::from(3i64).as_i64(), Some(3));
         assert_eq!(Value::from(3i64).as_f64(), Some(3.0));
         assert_eq!(Value::from(2.5).as_f64(), Some(2.5));

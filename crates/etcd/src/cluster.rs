@@ -175,15 +175,6 @@ impl EtcdCluster {
         self.rpc.stop_serving(&etcd_addr(id));
     }
 
-    /// Drops the handlers on the cluster's three networks — client RPC,
-    /// watch, Raft peers — with the calls pending on them: what a world's
-    /// end runs ([`Sim::at_end`]). The KV stores stay readable.
-    pub fn drop_handlers(&self) {
-        self.rpc.drop_handlers();
-        self.watch_net.drop_handlers();
-        self.raft.net().drop_handlers();
-    }
-
     /// Restarts node `id`: the KV store is rebuilt by replaying the log.
     pub fn restart(&self, sim: &mut Sim, id: NodeId) {
         self.raft.restart(sim, id); // factory resets the core

@@ -28,7 +28,7 @@
 //! let mut sim = Sim::new(1);
 //! let registry = BehaviorRegistry::new();
 //! registry.register_noop("pause");
-//! let kube = Kube::new(&mut sim, KubeConfig::default(), registry);
+//! let kube = Kube::new(&mut sim, KubeConfig, registry);
 //! kube.add_node(NodeSpec::cpu("n1", 8000, 32768));
 //! kube.create_deployment(&mut sim, "api", 1,
 //!     PodSpec::new("api", ContainerSpec::new("m", ImageRef::microservice("api"), "pause")));
@@ -286,7 +286,7 @@ mod tests {
         let mut sim = Sim::new(seed);
         let registry = BehaviorRegistry::new();
         registry.register_noop("pause");
-        let kube = Kube::new(&mut sim, KubeConfig::default(), registry);
+        let kube = Kube::new(&mut sim, KubeConfig, registry);
         kube.add_node(NodeSpec::cpu("n1", 16000, 65536));
         kube.add_node(NodeSpec::cpu("n2", 16000, 65536));
         (sim, kube)

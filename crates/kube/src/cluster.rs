@@ -28,6 +28,40 @@ use crate::types::{
     RestartPolicy,
 };
 
+// The timing model of the cluster machinery, after measured Kubernetes
+// behaviour at the scale of the paper's deployment.
+
+/// Scheduler latency from pending to bound.
+const SCHEDULE_DELAY: SimDuration = SimDuration::from_millis(120);
+/// Registry pull bandwidth per node, bytes/sec.
+const PULL_BYTES_PER_SEC: f64 = 250e6;
+/// Container create/start time when the image is cached.
+const CONTAINER_SETUP: SimDuration = SimDuration::from_millis(1_100);
+/// Kubelet detection latency for a container crash.
+const CRASH_DETECT: SimDuration = SimDuration::from_millis(600);
+/// Node-failure detection latency (node monitor grace).
+const NODE_DETECT: SimDuration = SimDuration::from_secs(4);
+/// Readiness-probe latency before a Running pod serves traffic.
+const READINESS_DELAY: SimDuration = SimDuration::from_millis(900);
+/// NFS persistent-volume mount time, per volume.
+const VOLUME_MOUNT: SimDuration = SimDuration::from_millis(900);
+/// Object-store credential/endpoint binding time (learners).
+const OBJSTORE_BIND: SimDuration = SimDuration::from_millis(4_200);
+/// Crash-loop backoff base (the second restart waits this long, doubling
+/// after; the first restart is immediate).
+const BACKOFF_BASE: SimDuration = SimDuration::from_secs(10);
+/// Crash-loop backoff cap.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(300);
+/// Symmetric jitter applied to all timing draws (fraction).
+const JITTER: f64 = 0.25;
+
+// What the timing constants must satisfy among themselves.
+const _: () = {
+    assert!(CRASH_DETECT.as_micros() < NODE_DETECT.as_micros());
+    assert!(BACKOFF_BASE.as_micros() < BACKOFF_CAP.as_micros());
+    assert!(0.0 <= JITTER && JITTER < 1.0);
+};
+
 /// How many events [`Kube::events`] keeps. The stream is a ring, as
 /// `dlaas_sim::Trace` is (and as a real cluster's events expire):
 /// a job leaves some thirty events behind and a soak runs a million jobs.
@@ -129,7 +163,6 @@ pub struct NetworkPolicy {
 }
 
 struct ClusterState {
-    config: KubeConfig,
     rng: SimRng,
     nodes: BTreeMap<String, Node>,
     pods: BTreeMap<String, Pod>,
@@ -176,12 +209,7 @@ impl ClusterState {
     }
 
     fn jittered(&mut self, d: SimDuration) -> SimDuration {
-        let j = self.config.jitter;
-        if j <= 0.0 {
-            d
-        } else {
-            self.rng.jitter(d, j)
-        }
+        self.rng.jitter(d, JITTER)
     }
 }
 
@@ -212,12 +240,12 @@ pub fn pod_addr(pod: &str) -> Addr {
 pub type ServiceResolver = Rc<dyn Fn(&mut Sim) -> Option<Addr>>;
 
 impl Kube {
-    /// Creates an empty cluster with the given timing config.
-    pub fn new(sim: &mut Sim, config: KubeConfig, registry: BehaviorRegistry) -> Self {
+    /// Creates an empty cluster. Its timing model is this module's
+    /// constants; [`KubeConfig`] carries nothing.
+    pub fn new(sim: &mut Sim, _config: KubeConfig, registry: BehaviorRegistry) -> Self {
         let rng = sim.rng().fork("kube");
         Kube {
             state: Rc::new(RefCell::new(ClusterState {
-                config,
                 rng,
                 nodes: BTreeMap::new(),
                 pods: BTreeMap::new(),
@@ -491,8 +519,7 @@ impl Kube {
                 })
                 .observe_duration_us(wait.as_micros());
             s.sync_pending(&name);
-            let d = s.config.schedule_delay;
-            let d = s.jittered(d);
+            let d = s.jittered(SCHEDULE_DELAY);
             (uid, d, chosen)
         };
         self.event(
@@ -537,7 +564,7 @@ impl Kube {
                     }
                 }
             }
-            let pull_secs = pull_bytes as f64 / s.config.pull_bytes_per_sec;
+            let pull_secs = pull_bytes as f64 / PULL_BYTES_PER_SEC;
             let pull = SimDuration::from_secs_f64(pull_secs);
             // Container creation: base + a size term (big framework images
             // unpack slower even when cached).
@@ -547,11 +574,11 @@ impl Kube {
                 .map(|c| c.image.bytes)
                 .max()
                 .unwrap_or(0);
-            let setup = s.config.container_setup
-                + SimDuration::from_secs_f64(max_image_bytes as f64 * 0.25e-9);
-            let mounts = s.config.volume_mount * spec.volumes.len() as u64;
+            let setup =
+                CONTAINER_SETUP + SimDuration::from_secs_f64(max_image_bytes as f64 * 0.25e-9);
+            let mounts = VOLUME_MOUNT * spec.volumes.len() as u64;
             let objstore = if spec.binds_object_store {
-                s.config.objstore_bind
+                OBJSTORE_BIND
             } else {
                 SimDuration::ZERO
             };
@@ -599,8 +626,7 @@ impl Kube {
             )]
             let nic = s.nodes.get(&node_name).expect("node").nic.clone();
             let containers = pod.spec.containers.clone();
-            let readiness = s.config.readiness_delay;
-            let readiness = s.jittered(readiness);
+            let readiness = s.jittered(READINESS_DELAY);
             #[expect(
                 clippy::expect_used,
                 reason = "re-fetch of the entry matched at the top of this borrow block; `jittered` above needs `&mut s`, forcing the re-lookup, and no path between the two touches s.pods"
@@ -842,11 +868,9 @@ impl Kube {
                 SimDuration::ZERO
             } else {
                 let exp = (n - 2).min(5);
-                let d = s.config.backoff_base * 2u64.pow(exp);
-                d.min(s.config.backoff_cap)
+                (BACKOFF_BASE * 2u64.pow(exp)).min(BACKOFF_CAP)
             };
-            let detect = s.config.crash_detect;
-            let total = s.jittered(detect + backoff);
+            let total = s.jittered(CRASH_DETECT + backoff);
             (uid, total)
         };
         self.event(
@@ -934,11 +958,7 @@ impl Kube {
             self.stop_processes(sim, v);
         }
         // …but the control plane only notices after the grace period.
-        let detect = {
-            let mut s = self.state.borrow_mut();
-            let d = s.config.node_detect;
-            s.jittered(d)
-        };
+        let detect = self.state.borrow_mut().jittered(NODE_DETECT);
         let me = self.clone();
         sim.schedule_in(detect, move |sim| {
             for v in victims {

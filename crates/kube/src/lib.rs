@@ -35,7 +35,7 @@
 //! let registry = BehaviorRegistry::new();
 //! registry.register_noop("pause");
 //!
-//! let kube = Kube::new(&mut sim, KubeConfig::default(), registry);
+//! let kube = Kube::new(&mut sim, KubeConfig, registry);
 //! kube.add_node(NodeSpec::cpu("node-1", 8000, 32768));
 //!
 //! let pod = PodSpec::new(

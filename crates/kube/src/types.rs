@@ -312,52 +312,10 @@ pub struct KubeEvent {
     pub message: String,
 }
 
-/// Timing knobs for the cluster machinery (defaults follow measured
-/// Kubernetes behaviour at the scale of the paper's deployment).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KubeConfig {
-    /// Scheduler latency from pending to bound.
-    pub schedule_delay: SimDuration,
-    /// Registry pull bandwidth per node, bytes/sec.
-    pub pull_bytes_per_sec: f64,
-    /// Container create/start time when the image is cached.
-    pub container_setup: SimDuration,
-    /// Kubelet detection latency for a container crash.
-    pub crash_detect: SimDuration,
-    /// Node-failure detection latency (node monitor grace).
-    pub node_detect: SimDuration,
-    /// Readiness-probe latency before a Running pod serves traffic.
-    pub readiness_delay: SimDuration,
-    /// NFS persistent-volume mount time, per volume.
-    pub volume_mount: SimDuration,
-    /// Object-store credential/endpoint binding time (learners).
-    pub objstore_bind: SimDuration,
-    /// Crash-loop backoff base (second restart waits this long, doubling
-    /// after; the first restart is immediate).
-    pub backoff_base: SimDuration,
-    /// Crash-loop backoff cap.
-    pub backoff_cap: SimDuration,
-    /// Symmetric jitter applied to all timing draws (fraction).
-    pub jitter: f64,
-}
-
-impl Default for KubeConfig {
-    fn default() -> Self {
-        KubeConfig {
-            schedule_delay: SimDuration::from_millis(120),
-            pull_bytes_per_sec: 250e6,
-            container_setup: SimDuration::from_millis(1_100),
-            crash_detect: SimDuration::from_millis(600),
-            node_detect: SimDuration::from_secs(4),
-            readiness_delay: SimDuration::from_millis(900),
-            volume_mount: SimDuration::from_millis(900),
-            objstore_bind: SimDuration::from_millis(4_200),
-            backoff_base: SimDuration::from_secs(10),
-            backoff_cap: SimDuration::from_secs(300),
-            jitter: 0.25,
-        }
-    }
-}
+/// What [`crate::Kube::new`] takes. It carries nothing: the cluster's
+/// timing model is a set of constants, which no deployment varies.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KubeConfig;
 
 #[cfg(test)]
 mod tests {
@@ -421,14 +379,6 @@ mod tests {
     #[test]
     fn image_sizes() {
         assert!(ImageRef::microservice("dlaas/api").bytes < 1_000_000_000);
-    }
-
-    #[test]
-    fn default_config_is_consistent() {
-        let c = KubeConfig::default();
-        assert!(c.crash_detect < c.node_detect);
-        assert!(c.backoff_base < c.backoff_cap);
-        assert!((0.0..1.0).contains(&c.jitter));
     }
 
     #[test]

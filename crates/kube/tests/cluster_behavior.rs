@@ -15,7 +15,7 @@ fn boot(seed: u64) -> (Sim, Kube, BehaviorRegistry) {
     let mut sim = Sim::new(seed);
     let registry = BehaviorRegistry::new();
     registry.register_noop("pause");
-    let kube = Kube::new(&mut sim, KubeConfig::default(), registry.clone());
+    let kube = Kube::new(&mut sim, KubeConfig, registry.clone());
     kube.add_node(NodeSpec::cpu("svc-1", 8000, 32768));
     kube.add_node(NodeSpec::cpu("svc-2", 8000, 32768));
     kube.add_node(NodeSpec::gpu("gpu-1", 16000, 131072, 4, GpuKind::K80));

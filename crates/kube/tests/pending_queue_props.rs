@@ -75,7 +75,7 @@ fn boot(seed: u64) -> (Sim, Kube) {
     let mut sim = Sim::new(seed);
     let registry = BehaviorRegistry::new();
     registry.register_noop("pause");
-    let kube = Kube::new(&mut sim, KubeConfig::default(), registry);
+    let kube = Kube::new(&mut sim, KubeConfig, registry);
     kube.add_node(NodeSpec::gpu("a", 8000, 32768, 4, GpuKind::K80));
     kube.add_node(NodeSpec::gpu("b", 8000, 32768, 2, GpuKind::K80));
     kube.add_node(NodeSpec::cpu("c", 8000, 32768));

@@ -8,7 +8,7 @@
 //!   up/down state and partitions. Used by the Raft/etcd cluster.
 //! * [`RpcLayer`] — request/response with deadlines, retries and
 //!   service resolution, mirroring the GRPC calls between DLaaS
-//!   microservices. [`RoundRobin`] is the standalone load balancer.
+//!   microservices.
 //! * [`SharedLink`] — serialized fixed-rate pipes for bulk transfers
 //!   (training-data streaming, checkpoints), used by the object store.
 //!
@@ -48,4 +48,4 @@ pub use addr::Addr;
 pub use latency::LatencyModel;
 pub use link::{speeds, SharedLink, Transfer};
 pub use network::{Envelope, Net, NetStats};
-pub use rpc::{Resolver, Responder, RoundRobin, RpcError, RpcFrame, RpcLayer};
+pub use rpc::{Resolver, Responder, RpcError, RpcFrame, RpcLayer};

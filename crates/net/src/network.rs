@@ -145,21 +145,36 @@ impl<M: 'static> Net<M> {
     /// Creates a network with the given default latency model and no loss.
     /// Each network of a world draws its latencies from a stream of its
     /// own ([`Sim::fork_rng`]).
+    ///
+    /// The world's end ([`Sim::at_end`]) drops every endpoint's handler and
+    /// the rule hook, since a handler holds the component it delivers to
+    /// and that component holds the network. Counters stay readable.
     pub fn new(sim: &mut Sim, latency: LatencyModel) -> Self {
         let rng = sim.fork_rng("net");
-        Net {
-            state: Rc::new(RefCell::new(State {
-                endpoints: BTreeMap::new(),
-                latency,
-                loss: 0.0,
-                blocked_pairs: BTreeSet::new(),
-                groups: Vec::new(),
-                rng,
-                stats: NetStats::default(),
-                reply: None,
-                on_rule_change: None,
-            })),
-        }
+        let state = Rc::new(RefCell::new(State {
+            endpoints: BTreeMap::new(),
+            latency,
+            loss: 0.0,
+            blocked_pairs: BTreeSet::new(),
+            groups: Vec::new(),
+            rng,
+            stats: NetStats::default(),
+            reply: None,
+            on_rule_change: None,
+        }));
+        let world = Rc::downgrade(&state);
+        sim.at_end(move |_| {
+            if let Some(state) = world.upgrade() {
+                let dropped = {
+                    let mut s = state.borrow_mut();
+                    (std::mem::take(&mut s.endpoints), s.on_rule_change.take())
+                };
+                // Outside the borrow: a handler may own the last handle on
+                // a component whose teardown reaches this network.
+                drop(dropped);
+            }
+        });
+        Net { state }
     }
 
     /// Registers (or replaces) the handler for `addr` and marks it up.
@@ -187,15 +202,6 @@ impl<M: 'static> Net<M> {
             ep.up = up;
         }
         self.rules_changed(sim);
-    }
-
-    /// `true` if `addr` is registered and up.
-    pub fn is_up(&self, addr: &Addr) -> bool {
-        self.state
-            .borrow()
-            .endpoints
-            .get(addr)
-            .is_some_and(|e| e.up)
     }
 
     /// Sets the probability in `[0, 1]` that any message is silently lost.
@@ -226,11 +232,6 @@ impl<M: 'static> Net<M> {
     /// A latency no message sent under the current model exceeds.
     pub fn latency_bound(&self) -> SimDuration {
         self.state.borrow().latency.bound()
-    }
-
-    /// Number of registered endpoints (leak diagnostics).
-    pub fn endpoint_count(&self) -> usize {
-        self.state.borrow().endpoints.len()
     }
 
     /// Addresses of all registered endpoints, sorted (leak diagnostics).
@@ -296,21 +297,6 @@ impl<M: 'static> Net<M> {
     /// here ([`Net::resume_request`]).
     pub fn on_rule_change(&self, hook: impl Fn(&mut Sim) + 'static) {
         self.state.borrow_mut().on_rule_change = Some(Rc::new(hook));
-    }
-
-    /// Drops every endpoint's handler and the rule hook: what a world's
-    /// end runs ([`Sim::at_end`]), since a handler holds the component it
-    /// delivers to and that component holds the network. Counters stay
-    /// readable; a message sent afterwards is dropped as to a down
-    /// endpoint.
-    pub fn drop_handlers(&self) {
-        let (endpoints, hook) = {
-            let mut s = self.state.borrow_mut();
-            (std::mem::take(&mut s.endpoints), s.on_rule_change.take())
-        };
-        // Outside the borrow: a handler may own the last handle on a
-        // component whose teardown reaches this network.
-        drop((endpoints, hook));
     }
 
     fn rules_changed(&self, sim: &mut Sim) {
@@ -528,7 +514,6 @@ mod tests {
         let net = fixed_net(&mut sim, 1);
         let seen = collector(&net, "b");
         net.set_up(&mut sim, &Addr::new("b"), false);
-        assert!(!net.is_up(&Addr::new("b")));
         net.send(&mut sim, Addr::new("a"), Addr::new("b"), 1);
         sim.run_until_idle();
         assert!(seen.borrow().is_empty());
@@ -792,14 +777,13 @@ mod tests {
     fn endpoint_accounting() {
         let mut sim = Sim::new(1);
         let net = fixed_net(&mut sim, 1);
-        assert_eq!(net.endpoint_count(), 0);
+        assert!(net.endpoint_addrs().is_empty());
         let _a = collector(&net, "a");
         let _b = collector(&net, "b");
         let _b2 = collector(&net, "b"); // replaces, no growth
-        assert_eq!(net.endpoint_count(), 2);
         assert_eq!(net.endpoint_addrs(), vec![Addr::new("a"), Addr::new("b")]);
         net.unregister(&Addr::new("a"));
-        assert_eq!(net.endpoint_count(), 1);
+        assert_eq!(net.endpoint_addrs(), vec![Addr::new("b")]);
     }
 
     #[test]

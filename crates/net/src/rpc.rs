@@ -191,17 +191,33 @@ impl<Req, Resp> fmt::Debug for RpcLayer<Req, Resp> {
 
 impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
     /// Creates an RPC layer over a fresh network with the given latency.
+    ///
+    /// The world's end ([`Sim::at_end`]) drops every pending call's
+    /// continuation and every server handler — no continuation runs, not
+    /// even as a timeout — before the network drops its endpoints.
     pub fn new(sim: &mut Sim, latency: LatencyModel) -> Self {
-        RpcLayer {
-            net: Net::new(sim, latency),
-            state: Rc::new(RefCell::new(LayerState {
-                pending: BTreeMap::new(),
-                next_id: 0,
-                endpoints: Default::default(),
-                servers: BTreeMap::new(),
-                leaving: Default::default(),
-            })),
-        }
+        let net = Net::new(sim, latency);
+        let state = Rc::new(RefCell::new(LayerState {
+            pending: BTreeMap::new(),
+            next_id: 0,
+            endpoints: Default::default(),
+            servers: BTreeMap::new(),
+            leaving: Default::default(),
+        }));
+        let world = Rc::downgrade(&state);
+        sim.at_end(move |_| {
+            if let Some(state) = world.upgrade() {
+                let dropped = {
+                    let mut s = state.borrow_mut();
+                    (
+                        std::mem::take(&mut s.pending),
+                        std::mem::take(&mut s.servers),
+                    )
+                };
+                drop(dropped);
+            }
+        });
+        RpcLayer { net, state }
     }
 
     /// The underlying network (for partitions, loss, endpoint up/down).
@@ -262,23 +278,6 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
             s.endpoints.remove(addr);
         }
         self.net.unregister(addr);
-    }
-
-    /// Drops every pending call's continuation, every server handler and
-    /// every endpoint on the network: what a world's end runs
-    /// ([`Sim::at_end`]). No continuation runs — not even as a timeout.
-    pub fn drop_handlers(&self) {
-        let dropped = {
-            let mut s = self.state.borrow_mut();
-            s.endpoints.clear();
-            s.leaving.clear();
-            (
-                std::mem::take(&mut s.pending),
-                std::mem::take(&mut s.servers),
-            )
-        };
-        drop(dropped);
-        self.net.drop_handlers();
     }
 
     /// Registers the per-address dispatch handler once: requests go to
@@ -441,88 +440,6 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
                 );
             }
         }
-    }
-}
-
-/// A round-robin resolver over a mutable set of endpoints, with per-endpoint
-/// health; the building block for load-balanced service calls when a full
-/// Kubernetes service registry is not in play.
-///
-/// # Examples
-///
-/// ```
-/// use dlaas_net::{Addr, RoundRobin};
-///
-/// let rr = RoundRobin::new();
-/// rr.add(Addr::new("api-0"));
-/// rr.add(Addr::new("api-1"));
-/// assert_eq!(rr.next().unwrap(), Addr::new("api-0"));
-/// assert_eq!(rr.next().unwrap(), Addr::new("api-1"));
-/// assert_eq!(rr.next().unwrap(), Addr::new("api-0"));
-/// rr.set_healthy(&Addr::new("api-0"), false);
-/// assert_eq!(rr.next().unwrap(), Addr::new("api-1"));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RoundRobin {
-    inner: Rc<RefCell<RoundRobinState>>,
-}
-
-#[derive(Debug, Default)]
-struct RoundRobinState {
-    endpoints: Vec<(Addr, bool)>,
-    cursor: usize,
-}
-
-impl RoundRobin {
-    /// Creates an empty balancer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a healthy endpoint (no-op if already present).
-    pub fn add(&self, addr: Addr) {
-        let mut s = self.inner.borrow_mut();
-        if !s.endpoints.iter().any(|(a, _)| *a == addr) {
-            s.endpoints.push((addr, true));
-        }
-    }
-
-    /// Removes an endpoint.
-    pub fn remove(&self, addr: &Addr) {
-        self.inner.borrow_mut().endpoints.retain(|(a, _)| a != addr);
-    }
-
-    /// Marks an endpoint healthy or unhealthy.
-    pub fn set_healthy(&self, addr: &Addr, healthy: bool) {
-        let mut s = self.inner.borrow_mut();
-        if let Some(e) = s.endpoints.iter_mut().find(|(a, _)| a == addr) {
-            e.1 = healthy;
-        }
-    }
-
-    /// Next healthy endpoint in rotation, or `None` if none are healthy.
-    pub fn next(&self) -> Option<Addr> {
-        let mut s = self.inner.borrow_mut();
-        let n = s.endpoints.len();
-        for _ in 0..n {
-            let i = s.cursor % n.max(1);
-            s.cursor = s.cursor.wrapping_add(1);
-            let (addr, healthy) = s.endpoints[i].clone();
-            if healthy {
-                return Some(addr);
-            }
-        }
-        None
-    }
-
-    /// Number of endpoints (healthy or not).
-    pub fn len(&self) -> usize {
-        self.inner.borrow().endpoints.len()
-    }
-
-    /// `true` when no endpoints are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -701,24 +618,23 @@ mod tests {
     fn call_service_retries_until_endpoint_appears() {
         let mut sim = Sim::new(1);
         let rpc = layer(&mut sim);
-        let rr = RoundRobin::new();
+        let endpoint: Rc<RefCell<Option<Addr>>> = Rc::default();
         // Endpoint appears after 50ms.
-        let rr2 = rr.clone();
+        let appears = endpoint.clone();
         let rpc2 = rpc.clone();
         sim.schedule_in(SimDuration::from_millis(50), move |_| {
             rpc2.serve(Addr::new("api-0"), |sim, _req: &String, r| {
                 r.ok(sim, "served".into());
             });
-            rr2.add(Addr::new("api-0"));
+            *appears.borrow_mut() = Some(Addr::new("api-0"));
         });
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
-        let rr3 = rr.clone();
         rpc.call_service(
             &mut sim,
             Addr::new("c"),
             "api".into(),
-            Rc::new(move |_| rr3.next()),
+            Rc::new(move |_| endpoint.borrow().clone()),
             "x".to_string(),
             SimDuration::from_millis(100),
             5,
@@ -846,25 +762,6 @@ mod tests {
         );
         sim.run_until_idle();
         assert_eq!(*live.borrow(), Some(Ok("v2".into())));
-    }
-
-    #[test]
-    fn round_robin_rotates_and_skips_unhealthy() {
-        let rr = RoundRobin::new();
-        assert!(rr.is_empty());
-        assert_eq!(rr.next(), None);
-        rr.add(Addr::new("a"));
-        rr.add(Addr::new("b"));
-        rr.add(Addr::new("a")); // duplicate ignored
-        assert_eq!(rr.len(), 2);
-        assert_eq!(rr.next(), Some(Addr::new("a")));
-        assert_eq!(rr.next(), Some(Addr::new("b")));
-        rr.set_healthy(&Addr::new("b"), false);
-        assert_eq!(rr.next(), Some(Addr::new("a")));
-        assert_eq!(rr.next(), Some(Addr::new("a")));
-        rr.set_healthy(&Addr::new("b"), true);
-        rr.remove(&Addr::new("a"));
-        assert_eq!(rr.next(), Some(Addr::new("b")));
     }
 
     #[test]

@@ -275,11 +275,6 @@ impl ObjectStore {
             .or_default();
     }
 
-    /// `true` if the bucket exists.
-    pub fn bucket_exists(&self, name: &str) -> bool {
-        self.state.borrow().buckets.contains_key(name)
-    }
-
     /// Activity counters.
     pub fn stats(&self) -> ObjStoreStats {
         self.state.borrow().stats
@@ -766,8 +761,15 @@ mod tests {
     fn bucket_create_idempotent() {
         let store = ObjectStore::new(1e9);
         store.create_bucket("b");
+        store.seed("b", "k", ObjectBody::Synthetic(1));
         store.create_bucket("b");
-        assert!(store.bucket_exists("b"));
-        assert!(!store.bucket_exists("c"));
+        assert!(
+            store.head("b", "k").is_ok(),
+            "re-creating emptied the bucket"
+        );
+        assert!(matches!(
+            store.head("c", "k"),
+            Err(ObjStoreError::NoSuchBucket(_))
+        ));
     }
 }

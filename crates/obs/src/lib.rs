@@ -67,7 +67,7 @@ pub mod wallclock;
 
 pub use decl::{CounterDecl, GaugeDecl, HistogramDecl, MetricDecl};
 pub use histogram::{count_buckets, default_buckets, Histogram};
-pub use snapshot::{Snapshot, SnapshotDiff};
+pub use snapshot::Snapshot;
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -393,7 +393,7 @@ impl Registry {
     }
 
     /// A point-in-time copy of every scalar the registry holds, for
-    /// snapshot/diff assertions in tests and benches.
+    /// assertions in tests and benches.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.borrow();
         let mut values = BTreeMap::new();

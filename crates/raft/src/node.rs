@@ -20,6 +20,9 @@ use crate::types::{
     LogEntry, LogIndex, NodeId, Peers, PersistentState, RaftConfig, RaftMsg, Role, Snapshot, Term,
 };
 
+/// Most entries one `AppendEntries` ships.
+const MAX_BATCH: usize = 64;
+
 /// State-machine hooks for log compaction: `take` serializes the current
 /// (fully applied) state; `restore` rebuilds it from a snapshot installed
 /// by the leader or found on disk at restart.
@@ -902,7 +905,7 @@ impl<C: Clone + 'static> Raft<C> {
                     .expect("next >= first_index implies prev is addressable");
                 let first = disk.first_index();
                 let start = (next - first) as usize;
-                let end = (start + s.config.max_batch).min(disk.log.len());
+                let end = (start + MAX_BATCH).min(disk.log.len());
                 let entries: Vec<LogEntry<C>> = disk.log[start..end].to_vec();
                 RaftMsg::AppendEntries {
                     term: disk.current_term,

@@ -185,8 +185,6 @@ pub struct RaftConfig {
     pub election_timeout_max: SimDuration,
     /// Leader heartbeat period (must be well under the election timeout).
     pub heartbeat_interval: SimDuration,
-    /// Maximum entries shipped per `AppendEntries`.
-    pub max_batch: usize,
     /// Log-compaction threshold: once at least this many applied entries
     /// sit above the last snapshot, the node folds them into a new
     /// snapshot (requires snapshot hooks; `0` disables compaction).
@@ -205,7 +203,6 @@ impl Default for RaftConfig {
             election_timeout_min: SimDuration::from_millis(1_000),
             election_timeout_max: SimDuration::from_millis(2_000),
             heartbeat_interval: SimDuration::from_millis(100),
-            max_batch: 64,
             compact_threshold: 0,
         }
     }
@@ -228,9 +225,6 @@ impl RaftConfig {
             || self.heartbeat_interval * 2 > self.election_timeout_min
         {
             return Err("heartbeat_interval must be well under election_timeout_min".into());
-        }
-        if self.max_batch == 0 {
-            return Err("max_batch must be positive".into());
         }
         Ok(())
     }
@@ -414,12 +408,6 @@ mod tests {
 
         let c = RaftConfig {
             heartbeat_interval: d.election_timeout_min,
-            ..d.clone()
-        };
-        assert!(c.validate().is_err());
-
-        let c = RaftConfig {
-            max_batch: 0,
             ..d.clone()
         };
         assert!(c.validate().is_err());

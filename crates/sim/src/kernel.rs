@@ -33,8 +33,9 @@
 //! the servers they deliver to, and the servers hold the network — so a
 //! world's components would outlive it in cycles. [`Sim::at_end`]
 //! registers what breaks them: when the `Sim` is dropped it runs each
-//! registered hook, in registration order, before its queue and the
-//! closures in it are freed.
+//! registered hook, the last registered first, before its queue and the
+//! closures in it are freed. A component built over another registers
+//! after it, so its hook still finds what it stands on.
 //!
 //! # Re-entrancy convention
 //!
@@ -259,7 +260,7 @@ impl Drop for Sim {
         if std::thread::panicking() {
             return;
         }
-        for end in std::mem::take(&mut self.at_end) {
+        for end in std::mem::take(&mut self.at_end).into_iter().rev() {
             end.run(self);
         }
     }
@@ -432,8 +433,10 @@ impl Sim {
         self.live.len()
     }
 
-    /// Registers `end` to run when this world is dropped, after every hook
-    /// registered before it. A hook gets the world as it was when dropped
+    /// Registers `end` to run when this world is dropped, before every
+    /// hook registered before it: a component's end runs while what it was
+    /// built on still stands (a platform stops its processes, whose last
+    /// calls reach the networks, before the networks drop). A hook gets the world as it was when dropped
     /// (its clock and its pending events, none of which run again); what
     /// it schedules, or registers with `at_end`, is freed unrun. It is how
     /// a component breaks the `Rc` cycles that would otherwise outlive the
@@ -710,7 +713,7 @@ mod tests {
         let r = ran.clone();
         sim.at_end(move |_| r.borrow_mut().push(2));
         drop(sim);
-        assert_eq!(*ran.borrow(), [1, 2]);
+        assert_eq!(*ran.borrow(), [2, 1]);
         assert_eq!(Rc::strong_count(&pending), 1, "the queue was not freed");
     }
 

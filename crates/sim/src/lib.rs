@@ -69,5 +69,5 @@ pub use trace::{Mark, Subject, Timeline, Trace, TRACE_RING};
 pub use dlaas_obs::{
     count_buckets, declare_metrics, default_buckets, CounterDecl, CounterHandle, GaugeDecl,
     GaugeHandle, Histogram, HistogramDecl, HistogramHandle, MetricDecl, MetricKind, Registry,
-    Snapshot, SnapshotDiff,
+    Snapshot,
 };

@@ -662,3 +662,33 @@ fn a_dropped_world_frees_its_platform() {
     // cycles close. Before that hook, 103 742 bytes stayed behind.
     assert_eq!(retained, 0, "{retained} bytes retained by a dropped world");
 }
+
+#[test]
+fn a_dropped_world_frees_a_bare_etcd_cluster() {
+    // A rig with no platform over it: the cluster's three networks
+    // (client RPC, watch, Raft peers) are all that close its cycles.
+    let world = |seed: u64| {
+        let mut sim = Sim::new(seed);
+        let etcd = dlaas_etcd::EtcdCluster::new_3way(&mut sim);
+        etcd.expect_leader(&mut sim, SimDuration::from_secs(10));
+        let client = etcd.client("rig");
+        for i in 0..8 {
+            client.put(&mut sim, format!("k{i}"), "v", |_sim, r| {
+                r.expect("put accepted");
+            });
+        }
+        sim.run_for(SimDuration::from_secs(2));
+        (sim, etcd)
+    };
+    drop(world(1514));
+
+    let before = LIVE.get();
+    let (sim, etcd) = world(1515);
+    assert!(LIVE.get() > before);
+    drop((sim, etcd));
+    let retained = LIVE.get() - before;
+    assert_eq!(
+        retained, 0,
+        "{retained} bytes retained by a dropped etcd rig"
+    );
+}

@@ -121,7 +121,7 @@ fn same_seed_same_job_timeline() {
 fn same_seed_fault_matrix_exposes_identical_metrics() {
     let fingerprint = |seed: u64| {
         let kinds = FaultKind::all();
-        let run = matrix::sweep(&kinds, seed, 1, 1, None).run;
+        let run = matrix::sweep(&kinds, seed, 1, 1).run;
         let mut out = run.metrics.expose();
         for o in &run.outcomes {
             out.push_str(&o.describe());

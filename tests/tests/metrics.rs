@@ -223,7 +223,7 @@ fn every_exposed_family_is_declared_with_its_kind() {
     );
     sim.run_for(SimDuration::from_mins(5));
     let mut exposed = exposed_families(&platform.expose_metrics());
-    let campaign = sweep(&[FaultKind::GuardianCrash], 4401, 1, 1, None);
+    let campaign = sweep(&[FaultKind::GuardianCrash], 4401, 1, 1);
     exposed.extend(exposed_families(&campaign.run.metrics.expose()));
     exposed.extend(exposed_families(&campaign.report.wall_metrics.expose()));
 

@@ -12,7 +12,7 @@ use dlaas_bench::soak;
 /// JSON artifact, the aggregated metrics exposition, and every outcome's
 /// describe line, in order.
 fn matrix_fingerprint(base_seed: u64, seeds: u64, threads: usize) -> String {
-    let campaign = matrix::sweep(&FaultKind::all(), base_seed, seeds, threads, None);
+    let campaign = matrix::sweep(&FaultKind::all(), base_seed, seeds, threads);
     let mut out = matrix::render_matrix_json(base_seed, seeds, &campaign);
     out.push_str(&campaign.run.metrics.expose());
     for o in &campaign.run.outcomes {
