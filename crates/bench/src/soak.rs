@@ -37,8 +37,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dlaas_core::{
-    check_invariants, metrics, DlaasPlatform, GpuNodeSpec, InvariantBounds, InvariantMonitor,
-    JobId, JobStatus, PlatformConfig, Tenant, TrainingManifest,
+    check_invariants, metrics, CoreConfig, DlaasPlatform, GpuNodeSpec, InvariantBounds,
+    InvariantMonitor, JobId, JobStatus, PlatformConfig, Tenant, TrainingManifest,
 };
 use dlaas_docstore::Value;
 use dlaas_faults::{when, ChaosMonkey};
@@ -805,6 +805,14 @@ pub fn parse_cli(args: &mut Args) -> Result<Cli, String> {
     let threads = args.value("--threads")?.unwrap_or(1);
     let check = args.value("--check")?;
     let lcm_replicas = args.value("--lcm-replicas")?;
+    if let Some(m) = lcm_replicas {
+        let core = CoreConfig {
+            lcm_replicas: m,
+            ..CoreConfig::default()
+        };
+        core.validate()
+            .map_err(|e| format!("--lcm-replicas: {e}"))?;
+    }
     let profile = args.switch("--profile");
     let name: String = args.positional("preset")?.ok_or("missing preset")?;
     let preset = *PRESETS

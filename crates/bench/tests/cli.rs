@@ -16,7 +16,7 @@ fn run(bin: &str, args: &[&str]) -> Output {
 
 #[test]
 fn every_bin_exits_2_on_a_command_line_it_cannot_parse() {
-    let cases: [(&str, &[&str]); 23] = [
+    let cases: [(&str, &[&str]); 24] = [
         (env!("CARGO_BIN_EXE_fault_matrix"), &["--seeds", "many"]),
         (
             env!("CARGO_BIN_EXE_fault_matrix"),
@@ -56,6 +56,10 @@ fn every_bin_exits_2_on_a_command_line_it_cannot_parse() {
         (
             env!("CARGO_BIN_EXE_soak"),
             &["uniform", "--sim-budget-secs", "0", "7", "10"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_soak"),
+            &["uniform", "--lcm-replicas", "0", "7", "10"],
         ),
         (env!("CARGO_BIN_EXE_extended_predictions"), &["v100"]),
     ];

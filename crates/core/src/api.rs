@@ -222,76 +222,67 @@ fn with_owned_job(
     then: impl FnOnce(&mut Sim, Handles, Doc, Resp) + 'static,
     h: Handles,
 ) {
-    let meta2 = meta.clone();
-    meta.find_one(
+    with_tenant(
         sim,
-        TENANTS,
-        Filter::eq("api_key", api_key),
-        move |sim, r| {
-            let tenant = match r {
-                Ok(Some(doc)) => match Tenant::from_document(&doc) {
-                    Some(t) => t,
-                    None => return responder.err(sim, "corrupt tenant document"),
-                },
-                Ok(None) => {
-                    sim.metrics()
-                        .counter_series(metrics::API_AUTH_FAILURES, [])
-                        .inc();
-                    return responder.err(sim, "unauthorized");
-                }
-                Err(e) => return responder.err(sim, e.to_string()),
-            };
+        &meta,
+        api_key,
+        responder,
+        move |sim, meta, tenant, resp| {
             let filter = Filter::and(vec![
                 Filter::eq("_id", job.as_str()),
                 Filter::eq("tenant", tenant.id),
             ]);
-            meta2.find_one(sim, JOBS, filter, move |sim, r| match r {
-                Ok(Some(doc)) => then(sim, h, doc, responder),
-                Ok(None) => responder.err(sim, "job not found"),
-                Err(e) => responder.err(sim, e.to_string()),
+            meta.find_one(sim, JOBS, filter, move |sim, r| match r {
+                Ok(Some(doc)) => then(sim, h, doc, resp),
+                Ok(None) => resp.err(sim, "job not found"),
+                Err(e) => resp.err(sim, e.to_string()),
             });
         },
     );
 }
 
-fn list_jobs(sim: &mut Sim, meta: &Rc<MetaClient>, api_key: String, responder: Resp) {
+/// Looks the tenant up by its API key and runs `then` with it (and the
+/// metadata client). A key that names no tenant, a corrupt tenant
+/// document and a store error are answered here.
+fn with_tenant(
+    sim: &mut Sim,
+    meta: &Rc<MetaClient>,
+    api_key: String,
+    responder: Resp,
+    then: impl FnOnce(&mut Sim, &Rc<MetaClient>, Tenant, Resp) + 'static,
+) {
     let meta2 = meta.clone();
-    meta.find_one(
-        sim,
-        TENANTS,
-        Filter::eq("api_key", api_key),
-        move |sim, r| {
-            let tenant = match r {
-                Ok(Some(doc)) => match Tenant::from_document(&doc) {
-                    Some(t) => t,
-                    None => return responder.err(sim, "corrupt tenant document"),
-                },
-                Ok(None) => {
-                    sim.metrics()
-                        .counter_series(metrics::API_AUTH_FAILURES, [])
-                        .inc();
-                    return responder.err(sim, "unauthorized");
-                }
-                Err(e) => return responder.err(sim, e.to_string()),
-            };
-            meta2.find(
-                sim,
-                JOBS,
-                Filter::eq("tenant", tenant.id),
-                move |sim, r| match r {
-                    Ok(docs) => {
-                        let ids = docs
-                            .iter()
-                            .filter_map(|d| d.path("_id").and_then(Value::as_str))
-                            .map(JobId::new)
-                            .collect();
-                        responder.ok(sim, CoreResponse::Jobs(ids));
-                    }
-                    Err(e) => responder.err(sim, e.to_string()),
-                },
-            );
+    let filter = Filter::eq("api_key", api_key);
+    meta.find_one(sim, TENANTS, filter, move |sim, r| match r {
+        Ok(Some(doc)) => match Tenant::from_document(&doc) {
+            Some(tenant) => then(sim, &meta2, tenant, responder),
+            None => responder.err(sim, "corrupt tenant document"),
         },
-    );
+        Ok(None) => {
+            sim.metrics()
+                .counter_series(metrics::API_AUTH_FAILURES, [])
+                .inc();
+            responder.err(sim, "unauthorized");
+        }
+        Err(e) => responder.err(sim, e.to_string()),
+    });
+}
+
+fn list_jobs(sim: &mut Sim, meta: &Rc<MetaClient>, api_key: String, responder: Resp) {
+    with_tenant(sim, meta, api_key, responder, |sim, meta, tenant, resp| {
+        let filter = Filter::eq("tenant", tenant.id);
+        meta.find(sim, JOBS, filter, move |sim, r| match r {
+            Ok(docs) => {
+                let ids = docs
+                    .iter()
+                    .filter_map(|d| d.path("_id").and_then(Value::as_str))
+                    .map(JobId::new)
+                    .collect();
+                resp.ok(sim, CoreResponse::Jobs(ids));
+            }
+            Err(e) => resp.err(sim, e.to_string()),
+        });
+    });
 }
 
 fn submit(
@@ -311,33 +302,19 @@ fn submit(
         return;
     }
     let h = h.clone();
-    let meta = meta.clone();
     let from = pod_addr(&ctx.pod);
-    let meta2 = meta.clone();
-    meta.find_one(
+    with_tenant(
         sim,
-        TENANTS,
-        Filter::eq("api_key", api_key),
-        move |sim, r| {
-            let tenant = match r {
-                Ok(Some(doc)) => match Tenant::from_document(&doc) {
-                    Some(t) => t,
-                    None => return responder.err(sim, "corrupt tenant document"),
-                },
-                Ok(None) => {
-                    sim.metrics()
-                        .counter_series(metrics::API_AUTH_FAILURES, [])
-                        .inc();
-                    return responder.err(sim, "unauthorized");
-                }
-                Err(e) => return responder.err(sim, e.to_string()),
-            };
+        meta,
+        api_key,
+        responder,
+        move |sim, meta, tenant, resp| {
             // Quota: sum GPUs of the tenant's active jobs. An unlimited
             // tenant (max_gpus == 0) skips the scan entirely — fetching
             // every active job document just to ignore it is the single
             // largest per-submission cost at scale.
             if tenant.max_gpus == 0 {
-                return record_and_deploy(sim, &h, &meta2, &tenant.id, manifest, from, responder);
+                return record_and_deploy(sim, &h, meta, &tenant.id, &manifest, from, resp);
             }
             // A job demanding more GPUs than the tenant's whole quota can
             // never be admitted — queueing it would head-of-line block
@@ -346,7 +323,7 @@ fn submit(
                 sim.metrics()
                     .counter_series(metrics::API_SUBMISSIONS, ["rejected_quota"])
                     .inc();
-                return responder.err(
+                return resp.err(
                     sim,
                     format!(
                         "quota exceeded: job needs {} GPUs, tenant quota is {}",
@@ -359,21 +336,20 @@ fn submit(
                 Filter::eq("tenant", tenant.id.clone()),
                 Filter::In("status".into(), active_statuses()),
             ]);
-            let h2 = h.clone();
-            let meta3 = meta2.clone();
-            meta2.find(sim, JOBS, quota_filter, move |sim, r| {
+            let meta2 = meta.clone();
+            meta.find(sim, JOBS, quota_filter, move |sim, r| {
                 let docs = match r {
                     Ok(d) => d,
-                    Err(e) => return responder.err(sim, e.to_string()),
+                    Err(e) => return resp.err(sim, e.to_string()),
                 };
                 let in_use: u32 = docs.iter().map(|d| doc_gpus(d)).sum();
                 if in_use + manifest.total_gpus() > tenant.max_gpus {
                     // Over quota: accept the job into the weighted fair
                     // queue instead of rejecting. The LCM's admission
                     // arbiter promotes it once the tenant has headroom.
-                    return record_queued(sim, &meta3, &tenant.id, manifest, responder);
+                    return record_queued(sim, &meta2, &tenant.id, &manifest, resp);
                 }
-                record_and_deploy(sim, &h2, &meta3, &tenant.id, manifest, from, responder);
+                record_and_deploy(sim, &h, &meta2, &tenant.id, &manifest, from, resp);
             });
         },
     );
@@ -397,6 +373,29 @@ pub(crate) fn doc_gpus(doc: &Value) -> u32 {
         .unwrap_or(0)
 }
 
+/// Durably records the job with `status`, then runs `then` with its id.
+/// A failed insert is answered here and counted as a submission error.
+fn record(
+    sim: &mut Sim,
+    meta: &Rc<MetaClient>,
+    tenant_id: &str,
+    manifest: &TrainingManifest,
+    status: JobStatus,
+    responder: Resp,
+    then: impl FnOnce(&mut Sim, JobId, Resp) + 'static,
+) {
+    let doc = MetaClient::job_document(tenant_id, manifest, sim.now().as_micros(), status);
+    meta.insert(sim, JOBS, doc, move |sim, r| match r {
+        Ok(id) => then(sim, JobId::new(id), responder),
+        Err(e) => {
+            sim.metrics()
+                .counter_series(metrics::API_SUBMISSIONS, ["error"])
+                .inc();
+            responder.err(sim, e.to_string());
+        }
+    });
+}
+
 /// Durably record an over-quota job as QUEUED and acknowledge the client.
 /// No DeployJob message is sent: the LCM's fair-queue arbiter admits the
 /// job (QUEUED → PENDING) when the tenant has quota headroom, and its
@@ -405,31 +404,25 @@ fn record_queued(
     sim: &mut Sim,
     meta: &Rc<MetaClient>,
     tenant_id: &str,
-    manifest: TrainingManifest,
+    manifest: &TrainingManifest,
     responder: Resp,
 ) {
-    let doc = MetaClient::job_document(
+    let status = JobStatus::Queued;
+    record(
+        sim,
+        meta,
         tenant_id,
-        &manifest,
-        sim.now().as_micros(),
-        JobStatus::Queued,
+        manifest,
+        status,
+        responder,
+        |sim, id, responder| {
+            sim.metrics()
+                .counter_series(metrics::API_SUBMISSIONS, ["queued"])
+                .inc();
+            sim.mark("api", id.as_str(), "queued", 0);
+            responder.ok(sim, CoreResponse::Submitted { job: id });
+        },
     );
-    meta.insert(sim, JOBS, doc, move |sim, r| {
-        let id = match r {
-            Ok(id) => JobId::new(id),
-            Err(e) => {
-                sim.metrics()
-                    .counter_series(metrics::API_SUBMISSIONS, ["error"])
-                    .inc();
-                return responder.err(sim, e.to_string());
-            }
-        };
-        sim.metrics()
-            .counter_series(metrics::API_SUBMISSIONS, ["queued"])
-            .inc();
-        sim.mark("api", id.as_str(), "queued", 0);
-        responder.ok(sim, CoreResponse::Submitted { job: id });
-    });
 }
 
 /// Durably record the job, acknowledge the client, then hand the job id to
@@ -440,50 +433,44 @@ fn record_and_deploy(
     h: &Handles,
     meta: &Rc<MetaClient>,
     tenant_id: &str,
-    manifest: TrainingManifest,
+    manifest: &TrainingManifest,
     from: dlaas_net::Addr,
     responder: Resp,
 ) {
-    let doc = MetaClient::job_document(
-        tenant_id,
-        &manifest,
-        sim.now().as_micros(),
-        JobStatus::Pending,
-    );
     let h = h.clone();
-    let tenant_id = tenant_id.to_owned();
-    meta.insert(sim, JOBS, doc, move |sim, r| {
-        let id = match r {
-            Ok(id) => JobId::new(id),
-            Err(e) => {
-                sim.metrics()
-                    .counter_series(metrics::API_SUBMISSIONS, ["error"])
-                    .inc();
-                return responder.err(sim, e.to_string());
-            }
-        };
-        sim.metrics()
-            .counter_series(metrics::API_SUBMISSIONS, ["accepted"])
-            .inc();
-        // In-quota jobs are admitted at submission: a zero admission wait,
-        // so the per-tenant wait histogram covers every accepted job.
-        sim.metrics()
-            .histogram_series(metrics::TENANT_ADMISSION_WAIT, [&tenant_id])
-            .observe(0.0);
-        sim.mark("api", id.as_str(), "recorded", 0);
-        responder.ok(sim, CoreResponse::Submitted { job: id.clone() });
+    let tenant = tenant_id.to_owned();
+    let status = JobStatus::Pending;
+    record(
+        sim,
+        meta,
+        tenant_id,
+        manifest,
+        status,
+        responder,
+        move |sim, id, responder| {
+            sim.metrics()
+                .counter_series(metrics::API_SUBMISSIONS, ["accepted"])
+                .inc();
+            // In-quota jobs are admitted at submission: a zero admission wait,
+            // so the per-tenant wait histogram covers every accepted job.
+            sim.metrics()
+                .histogram_series(metrics::TENANT_ADMISSION_WAIT, [&tenant])
+                .observe(0.0);
+            sim.mark("api", id.as_str(), "recorded", 0);
+            responder.ok(sim, CoreResponse::Submitted { job: id.clone() });
 
-        let resolver = h.kube.service_resolver(LCM_SERVICE);
-        h.rpc.call_service(
-            sim,
-            from,
-            LCM_SERVICE.into(),
-            resolver,
-            CoreRequest::DeployJob { job: id },
-            config::RPC_TIMEOUT,
-            10,
-            SimDuration::from_millis(400),
-            |_sim, _r| {},
-        );
-    });
+            let resolver = h.kube.service_resolver(LCM_SERVICE);
+            h.rpc.call_service(
+                sim,
+                from,
+                LCM_SERVICE.into(),
+                resolver,
+                CoreRequest::DeployJob { job: id },
+                config::RPC_TIMEOUT,
+                10,
+                SimDuration::from_millis(400),
+                |_sim, _r| {},
+            );
+        },
+    );
 }

@@ -416,6 +416,7 @@ fn api_replica_crash_fails_over() {
 #[test]
 fn gpu_node_crash_reschedules_learner() {
     let (mut sim, platform) = boot(21);
+    sim.trace_mut().set_enabled(true);
     let job = submit(&mut sim, &platform, manifest("nodecrash", 1200, 200));
     platform.wait_for_status(
         &mut sim,
@@ -436,10 +437,10 @@ fn gpu_node_crash_reschedules_learner() {
         SimDuration::from_hours(6),
     );
     assert_eq!(end, Some(JobStatus::Completed));
-    // It really moved.
+    // It really moved: the learner's eviction is on its job's timeline.
     sim.run_for(SimDuration::from_secs(1));
-    let events = platform.kube().events();
-    assert!(events.iter().any(|e| e.reason == "NodeLost"));
+    let timeline = sim.trace().of(job.as_str());
+    assert!(timeline.marks().any(|m| m.what == "NodeLost"), "{timeline}");
 }
 
 /// §III-h recovery option 2: in a distributed TensorFlow job a restarted

@@ -14,18 +14,17 @@
 //!   `kubectl delete pod` exercises — the paper's crash experiment.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
-use dlaas_net::{Addr, SharedLink};
+use dlaas_net::{Addr, Resolver, SharedLink};
 use dlaas_sim::{Sim, SimDuration, SimRng, SimTime};
 
 use crate::metrics;
 use crate::process::{BehaviorRegistry, Cleanup, ProcessCtx};
 use crate::types::{
-    selector_matches, KubeConfig, KubeEvent, Labels, NodeSpec, PodPhase, PodSpec, Resources,
-    RestartPolicy,
+    selector_matches, KubeConfig, Labels, NodeSpec, PodPhase, PodSpec, Resources, RestartPolicy,
 };
 
 // The timing model of the cluster machinery, after measured Kubernetes
@@ -62,20 +61,41 @@ const _: () = {
     assert!(0.0 <= JITTER && JITTER < 1.0);
 };
 
-/// How many events [`Kube::events`] keeps. The stream is a ring, as
-/// `dlaas_sim::Trace` is (and as a real cluster's events expire):
-/// a job leaves some thirty events behind and a soak runs a million jobs.
-pub const EVENT_RING: usize = 4096;
+/// What an event is about, and the prefix its subject gets on the
+/// timeline when it is not a job-labelled pod.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    Pod,
+    Node,
+    Deployment,
+    StatefulSet,
+    Job,
+    Service,
+}
+
+impl Kind {
+    fn prefix(self) -> &'static str {
+        match self {
+            Kind::Pod => "pod",
+            Kind::Node => "node",
+            Kind::Deployment => "deploy",
+            Kind::StatefulSet => "sts",
+            Kind::Job => "job",
+            Kind::Service => "svc",
+        }
+    }
+}
+
+/// A Deployment or a StatefulSet: its kind and its name.
+type SetKey = (Kind, String);
 
 /// Who owns (and therefore replaces) a pod.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Owner {
-    /// A Deployment (replica index attached).
-    Deployment(String, u32),
+#[derive(Clone)]
+enum Owner {
+    /// A Deployment or a StatefulSet.
+    Set(SetKey),
     /// A Kubernetes Job.
     Job(String),
-    /// A StatefulSet (ordinal attached).
-    StatefulSet(String, u32),
 }
 
 /// Status of a Kubernetes Job.
@@ -122,7 +142,10 @@ impl Pod {
     }
 }
 
-struct DeploymentState {
+/// A Deployment or a StatefulSet: `replicas` pods named `{name}-{i}`,
+/// each recreated when it goes. The two differ only in the `ordinal`
+/// label a StatefulSet stamps on its pods.
+struct ReplicaSet {
     replicas: u32,
     template: PodSpec,
 }
@@ -131,11 +154,6 @@ struct JobState {
     template: PodSpec,
     backoff_limit: u32,
     status: JobStatus,
-}
-
-struct StatefulSetState {
-    replicas: u32,
-    template: PodSpec,
 }
 
 struct ServiceState {
@@ -172,13 +190,10 @@ struct ClusterState {
     /// a pod's phase, node binding, or existence, so [`Kube::kick_pending`]
     /// never rescans the full pod table.
     pending: BTreeSet<String>,
-    deployments: BTreeMap<String, DeploymentState>,
+    sets: BTreeMap<SetKey, ReplicaSet>,
     jobs: BTreeMap<String, JobState>,
-    statefulsets: BTreeMap<String, StatefulSetState>,
     services: BTreeMap<String, ServiceState>,
     policies: Vec<NetworkPolicy>,
-    /// The newest [`EVENT_RING`] events, oldest first.
-    events: VecDeque<KubeEvent>,
     next_uid: u64,
     /// Handle to the `kube_kick_pending_examined` histogram, resolved on
     /// the first kick (not at boot, so the series set matches
@@ -186,7 +201,7 @@ struct ClusterState {
     kick_examined: Option<dlaas_sim::HistogramHandle>,
     /// Per-reason handles to `kube_events_total`, resolved as each reason
     /// first occurs (same first-use idiom as `kick_examined`).
-    event_counters: BTreeMap<String, dlaas_sim::CounterHandle>,
+    event_counters: BTreeMap<&'static str, dlaas_sim::CounterHandle>,
     /// Handle to the `kube_scheduling_latency_seconds` histogram.
     sched_latency: Option<dlaas_sim::HistogramHandle>,
     /// Handle to the `kube_pod_restarts_total` counter.
@@ -235,10 +250,6 @@ pub fn pod_addr(pod: &str) -> Addr {
     Addr::new(pod)
 }
 
-/// A service-resolution closure, as consumed by
-/// [`dlaas_net::RpcLayer::call_service`].
-pub type ServiceResolver = Rc<dyn Fn(&mut Sim) -> Option<Addr>>;
-
 impl Kube {
     /// Creates an empty cluster. Its timing model is this module's
     /// constants; [`KubeConfig`] carries nothing.
@@ -250,12 +261,10 @@ impl Kube {
                 nodes: BTreeMap::new(),
                 pods: BTreeMap::new(),
                 pending: BTreeSet::new(),
-                deployments: BTreeMap::new(),
+                sets: BTreeMap::new(),
                 jobs: BTreeMap::new(),
-                statefulsets: BTreeMap::new(),
                 services: BTreeMap::new(),
                 policies: Vec::new(),
-                events: VecDeque::new(),
                 next_uid: 0,
                 kick_examined: None,
                 event_counters: BTreeMap::new(),
@@ -310,44 +319,39 @@ impl Kube {
     // Events & introspection
     // ------------------------------------------------------------------
 
-    fn event(&self, sim: &mut Sim, object: String, reason: &'static str, message: String) {
-        {
+    /// A cluster event is a mark on the timeline and a bump of
+    /// `kube_events_total{reason}`, and nothing else.
+    fn event(&self, sim: &mut Sim, kind: Kind, name: &str, reason: &'static str) {
+        let mut guard = self.state.borrow_mut();
+        let s = &mut *guard;
+        if sim.trace().is_enabled() {
             // A pod's events go on the timeline of the job it is labelled
             // with, where it has one, and carry the pod's uid.
-            let s = self.state.borrow();
-            let pod = object.strip_prefix("pod/").and_then(|pod| s.pods.get(pod));
-            let job = pod.and_then(|pod| pod.spec.labels.get("job"));
+            let pod = if kind == Kind::Pod {
+                s.pods.get(name)
+            } else {
+                None
+            };
             let uid = pod.map_or(0, |pod| pod.uid);
-            sim.mark("kube", job.unwrap_or(&object).as_str(), reason, uid);
-        }
-        let cached = self.state.borrow().event_counters.get(reason).cloned();
-        match cached {
-            Some(h) => h.inc(),
-            None => {
-                let h = sim.metrics().counter_series(metrics::EVENTS, [reason]);
-                h.inc();
-                self.state
-                    .borrow_mut()
-                    .event_counters
-                    .insert(reason.to_owned(), h);
+            match pod.and_then(|pod| pod.spec.labels.get("job")) {
+                Some(job) => sim.mark("kube", job.as_str(), reason, uid),
+                None => {
+                    let object = format!("{}/{name}", kind.prefix());
+                    sim.mark("kube", object.as_str(), reason, uid);
+                }
             }
         }
-        let events = &mut self.state.borrow_mut().events;
-        if events.len() == EVENT_RING {
-            events.pop_front();
-        }
-        events.push_back(KubeEvent {
-            time: sim.now(),
-            object,
-            reason: reason.to_owned(),
-            message,
-        });
+        s.event_counters
+            .entry(reason)
+            .or_insert_with(|| sim.metrics().counter_series(metrics::EVENTS, [reason]))
+            .inc();
     }
 
-    /// The event stream: the newest [`EVENT_RING`] events, oldest first
-    /// (`kube_events_total` counts all of them).
-    pub fn events(&self) -> Vec<KubeEvent> {
-        self.state.borrow().events.iter().cloned().collect()
+    /// Always empty. A cluster event is only its timeline mark
+    /// (`sim.trace()`) and its `kube_events_total` count; this stays
+    /// because the repository's benchmark package reads its length.
+    pub fn events(&self) -> [(); 0] {
+        []
     }
 
     /// Current phase of a pod, if it exists.
@@ -429,16 +433,11 @@ impl Kube {
 
     fn create_owned_pod(&self, sim: &mut Sim, spec: PodSpec, owner: Option<Owner>) {
         let name = spec.name.clone();
-        let uid = {
+        {
             let mut s = self.state.borrow_mut();
             if s.pods.contains_key(&name) {
                 drop(s);
-                self.event(
-                    sim,
-                    format!("pod/{name}"),
-                    "CreateFailed",
-                    "name exists".into(),
-                );
+                self.event(sim, Kind::Pod, &name, "CreateFailed");
                 return;
             }
             s.next_uid += 1;
@@ -460,16 +459,15 @@ impl Kube {
                 },
             );
             s.sync_pending(&name);
-            uid
-        };
-        self.event(sim, format!("pod/{name}"), "Created", format!("uid {uid}"));
+        }
+        self.event(sim, Kind::Pod, &name, "Created");
         let me = self.clone();
         sim.defer(move |sim| me.try_schedule(sim, name));
     }
 
     /// Attempts to bind a Pending pod to a node and begin its start chain.
     fn try_schedule(&self, sim: &mut Sim, name: String) {
-        let (uid, delay, chosen) = {
+        let (uid, delay) = {
             let mut guard = self.state.borrow_mut();
             // Borrow the state struct itself so `pods` and `nodes` can be
             // borrowed simultaneously: the winning node's `&mut` comes
@@ -508,7 +506,6 @@ impl Kube {
                 // Stays Pending; retried when capacity frees up.
                 return;
             };
-            let chosen = chosen.clone();
             node.allocated = node.allocated.plus(&req);
             pod.node = Some(chosen.clone());
             let wait = sim.now().saturating_duration_since(pod.created_at);
@@ -519,24 +516,17 @@ impl Kube {
                 })
                 .observe_duration_us(wait.as_micros());
             s.sync_pending(&name);
-            let d = s.jittered(SCHEDULE_DELAY);
-            (uid, d, chosen)
+            (uid, s.jittered(SCHEDULE_DELAY))
         };
-        self.event(
-            sim,
-            format!("pod/{name}"),
-            "Scheduled",
-            format!("bound to {chosen}"),
-        );
+        self.event(sim, Kind::Pod, &name, "Scheduled");
         let me = self.clone();
-        let n = name.clone();
-        sim.schedule_in(delay, move |sim| me.begin_start(sim, n, uid));
+        sim.schedule_in(delay, move |sim| me.begin_start(sim, name, uid));
     }
 
     /// Runs the start chain (pull + setup + mounts + cold start), then
     /// starts the behaviors.
     fn begin_start(&self, sim: &mut Sim, name: String, uid: u64) {
-        let (total, desc) = {
+        let total = {
             let mut s = self.state.borrow_mut();
             let Some(pod) = s.pods.get(&name) else { return };
             if pod.uid != uid || pod.phase != PodPhase::Pending {
@@ -589,27 +579,19 @@ impl Kube {
                 .max()
                 .unwrap_or(SimDuration::ZERO);
             let total = s.jittered(pull + setup + mounts + objstore + cold);
-            (
-                total,
-                format!(
-                    "pull {pull} setup {setup} mounts {mounts} objstore {objstore} cold {cold}"
-                ),
-            )
-        };
-        {
-            let mut s = self.state.borrow_mut();
             if let Some(p) = s.pods.get_mut(&name) {
                 p.phase = PodPhase::Starting;
             }
             s.sync_pending(&name);
-        }
-        self.event(sim, format!("pod/{name}"), "Starting", desc);
+            total
+        };
+        self.event(sim, Kind::Pod, &name, "Starting");
         let me = self.clone();
         sim.schedule_in(total, move |sim| me.finish_start(sim, name, uid));
     }
 
     fn finish_start(&self, sim: &mut Sim, name: String, uid: u64) {
-        let (containers, node_name, nic, readiness) = {
+        let (containers, node_name, nic) = {
             let mut s = self.state.borrow_mut();
             let Some(pod) = s.pods.get(&name) else { return };
             if pod.uid != uid || pod.phase != PodPhase::Starting {
@@ -637,23 +619,13 @@ impl Kube {
             pod.ready_at = Some(sim.now() + readiness);
             pod.exited_ok.clear();
             s.sync_pending(&name);
-            (containers, node_name, nic, readiness)
+            (containers, node_name, nic)
         };
-        self.event(
-            sim,
-            format!("pod/{name}"),
-            "Started",
-            format!("running on {node_name}, ready in {readiness}"),
-        );
+        self.event(sim, Kind::Pod, &name, "Started");
         // Instantiate behaviors.
         for c in containers {
             let Some(factory) = self.registry.get(&c.behavior) else {
-                self.event(
-                    sim,
-                    format!("pod/{name}"),
-                    "BehaviorMissing",
-                    c.behavior.clone(),
-                );
+                self.event(sim, Kind::Pod, &name, "BehaviorMissing");
                 continue;
             };
             let me = self.clone();
@@ -755,12 +727,7 @@ impl Kube {
                 Some(PodPhase::Failed)
             }
         };
-        self.event(
-            sim,
-            format!("pod/{name}"),
-            "ContainerExited",
-            format!("{container} code {code}"),
-        );
+        self.event(sim, Kind::Pod, &name, "ContainerExited");
         match decision {
             None => {}
             Some(PodPhase::Succeeded) => {
@@ -786,12 +753,7 @@ impl Kube {
             s.sync_pending(&name);
             out
         };
-        self.event(
-            sim,
-            format!("pod/{name}"),
-            "PhaseChanged",
-            phase.to_string(),
-        );
+        self.event(sim, Kind::Pod, &name, "PhaseChanged");
 
         match phase {
             PodPhase::Succeeded => {
@@ -802,7 +764,7 @@ impl Kube {
                         j.status = JobStatus::Complete;
                     }
                     drop(s);
-                    self.event(sim, format!("job/{job}"), "Complete", name.clone());
+                    self.event(sim, Kind::Job, &job, "Complete");
                 }
             }
             PodPhase::Failed => {
@@ -823,12 +785,7 @@ impl Kube {
                     }
                     drop(s);
                     if !allow {
-                        self.event(
-                            sim,
-                            format!("job/{job}"),
-                            "BackoffLimitExceeded",
-                            format!("after {restarts} restarts"),
-                        );
+                        self.event(sim, Kind::Job, job, "BackoffLimitExceeded");
                         self.release_node(&name);
                         return;
                     }
@@ -873,12 +830,7 @@ impl Kube {
             let total = s.jittered(CRASH_DETECT + backoff);
             (uid, total)
         };
-        self.event(
-            sim,
-            format!("pod/{name}"),
-            "Restarting",
-            format!("in-place, delay {delay}"),
-        );
+        self.event(sim, Kind::Pod, &name, "Restarting");
         let me = self.clone();
         sim.schedule_in(delay, move |sim| me.begin_start(sim, name, uid));
     }
@@ -895,12 +847,7 @@ impl Kube {
             return false;
         }
         self.stop_processes(sim, name);
-        self.event(
-            sim,
-            format!("pod/{name}"),
-            "Crashed",
-            "process crash".into(),
-        );
+        self.event(sim, Kind::Pod, name, "Crashed");
         self.set_phase_and_handle(sim, name.to_owned(), PodPhase::Failed);
         true
     }
@@ -915,7 +862,7 @@ impl Kube {
         self.stop_processes(sim, name);
         self.release_node(name);
         // While the pod is still there to say whose it was.
-        self.event(sim, format!("pod/{name}"), "Deleted", "".into());
+        self.event(sim, Kind::Pod, name, "Deleted");
         let owner = {
             let mut s = self.state.borrow_mut();
             let removed = s.pods.remove(name);
@@ -944,7 +891,7 @@ impl Kube {
             }
             node.ready = false;
         }
-        self.event(sim, format!("node/{name}"), "NodeCrashed", "".into());
+        self.event(sim, Kind::Node, name, "NodeCrashed");
         let victims: Vec<String> = {
             let s = self.state.borrow();
             s.pods
@@ -965,7 +912,7 @@ impl Kube {
                 if me.pod_phase(&v).is_none() {
                     continue;
                 }
-                me.event(sim, format!("pod/{v}"), "NodeLost", "evicted".into());
+                me.event(sim, Kind::Pod, &v, "NodeLost");
                 let owner = {
                     let mut s = me.state.borrow_mut();
                     let removed = s.pods.remove(&v);
@@ -991,7 +938,7 @@ impl Kube {
             };
             node.cordoned = true;
         }
-        self.event(sim, format!("node/{name}"), "Cordoned", "".into());
+        self.event(sim, Kind::Node, name, "Cordoned");
         true
     }
 
@@ -1004,7 +951,7 @@ impl Kube {
             };
             node.cordoned = false;
         }
-        self.event(sim, format!("node/{name}"), "Uncordoned", "".into());
+        self.event(sim, Kind::Node, name, "Uncordoned");
         self.kick_pending(sim);
         true
     }
@@ -1034,12 +981,7 @@ impl Kube {
                 .collect()
         };
         for v in &victims {
-            self.event(
-                sim,
-                format!("pod/{v}"),
-                "Evicted",
-                format!("drain of {name}"),
-            );
+            self.event(sim, Kind::Pod, v, "Evicted");
             self.delete_pod(sim, v);
         }
         victims
@@ -1055,7 +997,7 @@ impl Kube {
             node.ready = true;
             node.allocated = Resources::default();
         }
-        self.event(sim, format!("node/{name}"), "NodeReady", "".into());
+        self.event(sim, Kind::Node, name, "NodeReady");
         self.kick_pending(sim);
         true
     }
@@ -1105,76 +1047,94 @@ impl Kube {
 
     fn reconcile_owner(&self, sim: &mut Sim, owner: Owner) {
         match owner {
-            Owner::Deployment(name, _) => self.reconcile_deployment(sim, &name),
-            Owner::StatefulSet(name, _) => self.reconcile_statefulset(sim, &name),
+            Owner::Set(key) => self.reconcile_set(sim, key),
             Owner::Job(name) => self.reconcile_job(sim, &name),
         }
     }
 
     /// Creates a Deployment: `replicas` pods named `{name}-{i}` kept alive.
     pub fn create_deployment(&self, sim: &mut Sim, name: &str, replicas: u32, template: PodSpec) {
-        self.state
-            .borrow_mut()
-            .deployments
-            .insert(name.to_owned(), DeploymentState { replicas, template });
-        self.event(
-            sim,
-            format!("deploy/{name}"),
-            "Created",
-            format!("{replicas} replicas"),
-        );
-        self.reconcile_deployment(sim, name);
+        self.create_set(sim, Kind::Deployment, name, replicas, template);
     }
 
-    fn reconcile_deployment(&self, sim: &mut Sim, name: &str) {
-        let missing: Vec<(String, PodSpec, u32)> = {
+    /// Creates a StatefulSet: `replicas` pods with stable ordinal
+    /// identities `{name}-{i}` (parallel pod management).
+    pub fn create_statefulset(&self, sim: &mut Sim, name: &str, replicas: u32, template: PodSpec) {
+        self.create_set(sim, Kind::StatefulSet, name, replicas, template);
+    }
+
+    fn create_set(&self, sim: &mut Sim, kind: Kind, name: &str, replicas: u32, template: PodSpec) {
+        let key = (kind, name.to_owned());
+        let set = ReplicaSet { replicas, template };
+        self.state.borrow_mut().sets.insert(key.clone(), set);
+        self.event(sim, kind, name, "Created");
+        self.reconcile_set(sim, key);
+    }
+
+    /// Creates every missing replica of a set, a StatefulSet's labelled
+    /// with its ordinal.
+    fn reconcile_set(&self, sim: &mut Sim, key: SetKey) {
+        let missing: Vec<PodSpec> = {
             let s = self.state.borrow();
-            let Some(d) = s.deployments.get(name) else {
+            let Some(set) = s.sets.get(&key) else {
                 return;
             };
-            (0..d.replicas)
-                .filter_map(|i| {
-                    let pname = format!("{name}-{i}");
-                    if s.pods.contains_key(&pname) {
-                        None
-                    } else {
-                        let mut spec = d.template.clone();
-                        spec.name = pname.clone();
-                        Some((pname, spec, i))
+            let (kind, name) = &key;
+            (0..set.replicas)
+                .map(|i| (i, format!("{name}-{i}")))
+                .filter(|(_, pname)| !s.pods.contains_key(pname))
+                .map(|(i, pname)| {
+                    let mut spec = set.template.clone();
+                    spec.name = pname;
+                    if *kind == Kind::StatefulSet {
+                        spec.labels.insert("ordinal".to_owned(), i.to_string());
                     }
+                    spec
                 })
                 .collect()
         };
-        for (_pname, spec, i) in missing {
-            self.create_owned_pod(sim, spec, Some(Owner::Deployment(name.to_owned(), i)));
+        for spec in missing {
+            self.create_owned_pod(sim, spec, Some(Owner::Set(key.clone())));
         }
     }
 
     /// Scales a Deployment up or down.
     pub fn scale_deployment(&self, sim: &mut Sim, name: &str, replicas: u32) {
-        let excess: Vec<String> = {
+        let key = (Kind::Deployment, name.to_owned());
+        let old = {
             let mut s = self.state.borrow_mut();
-            let Some(d) = s.deployments.get_mut(name) else {
+            let Some(set) = s.sets.get_mut(&key) else {
                 return;
             };
-            let old = d.replicas;
-            d.replicas = replicas;
-            (replicas..old).map(|i| format!("{name}-{i}")).collect()
+            std::mem::replace(&mut set.replicas, replicas)
         };
-        for pod in excess {
-            self.delete_orphan(sim, &pod);
+        for i in replicas..old {
+            self.delete_orphan(sim, &format!("{name}-{i}"));
         }
-        self.reconcile_deployment(sim, name);
+        self.reconcile_set(sim, key);
     }
 
     /// Deletes a Deployment and its pods.
     pub fn delete_deployment(&self, sim: &mut Sim, name: &str) {
-        let d = self.state.borrow_mut().deployments.remove(name);
-        if let Some(d) = d {
-            for i in 0..d.replicas {
+        self.delete_set(sim, Kind::Deployment, name);
+    }
+
+    /// Deletes a StatefulSet and its pods.
+    pub fn delete_statefulset(&self, sim: &mut Sim, name: &str) {
+        self.delete_set(sim, Kind::StatefulSet, name);
+    }
+
+    fn delete_set(&self, sim: &mut Sim, kind: Kind, name: &str) {
+        let set = self
+            .state
+            .borrow_mut()
+            .sets
+            .remove(&(kind, name.to_owned()));
+        if let Some(set) = set {
+            for i in 0..set.replicas {
                 self.delete_orphan(sim, &format!("{name}-{i}"));
             }
-            self.event(sim, format!("deploy/{name}"), "Deleted", "".into());
+            self.event(sim, kind, name, "Deleted");
         }
     }
 
@@ -1186,12 +1146,7 @@ impl Kube {
         }
         self.stop_processes(sim, name);
         self.release_node(name);
-        self.event(
-            sim,
-            format!("pod/{name}"),
-            "Deleted",
-            "owner removed".into(),
-        );
+        self.event(sim, Kind::Pod, name, "Deleted");
         {
             let mut s = self.state.borrow_mut();
             s.pods.remove(name);
@@ -1213,7 +1168,7 @@ impl Kube {
                 status: JobStatus::Active,
             },
         );
-        self.event(sim, format!("job/{name}"), "Created", "".into());
+        self.event(sim, Kind::Job, name, "Created");
         self.create_owned_pod(sim, template, Some(Owner::Job(name.to_owned())));
     }
 
@@ -1242,59 +1197,7 @@ impl Kube {
     pub fn delete_job(&self, sim: &mut Sim, name: &str) {
         if self.state.borrow_mut().jobs.remove(name).is_some() {
             self.delete_orphan(sim, name);
-            self.event(sim, format!("job/{name}"), "Deleted", "".into());
-        }
-    }
-
-    /// Creates a StatefulSet: `replicas` pods with stable ordinal
-    /// identities `{name}-{i}` (parallel pod management).
-    pub fn create_statefulset(&self, sim: &mut Sim, name: &str, replicas: u32, template: PodSpec) {
-        self.state
-            .borrow_mut()
-            .statefulsets
-            .insert(name.to_owned(), StatefulSetState { replicas, template });
-        self.event(
-            sim,
-            format!("sts/{name}"),
-            "Created",
-            format!("{replicas} replicas"),
-        );
-        self.reconcile_statefulset(sim, name);
-    }
-
-    fn reconcile_statefulset(&self, sim: &mut Sim, name: &str) {
-        let missing: Vec<(PodSpec, u32)> = {
-            let s = self.state.borrow();
-            let Some(st) = s.statefulsets.get(name) else {
-                return;
-            };
-            (0..st.replicas)
-                .filter_map(|i| {
-                    let pname = format!("{name}-{i}");
-                    if s.pods.contains_key(&pname) {
-                        None
-                    } else {
-                        let mut spec = st.template.clone();
-                        spec.name = pname;
-                        spec.labels.insert("ordinal".to_owned(), i.to_string());
-                        Some((spec, i))
-                    }
-                })
-                .collect()
-        };
-        for (spec, i) in missing {
-            self.create_owned_pod(sim, spec, Some(Owner::StatefulSet(name.to_owned(), i)));
-        }
-    }
-
-    /// Deletes a StatefulSet and its pods.
-    pub fn delete_statefulset(&self, sim: &mut Sim, name: &str) {
-        let st = self.state.borrow_mut().statefulsets.remove(name);
-        if let Some(st) = st {
-            for i in 0..st.replicas {
-                self.delete_orphan(sim, &format!("{name}-{i}"));
-            }
-            self.event(sim, format!("sts/{name}"), "Deleted", "".into());
+            self.event(sim, Kind::Job, name, "Deleted");
         }
     }
 
@@ -1312,7 +1215,7 @@ impl Kube {
                 cursor: 0,
             },
         );
-        self.event(sim, format!("svc/{name}"), "Created", "".into());
+        self.event(sim, Kind::Service, name, "Created");
     }
 
     /// Resolves a service to a ready endpoint (round robin), if any.
@@ -1340,7 +1243,7 @@ impl Kube {
     }
 
     /// A resolver closure for [`dlaas_net::RpcLayer::call_service`].
-    pub fn service_resolver(&self, name: impl Into<String>) -> ServiceResolver {
+    pub fn service_resolver(&self, name: impl Into<String>) -> Resolver {
         let me = self.clone();
         let name = name.into();
         Rc::new(move |sim| me.resolve_service(sim, &name))

@@ -73,9 +73,9 @@ pub mod metrics;
 mod process;
 mod types;
 
-pub use cluster::{pod_addr, JobStatus, Kube, NetworkPolicy, Owner, ServiceResolver, EVENT_RING};
+pub use cluster::{pod_addr, JobStatus, Kube, NetworkPolicy};
 pub use process::{BehaviorFactory, BehaviorRegistry, Cleanup, ProcessCtx};
 pub use types::{
-    selector_matches, ContainerSpec, ImageRef, KubeConfig, KubeEvent, Labels, NodeSpec, PodPhase,
-    PodSpec, Resources, RestartPolicy,
+    selector_matches, ContainerSpec, ImageRef, KubeConfig, Labels, NodeSpec, PodPhase, PodSpec,
+    Resources, RestartPolicy,
 };

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use dlaas_gpu::GpuKind;
-use dlaas_sim::{SimDuration, SimTime};
+use dlaas_sim::SimDuration;
 
 /// Label set used by selectors (Kubernetes labels).
 pub type Labels = BTreeMap<String, String>;
@@ -297,19 +297,6 @@ impl std::fmt::Display for PodPhase {
         };
         f.write_str(s)
     }
-}
-
-/// A cluster event (the `kubectl get events` stream).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KubeEvent {
-    /// When it happened.
-    pub time: SimTime,
-    /// Object concerned, e.g. `"pod/learner-0"`.
-    pub object: String,
-    /// Reason, e.g. `"Scheduled"`, `"Started"`, `"Crashed"`.
-    pub reason: String,
-    /// Free-form detail.
-    pub message: String,
 }
 
 /// What [`crate::Kube::new`] takes. It carries nothing: the cluster's

@@ -13,6 +13,8 @@ use dlaas_sim::{Sim, SimDuration, SimTime};
 
 fn boot(seed: u64) -> (Sim, Kube, BehaviorRegistry) {
     let mut sim = Sim::new(seed);
+    // Cluster events are marks: the tests read them off the timeline.
+    sim.trace_mut().set_enabled(true);
     let registry = BehaviorRegistry::new();
     registry.register_noop("pause");
     let kube = Kube::new(&mut sim, KubeConfig, registry.clone());
@@ -39,13 +41,10 @@ fn pod_reaches_running_through_lifecycle() {
     assert_eq!(kube.pod_phase("p0"), Some(PodPhase::Running));
     assert!(kube.pod_ready(&sim, "p0"));
     assert!(kube.pod_node("p0").is_some());
-    // Lifecycle events present.
-    let reasons: Vec<String> = kube.events().iter().map(|e| e.reason.clone()).collect();
+    // Lifecycle events present, on the pod's timeline.
+    let reasons: Vec<&str> = sim.trace().of("pod/p0").marks().map(|m| m.what).collect();
     for needed in ["Created", "Scheduled", "Starting", "Started"] {
-        assert!(
-            reasons.iter().any(|r| r == needed),
-            "missing event {needed}"
-        );
+        assert!(reasons.contains(&needed), "missing event {needed}");
     }
 }
 
@@ -55,10 +54,11 @@ fn duplicate_pod_name_rejected() {
     kube.create_pod(&mut sim, pause_pod("dup"));
     kube.create_pod(&mut sim, pause_pod("dup"));
     sim.run_for(SimDuration::from_secs(5));
-    let fails = kube
-        .events()
-        .iter()
-        .filter(|e| e.reason == "CreateFailed")
+    let fails = sim
+        .trace()
+        .of("pod/dup")
+        .marks()
+        .filter(|m| m.what == "CreateFailed")
         .count();
     assert_eq!(fails, 1);
 }
@@ -292,11 +292,13 @@ fn statefulset_restarts_replicas_with_stable_identity() {
             Some(PodPhase::Running)
         );
     }
-    // The ordinal label is stamped.
+    // The ordinal label is stamped, and only on a StatefulSet's pods.
     assert_eq!(
         kube.pod_labels("learner-1").unwrap().get("ordinal"),
         Some(&"1".to_string())
     );
+    kube.create_deployment(&mut sim, "web", 2, pause_pod("web"));
+    assert_eq!(kube.pod_labels("web-1").unwrap().get("ordinal"), None);
 
     kube.delete_pod(&mut sim, "learner-1");
     sim.run_until_pred(|_| kube.pod_phase("learner-1") == Some(PodPhase::Running));
@@ -702,15 +704,15 @@ fn drain_evicts_owned_pods_to_other_nodes() {
 
 #[test]
 fn deterministic_event_stream() {
-    fn run(seed: u64) -> Vec<(SimTime, String, String)> {
+    fn run(seed: u64) -> Vec<(SimTime, String, &'static str)> {
         let (mut sim, kube, _) = boot(seed);
         kube.create_deployment(&mut sim, "api", 2, pause_pod("api"));
         sim.run_for(SimDuration::from_secs(5));
         kube.crash_pod(&mut sim, "api-0");
         sim.run_for(SimDuration::from_secs(20));
-        kube.events()
-            .into_iter()
-            .map(|e| (e.time, e.object, e.reason))
+        sim.trace()
+            .marks()
+            .map(|m| (m.time, m.subject().to_string(), m.what))
             .collect()
     }
     assert_eq!(run(42), run(42));

@@ -108,6 +108,12 @@ impl Trace {
         self.enabled = enabled;
     }
 
+    /// Whether marks are recorded: a caller whose subject has to be built
+    /// first builds it only then.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Appends a mark ([`crate::Sim::mark`] asks `enabled` first).
     pub(crate) fn push(
         &mut self,
@@ -145,6 +151,12 @@ impl Trace {
             arg,
         };
         self.ring.push_back(mark);
+    }
+
+    /// Every mark the ring holds, oldest first: the whole run's history
+    /// (what a determinism check fingerprints).
+    pub fn marks(&self) -> impl Iterator<Item = &Mark> {
+        self.ring.iter()
     }
 
     /// The marks about `subject`, oldest first: one job's (pod's, node's)

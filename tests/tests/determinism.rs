@@ -12,6 +12,7 @@ use dlaas_sim::SimDuration;
 /// A condensed fingerprint of one run.
 fn run_fingerprint(seed: u64, chaos: bool) -> String {
     let (mut sim, platform) = boot(seed);
+    sim.trace_mut().set_enabled(true);
     let client = platform.client("det", dlaas_integration::KEY);
     let monkey = chaos.then(|| {
         ChaosMonkey::unleash(
@@ -54,9 +55,10 @@ fn run_fingerprint(seed: u64, chaos: bool) -> String {
         }
         out.push(';');
     }
-    // The kube event stream is part of the fingerprint too.
-    for ev in platform.kube().events() {
-        out.push_str(&format!("{}|{}|{};", ev.time, ev.object, ev.reason));
+    // The whole timeline is part of the fingerprint too: every
+    // component's marks, kube's cluster events among them.
+    for mark in sim.trace().marks() {
+        out.push_str(&format!("{mark};"));
     }
     out
 }
