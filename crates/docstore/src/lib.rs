@@ -12,8 +12,10 @@
 //!   [`Update::apply`] says whether it changed the document,
 //! * [`DocStore`] — collections with secondary indexes (equality *and*
 //!   `In` filters route through them, preserving scan order) and a
-//!   write-ahead [`Journal`] of redo records ([`JournalOp`]);
-//!   [`DocStore::recover`] rebuilds state after a crash by redoing them.
+//!   write-ahead [`Journal`]: a checkpoint and the redo records
+//!   ([`JournalOp`]) written since it, never more records than the
+//!   checkpoint holds entries; [`DocStore::recover`] rebuilds state after
+//!   a crash by loading the checkpoint and redoing the records.
 //!   Documents are handed out as shared snapshots ([`Doc`]); an update
 //!   edits the stored copy in place unless someone still holds it,
 //! * [`MongoServer`] — the store as an RPC service with modelled

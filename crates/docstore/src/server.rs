@@ -3,7 +3,7 @@
 //! A single-primary server over the RPC layer with a modelled per-op disk
 //! latency. Crash/restart reproduces MongoDB's journaled recovery: the
 //! in-memory store dies with the process; the journal survives and the
-//! restarted server replays it.
+//! restarted server loads its checkpoint and redoes the records since.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -179,12 +179,13 @@ impl MongoServer {
         *self.fail_writes.borrow_mut() = fail;
     }
 
-    /// Crash: stop serving and drop in-memory state. The journal survives.
+    /// Crash: stop serving. The journal survives.
     pub fn crash(&self) {
         *self.up.borrow_mut() = false;
-        // Dropping volatile state is modelled by replacing the store with
-        // an empty husk; the journal (disk) is extracted first by whoever
-        // orchestrates recovery via `journal()`.
+        // The in-memory store is left as it is, but nothing reads it
+        // again: a crashed server answers no request, and recovery builds
+        // a new store from the journal (the disk), which whoever
+        // orchestrates it takes through `journal()`.
     }
 
     /// Builds a recovered server from a journal (call after [`MongoServer::crash`]).

@@ -4,8 +4,8 @@
 //! acknowledging a submission, which is what makes accepted jobs durable
 //! (paper §III-c). [`DocStore`] reproduces the property that matters: every
 //! acknowledged mutation is on the journal ("disk"), and a crash loses only
-//! volatile state — [`DocStore::recover`] rebuilds the collections by
-//! replaying the journal.
+//! volatile state — [`DocStore::recover`] rebuilds the collections from the
+//! journal's last checkpoint and the records written since it.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -44,14 +44,17 @@ impl std::error::Error for StoreError {}
 /// query keeps showing the document as it was when the query ran, however
 /// the collection changes afterwards (snapshot isolation), handing one
 /// out copies nothing, and an update costs a copy of the document only
-/// while a reader still holds the version it replaces. The journal is not
-/// such a reader: its insert record keeps an image of its own, and the
-/// collection stores a copy of its own from the start.
+/// while a reader still holds the version it replaces. The journal's
+/// checkpoint is such a reader — a document's first update after a
+/// checkpoint copies it once — but its insert records are not: an insert
+/// record keeps an image of its own, and the collection stores a copy of
+/// its own from the start.
 pub type Doc = Rc<Value>;
 
 /// One durable journal record (the "disk" write-ahead log): a redo log
-/// entry. Replaying the records in order through the code path that wrote
-/// them rebuilds the store; none of them is an after-image, so what the
+/// entry. Redoing the records written since the last checkpoint, in order,
+/// through the code path that wrote them, on top of that checkpoint
+/// rebuilds the store; none of them is an after-image, so what the
 /// journal keeps of an update is the update, not another version of the
 /// document. Collection names and document ids are shared with the
 /// collection's own maps.
@@ -93,11 +96,44 @@ pub enum JournalOp {
     },
 }
 
+/// One collection as a checkpoint holds it.
+#[derive(Debug)]
+struct CollectionImage {
+    name: Rc<str>,
+    change_seq: u64,
+    /// The change feed in sequence order: every id ever changed, with its
+    /// document if it exists (shared with the live collection until one
+    /// of them moves on), `None` for a removal tombstone.
+    feed: Vec<(u64, Rc<str>, Option<Doc>)>,
+    index_paths: Vec<String>,
+}
+
+/// The store as it stood when the checkpoint was taken.
+#[derive(Debug, Default)]
+struct Checkpoint {
+    collections: Vec<CollectionImage>,
+    next_auto_id: u64,
+}
+
+#[derive(Debug, Default)]
+struct Disk {
+    checkpoint: Checkpoint,
+    /// The records written since `checkpoint`, oldest first.
+    records: Vec<JournalOp>,
+}
+
 /// The durable journal, shared between store incarnations (it *is* the
-/// disk). Cloning shares the underlying log.
+/// disk): the last checkpoint and the records written since it. Cloning
+/// shares the underlying disk.
+///
+/// The store takes a checkpoint once the records since the last one
+/// outnumber the entries a checkpoint holds (documents plus removal
+/// tombstones), so the journal stays proportional to the store's size
+/// and a checkpoint's cost, linear in the entries, is paid for by as
+/// many writes.
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
-    ops: Rc<RefCell<Vec<JournalOp>>>,
+    disk: Rc<RefCell<Disk>>,
 }
 
 impl Journal {
@@ -108,17 +144,27 @@ impl Journal {
 
     /// Appends a record (a synchronous, durable write).
     pub fn append(&self, op: JournalOp) {
-        self.ops.borrow_mut().push(op);
+        self.disk.borrow_mut().records.push(op);
     }
 
-    /// Number of records.
+    /// Number of records written since the last checkpoint.
     pub fn len(&self) -> usize {
-        self.ops.borrow().len()
+        self.disk.borrow().records.len()
     }
 
-    /// `true` when nothing has been journaled.
+    /// `true` when nothing has been journaled since the last checkpoint.
     pub fn is_empty(&self) -> bool {
-        self.ops.borrow().is_empty()
+        self.disk.borrow().records.is_empty()
+    }
+}
+
+/// Moves the auto-id high-water mark past `id` when `id` has the form
+/// `auto-N` — what every journaled insert does, in the live store as in
+/// recovery, so the two count alike and neither hands out an id that is
+/// already stored.
+fn note_id(next_auto_id: &mut u64, id: &str) {
+    if let Some(n) = id.strip_prefix("auto-").and_then(|s| s.parse::<u64>().ok()) {
+        *next_auto_id = (*next_auto_id).max(n.saturating_add(1));
     }
 }
 
@@ -149,9 +195,10 @@ struct Collection {
     /// path → index; consulted for `Eq`- and `In`-pinned filters.
     indexes: BTreeMap<String, Index>,
     /// Monotonic per-collection change counter, bumped once per journaled
-    /// mutation (insert, effective update, delete). Journal replay bumps
-    /// through the same path, so sequence numbers — and therefore any
-    /// watcher's watermark — survive crash recovery unchanged.
+    /// mutation (insert, effective update, delete). A checkpoint keeps it
+    /// and redo bumps through the same path, so sequence numbers — and
+    /// therefore any watcher's watermark — survive crash recovery
+    /// unchanged.
     change_seq: u64,
     /// id → sequence number of its latest change.
     changed_at: BTreeMap<Rc<str>, u64>,
@@ -171,21 +218,63 @@ fn collection<'a>(
         .map_or_else(|| Rc::from(coll), |(name, _)| name.clone());
     collections
         .entry(name)
-        .or_insert_with_key(|name| Collection {
-            name: name.clone(),
+        .or_insert_with_key(|name| Collection::new(name.clone()))
+}
+
+// `put`, `edit`, `remove` and `build_index` are the mutations, as the live
+// store and journal redo both perform them: documents, indexes and the
+// change feed move together, so a recovered store is state-equal by
+// construction.
+impl Collection {
+    fn new(name: Rc<str>) -> Self {
+        Collection {
+            name,
             docs: BTreeMap::new(),
             indexes: BTreeMap::new(),
             change_seq: 0,
             changed_at: BTreeMap::new(),
             by_seq: BTreeMap::new(),
-        })
-}
+        }
+    }
 
-// `put`, `edit`, `remove` and `build_index` are the mutations, as the live
-// store and journal replay both perform them: documents, indexes and the
-// change feed move together, so a recovered store is state-equal by
-// construction.
-impl Collection {
+    /// Documents plus removal tombstones: what a checkpoint holds of the
+    /// collection (every document has a place in the change feed).
+    fn entries(&self) -> usize {
+        self.by_seq.len()
+    }
+
+    /// The collection as a checkpoint holds it; its documents are shared,
+    /// not copied.
+    fn image(&self) -> CollectionImage {
+        CollectionImage {
+            name: self.name.clone(),
+            change_seq: self.change_seq,
+            feed: self
+                .by_seq
+                .iter()
+                .map(|(seq, id)| (*seq, id.clone(), self.docs.get(id).cloned()))
+                .collect(),
+            index_paths: self.indexes.keys().cloned().collect(),
+        }
+    }
+
+    /// The collection a checkpoint holds, indexes rebuilt.
+    fn restore(image: &CollectionImage) -> Self {
+        let mut c = Collection::new(image.name.clone());
+        for (seq, id, doc) in &image.feed {
+            if let Some(doc) = doc {
+                c.docs.insert(id.clone(), doc.clone());
+            }
+            c.changed_at.insert(id.clone(), *seq);
+            c.by_seq.insert(*seq, id.clone());
+        }
+        c.change_seq = image.change_seq;
+        for path in &image.index_paths {
+            c.build_index(path);
+        }
+        c
+    }
+
     /// Records that `id` changed (was inserted, updated, or removed),
     /// moving it to the tail of the change feed.
     fn note_change(&mut self, id: Rc<str>) {
@@ -383,20 +472,27 @@ impl DocStore {
         }
     }
 
-    /// Rebuilds a store from an existing journal (crash recovery) by
-    /// redoing every record through the code that wrote it. The result is
-    /// state-equal to the store that wrote the journal: documents, index
-    /// results, change sequence numbers and the auto-id high-water mark.
+    /// Rebuilds a store from an existing journal (crash recovery): loads
+    /// its last checkpoint, then redoes every record written since through
+    /// the code that wrote it — work proportional to the checkpoint's
+    /// entries plus those records. The result is state-equal to the store
+    /// that wrote the journal: documents, index results, change sequence
+    /// numbers and the auto-id high-water mark.
     pub fn recover(journal: Journal) -> Self {
         let mut store = DocStore::new();
-        for op in journal.ops.borrow().iter() {
+        let disk = journal.disk.borrow();
+        store.next_auto_id = disk.checkpoint.next_auto_id;
+        for image in &disk.checkpoint.collections {
+            store
+                .collections
+                .insert(image.name.clone(), Collection::restore(image));
+        }
+        for op in &disk.records {
             match op {
                 JournalOp::Insert { coll, id, doc } => {
                     let stored = Rc::new(Value::clone(doc));
                     collection(&mut store.collections, coll).put(id.clone(), stored);
-                    if let Some(n) = id.strip_prefix("auto-").and_then(|s| s.parse::<u64>().ok()) {
-                        store.next_auto_id = store.next_auto_id.max(n + 1);
-                    }
+                    note_id(&mut store.next_auto_id, id);
                 }
                 JournalOp::Update { coll, id, update } => {
                     if let Some(c) = store.collections.get_mut(coll) {
@@ -413,8 +509,28 @@ impl DocStore {
                 }
             }
         }
+        drop(disk);
         store.journal = journal;
         store
+    }
+
+    /// Takes a checkpoint if the records since the last one outnumber the
+    /// entries it would hold; every mutation ends here, so the records on
+    /// the journal never outnumber the store's entries between calls.
+    fn checkpoint_if_due(&self) {
+        let entries: usize = self.collections.values().map(Collection::entries).sum();
+        let mut disk = self.journal.disk.borrow_mut();
+        if disk.records.len() <= entries {
+            return;
+        }
+        // The old checkpoint and the records go first: the versions only
+        // they held are freed before the new checkpoint is built.
+        disk.records.clear();
+        disk.checkpoint.collections.clear();
+        disk.checkpoint
+            .collections
+            .extend(self.collections.values().map(Collection::image));
+        disk.checkpoint.next_auto_id = self.next_auto_id;
     }
 
     /// The journal (share it with a future incarnation to recover).
@@ -437,11 +553,12 @@ impl DocStore {
             coll: c.name.clone(),
             path: path.to_owned(),
         });
+        self.checkpoint_if_due();
     }
 
     /// Inserts a document, journaling before returning (write concern:
     /// journaled). Uses the document's `"_id"` string field or assigns
-    /// `auto-N`. Returns the id.
+    /// `auto-N`, N past every `auto-N` id ever inserted. Returns the id.
     ///
     /// The journal keeps `doc` as its insert image and the collection
     /// stores a copy of it made here, which is therefore the collection's
@@ -460,7 +577,6 @@ impl DocStore {
             Some(s) => s.to_owned(),
             None => {
                 let id = format!("auto-{}", self.next_auto_id);
-                self.next_auto_id += 1;
                 obj.insert("_id".into(), Value::from(id.clone()));
                 id
             }
@@ -478,6 +594,8 @@ impl DocStore {
             doc: Rc::new(doc),
         });
         c.put(shared, stored);
+        note_id(&mut self.next_auto_id, &id);
+        self.checkpoint_if_due();
         Ok(id)
     }
 
@@ -552,6 +670,7 @@ impl DocStore {
                 break;
             }
         }
+        self.checkpoint_if_due();
         n
     }
 
@@ -585,6 +704,7 @@ impl DocStore {
                 break;
             }
         }
+        self.checkpoint_if_due();
         n
     }
 
@@ -720,13 +840,86 @@ mod tests {
     fn journal_then_ack_ordering() {
         let mut db = DocStore::new();
         db.insert("jobs", job("a", "PENDING", 1)).unwrap();
-        // The journal already contains the insert by the time insert() returned.
+        // The journal already holds the insert by the time insert()
+        // returned: a crash right after the acknowledgement keeps it.
         assert_eq!(db.journal().len(), 1);
+        let recovered_status = |db: &DocStore| {
+            let recovered = DocStore::recover(db.journal().clone());
+            let doc = recovered.find_one("jobs", &Filter::eq("_id", "a")).unwrap();
+            doc.path("status").unwrap().as_str().map(str::to_owned)
+        };
+        assert_eq!(recovered_status(&db).as_deref(), Some("PENDING"));
+        // So does the update (which, outnumbering the one document, was
+        // folded into a checkpoint on its way).
         db.update_one("jobs", &Filter::True, &Update::set("status", "X"));
-        assert_eq!(db.journal().len(), 2);
+        assert_eq!(recovered_status(&db).as_deref(), Some("X"));
         // No-op update journals nothing.
+        let journaled = db.journal().len();
         db.update_one("jobs", &Filter::True, &Update::set("status", "X"));
-        assert_eq!(db.journal().len(), 2);
+        assert_eq!(db.journal().len(), journaled);
+    }
+
+    #[test]
+    fn an_auto_id_continues_past_every_stored_one_before_and_after_recovery() {
+        // A stored `auto-5` moves the mark in the live store as it does in
+        // recovery, so the two hand out the same next id. Counting only
+        // the ids it assigned, the live store went on with `auto-1` where
+        // the recovered one went on with `auto-6`.
+        let mut db = DocStore::new();
+        db.insert("jobs", obj! {"_id" => "auto-5"}).unwrap();
+        assert_eq!(db.insert("jobs", obj! {}).as_deref(), Ok("auto-6"));
+        let mut recovered = DocStore::recover(db.journal().clone());
+        assert_eq!(db.insert("jobs", obj! {}).as_deref(), Ok("auto-7"));
+        assert_eq!(recovered.insert("jobs", obj! {}).as_deref(), Ok("auto-7"));
+    }
+
+    #[test]
+    fn an_auto_id_never_collides_with_a_stored_one() {
+        let mut db = DocStore::new();
+        db.insert("jobs", obj! {"_id" => "auto-0"}).unwrap();
+        assert_eq!(db.insert("jobs", obj! {"x" => 1}).as_deref(), Ok("auto-1"));
+        // A refused insert moves nothing: it is not on the journal.
+        assert!(db.insert("jobs", obj! {"_id" => "auto-0"}).is_err());
+        assert_eq!(db.insert("jobs", obj! {"x" => 2}).as_deref(), Ok("auto-2"));
+    }
+
+    #[test]
+    fn the_journal_stays_as_large_as_the_store_and_recovers_through_checkpoints() {
+        let mut db = DocStore::new();
+        db.create_index("jobs", "status");
+        let by_id = |i: usize| Filter::eq("_id", format!("j{i}"));
+        let mut checkpoints = 0;
+        for i in 0..40 {
+            db.insert("jobs", job(&format!("j{i}"), "PENDING", 0))
+                .unwrap();
+            for status in ["DEPLOYING", "PROCESSING", "COMPLETED"] {
+                let before = db.journal().len();
+                db.update_one("jobs", &by_id(i), &Update::set("status", status));
+                checkpoints += usize::from(db.journal().len() <= before);
+                let entries = db.changed_since("jobs", 0);
+                assert!(db.journal().len() <= entries.0.len() + entries.1.len());
+            }
+            if i % 4 == 3 {
+                db.delete_one("jobs", &by_id(i - 2));
+            }
+        }
+        // Each job adds four records and one entry, so a checkpoint comes
+        // once the store has grown by about a third since the last: a
+        // dozen over 170 writes, not one a write.
+        assert!((8..=16).contains(&checkpoints), "{checkpoints} checkpoints");
+        let high_water = db.changed_since("jobs", 0).2;
+        let recovered = DocStore::recover(db.journal().clone());
+        for since in 0..=high_water {
+            assert_eq!(
+                recovered.changed_since("jobs", since),
+                db.changed_since("jobs", since)
+            );
+        }
+        assert_eq!(
+            recovered.find("jobs", &Filter::eq("status", "COMPLETED")),
+            db.find("jobs", &Filter::eq("status", "COMPLETED"))
+        );
+        assert_eq!(recovered.last_examined(), 30, "the index was rebuilt");
     }
 
     #[test]
@@ -1061,23 +1254,32 @@ mod tests {
     #[test]
     fn an_update_copies_the_document_only_while_someone_else_holds_it() {
         let mut db = DocStore::new();
+        for other in ["b", "c", "d", "e"] {
+            db.insert("jobs", job(other, "PENDING", 1)).unwrap();
+        }
         db.insert("jobs", job("a", "PENDING", 1)).unwrap();
         let by_id = Filter::eq("_id", "a");
         let address = |db: &DocStore| Rc::as_ptr(&db.find_one("jobs", &by_id).unwrap());
 
         // The journal's insert record keeps an image of its own, so nobody
-        // but the collection holds the stored document, from the first
-        // update on: edited where it is. (Checked after each update: a
-        // copy is made while its original is still allocated, so it cannot
-        // land on the same address, but the copy after that could.)
+        // but the collection holds the stored document: the first update
+        // edits it where it is. (Checked after each update: a copy is made
+        // while its original is still allocated, so it cannot land on the
+        // same address, but the copy after that could.)
         let unique = address(&db);
-        for update in [
-            Update::set("status", "DEPLOYING"),
-            Update::set("status", "PROCESSING"),
-            Update::inc("learners", 1),
-        ] {
+        db.update_one("jobs", &by_id, &Update::set("status", "DEPLOYING"));
+        assert_eq!(address(&db), unique, "an unshared document was copied");
+        // Five inserts and that update outnumbered the five documents: the
+        // update ended in a checkpoint, which holds the version it left.
+        // The next update copies it once, and the ones after edit the copy
+        // where it is.
+        assert!(db.journal().is_empty());
+        db.update_one("jobs", &by_id, &Update::set("status", "PROCESSING"));
+        let copy = address(&db);
+        assert_ne!(copy, unique, "the checkpoint's version was edited");
+        for update in [Update::inc("learners", 1), Update::inc("learners", 1)] {
             db.update_one("jobs", &by_id, &update);
-            assert_eq!(address(&db), unique, "an unshared document was copied");
+            assert_eq!(address(&db), copy, "an unshared document was copied");
         }
 
         // A reader holds it: the edit goes to a new allocation and the
@@ -1102,10 +1304,15 @@ mod tests {
         let mut db = DocStore::new();
         db.insert("jobs", job("a", "PENDING", 1)).unwrap();
         db.insert("jobs", job("b", "PENDING", 2)).unwrap();
+        // Two inserts and this update outnumber the two documents: the
+        // journal is a checkpoint from here on.
+        db.update_one("jobs", &Filter::True, &Update::set("status", "X"));
+        assert!(db.journal().is_empty());
         let update = Update::push("history", obj! {"status" => "DEPLOYING", "t_us" => 7});
         db.update_many("jobs", &Filter::True, &update);
-        let ops = db.journal().ops.borrow();
-        let redo: Vec<_> = ops
+        let disk = db.journal().disk.borrow();
+        let redo: Vec<_> = disk
+            .records
             .iter()
             .filter_map(|op| match op {
                 JournalOp::Update { id, update, .. } => Some((&**id, update)),

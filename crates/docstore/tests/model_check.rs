@@ -8,9 +8,13 @@
 //! update copies the document, applies the mutation to the copy and
 //! compares the two. The store edits in place, asks [`Update::apply`]
 //! whether anything changed, keeps its indexes by difference and recovers
-//! by redoing updates; none of that may be observable.
+//! from a checkpoint by redoing the updates written since; none of that
+//! may be observable. The model also counts the journal: the records
+//! since the last checkpoint, which the store folds into a new one as
+//! soon as they outnumber its entries — so sequences cross checkpoints,
+//! and crash right before and right after them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dlaas_docstore::{obj, Doc, DocStore, Filter, Update, Value};
 use proptest::prelude::*;
@@ -73,9 +77,10 @@ fn update_strategy() -> impl Strategy<Value = Update> {
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// `id: None` leaves the id to the store (`auto-N`).
+    /// `id: None` leaves the id to the store (`auto-N`); a given id may
+    /// take that form too.
     Insert {
-        id: Option<u8>,
+        id: Option<String>,
         n: i64,
         status: u8,
     },
@@ -102,7 +107,11 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         5 => (0..50u8, -50..50i64, 0..4u8).prop_map(|(id, n, status)| Op::Insert {
-            id: (id < 40).then_some(id),
+            id: match id {
+                0..40 => Some(format!("d{id}")),
+                40..44 => Some(format!("auto-{}", id - 40)),
+                _ => None,
+            },
             n,
             status,
         }),
@@ -115,20 +124,39 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The naive model: documents by id, and the change feed as the latest
-/// sequence number of every id ever touched.
+/// The naive model: documents by id, the change feed as the latest
+/// sequence number of every id ever touched, and how many records the
+/// journal holds since its last checkpoint.
 #[derive(Default)]
 struct Model {
     docs: BTreeMap<String, Value>,
     change_seq: u64,
     changed_at: BTreeMap<String, u64>,
     next_auto_id: u64,
+    indexes: BTreeSet<&'static str>,
+    records: usize,
 }
 
 impl Model {
     fn note_change(&mut self, id: &str) {
         self.change_seq += 1;
         self.changed_at.insert(id.to_owned(), self.change_seq);
+        self.records += 1;
+    }
+
+    /// What a checkpoint holds: documents plus removal tombstones.
+    fn entries(&self) -> usize {
+        self.changed_at.len()
+    }
+
+    /// The end of a mutation: a checkpoint once the records outnumber the
+    /// entries. `true` if one was taken.
+    fn checkpoint_if_due(&mut self) -> bool {
+        let due = self.records > self.entries();
+        if due {
+            self.records = 0;
+        }
+        due
     }
 
     fn matching(&self, filter: &Filter) -> Vec<String> {
@@ -216,19 +244,23 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
 
     #[test]
-    fn store_matches_naive_model_across_crashes(ops in proptest::collection::vec(op_strategy(), 1..60)) {
+    fn store_matches_naive_model_across_crashes(
+        ops in proptest::collection::vec((op_strategy(), any::<bool>()), 1..60)
+    ) {
         let mut store = DocStore::new();
         let mut model = Model::default();
 
-        for op in ops {
+        // `at_edge`: crash after this op if it took a checkpoint, or left
+        // the journal one effective update or removal short of one.
+        for (op, at_edge) in ops {
+            let crash = matches!(op, Op::Crash);
             match op {
                 Op::Insert { id, n, status } => {
                     let mut doc = obj! { "n" => n, "status" => status_name(status) };
-                    let expected_id = match id {
+                    let expected_id = match &id {
                         Some(id) => {
-                            let id = format!("d{id}");
                             Update::set("_id", id.as_str()).apply(&mut doc);
-                            id
+                            id.clone()
                         }
                         None => format!("auto-{}", model.next_auto_id),
                     };
@@ -237,7 +269,12 @@ proptest! {
                         prop_assert!(r.is_err(), "duplicate insert must fail");
                     } else {
                         prop_assert_eq!(r.as_deref(), Ok(expected_id.as_str()));
-                        model.next_auto_id += u64::from(id.is_none());
+                        // Any stored `auto-N`, assigned or given, moves
+                        // the next one past it.
+                        if let Some(k) = expected_id.strip_prefix("auto-") {
+                            let k: u64 = k.parse().expect("auto ids are numbered");
+                            model.next_auto_id = model.next_auto_id.max(k + 1);
+                        }
                         Update::set("_id", expected_id.as_str()).apply(&mut doc);
                         model.docs.insert(expected_id.clone(), doc);
                         model.note_change(&expected_id);
@@ -269,11 +306,17 @@ proptest! {
                 }
                 Op::CreateIndex { path } => {
                     store.create_index("c", path);
+                    model.records += usize::from(model.indexes.insert(path));
                 }
-                Op::Crash => {
-                    let journal = store.journal().clone();
-                    store = DocStore::recover(journal);
-                }
+                Op::Crash => {}
+            }
+            let took_checkpoint = model.checkpoint_if_due();
+            prop_assert_eq!(store.journal().len(), model.records, "records since the checkpoint");
+            prop_assert!(model.records <= model.entries());
+            let next_is_due = model.records == model.entries();
+            if crash || (at_edge && (took_checkpoint || next_is_due)) {
+                let journal = store.journal().clone();
+                store = DocStore::recover(journal);
             }
             check_equal(&store, &model);
         }

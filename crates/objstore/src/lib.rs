@@ -66,6 +66,9 @@ use dlaas_sim::{Sim, SimDuration, SimTime};
 /// can shrink or rewrite the buffer. This is how a writer that re-puts a
 /// growing object (the log collector — object stores have no append)
 /// pays for the new lines only, while the store charges the whole body.
+/// Dropping the buffer — its one writer — gives back the room it kept for
+/// growth: the views go on reading the same text from a buffer of exactly
+/// its length.
 ///
 /// # Examples
 ///
@@ -79,8 +82,21 @@ use dlaas_sim::{Sim, SimDuration, SimTime};
 /// assert_eq!(first.as_text().as_deref(), Some("line 1"));
 /// assert_eq!(log.body().size(), 13);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct TextBuf(Rc<RefCell<String>>);
+
+impl Drop for TextBuf {
+    fn drop(&mut self) {
+        // Nothing can append any more; a view still reading the text
+        // keeps only what was appended. (A view borrowed right now keeps
+        // the room: the text cannot move under it.)
+        if Rc::strong_count(&self.0) > 1 {
+            if let Ok(mut text) = self.0.try_borrow_mut() {
+                text.shrink_to_fit();
+            }
+        }
+    }
+}
 
 impl TextBuf {
     /// An empty buffer.
@@ -542,6 +558,25 @@ mod tests {
         assert_ne!(first, log.body());
         assert_eq!(format!("{first:?}"), "Text(\"iter=1\")");
         assert_eq!(log.len(), 20);
+    }
+
+    #[test]
+    fn a_dropped_writer_gives_back_the_room_it_kept_for_growth() {
+        let log = TextBuf::new();
+        for i in 0..100 {
+            log.push_str(&format!("iter={i}\n"));
+        }
+        let body = log.body();
+        let room = |body: &ObjectBody| match body {
+            ObjectBody::Text(v) => v.buf.borrow().capacity() - v.len,
+            ObjectBody::Synthetic(_) => 0,
+        };
+        // 790 bytes appended into a buffer that doubles.
+        assert!(room(&body) > 0);
+        let text = body.as_text().as_deref().map(str::to_owned);
+        drop(log);
+        assert_eq!(room(&body), 0);
+        assert_eq!(body.as_text().as_deref().map(str::to_owned), text);
     }
 
     #[test]

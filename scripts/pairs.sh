@@ -15,15 +15,21 @@
 # DIR/base-rev names the exported commit: a later run with the same DIR
 # reuses the base build only when --base resolves to that commit.
 # On seed i the base runs first when i is even and second when i is
-# odd. Only each run's result line (the last line of its stdout) is
-# kept, in DIR/base.jsonl and DIR/change.jsonl; stderr goes to DIR/log.
+# odd. Each run's result line (the last line of its stdout) is kept in
+# DIR/base.jsonl and DIR/change.jsonl, and its `host:` line (raw and
+# normalised host times and the reference kernel's rate, on stderr) in
+# DIR/base.host and DIR/change.host; all of stderr goes to DIR/log.
 #
 # For every end-to-end metric of BENCHMARK.json it prints each pair,
 # both sides' quartiles and medians, the change's wins and losses (ties
 # count for neither) and the verdict of the pairs rule: a GAIN needs the
 # change better in at least nine tenths of the pairs and the medians
-# apart by more than the base's interquartile range. It then runs
-# `benchmark/compare.sh` on the two sets, and exits with its status.
+# apart by more than the base's interquartile range. It prints the
+# ruler beside them: each pair and each side's median of `raw_host_s`,
+# `raw_setup_s` and `ref_events_per_s` — `host_s` and `setup_s` are raw
+# time over the reference kernel's slowdown, so a shift in them is read
+# against these. It then runs `benchmark/compare.sh` on the two sets,
+# and exits with its status.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -66,10 +72,14 @@ build "$root" "$out/target-change"
 
 run() { # <side> <seed>
     "$out/target-$1/release/dlaas-benchmark" --workload "$workload" --seed "$2" \
-        --seconds "$seconds" --trace 0 2>> "$out/log" | tail -n 1 >> "$out/$1.jsonl"
+        --seconds "$seconds" --trace 0 2> "$out/stderr" | tail -n 1 >> "$out/$1.jsonl"
+    cat "$out/stderr" >> "$out/log"
+    sed -n 's/^  host://p' "$out/stderr" >> "$out/$1.host"
 }
-: > "$out/base.jsonl"
-: > "$out/change.jsonl"
+for side in base change; do
+    : > "$out/$side.jsonl"
+    : > "$out/$side.host"
+done
 i=0
 for seed in ${seeds//,/ }; do
     if [ $((i % 2)) -eq 0 ]; then
@@ -80,7 +90,8 @@ for seed in ${seeds//,/ }; do
     i=$((i + 1))
 done
 
-python3 - "$root/BENCHMARK.json" "$out/base.jsonl" "$out/change.jsonl" "$seeds" "$workload" <<'PY'
+python3 - "$root/BENCHMARK.json" "$out/base.jsonl" "$out/change.jsonl" "$seeds" "$workload" \
+    "$out/base.host" "$out/change.host" <<'PY'
 import json
 import statistics
 import sys
@@ -89,6 +100,9 @@ spec = json.load(open(sys.argv[1]))
 base = [json.loads(line) for line in open(sys.argv[2]) if line.strip()]
 change = [json.loads(line) for line in open(sys.argv[3]) if line.strip()]
 seeds = sys.argv[4].split(",")
+# `host:` line fields: raw_host_s host_s raw_setup_s setup_s ref_events_per_s
+hosts = [[[float(f) for f in line.split()[:5]] for line in open(p) if line.strip()]
+         for p in sys.argv[6:8]]
 print(f"workload {sys.argv[5]}: {len(base)} pairs, base vs change")
 
 
@@ -116,6 +130,17 @@ for m in spec["end_to_end"]:
     print(f"  base   q1 {qb[0]:.6g}  median {mb:.6g}  q3 {qb[2]:.6g}  (IQR {iqr:.6g})")
     print(f"  change q1 {qc[0]:.6g}  median {mc:.6g}  q3 {qc[2]:.6g}")
     print(f"  change vs base {rel}: {wins} wins, {losses} losses of {len(vb)}  -> {verdict}")
+
+print("\nthe ruler (each run's stderr `host:` line)")
+for col, name in [(0, "raw_host_s"), (2, "raw_setup_s"), (4, "ref_events_per_s")]:
+    vb, vc = ([r[col] for r in side] for side in hosts)
+    if not vb or not vc:
+        print(f"  {name}: no host lines")
+        continue
+    mb, mc = statistics.median(vb), statistics.median(vc)
+    rel = f"{(mc - mb) / mb:+.1%}" if mb else "n/a"
+    print(f"  {name}: base median {mb:.6g}, change median {mc:.6g} ({rel})")
+    print("    pairs: " + "  ".join(f"{s}:{b:.6g}/{c:.6g}" for s, b, c in zip(seeds, vb, vc)))
 PY
 echo
 echo "benchmark/compare.sh base change:"
