@@ -17,7 +17,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dlaas_kube::{Cleanup, ProcessCtx};
-use dlaas_objstore::{ObjectBody, TextBuf};
+use dlaas_objstore::ObjectBody;
 use dlaas_sharedfs::{Mount, NfsError};
 use dlaas_sim::{DeadlineTimer, Grid, Sim, SimDuration, SimTime};
 
@@ -647,19 +647,23 @@ struct LogTail {
     key: String,
     /// The learner's log on NFS.
     path: String,
-    /// Lines `0..read` of the NFS log, newline-joined. The object body is
-    /// a view of it, so a flush copies the new lines and nothing else.
-    text: TextBuf,
-    read: Cell<usize>,
+    /// The log as last read: its line count, and the object body — a
+    /// view of the volume's own buffer up to that line, so a flush copies
+    /// nothing. `None` until the log was first read.
+    read: RefCell<Option<(usize, ObjectBody)>>,
 }
 
 impl Sink<usize> for LogTail {
     fn send(&self, sim: &mut Sim, ack: Ack<usize, Self>) {
+        // Offered only once a read found lines (`log_collector_behavior`).
+        let Some((_, body)) = self.read.borrow().clone() else {
+            return ack.settle(sim, false);
+        };
         self.objstore.put(
             sim,
             &self.bucket,
             &self.key,
-            self.text.body(),
+            body,
             Some(&self.nic),
             |sim, r| {
                 ack.settle(sim, r.is_ok());
@@ -669,23 +673,17 @@ impl Sink<usize> for LogTail {
 }
 
 impl LogTail {
-    /// Appends the lines the learner logged since the last flush; returns
-    /// how many lines the buffer now holds.
+    /// Reads the log past the last flush's lines; returns how many lines
+    /// the body now holds.
     fn refill(&self, mount: &Mount) -> usize {
-        let mut read = self.read.get();
-        let tailed = mount.for_each_line_from(&self.path, read, |line| {
-            if read > 0 {
-                self.text.push_str("\n");
-            }
-            self.text.push_str(line);
-            read += 1;
-        });
+        let mut read = self.read.borrow_mut();
+        let from = read.as_ref().map_or(0, |(lines, _)| *lines);
         // An NFS outage (or a log not written yet) leaves the tail for
         // the next flush.
-        if tailed.is_ok() {
-            self.read.set(read);
+        if let Ok((lines, view)) = mount.tail(&self.path, from) {
+            *read = Some((lines, ObjectBody::Text(view)));
         }
-        read
+        read.as_ref().map_or(0, |(lines, _)| *lines)
     }
 }
 
@@ -694,10 +692,10 @@ impl LogTail {
 /// stage [the job] is in, even if it crashes/fails" (§II).
 ///
 /// Each flush reads only the lines past its cursor and re-puts the whole
-/// object from its own buffer (object stores have no append: the put is
-/// charged the whole body, though only the new lines were copied). The
-/// cursor is volatile: a restarted collector reads the log from line 0
-/// once and reproduces the complete object.
+/// object as a view of the NFS file's own buffer (object stores have no
+/// append: the put is charged the whole body, though nothing was copied).
+/// The cursor is volatile: a restarted collector reads the log from line 0
+/// once and reproduces the complete object, again without a copy.
 pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let job = JobId::new(ctx.arg.clone());
     let objstore = h.objstore.clone();
@@ -714,8 +712,7 @@ pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
                     bucket: manifest.results_bucket.clone(),
                     key: paths::obj_log(&job, ord),
                     path: paths::nfs_learner_log(ord),
-                    text: TextBuf::new(),
-                    read: Cell::new(0),
+                    read: RefCell::new(None),
                 };
                 Publisher::new(tail, at_once, SimDuration::ZERO, &alive)
             })

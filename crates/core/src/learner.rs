@@ -14,6 +14,7 @@
 //! predicts for its hardware and environment.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use dlaas_gpu::{checkpoint_bytes, images_per_sec, ExecEnv, Interconnect, TrainingConfig};
@@ -61,6 +62,9 @@ struct Learner {
     /// What every report line ends with (` lr=… images/sec=…`), formatted
     /// once per incarnation.
     report_suffix: String,
+    /// Where each report formats its log line and its status, in turn:
+    /// the volume copies them, so a report builds no string of its own.
+    scratch: RefCell<String>,
     state: RefCell<LearnerState>,
 }
 
@@ -115,7 +119,7 @@ fn start(
             "[restart #{:?}] learner restarted by kubernetes",
             starts - 1
         );
-        let written = mount.append_line(sim, &files.log, line);
+        let written = mount.append_line(sim, &files.log, &line);
         best_effort(sim, written);
     }
     sim.mark("learner", job.as_str(), "start", starts);
@@ -158,6 +162,7 @@ fn start(
         step_secs,
         rate_total,
         report_suffix,
+        scratch: RefCell::default(),
         state: RefCell::new(LearnerState {
             iter_f: 0.0,
             next_checkpoint: 0,
@@ -226,49 +231,37 @@ fn four_decimals(loss: f64) -> Option<(u64, u64)> {
     Some((n / 10_000, n % 10_000))
 }
 
-/// A report line, `iter={iter} loss={loss:.4}{suffix}`, byte for byte,
-/// in a string exactly its own length (the volume and the log collector
-/// keep every line for the life of the job).
-fn report_line(iter: u64, loss: f64, suffix: &str) -> String {
-    let iter = Digits::of(iter);
+/// Appends a report line, `iter={iter} loss={loss:.4}{suffix}`, byte for
+/// byte, to `out`.
+fn report_line(out: &mut String, iter: u64, loss: f64, suffix: &str) {
+    out.push_str("iter=");
+    out.push_str(Digits::of(iter).as_str());
+    out.push_str(" loss=");
     match four_decimals(loss) {
         Some((whole, decimals)) => {
+            out.push_str(Digits::of(whole).as_str());
+            out.push('.');
             // 10⁴ + decimals: five digits, the last four zero-padded.
-            let (whole, decimals) = (Digits::of(whole), Digits::of(10_000 + decimals));
-            concat(&[
-                "iter=",
-                iter.as_str(),
-                " loss=",
-                whole.as_str(),
-                ".",
-                &decimals.as_str()[1..],
-                suffix,
-            ])
+            out.push_str(&Digits::of(10_000 + decimals).as_str()[1..]);
         }
-        None => concat(&[
-            "iter=",
-            iter.as_str(),
-            " loss=",
-            &format!("{loss:.4}"),
-            suffix,
-        ]),
+        None => {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "formatting into a String cannot fail"
+            )]
+            let _ = write!(out, "{loss:.4}");
+        }
     }
-}
-
-/// `pieces` joined, in a string exactly their length.
-fn concat(pieces: &[&str]) -> String {
-    let mut s = String::with_capacity(pieces.iter().map(|p| p.len()).sum());
-    pieces.iter().for_each(|p| s.push_str(p));
-    s
+    out.push_str(suffix);
 }
 
 impl Learner {
-    fn log(&self, sim: &mut Sim, line: impl Into<String>) {
+    fn log(&self, sim: &mut Sim, line: &str) {
         let written = self.mount.append_line(sim, &self.files.log, line);
         best_effort(sim, written);
     }
 
-    fn set_status(&self, sim: &mut Sim, s: impl Into<String>) {
+    fn set_status(&self, sim: &mut Sim, s: &str) {
         let written = self.mount.write_file(sim, &self.files.status, s);
         best_effort(sim, written);
     }
@@ -337,7 +330,7 @@ impl Learner {
                     .inc();
                 self.log(
                     sim,
-                    format!("rejoined via parameter server at iter {peer_iter}"),
+                    &format!("rejoined via parameter server at iter {peer_iter}"),
                 );
                 self.begin_training(sim, peer_iter);
                 return;
@@ -387,7 +380,7 @@ impl Learner {
                         sim.metrics()
                             .counter_series(metrics::CHECKPOINT_RESTORES, [])
                             .inc();
-                        me2.log(sim, format!("resumed from checkpoint at iter {iter}"));
+                        me2.log(sim, &format!("resumed from checkpoint at iter {iter}"));
                         me2.begin_training(sim, iter);
                     },
                 );
@@ -399,7 +392,7 @@ impl Learner {
     /// or give up this incarnation once the retries are spent.
     fn retry_restore(self: Rc<Self>, sim: &mut Sim, attempt: u32, why: &ObjStoreError) {
         if attempt + 1 >= config::LEARNER_RESTORE_ATTEMPTS {
-            self.log(sim, format!("checkpoint restore failed ({why}); exiting"));
+            self.log(sim, &format!("checkpoint restore failed ({why}); exiting"));
             self.ctx.exit(sim, 1);
             return;
         }
@@ -421,10 +414,10 @@ impl Learner {
                 .checked_div(every)
                 .map_or(u64::MAX, |n| (n + 1) * every);
         }
-        self.set_status(sim, format!("PROCESSING iter={start_iter}"));
+        self.set_status(sim, &format!("PROCESSING iter={start_iter}"));
         self.log(
             sim,
-            format!(
+            &format!(
                 "training started at iter {start_iter}: {} on {} x{} ({:.1} img/s job-wide)",
                 self.manifest.model,
                 self.manifest.gpu_kind,
@@ -468,9 +461,16 @@ impl Learner {
 
             // Synthetic training log: loss decays with iteration count.
             let loss = 7.0 / (1.0 + iter as f64 / 150.0).sqrt();
-            me.log(sim, report_line(iter, loss, &me.report_suffix));
-            let status = concat(&["PROCESSING iter=", Digits::of(iter).as_str()]);
-            me.set_status(sim, status);
+            {
+                let mut scratch = me.scratch.borrow_mut();
+                scratch.clear();
+                report_line(&mut scratch, iter, loss, &me.report_suffix);
+                me.log(sim, &scratch);
+                scratch.clear();
+                scratch.push_str("PROCESSING iter=");
+                scratch.push_str(Digits::of(iter).as_str());
+                me.set_status(sim, &scratch);
+            }
 
             if finished {
                 me.finish(sim);
@@ -491,7 +491,7 @@ impl Learner {
     fn checkpoint(self: Rc<Self>, sim: &mut Sim, iter: u64) {
         let bucket = self.manifest.results_bucket.clone();
         let bytes = checkpoint_bytes(self.manifest.model);
-        self.log(sim, format!("checkpoint at iter {iter} ({bytes} bytes)"));
+        self.log(sim, &format!("checkpoint at iter {iter} ({bytes} bytes)"));
         let stall_from = sim.now();
         let me = self.clone();
         let nic = self.ctx.nic.clone();
@@ -546,7 +546,7 @@ impl Learner {
                     .histogram_series(metrics::CHECKPOINT_STALL_SECONDS, [])
                     .observe_duration_us(stall.as_micros());
             }
-            Err(e) => self.log(sim, format!("checkpoint at iter {iter} not stored ({e})")),
+            Err(e) => self.log(sim, &format!("checkpoint at iter {iter} not stored ({e})")),
         }
         self.tick(sim);
     }
@@ -563,7 +563,7 @@ impl Learner {
         let throughput = images / secs;
         self.log(
             sim,
-            format!(
+            &format!(
                 "training complete: {} iters, {:.1} images/sec (this learner)",
                 self.manifest.iterations, throughput
             ),
@@ -612,13 +612,9 @@ mod tests {
 
     fn agrees(iter: u64, loss: f64) {
         let suffix = " lr=0.01 images/sec=123.4";
-        let line = report_line(iter, loss, suffix);
+        let mut line = String::new();
+        report_line(&mut line, iter, loss, suffix);
         assert_eq!(line, reference(iter, loss, suffix), "loss {loss:e}");
-        assert_eq!(
-            line.capacity(),
-            line.len(),
-            "a line is stored at its own length"
-        );
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! restart in Fig. 4).
 //!
 //! * [`ObjectStore`] — buckets of objects with synthetic or textual bodies
-//!   (a textual body is a view of an append-only [`TextBuf`], so a growing
-//!   object is re-put without being re-copied),
+//!   (a textual body is a [`TextView`] of an append-only
+//!   [`TextBuf`](dlaas_sim::TextBuf), so a growing object is re-put without
+//!   being re-copied). A learner's log object views the NFS file's own
+//!   buffer: the volume owns it and is its only writer (`dlaas-sharedfs`),
+//!   so the log is held once — by the volume while it exists, then, at
+//!   its exact length, by the object that views it last,
 //! * asynchronous [`ObjectStore::put`] / [`ObjectStore::get`] whose
 //!   completion time is modelled on shared [`SharedLink`]s,
 //! * synchronous metadata ops (list, head, delete).
@@ -57,109 +61,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use dlaas_net::SharedLink;
-use dlaas_sim::{Sim, SimDuration, SimTime};
-
-/// An append-only text buffer whose contents can be stored without being
-/// copied: [`TextBuf::body`] hands out an [`ObjectBody`] that *views* the
-/// text appended so far. Later appends extend the buffer in place; every
-/// view taken earlier still reads exactly its own prefix, because nothing
-/// can shrink or rewrite the buffer. This is how a writer that re-puts a
-/// growing object (the log collector — object stores have no append)
-/// pays for the new lines only, while the store charges the whole body.
-/// Dropping the buffer — its one writer — gives back the room it kept for
-/// growth: the views go on reading the same text from a buffer of exactly
-/// its length.
-///
-/// # Examples
-///
-/// ```
-/// use dlaas_objstore::TextBuf;
-///
-/// let log = TextBuf::new();
-/// log.push_str("line 1");
-/// let first = log.body();
-/// log.push_str("\nline 2");
-/// assert_eq!(first.as_text().as_deref(), Some("line 1"));
-/// assert_eq!(log.body().size(), 13);
-/// ```
-#[derive(Debug, Default)]
-pub struct TextBuf(Rc<RefCell<String>>);
-
-impl Drop for TextBuf {
-    fn drop(&mut self) {
-        // Nothing can append any more; a view still reading the text
-        // keeps only what was appended. (A view borrowed right now keeps
-        // the room: the text cannot move under it.)
-        if Rc::strong_count(&self.0) > 1 {
-            if let Ok(mut text) = self.0.try_borrow_mut() {
-                text.shrink_to_fit();
-            }
-        }
-    }
-}
-
-impl TextBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bytes appended so far.
-    pub fn len(&self) -> usize {
-        self.0.borrow().len()
-    }
-
-    /// `true` while nothing was appended.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Appends `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while a [`ObjectBody::as_text`] borrow of a view
-    /// of this buffer is alive.
-    pub fn push_str(&self, s: &str) {
-        self.0.borrow_mut().push_str(s);
-    }
-
-    /// A body viewing everything appended so far (no copy).
-    pub fn body(&self) -> ObjectBody {
-        ObjectBody::Text(TextView {
-            buf: self.0.clone(),
-            len: self.len(),
-        })
-    }
-}
-
-/// A prefix of a [`TextBuf`]: the buffer and how much of it this view
-/// covers. Equality and `Debug` go by the text viewed.
-#[derive(Clone)]
-pub struct TextView {
-    buf: Rc<RefCell<String>>,
-    len: usize,
-}
-
-impl TextView {
-    fn text(&self) -> Ref<'_, str> {
-        Ref::map(self.buf.borrow(), |s| &s[..self.len])
-    }
-}
-
-impl PartialEq for TextView {
-    fn eq(&self, other: &Self) -> bool {
-        *self.text() == *other.text()
-    }
-}
-
-impl Eq for TextView {}
-
-impl fmt::Debug for TextView {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.text(), f)
-    }
-}
+use dlaas_sim::{Sim, SimDuration, SimTime, TextBuf, TextView};
 
 /// Body of a stored object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,7 +80,7 @@ impl ObjectBody {
     pub fn size(&self) -> u64 {
         match self {
             ObjectBody::Synthetic(n) => *n,
-            ObjectBody::Text(v) => v.len as u64,
+            ObjectBody::Text(v) => v.len() as u64,
         }
     }
 
@@ -194,7 +96,7 @@ impl ObjectBody {
 
 impl From<String> for ObjectBody {
     fn from(text: String) -> Self {
-        TextBuf(Rc::new(RefCell::new(text))).body()
+        ObjectBody::Text(TextBuf::from(text).view())
     }
 }
 
@@ -544,7 +446,7 @@ mod tests {
         store.create_bucket("logs");
         let log = TextBuf::new();
         log.push_str("iter=1");
-        let first = log.body();
+        let first = ObjectBody::Text(log.view());
         store.put(&mut sim, "logs", "l", first.clone(), None, |_, r| {
             r.unwrap();
         });
@@ -555,7 +457,7 @@ mod tests {
         assert_eq!(first.as_text().as_deref(), Some("iter=1"));
         assert_eq!(store.read_text("logs", "l").as_deref(), Some("iter=1"));
         assert_eq!(first, ObjectBody::from("iter=1"));
-        assert_ne!(first, log.body());
+        assert_ne!(first, ObjectBody::Text(log.view()));
         assert_eq!(format!("{first:?}"), "Text(\"iter=1\")");
         assert_eq!(log.len(), 20);
     }
@@ -566,9 +468,9 @@ mod tests {
         for i in 0..100 {
             log.push_str(&format!("iter={i}\n"));
         }
-        let body = log.body();
+        let body = ObjectBody::Text(log.view());
         let room = |body: &ObjectBody| match body {
-            ObjectBody::Text(v) => v.buf.borrow().capacity() - v.len,
+            ObjectBody::Text(v) => v.spare_capacity(),
             ObjectBody::Synthetic(_) => 0,
         };
         // 790 bytes appended into a buffer that doubles.
@@ -588,12 +490,13 @@ mod tests {
         store.create_bucket("logs");
         let log = TextBuf::new();
         log.push_str(&"x".repeat(1_000));
-        store.put(&mut sim, "logs", "l", log.body(), None, |_, r| r.unwrap());
+        let body = ObjectBody::Text(log.view());
+        store.put(&mut sim, "logs", "l", body, None, |_, r| r.unwrap());
         sim.run_until_idle();
         let first_done = sim.now().as_secs_f64();
         assert!((0.9..1.2).contains(&first_done), "{first_done}s");
         log.push_str(&"y".repeat(1_000));
-        let body = log.body();
+        let body = ObjectBody::Text(log.view());
         assert_eq!(body.size(), 2_000);
         store.put(&mut sim, "logs", "l", body, None, |_, r| r.unwrap());
         sim.run_until_idle();

@@ -13,6 +13,14 @@
 //! and operation counters are kept so the platform-overhead experiment
 //! (Fig. 2) can account for helper/logging I/O.
 //!
+//! A file is its lines joined by `\n` in one append-only [`TextBuf`],
+//! plus where each line ends. The file owns that buffer and is its only
+//! writer; [`Mount::tail`] hands out a [`TextView`] of it, which the log
+//! collector puts as the log's object body: a learner's log is held once,
+//! here, not copied by the collector. A view outlives its file: once the
+//! file is rewritten, removed or its volume deleted, the buffer a view
+//! still reads shrinks to its length.
+//!
 //! A [`Mount`] holds its volume, not the volume's name: once the volume
 //! is deleted the mount is stale for good ([`NfsError::NoSuchVolume`],
 //! NFS's ESTALE), even if a volume of the same name is provisioned again.
@@ -72,12 +80,12 @@
 )]
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-use dlaas_sim::{Grid, Sim, SimTime};
+use dlaas_sim::{Grid, Sim, SimTime, TextBuf, TextView};
 
 /// Identifier of a provisioned volume.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -163,9 +171,58 @@ struct Waiter {
     wait: Box<dyn Wait>,
 }
 
+/// One file: its lines joined by `\n`, and where each line ends.
+struct File {
+    text: TextBuf,
+    /// The end offset of every line in `text`: a file has one at least.
+    ends: Vec<usize>,
+}
+
+impl File {
+    fn new(contents: &str) -> Self {
+        let text = TextBuf::new();
+        text.push_str(contents);
+        File {
+            text,
+            ends: vec![contents.len()],
+        }
+    }
+
+    fn append(&mut self, line: &str) {
+        self.text.push_str("\n");
+        self.text.push_str(line);
+        self.ends.push(self.text.len());
+    }
+
+    fn rewrite(&mut self, contents: &str) {
+        self.text.replace(contents);
+        self.ends.clear();
+        self.ends.push(contents.len());
+    }
+
+    /// Where line `i` starts in `text`.
+    fn start(&self, i: usize) -> usize {
+        match i {
+            0 => 0,
+            i => self.ends[i - 1] + 1,
+        }
+    }
+
+    /// Line `i`, which must exist.
+    fn line(&self, i: usize) -> Ref<'_, str> {
+        Ref::map(self.text.text(), |text| &text[self.start(i)..self.ends[i]])
+    }
+
+    /// What a read of lines `from..` moves: each line and its newline.
+    fn bytes_from(&self, from: usize) -> u64 {
+        let last = self.ends.len() - 1;
+        (self.ends[last] - self.start(from) + 1) as u64
+    }
+}
+
 struct Volume {
     name: String,
-    files: BTreeMap<String, Vec<String>>,
+    files: BTreeMap<String, File>,
     /// Ticks once per change (see [`Mount::generation`]).
     generation: u64,
     /// Deleted (when): emptied, and every mount of it stale for good.
@@ -390,8 +447,8 @@ impl Mount {
             }
             if changed && !vol.waiters.is_empty() {
                 let now = sim.now();
-                let written = vol.files.get(path).and_then(|f| f.last());
-                let contents = written.map_or("", String::as_str);
+                let written = vol.files.get(path).map(|f| f.line(f.ends.len() - 1));
+                let contents = written.as_deref().unwrap_or("");
                 let woken = vol
                     .waiters
                     .extract_if(.., |w| w.wait.wakes(path, contents, now));
@@ -461,16 +518,16 @@ impl Mount {
         &self,
         sim: &mut Sim,
         path: &str,
-        line: impl Into<String>,
+        line: impl AsRef<str>,
     ) -> Result<(), NfsError> {
-        let line = line.into();
+        let line = line.as_ref();
         self.change(sim, path, |vol, stats| {
             stats.writes += 1;
             stats.bytes_written += line.len() as u64 + 1;
             match vol.files.get_mut(path) {
-                Some(lines) => lines.push(line),
+                Some(file) => file.append(line),
                 None => {
-                    vol.files.insert(path.to_owned(), vec![line]);
+                    vol.files.insert(path.to_owned(), File::new(line));
                 }
             }
             true
@@ -479,7 +536,8 @@ impl Mount {
     }
 
     /// Replaces a file's contents with a single string (used for exit
-    /// status and marker files).
+    /// status and marker files), in the file's own buffer unless a
+    /// [`tail`](Mount::tail) still views it.
     ///
     /// # Errors
     ///
@@ -489,19 +547,16 @@ impl Mount {
         &self,
         sim: &mut Sim,
         path: &str,
-        contents: impl Into<String>,
+        contents: impl AsRef<str>,
     ) -> Result<(), NfsError> {
-        let contents = contents.into();
+        let contents = contents.as_ref();
         self.change(sim, path, |vol, stats| {
             stats.writes += 1;
             stats.bytes_written += contents.len() as u64;
             match vol.files.get_mut(path) {
-                Some(lines) => {
-                    lines.clear();
-                    lines.push(contents);
-                }
+                Some(file) => file.rewrite(contents),
                 None => {
-                    vol.files.insert(path.to_owned(), vec![contents]);
+                    vol.files.insert(path.to_owned(), File::new(contents));
                 }
             }
             true
@@ -529,9 +584,9 @@ impl Mount {
                 return Ok(None);
             };
             stats.reads += 1;
-            let contents = f.first().map_or("", String::as_str);
+            let contents = f.line(0);
             stats.bytes_read += contents.len() as u64;
-            Ok(Some(read(contents)))
+            Ok(Some(read(&contents)))
         })
     }
 
@@ -567,15 +622,42 @@ impl Mount {
                 .files
                 .get(path)
                 .ok_or_else(|| NfsError::NoSuchFile(path.to_owned()))?;
-            let tail = f.get(offset..).unwrap_or_default();
-            if !tail.is_empty() {
+            let lines = f.ends.len();
+            if offset >= lines {
+                return Ok(0);
+            }
+            stats.reads += 1;
+            stats.bytes_read += f.bytes_from(offset);
+            let text = f.text.text();
+            for i in offset..lines {
+                visit(&text[f.start(i)..f.ends[i]]);
+            }
+            Ok(lines - offset)
+        })
+    }
+
+    /// The whole file without a copy: its line count, and a view of its
+    /// own buffer up to its last line — the lines joined by `\n` — that
+    /// reads the same text whatever happens to the file later. Counted
+    /// as [`for_each_line_from`](Mount::for_each_line_from) counts a tail
+    /// from `offset`: a read of the lines from `offset` on, if any.
+    ///
+    /// # Errors
+    ///
+    /// [`NfsError::NoSuchFile`] if absent; [`NfsError::NoSuchVolume`] on a
+    /// stale mount.
+    pub fn tail(&self, path: &str, offset: usize) -> Result<(usize, TextView), NfsError> {
+        self.with_volume(|vol, stats| {
+            let f = vol
+                .files
+                .get(path)
+                .ok_or_else(|| NfsError::NoSuchFile(path.to_owned()))?;
+            let lines = f.ends.len();
+            if offset < lines {
                 stats.reads += 1;
+                stats.bytes_read += f.bytes_from(offset);
             }
-            for line in tail {
-                stats.bytes_read += line.len() as u64 + 1;
-                visit(line);
-            }
-            Ok(tail.len())
+            Ok((lines, f.text.view()))
         })
     }
 
@@ -594,7 +676,7 @@ impl Mount {
 
     /// Number of lines currently in a file (0 if absent).
     pub fn line_count(&self, path: &str) -> usize {
-        self.with_volume(|vol, _| Ok(vol.files.get(path).map_or(0, std::vec::Vec::len)))
+        self.with_volume(|vol, _| Ok(vol.files.get(path).map_or(0, |f| f.ends.len())))
             .unwrap_or(0)
     }
 

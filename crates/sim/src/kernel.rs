@@ -296,7 +296,7 @@ impl Sim {
     /// Starts attributing every executed event, and the host time its
     /// closure takes, to the call site that scheduled it — the type name
     /// of the closure handed to `schedule_at` / `schedule_in` / `defer`
-    /// (for [`every`], the timer's closure inside `kernel::tick<..>`).
+    /// (for [`every`], `kernel::tick<..>` of the timer's closure).
     /// Nothing simulated changes; events cost a stopwatch read more.
     #[cfg(feature = "site-profile")]
     pub fn profile_sites(&mut self) {
@@ -455,11 +455,18 @@ impl Sim {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) -> EventId {
+        self.push(at, Box::new(f))
+    }
+
+    /// Queues a boxed event for `at`: a new one, or a repeating timer's
+    /// own box again.
+    #[inline]
+    fn push(&mut self, at: SimTime, ev: EventFn) -> EventId {
         let id = self.reserve(at);
         self.queue.push(Scheduled {
             at,
             id,
-            run: Run::Event(Box::new(f)),
+            run: Run::Event(ev),
         });
         id
     }
@@ -639,7 +646,8 @@ impl Sim {
 /// the returned handle.
 ///
 /// The callback receives the tick count (starting at 1) and may return
-/// `false` to stop the timer from inside.
+/// `false` to stop the timer from inside. The timer is one box for its
+/// whole life: each tick that goes on queues the same box again.
 pub fn every(
     sim: &mut Sim,
     period: SimDuration,
@@ -647,25 +655,46 @@ pub fn every(
 ) -> TimerHandle {
     assert!(!period.is_zero(), "timer period must be positive");
     let handle = TimerHandle::new();
-    tick(sim, period, f, handle.clone(), 1);
+    let timer = Timer {
+        period,
+        f,
+        handle: handle.clone(),
+        n: 1,
+    };
+    sim.push(sim.now + period, Box::new(timer));
     handle
 }
 
-fn tick(
-    sim: &mut Sim,
+/// A timer of [`every`]: its closure and the number of its next tick.
+struct Timer<F> {
     period: SimDuration,
-    mut f: impl FnMut(&mut Sim, u64) -> bool + 'static,
+    f: F,
     handle: TimerHandle,
     n: u64,
-) {
-    sim.schedule_in(period, move |sim| {
-        if handle.is_cancelled() {
-            return;
-        }
-        if f(sim, n) {
-            tick(sim, period, f, handle, n + 1);
-        }
-    });
+}
+
+impl<F: FnMut(&mut Sim, u64) -> bool + 'static> Event for Timer<F> {
+    fn run(self: Box<Self>, sim: &mut Sim) {
+        tick(self, sim);
+    }
+
+    /// The site of the function that runs the timer, `kernel::tick<F>`:
+    /// one site per timer closure, as for any other event.
+    #[cfg(feature = "site-profile")]
+    fn site(&self) -> &'static str {
+        std::any::type_name_of_val(&tick::<F>)
+    }
+}
+
+/// One tick: runs the closure, then queues the timer's box for the next.
+fn tick<F: FnMut(&mut Sim, u64) -> bool + 'static>(mut timer: Box<Timer<F>>, sim: &mut Sim) {
+    if timer.handle.is_cancelled() {
+        return;
+    }
+    if (timer.f)(sim, timer.n) {
+        timer.n += 1;
+        sim.push(sim.now + timer.period, timer);
+    }
 }
 
 /// Cancellation handle for [`every`].

@@ -13,7 +13,9 @@
 //!   resettable one-shot, for components that wait on an event instead of
 //!   polling for it,
 //! * [`Trace`] — the timeline of typed marks ([`Sim::mark`]) that explains
-//!   what happened to a job; off until a reader switches it on.
+//!   what happened to a job; off until a reader switches it on,
+//! * [`TextBuf`] / [`TextView`] — the append-only text an NFS file holds
+//!   and an object's body views, so the substrates hold a log once.
 //!
 //! # Examples
 //!
@@ -52,6 +54,7 @@
 
 mod kernel;
 mod rng;
+mod text;
 mod time;
 mod timer;
 mod trace;
@@ -60,6 +63,7 @@ mod trace;
 pub use kernel::SiteCost;
 pub use kernel::{every, EventId, Sim, TimerHandle};
 pub use rng::SimRng;
+pub use text::{TextBuf, TextView};
 pub use time::{SimDuration, SimTime};
 pub use timer::{DeadlineTimer, Grid};
 pub use trace::{Mark, Subject, Timeline, Trace, TRACE_RING};

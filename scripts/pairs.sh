@@ -28,8 +28,13 @@
 # ruler beside them: each pair and each side's median of `raw_host_s`,
 # `raw_setup_s` and `ref_events_per_s` — `host_s` and `setup_s` are raw
 # time over the reference kernel's slowdown, so a shift in them is read
-# against these. It then runs `benchmark/compare.sh` on the two sets,
-# and exits with its status.
+# against these. The reference kernel runs inside the binary under
+# test, so its rate moves with that binary: when the two sides' median
+# `ref_events_per_s` differ by more than the base's interquartile range
+# of that rate, the ruler itself shifted, and the `host_s` and `setup_s`
+# verdicts read CONFOUNDED (the raw medians are what to go by then). It
+# then runs `benchmark/compare.sh` on the two sets, and exits with its
+# status.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -112,6 +117,16 @@ def quartiles(vals):
     return tuple(statistics.quantiles(vals, n=4))
 
 
+# The ruler shifted: the sides' reference rates are further apart than
+# the base's own spread of that rate.
+ref_base, ref_change = ([r[4] for r in side] for side in hosts)
+ruler_shift = None
+if ref_base and ref_change:
+    q = quartiles(ref_base)
+    gap = statistics.median(ref_change) - statistics.median(ref_base)
+    ruler_shift = (gap, q[2] - q[0])
+confounded = ruler_shift is not None and abs(ruler_shift[0]) > ruler_shift[1]
+
 for m in spec["end_to_end"]:
     name, lower = m["name"], m["better"] == "lower"
     vb = [r["metrics"][name]["value"] for r in base]
@@ -124,6 +139,8 @@ for m in spec["end_to_end"]:
     iqr = qb[2] - qb[0]
     gain = wins * 10 >= 9 * len(vb) and gap > iqr
     verdict = "GAIN" if gain else ("same" if wins == losses == 0 else "no claim")
+    if confounded and name in ("host_s", "setup_s"):
+        verdict = f"CONFOUNDED (the ruler shifted; by the pairs rule: {verdict})"
     rel = f"{(mc - mb) / mb:+.1%}" if mb else "n/a"
     print(f"\n{name} ({m['unit']}, {'lower' if lower else 'higher'} is better)")
     print("  pairs: " + "  ".join(f"{s}:{b:.6g}/{c:.6g}" for s, b, c in zip(seeds, vb, vc)))
@@ -141,6 +158,10 @@ for col, name in [(0, "raw_host_s"), (2, "raw_setup_s"), (4, "ref_events_per_s")
     rel = f"{(mc - mb) / mb:+.1%}" if mb else "n/a"
     print(f"  {name}: base median {mb:.6g}, change median {mc:.6g} ({rel})")
     print("    pairs: " + "  ".join(f"{s}:{b:.6g}/{c:.6g}" for s, b, c in zip(seeds, vb, vc)))
+if ruler_shift is not None:
+    gap, iqr = ruler_shift
+    state = "SHIFTED: host_s and setup_s are CONFOUNDED" if confounded else "steady"
+    print(f"  ref_events_per_s median gap {gap:+.6g} against the base's IQR {iqr:.6g}: {state}")
 PY
 echo
 echo "benchmark/compare.sh base change:"
