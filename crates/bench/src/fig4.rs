@@ -204,7 +204,7 @@ pub struct Fig4Run {
 /// reporting the simulated time consumed. The unit of parallelism for
 /// [`run_parallel`]: each component's measurements are independent of
 /// every other component's because nothing carries over between rigs.
-pub fn measure_component(seed: u64, component: Component, trials: u32) -> TrialRun<Fig4Result> {
+fn measure_component(seed: u64, component: Component, trials: u32) -> TrialRun<Fig4Result> {
     let mut rig = rig(seed);
     let mut stats = RecoveryStats::new();
     for _ in 0..trials {

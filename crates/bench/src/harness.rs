@@ -89,8 +89,7 @@ pub fn submit_blocking(sim: &mut Sim, client: &DlaasClient, manifest: TrainingMa
 /// stages a fault at a given iteration reads the ground truth here.
 pub fn reported_iteration(platform: &DlaasPlatform, job: &JobId) -> Option<u64> {
     let nfs = platform.nfs();
-    let volume = nfs.find_volume(&paths::volume(job))?;
-    nfs.mount(&volume)
+    nfs.mount(&paths::volume(job))
         .ok()?
         .read_file(&paths::nfs_learner_status(0))
         .ok()?

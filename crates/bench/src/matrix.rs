@@ -246,7 +246,7 @@ impl InjectionPoint {
             InjectionPoint::ProvisionVolume => {
                 let nfs = platform.nfs().clone();
                 let vol = paths::volume(&job);
-                Box::new(move |_| nfs.find_volume(&vol).is_some())
+                Box::new(move |_| nfs.has_volume(&vol))
             }
             InjectionPoint::CreateHelper => {
                 let sel = labels! {"job" => job.as_str(), "role" => "helper"};

@@ -376,7 +376,8 @@ impl Guardian {
     /// Step 3: provision the shared NFS volume (the persistent volume
     /// claim) and drop the job spec on it for learners and helpers.
     fn step_provision_volume(self: Rc<Self>, sim: &mut Sim) {
-        let vol = self.h.nfs.create_volume(paths::volume(&self.job));
+        let vol = paths::volume(&self.job);
+        self.h.nfs.create_volume(&vol);
         let Some(manifest) = self.manifest_or_abort(sim) else {
             return;
         };

@@ -69,8 +69,7 @@ pub(crate) fn wait_for_jobspec(
         return;
     }
     let spec = (|| {
-        let vol = h.nfs.find_volume(&paths::volume(&job))?;
-        let mount = h.nfs.mount(&vol).ok()?;
+        let mount = h.nfs.mount(&paths::volume(&job)).ok()?;
         let spec = mount.read_file(paths::NFS_JOBSPEC).ok()?;
         let manifest = TrainingManifest::from_json(&spec).ok()?;
         Some((mount, manifest))
@@ -635,10 +634,10 @@ fn download_data(
 // ----------------------------------------------------------------------
 
 /// One learner's log as the collector has it, and the sink of the
-/// publisher that ships it: the value published is the number of lines
-/// read, the write a put of all of them — so the cursor only advances once
-/// the store has the bytes, and a put lost to an outage is owed again on
-/// the next flush.
+/// publisher that ships it: the value published is the byte cursor — the
+/// offset where the first line not yet read starts — the write a put of
+/// everything before it, so the cursor only advances once the store has
+/// the bytes, and a put lost to an outage is owed again on the next flush.
 struct LogTail {
     objstore: dlaas_objstore::ObjectStore,
     nic: dlaas_net::SharedLink,
@@ -647,9 +646,9 @@ struct LogTail {
     key: String,
     /// The learner's log on NFS.
     path: String,
-    /// The log as last read: its line count, and the object body — a
-    /// view of the volume's own buffer up to that line, so a flush copies
-    /// nothing. `None` until the log was first read.
+    /// The log as last read: the cursor, and the object body — a view of
+    /// the volume's own buffer up to it, so a flush copies nothing. `None`
+    /// until the log was first read.
     read: RefCell<Option<(usize, ObjectBody)>>,
 }
 
@@ -673,17 +672,16 @@ impl Sink<usize> for LogTail {
 }
 
 impl LogTail {
-    /// Reads the log past the last flush's lines; returns how many lines
-    /// the body now holds.
+    /// Reads the log past the last flush's cursor; returns the new cursor.
     fn refill(&self, mount: &Mount) -> usize {
         let mut read = self.read.borrow_mut();
-        let from = read.as_ref().map_or(0, |(lines, _)| *lines);
+        let from = read.as_ref().map_or(0, |(next, _)| *next);
         // An NFS outage (or a log not written yet) leaves the tail for
         // the next flush.
-        if let Ok((lines, view)) = mount.tail(&self.path, from) {
-            *read = Some((lines, ObjectBody::Text(view)));
+        if let Ok((next, view)) = mount.tail(&self.path, from) {
+            *read = Some((next, ObjectBody::Text(view)));
         }
-        read.as_ref().map_or(0, |(lines, _)| *lines)
+        read.as_ref().map_or(0, |(next, _)| *next)
     }
 }
 
@@ -694,7 +692,7 @@ impl LogTail {
 /// Each flush reads only the lines past its cursor and re-puts the whole
 /// object as a view of the NFS file's own buffer (object stores have no
 /// append: the put is charged the whole body, though nothing was copied).
-/// The cursor is volatile: a restarted collector reads the log from line 0
+/// The cursor is volatile: a restarted collector reads the log from byte 0
 /// once and reproduces the complete object, again without a copy.
 pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let job = JobId::new(ctx.arg.clone());
@@ -868,7 +866,8 @@ mod tests {
         etcd.expect_leader(&mut sim, SimDuration::from_secs(5));
         let nfs = NfsServer::new();
         let job = JobId::new("auto-1");
-        let vol = nfs.create_volume(paths::volume(&job));
+        let vol = paths::volume(&job);
+        nfs.create_volume(&vol);
         let learner = nfs.mount(&vol).expect("volume exists");
         let controller = incarnation(&etcd, &learner, &job, 0);
         Rig {
@@ -1147,7 +1146,7 @@ mod tests {
         assert_eq!(r.reads(), reads, "and the gate is back");
 
         // A volume torn down under a live controller is unreadable too.
-        r.nfs.delete_volume_named(&r.sim, &paths::volume(&r.job));
+        r.nfs.delete_volume(&r.sim, &paths::volume(&r.job));
         r.tick();
         assert_eq!(r.reads(), reads);
         assert_eq!(r.published().as_deref(), Some("PROCESSING iter=7"));

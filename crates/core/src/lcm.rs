@@ -522,7 +522,7 @@ pub(crate) fn teardown_job(sim: &mut Sim, h: &Handles, job: &JobId, delete_guard
     if delete_guardian {
         h.kube.delete_job(sim, &paths::guardian_job(job));
     }
-    h.nfs.delete_volume_named(sim, &paths::volume(job));
+    h.nfs.delete_volume(sim, &paths::volume(job));
     // Shared GC handle: a fresh client per call would register one
     // watch-net endpoint per job and never unregister it (see Handles).
     h.etcd_gc
@@ -1000,7 +1000,7 @@ fn sweep(
             .kube
             .pods_matching(&labels! {"job" => job.as_str()})
             .is_empty();
-        let has_volume = h.nfs.find_volume(&paths::volume(&job)).is_some();
+        let has_volume = h.nfs.has_volume(&paths::volume(&job));
         if has_pods || has_volume {
             note_sweep(sim, rep, &job);
             sim.mark("lcm", job.as_str(), "gc-leftovers", 0);

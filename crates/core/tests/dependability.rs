@@ -147,7 +147,7 @@ fn persistent_guardian_failure_marks_job_failed_atomically() {
             .is_empty(),
         "partial deployment leaked learners"
     );
-    assert!(platform.nfs().find_volume(&paths::volume(&job)).is_none());
+    assert!(!platform.nfs().has_volume(&paths::volume(&job)));
 }
 
 /// §III-g/h: a crashed learner is restarted by K8s and resumes from the
@@ -364,7 +364,7 @@ fn unschedulable_job_fails_after_deploy_timeout() {
             .is_empty(),
         "undeployable job must be fully cleaned up"
     );
-    assert!(platform.nfs().find_volume(&paths::volume(&job)).is_none());
+    assert!(!platform.nfs().has_volume(&paths::volume(&job)));
 }
 
 /// A transient object-store outage during data staging: load-data keeps
@@ -600,7 +600,7 @@ fn kill_during_deployment_leaves_nothing_behind() {
         .kube()
         .pods_matching(&dlaas_kube::labels! {"job" => job.as_str()});
     assert!(leftovers.is_empty(), "zombie resources: {leftovers:?}");
-    assert!(platform.nfs().find_volume(&paths::volume(&job)).is_none());
+    assert!(!platform.nfs().has_volume(&paths::volume(&job)));
 }
 
 /// Race: Guardian and controller both crash during the STORING phase.

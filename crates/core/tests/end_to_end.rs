@@ -99,7 +99,7 @@ fn job_runs_to_completion() {
         .kube()
         .pods_matching(&dlaas_kube::labels! {"job" => job.as_str()})
         .is_empty());
-    assert!(platform.nfs().find_volume(&paths::volume(&job)).is_none());
+    assert!(!platform.nfs().has_volume(&paths::volume(&job)));
 }
 
 #[test]
@@ -303,7 +303,7 @@ fn kill_terminates_and_cleans_up() {
             .is_empty(),
         "all job pods must be gone after kill"
     );
-    assert!(platform.nfs().find_volume(&paths::volume(&job)).is_none());
+    assert!(!platform.nfs().has_volume(&paths::volume(&job)));
 }
 
 #[test]

@@ -176,7 +176,7 @@ fn each_kind_of_leak_is_reported_once_the_grace_has_passed() {
         leak_pod(&mut sim, &platform, &format!("helper-{job}-0"), job);
         platform
             .nfs()
-            .create_volume(paths::volume(&JobId::new(job)));
+            .create_volume(&paths::volume(&JobId::new(job)));
         leak_policy(&platform, job);
         leak_policy(&platform, job);
         put_key(
@@ -236,7 +236,7 @@ fn each_kind_of_leak_is_reported_once_the_grace_has_passed() {
 
     // Collected piece by piece, the findings go piece by piece.
     platform.kube().delete_pod(&mut sim, "learner-gone-0");
-    platform.nfs().delete_volume_named(&sim, "vol-gone");
+    platform.nfs().delete_volume(&sim, "vol-gone");
     delete_key(&mut sim, &platform, paths::etcd_store(&JobId::new("gone")));
     let report = check_invariants(&sim, &platform);
     assert!(report.timelines.contains("kube gone: Deleted"), "{report}");
@@ -439,7 +439,7 @@ fn a_negative_stamp_is_reported_not_wrapped_to_a_far_future_instant() {
     insert_job(&mut sim, &platform, done);
     platform
         .nfs()
-        .create_volume(paths::volume(&JobId::new("done")));
+        .create_volume(&paths::volume(&JobId::new("done")));
 
     let report = found(&check_invariants(&sim, &platform));
     let named: Vec<_> = report
@@ -598,9 +598,9 @@ fn apply(sim: &mut Sim, platform: &DlaasPlatform, op: Op) {
         Op::Volume { job, exists } => {
             let volume = paths::volume(&JobId::new(name(job)));
             if exists {
-                platform.nfs().create_volume(volume);
+                platform.nfs().create_volume(&volume);
             } else {
-                platform.nfs().delete_volume_named(sim, &volume);
+                platform.nfs().delete_volume(sim, &volume);
             }
         }
         Op::Policy { job, exists } => {

@@ -140,7 +140,7 @@ proptest! {
             .pods_matching(&dlaas_kube::labels! {"job" => job.as_str()});
         prop_assert!(leftovers.is_empty(), "leaked pods: {leftovers:?}");
         prop_assert!(
-            platform.nfs().find_volume(&paths::volume(&job)).is_none(),
+            !platform.nfs().has_volume(&paths::volume(&job)),
             "leaked volume"
         );
 

@@ -139,7 +139,7 @@ impl MongoServer {
     }
 
     /// Starts a server over an existing store (used for recovery).
-    pub fn with_store(rpc: MongoRpc, store: DocStore) -> Rc<Self> {
+    fn with_store(rpc: MongoRpc, store: DocStore) -> Rc<Self> {
         let server = Rc::new(MongoServer {
             store: Rc::new(RefCell::new(store)),
             rpc,

@@ -207,7 +207,7 @@ impl Iterator for IntoFields {
 
 impl Value {
     /// `true` if this is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
+    fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 

@@ -536,7 +536,7 @@ impl EtcdClient {
     /// failover signals and from [`EtcdClient::rewatch`], so a cancel lost
     /// while a server was partitioned lands once the server is reachable
     /// again, instead of the old registration double-notifying forever.
-    pub fn flush_pending_cancels(&self, sim: &mut Sim) {
+    fn flush_pending_cancels(&self, sim: &mut Sim) {
         let pending: Vec<(NodeId, u64)> = self
             .state
             .borrow()

@@ -412,8 +412,8 @@ mod tests {
     fn nfs_outage_window_restores_availability() {
         let mut sim = Sim::new(17);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("v");
-        let mount = nfs.mount(&vol).unwrap();
+        nfs.create_volume("v");
+        let mount = nfs.mount("v").unwrap();
         nfs_outage_window(&mut sim, &nfs, SimDuration::from_secs(10));
         assert!(!nfs.is_available());
         assert!(mount.write_file(&mut sim, "f", "x").is_err());

@@ -155,7 +155,7 @@ impl<C: Clone + 'static> RaftCluster<C> {
 
     /// Runs the simulation until a leader exists (checked after every
     /// event) or `deadline` passes. Returns the leader id if one emerged.
-    pub fn run_until_leader(&self, sim: &mut Sim, deadline: SimTime) -> Option<NodeId> {
+    fn run_until_leader(&self, sim: &mut Sim, deadline: SimTime) -> Option<NodeId> {
         loop {
             if let Some(l) = self.leader_id() {
                 return Some(l);

@@ -268,7 +268,7 @@ impl<C> PersistentState<C> {
     }
 
     /// Term of the last snapshot entry (0 = none).
-    pub fn snapshot_last_term(&self) -> Term {
+    fn snapshot_last_term(&self) -> Term {
         self.snapshot.as_ref().map_or(0, |s| s.last_term)
     }
 

@@ -7,27 +7,28 @@
 //! log files from it. Because the volume outlives any single pod, it also
 //! makes status monitoring resilient to controller crashes (§III-f).
 //!
-//! The simulation models an NFS server holding named volumes of
-//! line-oriented files. Operations are synchronous (NFS round-trips are
-//! microseconds against the multi-second timescales of Fig. 4) but byte
-//! and operation counters are kept so the platform-overhead experiment
-//! (Fig. 2) can account for helper/logging I/O.
+//! The simulation models an NFS server holding named volumes of text
+//! files. Operations are synchronous (NFS round-trips are microseconds
+//! against the multi-second timescales of Fig. 4) but byte and operation
+//! counters are kept so the platform-overhead experiment (Fig. 2) can
+//! account for helper/logging I/O.
 //!
-//! A file is its lines joined by `\n` in one append-only [`TextBuf`],
-//! plus where each line ends. The file owns that buffer and is its only
-//! writer; [`Mount::tail`] hands out a [`TextView`] of it, which the log
+//! A file is its text: one append-only [`TextBuf`], a log's lines joined
+//! by `\n`. The file owns that buffer and is its only writer;
+//! [`Mount::tail`] hands out a [`TextView`] of it, which the log
 //! collector puts as the log's object body: a learner's log is held once,
 //! here, not copied by the collector. A view outlives its file: once the
 //! file is rewritten, removed or its volume deleted, the buffer a view
 //! still reads shrinks to its length.
 //!
-//! A [`Mount`] holds its volume, not the volume's name: once the volume
-//! is deleted the mount is stale for good ([`NfsError::NoSuchVolume`],
-//! NFS's ESTALE), even if a volume of the same name is provisioned again.
+//! A volume is addressed by its name. A [`Mount`] holds the volume, not
+//! the name: once the volume is deleted the mount is stale for good
+//! ([`NfsError::NoSuchVolume`], NFS's ESTALE), even if a volume of the
+//! same name is provisioned again.
 //!
 //! The helpers *poll* the volume (§III-e). A poll that finds nothing can
 //! [`Mount::park`] instead of ticking: the next write to the volume that
-//! it waits for — its predicate over the written path and contents says
+//! it waits for — its predicate over the written path and text says
 //! which — wakes it at the instant of its [`Grid`] its old poll would have
 //! acted at. Every mutator takes the `Sim` for that reason, so no write
 //! can skip waking the volume's waiters.
@@ -40,17 +41,19 @@
 //!
 //! let mut sim = Sim::new(1);
 //! let nfs = NfsServer::new();
-//! let vol = nfs.create_volume("job-1");
+//! nfs.create_volume("job-1");
 //!
 //! // Learner side: write progress and an exit file.
-//! let learner = nfs.mount(&vol)?;
+//! let learner = nfs.mount("job-1")?;
 //! learner.append_line(&mut sim, "learner-0/train.log", "iter 100 loss 2.3")?;
 //! learner.write_file(&mut sim, "learner-0/exit-status", "0")?;
 //!
-//! // Helper/controller side: observe them.
-//! let helper = nfs.mount(&vol)?;
+//! // Helper/controller side: observe them. A tail returns where the next
+//! // unread line will start, and a view of the whole log.
+//! let helper = nfs.mount("job-1")?;
 //! assert_eq!(helper.read_file("learner-0/exit-status")?, "0");
-//! assert_eq!(helper.read_lines_from("learner-0/train.log", 0)?.len(), 1);
+//! let (next, log) = helper.tail("learner-0/train.log", 0)?;
+//! assert_eq!((next, &*log.text()), (18, "iter 100 loss 2.3"));
 //!
 //! // A poller need not re-read what cannot have changed: every write
 //! // through any mount moves the volume's generation, nothing else does.
@@ -80,29 +83,12 @@
 )]
 #![warn(missing_docs)]
 
-use std::cell::{Ref, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
 use dlaas_sim::{Grid, Sim, SimTime, TextBuf, TextView};
-
-/// Identifier of a provisioned volume.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct VolumeId(String);
-
-impl VolumeId {
-    /// The volume name.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
-
-impl fmt::Display for VolumeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
 
 /// Errors from NFS operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,58 +157,16 @@ struct Waiter {
     wait: Box<dyn Wait>,
 }
 
-/// One file: its lines joined by `\n`, and where each line ends.
-struct File {
-    text: TextBuf,
-    /// The end offset of every line in `text`: a file has one at least.
-    ends: Vec<usize>,
-}
-
-impl File {
-    fn new(contents: &str) -> Self {
-        let text = TextBuf::new();
-        text.push_str(contents);
-        File {
-            text,
-            ends: vec![contents.len()],
-        }
-    }
-
-    fn append(&mut self, line: &str) {
-        self.text.push_str("\n");
-        self.text.push_str(line);
-        self.ends.push(self.text.len());
-    }
-
-    fn rewrite(&mut self, contents: &str) {
-        self.text.replace(contents);
-        self.ends.clear();
-        self.ends.push(contents.len());
-    }
-
-    /// Where line `i` starts in `text`.
-    fn start(&self, i: usize) -> usize {
-        match i {
-            0 => 0,
-            i => self.ends[i - 1] + 1,
-        }
-    }
-
-    /// Line `i`, which must exist.
-    fn line(&self, i: usize) -> Ref<'_, str> {
-        Ref::map(self.text.text(), |text| &text[self.start(i)..self.ends[i]])
-    }
-
-    /// What a read of lines `from..` moves: each line and its newline.
-    fn bytes_from(&self, from: usize) -> u64 {
-        let last = self.ends.len() - 1;
-        (self.ends[last] - self.start(from) + 1) as u64
-    }
+/// A new file holding `contents`.
+fn new_file(contents: &str) -> TextBuf {
+    let text = TextBuf::new();
+    text.push_str(contents);
+    text
 }
 
 struct Volume {
     name: String,
-    files: BTreeMap<String, File>,
+    files: BTreeMap<String, TextBuf>,
     /// Ticks once per change (see [`Mount::generation`]).
     generation: u64,
     /// Deleted (when): emptied, and every mount of it stale for good.
@@ -236,7 +180,7 @@ struct ServerState {
     stats: NfsStats,
     /// An outage window: data-plane operations (mount, file I/O) fail with
     /// [`NfsError::Unavailable`] while set. Control-plane operations
-    /// (create/delete/find volumes) still work — they go through the K8s
+    /// (create/delete/look up volumes) still work — they go through the K8s
     /// storage API, not the NFS data path. Holds when the window began.
     unavailable: Option<SimTime>,
 }
@@ -264,36 +208,28 @@ impl NfsServer {
         Self::default()
     }
 
-    /// Provisions a volume (idempotent), as the Guardian does with a K8s
-    /// persistent volume claim.
-    pub fn create_volume(&self, name: impl Into<String>) -> VolumeId {
-        let name = name.into();
-        self.state
-            .borrow_mut()
-            .volumes
-            .entry(name.clone())
-            .or_insert_with(|| {
-                Rc::new(RefCell::new(Volume {
-                    name: name.clone(),
-                    files: BTreeMap::new(),
-                    generation: 0,
-                    deleted: None,
-                    waiters: Vec::new(),
-                }))
-            });
-        VolumeId(name)
+    /// Provisions the volume `name` (idempotent), as the Guardian does
+    /// with a K8s persistent volume claim.
+    pub fn create_volume(&self, name: &str) {
+        let mut s = self.state.borrow_mut();
+        if !s.volumes.contains_key(name) {
+            let volume = Volume {
+                name: name.to_owned(),
+                files: BTreeMap::new(),
+                generation: 0,
+                deleted: None,
+                waiters: Vec::new(),
+            };
+            s.volumes
+                .insert(name.to_owned(), Rc::new(RefCell::new(volume)));
+        }
     }
 
-    /// Deletes a volume and everything in it (garbage collection after a
-    /// job completes or is rolled back): its files and parked pollers are
-    /// dropped and its mounts go stale. Returns `true` if it existed.
-    pub fn delete_volume(&self, sim: &Sim, id: &VolumeId) -> bool {
-        self.delete_volume_named(sim, &id.0)
-    }
-
-    /// Deletes a volume by name (for garbage collectors that only know the
-    /// naming convention). Returns `true` if it existed.
-    pub fn delete_volume_named(&self, sim: &Sim, name: &str) -> bool {
+    /// Deletes the volume `name` and everything in it (garbage collection
+    /// after a job completes or is rolled back): its files and parked
+    /// pollers are dropped and its mounts go stale. Returns `true` if it
+    /// existed.
+    pub fn delete_volume(&self, sim: &Sim, name: &str) -> bool {
         let Some(vol) = self.state.borrow_mut().volumes.remove(name) else {
             return false;
         };
@@ -315,18 +251,15 @@ impl NfsServer {
         let volumes: Vec<_> = self.state.borrow().volumes.values().cloned().collect();
         for vol in volumes {
             let dropped = std::mem::take(&mut vol.borrow_mut().waiters);
-            // Outside the borrow, as in `delete_volume_named`.
+            // Outside the borrow, as in `delete_volume`.
             drop(dropped);
         }
     }
 
-    /// Looks up a volume id by name, if the volume exists.
-    pub fn find_volume(&self, name: &str) -> Option<VolumeId> {
-        if self.state.borrow().volumes.contains_key(name) {
-            Some(VolumeId(name.to_owned()))
-        } else {
-            None
-        }
+    /// `true` if the volume `name` exists: a control-plane check, which
+    /// answers during an outage window too.
+    pub fn has_volume(&self, name: &str) -> bool {
+        self.state.borrow().volumes.contains_key(name)
     }
 
     /// Visits the name of every volume, in order, without copying any
@@ -337,27 +270,26 @@ impl NfsServer {
         }
     }
 
-    /// Mounts a volume, returning a handle for file operations.
+    /// Mounts the volume `name`, returning a handle for file operations.
     ///
     /// # Errors
     ///
     /// [`NfsError::Unavailable`] during an outage window;
     /// [`NfsError::NoSuchVolume`] if it does not exist.
-    pub fn mount(&self, id: &VolumeId) -> Result<Mount, NfsError> {
+    pub fn mount(&self, name: &str) -> Result<Mount, NfsError> {
         let s = self.state.borrow();
         if s.unavailable.is_some() {
             return Err(NfsError::Unavailable);
         }
         let volume = s
             .volumes
-            .get(&id.0)
-            .ok_or_else(|| NfsError::NoSuchVolume(id.0.clone()))?;
+            .get(name)
+            .ok_or_else(|| NfsError::NoSuchVolume(name.to_owned()))?;
         Ok(Mount {
             server: self.clone(),
             volume: volume.clone(),
         })
     }
-
     /// Starts or ends an outage window. While unavailable, mounting and
     /// every file operation (including through existing mounts) fail with
     /// [`NfsError::Unavailable`]; volumes, files and parked pollers
@@ -432,12 +364,14 @@ impl Mount {
 
     /// Runs the mutation `f` of `path`; if it changed the volume (`f`
     /// returns `true`), moves the generation and wakes every waiter that
-    /// waits for this write — the line written (last line of the file),
-    /// or `""` for a removal — at its grid's first instant after now.
+    /// waits for this write of `written` — the line appended, the new
+    /// contents, or `""` for a removal — at its grid's first instant
+    /// after now.
     fn change(
         &self,
         sim: &mut Sim,
         path: &str,
+        written: &str,
         f: impl FnOnce(&mut Volume, &mut NfsStats) -> bool,
     ) -> Result<bool, NfsError> {
         self.with_volume(|vol, stats| {
@@ -447,11 +381,9 @@ impl Mount {
             }
             if changed && !vol.waiters.is_empty() {
                 let now = sim.now();
-                let written = vol.files.get(path).map(|f| f.line(f.ends.len() - 1));
-                let contents = written.as_deref().unwrap_or("");
                 let woken = vol
                     .waiters
-                    .extract_if(.., |w| w.wait.wakes(path, contents, now));
+                    .extract_if(.., |w| w.wait.wakes(path, written, now));
                 for w in woken {
                     w.wait.schedule(sim, w.grid.after(now));
                 }
@@ -459,7 +391,6 @@ impl Mount {
             Ok(changed)
         })
     }
-
     /// The volume's write generation: a number that changes with every
     /// successful [`append_line`](Mount::append_line),
     /// [`write_file`](Mount::write_file) or effective
@@ -480,9 +411,9 @@ impl Mount {
     /// Parks a poller that found nothing: `wake` runs once, at the first
     /// instant of `grid` after the next change of this volume for which
     /// `wakes(path, contents, at)` holds — the instant the poller's next
-    /// poll would have seen that change. `contents` is the line written
-    /// (the last line of the file), `""` for a removal, `at` the instant of
-    /// the write. A volume deleted meanwhile drops the poller. `wakes`
+    /// poll would have seen that change. `contents` is the text written —
+    /// the line appended, a rewritten file's new contents, `""` for a
+    /// removal — and `at` the instant of the write. A volume deleted meanwhile drops the poller. `wakes`
     /// runs inside the write: it must not touch the volume.
     ///
     /// # Errors
@@ -521,13 +452,16 @@ impl Mount {
         line: impl AsRef<str>,
     ) -> Result<(), NfsError> {
         let line = line.as_ref();
-        self.change(sim, path, |vol, stats| {
+        self.change(sim, path, line, |vol, stats| {
             stats.writes += 1;
             stats.bytes_written += line.len() as u64 + 1;
-            match vol.files.get_mut(path) {
-                Some(file) => file.append(line),
+            match vol.files.get(path) {
+                Some(text) => {
+                    text.push_str("\n");
+                    text.push_str(line);
+                }
                 None => {
-                    vol.files.insert(path.to_owned(), File::new(line));
+                    vol.files.insert(path.to_owned(), new_file(line));
                 }
             }
             true
@@ -550,13 +484,13 @@ impl Mount {
         contents: impl AsRef<str>,
     ) -> Result<(), NfsError> {
         let contents = contents.as_ref();
-        self.change(sim, path, |vol, stats| {
+        self.change(sim, path, contents, |vol, stats| {
             stats.writes += 1;
             stats.bytes_written += contents.len() as u64;
             match vol.files.get_mut(path) {
-                Some(file) => file.rewrite(contents),
+                Some(text) => text.replace(contents),
                 None => {
-                    vol.files.insert(path.to_owned(), File::new(contents));
+                    vol.files.insert(path.to_owned(), new_file(contents));
                 }
             }
             true
@@ -566,13 +500,13 @@ impl Mount {
 
     /// Removes a file. Returns `true` if it existed.
     pub fn remove(&self, sim: &mut Sim, path: &str) -> bool {
-        self.change(sim, path, |vol, _| vol.files.remove(path).is_some())
+        self.change(sim, path, "", |vol, _| vol.files.remove(path).is_some())
             .unwrap_or(false)
     }
 
-    /// Lends a single-string file's contents (its first line) to `read`,
-    /// or returns `Ok(None)` when the file is absent — an absent file is
-    /// an answer, an unreachable volume is not.
+    /// Lends a file's whole text to `read`, or returns `Ok(None)` when
+    /// the file is absent — an absent file is an answer, an unreachable
+    /// volume is not.
     ///
     /// # Errors
     ///
@@ -580,17 +514,17 @@ impl Mount {
     /// [`NfsError::NoSuchVolume`] on a stale mount.
     pub fn read<T>(&self, path: &str, read: impl FnOnce(&str) -> T) -> Result<Option<T>, NfsError> {
         self.with_volume(|vol, stats| {
-            let Some(f) = vol.files.get(path) else {
+            let Some(text) = vol.files.get(path) else {
                 return Ok(None);
             };
+            let contents = text.text();
             stats.reads += 1;
-            let contents = f.line(0);
             stats.bytes_read += contents.len() as u64;
             Ok(Some(read(&contents)))
         })
     }
 
-    /// Reads a whole single-string file (first line).
+    /// Reads a whole file.
     ///
     /// # Errors
     ///
@@ -601,83 +535,32 @@ impl Mount {
             .ok_or_else(|| NfsError::NoSuchFile(path.to_owned()))
     }
 
-    /// Lends each line from `offset` on to `visit`, in order (log
-    /// tailing without a copy of the tail). Returns how many lines there
-    /// were — zero when the file exists but has nothing new, which is
-    /// not counted as a read: a tail that finds nothing costs one call
-    /// and no I/O.
+    /// Tails a log without a copy. `from` is the byte offset where the
+    /// next unread line starts — what the previous tail returned, or 0
+    /// before any read. Returns where the line after the file's last one
+    /// would start (its length plus one), and a view of its own buffer —
+    /// the lines joined by `\n` — that reads the same text whatever
+    /// happens to the file later. Counted as a read of the lines from
+    /// `from` on, each with its newline; a tail with nothing new is no
+    /// read.
     ///
     /// # Errors
     ///
     /// [`NfsError::NoSuchFile`] if absent; [`NfsError::NoSuchVolume`] on a
     /// stale mount.
-    pub fn for_each_line_from(
-        &self,
-        path: &str,
-        offset: usize,
-        mut visit: impl FnMut(&str),
-    ) -> Result<usize, NfsError> {
+    pub fn tail(&self, path: &str, from: usize) -> Result<(usize, TextView), NfsError> {
         self.with_volume(|vol, stats| {
-            let f = vol
+            let text = vol
                 .files
                 .get(path)
                 .ok_or_else(|| NfsError::NoSuchFile(path.to_owned()))?;
-            let lines = f.ends.len();
-            if offset >= lines {
-                return Ok(0);
-            }
-            stats.reads += 1;
-            stats.bytes_read += f.bytes_from(offset);
-            let text = f.text.text();
-            for i in offset..lines {
-                visit(&text[f.start(i)..f.ends[i]]);
-            }
-            Ok(lines - offset)
-        })
-    }
-
-    /// The whole file without a copy: its line count, and a view of its
-    /// own buffer up to its last line — the lines joined by `\n` — that
-    /// reads the same text whatever happens to the file later. Counted
-    /// as [`for_each_line_from`](Mount::for_each_line_from) counts a tail
-    /// from `offset`: a read of the lines from `offset` on, if any.
-    ///
-    /// # Errors
-    ///
-    /// [`NfsError::NoSuchFile`] if absent; [`NfsError::NoSuchVolume`] on a
-    /// stale mount.
-    pub fn tail(&self, path: &str, offset: usize) -> Result<(usize, TextView), NfsError> {
-        self.with_volume(|vol, stats| {
-            let f = vol
-                .files
-                .get(path)
-                .ok_or_else(|| NfsError::NoSuchFile(path.to_owned()))?;
-            let lines = f.ends.len();
-            if offset < lines {
+            let next = text.len() + 1;
+            if from < next {
                 stats.reads += 1;
-                stats.bytes_read += f.bytes_from(offset);
+                stats.bytes_read += (next - from) as u64;
             }
-            Ok((lines, f.text.view()))
+            Ok((next, text.view()))
         })
-    }
-
-    /// Reads lines starting at `offset` (for log tailing). Returns an empty
-    /// vector when the file exists but has no new lines.
-    ///
-    /// # Errors
-    ///
-    /// [`NfsError::NoSuchFile`] if absent; [`NfsError::NoSuchVolume`] on a
-    /// stale mount.
-    pub fn read_lines_from(&self, path: &str, offset: usize) -> Result<Vec<String>, NfsError> {
-        let mut lines = Vec::new();
-        self.for_each_line_from(path, offset, |line| lines.push(line.to_owned()))?;
-        Ok(lines)
-    }
-
-    /// Number of lines currently in a file (0 if absent).
-    pub fn line_count(&self, path: &str) -> usize {
-        self.with_volume(|vol, _| Ok(vol.files.get(path).map_or(0, |f| f.ends.len())))
-            .unwrap_or(0)
     }
 
     /// `true` if the file exists.
@@ -710,35 +593,37 @@ mod tests {
     fn volume_lifecycle() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("job-1");
-        assert_eq!(nfs.find_volume("job-1"), Some(vol.clone()));
-        assert_eq!(vol.as_str(), "job-1");
+        nfs.create_volume("job-1");
+        assert!(nfs.has_volume("job-1"));
         // Idempotent create keeps contents.
-        let m = nfs.mount(&vol).unwrap();
+        let m = nfs.mount("job-1").unwrap();
         m.write_file(&mut sim, "x", "1").unwrap();
-        let vol2 = nfs.create_volume("job-1");
-        assert!(nfs.mount(&vol2).unwrap().exists("x"));
+        nfs.create_volume("job-1");
+        assert!(nfs.mount("job-1").unwrap().exists("x"));
 
-        assert!(nfs.delete_volume(&sim, &vol));
-        assert!(!nfs.delete_volume(&sim, &vol));
-        assert_eq!(nfs.find_volume("job-1"), None);
-        assert!(nfs.mount(&vol).is_err());
+        assert!(nfs.delete_volume(&sim, "job-1"));
+        assert!(!nfs.delete_volume(&sim, "job-1"));
+        assert!(!nfs.has_volume("job-1"));
+        assert_eq!(
+            nfs.mount("job-1").map(|_| ()),
+            Err(NfsError::NoSuchVolume("job-1".into()))
+        );
     }
 
     #[test]
     fn stale_mount_fails_cleanly() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("v");
-        let m = nfs.mount(&vol).unwrap();
-        nfs.delete_volume(&sim, &vol);
+        nfs.create_volume("v");
+        let m = nfs.mount("v").unwrap();
+        nfs.delete_volume(&sim, "v");
         assert_eq!(
             m.append_line(&mut sim, "f", "x"),
             Err(NfsError::NoSuchVolume("v".into()))
         );
         assert!(!m.exists("f"));
         assert!(m.list("").is_empty());
-        assert_eq!(m.line_count("f"), 0);
+        assert_eq!(m.tail("f", 0), Err(NfsError::NoSuchVolume("v".into())));
         assert!(!m.remove(&mut sim, "f"));
     }
 
@@ -746,17 +631,21 @@ mod tests {
     fn append_and_tail() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("v");
-        let m = nfs.mount(&vol).unwrap();
+        nfs.create_volume("v");
+        let m = nfs.mount("v").unwrap();
         for i in 0..5 {
             m.append_line(&mut sim, "log", format!("line {i}")).unwrap();
         }
-        assert_eq!(m.line_count("log"), 5);
-        let tail = m.read_lines_from("log", 3).unwrap();
-        assert_eq!(tail, vec!["line 3", "line 4"]);
-        assert!(m.read_lines_from("log", 5).unwrap().is_empty());
+        // Line 3 starts at byte 21; the tail views the whole log and
+        // reads its last two lines, each with its newline.
+        let (next, view) = m.tail("log", 21).unwrap();
+        assert_eq!(next, 35);
+        assert_eq!(&view.text()[21..], "line 3\nline 4");
+        assert_eq!(nfs.stats().bytes_read, 14);
+        assert_eq!(m.tail("log", next).unwrap(), (next, view));
+        assert_eq!(nfs.stats().reads, 1, "nothing new is no read");
         assert_eq!(
-            m.read_lines_from("ghost", 0),
+            m.tail("ghost", 0),
             Err(NfsError::NoSuchFile("ghost".into()))
         );
     }
@@ -765,8 +654,8 @@ mod tests {
     fn write_file_replaces() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("v");
-        let m = nfs.mount(&vol).unwrap();
+        nfs.create_volume("v");
+        let m = nfs.mount("v").unwrap();
         m.write_file(&mut sim, "exit", "1").unwrap();
         m.write_file(&mut sim, "exit", "0").unwrap();
         assert_eq!(m.read_file("exit").unwrap(), "0");
@@ -781,9 +670,9 @@ mod tests {
         // The learner/controller pattern: one writes, the other reads.
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("job");
-        let learner = nfs.mount(&vol).unwrap();
-        let controller = nfs.mount(&vol).unwrap();
+        nfs.create_volume("job");
+        let learner = nfs.mount("job").unwrap();
+        let controller = nfs.mount("job").unwrap();
         learner
             .write_file(&mut sim, "learner-0/exit-status", "137")
             .unwrap();
@@ -797,8 +686,8 @@ mod tests {
     fn listing_by_prefix() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("v");
-        let m = nfs.mount(&vol).unwrap();
+        nfs.create_volume("v");
+        let m = nfs.mount("v").unwrap();
         m.write_file(&mut sim, "learner-0/exit", "0").unwrap();
         m.write_file(&mut sim, "learner-1/exit", "0").unwrap();
         m.write_file(&mut sim, "logs/a", "x").unwrap();
@@ -813,8 +702,8 @@ mod tests {
     fn remove_file() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("v");
-        let m = nfs.mount(&vol).unwrap();
+        nfs.create_volume("v");
+        let m = nfs.mount("v").unwrap();
         m.write_file(&mut sim, "f", "x").unwrap();
         assert!(m.remove(&mut sim, "f"));
         assert!(!m.remove(&mut sim, "f"));
@@ -825,14 +714,14 @@ mod tests {
     fn outage_window_fails_data_plane_only() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("v");
-        let m = nfs.mount(&vol).unwrap();
+        nfs.create_volume("v");
+        let m = nfs.mount("v").unwrap();
         m.write_file(&mut sim, "f", "before").unwrap();
 
         nfs.set_available(&sim, false);
         assert!(!nfs.is_available());
         // Data plane: mounts and file ops through existing mounts fail.
-        assert!(matches!(nfs.mount(&vol), Err(NfsError::Unavailable)));
+        assert!(matches!(nfs.mount("v"), Err(NfsError::Unavailable)));
         assert_eq!(m.read_file("f"), Err(NfsError::Unavailable));
         assert_eq!(m.write_file(&mut sim, "f", "x"), Err(NfsError::Unavailable));
         assert_eq!(
@@ -841,10 +730,10 @@ mod tests {
         );
         assert!(!m.exists("f"));
         // Control plane: provisioning still works during the outage.
-        assert!(nfs.find_volume("v").is_some());
-        let v2 = nfs.create_volume("v2");
-        assert_eq!(nfs.find_volume("v2"), Some(v2.clone()));
-        assert!(nfs.delete_volume(&sim, &v2));
+        assert!(nfs.has_volume("v"));
+        nfs.create_volume("v2");
+        assert!(nfs.has_volume("v2"));
+        assert!(nfs.delete_volume(&sim, "v2"));
 
         // Data survives the window.
         nfs.set_available(&sim, true);
@@ -856,9 +745,9 @@ mod tests {
     fn generation_moves_with_every_change_through_any_mount() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("job");
-        let learner = nfs.mount(&vol).unwrap();
-        let controller = nfs.mount(&vol).unwrap();
+        nfs.create_volume("job");
+        let learner = nfs.mount("job").unwrap();
+        let controller = nfs.mount("job").unwrap();
         let mut seen = controller.generation().unwrap();
         let mut moved = |what: &str| {
             let now = controller.generation().unwrap();
@@ -886,25 +775,24 @@ mod tests {
     fn generation_ignores_reads_misses_and_other_volumes() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("job");
-        let m = nfs.mount(&vol).unwrap();
+        nfs.create_volume("job");
+        let m = nfs.mount("job").unwrap();
         m.append_line(&mut sim, "log", "a").unwrap();
         m.write_file(&mut sim, "status", "x").unwrap();
         let before = m.generation().unwrap();
         assert_eq!(m.read("status", str::len), Ok(Some(1)));
         assert_eq!(m.read("ghost", str::len), Ok(None));
         assert_eq!(m.read_file("status").unwrap(), "x");
-        assert_eq!(m.for_each_line_from("log", 0, |_| {}), Ok(1));
-        assert_eq!(m.read_lines_from("log", 1).unwrap(), Vec::<String>::new());
-        assert_eq!(m.line_count("log"), 1);
+        assert_eq!(m.tail("log", 0).map(|(next, _)| next), Ok(2));
+        assert_eq!(m.tail("log", 2).map(|(next, _)| next), Ok(2));
         assert!(m.exists("log"));
         assert_eq!(m.list("").len(), 2);
         assert!(
             !m.remove(&mut sim, "ghost"),
             "removing nothing changes nothing"
         );
-        let other = nfs.create_volume("other");
-        nfs.mount(&other)
+        nfs.create_volume("other");
+        nfs.mount("other")
             .unwrap()
             .write_file(&mut sim, "f", "x")
             .unwrap();
@@ -916,8 +804,8 @@ mod tests {
     fn generation_is_unreadable_when_the_volume_is() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("job");
-        let m = nfs.mount(&vol).unwrap();
+        nfs.create_volume("job");
+        let m = nfs.mount("job").unwrap();
         m.write_file(&mut sim, "f", "x").unwrap();
         let before = m.generation().unwrap();
 
@@ -930,11 +818,11 @@ mod tests {
 
         // A volume provisioned again under its old name is another
         // volume: a mount of the first stays stale (ESTALE) for good.
-        nfs.delete_volume(&sim, &vol);
+        nfs.delete_volume(&sim, "job");
         let stale = Err(NfsError::NoSuchVolume("job".into()));
         assert_eq!(m.generation(), stale);
-        let again = nfs.create_volume("job");
-        let fresh = nfs.mount(&again).unwrap();
+        nfs.create_volume("job");
+        let fresh = nfs.mount("job").unwrap();
         fresh.write_file(&mut sim, "f", "z").unwrap();
         assert_eq!(m.generation(), stale, "a stale mount sees no new volume");
         assert_eq!(
@@ -968,7 +856,8 @@ mod tests {
     fn a_write_wakes_its_waiters_on_their_next_grid_instant() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let m = nfs.mount(&nfs.create_volume("job")).unwrap();
+        nfs.create_volume("job");
+        let m = nfs.mount("job").unwrap();
         let (go, any) = (Rc::default(), Rc::default());
         park_logged(&m, Some("store-go"), SimTime::from_millis(300), &go).unwrap();
         park_logged(&m, None, SimTime::ZERO, &any).unwrap();
@@ -997,8 +886,8 @@ mod tests {
     fn a_wait_is_refused_while_the_volume_is_unreachable() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("job");
-        let m = nfs.mount(&vol).unwrap();
+        nfs.create_volume("job");
+        let m = nfs.mount("job").unwrap();
         let woke = Rc::default();
         nfs.set_available(&sim, false);
         assert_eq!(
@@ -1027,32 +916,34 @@ mod tests {
     fn a_deleted_volume_drops_its_waiters_and_its_contents() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("job");
-        let m = nfs.mount(&vol).unwrap();
+        nfs.create_volume("job");
+        let m = nfs.mount("job").unwrap();
         m.append_line(&mut sim, "log", "a line").unwrap();
         let woke = Rc::default();
         park_logged(&m, None, SimTime::ZERO, &woke).unwrap();
         // The waiter's closure owns the only other handle on `woke`.
         assert_eq!(Rc::strong_count(&woke), 2);
 
-        assert!(nfs.delete_volume(&sim, &vol));
+        assert!(nfs.delete_volume(&sim, "job"));
         assert_eq!(Rc::strong_count(&woke), 1, "the waiter was dropped");
         assert!(m.volume.borrow().files.is_empty(), "the contents too");
         assert_eq!(
             park_logged(&m, None, SimTime::ZERO, &woke),
             Err(NfsError::NoSuchVolume("job".into()))
         );
-        let again = nfs.mount(&nfs.create_volume("job")).unwrap();
+        nfs.create_volume("job");
+        let again = nfs.mount("job").unwrap();
         again.write_file(&mut sim, "f", "x").unwrap();
         assert_eq!(sim.run_until_idle(), 0, "nobody parked on the new volume");
-        assert_eq!(again.line_count("log"), 0);
+        assert!(!again.exists("log"));
     }
 
     #[test]
     fn a_waiter_chooses_its_writes_by_path_and_contents() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let m = nfs.mount(&nfs.create_volume("job")).unwrap();
+        nfs.create_volume("job");
+        let m = nfs.mount("job").unwrap();
         let asked = Rc::new(RefCell::new(Vec::new()));
         let a = asked.clone();
         let wakes = move |path: &str, contents: &str, at: SimTime| {
@@ -1075,7 +966,8 @@ mod tests {
     fn remove_of_nothing_wakes_nobody() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let m = nfs.mount(&nfs.create_volume("job")).unwrap();
+        nfs.create_volume("job");
+        let m = nfs.mount("job").unwrap();
         let fired = Rc::new(Cell::new(0));
         let f = fired.clone();
         let grid = Grid::new(SimTime::ZERO, SimDuration::from_secs(1));
@@ -1090,23 +982,17 @@ mod tests {
     fn lending_reads_count_like_copying_ones() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("v");
-        let m = nfs.mount(&vol).unwrap();
+        nfs.create_volume("v");
+        let m = nfs.mount("v").unwrap();
         m.append_line(&mut sim, "log", "12345").unwrap();
         m.append_line(&mut sim, "log", "678").unwrap();
         m.write_file(&mut sim, "exit", "0").unwrap();
-        let mut seen = Vec::new();
-        let n = m
-            .for_each_line_from("log", 1, |l| seen.push(l.to_owned()))
-            .unwrap();
-        assert_eq!((n, seen), (1, vec!["678".to_owned()]));
-        assert_eq!(m.for_each_line_from("log", 9, |_| {}), Ok(0));
+        let (next, view) = m.tail("log", 6).unwrap();
+        assert_eq!((next, &view.text()[6..]), (10, "678"));
+        assert_eq!(m.tail("log", 10).map(|(next, _)| next), Ok(10));
         assert_eq!(m.read("exit", |s| s == "0"), Ok(Some(true)));
         assert_eq!(m.read("nope", |s| s == "0"), Ok(None));
-        assert_eq!(
-            m.for_each_line_from("nope", 0, |_| {}),
-            Err(NfsError::NoSuchFile("nope".into()))
-        );
+        assert_eq!(m.tail("nope", 0), Err(NfsError::NoSuchFile("nope".into())));
         let st = nfs.stats();
         // One tail read (4 bytes) and one file read (1 byte); a miss is
         // not a read, nor a tail with nothing new.
@@ -1120,12 +1006,12 @@ mod tests {
     fn stats_account_bytes() {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("v");
-        let m = nfs.mount(&vol).unwrap();
+        nfs.create_volume("v");
+        let m = nfs.mount("v").unwrap();
         m.append_line(&mut sim, "log", "12345").unwrap(); // 6 bytes with newline
         m.write_file(&mut sim, "exit", "0").unwrap(); // 1 byte
         let _ = m.read_file("exit").unwrap();
-        let _ = m.read_lines_from("log", 0).unwrap();
+        let _ = m.tail("log", 0).unwrap();
         let st = nfs.stats();
         assert_eq!(st.writes, 2);
         assert_eq!(st.reads, 2);

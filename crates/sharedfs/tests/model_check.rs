@@ -37,6 +37,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 type Model = BTreeMap<String, BTreeMap<String, Vec<String>>>;
 
+/// The byte offset at which line `i` of `lines`, joined by `\n`, starts
+/// (one past the end for the line after the last).
+fn start_of(lines: &[String], i: usize) -> usize {
+    lines.iter().take(i).map(|l| l.len() + 1).sum()
+}
+
 /// A view a tail handed out: what it must keep reading, and which of its
 /// file's buffers it reads (a file's buffer ends when the file is
 /// rewritten, removed or its volume deleted).
@@ -100,7 +106,7 @@ proptest! {
                     for (fname, lines) in removed.iter().flatten() {
                         buffers.end(&name, fname, lines);
                     }
-                    let existed_real = nfs.delete_volume_named(&sim, &name);
+                    let existed_real = nfs.delete_volume(&sim, &name);
                     prop_assert_eq!(existed_real, removed.is_some());
                 }
                 Op::Append { vol, file, line } => {
@@ -108,8 +114,8 @@ proptest! {
                     let fname = format!("f{file}");
                     let text = format!("line-{line}");
                     let result = nfs
-                        .find_volume(&vname)
-                        .and_then(|id| nfs.mount(&id).ok())
+                        .mount(&vname)
+                        .ok()
                         .map(|m| m.append_line(&mut sim, &fname, text.clone()));
                     match model.get_mut(&vname) {
                         Some(files) => {
@@ -124,8 +130,8 @@ proptest! {
                     let fname = format!("f{file}");
                     let text = format!("content-{content}");
                     let result = nfs
-                        .find_volume(&vname)
-                        .and_then(|id| nfs.mount(&id).ok())
+                        .mount(&vname)
+                        .ok()
                         .map(|m| m.write_file(&mut sim, &fname, text.clone()));
                     match model.get_mut(&vname) {
                         Some(files) => {
@@ -142,8 +148,8 @@ proptest! {
                     let vname = format!("v{vol}");
                     let fname = format!("f{file}");
                     let removed_real = nfs
-                        .find_volume(&vname)
-                        .and_then(|id| nfs.mount(&id).ok())
+                        .mount(&vname)
+                        .ok()
                         .map(|m| m.remove(&mut sim, &fname))
                         .unwrap_or(false);
                     let removed_model = model.get_mut(&vname).and_then(|files| files.remove(&fname));
@@ -156,18 +162,21 @@ proptest! {
                     let vname = format!("v{vol}");
                     let fname = format!("f{file}");
                     let from = usize::from(from);
+                    let lines = model.get(&vname).map(|files| files.get(&fname));
+                    // The tail starts where line `from` starts, or as far
+                    // past the end as `from` is past the last line.
+                    let start = lines.flatten().map_or(from, |lines| {
+                        start_of(lines, from) + from.saturating_sub(lines.len())
+                    });
                     let before = nfs.stats();
-                    let result = nfs
-                        .find_volume(&vname)
-                        .and_then(|id| nfs.mount(&id).ok())
-                        .map(|m| m.tail(&fname, from));
+                    let result = nfs.mount(&vname).ok().map(|m| m.tail(&fname, start));
                     let after = nfs.stats();
-                    match model.get(&vname).map(|files| files.get(&fname)) {
+                    match lines {
                         Some(Some(lines)) => {
-                            let Some(Ok((count, body))) = result else {
+                            let Some(Ok((next, body))) = result else {
                                 panic!("tail of {vname}/{fname}: {result:?}");
                             };
-                            prop_assert_eq!(count, lines.len());
+                            prop_assert_eq!(next, start_of(lines, lines.len()));
                             // Counted as a read of the lines from `from` on.
                             let tail = lines.get(from..).unwrap_or_default();
                             prop_assert_eq!(after.reads - before.reads, u64::from(!tail.is_empty()));
@@ -193,26 +202,27 @@ proptest! {
 
             // Full-state equivalence after every op.
             for (vname, files) in &model {
-                let id = nfs.find_volume(vname);
-                prop_assert!(id.is_some(), "volume {} missing", vname);
-                let mount = nfs.mount(&id.unwrap()).unwrap();
+                prop_assert!(nfs.has_volume(vname), "volume {} missing", vname);
+                let mount = nfs.mount(vname).unwrap();
                 let listed = mount.list("");
                 let expect: Vec<&String> = files.keys().collect();
                 prop_assert_eq!(listed.len(), expect.len(), "file count in {}", vname);
                 for (fname, lines) in files {
+                    let joined = lines.join("\n");
                     prop_assert_eq!(
-                        &mount.read_lines_from(fname, 0).unwrap(),
-                        lines,
+                        mount.read(fname, str::to_owned),
+                        Ok(Some(joined.clone())),
                         "contents of {}/{}", vname, fname
                     );
-                    prop_assert_eq!(mount.line_count(fname), lines.len());
+                    let (next, whole) = mount.tail(fname, 0).unwrap();
+                    prop_assert_eq!(next, joined.len() + 1);
+                    prop_assert_eq!(&*whole.text(), joined.as_str());
                     // Tail reads agree with slicing the model.
                     if lines.len() > 1 {
                         let off = lines.len() / 2;
-                        prop_assert_eq!(
-                            mount.read_lines_from(fname, off).unwrap(),
-                            lines[off..].to_vec()
-                        );
+                        let start = start_of(lines, off);
+                        let (_, view) = mount.tail(fname, start).unwrap();
+                        prop_assert_eq!(&view.text()[start..], lines[off..].join("\n"));
                     }
                 }
             }
@@ -223,21 +233,22 @@ proptest! {
     fn stale_mounts_always_fail_closed(v in 0..4u8, file in 0..6u8) {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let id = nfs.create_volume(format!("v{v}"));
+        let name = format!("v{v}");
+        nfs.create_volume(&name);
         let fname = format!("f{file}");
-        let mount = nfs.mount(&id).unwrap();
+        let mount = nfs.mount(&name).unwrap();
         mount.write_file(&mut sim, &fname, "x").unwrap();
-        nfs.delete_volume(&sim, &id);
+        nfs.delete_volume(&sim, &name);
         // Every op on the stale mount fails or reports absence — never
         // resurrects data, not even once the name is provisioned again.
-        nfs.create_volume(format!("v{v}"));
+        nfs.create_volume(&name);
         let append = mount.append_line(&mut sim, "f", "y");
         prop_assert!(matches!(append, Err(NfsError::NoSuchVolume(_))));
         let read = mount.read_file(&fname);
         prop_assert!(matches!(read, Err(NfsError::NoSuchVolume(_))));
         prop_assert!(!mount.exists(&fname));
         prop_assert!(mount.list("").is_empty());
-        prop_assert!(nfs.mount(&id).unwrap().list("").is_empty());
+        prop_assert!(nfs.mount(&name).unwrap().list("").is_empty());
     }
 
     // A log collector — a cursor, and a view of the log it re-puts whole
@@ -251,8 +262,8 @@ proptest! {
     ) {
         let mut sim = Sim::new(1);
         let nfs = NfsServer::new();
-        let vol = nfs.create_volume("job");
-        let mount = nfs.mount(&vol).expect("volume up");
+        nfs.create_volume("job");
+        let mount = nfs.mount("job").expect("volume up");
         let store = ObjectStore::new(1e9);
         store.create_bucket("logs");
         let mut log: Vec<String> = Vec::new();
@@ -272,7 +283,7 @@ proptest! {
                     // A restarted collector that could not read yet puts
                     // nothing: the object stays what was shipped last.
                     if collector.body.is_some() {
-                        shipped = Some(log[..collector.read].join("\n"));
+                        shipped = Some(log.join("\n")[..collector.read - 1].to_owned());
                     }
                     prop_assert_eq!(&store.read_text("logs", LOG), &shipped);
                 }
@@ -288,7 +299,7 @@ proptest! {
 
         // The volume goes: the object keeps the log at its length.
         drop((collector, restarted));
-        nfs.delete_volume(&sim, &vol);
+        nfs.delete_volume(&sim, "job");
         let object: Rc<RefCell<Option<ObjectBody>>> = Rc::default();
         let got = object.clone();
         store.get(&mut sim, "logs", LOG, None, move |_, r| {
@@ -343,8 +354,8 @@ fn collector_op() -> impl Strategy<Value = CollectorOp> {
     ]
 }
 
-/// The log collector's tail of one log: how many lines it read, and a
-/// view of them it re-puts whole.
+/// The log collector's tail of one log: where the next line it has not
+/// read starts, and a view of what it read, which it re-puts whole.
 #[derive(Default)]
 struct Collector {
     read: usize,
@@ -436,8 +447,8 @@ fn poll_parked(sim: &mut Sim, mount: Mount, on: Option<&'static str>, grid: Grid
 fn acts(ops: &[WorldOp], poller: Poller) -> Vec<u64> {
     let mut sim = Sim::new(1);
     let nfs = NfsServer::new();
-    let vol = nfs.create_volume("job");
-    let mount = nfs.mount(&vol).expect("volume up");
+    nfs.create_volume("job");
+    let mount = nfs.mount("job").expect("volume up");
     let acts = Acts::default();
     let grid = Grid::new(SimTime::ZERO, POLL);
     match poller {
@@ -457,7 +468,7 @@ fn acts(ops: &[WorldOp], poller: Poller) -> Vec<u64> {
     }
     // The world writes through a mount of whatever volume bears the name
     // now (the pollers' mounts go stale with the one they mounted).
-    let writer = |nfs: &NfsServer| nfs.mount(&vol).ok();
+    let writer = |nfs: &NfsServer| nfs.mount("job").ok();
     let path = |marker: bool| if marker { MARKER } else { "learner-0/status" };
     for op in ops {
         match op {
@@ -480,7 +491,7 @@ fn acts(ops: &[WorldOp], poller: Poller) -> Vec<u64> {
             }
             WorldOp::Available(up) => nfs.set_available(&sim, *up),
             WorldOp::Recreate => {
-                nfs.delete_volume(&sim, &vol);
+                nfs.delete_volume(&sim, "job");
                 nfs.create_volume("job");
             }
             WorldOp::Advance(us) => {

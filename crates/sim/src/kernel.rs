@@ -714,7 +714,7 @@ impl TimerHandle {
     }
 
     /// `true` once [`TimerHandle::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.cancelled.get()
     }
 }

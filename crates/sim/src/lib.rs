@@ -14,7 +14,7 @@
 //!   polling for it,
 //! * [`Trace`] — the timeline of typed marks ([`Sim::mark`]) that explains
 //!   what happened to a job; off until a reader switches it on,
-//! * [`TextBuf`] / [`TextView`] — the append-only text an NFS file holds
+//! * [`TextBuf`] / [`TextView`] — the append-only text an NFS file is
 //!   and an object's body views, so the substrates hold a log once.
 //!
 //! # Examples

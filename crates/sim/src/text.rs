@@ -1,6 +1,7 @@
-//! The one append-only text type of the substrates: what an NFS file
-//! holds and what an object store's textual body views, so a learner's
-//! log is held once (`dlaas-sharedfs`, `dlaas-objstore`).
+//! The one append-only text type of the substrates: what an NFS file is
+//! — its whole state, no index beside it — and what an object store's
+//! textual body views, so a learner's log is held once (`dlaas-sharedfs`,
+//! `dlaas-objstore`).
 
 use std::cell::{Ref, RefCell};
 use std::fmt;
@@ -12,9 +13,9 @@ use std::rc::Rc;
 /// taken earlier still reads exactly its own prefix, because nothing
 /// shrinks or rewrites a buffer a view reads ([`TextBuf::replace`] starts
 /// a new one then). This is how a log is shipped (object stores have no
-/// append): the NFS file owns the buffer and is its only writer, and the
-/// log collector re-puts a view of it, copying nothing, while the store
-/// charges the whole body. Dropping the buffer — its one writer — gives
+/// append): the NFS file is the buffer, its volume the only writer, and
+/// the log collector re-puts a view of it, copying nothing, while the
+/// store charges the whole body. Dropping the buffer — its one writer — gives
 /// back the room it kept for growth: the views go on reading the same
 /// text from a buffer of exactly its length.
 ///

@@ -601,22 +601,23 @@ fn log_tail_survives_an_object_store_outage_across_the_last_flush() {
     );
 
     // Teardown deletes the volume: keep the last view of the NFS log.
-    let mut nfs_log = Vec::new();
+    let mut nfs_log = String::new();
     let deadline = sim.now() + SimDuration::from_hours(1);
     while platform.job_status(&job) != Some(JobStatus::Completed) {
         assert!(sim.now() < deadline, "{job} did not complete");
-        let lines = platform
+        let log = platform
             .nfs()
-            .find_volume(&paths::volume(&job))
-            .and_then(|vol| platform.nfs().mount(&vol).ok())
-            .and_then(|m| m.read_lines_from(&paths::nfs_learner_log(0), 0).ok());
-        if let Some(lines) = lines {
-            nfs_log = lines;
+            .mount(&paths::volume(&job))
+            .ok()
+            .and_then(|m| m.tail(&paths::nfs_learner_log(0), 0).ok());
+        if let Some((_, view)) = log {
+            nfs_log = view.text().to_owned();
         }
         sim.run_for(SimDuration::from_millis(100));
     }
     assert!(
         nfs_log
+            .lines()
             .last()
             .is_some_and(|l| l.starts_with("training complete")),
         "the learner's last line was written into the outage"
@@ -627,10 +628,10 @@ fn log_tail_survives_an_object_store_outage_across_the_last_flush() {
         .expect("log uploaded");
     assert_eq!(
         stored.lines().count(),
-        nfs_log.len(),
+        nfs_log.lines().count(),
         "stored log lost its tail to the outage"
     );
-    assert_eq!(stored, nfs_log.join("\n"));
+    assert_eq!(stored, nfs_log);
 }
 
 /// Reliable status: the controller used to latch `throughput_written`
@@ -790,7 +791,7 @@ fn retried_restart_total_never_lands_after_a_newer_one() {
     /// The restart total the learners recorded on the job's NFS volume.
     fn nfs_restart_total(platform: &DlaasPlatform, job: &dlaas_core::JobId) -> Option<u64> {
         let nfs = platform.nfs();
-        let mount = nfs.mount(&nfs.find_volume(&paths::volume(job))?).ok()?;
+        let mount = nfs.mount(&paths::volume(job)).ok()?;
         Some(
             (0..2)
                 .map(|ord| {
@@ -1103,7 +1104,7 @@ fn checkpoint_the_object_store_refused_is_neither_counted_nor_restored() {
 /// job volume (etcd and the job document trail it).
 fn learner_says(platform: &DlaasPlatform, job: &dlaas_core::JobId) -> Option<LearnerPhase> {
     let nfs = platform.nfs();
-    let mount = nfs.mount(&nfs.find_volume(&paths::volume(job))?).ok()?;
+    let mount = nfs.mount(&paths::volume(job)).ok()?;
     mount
         .read_file(&paths::nfs_learner_status(0))
         .ok()?
@@ -1384,8 +1385,8 @@ fn store_results_polls_through_an_outage_over_its_first_poll_after_storing() {
 
     let relayed = |platform: &DlaasPlatform| {
         let nfs = platform.nfs();
-        nfs.find_volume(&paths::volume(&job))
-            .and_then(|vol| nfs.mount(&vol).ok())
+        nfs.mount(&paths::volume(&job))
+            .ok()
             .is_some_and(|mount| mount.exists(paths::NFS_STORE_GO))
     };
     let deadline = sim.now() + SimDuration::from_mins(30);

@@ -139,16 +139,14 @@ fn a_training_job_costs_what_changed_not_what_it_polled() {
     // is budgeted at one 64-byte status line per tick.
     let mount = platform
         .nfs()
-        .find_volume(&paths::volume(&job))
-        .and_then(|vol| platform.nfs().mount(&vol).ok())
+        .mount(&paths::volume(&job))
         .expect("job volume");
     let read_so_far = platform.nfs().stats().bytes_read;
-    let log_bytes: u64 = mount
-        .read_lines_from(&paths::nfs_learner_log(0), 0)
+    // Each line and its newline: the offset a whole-log tail returns.
+    let log_bytes = mount
+        .tail(&paths::nfs_learner_log(0), 0)
         .expect("learner log")
-        .iter()
-        .map(|l| l.len() as u64 + 1)
-        .sum();
+        .0 as u64;
     let status_ticks = sim.now().as_micros() / config::CONTROLLER_POLL.as_micros();
     assert!(
         read_so_far <= 2 * log_bytes + 64 * status_ticks,

@@ -28,8 +28,8 @@ fn published(platform: &DlaasPlatform, job: &JobId) -> Option<LearnerPhase> {
 fn learner_exited(platform: &DlaasPlatform, job: &JobId) -> bool {
     platform
         .nfs()
-        .find_volume(&paths::volume(job))
-        .and_then(|vol| platform.nfs().mount(&vol).ok())
+        .mount(&paths::volume(job))
+        .ok()
         .is_some_and(|m| m.read_file(&paths::nfs_learner_exit(0)).as_deref() == Ok("0"))
 }
 
