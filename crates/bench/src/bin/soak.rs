@@ -22,8 +22,12 @@
 //! than the committed baseline.
 //!
 //! Usage:
-//!   soak <uniform|traffic|chaos> [--threads T] [--check BASELINE]
-//!        [--lcm-replicas M] [--profile] [seed] [N1,N2,...] [out.json]
+//!
+//! ```text
+//! soak <uniform|traffic|chaos> [--threads T] [--check BASELINE]
+//!      [--lcm-replicas M] [--profile] [seed] [N1,N2,...] [out.json]
+//! ```
+//!
 //! `--profile` adds, per run, the kernel's events by scheduling call
 //! site (deterministic, on stdout) and the host time spent inside each
 //! site's closures (wall-clock, on stderr).

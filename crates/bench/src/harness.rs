@@ -50,7 +50,7 @@ pub fn experiment_config(kind: GpuKind, gpus_per_node: u32) -> PlatformConfig {
 }
 
 /// Boots `cfg` through the soak driver's boot step with the bench tenant
-/// and an [`EXPERIMENT_DATASET_BYTES`] dataset; returns the platform and
+/// and an `EXPERIMENT_DATASET_BYTES` dataset; returns the platform and
 /// the tenant's client.
 pub fn experiment_platform(sim: &mut Sim, cfg: PlatformConfig) -> (DlaasPlatform, DlaasClient) {
     let platform = soak::boot(sim, cfg, &bench_tenants(1), EXPERIMENT_DATASET_BYTES);

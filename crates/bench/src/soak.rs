@@ -1001,7 +1001,7 @@ pub fn tenant_class(tenant: &str) -> &str {
 }
 
 /// The share of a class's slowest jobs whose mean turnaround is the
-/// class's tail ([`tail_mean`]).
+/// class's tail (`tail_mean`).
 pub const TAIL_SHARE: f64 = 0.05;
 
 /// The nearest-rank `q`-quantile of `samples` (0 when there are none).

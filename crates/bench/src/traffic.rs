@@ -67,7 +67,7 @@ const MULTI_LEARNER_P: f64 = 0.15;
 
 /// The tenant table for a cluster of `capacity` GPUs, whales first — the
 /// index into it is the tenant handle the generated [`Arrival`]s carry.
-/// The capacity is split so whales get [`WHALE_WEIGHT`] shares and
+/// The capacity is split so whales get `WHALE_WEIGHT` shares and
 /// smalls one share each, the whole cluster allocated: bursts then push
 /// tenants over their slice and into the fair queue while total admitted
 /// work still fits. Floors keep every generated job admissible: whales

@@ -8,8 +8,8 @@
 //!
 //! * [`Value`] / [`obj!`] — JSON/BSON-like documents; an object
 //!   ([`Obj`]) is a key-sorted vector of pairs that holds no spare room,
-//! * [`Filter`] / [`Update`] — queries and mutations over dotted paths;
-//!   [`Update::apply`] says whether it changed the document,
+//! * [`Filter`] / [`Update`] — `Eq` / `In` / `And` queries and mutations
+//!   over dotted paths; [`Update::apply`] says whether it changed the document,
 //! * [`DocStore`] — collections with secondary indexes (equality *and*
 //!   `In` filters route through them, preserving scan order) and a
 //!   write-ahead [`Journal`]: a checkpoint and the redo records

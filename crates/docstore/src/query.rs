@@ -12,7 +12,7 @@ use crate::value::Value;
 /// let doc = obj! { "status" => "PROCESSING", "learners" => 4 };
 /// let f = Filter::and(vec![
 ///     Filter::eq("status", "PROCESSING"),
-///     Filter::gt("learners", 2),
+///     Filter::In("learners".into(), vec![2.into(), 4.into()]),
 /// ]);
 /// assert!(f.matches(&doc));
 /// assert!(!Filter::eq("status", "FAILED").matches(&doc));
@@ -23,28 +23,10 @@ pub enum Filter {
     True,
     /// Path value equals.
     Eq(String, Value),
-    /// Path value differs (also true when the path is absent).
-    Ne(String, Value),
-    /// Path value strictly greater.
-    Gt(String, Value),
-    /// Path value greater or equal.
-    Gte(String, Value),
-    /// Path value strictly less.
-    Lt(String, Value),
-    /// Path value less or equal.
-    Lte(String, Value),
     /// Path value is one of the listed values.
     In(String, Vec<Value>),
-    /// Path exists (`true`) or is absent (`false`).
-    Exists(String, bool),
-    /// Path is a string starting with the prefix.
-    Prefix(String, String),
     /// All sub-filters match.
     And(Vec<Filter>),
-    /// At least one sub-filter matches.
-    Or(Vec<Filter>),
-    /// The sub-filter does not match.
-    Not(Box<Filter>),
 }
 
 impl Filter {
@@ -53,48 +35,20 @@ impl Filter {
         Filter::Eq(path.into(), v.into())
     }
 
-    /// Strict greater-than on a dotted path.
-    pub fn gt(path: impl Into<String>, v: impl Into<Value>) -> Self {
-        Filter::Gt(path.into(), v.into())
-    }
-
-    /// Strict less-than on a dotted path.
-    pub fn lt(path: impl Into<String>, v: impl Into<Value>) -> Self {
-        Filter::Lt(path.into(), v.into())
-    }
-
     /// Conjunction.
     pub fn and(fs: Vec<Filter>) -> Self {
         Filter::And(fs)
     }
 
-    /// Disjunction.
-    pub fn or(fs: Vec<Filter>) -> Self {
-        Filter::Or(fs)
-    }
-
-    /// Evaluates the predicate against a document.
+    /// Evaluates the predicate against a document. Values compare as
+    /// [`Value::cmp_order`] does, so `1` equals `1.0`.
     pub fn matches(&self, doc: &Value) -> bool {
-        use std::cmp::Ordering::*;
+        let equal = |x: &Value, v: &Value| x.cmp_order(v).is_eq();
         match self {
             Filter::True => true,
-            Filter::Eq(p, v) => doc.path(p).is_some_and(|x| x.cmp_order(v) == Equal),
-            Filter::Ne(p, v) => doc.path(p).is_none_or(|x| x.cmp_order(v) != Equal),
-            Filter::Gt(p, v) => doc.path(p).is_some_and(|x| x.cmp_order(v) == Greater),
-            Filter::Gte(p, v) => doc.path(p).is_some_and(|x| x.cmp_order(v) != Less),
-            Filter::Lt(p, v) => doc.path(p).is_some_and(|x| x.cmp_order(v) == Less),
-            Filter::Lte(p, v) => doc.path(p).is_some_and(|x| x.cmp_order(v) != Greater),
-            Filter::In(p, vs) => doc
-                .path(p)
-                .is_some_and(|x| vs.iter().any(|v| x.cmp_order(v) == Equal)),
-            Filter::Exists(p, want) => doc.path(p).is_some() == *want,
-            Filter::Prefix(p, pre) => doc
-                .path(p)
-                .and_then(Value::as_str)
-                .is_some_and(|s| s.starts_with(pre)),
+            Filter::Eq(p, v) => doc.path(p).is_some_and(|x| equal(x, v)),
+            Filter::In(p, vs) => doc.path(p).is_some_and(|x| vs.iter().any(|v| equal(x, v))),
             Filter::And(fs) => fs.iter().all(|f| f.matches(doc)),
-            Filter::Or(fs) => fs.iter().any(|f| f.matches(doc)),
-            Filter::Not(f) => !f.matches(doc),
         }
     }
 
@@ -258,12 +212,10 @@ mod tests {
 
     fn sample() -> Value {
         obj! {
-            "name" => "job-1",
             "status" => "PROCESSING",
             "learners" => 4,
             "gpu" => obj! { "kind" => "K80" },
             "tags" => vec!["a", "b"],
-            "progress" => 0.5,
         }
     }
 
@@ -273,25 +225,16 @@ mod tests {
         assert!(Filter::True.matches(&d));
         assert!(Filter::eq("status", "PROCESSING").matches(&d));
         assert!(Filter::eq("gpu.kind", "K80").matches(&d));
-        assert!(Filter::gt("learners", 3).matches(&d));
-        assert!(!Filter::gt("learners", 4).matches(&d));
-        assert!(Filter::Gte("learners".into(), 4.into()).matches(&d));
-        assert!(Filter::lt("progress", 0.6).matches(&d));
-        assert!(Filter::Lte("progress".into(), 0.5.into()).matches(&d));
-        assert!(
-            Filter::gt("learners", 3.5).matches(&d),
-            "cross-type numeric"
-        );
+        assert!(!Filter::eq("status", "FAILED").matches(&d));
+        assert!(Filter::eq("learners", 4.0).matches(&d), "4 == 4.0");
     }
 
     #[test]
     fn ne_and_exists_semantics_on_missing_paths() {
         let d = sample();
-        assert!(Filter::Ne("missing".into(), 1.into()).matches(&d));
         assert!(!Filter::eq("missing", 1).matches(&d));
-        assert!(Filter::Exists("gpu.kind".into(), true).matches(&d));
-        assert!(Filter::Exists("gpu.count".into(), false).matches(&d));
-        assert!(!Filter::gt("missing", 0).matches(&d));
+        assert!(!Filter::eq("gpu.count", 1).matches(&d));
+        assert!(!Filter::In("missing".into(), vec![1.into()]).matches(&d));
     }
 
     #[test]
@@ -300,25 +243,19 @@ mod tests {
         assert!(
             Filter::In("status".into(), vec!["PENDING".into(), "PROCESSING".into()]).matches(&d)
         );
-        assert!(Filter::Prefix("name".into(), "job-".into()).matches(&d));
-        assert!(!Filter::Prefix("learners".into(), "4".into()).matches(&d));
+        assert!(!Filter::In("status".into(), vec!["FAILED".into()]).matches(&d));
         assert!(Filter::and(vec![
             Filter::eq("status", "PROCESSING"),
-            Filter::Not(Box::new(Filter::eq("name", "job-2"))),
+            Filter::In("learners".into(), vec![3.into(), 4.into()]),
         ])
         .matches(&d));
-        assert!(Filter::or(vec![
-            Filter::eq("status", "FAILED"),
-            Filter::eq("status", "PROCESSING"),
-        ])
-        .matches(&d));
-        assert!(!Filter::And(vec![Filter::True, Filter::eq("learners", 5)]).matches(&d));
+        assert!(!Filter::and(vec![Filter::True, Filter::eq("learners", 5)]).matches(&d));
     }
 
     #[test]
     fn pinned_eq_extraction() {
         let f = Filter::and(vec![
-            Filter::gt("learners", 1),
+            Filter::In("learners".into(), vec![1.into(), 2.into()]),
             Filter::eq("status", "PROCESSING"),
         ]);
         assert_eq!(f.pinned_eq("status"), Some(&Value::from("PROCESSING")));
@@ -330,7 +267,7 @@ mod tests {
     fn pinned_in_extraction() {
         let vs: Vec<Value> = vec!["PENDING".into(), "DEPLOYING".into()];
         let f = Filter::and(vec![
-            Filter::gt("learners", 1),
+            Filter::eq("learners", 1),
             Filter::In("status".into(), vs.clone()),
         ]);
         assert_eq!(f.pinned_in("status"), Some(vs.as_slice()));
@@ -340,10 +277,6 @@ mod tests {
             Some(vs.as_slice())
         );
         assert_eq!(Filter::True.pinned_in("status"), None);
-        // `In` under an `Or` must not be treated as pinning: the other arm
-        // can match documents outside the listed set.
-        let or = Filter::or(vec![Filter::In("status".into(), vs), Filter::True]);
-        assert_eq!(or.pinned_in("status"), None);
     }
 
     #[test]

@@ -766,6 +766,10 @@ mod tests {
         obj! { "_id" => id, "status" => status, "learners" => learners }
     }
 
+    fn learners_in(range: std::ops::Range<i64>) -> Filter {
+        Filter::In("learners".into(), range.map(Value::from).collect())
+    }
+
     #[test]
     fn insert_find_roundtrip() {
         let mut db = DocStore::new();
@@ -831,7 +835,7 @@ mod tests {
             db.insert("jobs", job(&format!("j{i}"), "DONE", i)).unwrap();
         }
         assert!(db.delete_one("jobs", &Filter::eq("_id", "j0")));
-        assert_eq!(db.delete_many("jobs", &Filter::gt("learners", 2)), 2);
+        assert_eq!(db.delete_many("jobs", &learners_in(3..5)), 2);
         assert_eq!(db.count("jobs", &Filter::True), 2);
         assert_eq!(db.delete_many("ghost", &Filter::True), 0);
     }
@@ -932,7 +936,7 @@ mod tests {
         }
         db.update_many(
             "jobs",
-            &Filter::lt("learners", 3),
+            &learners_in(0..3),
             &Update::set("status", "PROCESSING"),
         );
         db.delete_one("jobs", &Filter::eq("_id", "j9"));
@@ -975,7 +979,7 @@ mod tests {
         // Compound filter still narrows through the index.
         let compound = db.find(
             "jobs",
-            &Filter::and(vec![Filter::eq("status", "A"), Filter::gt("learners", 10)]),
+            &Filter::and(vec![Filter::eq("status", "A"), learners_in(11..20)]),
         );
         assert_eq!(compound.len(), 3);
         // Index stays correct across updates and deletes.
@@ -1019,7 +1023,7 @@ mod tests {
         assert_eq!(plain.last_examined(), 30);
 
         // `In` nested under `And` also routes through the index.
-        let compound = Filter::and(vec![active.clone(), Filter::gt("learners", 10)]);
+        let compound = Filter::and(vec![active.clone(), learners_in(11..30)]);
         let got = indexed.find("jobs", &compound);
         assert_eq!(got, plain.find("jobs", &compound));
         assert!(indexed.last_examined() < 30);
@@ -1336,7 +1340,7 @@ mod tests {
         let held = db.find_one("jobs", &Filter::eq("_id", "j1")).unwrap();
         db.update_many(
             "jobs",
-            &Filter::lt("learners", 4),
+            &learners_in(0..4),
             &Update::push("history", obj! {"status" => "DEPLOYING", "t_us" => 7}),
         );
         db.update_one(

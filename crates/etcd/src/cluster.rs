@@ -72,8 +72,8 @@ impl EtcdCluster {
             EtcdServer::make_apply(id, core, watch_for_factory.clone(), sweep)
         });
 
-        // Snapshot hooks let Raft compact its log: the serialized KV store
-        // *is* the snapshot (it is exactly the applied state).
+        // Snapshot hooks let Raft compact its log: the KV store *is* the
+        // snapshot (it is exactly the applied state).
         let cores_for_snapshots = cores.clone();
         let snapshot_factory: dlaas_raft::SnapshotFactory = Rc::new(move |id: NodeId| {
             EtcdServer::make_snapshot_hooks(cores_for_snapshots[id as usize].clone())

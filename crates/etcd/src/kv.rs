@@ -372,123 +372,6 @@ impl KvState {
             None
         }
     }
-
-    /// Serializes the whole store for a Raft snapshot. The encoding is
-    /// length-prefixed so keys and values may contain any bytes; entries
-    /// are written in key order, so equal states encode identically.
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(
-            format!(
-                "kv3 {} {} {} {}\n",
-                self.revision,
-                self.map.len(),
-                self.leases.len(),
-                self.next_lease_id
-            )
-            .as_bytes(),
-        );
-        for (k, v) in &self.map {
-            out.extend_from_slice(
-                format!(
-                    "{} {} {} {} {} {}\n",
-                    v.create_revision,
-                    v.mod_revision,
-                    v.version,
-                    v.lease.unwrap_or(0),
-                    k.len(),
-                    v.value.len()
-                )
-                .as_bytes(),
-            );
-            out.extend_from_slice(k.as_bytes());
-            out.extend_from_slice(v.value.as_bytes());
-            out.push(b'\n');
-        }
-        // Lease records; attached keys are rebuilt from the per-key
-        // back-pointers above, so only the scalars are written.
-        for (id, rec) in &self.leases {
-            out.extend_from_slice(format!("{} {}\n", id, rec.ttl_us).as_bytes());
-        }
-        out
-    }
-
-    /// Rebuilds a store from [`KvState::to_snapshot_bytes`] output.
-    /// Returns `None` on any framing error.
-    pub fn from_snapshot_bytes(data: &[u8]) -> Option<KvState> {
-        fn take_line(data: &[u8], pos: &mut usize) -> Option<String> {
-            let nl = data[*pos..].iter().position(|&b| b == b'\n')?;
-            let line = std::str::from_utf8(&data[*pos..*pos + nl]).ok()?.to_owned();
-            *pos += nl + 1;
-            Some(line)
-        }
-
-        let mut pos = 0;
-        let header = take_line(data, &mut pos)?;
-        let mut parts = header.split(' ');
-        if parts.next()? != "kv3" {
-            return None;
-        }
-        let revision: Revision = parts.next()?.parse().ok()?;
-        let count: usize = parts.next()?.parse().ok()?;
-        let lease_count: usize = parts.next()?.parse().ok()?;
-        let next_lease_id: LeaseId = parts.next()?.parse().ok()?;
-
-        let mut map = BTreeMap::new();
-        for _ in 0..count {
-            let meta = take_line(data, &mut pos)?;
-            let mut m = meta.split(' ');
-            let create_revision: Revision = m.next()?.parse().ok()?;
-            let mod_revision: Revision = m.next()?.parse().ok()?;
-            let version: u64 = m.next()?.parse().ok()?;
-            let lease_raw: LeaseId = m.next()?.parse().ok()?;
-            let klen: usize = m.next()?.parse().ok()?;
-            let vlen: usize = m.next()?.parse().ok()?;
-            if pos + klen + vlen + 1 > data.len() {
-                return None;
-            }
-            let key = String::from_utf8(data[pos..pos + klen].to_vec()).ok()?;
-            let value = String::from_utf8(data[pos + klen..pos + klen + vlen].to_vec()).ok()?;
-            pos += klen + vlen + 1;
-            map.insert(
-                key,
-                VersionedValue {
-                    value,
-                    create_revision,
-                    mod_revision,
-                    version,
-                    lease: (lease_raw != 0).then_some(lease_raw),
-                },
-            );
-        }
-        let mut leases: BTreeMap<LeaseId, LeaseRecord> = BTreeMap::new();
-        for _ in 0..lease_count {
-            let line = take_line(data, &mut pos)?;
-            let mut m = line.split(' ');
-            let id: LeaseId = m.next()?.parse().ok()?;
-            let ttl_us: u64 = m.next()?.parse().ok()?;
-            leases.insert(
-                id,
-                LeaseRecord {
-                    ttl_us,
-                    keys: BTreeSet::new(),
-                },
-            );
-        }
-        // Rebuild lease key attachments from the per-key back-pointers;
-        // a key naming an unknown lease is a framing error.
-        for (k, v) in &map {
-            if let Some(l) = v.lease {
-                leases.get_mut(&l)?.keys.insert(k.clone());
-            }
-        }
-        Some(KvState {
-            map,
-            revision,
-            leases,
-            next_lease_id,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -675,36 +558,6 @@ mod tests {
         assert_eq!(kv1.revision(), 4);
     }
 
-    #[test]
-    fn snapshot_roundtrip() {
-        let mut kv = KvState::new();
-        kv.apply(&put("jobs/1/status", "RUNNING"));
-        kv.apply(&put("jobs/1/status", "COMPLETED"));
-        kv.apply(&put("weird", "line1\nline2 with spaces"));
-        kv.apply(&KvCommand {
-            req_id: 11,
-            op: KvOp::Delete {
-                key: "jobs/1/status".into(),
-            },
-        });
-        kv.apply(&put("jobs/1/status", "PENDING"));
-
-        let bytes = kv.to_snapshot_bytes();
-        let back = KvState::from_snapshot_bytes(&bytes).expect("snapshot parses");
-        assert_eq!(back, kv);
-
-        // Empty store roundtrips too.
-        let empty = KvState::new();
-        assert_eq!(
-            KvState::from_snapshot_bytes(&empty.to_snapshot_bytes()).unwrap(),
-            empty
-        );
-
-        // Garbage is rejected, not mis-parsed.
-        assert!(KvState::from_snapshot_bytes(b"not a snapshot").is_none());
-        assert!(KvState::from_snapshot_bytes(&bytes[..bytes.len() - 2]).is_none());
-    }
-
     fn grant(req_id: u64, ttl_us: u64) -> KvCommand {
         KvCommand {
             req_id,
@@ -827,31 +680,6 @@ mod tests {
         let out = kv.apply(&revoke(5, 2));
         assert!(out.events.is_empty());
         assert_eq!(kv.get("k").unwrap().value, "c");
-    }
-
-    #[test]
-    fn snapshot_roundtrip_with_leases() {
-        let mut kv = KvState::new();
-        kv.apply(&grant(1, 1_000));
-        kv.apply(&grant(2, 9_999));
-        kv.apply(&KvCommand {
-            req_id: 3,
-            op: KvOp::Put {
-                key: "lcm/shards/000".into(),
-                value: "lcm-1".into(),
-                lease: Some(2),
-            },
-        });
-        kv.apply(&revoke(4, 1));
-        let bytes = kv.to_snapshot_bytes();
-        let back = KvState::from_snapshot_bytes(&bytes).expect("snapshot parses");
-        assert_eq!(back, kv);
-        // next_lease_id survives: a grant after restore continues at 3.
-        let mut back = back;
-        let out = kv.apply(&grant(5, 1));
-        let out2 = back.apply(&grant(5, 1));
-        assert_eq!(out.lease, out2.lease);
-        assert_eq!(out.lease, Some(3));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! Pieces:
 //!
 //! * [`KvState`] / [`KvCommand`] — the deterministic state machine
-//!   replicated through [`dlaas_raft`],
+//!   replicated through [`dlaas_raft`]; a clone of the store is its Raft
+//!   snapshot,
 //! * [`EtcdServer`] — per-node server: proposes writes, serves ReadIndex
 //!   reads, renews leases in the leader's lessor after a ReadIndex round,
 //!   and — on the member that leads — fans out watch events through a

@@ -314,21 +314,21 @@ impl EtcdServer {
     }
 
     /// Builds the Raft snapshot hooks for this server's core: `take`
-    /// serializes the KV store (it is exactly the applied state), and
-    /// `restore` replaces it wholesale — used both for leader-shipped
+    /// clones the KV store (it is exactly the applied state), `restore`
+    /// replaces it with a copy of the snapshot — for leader-shipped
     /// InstallSnapshot and for recovery from a compacted on-disk log, on a
     /// member that does not lead and so keeps no lease deadlines.
     pub(crate) fn make_snapshot_hooks(core: Rc<RefCell<ServerCore>>) -> dlaas_raft::SnapshotHooks {
         let take_core = core.clone();
         dlaas_raft::SnapshotHooks {
-            take: Box::new(move || take_core.borrow().kv.to_snapshot_bytes()),
+            take: Box::new(move || Rc::new(take_core.borrow().kv.clone())),
             restore: Box::new(move |_sim, _idx, data| {
                 #[expect(
                     clippy::expect_used,
-                    reason = "the bytes were produced by to_snapshot_bytes on the same closed system; snapshot corruption is outside the modelled fault vocabulary, so failing fast beats silently restoring an empty store"
+                    reason = "every snapshot of this cluster was taken by the `take` above, so a snapshot of any other type is a wiring bug, not a fault to survive"
                 )]
-                let kv = KvState::from_snapshot_bytes(data).expect("snapshot deserializes");
-                core.borrow_mut().kv = kv;
+                let kv: &KvState = data.downcast_ref().expect("an etcd snapshot");
+                core.borrow_mut().kv = kv.clone();
             }),
         }
     }

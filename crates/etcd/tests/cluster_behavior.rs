@@ -463,6 +463,14 @@ fn five_node_cluster_tolerates_two_crashes() {
 fn log_compaction_bounds_the_raft_log_and_preserves_state() {
     let (mut sim, etcd) = boot(37);
     let client = etcd.client("writer");
+    // A leased key, folded into the first snapshot: a restore must bring
+    // back lease records and the next lease id, not only the pairs.
+    let (lease, grant_cb) = slot();
+    client.lease_grant(&mut sim, SimDuration::from_secs(3600), grant_cb);
+    sim.run_for(SimDuration::from_secs(1));
+    let lease = lease.borrow_mut().take().expect("grant settled").unwrap();
+    let owner = Some("w".to_owned());
+    client.cas_with_lease(&mut sim, "owner", None, owner, Some(lease), |_, _| {});
     // Well past the 500-entry compaction threshold.
     for i in 0..1500 {
         client.put(&mut sim, format!("k{i:04}"), format!("v{i}"), |_, _| {});
@@ -487,7 +495,7 @@ fn log_compaction_bounds_the_raft_log_and_preserves_state() {
     }
     // State is complete despite compaction.
     for id in 0..3 {
-        assert_eq!(etcd.kv_snapshot(id).len(), 1500, "replica {id}");
+        assert_eq!(etcd.kv_snapshot(id).len(), 1501, "replica {id}");
     }
 
     // A node restarting now recovers from snapshot + tail, not full replay.
@@ -495,11 +503,16 @@ fn log_compaction_bounds_the_raft_log_and_preserves_state() {
     sim.run_for(SimDuration::from_secs(2));
     etcd.restart(&mut sim, 2);
     sim.run_for(SimDuration::from_secs(5));
-    assert_eq!(etcd.kv_snapshot(2).len(), 1500);
+    let leader = etcd.leader_id().expect("leader");
+    assert_ne!(leader, 2, "the restarted replica is the one checked");
+    let restored = etcd.kv_snapshot(2);
     assert_eq!(
-        etcd.kv_snapshot(2).get("k1499").map(|v| v.value.clone()),
+        restored.get("k1499").map(|v| v.value.clone()),
         Some("v1499".into())
     );
+    let lease = restored.lease(lease).expect("the lease survives");
+    assert!(lease.keys.contains("owner"));
+    assert_eq!(restored, etcd.kv_snapshot(leader));
 }
 
 /// Regression: a client RPC retry of `WatchCreate` after a timed-out ack

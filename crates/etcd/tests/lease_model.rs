@@ -2,7 +2,7 @@
 //!
 //! The first block checks the replicated half: random interleavings of
 //! grant / revoke / leased writes applied to two independent replicas
-//! must leave byte-identical states. Raft guarantees every node applies
+//! must leave identical states. Raft guarantees every node applies
 //! the same command sequence; these properties guarantee that a same
 //! sequence produces the same store — together they are why leases
 //! survive leader failover. It also checks the lease bookkeeping
@@ -115,10 +115,10 @@ fn check_lease_bookkeeping(state: &KvState) {
 }
 
 proptest! {
-    // Two replicas fed the same command sequence end byte-identical:
-    // same snapshot bytes, same per-command outcomes (success flags,
-    // revisions, events, allocated lease ids). Lease ids are allocated
-    // at apply time from replicated state, so they never diverge.
+    // Two replicas fed the same command sequence end identical: same
+    // state, same per-command outcomes (success flags, revisions, events,
+    // allocated lease ids). Lease ids are allocated at apply time from
+    // replicated state, so they never diverge.
     #[test]
     fn replicas_converge_on_any_interleaving(ops in proptest::collection::vec(op_strategy(), 1..60)) {
         let mut a = KvState::new();
@@ -132,15 +132,12 @@ proptest! {
         }
         prop_assert_eq!(granted_a, granted_b);
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(a.to_snapshot_bytes(), b.to_snapshot_bytes());
     }
 
     // After any sequence the lease/key bookkeeping is bidirectionally
-    // consistent, and the snapshot round-trips exactly (a follower
-    // installed from snapshot is indistinguishable from one that
-    // replayed the log).
+    // consistent.
     #[test]
-    fn bookkeeping_and_snapshot_survive_any_interleaving(
+    fn bookkeeping_survives_any_interleaving(
         ops in proptest::collection::vec(op_strategy(), 1..60)
     ) {
         let mut state = KvState::new();
@@ -149,16 +146,13 @@ proptest! {
             apply_op(&mut state, &mut granted, op);
             check_lease_bookkeeping(&state);
         }
-        let restored = KvState::from_snapshot_bytes(&state.to_snapshot_bytes())
-            .expect("snapshot parses");
-        prop_assert_eq!(&restored, &state);
     }
 }
 
 /// One full lease lifecycle on a live 3-node cluster: grant, a claimed
 /// owner key, keepalives, a leader crash mid-lease, then expiry after
-/// the keepalives stop. Returns every surviving node's snapshot bytes.
-fn failover_lifecycle(seed: u64) -> Vec<Vec<u8>> {
+/// the keepalives stop. Returns every surviving node's store.
+fn failover_lifecycle(seed: u64) -> Vec<KvState> {
     use dlaas_etcd::EtcdCluster;
     use dlaas_sim::{Sim, SimDuration};
 
@@ -197,11 +191,11 @@ fn failover_lifecycle(seed: u64) -> Vec<Vec<u8>> {
 
     (0..etcd.len() as u32)
         .filter(|&n| n != old_leader)
-        .map(|n| etcd.kv_snapshot(n).to_snapshot_bytes())
+        .map(|n| etcd.kv_snapshot(n))
         .collect()
 }
 
-/// Same seed, same bytes — on every surviving node, across independent
+/// Same seed, same store — on every surviving node, across independent
 /// runs. The expiry order (sweep → revoke → key deletes) is part of the
 /// replicated history, so nothing about failover may depend on
 /// wall-clock or map iteration order.

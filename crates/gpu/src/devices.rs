@@ -22,28 +22,6 @@ pub enum GpuKind {
 }
 
 impl GpuKind {
-    /// Peak single-precision throughput in TFLOP/s.
-    pub fn peak_tflops(self) -> f64 {
-        match self {
-            GpuKind::K80 => 4.37, // per GK210 die with boost
-            GpuKind::P100Pcie => 9.3,
-            GpuKind::P100Sxm2 => 10.6,
-            GpuKind::V100Pcie => 14.0,
-            GpuKind::V100Sxm2 => 15.7,
-        }
-    }
-
-    /// Memory bandwidth in GB/s.
-    pub fn mem_bw_gbps(self) -> f64 {
-        match self {
-            GpuKind::K80 => 240.0,
-            GpuKind::P100Pcie => 732.0,
-            GpuKind::P100Sxm2 => 732.0,
-            GpuKind::V100Pcie => 900.0,
-            GpuKind::V100Sxm2 => 900.0,
-        }
-    }
-
     /// `true` for the SXM2 (NVLink-attached, DGX) variants.
     pub fn is_nvlink(self) -> bool {
         matches!(self, GpuKind::P100Sxm2 | GpuKind::V100Sxm2)
@@ -165,14 +143,6 @@ impl fmt::Display for Interconnect {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_ordering_is_sane() {
-        assert!(GpuKind::K80.peak_tflops() < GpuKind::P100Pcie.peak_tflops());
-        assert!(GpuKind::P100Pcie.peak_tflops() < GpuKind::P100Sxm2.peak_tflops());
-        assert!(GpuKind::P100Sxm2.peak_tflops() < GpuKind::V100Sxm2.peak_tflops());
-        assert!(GpuKind::K80.mem_bw_gbps() < GpuKind::P100Pcie.mem_bw_gbps());
-    }
 
     #[test]
     fn nvlink_detection() {

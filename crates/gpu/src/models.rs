@@ -30,23 +30,6 @@ impl DlModel {
         self.params() * 4
     }
 
-    /// Training GFLOPs per image (forward + backward ≈ 3× forward).
-    pub fn train_gflops_per_image(self) -> f64 {
-        match self {
-            DlModel::Vgg16 => 46.4,       // 15.5 fwd × 3
-            DlModel::Resnet50 => 11.6,    // 3.87 fwd × 3
-            DlModel::InceptionV3 => 17.1, // 5.7 fwd × 3
-        }
-    }
-
-    /// Input resolution (square).
-    pub fn input_px(self) -> u32 {
-        match self {
-            DlModel::Vgg16 | DlModel::Resnet50 => 224,
-            DlModel::InceptionV3 => 299,
-        }
-    }
-
     /// Average stored (JPEG) bytes per training image, as streamed from
     /// the object store.
     pub fn bytes_per_image(self) -> u64 {
@@ -233,11 +216,6 @@ mod tests {
     fn model_specs() {
         assert!(DlModel::Vgg16.params() > 5 * DlModel::Resnet50.params());
         assert_eq!(DlModel::Vgg16.gradient_bytes(), DlModel::Vgg16.params() * 4);
-        assert!(
-            DlModel::Vgg16.train_gflops_per_image() > DlModel::InceptionV3.train_gflops_per_image()
-        );
-        assert_eq!(DlModel::InceptionV3.input_px(), 299);
-        assert_eq!(DlModel::Resnet50.input_px(), 224);
         assert!(DlModel::all().iter().all(|m| m.bytes_per_image() > 0));
         assert!(DlModel::all().iter().all(|m| m.batch_per_gpu() >= 16));
     }

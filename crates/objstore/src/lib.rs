@@ -9,7 +9,7 @@
 //!
 //! * [`ObjectStore`] — buckets of objects with synthetic or textual bodies
 //!   (a textual body is a [`TextView`] of an append-only
-//!   [`TextBuf`](dlaas_sim::TextBuf), so a growing object is re-put without
+//!   [`TextBuf`], so a growing object is re-put without
 //!   being re-copied). A learner's log object views the NFS file itself:
 //!   the file is a `TextBuf` its volume alone writes (`dlaas-sharedfs`),
 //!   so the log is held once — by the volume while it exists, then, at

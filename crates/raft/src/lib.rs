@@ -14,6 +14,10 @@
 //!   [`RaftCluster`]. Crash/restart therefore exercises the real recovery
 //!   path: volatile state is rebuilt, the state machine is re-derived by
 //!   replaying the log.
+//! * **Log compaction** — past a threshold the applied prefix folds into
+//!   a [`Snapshot`] (Raft §7) whose data is the state machine's own state,
+//!   taken by [`SnapshotHooks`] and shared, never serialised: the disk,
+//!   an in-flight `InstallSnapshot` and a restore hold the same value.
 //! * **No-op barrier** — a fresh leader appends a no-op entry so an entry
 //!   of its term commits promptly, which both releases ReadIndex reads and
 //!   commits trailing entries from prior terms (Raft §5.4.2).

@@ -7,6 +7,7 @@
 //! crashed-and-restarted node recovers exactly what real Raft persists:
 //! `current_term`, `voted_for`, and the log — and nothing else.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -23,19 +24,21 @@ use crate::types::{
 /// Most entries one `AppendEntries` ships.
 const MAX_BATCH: usize = 64;
 
-/// State-machine hooks for log compaction: `take` serializes the current
-/// (fully applied) state; `restore` rebuilds it from a snapshot installed
-/// by the leader or found on disk at restart.
+/// State-machine hooks for log compaction: `take` captures the current
+/// (fully applied) state as a shared value that is never changed;
+/// `restore` rebuilds the state machine from a snapshot installed by the
+/// leader or found on disk at restart. Raft only moves the value between
+/// the two; it is whatever `take` returned.
 pub struct SnapshotHooks {
-    /// Serializes the state machine as of the last applied entry.
-    pub take: Box<dyn Fn() -> Vec<u8>>,
+    /// Captures the state machine as of the last applied entry.
+    pub take: Box<dyn Fn() -> Rc<dyn Any>>,
     /// Rebuilds the state machine to be exactly the snapshot at
     /// `last_index`.
     pub restore: RestoreFn,
 }
 
 /// Signature of [`SnapshotHooks::restore`].
-pub type RestoreFn = Box<dyn FnMut(&mut Sim, LogIndex, &[u8])>;
+pub type RestoreFn = Box<dyn FnMut(&mut Sim, LogIndex, &dyn Any)>;
 
 impl std::fmt::Debug for SnapshotHooks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -296,7 +299,7 @@ impl<C: Clone + 'static> Raft<C> {
         s.commit_index = s.commit_index.max(snap.last_index);
         s.last_applied = s.last_applied.max(snap.last_index);
         if let Some(hooks) = &mut s.hooks {
-            (hooks.restore)(sim, snap.last_index, &snap.data);
+            (hooks.restore)(sim, snap.last_index, &*snap.data);
         }
     }
 
@@ -405,9 +408,9 @@ impl<C: Clone + 'static> Raft<C> {
     ///
     /// The round that confirms leadership is a heartbeat to every
     /// follower. It settles whole, as the heartbeat tick's round does
-    /// ([`Raft::settled_round`]), and one event at the instant the
+    /// (`Raft::settled_round`), and one event at the instant the
     /// quorum-th reply would land acks the read
-    /// ([`Keepalives::hold_read`]); or it travels whole, as exchanges
+    /// (`Keepalives::hold_read`); or it travels whole, as exchanges
     /// drawn from each link.
     ///
     /// # Errors
@@ -1236,7 +1239,7 @@ impl<C: Clone + 'static> Raft<C> {
             let mut hooks = s.hooks.take();
             drop(s);
             if let Some(h) = &mut hooks {
-                (h.restore)(sim, acked, &snapshot.data);
+                (h.restore)(sim, acked, &*snapshot.data);
             }
             self.inner.borrow_mut().hooks = hooks;
             let id = self.id();

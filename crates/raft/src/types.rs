@@ -1,5 +1,6 @@
 //! Raft wire types, configuration and persistent state.
 
+use std::any::Any;
 use std::rc::Rc;
 
 use dlaas_sim::SimDuration;
@@ -84,16 +85,18 @@ impl<C> Clone for LogEntry<C> {
     }
 }
 
-/// A compacted prefix of the log: the state machine's serialized state
-/// as of `last_index`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A compacted prefix of the log: the state machine's state as of
+/// `last_index`, shared and never changed. Raft never looks inside it;
+/// the disk, an in-flight `InstallSnapshot` and a restore all hold the
+/// same value.
+#[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Index of the last entry folded into this snapshot.
     pub last_index: LogIndex,
     /// Term of that entry.
     pub last_term: Term,
-    /// Serialized state-machine contents.
-    pub data: Vec<u8>,
+    /// The state machine's state, as its snapshot hooks took it.
+    pub data: Rc<dyn Any>,
 }
 
 /// Messages exchanged between Raft peers (Figure 2 of the Raft paper, plus
@@ -237,7 +240,7 @@ impl RaftConfig {
 /// The log may have a compacted prefix: `log` then holds only the entries
 /// **after** `snapshot.last_index`. All index arithmetic is 1-based global
 /// log indices; compacted indices report `None`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct PersistentState<C> {
     /// Latest term the node has seen.
     pub current_term: Term,
@@ -327,7 +330,7 @@ impl<C> PersistentState<C> {
     /// Folds everything up to `upto` (inclusive) into a snapshot carrying
     /// `data`. No-op if `upto` is not past the current snapshot or is not
     /// present in the log.
-    pub fn compact(&mut self, upto: LogIndex, data: Vec<u8>) -> bool {
+    pub fn compact(&mut self, upto: LogIndex, data: Rc<dyn Any>) -> bool {
         let snap = self.snapshot_last_index();
         if upto <= snap || upto > self.last_index() {
             return false;
@@ -445,7 +448,7 @@ mod tests {
         for i in 1..=10u32 {
             p.log.push(LogEntry::new((i as u64).div_ceil(2), i));
         }
-        assert!(p.compact(6, vec![1, 2, 3]));
+        assert!(p.compact(6, Rc::new(())));
         assert_eq!(p.snapshot_last_index(), 6);
         assert_eq!(p.snapshot_last_term(), 3);
         assert_eq!(p.first_index(), 7);
@@ -459,8 +462,8 @@ mod tests {
         assert_eq!(p.entry_at(6), None);
         assert_eq!(*p.entry_at(7).unwrap().cmd, 7);
         // Invalid compactions are rejected.
-        assert!(!p.compact(6, vec![]), "not past snapshot");
-        assert!(!p.compact(99, vec![]), "past the end");
+        assert!(!p.compact(6, Rc::new(())), "not past snapshot");
+        assert!(!p.compact(99, Rc::new(())), "past the end");
         // truncate_to respects the boundary.
         p.truncate_to(8);
         assert_eq!(p.last_index(), 8);
@@ -478,7 +481,7 @@ mod tests {
         p.install_snapshot(Snapshot {
             last_index: 6,
             last_term: 2,
-            data: vec![9],
+            data: Rc::new(()),
         });
         assert_eq!(p.last_index(), 6);
         assert!(p.log.is_empty());
@@ -489,7 +492,7 @@ mod tests {
         p.install_snapshot(Snapshot {
             last_index: 7,
             last_term: 2,
-            data: vec![],
+            data: Rc::new(()),
         });
         assert_eq!(p.first_index(), 8);
         assert_eq!(*p.entry_at(8).unwrap().cmd, 8);
@@ -498,7 +501,7 @@ mod tests {
         p.install_snapshot(Snapshot {
             last_index: 3,
             last_term: 1,
-            data: vec![],
+            data: Rc::new(()),
         });
         assert_eq!(p.snapshot_last_index(), 7);
     }

@@ -12,9 +12,9 @@ use dlaas_sim::{Sim, SimDuration};
 
 type Cmd = u64;
 
-/// A counting state machine: sum of all applied commands, snapshottable.
-/// Shared per node so tests can inspect it.
-#[derive(Default)]
+/// A counting state machine: sum of all applied commands, snapshotted as
+/// a value. Shared per node so tests can inspect it.
+#[derive(Default, Clone)]
 struct Counter {
     sum: u64,
     applied: u64,
@@ -43,15 +43,12 @@ fn build(sim: &mut Sim, n: u32, threshold: usize) -> (RaftCluster<Cmd>, Counters
             take: Box::new(move || {
                 let map = counters.borrow();
                 let c = map.get(&id).expect("state machine exists").borrow();
-                format!("{}:{}", c.sum, c.applied).into_bytes()
+                Rc::new(c.clone())
             }),
             restore: Box::new(move |_sim, _idx, data| {
-                let text = String::from_utf8(data.to_vec()).expect("utf8 snapshot");
-                let (sum, applied) = text.split_once(':').expect("sum:applied");
+                let snap = data.downcast_ref::<Counter>().expect("a Counter snapshot");
                 let map = counters2.borrow();
-                let mut c = map.get(&id).expect("state machine exists").borrow_mut();
-                c.sum = sum.parse().expect("sum");
-                c.applied = applied.parse().expect("applied");
+                *map.get(&id).expect("state machine exists").borrow_mut() = snap.clone();
             }),
         }
     });
