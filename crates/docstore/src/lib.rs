@@ -9,9 +9,11 @@
 //! * [`Value`] / [`obj!`] — JSON/BSON-like documents; an object
 //!   ([`Obj`]) is a key-sorted vector of pairs that holds no spare room,
 //! * [`Filter`] / [`Update`] — `Eq` / `In` / `And` queries and mutations
-//!   over dotted paths; [`Update::apply`] says whether it changed the document,
-//! * [`DocStore`] — collections with secondary indexes (equality *and*
-//!   `In` filters route through them, preserving scan order) and a
+//!   over dotted paths; both compare by [`Value`]'s `==` (`4` is not
+//!   `4.0`), and [`Update::apply`] says whether it changed the document,
+//! * [`DocStore`] — collections with secondary indexes on string values
+//!   (a filter pinning strings by `Eq` or `In` routes through them,
+//!   preserving scan order; any other pin is scanned) and a
 //!   write-ahead [`Journal`]: a checkpoint and the redo records
 //!   ([`JournalOp`]) written since it, never more records than the
 //!   checkpoint holds entries; [`DocStore::recover`] rebuilds state after

@@ -40,35 +40,25 @@ impl Filter {
         Filter::And(fs)
     }
 
-    /// Evaluates the predicate against a document. Values compare as
-    /// [`Value::cmp_order`] does, so `1` equals `1.0`.
+    /// Evaluates the predicate against a document. Values compare by
+    /// [`Value`]'s `==`, as [`Update::apply`] does: `4` is not `4.0`, and
+    /// NaN equals nothing.
     pub fn matches(&self, doc: &Value) -> bool {
-        let equal = |x: &Value, v: &Value| x.cmp_order(v).is_eq();
         match self {
             Filter::True => true,
-            Filter::Eq(p, v) => doc.path(p).is_some_and(|x| equal(x, v)),
-            Filter::In(p, vs) => doc.path(p).is_some_and(|x| vs.iter().any(|v| equal(x, v))),
+            Filter::Eq(p, v) => doc.path(p) == Some(v),
+            Filter::In(p, vs) => doc.path(p).is_some_and(|x| vs.contains(x)),
             Filter::And(fs) => fs.iter().all(|f| f.matches(doc)),
         }
     }
 
-    /// If this filter pins an exact value on `path` (directly or inside an
-    /// `And`), returns that value — used for index lookups.
-    pub fn pinned_eq(&self, path: &str) -> Option<&Value> {
+    /// The values this filter restricts `path` to, by an `Eq` or an `In`
+    /// (directly or inside an `And`): what an index lookup asks for.
+    pub(crate) fn pinned(&self, path: &str) -> Option<&[Value]> {
         match self {
-            Filter::Eq(p, v) if p == path => Some(v),
-            Filter::And(fs) => fs.iter().find_map(|f| f.pinned_eq(path)),
-            _ => None,
-        }
-    }
-
-    /// If this filter restricts `path` to a fixed set of values via `In`
-    /// (directly or inside an `And`), returns that set — used for index
-    /// lookups that union the per-value posting lists.
-    pub fn pinned_in(&self, path: &str) -> Option<&[Value]> {
-        match self {
+            Filter::Eq(p, v) if p == path => Some(std::slice::from_ref(v)),
             Filter::In(p, vs) if p == path => Some(vs),
-            Filter::And(fs) => fs.iter().find_map(|f| f.pinned_in(path)),
+            Filter::And(fs) => fs.iter().find_map(|f| f.pinned(path)),
             _ => None,
         }
     }
@@ -226,7 +216,15 @@ mod tests {
         assert!(Filter::eq("status", "PROCESSING").matches(&d));
         assert!(Filter::eq("gpu.kind", "K80").matches(&d));
         assert!(!Filter::eq("status", "FAILED").matches(&d));
-        assert!(Filter::eq("learners", 4.0).matches(&d), "4 == 4.0");
+        // The JSON writer keeps a float apart from an integer (`4.0`, `4`),
+        // and so does a filter.
+        assert!(!Filter::eq("learners", 4.0).matches(&d), "4 is not 4.0");
+        let zero = obj! { "x" => -0.0, "y" => f64::NAN };
+        assert!(Filter::eq("x", 0.0).matches(&zero), "-0.0 == 0.0");
+        assert!(
+            !Filter::eq("y", f64::NAN).matches(&zero),
+            "NaN equals nothing"
+        );
     }
 
     #[test]
@@ -258,9 +256,13 @@ mod tests {
             Filter::In("learners".into(), vec![1.into(), 2.into()]),
             Filter::eq("status", "PROCESSING"),
         ]);
-        assert_eq!(f.pinned_eq("status"), Some(&Value::from("PROCESSING")));
-        assert_eq!(f.pinned_eq("learners"), None);
-        assert_eq!(Filter::True.pinned_eq("status"), None);
+        assert_eq!(f.pinned("status"), Some(&[Value::from("PROCESSING")][..]));
+        assert_eq!(
+            Filter::eq("learners", 1).pinned("learners"),
+            Some(&[Value::from(1)][..])
+        );
+        assert_eq!(f.pinned("gpu"), None);
+        assert_eq!(Filter::True.pinned("status"), None);
     }
 
     #[test]
@@ -270,13 +272,13 @@ mod tests {
             Filter::eq("learners", 1),
             Filter::In("status".into(), vs.clone()),
         ]);
-        assert_eq!(f.pinned_in("status"), Some(vs.as_slice()));
-        assert_eq!(f.pinned_in("learners"), None);
+        assert_eq!(f.pinned("status"), Some(vs.as_slice()));
         assert_eq!(
-            Filter::In("status".into(), vs.clone()).pinned_in("status"),
+            Filter::In("status".into(), vs.clone()).pinned("status"),
             Some(vs.as_slice())
         );
-        assert_eq!(Filter::True.pinned_in("status"), None);
+        assert_eq!(f.pinned("gpu"), None);
+        assert_eq!(Filter::True.pinned("status"), None);
     }
 
     #[test]

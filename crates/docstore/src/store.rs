@@ -168,12 +168,21 @@ fn note_id(next_auto_id: &mut u64, id: &str) {
     }
 }
 
-/// value → ids of the documents holding it at the indexed path.
-type Index = BTreeMap<String, BTreeSet<Rc<str>>>;
+/// string → ids of the documents holding it at the indexed path; a
+/// document holding anything else there is in no posting list.
+type Index = BTreeMap<Rc<str>, BTreeSet<Rc<str>>>;
 
-/// An indexed value's key: its JSON, written once.
-fn index_key(v: &Value) -> String {
-    v.to_json()
+/// The string `doc` holds at `path`, which an index on `path` keys it by.
+fn indexed<'a>(doc: &'a Value, path: &str) -> Option<&'a str> {
+    doc.path(path)?.as_str()
+}
+
+fn index(idx: &mut Index, key: &str, id: &Rc<str>) {
+    if let Some(ids) = idx.get_mut(key) {
+        ids.insert(id.clone());
+    } else {
+        idx.insert(key.into(), BTreeSet::from([id.clone()]));
+    }
 }
 
 fn unindex(idx: &mut Index, key: &str, id: &str) {
@@ -192,7 +201,7 @@ struct Collection {
     /// id → document. The key is the one allocation of the id: index
     /// postings, the change feed and journal records share it.
     docs: BTreeMap<Rc<str>, Doc>,
-    /// path → index; consulted for `Eq`- and `In`-pinned filters.
+    /// path → index; consulted for filters that pin strings on the path.
     indexes: BTreeMap<String, Index>,
     /// Monotonic per-collection change counter, bumped once per journaled
     /// mutation (insert, effective update, delete). A checkpoint keeps it
@@ -288,8 +297,8 @@ impl Collection {
     /// Adds a document under a fresh id.
     fn put(&mut self, id: Rc<str>, doc: Doc) {
         for (path, idx) in &mut self.indexes {
-            if let Some(v) = doc.path(path) {
-                idx.entry(index_key(v)).or_default().insert(id.clone());
+            if let Some(key) = indexed(&doc, path) {
+                index(idx, key, &id);
             }
         }
         self.docs.insert(id.clone(), doc);
@@ -302,7 +311,8 @@ impl Collection {
     /// (a query result, an RPC response in flight) still holds this
     /// version, in which case the edit goes to a copy and the reader keeps
     /// the original. Index upkeep runs only for an index whose path the
-    /// update can reach, and only if the value there moved.
+    /// update can reach, and only if the value there moved; the old key
+    /// is the index's own, shared.
     fn edit(&mut self, id: &Rc<str>, update: &Update) -> bool {
         let Some(slot) = self.docs.get_mut(id) else {
             return false;
@@ -311,20 +321,25 @@ impl Collection {
             .indexes
             .iter_mut()
             .filter(|(path, _)| update.reaches(path))
-            .map(|(path, idx)| (path, idx, slot.path(path).map(index_key)))
+            .map(|(path, idx)| {
+                let old = indexed(slot, path)
+                    .and_then(|key| idx.get_key_value(key))
+                    .map(|(key, _)| key.clone());
+                (path, idx, old)
+            })
             .collect();
         let doc = Rc::make_mut(slot);
         if !update.apply(doc) {
             return false;
         }
         for (path, idx, old) in reached {
-            let new = doc.path(path).map(index_key);
-            if new != old {
+            let new = indexed(doc, path);
+            if new != old.as_deref() {
                 if let Some(old) = old {
                     unindex(idx, &old, id);
                 }
                 if let Some(new) = new {
-                    idx.entry(new).or_default().insert(id.clone());
+                    index(idx, new, id);
                 }
             }
         }
@@ -336,8 +351,8 @@ impl Collection {
     fn build_index(&mut self, path: &str) {
         let mut idx = Index::new();
         for (id, doc) in &self.docs {
-            if let Some(v) = doc.path(path) {
-                idx.entry(index_key(v)).or_default().insert(id.clone());
+            if let Some(key) = indexed(doc, path) {
+                index(&mut idx, key, id);
             }
         }
         self.indexes.insert(path.to_owned(), idx);
@@ -349,8 +364,8 @@ impl Collection {
             return false;
         };
         for (path, idx) in &mut self.indexes {
-            if let Some(v) = old.path(path) {
-                unindex(idx, &index_key(v), &id);
+            if let Some(key) = indexed(&old, path) {
+                unindex(idx, key, &id);
             }
         }
         self.note_change(id);
@@ -360,35 +375,31 @@ impl Collection {
     /// The candidate documents for `filter` with their ids, in id order,
     /// when the primary key or an index narrows it; `None` when every
     /// document is a candidate (the caller then walks `docs` itself — no
-    /// list of every document). An `_id` pin costs one lookup.
+    /// list of every document). An `_id` pin costs one lookup. An index
+    /// serves only a pin of strings: under `==` a string equals nothing
+    /// else, so any other pin goes to the next index or a scan.
     fn candidates(&self, filter: &Filter) -> Option<Vec<(&Rc<str>, &Doc)>> {
         let stored = |id: &str| self.docs.get_key_value(id);
         // `_id` is the primary key: an exact pin needs no scan.
-        if let Some(v) = filter.pinned_eq("_id") {
-            return Some(v.as_str().and_then(stored).into_iter().collect());
+        if let Some([Value::Str(id)]) = filter.pinned("_id") {
+            return Some(stored(id).into_iter().collect());
         }
+        let strings = |vs: &&[Value]| vs.iter().all(|v| v.as_str().is_some());
         for (path, idx) in &self.indexes {
-            if let Some(v) = filter.pinned_eq(path) {
-                let set = idx.get(&index_key(v));
-                return Some(
-                    set.into_iter()
-                        .flatten()
-                        .filter_map(|id| stored(id))
-                        .collect(),
-                );
-            }
-        }
-        // `In`-pinned filters union the posting lists of every listed
-        // value; the BTreeSet keeps candidate order identical to a scan.
-        for (path, idx) in &self.indexes {
-            if let Some(vs) = filter.pinned_in(path) {
-                let ids: BTreeSet<&Rc<str>> = vs
-                    .iter()
-                    .filter_map(|v| idx.get(&index_key(v)))
-                    .flatten()
-                    .collect();
-                return Some(ids.into_iter().filter_map(|id| stored(id)).collect());
-            }
+            let Some(vs) = filter.pinned(path).filter(strings) else {
+                continue;
+            };
+            let mut listed: Vec<_> = vs
+                .iter()
+                .filter_map(|v| idx.get(v.as_str()?))
+                .flatten()
+                .filter_map(|id| stored(id))
+                .collect();
+            // Each posting list is in id order; sorting merges several
+            // into the order a scan has.
+            listed.sort_unstable_by_key(|&(id, _)| id);
+            listed.dedup_by_key(|&mut (id, _)| id);
+            return Some(listed);
         }
         None
     }
@@ -1050,6 +1061,12 @@ mod tests {
         assert_eq!(db.last_examined(), 8);
         db.find("jobs", &Filter::eq("status", "A"));
         assert_eq!(db.last_examined(), 2);
+        // The index holds strings only: any other pin is scanned.
+        db.find(
+            "jobs",
+            &Filter::In("status".into(), vec!["A".into(), 1.into()]),
+        );
+        assert_eq!(db.last_examined(), 8);
         db.find_one("jobs", &Filter::eq("_id", "j5"));
         assert_eq!(db.last_examined(), 1);
         db.find("ghost", &Filter::True);

@@ -302,60 +302,6 @@ impl Value {
         Some(slot)
     }
 
-    /// Total ordering used by comparisons and indexes. Numeric types
-    /// compare by value; mixed non-numeric types compare by type rank.
-    pub fn cmp_order(&self, other: &Value) -> std::cmp::Ordering {
-        use std::cmp::Ordering::*;
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (I64(a), I64(b)) => a.cmp(b),
-            (F64(a), F64(b)) => a.partial_cmp(b).unwrap_or(Equal),
-            (I64(a), F64(b)) => (*a as f64).partial_cmp(b).unwrap_or(Equal),
-            (F64(a), I64(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Equal),
-            (Str(a), Str(b)) => a.cmp(b),
-            (Arr(a), Arr(b)) => {
-                for (x, y) in a.iter().zip(b.iter()) {
-                    let o = x.cmp_order(y);
-                    if o != Equal {
-                        return o;
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            (Obj(a), Obj(b)) => {
-                let mut ai = a.iter();
-                let mut bi = b.iter();
-                loop {
-                    match (ai.next(), bi.next()) {
-                        (None, None) => return Equal,
-                        (None, Some(_)) => return Less,
-                        (Some(_), None) => return Greater,
-                        (Some((ka, va)), Some((kb, vb))) => {
-                            let o = ka.cmp(kb).then_with(|| va.cmp_order(vb));
-                            if o != Equal {
-                                return o;
-                            }
-                        }
-                    }
-                }
-            }
-            _ => self.type_rank().cmp(&other.type_rank()),
-        }
-    }
-
-    fn type_rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::I64(_) | Value::F64(_) => 2,
-            Value::Str(_) => 3,
-            Value::Arr(_) => 4,
-            Value::Obj(_) => 5,
-        }
-    }
-
     /// Serializes to compact JSON (deterministic: object keys are sorted).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -856,19 +802,6 @@ mod tests {
         // A scalar blocks deeper creation.
         let mut v = obj! { "s" => 1 };
         assert!(v.path_mut_or_create("s.deep").is_none());
-    }
-
-    #[test]
-    fn ordering_numeric_cross_type() {
-        use std::cmp::Ordering::*;
-        assert_eq!(Value::from(1i64).cmp_order(&Value::from(1.0)), Equal);
-        assert_eq!(Value::from(1i64).cmp_order(&Value::from(2.0)), Less);
-        assert_eq!(Value::from("b").cmp_order(&Value::from("a")), Greater);
-        assert_eq!(
-            Value::from(vec![1i64, 2]).cmp_order(&Value::from(vec![1i64, 2, 3])),
-            Less
-        );
-        assert_eq!(Value::Null.cmp_order(&Value::from(false)), Less);
     }
 
     #[test]

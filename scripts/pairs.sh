@@ -13,7 +13,9 @@
 # each side's benchmark is built into a target directory of its own
 # under DIR, so `benchmark/` and its build directory are never touched.
 # DIR/base-rev names the exported commit: a later run with the same DIR
-# reuses the base build only when --base resolves to that commit.
+# reuses the base build only when --base resolves to that commit, and
+# otherwise deletes it: `git archive` stamps every file with its commit's
+# time, older than the kept build, so cargo would judge that build fresh.
 # On seed i the base runs first when i is even and second when i is
 # odd. Each run's result line (the last line of its stdout) is kept in
 # DIR/base.jsonl and DIR/change.jsonl, and its `host:` line (raw and
@@ -67,7 +69,7 @@ build() { # <checkout> <target dir>
 }
 if [ ! -x "$out/target-base/release/dlaas-benchmark" ] \
     || [ "$(cat "$out/base-rev" 2>/dev/null)" != "$rev" ]; then
-    rm -rf "$out/base" "$out/base-rev"
+    rm -rf "$out/base" "$out/base-rev" "$out/target-base"
     mkdir -p "$out/base"
     git -C "$root" archive "$rev" | tar -x -C "$out/base"
     build "$out/base" "$out/target-base"
