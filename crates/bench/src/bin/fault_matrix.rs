@@ -23,7 +23,7 @@
 use dlaas_bench::cli;
 use dlaas_bench::harness::print_table;
 use dlaas_bench::matrix::{
-    render_matrix_json, run_cell, sweep, CellOutcome, FaultKind, InjectionPoint, MatrixCampaign,
+    render_matrix_json, run_cell, sweep, CellOutcome, FaultKind, MatrixCampaign, POINTS,
 };
 use dlaas_bench::metrics::MATRIX_RECOVERY_SECONDS;
 
@@ -34,7 +34,7 @@ struct Opts {
     seeds: u64,
     base_seed: u64,
     threads: usize,
-    trial: Option<(FaultKind, InjectionPoint)>,
+    trial: Option<(FaultKind, &'static str)>,
     out_path: Option<String>,
     fault: Option<FaultKind>,
 }
@@ -43,7 +43,11 @@ fn main() {
     let opts = cli::parse_or_exit(USAGE, |a| {
         let trial = a.value::<String>("--trial")?.map(|spec| {
             let (fault, point) = spec.split_once('/').ok_or("--trial expects FAULT/POINT")?;
-            Ok::<_, String>((fault.parse()?, point.parse()?))
+            let point = POINTS
+                .into_iter()
+                .find(|&p| p == point)
+                .ok_or_else(|| format!("unknown injection point {point:?} (one of {POINTS:?})"))?;
+            Ok::<_, String>((fault.parse()?, point))
         });
         Ok(Opts {
             seeds: a.value("--seeds")?.unwrap_or(5),
@@ -67,8 +71,8 @@ fn main() {
 
 /// Replays one matrix cell alone, single-threaded — the repro mode the
 /// campaign's failure records point at.
-fn run_single(seed: u64, kind: FaultKind, point: InjectionPoint) {
-    eprintln!("single trial: {kind} at {point} (seed {seed})…");
+fn run_single(seed: u64, kind: FaultKind, point: &'static str) {
+    eprintln!("single trial: {} at {point} (seed {seed})…", kind.label());
     let out = run_cell(seed, kind, point);
     println!("{}", out.describe());
     for v in &out.final_violations {
@@ -81,34 +85,33 @@ fn run_single(seed: u64, kind: FaultKind, point: InjectionPoint) {
 
 fn run_matrix(kinds: &[FaultKind], opts: &Opts) {
     let (base_seed, seeds, threads) = (opts.base_seed, opts.seeds, opts.threads);
-    let cells = kinds.len() * InjectionPoint::all().len();
+    let cells = kinds.len() * POINTS.len();
     eprintln!(
         "fault matrix: {cells} cells x {seeds} seeds (base seed {base_seed}, {threads} thread(s))…"
     );
     let campaign = sweep(kinds, base_seed, seeds, threads);
-    let run = &campaign.run;
 
     // One row per (fault, point): pass count and recovery range from the
     // aggregated obs histogram.
     let mut rows = Vec::new();
     for &kind in kinds {
-        for point in InjectionPoint::all() {
-            let of_cell: Vec<&CellOutcome> = run
-                .outcomes
-                .iter()
+        for point in POINTS {
+            let of_cell: Vec<&CellOutcome> = campaign
+                .outcomes()
                 .filter(|o| o.kind == kind && o.point == point)
                 .collect();
             let passed = of_cell.iter().filter(|o| o.passed()).count();
-            let labels = [("fault", kind.label()), ("point", point.label())];
+            let labels = [("fault", kind.label()), ("point", point)];
             let q = |q: f64| {
-                run.metrics
+                campaign
+                    .metrics
                     .quantile(MATRIX_RECOVERY_SECONDS, &labels, q)
                     .map(|s| format!("{s:.1}s"))
                     .unwrap_or_else(|| "n/a".into())
             };
             rows.push(vec![
-                kind.to_string(),
-                point.to_string(),
+                kind.label().to_owned(),
+                point.to_owned(),
                 format!("{passed}/{}", of_cell.len()),
                 q(0.5),
                 q(0.95),
@@ -135,7 +138,7 @@ fn run_matrix(kinds: &[FaultKind], opts: &Opts) {
     }
     println!(
         "\nall {} trials completed with every platform invariant intact.",
-        run.outcomes.len()
+        campaign.outcomes().count()
     );
 }
 
@@ -149,7 +152,7 @@ fn exit_matrix_clean(campaign: &MatrixCampaign) -> bool {
             eprintln!("  {r}");
         }
     }
-    let failures = campaign.run.failures();
+    let failures = campaign.failures();
     if !failures.is_empty() {
         eprintln!("\n{} failing cells:", failures.len());
         for f in &failures {

@@ -41,7 +41,7 @@ use dlaas_core::{
     InvariantMonitor, JobId, JobStatus, PlatformConfig, Tenant, TrainingManifest,
 };
 use dlaas_docstore::Value;
-use dlaas_faults::{when, ChaosMonkey};
+use dlaas_faults::ChaosMonkey;
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_kube::labels;
 use dlaas_obs::wallclock::WallTimer;
@@ -49,7 +49,7 @@ use dlaas_sim::{Sim, SimDuration, SimRng, SimTime, SiteCost};
 
 use crate::cli::Args;
 use crate::harness::bench_tenants;
-use crate::matrix::{FaultKind, InjectionPoint};
+use crate::matrix::FaultKind;
 use crate::runner::{CampaignReport, CampaignRunner, Trial, TrialRun};
 use crate::traffic;
 
@@ -86,11 +86,12 @@ pub enum Plan {
     /// Through the submission window, a pod monkey and, every seven
     /// minutes, the next of the substrate faults in turn.
     Chaos,
-    /// One fault, injected the moment the first job the platform
-    /// acknowledges reaches the deployment step. That job is the run's
-    /// target ([`SoakRun::target`]): the drain waits for its terminal
-    /// status first.
-    At(FaultKind, InjectionPoint),
+    /// One fault, injected at the instant the Guardian of the first job
+    /// the platform acknowledges marks the deployment step done (one of
+    /// [`crate::matrix::POINTS`]). That job is the run's target
+    /// ([`SoakRun::target`]): the drain waits for its terminal status
+    /// first.
+    At(FaultKind, &'static str),
 }
 
 /// One scenario, as data.
@@ -430,9 +431,6 @@ pub fn boot(
     platform
 }
 
-/// Arms a [`Plan::At`] fault on the job it targets.
-type Arm = Rc<dyn Fn(&mut Sim, &JobId)>;
-
 /// Runs one trial: boot, the preset's arrivals and plan over its window,
 /// the drain — inside which the plan's targeted job is waited for, so its
 /// terminal instant is read — then a full invariant sweep and the record.
@@ -472,24 +470,8 @@ pub fn run(
 
     // A `Plan::At` fault is armed in the first acknowledgement.
     let fired_at: Rc<Cell<Option<SimTime>>> = Rc::default();
-    let arm: Option<Arm> = match preset.plan {
-        Plan::At(kind, point) => {
-            let (platform, fired_at) = (platform.clone(), fired_at.clone());
-            Some(Rc::new(move |sim: &mut Sim, job: &JobId| {
-                let (p, job, fired_at) = (platform.clone(), job.clone(), fired_at.clone());
-                let pred = point.predicate(&platform, &job);
-                when(
-                    sim,
-                    SimDuration::from_millis(200),
-                    kind.label(),
-                    pred,
-                    move |sim| {
-                        fired_at.set(Some(sim.now()));
-                        kind.inject(sim, &p, Some(&job));
-                    },
-                );
-            }))
-        }
+    let arm = match preset.plan {
+        Plan::At(kind, point) => Some((kind, point, platform.clone(), fired_at.clone())),
         Plan::None | Plan::Chaos => None,
     };
 
@@ -517,8 +499,12 @@ pub fn run(
             client.submit(sim, manifest, move |sim, r| {
                 // A refusal leaves the run short of `n` acknowledged jobs.
                 let Ok(job) = r else { return };
-                if let Some(arm) = arm.filter(|_| jobs.borrow().is_empty()) {
-                    arm(sim, &job);
+                if let Some((kind, point, p, fired_at)) = arm.filter(|_| jobs.borrow().is_empty()) {
+                    let target = job.clone();
+                    sim.on_mark("guardian", job.as_str(), point, move |sim| {
+                        fired_at.set(Some(sim.now()));
+                        kind.inject(sim, &p, Some(&target));
+                    });
                 }
                 jobs.borrow_mut().push((job, a.tenant));
             });

@@ -365,9 +365,12 @@ impl Guardian {
     fn step_mark_deploying(self: Rc<Self>, sim: &mut Sim) {
         let me = self.clone();
         self.meta
-            .advance_status(sim, &self.job, JobStatus::Deploying, move |sim, _r| {
+            .advance_status(sim, &self.job, JobStatus::Deploying, move |sim, r| {
                 if !me.alive() {
                     return;
+                }
+                if r.is_ok() {
+                    me.mark(sim, JobStatus::Deploying.name(), 0);
                 }
                 me.then(sim, Self::step_provision_volume);
             });

@@ -544,12 +544,15 @@ fn read_volume(
         out.phases.push(phase.unwrap_or(LearnerPhase::Downloading));
     }
 
-    // Once every learner reports its measured throughput: the sum.
+    // Once every learner reports its measured throughput: the sum. A
+    // learner runs customer code, so a NaN or an infinity is no reading.
     out.throughput = None;
     if out.all_completed() {
         let mut sum = Some(0.0);
         for f in files {
-            let reported = mount.read(&f.throughput, |s| s.parse::<f64>().ok())?;
+            let reported = mount.read(&f.throughput, |s| {
+                s.parse::<f64>().ok().filter(|v| v.is_finite())
+            })?;
             sum = sum.zip(reported.flatten()).map(|(sum, v)| sum + v);
         }
         out.throughput = sum;
@@ -1089,6 +1092,26 @@ mod tests {
             r.in_etcd(&paths::etcd_store(&r.job)).as_deref(),
             Some("done")
         );
+    }
+
+    /// A learner runs customer code: a throughput it cannot have measured
+    /// is no reading, so no sum reaches etcd or the job's document.
+    #[test]
+    fn a_throughput_that_is_not_a_finite_number_is_not_published() {
+        for (seed, reported) in [(10, "NaN"), (11, "inf"), (12, "-inf"), (13, "fast")] {
+            let mut r = rig(seed);
+            let files = r.controller.files[0].clone();
+            r.learner_writes(&files.throughput, reported);
+            r.learner_reports("COMPLETED");
+            r.learner_writes(&files.exit, "0");
+            r.tick();
+            assert_eq!(r.published().as_deref(), Some("COMPLETED"));
+            assert_eq!(
+                r.in_etcd(&paths::etcd_throughput(&r.job)),
+                None,
+                "{reported:?} was published"
+            );
+        }
     }
 
     #[test]

@@ -646,18 +646,22 @@ impl DocStore {
     }
 
     /// Applies `update` to the first matching document. Returns `true` if a
-    /// document was updated.
+    /// document was updated. An update with any part on `_id` or under it
+    /// is refused, as MongoDB refuses it: it changes nothing, journals
+    /// nothing and updates no document.
     pub fn update_one(&mut self, coll: &str, filter: &Filter, update: &Update) -> bool {
         self.update_impl(coll, filter, update, true) == 1
     }
 
-    /// Applies `update` to every matching document. Returns the count.
+    /// Applies `update` to every matching document. Returns the count (0
+    /// for an update on `_id`, as for [`DocStore::update_one`]).
     pub fn update_many(&mut self, coll: &str, filter: &Filter, update: &Update) -> usize {
         self.update_impl(coll, filter, update, false)
     }
 
     fn update_impl(&mut self, coll: &str, filter: &Filter, update: &Update, one: bool) -> usize {
-        let Some(c) = self.collections.get_mut(coll) else {
+        let c = self.collections.get_mut(coll);
+        let Some(c) = c.filter(|_| !update.reaches("_id")) else {
             self.last_examined.set(0);
             return 0;
         };
@@ -813,6 +817,37 @@ mod tests {
         let id2 = db.insert("jobs", obj! {"x" => 2}).unwrap();
         assert_eq!(id1, "auto-0");
         assert_eq!(id2, "auto-1");
+    }
+
+    #[test]
+    fn an_update_that_writes_the_id_changes_nothing() {
+        let mut db = DocStore::new();
+        db.insert("jobs", job("d1", "PENDING", 1)).unwrap();
+        let journaled = db.journal().len();
+        for update in [
+            Update::set("_id", "d2"),
+            Update::set("_id.x", 1),
+            Update::Unset("_id".into()),
+            Update::inc("_id", 1),
+            Update::push("_id", "d2"),
+            Update::Many(vec![
+                Update::set("status", "DEPLOYING"),
+                Update::set("_id", "d2"),
+            ]),
+        ] {
+            let by_id = Filter::eq("_id", "d1");
+            assert!(!db.update_one("jobs", &by_id, &update), "{update:?}");
+            assert_eq!(db.update_many("jobs", &Filter::True, &update), 0);
+        }
+        assert_eq!(db.journal().len(), journaled);
+        let d1 = db.find_one("jobs", &Filter::eq("_id", "d1"));
+        assert_eq!(d1.as_deref(), Some(&job("d1", "PENDING", 1)));
+        // The primary key and a scan agree, so `d2` is free exactly once.
+        let scan = Filter::In("_id".into(), vec!["d2".into(), "x".into()]);
+        assert_eq!(db.count("jobs", &scan), 0);
+        db.insert("jobs", job("d2", "PENDING", 1)).unwrap();
+        assert_eq!(db.count("jobs", &scan), 1);
+        assert_eq!(db.count("jobs", &Filter::eq("_id", "d2")), 1);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! (using the kubectl tool of K8S) and measuring time taken for the
 //! component to restart". This crate is that experiment, scripted:
 //!
-//! * [`when`] — a one-shot trigger that fires a fault the moment a
-//!   predicate over the live state becomes true (step-targeted crashes),
+//! * [`when`] — a one-shot trigger that fires an action at the first
+//!   poll that finds a predicate over the live state true (a recovery
+//!   watch, a test's staged outage; a fault at a step the platform marks
+//!   is armed on the mark instead, with `Sim::on_mark`),
 //! * [`partition_window`] / [`latency_window`] / [`nfs_outage_window`] —
 //!   timed substrate degradations that repair themselves,
 //! * [`measure_recovery`] — a stopwatch from fault to a recovery
@@ -62,10 +64,10 @@ use dlaas_sim::{Sim, SimDuration, SimRng, TimerHandle};
 /// Arms a one-shot trigger: polls `pred` every `period` and, the first
 /// time it returns `true`, fires `action` exactly once and stops polling.
 ///
-/// This is how the fault matrix targets individual Guardian deployment
-/// steps: the predicate watches for the step's observable side effect
-/// (status flipped to DEPLOYING, the job volume exists, the helper pod
-/// was created, …) and the action injects the fault at that moment.
+/// The action runs up to a `period` after the state arose, so it suits
+/// a state no component marks — a pod back up, a job's iteration. A
+/// fault at a step a component marks (the fault matrix's Guardian steps)
+/// is armed with `Sim::on_mark`, which runs it at the mark's instant.
 /// Returns the timer handle so a caller can disarm an un-fired trigger.
 pub fn when(
     sim: &mut Sim,

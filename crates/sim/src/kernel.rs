@@ -78,6 +78,14 @@ impl<F: FnOnce(&mut Sim) + 'static> Event for F {
 
 type EventFn = Box<dyn Event>;
 
+/// The mark [`Sim::on_mark`] waits for, and what it queues then.
+struct OnMark {
+    who: &'static str,
+    subject: Box<str>,
+    what: &'static str,
+    run: EventFn,
+}
+
 /// A round run in place: `round(at)` does its work and returns the
 /// instant of the next round, or declines (`None`), having done nothing.
 type Round = Box<dyn FnMut(SimTime) -> Option<SimTime>>;
@@ -232,6 +240,8 @@ pub struct Sim {
     /// How many streams [`Sim::fork_rng`] has handed out per label.
     forks: BTreeMap<String, u32>,
     trace: Trace,
+    /// What [`Sim::on_mark`] armed, until the mark it waits for.
+    on_mark: Option<OnMark>,
     metrics: Registry,
     executed: u64,
     rounds_in_place: u64,
@@ -282,6 +292,7 @@ impl Sim {
             forks: BTreeMap::new(),
             // Off until a reader asks (`sim.trace_mut().set_enabled(true)`).
             trace: Trace::default(),
+            on_mark: None,
             metrics: Registry::new(),
             executed: 0,
             rounds_in_place: 0,
@@ -394,6 +405,8 @@ impl Sim {
     /// `subject` (dropped unless the trace was enabled). `arg` is the one
     /// number that goes with `what` — attempt, term, bytes — or 0. The
     /// types admit nothing that had to be formatted or allocated first.
+    /// The mark [`Sim::on_mark`] waits for queues what it armed, whether
+    /// the trace is on or not.
     #[inline]
     pub fn mark<'a>(
         &mut self,
@@ -402,8 +415,42 @@ impl Sim {
         what: &'static str,
         arg: u64,
     ) {
+        let subject = subject.into();
         if self.trace.enabled {
-            self.trace.push(self.now, who, subject.into(), what, arg);
+            self.trace.push(self.now, who, subject, what, arg);
+        }
+        if self.on_mark.is_some() {
+            self.fire_on_mark(who, subject, what);
+        }
+    }
+
+    /// Arms `f` for the first mark that `who` makes of `what` about
+    /// `subject`: that mark queues `f` at its own instant, after the
+    /// events already queued for it, so `f` never runs inside the marking
+    /// component's borrows. One arm at a time, fired once; arming again
+    /// replaces the earlier arm.
+    pub fn on_mark(
+        &mut self,
+        who: &'static str,
+        subject: &str,
+        what: &'static str,
+        f: impl FnOnce(&mut Sim) + 'static,
+    ) {
+        self.on_mark = Some(OnMark {
+            who,
+            subject: subject.into(),
+            what,
+            run: Box::new(f),
+        });
+    }
+
+    #[cold]
+    fn fire_on_mark(&mut self, who: &'static str, subject: Subject<'_>, what: &'static str) {
+        let hit = |arm: &mut OnMark| {
+            (arm.who, arm.what) == (who, what) && subject == Subject::Name(&arm.subject)
+        };
+        if let Some(arm) = self.on_mark.take_if(hit) {
+            self.push(self.now, arm.run);
         }
     }
 
@@ -1067,6 +1114,37 @@ mod tests {
             .find(|(site, _)| *site == "the reply's continuation");
         assert_eq!(charged.map(|(_, c)| c.events), Some(1));
         assert_eq!(costs.iter().map(|(_, c)| c.events).sum::<u64>(), 10);
+    }
+
+    #[test]
+    fn an_armed_mark_queues_its_event_once_after_the_instants_queued_work() {
+        let mut sim = Sim::new(1);
+        let ran = Rc::new(RefCell::new(Vec::new()));
+        let log = |what: &'static str| {
+            let ran = ran.clone();
+            move |sim: &mut Sim| ran.borrow_mut().push((sim.now(), what))
+        };
+        sim.on_mark("guardian", "job-1", "deployed", log("replaced"));
+        sim.on_mark("guardian", "job-1", "helper-created", log("fired"));
+        let marked = log("marked");
+        sim.schedule_in(SimDuration::from_secs(2), move |sim| {
+            sim.mark("kube", "job-1", "helper-created", 0);
+            sim.mark("guardian", "job-2", "helper-created", 0);
+            sim.mark("guardian", 1, "helper-created", 0);
+            sim.mark("guardian", "job-1", "deployed", 0);
+            sim.mark("guardian", "job-1", "helper-created", 0);
+            sim.mark("guardian", "job-1", "helper-created", 0);
+            marked(sim);
+        });
+        // Queued for the marking instant before the mark was made.
+        sim.schedule_in(SimDuration::from_secs(2), log("queued"));
+        sim.run_until_idle();
+        assert!(!sim.trace().is_enabled());
+        let at = SimTime::from_secs(2);
+        assert_eq!(
+            *ran.borrow(),
+            [(at, "marked"), (at, "queued"), (at, "fired")]
+        );
     }
 
     #[test]

@@ -123,9 +123,9 @@ fn same_seed_same_job_timeline() {
 fn same_seed_fault_matrix_exposes_identical_metrics() {
     let fingerprint = |seed: u64| {
         let kinds = FaultKind::all();
-        let run = matrix::sweep(&kinds, seed, 1, 1).run;
-        let mut out = run.metrics.expose();
-        for o in &run.outcomes {
+        let campaign = matrix::sweep(&kinds, seed, 1, 1);
+        let mut out = campaign.metrics.expose();
+        for o in campaign.outcomes() {
             out.push_str(&o.describe());
             out.push('\n');
         }

@@ -4,21 +4,21 @@
 //! checker. The full matrix (all cells x 5 seeds) runs as the
 //! dedicated `fault_matrix` bench bin in CI.
 
-use dlaas_bench::matrix::{run_cell, FaultKind, InjectionPoint};
+use dlaas_bench::matrix::{run_cell, FaultKind, POINTS};
 
 /// One cell per fault kind, spread across the deployment steps so the
 /// subset still exercises early, middle and late injection points.
-fn subset() -> Vec<(FaultKind, InjectionPoint)> {
+fn subset() -> Vec<(FaultKind, &'static str)> {
     vec![
-        (FaultKind::GuardianCrash, InjectionPoint::MarkDeploying),
-        (FaultKind::EtcdLeaderCrash, InjectionPoint::CreateLearners),
-        (FaultKind::MongoCrash, InjectionPoint::GuardianUp),
-        (FaultKind::NfsOutage, InjectionPoint::ProvisionVolume),
-        (FaultKind::Partition, InjectionPoint::ApplyPolicies),
+        (FaultKind::GuardianCrash, "DEPLOYING"),
+        (FaultKind::EtcdLeaderCrash, "learners-created"),
+        (FaultKind::MongoCrash, "deploy-attempt"),
+        (FaultKind::NfsOutage, "volume-provisioned"),
+        (FaultKind::Partition, "deployed"),
         // The sweep-leader kill: the LCM replica owning the job's shard
         // dies mid-deploy; a survivor must take the shard over (lease
         // expiry + CAS) without ever double-driving the job.
-        (FaultKind::LcmOwnerCrash, InjectionPoint::MarkDeploying),
+        (FaultKind::LcmOwnerCrash, "DEPLOYING"),
     ]
 }
 
@@ -41,17 +41,18 @@ fn matrix_subset_passes_invariant_checker_on_two_seeds() {
 }
 
 /// What a failed cell would print is the story of its job: here, of a
-/// Guardian crashed the moment the helper pod exists, in the order it
-/// happened.
+/// Guardian crashed the moment it created the helper, in the order it
+/// happened. And at every point, the fault lands at the instant of the
+/// point's Guardian mark, before the Guardian's next step.
 #[test]
 fn a_cell_carries_its_jobs_timeline_in_order() {
-    let outcome = run_cell(7, FaultKind::GuardianCrash, InjectionPoint::CreateHelper);
+    let outcome = run_cell(7, FaultKind::GuardianCrash, "helper-created");
     assert!(outcome.passed(), "{}", outcome.describe());
     assert!(
         !outcome.describe().contains('\n'),
         "a clean cell is one line"
     );
-    let mut rest = outcome.timeline.as_str();
+    let mut rest = outcome.target.timeline.as_str();
     for step in [
         "api auto-0: recorded\n",
         "guardian auto-0: up\n",
@@ -62,9 +63,47 @@ fn a_cell_carries_its_jobs_timeline_in_order() {
         "learner auto-0: start 1\n",
         "guardian auto-0: COMPLETED\n",
     ] {
-        let at = rest
-            .find(step)
-            .unwrap_or_else(|| panic!("no {step:?} left in:\n{rest}\nof:\n{}", outcome.timeline));
+        let at = rest.find(step).unwrap_or_else(|| {
+            panic!(
+                "no {step:?} left in:\n{rest}\nof:\n{}",
+                outcome.target.timeline
+            )
+        });
         rest = &rest[at + step.len()..];
+    }
+
+    let next_steps = POINTS[1..].iter().copied().chain(["monitoring"]);
+    for ((point, next), kind) in POINTS.into_iter().zip(next_steps).zip(FaultKind::all()) {
+        let outcome = run_cell(7, kind, point);
+        assert!(outcome.passed(), "{}", outcome.describe());
+        // (time, "who job: what [arg]") per line.
+        let marks: Vec<(&str, &str)> = outcome
+            .target
+            .timeline
+            .lines()
+            .filter_map(|line| line.strip_prefix('[')?.split_once("] "))
+            .collect();
+        let first = |entry: &str| {
+            marks
+                .iter()
+                .position(|(_, mark)| {
+                    mark.strip_prefix(entry)
+                        .is_some_and(|arg| arg.is_empty() || arg.starts_with(' '))
+                })
+                .unwrap_or_else(|| panic!("no {entry:?} in:\n{}", outcome.target.timeline))
+        };
+        let step = first(&format!("guardian auto-0: {point}"));
+        let fault = first(&format!("fault auto-0: {}", kind.label()));
+        assert_eq!(
+            marks[fault].0, marks[step].0,
+            "{kind:?} at {point}: injected at another instant than the mark:\n{}",
+            outcome.target.timeline
+        );
+        let next = first(&format!("guardian auto-0: {next}"));
+        assert!(
+            step < fault && fault < next,
+            "{kind:?} at {point}: injected after the next step:\n{}",
+            outcome.target.timeline
+        );
     }
 }

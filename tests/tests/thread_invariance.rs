@@ -14,8 +14,8 @@ use dlaas_bench::soak;
 fn matrix_fingerprint(base_seed: u64, seeds: u64, threads: usize) -> String {
     let campaign = matrix::sweep(&FaultKind::all(), base_seed, seeds, threads);
     let mut out = matrix::render_matrix_json(base_seed, seeds, &campaign);
-    out.push_str(&campaign.run.metrics.expose());
-    for o in &campaign.run.outcomes {
+    out.push_str(&campaign.metrics.expose());
+    for o in campaign.outcomes() {
         out.push_str(&o.describe());
         out.push('\n');
     }
