@@ -143,7 +143,8 @@ impl FaultKind {
                 // pod. Falls back to replica 0 when the key is not there
                 // yet (shard unclaimed at injection time).
                 let owner = job.and_then(|job| {
-                    let key = paths::lcm_shard_owner(paths::job_shard(job, config::LCM_SHARDS));
+                    let key =
+                        paths::lcm_shard_owner(paths::job_shard(job.as_str(), config::LCM_SHARDS));
                     let leader = platform.etcd().leader_id()?;
                     let owner = platform.etcd().kv_snapshot(leader).get(&key)?.value.clone();
                     Some(owner)
@@ -176,7 +177,7 @@ impl FromStr for FaultKind {
 /// the step is done — 1 rollback + start (`deploy-attempt`), 2 the
 /// acknowledged DEPLOYING write, 3 the NFS volume, 4 the helper, 5 the
 /// learners, 6 the network policies. A cell's fault runs at the instant
-/// of its job's first such mark ([`dlaas_sim::Sim::on_mark`]).
+/// of its job's first such mark (a tap, [`dlaas_sim::Sim::tap`]).
 pub const POINTS: [&str; 6] = [
     "deploy-attempt",
     "DEPLOYING",

@@ -45,7 +45,7 @@ use dlaas_faults::ChaosMonkey;
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_kube::labels;
 use dlaas_obs::wallclock::WallTimer;
-use dlaas_sim::{Sim, SimDuration, SimRng, SimTime, SiteCost};
+use dlaas_sim::{Sim, SimDuration, SimRng, SimTime, SiteCost, Subject};
 
 use crate::cli::Args;
 use crate::harness::bench_tenants;
@@ -501,9 +501,16 @@ pub fn run(
                 let Ok(job) = r else { return };
                 if let Some((kind, point, p, fired_at)) = arm.filter(|_| jobs.borrow().is_empty()) {
                     let target = job.clone();
-                    sim.on_mark("guardian", job.as_str(), point, move |sim| {
-                        fired_at.set(Some(sim.now()));
-                        kind.inject(sim, &p, Some(&target));
+                    sim.tap("guardian", move |sim, subject, what, _| {
+                        if (subject, what) != (Subject::Name(target.as_str()), point) {
+                            return true;
+                        }
+                        let (p, target, fired_at) = (p.clone(), target.clone(), fired_at.clone());
+                        sim.defer(move |sim| {
+                            fired_at.set(Some(sim.now()));
+                            kind.inject(sim, &p, Some(&target));
+                        });
+                        false
                     });
                 }
                 jobs.borrow_mut().push((job, a.tenant));

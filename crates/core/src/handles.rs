@@ -11,7 +11,6 @@ use dlaas_sharedfs::NfsServer;
 
 use crate::config::CoreConfig;
 use crate::mongo::{MetaClient, Transitions};
-use crate::ownership::ShardTracker;
 use crate::proto::CoreRpc;
 
 /// Name of the Kubernetes service fronting the API pods.
@@ -76,10 +75,6 @@ pub struct Handles {
     /// fresh client per call would leak one watch-net registration per
     /// job on the etcd servers, so they all share this one handle.
     pub etcd_gc: EtcdClient,
-    /// Shard-ownership ledger the LCM replicas report into and the
-    /// invariant checker reads (observability only — etcd's lease + CAS
-    /// owner keys are the source of truth for who sweeps what).
-    pub shard_tracker: ShardTracker,
     /// Platform configuration.
     pub config: Rc<CoreConfig>,
     /// The job-transition counter handles every component's metadata

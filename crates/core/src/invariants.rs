@@ -22,9 +22,10 @@
 //!    shard is ever swept by two live replicas (double drive), and no
 //!    shard stays unowned longer than the lease TTL plus a takeover
 //!    bound while any replica is alive to adopt it (orphaned shard).
-//!    Read from the [`crate::ownership::ShardTracker`] ledger the
-//!    replicas report into; violations carry a synthetic `shard-N` job
-//!    id since they concern the partition, not one job.
+//!    Read from the [`crate::ownership::ShardTracker`] ledger, which the
+//!    replicas' own marks feed; violations carry a synthetic `shard-N`
+//!    job id since they concern the partition, not one job, and the
+//!    report renders that shard's timeline.
 //! 6. **No starvation** — a QUEUED job must not wait past the admission
 //!    bound while its tenant has quota headroom for it AND the tenant
 //!    saw no admission for a full bound (the weighted fair queue
@@ -131,8 +132,9 @@ pub struct InvariantReport {
     pub docs_read: usize,
     /// Every violation found, in job order.
     pub violations: Vec<InvariantViolation>,
-    /// The timeline of every job with a violation, rendered — empty when
-    /// the report is clean or the simulation's trace is off.
+    /// The timeline of every job (or shard) with a violation, once each,
+    /// rendered — empty when the report is clean or the simulation's
+    /// trace is off.
     pub timelines: String,
 }
 
@@ -455,11 +457,20 @@ impl InvariantChecker {
         // 5. At-most-one-owner over the LCM shard space.
         check_shards(sim, platform, &mut violations);
 
+        // Each subject's timeline once; a shard's marks are made on its
+        // number.
         let mut timelines = String::new();
-        let mut jobs: Vec<&JobId> = violations.iter().map(|v| &v.job).collect();
-        jobs.dedup();
-        for job in jobs {
-            let timeline = sim.trace().of(job.as_str());
+        let mut seen = BTreeSet::new();
+        for job in violations
+            .iter()
+            .map(|v| &v.job)
+            .filter(|j| seen.insert(*j))
+        {
+            let shard = job.as_str().strip_prefix(SHARD_PREFIX);
+            let timeline = match shard.and_then(|n| n.parse::<u32>().ok()) {
+                Some(shard) => sim.trace().of(shard),
+                None => sim.trace().of(job.as_str()),
+            };
             if timeline.marks().next().is_some() {
                 timelines.push_str(&format!("timeline of {job}:\n{timeline}"));
             }
@@ -582,6 +593,9 @@ impl InvariantChecker {
     }
 }
 
+/// The subject a shard's violation is reported under: `shard-N`.
+const SHARD_PREFIX: &str = "shard-";
+
 /// 5. At-most-one-owner: every recorded ownership conflict is a
 ///    violation, and — while at least one LCM pod exists to adopt them —
 ///    so is any shard unowned past the lease TTL plus two scan periods
@@ -599,7 +613,7 @@ fn check_shards(sim: &Sim, platform: &DlaasPlatform, out: &mut Vec<InvariantViol
     }
     for c in tracker.conflicts() {
         out.push(InvariantViolation {
-            job: JobId::new(format!("shard-{}", c.shard)),
+            job: JobId::new(format!("{SHARD_PREFIX}{}", c.shard)),
             invariant: "shard-single-owner",
             detail: format!("{} (at {:?})", c.detail, c.at),
         });
@@ -608,7 +622,7 @@ fn check_shards(sim: &Sim, platform: &DlaasPlatform, out: &mut Vec<InvariantViol
         let bound = config::LCM_LEASE_TTL + config::LCM_SCAN * 2;
         for (shard, waited) in tracker.orphaned(sim.now(), bound) {
             out.push(InvariantViolation {
-                job: JobId::new(format!("shard-{shard}")),
+                job: JobId::new(format!("{SHARD_PREFIX}{shard}")),
                 invariant: "shard-orphaned",
                 detail: format!("unowned for {waited} (bound {bound})"),
             });

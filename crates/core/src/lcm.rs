@@ -78,6 +78,19 @@ use crate::tenant::Tenant;
 /// at-most-one primitive with lease-fenced failover for free.
 const ARBITER_SHARD: u32 = 0;
 
+// The marks the shard-ownership ledger reads ([`crate::ownership`]):
+// a lease granted to a pod, a shard claimed and released under a lease,
+// and the sweeps that drive a job under one.
+pub(crate) const LEASE_GRANTED: &str = "lease-granted";
+pub(crate) const ACQUIRED_UNDER_LEASE: &str = "acquired-under-lease";
+pub(crate) const LOST_WITH_LEASE: &str = "lost-with-lease";
+const REDEPLOY: &str = "redeploy-stranded";
+const GAVE_UP: &str = "guardian_gave_up";
+const DEPLOY_TIMEOUT: &str = "deploy_timeout";
+const GC_LEFTOVERS: &str = "gc-leftovers";
+const GC_KEYS: &str = "gc-etcd-keys";
+pub(crate) const SWEEPS: [&str; 5] = [REDEPLOY, GAVE_UP, DEPLOY_TIMEOUT, GC_LEFTOVERS, GC_KEYS];
+
 /// Behavior factory for the LCM container.
 pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let addr = pod_addr(&ctx.pod);
@@ -116,7 +129,6 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     // would miss an owner-key deletion between the two and orphan the
     // shard until the next unrelated event.
     let rep = Rc::new(Replica {
-        h: h.clone(),
         etcdc: h.etcd_client(&ctx, &ctx.pod),
         pod: ctx.pod.clone(),
         alive: ctx.alive_flag(),
@@ -176,12 +188,12 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     Box::new(move |sim| {
         timer.cancel();
         ka_timer.cancel();
-        // Stand down in the ledger so a successor's sweeps are not
-        // charged as conflicts with this incarnation. The lease itself
-        // is deliberately NOT revoked — a real crash could not have, and
-        // expiry-driven takeover is the recovery path under test.
-        rep.h.shard_tracker.release_all(sim, &rep.pod);
-        rep.own.borrow_mut().owned.clear();
+        // Stand down, marking each shard released, so a successor's
+        // sweeps are not charged as conflicts with this incarnation. The
+        // lease itself is deliberately NOT revoked — a real crash could
+        // not have, and expiry-driven takeover is the recovery path under
+        // test.
+        release_shards(sim, &rep);
         rpc.stop_serving(&addr);
         // The per-incarnation etcd client (and the shard watch on it) is
         // closed by the kubelet right after this, so a restarted pod of
@@ -211,29 +223,24 @@ struct Ownership {
 /// Per-incarnation shard-ownership context shared by the watch handler,
 /// the keepalive timer and the scan timer.
 struct Replica {
-    h: Handles,
     etcdc: EtcdClient,
     pod: String,
     alive: Rc<Cell<bool>>,
     own: RefCell<Ownership>,
 }
 
-/// `true` while the replica holds a lease whose local fence has not
-/// lapsed — the precondition for acquiring shards and for sweeping.
-fn lease_valid(rep: &Replica, now: SimTime) -> bool {
+/// The lease the replica holds while its local fence has not lapsed —
+/// the precondition for acquiring shards and for sweeping.
+fn valid_lease(rep: &Replica, now: SimTime) -> Option<LeaseId> {
     let o = rep.own.borrow();
-    o.lease.is_some() && now < o.fence
+    o.lease.filter(|_| now < o.fence)
 }
 
-/// `true` when this replica may sweep `job`: its shard is owned and the
-/// lease fence is still ahead.
-fn owns_job(rep: &Replica, now: SimTime, job: &JobId) -> bool {
-    lease_valid(rep, now)
-        && rep
-            .own
-            .borrow()
-            .owned
-            .contains(&paths::job_shard(job, config::LCM_SHARDS))
+/// The lease under which this replica may sweep `job`: its shard is
+/// owned and the lease fence is still ahead.
+fn owns_job(rep: &Replica, now: SimTime, job: &JobId) -> Option<LeaseId> {
+    let shard = paths::job_shard(job.as_str(), config::LCM_SHARDS);
+    valid_lease(rep, now).filter(|_| rep.own.borrow().owned.contains(&shard))
 }
 
 /// Grants a fresh lease if none is held and no grant is in flight. On
@@ -268,7 +275,7 @@ fn ensure_lease(sim: &mut Sim, rep: &Rc<Replica>) {
                 o.lease = Some(id);
                 o.fence = sent + ttl;
             }
-            sim.mark("lcm", rep2.pod.as_str(), "lease-granted", id);
+            sim.mark("lcm", rep2.pod.as_str(), LEASE_GRANTED, id);
             arm_fence(sim, &rep2);
             reconcile(sim, &rep2);
         }
@@ -282,7 +289,7 @@ fn keepalive_tick(sim: &mut Sim, rep: &Rc<Replica>) {
         ensure_lease(sim, rep);
         return;
     };
-    if !lease_valid(rep, sim.now()) {
+    if valid_lease(rep, sim.now()).is_none() {
         // The fence lapsed without a confirmed refresh: ownership is
         // forfeit NOW, before the server's (later) deadline can fire and
         // let another replica in — this ordering is what makes double
@@ -363,21 +370,29 @@ fn arm_fence(sim: &mut Sim, rep: &Rc<Replica>) {
     });
 }
 
-/// Releases every shard and forgets the lease, updating the ledger and
-/// metrics. Called from the fence/expiry paths only — the CAS'd owner
-/// keys are left to die with the lease.
+/// Releases every shard and forgets the lease, counting each loss.
+/// Called from the fence/expiry paths only — the CAS'd owner keys are
+/// left to die with the lease.
 fn drop_ownership(sim: &mut Sim, rep: &Rc<Replica>, reason: &'static str) {
-    let (lease, dropped) = {
-        let mut o = rep.own.borrow_mut();
-        (o.lease.take(), std::mem::take(&mut o.owned))
-    };
-    rep.h.shard_tracker.release_all(sim, &rep.pod);
-    for &shard in &dropped {
-        sim.mark("lcm", shard, "lost-with-lease", lease.unwrap_or(0));
+    for _ in release_shards(sim, rep) {
         sim.metrics()
             .counter_series(metrics::LCM_SHARD_LOSSES, [reason])
             .inc();
     }
+    rep.own.borrow_mut().lease = None;
+}
+
+/// Forgets every shard this incarnation holds, marking each release
+/// under the lease it was held with. Returns the shards released.
+fn release_shards(sim: &mut Sim, rep: &Replica) -> BTreeSet<u32> {
+    let (lease, held) = {
+        let mut o = rep.own.borrow_mut();
+        (o.lease.unwrap_or(0), std::mem::take(&mut o.owned))
+    };
+    for &shard in &held {
+        sim.mark("lcm", shard, LOST_WITH_LEASE, lease);
+    }
+    held
 }
 
 /// Races a CAS (expect-absent, value = pod, attached to our lease) for
@@ -387,10 +402,7 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
     if shard >= config::LCM_SHARDS || rep.own.borrow().owned.contains(&shard) {
         return;
     }
-    if !lease_valid(rep, sim.now()) {
-        return;
-    }
-    let Some(lease) = rep.own.borrow().lease else {
+    let Some(lease) = valid_lease(rep, sim.now()) else {
         return;
     };
     let rep2 = rep.clone();
@@ -412,8 +424,7 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
                 o.lease == Some(lease) && sim.now() < o.fence && o.owned.insert(shard)
             };
             if claimed {
-                rep2.h.shard_tracker.claim(sim, shard, &rep2.pod);
-                sim.mark("lcm", shard, "acquired-under-lease", lease);
+                sim.mark("lcm", shard, ACQUIRED_UNDER_LEASE, lease);
                 sim.metrics()
                     .counter_series(metrics::LCM_SHARD_ACQUISITIONS, [trigger])
                     .inc();
@@ -426,7 +437,7 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
 /// shard. Also the *initial* acquisition pass (the watch is registered
 /// before the first call, so nothing can slip between list and watch).
 fn reconcile(sim: &mut Sim, rep: &Rc<Replica>) {
-    if !lease_valid(rep, sim.now()) {
+    if valid_lease(rep, sim.now()).is_none() {
         return;
     }
     let rep2 = rep.clone();
@@ -459,8 +470,12 @@ fn reconcile(sim: &mut Sim, rep: &Rc<Replica>) {
                         // argument as above); defensive backstop so an
                         // unforeseen displacement degrades to a released
                         // shard, never a double drive.
-                        rep2.own.borrow_mut().owned.remove(&shard);
-                        rep2.h.shard_tracker.release(sim, shard, &rep2.pod);
+                        let lease = {
+                            let mut o = rep2.own.borrow_mut();
+                            o.owned.remove(&shard);
+                            o.lease.unwrap_or(0)
+                        };
+                        sim.mark("lcm", shard, LOST_WITH_LEASE, lease);
                         sim.metrics()
                             .counter_series(metrics::LCM_SHARD_LOSSES, ["displaced"])
                             .inc();
@@ -806,7 +821,7 @@ fn admit(
     state: &Rc<RefCell<ScanState>>,
     rep: &Rc<Replica>,
 ) {
-    if !lease_valid(rep, sim.now()) || !rep.own.borrow().owned.contains(&ARBITER_SHARD) {
+    if valid_lease(rep, sim.now()).is_none() || !rep.own.borrow().owned.contains(&ARBITER_SHARD) {
         return;
     }
 
@@ -876,19 +891,11 @@ fn admit(
     }
 }
 
-/// Records a sweep drive against `job` in the ownership ledger right
-/// before acting on it — the probe the at-most-one-owner invariant sees.
-fn note_sweep(sim: &Sim, rep: &Replica, job: &JobId) {
-    let shard = paths::job_shard(job, config::LCM_SHARDS);
-    rep.h
-        .shard_tracker
-        .note_sweep(sim, shard, job.as_str(), &rep.pod);
-}
-
 /// Walks the watchlist (not the whole collection) and applies the three
 /// self-healing rules — to owned shards only. Every replica ingests the
 /// full feed, but a job is swept exclusively by the current owner of its
-/// shard; each drive is reported to the ownership ledger first. The
+/// shard; each drive is marked first, with the lease its ownership was
+/// decided under (what the ownership ledger checks). The
 /// checks read the watchlist in place; only the jobs a rule acts on are
 /// copied out, since acting calls into other components.
 fn sweep(
@@ -901,24 +908,21 @@ fn sweep(
     let now = sim.now();
     // 1. Re-deploy PENDING jobs that have sat too long without a Guardian.
     let redeploy_after = config::PENDING_REDEPLOY_AFTER;
-    let stranded: Vec<JobId> = state
+    let stranded: Vec<(JobId, LeaseId)> = state
         .borrow()
         .jobs
         .iter()
-        .filter(|(job, watch)| {
-            watch.active().is_some_and(|a| {
-                a.pending_since.is_some_and(|since| {
-                    owns_job(rep, now, job)
-                        && now.saturating_duration_since(since) >= redeploy_after
-                        && h.kube.job_status(&a.guardian).is_none()
-                })
-            })
+        .filter_map(|(job, watch)| {
+            let a = watch.active()?;
+            let since = a.pending_since?;
+            let lease = owns_job(rep, now, job)?;
+            (now.saturating_duration_since(since) >= redeploy_after
+                && h.kube.job_status(&a.guardian).is_none())
+            .then(|| (job.clone(), lease))
         })
-        .map(|(job, _)| job.clone())
         .collect();
-    for job in stranded {
-        note_sweep(sim, rep, &job);
-        sim.mark("lcm", job.as_str(), "redeploy-stranded", 0);
+    for (job, lease) in stranded {
+        sim.mark("lcm", job.as_str(), REDEPLOY, lease);
         sim.metrics()
             .counter_series(metrics::LCM_SCAN_REDEPLOYS, [])
             .inc();
@@ -930,23 +934,21 @@ fn sweep(
     //    e.g. they request hardware the cluster does not have). Both
     //    checks read local Kubernetes/watchlist state only.
     let deploy_timeout = config::DEPLOY_TIMEOUT;
-    let to_fail: Vec<(JobId, bool)> = state
+    let to_fail: Vec<(JobId, LeaseId, bool)> = state
         .borrow()
         .jobs
         .iter()
         .filter_map(|(job, watch)| {
             let a = watch.active()?;
-            if !owns_job(rep, now, job) {
-                return None;
-            }
+            let lease = owns_job(rep, now, job)?;
             let guardian_gave_up = h.kube.job_status(&a.guardian) == Some(KubeJobStatus::Failed);
             let deploy_stuck = a
                 .deploying_since
                 .is_some_and(|since| now.saturating_duration_since(since) >= deploy_timeout);
-            (guardian_gave_up || deploy_stuck).then(|| (job.clone(), guardian_gave_up))
+            (guardian_gave_up || deploy_stuck).then(|| (job.clone(), lease, guardian_gave_up))
         })
         .collect();
-    for (job, guardian_gave_up) in to_fail {
+    for (job, lease, guardian_gave_up) in to_fail {
         // One FAILED write per job in flight: a slow one must not be
         // doubled by the next tick.
         if !state.borrow_mut().failing.insert(job.clone()) {
@@ -954,12 +956,11 @@ fn sweep(
         }
         // (A deploy timeout usually means unschedulable resources.)
         let reason = if guardian_gave_up {
-            "guardian_gave_up"
+            GAVE_UP
         } else {
-            "deploy_timeout"
+            DEPLOY_TIMEOUT
         };
-        note_sweep(sim, rep, &job);
-        sim.mark("lcm", job.as_str(), reason, 0);
+        sim.mark("lcm", job.as_str(), reason, lease);
         let h4 = h.clone();
         let state2 = state.clone();
         meta.advance_status(sim, &job.clone(), JobStatus::Failed, move |sim, r| {
@@ -988,35 +989,38 @@ fn sweep(
     //    probe confirms no leaked keys (a teardown that ran during an
     //    etcd outage may have lost its delete_prefix; nothing else ever
     //    looks at those keys again).
-    let terminal: Vec<JobId> = state
+    let terminal: Vec<(JobId, LeaseId)> = state
         .borrow()
         .jobs
         .iter()
-        .filter(|(job, watch)| matches!(watch, Watch::TerminalGc) && owns_job(rep, now, job))
-        .map(|(job, _)| job.clone())
+        .filter(|(_, watch)| matches!(watch, Watch::TerminalGc))
+        .filter_map(|(job, _)| owns_job(rep, now, job).map(|lease| (job.clone(), lease)))
         .collect();
-    for job in terminal {
+    for (job, lease) in terminal {
         let has_pods = !h
             .kube
             .pods_matching(&labels! {"job" => job.as_str()})
             .is_empty();
         let has_volume = h.nfs.has_volume(&paths::volume(&job));
         if has_pods || has_volume {
-            note_sweep(sim, rep, &job);
-            sim.mark("lcm", job.as_str(), "gc-leftovers", 0);
+            sim.mark("lcm", job.as_str(), GC_LEFTOVERS, lease);
             sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
             teardown_job(sim, h, &job, true);
         } else {
             let h6 = h.clone();
             let state3 = state.clone();
-            let rep3 = rep.clone();
+            let alive = rep.alive.clone();
             let prefix = paths::etcd_job_prefix(&job);
             let prefix2 = prefix.clone();
+            // The shared client outlives this incarnation: an answer that
+            // lands after it stopped drives nothing.
             h.etcd_gc.get_prefix(sim, prefix, move |sim, r| {
+                if !alive.get() {
+                    return;
+                }
                 match r {
                     Ok(pairs) if !pairs.is_empty() => {
-                        note_sweep(sim, &rep3, &job);
-                        sim.mark("lcm", job.as_str(), "gc-etcd-keys", 0);
+                        sim.mark("lcm", job.as_str(), GC_KEYS, lease);
                         sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
                         h6.etcd_gc.delete_prefix(sim, prefix2, |_sim, _r| {});
                         // Keep watching: next tick re-probes until clean.

@@ -1,22 +1,31 @@
-//! Shard-ownership tracker: the observability half of LCM sharding.
+//! Shard-ownership ledger: the observability half of LCM sharding.
 //!
-//! Every LCM replica reports its shard claims, releases and sweep
-//! actions here; the invariant checker reads the ledger to enforce the
-//! **at-most-one-owner** contract — no shard claimed by two live
-//! replicas, no job swept by anyone but the shard's sole claimant, and
-//! no shard left unowned longer than the lease TTL plus the takeover
-//! bound while a replica is alive to adopt it.
+//! The ledger reads the LCM replicas' own marks, through a tap on
+//! `"lcm"` ([`Sim::tap`]) that [`crate::DlaasPlatform::new`] installs:
+//! `lease-granted` (pod, lease) names a lease's pod, `acquired-under-lease`
+//! and `lost-with-lease` (shard, lease) are a claim and a release, and
+//! the five sweep marks (job, lease) drive a job in its shard
+//! ([`crate::paths::job_shard`]). The invariant checker reads the ledger
+//! to enforce the **at-most-one-owner** contract — no shard claimed by
+//! two live replicas, no job swept by anyone but the shard's sole
+//! claimant, and no shard left unowned longer than the lease TTL plus
+//! the takeover bound while a replica is alive to adopt it.
 //!
-//! The tracker is deliberately *not* consulted by the replicas for
-//! decisions (etcd's lease + CAS owner key is the source of truth);
-//! it only mirrors what each replica believes, which is exactly what
-//! makes overlapping beliefs — the double-drive bug — observable.
+//! The replicas never consult the ledger (etcd's lease + CAS owner key
+//! is the source of truth); it holds what each one said it believes,
+//! which is what makes overlapping beliefs — the double-drive bug —
+//! observable, and a traced timeline shows all that the rule judged.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use dlaas_sim::{Sim, SimDuration, SimTime};
+use dlaas_etcd::LeaseId;
+use dlaas_sim::{Sim, SimDuration, SimTime, Subject};
+
+use crate::config;
+use crate::lcm::{ACQUIRED_UNDER_LEASE, LEASE_GRANTED, LOST_WITH_LEASE, SWEEPS};
+use crate::paths;
 
 /// One recorded violation of the at-most-one-owner contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +40,8 @@ pub struct OwnershipConflict {
 
 #[derive(Debug)]
 struct Inner {
-    shards: u32,
+    /// lease → the pod it was granted to.
+    leases: BTreeMap<LeaseId, String>,
     /// shard → replicas currently claiming it (post-fix: at most one).
     claimants: BTreeMap<u32, BTreeSet<String>>,
     /// shard → when its claimant set last became empty.
@@ -51,102 +61,45 @@ pub struct ShardTracker {
 }
 
 impl ShardTracker {
-    /// A ledger for `shards` shards, all initially unowned at time zero.
-    pub fn new(shards: u32) -> Self {
-        let unowned_since = (0..shards).map(|s| (s, SimTime::ZERO)).collect();
-        ShardTracker {
+    /// Installs a ledger on the LCM's marks, every one of its
+    /// [`config::LCM_SHARDS`] shards unowned from now.
+    pub(crate) fn install(sim: &mut Sim) -> Self {
+        let now = sim.now();
+        let tracker = ShardTracker {
             inner: Rc::new(RefCell::new(Inner {
-                shards,
+                leases: BTreeMap::new(),
                 claimants: BTreeMap::new(),
-                unowned_since,
+                unowned_since: (0..config::LCM_SHARDS).map(|s| (s, now)).collect(),
                 conflicts: Vec::new(),
-                no_replica_seen: SimTime::ZERO,
+                no_replica_seen: now,
             })),
-        }
-    }
-
-    /// Number of shards tracked.
-    pub fn shards(&self) -> u32 {
-        self.inner.borrow().shards
-    }
-
-    /// Replica `who` believes it now owns `shard`.
-    pub fn claim(&self, sim: &Sim, shard: u32, who: &str) {
-        let mut i = self.inner.borrow_mut();
-        let set = i.claimants.entry(shard).or_default();
-        if !set.is_empty() && !set.contains(who) {
-            let holders: Vec<String> = set.iter().cloned().collect();
-            let detail = format!(
-                "shard {shard} claimed by {who} while still held by {}",
-                holders.join(", ")
-            );
-            i.conflicts.push(OwnershipConflict {
-                shard,
-                detail,
-                at: sim.now(),
-            });
-            i.claimants.entry(shard).or_default().insert(who.to_owned());
-        } else {
-            set.insert(who.to_owned());
-        }
-        i.unowned_since.remove(&shard);
-    }
-
-    /// Replica `who` no longer claims `shard`.
-    pub fn release(&self, sim: &Sim, shard: u32, who: &str) {
-        let mut i = self.inner.borrow_mut();
-        if let Some(set) = i.claimants.get_mut(&shard) {
-            set.remove(who);
-            if set.is_empty() {
-                i.claimants.remove(&shard);
-                i.unowned_since.insert(shard, sim.now());
+        };
+        let ledger = tracker.clone();
+        sim.tap("lcm", move |sim, subject, what, lease| {
+            let mut i = ledger.inner.borrow_mut();
+            match subject {
+                Subject::Name(pod) if what == LEASE_GRANTED => {
+                    i.leases.insert(lease, pod.to_owned());
+                }
+                Subject::Num(shard) if what == ACQUIRED_UNDER_LEASE => {
+                    i.claim(sim.now(), shard, lease);
+                }
+                Subject::Num(shard) if what == LOST_WITH_LEASE => {
+                    i.release(sim.now(), shard, lease);
+                }
+                Subject::Name(job) if SWEEPS.contains(&what) => {
+                    i.note_sweep(sim.now(), job, lease);
+                }
+                _ => {}
             }
-        }
-    }
-
-    /// Replica `who` drops every claim it holds (crash cleanup, lease
-    /// loss). Returns the shards released.
-    pub fn release_all(&self, sim: &Sim, who: &str) -> Vec<u32> {
-        let held: Vec<u32> = {
-            let i = self.inner.borrow();
-            i.claimants
-                .iter()
-                .filter(|(_, set)| set.contains(who))
-                .map(|(s, _)| *s)
-                .collect()
-        };
-        for s in &held {
-            self.release(sim, *s, who);
-        }
-        held
-    }
-
-    /// Replica `who` is about to drive a sweep action against `job` in
-    /// `shard`. Records a conflict if `who` is not the shard's sole
-    /// live claimant — the direct signature of a double-driven job.
-    pub fn note_sweep(&self, sim: &Sim, shard: u32, job: &str, who: &str) {
-        let mut i = self.inner.borrow_mut();
-        let set = i.claimants.get(&shard).cloned().unwrap_or_default();
-        let others: Vec<String> = set.iter().filter(|c| c.as_str() != who).cloned().collect();
-        let detail = if !set.contains(who) {
-            format!("{who} swept job {job} in shard {shard} without claiming it")
-        } else if !others.is_empty() {
-            format!(
-                "job {job} in shard {shard} swept by {who} while {} also claims it",
-                others.join(", ")
-            )
-        } else {
-            return;
-        };
-        i.conflicts.push(OwnershipConflict {
-            shard,
-            detail,
-            at: sim.now(),
+            true
         });
+        tracker
     }
 
     /// Current claimants of `shard`, in name order.
-    pub fn owners(&self, shard: u32) -> Vec<String> {
+    #[cfg(test)]
+    fn owners(&self, shard: u32) -> Vec<String> {
         self.inner
             .borrow()
             .claimants
@@ -181,74 +134,155 @@ impl ShardTracker {
     }
 }
 
+impl Inner {
+    /// The pod `lease` was granted to.
+    fn pod(&self, lease: LeaseId) -> String {
+        self.leases.get(&lease).cloned().unwrap_or_default()
+    }
+
+    /// The holder of `lease` believes it now owns `shard`.
+    fn claim(&mut self, now: SimTime, shard: u32, lease: LeaseId) {
+        let who = self.pod(lease);
+        self.unowned_since.remove(&shard);
+        let set = self.claimants.entry(shard).or_default();
+        if set.is_empty() || set.contains(&who) {
+            set.insert(who);
+            return;
+        }
+        let holders: Vec<&str> = set.iter().map(String::as_str).collect();
+        let detail = format!(
+            "shard {shard} claimed by {who} while still held by {}",
+            holders.join(", ")
+        );
+        set.insert(who);
+        self.conflict(now, shard, detail);
+    }
+
+    /// The holder of `lease` no longer claims `shard`.
+    fn release(&mut self, now: SimTime, shard: u32, lease: LeaseId) {
+        let who = self.pod(lease);
+        if let Some(set) = self.claimants.get_mut(&shard) {
+            set.remove(&who);
+            if set.is_empty() {
+                self.claimants.remove(&shard);
+                self.unowned_since.insert(shard, now);
+            }
+        }
+    }
+
+    /// The holder of `lease` is about to drive a sweep action against
+    /// `job`. Records a conflict if it is not the sole live claimant of
+    /// the job's shard — the direct signature of a double-driven job.
+    fn note_sweep(&mut self, now: SimTime, job: &str, lease: LeaseId) {
+        let shard = paths::job_shard(job, config::LCM_SHARDS);
+        let who = self.pod(lease);
+        let set = self.claimants.get(&shard).cloned().unwrap_or_default();
+        let others: Vec<String> = set.iter().filter(|c| **c != who).cloned().collect();
+        let detail = if !set.contains(&who) {
+            format!("{who} swept job {job} in shard {shard} without claiming it")
+        } else if !others.is_empty() {
+            format!(
+                "job {job} in shard {shard} swept by {who} while {} also claims it",
+                others.join(", ")
+            )
+        } else {
+            return;
+        };
+        self.conflict(now, shard, detail);
+    }
+
+    fn conflict(&mut self, at: SimTime, shard: u32, detail: String) {
+        self.conflicts.push(OwnershipConflict { shard, detail, at });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sim() -> Sim {
-        Sim::new(1)
+    /// A world with the ledger on it, and `lcm-0`, `lcm-1` granted leases
+    /// 10 and 11.
+    fn world() -> (Sim, ShardTracker) {
+        let mut sim = Sim::new(1);
+        let t = ShardTracker::install(&mut sim);
+        sim.mark("lcm", "lcm-0", LEASE_GRANTED, 10);
+        sim.mark("lcm", "lcm-1", LEASE_GRANTED, 11);
+        (sim, t)
+    }
+
+    /// A job id that hashes into `shard`.
+    fn job_in(shard: u32) -> String {
+        (0..)
+            .map(|i| format!("job-{i}"))
+            .find(|j| paths::job_shard(j, config::LCM_SHARDS) == shard)
+            .unwrap_or_default()
+    }
+
+    fn orphans(t: &ShardTracker, sim: &Sim) -> Vec<u32> {
+        let bound = SimDuration::from_secs(10);
+        t.orphaned(sim.now(), bound).iter().map(|o| o.0).collect()
     }
 
     #[test]
     fn single_claimant_is_clean() {
-        let s = sim();
-        let t = ShardTracker::new(4);
-        t.claim(&s, 0, "lcm-0");
-        t.note_sweep(&s, 0, "job-1", "lcm-0");
+        let (mut s, t) = world();
+        s.mark("lcm", 0, ACQUIRED_UNDER_LEASE, 10);
+        s.mark("lcm", job_in(0).as_str(), SWEEPS[0], 10);
         assert!(t.conflicts().is_empty());
         assert_eq!(t.owners(0), vec!["lcm-0"]);
     }
 
     #[test]
     fn overlapping_claims_conflict() {
-        let s = sim();
-        let t = ShardTracker::new(4);
-        t.claim(&s, 2, "lcm-0");
-        t.claim(&s, 2, "lcm-1");
+        let (mut s, t) = world();
+        s.mark("lcm", 2, ACQUIRED_UNDER_LEASE, 10);
+        s.mark("lcm", 2, ACQUIRED_UNDER_LEASE, 11);
         assert_eq!(t.conflicts().len(), 1);
         assert!(t.conflicts()[0].detail.contains("lcm-0"));
     }
 
     #[test]
     fn sweep_by_non_claimant_conflicts() {
-        let s = sim();
-        let t = ShardTracker::new(4);
-        t.claim(&s, 1, "lcm-0");
-        t.note_sweep(&s, 1, "job-9", "lcm-1");
+        let (mut s, t) = world();
+        s.mark("lcm", 1, ACQUIRED_UNDER_LEASE, 10);
+        s.mark("lcm", job_in(1).as_str(), "gc-etcd-keys", 11);
         assert_eq!(t.conflicts().len(), 1);
         assert!(t.conflicts()[0].detail.contains("without claiming"));
+        assert!(t.conflicts()[0].detail.starts_with("lcm-1"));
     }
 
     #[test]
     fn release_all_starts_the_orphan_clock() {
-        let mut s = sim();
-        let t = ShardTracker::new(2);
-        t.claim(&s, 0, "lcm-0");
-        t.claim(&s, 1, "lcm-0");
+        let (mut s, t) = world();
+        let all: Vec<u32> = (0..config::LCM_SHARDS).collect();
+        for &shard in &all {
+            s.mark("lcm", shard, ACQUIRED_UNDER_LEASE, 10);
+        }
         s.run_for(SimDuration::from_secs(5));
-        let dropped = t.release_all(&s, "lcm-0");
-        assert_eq!(dropped, vec![0, 1]);
+        // lcm-0 stops, releasing every shard it held.
+        for &shard in &all {
+            s.mark("lcm", shard, LOST_WITH_LEASE, 10);
+        }
         s.run_for(SimDuration::from_secs(30));
-        let orphans = t.orphaned(s.now(), SimDuration::from_secs(10));
-        assert_eq!(orphans.len(), 2);
-        assert!(orphans[0].1 >= SimDuration::from_secs(30));
+        let orphaned = t.orphaned(s.now(), SimDuration::from_secs(10));
+        assert_eq!(orphaned.iter().map(|o| o.0).collect::<Vec<_>>(), all);
+        assert!(orphaned.iter().all(|o| o.1 == SimDuration::from_secs(30)));
 
         // A fresh claim clears the orphan state.
-        t.claim(&s, 0, "lcm-1");
-        assert_eq!(t.orphaned(s.now(), SimDuration::from_secs(10)).len(), 1);
+        s.mark("lcm", 0, ACQUIRED_UNDER_LEASE, 11);
+        assert_eq!(orphans(&t, &s), all[1..]);
     }
 
     #[test]
     fn no_replica_observation_resets_the_orphan_clock() {
-        let mut s = sim();
-        let t = ShardTracker::new(1);
+        let (mut s, t) = world();
         s.run_for(SimDuration::from_secs(60));
         t.note_no_live_replica(&s);
         assert!(
-            t.orphaned(s.now(), SimDuration::from_secs(10)).is_empty(),
+            orphans(&t, &s).is_empty(),
             "downtime is not takeover latency"
         );
         s.run_for(SimDuration::from_secs(20));
-        assert_eq!(t.orphaned(s.now(), SimDuration::from_secs(10)).len(), 1);
+        assert_eq!(orphans(&t, &s).len(), config::LCM_SHARDS as usize);
     }
 }

@@ -139,9 +139,9 @@ pub fn lcm_shard_owner(shard: u32) -> String {
 /// The shard a job hashes into (FNV-1a over the job id, mod `shards`).
 /// Pure and stable: every LCM replica, the fault matrix, and the
 /// invariant checker must agree on the partition.
-pub fn job_shard(job: &JobId, shards: u32) -> u32 {
+pub fn job_shard(job: &str, shards: u32) -> u32 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in job.as_str().bytes() {
+    for b in job.bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -328,15 +328,13 @@ mod tests {
 
     #[test]
     fn job_shard_is_stable_and_in_range() {
-        let j = JobId::new("job-42");
-        let s = job_shard(&j, 8);
+        let s = job_shard("job-42", 8);
         assert!(s < 8);
-        assert_eq!(s, job_shard(&j, 8), "hash must be deterministic");
-        assert_eq!(job_shard(&j, 1), 0);
+        assert_eq!(s, job_shard("job-42", 8), "hash must be deterministic");
+        assert_eq!(job_shard("job-42", 1), 0);
         // Different jobs spread across shards (not all in one bucket).
-        let hit: std::collections::BTreeSet<u32> = (0..64)
-            .map(|i| job_shard(&JobId::new(format!("job-{i}")), 8))
-            .collect();
+        let hit: std::collections::BTreeSet<u32> =
+            (0..64).map(|i| job_shard(&format!("job-{i}"), 8)).collect();
         assert!(hit.len() > 4, "FNV-1a should spread 64 ids over 8 shards");
     }
 }

@@ -29,6 +29,7 @@ use crate::job::{JobId, JobStatus};
 use crate::lcm::lcm_behavior;
 use crate::learner::learner_behavior;
 use crate::mongo::{MetaClient, JOBS, TENANTS};
+use crate::ownership::ShardTracker;
 use crate::proto::{CoreRpc, JobInfo};
 use crate::tenant::Tenant;
 
@@ -87,6 +88,8 @@ pub struct DlaasPlatform {
     /// can swap a recovered server in.
     mongo: Rc<RefCell<Rc<MongoServer>>>,
     mongo_rpc: MongoRpc,
+    /// The shard-ownership ledger, fed by the LCM replicas' marks.
+    shard_tracker: ShardTracker,
     /// Clone-handle of the sim's metrics registry (same underlying store).
     metrics: dlaas_sim::Registry,
 }
@@ -154,10 +157,12 @@ impl DlaasPlatform {
             nfs,
             kube: kube.clone(),
             etcd_gc,
-            shard_tracker: crate::ownership::ShardTracker::new(config::LCM_SHARDS),
             config: Rc::new(cfg.core.clone()),
             transitions: Default::default(),
         };
+
+        // The ledger taps the LCM's marks before any replica makes one.
+        let shard_tracker = ShardTracker::install(sim);
 
         // Register every platform behavior.
         let reg =
@@ -213,6 +218,7 @@ impl DlaasPlatform {
             etcd,
             mongo: Rc::new(RefCell::new(mongo)),
             mongo_rpc,
+            shard_tracker,
             metrics: sim.metrics().clone(),
         }
     }
@@ -249,9 +255,9 @@ impl DlaasPlatform {
         &self.etcd
     }
 
-    /// The shard-ownership ledger the LCM replicas report into.
-    pub fn shard_tracker(&self) -> &crate::ownership::ShardTracker {
-        &self.handles.shard_tracker
+    /// The shard-ownership ledger the LCM replicas' marks feed.
+    pub fn shard_tracker(&self) -> &ShardTracker {
+        &self.shard_tracker
     }
 
     /// The platform's metrics registry — the same deterministic store the

@@ -83,7 +83,11 @@ pub enum Update {
     Set(String, Value),
     /// Removes the path's final field.
     Unset(String),
-    /// Adds to an integer field (missing/non-numeric treated as 0).
+    /// Adds to an integer field (missing/non-numeric treated as 0). An
+    /// increment that would leave `i64` leaves the field as it is, and
+    /// the rest of the update applies. (MongoDB refuses the whole update
+    /// instead; no platform caller needs that, and a counter that a
+    /// corrupt record holds at the edge must not wrap or panic.)
     Inc(String, i64),
     /// Appends to an array field (missing treated as empty array).
     Push(String, Value),
@@ -132,11 +136,15 @@ impl Update {
                 }
             }
             Update::Inc(p, by) => {
+                // Past `i64` the slot stays: it held an integer, so nothing
+                // was created on the way to it either.
                 if let Some(slot) = doc.leaf_slot(p, &mut changed) {
-                    let new = Value::I64(slot.as_i64().unwrap_or(0) + by);
-                    if changed || *slot != new {
-                        *slot = new;
-                        changed = true;
+                    if let Some(sum) = slot.as_i64().unwrap_or(0).checked_add(*by) {
+                        let new = Value::I64(sum);
+                        if changed || *slot != new {
+                            *slot = new;
+                            changed = true;
+                        }
                     }
                 }
             }

@@ -851,6 +851,34 @@ mod tests {
     }
 
     #[test]
+    fn an_increment_past_i64_changes_nothing() {
+        let mut db = DocStore::new();
+        let edges = obj! {"_id" => "d1", "attempts" => i64::MAX, "low" => i64::MIN};
+        db.insert("jobs", edges.clone()).unwrap();
+        let journaled = db.journal().len();
+        let by_id = Filter::eq("_id", "d1");
+        for update in [Update::inc("attempts", 1), Update::inc("low", -1)] {
+            db.update_one("jobs", &by_id, &update);
+            assert_eq!(db.journal().len(), journaled, "{update:?}");
+        }
+        assert_eq!(db.find_one("jobs", &by_id).as_deref(), Some(&edges));
+
+        // The rest of an update applies, live and in redo.
+        let many = Update::Many(vec![
+            Update::inc("attempts", 1),
+            Update::set("status", "FAILED"),
+        ]);
+        assert!(db.update_one("jobs", &by_id, &many));
+        assert!(db.update_one("jobs", &by_id, &Update::inc("low", 1)));
+        let d1 = db.find_one("jobs", &by_id).unwrap();
+        assert_eq!(d1.path("attempts"), Some(&Value::I64(i64::MAX)));
+        assert_eq!(d1.path("low"), Some(&Value::I64(i64::MIN + 1)));
+        assert_eq!(d1.path("status").and_then(Value::as_str), Some("FAILED"));
+        let recovered = DocStore::recover(db.journal().clone());
+        assert_eq!(recovered.find_one("jobs", &by_id), Some(d1));
+    }
+
+    #[test]
     fn update_one_and_many() {
         let mut db = DocStore::new();
         for i in 0..5 {

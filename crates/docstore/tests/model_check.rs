@@ -48,12 +48,14 @@ fn path_strategy() -> impl Strategy<Value = &'static str> {
     (0..PATHS.len()).prop_map(|i| PATHS[i])
 }
 
-/// Values the updates write. A NaN is only asked for ([`probes`]): a
+/// Values the updates write, the integers with both ends of `i64` that an
+/// `Inc` must not step past. A NaN is only asked for ([`probes`]): a
 /// document holding one is unequal to itself, so the model would call
 /// every update of it a change.
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         3 => (0..4i64).prop_map(Value::from),
+        3 => prop_oneof![Just(i64::MAX), Just(i64::MIN)].prop_map(Value::from),
         2 => (0..4i64).prop_map(|i| Value::F64(i as f64)),
         3 => (0..4u8).prop_map(|s| Value::from(status_name(s))),
         1 => Just(Value::Null),
@@ -181,7 +183,7 @@ impl Model {
         for id in ids {
             let before = self.docs[id].clone();
             let mut after = before.clone();
-            update.apply(&mut after);
+            model_apply(update, &mut after);
             if after != before {
                 self.docs.insert(id.clone(), after);
                 self.note_change(id);
@@ -213,6 +215,24 @@ impl Model {
             }
         }
         (docs, gone, self.change_seq)
+    }
+}
+
+/// [`Update::apply`], but with the model's own `Inc`: the held integer
+/// (0 if none) plus the step by `checked_add`, set as a `Set` would set
+/// it; an increment that would leave `i64` leaves the document as it is.
+fn model_apply(update: &Update, doc: &mut Value) {
+    match update {
+        Update::Many(parts) => parts.iter().for_each(|u| model_apply(u, doc)),
+        Update::Inc(p, by) => {
+            let held = doc.path(p).and_then(Value::as_i64).unwrap_or(0);
+            if let Some(sum) = held.checked_add(*by) {
+                Update::set(p.as_str(), sum).apply(doc);
+            }
+        }
+        _ => {
+            update.apply(doc);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! * [`when`] — a one-shot trigger that fires an action at the first
 //!   poll that finds a predicate over the live state true (a recovery
 //!   watch, a test's staged outage; a fault at a step the platform marks
-//!   is armed on the mark instead, with `Sim::on_mark`),
+//!   is armed on the mark instead, with a tap, `Sim::tap`),
 //! * [`partition_window`] / [`latency_window`] / [`nfs_outage_window`] —
 //!   timed substrate degradations that repair themselves,
 //! * [`measure_recovery`] — a stopwatch from fault to a recovery
@@ -67,7 +67,8 @@ use dlaas_sim::{Sim, SimDuration, SimRng, TimerHandle};
 /// The action runs up to a `period` after the state arose, so it suits
 /// a state no component marks — a pod back up, a job's iteration. A
 /// fault at a step a component marks (the fault matrix's Guardian steps)
-/// is armed with `Sim::on_mark`, which runs it at the mark's instant.
+/// is armed with a mark tap (`Sim::tap`), which queues it at the mark's
+/// instant.
 /// Returns the timer handle so a caller can disarm an un-fired trigger.
 pub fn when(
     sim: &mut Sim,

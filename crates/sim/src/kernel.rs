@@ -78,13 +78,8 @@ impl<F: FnOnce(&mut Sim) + 'static> Event for F {
 
 type EventFn = Box<dyn Event>;
 
-/// The mark [`Sim::on_mark`] waits for, and what it queues then.
-struct OnMark {
-    who: &'static str,
-    subject: Box<str>,
-    what: &'static str,
-    run: EventFn,
-}
+/// A mark tap: what [`Sim::tap`] registered.
+type Tap = dyn FnMut(&mut Sim, Subject<'_>, &'static str, u64) -> bool;
 
 /// A round run in place: `round(at)` does its work and returns the
 /// instant of the next round, or declines (`None`), having done nothing.
@@ -240,8 +235,9 @@ pub struct Sim {
     /// How many streams [`Sim::fork_rng`] has handed out per label.
     forks: BTreeMap<String, u32>,
     trace: Trace,
-    /// What [`Sim::on_mark`] armed, until the mark it waits for.
-    on_mark: Option<OnMark>,
+    /// What [`Sim::tap`] registered, and whose marks each sees, in
+    /// registration order.
+    taps: Vec<(&'static str, Box<Tap>)>,
     metrics: Registry,
     executed: u64,
     rounds_in_place: u64,
@@ -292,7 +288,7 @@ impl Sim {
             forks: BTreeMap::new(),
             // Off until a reader asks (`sim.trace_mut().set_enabled(true)`).
             trace: Trace::default(),
-            on_mark: None,
+            taps: Vec::new(),
             metrics: Registry::new(),
             executed: 0,
             rounds_in_place: 0,
@@ -405,8 +401,8 @@ impl Sim {
     /// `subject` (dropped unless the trace was enabled). `arg` is the one
     /// number that goes with `what` — attempt, term, bytes — or 0. The
     /// types admit nothing that had to be formatted or allocated first.
-    /// The mark [`Sim::on_mark`] waits for queues what it armed, whether
-    /// the trace is on or not.
+    /// Every tap on `who` ([`Sim::tap`]) sees the mark, whether the trace
+    /// is on or not.
     #[inline]
     pub fn mark<'a>(
         &mut self,
@@ -419,39 +415,33 @@ impl Sim {
         if self.trace.enabled {
             self.trace.push(self.now, who, subject, what, arg);
         }
-        if self.on_mark.is_some() {
-            self.fire_on_mark(who, subject, what);
+        if !self.taps.is_empty() {
+            self.run_taps(who, subject, what, arg);
         }
     }
 
-    /// Arms `f` for the first mark that `who` makes of `what` about
-    /// `subject`: that mark queues `f` at its own instant, after the
-    /// events already queued for it, so `f` never runs inside the marking
-    /// component's borrows. One arm at a time, fired once; arming again
-    /// replaces the earlier arm.
-    pub fn on_mark(
+    /// Taps `who`'s marks: `f` runs inside every later [`Sim::mark`] by
+    /// `who`, with the mark's subject, name and number, trace on or off,
+    /// after the taps registered before it. It runs inside the marking
+    /// component's borrows, so it records and leaves acting to an event
+    /// it queues ([`Sim::defer`]). It returns `false` to unsubscribe. A
+    /// mark made inside a tap is traced but not tapped.
+    pub fn tap(
         &mut self,
         who: &'static str,
-        subject: &str,
-        what: &'static str,
-        f: impl FnOnce(&mut Sim) + 'static,
+        f: impl FnMut(&mut Sim, Subject<'_>, &'static str, u64) -> bool + 'static,
     ) {
-        self.on_mark = Some(OnMark {
-            who,
-            subject: subject.into(),
-            what,
-            run: Box::new(f),
-        });
+        self.taps.push((who, Box::new(f)));
     }
 
-    #[cold]
-    fn fire_on_mark(&mut self, who: &'static str, subject: Subject<'_>, what: &'static str) {
-        let hit = |arm: &mut OnMark| {
-            (arm.who, arm.what) == (who, what) && subject == Subject::Name(&arm.subject)
-        };
-        if let Some(arm) = self.on_mark.take_if(hit) {
-            self.push(self.now, arm.run);
-        }
+    /// Runs the taps on `who` for one mark. The list is out of the world
+    /// while they run, which is what keeps their own marks untapped; taps
+    /// registered meanwhile join it after them.
+    fn run_taps(&mut self, who: &'static str, subject: Subject<'_>, what: &'static str, arg: u64) {
+        let mut taps = std::mem::take(&mut self.taps);
+        taps.retain_mut(|(on, f)| *on != who || f(self, subject, what, arg));
+        taps.append(&mut self.taps);
+        self.taps = taps;
     }
 
     /// The world's metrics registry. The returned handle is cheap to clone
@@ -1124,8 +1114,26 @@ mod tests {
             let ran = ran.clone();
             move |sim: &mut Sim| ran.borrow_mut().push((sim.now(), what))
         };
-        sim.on_mark("guardian", "job-1", "deployed", log("replaced"));
-        sim.on_mark("guardian", "job-1", "helper-created", log("fired"));
+        // An arm: the first `helper-created` of job-1 by the Guardian
+        // queues one event, and the tap unsubscribes.
+        let fired = log("fired");
+        sim.tap("guardian", move |sim, subject, what, _| {
+            let hit = (subject, what) == (Subject::Name("job-1"), "helper-created");
+            if hit {
+                sim.defer(fired.clone());
+            }
+            !hit
+        });
+        // A second tap on the same marker sees every one of its marks,
+        // those after the arm left too; a mark made inside a tap is not
+        // tapped.
+        let seen = Rc::new(RefCell::new(0));
+        let seen2 = seen.clone();
+        sim.tap("guardian", move |sim, subject, _, _| {
+            sim.mark("guardian", subject, "echo", 0);
+            *seen2.borrow_mut() += 1;
+            true
+        });
         let marked = log("marked");
         sim.schedule_in(SimDuration::from_secs(2), move |sim| {
             sim.mark("kube", "job-1", "helper-created", 0);
@@ -1145,6 +1153,7 @@ mod tests {
             *ran.borrow(),
             [(at, "marked"), (at, "queued"), (at, "fired")]
         );
+        assert_eq!(*seen.borrow(), 5);
     }
 
     #[test]

@@ -13,7 +13,11 @@ pub const KEY: &str = "itest-key";
 /// Boots a default platform with a seeded tenant, dataset and results
 /// bucket.
 pub fn boot(seed: u64) -> (Sim, DlaasPlatform) {
-    let mut sim = Sim::new(seed);
+    boot_in(Sim::new(seed))
+}
+
+/// [`boot`] in a world the caller prepared (a tap installed, say).
+pub fn boot_in(mut sim: Sim) -> (Sim, DlaasPlatform) {
     let platform = DlaasPlatform::bootstrapped(&mut sim);
     platform
         .add_tenant(&Tenant::new("itest", KEY, 0))

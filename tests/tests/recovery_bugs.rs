@@ -14,10 +14,10 @@ use dlaas_core::{
 use dlaas_docstore::Value;
 use dlaas_etcd::KvEvent;
 use dlaas_faults::{nfs_outage_window, partition_window, when};
-use dlaas_integration::{boot, manifest, start_training, submit_blocking, KEY};
+use dlaas_integration::{boot, boot_in, manifest, start_training, submit_blocking, KEY};
 use dlaas_kube::labels;
 use dlaas_net::Addr;
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::{Sim, SimDuration, SimTime};
 
 /// The pod currently holding `shard`'s owner key, read off the etcd
 /// leader's store.
@@ -343,7 +343,7 @@ fn partitioned_lcm_replica_fences_itself_before_lease_expiry() {
 
     let ttl = config::LCM_LEASE_TTL;
     let scan = config::LCM_SCAN;
-    let shard = paths::job_shard(&job, config::LCM_SHARDS);
+    let shard = paths::job_shard(job.as_str(), config::LCM_SHARDS);
 
     // Let the job get in flight; by then every shard has an owner.
     let mid = platform.wait_for_status(
@@ -428,7 +428,7 @@ fn crashed_shard_owner_is_replaced_within_the_takeover_bound() {
     let monitor = InvariantMonitor::install(&mut sim, &platform, SimDuration::from_secs(5));
 
     let job = submit_blocking(&mut sim, &client, manifest("owner-crash", 400));
-    let shard = paths::job_shard(&job, config::LCM_SHARDS);
+    let shard = paths::job_shard(job.as_str(), config::LCM_SHARDS);
 
     // Kill the owning replica the moment the deployment starts.
     let p2 = platform.clone();
@@ -468,6 +468,80 @@ fn crashed_shard_owner_is_replaced_within_the_takeover_bound() {
         shard_owner(&platform, shard).is_some(),
         "job's shard still orphaned after recovery"
     );
+}
+
+/// The LCM's GC probe of a finished job's etcd keys goes through the
+/// shared `lcm-gc` client, which outlives every LCM incarnation. A probe
+/// sent by a shard owner that crashes before etcd answers must drive
+/// nothing: the answer lands on a replica that no longer holds the shard,
+/// so a sweep it makes drives the job a second time.
+///
+/// Staged on the owner's scan grid (its `up` mark plus whole scan
+/// periods): the `lcm-gc` client is cut off across the job's teardown so
+/// its keys leak; it is reconnected just before the owner's next scan
+/// tick, whose probe goes out under a short quorum outage; the owner
+/// crashes during that outage, and etcd answers the probe after it.
+#[test]
+fn a_gc_probe_answered_after_its_lcm_incarnation_stopped_drives_nothing() {
+    let mut sim = Sim::new(307);
+    let up: Rc<RefCell<BTreeMap<String, SimTime>>> = Rc::default();
+    let up2 = up.clone();
+    sim.tap("lcm", move |sim, subject, what, _| {
+        if what == "up" {
+            up2.borrow_mut().insert(subject.to_string(), sim.now());
+        }
+        true
+    });
+    let (mut sim, platform) = boot_in(sim);
+    let client = platform.client("itest", KEY);
+    let scan = config::LCM_SCAN;
+
+    let servers: Vec<Addr> = (0..platform.etcd().len() as u32)
+        .map(dlaas_etcd::etcd_addr)
+        .collect();
+    let net = platform.etcd().rpc().net().clone();
+    net.partition(&mut sim, vec![vec![Addr::new("etcdc/lcm-gc")], servers]);
+    let job = submit_blocking(&mut sim, &client, manifest("gc-probe", 200));
+    let end = platform.wait_for_status(
+        &mut sim,
+        &job,
+        JobStatus::Completed,
+        SimDuration::from_hours(1),
+    );
+    assert_eq!(end, Some(JobStatus::Completed));
+    // Past the teardown's retries, and past the last leftover pod.
+    sim.run_for(scan * 3);
+    let leaked = |platform: &DlaasPlatform| {
+        let leader = platform.etcd().leader_id().expect("etcd has a leader");
+        let kv = platform.etcd().kv_snapshot(leader);
+        kv.keys_with_prefix(&paths::etcd_job_prefix(&job)).count()
+    };
+    assert!(leaked(&platform) > 0, "the teardown's delete got through");
+
+    let shard = paths::job_shard(job.as_str(), config::LCM_SHARDS);
+    let owner = shard_owner(&platform, shard).expect("the job's shard is owned");
+    let mut tick = up.borrow()[&owner];
+    while tick < sim.now() + SimDuration::from_secs(2) {
+        tick += scan;
+    }
+    sim.run_for(tick.saturating_duration_since(sim.now()) - SimDuration::from_millis(800));
+    net.heal(&mut sim);
+    let at = tick - SimDuration::from_millis(500);
+    etcd_quorum_outage_when(&mut sim, &platform, SimDuration::from_secs(2), move |sim| {
+        sim.now() >= at
+    });
+    let p = platform.clone();
+    let crashed = owner.clone();
+    sim.schedule_at(tick + SimDuration::from_secs(1), move |sim| {
+        assert!(p.kube().crash_pod(sim, &crashed));
+    });
+
+    sim.run_for(scan);
+    let conflicts = platform.shard_tracker().conflicts();
+    assert!(conflicts.is_empty(), "a stopped owner swept: {conflicts:?}");
+    sim.run_for(scan * 6);
+    assert_eq!(leaked(&platform), 0, "the new owner never cleaned up");
+    check_invariants(&sim, &platform).assert_clean();
 }
 
 /// Regression: the learner's NFS bookkeeping writes (status, log,
