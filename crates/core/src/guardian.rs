@@ -245,16 +245,21 @@ impl Guardian {
             }
 
             // Fresh deployment (or retry after a mid-deploy crash).
-            let attempts = doc.path("attempts").and_then(Value::as_i64).unwrap_or(0) as u32 + 1;
+            // A stored count outside the budget gives up, a corrupt one
+            // too (negative, or past `u32`): never a wrap into a fresh
+            // budget.
+            let stored = doc.path("attempts").and_then(Value::as_i64).unwrap_or(0);
             let max = me.h.config.deploy_max_attempts;
-            if attempts > max {
-                me.mark(sim, "attempts-exhausted", attempts.into());
+            let Some(attempts) = u32::try_from(stored).ok().filter(|&n| n < max) else {
+                let tried = u64::try_from(stored.saturating_add(1)).unwrap_or(0);
+                me.mark(sim, "attempts-exhausted", tried);
                 sim.metrics()
                     .counter_series(metrics::GUARDIAN_GAVE_UP, [])
                     .inc();
                 me.fail_job(sim);
                 return;
-            }
+            };
+            let attempts = attempts + 1;
             let me2 = me.clone();
             let filter = Filter::eq("_id", me.job.as_str());
             me.meta.update_one(

@@ -16,18 +16,25 @@
 //! * terminal jobs with leftover cluster resources are garbage-collected.
 //!
 //! The scan is watch-driven: each tick pulls the jobs collection's change
-//! feed above a watermark (`FindChanged`) into in-memory watchlists and
-//! sweeps only those, so per-tick work is proportional to what changed
+//! feed above a watermark (`FindChanged`) into an in-memory watchlist and
+//! walks only that, once, so per-tick work is proportional to what changed
 //! plus what is actually being watched — not to the total number of jobs
-//! ever submitted. The watchlists are a cache, not state: an LCM restart
-//! begins at watermark 0, which replays the full feed and rebuilds them,
-//! preserving the statelessness the paper's recovery story relies on.
+//! ever submitted. Each job's rule is the pure [`decide`] over its entry,
+//! the time and its Guardian K8s Job; the sweep then acts. The watchlist
+//! is a cache, not state: an LCM restart begins at watermark 0, which
+//! replays the full feed and rebuilds it, preserving the statelessness
+//! the paper's recovery story relies on. One [`Replica`] holds all of an
+//! incarnation's state: clients, lease, shards and watchlist.
 //!
 //! # Replicated LCM: lease-sharded job ownership
 //!
 //! With more than one replica, every replica ingests the full change feed
-//! (the watchlists are cheap), but *sweeps* only the jobs whose id hashes
-//! into a shard it owns ([`paths::job_shard`]). Ownership is arbitrated
+//! and keeps every queued and admitted job (the arbiter weighs them all),
+//! but *sweeps* only the jobs whose id hashes into a shard it owns
+//! ([`paths::job_shard`]), and keeps a finished job only while it owns its
+//! shard: the sweep drops the others, and a claim replays the feed from 0
+//! for the finished jobs of the shard it takes. The watchlist's size is
+//! the `dlaas_lcm_watchlist_entries` gauge. Ownership is arbitrated
 //! through etcd: each replica holds a lease
 //! ([`crate::config::LCM_LEASE_TTL`]) and CAS-acquires
 //! absent [`paths::lcm_shard_owner`] keys with that lease attached. When
@@ -60,7 +67,7 @@ use dlaas_kube::{
     labels, pod_addr, Cleanup, ContainerSpec, ImageRef, JobStatus as KubeJobStatus, PodSpec,
     ProcessCtx, Resources,
 };
-use dlaas_sim::{GaugeHandle, Sim, SimTime};
+use dlaas_sim::{GaugeHandle, Sim, SimDuration, SimTime};
 
 use crate::config;
 use crate::fairness::{admission_plan, QueuedJob, TenantShare};
@@ -94,31 +101,42 @@ pub(crate) const SWEEPS: [&str; 5] = [REDEPLOY, GAVE_UP, DEPLOY_TIMEOUT, GC_LEFT
 /// Behavior factory for the LCM container.
 pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let addr = pod_addr(&ctx.pod);
-    let meta = h.meta(&ctx, &ctx.pod);
     sim.mark("lcm", ctx.pod.as_str(), "up", 0);
+    let rep = Rc::new(Replica {
+        meta: h.meta(&ctx, &ctx.pod),
+        etcdc: h.etcd_client(&ctx, &ctx.pod),
+        h,
+        pod: ctx.pod.clone(),
+        alive: ctx.alive_flag(),
+        own: RefCell::default(),
+        scan: RefCell::default(),
+        watched: sim
+            .metrics()
+            .gauge_series(metrics::LCM_WATCHLIST, [ctx.pod.as_str()]),
+    });
 
-    let h2 = h.clone();
-    let ctx2 = ctx.clone();
-    let meta2 = meta.clone();
-    h.rpc.serve(addr.clone(), move |sim, req, responder| {
-        if !ctx2.is_alive() {
+    let rep_rpc = rep.clone();
+    rep.h.rpc.serve(addr.clone(), move |sim, req, responder| {
+        if !rep_rpc.alive.get() {
             return;
         }
         match req {
             CoreRequest::DeployJob { job } => {
-                ensure_guardian(sim, &h2, job);
+                ensure_guardian(sim, &rep_rpc.h, job);
                 responder.ok(sim, CoreResponse::Ok);
             }
             CoreRequest::StopJob { job } => {
-                let h3 = h2.clone();
+                let rep2 = rep_rpc.clone();
                 let job2 = job.clone();
-                meta2.advance_status(sim, job, JobStatus::Killed, move |sim, r| match r {
-                    Ok(_) => {
-                        teardown_job(sim, &h3, &job2, true);
-                        responder.ok(sim, CoreResponse::Ok);
-                    }
-                    Err(e) => responder.err(sim, e.to_string()),
-                });
+                rep_rpc
+                    .meta
+                    .advance_status(sim, job, JobStatus::Killed, move |sim, r| match r {
+                        Ok(_) => {
+                            teardown_job(sim, &rep2.h, &job2, true);
+                            responder.ok(sim, CoreResponse::Ok);
+                        }
+                        Err(e) => responder.err(sim, e.to_string()),
+                    });
             }
             _ => responder.err(sim, "not an LCM endpoint"),
         }
@@ -128,17 +146,6 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     // first listing (inside the post-grant reconcile): list-then-watch
     // would miss an owner-key deletion between the two and orphan the
     // shard until the next unrelated event.
-    let rep = Rc::new(Replica {
-        etcdc: h.etcd_client(&ctx, &ctx.pod),
-        pod: ctx.pod.clone(),
-        alive: ctx.alive_flag(),
-        own: RefCell::new(Ownership {
-            lease: None,
-            fence: SimTime::ZERO,
-            granting: false,
-            owned: BTreeSet::new(),
-        }),
-    });
     let rep_watch = rep.clone();
     rep.etcdc
         .watch_prefix(sim, paths::LCM_SHARDS_PREFIX, move |sim, ev| {
@@ -166,25 +173,19 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
         true
     });
 
-    // The background scan. The watchlist cache dies with this
-    // incarnation; a successor starts at watermark 0 and rebuilds it
-    // from the full change feed.
-    let scan_period = config::LCM_SCAN;
-    let h3 = h.clone();
-    let meta3 = meta.clone();
-    let alive = ctx.alive_flag();
-    let state = Rc::new(RefCell::new(ScanState::default()));
+    // The background scan. The watchlist dies with this incarnation; a
+    // successor starts at watermark 0 and rebuilds it from the full
+    // change feed.
     let rep_scan = rep.clone();
-    let timer = dlaas_sim::every(sim, scan_period, move |sim, _n| {
-        if !alive.get() {
+    let timer = dlaas_sim::every(sim, config::LCM_SCAN, move |sim, _n| {
+        if !rep_scan.alive.get() {
             return false;
         }
         reconcile(sim, &rep_scan);
-        scan(sim, &h3, &meta3, &state, &rep_scan);
+        scan(sim, &rep_scan);
         true
     });
 
-    let rpc = h.rpc.clone();
     Box::new(move |sim| {
         timer.cancel();
         ka_timer.cancel();
@@ -194,7 +195,8 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
         // not have, and expiry-driven takeover is the recovery path under
         // test.
         release_shards(sim, &rep);
-        rpc.stop_serving(&addr);
+        rep.watched.set(0.0);
+        rep.h.rpc.stop_serving(&addr);
         // The per-incarnation etcd client (and the shard watch on it) is
         // closed by the kubelet right after this, so a restarted pod of
         // the same name can register its own watch endpoint.
@@ -205,6 +207,7 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
 /// here is conservative cache: etcd's replicated lease + owner keys are
 /// the source of truth, and the fence guarantees this view never claims
 /// more than the server would grant.
+#[derive(Default)]
 struct Ownership {
     lease: Option<LeaseId>,
     /// Conservative local expiry: stamped from the **send** time of the
@@ -220,13 +223,19 @@ struct Ownership {
     owned: BTreeSet<u32>,
 }
 
-/// Per-incarnation shard-ownership context shared by the watch handler,
-/// the keepalive timer and the scan timer.
+/// One LCM incarnation: its clients, its lease and shards, and its
+/// watchlist. The RPC handler, the shard watch, both timers and every
+/// callback share it and read its one `alive` flag.
 struct Replica {
+    h: Handles,
+    meta: MetaClient,
     etcdc: EtcdClient,
     pod: String,
     alive: Rc<Cell<bool>>,
     own: RefCell<Ownership>,
+    scan: RefCell<ScanState>,
+    /// Its [`metrics::LCM_WATCHLIST`] series.
+    watched: GaugeHandle,
 }
 
 /// The lease the replica holds while its local fence has not lapsed —
@@ -424,6 +433,9 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
                 o.lease == Some(lease) && sim.now() < o.fence && o.owned.insert(shard)
             };
             if claimed {
+                // The sweep kept none of the shard's finished jobs while
+                // it was another's: the next scan replays them.
+                rep2.scan.borrow_mut().replay.insert(shard);
                 sim.mark("lcm", shard, ACQUIRED_UNDER_LEASE, lease);
                 sim.metrics()
                     .counter_series(metrics::LCM_SHARD_ACQUISITIONS, [trigger])
@@ -569,6 +581,10 @@ fn deploying_since(doc: &Value) -> Option<SimTime> {
 struct ScanState {
     /// Change-feed sequence number the next scan resumes from.
     watermark: u64,
+    /// Shards claimed since the last jobs-feed read was sent: their
+    /// finished jobs are off the watchlist, dropped by sweeps while the
+    /// shards were another's, and the next read replays the feed from 0.
+    replay: BTreeSet<u32>,
     /// Every job a sweep rule watches, and what for. A changed document
     /// updates its job's entry where it is: a job costs an allocation
     /// when the feed first shows it, not on every change.
@@ -660,6 +676,19 @@ fn ingest(sim: &mut Sim, st: &mut ScanState, doc: &Value) {
     }
 }
 
+/// Whether a replay of the feed for the `claimed` shards ingests `doc`:
+/// every document but a finished job this replica does not watch in a
+/// shard it did not just claim, which it has already collected (or which
+/// is someone else's, and the sweep would drop it).
+fn replays(st: &ScanState, claimed: &BTreeSet<u32>, doc: &Value) -> bool {
+    let Some(id) = doc.path("_id").and_then(Value::as_str) else {
+        return false;
+    };
+    st.jobs.contains_key(id)
+        || !JobStatus::of(doc).is_some_and(JobStatus::is_terminal)
+        || claimed.contains(&paths::job_shard(id, config::LCM_SHARDS))
+}
+
 /// What the sweep watches job `id` for now that its document reads `doc`
 /// (`None`: nothing), reusing what `was` already holds.
 fn watch_of(sim: &mut Sim, doc: &Value, id: &str, was: Option<Watch>) -> Option<Watch> {
@@ -744,64 +773,65 @@ fn watch_of(sim: &mut Sim, doc: &Value, id: &str, was: Option<Watch>) -> Option<
     }
 }
 
-fn scan(
-    sim: &mut Sim,
-    h: &Handles,
-    meta: &MetaClient,
-    state: &Rc<RefCell<ScanState>>,
-    rep: &Rc<Replica>,
-) {
-    let since = state.borrow().watermark;
-    let h2 = h.clone();
-    let meta2 = meta.clone();
-    let state2 = state.clone();
+fn scan(sim: &mut Sim, rep: &Rc<Replica>) {
+    // Shards claimed since the last read: this one replays the feed for
+    // them. Taken now, so a claim that lands while it is in flight waits
+    // for the next read instead of being lost to this one's watermark.
+    let (watermark, claimed) = {
+        let mut st = rep.scan.borrow_mut();
+        (st.watermark, std::mem::take(&mut st.replay))
+    };
+    let replay = watermark > 0 && !claimed.is_empty();
+    let since = if replay { 0 } else { watermark };
     let rep2 = rep.clone();
-    meta.find_changed(sim, JOBS, since, move |sim, r| {
-        // Store unreachable: keep the old watermark and retry next tick.
+    rep.meta.find_changed(sim, JOBS, since, move |sim, r| {
+        // Store unreachable: keep the old watermark and the replay, and
+        // retry next tick.
         let Ok((docs, gone, high_water)) = r else {
+            rep2.scan.borrow_mut().replay.extend(claimed);
             return;
         };
-        {
-            let mut st = state2.borrow_mut();
+        let tenants_since = {
+            let mut st = rep2.scan.borrow_mut();
             st.watermark = high_water;
             for doc in &docs {
-                ingest(sim, &mut st, doc);
+                if !replay || replays(&st, &claimed, doc) {
+                    ingest(sim, &mut st, doc);
+                }
             }
             for id in &gone {
                 st.jobs.remove(id.as_str());
             }
-        }
+            st.tenants_watermark
+        };
         // Pull the tenants feed too (quota/weight edits are rare, so
         // this is almost always an empty delta), then sweep and run the
         // admission arbiter on the fresh view.
-        let tenants_since = state2.borrow().tenants_watermark;
-        let h3 = h2.clone();
-        let meta3 = meta2.clone();
-        let state3 = state2.clone();
         let rep3 = rep2.clone();
-        meta2.find_changed(sim, TENANTS, tenants_since, move |sim, r| {
-            if let Ok((docs, gone, high_water)) = r {
-                let mut st = state3.borrow_mut();
-                st.tenants_watermark = high_water;
-                for doc in &docs {
-                    if let Some(t) = Tenant::from_document(doc) {
-                        st.tenants.insert(
-                            t.id,
-                            TenantShare {
-                                max_gpus: t.max_gpus,
-                                weight: t.weight,
-                            },
-                        );
+        rep2.meta
+            .find_changed(sim, TENANTS, tenants_since, move |sim, r| {
+                if let Ok((docs, gone, high_water)) = r {
+                    let mut st = rep3.scan.borrow_mut();
+                    st.tenants_watermark = high_water;
+                    for doc in &docs {
+                        if let Some(t) = Tenant::from_document(doc) {
+                            st.tenants.insert(
+                                t.id,
+                                TenantShare {
+                                    max_gpus: t.max_gpus,
+                                    weight: t.weight,
+                                },
+                            );
+                        }
+                    }
+                    for id in &gone {
+                        st.tenants.remove(id);
                     }
                 }
-                for id in &gone {
-                    st.tenants.remove(id);
-                }
-            }
-            // Tenants feed unreachable: sweep with the cached registry.
-            sweep(sim, &h3, &meta3, &state3, &rep3);
-            admit(sim, &h3, &meta3, &state3, &rep3);
-        });
+                // Tenants feed unreachable: sweep with the cached registry.
+                sweep(sim, &rep3);
+                admit(sim, &rep3);
+            });
     });
 }
 
@@ -814,13 +844,7 @@ fn scan(
 /// admission write itself is single-winner by the status CAS, and
 /// [`ensure_guardian`] is idempotent under races with the owner's own
 /// pending sweep.
-fn admit(
-    sim: &mut Sim,
-    h: &Handles,
-    meta: &MetaClient,
-    state: &Rc<RefCell<ScanState>>,
-    rep: &Rc<Replica>,
-) {
+fn admit(sim: &mut Sim, rep: &Rc<Replica>) {
     if valid_lease(rep, sim.now()).is_none() || !rep.own.borrow().owned.contains(&ARBITER_SHARD) {
         return;
     }
@@ -829,7 +853,7 @@ fn admit(
     // both over the watchlist as it stands, copying nothing of it but
     // the jobs the plan admits.
     let plan: Vec<(JobId, String, u64)> = {
-        let mut st = state.borrow_mut();
+        let mut st = rep.scan.borrow_mut();
         let st = &mut *st;
         let mut depths: BTreeMap<&str, f64> = BTreeMap::new();
         for q in st.jobs.values().filter_map(Watch::queued) {
@@ -872,12 +896,12 @@ fn admit(
     };
 
     for (job, tenant, since_us) in plan {
-        let h2 = h.clone();
+        let rep2 = rep.clone();
         // The local queued entry is left in place: on success the status
         // change re-enters through the jobs feed before the next round
         // (moving the job to the active view), and on a lost CAS race or
         // store error the entry must survive for a retry anyway.
-        meta.admit_job(sim, &job.clone(), move |sim, r| {
+        rep.meta.admit_job(sim, &job.clone(), move |sim, r| {
             if !matches!(r, Ok(true)) {
                 return;
             }
@@ -886,161 +910,183 @@ fn admit(
                 .histogram_series(metrics::TENANT_ADMISSION_WAIT, [&tenant])
                 .observe(waited as f64);
             sim.mark("lcm", job.as_str(), "admitted-after-us", waited);
-            ensure_guardian(sim, &h2, &job);
+            ensure_guardian(sim, &rep2.h, &job);
         });
     }
 }
 
-/// Walks the watchlist (not the whole collection) and applies the three
-/// self-healing rules — to owned shards only. Every replica ingests the
-/// full feed, but a job is swept exclusively by the current owner of its
-/// shard; each drive is marked first, with the lease its ownership was
-/// decided under (what the ownership ledger checks). The
-/// checks read the watchlist in place; only the jobs a rule acts on are
-/// copied out, since acting calls into other components.
-fn sweep(
-    sim: &mut Sim,
-    h: &Handles,
-    meta: &MetaClient,
-    state: &Rc<RefCell<ScanState>>,
-    rep: &Rc<Replica>,
-) {
-    let now = sim.now();
-    // 1. Re-deploy PENDING jobs that have sat too long without a Guardian.
-    let redeploy_after = config::PENDING_REDEPLOY_AFTER;
-    let stranded: Vec<(JobId, LeaseId)> = state
-        .borrow()
-        .jobs
-        .iter()
-        .filter_map(|(job, watch)| {
-            let a = watch.active()?;
-            let since = a.pending_since?;
-            let lease = owns_job(rep, now, job)?;
-            (now.saturating_duration_since(since) >= redeploy_after
-                && h.kube.job_status(&a.guardian).is_none())
-            .then(|| (job.clone(), lease))
-        })
-        .collect();
-    for (job, lease) in stranded {
-        sim.mark("lcm", job.as_str(), REDEPLOY, lease);
-        sim.metrics()
-            .counter_series(metrics::LCM_SCAN_REDEPLOYS, [])
-            .inc();
-        ensure_guardian(sim, h, &job);
-    }
+/// What the sweep does about a job in a shard this replica owns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Drive {
+    /// PENDING past [`config::PENDING_REDEPLOY_AFTER`] and no Guardian K8s
+    /// Job: create it again.
+    Redeploy,
+    /// Fail the job: its Guardian exhausted its K8s backoff limit
+    /// ([`GAVE_UP`]), or it sat in DEPLOYING past [`config::DEPLOY_TIMEOUT`]
+    /// ([`DEPLOY_TIMEOUT`]: undeployable, e.g. it requests hardware the
+    /// cluster does not have).
+    Fail(&'static str),
+    /// Terminal: collect what it left behind.
+    Collect,
+}
 
-    // 2. Fail jobs whose Guardian exhausted its K8s backoff limit, and
-    //    jobs stuck in DEPLOYING past the deploy timeout (undeployable:
-    //    e.g. they request hardware the cluster does not have). Both
-    //    checks read local Kubernetes/watchlist state only.
-    let deploy_timeout = config::DEPLOY_TIMEOUT;
-    let to_fail: Vec<(JobId, LeaseId, bool)> = state
-        .borrow()
-        .jobs
-        .iter()
-        .filter_map(|(job, watch)| {
-            let a = watch.active()?;
-            let lease = owns_job(rep, now, job)?;
-            let guardian_gave_up = h.kube.job_status(&a.guardian) == Some(KubeJobStatus::Failed);
-            let deploy_stuck = a
-                .deploying_since
-                .is_some_and(|since| now.saturating_duration_since(since) >= deploy_timeout);
-            (guardian_gave_up || deploy_stuck).then(|| (job.clone(), lease, guardian_gave_up))
-        })
-        .collect();
-    for (job, lease, guardian_gave_up) in to_fail {
-        // One FAILED write per job in flight: a slow one must not be
-        // doubled by the next tick.
-        if !state.borrow_mut().failing.insert(job.clone()) {
-            continue;
+impl Drive {
+    /// When the sweep acts on it: every redeploy, then every fail, then
+    /// every collection.
+    fn rank(self) -> u8 {
+        match self {
+            Drive::Redeploy => 0,
+            Drive::Fail(_) => 1,
+            Drive::Collect => 2,
         }
-        // (A deploy timeout usually means unschedulable resources.)
-        let reason = if guardian_gave_up {
-            GAVE_UP
-        } else {
-            DEPLOY_TIMEOUT
+    }
+}
+
+/// The sweep's rules for one owned job: a pure function of its watchlist
+/// entry, the time, and the status of its Guardian K8s Job (`None`: there
+/// is none).
+fn decide(watch: &Watch, now: SimTime, guardian: Option<KubeJobStatus>) -> Option<Drive> {
+    let aged = |since: Option<SimTime>, after: SimDuration| {
+        since.is_some_and(|since| now.saturating_duration_since(since) >= after)
+    };
+    match watch {
+        Watch::Queued(_) => None,
+        Watch::Active(a)
+            if guardian.is_none() && aged(a.pending_since, config::PENDING_REDEPLOY_AFTER) =>
+        {
+            Some(Drive::Redeploy)
+        }
+        Watch::Active(_) if guardian == Some(KubeJobStatus::Failed) => Some(Drive::Fail(GAVE_UP)),
+        Watch::Active(a) if aged(a.deploying_since, config::DEPLOY_TIMEOUT) => {
+            Some(Drive::Fail(DEPLOY_TIMEOUT))
+        }
+        Watch::Active(_) => None,
+        Watch::TerminalGc => Some(Drive::Collect),
+    }
+}
+
+/// Walks the watchlist once (not the whole collection) and applies the
+/// self-healing rules of [`decide`] — to owned shards only. Every replica
+/// ingests the full feed, but a job is swept exclusively by the current
+/// owner of its shard; each drive is marked first, with the lease its
+/// ownership was decided under (what the ownership ledger checks). Only
+/// the jobs a rule acts on are copied out, since acting calls into other
+/// components.
+fn sweep(sim: &mut Sim, rep: &Rc<Replica>) {
+    let now = sim.now();
+    let mut drives: Vec<(JobId, LeaseId, Drive)> = Vec::new();
+    let mut st = rep.scan.borrow_mut();
+    st.jobs.retain(|job, watch| {
+        let Some(lease) = owns_job(rep, now, job) else {
+            // A finished job is collected by its shard's owner alone, and
+            // a replica that takes the shard replays the feed for it.
+            return !matches!(watch, Watch::TerminalGc);
         };
-        sim.mark("lcm", job.as_str(), reason, lease);
-        let h4 = h.clone();
-        let state2 = state.clone();
-        meta.advance_status(sim, &job.clone(), JobStatus::Failed, move |sim, r| {
-            let mut st = state2.borrow_mut();
+        let guardian = watch
+            .active()
+            .and_then(|a| rep.h.kube.job_status(&a.guardian));
+        if let Some(drive) = decide(watch, now, guardian) {
+            drives.push((job.clone(), lease, drive));
+        }
+        true
+    });
+    rep.watched.set(st.jobs.len() as f64);
+    drop(st);
+    drives.sort_by_key(|&(_, _, drive)| drive.rank());
+    for (job, lease, drive) in drives {
+        match drive {
+            Drive::Redeploy => {
+                sim.mark("lcm", job.as_str(), REDEPLOY, lease);
+                sim.metrics()
+                    .counter_series(metrics::LCM_SCAN_REDEPLOYS, [])
+                    .inc();
+                ensure_guardian(sim, &rep.h, &job);
+            }
+            Drive::Fail(reason) => fail(sim, rep, job, lease, reason),
+            Drive::Collect => collect(sim, rep, job, lease),
+        }
+    }
+}
+
+/// Writes FAILED for `job`, then tears it down.
+fn fail(sim: &mut Sim, rep: &Rc<Replica>, job: JobId, lease: LeaseId, reason: &'static str) {
+    // One FAILED write per job in flight: a slow one must not be doubled
+    // by the next tick.
+    if !rep.scan.borrow_mut().failing.insert(job.clone()) {
+        return;
+    }
+    sim.mark("lcm", job.as_str(), reason, lease);
+    let rep2 = rep.clone();
+    rep.meta
+        .advance_status(sim, &job.clone(), JobStatus::Failed, move |sim, r| {
+            let mut st = rep2.scan.borrow_mut();
             st.failing.remove(&job);
-            // Refused: the document is not FAILED, so the job stays on
-            // the watchlist with its resources and the next tick fails
-            // it again.
+            // Refused: the document is not FAILED, so the job stays on the
+            // watchlist with its resources and the next tick fails it
+            // again.
             if r.is_err() {
                 return;
             }
-            // The job is over: off the watchlist now (the terminal status
-            // change re-enters it through the feed as a GC candidate), and
-            // only now torn down.
-            st.jobs.remove(&job);
+            // The job is over: a GC candidate now (the feed brings the
+            // FAILED document next), and only now torn down.
+            if let Some(watch) = st.jobs.get_mut(&job) {
+                *watch = Watch::TerminalGc;
+            }
             drop(st);
             sim.metrics()
                 .counter_series(metrics::LCM_SCAN_FAILURES, [reason])
                 .inc();
-            teardown_job(sim, &h4, &job, true);
+            teardown_job(sim, &rep2.h, &job, true);
         });
-    }
+}
 
-    // 3. Garbage-collect leftovers of terminal jobs. A job leaves the
-    //    watchlist only once its pods and volume are gone AND an etcd
-    //    probe confirms no leaked keys (a teardown that ran during an
-    //    etcd outage may have lost its delete_prefix; nothing else ever
-    //    looks at those keys again).
-    let terminal: Vec<(JobId, LeaseId)> = state
-        .borrow()
-        .jobs
-        .iter()
-        .filter(|(_, watch)| matches!(watch, Watch::TerminalGc))
-        .filter_map(|(job, _)| owns_job(rep, now, job).map(|lease| (job.clone(), lease)))
-        .collect();
-    for (job, lease) in terminal {
-        let has_pods = !h
-            .kube
-            .pods_matching(&labels! {"job" => job.as_str()})
-            .is_empty();
-        let has_volume = h.nfs.has_volume(&paths::volume(&job));
-        if has_pods || has_volume {
-            sim.mark("lcm", job.as_str(), GC_LEFTOVERS, lease);
-            sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
-            teardown_job(sim, h, &job, true);
-        } else {
-            let h6 = h.clone();
-            let state3 = state.clone();
-            let alive = rep.alive.clone();
-            let prefix = paths::etcd_job_prefix(&job);
-            let prefix2 = prefix.clone();
-            // The shared client outlives this incarnation: an answer that
-            // lands after it stopped drives nothing.
-            h.etcd_gc.get_prefix(sim, prefix, move |sim, r| {
-                if !alive.get() {
-                    return;
-                }
-                match r {
-                    Ok(pairs) if !pairs.is_empty() => {
-                        sim.mark("lcm", job.as_str(), GC_KEYS, lease);
-                        sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
-                        h6.etcd_gc.delete_prefix(sim, prefix2, |_sim, _r| {});
-                        // Keep watching: next tick re-probes until clean.
-                    }
-                    Ok(_) => {
-                        // Confirmed clean: stop watching this job.
-                        let mut st = state3.borrow_mut();
-                        if matches!(st.jobs.get(&job), Some(Watch::TerminalGc)) {
-                            st.jobs.remove(&job);
-                        }
-                    }
-                    // etcd unreachable: the job stays on the watchlist, so
-                    // the next sweep tick re-probes this prefix — the retry
-                    // IS the handling (a metric here would double-count
-                    // etcd's own error counters).
-                    Err(_) => {}
-                }
-            });
-        }
+/// Garbage-collects a terminal job's leftovers. The job leaves the
+/// watchlist only once its pods and volume are gone AND an etcd probe
+/// confirms no leaked keys (a teardown that ran during an etcd outage may
+/// have lost its delete_prefix; nothing else ever looks at those keys
+/// again).
+fn collect(sim: &mut Sim, rep: &Rc<Replica>, job: JobId, lease: LeaseId) {
+    let has_pods = !rep
+        .h
+        .kube
+        .pods_matching(&labels! {"job" => job.as_str()})
+        .is_empty();
+    if has_pods || rep.h.nfs.has_volume(&paths::volume(&job)) {
+        sim.mark("lcm", job.as_str(), GC_LEFTOVERS, lease);
+        sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
+        teardown_job(sim, &rep.h, &job, true);
+        return;
     }
+    let rep2 = rep.clone();
+    let prefix = paths::etcd_job_prefix(&job);
+    let prefix2 = prefix.clone();
+    // The shared client outlives this incarnation: an answer that lands
+    // after it stopped drives nothing.
+    rep.h.etcd_gc.get_prefix(sim, prefix, move |sim, r| {
+        if !rep2.alive.get() {
+            return;
+        }
+        match r {
+            Ok(pairs) if !pairs.is_empty() => {
+                sim.mark("lcm", job.as_str(), GC_KEYS, lease);
+                sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
+                rep2.h.etcd_gc.delete_prefix(sim, prefix2, |_sim, _r| {});
+                // Keep watching: next tick re-probes until clean.
+            }
+            Ok(_) => {
+                // Confirmed clean: stop watching this job.
+                let mut st = rep2.scan.borrow_mut();
+                if matches!(st.jobs.get(&job), Some(Watch::TerminalGc)) {
+                    st.jobs.remove(&job);
+                }
+            }
+            // etcd unreachable: the job stays on the watchlist, so the
+            // next sweep tick re-probes this prefix — the retry IS the
+            // handling (a metric here would double-count etcd's own
+            // error counters).
+            Err(_) => {}
+        }
+    });
 }
 
 #[cfg(test)]
@@ -1090,6 +1136,194 @@ mod tests {
             ],
         };
         assert_eq!(deploying_since(&doc), Some(SimTime::from_micros(40)));
+    }
+
+    /// An admitted job's entry: PENDING since `pending`, DEPLOYING since
+    /// `deploying` (in seconds), or neither (PROCESSING, STORING).
+    fn admitted(pending: Option<u64>, deploying: Option<u64>) -> Watch {
+        Watch::Active(Active {
+            guardian: paths::guardian_job(&JobId::new("j")),
+            pending_since: pending.map(|s| SimTime::ZERO + SimDuration::from_secs(s)),
+            deploying_since: deploying.map(|s| SimTime::ZERO + SimDuration::from_secs(s)),
+            held: None,
+        })
+    }
+
+    #[test]
+    fn a_stranded_pending_job_is_redeployed_once_aged_and_guardianless() {
+        let now = SimTime::ZERO + config::PENDING_REDEPLOY_AFTER + SimDuration::from_secs(10);
+        let aged = admitted(Some(10), None);
+        assert_eq!(decide(&aged, now, None), Some(Drive::Redeploy));
+        // A Guardian exists: nothing is stranded.
+        let running = Some(KubeJobStatus::Active);
+        assert_eq!(decide(&aged, now, running), None);
+        // Not yet aged.
+        assert_eq!(decide(&admitted(Some(11), None), now, None), None);
+        // A PENDING job with a corrupt stamp is never aged.
+        assert_eq!(decide(&admitted(None, None), now, None), None);
+    }
+
+    #[test]
+    fn a_job_whose_guardian_gave_up_is_failed() {
+        let failed = Some(KubeJobStatus::Failed);
+        let now = SimTime::ZERO + SimDuration::from_secs(60);
+        for watch in [
+            admitted(None, None),
+            admitted(Some(0), None),
+            admitted(None, Some(59)),
+        ] {
+            assert_eq!(decide(&watch, now, failed), Some(Drive::Fail(GAVE_UP)));
+        }
+    }
+
+    #[test]
+    fn a_job_deploying_past_the_timeout_is_failed() {
+        let now = SimTime::ZERO + config::DEPLOY_TIMEOUT + SimDuration::from_secs(5);
+        let running = Some(KubeJobStatus::Active);
+        let stuck = admitted(None, Some(5));
+        assert_eq!(
+            decide(&stuck, now, running),
+            Some(Drive::Fail(DEPLOY_TIMEOUT))
+        );
+        assert_eq!(decide(&admitted(None, Some(6)), now, running), None);
+        // A running job is left alone, with or without its Guardian.
+        assert_eq!(decide(&admitted(None, None), now, running), None);
+        assert_eq!(decide(&admitted(None, None), now, None), None);
+    }
+
+    #[test]
+    fn a_terminal_job_is_collected_and_a_queued_one_left_to_the_arbiter() {
+        let now = SimTime::ZERO + SimDuration::from_hours(9);
+        assert_eq!(decide(&Watch::TerminalGc, now, None), Some(Drive::Collect));
+        let queued = Watch::Queued(QueuedJob {
+            job: JobId::new("q"),
+            tenant: "acme".into(),
+            gpus: 1,
+            since_us: 0,
+        });
+        for guardian in [None, Some(KubeJobStatus::Failed)] {
+            assert_eq!(decide(&queued, now, guardian), None);
+        }
+    }
+
+    #[test]
+    fn the_sweep_acts_on_redeploys_then_fails_then_collections() {
+        let mut drives = [
+            Drive::Collect,
+            Drive::Fail(GAVE_UP),
+            Drive::Redeploy,
+            Drive::Fail(DEPLOY_TIMEOUT),
+        ];
+        drives.sort_by_key(|d| d.rank());
+        assert_eq!(
+            drives,
+            [
+                Drive::Redeploy,
+                Drive::Fail(GAVE_UP),
+                Drive::Fail(DEPLOY_TIMEOUT),
+                Drive::Collect
+            ]
+        );
+    }
+
+    /// Status names a job document may hold: the lifecycle's and junk.
+    const STATUSES: &[&str] = &[
+        "QUEUED",
+        "PENDING",
+        "DEPLOYING",
+        "PROCESSING",
+        "STORING",
+        "COMPLETED",
+        "FAILED",
+        "KILLED",
+        "",
+        "pending",
+        "DEPLOYING ",
+        "?",
+    ];
+
+    /// A value of any type, for the fields a document may hold ill-typed.
+    fn any_value() -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        prop_oneof![
+            any::<i64>().prop_map(Value::from),
+            (0..STATUSES.len()).prop_map(|i| Value::from(STATUSES[i])),
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::from),
+            (-1e12..1e12).prop_map(Value::from),
+            any::<i64>().prop_map(|n| Value::from(vec![n])),
+        ]
+    }
+
+    /// A history entry: any status, stamped anywhere in `i64` or with an
+    /// ill-typed value.
+    fn history_entry() -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        let status = (0..STATUSES.len()).prop_map(|i| Value::from(STATUSES[i]));
+        let stamp = prop_oneof![4 => any::<i64>().prop_map(Value::from), 1 => any_value()];
+        (status, stamp).prop_map(|(status, t_us)| obj! {"status" => status, "t_us" => t_us})
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig { cases: 512, .. Default::default() })]
+
+        // Any stored job document, ingested and then swept at any time
+        // with its Guardian in any state, panics nothing, and no stamp
+        // becomes a clock but the one stored, as stored: a negative one
+        // is no clock at all.
+        #[test]
+        fn any_job_document_is_ingested_and_decided_without_inventing_a_clock(
+            status in 0..STATUSES.len(),
+            stamps in (proptest::prelude::any::<i64>(), proptest::prelude::any::<i64>(), proptest::prelude::any::<bool>()),
+            fields in (any_value(), any_value()),
+            history in proptest::collection::vec(history_entry(), 0..6),
+            sweep in (proptest::prelude::any::<u64>(), 0..4u8),
+        ) {
+            let (submitted, admitted, has_admitted) = stamps;
+            let (tenant, gpus) = fields;
+            let mut doc = obj! {
+                "_id" => "j",
+                "status" => STATUSES[status],
+                "tenant" => tenant,
+                "gpus" => gpus,
+                "submitted_us" => submitted,
+                "history" => history.clone(),
+            };
+            if has_admitted {
+                dlaas_docstore::Update::set("admitted_us", admitted).apply(&mut doc);
+            }
+            let clock = |stamp: i64| u64::try_from(stamp).ok();
+            let stored = |since: Option<SimTime>| since.map(SimTime::as_micros);
+            let mut sim = Sim::new(0);
+            let mut st = ScanState::default();
+            ingest(&mut sim, &mut st, &doc);
+            match st.jobs.get("j") {
+                Some(Watch::Queued(q)) => {
+                    proptest::prop_assert_eq!(Some(q.since_us), clock(submitted));
+                }
+                Some(Watch::Active(a)) => {
+                    let pending = if has_admitted { admitted } else { submitted };
+                    proptest::prop_assert!(
+                        a.pending_since.is_none() || stored(a.pending_since) == clock(pending)
+                    );
+                    let deploying = history
+                        .iter()
+                        .rev()
+                        .find(|e| e.path("status").and_then(Value::as_str) == Some("DEPLOYING"))
+                        .and_then(|e| e.path("t_us")?.as_i64());
+                    proptest::prop_assert!(
+                        a.deploying_since.is_none()
+                            || stored(a.deploying_since) == deploying.and_then(clock)
+                    );
+                }
+                Some(Watch::TerminalGc) | None => {}
+            }
+            let (now_us, guardian) = sweep;
+            let guardian = [None, Some(KubeJobStatus::Active), Some(KubeJobStatus::Complete), Some(KubeJobStatus::Failed)][usize::from(guardian)];
+            if let Some(watch) = st.jobs.get("j") {
+                decide(watch, SimTime::from_micros(now_us), guardian);
+            }
+        }
     }
 
     /// The active entry of job `id`, if it has one.

@@ -77,6 +77,14 @@ dlaas_obs::declare_metrics! {
         [],
         "terminal-job leftovers garbage-collected by the scan",
     );
+    /// Jobs on an LCM replica's watchlist after its latest sweep, by pod:
+    /// the queued and admitted jobs of every shard, and the finished jobs
+    /// of the shards it owns that it has not yet confirmed collected.
+    pub const LCM_WATCHLIST: &GaugeDecl<1> = &GaugeDecl::new(
+        "dlaas_lcm_watchlist_entries",
+        ["pod"],
+        "jobs on an LCM replica's watchlist after its latest sweep",
+    );
     /// Job documents the LCM skipped as malformed (e.g. negative timestamps),
     /// by field. Platform-written fields, so nonzero means store corruption.
     pub const LCM_MALFORMED_RECORDS: &CounterDecl<1> = &CounterDecl::new(

@@ -53,14 +53,15 @@ impl Tenant {
     /// before fair-share weights existed carry no `weight` field; they
     /// parse as weight 1.
     pub fn from_document(doc: &Value) -> Option<Tenant> {
+        let int = |v: &Value| u32::try_from(v.as_i64()?).ok();
         let weight = match doc.path("weight") {
-            Some(v) => (v.as_i64()? as u32).max(1),
+            Some(v) => int(v)?.max(1),
             None => 1,
         };
         Some(Tenant {
             id: doc.path("_id")?.as_str()?.to_owned(),
             api_key: doc.path("api_key")?.as_str()?.to_owned(),
-            max_gpus: doc.path("max_gpus")?.as_i64()? as u32,
+            max_gpus: int(doc.path("max_gpus")?)?,
             weight,
         })
     }
@@ -86,6 +87,24 @@ mod tests {
         let zero = obj! {"_id" => "x", "api_key" => "k", "max_gpus" => 8, "weight" => 0};
         assert_eq!(Tenant::from_document(&zero).unwrap().weight, 1);
         assert_eq!(Tenant::new("a", "k", 4).with_weight(0).weight, 1);
+    }
+
+    #[test]
+    fn an_integer_out_of_range_is_refused_not_wrapped() {
+        // `as u32` read a weight of -1 as u32::MAX, the largest fair share
+        // there is, and 2^32 + 1 GPUs as a quota of 1.
+        let doc = |max_gpus: i64, weight: i64| {
+            obj! {"_id" => "x", "api_key" => "k", "max_gpus" => max_gpus, "weight" => weight}
+        };
+        assert_eq!(Tenant::from_document(&doc(8, -1)), None);
+        assert_eq!(Tenant::from_document(&doc(4_294_967_297, 1)), None);
+        assert_eq!(Tenant::from_document(&doc(-1, 1)), None);
+        assert_eq!(Tenant::from_document(&doc(8, 1 << 32)), None);
+        let edge = Tenant::from_document(&doc(i64::from(u32::MAX), i64::from(u32::MAX)));
+        assert_eq!(
+            edge.map(|t| (t.max_gpus, t.weight)),
+            Some((u32::MAX, u32::MAX))
+        );
     }
 
     #[test]

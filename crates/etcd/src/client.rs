@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use dlaas_net::{Addr, RpcError};
 use dlaas_raft::NodeId;
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::{Sim, SimDuration, SimTime};
 
 use crate::cluster::Incarnations;
 use crate::kv::{KvEvent, LeaseId, Revision};
@@ -15,12 +15,14 @@ use crate::server::{EtcdRpc, WatchNet};
 
 /// Per-attempt RPC deadline.
 const RPC_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-/// Delay between retries. A leader election takes 1–2 s (the election
-/// timeout, [`dlaas_raft::RaftConfig::default`]), well inside the
-/// ~12 s the `MAX_ATTEMPTS` budget spans.
+/// Delay between retries.
 const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(100);
-/// Total attempts before reporting `Unavailable`.
-const MAX_ATTEMPTS: u32 = 20;
+/// How long a request is retried, from its first send, before it reports
+/// `Unavailable`. A leader election takes 1–2 s (the election timeout,
+/// [`dlaas_raft::RaftConfig::default`]), well inside it. A time, not a
+/// count of attempts: against a cluster below quorum each attempt fails
+/// at once, and 20 of them spanned 5.5 s, not 12.
+const RETRY_BUDGET: SimDuration = SimDuration::from_secs(12);
 
 type WatchCb = Rc<dyn Fn(&mut Sim, &KvEvent)>;
 
@@ -155,16 +157,27 @@ impl EtcdClient {
     }
 
     /// Sends `req` to the presumed leader, retrying elsewhere on
-    /// redirects and timeouts. The request is allocated once: each
-    /// attempt's frame and the retry continuation share it.
+    /// redirects and timeouts for [`RETRY_BUDGET`].
     fn request(
         &self,
         sim: &mut Sim,
         req: impl Into<Rc<EtcdRequest>>,
-        attempts_left: u32,
         done: impl FnOnce(&mut Sim, Result<EtcdResponse, EtcdError>) + 'static,
     ) {
-        if attempts_left == 0 {
+        self.attempt(sim, req, sim.now() + RETRY_BUDGET, done);
+    }
+
+    /// One attempt of [`EtcdClient::request`], sent unless `deadline` has
+    /// passed. The request is allocated once: each attempt's frame and
+    /// the retry continuation share it.
+    fn attempt(
+        &self,
+        sim: &mut Sim,
+        req: impl Into<Rc<EtcdRequest>>,
+        deadline: SimTime,
+        done: impl FnOnce(&mut Sim, Result<EtcdResponse, EtcdError>) + 'static,
+    ) {
+        if sim.now() >= deadline {
             done(sim, Err(EtcdError::Unavailable));
             return;
         }
@@ -186,7 +199,7 @@ impl EtcdClient {
                 }
                 let me2 = me.clone();
                 sim.schedule_in(RETRY_BACKOFF, move |sim| {
-                    me2.request(sim, req, attempts_left - 1, done);
+                    me2.attempt(sim, req, deadline, done);
                 });
             }
             Ok(resp) => {
@@ -199,7 +212,7 @@ impl EtcdClient {
                 me.flush_pending_cancels(sim);
                 let me2 = me.clone();
                 sim.schedule_in(RETRY_BACKOFF, move |sim| {
-                    me2.request(sim, req, attempts_left - 1, done);
+                    me2.attempt(sim, req, deadline, done);
                 });
             }
             Err(RpcError::Remote(m)) => done(sim, Err(EtcdError::Failed(m))),
@@ -258,7 +271,7 @@ impl EtcdClient {
             value: value.into(),
             lease,
         };
-        self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
+        self.request(sim, req, move |sim, r| {
             done(sim, r.and_then(revision_of));
         });
     }
@@ -271,7 +284,7 @@ impl EtcdClient {
         done: impl FnOnce(&mut Sim, Result<Option<String>, EtcdError>) + 'static,
     ) {
         let req = EtcdRequest::Get { key: key.into() };
-        self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
+        self.request(sim, req, move |sim, r| {
             done(
                 sim,
                 r.and_then(|resp| match resp {
@@ -292,7 +305,7 @@ impl EtcdClient {
         let req = EtcdRequest::GetPrefix {
             prefix: prefix.into(),
         };
-        self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
+        self.request(sim, req, move |sim, r| {
             done(
                 sim,
                 r.and_then(|resp| match resp {
@@ -311,7 +324,7 @@ impl EtcdClient {
         done: impl FnOnce(&mut Sim, Result<Revision, EtcdError>) + 'static,
     ) {
         let req = EtcdRequest::Delete { key: key.into() };
-        self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
+        self.request(sim, req, move |sim, r| {
             done(sim, r.and_then(revision_of));
         });
     }
@@ -326,7 +339,7 @@ impl EtcdClient {
         let req = EtcdRequest::DeletePrefix {
             prefix: prefix.into(),
         };
-        self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
+        self.request(sim, req, move |sim, r| {
             done(sim, r.and_then(revision_of));
         });
     }
@@ -362,7 +375,7 @@ impl EtcdClient {
             value,
             lease,
         };
-        self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
+        self.request(sim, req, move |sim, r| {
             done(
                 sim,
                 r.and_then(|resp| match resp {
@@ -386,7 +399,7 @@ impl EtcdClient {
         let req = EtcdRequest::LeaseGrant {
             ttl_us: ttl.as_micros(),
         };
-        self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
+        self.request(sim, req, move |sim, r| {
             done(
                 sim,
                 r.and_then(|resp| match resp {
@@ -409,7 +422,7 @@ impl EtcdClient {
         done: impl FnOnce(&mut Sim, Result<bool, EtcdError>) + 'static,
     ) {
         let req = EtcdRequest::LeaseKeepAlive { id };
-        self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
+        self.request(sim, req, move |sim, r| {
             done(
                 sim,
                 r.and_then(|resp| match resp {
@@ -429,7 +442,7 @@ impl EtcdClient {
         done: impl FnOnce(&mut Sim, Result<Revision, EtcdError>) + 'static,
     ) {
         let req = EtcdRequest::LeaseRevoke { id };
-        self.request(sim, req, MAX_ATTEMPTS, move |sim, r| {
+        self.request(sim, req, move |sim, r| {
             done(sim, r.and_then(revision_of));
         });
     }

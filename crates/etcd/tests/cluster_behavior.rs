@@ -205,6 +205,47 @@ fn two_node_crash_blocks_writes_until_restart() {
     assert!(matches!(*w2.borrow(), Some(Ok(_))));
 }
 
+/// The retry budget is a time, not a count of attempts: below quorum
+/// each attempt fails at once (a crashed member is no endpoint, the
+/// survivor answers NotLeader), and 20 attempts were spent in 5.5 s,
+/// before a quorum back after 5 s had elected a leader.
+#[test]
+fn a_put_sent_into_a_five_second_quorum_outage_is_acknowledged_after_it() {
+    let (mut sim, etcd) = boot(11);
+    let client = etcd.client("t");
+    let leader = etcd.leader_id().expect("a leader");
+    let follower = (leader + 1) % 3;
+    etcd.crash(&mut sim, leader);
+    etcd.crash(&mut sim, follower);
+    let sent = sim.now();
+    let acked: Slot<(SimTime, Result<u64, EtcdError>)> = Rc::default();
+    let acked2 = acked.clone();
+    client.put(&mut sim, "k", "v", move |sim, r| {
+        *acked2.borrow_mut() = Some((sim.now(), r));
+    });
+    sim.run_for(SimDuration::from_secs(5));
+    etcd.restart(&mut sim, leader);
+    etcd.restart(&mut sim, follower);
+    sim.run_for(SimDuration::from_secs(10));
+    let (at, r) = acked.borrow_mut().take().expect("the put was answered");
+    assert!(r.is_ok(), "{r:?} after {:?}", at - sent);
+    assert!(at - sent >= SimDuration::from_secs(5));
+
+    // Still below quorum when the budget runs out: refused 12 s after
+    // the first send, not sooner.
+    etcd.crash(&mut sim, 0);
+    etcd.crash(&mut sim, 1);
+    let sent = sim.now();
+    let (w, wcb) = slot();
+    client.put(&mut sim, "k", "v2", move |sim, r| wcb(sim, (sim.now(), r)));
+    sim.run_for(SimDuration::from_secs(11));
+    assert!(w.borrow().is_none(), "refused before its 12 s budget");
+    sim.run_for(SimDuration::from_secs(2));
+    let (at, r) = w.borrow_mut().take().expect("refused");
+    assert_eq!(r, Err(EtcdError::Unavailable));
+    assert!(at - sent < SimDuration::from_secs(13));
+}
+
 #[test]
 fn restarted_node_rebuilds_store_from_log() {
     let (mut sim, etcd) = boot(9);

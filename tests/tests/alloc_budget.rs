@@ -43,7 +43,7 @@ use std::cell::Cell;
 
 use dlaas_core::invariants::InvariantChecker;
 use dlaas_core::{
-    check_invariants, config, DlaasPlatform, InvariantBounds, InvariantMonitor, JobStatus,
+    check_invariants, config, metrics, DlaasPlatform, InvariantBounds, InvariantMonitor, JobStatus,
     MetaClient, JOBS,
 };
 use dlaas_docstore::obj;
@@ -575,6 +575,20 @@ fn an_lcm_scan_over_an_empty_change_feed_allocates_nothing() {
         [(0, 0); 3],
         "an LCM scan over an empty change feed allocated"
     );
+    // Nor does any replica keep the finished jobs: the owner of their
+    // shards has collected them, and the other never keeps them.
+    let watchlists: Vec<(String, f64)> = platform
+        .metrics()
+        .snapshot()
+        .iter()
+        .filter(|(key, _)| key.starts_with(metrics::LCM_WATCHLIST.name()))
+        .map(|(key, entries)| (key.to_owned(), entries))
+        .collect();
+    assert_eq!(watchlists.len(), 2, "{watchlists:?}");
+    assert!(
+        watchlists.iter().all(|&(_, entries)| entries == 0.0),
+        "finished jobs kept: {watchlists:?}"
+    );
 }
 
 #[test]
@@ -615,16 +629,17 @@ fn a_finished_job_leaves_a_bounded_residue_that_does_not_grow() {
     let second = (after_200 - after_100) as f64 / WAVE as f64;
     let third = (after_300 - after_200) as f64 / WAVE as f64;
     let per_job = (second + third) / 2.0;
-    // Measured 3 981 bytes per finished job: its document, its place in
+    // Measured 3 780 bytes per finished job: its document, its place in
     // the metadata journal's checkpoint and change feed, its logs at
     // their length, its share of the Raft logs and the like (vectors
-    // that double, so a hundred jobs' share of them wanders). With a
-    // journal that kept every record since boot and logs that kept their
-    // room for growth it was 8 277; with one that kept an after-image of
-    // every update, `BTreeMap` objects and an unbounded kube event list,
-    // 60 008.
+    // that double, so a hundred jobs' share of them wanders). While the
+    // LCM replica that does not own a job's shard kept the finished job
+    // on its watchlist for good it was 3 981; with a journal that kept
+    // every record since boot and logs that kept their room for growth,
+    // 8 277; with one that kept an after-image of every update,
+    // `BTreeMap` objects and an unbounded kube event list, 60 008.
     assert!(
-        per_job <= 4_976.0,
+        per_job <= 4_725.0,
         "{per_job:.0} bytes retained per finished job"
     );
     assert!(

@@ -30,8 +30,8 @@ const ALLOWED: &[(&str, &str, &str)] = &[
     ("crates/core/src/api.rs", "record_and_deploy", "retried by the next tick: the LCM sweep re-deploys a PENDING job"),
     ("crates/core/src/guardian.rs", "advance", "CAS-guarded: expect-absent store=go, issued again after every acknowledged STORING"),
     ("crates/core/src/lcm.rs", "teardown_job", "retried by the next tick: the sweep probes until no key is left"),
-    ("crates/core/src/lcm.rs", "sweep", "retried by the next tick: the job stays on the watchlist as `TerminalGc`"),
-    ("crates/core/src/lcm.rs", "sweep", "retried by the next tick: etcd unreachable, the job stays on the watchlist as `TerminalGc`"),
+    ("crates/core/src/lcm.rs", "collect", "retried by the next tick: the job stays on the watchlist as `TerminalGc`"),
+    ("crates/core/src/lcm.rs", "collect", "retried by the next tick: etcd unreachable, the job stays on the watchlist as `TerminalGc`"),
 ];
 
 /// One occurrence of a scanned shape.

@@ -10,8 +10,9 @@ use std::rc::Rc;
 use dlaas_bench::harness::reported_iteration;
 use dlaas_core::{
     check_invariants, config, paths, DlaasPlatform, InvariantMonitor, JobStatus, LearnerPhase,
+    MetaClient, JOBS,
 };
-use dlaas_docstore::Value;
+use dlaas_docstore::{Filter, Update, Value};
 use dlaas_etcd::KvEvent;
 use dlaas_faults::{nfs_outage_window, partition_window, when};
 use dlaas_integration::{boot, boot_in, manifest, start_training, submit_blocking, KEY};
@@ -1529,4 +1530,53 @@ fn finished_jobs_leave_the_etcd_rpc_network_as_booted() {
         );
     }
     check_invariants(&sim, &platform).assert_clean();
+}
+
+/// Regression: the Guardian read the stored `attempts` as
+/// `as_i64() as u32 + 1`. A stored -1 overflowed (a panic in a debug
+/// build, a fresh budget in a release one), and 2^32 truncated to 0, so a
+/// job past its budget deployed again. A count outside the budget gives
+/// up, whatever it is.
+#[test]
+fn a_corrupt_attempts_count_gives_up_instead_of_reopening_the_budget() {
+    for stored in [-1, 1_i64 << 32] {
+        let (mut sim, platform) = boot(311);
+        sim.trace_mut().set_enabled(true);
+        let client = platform.client("itest", KEY);
+        let job = submit_blocking(&mut sim, &client, manifest("corrupt-attempts", 200));
+        assert!(
+            sim.trace()
+                .of(job.as_str())
+                .marks()
+                .all(|m| m.who != "guardian"),
+            "the Guardian booted before the count was corrupted"
+        );
+        let meta = MetaClient::new(platform.handles().mongo.clone(), "hostile");
+        let by_id = Filter::eq("_id", job.as_str());
+        meta.update_one(
+            &mut sim,
+            JOBS,
+            by_id,
+            Update::set("attempts", stored),
+            |_sim, r| {
+                assert!(matches!(r, Ok(true)), "{r:?}");
+            },
+        );
+        let end = platform.wait_for_status(
+            &mut sim,
+            &job,
+            JobStatus::Failed,
+            SimDuration::from_hours(1),
+        );
+        let timeline = sim.trace().of(job.as_str()).to_string();
+        assert_eq!(
+            end,
+            Some(JobStatus::Failed),
+            "attempts {stored}:\n{timeline}"
+        );
+        assert!(
+            timeline.contains("attempts-exhausted"),
+            "attempts {stored}:\n{timeline}"
+        );
+    }
 }
