@@ -451,6 +451,7 @@ impl MetaClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlaas_sim::SimTime;
 
     #[test]
     fn job_document_shape_and_parse() {
@@ -514,5 +515,80 @@ mod tests {
         assert_eq!(info.iteration, 0);
         assert_eq!(info.learner_restarts, 0);
         assert_eq!(info.history, vec![(JobStatus::Processing, 99)]);
+    }
+
+    /// A store whose writes stall from the start, and a client of it.
+    fn stalled_store() -> (Sim, Rc<dlaas_docstore::MongoServer>, MongoRpc) {
+        let mut sim = Sim::new(56);
+        let rpc = MongoRpc::new(
+            &mut sim,
+            dlaas_net::LatencyModel::Fixed(SimDuration::from_millis(1)),
+        );
+        let server = dlaas_docstore::MongoServer::new(rpc.clone());
+        server.set_fail_writes(true);
+        (sim, server, rpc)
+    }
+
+    /// When an insert was answered, and how.
+    type Outcome = Rc<RefCell<Option<(SimTime, Result<String, MetaError>)>>>;
+
+    /// An insert sent into the stall, and where its outcome lands.
+    fn insert(sim: &mut Sim, client: &MetaClient) -> Outcome {
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        client.insert(sim, JOBS, dlaas_docstore::obj! {"n" => 1}, move |sim, r| {
+            *g.borrow_mut() = Some((sim.now(), r));
+        });
+        got
+    }
+
+    #[test]
+    fn an_insert_into_a_write_stall_is_refused_after_its_budget() {
+        let (mut sim, _server, rpc) = stalled_store();
+        let got = insert(&mut sim, &MetaClient::new(rpc, "pin"));
+        sim.run_for(SimDuration::from_secs(30));
+        // 15 attempts of 500 ms, each followed by 150 ms of backoff.
+        assert_eq!(
+            *got.borrow(),
+            Some((SimTime::from_millis(9_750), Err(MetaError::Unavailable)))
+        );
+    }
+
+    #[test]
+    fn a_stall_that_ends_inside_the_budget_is_acknowledged() {
+        let (mut sim, server, rpc) = stalled_store();
+        let got = insert(&mut sim, &MetaClient::new(rpc, "pin"));
+        sim.run_for(SimDuration::from_secs(9));
+        server.set_fail_writes(false);
+        sim.run_for(SimDuration::from_secs(20));
+        let got = got.borrow();
+        let (at, r) = got.as_ref().expect("no outcome");
+        assert!(r.is_ok(), "{r:?}");
+        // The attempt sent at 9.1 s, the first after the stall: two 1 ms
+        // hops and the store's 1 ms write.
+        assert_eq!(at.as_millis(), 9_103);
+        assert_eq!(server.store().borrow().count(JOBS, &Filter::eq("n", 1)), 1);
+    }
+
+    #[test]
+    fn a_client_whose_process_stopped_mid_retry_sends_and_answers_nothing() {
+        let (mut sim, _server, rpc) = stalled_store();
+        let alive = Rc::new(Cell::new(true));
+        let client =
+            MetaClient::new(rpc.clone(), "pin").owned(alive.clone(), Transitions::default());
+        let got = insert(&mut sim, &client);
+        sim.run_for(SimDuration::from_secs(3));
+        let sent = rpc.net().stats().sent;
+        assert_eq!(sent, 5, "attempts at 0, 0.65, 1.3, 1.95 and 2.6 s");
+        // What the process's teardown does.
+        alive.set(false);
+        client.close();
+        sim.run_for(SimDuration::from_secs(30));
+        assert_eq!(
+            rpc.net().stats().sent,
+            sent,
+            "sent after its process stopped"
+        );
+        assert_eq!(*got.borrow(), None, "called back after its process stopped");
     }
 }
