@@ -16,6 +16,7 @@ use std::rc::Rc;
 
 use dlaas_docstore::{Doc, Filter, Value};
 use dlaas_kube::{pod_addr, Cleanup, ProcessCtx};
+use dlaas_net::Retry;
 use dlaas_sim::{CounterHandle, Sim, SimDuration};
 
 use crate::config;
@@ -27,6 +28,25 @@ use crate::mongo::{MetaClient, JOBS, TENANTS};
 use crate::paths;
 use crate::proto::{CoreRequest, CoreResponse};
 use crate::tenant::Tenant;
+
+/// How a kill is forwarded to the LCM: attempts 400 ms apart, 9 of them
+/// under pure timeouts.
+const STOP_RETRY: &Retry = &Retry {
+    name: "stop-job",
+    timeout: config::RPC_TIMEOUT,
+    backoff: SimDuration::from_millis(400),
+    budget: SimDuration::from_millis(9 * 1_200),
+};
+
+/// How a recorded job's deploy is handed to the LCM: attempts 400 ms
+/// apart, 11 of them under pure timeouts (the LCM's scan deploys it
+/// anyway if every one is lost).
+const DEPLOY_RETRY: &Retry = &Retry {
+    name: "deploy-job",
+    timeout: config::RPC_TIMEOUT,
+    backoff: SimDuration::from_millis(400),
+    budget: SimDuration::from_millis(11 * 1_200),
+};
 
 /// Statuses that count against a tenant's GPU quota.
 fn active_statuses() -> Vec<Value> {
@@ -143,21 +163,12 @@ fn handle(
                 responder,
                 move |sim, h, _doc, responder| {
                     // Forward to the LCM, which owns teardown.
-                    let resolver = h.kube.service_resolver(LCM_SERVICE);
-                    h.rpc.clone().call_service(
-                        sim,
-                        from,
-                        LCM_SERVICE.into(),
-                        resolver,
-                        CoreRequest::StopJob { job },
-                        config::RPC_TIMEOUT,
-                        8,
-                        SimDuration::from_millis(400),
-                        move |sim, r| match r {
-                            Ok(_) => responder.ok(sim, CoreResponse::Ok),
-                            Err(e) => responder.err(sim, format!("kill failed: {e}")),
-                        },
-                    );
+                    let lcm = h.kube.service_resolver(LCM_SERVICE);
+                    let stop = CoreRequest::StopJob { job };
+                    STOP_RETRY.send(sim, &h.rpc, from, stop, lcm, move |sim, r| match r {
+                        Ok(_) => responder.ok(sim, CoreResponse::Ok),
+                        Err(e) => responder.err(sim, format!("kill failed: {e}")),
+                    });
                 },
                 h2,
             );
@@ -459,18 +470,9 @@ fn record_and_deploy(
             sim.mark("api", id.as_str(), "recorded", 0);
             responder.ok(sim, CoreResponse::Submitted { job: id.clone() });
 
-            let resolver = h.kube.service_resolver(LCM_SERVICE);
-            h.rpc.call_service(
-                sim,
-                from,
-                LCM_SERVICE.into(),
-                resolver,
-                CoreRequest::DeployJob { job: id },
-                config::RPC_TIMEOUT,
-                10,
-                SimDuration::from_millis(400),
-                |_sim, _r| {},
-            );
+            let lcm = h.kube.service_resolver(LCM_SERVICE);
+            let deploy = CoreRequest::DeployJob { job: id };
+            DEPLOY_RETRY.send(sim, &h.rpc, from, deploy, lcm, |_sim, _r| {});
         },
     );
 }

@@ -4,13 +4,22 @@
 //! service registry, so they are load-balanced over API replicas and fail
 //! over when a replica crashes (§III-c).
 
-use dlaas_net::{Addr, RpcError};
+use dlaas_net::{Addr, Retry, RpcError};
 use dlaas_sim::{Sim, SimDuration};
 
 use crate::handles::{Handles, API_SERVICE};
 use crate::job::JobId;
 use crate::manifest::TrainingManifest;
 use crate::proto::{CoreRequest, CoreResponse, JobInfo};
+
+/// How a platform call is retried: 1 s attempts 400 ms apart, 16 of them
+/// under pure timeouts, whether the API times out or has no endpoint.
+const RETRY: &Retry = &Retry {
+    name: "user",
+    timeout: SimDuration::from_millis(1_000),
+    backoff: SimDuration::from_millis(400),
+    budget: SimDuration::from_millis(16 * 1_400),
+};
 
 /// Client-visible failure of a platform call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,26 +79,15 @@ impl DlaasClient {
         req: CoreRequest,
         done: impl FnOnce(&mut Sim, Result<CoreResponse, ClientError>) + 'static,
     ) {
-        let resolver = self.h.kube.service_resolver(API_SERVICE);
-        self.h.rpc.call_service(
-            sim,
-            self.addr.clone(),
-            API_SERVICE.into(),
-            resolver,
-            req,
-            SimDuration::from_millis(1_000),
-            15,
-            SimDuration::from_millis(400),
-            move |sim, r| {
-                done(
-                    sim,
-                    r.map_err(|e| match e {
-                        RpcError::Remote(m) => ClientError::Rejected(m),
-                        _ => ClientError::Unavailable,
-                    }),
-                );
-            },
-        );
+        let api = self.h.kube.service_resolver(API_SERVICE);
+        let from = self.addr.clone();
+        RETRY.send(sim, &self.h.rpc, from, req, api, move |sim, r| {
+            let r = r.map_err(|e| match e {
+                RpcError::Remote(m) => ClientError::Rejected(m),
+                _ => ClientError::Unavailable,
+            });
+            done(sim, r);
+        });
     }
 
     /// Submits a training job; the callback receives the assigned id once

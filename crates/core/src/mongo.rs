@@ -11,7 +11,7 @@ use std::rc::Rc;
 use dlaas_docstore::{
     mongo_addr, Doc, Filter, MongoRequest, MongoResponse, MongoRpc, Update, Value,
 };
-use dlaas_net::{Addr, RpcError};
+use dlaas_net::{Addr, Attempts, Retry, RpcError};
 use dlaas_sim::{CounterHandle, Sim, SimDuration};
 
 use crate::job::{JobId, JobStatus};
@@ -19,9 +19,14 @@ use crate::manifest::TrainingManifest;
 use crate::metrics;
 use crate::proto::JobInfo;
 
-const ATTEMPTS: u32 = 15;
-const TIMEOUT: SimDuration = SimDuration::from_millis(500);
-const BACKOFF: SimDuration = SimDuration::from_millis(150);
+/// How a metadata request is retried: 500 ms attempts 150 ms apart, 15
+/// of them under pure timeouts.
+const RETRY: &Retry = &Retry {
+    name: "metadata",
+    timeout: SimDuration::from_millis(500),
+    backoff: SimDuration::from_millis(150),
+    budget: SimDuration::from_millis(15 * 650),
+};
 
 /// The jobs collection name.
 pub const JOBS: &str = "jobs";
@@ -78,6 +83,18 @@ pub struct MetaClient {
     transitions: Transitions,
 }
 
+/// A metadata request's attempts all go to the store, and a timeout asks
+/// again, until the client's process stops.
+impl Attempts<MongoResponse> for MetaClient {
+    fn target(&mut self, _sim: &mut Sim) -> Result<Addr, RpcError> {
+        Ok(self.to.clone())
+    }
+
+    fn stopped(&self) -> bool {
+        !self.alive.get()
+    }
+}
+
 impl MetaClient {
     /// Creates a client identified as `from` on the wire, owned by nobody
     /// (a harness's; a component gets its own from `Handles::meta`).
@@ -107,45 +124,8 @@ impl MetaClient {
         self.rpc.stop_serving(&self.from);
     }
 
-    /// One request allocation for all attempts: each attempt's frame and
-    /// the retry continuation share it.
-    fn request(
-        &self,
-        sim: &mut Sim,
-        req: impl Into<Rc<MongoRequest>>,
-        attempts: u32,
-        done: impl FnOnce(&mut Sim, Result<MongoResponse, MetaError>) + 'static,
-    ) {
-        if !self.alive.get() {
-            return;
-        }
-        if attempts == 0 {
-            done(sim, Err(MetaError::Unavailable));
-            return;
-        }
-        let req: Rc<MongoRequest> = req.into();
-        let me = self.clone();
-        self.rpc.call(
-            sim,
-            self.from.clone(),
-            self.to.clone(),
-            req.clone(),
-            TIMEOUT,
-            move |sim, result| match result {
-                Ok(resp) => done(sim, Ok(resp)),
-                Err(RpcError::Remote(m)) => done(sim, Err(MetaError::Rejected(m))),
-                Err(_) => {
-                    sim.schedule_in(BACKOFF, move |sim| {
-                        me.request(sim, req, attempts - 1, done);
-                    });
-                }
-            },
-        );
-    }
-
-    /// Sends `req` under the full retry budget and hands `done` what
-    /// `pick` takes out of the reply; a reply it declines is a rejection
-    /// naming `what`.
+    /// Sends `req` under [`RETRY`] and hands `done` what `pick` takes out
+    /// of the reply; a reply it declines is a rejection naming `what`.
     fn ask<T: 'static>(
         &self,
         sim: &mut Sim,
@@ -154,12 +134,15 @@ impl MetaClient {
         done: impl FnOnce(&mut Sim, Result<T, MetaError>) + 'static,
         pick: fn(MongoResponse) -> Result<T, MongoResponse>,
     ) {
-        self.request(sim, req, ATTEMPTS, move |sim, r| {
-            let picked = r.and_then(|resp| {
-                pick(resp).map_err(|other| {
+        let (rpc, from) = (&self.rpc, self.from.clone());
+        RETRY.send(sim, rpc, from, req, self.clone(), move |sim, r| {
+            let picked = match r {
+                Ok(resp) => pick(resp).map_err(|other| {
                     MetaError::Rejected(format!("unexpected {what} response: {other:?}"))
-                })
-            });
+                }),
+                Err(RpcError::Remote(m)) => Err(MetaError::Rejected(m)),
+                Err(_) => Err(MetaError::Unavailable),
+            };
             done(sim, picked);
         });
     }

@@ -4,25 +4,27 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use dlaas_net::{Addr, RpcError};
+use dlaas_net::{Addr, Attempts, Retry, RpcError};
 use dlaas_raft::NodeId;
-use dlaas_sim::{Sim, SimDuration, SimTime};
+use dlaas_sim::{Sim, SimDuration};
 
 use crate::cluster::Incarnations;
 use crate::kv::{KvEvent, LeaseId, Revision};
 use crate::proto::{etcd_addr, EtcdError, EtcdRequest, EtcdResponse, WatchNotify};
 use crate::server::{EtcdRpc, WatchNet};
 
-/// Per-attempt RPC deadline.
-const RPC_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-/// Delay between retries.
-const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(100);
-/// How long a request is retried, from its first send, before it reports
-/// `Unavailable`. A leader election takes 1–2 s (the election timeout,
+/// How a request is retried: 500 ms attempts 100 ms apart, for 12 s
+/// from its first send, before it reports `Unavailable`. A leader
+/// election takes 1–2 s (the election timeout,
 /// [`dlaas_raft::RaftConfig::default`]), well inside it. A time, not a
 /// count of attempts: against a cluster below quorum each attempt fails
 /// at once, and 20 of them spanned 5.5 s, not 12.
-const RETRY_BUDGET: SimDuration = SimDuration::from_secs(12);
+const RETRY: &Retry = &Retry {
+    name: "etcd",
+    timeout: SimDuration::from_millis(500),
+    backoff: SimDuration::from_millis(100),
+    budget: SimDuration::from_secs(12),
+};
 
 type WatchCb = Rc<dyn Fn(&mut Sim, &KvEvent)>;
 
@@ -157,71 +159,27 @@ impl EtcdClient {
     }
 
     /// Sends `req` to the presumed leader, retrying elsewhere on
-    /// redirects and timeouts for [`RETRY_BUDGET`].
+    /// redirects and timeouts under [`RETRY`].
     fn request(
         &self,
         sim: &mut Sim,
         req: impl Into<Rc<EtcdRequest>>,
         done: impl FnOnce(&mut Sim, Result<EtcdResponse, EtcdError>) + 'static,
     ) {
-        self.attempt(sim, req, sim.now() + RETRY_BUDGET, done);
-    }
-
-    /// One attempt of [`EtcdClient::request`], sent unless `deadline` has
-    /// passed. The request is allocated once: each attempt's frame and
-    /// the retry continuation share it.
-    fn attempt(
-        &self,
-        sim: &mut Sim,
-        req: impl Into<Rc<EtcdRequest>>,
-        deadline: SimTime,
-        done: impl FnOnce(&mut Sim, Result<EtcdResponse, EtcdError>) + 'static,
-    ) {
-        if sim.now() >= deadline {
-            done(sim, Err(EtcdError::Unavailable));
-            return;
-        }
-        let req: Rc<EtcdRequest> = req.into();
-        let target = self.pick_server();
-        let me = self.clone();
-        self.call(sim, target, req.clone(), move |sim, result| match result {
-            Ok(EtcdResponse::NotLeader { hint }) => {
-                {
-                    let mut s = me.state.borrow_mut();
-                    s.leader_hint = hint.filter(|h| *h != target);
-                }
-                // Leadership moved: any cancel the old topology lost
-                // gets another best-effort delivery now, and a named
-                // leader is the moment to mend broken streams.
-                me.flush_pending_cancels(sim);
-                if hint.is_some() {
-                    me.resync(sim);
-                }
-                let me2 = me.clone();
-                sim.schedule_in(RETRY_BACKOFF, move |sim| {
-                    me2.attempt(sim, req, deadline, done);
-                });
-            }
-            Ok(resp) => {
-                me.state.borrow_mut().leader_hint = Some(target);
-                me.resync(sim);
-                done(sim, Ok(resp));
-            }
-            Err(RpcError::Timeout | RpcError::NoEndpoint(_)) => {
-                me.state.borrow_mut().leader_hint = None;
-                me.flush_pending_cancels(sim);
-                let me2 = me.clone();
-                sim.schedule_in(RETRY_BACKOFF, move |sim| {
-                    me2.attempt(sim, req, deadline, done);
-                });
-            }
-            Err(RpcError::Remote(m)) => done(sim, Err(EtcdError::Failed(m))),
+        let attempts = ToLeader {
+            client: self.clone(),
+            target: 0,
+        };
+        let from = self.addr.clone();
+        RETRY.send(sim, &self.rpc, from, req, attempts, |sim, answer| {
+            done(sim, settled(answer));
         });
     }
 
-    /// Sends one request to member `to`. Every call of the client goes
-    /// through here, so a closed client whose retry registered its
-    /// endpoint again leaves once more when the answer (or timeout) is in.
+    /// Sends one unretried request (a watch registration or cancel) to
+    /// member `to`. A closed client whose call registered its endpoint
+    /// again leaves once more when the answer (or timeout) is in, as
+    /// [`ToLeader::again`] does for the retried ones.
     fn call(
         &self,
         sim: &mut Sim,
@@ -235,7 +193,7 @@ impl EtcdClient {
             self.addr.clone(),
             self.servers[to as usize].clone(),
             req,
-            RPC_TIMEOUT,
+            RETRY.timeout,
             move |sim, result| {
                 on_reply(sim, result);
                 if me.state.borrow().closed {
@@ -619,6 +577,68 @@ impl EtcdClient {
         for server in 0..self.cluster_size() {
             self.send_cancel(sim, server, watch_id);
         }
+    }
+}
+
+/// A request's attempts: each to the member the client presumes leads.
+struct ToLeader {
+    client: EtcdClient,
+    /// The member the attempt in flight went to.
+    target: NodeId,
+}
+
+impl Attempts<EtcdResponse> for ToLeader {
+    fn target(&mut self, _sim: &mut Sim) -> Result<Addr, RpcError> {
+        self.target = self.client.pick_server();
+        Ok(self.client.servers[self.target as usize].clone())
+    }
+
+    /// A member that does not lead names the one it believes does and
+    /// asks again; an answer names the leader; a timeout names nobody.
+    fn again(&mut self, sim: &mut Sim, answer: &Result<EtcdResponse, RpcError>) -> bool {
+        let (me, target) = (&self.client, self.target);
+        let again = match answer {
+            Ok(EtcdResponse::NotLeader { hint }) => {
+                me.state.borrow_mut().leader_hint = hint.filter(|h| *h != target);
+                // Leadership moved: any cancel the old topology lost
+                // gets another best-effort delivery now, and a named
+                // leader is the moment to mend broken streams.
+                me.flush_pending_cancels(sim);
+                if hint.is_some() {
+                    me.resync(sim);
+                }
+                true
+            }
+            Ok(_) => {
+                me.state.borrow_mut().leader_hint = Some(target);
+                me.resync(sim);
+                false
+            }
+            Err(RpcError::Timeout | RpcError::NoEndpoint(_)) => {
+                me.state.borrow_mut().leader_hint = None;
+                me.flush_pending_cancels(sim);
+                true
+            }
+            Err(RpcError::Remote(_)) => false,
+        };
+        // A closed client whose retry registered its endpoint again
+        // leaves once more when the answer (or timeout) is in.
+        if me.state.borrow().closed {
+            me.rpc.leave_when_idle(&me.addr);
+        }
+        again
+    }
+}
+
+/// What a request's last answer says: a member that does not lead, or
+/// none that answers, is no leader at all.
+fn settled(answer: Result<EtcdResponse, RpcError>) -> Result<EtcdResponse, EtcdError> {
+    match answer {
+        Ok(EtcdResponse::NotLeader { .. }) | Err(RpcError::Timeout | RpcError::NoEndpoint(_)) => {
+            Err(EtcdError::Unavailable)
+        }
+        Ok(resp) => Ok(resp),
+        Err(RpcError::Remote(m)) => Err(EtcdError::Failed(m)),
     }
 }
 

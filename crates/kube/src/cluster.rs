@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
-use dlaas_net::{Addr, Resolver, SharedLink};
+use dlaas_net::{Addr, Resolver, RpcError, SharedLink};
 use dlaas_sim::{Sim, SimDuration, SimRng, SimTime};
 
 use crate::metrics;
@@ -1242,11 +1242,15 @@ impl Kube {
         Some(pod_addr(&pick))
     }
 
-    /// A resolver closure for [`dlaas_net::RpcLayer::call_service`].
+    /// Where the attempts of a call to service `name` go
+    /// ([`dlaas_net::Retry::send`]): resolved as each starts.
     pub fn service_resolver(&self, name: impl Into<String>) -> Resolver {
         let me = self.clone();
         let name = name.into();
-        Rc::new(move |sim| me.resolve_service(sim, &name))
+        Rc::new(move |sim| {
+            let addr = me.resolve_service(sim, &name);
+            addr.ok_or_else(|| RpcError::NoEndpoint(name.clone()))
+        })
     }
 
     /// Installs a deny policy.

@@ -6,9 +6,10 @@
 //! * [`Net`] — typed message passing between named endpoints ([`Addr`])
 //!   with modelled latency ([`LatencyModel`]), random loss, endpoint
 //!   up/down state and partitions. Used by the Raft/etcd cluster.
-//! * [`RpcLayer`] — request/response with deadlines, retries and
-//!   service resolution, mirroring the GRPC calls between DLaaS
-//!   microservices.
+//! * [`RpcLayer`] — request/response with deadlines, mirroring the GRPC
+//!   calls between DLaaS microservices, and [`Retry`], the one retry loop
+//!   of every client that retries (a time budget from the first send; a
+//!   service call asks its [`Resolver`] for an endpoint per attempt).
 //! * [`SharedLink`] — serialized fixed-rate pipes for bulk transfers
 //!   (training-data streaming, checkpoints), used by the object store.
 //!
@@ -41,6 +42,7 @@
 mod addr;
 mod latency;
 mod link;
+pub mod metrics;
 mod network;
 mod rpc;
 
@@ -48,4 +50,4 @@ pub use addr::Addr;
 pub use latency::LatencyModel;
 pub use link::{speeds, SharedLink, Transfer};
 pub use network::{Envelope, Net, NetStats};
-pub use rpc::{Resolver, Responder, RpcError, RpcFrame, RpcLayer};
+pub use rpc::{Attempts, Resolver, Responder, Retry, RpcError, RpcFrame, RpcLayer};

@@ -1,18 +1,20 @@
-//! Request/response RPC over the simulated network.
+//! Request/response RPC over the simulated network, and the retry loop.
 //!
 //! The paper's microservices communicate over GRPC. [`RpcLayer`] reproduces
-//! the relevant semantics: typed request/response pairs, deadlines
-//! (timeouts), retries with backoff, and a resolver hook so calls can be
-//! addressed to a *service* (load-balanced across healthy instances by the
-//! Kubernetes service registry) rather than a fixed endpoint.
+//! the relevant semantics: typed request/response pairs and deadlines
+//! (timeouts). A client that retries names a [`Retry`] (timeout, backoff,
+//! and a budget from the first send) and sends through it; its
+//! [`Attempts`] say where each attempt goes (a service's [`Resolver`] picks
+//! a healthy instance per attempt) and which answers ask again.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-use dlaas_sim::{EventId, Sim, SimDuration};
+use dlaas_sim::{EventId, Sim, SimDuration, SimTime};
 
+use crate::metrics::{RPC_BUDGETS_SPENT, RPC_RETRIES};
 use crate::{Addr, Envelope, LatencyModel, Net};
 
 /// Why an RPC failed.
@@ -108,9 +110,9 @@ impl<Req: 'static, Resp: 'static> Responder<Req, Resp> {
 
 type ReplyFn<Resp> = Box<dyn FnOnce(&mut Sim, Result<Resp, RpcError>)>;
 
-/// A target-resolution closure for [`RpcLayer::call_service`] — returns a
-/// healthy endpoint for the service, or `None` when none exists right now.
-pub type Resolver = Rc<dyn Fn(&mut Sim) -> Option<Addr>>;
+/// A service's endpoint resolution: a healthy endpoint of the service, or
+/// [`RpcError::NoEndpoint`] naming it when none exists right now.
+pub type Resolver = Rc<dyn Fn(&mut Sim) -> Result<Addr, RpcError>>;
 
 struct Pending<Resp> {
     reply: ReplyFn<Resp>,
@@ -367,78 +369,126 @@ impl<Req: 'static, Resp: 'static> RpcLayer<Req, Resp> {
         let req = req.into();
         self.net.send(sim, from, to, RpcFrame::Request { id, req });
     }
+}
 
-    /// Issues a request to a *service* through `resolve`, retrying up to
-    /// `retries` additional times on timeout/no-endpoint with the given
-    /// backoff between attempts. Application-level (`Remote`) errors are
-    /// not retried — the request reached the server.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one call site per retry policy; a params struct would only rename the arguments"
-    )]
-    pub fn call_service(
-        &self,
+/// How a caller retries a request ([`Retry::send`]).
+#[derive(Debug)]
+pub struct Retry {
+    /// The caller, as the retry counters name it.
+    pub name: &'static str,
+    /// Each attempt's deadline.
+    pub timeout: SimDuration,
+    /// The wait after an attempt that asks again.
+    pub backoff: SimDuration,
+    /// How long after the first send an attempt may start: under pure
+    /// timeouts, `n × (timeout + backoff)` sends `n` attempts.
+    pub budget: SimDuration,
+}
+
+/// A caller's own part of a retried request.
+pub trait Attempts<Resp>: 'static {
+    /// Where the next attempt goes, asked as each starts. An `Err` is the
+    /// answer of an attempt that could not be sent.
+    fn target(&mut self, sim: &mut Sim) -> Result<Addr, RpcError>;
+
+    /// Whether an answer asks again. By default a timeout or no endpoint
+    /// does; a reply or an application error reached a server.
+    fn again(&mut self, _sim: &mut Sim, answer: &Result<Resp, RpcError>) -> bool {
+        matches!(answer, Err(RpcError::Timeout | RpcError::NoEndpoint(_)))
+    }
+
+    /// A stopped caller sends nothing more and hears nothing back.
+    fn stopped(&self) -> bool {
+        false
+    }
+}
+
+/// A service's attempts each go where its resolver points as they start.
+impl<Resp> Attempts<Resp> for Resolver {
+    fn target(&mut self, sim: &mut Sim) -> Result<Addr, RpcError> {
+        self(sim)
+    }
+}
+
+impl Retry {
+    /// Sends `req` from `from` until an answer does not ask again, and
+    /// hands it to `done`; or, once no attempt may start inside the
+    /// budget, the last answer. Each retry counts in [`RPC_RETRIES`],
+    /// each spent budget in [`RPC_BUDGETS_SPENT`].
+    pub fn send<Req: 'static, Resp: 'static>(
+        &'static self,
         sim: &mut Sim,
+        rpc: &RpcLayer<Req, Resp>,
         from: Addr,
-        service: String,
-        resolve: Resolver,
         req: impl Into<Rc<Req>>,
-        timeout: SimDuration,
-        retries: u32,
-        backoff: SimDuration,
-        on_reply: impl FnOnce(&mut Sim, Result<Resp, RpcError>) + 'static,
+        attempts: impl Attempts<Resp>,
+        done: impl FnOnce(&mut Sim, Result<Resp, RpcError>) + 'static,
     ) {
-        let req: Rc<Req> = req.into();
-        let target = resolve(sim);
-        match target {
-            None => {
-                if retries == 0 {
-                    on_reply(sim, Err(RpcError::NoEndpoint(service)));
-                } else {
-                    let layer = self.clone();
-                    sim.schedule_in(backoff, move |sim| {
-                        layer.call_service(
-                            sim,
-                            from,
-                            service,
-                            resolve,
-                            req,
-                            timeout,
-                            retries - 1,
-                            backoff,
-                            on_reply,
-                        );
-                    });
-                }
+        let deadline = sim.now() + self.budget;
+        let (rpc, req) = (rpc.clone(), req.into());
+        Flight {
+            retry: self,
+            rpc,
+            from,
+            req,
+            deadline,
+            attempts,
+            done,
+        }
+        .attempt(sim, None);
+    }
+}
+
+/// A retried request between its attempts.
+struct Flight<Req: 'static, Resp: 'static, A, D> {
+    retry: &'static Retry,
+    rpc: RpcLayer<Req, Resp>,
+    from: Addr,
+    req: Rc<Req>,
+    /// The first send plus the budget: no attempt starts at or past it.
+    deadline: SimTime,
+    attempts: A,
+    done: D,
+}
+
+impl<Req, Resp, A, D> Flight<Req, Resp, A, D>
+where
+    A: Attempts<Resp>,
+    D: FnOnce(&mut Sim, Result<Resp, RpcError>) + 'static,
+{
+    /// Starts the first attempt, or the next after `last` asked again,
+    /// which past the deadline is the outcome instead.
+    fn attempt(mut self, sim: &mut Sim, last: Option<Result<Resp, RpcError>>) {
+        if self.attempts.stopped() {
+            return;
+        }
+        if let Some(last) = last {
+            let name = [self.retry.name];
+            if sim.now() >= self.deadline {
+                sim.metrics().counter_series(RPC_BUDGETS_SPENT, name).inc();
+                return (self.done)(sim, last);
             }
-            Some(addr) => {
-                let layer = self.clone();
-                self.call(
-                    sim,
-                    from.clone(),
-                    addr,
-                    req.clone(),
-                    timeout,
-                    move |sim, result| match result {
-                        Err(RpcError::Timeout) if retries > 0 => {
-                            sim.schedule_in(backoff, move |sim| {
-                                layer.call_service(
-                                    sim,
-                                    from,
-                                    service,
-                                    resolve,
-                                    req,
-                                    timeout,
-                                    retries - 1,
-                                    backoff,
-                                    on_reply,
-                                );
-                            });
-                        }
-                        other => on_reply(sim, other),
-                    },
-                );
+            sim.metrics().counter_series(RPC_RETRIES, name).inc();
+        }
+        match self.attempts.target(sim) {
+            Ok(to) => {
+                let (rpc, from, req) = (self.rpc.clone(), self.from.clone(), self.req.clone());
+                let timeout = self.retry.timeout;
+                rpc.call(sim, from, to, req, timeout, move |sim, answer| {
+                    self.answered(sim, answer);
+                });
             }
+            Err(unsent) => self.answered(sim, Err(unsent)),
+        }
+    }
+
+    /// Hands `answer` on, or attempts again after the backoff.
+    fn answered(mut self, sim: &mut Sim, answer: Result<Resp, RpcError>) {
+        if self.attempts.again(sim, &answer) {
+            let backoff = self.retry.backoff;
+            sim.schedule_in(backoff, move |sim| self.attempt(sim, Some(answer)));
+        } else {
+            (self.done)(sim, answer);
         }
     }
 }
@@ -614,6 +664,35 @@ mod tests {
         assert_eq!(got.borrow().as_deref(), Some("done:job"));
     }
 
+    /// A policy of 100 ms attempts 20 ms apart, for five of them.
+    const FIVE: &Retry = &Retry {
+        name: "five",
+        timeout: SimDuration::from_millis(100),
+        backoff: SimDuration::from_millis(20),
+        budget: SimDuration::from_millis(600),
+    };
+
+    /// When a call was answered, in ms, and how.
+    type Outcome = Rc<RefCell<Option<(u64, Result<String, RpcError>)>>>;
+
+    /// Sends `x` through `resolve` under [`FIVE`]; the outcome lands in
+    /// the cell with its instant.
+    fn call_service(sim: &mut Sim, rpc: &RpcLayer<String, String>, resolve: Resolver) -> Outcome {
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        let from = Addr::new("c");
+        FIVE.send(sim, rpc, from, "x".to_string(), resolve, move |sim, r| {
+            *g.borrow_mut() = Some((sim.now().as_millis(), r));
+        });
+        got
+    }
+
+    /// The series of `decl` for [`FIVE`], if it was made.
+    fn five(sim: &Sim, decl: &dlaas_sim::CounterDecl<1>) -> Option<f64> {
+        let series = format!("{}{{client=\"five\"}}", decl.name());
+        sim.metrics().snapshot().get(&series)
+    }
+
     #[test]
     fn call_service_retries_until_endpoint_appears() {
         let mut sim = Sim::new(1);
@@ -628,45 +707,59 @@ mod tests {
             });
             *appears.borrow_mut() = Some(Addr::new("api-0"));
         });
-        let got = Rc::new(RefCell::new(None));
-        let g = got.clone();
-        rpc.call_service(
-            &mut sim,
-            Addr::new("c"),
-            "api".into(),
-            Rc::new(move |_| endpoint.borrow().clone()),
-            "x".to_string(),
-            SimDuration::from_millis(100),
-            5,
-            SimDuration::from_millis(20),
-            move |_, r| *g.borrow_mut() = Some(r),
-        );
+        let resolve: Resolver = Rc::new(move |_| {
+            let endpoint = endpoint.borrow().clone();
+            endpoint.ok_or_else(|| RpcError::NoEndpoint("api".into()))
+        });
+        let got = call_service(&mut sim, &rpc, resolve);
         sim.run_until_idle();
-        assert_eq!(*got.borrow(), Some(Ok("served".into())));
+        // Resolved at 0, 20, 40 and 60 ms; served over two 1 ms hops.
+        assert_eq!(*got.borrow(), Some((62, Ok("served".into()))));
+        assert_eq!(five(&sim, RPC_RETRIES), Some(3.0));
+        assert_eq!(five(&sim, RPC_BUDGETS_SPENT), None, "made unbumped");
     }
 
+    /// No endpoint fails each attempt at once: the call retries for its
+    /// time, not for five attempts, and is refused with the last error
+    /// at the first instant an attempt would start past the budget.
     #[test]
     fn call_service_gives_up_after_retries() {
         let mut sim = Sim::new(1);
         let rpc = layer(&mut sim);
-        let got = Rc::new(RefCell::new(None));
-        let g = got.clone();
-        rpc.call_service(
-            &mut sim,
-            Addr::new("c"),
-            "ghost".into(),
-            Rc::new(|_| None),
-            "x".to_string(),
-            SimDuration::from_millis(100),
-            2,
-            SimDuration::from_millis(10),
-            move |_, r| *g.borrow_mut() = Some(r),
-        );
+        let ghost = Rc::new(|_: &mut Sim| Err(RpcError::NoEndpoint("ghost".into())));
+        let got = call_service(&mut sim, &rpc, ghost);
         sim.run_until_idle();
-        assert_eq!(
-            *got.borrow(),
-            Some(Err(RpcError::NoEndpoint("ghost".into())))
-        );
+        let refused = Err(RpcError::NoEndpoint("ghost".into()));
+        assert_eq!(*got.borrow(), Some((600, refused)));
+        // Attempts at 0, 20, …, 580 ms.
+        assert_eq!(five(&sim, RPC_RETRIES), Some(29.0));
+        assert_eq!(five(&sim, RPC_BUDGETS_SPENT), Some(1.0));
+    }
+
+    /// Under pure timeouts the budget sends exactly its `n` attempts,
+    /// and the refusal is the last one's timeout.
+    #[test]
+    fn a_budget_of_n_timeouts_and_backoffs_sends_n_attempts() {
+        let mut sim = Sim::new(1);
+        let rpc = layer(&mut sim);
+        let got = call_service(&mut sim, &rpc, Rc::new(|_| Ok(Addr::new("mute"))));
+        sim.run_until_idle();
+        assert_eq!(*got.borrow(), Some((600, Err(RpcError::Timeout))));
+        assert_eq!(rpc.net().stats().sent, 5);
+        assert_eq!(five(&sim, RPC_RETRIES), Some(4.0));
+    }
+
+    /// An application error reached a server: it settles at once.
+    #[test]
+    fn a_remote_error_is_not_retried() {
+        let mut sim = Sim::new(1);
+        let rpc = layer(&mut sim);
+        rpc.serve(Addr::new("s"), |sim, _req: &String, r| r.err(sim, "no"));
+        let got = call_service(&mut sim, &rpc, Rc::new(|_| Ok(Addr::new("s"))));
+        sim.run_until_idle();
+        let rejected = Err(RpcError::Remote("no".into()));
+        assert_eq!(*got.borrow(), Some((2, rejected)));
+        assert_eq!(five(&sim, RPC_RETRIES), None);
     }
 
     #[test]

@@ -160,8 +160,9 @@ fn same_seed_runs_expose_byte_identical_metrics() {
 }
 
 /// The declaration lists of every crate that records metrics.
-fn declaration_lists() -> [(&'static str, &'static [MetricDecl]); 5] {
+fn declaration_lists() -> [(&'static str, &'static [MetricDecl]); 6] {
     [
+        ("dlaas-net", dlaas_net::metrics::ALL),
         ("dlaas-etcd", dlaas_etcd::metrics::ALL),
         ("dlaas-kube", dlaas_kube::metrics::ALL),
         ("dlaas-docstore", dlaas_docstore::metrics::ALL),

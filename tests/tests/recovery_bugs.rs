@@ -1580,3 +1580,39 @@ fn a_corrupt_attempts_count_gives_up_instead_of_reopening_the_budget() {
         );
     }
 }
+
+/// Regression: a service call counted its retries, so one that found no
+/// endpoint, which fails at once, spent its 15 retries in 15 backoffs: a
+/// submit sent while the API was scaled to 0 was refused 6 s after its
+/// send, though its retries were sized to span 22 s. A call now retries
+/// for its time budget from the first send.
+#[test]
+fn a_submit_that_finds_no_api_endpoint_keeps_trying_for_its_budget() {
+    let (mut sim, platform) = boot(56);
+    let client = platform.client("itest", KEY);
+    platform.scale_api(&mut sim, 0);
+    let api_ready =
+        |sim: &Sim| (0..4).any(|i| platform.kube().pod_ready(sim, &format!("dlaas-api-{i}")));
+    let deadline = sim.now() + SimDuration::from_secs(60);
+    while api_ready(&sim) {
+        assert!(sim.now() < deadline, "an API pod is still ready");
+        sim.run_for(SimDuration::from_millis(100));
+    }
+    let sent = sim.now();
+    let got = Rc::new(RefCell::new(None));
+    let g = got.clone();
+    client.submit(&mut sim, manifest("no-endpoint", 60), move |sim, r| {
+        *g.borrow_mut() = Some((sim.now() - sent, r));
+    });
+    sim.run_for(SimDuration::from_secs(8));
+    assert_eq!(*got.borrow(), None, "answered with no API pod");
+    platform.scale_api(&mut sim, 2);
+    sim.run_for(SimDuration::from_secs(30));
+    let got = got.borrow();
+    let (after, r) = got.as_ref().expect("the submit was never answered");
+    assert!(
+        r.is_ok(),
+        "refused {:.3} s after its send: {r:?}",
+        after.as_secs_f64()
+    );
+}
