@@ -742,17 +742,22 @@ fn watch_of(sim: &mut Sim, doc: &Value, id: &str, was: Option<Watch>) -> Option<
                 // Age from `admitted_us` (fair-queue admission stamps it;
                 // for directly admitted jobs it equals `submitted_us`,
                 // which remains the fallback for pre-fairness documents).
-                // A negative stamp is store corruption: leave the job off
-                // the redeploy watch instead of wrapping it to a huge
-                // timestamp (which would pin the job's age at zero and
-                // strand it forever).
+                // A stamp that is missing, not an integer or negative is
+                // store corruption: leave the job off the redeploy watch
+                // instead of inventing a clock for it (0 would make the
+                // job pending since boot and redeploy it at once; a
+                // wrapped negative would pin its age at zero and strand
+                // it forever).
                 let (field, stamp) = match doc.path("admitted_us") {
                     Some(stamp) => ("admitted_us", Some(stamp)),
                     None => ("submitted_us", doc.path("submitted_us")),
                 };
-                match u64::try_from(stamp.and_then(Value::as_i64).unwrap_or(0)) {
-                    Ok(admitted) => active.pending_since = Some(SimTime::from_micros(admitted)),
-                    Err(_) => {
+                match stamp
+                    .and_then(Value::as_i64)
+                    .and_then(|us| u64::try_from(us).ok())
+                {
+                    Some(admitted) => active.pending_since = Some(SimTime::from_micros(admitted)),
+                    None => {
                         sim.metrics()
                             .counter_series(metrics::LCM_MALFORMED_RECORDS, [field])
                             .inc();
@@ -1255,6 +1260,16 @@ mod tests {
         ]
     }
 
+    /// A job document's stamp: absent, anywhere in `i64`, or ill-typed.
+    fn any_stamp() -> impl proptest::strategy::Strategy<Value = Option<Value>> {
+        use proptest::prelude::*;
+        prop_oneof![
+            1 => Just(None),
+            4 => any::<i64>().prop_map(|us| Some(Value::from(us))),
+            1 => any_value().prop_map(Some),
+        ]
+    }
+
     /// A history entry: any status, stamped anywhere in `i64` or with an
     /// ill-typed value.
     fn history_entry() -> impl proptest::strategy::Strategy<Value = Value> {
@@ -1269,40 +1284,43 @@ mod tests {
 
         // Any stored job document, ingested and then swept at any time
         // with its Guardian in any state, panics nothing, and no stamp
-        // becomes a clock but the one stored, as stored: a negative one
-        // is no clock at all.
+        // becomes a clock but the one stored, as stored: a negative, an
+        // ill-typed or a missing one is no clock at all.
         #[test]
         fn any_job_document_is_ingested_and_decided_without_inventing_a_clock(
             status in 0..STATUSES.len(),
-            stamps in (proptest::prelude::any::<i64>(), proptest::prelude::any::<i64>(), proptest::prelude::any::<bool>()),
+            stamps in (any_stamp(), any_stamp()),
             fields in (any_value(), any_value()),
             history in proptest::collection::vec(history_entry(), 0..6),
             sweep in (proptest::prelude::any::<u64>(), 0..4u8),
         ) {
-            let (submitted, admitted, has_admitted) = stamps;
+            let (submitted, admitted) = stamps;
             let (tenant, gpus) = fields;
             let mut doc = obj! {
                 "_id" => "j",
                 "status" => STATUSES[status],
                 "tenant" => tenant,
                 "gpus" => gpus,
-                "submitted_us" => submitted,
                 "history" => history.clone(),
             };
-            if has_admitted {
-                dlaas_docstore::Update::set("admitted_us", admitted).apply(&mut doc);
+            for (field, stamp) in [("submitted_us", &submitted), ("admitted_us", &admitted)] {
+                if let Some(stamp) = stamp {
+                    dlaas_docstore::Update::set(field, stamp.clone()).apply(&mut doc);
+                }
             }
-            let clock = |stamp: i64| u64::try_from(stamp).ok();
+            let clock = |stamp: &Option<Value>| {
+                u64::try_from(stamp.as_ref()?.as_i64()?).ok()
+            };
             let stored = |since: Option<SimTime>| since.map(SimTime::as_micros);
             let mut sim = Sim::new(0);
             let mut st = ScanState::default();
             ingest(&mut sim, &mut st, &doc);
             match st.jobs.get("j") {
                 Some(Watch::Queued(q)) => {
-                    proptest::prop_assert_eq!(Some(q.since_us), clock(submitted));
+                    proptest::prop_assert_eq!(Some(q.since_us), clock(&submitted));
                 }
                 Some(Watch::Active(a)) => {
-                    let pending = if has_admitted { admitted } else { submitted };
+                    let pending = if admitted.is_some() { &admitted } else { &submitted };
                     proptest::prop_assert!(
                         a.pending_since.is_none() || stored(a.pending_since) == clock(pending)
                     );
@@ -1313,7 +1331,8 @@ mod tests {
                         .and_then(|e| e.path("t_us")?.as_i64());
                     proptest::prop_assert!(
                         a.deploying_since.is_none()
-                            || stored(a.deploying_since) == deploying.and_then(clock)
+                            || stored(a.deploying_since)
+                                == deploying.and_then(|us| u64::try_from(us).ok())
                     );
                 }
                 Some(Watch::TerminalGc) | None => {}

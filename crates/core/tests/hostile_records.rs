@@ -447,3 +447,35 @@ fn a_manifest_integer_out_of_range_is_refused_not_wrapped() {
     assert_eq!(fits.total_gpus(), u32::MAX);
     assert_eq!(with(&[]), Ok(manifest));
 }
+
+/// A PENDING job document with no stamp, swept in a live store: the LCM
+/// counts it malformed and leaves it off its redeploy watch. It used to
+/// read the missing stamp as 0, a clock the document never held, so the
+/// job looked pending since boot and was redeployed at the first sweep.
+#[test]
+fn a_stampless_pending_document_is_counted_malformed_not_redeployed() {
+    use dlaas_core::{config, DlaasPlatform, Tenant, JOBS};
+    use dlaas_docstore::obj;
+    use dlaas_sim::{Sim, SimDuration};
+
+    let mut sim = Sim::new(93);
+    sim.trace_mut().set_enabled(true);
+    let platform = DlaasPlatform::bootstrapped(&mut sim);
+    platform
+        .add_tenant(&Tenant::new("acme", "acme-key", 0))
+        .expect("tenant insert");
+    sim.run_for(SimDuration::from_secs(30));
+    let meta = MetaClient::new(platform.handles().mongo.clone(), "hostile");
+    let doc = obj! {"_id" => "stampless", "status" => "PENDING", "tenant" => "acme", "gpus" => 1};
+    meta.insert(&mut sim, JOBS, doc, |_sim, r| {
+        assert!(r.is_ok(), "{r:?}");
+    });
+    sim.run_for(config::PENDING_REDEPLOY_AFTER + config::LCM_SCAN * 4);
+    let timeline = sim.trace().of("stampless").to_string();
+    assert!(!timeline.contains("redeploy-stranded"), "{timeline}");
+    let malformed = platform
+        .metrics()
+        .snapshot()
+        .get("dlaas_lcm_malformed_records_total{field=\"submitted_us\"}");
+    assert!(malformed >= Some(1.0), "counted {malformed:?}");
+}
