@@ -397,7 +397,9 @@ pub trait Attempts<Resp>: 'static {
         matches!(answer, Err(RpcError::Timeout | RpcError::NoEndpoint(_)))
     }
 
-    /// A stopped caller sends nothing more and hears nothing back.
+    /// Whether the caller stopped, asked before each attempt and before
+    /// the refusal: a stopped caller sends nothing more, and no refusal
+    /// reaches it.
     fn stopped(&self) -> bool {
         false
     }
