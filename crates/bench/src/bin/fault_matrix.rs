@@ -23,9 +23,10 @@
 use dlaas_bench::cli;
 use dlaas_bench::harness::print_table;
 use dlaas_bench::matrix::{
-    render_matrix_json, run_cell, sweep, CellOutcome, FaultKind, MatrixCampaign, POINTS,
+    point, render_matrix_json, run_cell, sweep, CellOutcome, FaultKind, MatrixCampaign, POINTS,
 };
 use dlaas_bench::metrics::MATRIX_RECOVERY_SECONDS;
+use dlaas_sim::MarkDef;
 
 const USAGE: &str = "usage: fault_matrix [--seeds N] [--seed S] [--threads T] \
     [--out FILE] [--fault LABEL] | --trial FAULT/POINT --seed S";
@@ -34,7 +35,7 @@ struct Opts {
     seeds: u64,
     base_seed: u64,
     threads: usize,
-    trial: Option<(FaultKind, &'static str)>,
+    trial: Option<(FaultKind, &'static MarkDef)>,
     out_path: Option<String>,
     fault: Option<FaultKind>,
 }
@@ -42,12 +43,8 @@ struct Opts {
 fn main() {
     let opts = cli::parse_or_exit(USAGE, |a| {
         let trial = a.value::<String>("--trial")?.map(|spec| {
-            let (fault, point) = spec.split_once('/').ok_or("--trial expects FAULT/POINT")?;
-            let point = POINTS
-                .into_iter()
-                .find(|&p| p == point)
-                .ok_or_else(|| format!("unknown injection point {point:?} (one of {POINTS:?})"))?;
-            Ok::<_, String>((fault.parse()?, point))
+            let (fault, at) = spec.split_once('/').ok_or("--trial expects FAULT/POINT")?;
+            Ok::<_, String>((fault.parse()?, point(at)?))
         });
         Ok(Opts {
             seeds: a.value("--seeds")?.unwrap_or(5),
@@ -71,8 +68,12 @@ fn main() {
 
 /// Replays one matrix cell alone, single-threaded — the repro mode the
 /// campaign's failure records point at.
-fn run_single(seed: u64, kind: FaultKind, point: &'static str) {
-    eprintln!("single trial: {} at {point} (seed {seed})…", kind.label());
+fn run_single(seed: u64, kind: FaultKind, point: &'static MarkDef) {
+    eprintln!(
+        "single trial: {} at {} (seed {seed})…",
+        kind.label(),
+        point.what
+    );
     let out = run_cell(seed, kind, point);
     println!("{}", out.describe());
     for v in &out.final_violations {
@@ -101,7 +102,7 @@ fn run_matrix(kinds: &[FaultKind], opts: &Opts) {
                 .filter(|o| o.kind == kind && o.point == point)
                 .collect();
             let passed = of_cell.iter().filter(|o| o.passed()).count();
-            let labels = [("fault", kind.label()), ("point", point)];
+            let labels = [("fault", kind.label()), ("point", point.what)];
             let q = |q: f64| {
                 campaign
                     .metrics
@@ -111,7 +112,7 @@ fn run_matrix(kinds: &[FaultKind], opts: &Opts) {
             };
             rows.push(vec![
                 kind.label().to_owned(),
-                point.to_owned(),
+                point.what.to_owned(),
                 format!("{passed}/{}", of_cell.len()),
                 q(0.5),
                 q(0.95),

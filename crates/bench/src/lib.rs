@@ -18,6 +18,7 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod harness;
+pub mod marks;
 pub mod matrix;
 pub mod metrics;
 pub mod runner;

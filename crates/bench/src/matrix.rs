@@ -24,13 +24,15 @@
 
 use std::str::FromStr;
 
+use dlaas_core::marks::guardian;
 use dlaas_core::{config, paths, DlaasPlatform, JobId, JobStatus};
 use dlaas_faults::{nfs_outage_window, partition_window};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_raft::raft_addr;
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::{MarkDef, Sim, SimDuration};
 
 use crate::harness::{bench_tenants, experiment_config, EXPERIMENT_DATASET_BYTES};
+use crate::marks::fault;
 use crate::metrics::MATRIX_RECOVERY_SECONDS;
 use crate::runner::{CampaignReport, CampaignRunner, Trial, TrialRun};
 use crate::soak::{self, Arrival, Plan, Preset, Target};
@@ -95,17 +97,24 @@ impl FaultKind {
         }
     }
 
+    /// The fault's mark: its label, as the timeline reads it.
+    pub fn mark(&self) -> &'static MarkDef {
+        match self {
+            FaultKind::GuardianCrash => &fault::GUARDIAN_CRASH,
+            FaultKind::EtcdLeaderCrash => &fault::ETCD_LEADER_CRASH,
+            FaultKind::MongoCrash => &fault::MONGO_CRASH,
+            FaultKind::NfsOutage => &fault::NFS_OUTAGE,
+            FaultKind::Partition => &fault::PARTITION,
+            FaultKind::LcmOwnerCrash => &fault::LCM_OWNER_CRASH,
+        }
+    }
+
     /// Applies the fault to a live platform. `job` is the job it
     /// targets, if any: a Guardian crash without one injects nothing, an
     /// LCM owner crash without one kills replica 0, and the substrate
     /// faults do not read it.
     pub fn inject(&self, sim: &mut Sim, platform: &DlaasPlatform, job: Option<&JobId>) {
-        sim.mark(
-            "fault",
-            job.map_or("platform", JobId::as_str),
-            self.label(),
-            0,
-        );
+        sim.mark(self.mark(), job.map_or("platform", JobId::as_str), 0);
         match self {
             FaultKind::GuardianCrash => {
                 if let Some(job) = job {
@@ -178,14 +187,23 @@ impl FromStr for FaultKind {
 /// acknowledged DEPLOYING write, 3 the NFS volume, 4 the helper, 5 the
 /// learners, 6 the network policies. A cell's fault runs at the instant
 /// of its job's first such mark (a tap, [`dlaas_sim::Sim::tap`]).
-pub const POINTS: [&str; 6] = [
-    "deploy-attempt",
-    "DEPLOYING",
-    "volume-provisioned",
-    "helper-created",
-    "learners-created",
-    "deployed",
+pub static POINTS: [&MarkDef; 6] = [
+    &guardian::DEPLOY_ATTEMPT,
+    &guardian::DEPLOYING,
+    &guardian::VOLUME_PROVISIONED,
+    &guardian::HELPER_CREATED,
+    &guardian::LEARNERS_CREATED,
+    &guardian::DEPLOYED,
 ];
+
+/// The injection point a `--trial FAULT/POINT` names: the one of
+/// [`POINTS`] whose mark reads `name`.
+pub fn point(name: &str) -> Result<&'static MarkDef, String> {
+    POINTS.into_iter().find(|p| p.what == name).ok_or_else(|| {
+        let names: Vec<_> = POINTS.iter().map(|p| p.what).collect();
+        format!("unknown injection point {name:?} (one of {names:?})")
+    })
+}
 
 /// A matrix cell as a soak preset: 300-iteration ResNet-50 jobs submitted
 /// at once onto two one-GPU K80 nodes, the invariant monitor checking
@@ -225,7 +243,7 @@ pub struct CellOutcome {
     /// The injected fault.
     pub kind: FaultKind,
     /// The deployment step it targeted: one of [`POINTS`].
-    pub point: &'static str,
+    pub point: &'static MarkDef,
     /// The simulation seed.
     pub seed: u64,
     /// What became of the job: its status, whether the fault fired (the
@@ -252,7 +270,7 @@ impl CellOutcome {
         let mut line = format!(
             "{} at {} (seed {}): status={:?} fired={} violations={}",
             self.kind.label(),
-            self.point,
+            self.point.what,
             self.seed,
             self.target.status,
             self.target.fired,
@@ -268,11 +286,11 @@ impl CellOutcome {
 
 /// Runs one cell of the matrix: a [`CELL`] soak run of one job, with
 /// `kind` injected at the Guardian's `point` mark (one of [`POINTS`]).
-pub fn run_cell(seed: u64, kind: FaultKind, point: &'static str) -> CellOutcome {
+pub fn run_cell(seed: u64, kind: FaultKind, point: &'static MarkDef) -> CellOutcome {
     cell(seed, kind, point).result
 }
 
-fn cell(seed: u64, kind: FaultKind, point: &'static str) -> TrialRun<CellOutcome> {
+fn cell(seed: u64, kind: FaultKind, point: &'static MarkDef) -> TrialRun<CellOutcome> {
     let preset = Preset {
         plan: Plan::At(kind, point),
         ..CELL
@@ -336,7 +354,7 @@ pub fn sweep(kinds: &[FaultKind], base_seed: u64, seeds: u64, threads: usize) ->
     for &kind in kinds {
         for point in POINTS {
             for seed in base_seed..base_seed + seeds {
-                let cell = format!("{}/{point}", kind.label());
+                let cell = format!("{}/{}", kind.label(), point.what);
                 trials.push(Trial {
                     label: format!("{cell}/{seed}"),
                     repro: format!(
@@ -357,7 +375,7 @@ pub fn sweep(kinds: &[FaultKind], base_seed: u64, seeds: u64, threads: usize) ->
     for out in report.results() {
         if let Some(d) = out.target.recovery {
             metrics
-                .histogram_series(MATRIX_RECOVERY_SECONDS, [out.kind.label(), out.point])
+                .histogram_series(MATRIX_RECOVERY_SECONDS, [out.kind.label(), out.point.what])
                 .observe_duration_us(d.as_micros());
         }
     }
@@ -391,7 +409,7 @@ pub fn render_matrix_json(base_seed: u64, seeds: u64, campaign: &MatrixCampaign)
                 "    {{\"fault\": \"{}\", \"point\": \"{}\", \"seed\": {}, \"status\": {status}, \
                  \"fired\": {}, \"recovery_us\": {recovery}, \"violations\": {}, \"passed\": {}}}",
                 o.kind.label(),
-                o.point,
+                o.point.what,
                 o.seed,
                 o.target.fired,
                 o.violations,
@@ -438,7 +456,7 @@ mod tests {
 
     #[test]
     fn guardian_crash_mid_deploy_still_completes() {
-        let out = run_cell(11, FaultKind::GuardianCrash, "helper-created");
+        let out = run_cell(11, FaultKind::GuardianCrash, &guardian::HELPER_CREATED);
         assert!(
             out.passed(),
             "{}: {:?}",
@@ -450,7 +468,7 @@ mod tests {
 
     #[test]
     fn lcm_owner_crash_mid_deploy_still_completes() {
-        let out = run_cell(13, FaultKind::LcmOwnerCrash, "learners-created");
+        let out = run_cell(13, FaultKind::LcmOwnerCrash, &guardian::LEARNERS_CREATED);
         assert!(
             out.passed(),
             "{}: {:?}",
@@ -461,7 +479,7 @@ mod tests {
 
     #[test]
     fn nfs_outage_at_provision_volume_still_completes() {
-        let out = run_cell(12, FaultKind::NfsOutage, "volume-provisioned");
+        let out = run_cell(12, FaultKind::NfsOutage, &guardian::VOLUME_PROVISIONED);
         assert!(
             out.passed(),
             "{}: {:?}",
@@ -477,10 +495,11 @@ mod tests {
             .map(super::FaultKind::label)
             .collect();
         assert_eq!(kinds.len(), FaultKind::all().len());
-        let points: std::collections::BTreeSet<_> = POINTS.into_iter().collect();
+        let points: std::collections::BTreeSet<_> = POINTS.iter().map(|p| p.what).collect();
         assert_eq!(points.len(), POINTS.len());
         for kind in FaultKind::all() {
             assert_eq!(kind.label().parse(), Ok(kind));
+            assert_eq!(kind.mark().what, kind.label());
         }
         assert!("guardian".parse::<FaultKind>().is_err());
     }

@@ -45,11 +45,11 @@ use dlaas_faults::ChaosMonkey;
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_kube::labels;
 use dlaas_obs::wallclock::WallTimer;
-use dlaas_sim::{Sim, SimDuration, SimRng, SimTime, SiteCost, Subject};
+use dlaas_sim::{MarkDef, Sim, SimDuration, SimRng, SimTime, SiteCost, Subject};
 
 use crate::cli::Args;
 use crate::harness::bench_tenants;
-use crate::matrix::FaultKind;
+use crate::matrix::{FaultKind, POINTS};
 use crate::runner::{CampaignReport, CampaignRunner, Trial, TrialRun};
 use crate::traffic;
 
@@ -88,10 +88,11 @@ pub enum Plan {
     Chaos,
     /// One fault, injected at the instant the Guardian of the first job
     /// the platform acknowledges marks the deployment step done (one of
-    /// [`crate::matrix::POINTS`]). That job is the run's target
+    /// [`crate::matrix::POINTS`], which the arm taps; any other def never
+    /// fires). That job is the run's target
     /// ([`SoakRun::target`]): the drain waits for its terminal status
     /// first.
-    At(FaultKind, &'static str),
+    At(FaultKind, &'static MarkDef),
 }
 
 /// One scenario, as data.
@@ -501,8 +502,8 @@ pub fn run(
                 let Ok(job) = r else { return };
                 if let Some((kind, point, p, fired_at)) = arm.filter(|_| jobs.borrow().is_empty()) {
                     let target = job.clone();
-                    sim.tap("guardian", move |sim, subject, what, _| {
-                        if (subject, what) != (Subject::Name(target.as_str()), point) {
+                    sim.tap(&POINTS, move |sim, subject, def, _| {
+                        if (subject, def) != (Subject::Name(target.as_str()), point) {
                             return true;
                         }
                         let (p, target, fired_at) = (p.clone(), target.clone(), fired_at.clone());

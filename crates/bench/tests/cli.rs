@@ -71,3 +71,20 @@ fn every_bin_exits_2_on_a_command_line_it_cannot_parse() {
         assert!(out.stdout.is_empty(), "{bin} {args:?} ran anyway");
     }
 }
+
+/// The repro command a matrix record prints replays its cell by the
+/// point's name.
+#[test]
+fn fault_matrix_replays_a_trial_by_its_point_name() {
+    let bin = env!("CARGO_BIN_EXE_fault_matrix");
+    let out = run(
+        bin,
+        &["--trial", "guardian_crash/helper-created", "--seed", "11"],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.starts_with("guardian_crash at helper-created (seed 11)"),
+        "{stdout}"
+    );
+}

@@ -23,6 +23,7 @@ use crate::config;
 use crate::handles::{Handles, LCM_SERVICE};
 use crate::job::{JobId, JobStatus};
 use crate::manifest::TrainingManifest;
+use crate::marks::api;
 use crate::metrics;
 use crate::mongo::{MetaClient, JOBS, TENANTS};
 use crate::paths;
@@ -65,7 +66,7 @@ fn active_statuses() -> Vec<Value> {
 pub fn api_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let addr = pod_addr(&ctx.pod);
     let meta = Rc::new(h.meta(&ctx, &ctx.pod));
-    sim.mark("api", ctx.pod.as_str(), "up", 0);
+    sim.mark(&api::UP, ctx.pod.as_str(), 0);
 
     let h2 = h.clone();
     let meta2 = meta.clone();
@@ -353,7 +354,7 @@ fn submit(
                     Ok(d) => d,
                     Err(e) => return resp.err(sim, e.to_string()),
                 };
-                let in_use: u32 = docs.iter().map(|d| doc_gpus(d)).sum();
+                let in_use: u32 = docs.iter().map(|d| doc_gpus(d).unwrap_or(0)).sum();
                 if in_use + manifest.total_gpus() > tenant.max_gpus {
                     // Over quota: accept the job into the weighted fair
                     // queue instead of rejecting. The LCM's admission
@@ -366,22 +367,12 @@ fn submit(
     );
 }
 
-/// A job document's GPU demand. Documents written since the fairness
-/// change carry a denormalized `gpus` field; older ones fall back to
-/// parsing the stored manifest.
-pub(crate) fn doc_gpus(doc: &Value) -> u32 {
-    if let Some(g) = doc
-        .path("gpus")
-        .and_then(Value::as_i64)
-        .and_then(|v| u32::try_from(v).ok())
-    {
-        return g;
-    }
-    doc.path("manifest")
-        .and_then(Value::as_str)
-        .and_then(|s| TrainingManifest::from_json(s).ok())
-        .map(|m| m.total_gpus())
-        .unwrap_or(0)
+/// A job document's GPU demand, its `gpus` field (`None`: missing or
+/// not a `u32`, which only a corrupt store holds — the API writes it on
+/// every document).
+pub(crate) fn doc_gpus(doc: &Value) -> Option<u32> {
+    let gpus = doc.path("gpus")?.as_i64()?;
+    u32::try_from(gpus).ok()
 }
 
 /// Durably records the job with `status`, then runs `then` with its id.
@@ -430,7 +421,7 @@ fn record_queued(
             sim.metrics()
                 .counter_series(metrics::API_SUBMISSIONS, ["queued"])
                 .inc();
-            sim.mark("api", id.as_str(), "queued", 0);
+            sim.mark(&api::QUEUED, id.as_str(), 0);
             responder.ok(sim, CoreResponse::Submitted { job: id });
         },
     );
@@ -467,7 +458,7 @@ fn record_and_deploy(
             sim.metrics()
                 .histogram_series(metrics::TENANT_ADMISSION_WAIT, [&tenant])
                 .observe(0.0);
-            sim.mark("api", id.as_str(), "recorded", 0);
+            sim.mark(&api::RECORDED, id.as_str(), 0);
             responder.ok(sim, CoreResponse::Submitted { job: id.clone() });
 
             let lcm = h.kube.service_resolver(LCM_SERVICE);

@@ -28,13 +28,14 @@ use dlaas_kube::{
     labels, Cleanup, ContainerSpec, ImageRef, NetworkPolicy, PodSpec, ProcessCtx, Resources,
     RestartPolicy,
 };
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::{MarkDef, Sim, SimDuration};
 
 use crate::config;
 use crate::handles::Handles;
 use crate::job::{JobId, JobStatus, LearnerPhase};
 use crate::lcm::teardown_job;
 use crate::manifest::TrainingManifest;
+use crate::marks::{self, guardian};
 use crate::metrics;
 use crate::mongo::{MetaClient, JOBS};
 use crate::paths::{self, JobKey};
@@ -135,15 +136,15 @@ pub fn guardian_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup 
     });
     // A job document is born holding the empty mirror.
     g.mirror.seed(Mirror::default(), sim.now());
-    g.mark(sim, "up", 0);
+    g.mark(sim, &guardian::UP, 0);
     g.boot(sim);
     Box::new(|_sim| {})
 }
 
 impl Guardian {
     /// One mark on the job's timeline.
-    fn mark(&self, sim: &mut Sim, what: &'static str, arg: u64) {
-        sim.mark("guardian", self.job.as_str(), what, arg);
+    fn mark(&self, sim: &mut Sim, def: &'static MarkDef, arg: u64) {
+        sim.mark(def, self.job.as_str(), arg);
     }
 
     /// The manifest loaded at boot. A `None` here means the in-memory
@@ -155,7 +156,7 @@ impl Guardian {
     fn manifest_or_abort(self: &Rc<Self>, sim: &mut Sim) -> Option<TrainingManifest> {
         let m = self.manifest.borrow().clone();
         if m.is_none() {
-            self.mark(sim, "manifest-missing", 0);
+            self.mark(sim, &guardian::MANIFEST_MISSING, 0);
             self.ctx.exit(sim, 1);
         }
         m
@@ -189,12 +190,12 @@ impl Guardian {
                 Ok(None) => {
                     // No such job: nothing to guard. Exit non-zero so the
                     // K8s Job eventually gives up.
-                    me.mark(sim, "job-record-missing", 0);
+                    me.mark(sim, &guardian::JOB_RECORD_MISSING, 0);
                     me.ctx.exit(sim, 1);
                     return;
                 }
                 Err(_) => {
-                    me.mark(sim, "metadata-unavailable", 0);
+                    me.mark(sim, &guardian::METADATA_UNAVAILABLE, 0);
                     me.ctx.exit(sim, 1);
                     return;
                 }
@@ -215,7 +216,7 @@ impl Guardian {
                 .and_then(Value::as_str)
                 .and_then(|s| TrainingManifest::from_json(s).ok());
             let Some(manifest) = manifest else {
-                me.mark(sim, "corrupt-manifest", 0);
+                me.mark(sim, &guardian::CORRUPT_MANIFEST, 0);
                 me.fail_job(sim);
                 return;
             };
@@ -224,7 +225,7 @@ impl Guardian {
             if status.is_terminal() {
                 // We restarted after the job ended: just make sure nothing
                 // is left behind.
-                me.mark(sim, "already-terminal", 0);
+                me.mark(sim, &guardian::ALREADY_TERMINAL, 0);
                 teardown_job(sim, &me.h, &me.job, false);
                 me.ctx.exit(sim, 0);
                 return;
@@ -239,7 +240,7 @@ impl Guardian {
                 // its acknowledgement — the predecessor may have died
                 // between the two.
                 me.status.seed((JobStatus::Processing, None), sim.now());
-                me.mark(sim, "resume-monitoring", 0);
+                me.mark(sim, &guardian::RESUME_MONITORING, 0);
                 me.start_monitoring(sim);
                 return;
             }
@@ -252,7 +253,7 @@ impl Guardian {
             let max = me.h.config.deploy_max_attempts;
             let Some(attempts) = u32::try_from(stored).ok().filter(|&n| n < max) else {
                 let tried = u64::try_from(stored.saturating_add(1)).unwrap_or(0);
-                me.mark(sim, "attempts-exhausted", tried);
+                me.mark(sim, &guardian::ATTEMPTS_EXHAUSTED, tried);
                 sim.metrics()
                     .counter_series(metrics::GUARDIAN_GAVE_UP, [])
                     .inc();
@@ -278,11 +279,11 @@ impl Guardian {
                         // retry guarantee ("for a configurable number of
                         // times", §III-d) rests on this write. Abort and
                         // let K8s restart us against a healthy store.
-                        me2.mark(sim, "attempt-not-recorded", attempts.into());
+                        me2.mark(sim, &guardian::ATTEMPT_NOT_RECORDED, attempts.into());
                         me2.ctx.exit(sim, 1);
                         return;
                     }
-                    me2.mark(sim, "deploy-attempt", attempts.into());
+                    me2.mark(sim, &guardian::DEPLOY_ATTEMPT, attempts.into());
                     sim.metrics()
                         .counter_series(metrics::GUARDIAN_DEPLOY_ATTEMPTS, [])
                         .inc();
@@ -347,11 +348,11 @@ impl Guardian {
                 }
                 match r {
                     Ok(applied) => {
-                        me.mark(sim, JobStatus::Failed.name(), 0);
+                        me.mark(sim, &guardian::FAILED, 0);
                         me.ended(sim, JobStatus::Failed, applied);
                     }
                     Err(_) => {
-                        me.mark(sim, "failed-not-recorded", 0);
+                        me.mark(sim, &guardian::FAILED_NOT_RECORDED, 0);
                         me.ctx.exit(sim, 1);
                     }
                 }
@@ -375,7 +376,7 @@ impl Guardian {
                     return;
                 }
                 if r.is_ok() {
-                    me.mark(sim, JobStatus::Deploying.name(), 0);
+                    me.mark(sim, &guardian::DEPLOYING, 0);
                 }
                 me.then(sim, Self::step_provision_volume);
             });
@@ -398,11 +399,11 @@ impl Guardian {
             // NFS outage window: abort this incarnation instead of
             // panicking. K8s restarts us and the retry is bounded by
             // deploy_max_attempts like every other mid-deploy failure.
-            self.mark(sim, "volume-provision-failed", 0);
+            self.mark(sim, &guardian::VOLUME_PROVISION_FAILED, 0);
             self.ctx.exit(sim, 1);
             return;
         }
-        self.mark(sim, "volume-provisioned", 0);
+        self.mark(sim, &guardian::VOLUME_PROVISIONED, 0);
         self.then(sim, Self::step_create_helper);
     }
 
@@ -427,7 +428,7 @@ impl Guardian {
         self.h
             .kube
             .create_deployment(sim, &paths::helper_deployment(&self.job), 1, pod);
-        self.mark(sim, "helper-created", 0);
+        self.mark(sim, &guardian::HELPER_CREATED, 0);
         self.then(sim, Self::step_create_learners);
     }
 
@@ -456,7 +457,7 @@ impl Guardian {
         self.h
             .kube
             .create_statefulset(sim, &paths::learner_set(&self.job), manifest.learners, pod);
-        self.mark(sim, "learners-created", 0);
+        self.mark(sim, &guardian::LEARNERS_CREATED, 0);
         self.then(sim, Self::step_apply_policies);
     }
 
@@ -484,7 +485,7 @@ impl Guardian {
             to_services: vec![],
             exempt_same: Some("job".into()),
         });
-        self.mark(sim, "deployed", 0);
+        self.mark(sim, &guardian::DEPLOYED, 0);
         self.then(sim, Self::start_monitoring);
     }
 
@@ -533,7 +534,7 @@ impl Guardian {
             me.check_killed(sim);
             true
         });
-        self.mark(sim, "monitoring", 0);
+        self.mark(sim, &guardian::MONITORING, 0);
     }
 
     /// Folds one key of the job's etcd prefix into the monitor state —
@@ -598,7 +599,7 @@ impl Guardian {
             }
             if let Ok(Some(doc)) = r {
                 if JobStatus::of(&doc).is_some_and(JobStatus::is_terminal) {
-                    me.mark(sim, "terminal-externally", 0);
+                    me.mark(sim, &guardian::TERMINAL_EXTERNALLY, 0);
                     me.ctx.exit(sim, 0);
                 }
             }
@@ -633,10 +634,10 @@ impl Guardian {
                 return;
             }
             let Ok(applied) = r else {
-                me.mark(sim, "status-owed", to.rank().into());
+                me.mark(sim, &guardian::STATUS_OWED, to.rank().into());
                 return ack.settle(sim, false);
             };
-            me.mark(sim, to.name(), 0);
+            me.mark(sim, marks::guardian_status(to), 0);
             match to {
                 JobStatus::Processing => {
                     if let Some(started_us) = me.deploy_started_us.take() {

@@ -19,12 +19,13 @@ use std::rc::Rc;
 use dlaas_kube::{Cleanup, ProcessCtx};
 use dlaas_objstore::ObjectBody;
 use dlaas_sharedfs::{Mount, NfsError};
-use dlaas_sim::{DeadlineTimer, Grid, Sim, SimDuration, SimTime};
+use dlaas_sim::{DeadlineTimer, Grid, MarkDef, Sim, SimDuration, SimTime};
 
 use crate::config;
 use crate::handles::Handles;
 use crate::job::{JobId, LearnerPhase};
 use crate::manifest::TrainingManifest;
+use crate::marks::{controller, load_data, log_collector, store_results};
 use crate::metrics;
 use crate::paths;
 use crate::publisher::{at_once, Ack, Publisher, Sink};
@@ -44,24 +45,25 @@ fn with_jobspec(
     h: &Handles,
     sim: &mut Sim,
     ctx: &ProcessCtx,
-    who: &'static str,
+    never: &'static MarkDef,
     ready: impl FnOnce(&mut Sim, Mount, TrainingManifest) + 'static,
 ) {
     let (h, ctx, job) = (h.clone(), ctx.clone(), JobId::new(ctx.arg.clone()));
-    wait_for_jobspec(h, sim, ctx, job, who, HELPER_JOBSPEC_WAITS, ready);
+    wait_for_jobspec(h, sim, ctx, job, never, HELPER_JOBSPEC_WAITS, ready);
 }
 
 /// The bootstrap every container of a job shares: mount the job volume
 /// and read the jobspec, retrying until the Guardian has provisioned
 /// both — a restarted container may race a Guardian rollback. Calls
-/// `ready` once available; exits 1 after `waits` waits, so the kubelet
-/// starts a fresh incarnation; stops silently when the process dies.
+/// `ready` once available; after `waits` waits marks `never` and exits 1,
+/// so the kubelet starts a fresh incarnation; stops silently when the
+/// process dies.
 pub(crate) fn wait_for_jobspec(
     h: Handles,
     sim: &mut Sim,
     ctx: ProcessCtx,
     job: JobId,
-    who: &'static str,
+    never: &'static MarkDef,
     waits: u32,
     ready: impl FnOnce(&mut Sim, Mount, TrainingManifest) + 'static,
 ) {
@@ -77,12 +79,12 @@ pub(crate) fn wait_for_jobspec(
     match spec {
         Some((mount, manifest)) => ready(sim, mount, manifest),
         None if waits == 0 => {
-            sim.mark(who, job.as_str(), "jobspec-never-appeared", 0);
+            sim.mark(never, job.as_str(), 0);
             ctx.exit(sim, 1);
         }
         None => {
             sim.schedule_in(SimDuration::from_millis(500), move |sim| {
-                wait_for_jobspec(h, sim, ctx, job, who, waits - 1, ready);
+                wait_for_jobspec(h, sim, ctx, job, never, waits - 1, ready);
             });
         }
     }
@@ -500,9 +502,9 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
         &format!("{}/{}#{}", ctx.pod, ctx.container, ctx.incarnation),
     );
     let ctx2 = ctx.clone();
-    let who = "controller";
-    with_jobspec(&h, sim, &ctx, who, move |sim, mount, manifest| {
-        sim.mark(who, job.as_str(), "online", 0);
+    let never = &controller::JOBSPEC_NEVER_APPEARED;
+    with_jobspec(&h, sim, &ctx, never, move |sim, mount, manifest| {
+        sim.mark(&controller::ONLINE, job.as_str(), 0);
         let alive = ctx2.alive_flag();
         let grid = Grid::new(sim.now(), config::CONTROLLER_POLL);
         let controller = Controller::new(etcd, mount, &job, manifest.learners, &alive, grid);
@@ -570,14 +572,14 @@ fn read_volume(
 pub fn load_data_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let ctx2 = ctx.clone();
     let h2 = h.clone();
-    let who = "load-data";
-    with_jobspec(&h, sim, &ctx, who, move |sim, mount, manifest| {
+    let never = &load_data::JOBSPEC_NEVER_APPEARED;
+    with_jobspec(&h, sim, &ctx, never, move |sim, mount, manifest| {
         if mount.exists(paths::NFS_DATA_LOADED) {
-            sim.mark(who, ctx2.arg.as_str(), "already-staged", 0);
+            sim.mark(&load_data::ALREADY_STAGED, ctx2.arg.as_str(), 0);
             ctx2.exit(sim, 0);
             return;
         }
-        sim.mark(who, ctx2.arg.as_str(), "staging", manifest.data_bytes);
+        sim.mark(&load_data::STAGING, ctx2.arg.as_str(), manifest.data_bytes);
         download_data(h2, sim, ctx2, mount, manifest);
     });
     Box::new(|_sim| {})
@@ -614,15 +616,15 @@ fn download_data(
                         .is_ok() =>
                 {
                     sim.metrics().counter_series(metrics::DATA_STAGED, []).inc();
-                    sim.mark("load-data", ctx2.arg.as_str(), "staged", 0);
+                    sim.mark(&load_data::STAGED, ctx2.arg.as_str(), 0);
                     ctx2.exit(sim, 0);
                 }
                 r => {
                     let why = match r {
-                        Ok(_) => "marker-write-failed",
-                        Err(_) => "fetch-failed",
+                        Ok(_) => &load_data::MARKER_WRITE_FAILED,
+                        Err(_) => &load_data::FETCH_FAILED,
                     };
-                    sim.mark("load-data", ctx2.arg.as_str(), why, 0);
+                    sim.mark(why, ctx2.arg.as_str(), 0);
                     sim.schedule_in(SimDuration::from_secs(5), move |sim| {
                         download_data(h, sim, ctx2, mount, manifest);
                     });
@@ -701,9 +703,9 @@ pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
     let job = JobId::new(ctx.arg.clone());
     let objstore = h.objstore.clone();
     let ctx2 = ctx.clone();
-    let who = "log-collector";
-    with_jobspec(&h, sim, &ctx, who, move |sim, mount, manifest| {
-        sim.mark(who, ctx2.arg.as_str(), "online", 0);
+    let never = &log_collector::JOBSPEC_NEVER_APPEARED;
+    with_jobspec(&h, sim, &ctx, never, move |sim, mount, manifest| {
+        sim.mark(&log_collector::ONLINE, ctx2.arg.as_str(), 0);
         let alive = ctx2.alive_flag();
         let tails: Vec<_> = (0..manifest.learners)
             .map(|ord| {
@@ -787,7 +789,6 @@ impl StoreResults {
                 // Exiting 0 without the done marker would wedge the job
                 // in STORING forever; during an NFS outage poll again and
                 // retry (the upload is idempotent).
-                let who = "store-results";
                 match r {
                     Ok(())
                         if me
@@ -798,15 +799,15 @@ impl StoreResults {
                         sim.metrics()
                             .counter_series(metrics::RESULTS_STORED, [])
                             .inc();
-                        sim.mark(who, me.job.as_str(), "uploaded", 0);
+                        sim.mark(&store_results::UPLOADED, me.job.as_str(), 0);
                         me.ctx.exit(sim, 0);
                     }
                     r => {
                         let why = match r {
-                            Ok(()) => "marker-write-failed",
-                            Err(_) => "upload-failed",
+                            Ok(()) => &store_results::MARKER_WRITE_FAILED,
+                            Err(_) => &store_results::UPLOAD_FAILED,
                         };
-                        sim.mark(who, me.job.as_str(), why, 0);
+                        sim.mark(why, me.job.as_str(), 0);
                         let at = me.grid.after(sim.now());
                         sim.schedule_at(at, move |sim| me.poll(sim));
                     }
@@ -822,11 +823,11 @@ impl StoreResults {
 pub fn store_results_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let objstore = h.objstore.clone();
     let ctx2 = ctx.clone();
-    let who = "store-results";
-    with_jobspec(&h, sim, &ctx, who, move |sim, mount, manifest| {
+    let never = &store_results::JOBSPEC_NEVER_APPEARED;
+    with_jobspec(&h, sim, &ctx, never, move |sim, mount, manifest| {
         let job = JobId::new(ctx2.arg.clone());
         if mount.exists(paths::NFS_STORE_DONE) {
-            sim.mark(who, job.as_str(), "already-stored", 0);
+            sim.mark(&store_results::ALREADY_STORED, job.as_str(), 0);
             ctx2.exit(sim, 0);
             return;
         }

@@ -64,6 +64,7 @@ use dlaas_sim::{Sim, SimDuration, SimTime, TimerHandle};
 
 use crate::config::{self, CoreConfig};
 use crate::job::{JobId, JobStatus};
+use crate::marks;
 use crate::metrics;
 use crate::paths;
 use crate::platform::DlaasPlatform;
@@ -265,7 +266,7 @@ impl JobSummary {
                     index
                 }
             }),
-            gpus: crate::api::doc_gpus(doc),
+            gpus: crate::api::doc_gpus(doc).unwrap_or(0),
             status,
             admitted,
             submitted,
@@ -731,7 +732,9 @@ impl InvariantMonitor {
                 }
                 let key = (v.job.as_str().to_owned(), v.invariant);
                 if seen2.borrow_mut().insert(key) {
-                    sim.mark("invariants", v.job.as_str(), v.invariant, 0);
+                    if let Some(rule) = marks::invariant(v.invariant) {
+                        sim.mark(rule, v.job.as_str(), 0);
+                    }
                     sim.metrics()
                         .counter_series(metrics::INVARIANT_VIOLATIONS, [v.invariant])
                         .inc();

@@ -32,8 +32,10 @@
 //! and keeps every queued and admitted job (the arbiter weighs them all),
 //! but *sweeps* only the jobs whose id hashes into a shard it owns
 //! ([`paths::job_shard`]), and keeps a finished job only while it owns its
-//! shard: the sweep drops the others, and a claim replays the feed from 0
-//! for the finished jobs of the shard it takes. The watchlist's size is
+//! shard: the sweep drops the others, and a claim makes the next read
+//! start the feed from 0 and ingest the shard's documents besides every
+//! change above the watermark (the feed gives each document's change
+//! sequence). The watchlist's size is
 //! the `dlaas_lcm_watchlist_entries` gauge. Ownership is arbitrated
 //! through etcd: each replica holds a lease
 //! ([`crate::config::LCM_LEASE_TTL`]) and CAS-acquires
@@ -67,12 +69,13 @@ use dlaas_kube::{
     labels, pod_addr, Cleanup, ContainerSpec, ImageRef, JobStatus as KubeJobStatus, PodSpec,
     ProcessCtx, Resources,
 };
-use dlaas_sim::{GaugeHandle, Sim, SimDuration, SimTime};
+use dlaas_sim::{GaugeHandle, MarkDef, Sim, SimDuration, SimTime};
 
 use crate::config;
 use crate::fairness::{admission_plan, QueuedJob, TenantShare};
 use crate::handles::Handles;
 use crate::job::{JobId, JobStatus};
+use crate::marks::lcm;
 use crate::metrics;
 use crate::mongo::{MetaClient, JOBS, TENANTS};
 use crate::paths;
@@ -85,23 +88,10 @@ use crate::tenant::Tenant;
 /// at-most-one primitive with lease-fenced failover for free.
 const ARBITER_SHARD: u32 = 0;
 
-// The marks the shard-ownership ledger reads ([`crate::ownership`]):
-// a lease granted to a pod, a shard claimed and released under a lease,
-// and the sweeps that drive a job under one.
-pub(crate) const LEASE_GRANTED: &str = "lease-granted";
-pub(crate) const ACQUIRED_UNDER_LEASE: &str = "acquired-under-lease";
-pub(crate) const LOST_WITH_LEASE: &str = "lost-with-lease";
-const REDEPLOY: &str = "redeploy-stranded";
-const GAVE_UP: &str = "guardian_gave_up";
-const DEPLOY_TIMEOUT: &str = "deploy_timeout";
-const GC_LEFTOVERS: &str = "gc-leftovers";
-const GC_KEYS: &str = "gc-etcd-keys";
-pub(crate) const SWEEPS: [&str; 5] = [REDEPLOY, GAVE_UP, DEPLOY_TIMEOUT, GC_LEFTOVERS, GC_KEYS];
-
 /// Behavior factory for the LCM container.
 pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let addr = pod_addr(&ctx.pod);
-    sim.mark("lcm", ctx.pod.as_str(), "up", 0);
+    sim.mark(&lcm::UP, ctx.pod.as_str(), 0);
     let rep = Rc::new(Replica {
         meta: h.meta(&ctx, &ctx.pod),
         etcdc: h.etcd_client(&ctx, &ctx.pod),
@@ -284,7 +274,7 @@ fn ensure_lease(sim: &mut Sim, rep: &Rc<Replica>) {
                 o.lease = Some(id);
                 o.fence = sent + ttl;
             }
-            sim.mark("lcm", rep2.pod.as_str(), LEASE_GRANTED, id);
+            sim.mark(&lcm::LEASE_GRANTED, rep2.pod.as_str(), id);
             arm_fence(sim, &rep2);
             reconcile(sim, &rep2);
         }
@@ -399,7 +389,7 @@ fn release_shards(sim: &mut Sim, rep: &Replica) -> BTreeSet<u32> {
         (o.lease.unwrap_or(0), std::mem::take(&mut o.owned))
     };
     for &shard in &held {
-        sim.mark("lcm", shard, LOST_WITH_LEASE, lease);
+        sim.mark(&lcm::LOST_WITH_LEASE, shard, lease);
     }
     held
 }
@@ -436,7 +426,7 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
                 // The sweep kept none of the shard's finished jobs while
                 // it was another's: the next scan replays them.
                 rep2.scan.borrow_mut().replay.insert(shard);
-                sim.mark("lcm", shard, ACQUIRED_UNDER_LEASE, lease);
+                sim.mark(&lcm::ACQUIRED_UNDER_LEASE, shard, lease);
                 sim.metrics()
                     .counter_series(metrics::LCM_SHARD_ACQUISITIONS, [trigger])
                     .inc();
@@ -487,7 +477,7 @@ fn reconcile(sim: &mut Sim, rep: &Rc<Replica>) {
                             o.owned.remove(&shard);
                             o.lease.unwrap_or(0)
                         };
-                        sim.mark("lcm", shard, LOST_WITH_LEASE, lease);
+                        sim.mark(&lcm::LOST_WITH_LEASE, shard, lease);
                         sim.metrics()
                             .counter_series(metrics::LCM_SHARD_LOSSES, ["displaced"])
                             .inc();
@@ -509,7 +499,7 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
     if h.kube.job_status(&name).is_some() {
         return;
     }
-    sim.mark("lcm", job.as_str(), "guardian-created", 0);
+    sim.mark(&lcm::GUARDIAN_CREATED, job.as_str(), 0);
     sim.metrics()
         .counter_series(metrics::LCM_GUARDIANS_CREATED, [])
         .inc();
@@ -538,7 +528,7 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
 /// and the job's etcd keys; optionally the Guardian K8s Job itself.
 /// Results and logs in the object store are deliberately kept.
 pub(crate) fn teardown_job(sim: &mut Sim, h: &Handles, job: &JobId, delete_guardian: bool) {
-    sim.mark("lcm", job.as_str(), "teardown", 0);
+    sim.mark(&lcm::TEARDOWN, job.as_str(), 0);
     sim.metrics()
         .counter_series(metrics::LCM_TEARDOWNS, [])
         .inc();
@@ -583,7 +573,8 @@ struct ScanState {
     watermark: u64,
     /// Shards claimed since the last jobs-feed read was sent: their
     /// finished jobs are off the watchlist, dropped by sweeps while the
-    /// shards were another's, and the next read replays the feed from 0.
+    /// shards were another's, so the next read starts the feed from 0
+    /// and ingests their documents, whatever their change sequence.
     replay: BTreeSet<u32>,
     /// Every job a sweep rule watches, and what for. A changed document
     /// updates its job's entry where it is: a job costs an allocation
@@ -676,17 +667,10 @@ fn ingest(sim: &mut Sim, st: &mut ScanState, doc: &Value) {
     }
 }
 
-/// Whether a replay of the feed for the `claimed` shards ingests `doc`:
-/// every document but a finished job this replica does not watch in a
-/// shard it did not just claim, which it has already collected (or which
-/// is someone else's, and the sweep would drop it).
-fn replays(st: &ScanState, claimed: &BTreeSet<u32>, doc: &Value) -> bool {
-    let Some(id) = doc.path("_id").and_then(Value::as_str) else {
-        return false;
-    };
-    st.jobs.contains_key(id)
-        || !JobStatus::of(doc).is_some_and(JobStatus::is_terminal)
-        || claimed.contains(&paths::job_shard(id, config::LCM_SHARDS))
+/// Whether job document `doc` is in one of `shards`.
+fn in_shards(doc: &Value, shards: &BTreeSet<u32>) -> bool {
+    let id = doc.path("_id").and_then(Value::as_str);
+    id.is_some_and(|id| shards.contains(&paths::job_shard(id, config::LCM_SHARDS)))
 }
 
 /// What the sweep watches job `id` for now that its document reads `doc`
@@ -699,19 +683,22 @@ fn watch_of(sim: &mut Sim, doc: &Value, id: &str, was: Option<Watch>) -> Option<
                 .path("submitted_us")
                 .and_then(Value::as_i64)
                 .and_then(|us| u64::try_from(us).ok());
-            match (tenant, since) {
-                (Some(tenant), Some(since_us)) => Some(Watch::Queued(QueuedJob {
+            let gpus = crate::api::doc_gpus(doc);
+            match (tenant, since, gpus) {
+                (Some(tenant), Some(since_us), Some(gpus)) => Some(Watch::Queued(QueuedJob {
                     job: JobId::new(id),
                     tenant: tenant.to_owned(),
-                    gpus: crate::api::doc_gpus(doc),
+                    gpus,
                     since_us,
                 })),
-                // Missing tenant / negative timestamp is store
-                // corruption: keep the job off the admission queue like
-                // the other malformed-record paths.
+                // A missing tenant or GPU count, or a negative timestamp,
+                // is store corruption: keep the job off the admission
+                // queue like the other malformed-record paths (read as 0,
+                // an unreadable count would fit any quota).
                 _ => {
+                    let field = if gpus.is_none() { "gpus" } else { "queued" };
                     sim.metrics()
-                        .counter_series(metrics::LCM_MALFORMED_RECORDS, ["queued"])
+                        .counter_series(metrics::LCM_MALFORMED_RECORDS, [field])
                         .inc();
                     None
                 }
@@ -732,7 +719,7 @@ fn watch_of(sim: &mut Sim, doc: &Value, id: &str, was: Option<Watch>) -> Option<
                     held: None,
                 },
             };
-            let gpus = crate::api::doc_gpus(doc);
+            let gpus = crate::api::doc_gpus(doc).unwrap_or(0);
             active.held = match (active.held.take(), tenant) {
                 (Some((held, _)), Some(tenant)) if held == tenant => Some((held, gpus)),
                 (_, tenant) => tenant.map(|tenant| (tenant.to_owned(), gpus)),
@@ -764,9 +751,18 @@ fn watch_of(sim: &mut Sim, doc: &Value, id: &str, was: Option<Watch>) -> Option<
                     }
                 }
             }
-            active.deploying_since = (status == JobStatus::Deploying)
-                .then(|| deploying_since(doc))
-                .flatten();
+            active.deploying_since = None;
+            if status == JobStatus::Deploying {
+                // A DEPLOYING document holds the stamp its write pushed;
+                // without a readable one the job gets no deploy timeout,
+                // and is counted.
+                active.deploying_since = deploying_since(doc);
+                if active.deploying_since.is_none() {
+                    sim.metrics()
+                        .counter_series(metrics::LCM_MALFORMED_RECORDS, ["history"])
+                        .inc();
+                }
+            }
             Some(Watch::Active(active))
         }
         Some(JobStatus::Completed | JobStatus::Failed | JobStatus::Killed) => {
@@ -786,8 +782,7 @@ fn scan(sim: &mut Sim, rep: &Rc<Replica>) {
         let mut st = rep.scan.borrow_mut();
         (st.watermark, std::mem::take(&mut st.replay))
     };
-    let replay = watermark > 0 && !claimed.is_empty();
-    let since = if replay { 0 } else { watermark };
+    let since = if claimed.is_empty() { watermark } else { 0 };
     let rep2 = rep.clone();
     rep.meta.find_changed(sim, JOBS, since, move |sim, r| {
         // Store unreachable: keep the old watermark and the replay, and
@@ -799,8 +794,12 @@ fn scan(sim: &mut Sim, rep: &Rc<Replica>) {
         let tenants_since = {
             let mut st = rep2.scan.borrow_mut();
             st.watermark = high_water;
-            for doc in &docs {
-                if !replay || replays(&st, &claimed, doc) {
+            // A change this replica has not read yet, or any document of
+            // a shard it just claimed: what it read before that claim it
+            // has already ingested (and a finished job of a shard it did
+            // not own, dropped).
+            for (seq, doc) in &docs {
+                if *seq > watermark || in_shards(doc, &claimed) {
                     ingest(sim, &mut st, doc);
                 }
             }
@@ -818,7 +817,7 @@ fn scan(sim: &mut Sim, rep: &Rc<Replica>) {
                 if let Ok((docs, gone, high_water)) = r {
                     let mut st = rep3.scan.borrow_mut();
                     st.tenants_watermark = high_water;
-                    for doc in &docs {
+                    for (_, doc) in &docs {
                         if let Some(t) = Tenant::from_document(doc) {
                             st.tenants.insert(
                                 t.id,
@@ -914,7 +913,7 @@ fn admit(sim: &mut Sim, rep: &Rc<Replica>) {
             sim.metrics()
                 .histogram_series(metrics::TENANT_ADMISSION_WAIT, [&tenant])
                 .observe(waited as f64);
-            sim.mark("lcm", job.as_str(), "admitted-after-us", waited);
+            sim.mark(&lcm::ADMITTED_AFTER_US, job.as_str(), waited);
             ensure_guardian(sim, &rep2.h, &job);
         });
     }
@@ -927,10 +926,10 @@ enum Drive {
     /// Job: create it again.
     Redeploy,
     /// Fail the job: its Guardian exhausted its K8s backoff limit
-    /// ([`GAVE_UP`]), or it sat in DEPLOYING past [`config::DEPLOY_TIMEOUT`]
-    /// ([`DEPLOY_TIMEOUT`]: undeployable, e.g. it requests hardware the
-    /// cluster does not have).
-    Fail(&'static str),
+    /// ([`lcm::GUARDIAN_GAVE_UP`]), or it sat in DEPLOYING past
+    /// [`config::DEPLOY_TIMEOUT`] ([`lcm::DEPLOY_TIMEOUT`]: undeployable,
+    /// e.g. it requests hardware the cluster does not have).
+    Fail(&'static MarkDef),
     /// Terminal: collect what it left behind.
     Collect,
 }
@@ -961,9 +960,11 @@ fn decide(watch: &Watch, now: SimTime, guardian: Option<KubeJobStatus>) -> Optio
         {
             Some(Drive::Redeploy)
         }
-        Watch::Active(_) if guardian == Some(KubeJobStatus::Failed) => Some(Drive::Fail(GAVE_UP)),
+        Watch::Active(_) if guardian == Some(KubeJobStatus::Failed) => {
+            Some(Drive::Fail(&lcm::GUARDIAN_GAVE_UP))
+        }
         Watch::Active(a) if aged(a.deploying_since, config::DEPLOY_TIMEOUT) => {
-            Some(Drive::Fail(DEPLOY_TIMEOUT))
+            Some(Drive::Fail(&lcm::DEPLOY_TIMEOUT))
         }
         Watch::Active(_) => None,
         Watch::TerminalGc => Some(Drive::Collect),
@@ -1001,7 +1002,7 @@ fn sweep(sim: &mut Sim, rep: &Rc<Replica>) {
     for (job, lease, drive) in drives {
         match drive {
             Drive::Redeploy => {
-                sim.mark("lcm", job.as_str(), REDEPLOY, lease);
+                sim.mark(&lcm::REDEPLOY_STRANDED, job.as_str(), lease);
                 sim.metrics()
                     .counter_series(metrics::LCM_SCAN_REDEPLOYS, [])
                     .inc();
@@ -1014,13 +1015,13 @@ fn sweep(sim: &mut Sim, rep: &Rc<Replica>) {
 }
 
 /// Writes FAILED for `job`, then tears it down.
-fn fail(sim: &mut Sim, rep: &Rc<Replica>, job: JobId, lease: LeaseId, reason: &'static str) {
+fn fail(sim: &mut Sim, rep: &Rc<Replica>, job: JobId, lease: LeaseId, reason: &'static MarkDef) {
     // One FAILED write per job in flight: a slow one must not be doubled
     // by the next tick.
     if !rep.scan.borrow_mut().failing.insert(job.clone()) {
         return;
     }
-    sim.mark("lcm", job.as_str(), reason, lease);
+    sim.mark(reason, job.as_str(), lease);
     let rep2 = rep.clone();
     rep.meta
         .advance_status(sim, &job.clone(), JobStatus::Failed, move |sim, r| {
@@ -1039,7 +1040,7 @@ fn fail(sim: &mut Sim, rep: &Rc<Replica>, job: JobId, lease: LeaseId, reason: &'
             }
             drop(st);
             sim.metrics()
-                .counter_series(metrics::LCM_SCAN_FAILURES, [reason])
+                .counter_series(metrics::LCM_SCAN_FAILURES, [reason.what])
                 .inc();
             teardown_job(sim, &rep2.h, &job, true);
         });
@@ -1057,7 +1058,7 @@ fn collect(sim: &mut Sim, rep: &Rc<Replica>, job: JobId, lease: LeaseId) {
         .pods_matching(&labels! {"job" => job.as_str()})
         .is_empty();
     if has_pods || rep.h.nfs.has_volume(&paths::volume(&job)) {
-        sim.mark("lcm", job.as_str(), GC_LEFTOVERS, lease);
+        sim.mark(&lcm::GC_LEFTOVERS, job.as_str(), lease);
         sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
         teardown_job(sim, &rep.h, &job, true);
         return;
@@ -1073,7 +1074,7 @@ fn collect(sim: &mut Sim, rep: &Rc<Replica>, job: JobId, lease: LeaseId) {
         }
         match r {
             Ok(pairs) if !pairs.is_empty() => {
-                sim.mark("lcm", job.as_str(), GC_KEYS, lease);
+                sim.mark(&lcm::GC_ETCD_KEYS, job.as_str(), lease);
                 sim.metrics().counter_series(metrics::LCM_SCAN_GC, []).inc();
                 rep2.h.etcd_gc.delete_prefix(sim, prefix2, |_sim, _r| {});
                 // Keep watching: next tick re-probes until clean.
@@ -1177,7 +1178,10 @@ mod tests {
             admitted(Some(0), None),
             admitted(None, Some(59)),
         ] {
-            assert_eq!(decide(&watch, now, failed), Some(Drive::Fail(GAVE_UP)));
+            assert_eq!(
+                decide(&watch, now, failed),
+                Some(Drive::Fail(&lcm::GUARDIAN_GAVE_UP))
+            );
         }
     }
 
@@ -1188,7 +1192,7 @@ mod tests {
         let stuck = admitted(None, Some(5));
         assert_eq!(
             decide(&stuck, now, running),
-            Some(Drive::Fail(DEPLOY_TIMEOUT))
+            Some(Drive::Fail(&lcm::DEPLOY_TIMEOUT))
         );
         assert_eq!(decide(&admitted(None, Some(6)), now, running), None);
         // A running job is left alone, with or without its Guardian.
@@ -1215,17 +1219,17 @@ mod tests {
     fn the_sweep_acts_on_redeploys_then_fails_then_collections() {
         let mut drives = [
             Drive::Collect,
-            Drive::Fail(GAVE_UP),
+            Drive::Fail(&lcm::GUARDIAN_GAVE_UP),
             Drive::Redeploy,
-            Drive::Fail(DEPLOY_TIMEOUT),
+            Drive::Fail(&lcm::DEPLOY_TIMEOUT),
         ];
         drives.sort_by_key(|d| d.rank());
         assert_eq!(
             drives,
             [
                 Drive::Redeploy,
-                Drive::Fail(GAVE_UP),
-                Drive::Fail(DEPLOY_TIMEOUT),
+                Drive::Fail(&lcm::GUARDIAN_GAVE_UP),
+                Drive::Fail(&lcm::DEPLOY_TIMEOUT),
                 Drive::Collect
             ]
         );
@@ -1285,7 +1289,8 @@ mod tests {
         // Any stored job document, ingested and then swept at any time
         // with its Guardian in any state, panics nothing, and no stamp
         // becomes a clock but the one stored, as stored: a negative, an
-        // ill-typed or a missing one is no clock at all.
+        // ill-typed or a missing one is no clock at all. Nor does a GPU
+        // count become a queued demand but the one stored.
         #[test]
         fn any_job_document_is_ingested_and_decided_without_inventing_a_clock(
             status in 0..STATUSES.len(),
@@ -1300,7 +1305,7 @@ mod tests {
                 "_id" => "j",
                 "status" => STATUSES[status],
                 "tenant" => tenant,
-                "gpus" => gpus,
+                "gpus" => gpus.clone(),
                 "history" => history.clone(),
             };
             for (field, stamp) in [("submitted_us", &submitted), ("admitted_us", &admitted)] {
@@ -1318,6 +1323,8 @@ mod tests {
             match st.jobs.get("j") {
                 Some(Watch::Queued(q)) => {
                     proptest::prop_assert_eq!(Some(q.since_us), clock(&submitted));
+                    let stored_gpus = gpus.as_i64().and_then(|g| u32::try_from(g).ok());
+                    proptest::prop_assert_eq!(Some(q.gpus), stored_gpus);
                 }
                 Some(Watch::Active(a)) => {
                     let pending = if admitted.is_some() { &admitted } else { &submitted };

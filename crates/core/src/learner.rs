@@ -29,6 +29,7 @@ use crate::handles::Handles;
 use crate::helper::{poll_on_write, wait_for_jobspec, LEARNER_JOBSPEC_WAITS};
 use crate::job::JobId;
 use crate::manifest::TrainingManifest;
+use crate::marks::learner;
 use crate::metrics;
 use crate::paths;
 
@@ -79,10 +80,18 @@ pub fn learner_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
     let (h2, ctx2, job2) = (h.clone(), ctx.clone(), job.clone());
-    let (who, waits) = ("learner", LEARNER_JOBSPEC_WAITS);
-    wait_for_jobspec(h, sim, ctx, job, who, waits, move |sim, mount, manifest| {
-        start(h2, sim, ctx2, job2, ordinal, mount, manifest);
-    });
+    let (never, waits) = (&learner::JOBSPEC_NEVER_APPEARED, LEARNER_JOBSPEC_WAITS);
+    wait_for_jobspec(
+        h,
+        sim,
+        ctx,
+        job,
+        never,
+        waits,
+        move |sim, mount, manifest| {
+            start(h2, sim, ctx2, job2, ordinal, mount, manifest);
+        },
+    );
     Box::new(|_sim| {})
 }
 
@@ -122,7 +131,7 @@ fn start(
         let written = mount.append_line(sim, &files.log, &line);
         best_effort(sim, written);
     }
-    sim.mark("learner", job.as_str(), "start", starts);
+    sim.mark(&learner::START, job.as_str(), starts);
 
     // The measured training rate for this job: the performance model plus
     // a per-job run-to-run jitter (identical across restarts — it is a
@@ -589,11 +598,11 @@ impl Learner {
             .and_then(|_| self.mount.write_file(sim, &self.files.exit, "0"));
         match written {
             Ok(_) => {
-                sim.mark("learner", self.job.as_str(), "done", self.ordinal.into());
+                sim.mark(&learner::DONE, self.job.as_str(), self.ordinal.into());
                 self.ctx.exit(sim, 0);
             }
             Err(_) => {
-                sim.mark("learner", self.job.as_str(), "markers-not-durable", 0);
+                sim.mark(&learner::MARKERS_NOT_DURABLE, self.job.as_str(), 0);
                 let me = self.clone();
                 sim.schedule_in(SimDuration::from_secs(2), move |sim| {
                     me.finish_markers(sim, throughput);

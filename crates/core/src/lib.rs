@@ -81,6 +81,7 @@ mod job;
 mod lcm;
 mod learner;
 mod manifest;
+pub mod marks;
 pub mod metrics;
 mod mongo;
 pub mod ownership;

@@ -1,11 +1,11 @@
 //! Shard-ownership ledger: the observability half of LCM sharding.
 //!
 //! The ledger reads the LCM replicas' own marks, through a tap on
-//! `"lcm"` ([`Sim::tap`]) that [`crate::DlaasPlatform::new`] installs:
-//! `lease-granted` (pod, lease) names a lease's pod, `acquired-under-lease`
-//! and `lost-with-lease` (shard, lease) are a claim and a release, and
-//! the five sweep marks (job, lease) drive a job in its shard
-//! ([`crate::paths::job_shard`]). The invariant checker reads the ledger
+//! [`LEDGER`] ([`Sim::tap`]) that [`crate::DlaasPlatform::new`] installs:
+//! [`lcm::LEASE_GRANTED`] (pod, lease) names a lease's pod,
+//! [`lcm::ACQUIRED_UNDER_LEASE`] and [`lcm::LOST_WITH_LEASE`] (shard,
+//! lease) are a claim and a release, and the five sweep marks (job,
+//! lease) drive a job in its shard ([`crate::paths::job_shard`]). The invariant checker reads the ledger
 //! to enforce the **at-most-one-owner** contract — no shard claimed by
 //! two live replicas, no job swept by anyone but the shard's sole
 //! claimant, and no shard left unowned longer than the lease TTL plus
@@ -21,11 +21,25 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use dlaas_etcd::LeaseId;
-use dlaas_sim::{Sim, SimDuration, SimTime, Subject};
+use dlaas_sim::{MarkDef, Sim, SimDuration, SimTime, Subject};
 
 use crate::config;
-use crate::lcm::{ACQUIRED_UNDER_LEASE, LEASE_GRANTED, LOST_WITH_LEASE, SWEEPS};
+use crate::marks::lcm;
 use crate::paths;
+
+/// The LCM marks the ledger reads: a lease granted to a pod, a shard
+/// claimed and released under a lease, and the five sweeps that drive a
+/// job under one.
+pub const LEDGER: &[&MarkDef] = &[
+    &lcm::LEASE_GRANTED,
+    &lcm::ACQUIRED_UNDER_LEASE,
+    &lcm::LOST_WITH_LEASE,
+    &lcm::REDEPLOY_STRANDED,
+    &lcm::GUARDIAN_GAVE_UP,
+    &lcm::DEPLOY_TIMEOUT,
+    &lcm::GC_LEFTOVERS,
+    &lcm::GC_ETCD_KEYS,
+];
 
 /// One recorded violation of the at-most-one-owner contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,22 +89,19 @@ impl ShardTracker {
             })),
         };
         let ledger = tracker.clone();
-        sim.tap("lcm", move |sim, subject, what, lease| {
+        sim.tap(LEDGER, move |sim, subject, def, lease| {
             let mut i = ledger.inner.borrow_mut();
+            // Past the grant, a job's mark in the list is a sweep; past the
+            // claim, a shard's is a release.
             match subject {
-                Subject::Name(pod) if what == LEASE_GRANTED => {
+                Subject::Name(pod) if def == &lcm::LEASE_GRANTED => {
                     i.leases.insert(lease, pod.to_owned());
                 }
-                Subject::Num(shard) if what == ACQUIRED_UNDER_LEASE => {
+                Subject::Name(job) => i.note_sweep(sim.now(), job, lease),
+                Subject::Num(shard) if def == &lcm::ACQUIRED_UNDER_LEASE => {
                     i.claim(sim.now(), shard, lease);
                 }
-                Subject::Num(shard) if what == LOST_WITH_LEASE => {
-                    i.release(sim.now(), shard, lease);
-                }
-                Subject::Name(job) if SWEEPS.contains(&what) => {
-                    i.note_sweep(sim.now(), job, lease);
-                }
-                _ => {}
+                Subject::Num(shard) => i.release(sim.now(), shard, lease),
             }
             true
         });
@@ -205,8 +216,8 @@ mod tests {
     fn world() -> (Sim, ShardTracker) {
         let mut sim = Sim::new(1);
         let t = ShardTracker::install(&mut sim);
-        sim.mark("lcm", "lcm-0", LEASE_GRANTED, 10);
-        sim.mark("lcm", "lcm-1", LEASE_GRANTED, 11);
+        sim.mark(&lcm::LEASE_GRANTED, "lcm-0", 10);
+        sim.mark(&lcm::LEASE_GRANTED, "lcm-1", 11);
         (sim, t)
     }
 
@@ -226,8 +237,8 @@ mod tests {
     #[test]
     fn single_claimant_is_clean() {
         let (mut s, t) = world();
-        s.mark("lcm", 0, ACQUIRED_UNDER_LEASE, 10);
-        s.mark("lcm", job_in(0).as_str(), SWEEPS[0], 10);
+        s.mark(&lcm::ACQUIRED_UNDER_LEASE, 0, 10);
+        s.mark(&lcm::REDEPLOY_STRANDED, job_in(0).as_str(), 10);
         assert!(t.conflicts().is_empty());
         assert_eq!(t.owners(0), vec!["lcm-0"]);
     }
@@ -235,8 +246,8 @@ mod tests {
     #[test]
     fn overlapping_claims_conflict() {
         let (mut s, t) = world();
-        s.mark("lcm", 2, ACQUIRED_UNDER_LEASE, 10);
-        s.mark("lcm", 2, ACQUIRED_UNDER_LEASE, 11);
+        s.mark(&lcm::ACQUIRED_UNDER_LEASE, 2, 10);
+        s.mark(&lcm::ACQUIRED_UNDER_LEASE, 2, 11);
         assert_eq!(t.conflicts().len(), 1);
         assert!(t.conflicts()[0].detail.contains("lcm-0"));
     }
@@ -244,8 +255,8 @@ mod tests {
     #[test]
     fn sweep_by_non_claimant_conflicts() {
         let (mut s, t) = world();
-        s.mark("lcm", 1, ACQUIRED_UNDER_LEASE, 10);
-        s.mark("lcm", job_in(1).as_str(), "gc-etcd-keys", 11);
+        s.mark(&lcm::ACQUIRED_UNDER_LEASE, 1, 10);
+        s.mark(&lcm::GC_ETCD_KEYS, job_in(1).as_str(), 11);
         assert_eq!(t.conflicts().len(), 1);
         assert!(t.conflicts()[0].detail.contains("without claiming"));
         assert!(t.conflicts()[0].detail.starts_with("lcm-1"));
@@ -256,12 +267,12 @@ mod tests {
         let (mut s, t) = world();
         let all: Vec<u32> = (0..config::LCM_SHARDS).collect();
         for &shard in &all {
-            s.mark("lcm", shard, ACQUIRED_UNDER_LEASE, 10);
+            s.mark(&lcm::ACQUIRED_UNDER_LEASE, shard, 10);
         }
         s.run_for(SimDuration::from_secs(5));
         // lcm-0 stops, releasing every shard it held.
         for &shard in &all {
-            s.mark("lcm", shard, LOST_WITH_LEASE, 10);
+            s.mark(&lcm::LOST_WITH_LEASE, shard, 10);
         }
         s.run_for(SimDuration::from_secs(30));
         let orphaned = t.orphaned(s.now(), SimDuration::from_secs(10));
@@ -269,7 +280,7 @@ mod tests {
         assert!(orphaned.iter().all(|o| o.1 == SimDuration::from_secs(30)));
 
         // A fresh claim clears the orphan state.
-        s.mark("lcm", 0, ACQUIRED_UNDER_LEASE, 11);
+        s.mark(&lcm::ACQUIRED_UNDER_LEASE, 0, 11);
         assert_eq!(orphans(&t, &s), all[1..]);
     }
 

@@ -28,6 +28,7 @@ use crate::helper::{
 use crate::job::{JobId, JobStatus};
 use crate::lcm::lcm_behavior;
 use crate::learner::learner_behavior;
+use crate::marks::platform;
 use crate::mongo::{MetaClient, JOBS, TENANTS};
 use crate::ownership::ShardTracker;
 use crate::proto::{CoreRpc, JobInfo};
@@ -385,12 +386,16 @@ impl DlaasPlatform {
     /// returns the watermark to pass next time: the invariant checker's
     /// read, the LCM's own mechanism without the network. `since == 0`
     /// lends every document.
-    pub fn for_each_job_change(&self, since: u64, visit: impl FnMut(&str, Option<&Doc>)) -> u64 {
+    pub fn for_each_job_change(
+        &self,
+        since: u64,
+        mut visit: impl FnMut(&str, Option<&Doc>),
+    ) -> u64 {
         self.mongo
             .borrow()
             .store()
             .borrow()
-            .for_each_change(JOBS, since, visit)
+            .for_each_change(JOBS, since, |_, id, doc| visit(id, doc))
     }
 
     /// Every tenant document currently in the store (the invariant
@@ -481,7 +486,7 @@ impl DlaasPlatform {
     /// given delay (mimicking the K8s restart of the MongoDB pod).
     pub fn crash_mongo(&self, sim: &mut Sim, auto_restart: Option<SimDuration>) {
         self.mongo.borrow().crash();
-        sim.mark("platform", "mongo", "crashed", 0);
+        sim.mark(&platform::CRASHED, "mongo", 0);
         if let Some(d) = auto_restart {
             let journal = self.mongo.borrow().journal();
             let rpc = self.mongo_rpc.clone();
@@ -489,7 +494,7 @@ impl DlaasPlatform {
             sim.schedule_in(d, move |sim| {
                 let server = MongoServer::recover(rpc, journal);
                 *slot.borrow_mut() = server;
-                sim.mark("platform", "mongo", "recovered", 0);
+                sim.mark(&platform::RECOVERED, "mongo", 0);
             });
         }
     }
@@ -500,11 +505,11 @@ impl DlaasPlatform {
     /// the paths that must notice an *unacknowledged* write.
     pub fn set_mongo_write_failures(&self, sim: &mut Sim, fail: bool) {
         self.mongo.borrow().set_fail_writes(fail);
-        let what = if fail {
-            "write-stall-begins"
+        let stall = if fail {
+            &platform::WRITE_STALL_BEGINS
         } else {
-            "write-stall-ends"
+            &platform::WRITE_STALL_ENDS
         };
-        sim.mark("platform", "mongo", what, 0);
+        sim.mark(stall, "mongo", 0);
     }
 }

@@ -479,3 +479,70 @@ fn a_stampless_pending_document_is_counted_malformed_not_redeployed() {
         .get("dlaas_lcm_malformed_records_total{field=\"submitted_us\"}");
     assert!(malformed >= Some(1.0), "counted {malformed:?}");
 }
+
+/// A QUEUED job document whose `gpus` is unreadable, swept in a live
+/// store while its tenant holds its whole quota: the LCM counts it
+/// malformed and keeps it off the queue. Its count used to fall back to
+/// the stored manifest and, that unparseable too, read as 0 GPUs, which
+/// fit the full quota and were admitted.
+#[test]
+fn a_queued_document_with_an_unreadable_gpu_count_is_not_admitted() {
+    use dlaas_core::{config, DlaasPlatform, Tenant, JOBS};
+    use dlaas_docstore::obj;
+    use dlaas_sim::{Sim, SimDuration};
+
+    let mut sim = Sim::new(94);
+    let platform = DlaasPlatform::bootstrapped(&mut sim);
+    platform
+        .add_tenant(&Tenant::new("acme", "acme-key", 1))
+        .expect("tenant insert");
+    sim.run_for(SimDuration::from_secs(30));
+    let meta = MetaClient::new(platform.handles().mongo.clone(), "hostile");
+    let holder = obj! {"_id" => "holder", "status" => "PROCESSING", "tenant" => "acme",
+    "gpus" => 1, "submitted_us" => 1, "admitted_us" => 1};
+    let hostile = obj! {"_id" => "gpuless", "status" => "QUEUED", "tenant" => "acme",
+    "gpus" => "one", "manifest" => "{", "submitted_us" => 2};
+    for doc in [holder, hostile] {
+        meta.insert(&mut sim, JOBS, doc, |_sim, r| {
+            assert!(r.is_ok(), "{r:?}");
+        });
+    }
+    sim.run_for(config::LCM_SCAN * 4);
+    let status = platform.job_status(&JobId::new("gpuless"));
+    assert_eq!(status, Some(JobStatus::Queued));
+    let malformed = platform
+        .metrics()
+        .snapshot()
+        .get("dlaas_lcm_malformed_records_total{field=\"gpus\"}");
+    assert!(malformed >= Some(1.0), "counted {malformed:?}");
+}
+
+/// A DEPLOYING job document whose history holds no DEPLOYING stamp,
+/// swept in a live store: the LCM counts it malformed. It used to give
+/// the job no deploy timeout and say nothing.
+#[test]
+fn a_deploying_document_without_its_stamp_is_counted_malformed() {
+    use dlaas_core::{config, DlaasPlatform, Tenant, JOBS};
+    use dlaas_docstore::obj;
+    use dlaas_sim::{Sim, SimDuration};
+
+    let mut sim = Sim::new(95);
+    let platform = DlaasPlatform::bootstrapped(&mut sim);
+    platform
+        .add_tenant(&Tenant::new("acme", "acme-key", 0))
+        .expect("tenant insert");
+    sim.run_for(SimDuration::from_secs(30));
+    let meta = MetaClient::new(platform.handles().mongo.clone(), "hostile");
+    let history = vec![obj! {"status" => "PENDING", "t_us" => 5}];
+    let doc = obj! {"_id" => "unstamped", "status" => "DEPLOYING", "tenant" => "acme",
+    "gpus" => 1, "submitted_us" => 5, "history" => history};
+    meta.insert(&mut sim, JOBS, doc, |_sim, r| {
+        assert!(r.is_ok(), "{r:?}");
+    });
+    sim.run_for(config::LCM_SCAN * 2);
+    let malformed = platform
+        .metrics()
+        .snapshot()
+        .get("dlaas_lcm_malformed_records_total{field=\"history\"}");
+    assert!(malformed >= Some(1.0), "counted {malformed:?}");
+}

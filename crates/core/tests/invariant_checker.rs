@@ -11,6 +11,7 @@
 //!   nothing does.
 
 use dlaas_core::invariants::{check_with, InvariantChecker};
+use dlaas_core::marks::lcm;
 use dlaas_core::{
     check_invariants, paths, DlaasPlatform, InvariantBounds, JobId, MetaClient, Tenant, JOBS,
 };
@@ -421,17 +422,17 @@ fn a_guardian_job_complete_over_an_open_document_is_reported() {
 fn a_double_claim_is_reported_with_the_shards_timeline() {
     let (mut sim, platform) = boot(2005);
     sim.trace_mut().set_enabled(true);
-    sim.mark("lcm", "lcm-a", "lease-granted", 901);
-    sim.mark("lcm", "lcm-b", "lease-granted", 902);
+    sim.mark(&lcm::LEASE_GRANTED, "lcm-a", 901);
+    sim.mark(&lcm::LEASE_GRANTED, "lcm-b", 902);
     for shard in [3, 5] {
-        sim.mark("lcm", shard, "acquired-under-lease", 901);
-        sim.mark("lcm", shard, "acquired-under-lease", 902);
+        sim.mark(&lcm::ACQUIRED_UNDER_LEASE, shard, 901);
+        sim.mark(&lcm::ACQUIRED_UNDER_LEASE, shard, 902);
     }
     let job = (0..)
         .map(|i| format!("job-{i}"))
         .find(|j| paths::job_shard(j, dlaas_core::config::LCM_SHARDS) == 3)
         .expect("some id hashes into shard 3");
-    sim.mark("lcm", job.as_str(), "gc-leftovers", 901);
+    sim.mark(&lcm::GC_LEFTOVERS, job.as_str(), 901);
 
     let report = check_invariants(&sim, &platform);
     let shards: Vec<(String, &str)> = found(&report)

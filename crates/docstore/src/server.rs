@@ -86,8 +86,9 @@ pub enum MongoResponse {
     Deleted(usize),
     /// Change feed above the requested watermark.
     Changed {
-        /// Documents that changed and still exist, in change order.
-        docs: Vec<Doc>,
+        /// Documents that changed and still exist, in change order, each
+        /// with the sequence number of its latest change.
+        docs: Vec<(u64, Doc)>,
         /// Ids whose latest change was a removal.
         gone: Vec<String>,
         /// Current high-water sequence number (the next `since`).
@@ -259,7 +260,12 @@ impl MongoServer {
                     MongoResponse::Deleted(store.delete_one(coll, filter) as usize)
                 }
                 MongoRequest::FindChanged { coll, since } => {
-                    let (docs, gone, high_water) = store.changed_since(coll, *since);
+                    let (mut docs, mut gone) = (Vec::new(), Vec::new());
+                    let high_water =
+                        store.for_each_change(coll, *since, |seq, id, doc| match doc {
+                            Some(doc) => docs.push((seq, doc.clone())),
+                            None => gone.push(id.to_owned()),
+                        });
                     MongoResponse::Changed {
                         docs,
                         gone,
@@ -500,7 +506,8 @@ mod tests {
                 gone,
                 high_water,
             } => {
-                assert_eq!(docs.len(), 3);
+                let seqs: Vec<u64> = docs.iter().map(|(seq, _)| *seq).collect();
+                assert_eq!(seqs, [1, 2, 3]);
                 assert!(gone.is_empty());
                 high_water
             }

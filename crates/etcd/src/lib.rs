@@ -69,6 +69,7 @@ mod client;
 mod cluster;
 mod kv;
 mod lessor;
+pub mod marks;
 pub mod metrics;
 mod proto;
 mod server;

@@ -22,6 +22,7 @@ use dlaas_sim::{DeadlineTimer, Grid, Sim, SimDuration, SimTime};
 
 use crate::kv::{KvCommand, KvEvent, KvOp, KvState, LeaseId};
 use crate::lessor::{Lessor, Renewal};
+use crate::marks::etcd;
 use crate::metrics;
 use crate::proto::{etcd_addr, EtcdRequest, EtcdResponse, WatchNotify};
 
@@ -357,7 +358,7 @@ impl EtcdServer {
                 let mut c = core.borrow_mut();
                 if let KvOp::LeaseRevoke { id: lease } = cmd.op {
                     if c.kv.lease(lease).is_some() {
-                        sim.mark("etcd", id, "lease-revoked", lease);
+                        sim.mark(&etcd::LEASE_REVOKED, id, lease);
                     }
                 }
                 let mut outcome = c.kv.apply(cmd);
@@ -462,7 +463,7 @@ impl EtcdServer {
         match cmd.op {
             KvOp::Noop if self.raft.term_start() == Some(idx) => {
                 let term = self.raft.term();
-                sim.mark("etcd", self.id, "lessor-promoted", term);
+                sim.mark(&etcd::LESSOR_PROMOTED, self.id, term);
                 c.lessor = Some(Lessor::promote(term, &c.kv, now));
                 true
             }
@@ -506,7 +507,7 @@ impl EtcdServer {
                 .add(expired.len() as u64);
         }
         for id in expired {
-            sim.mark("etcd", self.id, "lease-expired", id);
+            sim.mark(&etcd::LEASE_EXPIRED, self.id, id);
             let req_id = {
                 let mut c = self.core.borrow_mut();
                 c.next_req_id += 1;

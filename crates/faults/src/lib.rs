@@ -61,6 +61,10 @@ use dlaas_net::{Addr, LatencyModel, Net};
 use dlaas_sharedfs::NfsServer;
 use dlaas_sim::{Sim, SimDuration, SimRng, TimerHandle};
 
+pub mod marks;
+
+use marks::{chaos_monkey, faults};
+
 /// Arms a one-shot trigger: polls `pred` every `period` and, the first
 /// time it returns `true`, fires `action` exactly once and stops polling.
 ///
@@ -83,7 +87,7 @@ pub fn when(
             return true;
         }
         if let Some(act) = action.take() {
-            sim.mark("faults", label, "trigger-fired", 0);
+            sim.mark(&faults::TRIGGER_FIRED, label, 0);
             act(sim);
         }
         false
@@ -99,11 +103,11 @@ pub fn partition_window<M: 'static>(
     groups: Vec<Vec<Addr>>,
     duration: SimDuration,
 ) {
-    sim.mark("faults", "net", "partition", duration.as_micros());
+    sim.mark(&faults::PARTITION, "net", duration.as_micros());
     net.partition(sim, groups);
     let net = net.clone();
     sim.schedule_in(duration, move |sim| {
-        sim.mark("faults", "net", "partition-healed", 0);
+        sim.mark(&faults::PARTITION_HEALED, "net", 0);
         net.heal(sim);
     });
 }
@@ -117,11 +121,11 @@ pub fn latency_window<M: 'static>(
     duration: SimDuration,
 ) {
     let restore = net.latency();
-    sim.mark("faults", "net", "latency-degraded", duration.as_micros());
+    sim.mark(&faults::LATENCY_DEGRADED, "net", duration.as_micros());
     net.set_latency(sim, model);
     let net = net.clone();
     sim.schedule_in(duration, move |sim| {
-        sim.mark("faults", "net", "latency-restored", 0);
+        sim.mark(&faults::LATENCY_RESTORED, "net", 0);
         net.set_latency(sim, restore);
     });
 }
@@ -130,11 +134,11 @@ pub fn latency_window<M: 'static>(
 /// Mounted handles survive the outage; only operations during the window
 /// fail (see `dlaas_sharedfs::NfsError::Unavailable`).
 pub fn nfs_outage_window(sim: &mut Sim, nfs: &NfsServer, duration: SimDuration) {
-    sim.mark("faults", "nfs", "outage", duration.as_micros());
+    sim.mark(&faults::OUTAGE, "nfs", duration.as_micros());
     nfs.set_available(sim, false);
     let nfs = nfs.clone();
     sim.schedule_in(duration, move |sim| {
-        sim.mark("faults", "nfs", "restored", 0);
+        sim.mark(&faults::RESTORED, "nfs", 0);
         nfs.set_available(sim, true);
     });
 }
@@ -263,7 +267,7 @@ impl ChaosMonkey {
                 .filter(|p| kube.pod_phase(p) == Some(PodPhase::Running))
                 .collect();
             if let Some(victim) = rng.choose(&candidates).cloned() {
-                sim.mark("chaos-monkey", victim.as_str(), "crash", 0);
+                sim.mark(&chaos_monkey::CRASH, victim.as_str(), 0);
                 kube.crash_pod(sim, &victim);
             }
             true

@@ -19,8 +19,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use dlaas_net::{Addr, Resolver, RpcError, SharedLink};
-use dlaas_sim::{Sim, SimDuration, SimRng, SimTime};
+use dlaas_sim::{MarkDef, Sim, SimDuration, SimRng, SimTime};
 
+use crate::marks::kube;
 use crate::metrics;
 use crate::process::{BehaviorRegistry, Cleanup, ProcessCtx};
 use crate::types::{
@@ -321,7 +322,7 @@ impl Kube {
 
     /// A cluster event is a mark on the timeline and a bump of
     /// `kube_events_total{reason}`, and nothing else.
-    fn event(&self, sim: &mut Sim, kind: Kind, name: &str, reason: &'static str) {
+    fn event(&self, sim: &mut Sim, kind: Kind, name: &str, reason: &'static MarkDef) {
         let mut guard = self.state.borrow_mut();
         let s = &mut *guard;
         if sim.trace().is_enabled() {
@@ -334,16 +335,16 @@ impl Kube {
             };
             let uid = pod.map_or(0, |pod| pod.uid);
             match pod.and_then(|pod| pod.spec.labels.get("job")) {
-                Some(job) => sim.mark("kube", job.as_str(), reason, uid),
+                Some(job) => sim.mark(reason, job.as_str(), uid),
                 None => {
                     let object = format!("{}/{name}", kind.prefix());
-                    sim.mark("kube", object.as_str(), reason, uid);
+                    sim.mark(reason, object.as_str(), uid);
                 }
             }
         }
         s.event_counters
-            .entry(reason)
-            .or_insert_with(|| sim.metrics().counter_series(metrics::EVENTS, [reason]))
+            .entry(reason.what)
+            .or_insert_with(|| sim.metrics().counter_series(metrics::EVENTS, [reason.what]))
             .inc();
     }
 
@@ -437,7 +438,7 @@ impl Kube {
             let mut s = self.state.borrow_mut();
             if s.pods.contains_key(&name) {
                 drop(s);
-                self.event(sim, Kind::Pod, &name, "CreateFailed");
+                self.event(sim, Kind::Pod, &name, &kube::CREATE_FAILED);
                 return;
             }
             s.next_uid += 1;
@@ -460,7 +461,7 @@ impl Kube {
             );
             s.sync_pending(&name);
         }
-        self.event(sim, Kind::Pod, &name, "Created");
+        self.event(sim, Kind::Pod, &name, &kube::CREATED);
         let me = self.clone();
         sim.defer(move |sim| me.try_schedule(sim, name));
     }
@@ -518,7 +519,7 @@ impl Kube {
             s.sync_pending(&name);
             (uid, s.jittered(SCHEDULE_DELAY))
         };
-        self.event(sim, Kind::Pod, &name, "Scheduled");
+        self.event(sim, Kind::Pod, &name, &kube::SCHEDULED);
         let me = self.clone();
         sim.schedule_in(delay, move |sim| me.begin_start(sim, name, uid));
     }
@@ -585,7 +586,7 @@ impl Kube {
             s.sync_pending(&name);
             total
         };
-        self.event(sim, Kind::Pod, &name, "Starting");
+        self.event(sim, Kind::Pod, &name, &kube::STARTING);
         let me = self.clone();
         sim.schedule_in(total, move |sim| me.finish_start(sim, name, uid));
     }
@@ -621,11 +622,11 @@ impl Kube {
             s.sync_pending(&name);
             (containers, node_name, nic)
         };
-        self.event(sim, Kind::Pod, &name, "Started");
+        self.event(sim, Kind::Pod, &name, &kube::STARTED);
         // Instantiate behaviors.
         for c in containers {
             let Some(factory) = self.registry.get(&c.behavior) else {
-                self.event(sim, Kind::Pod, &name, "BehaviorMissing");
+                self.event(sim, Kind::Pod, &name, &kube::BEHAVIOR_MISSING);
                 continue;
             };
             let me = self.clone();
@@ -727,7 +728,7 @@ impl Kube {
                 Some(PodPhase::Failed)
             }
         };
-        self.event(sim, Kind::Pod, &name, "ContainerExited");
+        self.event(sim, Kind::Pod, &name, &kube::CONTAINER_EXITED);
         match decision {
             None => {}
             Some(PodPhase::Succeeded) => {
@@ -753,7 +754,7 @@ impl Kube {
             s.sync_pending(&name);
             out
         };
-        self.event(sim, Kind::Pod, &name, "PhaseChanged");
+        self.event(sim, Kind::Pod, &name, &kube::PHASE_CHANGED);
 
         match phase {
             PodPhase::Succeeded => {
@@ -764,7 +765,7 @@ impl Kube {
                         j.status = JobStatus::Complete;
                     }
                     drop(s);
-                    self.event(sim, Kind::Job, &job, "Complete");
+                    self.event(sim, Kind::Job, &job, &kube::COMPLETE);
                 }
             }
             PodPhase::Failed => {
@@ -785,7 +786,7 @@ impl Kube {
                     }
                     drop(s);
                     if !allow {
-                        self.event(sim, Kind::Job, job, "BackoffLimitExceeded");
+                        self.event(sim, Kind::Job, job, &kube::BACKOFF_LIMIT_EXCEEDED);
                         self.release_node(&name);
                         return;
                     }
@@ -830,7 +831,7 @@ impl Kube {
             let total = s.jittered(CRASH_DETECT + backoff);
             (uid, total)
         };
-        self.event(sim, Kind::Pod, &name, "Restarting");
+        self.event(sim, Kind::Pod, &name, &kube::RESTARTING);
         let me = self.clone();
         sim.schedule_in(delay, move |sim| me.begin_start(sim, name, uid));
     }
@@ -847,7 +848,7 @@ impl Kube {
             return false;
         }
         self.stop_processes(sim, name);
-        self.event(sim, Kind::Pod, name, "Crashed");
+        self.event(sim, Kind::Pod, name, &kube::CRASHED);
         self.set_phase_and_handle(sim, name.to_owned(), PodPhase::Failed);
         true
     }
@@ -862,7 +863,7 @@ impl Kube {
         self.stop_processes(sim, name);
         self.release_node(name);
         // While the pod is still there to say whose it was.
-        self.event(sim, Kind::Pod, name, "Deleted");
+        self.event(sim, Kind::Pod, name, &kube::DELETED);
         let owner = {
             let mut s = self.state.borrow_mut();
             let removed = s.pods.remove(name);
@@ -891,7 +892,7 @@ impl Kube {
             }
             node.ready = false;
         }
-        self.event(sim, Kind::Node, name, "NodeCrashed");
+        self.event(sim, Kind::Node, name, &kube::NODE_CRASHED);
         let victims: Vec<String> = {
             let s = self.state.borrow();
             s.pods
@@ -912,7 +913,7 @@ impl Kube {
                 if me.pod_phase(&v).is_none() {
                     continue;
                 }
-                me.event(sim, Kind::Pod, &v, "NodeLost");
+                me.event(sim, Kind::Pod, &v, &kube::NODE_LOST);
                 let owner = {
                     let mut s = me.state.borrow_mut();
                     let removed = s.pods.remove(&v);
@@ -938,7 +939,7 @@ impl Kube {
             };
             node.cordoned = true;
         }
-        self.event(sim, Kind::Node, name, "Cordoned");
+        self.event(sim, Kind::Node, name, &kube::CORDONED);
         true
     }
 
@@ -951,7 +952,7 @@ impl Kube {
             };
             node.cordoned = false;
         }
-        self.event(sim, Kind::Node, name, "Uncordoned");
+        self.event(sim, Kind::Node, name, &kube::UNCORDONED);
         self.kick_pending(sim);
         true
     }
@@ -981,7 +982,7 @@ impl Kube {
                 .collect()
         };
         for v in &victims {
-            self.event(sim, Kind::Pod, v, "Evicted");
+            self.event(sim, Kind::Pod, v, &kube::EVICTED);
             self.delete_pod(sim, v);
         }
         victims
@@ -997,7 +998,7 @@ impl Kube {
             node.ready = true;
             node.allocated = Resources::default();
         }
-        self.event(sim, Kind::Node, name, "NodeReady");
+        self.event(sim, Kind::Node, name, &kube::NODE_READY);
         self.kick_pending(sim);
         true
     }
@@ -1067,7 +1068,7 @@ impl Kube {
         let key = (kind, name.to_owned());
         let set = ReplicaSet { replicas, template };
         self.state.borrow_mut().sets.insert(key.clone(), set);
-        self.event(sim, kind, name, "Created");
+        self.event(sim, kind, name, &kube::CREATED);
         self.reconcile_set(sim, key);
     }
 
@@ -1134,7 +1135,7 @@ impl Kube {
             for i in 0..set.replicas {
                 self.delete_orphan(sim, &format!("{name}-{i}"));
             }
-            self.event(sim, kind, name, "Deleted");
+            self.event(sim, kind, name, &kube::DELETED);
         }
     }
 
@@ -1146,7 +1147,7 @@ impl Kube {
         }
         self.stop_processes(sim, name);
         self.release_node(name);
-        self.event(sim, Kind::Pod, name, "Deleted");
+        self.event(sim, Kind::Pod, name, &kube::DELETED);
         {
             let mut s = self.state.borrow_mut();
             s.pods.remove(name);
@@ -1168,7 +1169,7 @@ impl Kube {
                 status: JobStatus::Active,
             },
         );
-        self.event(sim, Kind::Job, name, "Created");
+        self.event(sim, Kind::Job, name, &kube::CREATED);
         self.create_owned_pod(sim, template, Some(Owner::Job(name.to_owned())));
     }
 
@@ -1197,7 +1198,7 @@ impl Kube {
     pub fn delete_job(&self, sim: &mut Sim, name: &str) {
         if self.state.borrow_mut().jobs.remove(name).is_some() {
             self.delete_orphan(sim, name);
-            self.event(sim, Kind::Job, name, "Deleted");
+            self.event(sim, Kind::Job, name, &kube::DELETED);
         }
     }
 
@@ -1215,7 +1216,7 @@ impl Kube {
                 cursor: 0,
             },
         );
-        self.event(sim, Kind::Service, name, "Created");
+        self.event(sim, Kind::Service, name, &kube::CREATED);
     }
 
     /// Resolves a service to a ready endpoint (round robin), if any.

@@ -69,6 +69,7 @@
 #![warn(missing_docs)]
 
 mod cluster;
+pub mod marks;
 pub mod metrics;
 mod process;
 mod types;

@@ -17,14 +17,16 @@
 //!
 //! ```
 //! use dlaas_net::{Addr, LatencyModel, Net};
-//! use dlaas_sim::Sim;
+//! use dlaas_sim::{MarkDef, Sim};
+//!
+//! static SUBMITTED: MarkDef = MarkDef { who: "api", what: "submitted" };
 //!
 //! let mut sim = Sim::new(0);
-//! let net: Net<&'static str> = Net::new(&mut sim, LatencyModel::datacenter());
+//! let net: Net<u64> = Net::new(&mut sim, LatencyModel::datacenter());
 //! net.register(Addr::new("api"), |sim, env| {
-//!     sim.mark("api", env.from.as_str(), env.msg, 0);
+//!     sim.mark(&SUBMITTED, env.from.as_str(), env.msg);
 //! });
-//! net.send(&mut sim, Addr::new("client"), Addr::new("api"), "submit");
+//! net.send(&mut sim, Addr::new("client"), Addr::new("api"), 7);
 //! sim.run_until_idle();
 //! assert_eq!(net.stats().delivered, 1);
 //! ```

@@ -60,6 +60,7 @@
 
 mod cluster;
 mod keepalive;
+pub mod marks;
 mod node;
 mod types;
 

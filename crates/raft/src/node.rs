@@ -17,6 +17,7 @@ use dlaas_net::{Addr, Net};
 use dlaas_sim::{DeadlineTimer, Sim, SimDuration, SimRng, SimTime};
 
 use crate::keepalive::{Heartbeat, Keepalives};
+use crate::marks::raft;
 use crate::types::{
     LogEntry, LogIndex, NodeId, Peers, PersistentState, RaftConfig, RaftMsg, Role, Snapshot, Term,
 };
@@ -472,7 +473,7 @@ impl<C: Clone + 'static> Raft<C> {
             (r.done)(sim, false);
         }
         let id = self.id();
-        sim.mark("raft", id, "crashed", 0);
+        sim.mark(&raft::CRASHED, id, 0);
     }
 
     /// Restarts a crashed node with a fresh replicated-state-machine apply
@@ -501,7 +502,7 @@ impl<C: Clone + 'static> Raft<C> {
         self.net.set_up(sim, &self.addr, true);
         self.reset_election_timer(sim);
         let id = self.id();
-        sim.mark("raft", id, "restarted", 0);
+        sim.mark(&raft::RESTARTED, id, 0);
     }
 
     // ------------------------------------------------------------------
@@ -610,7 +611,7 @@ impl<C: Clone + 'static> Raft<C> {
             s.leader_hint = None;
             (s.id, term, li, lt, s.others().collect::<Vec<_>>())
         };
-        sim.mark("raft", id, "election", term);
+        sim.mark(&raft::ELECTION, id, term);
         for p in peers {
             self.net.send(
                 sim,
@@ -663,7 +664,7 @@ impl<C: Clone + 'static> Raft<C> {
             s.term_start = new_last;
             (s.id, term, s.hb_gen)
         };
-        sim.mark("raft", id, "leader", term);
+        sim.mark(&raft::LEADER, id, term);
         self.broadcast_append(sim);
         self.maybe_advance_commit(sim);
         self.schedule_heartbeat(sim, gen);
@@ -1116,7 +1117,7 @@ impl<C: Clone + 'static> Raft<C> {
         };
         if compacted {
             let id = self.id();
-            sim.mark("raft", id, "compacted", upto);
+            sim.mark(&raft::COMPACTED, id, upto);
         }
     }
 
@@ -1243,7 +1244,7 @@ impl<C: Clone + 'static> Raft<C> {
             }
             self.inner.borrow_mut().hooks = hooks;
             let id = self.id();
-            sim.mark("raft", id, "snapshot-installed", acked);
+            sim.mark(&raft::SNAPSHOT_INSTALLED, id, acked);
             // Catch up anything committed above the snapshot next round.
             self.apply_committed(sim);
         }

@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use dlaas_obs::Registry;
 
-use crate::{SimDuration, SimRng, SimTime, Subject, Trace};
+use crate::{MarkDef, SimDuration, SimRng, SimTime, Subject, Trace};
 
 /// Identifier of a scheduled event, usable to cancel it before it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -79,7 +79,7 @@ impl<F: FnOnce(&mut Sim) + 'static> Event for F {
 type EventFn = Box<dyn Event>;
 
 /// A mark tap: what [`Sim::tap`] registered.
-type Tap = dyn FnMut(&mut Sim, Subject<'_>, &'static str, u64) -> bool;
+type Tap = dyn FnMut(&mut Sim, Subject<'_>, &'static MarkDef, u64) -> bool;
 
 /// A round run in place: `round(at)` does its work and returns the
 /// instant of the next round, or declines (`None`), having done nothing.
@@ -235,9 +235,9 @@ pub struct Sim {
     /// How many streams [`Sim::fork_rng`] has handed out per label.
     forks: BTreeMap<String, u32>,
     trace: Trace,
-    /// What [`Sim::tap`] registered, and whose marks each sees, in
+    /// What [`Sim::tap`] registered, and the marks each sees, in
     /// registration order.
-    taps: Vec<(&'static str, Box<Tap>)>,
+    taps: Vec<(&'static [&'static MarkDef], Box<Tap>)>,
     metrics: Registry,
     executed: u64,
     rounds_in_place: u64,
@@ -397,49 +397,45 @@ impl Sim {
         &mut self.trace
     }
 
-    /// Marks, at the current time, that `who` saw `what` happen to
-    /// `subject` (dropped unless the trace was enabled). `arg` is the one
-    /// number that goes with `what` — attempt, term, bytes — or 0. The
-    /// types admit nothing that had to be formatted or allocated first.
-    /// Every tap on `who` ([`Sim::tap`]) sees the mark, whether the trace
-    /// is on or not.
+    /// Marks, at the current time, that `def` happened to `subject`
+    /// (dropped unless the trace was enabled). `arg` is the one number
+    /// that goes with it — attempt, term, bytes, as `def`'s doc says — or
+    /// 0. The types admit nothing that had to be formatted or allocated
+    /// first. Every tap on `def` ([`Sim::tap`]) sees the mark, whether the
+    /// trace is on or not.
     #[inline]
-    pub fn mark<'a>(
-        &mut self,
-        who: &'static str,
-        subject: impl Into<Subject<'a>>,
-        what: &'static str,
-        arg: u64,
-    ) {
+    pub fn mark<'a>(&mut self, def: &'static MarkDef, subject: impl Into<Subject<'a>>, arg: u64) {
         let subject = subject.into();
         if self.trace.enabled {
-            self.trace.push(self.now, who, subject, what, arg);
+            self.trace.push(self.now, def, subject, arg);
         }
         if !self.taps.is_empty() {
-            self.run_taps(who, subject, what, arg);
+            self.run_taps(def, subject, arg);
         }
     }
 
-    /// Taps `who`'s marks: `f` runs inside every later [`Sim::mark`] by
-    /// `who`, with the mark's subject, name and number, trace on or off,
-    /// after the taps registered before it. It runs inside the marking
-    /// component's borrows, so it records and leaves acting to an event
-    /// it queues ([`Sim::defer`]). It returns `false` to unsubscribe. A
-    /// mark made inside a tap is traced but not tapped.
+    /// Taps the marks `on` lists: `f` runs inside every later
+    /// [`Sim::mark`] of one of them, with the mark's def, subject and
+    /// number, trace on or off, after the taps registered before it. It
+    /// runs inside the marking component's borrows, so it records and
+    /// leaves acting to an event it queues ([`Sim::defer`]). It returns
+    /// `false` to unsubscribe. A mark made inside a tap is traced but not
+    /// tapped.
     pub fn tap(
         &mut self,
-        who: &'static str,
-        f: impl FnMut(&mut Sim, Subject<'_>, &'static str, u64) -> bool + 'static,
+        on: &'static [&'static MarkDef],
+        f: impl FnMut(&mut Sim, Subject<'_>, &'static MarkDef, u64) -> bool + 'static,
     ) {
-        self.taps.push((who, Box::new(f)));
+        self.taps.push((on, Box::new(f)));
     }
 
-    /// Runs the taps on `who` for one mark. The list is out of the world
-    /// while they run, which is what keeps their own marks untapped; taps
-    /// registered meanwhile join it after them.
-    fn run_taps(&mut self, who: &'static str, subject: Subject<'_>, what: &'static str, arg: u64) {
+    /// Runs the taps on `def` for one mark; a def is found by address.
+    /// The list is out of the world while they run, which is what keeps
+    /// their own marks untapped; taps registered meanwhile join it after
+    /// them.
+    fn run_taps(&mut self, def: &'static MarkDef, subject: Subject<'_>, arg: u64) {
         let mut taps = std::mem::take(&mut self.taps);
-        taps.retain_mut(|(on, f)| *on != who || f(self, subject, what, arg));
+        taps.retain_mut(|(on, f)| !on.contains(&def) || f(self, subject, def, arg));
         taps.append(&mut self.taps);
         self.taps = taps;
     }
@@ -762,6 +758,28 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    static FIRED: MarkDef = MarkDef {
+        who: "test",
+        what: "fired",
+    };
+    static HELLO: MarkDef = MarkDef {
+        who: "test",
+        what: "hello",
+    };
+    static HELPER_CREATED: MarkDef = MarkDef {
+        who: "guardian",
+        what: "helper-created",
+    };
+    static DEPLOYED: MarkDef = MarkDef {
+        who: "guardian",
+        what: "deployed",
+    };
+    /// A second def with `HELPER_CREATED`'s strings.
+    static TWIN: MarkDef = MarkDef {
+        who: "guardian",
+        what: "helper-created",
+    };
+
     #[test]
     fn a_dropped_world_runs_its_end_hooks_in_order_and_frees_its_queue() {
         let ran = Rc::new(RefCell::new(Vec::new()));
@@ -935,7 +953,7 @@ mod tests {
             sim.trace_mut().set_enabled(true);
             for n in 0..50u64 {
                 let delay = SimDuration::from_micros(sim.rng().range_u64(1, 1_000_000));
-                sim.schedule_in(delay, move |sim| sim.mark("test", "timer", "fired", n));
+                sim.schedule_in(delay, move |sim| sim.mark(&FIRED, "timer", n));
             }
             sim.run_until_idle();
             sim.trace().of("timer").to_string()
@@ -1117,31 +1135,32 @@ mod tests {
         // An arm: the first `helper-created` of job-1 by the Guardian
         // queues one event, and the tap unsubscribes.
         let fired = log("fired");
-        sim.tap("guardian", move |sim, subject, what, _| {
-            let hit = (subject, what) == (Subject::Name("job-1"), "helper-created");
+        sim.tap(const { &[&HELPER_CREATED] }, move |sim, subject, _, _| {
+            let hit = subject == Subject::Name("job-1");
             if hit {
                 sim.defer(fired.clone());
             }
             !hit
         });
-        // A second tap on the same marker sees every one of its marks,
+        // A second tap on both Guardian marks sees every one of them,
         // those after the arm left too; a mark made inside a tap is not
         // tapped.
-        let seen = Rc::new(RefCell::new(0));
+        let seen = Rc::new(RefCell::new(Vec::new()));
         let seen2 = seen.clone();
-        sim.tap("guardian", move |sim, subject, _, _| {
-            sim.mark("guardian", subject, "echo", 0);
-            *seen2.borrow_mut() += 1;
+        let on = const { &[&HELPER_CREATED, &DEPLOYED] };
+        sim.tap(on, move |sim, subject, def, _| {
+            sim.mark(&DEPLOYED, subject, 0);
+            seen2.borrow_mut().push(def.what);
             true
         });
         let marked = log("marked");
         sim.schedule_in(SimDuration::from_secs(2), move |sim| {
-            sim.mark("kube", "job-1", "helper-created", 0);
-            sim.mark("guardian", "job-2", "helper-created", 0);
-            sim.mark("guardian", 1, "helper-created", 0);
-            sim.mark("guardian", "job-1", "deployed", 0);
-            sim.mark("guardian", "job-1", "helper-created", 0);
-            sim.mark("guardian", "job-1", "helper-created", 0);
+            sim.mark(&TWIN, "job-1", 0);
+            sim.mark(&HELPER_CREATED, "job-2", 0);
+            sim.mark(&HELPER_CREATED, 1, 0);
+            sim.mark(&DEPLOYED, "job-1", 0);
+            sim.mark(&HELPER_CREATED, "job-1", 0);
+            sim.mark(&HELPER_CREATED, "job-1", 0);
             marked(sim);
         });
         // Queued for the marking instant before the mark was made.
@@ -1153,7 +1172,13 @@ mod tests {
             *ran.borrow(),
             [(at, "marked"), (at, "queued"), (at, "fired")]
         );
-        assert_eq!(*seen.borrow(), 5);
+        // A def with the same strings is another mark: the first one,
+        // the twin's, reached neither tap.
+        let created = "helper-created";
+        assert_eq!(
+            *seen.borrow(),
+            [created, created, "deployed", created, created]
+        );
     }
 
     #[test]
@@ -1161,12 +1186,13 @@ mod tests {
         let mut sim = Sim::new(1);
         sim.trace_mut().set_enabled(true);
         sim.schedule_in(SimDuration::from_secs(2), |sim| {
-            sim.mark("test", 7, "hello", 3);
+            sim.mark(&HELLO, 7, 3);
         });
         sim.run_until_idle();
         let timeline = sim.trace().of(7);
         let mark = timeline.marks().next().unwrap();
         assert_eq!(mark.time, SimTime::from_secs(2));
+        assert_eq!(mark.def, &HELLO);
         assert_eq!((mark.who, mark.what, mark.arg), ("test", "hello", 3));
     }
 }

@@ -13,15 +13,19 @@
 //!   resettable one-shot, for components that wait on an event instead of
 //!   polling for it,
 //! * [`Trace`] — the timeline of typed marks ([`Sim::mark`]) that explains
-//!   what happened to a job; off until a reader switches it on,
+//!   what happened to a job; off until a reader switches it on. Each kind
+//!   of mark is one [`MarkDef`], declared once with [`marks!`]; a tap
+//!   ([`Sim::tap`]) and any other consumer match it by identity,
 //! * [`TextBuf`] / [`TextView`] — the append-only text an NFS file is
 //!   and an object's body views, so the substrates hold a log once.
 //!
 //! # Examples
 //!
 //! ```
-//! use dlaas_sim::{Sim, SimDuration};
+//! use dlaas_sim::{MarkDef, Sim, SimDuration};
 //! use std::{cell::Cell, rc::Rc};
+//!
+//! static PROCESSED: MarkDef = MarkDef { who: "service", what: "processed" };
 //!
 //! let mut sim = Sim::new(7);
 //! sim.trace_mut().set_enabled(true); // off unless asked for
@@ -30,7 +34,7 @@
 //! // A tiny "service" that processes a request 10ms after receiving it.
 //! let d = done.clone();
 //! sim.schedule_in(SimDuration::from_millis(10), move |sim| {
-//!     sim.mark("service", "req-1", "processed", 0);
+//!     sim.mark(&PROCESSED, "req-1", 0);
 //!     d.set(d.get() + 1);
 //! });
 //!
@@ -66,7 +70,7 @@ pub use rng::SimRng;
 pub use text::{TextBuf, TextView};
 pub use time::{SimDuration, SimTime};
 pub use timer::{DeadlineTimer, Grid};
-pub use trace::{Mark, Subject, Timeline, Trace, TRACE_RING};
+pub use trace::{Mark, MarkDef, Subject, Timeline, Trace, TRACE_RING};
 
 // Re-exported so downstream crates can instrument through `sim.metrics()`
 // without adding their own dependency on the metrics crate.

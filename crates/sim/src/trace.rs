@@ -1,16 +1,23 @@
 //! The timeline: typed marks in one fixed-size ring.
 //!
-//! A component says what happened with [`crate::Sim::mark`]: *who* says
-//! it (a static name), the *subject* it is about (a job id, a pod name,
-//! a Raft node or shard number), *what* happened (a static name) and one
-//! number (attempt, term, bytes, waited µs; 0 when there is none).
-//! Nothing in a mark is formatted or owned by the caller, so a mark on a
-//! disabled trace — every [`crate::Sim`] starts with one — costs one
-//! branch. Whoever wants to read a timeline switches the trace on first
+//! A component says what happened with [`crate::Sim::mark`]: *which*
+//! mark (a [`MarkDef`]: who says it and what it says, declared once as a
+//! `static` in the component crate's `marks` module, see [`crate::marks!`]),
+//! the *subject* it is about (a job id, a pod name, a Raft node or shard
+//! number) and one number (attempt, term, bytes, waited µs; 0 when there
+//! is none — each def's doc names it). Nothing in a mark is formatted or
+//! owned by the caller, so a mark on a disabled trace — every
+//! [`crate::Sim`] starts with one — costs one branch. Whoever wants to
+//! read a timeline switches the trace on first
 //! (`sim.trace_mut().set_enabled(true)`) and reads it with [`Trace::of`].
+//! Whoever reacts to a mark ([`crate::Sim::tap`]) names the defs it
+//! wants and is handed the def itself: a consumer matches a mark by
+//! identity, so a mark that is renamed or deleted cannot leave one
+//! matching a string nobody marks any more.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use crate::SimTime;
@@ -18,6 +25,57 @@ use crate::SimTime;
 /// How many marks an enabled [`Trace`] keeps: once full, each new mark
 /// evicts the oldest one.
 pub const TRACE_RING: usize = 16_384;
+
+/// One kind of mark: the component that makes it and what it says. Each
+/// is one `static`, made by its crate's [`crate::marks!`] block, and is
+/// equal only to itself: two defs are the same mark when they are the
+/// same `static`, whatever their strings.
+#[derive(Debug)]
+pub struct MarkDef {
+    /// The component that makes it (`"guardian"`, `"kube"`, `"raft"`).
+    pub who: &'static str,
+    /// What happened (`"deploy-attempt"`, `"Scheduled"`, `"leader"`).
+    pub what: &'static str,
+}
+
+impl PartialEq for MarkDef {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+impl Eq for MarkDef {}
+
+/// Declares a crate's marks: one `pub mod` per component, holding one
+/// `pub static` [`MarkDef`] per mark it makes, plus `pub static ALL`
+/// listing every def of the block — so a mark cannot be missing from
+/// the crate's registry. Each def's doc names what its `arg` counts.
+///
+/// ```
+/// dlaas_sim::marks! {
+///     /// The service's marks.
+///     service: "service" {
+///         /// A request was served; arg: its size in bytes.
+///         SERVED = "served";
+///     }
+/// }
+/// assert_eq!((service::SERVED.who, service::SERVED.what), ("service", "served"));
+/// assert_eq!(ALL, [&service::SERVED]);
+/// ```
+#[macro_export]
+macro_rules! marks {
+    ($($(#[$group:meta])* $module:ident: $who:literal {
+        $($(#[$doc:meta])* $name:ident = $what:literal;)*
+    })*) => {
+        $($(#[$group])* pub mod $module {
+            $($(#[$doc])* pub static $name: $crate::MarkDef =
+                $crate::MarkDef { who: $who, what: $what };)*
+        })*
+
+        /// Every mark this module declares.
+        pub static ALL: &[&$crate::MarkDef] = &[$($(&$module::$name,)*)*];
+    };
+}
 
 /// What a mark is about, as the caller passes it: borrowed text or a
 /// number. There is deliberately no conversion from an owned `String`.
@@ -58,18 +116,24 @@ enum Held {
     Num(u32),
 }
 
-/// One mark.
+/// One mark. It reads as its def (`mark.who`, `mark.what`).
 #[derive(Debug)]
 pub struct Mark {
     /// Simulated time the mark was made.
     pub time: SimTime,
-    /// The component that made it (`"guardian"`, `"kube"`, `"raft"`).
-    pub who: &'static str,
+    /// Which mark it is.
+    pub def: &'static MarkDef,
     subject: Held,
-    /// What happened (`"deploy-attempt"`, `"Scheduled"`, `"leader"`).
-    pub what: &'static str,
-    /// The number that goes with `what`; 0 when there is none.
+    /// The number that goes with it; 0 when there is none.
     pub arg: u64,
+}
+
+impl Deref for Mark {
+    type Target = MarkDef;
+
+    fn deref(&self) -> &MarkDef {
+        self.def
+    }
 }
 
 impl Mark {
@@ -84,7 +148,8 @@ impl Mark {
 
 impl fmt::Display for Mark {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (time, who, subject, what) = (self.time, self.who, self.subject(), self.what);
+        let (time, subject) = (self.time, self.subject());
+        let MarkDef { who, what } = self.def;
         write!(f, "[{time}] {who} {subject}: {what}")?;
         if self.arg != 0 {
             write!(f, " {}", self.arg)?;
@@ -118,9 +183,8 @@ impl Trace {
     pub(crate) fn push(
         &mut self,
         time: SimTime,
-        who: &'static str,
+        def: &'static MarkDef,
         subject: Subject<'_>,
-        what: &'static str,
         arg: u64,
     ) {
         let subject = match subject {
@@ -145,9 +209,8 @@ impl Trace {
         }
         let mark = Mark {
             time,
-            who,
+            def,
             subject,
-            what,
             arg,
         };
         self.ring.push_back(mark);
@@ -195,17 +258,49 @@ impl fmt::Display for Timeline<'_> {
 mod tests {
     use super::*;
 
-    fn mark(t: &mut Trace, us: u64, who: &'static str, subject: Subject<'_>, what: &'static str) {
-        t.push(SimTime::from_micros(us), who, subject, what, us);
+    crate::marks! {
+        /// Test marks.
+        kube: "kube" {
+            /// Test mark.
+            SCHEDULED = "Scheduled";
+            /// Test mark.
+            STARTED = "Started";
+        }
+        /// Test marks.
+        api: "api" {
+            /// Test mark.
+            RECORDED = "recorded";
+        }
+        /// Test marks.
+        raft: "raft" {
+            /// Test mark.
+            LEADER = "leader";
+        }
+        /// Test marks.
+        guardian: "guardian" {
+            /// Test mark.
+            DEPLOY_ATTEMPT = "deploy-attempt";
+            /// Test mark.
+            DEPLOYED = "deployed";
+        }
+        /// Test marks.
+        c: "c" {
+            /// Test mark.
+            TICK = "tick";
+        }
+    }
+
+    fn mark(t: &mut Trace, us: u64, def: &'static MarkDef, subject: Subject<'_>) {
+        t.push(SimTime::from_micros(us), def, subject, us);
     }
 
     #[test]
     fn records_and_queries() {
         let mut t = Trace::default();
-        mark(&mut t, 1, "kube", "job-1".into(), "Scheduled");
-        mark(&mut t, 2, "api", "job-2".into(), "recorded");
-        mark(&mut t, 3, "kube", "job-1".into(), "Started");
-        mark(&mut t, 4, "raft", 1.into(), "leader");
+        mark(&mut t, 1, &kube::SCHEDULED, "job-1".into());
+        mark(&mut t, 2, &api::RECORDED, "job-2".into());
+        mark(&mut t, 3, &kube::STARTED, "job-1".into());
+        mark(&mut t, 4, &raft::LEADER, 1.into());
 
         let whats: Vec<_> = t.of("job-1").marks().map(|m| m.what).collect();
         assert_eq!(whats, ["Scheduled", "Started"]);
@@ -218,10 +313,10 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut sim = crate::Sim::new(1);
-        sim.mark("x", "y", "z", 0);
+        sim.mark(&c::TICK, "y", 0);
         assert_eq!(sim.trace().ring.capacity(), 0, "no buffer either");
         sim.trace_mut().set_enabled(true);
-        sim.mark("x", "y", "z", 0);
+        sim.mark(&c::TICK, "y", 0);
         assert_eq!(sim.trace().ring.len(), 1);
     }
 
@@ -236,7 +331,7 @@ mod tests {
             } else {
                 ["a", "b"][(i % 2) as usize]
             };
-            mark(&mut t, i, "c", subject.into(), "tick");
+            mark(&mut t, i, &c::TICK, subject.into());
         }
         assert_eq!(t.ring.len(), TRACE_RING);
         // Oldest first out: what remains is the newest ring-full, in order.
@@ -255,20 +350,27 @@ mod tests {
     }
 
     #[test]
+    fn a_block_lists_every_def_it_declares() {
+        assert_eq!(ALL.len(), 7);
+        assert_eq!(ALL[2], &api::RECORDED);
+        assert_ne!(ALL[2], ALL[1]);
+    }
+
+    #[test]
+    fn a_mark_holds_its_def_once() {
+        // Time, def, subject, arg: the def is one pointer where `who` and
+        // `what` were two string slices.
+        assert_eq!(std::mem::size_of::<Mark>(), 40);
+    }
+
+    #[test]
     fn display_format() {
         let mut t = Trace::default();
-        mark(
-            &mut t,
-            1_500_000,
-            "guardian",
-            "job-3".into(),
-            "deploy-attempt",
-        );
+        mark(&mut t, 1_500_000, &guardian::DEPLOY_ATTEMPT, "job-3".into());
         t.push(
             SimTime::from_secs(2),
-            "guardian",
+            &guardian::DEPLOYED,
             "job-3".into(),
-            "deployed",
             0,
         );
         assert_eq!(

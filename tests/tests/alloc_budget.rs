@@ -42,12 +42,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dlaas_core::invariants::InvariantChecker;
+use dlaas_core::marks::guardian;
 use dlaas_core::{
     check_invariants, config, metrics, DlaasPlatform, InvariantBounds, InvariantMonitor, JobStatus,
     MetaClient, JOBS,
 };
 use dlaas_docstore::obj;
 use dlaas_integration::{boot, manifest, start_training, submit_blocking, KEY};
+use dlaas_raft::marks::raft;
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
 thread_local! {
@@ -124,8 +126,8 @@ fn a_mark_allocates_nothing_once_its_subject_is_known() {
     let mut sim = Sim::new(1508);
     let mark_all = |sim: &mut Sim| {
         for n in 0..MARKS {
-            sim.mark("guardian", "job-7", "deploy-attempt", n);
-            sim.mark("raft", (n % 3) as u32, "leader", n);
+            sim.mark(&guardian::DEPLOY_ATTEMPT, "job-7", n);
+            sim.mark(&raft::LEADER, (n % 3) as u32, n);
         }
     };
     // Disabled (as every `Sim` starts): one branch, no buffer.

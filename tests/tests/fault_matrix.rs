@@ -5,20 +5,22 @@
 //! dedicated `fault_matrix` bench bin in CI.
 
 use dlaas_bench::matrix::{run_cell, FaultKind, POINTS};
+use dlaas_core::marks::guardian;
+use dlaas_sim::MarkDef;
 
 /// One cell per fault kind, spread across the deployment steps so the
 /// subset still exercises early, middle and late injection points.
-fn subset() -> Vec<(FaultKind, &'static str)> {
+fn subset() -> Vec<(FaultKind, &'static MarkDef)> {
     vec![
-        (FaultKind::GuardianCrash, "DEPLOYING"),
-        (FaultKind::EtcdLeaderCrash, "learners-created"),
-        (FaultKind::MongoCrash, "deploy-attempt"),
-        (FaultKind::NfsOutage, "volume-provisioned"),
-        (FaultKind::Partition, "deployed"),
+        (FaultKind::GuardianCrash, &guardian::DEPLOYING),
+        (FaultKind::EtcdLeaderCrash, &guardian::LEARNERS_CREATED),
+        (FaultKind::MongoCrash, &guardian::DEPLOY_ATTEMPT),
+        (FaultKind::NfsOutage, &guardian::VOLUME_PROVISIONED),
+        (FaultKind::Partition, &guardian::DEPLOYED),
         // The sweep-leader kill: the LCM replica owning the job's shard
         // dies mid-deploy; a survivor must take the shard over (lease
         // expiry + CAS) without ever double-driving the job.
-        (FaultKind::LcmOwnerCrash, "DEPLOYING"),
+        (FaultKind::LcmOwnerCrash, &guardian::DEPLOYING),
     ]
 }
 
@@ -46,7 +48,7 @@ fn matrix_subset_passes_invariant_checker_on_two_seeds() {
 /// point's Guardian mark, before the Guardian's next step.
 #[test]
 fn a_cell_carries_its_jobs_timeline_in_order() {
-    let outcome = run_cell(7, FaultKind::GuardianCrash, "helper-created");
+    let outcome = run_cell(7, FaultKind::GuardianCrash, &guardian::HELPER_CREATED);
     assert!(outcome.passed(), "{}", outcome.describe());
     assert!(
         !outcome.describe().contains('\n'),
@@ -72,7 +74,7 @@ fn a_cell_carries_its_jobs_timeline_in_order() {
         rest = &rest[at + step.len()..];
     }
 
-    let next_steps = POINTS[1..].iter().copied().chain(["monitoring"]);
+    let next_steps = POINTS[1..].iter().copied().chain([&guardian::MONITORING]);
     for ((point, next), kind) in POINTS.into_iter().zip(next_steps).zip(FaultKind::all()) {
         let outcome = run_cell(7, kind, point);
         assert!(outcome.passed(), "{}", outcome.describe());
@@ -92,17 +94,18 @@ fn a_cell_carries_its_jobs_timeline_in_order() {
                 })
                 .unwrap_or_else(|| panic!("no {entry:?} in:\n{}", outcome.target.timeline))
         };
-        let step = first(&format!("guardian auto-0: {point}"));
+        let step = first(&format!("guardian auto-0: {}", point.what));
         let fault = first(&format!("fault auto-0: {}", kind.label()));
         assert_eq!(
             marks[fault].0, marks[step].0,
-            "{kind:?} at {point}: injected at another instant than the mark:\n{}",
-            outcome.target.timeline
+            "{kind:?} at {}: injected at another instant than the mark:\n{}",
+            point.what, outcome.target.timeline
         );
-        let next = first(&format!("guardian auto-0: {next}"));
+        let next = first(&format!("guardian auto-0: {}", next.what));
         assert!(
             step < fault && fault < next,
-            "{kind:?} at {point}: injected after the next step:\n{}",
+            "{kind:?} at {}: injected after the next step:\n{}",
+            point.what,
             outcome.target.timeline
         );
     }

@@ -8,6 +8,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use dlaas_bench::harness::reported_iteration;
+use dlaas_core::marks::lcm;
 use dlaas_core::{
     check_invariants, config, paths, DlaasPlatform, InvariantMonitor, JobStatus, LearnerPhase,
     MetaClient, JOBS,
@@ -487,10 +488,8 @@ fn a_gc_probe_answered_after_its_lcm_incarnation_stopped_drives_nothing() {
     let mut sim = Sim::new(307);
     let up: Rc<RefCell<BTreeMap<String, SimTime>>> = Rc::default();
     let up2 = up.clone();
-    sim.tap("lcm", move |sim, subject, what, _| {
-        if what == "up" {
-            up2.borrow_mut().insert(subject.to_string(), sim.now());
-        }
+    sim.tap(const { &[&lcm::UP] }, move |sim, subject, _, _| {
+        up2.borrow_mut().insert(subject.to_string(), sim.now());
         true
     });
     let (mut sim, platform) = boot_in(sim);
@@ -1615,4 +1614,78 @@ fn a_submit_that_finds_no_api_endpoint_keeps_trying_for_its_budget() {
         "refused {:.3} s after its send: {r:?}",
         after.as_secs_f64()
     );
+}
+
+/// A claim makes the claimant's next jobs-feed read a replay from 0, and
+/// that replay used to skip every finished job the replica did not
+/// watch outside the shards it had just claimed — a job whose whole life
+/// fell between two of its owner's reads too, so nobody collected it.
+/// Staged on a surviving replica: the instant it claims a crashed
+/// replica's first shard, a job of one of its own shards is written
+/// COMPLETED with a leaked etcd key, so its next read is that replay. The
+/// key must be cleaned all the same. (The first replica up claims every
+/// shard; crashing it once splits them between the survivor and its
+/// restarted incarnation, which race for them at the lease's expiry. An
+/// earlier finished job moves the feed's watermark off 0.)
+#[test]
+fn a_job_finished_between_two_reads_is_collected_by_a_replaying_owner() {
+    let (mut sim, platform) = boot(311);
+    let meta = MetaClient::new(platform.handles().mongo.clone(), "stage");
+    let doc = dlaas_docstore::obj! {"_id" => "earlier", "status" => "COMPLETED"};
+    meta.insert(&mut sim, JOBS, doc, |_sim, r| assert!(r.is_ok(), "{r:?}"));
+    sim.run_for(SimDuration::from_secs(30));
+    let first = shard_owner(&platform, 0).expect("shard 0 is owned");
+    assert!(platform.kube().crash_pod(&mut sim, &first));
+    sim.run_for(config::LCM_LEASE_TTL + config::LCM_SCAN);
+
+    // The owner keys, and the lease each is held under.
+    let leader = platform.etcd().leader_id().expect("etcd has a leader");
+    let kv = platform.etcd().kv_snapshot(leader);
+    let owners: Vec<(String, Option<u64>)> = (0..config::LCM_SHARDS)
+        .map(|shard| {
+            let owner = kv.get(&paths::lcm_shard_owner(shard));
+            let owner = owner.expect("every shard is owned");
+            (owner.value.clone(), owner.lease)
+        })
+        .collect();
+    let victim = owners[0].0.clone();
+    let (kept, lease) = (0..config::LCM_SHARDS)
+        .zip(&owners)
+        .find(|(_, (owner, _))| *owner != victim)
+        .map(|(shard, (_, lease))| (shard, *lease))
+        .expect("two replicas share the shards");
+    let job = (0..)
+        .map(|i| dlaas_core::JobId::new(format!("finished-{i}")))
+        .find(|job| paths::job_shard(job.as_str(), config::LCM_SHARDS) == kept)
+        .expect("some id hashes into the survivor's shard");
+    let key = paths::etcd_store(&job);
+
+    // The survivor's first claim stages the job.
+    let staged = Rc::new(RefCell::new(false));
+    let (p, j, k, done) = (platform.clone(), job.clone(), key.clone(), staged.clone());
+    sim.tap(
+        const { &[&lcm::ACQUIRED_UNDER_LEASE] },
+        move |sim, _, _, by| {
+            if Some(by) != lease {
+                return true;
+            }
+            let (meta, p, j, k, done) =
+                (meta.clone(), p.clone(), j.clone(), k.clone(), done.clone());
+            sim.defer(move |sim| {
+                *done.borrow_mut() = true;
+                let doc = dlaas_docstore::obj! {"_id" => j.as_str(), "status" => "COMPLETED"};
+                meta.insert(sim, JOBS, doc, |_sim, r| assert!(r.is_ok(), "{r:?}"));
+                let etcd = p.etcd().client("stage");
+                etcd.put(sim, k, "go", |_sim, r| assert!(r.is_ok(), "{r:?}"));
+            });
+            false
+        },
+    );
+    assert!(platform.kube().crash_pod(&mut sim, &victim));
+    sim.run_for(config::LCM_LEASE_TTL + config::LCM_SCAN * 4);
+    assert!(*staged.borrow(), "the survivor claimed nothing");
+
+    let leader = platform.etcd().leader_id().expect("etcd has a leader");
+    let left = platform.etcd().kv_snapshot(leader).get(&key).is_some();
+    assert!(!left, "{job}'s leaked key was never cleaned");
 }
