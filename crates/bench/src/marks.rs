@@ -1,6 +1,6 @@
 //! The marks the campaigns make: a fault injected by the matrix or the
-//! chaos rotation (subject: the job it targets, or `platform`), named by
-//! its [`FaultKind`](crate::matrix::FaultKind) label.
+//! chaos rotation (subject: the job it targets, or `platform`). Each
+//! def's `what` is its [`FaultKind`](crate::matrix::FaultKind)'s label.
 
 dlaas_sim::marks! {
     /// An injected fault, by kind; arg: 0.
