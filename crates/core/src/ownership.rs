@@ -5,11 +5,12 @@
 //! [`lcm::LEASE_GRANTED`] (pod, lease) names a lease's pod,
 //! [`lcm::ACQUIRED_UNDER_LEASE`] and [`lcm::LOST_WITH_LEASE`] (shard,
 //! lease) are a claim and a release, and the five sweep marks (job,
-//! lease) drive a job in its shard ([`crate::paths::job_shard`]). The invariant checker reads the ledger
-//! to enforce the **at-most-one-owner** contract — no shard claimed by
-//! two live replicas, no job swept by anyone but the shard's sole
-//! claimant, and no shard left unowned longer than the lease TTL plus
-//! the takeover bound while a replica is alive to adopt it.
+//! lease) drive a job in its shard ([`crate::paths::job_shard`]). The
+//! invariant checker reads the ledger to enforce the
+//! **at-most-one-owner** contract — no shard claimed by two live
+//! replicas, no job swept by anyone but the shard's sole claimant, and
+//! no shard left unowned longer than the lease TTL plus the takeover
+//! bound while a replica is alive to adopt it.
 //!
 //! The replicas never consult the ledger (etcd's lease + CAS owner key
 //! is the source of truth); it holds what each one said it believes,
