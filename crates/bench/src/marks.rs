@@ -15,7 +15,7 @@ dlaas_sim::marks! {
         NFS_OUTAGE = "nfs_outage";
         /// The etcd leader was partitioned from its peers.
         PARTITION = "partition";
-        /// The LCM replica owning the job's shard was crashed.
+        /// The LCM leader was crashed.
         LCM_OWNER_CRASH = "lcm_owner_crash";
     }
 }

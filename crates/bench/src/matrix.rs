@@ -65,9 +65,9 @@ pub enum FaultKind {
     NfsOutage,
     /// The etcd leader partitioned away from its peers, then healed.
     Partition,
-    /// Crash of the LCM replica that owns the job's shard — the sweep
-    /// "leader" for this job. Its lease must expire and a survivor must
-    /// take the shard over without ever double-driving the job.
+    /// Crash of the LCM leader, the replica that sweeps the job. Its
+    /// lease must expire and a standby must claim the leader key without
+    /// ever double-driving the job.
     LcmOwnerCrash,
 }
 
@@ -103,9 +103,8 @@ impl FaultKind {
     }
 
     /// Applies the fault to a live platform. `job` is the job it
-    /// targets, if any: a Guardian crash without one injects nothing, an
-    /// LCM owner crash without one kills replica 0, and the substrate
-    /// faults do not read it.
+    /// targets, if any: a Guardian crash without one injects nothing, and
+    /// the LCM owner crash and the substrate faults do not read it.
     pub fn inject(&self, sim: &mut Sim, platform: &DlaasPlatform, job: Option<&JobId>) {
         sim.mark(self.mark(), job.map_or("platform", JobId::as_str), 0);
         match self {
@@ -140,16 +139,13 @@ impl FaultKind {
                 }
             }
             FaultKind::LcmOwnerCrash => {
-                // Read the shard's owner key off the etcd leader to find
-                // which replica sweeps this job, then kill exactly that
+                // Read the LCM leader key off the etcd leader to find
+                // which replica sweeps every job, then kill exactly that
                 // pod. Falls back to replica 0 when the key is not there
-                // yet (shard unclaimed at injection time).
-                let owner = job.and_then(|job| {
-                    let key =
-                        paths::lcm_shard_owner(paths::job_shard(job.as_str(), config::LCM_SHARDS));
-                    let leader = platform.etcd().leader_id()?;
-                    let owner = platform.etcd().kv_snapshot(leader).get(&key)?.value.clone();
-                    Some(owner)
+                // yet (unclaimed at injection time).
+                let owner = platform.etcd().leader_id().and_then(|leader| {
+                    let kv = platform.etcd().kv_snapshot(leader);
+                    Some(kv.get(&paths::lcm_shard_owner(0))?.value.clone())
                 });
                 let owner = owner.unwrap_or_else(|| "dlaas-lcm-0".to_owned());
                 platform.kube().crash_pod(sim, &owner);

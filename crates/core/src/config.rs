@@ -5,11 +5,8 @@ use dlaas_sim::SimDuration;
 
 /// API service replicas behind the K8s service.
 pub const API_REPLICAS: u32 = 2;
-/// Number of job-space shards the LCM replicas partition between
-/// themselves (job id hash modulo this).
-pub const LCM_SHARDS: u32 = 8;
-/// TTL of each LCM replica's etcd lease. A replica that cannot refresh
-/// within this window loses its shards to the survivors.
+/// TTL of each LCM replica's etcd lease. A leader that cannot refresh
+/// within this window loses the leadership to a standby.
 pub const LCM_LEASE_TTL: SimDuration = SimDuration::from_secs(10);
 /// How often each replica refreshes its lease (leaves several attempts
 /// per TTL).
@@ -66,7 +63,7 @@ pub const HELPER_COLD_START: SimDuration = SimDuration::from_millis(900);
 
 // What the constants above must satisfy among themselves.
 const _: () = {
-    assert!(API_REPLICAS > 0 && LCM_SHARDS > 0);
+    assert!(API_REPLICAS > 0);
     assert!(
         LCM_LEASE_KEEPALIVE.as_micros() * 2 < LCM_LEASE_TTL.as_micros(),
         "several keepalive attempts must fit in one lease TTL"
@@ -84,13 +81,13 @@ const _: () = {
 
 /// The tunables of the DLaaS control plane that some experiment varies;
 /// everything else about the deployment the paper evaluates (2 API
-/// replicas, lease-sharded LCM, 3-way etcd, journaled Mongo, the
+/// replicas, a lease-held LCM leader, 3-way etcd, journaled Mongo, the
 /// periods and cold starts) is a constant of this module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
-    /// LCM replicas. With more than one, the job space is partitioned
-    /// into [`LCM_SHARDS`] shards and each replica sweeps only the shards
-    /// it owns via an etcd lease + CAS owner key.
+    /// LCM replicas. With more than one, the replica holding the leader
+    /// key (an etcd lease + CAS owner key) scans, sweeps and admits, and
+    /// the others stand by to claim the key when its lease expires.
     pub lcm_replicas: u32,
     /// Guardian deployment attempts before the job is marked FAILED
     /// ("a (configurable) number of times before the Guardian gives up",

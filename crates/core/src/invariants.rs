@@ -18,14 +18,16 @@
 //! 4. **No leaks** — once a job has been terminal for longer than the GC
 //!    grace period, no pods, NFS volume, network policies or etcd keys of
 //!    that job remain ("garbage collection of the job", §III-c).
-//! 5. **At-most-one-owner** — with the LCM replicated, no job-space
-//!    shard is ever swept by two live replicas (double drive), and no
-//!    shard stays unowned longer than the lease TTL plus a takeover
-//!    bound while any replica is alive to adopt it (orphaned shard).
-//!    Read from the [`crate::ownership::ShardTracker`] ledger, which the
-//!    replicas' own marks feed; violations carry a synthetic `shard-N`
-//!    job id since they concern the partition, not one job, and the
-//!    report renders that shard's timeline.
+//! 5. **At-most-one-owner** — with the LCM replicated, the leader key
+//!    (the one shard's owner key) is never held by two live replicas and
+//!    no job is swept by anyone but its holder (double drive), and the
+//!    key never stays unheld longer than the lease TTL plus a takeover
+//!    bound while any replica is alive to claim it (orphaned key). Read
+//!    from the [`crate::ownership::ShardTracker`] ledger, which the
+//!    replicas' own marks feed; violations carry the synthetic job id
+//!    `shard-0` since they concern the leadership, not one job, and the
+//!    report renders the key's timeline. The rule ids
+//!    (`shard-single-owner`, `shard-orphaned`) name the one shard.
 //! 6. **No starvation** — a QUEUED job must not wait past the admission
 //!    bound while its tenant has quota headroom for it AND the tenant
 //!    saw no admission for a full bound (the weighted fair queue
@@ -33,8 +35,10 @@
 //!    not enough evidence, since a snapshot can land in the short window
 //!    between a completion and the next arbiter sweep — but headroom
 //!    plus a tenant whose `admitted_us` stamps all predate the bound
-//!    means the arbiter is broken or its shard-0 owner failed over
-//!    without takeover). The periodic [`InvariantMonitor`] additionally
+//!    means the arbiter is broken or its leader failed over without
+//!    takeover). A job whose `gpus` is unreadable is skipped: the LCM
+//!    counts it in `dlaas_lcm_malformed_records_total{gpus}` and never
+//!    admits it. The periodic [`InvariantMonitor`] additionally
 //!    requires a starvation candidate to persist across two consecutive
 //!    passes before recording it.
 //! 7. **No open job under a finished Guardian** — a Guardian K8s Job
@@ -133,7 +137,7 @@ pub struct InvariantReport {
     pub docs_read: usize,
     /// Every violation found, in job order.
     pub violations: Vec<InvariantViolation>,
-    /// The timeline of every job (or shard) with a violation, once each,
+    /// The timeline of every job (or the leader key) with a violation, once each,
     /// rendered — empty when the report is clean or the simulation's
     /// trace is off.
     pub timelines: String,
@@ -200,7 +204,9 @@ struct JobSummary {
     /// (see [`InvariantChecker::tenants`]).
     tenant: Option<usize>,
     status: Option<JobStatus>,
-    gpus: u32,
+    /// The stored GPU demand; `None` when unreadable (the LCM counts such
+    /// a QUEUED job malformed and never admits it).
+    gpus: Option<u32>,
     admitted: Option<SimTime>,
     submitted: Option<SimTime>,
     terminal_since: Option<SimTime>,
@@ -266,7 +272,7 @@ impl JobSummary {
                     index
                 }
             }),
-            gpus: crate::api::doc_gpus(doc).unwrap_or(0),
+            gpus: crate::api::doc_gpus(doc),
             status,
             admitted,
             submitted,
@@ -387,14 +393,16 @@ impl InvariantChecker {
                 }
                 Some(JobStatus::Queued) => {
                     // 6. No starvation: the fair queue must admit this job
-                    //    while its tenant has headroom for it.
+                    //    while its tenant has headroom for it. A job whose
+                    //    demand is unreadable has no headroom to weigh: the
+                    //    LCM counts it malformed and never admits it.
                     let waited = now.saturating_duration_since(job.submitted.unwrap_or(now));
-                    if waited > bounds.admission_within {
+                    if let Some(gpus) = job.gpus.filter(|_| waited > bounds.admission_within) {
                         let load = load.get_or_insert_with(|| self.tenant_load(platform));
                         let tenant = job.tenant.map(|index| &load[index]);
                         let headroom = tenant.is_some_and(|t| {
                             t.max_gpus
-                                .is_some_and(|max| max == 0 || t.held + job.gpus <= max)
+                                .is_some_and(|max| max == 0 || t.held + gpus <= max)
                         });
                         // A busy tenant's queue legitimately backs up for a
                         // long time — that is backlog, not starvation. The
@@ -416,7 +424,7 @@ impl InvariantChecker {
                                 format!(
                                     "QUEUED for {waited} despite quota headroom and no admission in {} (tenant {name}, {} gpus)",
                                     bounds.admission_within,
-                                    job.gpus
+                                    gpus
                                 ),
                             );
                         }
@@ -455,11 +463,11 @@ impl InvariantChecker {
             }
         }
 
-        // 5. At-most-one-owner over the LCM shard space.
+        // 5. At-most-one-owner over the LCM leader key.
         check_shards(sim, platform, &mut violations);
 
-        // Each subject's timeline once; a shard's marks are made on its
-        // number.
+        // Each subject's timeline once; the leader key's marks are made
+        // on its number, 0.
         let mut timelines = String::new();
         let mut seen = BTreeSet::new();
         for job in violations
@@ -467,10 +475,10 @@ impl InvariantChecker {
             .map(|v| &v.job)
             .filter(|j| seen.insert(*j))
         {
-            let shard = job.as_str().strip_prefix(SHARD_PREFIX);
-            let timeline = match shard.and_then(|n| n.parse::<u32>().ok()) {
-                Some(shard) => sim.trace().of(shard),
-                None => sim.trace().of(job.as_str()),
+            let timeline = if job.as_str() == LEADER_SUBJECT {
+                sim.trace().of(0)
+            } else {
+                sim.trace().of(job.as_str())
             };
             if timeline.marks().next().is_some() {
                 timelines.push_str(&format!("timeline of {job}:\n{timeline}"));
@@ -584,7 +592,8 @@ impl InvariantChecker {
                 .status
                 .is_some_and(|s| !s.is_terminal() && s != JobStatus::Queued)
             {
-                tenant.held += job.gpus;
+                // An unreadable demand holds 0, as the LCM's reader has it.
+                tenant.held += job.gpus.unwrap_or(0);
             }
             if let Some(at) = job.admitted {
                 tenant.last_admitted_us = tenant.last_admitted_us.max(at.as_micros());
@@ -594,12 +603,13 @@ impl InvariantChecker {
     }
 }
 
-/// The subject a shard's violation is reported under: `shard-N`.
-const SHARD_PREFIX: &str = "shard-";
+/// The subject a leadership violation is reported under: the one
+/// shard's.
+const LEADER_SUBJECT: &str = "shard-0";
 
 /// 5. At-most-one-owner: every recorded ownership conflict is a
-///    violation, and — while at least one LCM pod exists to adopt them —
-///    so is any shard unowned past the lease TTL plus two scan periods
+///    violation, and — while at least one LCM pod exists to claim it — so
+///    is the leader key unheld past the lease TTL plus two scan periods
 ///    (expiry latency + watch/reconcile takeover).
 fn check_shards(sim: &Sim, platform: &DlaasPlatform, out: &mut Vec<InvariantViolation>) {
     let tracker = platform.shard_tracker();
@@ -614,16 +624,16 @@ fn check_shards(sim: &Sim, platform: &DlaasPlatform, out: &mut Vec<InvariantViol
     }
     for c in tracker.conflicts() {
         out.push(InvariantViolation {
-            job: JobId::new(format!("{SHARD_PREFIX}{}", c.shard)),
+            job: JobId::new(LEADER_SUBJECT),
             invariant: "shard-single-owner",
             detail: format!("{} (at {:?})", c.detail, c.at),
         });
     }
     if lcm_alive {
         let bound = config::LCM_LEASE_TTL + config::LCM_SCAN * 2;
-        for (shard, waited) in tracker.orphaned(sim.now(), bound) {
+        if let Some(waited) = tracker.orphaned(sim.now(), bound) {
             out.push(InvariantViolation {
-                job: JobId::new(format!("{SHARD_PREFIX}{shard}")),
+                job: JobId::new(LEADER_SUBJECT),
                 invariant: "shard-orphaned",
                 detail: format!("unowned for {waited} (bound {bound})"),
             });

@@ -24,40 +24,38 @@
 //! is a cache, not state: an LCM restart begins at watermark 0, which
 //! replays the full feed and rebuilds it, preserving the statelessness
 //! the paper's recovery story relies on. One [`Replica`] holds all of an
-//! incarnation's state: clients, lease, shards and watchlist.
+//! incarnation's state: clients, lease, leadership and watchlist.
 //!
-//! # Replicated LCM: lease-sharded job ownership
+//! # Replicated LCM: one lease-held leader
 //!
-//! With more than one replica, every replica ingests the full change feed
-//! and keeps every queued and admitted job (the arbiter weighs them all),
-//! but *sweeps* only the jobs whose id hashes into a shard it owns
-//! ([`paths::job_shard`]), and keeps a finished job only while it owns its
-//! shard: the sweep drops the others, and a claim makes the next read
-//! start the feed from 0 and ingest the shard's documents besides every
-//! change above the watermark (the feed gives each document's change
-//! sequence). The watchlist's size is
-//! the `dlaas_lcm_watchlist_entries` gauge. Ownership is arbitrated
-//! through etcd: each replica holds a lease
-//! ([`crate::config::LCM_LEASE_TTL`]) and CAS-acquires
-//! absent [`paths::lcm_shard_owner`] keys with that lease attached. When
-//! a replica dies, its lease expires, etcd deletes its owner keys, and
-//! the survivors race ordinary delete watch events (plus a periodic
-//! reconcile backstop) to adopt the orphaned shards — CAS picks exactly
-//! one winner per shard.
+//! With more than one replica, one of them leads: the one holding the
+//! leader key ([`paths::lcm_shard_owner`]`(0)`, the one shard's owner
+//! key) in etcd, created expect-absent by CAS with the replica's lease
+//! ([`crate::config::LCM_LEASE_TTL`]) attached. The leader alone reads
+//! the change feed, keeps the watchlist, sweeps and runs the admission
+//! arbiter. A standby holds a lease, watches the key and runs the
+//! reconcile backstop; it reads no feed and keeps no watchlist. Every
+//! replica serves `DeployJob` / `StopJob`, since [`ensure_guardian`] is
+//! idempotent. A claim starts the leader's watchlist empty at watermark
+//! 0, which is what a restart does, and a loss drops it; its size is the
+//! `dlaas_lcm_watchlist_entries` gauge. When the leader dies, its lease
+//! expires, etcd deletes the key, and the standbys race the delete watch
+//! event (plus the reconcile backstop) to claim it — CAS picks exactly
+//! one winner.
 //!
 //! Two defects this design exists to prevent, each with a regression
 //! test in `tests/tests/recovery_bugs.rs`:
 //!
 //! * **Double drive** — a replica that cannot refresh its lease keeps
-//!   sweeping while a survivor adopts its shards. Prevented by a local
+//!   sweeping while a standby claims the key. Prevented by a local
 //!   *fence*: the deadline is stamped from the **send** time of the
 //!   grant/keepalive that established it, so it is always ≤ the deadline
 //!   the server holds; sweeping stops at the fence, strictly before the
-//!   server can delete the owner keys and let anyone else in.
-//! * **Orphaned shard** — listing the owner keys *before* watching the
-//!   prefix misses a deletion between the two, leaving a shard unswept
+//!   server can delete the key and let anyone else in.
+//! * **Orphaned key** — reading the key *before* watching it misses a
+//!   deletion between the two, leaving the platform without a leader
 //!   until some unrelated event. Prevented by registering the watch
-//!   first and treating the initial listing as the first reconcile.
+//!   first and treating the initial read as the first reconcile.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -81,12 +79,6 @@ use crate::mongo::{MetaClient, JOBS, TENANTS};
 use crate::paths;
 use crate::proto::{CoreRequest, CoreResponse};
 use crate::tenant::Tenant;
-
-/// The shard whose owner runs the admission arbiter. Fair-queue admission
-/// is a global decision (usage ratios compare across tenants), so it runs
-/// on exactly one replica — and shard ownership already provides an
-/// at-most-one primitive with lease-fenced failover for free.
-const ARBITER_SHARD: u32 = 0;
 
 /// Behavior factory for the LCM container.
 pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
@@ -132,25 +124,17 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
         }
     });
 
-    // Shard-ownership machinery. The watch is registered BEFORE the
-    // first listing (inside the post-grant reconcile): list-then-watch
-    // would miss an owner-key deletion between the two and orphan the
-    // shard until the next unrelated event.
+    // Leadership machinery. The watch is registered BEFORE the first
+    // read of the key (inside the post-grant reconcile): read-then-watch
+    // would miss a deletion between the two and leave the platform
+    // leaderless until the next unrelated event.
     let rep_watch = rep.clone();
     rep.etcdc
-        .watch_prefix(sim, paths::LCM_SHARDS_PREFIX, move |sim, ev| {
-            if !rep_watch.alive.get() {
-                return;
-            }
-            if let KvEvent::Delete { key, .. } = ev {
-                if let Some(shard) = key
-                    .strip_prefix(paths::LCM_SHARDS_PREFIX)
-                    .and_then(|s| s.parse::<u32>().ok())
-                {
-                    // An owner key vanished: its holder's lease expired.
-                    // Every survivor races for it; the CAS picks one.
-                    try_acquire(sim, &rep_watch, shard, "watch");
-                }
+        .watch_prefix(sim, paths::lcm_shard_owner(0), move |sim, ev| {
+            // The key vanished: its holder's lease expired. Every
+            // standby races for it; the CAS picks one.
+            if rep_watch.alive.get() && matches!(ev, KvEvent::Delete { .. }) {
+                try_acquire(sim, &rep_watch, "watch");
             }
         });
     ensure_lease(sim, &rep);
@@ -163,9 +147,9 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
         true
     });
 
-    // The background scan. The watchlist dies with this incarnation; a
-    // successor starts at watermark 0 and rebuilds it from the full
-    // change feed.
+    // The background scan, the leader's alone. The watchlist dies with
+    // this incarnation's leadership; a successor starts at watermark 0
+    // and rebuilds it from the full change feed.
     let rep_scan = rep.clone();
     let timer = dlaas_sim::every(sim, config::LCM_SCAN, move |sim, _n| {
         if !rep_scan.alive.get() {
@@ -179,24 +163,23 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     Box::new(move |sim| {
         timer.cancel();
         ka_timer.cancel();
-        // Stand down, marking each shard released, so a successor's
+        // Stand down, marking the leadership released, so a successor's
         // sweeps are not charged as conflicts with this incarnation. The
         // lease itself is deliberately NOT revoked — a real crash could
         // not have, and expiry-driven takeover is the recovery path under
         // test.
-        release_shards(sim, &rep);
-        rep.watched.set(0.0);
+        release(sim, &rep);
         rep.h.rpc.stop_serving(&addr);
-        // The per-incarnation etcd client (and the shard watch on it) is
+        // The per-incarnation etcd client (and the key watch on it) is
         // closed by the kubelet right after this, so a restarted pod of
         // the same name can register its own watch endpoint.
     })
 }
 
-/// A replica's local view of its lease and shard ownership. Everything
-/// here is conservative cache: etcd's replicated lease + owner keys are
-/// the source of truth, and the fence guarantees this view never claims
-/// more than the server would grant.
+/// A replica's local view of its lease and leadership. Everything here is
+/// conservative cache: etcd's replicated lease + leader key are the
+/// source of truth, and the fence guarantees this view never claims more
+/// than the server would grant.
 #[derive(Default)]
 struct Ownership {
     lease: Option<LeaseId>,
@@ -205,16 +188,16 @@ struct Ownership {
     /// deadline the server holds (the leader's lessor stamps a grant at
     /// apply time and a renewal at receipt, both later). Sweeping stops
     /// at the fence — strictly before the server could delete this
-    /// replica's owner keys.
+    /// replica's leader key.
     fence: SimTime,
     /// A grant RPC is in flight (avoid stacking retries).
     granting: bool,
-    /// Shards this incarnation acquired under `lease`.
-    owned: BTreeSet<u32>,
+    /// This incarnation holds the leader key under `lease`.
+    leads: bool,
 }
 
-/// One LCM incarnation: its clients, its lease and shards, and its
-/// watchlist. The RPC handler, the shard watch, both timers and every
+/// One LCM incarnation: its clients, its lease and leadership, and its
+/// watchlist. The RPC handler, the key watch, both timers and every
 /// callback share it and read its one `alive` flag.
 struct Replica {
     h: Handles,
@@ -229,22 +212,22 @@ struct Replica {
 }
 
 /// The lease the replica holds while its local fence has not lapsed —
-/// the precondition for acquiring shards and for sweeping.
+/// the precondition for claiming the leader key.
 fn valid_lease(rep: &Replica, now: SimTime) -> Option<LeaseId> {
     let o = rep.own.borrow();
     o.lease.filter(|_| now < o.fence)
 }
 
-/// The lease under which this replica may sweep `job`: its shard is
-/// owned and the lease fence is still ahead.
-fn owns_job(rep: &Replica, now: SimTime, job: &JobId) -> Option<LeaseId> {
-    let shard = paths::job_shard(job.as_str(), config::LCM_SHARDS);
-    valid_lease(rep, now).filter(|_| rep.own.borrow().owned.contains(&shard))
+/// The lease under which this replica leads: it holds the key and the
+/// lease fence is still ahead — the precondition for sweeping and
+/// admitting.
+fn leading(rep: &Replica, now: SimTime) -> Option<LeaseId> {
+    valid_lease(rep, now).filter(|_| rep.own.borrow().leads)
 }
 
 /// Grants a fresh lease if none is held and no grant is in flight. On
 /// success the fence starts at send-time + TTL and a reconcile pass
-/// races for unowned shards.
+/// races for the key if it is unheld.
 fn ensure_lease(sim: &mut Sim, rep: &Rc<Replica>) {
     {
         let mut o = rep.own.borrow_mut();
@@ -265,7 +248,7 @@ fn ensure_lease(sim: &mut Sim, rep: &Rc<Replica>) {
             return;
         }
         // On Err (etcd unreachable) there is nothing to do: without a
-        // lease the replica owns nothing and sweeps nothing, and the
+        // lease the replica leads nothing and sweeps nothing, and the
         // keepalive timer re-enters ensure_lease every tick — the retry
         // IS the handling.
         if let Ok(id) = r {
@@ -322,7 +305,7 @@ fn keepalive_tick(sim: &mut Sim, rep: &Rc<Replica>) {
             }
             Ok(false) => {
                 // The server no longer knows the lease: it expired and
-                // the owner keys are gone (or going). Stand down and
+                // the leader key is gone (or going). Stand down and
                 // start over with a fresh lease.
                 sim.metrics()
                     .counter_series(metrics::LCM_LEASE_KEEPALIVE_FAILURES, ["expired"])
@@ -369,11 +352,11 @@ fn arm_fence(sim: &mut Sim, rep: &Rc<Replica>) {
     });
 }
 
-/// Releases every shard and forgets the lease, counting each loss.
-/// Called from the fence/expiry paths only — the CAS'd owner keys are
+/// Gives up the leadership and forgets the lease, counting the loss.
+/// Called from the fence/expiry paths only — the CAS'd leader key is
 /// left to die with the lease.
 fn drop_ownership(sim: &mut Sim, rep: &Rc<Replica>, reason: &'static str) {
-    for _ in release_shards(sim, rep) {
+    if release(sim, rep) {
         sim.metrics()
             .counter_series(metrics::LCM_SHARD_LOSSES, [reason])
             .inc();
@@ -381,24 +364,29 @@ fn drop_ownership(sim: &mut Sim, rep: &Rc<Replica>, reason: &'static str) {
     rep.own.borrow_mut().lease = None;
 }
 
-/// Forgets every shard this incarnation holds, marking each release
-/// under the lease it was held with. Returns the shards released.
-fn release_shards(sim: &mut Sim, rep: &Replica) -> BTreeSet<u32> {
-    let (lease, held) = {
+/// Gives up the leadership if this incarnation holds it: marks the
+/// release under the lease it was held with, and drops the watchlist, so
+/// a standby holds nothing and a later claim starts from watermark 0.
+/// Returns whether it led.
+fn release(sim: &mut Sim, rep: &Replica) -> bool {
+    let lease = {
         let mut o = rep.own.borrow_mut();
-        (o.lease.unwrap_or(0), std::mem::take(&mut o.owned))
+        if !std::mem::take(&mut o.leads) {
+            return false;
+        }
+        o.lease.unwrap_or(0)
     };
-    for &shard in &held {
-        sim.mark(&lcm::LOST_WITH_LEASE, shard, lease);
-    }
-    held
+    sim.mark(&lcm::LOST_WITH_LEASE, 0, lease);
+    *rep.scan.borrow_mut() = ScanState::default();
+    rep.watched.set(0.0);
+    true
 }
 
 /// Races a CAS (expect-absent, value = pod, attached to our lease) for
-/// one shard's owner key. Losing is normal — someone else won, or etcd
-/// is down — and the reconcile backstop retries.
-fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static str) {
-    if shard >= config::LCM_SHARDS || rep.own.borrow().owned.contains(&shard) {
+/// the leader key. Losing is normal — someone else won, or etcd is down
+/// — and the reconcile backstop retries.
+fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, trigger: &'static str) {
+    if rep.own.borrow().leads {
         return;
     }
     let Some(lease) = valid_lease(rep, sim.now()) else {
@@ -407,7 +395,7 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
     let rep2 = rep.clone();
     rep.etcdc.cas_with_lease(
         sim,
-        paths::lcm_shard_owner(shard),
+        paths::lcm_shard_owner(0),
         None,
         Some(rep.pod.clone()),
         Some(lease),
@@ -417,16 +405,15 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
             }
             let claimed = {
                 let mut o = rep2.own.borrow_mut();
-                // The CAS won under `lease`; adopt the shard only if that
-                // lease is still the one we live on and the fence holds.
-                // A stale win's key simply dies with the old lease.
-                o.lease == Some(lease) && sim.now() < o.fence && o.owned.insert(shard)
+                // The CAS won under `lease`; lead only if that lease is
+                // still the one we live on and the fence holds. A stale
+                // win's key simply dies with the old lease.
+                let claimed = o.lease == Some(lease) && sim.now() < o.fence && !o.leads;
+                o.leads |= claimed;
+                claimed
             };
             if claimed {
-                // The sweep kept none of the shard's finished jobs while
-                // it was another's: the next scan replays them.
-                rep2.scan.borrow_mut().replay.insert(shard);
-                sim.mark(&lcm::ACQUIRED_UNDER_LEASE, shard, lease);
+                sim.mark(&lcm::ACQUIRED_UNDER_LEASE, 0, lease);
                 sim.metrics()
                     .counter_series(metrics::LCM_SHARD_ACQUISITIONS, [trigger])
                     .inc();
@@ -435,59 +422,49 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
     );
 }
 
-/// Periodic backstop: lists the owner keys and races for any unowned
-/// shard. Also the *initial* acquisition pass (the watch is registered
-/// before the first call, so nothing can slip between list and watch).
+/// Periodic backstop: reads the leader key and races for it if it is
+/// unheld. Also the *initial* claim (the watch is registered before the
+/// first call, so nothing can slip between read and watch).
 fn reconcile(sim: &mut Sim, rep: &Rc<Replica>) {
     if valid_lease(rep, sim.now()).is_none() {
         return;
     }
     let rep2 = rep.clone();
     rep.etcdc
-        .get_prefix(sim, paths::LCM_SHARDS_PREFIX, move |sim, r| {
+        .get(sim, paths::lcm_shard_owner(0), move |sim, r| {
             if !rep2.alive.get() {
                 return;
             }
             // etcd unreachable: reconcile is itself the retry loop — it
-            // re-runs every scan tick, so a missed pass only delays
-            // shard acquisition by one period.
-            let Ok(pairs) = r else {
+            // re-runs every scan tick, so a missed pass only delays the
+            // claim by one period.
+            let Ok(holder) = r else {
                 return;
             };
-            let listed: BTreeMap<String, String> = pairs.into_iter().collect();
-            for shard in 0..config::LCM_SHARDS {
-                let key = paths::lcm_shard_owner(shard);
-                let owned = rep2.own.borrow().owned.contains(&shard);
-                match listed.get(&key) {
-                    None if !owned => try_acquire(sim, &rep2, shard, "reconcile"),
-                    // Owned but absent from the listing: while our fence
-                    // holds, our lease cannot have been revoked (the
-                    // guarded revoke fires only past the server deadline,
-                    // which is ≥ the fence) and nothing else deletes
-                    // owner keys — so the listing is just stale against
-                    // an acquisition that landed after its snapshot.
-                    None => {}
-                    Some(v) if owned && *v != rep2.pod => {
-                        // Cannot happen while the fence holds (same
-                        // argument as above); defensive backstop so an
-                        // unforeseen displacement degrades to a released
-                        // shard, never a double drive.
-                        let lease = {
-                            let mut o = rep2.own.borrow_mut();
-                            o.owned.remove(&shard);
-                            o.lease.unwrap_or(0)
-                        };
-                        sim.mark(&lcm::LOST_WITH_LEASE, shard, lease);
-                        sim.metrics()
-                            .counter_series(metrics::LCM_SHARD_LOSSES, ["displaced"])
-                            .inc();
-                    }
-                    // Held by someone else — or by a previous incarnation
-                    // of this very pod (same value, but not in `owned`):
-                    // that key is attached to the dead incarnation's
-                    // lease and will expire; never adopt it.
-                    Some(_) => {}
+            let leads = rep2.own.borrow().leads;
+            match holder {
+                None if !leads => try_acquire(sim, &rep2, "reconcile"),
+                // Led but absent from the read: while our fence holds,
+                // our lease cannot have been revoked (the guarded revoke
+                // fires only past the server deadline, which is ≥ the
+                // fence) and nothing else deletes the key — so the read
+                // is just stale against a claim that landed after it.
+                None => {}
+                Some(v) if leads && v != rep2.pod => {
+                    // Cannot happen while the fence holds (same argument
+                    // as above); defensive backstop so an unforeseen
+                    // displacement degrades to a released leadership,
+                    // never a double drive.
+                    release(sim, &rep2);
+                    sim.metrics()
+                        .counter_series(metrics::LCM_SHARD_LOSSES, ["displaced"])
+                        .inc();
                 }
+                // Held by someone else — or by a previous incarnation of
+                // this very pod (same value, but not `leads`): that key
+                // is attached to the dead incarnation's lease and will
+                // expire; never adopt it.
+                Some(_) => {}
             }
         });
 }
@@ -564,18 +541,13 @@ fn deploying_since(doc: &Value) -> Option<SimTime> {
 
 /// The scan's watchlist, keyed off the metadata store's change feed.
 ///
-/// Everything here is a cache of the jobs collection: a fresh incarnation
+/// Everything here is a cache of the jobs collection: a new leader
 /// (watermark 0) rebuilds it from the full feed, so losing it in an LCM
-/// crash costs one wide scan, never correctness.
+/// crash or a lost leadership costs one wide scan, never correctness.
 #[derive(Debug, Default)]
 struct ScanState {
     /// Change-feed sequence number the next scan resumes from.
     watermark: u64,
-    /// Shards claimed since the last jobs-feed read was sent: their
-    /// finished jobs are off the watchlist, dropped by sweeps while the
-    /// shards were another's, so the next read starts the feed from 0
-    /// and ingests their documents, whatever their change sequence.
-    replay: BTreeSet<u32>,
     /// Every job a sweep rule watches, and what for. A changed document
     /// updates its job's entry where it is: a job costs an allocation
     /// when the feed first shows it, not on every change.
@@ -587,7 +559,7 @@ struct ScanState {
     /// The tenant registry (quotas + fair-share weights), fed by the
     /// tenants collection's change feed.
     tenants: BTreeMap<String, TenantShare>,
-    /// The queue-depth gauge of every tenant this replica has seen queue,
+    /// The queue-depth gauge of every tenant this leader has seen queue,
     /// and whether its last round set it (so a drained tenant's gauge
     /// drops back to 0 instead of going stale).
     depth_gauges: BTreeMap<String, (GaugeHandle, bool)>,
@@ -665,12 +637,6 @@ fn ingest(sim: &mut Sim, st: &mut ScanState, doc: &Value) {
             }
         }
     }
-}
-
-/// Whether job document `doc` is in one of `shards`.
-fn in_shards(doc: &Value, shards: &BTreeSet<u32>) -> bool {
-    let id = doc.path("_id").and_then(Value::as_str);
-    id.is_some_and(|id| shards.contains(&paths::job_shard(id, config::LCM_SHARDS)))
 }
 
 /// What the sweep watches job `id` for now that its document reads `doc`
@@ -774,34 +740,30 @@ fn watch_of(sim: &mut Sim, doc: &Value, id: &str, was: Option<Watch>) -> Option<
     }
 }
 
+/// The leader's scan: pulls the jobs feed above the watermark, then the
+/// tenants feed, then sweeps and admits. A standby reads nothing.
 fn scan(sim: &mut Sim, rep: &Rc<Replica>) {
-    // Shards claimed since the last read: this one replays the feed for
-    // them. Taken now, so a claim that lands while it is in flight waits
-    // for the next read instead of being lost to this one's watermark.
-    let (watermark, claimed) = {
-        let mut st = rep.scan.borrow_mut();
-        (st.watermark, std::mem::take(&mut st.replay))
-    };
-    let since = if claimed.is_empty() { watermark } else { 0 };
+    if !rep.own.borrow().leads {
+        return;
+    }
+    let since = rep.scan.borrow().watermark;
     let rep2 = rep.clone();
     rep.meta.find_changed(sim, JOBS, since, move |sim, r| {
-        // Store unreachable: keep the old watermark and the replay, and
-        // retry next tick.
+        // Store unreachable: keep the old watermark and retry next tick.
         let Ok((docs, gone, high_water)) = r else {
-            rep2.scan.borrow_mut().replay.extend(claimed);
             return;
         };
         let tenants_since = {
             let mut st = rep2.scan.borrow_mut();
+            // Read for a watchlist this replica no longer keeps: it lost
+            // the leadership since (and may have claimed it again, from
+            // watermark 0).
+            if !rep2.own.borrow().leads || st.watermark != since {
+                return;
+            }
             st.watermark = high_water;
-            // A change this replica has not read yet, or any document of
-            // a shard it just claimed: what it read before that claim it
-            // has already ingested (and a finished job of a shard it did
-            // not own, dropped).
-            for (seq, doc) in &docs {
-                if *seq > watermark || in_shards(doc, &claimed) {
-                    ingest(sim, &mut st, doc);
-                }
+            for doc in &docs {
+                ingest(sim, &mut st, doc);
             }
             for id in &gone {
                 st.jobs.remove(id.as_str());
@@ -816,8 +778,13 @@ fn scan(sim: &mut Sim, rep: &Rc<Replica>) {
             .find_changed(sim, TENANTS, tenants_since, move |sim, r| {
                 if let Ok((docs, gone, high_water)) = r {
                     let mut st = rep3.scan.borrow_mut();
+                    // As for the jobs feed: a registry dropped since the
+                    // read was sent is rebuilt from 0 by the next one.
+                    if !rep3.own.borrow().leads || st.tenants_watermark != tenants_since {
+                        return;
+                    }
                     st.tenants_watermark = high_water;
-                    for (_, doc) in &docs {
+                    for doc in &docs {
                         if let Some(t) = Tenant::from_document(doc) {
                             st.tenants.insert(
                                 t.id,
@@ -839,17 +806,15 @@ fn scan(sim: &mut Sim, rep: &Rc<Replica>) {
     });
 }
 
-/// The fair-queue admission arbiter: runs only on the replica currently
-/// owning [`ARBITER_SHARD`], computes the pure [`admission_plan`] over
-/// the watchlist, and applies it with CAS-guarded QUEUED → PENDING
-/// updates. Admissions are deliberately NOT reported as sweep drives:
-/// the admitted job's shard may belong to another replica, and the
-/// ledger's at-most-one-owner check is about lifecycle sweeps — the
-/// admission write itself is single-winner by the status CAS, and
-/// [`ensure_guardian`] is idempotent under races with the owner's own
-/// pending sweep.
+/// The fair-queue admission arbiter: runs only on the leader, computes
+/// the pure [`admission_plan`] over the watchlist, and applies it with
+/// CAS-guarded QUEUED → PENDING updates. Fair-queue admission is a global
+/// decision (usage ratios compare across tenants), so it runs on exactly
+/// one replica, fenced like the sweep. Admissions are not reported as
+/// sweep drives: the admission write itself is single-winner by the
+/// status CAS, and [`ensure_guardian`] is idempotent.
 fn admit(sim: &mut Sim, rep: &Rc<Replica>) {
-    if valid_lease(rep, sim.now()).is_none() || !rep.own.borrow().owned.contains(&ARBITER_SHARD) {
+    if leading(rep, sim.now()).is_none() {
         return;
     }
 
@@ -919,7 +884,7 @@ fn admit(sim: &mut Sim, rep: &Rc<Replica>) {
     }
 }
 
-/// What the sweep does about a job in a shard this replica owns.
+/// What the leader's sweep does about a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Drive {
     /// PENDING past [`config::PENDING_REDEPLOY_AFTER`] and no Guardian K8s
@@ -946,7 +911,7 @@ impl Drive {
     }
 }
 
-/// The sweep's rules for one owned job: a pure function of its watchlist
+/// The sweep's rules for one job: a pure function of its watchlist
 /// entry, the time, and the status of its Guardian K8s Job (`None`: there
 /// is none).
 fn decide(watch: &Watch, now: SimTime, guardian: Option<KubeJobStatus>) -> Option<Drive> {
@@ -972,34 +937,30 @@ fn decide(watch: &Watch, now: SimTime, guardian: Option<KubeJobStatus>) -> Optio
 }
 
 /// Walks the watchlist once (not the whole collection) and applies the
-/// self-healing rules of [`decide`] — to owned shards only. Every replica
-/// ingests the full feed, but a job is swept exclusively by the current
-/// owner of its shard; each drive is marked first, with the lease its
-/// ownership was decided under (what the ownership ledger checks). Only
-/// the jobs a rule acts on are copied out, since acting calls into other
-/// components.
+/// self-healing rules of [`decide`]. Only the leader sweeps, and it
+/// checks its lease once: it owns every job. Each drive is marked first,
+/// with the lease the leadership was decided under (what the ownership
+/// ledger checks). Only the jobs a rule acts on are copied out, since
+/// acting calls into other components.
 fn sweep(sim: &mut Sim, rep: &Rc<Replica>) {
     let now = sim.now();
-    let mut drives: Vec<(JobId, LeaseId, Drive)> = Vec::new();
-    let mut st = rep.scan.borrow_mut();
-    st.jobs.retain(|job, watch| {
-        let Some(lease) = owns_job(rep, now, job) else {
-            // A finished job is collected by its shard's owner alone, and
-            // a replica that takes the shard replays the feed for it.
-            return !matches!(watch, Watch::TerminalGc);
-        };
+    let Some(lease) = leading(rep, now) else {
+        return;
+    };
+    let mut drives: Vec<(JobId, Drive)> = Vec::new();
+    let st = rep.scan.borrow();
+    for (job, watch) in &st.jobs {
         let guardian = watch
             .active()
             .and_then(|a| rep.h.kube.job_status(&a.guardian));
         if let Some(drive) = decide(watch, now, guardian) {
-            drives.push((job.clone(), lease, drive));
+            drives.push((job.clone(), drive));
         }
-        true
-    });
+    }
     rep.watched.set(st.jobs.len() as f64);
     drop(st);
-    drives.sort_by_key(|&(_, _, drive)| drive.rank());
-    for (job, lease, drive) in drives {
+    drives.sort_by_key(|&(_, drive)| drive.rank());
+    for (job, drive) in drives {
         match drive {
             Drive::Redeploy => {
                 sim.mark(&lcm::REDEPLOY_STRANDED, job.as_str(), lease);
@@ -1067,9 +1028,10 @@ fn collect(sim: &mut Sim, rep: &Rc<Replica>, job: JobId, lease: LeaseId) {
     let prefix = paths::etcd_job_prefix(&job);
     let prefix2 = prefix.clone();
     // The shared client outlives this incarnation: an answer that lands
-    // after it stopped drives nothing.
+    // after it stopped (which gives up the leadership) or lost the
+    // leadership drives nothing.
     rep.h.etcd_gc.get_prefix(sim, prefix, move |sim, r| {
-        if !rep2.alive.get() {
+        if leading(&rep2, sim.now()) != Some(lease) {
             return;
         }
         match r {

@@ -24,16 +24,19 @@ dlaas_sim::marks! {
         RECORDED = "recorded";
     }
 
-    /// The Lifecycle Manager's marks. A shard's are on the shard's
-    /// number; a sweep's carry the lease its ownership was decided under.
+    /// The Lifecycle Manager's marks. A claim's and a release's subject is
+    /// 0, the number of the one shard whose owner key is the leader key;
+    /// a sweep's carry the lease its leadership was decided under.
     lcm: "lcm" {
         /// A replica started (subject: its pod); arg: 0.
         UP = "up";
         /// A replica was granted a lease (subject: its pod); arg: the lease.
         LEASE_GRANTED = "lease-granted";
-        /// A replica claimed a shard; arg: the lease it holds it under.
+        /// A replica claimed the leader key (subject: 0); arg: the lease it
+        /// holds it under.
         ACQUIRED_UNDER_LEASE = "acquired-under-lease";
-        /// A replica released a shard; arg: the lease it held it under.
+        /// A replica released the leader key (subject: 0); arg: the lease
+        /// it held it under.
         LOST_WITH_LEASE = "lost-with-lease";
         /// The Guardian K8s Job of a job was created; arg: 0.
         GUARDIAN_CREATED = "guardian-created";

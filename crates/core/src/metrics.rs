@@ -78,8 +78,9 @@ dlaas_obs::declare_metrics! {
         "terminal-job leftovers garbage-collected by the scan",
     );
     /// Jobs on an LCM replica's watchlist after its latest sweep, by pod:
-    /// the queued and admitted jobs of every shard, and the finished jobs
-    /// of the shards it owns that it has not yet confirmed collected.
+    /// on the leader, every queued and admitted job and every finished job
+    /// it has not yet confirmed collected; on a standby, 0 (it keeps no
+    /// watchlist, and a lost leadership sets it back to 0).
     pub const LCM_WATCHLIST: &GaugeDecl<1> = &GaugeDecl::new(
         "dlaas_lcm_watchlist_entries",
         ["pod"],
@@ -92,17 +93,19 @@ dlaas_obs::declare_metrics! {
         ["field"],
         "malformed job documents skipped by the LCM, by field",
     );
-    /// Job-space shards an LCM replica won via CAS, by trigger (`watch` for
-    /// expiry-driven takeover, `reconcile` for the periodic backstop).
+    /// Claims of the LCM leader key won via CAS, by trigger (`watch` for
+    /// expiry-driven takeover, `reconcile` for the periodic backstop). The
+    /// name is the one shard's; the benchmark package reads it.
     pub const LCM_SHARD_ACQUISITIONS: &CounterDecl<1> = &CounterDecl::new(
         "dlaas_lcm_shard_acquisitions_total",
         ["trigger"],
         "LCM shards won via CAS, by trigger",
     );
-    /// Job-space shards an LCM replica stood down from, by reason (`fence`
-    /// when the local lease deadline lapsed unconfirmed, `expired` when the
+    /// Leaderships an LCM replica stood down from, by reason (`fence` when
+    /// the local lease deadline lapsed unconfirmed, `expired` when the
     /// server reported the lease dead, `displaced` for the defensive
-    /// someone-else-holds-my-key backstop).
+    /// someone-else-holds-my-key backstop). The name is the one shard's;
+    /// the benchmark package reads it.
     pub const LCM_SHARD_LOSSES: &CounterDecl<1> = &CounterDecl::new(
         "dlaas_lcm_shard_losses_total",
         ["reason"],

@@ -196,16 +196,15 @@ impl MetaClient {
     }
 
     /// Fetches the collection's change feed above `since`: documents that
-    /// changed and still exist, each with the sequence number of its
-    /// latest change, ids whose latest change was a removal, and the new
-    /// watermark to pass next time. `since == 0` returns the full feed
-    /// (the restart / lost-watermark fallback).
+    /// changed and still exist, ids whose latest change was a removal,
+    /// and the new watermark to pass next time. `since == 0` returns the
+    /// full feed (the restart / lost-watermark fallback).
     pub fn find_changed(
         &self,
         sim: &mut Sim,
         coll: &str,
         since: u64,
-        done: impl FnOnce(&mut Sim, Result<(Vec<(u64, Doc)>, Vec<String>, u64), MetaError>) + 'static,
+        done: impl FnOnce(&mut Sim, Result<(Vec<Doc>, Vec<String>, u64), MetaError>) + 'static,
     ) {
         let coll = coll.into();
         let req = MongoRequest::FindChanged { coll, since };

@@ -127,25 +127,13 @@ pub fn parse_etcd_job_key(job: &JobId, key: &str) -> Option<JobKey> {
     }
 }
 
-/// etcd prefix under which the LCM replicas' shard-ownership keys live.
-pub const LCM_SHARDS_PREFIX: &str = "lcm/shards/";
-
 /// etcd key naming the owner of LCM shard `shard` (value = replica pod
-/// name, attached to that replica's lease so it vanishes on expiry).
+/// name, attached to that replica's lease so it vanishes on expiry). The
+/// LCM has one shard: `lcm_shard_owner(0)` is the leader key. The name
+/// and the argument stay because the benchmark package reads the key
+/// through them to find the leader.
 pub fn lcm_shard_owner(shard: u32) -> String {
-    format!("{LCM_SHARDS_PREFIX}{shard:03}")
-}
-
-/// The shard a job hashes into (FNV-1a over the job id, mod `shards`).
-/// Pure and stable: every LCM replica, the fault matrix, and the
-/// invariant checker must agree on the partition.
-pub fn job_shard(job: &str, shards: u32) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in job.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % u64::from(shards.max(1))) as u32
+    format!("lcm/shards/{shard:03}")
 }
 
 /// NFS: the job spec the Guardian drops for learners & helpers.
@@ -321,20 +309,8 @@ mod tests {
     #[test]
     fn shard_owner_keys_sort_with_the_prefix() {
         assert_eq!(lcm_shard_owner(3), "lcm/shards/003");
-        assert!(lcm_shard_owner(12).starts_with(LCM_SHARDS_PREFIX));
+        assert_eq!(lcm_shard_owner(0), "lcm/shards/000", "the leader key");
         // Zero-padded so key order equals shard order up to 999 shards.
         assert!(lcm_shard_owner(2) < lcm_shard_owner(10));
-    }
-
-    #[test]
-    fn job_shard_is_stable_and_in_range() {
-        let s = job_shard("job-42", 8);
-        assert!(s < 8);
-        assert_eq!(s, job_shard("job-42", 8), "hash must be deterministic");
-        assert_eq!(job_shard("job-42", 1), 0);
-        // Different jobs spread across shards (not all in one bucket).
-        let hit: std::collections::BTreeSet<u32> =
-            (0..64).map(|i| job_shard(&format!("job-{i}"), 8)).collect();
-        assert!(hit.len() > 4, "FNV-1a should spread 64 ids over 8 shards");
     }
 }

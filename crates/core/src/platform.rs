@@ -89,7 +89,8 @@ pub struct DlaasPlatform {
     /// can swap a recovered server in.
     mongo: Rc<RefCell<Rc<MongoServer>>>,
     mongo_rpc: MongoRpc,
-    /// The shard-ownership ledger, fed by the LCM replicas' marks.
+    /// The LCM leadership ledger (the one shard's), fed by the LCM
+    /// replicas' marks.
     shard_tracker: ShardTracker,
     /// Clone-handle of the sim's metrics registry (same underlying store).
     metrics: dlaas_sim::Registry,
@@ -256,7 +257,8 @@ impl DlaasPlatform {
         &self.etcd
     }
 
-    /// The shard-ownership ledger the LCM replicas' marks feed.
+    /// The LCM leadership ledger (the one shard's) the LCM replicas'
+    /// marks feed.
     pub fn shard_tracker(&self) -> &ShardTracker {
         &self.shard_tracker
     }
@@ -386,16 +388,12 @@ impl DlaasPlatform {
     /// returns the watermark to pass next time: the invariant checker's
     /// read, the LCM's own mechanism without the network. `since == 0`
     /// lends every document.
-    pub fn for_each_job_change(
-        &self,
-        since: u64,
-        mut visit: impl FnMut(&str, Option<&Doc>),
-    ) -> u64 {
+    pub fn for_each_job_change(&self, since: u64, visit: impl FnMut(&str, Option<&Doc>)) -> u64 {
         self.mongo
             .borrow()
             .store()
             .borrow()
-            .for_each_change(JOBS, since, |_, id, doc| visit(id, doc))
+            .for_each_change(JOBS, since, visit)
     }
 
     /// Every tenant document currently in the store (the invariant

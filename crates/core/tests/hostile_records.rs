@@ -14,9 +14,13 @@ use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dlaas_core::paths::{self, JobKey};
-use dlaas_core::{JobId, JobStatus, LearnerPhase, MetaClient, TrainingManifest};
-use dlaas_docstore::{Obj, Value};
+use dlaas_core::{
+    check_invariants, config, DlaasPlatform, InvariantMonitor, JobId, JobStatus, LearnerPhase,
+    MetaClient, Tenant, TrainingManifest, JOBS,
+};
+use dlaas_docstore::{obj, Obj, Value};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
+use dlaas_sim::{Sim, SimDuration};
 use proptest::prelude::*;
 use proptest::strategy::TestRng;
 
@@ -448,36 +452,55 @@ fn a_manifest_integer_out_of_range_is_refused_not_wrapped() {
     assert_eq!(with(&[]), Ok(manifest));
 }
 
+/// A live platform whose one tenant, `acme`, has a quota of `max_gpus`
+/// (0: unlimited), with `docs` written to its jobs collection as they are,
+/// 30 s after boot.
+fn live_store(seed: u64, max_gpus: u32, docs: Vec<Value>) -> (Sim, DlaasPlatform) {
+    let mut sim = Sim::new(seed);
+    sim.trace_mut().set_enabled(true);
+    let platform = DlaasPlatform::bootstrapped(&mut sim);
+    platform
+        .add_tenant(&Tenant::new("acme", "acme-key", max_gpus))
+        .expect("tenant insert");
+    sim.run_for(SimDuration::from_secs(30));
+    let meta = MetaClient::new(platform.handles().mongo.clone(), "hostile");
+    for doc in docs {
+        meta.insert(&mut sim, JOBS, doc, |_sim, r| {
+            assert!(r.is_ok(), "{r:?}");
+        });
+    }
+    (sim, platform)
+}
+
+/// How many malformed job documents the LCM counted by `field`.
+fn malformed(platform: &DlaasPlatform, field: &str) -> Option<f64> {
+    let key = format!("dlaas_lcm_malformed_records_total{{field=\"{field}\"}}");
+    platform.metrics().snapshot().get(&key)
+}
+
 /// A PENDING job document with no stamp, swept in a live store: the LCM
 /// counts it malformed and leaves it off its redeploy watch. It used to
 /// read the missing stamp as 0, a clock the document never held, so the
 /// job looked pending since boot and was redeployed at the first sweep.
 #[test]
 fn a_stampless_pending_document_is_counted_malformed_not_redeployed() {
-    use dlaas_core::{config, DlaasPlatform, Tenant, JOBS};
-    use dlaas_docstore::obj;
-    use dlaas_sim::{Sim, SimDuration};
-
-    let mut sim = Sim::new(93);
-    sim.trace_mut().set_enabled(true);
-    let platform = DlaasPlatform::bootstrapped(&mut sim);
-    platform
-        .add_tenant(&Tenant::new("acme", "acme-key", 0))
-        .expect("tenant insert");
-    sim.run_for(SimDuration::from_secs(30));
-    let meta = MetaClient::new(platform.handles().mongo.clone(), "hostile");
     let doc = obj! {"_id" => "stampless", "status" => "PENDING", "tenant" => "acme", "gpus" => 1};
-    meta.insert(&mut sim, JOBS, doc, |_sim, r| {
-        assert!(r.is_ok(), "{r:?}");
-    });
+    let (mut sim, platform) = live_store(93, 0, vec![doc]);
     sim.run_for(config::PENDING_REDEPLOY_AFTER + config::LCM_SCAN * 4);
     let timeline = sim.trace().of("stampless").to_string();
     assert!(!timeline.contains("redeploy-stranded"), "{timeline}");
-    let malformed = platform
-        .metrics()
-        .snapshot()
-        .get("dlaas_lcm_malformed_records_total{field=\"submitted_us\"}");
-    assert!(malformed >= Some(1.0), "counted {malformed:?}");
+    let counted = malformed(&platform, "submitted_us");
+    assert!(counted >= Some(1.0), "counted {counted:?}");
+}
+
+/// The QUEUED document of a tenant whose quota another job holds, with an
+/// unreadable `gpus`.
+fn gpuless_behind_a_holder() -> Vec<Value> {
+    let holder = obj! {"_id" => "holder", "status" => "PROCESSING", "tenant" => "acme",
+    "gpus" => 1, "submitted_us" => 1, "admitted_us" => 1};
+    let hostile = obj! {"_id" => "gpuless", "status" => "QUEUED", "tenant" => "acme",
+    "gpus" => "one", "manifest" => "{", "submitted_us" => 2};
+    vec![holder, hostile]
 }
 
 /// A QUEUED job document whose `gpus` is unreadable, swept in a live
@@ -487,34 +510,30 @@ fn a_stampless_pending_document_is_counted_malformed_not_redeployed() {
 /// fit the full quota and were admitted.
 #[test]
 fn a_queued_document_with_an_unreadable_gpu_count_is_not_admitted() {
-    use dlaas_core::{config, DlaasPlatform, Tenant, JOBS};
-    use dlaas_docstore::obj;
-    use dlaas_sim::{Sim, SimDuration};
-
-    let mut sim = Sim::new(94);
-    let platform = DlaasPlatform::bootstrapped(&mut sim);
-    platform
-        .add_tenant(&Tenant::new("acme", "acme-key", 1))
-        .expect("tenant insert");
-    sim.run_for(SimDuration::from_secs(30));
-    let meta = MetaClient::new(platform.handles().mongo.clone(), "hostile");
-    let holder = obj! {"_id" => "holder", "status" => "PROCESSING", "tenant" => "acme",
-    "gpus" => 1, "submitted_us" => 1, "admitted_us" => 1};
-    let hostile = obj! {"_id" => "gpuless", "status" => "QUEUED", "tenant" => "acme",
-    "gpus" => "one", "manifest" => "{", "submitted_us" => 2};
-    for doc in [holder, hostile] {
-        meta.insert(&mut sim, JOBS, doc, |_sim, r| {
-            assert!(r.is_ok(), "{r:?}");
-        });
-    }
+    let (mut sim, platform) = live_store(94, 1, gpuless_behind_a_holder());
     sim.run_for(config::LCM_SCAN * 4);
     let status = platform.job_status(&JobId::new("gpuless"));
     assert_eq!(status, Some(JobStatus::Queued));
-    let malformed = platform
-        .metrics()
-        .snapshot()
-        .get("dlaas_lcm_malformed_records_total{field=\"gpus\"}");
-    assert!(malformed >= Some(1.0), "counted {malformed:?}");
+    let counted = malformed(&platform, "gpus");
+    assert!(counted >= Some(1.0), "counted {counted:?}");
+}
+
+/// The same job under the invariant monitor, past the admission bound:
+/// the checker does not report its tenant starved. It used to read the
+/// unreadable demand as 0 GPUs, which fit the quota's headroom, and blame
+/// the arbiter for a job the LCM rightly never admits.
+#[test]
+fn a_queued_document_with_an_unreadable_gpu_count_starves_no_tenant() {
+    let (mut sim, platform) = live_store(94, 1, gpuless_behind_a_holder());
+    let monitor = InvariantMonitor::install(&mut sim, &platform, SimDuration::from_secs(5));
+    sim.run_for(SimDuration::from_mins(15));
+    assert_eq!(
+        platform.job_status(&JobId::new("gpuless")),
+        Some(JobStatus::Queued)
+    );
+    let seen = monitor.violations_seen();
+    monitor.cancel();
+    assert_eq!(seen, 0, "{}", sim.trace().of("gpuless"));
 }
 
 /// A DEPLOYING job document whose history holds no DEPLOYING stamp,
@@ -522,27 +541,38 @@ fn a_queued_document_with_an_unreadable_gpu_count_is_not_admitted() {
 /// the job no deploy timeout and say nothing.
 #[test]
 fn a_deploying_document_without_its_stamp_is_counted_malformed() {
-    use dlaas_core::{config, DlaasPlatform, Tenant, JOBS};
-    use dlaas_docstore::obj;
-    use dlaas_sim::{Sim, SimDuration};
-
-    let mut sim = Sim::new(95);
-    let platform = DlaasPlatform::bootstrapped(&mut sim);
-    platform
-        .add_tenant(&Tenant::new("acme", "acme-key", 0))
-        .expect("tenant insert");
-    sim.run_for(SimDuration::from_secs(30));
-    let meta = MetaClient::new(platform.handles().mongo.clone(), "hostile");
     let history = vec![obj! {"status" => "PENDING", "t_us" => 5}];
     let doc = obj! {"_id" => "unstamped", "status" => "DEPLOYING", "tenant" => "acme",
     "gpus" => 1, "submitted_us" => 5, "history" => history};
-    meta.insert(&mut sim, JOBS, doc, |_sim, r| {
-        assert!(r.is_ok(), "{r:?}");
-    });
+    let (mut sim, platform) = live_store(95, 0, vec![doc]);
     sim.run_for(config::LCM_SCAN * 2);
-    let malformed = platform
-        .metrics()
-        .snapshot()
-        .get("dlaas_lcm_malformed_records_total{field=\"history\"}");
-    assert!(malformed >= Some(1.0), "counted {malformed:?}");
+    let counted = malformed(&platform, "history");
+    assert!(counted >= Some(1.0), "counted {counted:?}");
+}
+
+/// A corrupt `tenant`, swept end to end in a live store: a QUEUED document
+/// whose tenant is a number is counted malformed and never admitted, a
+/// PENDING one with no tenant is swept like any other, and the invariant
+/// monitor finds nothing wrong with the platform for either.
+#[test]
+fn a_document_with_a_corrupt_tenant_is_swept_without_a_panic() {
+    let queued = obj! {"_id" => "numbered", "status" => "QUEUED", "tenant" => 7,
+    "gpus" => 1, "submitted_us" => 2};
+    let pending = obj! {"_id" => "tenantless", "status" => "PENDING",
+    "gpus" => 1, "submitted_us" => 2};
+    let (mut sim, platform) = live_store(96, 0, vec![queued, pending]);
+    let monitor = InvariantMonitor::install(&mut sim, &platform, SimDuration::from_secs(5));
+    sim.run_for(SimDuration::from_mins(15));
+    assert_eq!(
+        platform.job_status(&JobId::new("numbered")),
+        Some(JobStatus::Queued)
+    );
+    let counted = malformed(&platform, "queued");
+    assert!(counted >= Some(1.0), "counted {counted:?}");
+    let tenantless = sim.trace().of("tenantless").to_string();
+    assert!(tenantless.contains("redeploy-stranded"), "{tenantless}");
+    let seen = monitor.violations_seen();
+    monitor.cancel();
+    assert_eq!(seen, 0, "{tenantless}");
+    check_invariants(&sim, &platform).assert_clean();
 }

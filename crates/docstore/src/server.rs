@@ -86,9 +86,8 @@ pub enum MongoResponse {
     Deleted(usize),
     /// Change feed above the requested watermark.
     Changed {
-        /// Documents that changed and still exist, in change order, each
-        /// with the sequence number of its latest change.
-        docs: Vec<(u64, Doc)>,
+        /// Documents that changed and still exist, in change order.
+        docs: Vec<Doc>,
         /// Ids whose latest change was a removal.
         gone: Vec<String>,
         /// Current high-water sequence number (the next `since`).
@@ -260,12 +259,7 @@ impl MongoServer {
                     MongoResponse::Deleted(store.delete_one(coll, filter) as usize)
                 }
                 MongoRequest::FindChanged { coll, since } => {
-                    let (mut docs, mut gone) = (Vec::new(), Vec::new());
-                    let high_water =
-                        store.for_each_change(coll, *since, |seq, id, doc| match doc {
-                            Some(doc) => docs.push((seq, doc.clone())),
-                            None => gone.push(id.to_owned()),
-                        });
+                    let (docs, gone, high_water) = store.changed_since(coll, *since);
                     MongoResponse::Changed {
                         docs,
                         gone,
@@ -506,8 +500,7 @@ mod tests {
                 gone,
                 high_water,
             } => {
-                let seqs: Vec<u64> = docs.iter().map(|(seq, _)| *seq).collect();
-                assert_eq!(seqs, [1, 2, 3]);
+                assert_eq!(docs.len(), 3);
                 assert!(gone.is_empty());
                 high_water
             }

@@ -736,7 +736,7 @@ impl DocStore {
     /// its watermark (e.g. an LCM restart) falls back to a full rescan.
     pub fn changed_since(&self, coll: &str, since: u64) -> (Vec<Doc>, Vec<String>, u64) {
         let (mut docs, mut gone) = (Vec::new(), Vec::new());
-        let high_water = self.for_each_change(coll, since, |_, id, doc| match doc {
+        let high_water = self.for_each_change(coll, since, |id, doc| match doc {
             Some(d) => docs.push(d.clone()),
             None => gone.push(id.to_owned()),
         });
@@ -744,29 +744,28 @@ impl DocStore {
     }
 
     /// [`DocStore::changed_since`] lent to `visit` in change order rather
-    /// than collected: `(seq, id, Some(document))` for a document that
-    /// exists now, `(seq, id, None)` for one whose latest change removed
-    /// it, where `seq` is the sequence number of that latest change.
-    /// Returns the high-water sequence number (the next `since`). A reader
-    /// that keeps its own summary of the collection — the invariant
-    /// checker — reads each changed document once and copies none.
+    /// than collected: `(id, Some(document))` for a document that exists
+    /// now, `(id, None)` for one whose latest change removed it. Returns
+    /// the high-water sequence number (the next `since`). A reader that
+    /// keeps its own summary of the collection — the invariant checker —
+    /// reads each changed document once and copies none.
     pub fn for_each_change(
         &self,
         coll: &str,
         since: u64,
-        mut visit: impl FnMut(u64, &str, Option<&Doc>),
+        mut visit: impl FnMut(&str, Option<&Doc>),
     ) -> u64 {
         let Some(c) = self.collections.get(coll) else {
             self.last_examined.set(0);
             return 0;
         };
         let mut examined = 0u64;
-        for (&seq, id) in c
+        for (_, id) in c
             .by_seq
             .range((std::ops::Bound::Excluded(since), std::ops::Bound::Unbounded))
         {
             examined += 1;
-            visit(seq, id, c.docs.get(id));
+            visit(id, c.docs.get(id));
         }
         self.last_examined.set(examined);
         c.change_seq

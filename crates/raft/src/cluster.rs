@@ -316,6 +316,39 @@ mod tests {
         );
     }
 
+    /// A node cut off from a quorum campaigns only by pre-vote, so its term
+    /// stays put: when the majority comes back and elects a leader, the
+    /// node's first request cannot depose it with a higher term. Without
+    /// the pre-vote the survivor's term rose by one at each timeout alone,
+    /// and the leader the restarted pair elected could lose its term to
+    /// the survivor's next campaign.
+    #[test]
+    fn a_node_alone_keeps_its_term_and_deposes_no_leader() {
+        let mut sim = Sim::new(17);
+        let (cluster, _applied) = test_cluster(&mut sim, 3);
+        let l = cluster.expect_leader(&mut sim, SimDuration::from_secs(5));
+        let survivor = (0..3).find(|i| *i != l).unwrap();
+        let term = cluster.node(survivor).term();
+        let down: Vec<NodeId> = (0..3).filter(|i| *i != survivor).collect();
+        for &id in &down {
+            cluster.crash(&mut sim, id);
+        }
+        sim.run_for(SimDuration::from_secs(40));
+        assert_eq!(
+            cluster.node(survivor).term(),
+            term,
+            "the lone node's term rose"
+        );
+        for &id in &down {
+            cluster.restart(&mut sim, id);
+        }
+        let leader = cluster.expect_leader(&mut sim, SimDuration::from_secs(5));
+        let elected = cluster.node(leader).term();
+        sim.run_for(SimDuration::from_secs(10));
+        assert_eq!(cluster.leader_id(), Some(leader));
+        assert_eq!(cluster.node(leader).term(), elected);
+    }
+
     #[test]
     fn minority_partition_cannot_commit() {
         let mut sim = Sim::new(13);

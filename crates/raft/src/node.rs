@@ -545,7 +545,7 @@ impl<C: Clone + 'static> Raft<C> {
                 s.alive && s.role != Role::Leader
             };
             if fire {
-                me.start_election(sim);
+                me.campaign(sim, true);
             }
         });
     }
@@ -593,25 +593,42 @@ impl<C: Clone + 'static> Raft<C> {
     // Elections
     // ------------------------------------------------------------------
 
-    fn start_election(&self, sim: &mut Sim) {
+    /// Campaigns: a pre-vote (`pre`) after an election timeout, asking the
+    /// peers whether they would vote for this node in the next term, and
+    /// the election itself once a quorum says yes (Raft thesis §9.6). A
+    /// pre-vote changes no term and no vote, so a node cut off from a
+    /// quorum never raises its term, and cannot depose the leader a
+    /// restarted or reconnected majority elects by standing at a higher
+    /// term the moment it hears from them.
+    fn campaign(&self, sim: &mut Sim, pre: bool) {
         let (id, term, last_index, last_term, peers) = {
             let mut s = self.inner.borrow_mut();
-            s.role = Role::Candidate;
-            s.elections_started += 1;
+            let me = s.id;
             let mut disk = s.disk.borrow_mut();
-            disk.current_term += 1;
-            disk.voted_for = Some(s.id);
-            let term = disk.current_term;
+            let term = if pre {
+                disk.current_term + 1
+            } else {
+                disk.current_term += 1;
+                disk.voted_for = Some(me);
+                disk.current_term
+            };
             let li = disk.last_index();
             let lt = disk.last_term();
             drop(disk);
+            if pre {
+                s.role = Role::PreCandidate;
+            } else {
+                s.role = Role::Candidate;
+                s.elections_started += 1;
+            }
             s.votes.clear();
-            let me = s.id;
             s.votes.insert(me);
             s.leader_hint = None;
-            (s.id, term, li, lt, s.others().collect::<Vec<_>>())
+            (me, term, li, lt, s.others().collect::<Vec<_>>())
         };
-        sim.mark(&raft::ELECTION, id, term);
+        if !pre {
+            sim.mark(&raft::ELECTION, id, term);
+        }
         for p in peers {
             self.net.send(
                 sim,
@@ -622,22 +639,25 @@ impl<C: Clone + 'static> Raft<C> {
                     candidate: id,
                     last_log_index: last_index,
                     last_log_term: last_term,
+                    pre,
                 },
             );
         }
-        // Re-arm for a fresh election if this one stalls.
+        // Re-arm for a fresh campaign if this one stalls.
         self.reset_election_timer(sim);
         // Single-node cluster: win immediately.
         self.maybe_win(sim);
     }
 
     fn maybe_win(&self, sim: &mut Sim) {
-        let won = {
+        let (role, won) = {
             let s = self.inner.borrow();
-            s.role == Role::Candidate && s.votes.len() >= s.quorum()
+            (s.role, s.votes.len() >= s.quorum())
         };
-        if won {
-            self.become_leader(sim);
+        match role {
+            Role::PreCandidate if won => self.campaign(sim, false),
+            Role::Candidate if won => self.become_leader(sim),
+            _ => {}
         }
     }
 
@@ -1154,12 +1174,14 @@ impl<C: Clone + 'static> Raft<C> {
                 candidate,
                 last_log_index,
                 last_log_term,
-            } => self.on_request_vote(sim, term, candidate, last_log_index, last_log_term),
+                pre,
+            } => self.on_request_vote(sim, term, candidate, (last_log_index, last_log_term), pre),
             RaftMsg::RequestVoteResp {
                 term,
                 from,
                 granted,
-            } => self.on_vote_resp(sim, term, from, granted),
+                pre,
+            } => self.on_vote_resp(sim, term, from, granted, pre),
             RaftMsg::AppendEntries {
                 term,
                 leader,
@@ -1297,38 +1319,39 @@ impl<C: Clone + 'static> Raft<C> {
         self.send_append_to(sim, from);
     }
 
+    /// Answers a vote request. `last` is the candidate's last log entry,
+    /// `(index, term)`. A pre-vote is granted if the candidate's log is at
+    /// least as up to date as ours and the term it would stand in is above
+    /// ours, and changes nothing here.
     fn on_request_vote(
         &self,
         sim: &mut Sim,
         term: Term,
         candidate: NodeId,
-        last_log_index: LogIndex,
-        last_log_term: Term,
+        last: (LogIndex, Term),
+        pre: bool,
     ) {
-        let mut stepped_down = false;
+        if !pre && term > self.term() {
+            self.step_down(sim, term, None);
+        }
         let (granted, my_term) = {
-            let s = self.inner.borrow();
-            let current = s.disk.borrow().current_term;
-            if term > current {
-                stepped_down = true;
-            }
-            drop(s);
-            if stepped_down {
-                self.step_down(sim, term, None);
-            }
             let s = self.inner.borrow();
             let disk = s.disk.borrow();
             let current = disk.current_term;
-            if term < current {
+            let (last_log_index, last_log_term) = last;
+            let up_to_date = last_log_term > disk.last_term()
+                || (last_log_term == disk.last_term() && last_log_index >= disk.last_index());
+            if pre {
+                let granted = term > current && up_to_date;
+                (granted, if granted { term } else { current })
+            } else if term < current {
                 (false, current)
             } else {
-                let up_to_date = last_log_term > disk.last_term()
-                    || (last_log_term == disk.last_term() && last_log_index >= disk.last_index());
                 let can_vote = disk.voted_for.is_none() || disk.voted_for == Some(candidate);
                 (can_vote && up_to_date, current)
             }
         };
-        if granted {
+        if granted && !pre {
             self.inner.borrow().disk.borrow_mut().voted_for = Some(candidate);
             self.heard_from_leader(sim);
         }
@@ -1341,17 +1364,25 @@ impl<C: Clone + 'static> Raft<C> {
                 term: my_term,
                 from,
                 granted,
+                pre,
             },
         );
     }
 
-    fn on_vote_resp(&self, sim: &mut Sim, term: Term, from: NodeId, granted: bool) {
+    fn on_vote_resp(&self, sim: &mut Sim, term: Term, from: NodeId, granted: bool, pre: bool) {
         let current = self.term();
-        if term > current {
+        // A granted pre-vote carries the term it was asked for, one above
+        // ours; any other higher term is news.
+        if term > current && !(pre && granted) {
             self.step_down(sim, term, None);
             return;
         }
-        if term < current || self.role() != Role::Candidate {
+        let (asked, role) = if pre {
+            (current + 1, Role::PreCandidate)
+        } else {
+            (current, Role::Candidate)
+        };
+        if term != asked || self.role() != role {
             return;
         }
         if granted {

@@ -107,7 +107,7 @@ pub struct Snapshot {
 pub enum RaftMsg<C> {
     /// Candidate solicits a vote.
     RequestVote {
-        /// Candidate's term.
+        /// Candidate's term (a pre-vote's: the term it would stand in).
         term: Term,
         /// The candidate requesting the vote.
         candidate: NodeId,
@@ -115,15 +115,20 @@ pub enum RaftMsg<C> {
         last_log_index: LogIndex,
         /// Term of the candidate's last log entry.
         last_log_term: Term,
+        /// A pre-vote (Raft thesis §9.6): would the peer grant this vote?
+        /// Asking changes no one's term or vote.
+        pre: bool,
     },
     /// Reply to `RequestVote`.
     RequestVoteResp {
-        /// Responder's current term.
+        /// Responder's current term; a granted pre-vote's, the term asked.
         term: Term,
         /// Responder id.
         from: NodeId,
         /// Whether the vote was granted.
         granted: bool,
+        /// The reply to a pre-vote.
+        pre: bool,
     },
     /// Leader replicates entries / heartbeats.
     AppendEntries {
@@ -374,6 +379,10 @@ pub enum Role {
     /// Passive replica, following a leader.
     #[default]
     Follower,
+    /// Asking its peers whether it could win an election, before it
+    /// starts one: its term and vote stay as they are, so a node cut off
+    /// from a quorum never inflates its term.
+    PreCandidate,
     /// Running an election for the current term.
     Candidate,
     /// The (unique per term) log replicator.
@@ -384,6 +393,7 @@ impl std::fmt::Display for Role {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
             Role::Follower => "follower",
+            Role::PreCandidate => "pre-candidate",
             Role::Candidate => "candidate",
             Role::Leader => "leader",
         };

@@ -83,7 +83,7 @@ macro_rules! marks {
 pub enum Subject<'a> {
     /// A job id, a pod name, a substrate's name.
     Name(&'a str),
-    /// A Raft node, an LCM shard or replica.
+    /// A Raft node, or the LCM's one shard (0).
     Num(u32),
 }
 

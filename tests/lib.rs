@@ -1,7 +1,7 @@
 //! Shared helpers for the cross-crate integration tests (the tests
 //! themselves live in `tests/tests/`).
 
-use dlaas_core::{DlaasPlatform, JobId, JobStatus, Tenant, TrainingManifest};
+use dlaas_core::{DlaasPlatform, JobId, JobStatus, PlatformConfig, Tenant, TrainingManifest};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_sim::{Sim, SimDuration};
 
@@ -17,8 +17,14 @@ pub fn boot(seed: u64) -> (Sim, DlaasPlatform) {
 }
 
 /// [`boot`] in a world the caller prepared (a tap installed, say).
-pub fn boot_in(mut sim: Sim) -> (Sim, DlaasPlatform) {
-    let platform = DlaasPlatform::bootstrapped(&mut sim);
+pub fn boot_in(sim: Sim) -> (Sim, DlaasPlatform) {
+    boot_with(sim, PlatformConfig::default())
+}
+
+/// [`boot_in`] with a platform configuration of the caller's.
+pub fn boot_with(mut sim: Sim, cfg: PlatformConfig) -> (Sim, DlaasPlatform) {
+    let platform = DlaasPlatform::new(&mut sim, cfg);
+    platform.run_until_ready(&mut sim, SimDuration::from_secs(60));
     platform
         .add_tenant(&Tenant::new("itest", KEY, 0))
         .expect("bootstrap tenant insert");

@@ -577,8 +577,8 @@ fn an_lcm_scan_over_an_empty_change_feed_allocates_nothing() {
         [(0, 0); 3],
         "an LCM scan over an empty change feed allocated"
     );
-    // Nor does any replica keep the finished jobs: the owner of their
-    // shards has collected them, and the other never keeps them.
+    // Nor does any replica keep the finished jobs: the leader has
+    // collected them, and the standby keeps no watchlist.
     let watchlists: Vec<(String, f64)> = platform
         .metrics()
         .snapshot()
@@ -634,9 +634,9 @@ fn a_finished_job_leaves_a_bounded_residue_that_does_not_grow() {
     // Measured 3 780 bytes per finished job: its document, its place in
     // the metadata journal's checkpoint and change feed, its logs at
     // their length, its share of the Raft logs and the like (vectors
-    // that double, so a hundred jobs' share of them wanders). While the
-    // LCM replica that does not own a job's shard kept the finished job
-    // on its watchlist for good it was 3 981; with a journal that kept
+    // that double, so a hundred jobs' share of them wanders). While an
+    // LCM replica that did not sweep a job kept the finished job on its
+    // watchlist for good it was 3 981; with a journal that kept
     // every record since boot and logs that kept their room for growth,
     // 8 277; with one that kept an after-image of every update,
     // `BTreeMap` objects and an unbounded kube event list, 60 008.

@@ -17,9 +17,9 @@ fn subset() -> Vec<(FaultKind, &'static MarkDef)> {
         (FaultKind::MongoCrash, &guardian::DEPLOY_ATTEMPT),
         (FaultKind::NfsOutage, &guardian::VOLUME_PROVISIONED),
         (FaultKind::Partition, &guardian::DEPLOYED),
-        // The sweep-leader kill: the LCM replica owning the job's shard
-        // dies mid-deploy; a survivor must take the shard over (lease
-        // expiry + CAS) without ever double-driving the job.
+        // The sweep-leader kill: the LCM leader dies mid-deploy; a standby
+        // must claim the leader key (lease expiry + CAS) without ever
+        // double-driving the job.
         (FaultKind::LcmOwnerCrash, &guardian::DEPLOYING),
     ]
 }

@@ -10,25 +10,25 @@ use std::rc::Rc;
 use dlaas_bench::harness::reported_iteration;
 use dlaas_core::marks::lcm;
 use dlaas_core::{
-    check_invariants, config, paths, DlaasPlatform, InvariantMonitor, JobStatus, LearnerPhase,
-    MetaClient, JOBS,
+    check_invariants, config, metrics, paths, DlaasPlatform, InvariantMonitor, JobStatus,
+    LearnerPhase, MetaClient, PlatformConfig, JOBS,
 };
 use dlaas_docstore::{Filter, Update, Value};
 use dlaas_etcd::KvEvent;
 use dlaas_faults::{nfs_outage_window, partition_window, when};
-use dlaas_integration::{boot, boot_in, manifest, start_training, submit_blocking, KEY};
+use dlaas_integration::{boot, boot_in, boot_with, manifest, start_training, submit_blocking, KEY};
 use dlaas_kube::labels;
 use dlaas_net::Addr;
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
-/// The pod currently holding `shard`'s owner key, read off the etcd
+/// The LCM replica currently holding the leader key, read off the etcd
 /// leader's store.
-fn shard_owner(platform: &DlaasPlatform, shard: u32) -> Option<String> {
+fn lcm_leader(platform: &DlaasPlatform) -> Option<String> {
     let leader = platform.etcd().leader_id()?;
     platform
         .etcd()
         .kv_snapshot(leader)
-        .get(&paths::lcm_shard_owner(shard))
+        .get(&paths::lcm_shard_owner(0))
         .map(|v| v.value.clone())
 }
 
@@ -325,18 +325,17 @@ fn learner_completion_markers_survive_nfs_outage() {
     check_invariants(&sim, &platform).assert_clean();
 }
 
-/// Bug 5 (HA): a partitioned LCM replica used to keep sweeping its
-/// shards on cached ownership. Its keepalives failed, the server
-/// expired the lease and a survivor took the shards over via the
-/// owner-key delete events — and from then on *two* live replicas
-/// drove the same jobs (double redeploys, double GC teardowns). The
-/// replica now fences itself locally: keepalive stamps the fence at
-/// RPC *send* time, so the local fence always lapses no later than the
-/// server-side lease deadline, and every shard is dropped the moment
-/// the fence passes — strictly before the server can hand it to
-/// anyone else. Pre-fix this test trips the shard-single-owner
-/// invariant (and the loss counter stays at zero because nothing is
-/// ever dropped).
+/// Bug 5 (HA): a partitioned LCM leader used to keep sweeping on cached
+/// ownership. Its keepalives failed, the server expired the lease and a
+/// standby claimed the leader key via its delete event — and from then
+/// on *two* live replicas drove the same jobs (double redeploys, double
+/// GC teardowns). The replica now fences itself locally: keepalive
+/// stamps the fence at RPC *send* time, so the local fence always
+/// lapses no later than the server-side lease deadline, and the
+/// leadership is dropped the moment the fence passes — strictly before
+/// the server can hand the key to anyone else. Pre-fix this test trips
+/// the shard-single-owner invariant (and the loss counter stays at zero
+/// because nothing is ever dropped).
 #[test]
 fn partitioned_lcm_replica_fences_itself_before_lease_expiry() {
     let (mut sim, platform) = boot(305);
@@ -345,9 +344,8 @@ fn partitioned_lcm_replica_fences_itself_before_lease_expiry() {
 
     let ttl = config::LCM_LEASE_TTL;
     let scan = config::LCM_SCAN;
-    let shard = paths::job_shard(job.as_str(), config::LCM_SHARDS);
 
-    // Let the job get in flight; by then every shard has an owner.
+    // Let the job get in flight; by then the leader key has a holder.
     let mid = platform.wait_for_status(
         &mut sim,
         &job,
@@ -355,11 +353,11 @@ fn partitioned_lcm_replica_fences_itself_before_lease_expiry() {
         SimDuration::from_mins(30),
     );
     assert_eq!(mid, Some(JobStatus::Processing), "{job} never started");
-    let owner = shard_owner(&platform, shard).expect("shard owned once the platform is up");
+    let owner = lcm_leader(&platform).expect("a leader once the platform is up");
 
     // Partition exactly that replica's etcd client away from the
     // cluster for several lease TTLs: keepalives fail, the server
-    // expires the lease, a survivor takes the shard over. Both sides
+    // expires the lease, a standby claims the key. Both sides
     // must be listed — unlisted addresses (every other client) are
     // unaffected by a group partition.
     let servers: Vec<Addr> = (0..platform.etcd().len() as u32)
@@ -372,7 +370,7 @@ fn partitioned_lcm_replica_fences_itself_before_lease_expiry() {
         ttl * 4,
     );
 
-    // Throughout expiry and takeover, no shard may ever have two live
+    // Throughout expiry and takeover, no job may ever have two live
     // sweepers.
     let end_at = sim.now() + ttl * 4 + scan * 2;
     while sim.now() < end_at {
@@ -384,7 +382,7 @@ fn partitioned_lcm_replica_fences_itself_before_lease_expiry() {
         );
     }
 
-    // The partitioned replica dropped its shards at the local fence…
+    // The partitioned replica dropped its leadership at the local fence…
     assert!(
         platform
             .metrics()
@@ -392,10 +390,10 @@ fn partitioned_lcm_replica_fences_itself_before_lease_expiry() {
             > 0,
         "partitioned replica never fenced itself"
     );
-    // …and a live replica owns the job's shard again.
+    // …and a live replica holds the leader key again.
     assert!(
-        shard_owner(&platform, shard).is_some(),
-        "shard left orphaned after the takeover window"
+        lcm_leader(&platform).is_some(),
+        "leader key left orphaned after the takeover window"
     );
 
     let end = platform.wait_for_status(
@@ -413,16 +411,16 @@ fn partitioned_lcm_replica_fences_itself_before_lease_expiry() {
     check_invariants(&sim, &platform).assert_clean();
 }
 
-/// Bug 6 (HA): the LCM replica used to *list* `lcm/shards/` first and
+/// Bug 6 (HA): the LCM replica used to *read* the owner keys first and
 /// register its watch afterwards, so an owner key whose delete landed
-/// in that gap was seen by nobody — the listing still showed the dead
-/// owner and the delete event predated the watch. The shard then sat
+/// in that gap was seen by nobody — the read still showed the dead
+/// owner and the delete event predated the watch. The key then sat
 /// orphaned until a periodic reconcile happened to notice, far past
 /// the lease-TTL + takeover bound the platform promises. Watch
-/// registration now strictly precedes the initial listing, so takeover
-/// is event-driven: crash the owning replica mid-deployment and the
-/// continuous monitor must never see a shard orphaned past the bound,
-/// while the job still completes.
+/// registration now strictly precedes the initial read, so takeover
+/// is event-driven: crash the leader mid-deployment and the continuous
+/// monitor must never see the leader key orphaned past the bound, while
+/// the job still completes.
 #[test]
 fn crashed_shard_owner_is_replaced_within_the_takeover_bound() {
     let (mut sim, platform) = boot(306);
@@ -430,19 +428,18 @@ fn crashed_shard_owner_is_replaced_within_the_takeover_bound() {
     let monitor = InvariantMonitor::install(&mut sim, &platform, SimDuration::from_secs(5));
 
     let job = submit_blocking(&mut sim, &client, manifest("owner-crash", 400));
-    let shard = paths::job_shard(job.as_str(), config::LCM_SHARDS);
 
-    // Kill the owning replica the moment the deployment starts.
+    // Kill the leader the moment the deployment starts.
     let p2 = platform.clone();
     let j2 = job.clone();
     let p3 = platform.clone();
     when(
         &mut sim,
         SimDuration::from_millis(200),
-        "crash shard owner at DEPLOYING",
+        "crash the LCM leader at DEPLOYING",
         move |_| p2.job_status(&j2) == Some(JobStatus::Deploying),
         move |sim| {
-            let owner = shard_owner(&p3, shard).unwrap_or_else(|| "dlaas-lcm-0".into());
+            let owner = lcm_leader(&p3).unwrap_or_else(|| "dlaas-lcm-0".into());
             assert!(p3.kube().crash_pod(sim, &owner));
         },
     );
@@ -467,21 +464,52 @@ fn crashed_shard_owner_is_replaced_within_the_takeover_bound() {
     monitor.cancel();
     check_invariants(&sim, &platform).assert_clean();
     assert!(
-        shard_owner(&platform, shard).is_some(),
-        "job's shard still orphaned after recovery"
+        lcm_leader(&platform).is_some(),
+        "leader key still orphaned after recovery"
+    );
+}
+
+/// A standby LCM replica holds nothing: the leader alone reads the change
+/// feed and keeps a watchlist. Every replica used to read the whole feed
+/// and keep every queued and admitted job, so with three replicas the
+/// running job was held three times over.
+#[test]
+fn a_standby_lcm_replica_keeps_no_watchlist() {
+    let mut cfg = PlatformConfig::default();
+    cfg.core.lcm_replicas = 3;
+    let (mut sim, platform) = boot_with(Sim::new(312), cfg);
+    start_training(&mut sim, &platform, "standby", 2_000);
+    sim.run_for(config::LCM_SCAN);
+
+    let leader = lcm_leader(&platform).expect("the LCM has a leader");
+    let snapshot = platform.metrics().snapshot();
+    let watchlists: Vec<(&str, f64)> = snapshot
+        .iter()
+        .filter(|(key, _)| key.starts_with(metrics::LCM_WATCHLIST.name()))
+        .collect();
+    assert_eq!(watchlists.len(), 3, "{watchlists:?}");
+    let held: Vec<&str> = watchlists
+        .iter()
+        .filter(|&&(_, entries)| entries > 0.0)
+        .map(|&(key, _)| key)
+        .collect();
+    assert_eq!(held.len(), 1, "{watchlists:?}");
+    assert!(
+        held[0].contains(&format!("\"{leader}\"")),
+        "{leader} leads, yet {watchlists:?}"
     );
 }
 
 /// The LCM's GC probe of a finished job's etcd keys goes through the
 /// shared `lcm-gc` client, which outlives every LCM incarnation. A probe
-/// sent by a shard owner that crashes before etcd answers must drive
-/// nothing: the answer lands on a replica that no longer holds the shard,
-/// so a sweep it makes drives the job a second time.
+/// sent by a leader that crashes before etcd answers must drive nothing:
+/// the answer lands on a replica that no longer leads, so a sweep it
+/// makes drives the job a second time.
 ///
-/// Staged on the owner's scan grid (its `up` mark plus whole scan
+/// Staged on the leader's scan grid (its `up` mark plus whole scan
 /// periods): the `lcm-gc` client is cut off across the job's teardown so
-/// its keys leak; it is reconnected just before the owner's next scan
-/// tick, whose probe goes out under a short quorum outage; the owner
+/// its keys leak; it is reconnected just before the leader's next scan
+/// tick, whose probe goes out under a short quorum outage; the leader
 /// crashes during that outage, and etcd answers the probe after it.
 #[test]
 fn a_gc_probe_answered_after_its_lcm_incarnation_stopped_drives_nothing() {
@@ -518,8 +546,7 @@ fn a_gc_probe_answered_after_its_lcm_incarnation_stopped_drives_nothing() {
     };
     assert!(leaked(&platform) > 0, "the teardown's delete got through");
 
-    let shard = paths::job_shard(job.as_str(), config::LCM_SHARDS);
-    let owner = shard_owner(&platform, shard).expect("the job's shard is owned");
+    let owner = lcm_leader(&platform).expect("the LCM has a leader");
     let mut tick = up.borrow()[&owner];
     while tick < sim.now() + SimDuration::from_secs(2) {
         tick += scan;
@@ -538,9 +565,12 @@ fn a_gc_probe_answered_after_its_lcm_incarnation_stopped_drives_nothing() {
 
     sim.run_for(scan);
     let conflicts = platform.shard_tracker().conflicts();
-    assert!(conflicts.is_empty(), "a stopped owner swept: {conflicts:?}");
+    assert!(
+        conflicts.is_empty(),
+        "a stopped leader swept: {conflicts:?}"
+    );
     sim.run_for(scan * 6);
-    assert_eq!(leaked(&platform), 0, "the new owner never cleaned up");
+    assert_eq!(leaked(&platform), 0, "the new leader never cleaned up");
     check_invariants(&sim, &platform).assert_clean();
 }
 
@@ -1616,17 +1646,14 @@ fn a_submit_that_finds_no_api_endpoint_keeps_trying_for_its_budget() {
     );
 }
 
-/// A claim makes the claimant's next jobs-feed read a replay from 0, and
-/// that replay used to skip every finished job the replica did not
-/// watch outside the shards it had just claimed — a job whose whole life
-/// fell between two of its owner's reads too, so nobody collected it.
-/// Staged on a surviving replica: the instant it claims a crashed
-/// replica's first shard, a job of one of its own shards is written
-/// COMPLETED with a leaked etcd key, so its next read is that replay. The
-/// key must be cleaned all the same. (The first replica up claims every
-/// shard; crashing it once splits them between the survivor and its
-/// restarted incarnation, which race for them at the lease's expiry. An
-/// earlier finished job moves the feed's watermark off 0.)
+/// A claim starts the new leader's watchlist empty at watermark 0, so its
+/// first read is the whole feed. A replay that read only the changes above
+/// a watermark used to skip a finished job whose whole life fell between
+/// two reads, so nobody collected it. Staged on the surviving replica:
+/// the leader crashes with its etcd client's address cut off, so its
+/// restarted incarnation cannot race for the key, and the instant the
+/// survivor claims it, a job is written COMPLETED with a leaked etcd key. The key must be cleaned all the same. (An earlier
+/// finished job moves the feed's watermark off 0.)
 #[test]
 fn a_job_finished_between_two_reads_is_collected_by_a_replaying_owner() {
     let (mut sim, platform) = boot(311);
@@ -1634,41 +1661,18 @@ fn a_job_finished_between_two_reads_is_collected_by_a_replaying_owner() {
     let doc = dlaas_docstore::obj! {"_id" => "earlier", "status" => "COMPLETED"};
     meta.insert(&mut sim, JOBS, doc, |_sim, r| assert!(r.is_ok(), "{r:?}"));
     sim.run_for(SimDuration::from_secs(30));
-    let first = shard_owner(&platform, 0).expect("shard 0 is owned");
-    assert!(platform.kube().crash_pod(&mut sim, &first));
-    sim.run_for(config::LCM_LEASE_TTL + config::LCM_SCAN);
-
-    // The owner keys, and the lease each is held under.
-    let leader = platform.etcd().leader_id().expect("etcd has a leader");
-    let kv = platform.etcd().kv_snapshot(leader);
-    let owners: Vec<(String, Option<u64>)> = (0..config::LCM_SHARDS)
-        .map(|shard| {
-            let owner = kv.get(&paths::lcm_shard_owner(shard));
-            let owner = owner.expect("every shard is owned");
-            (owner.value.clone(), owner.lease)
-        })
-        .collect();
-    let victim = owners[0].0.clone();
-    let (kept, lease) = (0..config::LCM_SHARDS)
-        .zip(&owners)
-        .find(|(_, (owner, _))| *owner != victim)
-        .map(|(shard, (_, lease))| (shard, *lease))
-        .expect("two replicas share the shards");
-    let job = (0..)
-        .map(|i| dlaas_core::JobId::new(format!("finished-{i}")))
-        .find(|job| paths::job_shard(job.as_str(), config::LCM_SHARDS) == kept)
-        .expect("some id hashes into the survivor's shard");
+    let victim = lcm_leader(&platform).expect("the LCM has a leader");
+    let job = dlaas_core::JobId::new("finished");
     let key = paths::etcd_store(&job);
 
-    // The survivor's first claim stages the job.
+    // The first claim from here is the survivor's: the victim crashes,
+    // and its next incarnation cannot reach etcd until well after the
+    // crashed one's lease expired.
     let staged = Rc::new(RefCell::new(false));
     let (p, j, k, done) = (platform.clone(), job.clone(), key.clone(), staged.clone());
     sim.tap(
         const { &[&lcm::ACQUIRED_UNDER_LEASE] },
-        move |sim, _, _, by| {
-            if Some(by) != lease {
-                return true;
-            }
+        move |sim, _, _, _| {
             let (meta, p, j, k, done) =
                 (meta.clone(), p.clone(), j.clone(), k.clone(), done.clone());
             sim.defer(move |sim| {
@@ -1681,9 +1685,24 @@ fn a_job_finished_between_two_reads_is_collected_by_a_replaying_owner() {
             false
         },
     );
+    let servers: Vec<Addr> = (0..platform.etcd().len() as u32)
+        .map(dlaas_etcd::etcd_addr)
+        .collect();
+    let cut_off = vec![vec![Addr::new(format!("etcdc/{victim}"))], servers];
+    partition_window(
+        &mut sim,
+        platform.etcd().rpc().net(),
+        cut_off,
+        config::LCM_LEASE_TTL * 4,
+    );
     assert!(platform.kube().crash_pod(&mut sim, &victim));
     sim.run_for(config::LCM_LEASE_TTL + config::LCM_SCAN * 4);
     assert!(*staged.borrow(), "the survivor claimed nothing");
+    let survivor = lcm_leader(&platform);
+    assert!(
+        survivor.as_ref().is_some_and(|s| *s != victim),
+        "{survivor:?} leads"
+    );
 
     let leader = platform.etcd().leader_id().expect("etcd has a leader");
     let left = platform.etcd().kv_snapshot(leader).get(&key).is_some();
