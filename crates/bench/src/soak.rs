@@ -309,6 +309,19 @@ pub struct Series {
     pub per_job: f64,
 }
 
+/// The admission hints on a job's end, one series per outcome of
+/// [`metrics::LCM_ADMISSION_HINTS`]: with standby LCM replicas some are
+/// `forwarded` to the leader, and none should be `dropped` while it holds
+/// the key.
+const HINT_SERIES: [(&str, &str); 6] = [
+    ("lcm_admission_hints_ran", "ran"),
+    ("lcm_admission_hints_coalesced", "coalesced"),
+    ("lcm_admission_hints_idle", "idle"),
+    ("lcm_admission_hints_forwarded", "forwarded"),
+    ("lcm_admission_hints_dropped", "dropped"),
+    ("lcm_admission_hints_unanswered", "unanswered"),
+];
+
 /// What became of the job a [`Plan::At`] fault targets.
 #[derive(Debug, Clone, Default)]
 pub struct Target {
@@ -637,13 +650,15 @@ pub fn run(
         ),
     ]
     .into_iter()
-    .map(|(name, h)| {
-        let sum = h.map_or(0.0, |h| h.sum());
-        Series {
-            name,
-            sum,
-            per_job: sum / n as f64,
-        }
+    .map(|(name, h)| (name, h.map_or(0.0, |h| h.sum())))
+    .chain(HINT_SERIES.map(|(name, outcome)| {
+        let hints = m.counter_value(metrics::LCM_ADMISSION_HINTS, &[("outcome", outcome)]);
+        (name, hints as f64)
+    }))
+    .map(|(name, sum)| Series {
+        name,
+        sum,
+        per_job: sum / n as f64,
     })
     .collect();
     let wait = m.histogram_merged(metrics::TENANT_ADMISSION_WAIT);

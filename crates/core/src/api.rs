@@ -107,7 +107,9 @@ fn meter(sim: &mut Sim, meta: &Rc<MetaClient>, counters: &RequestCounters, req: 
         CoreRequest::Kill { api_key, .. } => (api_key, "kill", 3),
         CoreRequest::GetLogs { api_key, .. } => (api_key, "logs", 4),
         // Internal control-plane traffic is not user-metered.
-        CoreRequest::DeployJob { .. } | CoreRequest::StopJob { .. } => return,
+        CoreRequest::DeployJob { .. }
+        | CoreRequest::StopJob { .. }
+        | CoreRequest::JobEnded { .. } => return,
     };
     counters.0[counter]
         .get_or_init(|| sim.metrics().counter_series(metrics::API_REQUESTS, [kind]))
@@ -217,7 +219,9 @@ fn handle(
             );
         }
         // Control-plane requests addressed to the LCM, not us.
-        CoreRequest::DeployJob { .. } | CoreRequest::StopJob { .. } => {
+        CoreRequest::DeployJob { .. }
+        | CoreRequest::StopJob { .. }
+        | CoreRequest::JobEnded { .. } => {
             responder.err(sim, "not an API endpoint");
         }
     }

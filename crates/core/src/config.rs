@@ -36,8 +36,9 @@ pub const PENDING_REDEPLOY_AFTER: SimDuration = SimDuration::from_secs(45);
 pub const DEPLOY_TIMEOUT: SimDuration = SimDuration::from_mins(30);
 /// Fairness bound: a QUEUED job that waits longer than this while its
 /// tenant has quota headroom for it is a starvation invariant violation
-/// (the admission arbiter runs every [`LCM_SCAN`], so this covers several
-/// sweeps plus arbiter-failover time).
+/// (the admission arbiter runs on a job's end and, as the backstop, every
+/// [`LCM_SCAN`], so this covers several ticks plus arbiter-failover
+/// time).
 pub const ADMISSION_STARVATION_BOUND: SimDuration = SimDuration::from_mins(5);
 /// Learner progress-report period.
 pub const LEARNER_REPORT: SimDuration = SimDuration::from_millis(2_000);

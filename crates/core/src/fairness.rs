@@ -3,8 +3,9 @@
 //! Over-quota jobs are recorded as QUEUED (never rejected, never lost —
 //! the same durability argument §III-c makes for submissions). The LCM
 //! leader (the replica holding the leader key) runs [`admission_plan`]
-//! on every sweep: a pure function from (tenant registry, active GPU
-//! usage, queued jobs) to the ordered list of jobs to admit this round.
+//! on every scan tick and whenever a job ends: a pure function from
+//! (tenant registry, active GPU usage, queued jobs) to the ordered list
+//! of jobs to admit this round.
 //! Keeping the policy pure makes it trivially testable and guarantees
 //! the queue state can always be recomputed from the store — there is no
 //! arbiter-local state to lose on failover: a new leader rebuilds the

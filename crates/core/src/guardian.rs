@@ -25,15 +25,15 @@ use dlaas_docstore::{Filter, Update, Value};
 use dlaas_etcd::EtcdClient;
 use dlaas_gpu::Framework;
 use dlaas_kube::{
-    labels, Cleanup, ContainerSpec, ImageRef, NetworkPolicy, PodSpec, ProcessCtx, Resources,
-    RestartPolicy,
+    labels, pod_addr, Cleanup, ContainerSpec, ImageRef, NetworkPolicy, PodSpec, ProcessCtx,
+    Resources, RestartPolicy,
 };
 use dlaas_sim::{MarkDef, Sim, SimDuration};
 
 use crate::config;
-use crate::handles::Handles;
+use crate::handles::{Handles, LCM_SERVICE};
 use crate::job::{JobId, JobStatus, LearnerPhase};
-use crate::lcm::teardown_job;
+use crate::lcm::{send_hint, teardown_job};
 use crate::manifest::TrainingManifest;
 use crate::marks::{self, guardian};
 use crate::metrics;
@@ -310,11 +310,13 @@ impl Guardian {
     }
 
     /// The store acknowledged the job's terminal status: count it, tear
-    /// everything down and exit cleanly (so the K8s Job stops retrying
-    /// us). The per-tenant turnaround histogram — submission → terminal
-    /// status, queue wait included — is observed only when this write
-    /// *applied* the transition, so racing guardian incarnations observe
-    /// each job exactly once.
+    /// everything down, hint the LCM that the job's quota is free (so the
+    /// next queued job is admitted now, not at its next scan tick) and
+    /// exit cleanly (so the K8s Job stops retrying us). The per-tenant
+    /// turnaround histogram — submission → terminal status, queue wait
+    /// included — is observed only when this write *applied* the
+    /// transition, so racing guardian incarnations observe each job
+    /// exactly once.
     fn ended(&self, sim: &mut Sim, status: JobStatus, applied: bool) {
         let counter = if status == JobStatus::Completed {
             metrics::GUARDIAN_JOBS_COMPLETED
@@ -332,6 +334,9 @@ impl Guardian {
                 .observe(elapsed_us as f64 / 1e6);
         }
         teardown_job(sim, &self.h, &self.job, false);
+        let lcm = self.h.kube.resolve_service(sim, LCM_SERVICE);
+        let me = pod_addr(&self.ctx.pod);
+        send_hint(sim, &self.h, &me, lcm, &self.job, false);
         self.ctx.exit(sim, 0);
     }
 
@@ -472,7 +477,7 @@ impl Guardian {
             to: labels! {"role" => "core"},
             to_services: vec![
                 crate::handles::API_SERVICE.into(),
-                crate::handles::LCM_SERVICE.into(),
+                LCM_SERVICE.into(),
                 "mongodb".into(),
                 "etcd".into(),
             ],

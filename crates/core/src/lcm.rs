@@ -20,11 +20,15 @@
 //! walks only that, once, so per-tick work is proportional to what changed
 //! plus what is actually being watched — not to the total number of jobs
 //! ever submitted. Each job's rule is the pure [`decide`] over its entry,
-//! the time and its Guardian K8s Job; the sweep then acts. The watchlist
-//! is a cache, not state: an LCM restart begins at watermark 0, which
-//! replays the full feed and rebuilds it, preserving the statelessness
-//! the paper's recovery story relies on. One [`Replica`] holds all of an
-//! incarnation's state: clients, lease, leadership and watchlist.
+//! the time and its Guardian K8s Job; the sweep then acts. Admission runs
+//! on the tick, plus on a job's end: its Guardian's hint (`JobEnded`), or
+//! the LCM's own KILLED or FAILED write, makes the leader read the feed
+//! and admit at once, without a sweep; a lost hint costs one tick. The
+//! watchlist is a cache, not state: an LCM restart begins at watermark 0,
+//! which replays the full feed and rebuilds it, preserving the
+//! statelessness the paper's recovery story relies on. One [`Replica`]
+//! holds all of an incarnation's state: clients, lease, leadership and
+//! watchlist.
 //!
 //! # Replicated LCM: one lease-held leader
 //!
@@ -67,6 +71,7 @@ use dlaas_kube::{
     labels, pod_addr, Cleanup, ContainerSpec, ImageRef, JobStatus as KubeJobStatus, PodSpec,
     ProcessCtx, Resources,
 };
+use dlaas_net::Addr;
 use dlaas_sim::{GaugeHandle, MarkDef, Sim, SimDuration, SimTime};
 
 use crate::config;
@@ -116,9 +121,14 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
                         Ok(_) => {
                             teardown_job(sim, &rep2.h, &job2, true);
                             responder.ok(sim, CoreResponse::Ok);
+                            job_ended(sim, &rep2, &job2, false);
                         }
                         Err(e) => responder.err(sim, e.to_string()),
                     });
+            }
+            CoreRequest::JobEnded { job, forwarded } => {
+                responder.ok(sim, CoreResponse::Ok);
+                job_ended(sim, &rep_rpc, job, *forwarded);
             }
             _ => responder.err(sim, "not an LCM endpoint"),
         }
@@ -131,10 +141,21 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let rep_watch = rep.clone();
     rep.etcdc
         .watch_prefix(sim, paths::lcm_shard_owner(0), move |sim, ev| {
-            // The key vanished: its holder's lease expired. Every
-            // standby races for it; the CAS picks one.
-            if rep_watch.alive.get() && matches!(ev, KvEvent::Delete { .. }) {
-                try_acquire(sim, &rep_watch, "watch");
+            if !rep_watch.alive.get() {
+                return;
+            }
+            match ev {
+                // A claim: the key names its holder's pod, where this
+                // replica forwards a hint while it stands by.
+                KvEvent::Put { value, .. } => {
+                    rep_watch.own.borrow_mut().holder = Some(value.clone());
+                }
+                // The key vanished: its holder's lease expired. Every
+                // standby races for it; the CAS picks one.
+                KvEvent::Delete { .. } => {
+                    rep_watch.own.borrow_mut().holder = None;
+                    try_acquire(sim, &rep_watch, "watch");
+                }
             }
         });
     ensure_lease(sim, &rep);
@@ -156,7 +177,7 @@ pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
             return false;
         }
         reconcile(sim, &rep_scan);
-        scan(sim, &rep_scan);
+        scan(sim, &rep_scan, true);
         true
     });
 
@@ -194,6 +215,9 @@ struct Ownership {
     granting: bool,
     /// This incarnation holds the leader key under `lease`.
     leads: bool,
+    /// The pod the leader key named when this replica last saw it (its
+    /// watch or its reconcile read), where a standby forwards a hint.
+    holder: Option<String>,
 }
 
 /// One LCM incarnation: its clients, its lease and leadership, and its
@@ -441,7 +465,11 @@ fn reconcile(sim: &mut Sim, rep: &Rc<Replica>) {
             let Ok(holder) = r else {
                 return;
             };
-            let leads = rep2.own.borrow().leads;
+            let leads = {
+                let mut o = rep2.own.borrow_mut();
+                o.holder.clone_from(&holder);
+                o.leads
+            };
             match holder {
                 None if !leads => try_acquire(sim, &rep2, "reconcile"),
                 // Led but absent from the read: while our fence holds,
@@ -563,6 +591,14 @@ struct ScanState {
     /// and whether its last round set it (so a drained tenant's gauge
     /// drops back to 0 instead of going stale).
     depth_gauges: BTreeMap<String, (GaugeHandle, bool)>,
+    /// A round's feed read is in flight: one at a time, since a second
+    /// read from the same watermark would be dropped as stale.
+    reading: bool,
+    /// The round in flight sweeps when its reads land (a tick asked).
+    sweeping: bool,
+    /// A job ended while the round's read was in flight: one more round
+    /// runs after it, however many hints asked.
+    again: bool,
 }
 
 /// What the sweep watches one job for, by the status its document holds.
@@ -740,19 +776,25 @@ fn watch_of(sim: &mut Sim, doc: &Value, id: &str, was: Option<Watch>) -> Option<
     }
 }
 
-/// The leader's scan: pulls the jobs feed above the watermark, then the
-/// tenants feed, then sweeps and admits. A standby reads nothing.
-fn scan(sim: &mut Sim, rep: &Rc<Replica>) {
+/// The leader's scan, one round of it: pulls the jobs feed above the
+/// watermark, then the tenants feed, then sweeps (when a tick asked) and
+/// admits. One round's read is in flight at a time; a round asked for
+/// meanwhile joins it (a tick makes it sweep, a hint makes one more round
+/// follow it). A standby reads nothing.
+fn scan(sim: &mut Sim, rep: &Rc<Replica>, sweeps: bool) {
     if !rep.own.borrow().leads {
         return;
     }
-    let since = rep.scan.borrow().watermark;
+    let since = {
+        let mut st = rep.scan.borrow_mut();
+        st.sweeping |= sweeps;
+        if std::mem::replace(&mut st.reading, true) {
+            return;
+        }
+        st.watermark
+    };
     let rep2 = rep.clone();
     rep.meta.find_changed(sim, JOBS, since, move |sim, r| {
-        // Store unreachable: keep the old watermark and retry next tick.
-        let Ok((docs, gone, high_water)) = r else {
-            return;
-        };
         let tenants_since = {
             let mut st = rep2.scan.borrow_mut();
             // Read for a watchlist this replica no longer keeps: it lost
@@ -761,6 +803,12 @@ fn scan(sim: &mut Sim, rep: &Rc<Replica>) {
             if !rep2.own.borrow().leads || st.watermark != since {
                 return;
             }
+            // Store unreachable: keep the old watermark; the next tick or
+            // hint reads again.
+            let Ok((docs, gone, high_water)) = r else {
+                drop(st);
+                return scan_done(sim, &rep2);
+            };
             st.watermark = high_water;
             for doc in &docs {
                 ingest(sim, &mut st, doc);
@@ -776,34 +824,154 @@ fn scan(sim: &mut Sim, rep: &Rc<Replica>) {
         let rep3 = rep2.clone();
         rep2.meta
             .find_changed(sim, TENANTS, tenants_since, move |sim, r| {
-                if let Ok((docs, gone, high_water)) = r {
+                let sweeping = {
                     let mut st = rep3.scan.borrow_mut();
                     // As for the jobs feed: a registry dropped since the
                     // read was sent is rebuilt from 0 by the next one.
                     if !rep3.own.borrow().leads || st.tenants_watermark != tenants_since {
                         return;
                     }
-                    st.tenants_watermark = high_water;
-                    for doc in &docs {
-                        if let Some(t) = Tenant::from_document(doc) {
-                            st.tenants.insert(
-                                t.id,
-                                TenantShare {
-                                    max_gpus: t.max_gpus,
-                                    weight: t.weight,
-                                },
-                            );
+                    // Tenants feed unreachable: go on with the cached
+                    // registry.
+                    if let Ok((docs, gone, high_water)) = r {
+                        st.tenants_watermark = high_water;
+                        for doc in &docs {
+                            if let Some(t) = Tenant::from_document(doc) {
+                                st.tenants.insert(
+                                    t.id,
+                                    TenantShare {
+                                        max_gpus: t.max_gpus,
+                                        weight: t.weight,
+                                    },
+                                );
+                            }
+                        }
+                        for id in &gone {
+                            st.tenants.remove(id);
                         }
                     }
-                    for id in &gone {
-                        st.tenants.remove(id);
-                    }
+                    st.sweeping
+                };
+                if sweeping {
+                    sweep(sim, &rep3);
                 }
-                // Tenants feed unreachable: sweep with the cached registry.
-                sweep(sim, &rep3);
                 admit(sim, &rep3);
+                scan_done(sim, &rep3);
             });
     });
+}
+
+/// Ends the round in flight, and runs the one a hint asked for meanwhile
+/// if a job is still queued.
+fn scan_done(sim: &mut Sim, rep: &Rc<Replica>) {
+    let again = {
+        let mut st = rep.scan.borrow_mut();
+        st.reading = false;
+        st.sweeping = false;
+        std::mem::take(&mut st.again) && queued(&st)
+    };
+    if again {
+        scan(sim, rep, false);
+    }
+}
+
+/// Whether the watchlist holds a job awaiting admission.
+fn queued(st: &ScanState) -> bool {
+    st.jobs.values().any(|w| w.queued().is_some())
+}
+
+/// What became of an admission hint: its [`metrics::LCM_ADMISSION_HINTS`]
+/// label and, by its order, its [`lcm::ADMISSION_HINT`] mark's arg.
+#[derive(Debug, Clone, Copy)]
+enum Hint {
+    Ran,
+    Coalesced,
+    Idle,
+    Forwarded,
+    Dropped,
+}
+
+impl Hint {
+    fn label(self) -> &'static str {
+        match self {
+            Hint::Ran => "ran",
+            Hint::Coalesced => "coalesced",
+            Hint::Idle => "idle",
+            Hint::Forwarded => "forwarded",
+            Hint::Dropped => "dropped",
+        }
+    }
+}
+
+/// `job` ended (its Guardian's hint, or this replica's own KILLED or
+/// FAILED write): the quota it held is free. The leader runs an admission
+/// round at once, without a sweep, unless nothing is queued; a standby
+/// passes the hint on, once, to the holder it last saw. A stopped
+/// incarnation (whose write was answered after it died) does nothing.
+fn job_ended(sim: &mut Sim, rep: &Rc<Replica>, job: &JobId, forwarded: bool) {
+    if !rep.alive.get() {
+        return;
+    }
+    let outcome = if rep.own.borrow().leads {
+        let mut st = rep.scan.borrow_mut();
+        if st.reading {
+            st.again = true;
+            Hint::Coalesced
+        } else if queued(&st) {
+            drop(st);
+            scan(sim, rep, false);
+            Hint::Ran
+        } else {
+            Hint::Idle
+        }
+    } else {
+        // Never forwarded twice: two replicas that each believe the
+        // other leads would bounce it for ever.
+        let holder = rep.own.borrow().holder.clone();
+        match holder.filter(|holder| !forwarded && *holder != rep.pod) {
+            Some(holder) => {
+                let from = pod_addr(&rep.pod);
+                send_hint(sim, &rep.h, &from, Some(pod_addr(&holder)), job, true);
+                Hint::Forwarded
+            }
+            None => Hint::Dropped,
+        }
+    };
+    sim.mark(&lcm::ADMISSION_HINT, job.as_str(), outcome as u64);
+    sim.metrics()
+        .counter_series(metrics::LCM_ADMISSION_HINTS, [outcome.label()])
+        .inc();
+}
+
+/// Sends the hint that `job` ended from `from` to the LCM replica at `to`
+/// (`None`: none is ready), once; an unanswered one is only counted, as
+/// the next tick admits what it would have. A sender that does not serve
+/// leaves the network once answered.
+pub(crate) fn send_hint(
+    sim: &mut Sim,
+    h: &Handles,
+    from: &Addr,
+    to: Option<Addr>,
+    job: &JobId,
+    forwarded: bool,
+) {
+    let unanswered = |sim: &mut Sim| {
+        sim.metrics()
+            .counter_series(metrics::LCM_ADMISSION_HINTS, ["unanswered"])
+            .inc();
+    };
+    let Some(to) = to else {
+        return unanswered(sim);
+    };
+    let (job, timeout) = (job.clone(), config::RPC_TIMEOUT);
+    let hint = CoreRequest::JobEnded { job, forwarded };
+    h.rpc
+        .call(sim, from.clone(), to, hint, timeout, move |sim, r| {
+            if r.is_err() {
+                unanswered(sim);
+            }
+        });
+    h.rpc.leave_when_idle(from);
 }
 
 /// The fair-queue admission arbiter: runs only on the leader, computes
@@ -1004,6 +1172,7 @@ fn fail(sim: &mut Sim, rep: &Rc<Replica>, job: JobId, lease: LeaseId, reason: &'
                 .counter_series(metrics::LCM_SCAN_FAILURES, [reason.what])
                 .inc();
             teardown_job(sim, &rep2.h, &job, true);
+            job_ended(sim, &rep2, &job, false);
         });
 }
 

@@ -44,6 +44,10 @@ dlaas_sim::marks! {
         TEARDOWN = "teardown";
         /// The arbiter admitted a QUEUED job; arg: µs it waited.
         ADMITTED_AFTER_US = "admitted-after-us";
+        /// A replica took a hint that the job ended; arg: what became of
+        /// it, 0 ran, 1 coalesced, 2 idle, 3 forwarded, 4 dropped (the
+        /// `outcome` labels of `dlaas_lcm_admission_hints_total`).
+        ADMISSION_HINT = "admission-hint";
         /// Sweep: a job stranded in PENDING is deployed again; arg: the
         /// lease.
         REDEPLOY_STRANDED = "redeploy-stranded";

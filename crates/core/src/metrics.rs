@@ -111,6 +111,19 @@ dlaas_obs::declare_metrics! {
         ["reason"],
         "LCM shards stood down from, by reason",
     );
+    /// Admission hints (a job ended, so its quota is free), by outcome:
+    /// on the replica a hint reached, `ran` (the leader started an
+    /// admission round), `coalesced` (a round's feed read was in flight,
+    /// so it runs once more), `idle` (the leader had no queued job to
+    /// admit), `forwarded` (a standby passed it to the holder it knows)
+    /// or `dropped` (a standby knew no holder, or a forwarded hint
+    /// reached a replica that does not lead); at the sender,
+    /// `unanswered` (no LCM acknowledged it).
+    pub const LCM_ADMISSION_HINTS: &CounterDecl<1> = &CounterDecl::new(
+        "dlaas_lcm_admission_hints_total",
+        ["outcome"],
+        "admission hints on a job's end, by outcome",
+    );
     /// LCM lease keepalives that did not extend the lease, by reason
     /// (`expired`, `unreachable`).
     pub const LCM_LEASE_KEEPALIVE_FAILURES: &CounterDecl<1> = &CounterDecl::new(
@@ -196,7 +209,7 @@ dlaas_obs::declare_metrics! {
     );
 
     /// QUEUED jobs awaiting fair-queue admission, by tenant (set by the LCM
-    /// admission arbiter each sweep).
+    /// admission arbiter each round: every scan tick and every job end).
     pub const TENANT_QUEUE_DEPTH: &GaugeDecl<1> = &GaugeDecl::new(
         "dlaas_tenant_queue_depth",
         ["tenant"],

@@ -55,6 +55,16 @@ pub enum CoreRequest {
         /// The job.
         job: JobId,
     },
+    /// Guardian → LCM: a job ended and its quota is free, so the leader
+    /// runs an admission round now instead of at its next scan tick. A
+    /// hint, not a command: a lost one waits for the tick.
+    JobEnded {
+        /// The job.
+        job: JobId,
+        /// A standby passed it on to the replica it believes leads; a
+        /// forwarded hint is never forwarded again.
+        forwarded: bool,
+    },
 }
 
 /// Point-in-time view of a job returned by `GetStatus`.

@@ -187,6 +187,15 @@ impl Update {
         }
     }
 
+    /// `true` if the update writes a NaN (see [`Value::holds_nan`]).
+    pub(crate) fn holds_nan(&self) -> bool {
+        match self {
+            Update::Set(_, v) | Update::Push(_, v) => v.holds_nan(),
+            Update::Unset(_) | Update::Inc(..) => false,
+            Update::Many(us) => us.iter().any(Update::holds_nan),
+        }
+    }
+
     /// `true` if applying the update can change what a document holds at
     /// `path`: one of its paths is `path`, lies under it or leads to it.
     pub(crate) fn reaches(&self, path: &str) -> bool {

@@ -14,7 +14,7 @@ use dlaas_sim::{Sim, SimDuration};
 
 use crate::metrics;
 use crate::query::{Filter, Update};
-use crate::store::{Doc, DocStore, Journal};
+use crate::store::{Doc, DocStore, Journal, StoreError};
 use crate::value::Value;
 
 /// Requests understood by the document-store server.
@@ -249,6 +249,13 @@ impl MongoServer {
                 }
                 MongoRequest::Find { coll, filter } => {
                     MongoResponse::Docs(store.find(coll, filter))
+                }
+                // Refused by the store as well; answered as an error here,
+                // as an insert of a NaN is.
+                MongoRequest::UpdateOne { update, .. } if update.holds_nan() => {
+                    drop(store);
+                    responder.err(sim, StoreError::NotANumber.to_string());
+                    return;
                 }
                 MongoRequest::UpdateOne {
                     coll,

@@ -21,6 +21,9 @@ pub enum StoreError {
     DuplicateId(String),
     /// Document root must be an object.
     NotAnObject,
+    /// A NaN, which equals nothing, not even itself: a document holding
+    /// one would read as changed by a write that changes nothing.
+    NotANumber,
 }
 
 impl std::fmt::Display for StoreError {
@@ -28,6 +31,7 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::DuplicateId(id) => write!(f, "duplicate _id: {id}"),
             StoreError::NotAnObject => write!(f, "document root must be an object"),
+            StoreError::NotANumber => write!(f, "a NaN cannot be stored"),
         }
     }
 }
@@ -579,11 +583,15 @@ impl DocStore {
     /// # Errors
     ///
     /// [`StoreError::NotAnObject`] if `doc` is not an object,
+    /// [`StoreError::NotANumber`] if it holds a NaN,
     /// [`StoreError::DuplicateId`] if the id already exists.
     pub fn insert(&mut self, coll: &str, mut doc: Value) -> Result<String, StoreError> {
         let Value::Obj(obj) = &mut doc else {
             return Err(StoreError::NotAnObject);
         };
+        if obj.iter().any(|(_, v)| v.holds_nan()) {
+            return Err(StoreError::NotANumber);
+        }
         let id = match obj.get("_id").and_then(Value::as_str) {
             Some(s) => s.to_owned(),
             None => {
@@ -648,20 +656,23 @@ impl DocStore {
     /// Applies `update` to the first matching document. Returns `true` if a
     /// document was updated. An update with any part on `_id` or under it
     /// is refused, as MongoDB refuses it: it changes nothing, journals
-    /// nothing and updates no document.
+    /// nothing and updates no document. So is one that writes a NaN
+    /// anywhere in a value (the server answers it with
+    /// [`StoreError::NotANumber`]).
     pub fn update_one(&mut self, coll: &str, filter: &Filter, update: &Update) -> bool {
         self.update_impl(coll, filter, update, true) == 1
     }
 
     /// Applies `update` to every matching document. Returns the count (0
-    /// for an update on `_id`, as for [`DocStore::update_one`]).
+    /// for an update on `_id` or one that writes a NaN, as for
+    /// [`DocStore::update_one`]).
     pub fn update_many(&mut self, coll: &str, filter: &Filter, update: &Update) -> usize {
         self.update_impl(coll, filter, update, false)
     }
 
     fn update_impl(&mut self, coll: &str, filter: &Filter, update: &Update, one: bool) -> usize {
         let c = self.collections.get_mut(coll);
-        let Some(c) = c.filter(|_| !update.reaches("_id")) else {
+        let Some(c) = c.filter(|_| !update.reaches("_id") && !update.holds_nan()) else {
             self.last_examined.set(0);
             return 0;
         };
@@ -848,6 +859,44 @@ mod tests {
         db.insert("jobs", job("d2", "PENDING", 1)).unwrap();
         assert_eq!(db.count("jobs", &scan), 1);
         assert_eq!(db.count("jobs", &Filter::eq("_id", "d2")), 1);
+    }
+
+    /// A NaN is unequal to itself: a document holding one read as changed
+    /// by every write of the same NaN, each journaled and moving the
+    /// document up the change feed. The store keeps NaN out instead.
+    #[test]
+    fn a_nan_is_refused_so_no_op_updates_move_nothing() {
+        let mut db = DocStore::new();
+        let nan = Value::F64(f64::NAN);
+        let inserted = db.insert("jobs", obj! {"_id" => "a", "x" => nan.clone()});
+        let high_water = |db: &DocStore| db.changed_since("jobs", 0).2;
+        let before = high_water(&db);
+        let by_id = Filter::eq("_id", "a");
+        for _ in 0..2 {
+            db.update_one("jobs", &by_id, &Update::set("x", nan.clone()));
+        }
+        assert_eq!(high_water(&db), before, "no-op updates moved the feed");
+        assert_eq!(inserted, Err(StoreError::NotANumber));
+
+        let nested = obj! {"_id" => "a", "m" => obj! {"k" => vec![nan.clone()]}};
+        assert_eq!(db.insert("jobs", nested), Err(StoreError::NotANumber));
+        db.insert("jobs", job("d1", "PENDING", 1)).unwrap();
+        let journaled = db.journal().len();
+        let by_id = Filter::eq("_id", "d1");
+        for update in [
+            Update::set("x", nan.clone()),
+            Update::push("tags", obj! {"k" => nan.clone()}),
+            Update::Many(vec![
+                Update::set("status", "DEPLOYING"),
+                Update::set("x", nan),
+            ]),
+        ] {
+            assert!(!db.update_one("jobs", &by_id, &update), "{update:?}");
+            assert_eq!(db.update_many("jobs", &Filter::True, &update), 0);
+        }
+        assert_eq!(db.journal().len(), journaled);
+        let d1 = db.find_one("jobs", &by_id);
+        assert_eq!(d1.as_deref(), Some(&job("d1", "PENDING", 1)));
     }
 
     #[test]

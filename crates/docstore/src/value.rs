@@ -252,6 +252,18 @@ impl Value {
         }
     }
 
+    /// `true` if a NaN is anywhere in the value. A NaN equals nothing,
+    /// not even itself, so the store keeps it out: `==` is then
+    /// reflexive on everything stored.
+    pub(crate) fn holds_nan(&self) -> bool {
+        match self {
+            Value::F64(x) => x.is_nan(),
+            Value::Arr(a) => a.iter().any(Value::holds_nan),
+            Value::Obj(o) => o.iter().any(|(_, v)| v.holds_nan()),
+            Value::Null | Value::Bool(_) | Value::I64(_) | Value::Str(_) => false,
+        }
+    }
+
     /// Navigates a dotted path (`"a.b.c"`) through nested objects.
     pub fn path(&self, path: &str) -> Option<&Value> {
         let mut cur = self;

@@ -11,14 +11,17 @@
 //! from a checkpoint by redoing the updates written since; none of that
 //! may be observable. The model matches a filter by `==` on the value at
 //! its path, and an index must find what that finds, for values a looser
-//! equality confuses too (`4` and `4.0`, `-0.0`, NaN). The model also
+//! equality confuses too (`4` and `4.0`, `-0.0`, NaN). A write that
+//! carries a NaN is refused, and the model says so by the one property
+//! of NaN that needs no helper: a value holding one is unequal to itself.
+//! The model also
 //! counts the journal: the records since the last checkpoint, which the
 //! store folds into a new one as soon as they outnumber its entries — so
 //! sequences cross checkpoints, and crash right before and right after them.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dlaas_docstore::{obj, Doc, DocStore, Filter, Update, Value};
+use dlaas_docstore::{obj, Doc, DocStore, Filter, StoreError, Update, Value};
 use proptest::prelude::*;
 
 /// Paths the random updates write: plain fields, nested ones whose
@@ -49,9 +52,8 @@ fn path_strategy() -> impl Strategy<Value = &'static str> {
 }
 
 /// Values the updates write, the integers with both ends of `i64` that an
-/// `Inc` must not step past. A NaN is only asked for ([`probes`]): a
-/// document holding one is unequal to itself, so the model would call
-/// every update of it a change.
+/// `Inc` must not step past. A NaN is asked for ([`probes`]) and written
+/// only by [`nan_update_strategy`], whose writes the store refuses.
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         3 => (0..4i64).prop_map(Value::from),
@@ -84,14 +86,41 @@ fn update_strategy() -> impl Strategy<Value = Update> {
     ]
 }
 
+/// An update that writes a NaN somewhere: refused whole, `Many` too.
+fn nan_update_strategy() -> impl Strategy<Value = Update> {
+    prop_oneof![
+        path_strategy().prop_map(|p| Update::set(p, f64::NAN)),
+        path_strategy().prop_map(|p| Update::push(p, obj! {"k" => vec![f64::NAN]})),
+        (field_update_strategy(), path_strategy())
+            .prop_map(|(u, p)| Update::Many(vec![u, Update::set(p, f64::NAN)])),
+    ]
+}
+
+/// What an `Op` writes: now and then a NaN.
+fn write_strategy() -> impl Strategy<Value = Update> {
+    prop_oneof![9 => update_strategy(), 1 => nan_update_strategy()]
+}
+
+/// Whether `update` writes a NaN, by the model: a value holding one is
+/// unequal to itself.
+#[expect(clippy::eq_op, reason = "NaN is the one value unequal to itself")]
+fn writes_nan(update: &Update) -> bool {
+    match update {
+        Update::Set(_, v) | Update::Push(_, v) => v != v,
+        Update::Many(parts) => parts.iter().any(writes_nan),
+        Update::Unset(_) | Update::Inc(..) => false,
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     /// `id: None` leaves the id to the store (`auto-N`); a given id may
-    /// take that form too.
+    /// take that form too. `nan` adds a field holding one.
     Insert {
         id: Option<String>,
         n: i64,
         status: u8,
+        nan: bool,
     },
     UpdateById {
         id: u8,
@@ -115,7 +144,7 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        5 => (0..50u8, -50..50i64, 0..4u8).prop_map(|(id, n, status)| Op::Insert {
+        5 => (0..50u8, -50..50i64, 0..4u8, 0..10u8).prop_map(|(id, n, status, nan)| Op::Insert {
             id: match id {
                 0..40 => Some(format!("d{id}")),
                 40..44 => Some(format!("auto-{}", id - 40)),
@@ -123,9 +152,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             },
             n,
             status,
+            nan: nan == 0,
         }),
-        5 => (0..40u8, update_strategy()).prop_map(|(id, update)| Op::UpdateById { id, update }),
-        3 => (-50..50i64, update_strategy()).prop_map(|(n_lt, update)| Op::UpdateMany { n_lt, update }),
+        5 => (0..40u8, write_strategy()).prop_map(|(id, update)| Op::UpdateById { id, update }),
+        3 => (-50..50i64, write_strategy()).prop_map(|(n_lt, update)| Op::UpdateMany { n_lt, update }),
         2 => (0..40u8).prop_map(|id| Op::DeleteById { id }),
         1 => (0..4u8).prop_map(|status| Op::DeleteByStatus { status }),
         1 => (0..INDEXED.len()).prop_map(|i| Op::CreateIndex { path: INDEXED[i] }),
@@ -322,8 +352,11 @@ proptest! {
         for (op, at_edge) in ops {
             let crash = matches!(op, Op::Crash);
             match op {
-                Op::Insert { id, n, status } => {
+                Op::Insert { id, n, status, nan } => {
                     let mut doc = obj! { "n" => n, "status" => status_name(status) };
+                    if nan {
+                        Update::set("meta.deep.x", f64::NAN).apply(&mut doc);
+                    }
                     let expected_id = match &id {
                         Some(id) => {
                             Update::set("_id", id.as_str()).apply(&mut doc);
@@ -332,7 +365,9 @@ proptest! {
                         None => format!("auto-{}", model.next_auto_id),
                     };
                     let r = store.insert("c", doc.clone());
-                    if model.docs.contains_key(&expected_id) {
+                    if nan {
+                        prop_assert_eq!(r, Err(StoreError::NotANumber));
+                    } else if model.docs.contains_key(&expected_id) {
                         prop_assert!(r.is_err(), "duplicate insert must fail");
                     } else {
                         prop_assert_eq!(r.as_deref(), Ok(expected_id.as_str()));
@@ -349,14 +384,14 @@ proptest! {
                 }
                 Op::UpdateById { id, update } => {
                     let filter = Filter::eq("_id", format!("d{id}"));
-                    let ids = model.matching(&filter);
+                    let ids = if writes_nan(&update) { Vec::new() } else { model.matching(&filter) };
                     prop_assert_eq!(store.update_one("c", &filter, &update), !ids.is_empty());
                     model.update(&ids, &update);
                 }
                 Op::UpdateMany { n_lt, update } => {
                     // `n` is never indexed: this drives the scan path.
                     let filter = Filter::In("n".into(), (-50..n_lt).map(Value::from).collect());
-                    let ids = model.matching(&filter);
+                    let ids = if writes_nan(&update) { Vec::new() } else { model.matching(&filter) };
                     prop_assert_eq!(store.update_many("c", &filter, &update), ids.len());
                     model.update(&ids, &update);
                 }
